@@ -72,6 +72,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxRequestBody bounds the bodies of /v1/join and /v1/query: both carry a
+// few names or one query text, so 1 MiB is generous, and an unbounded body
+// would let one client make the daemon buffer whatever it sends.
+// /v1/relations is not bounded here — it carries the bulk tuple uploads.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes a size-bounded JSON request body into req, answering 413
+// for an oversized body and 400 for a malformed one; it reports whether the
+// handler should proceed.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return err == nil
+}
+
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -192,8 +213,7 @@ type joinResponse struct {
 
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.RLock()
@@ -298,8 +318,7 @@ type queryResponse struct {
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	mpsm "repro"
@@ -151,6 +152,38 @@ func TestServerErrors(t *testing.T) {
 	if code := post(t, ts2.URL+"/v1/join",
 		joinRequest{R: "R", S: "R", BudgetBytes: 2 << 20}, nil); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized budget: status %d, want 413", code)
+	}
+}
+
+// TestServerBoundsRequestBodies: /v1/join and /v1/query refuse a body over
+// maxRequestBody with 413 and accept one just under it; /v1/relations, which
+// carries bulk uploads, takes a larger body.
+func TestServerBoundsRequestBodies(t *testing.T) {
+	ts, _ := newTestServer(t)
+	if code := post(t, ts.URL+"/v1/relations",
+		createRelationRequest{Name: "r", Generate: &generateSpec{Size: 100, Seed: 1}}, nil); code != http.StatusCreated {
+		t.Fatalf("create r: status %d", code)
+	}
+	pad := func(n int) string { return strings.Repeat("x", n) }
+	for _, tc := range []struct {
+		name string
+		path string
+		body any
+		want int
+	}{
+		{"oversized join", "/v1/join", joinRequest{R: "r", S: "r", Label: pad(maxRequestBody)}, http.StatusRequestEntityTooLarge},
+		{"oversized query", "/v1/query", queryRequest{Query: "ans(K, V) :- r(K, V)", Label: pad(maxRequestBody)}, http.StatusRequestEntityTooLarge},
+		{"join under the bound", "/v1/join", joinRequest{R: "r", S: "r", Label: pad(maxRequestBody - 1024)}, http.StatusOK},
+		{"query under the bound", "/v1/query", queryRequest{Query: "ans(K, V) :- r(K, V)", Label: pad(maxRequestBody - 1024)}, http.StatusOK},
+	} {
+		var out apiError
+		if code := post(t, ts.URL+tc.path, tc.body, &out); code != tc.want {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, code, out.Error, tc.want)
+		}
+	}
+	big := make([][2]uint64, 400_000) // ~2 MB of JSON
+	if code := post(t, ts.URL+"/v1/relations", createRelationRequest{Name: "big", Tuples: big}, nil); code != http.StatusCreated {
+		t.Fatalf("bulk upload over the query bound: status %d, want 201", code)
 	}
 }
 

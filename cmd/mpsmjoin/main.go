@@ -13,9 +13,9 @@
 //	mpsmjoin -algorithm dmpsm -r 200000 -page-budget 64
 //
 // With -plan the command instead runs a composable operator plan — the
-// 3-way join (R ⋈ S) ⋈ T followed by a streaming GROUP BY SUM aggregation —
-// demonstrating how key-ordered MPSM output lets joins and aggregations
-// compose without re-sorting or hash tables:
+// 3-way join (R ⋈ S) ⋈ T followed by a GROUP BY SUM aggregation fused into
+// the top join's sink — demonstrating how key-ordered MPSM output lets joins
+// and aggregations compose without re-sorting or hash tables:
 //
 //	mpsmjoin -plan -r 500000 -multiplicity 4 -pool
 //
@@ -306,8 +306,8 @@ func main() {
 
 // runPlanDemo executes the composable-plan showcase: a third relation T is
 // drawn from R's keys, the plan joins (R ⋈ S) ⋈ T and aggregates SUM(payload)
-// per key — streamed straight out of the key-ordered join output, without a
-// hash table, when the algorithm is an MPSM variant.
+// per key — folded straight out of the join's sink by the sort-based
+// group-by kernel, without materializing the join output.
 func runPlanDemo(ctx context.Context, engine *mpsm.Engine, r, s *mpsm.Relation, seed uint64, scheduler mpsm.Scheduler, jsonOut, explainPlan, autoPlan bool, opts []mpsm.Option) {
 	tRel := mpsm.GenerateForeignKey("T", r, r.Len(), seed+1)
 

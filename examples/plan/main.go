@@ -10,11 +10,11 @@
 //	GROUP BY key
 //
 // as an operator plan: two scans with a pushed-down selection, two joins, and
-// a GroupAggregate that — sitting directly above the key-ordered P-MPSM
-// output — runs as a streaming merge-based aggregation without ever building
-// a hash table. The same plan is then re-run with the first join switched to
-// the radix hash join, whose unordered output makes the aggregate fall back
-// to hashing: identical results, different machinery.
+// a GroupAggregate that fuses into the top join's sink — the join's workers
+// fold equal keys as pairs arrive and a parallel sort-based kernel finalises
+// the groups, so the join output is never materialized and no hash table is
+// built. The same plan is then re-run with the first join switched to the
+// radix hash join: identical results, and the same aggregation kernel.
 //
 // Run with:
 //
@@ -53,8 +53,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("streaming plan: %d groups in %s (scan %s)\n",
-		res.Output.Len(), res.Total.Round(1000), res.ScanTime.Round(1000))
+	fmt.Printf("P-MPSM plan: %d groups in %s (scan %s, aggregate finalisation %s)\n",
+		res.Output.Len(), res.Total.Round(1000), res.ScanTime.Round(1000), res.AggTime.Round(1000))
 	for i, j := range res.Joins {
 		fmt.Printf("  join %d: %s, %d matches in %s\n",
 			i+1, j.Result.Algorithm, j.Result.Matches, j.Result.Total.Round(1000))
@@ -63,8 +63,8 @@ func main() {
 		fmt.Printf("  group key=%-12d sum=%d\n", g.Key, g.Payload)
 	}
 
-	// Same plan, hash-join first stage: the aggregate silently switches to
-	// its hash fallback, and the groups are identical.
+	// Same plan, hash-join first stage: the same aggregation kernel, and
+	// identical groups.
 	hashRes, err := engine.RunPlan(ctx, build(mpsm.RadixHash))
 	if err != nil {
 		panic(err)
@@ -73,14 +73,15 @@ func main() {
 	for i := 0; same && i < res.Output.Len(); i++ {
 		same = hashRes.Output.Tuples[i] == res.Output.Tuples[i]
 	}
-	fmt.Printf("\nradix-hash first stage: %d groups in %s — identical to the streaming plan: %v\n",
+	fmt.Printf("\nradix-hash first stage: %d groups in %s — identical to the P-MPSM plan: %v\n",
 		hashRes.Output.Len(), hashRes.Total.Round(1000), same)
 
 	// With WithAutoPlan the engine stops taking orders: sampled statistics
 	// feed a cost model that picks the algorithm per join, reorders the join
-	// chain by estimated intermediate size, chooses the scheduler, and pins
-	// the aggregation strategy. Explain shows the decisions with estimated
-	// cardinalities; ExplainAnalyze runs the plan and adds the actuals.
+	// chain by estimated intermediate size, and chooses the scheduler.
+	// Explain shows the decisions with estimated cardinalities;
+	// ExplainAnalyze runs the plan and adds the actuals and the aggregate's
+	// finalisation time.
 	autoPlan := mpsm.NewPlan()
 	rs := autoPlan.Join(autoPlan.Scan(r, lowHalf), autoPlan.Scan(s, lowHalf))
 	rst := autoPlan.Join(rs, autoPlan.Scan(t))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/planner"
@@ -12,11 +13,11 @@ import (
 
 // Explain describes the physical plan the engine would execute for a Plan:
 // one entry per plan node with the chosen operators (join algorithm,
-// scheduling mode, presorted declarations, aggregation strategy), the
-// planner's estimated cardinalities, and — after ExplainAnalyze — the actual
-// ones. With auto-planning enabled (WithAutoPlan, as an engine default or a
-// per-call option) the description reflects the optimizer's rewrites; without
-// it, the configured plan annotated with estimates.
+// scheduling mode, presorted declarations), the planner's estimated
+// cardinalities, and — after ExplainAnalyze — the actual ones plus each
+// aggregate's time. With auto-planning enabled (WithAutoPlan, as an engine
+// default or a per-call option) the description reflects the optimizer's
+// rewrites; without it, the configured plan annotated with estimates.
 //
 // Explain renders human-readably via String and machine-readably via
 // MarshalJSON.
@@ -72,9 +73,12 @@ type ExplainNode struct {
 	Reordered        bool          `json:"reordered,omitempty"`
 	Costs            []ExplainCost `json:"costs,omitempty"`
 
-	// AggStrategy is the chosen aggregation strategy ("merge", "hash") for
-	// GroupAggregate nodes.
-	AggStrategy string `json:"agg_strategy,omitempty"`
+	// AggMillis is the time a GroupAggregate node's kernel spent outside its
+	// producer, filled in by ExplainAnalyze: the finalisation (partition,
+	// sort, fold) of an aggregate fused into a join — the per-pair fold is
+	// part of the join phase — or fold plus finalisation over a materialized
+	// input.
+	AggMillis float64 `json:"agg_ms,omitempty"`
 
 	// Keys describes the key-schema regime of scans over normalized-key
 	// relations and of joins consuming them: prefix width, fast-path vs
@@ -115,13 +119,20 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, p *Plan, opts ...Option) (*
 		if rows := pr.Rows[i]; rows >= 0 {
 			ex.Nodes[i].ActualRows = int64(rows)
 		}
+		ex.Nodes[i].AggMillis = float64(pr.AggTimes[i]) / float64(time.Millisecond)
 	}
 	// Fused joins (feeding a sink or aggregate) never materialize rows; their
-	// actual cardinality is the match count.
+	// actual cardinality is the match count, and a Project fused along with
+	// its join passes every pair.
 	for _, j := range pr.Joins {
 		node := &ex.Nodes[j.Node]
 		if node.ActualRows < 0 {
 			node.ActualRows = int64(j.Result.Matches)
+		}
+	}
+	for i := range ex.Nodes {
+		if node := &ex.Nodes[i]; node.Kind == exec.NodeProject.String() && node.ActualRows < 0 {
+			node.ActualRows = ex.Nodes[node.Inputs[0]].ActualRows
 		}
 	}
 	return ex, res, nil
@@ -172,8 +183,6 @@ func (e *Engine) explain(p *Plan, opts []Option) (*Explain, *exec.Plan, error) {
 			for _, c := range d.Costs {
 				en.Costs = append(en.Costs, ExplainCost{Algorithm: c.Algorithm.String(), Millis: c.Millis})
 			}
-		case exec.NodeGroupAggregate:
-			en.AggStrategy = d.AggMode.String()
 		}
 		ex.Nodes = append(ex.Nodes, en)
 	}
@@ -200,7 +209,7 @@ func (ex *Explain) MarshalJSON() ([]byte, error) {
 
 // String renders the plan as an indented operator tree, root first:
 //
-//	GroupAggregate [merge] est=65536 actual=65493
+//	GroupAggregate est=65536 actual=65493 agg=1.87ms
 //	└─ Join [Radix HJ, static] est=1047113 actual=1048628
 //	   ├─ Scan R est=262144
 //	   └─ Scan S est=1048576
@@ -269,9 +278,6 @@ func (n ExplainNode) describe() string {
 	if n.Reordered {
 		attrs = append(attrs, "reordered")
 	}
-	if n.AggStrategy != "" && n.AggStrategy != "auto" {
-		attrs = append(attrs, n.AggStrategy)
-	}
 	if n.Keys != "" {
 		attrs = append(attrs, n.Keys)
 	}
@@ -281,6 +287,9 @@ func (n ExplainNode) describe() string {
 	fmt.Fprintf(&b, " est=%.0f", n.EstRows)
 	if n.ActualRows >= 0 {
 		fmt.Fprintf(&b, " actual=%d", n.ActualRows)
+	}
+	if n.AggMillis > 0 {
+		fmt.Fprintf(&b, " agg=%.2fms", n.AggMillis)
 	}
 	if n.Reason != "" {
 		b.WriteString("  -- " + n.Reason)

@@ -174,6 +174,14 @@ func TestLog2Helper(t *testing.T) {
 	}
 }
 
+// perfAssert reports whether the report tests assert wall-clock ratios. They
+// do only under MPSM_PERF_ASSERT=1, which the CI bench job sets on steps that
+// have the machine to themselves: `go test ./...` runs packages side by side
+// on shared runners, where a ratio of two timings can land anywhere, and
+// tier-1 must never fail on wall-clock noise. Without it the tests check what
+// is deterministic — report shape, estimates, the planner's choices.
+func perfAssert() bool { return os.Getenv("MPSM_PERF_ASSERT") != "" }
+
 // TestSteadyStateJSONReport locks in the machine-readable steady-state
 // report: both pool settings appear, the pooled run reuses buffers, the byte
 // reduction is substantial even at tiny scale, and the JSON round-trips.
@@ -209,10 +217,9 @@ func TestSteadyStateJSONReport(t *testing.T) {
 
 // TestSortJSONReport locks in the machine-readable sort report: all four
 // routines appear and the multi-level rewrite beats the retained one-level
-// baseline on the 1M-tuple acceptance workload. The default run only sanity
-// checks the ordering (shared unit-test runners are noisy); set
-// MPSM_PERF_ASSERT=1 — as the CI bench job does on an otherwise idle step —
-// to enforce the strict ≥1.3x acceptance ratio.
+// baseline on the 1M-tuple acceptance workload. The default run checks the
+// report's shape; the ≥1.3x acceptance ratio is asserted only under
+// MPSM_PERF_ASSERT=1, as the CI bench job does on an otherwise idle step.
 func TestSortJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the sort report sorts 1M tuples repeatedly")
@@ -232,15 +239,18 @@ func TestSortJSONReport(t *testing.T) {
 	for _, r := range sr.Results {
 		byName[r.Routine] = r
 	}
-	strict := os.Getenv("MPSM_PERF_ASSERT") != ""
-	minSpeedup, minIntoRatio := 1.05, 0.9
-	if strict {
-		minSpeedup, minIntoRatio = 1.3, 1.0
+	for _, routine := range []string{"stdlib", "one-level", "multi-level", "sort-into"} {
+		if r, ok := byName[routine]; !ok || r.NsPerOp <= 0 {
+			t.Fatalf("sort report lacks a timing for %q: %+v", routine, sr.Results)
+		}
 	}
-	if s := byName["multi-level"].SpeedupVsOneLev; s < minSpeedup {
-		t.Fatalf("multi-level speedup over one-level = %.2fx, want >= %.2fx (strict=%v)", s, minSpeedup, strict)
+	if !perfAssert() {
+		return // tier-1 checks shape and choice quality only; see perfAssert
 	}
-	if s, m := byName["sort-into"].SpeedupVsOneLev, byName["multi-level"].SpeedupVsOneLev; s < m*minIntoRatio {
-		t.Fatalf("sort-into (%.2fx) should not be slower than multi-level (%.2fx, strict=%v)", s, m, strict)
+	if s := byName["multi-level"].SpeedupVsOneLev; s < 1.3 {
+		t.Fatalf("multi-level speedup over one-level = %.2fx, want >= 1.30x", s)
+	}
+	if s, m := byName["sort-into"].SpeedupVsOneLev, byName["multi-level"].SpeedupVsOneLev; s < m {
+		t.Fatalf("sort-into (%.2fx) should not be slower than multi-level (%.2fx)", s, m)
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"testing"
 )
 
@@ -50,11 +49,10 @@ func checkColumnarReportShape(t *testing.T, rep *ColumnarReport) {
 // and its acceptance criteria: the branch-free selection kernel beats the
 // branchy scalar scan by at least 2x at 50% selectivity (the point of maximum
 // misprediction), and the SoA run-generation sort beats the AoS sort by at
-// least 1.2x at 2^20 tuples. The default run uses loose bounds (shared
-// unit-test runners are noisy and may pin the branchy loop's predictor);
-// set MPSM_PERF_ASSERT=1 — as the CI bench job does on an otherwise idle
-// step — to enforce the strict ratios (with one re-measurement, since the
-// sort bound sits close to an idle machine's noise floor).
+// least 1.2x at 2^20 tuples. The default run checks the report's shape; the
+// wall-clock ratios are asserted only under MPSM_PERF_ASSERT=1 — as the CI
+// bench job does on an otherwise idle step — with one re-measurement, since
+// the sort bound sits close to an idle machine's noise floor.
 func TestColumnarJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the columnar report measures 2^20-tuple kernels repeatedly")
@@ -62,18 +60,17 @@ func TestColumnarJSONReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the wall-clock ratios the test asserts")
 	}
-	strict := os.Getenv("MPSM_PERF_ASSERT") != ""
-	minFilterSpeedup, minSortSpeedup := 1.0, 0.6
-	if strict {
-		minFilterSpeedup, minSortSpeedup = 2.0, 1.2
-	}
+	const minFilterSpeedup, minSortSpeedup = 2.0, 1.2
 
 	rep, err := buildColumnarReport(columnarAcceptConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkColumnarReportShape(t, rep)
-	if strict && (rep.FilterSpeedupAt50 < minFilterSpeedup || rep.SortSpeedup < minSortSpeedup) {
+	if !perfAssert() {
+		return // tier-1 checks shape and choice quality only; see perfAssert
+	}
+	if rep.FilterSpeedupAt50 < minFilterSpeedup || rep.SortSpeedup < minSortSpeedup {
 		// One re-measurement: both kernels comfortably clear their bounds on
 		// an idle machine, but the sort ratio's margin is small enough that a
 		// noisy neighbour can push a single run under it.
@@ -86,11 +83,11 @@ func TestColumnarJSONReport(t *testing.T) {
 		checkColumnarReportShape(t, rep)
 	}
 	if rep.FilterSpeedupAt50 < minFilterSpeedup {
-		t.Errorf("branch-free filter is %.2fx the scalar scan at 50%% selectivity, want >= %.2f (strict=%v)",
-			rep.FilterSpeedupAt50, minFilterSpeedup, strict)
+		t.Errorf("branch-free filter is %.2fx the scalar scan at 50%% selectivity, want >= %.2f",
+			rep.FilterSpeedupAt50, minFilterSpeedup)
 	}
 	if rep.SortSpeedup < minSortSpeedup {
-		t.Errorf("SoA run generation is %.2fx the AoS sort, want >= %.2f (strict=%v)",
-			rep.SortSpeedup, minSortSpeedup, strict)
+		t.Errorf("SoA run generation is %.2fx the AoS sort, want >= %.2f",
+			rep.SortSpeedup, minSortSpeedup)
 	}
 }

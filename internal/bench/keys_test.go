@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"testing"
 )
 
@@ -64,11 +63,11 @@ func checkKeysReportShape(t *testing.T, rep *KeysReport) {
 // its acceptance criteria: string and composite schema joins beat the
 // comparator-based row fallback by at least 2x, and the exact-prefix control
 // — a single-column uint64 schema whose normalization is the identity — runs
-// within 2% of the same join on raw keys. The default run uses loose bounds
-// (shared unit-test runners are noisy); set MPSM_PERF_ASSERT=1 — as the CI
-// bench job does on an otherwise idle step — to enforce the strict ratios
-// (with one re-measurement, since the 2% control bound sits close to an idle
-// machine's noise floor).
+// within 2% of the same join on raw keys. The default run checks the report's
+// shape; the wall-clock ratios are asserted only under MPSM_PERF_ASSERT=1 —
+// as the CI bench job does on an otherwise idle step — with one
+// re-measurement, since the 2% control bound sits close to an idle machine's
+// noise floor.
 func TestKeysJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the keys report measures 2^17-tuple joins repeatedly")
@@ -76,18 +75,17 @@ func TestKeysJSONReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the wall-clock ratios the test asserts")
 	}
-	strict := os.Getenv("MPSM_PERF_ASSERT") != ""
-	minSpeedup, maxOverhead := 1.0, 1.25
-	if strict {
-		minSpeedup, maxOverhead = 2.0, 1.02
-	}
+	const minSpeedup, maxOverhead = 2.0, 1.02
 
 	rep, err := buildKeysReport(keysAcceptConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkKeysReportShape(t, rep)
-	if strict && (rep.StringSpeedup < minSpeedup || rep.CompositeSpeedup < minSpeedup || rep.ExactOverhead > maxOverhead) {
+	if !perfAssert() {
+		return // tier-1 checks shape and choice quality only; see perfAssert
+	}
+	if rep.StringSpeedup < minSpeedup || rep.CompositeSpeedup < minSpeedup || rep.ExactOverhead > maxOverhead {
 		// One re-measurement: the speedups clear 2x comfortably on an idle
 		// machine, but the control's 2% bound can lose a single run to a
 		// noisy neighbour.
@@ -100,15 +98,15 @@ func TestKeysJSONReport(t *testing.T) {
 		checkKeysReportShape(t, rep)
 	}
 	if rep.StringSpeedup < minSpeedup {
-		t.Errorf("normalized string join is %.2fx the comparator fallback, want >= %.2f (strict=%v)",
-			rep.StringSpeedup, minSpeedup, strict)
+		t.Errorf("normalized string join is %.2fx the comparator fallback, want >= %.2f",
+			rep.StringSpeedup, minSpeedup)
 	}
 	if rep.CompositeSpeedup < minSpeedup {
-		t.Errorf("normalized composite join is %.2fx the comparator fallback, want >= %.2f (strict=%v)",
-			rep.CompositeSpeedup, minSpeedup, strict)
+		t.Errorf("normalized composite join is %.2fx the comparator fallback, want >= %.2f",
+			rep.CompositeSpeedup, minSpeedup)
 	}
 	if rep.ExactOverhead > maxOverhead {
-		t.Errorf("exact-prefix schema join is %.3fx the raw-key join, want <= %.3f (strict=%v)",
-			rep.ExactOverhead, maxOverhead, strict)
+		t.Errorf("exact-prefix schema join is %.3fx the raw-key join, want <= %.3f",
+			rep.ExactOverhead, maxOverhead)
 	}
 }

@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // plannerAcceptConfig is the measurement-grade configuration the acceptance
 // ratios are asserted at (the CI bench job's scale).
@@ -60,11 +57,11 @@ func checkPlannerReportShape(t *testing.T, rep *PlannerReport) {
 // TestPlannerJSONReport locks in the machine-readable planner report and its
 // acceptance criteria: the auto-planned join is never far behind the best
 // manual (algorithm, scheduler) cell and beats the worst manual cell by at
-// least 2x on a skewed configuration. The default run uses a loose ratio
-// bound (shared unit-test runners are noisy); set MPSM_PERF_ASSERT=1 — as
-// the CI bench job does on an otherwise idle step — to enforce the strict
-// ≤1.10 acceptance ratio (with one re-measurement, since the bound sits
-// close to an idle machine's noise floor).
+// least 2x on a skewed configuration. The default run checks the report's
+// shape and the planner's choices, which are deterministic; the wall-clock
+// ratios are asserted only under MPSM_PERF_ASSERT=1 — as the CI bench job
+// does on an otherwise idle step — with one re-measurement, since the ≤1.10
+// bound sits close to an idle machine's noise floor.
 func TestPlannerJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the planner report runs the full manual matrix repeatedly")
@@ -72,18 +69,17 @@ func TestPlannerJSONReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the wall-clock ratios the test asserts")
 	}
-	strict := os.Getenv("MPSM_PERF_ASSERT") != ""
-	maxAutoVsBest := 1.6
-	if strict {
-		maxAutoVsBest = 1.10
-	}
+	const maxAutoVsBest = 1.10
 
 	rep, err := buildPlannerReport(plannerAcceptConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkPlannerReportShape(t, rep)
-	if strict && rep.MaxAutoVsBest > maxAutoVsBest {
+	if !perfAssert() {
+		return // tier-1 checks shape and choice quality only; see perfAssert
+	}
+	if rep.MaxAutoVsBest > maxAutoVsBest {
 		// One re-measurement: the strict bound is within a shared runner's
 		// noise envelope, and the acceptance is about choice quality, which
 		// does not vary between runs.
@@ -95,8 +91,8 @@ func TestPlannerJSONReport(t *testing.T) {
 		checkPlannerReportShape(t, rep)
 	}
 	if rep.MaxAutoVsBest > maxAutoVsBest {
-		t.Errorf("auto-planned join is %.2fx the best manual choice somewhere, want <= %.2f (strict=%v)",
-			rep.MaxAutoVsBest, maxAutoVsBest, strict)
+		t.Errorf("auto-planned join is %.2fx the best manual choice somewhere, want <= %.2f",
+			rep.MaxAutoVsBest, maxAutoVsBest)
 	}
 	if rep.BestWorstVsAutoSkewed < 2 {
 		t.Errorf("auto beats the worst manual choice by only %.2fx on skewed configs, want >= 2x",

@@ -28,7 +28,7 @@ const queryRepetitions = 3
 const queryCompileIterations = 200
 
 // queryBenchSrc is the acceptance query: a three-way join with a scan
-// filter and a streaming aggregation.
+// filter and an aggregation fused into the top join through a Project.
 const queryBenchSrc = "ans(K, Sum) :- r(K, X), s(K, Y), t(K, Z), X > 10, agg sum(Z)"
 
 // QueryReport is the machine-readable report of the query experiment

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"testing"
 )
 
@@ -33,11 +32,10 @@ func checkQueryReportShape(t *testing.T, rep *QueryReport) {
 // TestQueryJSONReport locks in the machine-readable query-front-end report
 // and its acceptance criteria: parsing plus compilation costs at most 5% of
 // the end-to-end join time, and the compiled plan runs within 10% of the
-// hand-built equivalent. The default run uses loose bounds (shared unit-test
-// runners are noisy); set MPSM_PERF_ASSERT=1 — as the CI bench job does on
-// an otherwise idle step — to enforce the strict ratios (with one
-// re-measurement, since the plan-parity bound sits close to an idle
-// machine's noise floor).
+// hand-built equivalent. The default run checks the report's shape; the
+// wall-clock ratios are asserted only under MPSM_PERF_ASSERT=1 — as the CI
+// bench job does on an otherwise idle step — with one re-measurement, since
+// the plan-parity bound sits close to an idle machine's noise floor.
 func TestQueryJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the query report measures 2^17-tuple joins repeatedly")
@@ -45,18 +43,17 @@ func TestQueryJSONReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the wall-clock ratios the test asserts")
 	}
-	strict := os.Getenv("MPSM_PERF_ASSERT") != ""
-	maxOverhead, maxRatio := 0.50, 2.0
-	if strict {
-		maxOverhead, maxRatio = 0.05, 1.10
-	}
+	const maxOverhead, maxRatio = 0.05, 1.10
 
 	rep, err := buildQueryReport(queryAcceptConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkQueryReportShape(t, rep)
-	if strict && (rep.CompileOverhead > maxOverhead || rep.PlanRatio > maxRatio) {
+	if !perfAssert() {
+		return // tier-1 checks shape and choice quality only; see perfAssert
+	}
+	if rep.CompileOverhead > maxOverhead || rep.PlanRatio > maxRatio {
 		// One re-measurement: compilation sits three orders of magnitude
 		// under the join, but a noisy neighbour can steal a single run.
 		t.Logf("overhead %.4f (want <= %.4f), plan ratio %.3f (want <= %.3f), re-measuring once",
@@ -68,11 +65,11 @@ func TestQueryJSONReport(t *testing.T) {
 		checkQueryReportShape(t, rep)
 	}
 	if rep.CompileOverhead > maxOverhead {
-		t.Errorf("parse+compile is %.2f%% of end-to-end time, want <= %.2f%% (strict=%v)",
-			rep.CompileOverhead*100, maxOverhead*100, strict)
+		t.Errorf("parse+compile is %.2f%% of end-to-end time, want <= %.2f%%",
+			rep.CompileOverhead*100, maxOverhead*100)
 	}
 	if rep.PlanRatio > maxRatio {
-		t.Errorf("compiled plan runs at %.3fx the hand-built plan, want <= %.3f (strict=%v)",
-			rep.PlanRatio, maxRatio, strict)
+		t.Errorf("compiled plan runs at %.3fx the hand-built plan, want <= %.3f",
+			rep.PlanRatio, maxRatio)
 	}
 }

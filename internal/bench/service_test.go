@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // checkServiceReportShape validates the structural invariants of a serving
 // report: full client roster, plausible latencies, and the plan-cache hit
@@ -37,11 +34,11 @@ func checkServiceReportShape(t *testing.T, rep *ServiceReport) {
 // TestServiceJSONReport locks in the machine-readable serving report and its
 // acceptance criteria: p99 latency at 32 closed-loop clients stays within 5x
 // the uncontended p50 and no client falls behind by more than 1.5x. The
-// default run uses loose bounds (shared unit-test runners are noisy and may
-// have a single core); set MPSM_PERF_ASSERT=1 — as the CI bench job does on an
-// otherwise idle step — to enforce the strict acceptance ratios (with one
-// re-measurement, since both bounds sit close to a busy machine's noise
-// floor).
+// default run checks the report's shape and the deterministic plan-cache hit
+// rate; the latency ratios are asserted only under MPSM_PERF_ASSERT=1 — as
+// the CI bench job does on an otherwise idle step — with one re-measurement,
+// since both bounds sit close to a busy machine's noise floor (and a
+// single-core runner has an inherent ~N× queueing floor at N clients).
 func TestServiceJSONReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the serving report runs a multi-second closed-loop workload")
@@ -49,15 +46,7 @@ func TestServiceJSONReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the latency ratios the test asserts")
 	}
-	strict := os.Getenv("MPSM_PERF_ASSERT") != ""
-	// The loose p99 bound accommodates a single-core runner, where a
-	// closed-loop pool of N clients has an inherent ~N× queueing floor over
-	// the solo latency (elastic parallelism only beats that floor when
-	// queries can actually run side by side).
-	maxP99VsSolo, maxFairness := 4.0*serviceClients, 4.0
-	if strict {
-		maxP99VsSolo, maxFairness = 5.0, 1.5
-	}
+	const maxP99VsSolo, maxFairness = 5.0, 1.5
 
 	cfg := Config{Scale: 0.25, Workers: DefaultConfig().Workers}
 	rep, err := buildServiceReport(cfg)
@@ -65,7 +54,10 @@ func TestServiceJSONReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkServiceReportShape(t, rep)
-	if strict && (rep.P99VsSoloP50 > maxP99VsSolo || rep.Fairness > maxFairness) {
+	if !perfAssert() {
+		return // tier-1 checks shape and choice quality only; see perfAssert
+	}
+	if rep.P99VsSoloP50 > maxP99VsSolo || rep.Fairness > maxFairness {
 		// One re-measurement: the strict bounds are latency ratios within a
 		// shared runner's noise envelope.
 		t.Logf("p99/solo-p50 %.2f (max %.2f), fairness %.2f (max %.2f); re-measuring once",
@@ -77,11 +69,11 @@ func TestServiceJSONReport(t *testing.T) {
 		checkServiceReportShape(t, rep)
 	}
 	if rep.P99VsSoloP50 > maxP99VsSolo {
-		t.Errorf("p99 at %d clients is %.2fx the solo p50, want <= %.2f (strict=%v)",
-			rep.Clients, rep.P99VsSoloP50, maxP99VsSolo, strict)
+		t.Errorf("p99 at %d clients is %.2fx the solo p50, want <= %.2f",
+			rep.Clients, rep.P99VsSoloP50, maxP99VsSolo)
 	}
 	if rep.Fairness > maxFairness {
-		t.Errorf("completion fairness max/min = %.2f, want <= %.2f (strict=%v)",
-			rep.Fairness, maxFairness, strict)
+		t.Errorf("completion fairness max/min = %.2f, want <= %.2f",
+			rep.Fairness, maxFairness)
 	}
 }

@@ -6,13 +6,16 @@
 // The structural property that makes sort-merge plans compose is the one the
 // MPSM paper's join phase rests on: every worker merges its sorted private
 // run against sorted public runs, so a join's output stream arrives as
-// key-ordered segments. Operators exploit this where it matters — a
-// GroupAggregate directly above an MPSM join runs as a streaming, merge-based
-// aggregation (fold consecutive equal keys, seal a sorted segment whenever
-// the order restarts, k-way merge the segments at the end) and never builds a
-// hash table. A join feeding another join materializes its projected output
-// as an intermediate relation through the scratch pool, so deep plans stay
-// allocation-free in steady state.
+// key-ordered segments. A GroupAggregate above a join — directly or through
+// a Project — fuses into the join's sink: the per-worker writers of
+// sink.Groups fold consecutive equal keys as pairs arrive (over key-ordered
+// segments that collapses the stream to one entry per key and public run) and
+// the kernel finalises the entries by range partitioning and radix sorting,
+// in parallel, without materializing the join output or building a hash
+// table; the same kernel aggregates materialized scan and map outputs. A join
+// feeding another join materializes its projected output as an intermediate
+// relation through the scratch pool, so deep plans stay allocation-free in
+// steady state.
 //
 // The classic pipeline
 //

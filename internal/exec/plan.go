@@ -32,9 +32,9 @@ const (
 	// overriding the default projection.
 	NodeProject
 	// NodeGroupAggregate groups its input by key and aggregates the payload
-	// (sum, min, max or count). Directly above an MPSM join it runs as a
-	// streaming merge-based aggregation over the join's key-ordered output;
-	// otherwise it falls back to hash aggregation.
+	// (sum, min, max or count) with the sort-based kernel of internal/sink.
+	// Above a join — directly or through a NodeProject — it fuses into the
+	// join's sink and the join output is never materialized.
 	NodeGroupAggregate
 	// NodeSink terminates the plan in a user sink that receives the raw
 	// joined pairs of its input join. A sink node must be the plan root and
@@ -61,41 +61,6 @@ func (k NodeKind) String() string {
 		return fmt.Sprintf("NodeKind(%d)", int(k))
 	}
 }
-
-// AggMode selects how a NodeGroupAggregate directly above a join executes.
-// It is a pure performance choice — both strategies produce the identical
-// sorted group relation — that the planner pins explicitly instead of
-// relying on the Auto inference.
-type AggMode int
-
-const (
-	// AggAuto follows the input join's output order: streaming merge
-	// aggregation over key-ordered MPSM output, hash aggregation otherwise.
-	AggAuto AggMode = iota
-	// AggMerge forces the streaming merge-based aggregation. It is correct
-	// over any input order (segments seal whenever the order restarts) but
-	// only fast over key-ordered output.
-	AggMerge
-	// AggHash forces the hash aggregation.
-	AggHash
-)
-
-// String implements fmt.Stringer.
-func (m AggMode) String() string {
-	switch m {
-	case AggAuto:
-		return "auto"
-	case AggMerge:
-		return "merge"
-	case AggHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("AggMode(%d)", int(m))
-	}
-}
-
-// Valid reports whether m is a known aggregation mode.
-func (m AggMode) Valid() bool { return m == AggAuto || m == AggMerge || m == AggHash }
 
 // PlanNode is one operator of a plan DAG. Only the fields of the node's Kind
 // are meaningful; the Add* builder methods populate them consistently, and
@@ -127,10 +92,8 @@ type PlanNode struct {
 	// ProjectFn configures a NodeProject.
 	ProjectFn sink.Projection
 
-	// Agg configures a NodeGroupAggregate; AggMode selects its execution
-	// strategy (the zero value follows the input algorithm's output order).
-	Agg     sink.Agg
-	AggMode AggMode
+	// Agg configures a NodeGroupAggregate.
+	Agg sink.Agg
 
 	// Sink configures a NodeSink; nil selects the built-in max-sum
 	// aggregate, preserving the classic Run semantics.
@@ -411,9 +374,6 @@ func (p *Plan) validateNode(id NodeID, n PlanNode) error {
 	case NodeGroupAggregate:
 		if !n.Agg.Valid() {
 			return fmt.Errorf("exec: plan node %d has unknown aggregate %v", id, n.Agg)
-		}
-		if !n.AggMode.Valid() {
-			return fmt.Errorf("exec: plan node %d has unknown aggregation mode %v", id, n.AggMode)
 		}
 	case NodeSink:
 		if p.Nodes[n.Inputs[0]].Kind != NodeJoin {

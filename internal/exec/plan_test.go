@@ -3,7 +3,10 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/sched"
 	"repro/internal/sink"
+	"repro/internal/workload"
 )
 
 // collectConsumer materializes default-projected pairs for reference joins.
@@ -22,15 +26,39 @@ func (c *collectConsumer) Consume(r, s relation.Tuple) {
 	c.rows = append(c.rows, sink.DefaultProjection(r, s))
 }
 
+// referenceGroups is the brute-force group-by oracle: a Go map fold and a
+// sort by key, sharing no code with the sort-based kernel.
+func referenceGroups(tuples []relation.Tuple, agg sink.Agg) []relation.Tuple {
+	groups := make(map[uint64]uint64)
+	for _, t := range tuples {
+		acc, seen := groups[t.Key]
+		switch {
+		case agg == sink.AggCount:
+			acc++
+		case !seen || agg == sink.AggMin && t.Payload < acc || agg == sink.AggMax && t.Payload > acc:
+			acc = t.Payload
+		case agg == sink.AggSum:
+			acc += t.Payload
+		}
+		groups[t.Key] = acc
+	}
+	out := make([]relation.Tuple, 0, len(groups))
+	for k, v := range groups {
+		out = append(out, relation.Tuple{Key: k, Payload: v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
 // referenceThreeWayGroups computes the oracle for (R ⋈ S) ⋈ T followed by a
 // group-by aggregation: pairwise reference joins (which share no code with
-// the plan executor's join path) plus the reference hash aggregation.
+// the plan executor's join path) plus the map oracle.
 func referenceThreeWayGroups(r, s, tr *relation.Relation, agg sink.Agg) []relation.Tuple {
 	var j1 collectConsumer
 	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &j1)
 	var j2 collectConsumer
 	mergejoin.ReferenceJoin(j1.rows, tr.Tuples, &j2)
-	return sink.AggregateTuples(j2.rows, agg)
+	return referenceGroups(j2.rows, agg)
 }
 
 // threeWayPlan builds Scan(R), Scan(S), Scan(T) → (R ⋈ S) ⋈ T →
@@ -116,57 +144,139 @@ func TestThreeWayPlanParityWithPoolAndFilters(t *testing.T) {
 	}
 }
 
-func TestPlanAggregateFunctions(t *testing.T) {
-	r, s := dataset(800, 3, 44)
-	for _, agg := range []sink.Agg{sink.AggSum, sink.AggMin, sink.AggMax, sink.AggCount} {
-		var pairs collectConsumer
-		mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &pairs)
-		want := sink.AggregateTuples(pairs.rows, agg)
+// pairConsumer materializes raw pairs for the differential oracle.
+type pairConsumer struct{ pairs []sink.Pair }
 
-		p := &Plan{}
-		j := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), AlgorithmPMPSM, core.Options{Workers: 4}, core.DiskOptions{})
-		p.AddGroupAggregate(j, agg)
-		pr, err := RunPlan(context.Background(), p, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", agg, err)
+func (c *pairConsumer) Consume(r, s relation.Tuple) { c.pairs = append(c.pairs, sink.Pair{R: r, S: s}) }
+
+// aggregateInputs are the key distributions the fused aggregate is pinned on.
+func aggregateInputs(seed uint64) map[string][2]*relation.Relation {
+	const domain = 1 << 20
+	fk := func(r *relation.Relation, n int) *relation.Relation {
+		return workload.ForeignKeyRelation("S", r, n, seed+1)
+	}
+	fixed := func(name string, n int, key func(i int) uint64) *relation.Relation {
+		rng := workload.NewRNG(seed + 2)
+		tuples := make([]relation.Tuple, n)
+		for i := range tuples {
+			tuples[i] = relation.Tuple{Key: key(i), Payload: rng.Next()}
 		}
-		if !reflect.DeepEqual(pr.Output.Tuples, want) {
-			t.Fatalf("%v: streaming aggregate diverges from reference", agg)
-		}
+		return relation.New(name, tuples)
+	}
+	uniform := workload.UniformRelation("R", 3000, domain, seed)
+	skewed := workload.SkewedRelation("R", 3000, domain, workload.SkewHigh80, seed)
+	maxKeys := fixed("R", 600, func(i int) uint64 { return math.MaxUint64 - uint64(i%200) })
+	one := fixed("R", 1, func(int) uint64 { return 9 })
+	return map[string][2]*relation.Relation{
+		"uniform":        {uniform, fk(uniform, 12000)},
+		"skew80:20":      {skewed, workload.SkewedRelation("S", 12000, domain, workload.SkewLow80, seed+1)},
+		"all-equal":      {fixed("R", 60, func(int) uint64 { return 7 }), fixed("S", 300, func(int) uint64 { return 7 })},
+		"max-keys":       {maxKeys, fk(maxKeys, 1800)},
+		"empty":          {relation.New("R", nil), fk(uniform, 100)},
+		"one":            {one, fk(one, 1)},
+		"workers>tuples": {fixed("R", 3, func(i int) uint64 { return uint64(i) }), fixed("S", 5, func(i int) uint64 { return uint64(i % 3) })},
 	}
 }
 
-func TestPlanStreamingAndHashAggregatesAgree(t *testing.T) {
-	r, s := dataset(1000, 4, 55)
-
-	build := func(alg Algorithm, project bool) *Plan {
-		p := &Plan{}
-		j := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), alg, core.Options{Workers: 4}, core.DiskOptions{})
-		in := j
-		if project {
-			// An explicit projection materializes the join output first, so
-			// the aggregate takes the hash path over tuples.
-			in = p.AddProject(j, sink.DefaultProjection)
-		}
-		p.AddGroupAggregate(in, sink.AggSum)
-		return p
+// TestFusedAggregateMatchesMapOracle is the differential test of the group-by
+// kernel fused into a join: every aggregate above every producer, under both
+// schedulers, directly and through each kind of projection, over the edge
+// distributions, must equal the brute-force oracle (reference join, projection,
+// map fold) in strictly ascending key order.
+func TestFusedAggregateMatchesMapOracle(t *testing.T) {
+	const seed = 926
+	projections := map[string]sink.Projection{
+		"none":   nil,
+		"build":  func(r, _ relation.Tuple) relation.Tuple { return r },
+		"probe":  func(r, s relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: s.Payload} },
+		"key":    func(r, _ relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: r.Key} },
+		"key-of": func(r, s relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: s.Key} },
+		"user": func(r, s relation.Tuple) relation.Tuple {
+			return relation.Tuple{Key: s.Payload % 1000, Payload: r.Payload ^ s.Key}
+		},
 	}
-
-	base, err := RunPlan(context.Background(), build(AlgorithmPMPSM, false), nil)
-	if err != nil {
+	algorithms := []Algorithm{AlgorithmPMPSM, AlgorithmBMPSM, AlgorithmDMPSM, AlgorithmWisconsin, AlgorithmRadix}
+	pool := memory.NewPool(0)
+	for dist, in := range aggregateInputs(seed) {
+		r, s := in[0], in[1]
+		var ref pairConsumer
+		mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &ref)
+		for pname, project := range projections {
+			projected := make([]relation.Tuple, len(ref.pairs))
+			for i, p := range ref.pairs {
+				if project == nil {
+					projected[i] = sink.DefaultProjection(p.R, p.S)
+				} else {
+					projected[i] = project(p.R, p.S)
+				}
+			}
+			for _, agg := range []sink.Agg{sink.AggSum, sink.AggMin, sink.AggMax, sink.AggCount} {
+				want := referenceGroups(projected, agg)
+				for _, alg := range algorithms {
+					for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+						p := &Plan{}
+						in := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), alg,
+							core.Options{Workers: 4, Scheduler: mode, MorselSize: 512}, core.DiskOptions{PageSize: 256, PageBudget: 8})
+						if project != nil {
+							in = p.AddProject(in, project)
+						}
+						p.AddGroupAggregate(in, agg)
+						label := fmt.Sprintf("seed=%d dist=%s projection=%s agg=%v alg=%v sched=%v", seed, dist, pname, agg, alg, mode)
+						pr, err := RunPlan(context.Background(), p, pool)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						got := pr.Output.Tuples
+						for i := 1; i < len(got); i++ {
+							if got[i].Key <= got[i-1].Key {
+								t.Fatalf("%s: keys not strictly ascending at %d", label, i)
+							}
+						}
+						if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %d groups diverge from the oracle's %d", label, len(got), len(want))
+						}
+						if pr.Joins[0].Result.Matches != uint64(len(ref.pairs)) {
+							t.Fatalf("%s: join counted %d pairs, reference has %d", label, pr.Joins[0].Result.Matches, len(ref.pairs))
+						}
+					}
+				}
+			}
+		}
+	}
+	if err := pool.CheckIntegrity(); err != nil {
 		t.Fatal(err)
 	}
-	for _, variant := range []*Plan{
-		build(AlgorithmWisconsin, false), // hash-aggregating group sink
-		build(AlgorithmRadix, false),
-		build(AlgorithmPMPSM, true), // materialize-then-hash-aggregate
-	} {
-		pr, err := RunPlan(context.Background(), variant, nil)
+}
+
+// TestAggregateOverMaterializedInputs: above a scan, a map or another
+// aggregate the kernel folds the materialized tuples, and reports its time.
+func TestAggregateOverMaterializedInputs(t *testing.T) {
+	r, _ := dataset(40000, 1, 77)
+	halve := func(t relation.Tuple) relation.Tuple { return relation.Tuple{Key: t.Key / 2, Payload: t.Payload} }
+	mapped := make([]relation.Tuple, r.Len())
+	for i, tup := range r.Tuples {
+		mapped[i] = halve(tup)
+	}
+	for _, pool := range []*memory.Pool{nil, memory.NewPool(0)} {
+		p := &Plan{}
+		inner := p.AddGroupAggregate(p.AddMap(p.AddScan(r, nil), halve), sink.AggMax)
+		outer := p.AddGroupAggregate(p.AddMap(inner, halve), sink.AggCount)
+		pr, err := RunPlan(context.Background(), p, pool)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pr.Output.Tuples, base.Output.Tuples) {
-			t.Fatal("hash aggregation path diverges from the streaming merge path")
+		firstLevel := referenceGroups(mapped, sink.AggMax)
+		for i := range firstLevel {
+			firstLevel[i] = halve(firstLevel[i])
+		}
+		if want := referenceGroups(firstLevel, sink.AggCount); !reflect.DeepEqual(pr.Output.Tuples, want) {
+			t.Fatalf("nested aggregate diverges from the oracle (%d vs %d groups)", pr.Output.Len(), len(want))
+		}
+		if pr.Rows[inner] != len(firstLevel) {
+			t.Fatalf("inner aggregate reported %d rows, want %d", pr.Rows[inner], len(firstLevel))
+		}
+		if pr.AggTimes[inner] <= 0 || pr.AggTimes[outer] <= 0 {
+			t.Fatalf("aggregate times not recorded: %v", pr.AggTimes)
 		}
 	}
 }

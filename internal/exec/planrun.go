@@ -40,11 +40,16 @@ type PlanResult struct {
 	Joins []JoinExecution
 	// Rows is the number of tuples each node produced, indexed by NodeID
 	// (-1 for nodes whose output was never materialized as tuples, i.e.
-	// fused joins and sinks).
+	// sinks and joins or projections fused into their consumer).
 	Rows []int
 	// ScanTime is the total time spent scanning and filtering base
 	// relations.
 	ScanTime time.Duration
+	// AggTimes is the time each GroupAggregate node's kernel spent outside
+	// its producer, indexed by NodeID (zero elsewhere): the finalisation of
+	// an aggregate fused into a join — its fold is part of the join phase —
+	// or fold plus finalisation over a materialized input.
+	AggTimes []time.Duration
 	// Total is the end-to-end elapsed time of the plan execution.
 	Total time.Duration
 }
@@ -73,10 +78,11 @@ func RunPlanFor(ctx context.Context, p *Plan, pool *memory.Pool, owner *memory.R
 		plan:  p,
 		pool:  pool,
 		lease: pool.AcquireFor(owner),
+		root:  p.rootNode(),
 		cache: make([]*relation.Relation, len(p.Nodes)),
 		owned: make([]bool, len(p.Nodes)),
 		uses:  make([]int, len(p.Nodes)),
-		res:   &PlanResult{Rows: make([]int, len(p.Nodes))},
+		res:   &PlanResult{Rows: make([]int, len(p.Nodes)), AggTimes: make([]time.Duration, len(p.Nodes))},
 	}
 	defer e.lease.Release()
 	for id := range e.res.Rows {
@@ -87,8 +93,6 @@ func RunPlanFor(ctx context.Context, p *Plan, pool *memory.Pool, owner *memory.R
 			e.uses[in]++
 		}
 	}
-	root := p.rootNode()
-
 	var runErr error
 	e.res.Total = result.StopwatchPhase(func() {
 		// Coordinator-side backstop: operator code running on this goroutine
@@ -101,7 +105,7 @@ func RunPlanFor(ctx context.Context, p *Plan, pool *memory.Pool, owner *memory.R
 				runErr = sched.Recovered(owner.Label(), "plan", -1, r)
 			}
 		}()
-		runErr = e.runRoot(root)
+		runErr = e.runRoot(e.root)
 	})
 	if runErr != nil {
 		return nil, runErr
@@ -132,6 +136,7 @@ func (p *Plan) rootNode() NodeID {
 type planExec struct {
 	ctx   context.Context
 	plan  *Plan
+	root  NodeID
 	pool  *memory.Pool
 	lease *memory.Lease // plan-level lease for intermediate relations
 	// cache memoizes materialized node outputs (shared scans); owned marks
@@ -202,7 +207,7 @@ func (e *planExec) materialize(id NodeID) (*relation.Relation, error) {
 			return nil, err
 		}
 	case NodeJoin:
-		rel, err = e.collectJoin(id, sink.DefaultProjection)
+		rel, err = e.collectJoin(id, nil)
 		owned = true
 	case NodeProject:
 		rel, err = e.collectJoin(n.Inputs[0], n.ProjectFn)
@@ -210,7 +215,7 @@ func (e *planExec) materialize(id NodeID) (*relation.Relation, error) {
 	case NodeMap:
 		rel, owned, err = e.runMap(n)
 	case NodeGroupAggregate:
-		rel, owned, err = e.runAggregate(n)
+		rel, owned, err = e.runAggregate(id, n)
 	default:
 		return nil, fmt.Errorf("exec: cannot materialize plan node %d (%v)", id, n.Kind)
 	}
@@ -253,55 +258,39 @@ func (e *planExec) runMap(n PlanNode) (*relation.Relation, bool, error) {
 	return relation.New(in.Name, out), true, nil
 }
 
-// runAggregate groups its input by key. Directly above a join the aggregation
-// fuses into the join's sink — streaming and merge-based over the key-ordered
-// output of the MPSM variants, hash-based over the unordered output of the
-// hash joins. Above an already-materialized tuple input it hash-aggregates
-// the relation.
-func (e *planExec) runAggregate(n PlanNode) (*relation.Relation, bool, error) {
-	in := n.Inputs[0]
+// runAggregate groups its input by key with the sort-based kernel. Above a
+// join — directly or through a Project — the kernel fuses into the join's
+// sink, so the join output is never materialized; above a scan, map or
+// aggregate it folds the materialized tuples.
+func (e *planExec) runAggregate(id NodeID, n PlanNode) (*relation.Relation, bool, error) {
+	out := e.lease
+	if id == e.root {
+		out = nil // the caller keeps the root's output: build it outside pooled memory
+	}
+	in, project := n.Inputs[0], sink.Projection(nil)
+	if p := e.plan.Nodes[in]; p.Kind == NodeProject {
+		in, project = p.Inputs[0], p.ProjectFn
+	}
+	snk := sink.NewGroups(e.ctx, n.Agg, project, out)
 	if e.plan.Nodes[in].Kind == NodeJoin {
-		merge := KeyOrderedOutput(e.plan.Nodes[in].Algorithm)
-		switch n.AggMode {
-		case AggMerge:
-			merge = true
-		case AggHash:
-			merge = false
-		}
-		var snk sink.GroupSink
-		if merge {
-			snk = sink.NewMergeGroups(n.Agg, e.lease)
-		} else {
-			snk = sink.NewHashGroups(n.Agg)
-		}
 		if _, err := e.runJoin(in, snk); err != nil {
 			return nil, false, err
 		}
-		_, merged := snk.(*sink.MergeGroups)
-		return relation.New("groups", snk.Groups()), merged, nil
+	} else {
+		rel, err := e.materialize(in)
+		if err != nil {
+			return nil, false, err
+		}
+		if err := e.boundary(); err != nil {
+			return nil, false, err
+		}
+		snk.SetScratch(e.lease)
+		if err := snk.Aggregate(rel.Tuples, e.workers()); err != nil {
+			return nil, false, err
+		}
 	}
-	rel, err := e.materialize(in)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := e.boundary(); err != nil {
-		return nil, false, err
-	}
-	return relation.New("groups", sink.AggregateTuples(rel.Tuples, n.Agg)), false, nil
-}
-
-// KeyOrderedOutput reports whether the algorithm's per-worker output stream
-// consists of key-sorted segments — the property of the sort-merge join
-// phase (every worker merges its sorted private run against sorted public
-// runs) that the streaming merge aggregation exploits. The planner uses it
-// to pin aggregation strategies.
-func KeyOrderedOutput(alg Algorithm) bool {
-	switch alg {
-	case AlgorithmPMPSM, AlgorithmBMPSM, AlgorithmDMPSM:
-		return true
-	default:
-		return false
-	}
+	e.res.AggTimes[id] = snk.Elapsed()
+	return relation.New("groups", snk.Rows()), out != nil, nil
 }
 
 // runJoin materializes the join's inputs, executes the join streaming into

@@ -280,9 +280,6 @@ type NodeDecision struct {
 	Reordered                         bool
 	Costs                             []AlgorithmCost
 
-	// AggMode is the chosen aggregation strategy for GroupAggregate nodes.
-	AggMode exec.AggMode
-
 	// Keys describes the key-schema regime (join and scan nodes over
 	// normalized-key relations); empty for raw uint64 keys. Unlike Reason
 	// it survives the non-rewrite annotate mode: the key path is a fact of
@@ -498,8 +495,6 @@ func (s *planState) decideNodes() {
 			}
 		case exec.NodeJoin:
 			s.decideJoin(exec.NodeID(id), n, d)
-		case exec.NodeGroupAggregate:
-			s.decideAggregate(n, d)
 		}
 	}
 }
@@ -551,31 +546,6 @@ func (s *planState) decideJoin(id exec.NodeID, n *exec.PlanNode, d *NodeDecision
 	d.MorselSize = n.JoinOptions.MorselSize
 	d.PresortedPrivate = ch.PresortedPrivate
 	d.PresortedPublic = ch.PresortedPublic
-}
-
-// decideAggregate pins the aggregation strategy to the input join's output
-// order: streaming merge aggregation over key-ordered MPSM output, hash
-// aggregation otherwise.
-func (s *planState) decideAggregate(n *exec.PlanNode, d *NodeDecision) {
-	in := s.plan.Nodes[n.Inputs[0]]
-	if in.Kind != exec.NodeJoin {
-		d.AggMode = exec.AggAuto
-		return
-	}
-	mode := exec.AggHash
-	why := "hash aggregation (unordered hash-join output)"
-	if exec.KeyOrderedOutput(in.Algorithm) {
-		mode = exec.AggMerge
-		why = "streaming merge aggregation (key-ordered join output)"
-	}
-	d.AggMode = mode
-	d.Reason = why
-	if s.opt.Rewrite {
-		n.AggMode = mode
-	} else {
-		d.AggMode = n.AggMode
-		d.Reason = ""
-	}
 }
 
 // diskLatencyNs converts the configured per-page disk latencies into a

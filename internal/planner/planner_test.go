@@ -249,32 +249,6 @@ func TestOptimizeAnnotatesWithoutRewrite(t *testing.T) {
 	}
 }
 
-// TestOptimizePinsAggregateMode: the aggregation strategy must follow the
-// chosen join algorithm.
-func TestOptimizePinsAggregateMode(t *testing.T) {
-	r := workload.UniformRelation("R", 1<<16, workload.DefaultKeyDomain, 21)
-	s := workload.ForeignKeyRelation("S", r, 1<<18, 22)
-	p := &exec.Plan{}
-	j := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), exec.AlgorithmPMPSM, core.Options{Workers: 1}, core.DiskOptions{})
-	agg := p.AddGroupAggregate(j, 0)
-
-	op, decisions, err := (&Optimizer{Rewrite: true}).Optimize(p)
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	wantMerge := exec.KeyOrderedOutput(op.Nodes[j].Algorithm)
-	got := op.Nodes[agg].AggMode
-	if wantMerge && got != exec.AggMerge {
-		t.Errorf("aggregate above %v pinned to %v, want merge", op.Nodes[j].Algorithm, got)
-	}
-	if !wantMerge && got != exec.AggHash {
-		t.Errorf("aggregate above %v pinned to %v, want hash", op.Nodes[j].Algorithm, got)
-	}
-	if decisions[agg].AggMode != got {
-		t.Errorf("decision (%v) and plan (%v) disagree on the aggregate mode", decisions[agg].AggMode, got)
-	}
-}
-
 // TestOptimizedPlanExecutes: an optimized plan must run and produce the same
 // aggregate as the unoptimized plan.
 func TestOptimizedPlanExecutes(t *testing.T) {

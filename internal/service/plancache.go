@@ -46,7 +46,6 @@ type nodeChoice struct {
 	scheduler                         sched.Mode
 	morselSize                        int
 	presortedPrivate, presortedPublic bool
-	aggMode                           exec.AggMode
 }
 
 // cacheEntry is one cached physical plan.
@@ -193,7 +192,6 @@ func captureChoices(p *exec.Plan) []nodeChoice {
 			morselSize:       n.JoinOptions.MorselSize,
 			presortedPrivate: n.JoinOptions.PresortedPrivate,
 			presortedPublic:  n.JoinOptions.PresortedPublic,
-			aggMode:          n.AggMode,
 		}
 	}
 	return choices
@@ -213,9 +211,6 @@ func applyChoices(p *exec.Plan, choices []nodeChoice) {
 			n.JoinOptions.MorselSize = ch.morselSize
 			n.JoinOptions.PresortedPrivate = ch.presortedPrivate
 			n.JoinOptions.PresortedPublic = ch.presortedPublic
-		}
-		if n.Kind == exec.NodeGroupAggregate {
-			n.AggMode = ch.aggMode
 		}
 	}
 }
@@ -247,7 +242,7 @@ func cacheKey(p *exec.Plan, rewrite bool) string {
 		case exec.NodeProject:
 			fmt.Fprintf(&b, "f%x", fnPtr(n.ProjectFn))
 		case exec.NodeGroupAggregate:
-			fmt.Fprintf(&b, "g%v m%v", n.Agg, n.AggMode)
+			fmt.Fprintf(&b, "g%v", n.Agg)
 		case exec.NodeSink:
 			// Only nilness matters: a user sink observes the pair order and
 			// pins the build/probe roles, the built-in max-sum sink is

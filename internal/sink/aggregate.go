@@ -1,12 +1,18 @@
 package sink
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"runtime"
+	"time"
 
+	"repro/internal/batch"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
+	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/sched"
+	"repro/internal/sorting"
 )
 
 // Agg selects the aggregate function of a group-by-key aggregation. The
@@ -92,307 +98,291 @@ func (a Agg) merge(x, y uint64) uint64 {
 	}
 }
 
-// GroupSink is a sink that reduces the joined pair stream to one tuple per
-// distinct key: {Key: group key, Payload: aggregate value}. Both built-in
-// implementations (MergeGroups, HashGroups) group by R.Key and aggregate the
-// payload sum R.Payload + S.Payload, the join's default projection.
-type GroupSink interface {
-	Sink
-	// Groups returns the aggregated tuples in ascending key order. Call
-	// after Close; the slice is valid until the next Open (it may be backed
-	// by the output lease passed at construction).
-	Groups() []relation.Tuple
-}
-
-// MergeGroups is the streaming merge-based group-by aggregate that exploits
-// the key-ordered output of the MPSM join phase: each worker's pair stream is
-// a sequence of key-sorted segments (one per public run it merges against),
-// so the writer folds consecutive equal keys into one accumulator and seals a
-// finished segment of aggregated (key, value) entries whenever the key order
-// restarts. Close then k-way merges all sealed segments — combining partial
-// accumulators of the same key — into the final sorted group list.
+// Groups is the group-by kernel: it reduces a pair or tuple stream to one
+// tuple {Key: group key, Payload: aggregate} per distinct key, in ascending
+// key order, by sorting instead of hashing — the same synchronization-free
+// range partitioning and radix sort the join itself runs on.
 //
-// No hash table is ever built: memory use is one entry per (segment, distinct
-// key) pair, drawn from the join's scratch lease when pooling is enabled
-// (MergeGroups implements Scratcher). The aggregation is correct for any
-// emission order — out-of-order input merely produces more, shorter segments
-// — but it is only economical above producers with key-ordered output
-// (B-MPSM, P-MPSM, D-MPSM); above hash joins use HashGroups instead.
-type MergeGroups struct {
+// As a Sink it fuses into a join: every worker's writer applies the
+// projection, folds runs of equal keys as they arrive (the key-ordered output
+// of the MPSM join phase collapses to one entry per key and public run; a
+// hash join's probe loop emits a key's matches back to back) and appends
+// (key, partial) entries to leased buffers, so the join output is never
+// materialized. Close range-partitions the entries by key — per-writer
+// histograms, equi-height splitters, prefix sums, a latch-free scatter —
+// then sorts each partition, folds equal keys and concatenates the partitions
+// in splitter order, one task per partition. Partitions that arrive ordered
+// skip the sort. Aggregate runs the same kernel over a materialized tuple
+// stream.
+//
+// Groups implements Scratcher: entry and partition buffers come from the
+// join's scratch lease. The final group buffer is drawn from the out lease
+// passed at construction — which must outlive the join — or freshly
+// allocated when out is nil.
+type Groups struct {
+	ctx     context.Context
 	agg     Agg
-	out     *memory.Lease // final merged buffer; nil allocates fresh
-	lease   *memory.Lease // per-worker entry buffers (join lease via Scratcher)
-	writers []*mergeGroupWriter
-	groups  []relation.Tuple
+	project Projection
+	out     *memory.Lease
+	lease   *memory.Lease
+	writers []*groupWriter
+	rt      *sched.Runtime
+	rows    []relation.Tuple
+	elapsed time.Duration
 }
 
-// NewMergeGroups returns a streaming merge-based group-by sink. The final
-// merged group buffer is drawn from out when non-nil — pass a lease that
-// outlives the join (for example, the plan execution's lease) — and freshly
-// allocated otherwise.
-func NewMergeGroups(agg Agg, out *memory.Lease) *MergeGroups {
-	return &MergeGroups{agg: agg, out: out}
+// NewGroups returns a group-by kernel. A nil projection selects
+// DefaultProjection; ctx cancels the parallel finalisation.
+func NewGroups(ctx context.Context, agg Agg, project Projection, out *memory.Lease) *Groups {
+	return &Groups{ctx: ctx, agg: agg, project: project, out: out}
 }
 
 // SetScratch implements Scratcher.
-func (m *MergeGroups) SetScratch(lease *memory.Lease) { m.lease = lease }
+func (g *Groups) SetScratch(lease *memory.Lease) { g.lease = lease }
 
 // Open implements Sink.
-func (m *MergeGroups) Open(workers int) {
-	m.writers = make([]*mergeGroupWriter, workers)
-	for w := range m.writers {
-		m.writers[w] = &mergeGroupWriter{agg: m.agg, lease: m.lease}
+func (g *Groups) Open(workers int) {
+	g.writers = make([]*groupWriter, workers)
+	for w := range g.writers {
+		g.writers[w] = &groupWriter{agg: g.agg, tupleBuffer: tupleBuffer{project: g.project, lease: g.lease}}
 	}
-	m.groups = nil
+	g.rt, g.rows, g.elapsed = nil, nil, 0
 }
 
 // Writer implements Sink.
-func (m *MergeGroups) Writer(w int) mergejoin.Consumer { return m.writers[w] }
+func (g *Groups) Writer(w int) mergejoin.Consumer { return g.writers[w] }
 
-// Close implements Sink: it merges all workers' sorted segments into the
-// final group list.
-func (m *MergeGroups) Close() error {
-	var segs []groupSegment
-	total := 0
-	for _, w := range m.writers {
-		w.finish()
-		prev := 0
-		for _, end := range w.segs {
-			if end > prev {
-				segs = append(segs, groupSegment{buf: w.entries, pos: prev, end: end})
-				total += end - prev
-			}
-			prev = end
+// Rows returns the aggregated tuples in ascending key order. Call after
+// Close; the slice is valid until the next Open (it may be backed by the out
+// lease).
+func (g *Groups) Rows() []relation.Tuple { return g.rows }
+
+// Elapsed is the time the kernel spent outside its producer: the
+// finalisation of a fused aggregate (its fold runs inside the join phase),
+// fold plus finalisation of Aggregate.
+func (g *Groups) Elapsed() time.Duration { return g.elapsed }
+
+// groupPartitionEntries is the input size one fold or finalisation task is
+// worth: below it the kernel runs on the calling goroutine.
+const groupPartitionEntries = 1 << 13
+
+// groupHistogramBits is the histogram granularity the splitters are cut from.
+const groupHistogramBits = 10
+
+// Aggregate runs the kernel over a materialized tuple stream, grouping by
+// Tuple.Key and aggregating Tuple.Payload: workers (0 selects GOMAXPROCS)
+// fold contiguous chunks in parallel, then the groups are finalised as in
+// Close.
+func (g *Groups) Aggregate(tuples []relation.Tuple, workers int) error {
+	start := time.Now()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(tuples)/groupPartitionEntries+1)
+	g.Open(workers)
+	err := g.parallel("fold", workers, func(i int) {
+		w, chunk := g.writers[i], tuples[i*len(tuples)/workers:(i+1)*len(tuples)/workers]
+		w.reserve(len(chunk)) // an upper bound on its entries: no regrowth
+		for _, t := range chunk {
+			w.add(t.Key, t.Payload)
+		}
+	})
+	if err == nil {
+		err = g.Close()
+	}
+	g.elapsed = time.Since(start)
+	return err
+}
+
+// Close implements Sink: it finalises the writers' entries into the sorted
+// group list.
+func (g *Groups) Close() error {
+	start := time.Now()
+	defer func() { g.elapsed = time.Since(start) }()
+	if err := g.ctx.Err(); err != nil {
+		return err
+	}
+	total, maxKey := 0, uint64(0)
+	for _, w := range g.writers {
+		w.flush()
+		total += w.n
+		maxKey = max(maxKey, w.maxKey)
+	}
+	parts := min(len(g.writers), total/groupPartitionEntries+1)
+	targets := make([][]relation.Tuple, parts)
+	var buf []relation.Tuple
+	if len(g.writers) == 1 {
+		targets[0] = g.writers[0].tuples() // one writer: its buffer is the one partition
+	} else {
+		buf = g.lease.Tuples(total)
+		if err := g.scatter(maxKey, buf, targets); err != nil {
+			return err
 		}
 	}
-	out := m.out.Tuples(total) // nil lease allocates fresh
-	m.groups = mergeSegments(m.agg, segs, out[:0])
+
+	// Partition p sorts into [starts[p], starts[p+1]) of the key and payload
+	// columns and folds there; the groups left at the front of each range are
+	// then interleaved into their slot of the output.
+	keys, pays, perm := g.lease.Uint64s(total), g.lease.Uint64s(total), g.lease.Int32s(total)
+	starts, counts := make([]int, parts+1), make([]int, parts)
+	for p, part := range targets {
+		starts[p+1] = starts[p] + len(part)
+	}
+	err := g.parallel("sort", parts, func(p int) {
+		lo, hi := starts[p], starts[p+1]
+		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], perm[lo:hi])
+	})
+	if err != nil {
+		return err
+	}
+	offsets, groups := make([]int, parts), 0
+	for p, c := range counts {
+		offsets[p] = groups
+		groups += c
+	}
+	rows := g.out.Tuples(groups) // nil lease allocates fresh
+	err = g.parallel("concat", parts, func(p int) {
+		batch.Interleave(keys[starts[p]:starts[p]+counts[p]], pays[starts[p]:], rows[offsets[p]:])
+	})
+	if err != nil {
+		return err
+	}
+	g.lease.PutTuples(buf)
+	g.lease.PutUint64s(keys)
+	g.lease.PutUint64s(pays)
+	g.lease.PutInt32s(perm)
+	for _, w := range g.writers {
+		w.release()
+	}
+	g.rows = rows
 	return nil
 }
 
-// Groups implements GroupSink.
-func (m *MergeGroups) Groups() []relation.Tuple { return m.groups }
-
-// mergeGroupWriter is one worker's consumer: a running accumulator over the
-// current key plus the sealed, sorted segments of finished groups.
-type mergeGroupWriter struct {
-	agg     Agg
-	lease   *memory.Lease
-	entries []relation.Tuple // aggregated (key, value) entries, leased
-	n       int
-	segs    []int // end offsets of sealed sorted segments within entries
-
-	curKey uint64
-	curVal uint64
-	active bool
+// scatter range-partitions the writers' entries into buf, cut into targets
+// by equi-height splitters over the combined key histogram. Every writer owns
+// a precomputed index range in every target, so the scatter is latch-free.
+func (g *Groups) scatter(maxKey uint64, buf []relation.Tuple, targets [][]relation.Tuple) error {
+	cfg := partition.NewRadixConfig(groupHistogramBits, maxKey)
+	hists := make([]partition.Histogram, len(g.writers))
+	err := g.parallel("histogram", len(hists), func(w int) {
+		hists[w] = partition.BuildHistogram(g.writers[w].tuples(), cfg)
+	})
+	if err != nil {
+		return err
+	}
+	sp := partition.EquiHeightSplitters(partition.CombineHistograms(hists), len(targets))
+	sums := partition.ComputePrefixSums(hists, sp, len(targets))
+	pos := 0
+	for p, size := range sums.Sizes {
+		targets[p] = buf[pos : pos+size]
+		pos += size
+	}
+	return g.parallel("scatter", len(hists), func(w int) {
+		partition.Scatter(g.writers[w].tuples(), cfg, sp, targets, sums.Offsets[w])
+	})
 }
 
-// initialGroupEntries sizes the first leased entry buffer (2048 entries =
-// 32 KiB, one cache-friendly leaf).
-const initialGroupEntries = 2048
+// sortFold sorts one partition by key into the key and payload columns —
+// the packed columnar radix sort of run generation; a partition that arrived
+// ordered is only deinterleaved — then folds the partial accumulators of
+// equal keys in place and returns the number of groups left at the front.
+func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, perm []int32) int {
+	if relation.IsSortedByKey(part) {
+		batch.Deinterleave(part, keys, pays)
+	} else {
+		sorting.SortTuplesIntoColumns(part, keys, pays, perm)
+	}
+	n := 0
+	for i := 0; i < len(keys); n++ {
+		key, acc := keys[i], pays[i]
+		for i++; i < len(keys) && keys[i] == key; i++ {
+			acc = g.agg.merge(acc, pays[i])
+		}
+		keys[n], pays[n] = key, acc
+	}
+	return n
+}
+
+// parallel runs fn(0) … fn(n-1): on the calling goroutine when there is one
+// unit, as tasks of the kernel's runtime otherwise, which contains worker
+// panics and stops at a canceled context.
+func (g *Groups) parallel(name string, n int, fn func(i int)) error {
+	if n == 1 {
+		fn(0)
+		return nil
+	}
+	if g.rt == nil {
+		g.rt = sched.New(sched.Config{Workers: len(g.writers)})
+	}
+	tasks := make([]sched.Task, n)
+	for i := range tasks {
+		tasks[i] = sched.Task{Node: -1, Run: func(*sched.Worker) { fn(i) }}
+	}
+	g.rt.RunTasks(g.ctx, name, tasks)
+	if err := g.rt.Err(); err != nil {
+		return err
+	}
+	return g.ctx.Err()
+}
+
+// groupWriter is one worker's consumer: a running accumulator over the
+// current key in front of a buffer of finished (key, partial) entries.
+type groupWriter struct {
+	tupleBuffer
+	agg            Agg
+	curKey, curVal uint64
+	active         bool
+	maxKey         uint64
+}
 
 // Consume implements mergejoin.Consumer.
-func (w *mergeGroupWriter) Consume(r, s relation.Tuple) {
-	key, val := r.Key, r.Payload+s.Payload
-	if w.active {
-		if key == w.curKey {
-			w.curVal = w.agg.fold(w.curVal, val)
-			return
+func (w *groupWriter) Consume(r, s relation.Tuple) {
+	t := w.apply(r, s)
+	w.add(t.Key, t.Payload)
+}
+
+// ConsumeColumns implements BatchWriter. The projection test is hoisted out
+// of the loop: this is the per-pair hot path of every aggregate query, and
+// going through Consume costs ~6% of a 1M-pair plan.
+func (w *groupWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
+	if w.project == nil {
+		for i, k := range keys {
+			w.add(k, rPayloads[i]+sPayloads[i])
 		}
-		w.emit()
-		if key < w.curKey {
-			// The key order restarted: the producer moved on to the next
-			// public run (or stole a new morsel). Seal the finished segment.
-			w.segs = append(w.segs, w.n)
-		}
+		return
 	}
+	for i, k := range keys {
+		t := w.project(relation.Tuple{Key: k, Payload: rPayloads[i]}, relation.Tuple{Key: k, Payload: sPayloads[i]})
+		w.add(t.Key, t.Payload)
+	}
+}
+
+// add folds one value into the running accumulator, or starts the next run.
+func (w *groupWriter) add(key, val uint64) {
+	if w.active && key == w.curKey {
+		w.curVal = w.agg.fold(w.curVal, val)
+		return
+	}
+	w.flush()
 	w.curKey, w.curVal, w.active = key, w.agg.initial(val), true
 }
 
-// emit appends the finished accumulator as an entry, growing the leased
-// buffer by doubling.
-func (w *mergeGroupWriter) emit() {
-	if w.n == len(w.entries) {
-		grown := w.lease.Tuples(max(initialGroupEntries, 2*len(w.entries)))
-		copy(grown, w.entries[:w.n])
-		w.lease.PutTuples(w.entries)
-		w.entries = grown
-	}
-	w.entries[w.n] = relation.Tuple{Key: w.curKey, Payload: w.curVal}
-	w.n++
-}
-
-// finish flushes the running accumulator and seals the last segment.
-func (w *mergeGroupWriter) finish() {
+// flush appends the finished accumulator as an entry.
+func (w *groupWriter) flush() {
 	if w.active {
-		w.emit()
+		w.push(relation.Tuple{Key: w.curKey, Payload: w.curVal})
+		w.maxKey = max(w.maxKey, w.curKey)
 		w.active = false
 	}
-	if w.n > 0 && (len(w.segs) == 0 || w.segs[len(w.segs)-1] < w.n) {
-		w.segs = append(w.segs, w.n)
-	}
 }
 
-// groupSegment is a cursor over one sorted run of aggregated entries.
-type groupSegment struct {
-	buf      []relation.Tuple
-	pos, end int
-}
-
-func (g groupSegment) key() uint64 { return g.buf[g.pos].Key }
-
-// mergeSegments k-way merges sorted segments into dst, combining the partial
-// accumulators of equal keys. Within one segment keys are strictly
-// increasing, so equal keys only meet across segments. The merge uses a
-// hand-rolled min-heap over the segment cursors — no hash table, no
-// per-group allocation.
-func mergeSegments(agg Agg, segs []groupSegment, dst []relation.Tuple) []relation.Tuple {
-	h := make([]groupSegment, 0, len(segs))
-	for _, s := range segs {
-		if s.pos < s.end {
-			h = append(h, s)
-			siftUp(h, len(h)-1)
-		}
-	}
-	for len(h) > 0 {
-		key := h[0].key()
-		acc := h[0].buf[h[0].pos].Payload
-		advanceTop(&h)
-		for len(h) > 0 && h[0].key() == key {
-			acc = agg.merge(acc, h[0].buf[h[0].pos].Payload)
-			advanceTop(&h)
-		}
-		dst = append(dst, relation.Tuple{Key: key, Payload: acc})
-	}
-	return dst
-}
-
-// advanceTop moves the heap root's cursor forward, dropping it when drained.
-func advanceTop(h *[]groupSegment) {
-	s := *h
-	s[0].pos++
-	if s[0].pos == s[0].end {
-		s[0] = s[len(s)-1]
-		s = s[:len(s)-1]
-		*h = s
-	}
-	if len(s) > 0 {
-		siftDown(s, 0)
-	}
-}
-
-func siftUp(h []groupSegment, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[i].key() >= h[parent].key() {
-			return
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func siftDown(h []groupSegment, i int) {
-	for {
-		left, right := 2*i+1, 2*i+2
-		least := i
-		if left < len(h) && h[left].key() < h[least].key() {
-			least = left
-		}
-		if right < len(h) && h[right].key() < h[least].key() {
-			least = right
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-}
-
-// HashGroups is the hash-based group-by aggregate for producers without
-// key-ordered output (the hash-join baselines, or arbitrary tuple streams):
-// every worker aggregates into its own map, Close merges the maps and sorts
-// the result by key so that both GroupSink implementations produce identical
-// output.
-type HashGroups struct {
-	agg     Agg
-	writers []*hashGroupWriter
-	groups  []relation.Tuple
-}
-
-// NewHashGroups returns a hash-based group-by sink.
-func NewHashGroups(agg Agg) *HashGroups { return &HashGroups{agg: agg} }
-
-// Open implements Sink.
-func (h *HashGroups) Open(workers int) {
-	h.writers = make([]*hashGroupWriter, workers)
-	for w := range h.writers {
-		h.writers[w] = &hashGroupWriter{agg: h.agg, groups: make(map[uint64]uint64)}
-	}
-	h.groups = nil
-}
-
-// Writer implements Sink.
-func (h *HashGroups) Writer(w int) mergejoin.Consumer { return h.writers[w] }
-
-// Close implements Sink.
-func (h *HashGroups) Close() error {
-	merged := h.writers[0].groups
-	for _, w := range h.writers[1:] {
-		for k, v := range w.groups {
-			if acc, ok := merged[k]; ok {
-				merged[k] = h.agg.merge(acc, v)
-			} else {
-				merged[k] = v
-			}
-		}
-	}
-	h.groups = make([]relation.Tuple, 0, len(merged))
-	for k, v := range merged {
-		h.groups = append(h.groups, relation.Tuple{Key: k, Payload: v})
-	}
-	sort.Slice(h.groups, func(i, j int) bool { return h.groups[i].Key < h.groups[j].Key })
-	return nil
-}
-
-// Groups implements GroupSink.
-func (h *HashGroups) Groups() []relation.Tuple { return h.groups }
-
-// hashGroupWriter aggregates one worker's pairs into a private map.
-type hashGroupWriter struct {
-	agg    Agg
-	groups map[uint64]uint64
-}
-
-// Consume implements mergejoin.Consumer.
-func (w *hashGroupWriter) Consume(r, s relation.Tuple) {
-	key, val := r.Key, r.Payload+s.Payload
-	if acc, ok := w.groups[key]; ok {
-		w.groups[key] = w.agg.fold(acc, val)
-	} else {
-		w.groups[key] = w.agg.initial(val)
-	}
-}
-
-// AggregateTuples is the reference group-by for plain tuple streams (group by
-// Tuple.Key, aggregate Tuple.Payload): a hash aggregation returning the
-// groups in ascending key order. The plan executor uses it for aggregates
-// above already-materialized inputs, and tests use it as the oracle for the
-// streaming implementation.
+// AggregateTuples groups a plain tuple stream by Tuple.Key and aggregates
+// Tuple.Payload, returning the groups in ascending key order: the kernel run
+// standalone, on GOMAXPROCS workers and without a scratch pool.
 func AggregateTuples(tuples []relation.Tuple, agg Agg) []relation.Tuple {
-	groups := make(map[uint64]uint64, len(tuples)/4+1)
-	for _, t := range tuples {
-		if acc, ok := groups[t.Key]; ok {
-			groups[t.Key] = agg.fold(acc, t.Payload)
-		} else {
-			groups[t.Key] = agg.initial(t.Payload)
-		}
+	g := NewGroups(context.TODO(), agg, nil, nil)
+	if err := g.Aggregate(tuples, 0); err != nil {
+		panic(err) // only a kernel bug reaches here: no caller, no cancellation
 	}
-	out := make([]relation.Tuple, 0, len(groups))
-	for k, v := range groups {
-		out = append(out, relation.Tuple{Key: k, Payload: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return g.Rows()
 }

@@ -39,9 +39,6 @@ type Collect struct {
 // NewCollect returns a collecting bridge sink; a nil projection selects
 // DefaultProjection.
 func NewCollect(project Projection, out *memory.Lease) *Collect {
-	if project == nil {
-		project = DefaultProjection
-	}
 	return &Collect{project: project, out: out}
 }
 
@@ -70,7 +67,7 @@ func (c *Collect) Close() error {
 	out := c.out.Tuples(total) // nil lease allocates fresh
 	pos := 0
 	for _, p := range c.parts {
-		copy(out[pos:], p.buf[:p.n])
+		copy(out[pos:], p.tuples())
 		pos += p.n
 		p.release()
 	}
@@ -84,7 +81,7 @@ func (c *Collect) Rows() []relation.Tuple { return c.rows }
 
 // tupleBuffer is one worker's projection buffer, growing by doubling in
 // leased space and handing outgrown buffers straight back for intra-join
-// reuse.
+// reuse. A nil projection is DefaultProjection, inlined.
 type tupleBuffer struct {
 	project Projection
 	lease   *memory.Lease
@@ -95,17 +92,47 @@ type tupleBuffer struct {
 // initialTupleBufferLen sizes the first leased buffer (2048 tuples = 32 KiB).
 const initialTupleBufferLen = 2048
 
-// Consume implements mergejoin.Consumer.
-func (b *tupleBuffer) Consume(r, s relation.Tuple) {
-	if b.n == len(b.buf) {
-		grown := b.lease.Tuples(max(initialTupleBufferLen, 2*len(b.buf)))
-		copy(grown, b.buf[:b.n])
-		b.lease.PutTuples(b.buf)
-		b.buf = grown
+// apply projects one pair.
+func (b *tupleBuffer) apply(r, s relation.Tuple) relation.Tuple {
+	if b.project == nil {
+		return DefaultProjection(r, s)
 	}
-	b.buf[b.n] = b.project(r, s)
+	return b.project(r, s)
+}
+
+// reserve makes room for extra more tuples.
+func (b *tupleBuffer) reserve(extra int) {
+	if b.n+extra <= len(b.buf) {
+		return
+	}
+	grown := b.lease.Tuples(max(initialTupleBufferLen, 2*len(b.buf), b.n+extra))
+	copy(grown, b.buf[:b.n])
+	b.lease.PutTuples(b.buf)
+	b.buf = grown
+}
+
+// push appends one tuple.
+func (b *tupleBuffer) push(t relation.Tuple) {
+	b.reserve(1)
+	b.buf[b.n] = t
 	b.n++
 }
+
+// Consume implements mergejoin.Consumer.
+func (b *tupleBuffer) Consume(r, s relation.Tuple) { b.push(b.apply(r, s)) }
+
+// ConsumeColumns implements BatchWriter: capacity is ensured once per batch.
+func (b *tupleBuffer) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
+	b.reserve(len(keys))
+	dst := b.buf[b.n : b.n+len(keys)]
+	b.n += len(keys)
+	for i, k := range keys {
+		dst[i] = b.apply(relation.Tuple{Key: k, Payload: rPayloads[i]}, relation.Tuple{Key: k, Payload: sPayloads[i]})
+	}
+}
+
+// tuples returns the buffered tuples.
+func (b *tupleBuffer) tuples() []relation.Tuple { return b.buf[:b.n] }
 
 // release hands the leased buffer back for reuse.
 func (b *tupleBuffer) release() {

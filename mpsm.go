@@ -69,9 +69,11 @@
 // of Scan, Join, Project/Map, GroupAggregate and Sink nodes. Sort-merge
 // joins compose without re-sorting because the MPSM join phase consumes and
 // produces key-ordered runs — a join feeding a join materializes its
-// projected output through the scratch pool, and a GroupAggregate directly
-// above an MPSM join runs as a streaming merge-based aggregation that never
-// builds a hash table:
+// projected output through the scratch pool, and a GroupAggregate above a
+// join (directly or through a Project, whatever the algorithm) fuses into the
+// join's sink: workers fold equal keys as pairs arrive, and one parallel
+// sort-based kernel — range partitioning plus the run-generation radix sort —
+// finalises the groups, with no materialized join output and no hash table:
 //
 //	plan := mpsm.NewPlan()
 //	rs := plan.Join(plan.Scan(r), plan.Scan(s))   // R ⋈ S

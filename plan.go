@@ -43,10 +43,11 @@ const (
 //
 // Joins compose because the MPSM join phase consumes and produces key-ordered
 // runs: a join feeding a join materializes its projected output as an
-// intermediate relation through the engine's scratch pool, and a
-// GroupAggregate directly above an MPSM join runs as a streaming merge-based
-// aggregation over the key-ordered output, without ever building a hash
-// table.
+// intermediate relation through the engine's scratch pool. A GroupAggregate
+// above a join — directly or through a Project — fuses into the join's sink:
+// the workers fold equal keys as pairs arrive, and the groups are finalised
+// by range partitioning and sorting, without materializing the join output
+// or building a hash table.
 type Plan struct {
 	nodes []planNode
 	err   error
@@ -187,12 +188,13 @@ func (p *Plan) Project(in PlanNode, fn func(r, s Tuple) Tuple) PlanNode {
 	return p.add(planNode{kind: exec.NodeProject, inputs: []exec.NodeID{id}, projFn: fn})
 }
 
-// GroupAggregate adds a group-by-key aggregation of its input. Directly
-// above a B-MPSM, P-MPSM or D-MPSM join it runs as a streaming merge-based
-// aggregation that exploits the join's key-ordered output and builds no hash
-// table; above hash joins or materialized inputs it hash-aggregates. The
-// output is one tuple {Key: group key, Payload: aggregate} per distinct key,
-// in ascending key order.
+// GroupAggregate adds a group-by-key aggregation of its input, run by one
+// parallel sort-based kernel whatever the producer. Above a join — any of the
+// five algorithms, directly or through a Project — it fuses into the join's
+// sink and the join output is never materialized; above a scan, map or
+// aggregate it folds the materialized tuples. The output is one tuple
+// {Key: group key, Payload: aggregate} per distinct key, in ascending key
+// order.
 func (p *Plan) GroupAggregate(in PlanNode, agg Agg) PlanNode {
 	id, ok := p.input(in, "GroupAggregate")
 	if !ok {
@@ -240,6 +242,11 @@ type PlanResult struct {
 	// ScanTime is the total time spent scanning and filtering base
 	// relations.
 	ScanTime time.Duration
+	// AggTime is the total time GroupAggregate nodes spent outside their
+	// producers: finalising (partition, sort, fold) the groups of an
+	// aggregate fused into a join — whose per-pair fold is part of the join
+	// phase — or folding and finalising a materialized input.
+	AggTime time.Duration
 	// Total is the end-to-end elapsed time of the plan.
 	Total time.Duration
 }
@@ -280,6 +287,9 @@ func convertPlanResult(pr *exec.PlanResult) *PlanResult {
 		MaxSum:   pr.MaxSum,
 		ScanTime: pr.ScanTime,
 		Total:    pr.Total,
+	}
+	for _, d := range pr.AggTimes {
+		res.AggTime += d
 	}
 	for _, j := range pr.Joins { // already sorted by node ID
 		res.Joins = append(res.Joins, PlanJoin{Result: j.Result, Disk: j.Disk})

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -218,5 +219,40 @@ func TestRunPlanPerNodeOptionsOverride(t *testing.T) {
 	}
 	if len(res.Joins) != 1 || res.Joins[0].Result.Algorithm != "B-MPSM" {
 		t.Fatalf("per-node algorithm override ignored: %+v", res.Joins[0].Result.Algorithm)
+	}
+}
+
+// TestExplainAnalyzeAttributesFusedAggregate: an aggregate fused into its
+// join through a Project reports the time its finalisation took — on the
+// node, in the rendered tree and summed into PlanResult.AggTime — and the
+// never-materialized Project shows the join's match count as its actual rows.
+func TestExplainAnalyzeAttributesFusedAggregate(t *testing.T) {
+	r := GenerateUniform("R", 1<<13, 141)
+	s := GenerateForeignKey("S", r, 1<<15, 142)
+	plan := NewPlan()
+	j := plan.Join(plan.Scan(r), plan.Scan(s))
+	proj := plan.Project(j, func(rt, st Tuple) Tuple { return Tuple{Key: rt.Key, Payload: st.Payload} })
+	plan.GroupAggregate(proj, AggMax)
+
+	for _, alg := range []Algorithm{PMPSM, Wisconsin} {
+		engine := New(WithWorkers(2), WithAlgorithm(alg), WithScratchPool(true))
+		ex, res, err := engine.ExplainAnalyze(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := hashAggregate(materializedJoin(t, engine, r, s).Tuples, AggCount) // one group per joined key
+		if res.Output.Len() != len(want) {
+			t.Fatalf("%v: %d groups, want %d", alg, res.Output.Len(), len(want))
+		}
+		join, project, agg := ex.Nodes[2], ex.Nodes[3], ex.Nodes[4]
+		if project.ActualRows != join.ActualRows || join.ActualRows != int64(res.Joins[0].Result.Matches) {
+			t.Errorf("%v: fused Project reports %d rows, join %d, matches %d", alg, project.ActualRows, join.ActualRows, res.Joins[0].Result.Matches)
+		}
+		if agg.AggMillis <= 0 || res.AggTime <= 0 || !strings.Contains(ex.String(), " agg=") {
+			t.Errorf("%v: aggregate time not attributed: node %.3fms, result %v\n%s", alg, agg.AggMillis, res.AggTime, ex)
+		}
+		if res.AggTime > res.Total {
+			t.Errorf("%v: AggTime %v exceeds the plan's total %v", alg, res.AggTime, res.Total)
+		}
 	}
 }

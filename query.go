@@ -86,7 +86,7 @@ func (s *Service) Query(ctx context.Context, src string, cat Catalog, opts ...Qu
 
 // lowerCompiled lowers the compiler's logical operator list onto the public
 // plan builder, whose node semantics (build/probe projection sides,
-// key-as-value maps, streaming aggregation) the IR mirrors one-to-one.
+// key-as-value maps, aggregation fused through Project) the IR mirrors one-to-one.
 func lowerCompiled(c *query.Compiled) (*Plan, error) {
 	p := NewPlan()
 	nodes := make([]PlanNode, len(c.Ops))
