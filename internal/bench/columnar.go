@@ -131,9 +131,8 @@ func buildColumnarReport(cfg Config) (*ColumnarReport, error) {
 	aosDst := make([]relation.Tuple, n)
 	keys := make([]uint64, n)
 	pays := make([]uint64, n)
-	perm := make([]int32, n)
 	aos := bestOfKernelN(columnarSortRepetitions, func() { sorting.SortInto(src, aosDst) })
-	soa := bestOfKernelN(columnarSortRepetitions, func() { sorting.SortTuplesIntoColumns(src, keys, pays, perm) })
+	soa := bestOfKernelN(columnarSortRepetitions, func() { sorting.SortTuplesIntoColumns(src, keys, pays, nil) })
 	rep.AoSSortMillis, rep.SoASortMillis = millis(aos), millis(soa)
 	if soa > 0 {
 		rep.SortSpeedup = float64(aos) / float64(soa)
@@ -169,7 +168,7 @@ func buildColumnarReport(cfg Config) (*ColumnarReport, error) {
 
 	// Re-derive the sorted columns (the filter section reused pays as
 	// Deinterleave scratch).
-	sorting.SortTuplesIntoColumns(src, keys, pays, perm)
+	sorting.SortTuplesIntoColumns(src, keys, pays, nil)
 
 	// --- Merge kernel with and without software prefetch on the public run.
 	// The private run is a narrow sorted slice, the public run the full

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"time"
 
@@ -32,27 +33,59 @@ func init() {
 	})
 }
 
-// sortRoutines are the contenders of the sort micro-benchmark: the current
-// multi-level MSD Radix/IntroSort, its out-of-place SortInto variant (charged
-// including the scatter into the destination buffer), the previous
-// single-level implementation, and the standard library baseline.
+// sortRoutines are the contenders of the sort micro-benchmark: the production
+// run-generation sort of the columnar path (SortTuplesIntoColumns, charged
+// including the AoS→SoA conversion it fuses), and the AoS family of the row
+// path — the multi-level MSD Radix/IntroSort, its out-of-place SortInto
+// variant (charged including the scatter into the destination buffer), the
+// previous single-level implementation — against the standard library. Each
+// routine allocates its destination for n tuples up front and returns the
+// function to time.
 var sortRoutines = []struct {
-	name string
-	run  func(src, dst []relation.Tuple)
+	name    string
+	prepare func(n int) func(src []relation.Tuple)
 }{
-	{"multi-level", func(src, dst []relation.Tuple) { copy(dst, src); sorting.Sort(dst) }},
-	{"sort-into", func(src, dst []relation.Tuple) { sorting.SortInto(src, dst) }},
-	{"one-level", func(src, dst []relation.Tuple) { copy(dst, src); sorting.SortOneLevel(dst) }},
-	{"stdlib", func(src, dst []relation.Tuple) { copy(dst, src); sorting.SortStdlib(dst) }},
+	{"columns", func(n int) func(src []relation.Tuple) {
+		keys, pays := make([]uint64, n), make([]uint64, n)
+		return func(src []relation.Tuple) { sorting.SortTuplesIntoColumns(src, keys, pays, nil) }
+	}},
+	{"multi-level", rowSortRoutine(func(src, dst []relation.Tuple) { copy(dst, src); sorting.Sort(dst) })},
+	{"sort-into", rowSortRoutine(func(src, dst []relation.Tuple) { sorting.SortInto(src, dst) })},
+	{"one-level", rowSortRoutine(func(src, dst []relation.Tuple) { copy(dst, src); sorting.SortOneLevel(dst) })},
+	{"stdlib", rowSortRoutine(func(src, dst []relation.Tuple) { copy(dst, src); sorting.SortStdlib(dst) })},
+}
+
+// rowSortRoutine adapts an AoS sort into a sortRoutines entry.
+func rowSortRoutine(run func(src, dst []relation.Tuple)) func(n int) func(src []relation.Tuple) {
+	return func(n int) func(src []relation.Tuple) {
+		dst := make([]relation.Tuple, n)
+		return func(src []relation.Tuple) { run(src, dst) }
+	}
+}
+
+// sortInputs are the key distributions of the machine-readable sort report:
+// 1M uniform 32-bit keys, and the clustered 80:20 skew of the end-to-end
+// benchmark's join_large_skew (2^20 domain, 8 ascending key ranges).
+var sortInputs = []struct {
+	name string
+	gen  func(n int) *relation.Relation
+}{
+	{"uniform32", func(n int) *relation.Relation {
+		return workload.UniformRelation("R", n, workload.DefaultKeyDomain, 1700)
+	}},
+	{"clustered-skew", func(n int) *relation.Relation {
+		rel := workload.SkewedRelation("S", n, 1<<20, workload.SkewLow80, 1701)
+		workload.ApplyLocationSkew(rel, 8, workload.LocationClustered, 1<<20)
+		return rel
+	}},
 }
 
 // measureSortRoutine times reps runs of one routine over the input and
 // returns the best (minimum) duration, the convention of Go benchmarks.
-func measureSortRoutine(run func(src, dst []relation.Tuple), src []relation.Tuple, reps int) time.Duration {
-	dst := make([]relation.Tuple, len(src))
+func measureSortRoutine(run func(src []relation.Tuple), src []relation.Tuple, reps int) time.Duration {
 	best := time.Duration(0)
 	for i := 0; i < reps; i++ {
-		d := result.StopwatchPhase(func() { run(src, dst) })
+		d := result.StopwatchPhase(func() { run(src) })
 		if best == 0 || d < best {
 			best = d
 		}
@@ -62,98 +95,113 @@ func measureSortRoutine(run func(src, dst []relation.Tuple), src []relation.Tupl
 
 // runSortComparison reproduces the Section 2.3 claim (the paper's routine
 // beats the standard library by ~30%) and quantifies what the multi-level
-// recursion and the SortInto scatter add over the previous single-level
-// implementation, also when many workers sort their local runs concurrently.
+// recursion, the SortInto scatter and the packed columnar kernel add over the
+// previous single-level implementation, also when many workers sort their
+// local runs concurrently.
 func runSortComparison(cfg Config, w io.Writer) error {
 	n := cfg.RSize()
 	tbl := newTable(w)
-	tbl.row("workers", "multi-level [ms]", "sort-into [ms]", "one-level [ms]", "stdlib [ms]", "vs one-level", "vs stdlib")
+	header := []any{"workers"}
+	for _, routine := range sortRoutines {
+		header = append(header, routine.name+" [ms]")
+	}
+	tbl.row(append(header, "vs one-level", "vs stdlib")...)
 
 	for _, workers := range []int{1, 2, 4, cfg.workers()} {
 		base := workload.UniformRelation("R", n*workers, workload.DefaultKeyDomain, uint64(1700+workers))
 
-		timeOf := func(fn func(src, dst []relation.Tuple)) time.Duration {
+		times := make(map[string]time.Duration, len(sortRoutines))
+		row := []any{workers}
+		for _, routine := range sortRoutines {
 			input := base.Clone().Split(workers)
 			// Destination buffers are allocated outside the timed region so
 			// the measurement covers only the sort (and its fused copy).
-			dsts := make([][]relation.Tuple, len(input))
+			runs := make([]func(src []relation.Tuple), len(input))
 			for i, c := range input {
-				dsts[i] = make([]relation.Tuple, len(c.Tuples))
+				runs[i] = routine.prepare(len(c.Tuples))
 			}
-			return result.StopwatchPhase(func() {
+			times[routine.name] = result.StopwatchPhase(func() {
 				var wg sync.WaitGroup
 				for i, c := range input {
 					wg.Add(1)
-					go func(c relation.Chunk, dst []relation.Tuple) {
+					go func() {
 						defer wg.Done()
-						fn(c.Tuples, dst)
-					}(c, dsts[i])
+						runs[i](c.Tuples)
+					}()
 				}
 				wg.Wait()
 			})
+			row = append(row, ms(times[routine.name]))
 		}
-		multi := timeOf(sortRoutines[0].run)
-		into := timeOf(sortRoutines[1].run)
-		one := timeOf(sortRoutines[2].run)
-		std := timeOf(sortRoutines[3].run)
-		tbl.row(workers, ms(multi), ms(into), ms(one), ms(std),
-			fmt.Sprintf("%.2fx", float64(one)/float64(multi)),
-			fmt.Sprintf("%.2fx", float64(std)/float64(multi)))
+		tbl.row(append(row,
+			fmt.Sprintf("%.2fx", float64(times["one-level"])/float64(times["multi-level"])),
+			fmt.Sprintf("%.2fx", float64(times["stdlib"])/float64(times["multi-level"])))...)
 	}
 	tbl.flush()
 	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: multi-level ≥1.3x over one-level and well over stdlib at every worker count; sort-into fastest (the copy is fused into the first radix pass)")
+		fmt.Fprintln(w, "\nexpected shape: multi-level ≥1.3x over one-level and well over stdlib at every worker count; sort-into the fastest AoS routine (the copy is fused into the first radix pass); columns, which moves 8 bytes a tuple, faster still")
 	}
 	return nil
 }
 
-// SortTiming is one routine's result in the machine-readable sort report.
+// SortTiming is one routine's result on one input in the machine-readable
+// sort report. The speedups compare against the one-level and stdlib
+// routines on the same input.
 type SortTiming struct {
 	Routine          string  `json:"routine"`
+	Input            string  `json:"input"`
 	NsPerOp          float64 `json:"ns_per_op"`
+	NsPerTuple       float64 `json:"ns_per_tuple"`
 	SpeedupVsOneLev  float64 `json:"speedup_vs_one_level"`
 	SpeedupVsStdlib  float64 `json:"speedup_vs_stdlib"`
 	TuplesPerSecondM float64 `json:"tuples_per_second_millions"`
 }
 
 // SortReport is the machine-readable report of the sort micro-experiment
-// (BENCH_sort.json): every routine on 1M uniform 32-bit keys, the acceptance
-// workload of the multi-level rewrite.
+// (BENCH_sort.json): every routine, one sorter at a time, on 1M tuples of
+// each of sortInputs.
 type SortReport struct {
 	GeneratedAt string       `json:"generated_at"`
+	GoMaxProcs  int          `json:"gomaxprocs"`
+	NumCPU      int          `json:"num_cpu"`
+	Workers     int          `json:"workers"`
 	Tuples      int          `json:"tuples"`
-	KeyDomain   uint64       `json:"key_domain"`
 	Reps        int          `json:"reps"`
 	Results     []SortTiming `json:"results"`
 }
 
-// sortJSON measures all sort routines on 1M uniform 32-bit keys (independent
-// of the scale flag, so the trajectory stays comparable across runs).
+// sortJSON measures all sort routines on 1M tuples of every input
+// (independent of the scale flag, so the trajectory stays comparable across
+// runs).
 func sortJSON(cfg Config) (any, error) {
 	const n = 1 << 20
 	const reps = 5
-	base := workload.UniformRelation("R", n, workload.DefaultKeyDomain, 1700)
-
-	times := make([]time.Duration, len(sortRoutines))
-	for i, r := range sortRoutines {
-		times[i] = measureSortRoutine(r.run, base.Tuples, reps)
-	}
-	oneLevel := times[2]
-	stdlib := times[3]
 	rep := &SortReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
+		Workers:     1,
 		Tuples:      n,
-		KeyDomain:   workload.DefaultKeyDomain,
 		Reps:        reps,
 	}
-	for i, r := range sortRoutines {
-		rep.Results = append(rep.Results, SortTiming{
-			Routine:          r.name,
-			NsPerOp:          float64(times[i].Nanoseconds()),
-			SpeedupVsOneLev:  float64(oneLevel) / float64(times[i]),
-			SpeedupVsStdlib:  float64(stdlib) / float64(times[i]),
-			TuplesPerSecondM: float64(n) / times[i].Seconds() / 1e6,
-		})
+	for _, input := range sortInputs {
+		src := input.gen(n).Tuples
+		times := make(map[string]time.Duration, len(sortRoutines))
+		for _, r := range sortRoutines {
+			times[r.name] = measureSortRoutine(r.prepare(n), src, reps)
+		}
+		for _, r := range sortRoutines {
+			t := times[r.name]
+			rep.Results = append(rep.Results, SortTiming{
+				Routine:          r.name,
+				Input:            input.name,
+				NsPerOp:          float64(t.Nanoseconds()),
+				NsPerTuple:       float64(t.Nanoseconds()) / n,
+				SpeedupVsOneLev:  float64(times["one-level"]) / float64(t),
+				SpeedupVsStdlib:  float64(times["stdlib"]) / float64(t),
+				TuplesPerSecondM: n / t.Seconds() / 1e6,
+			})
+		}
 	}
 	return rep, nil
 }

@@ -29,8 +29,8 @@ func columnarEligible(opts Options) bool {
 // sortChunkIntoColumnRun is sortChunkIntoRun for the columnar path: one
 // sequential read of the array-of-structs chunk feeds the fused
 // deinterleave-plus-first-radix-digit scatter of SortTuplesIntoColumns, so the
-// AoS→SoA representation change costs no separate pass. The permutation
-// scratch comes from the lease and is returned immediately.
+// AoS→SoA representation change costs no separate pass. The sort leases a
+// permutation column only if the keys are too wide to pack.
 func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w *sched.Worker, lease *memory.Lease) *batch.Run {
 	n := len(chunk.Tuples)
 	run := batch.NewRun(w.ID(), w.Node(), n, lease)
@@ -38,9 +38,7 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 	if skippedSort {
 		batch.Deinterleave(chunk.Tuples, run.Keys, run.Payloads)
 	} else {
-		perm := lease.Int32s(n)
-		sorting.SortTuplesIntoColumns(chunk.Tuples, run.Keys, run.Payloads, perm)
-		lease.PutInt32s(perm)
+		sorting.SortTuplesIntoColumns(chunk.Tuples, run.Keys, run.Payloads, lease)
 	}
 
 	if tracker := w.Tracker(); tracker != nil {

@@ -96,7 +96,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	// Phase 3: sort each private range partition into a run. Phase 2 already
 	// determined the global maximum private key for its radix histograms, so
-	// the sort skips its own key-domain scan. On the columnar path the sort
+	// neither sort scans the key domain again. On the columnar path the sort
 	// doubles as the AoS→SoA conversion: the scattered partition sorts
 	// directly into a column run and its row buffer goes back to the lease.
 	phase3 := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
@@ -104,9 +104,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 		if columnar {
 			n := len(run.Tuples)
 			col := batch.NewRun(run.Worker, run.Node, n, lease)
-			perm := lease.Int32s(n)
-			sorting.SortTuplesIntoColumns(run.Tuples, col.Keys, col.Payloads, perm)
-			lease.PutInt32s(perm)
+			sorting.SortTuplesIntoColumnsWithMax(run.Tuples, col.Keys, col.Payloads, privateMaxKey, lease)
 			lease.PutTuples(run.Tuples)
 			colPrivate[w.ID()] = col
 		} else {

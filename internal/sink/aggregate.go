@@ -223,14 +223,14 @@ func (g *Groups) Close() error {
 	// Partition p sorts into [starts[p], starts[p+1]) of the key and payload
 	// columns and folds there; the groups left at the front of each range are
 	// then interleaved into their slot of the output.
-	keys, pays, perm := g.lease.Uint64s(total), g.lease.Uint64s(total), g.lease.Int32s(total)
+	keys, pays := g.lease.Uint64s(total), g.lease.Uint64s(total)
 	starts, counts := make([]int, parts+1), make([]int, parts)
 	for p, part := range targets {
 		starts[p+1] = starts[p] + len(part)
 	}
 	err := g.parallel("sort", parts, func(p int) {
 		lo, hi := starts[p], starts[p+1]
-		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], perm[lo:hi])
+		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], maxKey)
 	})
 	if err != nil {
 		return err
@@ -250,7 +250,6 @@ func (g *Groups) Close() error {
 	g.lease.PutTuples(buf)
 	g.lease.PutUint64s(keys)
 	g.lease.PutUint64s(pays)
-	g.lease.PutInt32s(perm)
 	for _, w := range g.writers {
 		w.release()
 	}
@@ -283,14 +282,15 @@ func (g *Groups) scatter(maxKey uint64, buf []relation.Tuple, targets [][]relati
 }
 
 // sortFold sorts one partition by key into the key and payload columns —
-// the packed columnar radix sort of run generation; a partition that arrived
-// ordered is only deinterleaved — then folds the partial accumulators of
-// equal keys in place and returns the number of groups left at the front.
-func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, perm []int32) int {
+// the packed columnar radix sort of run generation, told the writers' maximum
+// key so it scans for none; a partition that arrived ordered is only
+// deinterleaved — then folds the partial accumulators of equal keys in place
+// and returns the number of groups left at the front.
+func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, maxKey uint64) int {
 	if relation.IsSortedByKey(part) {
 		batch.Deinterleave(part, keys, pays)
 	} else {
-		sorting.SortTuplesIntoColumns(part, keys, pays, perm)
+		sorting.SortTuplesIntoColumnsWithMax(part, keys, pays, maxKey, g.lease)
 	}
 	n := 0
 	for i := 0; i < len(keys); n++ {

@@ -2,70 +2,31 @@ package sorting
 
 import "repro/internal/relation"
 
-// Columnar (structure-of-arrays) variants of the multi-level Radix/IntroSort
-// for the batch execution path: the key column is sorted directly — in tandem
-// with a permutation index column recording where each key came from — and
-// the payload column is permuted afterwards in one separate contiguous gather
-// pass. Per element the radix swap cycle then moves 12 bytes (8-byte key +
-// 4-byte index) instead of the 16-byte tuple, every histogram pass streams
-// over a pure uint64 column at full cache-line utilization, and the payload
-// bytes are touched exactly once, at the end, sequentially.
-//
-// All routines reuse the machinery of sort.go unchanged in structure — the
-// same digits, cutoffs, American-flag swap and IntroSort leaves — so the AoS
-// and SoA paths stay behaviourally identical (same ordering guarantees, same
-// instability) and differential tests can compare them directly.
+// Columnar (structure-of-arrays) sorts for the batch execution path. Keys that
+// leave room for a source index sort packed (packed.go); the routines below
+// are the exact fallback for keys too wide to pack — the order-preserving
+// string and composite encodings fill all 64 bits: the key column is sorted
+// in tandem with a permutation column recording where each key came from,
+// with the digits, cutoffs, American-flag swap and IntroSort leaves of
+// sort.go, and the payload column is gathered afterwards in one contiguous
+// pass. The packed path is stable; this fallback, like Sort, is not.
 
-// SortColumns sorts keys in place by ascending value and permutes pays
-// alongside, so (keys[i], pays[i]) remain the same tuples before and after.
-// perm and payScratch are optional scratch buffers of at least len(keys)
-// elements (typically drawn from a memory.Lease); nil scratches allocate.
-// Like Sort it is not stable.
-func SortColumns(keys, pays []uint64, perm []int32, payScratch []uint64) {
-	n := len(keys)
-	if n < 2 {
-		return
-	}
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
-	if payScratch == nil {
-		payScratch = make([]uint64, n)
-	}
-	payScratch = payScratch[:n]
-
-	maxKey := maxKeyOfColumn(keys)
-	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortColumnsPacked(keys, pays, perm, payScratch, maxKey, idxBits)
-		return
-	}
-
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if n <= minRadixSize {
-		leafSortCols(keys, perm)
-	} else {
-		msdRadixSortCols(keys, perm, topShift(maxKey))
-	}
-	gatherPayloads(payScratch, pays, perm)
-	copy(pays[:n], payScratch)
+// Scratch supplies the tandem fallback's permutation column, so that callers
+// holding a lease pay for it only on the sorts that use it; *memory.Lease
+// implements it. A nil Scratch allocates.
+type Scratch interface {
+	Int32s(n int) []int32
+	PutInt32s(buf []int32)
 }
 
 // SortColumnsInto sorts the (srcKeys, srcPays) columns by ascending key into
-// (dstKeys, dstPays), leaving the source untouched. Like SortInto, the first
-// radix digit runs as an out-of-place scatter of the key column; the payload
-// column is written exactly once by the final gather pass. perm is optional
-// scratch of at least len(srcKeys) int32s; nil allocates. Not stable.
+// (dstKeys, dstPays), leaving the source untouched. perm is optional scratch
+// of at least len(srcKeys) int32s that only the tandem fallback uses; nil
+// allocates there.
 func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) {
 	n := len(srcKeys)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
 
 	maxKey := maxKeyOfColumn(srcKeys)
 	if idxBits, ok := packedIndexBits(n, maxKey); ok {
@@ -73,6 +34,10 @@ func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) 
 		return
 	}
 
+	if perm == nil {
+		perm = make([]int32, n)
+	}
+	perm = perm[:n]
 	if n <= minRadixSize {
 		copy(dstKeys, srcKeys)
 		for i := range perm {
@@ -109,56 +74,62 @@ func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) 
 // SortTuplesIntoColumns sorts an array-of-structs chunk into columnar form:
 // dstKeys receives the keys in ascending order and dstPays the payloads in
 // the same permutation. The AoS→SoA deinterleave is fused with the first
-// radix digit — one sequential read of the 16-byte tuples feeding 256
-// streaming key-column write cursors — so the representation change costs no
-// separate pass over the data. perm is optional scratch; nil allocates.
-func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, perm []int32) {
+// radix digit — one sequential read of the 16-byte tuples feeding 256 write
+// cursors — so the representation change costs no separate pass over the
+// data. It determines the key domain with one scan; use
+// SortTuplesIntoColumnsWithMax when a bound is already known.
+func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
+	SortTuplesIntoColumnsWithMax(src, dstKeys, dstPays, maxKeyOf(src), scratch)
+}
+
+// SortTuplesIntoColumnsWithMax is SortTuplesIntoColumns for callers that
+// already know (an upper bound on) the maximum key, under SortWithMax's
+// contract: maxKey must be >= every key in src.
+func SortTuplesIntoColumnsWithMax(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, scratch Scratch) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
-	if perm == nil {
-		perm = make([]int32, n)
-	}
-	perm = perm[:n]
 
-	maxKey := maxKeyOf(src)
 	if idxBits, ok := packedIndexBits(n, maxKey); ok {
 		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits)
 		return
 	}
 
+	var perm []int32
+	if scratch == nil {
+		perm = make([]int32, n)
+	} else {
+		perm = scratch.Int32s(n)
+		defer scratch.PutInt32s(perm)
+	}
 	if n <= minRadixSize {
 		for i, t := range src {
 			dstKeys[i] = t.Key
 			perm[i] = int32(i)
 		}
 		leafSortCols(dstKeys, perm)
-		for i, p := range perm {
-			dstPays[i] = src[p].Payload
+	} else {
+		shift := topShift(maxKey)
+
+		var histogram [radixBuckets]int
+		for _, t := range src {
+			histogram[int(t.Key>>shift)&radixMask]++
 		}
-		return
+		var cursors [radixBuckets]int
+		sum := 0
+		for b := 0; b < radixBuckets; b++ {
+			cursors[b] = sum
+			sum += histogram[b]
+		}
+		bounds := cursors
+		for i, t := range src {
+			b := int(t.Key>>shift) & radixMask
+			dstKeys[cursors[b]] = t.Key
+			perm[cursors[b]] = int32(i)
+			cursors[b]++
+		}
+		sortBucketsCols(dstKeys, perm, bounds[:], cursors[:], shift)
 	}
-
-	shift := topShift(maxKey)
-
-	var histogram [radixBuckets]int
-	for _, t := range src {
-		histogram[int(t.Key>>shift)&radixMask]++
-	}
-	var cursors [radixBuckets]int
-	sum := 0
-	for b := 0; b < radixBuckets; b++ {
-		cursors[b] = sum
-		sum += histogram[b]
-	}
-	bounds := cursors
-	for i, t := range src {
-		b := int(t.Key>>shift) & radixMask
-		dstKeys[cursors[b]] = t.Key
-		perm[cursors[b]] = int32(i)
-		cursors[b]++
-	}
-	sortBucketsCols(dstKeys, perm, bounds[:], cursors[:], shift)
 	for i, p := range perm {
 		dstPays[i] = src[p].Payload
 	}

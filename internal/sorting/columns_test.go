@@ -1,30 +1,48 @@
 package sorting
 
 import (
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/relation"
 )
 
+// stdlibOracle returns input in the order the stable stdlib sort gives it.
+func stdlibOracle(input []relation.Tuple) []relation.Tuple {
+	want := slices.Clone(input)
+	slices.SortStableFunc(want, func(a, b relation.Tuple) int { return cmp.Compare(a.Key, b.Key) })
+	return want
+}
+
 // checkColumnsAgainstStdlib verifies a columnar sort output against the
-// stdlib baseline: identical keys in identical positions, and the
-// (key, payload) pairs a multiset-permutation of the input. The columnar
-// sorts are unstable, so payload positions within equal-key groups may
-// differ from the stdlib order — SameMultiset is the right comparison.
-func checkColumnsAgainstStdlib(t *testing.T, name string, input []relation.Tuple, keys, pays []uint64) {
+// stdlib oracle (want = stdlibOracle(input)). When the input packs
+// (packedIndexBits) the sort is stable by construction, so the output must
+// equal the stable order pair for pair; on the tandem fallback equal keys may
+// land in any order, so the keys must match position by position and the
+// (key, payload) pairs be a multiset-permutation of the input.
+func checkColumnsAgainstStdlib(t *testing.T, name string, input, want []relation.Tuple, keys, pays []uint64) {
 	t.Helper()
-	want := append([]relation.Tuple(nil), input...)
-	SortStdlib(want)
 	if len(keys) != len(want) || len(pays) != len(want) {
 		t.Fatalf("%s: length changed: %d -> keys %d, pays %d", name, len(want), len(keys), len(pays))
 	}
+	_, stable := packedIndexBits(len(input), maxKeyOf(input))
 	for i := range keys {
 		if keys[i] != want[i].Key {
 			t.Fatalf("%s: key mismatch at %d: got %d, stdlib %d", name, i, keys[i], want[i].Key)
 		}
+		if stable && pays[i] != want[i].Payload {
+			t.Fatalf("%s: packed sort not stable at %d (key %d): payload %d, stable order has %d", name, i, keys[i], pays[i], want[i].Payload)
+		}
+	}
+	if stable {
+		return
 	}
 	got := make([]relation.Tuple, len(keys))
 	batch.Interleave(keys, pays, got)
@@ -33,49 +51,186 @@ func checkColumnsAgainstStdlib(t *testing.T, name string, input []relation.Tuple
 	}
 }
 
+// sortBothWays runs the columnar entry points over input and checks each
+// against the stdlib oracle; SortColumnsInto must leave its source alone.
+func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
+	t.Helper()
+	n := len(input)
+	want := stdlibOracle(input)
+	srcKeys, srcPays := make([]uint64, n), make([]uint64, n)
+	batch.Deinterleave(input, srcKeys, srcPays)
+	dstKeys, dstPays := make([]uint64, n), make([]uint64, n)
+	SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays, nil)
+	checkColumnsAgainstStdlib(t, name+"/SortColumnsInto", input, want, dstKeys, dstPays)
+	for i := range srcKeys {
+		if srcKeys[i] != input[i].Key || srcPays[i] != input[i].Payload {
+			t.Fatalf("%s: SortColumnsInto modified its source at %d", name, i)
+		}
+	}
+
+	clear(dstKeys)
+	clear(dstPays)
+	SortTuplesIntoColumns(input, dstKeys, dstPays, nil)
+	checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumns", input, want, dstKeys, dstPays)
+
+	// A loose bound must sort the same as the exact one.
+	if maxKey := maxKeyOf(input); maxKey < math.MaxUint64/2 {
+		clear(dstKeys)
+		clear(dstPays)
+		SortTuplesIntoColumnsWithMax(input, dstKeys, dstPays, 2*maxKey+1, nil)
+		checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumnsWithMax(loose)", input, want, dstKeys, dstPays)
+	}
+}
+
 // TestSortColumnsDifferential runs the columnar sorts against the stdlib
 // baseline over the adversarial distributions at sizes spanning the insertion
-// cutoff, the cache-leaf threshold and multi-level recursion.
+// cutoffs, the single-bucket threshold and multi-level recursion.
 func TestSortColumnsDifferential(t *testing.T) {
-	sizes := []int{0, 1, 3, insertionCutoff, cacheLeafTuples - 1, cacheLeafTuples + 1, 3 * cacheLeafTuples, 20000}
+	sizes := []int{0, 1, 2, 3, insertionCutoff, packedInsertionCutoff - 1, packedInsertionCutoff, packedInsertionCutoff + 1,
+		minRadixSize - 1, minRadixSize, minRadixSize + 1, 3 * cacheLeafTuples, 20000, l2Values - 1, l2Values, l2Values + 1}
 	for _, n := range sizes {
 		for name, input := range adversarialDistributions(max(n, 1), int64(n)) {
-			input = input[:n]
+			sortBothWays(t, fmt.Sprintf("%s/n=%d", name, n), input[:n])
+		}
+	}
+}
 
-			// SortColumns: in-place over deinterleaved columns.
-			keys := make([]uint64, n)
-			pays := make([]uint64, n)
-			batch.Deinterleave(input, keys, pays)
-			SortColumns(keys, pays, nil, nil)
-			checkColumnsAgainstStdlib(t, name+"/SortColumns", input, keys, pays)
-
-			// SortColumns with caller-provided scratch.
-			batch.Deinterleave(input, keys, pays)
-			SortColumns(keys, pays, make([]int32, n+5), make([]uint64, n+5))
-			checkColumnsAgainstStdlib(t, name+"/SortColumns(scratch)", input, keys, pays)
-
-			// SortColumnsInto: out-of-place, source untouched.
-			srcKeys := make([]uint64, n)
-			srcPays := make([]uint64, n)
-			batch.Deinterleave(input, srcKeys, srcPays)
-			dstKeys := make([]uint64, n)
-			dstPays := make([]uint64, n)
-			SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays, nil)
-			checkColumnsAgainstStdlib(t, name+"/SortColumnsInto", input, dstKeys, dstPays)
-			for i := range srcKeys {
-				if srcKeys[i] != input[i].Key || srcPays[i] != input[i].Payload {
-					t.Fatalf("%s: SortColumnsInto modified its source at %d", name, i)
+// TestSortColumnsKeyWidths covers every remaining-key width stage 2 can see,
+// below and above the stage 1 threshold, on uniform keys (one counting pass
+// and the insertion fix-up) and on keys half of which repeat eight values
+// (bins too full for the fix-up, so they are sorted one by one, to odd and
+// even depths, and a bin's result ends in either ping-pong buffer).
+func TestSortColumnsKeyWidths(t *testing.T) {
+	for width := 1; width <= 44; width++ {
+		for _, n := range []int{300, 5000, l2Values + 5000} {
+			rng := rand.New(rand.NewSource(int64(width*n) + 1))
+			uniform, clumped := make([]relation.Tuple, n), make([]relation.Tuple, n)
+			var clumps [8]uint64
+			for i := range clumps {
+				clumps[i] = rng.Uint64() >> (64 - width)
+			}
+			for i := range uniform {
+				uniform[i] = relation.Tuple{Key: rng.Uint64() >> (64 - width), Payload: uint64(i)}
+				clumped[i] = uniform[i]
+				if i%2 == 0 {
+					clumped[i].Key = clumps[rng.Intn(len(clumps))]
 				}
 			}
-
-			// SortTuplesIntoColumns: fused AoS→SoA conversion and sort.
-			clear(dstKeys)
-			clear(dstPays)
-			SortTuplesIntoColumns(input, dstKeys, dstPays, nil)
-			checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumns", input, dstKeys, dstPays)
-			if !IsSortedKeys(dstKeys) {
-				t.Fatalf("%s: SortTuplesIntoColumns left keys unsorted", name)
+			sortBothWays(t, fmt.Sprintf("clumped/width=%d/n=%d", width, n), clumped)
+			if n <= l2Values { // past stage 1, uniform keys leave buckets that only need insertion
+				sortBothWays(t, fmt.Sprintf("uniform/width=%d/n=%d", width, n), uniform)
 			}
+		}
+	}
+}
+
+// TestSortColumnsRunGenerationShapes covers the distributions run generation
+// meets at scale: clustered 80:20 skew (the join_large_skew shape, whose
+// first-level buckets run from empty to many times the average), a dense
+// cluster in a wide domain, a duplicate-heavy 2^10-key domain at 2^20 tuples,
+// and the degenerate orders.
+func TestSortColumnsRunGenerationShapes(t *testing.T) {
+	const n, small = 1 << 20, 1 << 17 // the degenerate orders need no more than two stage 1 buckets' worth
+	shapes := map[string][]relation.Tuple{
+		"uniform-32":     makeTuples(n, 1, 1<<32),
+		"clustered-skew": clusteredSkew(n, 2, 1<<20),
+		"dense-cluster":  denseCluster(n, 5),
+		"domain-2^10":    makeTuples(n, 3, 1<<10),
+		"all-equal":      make([]relation.Tuple, small),
+		"two-keys":       make([]relation.Tuple, small),
+		"sorted":         make([]relation.Tuple, small),
+		"descending":     make([]relation.Tuple, small),
+	}
+	for i := 0; i < small; i++ {
+		p := uint64(i)
+		shapes["all-equal"][i] = relation.Tuple{Key: 1 << 31, Payload: p}
+		shapes["two-keys"][i] = relation.Tuple{Key: uint64(i*7%3%2) << 40, Payload: p}
+		shapes["sorted"][i] = relation.Tuple{Key: p / 3, Payload: p}
+		shapes["descending"][i] = relation.Tuple{Key: uint64(small-i) / 3, Payload: p}
+	}
+	for name, input := range shapes {
+		sortBothWays(t, name, input)
+	}
+}
+
+// TestSortColumnsOversizedBucket gives one first-level bucket far more values
+// than the rest, uniform over the 24 key bits below the first digit: just past
+// the largest input stage 2 is otherwise handed, and so many that even the
+// widest counting pass leaves every bin too full for the insertion fix-up.
+func TestSortColumnsOversizedBucket(t *testing.T) {
+	for _, hot := range []int{l2Values + 1, 1 << 19} {
+		rng := rand.New(rand.NewSource(int64(hot)))
+		input := make([]relation.Tuple, hot+4000)
+		for i := range input {
+			k := rng.Uint64() >> 32 // cold: spread over every first digit
+			if i%len(input) < hot {
+				k = 0x80<<24 | k&(1<<24-1) // hot: one first digit, 24 free bits
+			}
+			input[i] = relation.Tuple{Key: k, Payload: uint64(i)}
+		}
+		input[len(input)-1].Key = 1<<32 - 1 // pins the first digit to the top key byte
+		sortBothWays(t, fmt.Sprintf("hot=%d", hot), input)
+	}
+}
+
+// TestSortColumnsPackBoundary pins both sides of the packedIndexBits
+// boundary — the widest keys that still pack, and the narrowest that take the
+// tandem fallback — plus full-width keys.
+func TestSortColumnsPackBoundary(t *testing.T) {
+	for _, n := range []int{100, 5000} {
+		idxBits := bits.Len(uint(n - 1))
+		for name, top := range map[string]uint64{
+			"packs":      1<<(64-idxBits) - 1,
+			"falls-back": 1 << (64 - idxBits),
+			"max-uint64": math.MaxUint64,
+		} {
+			if _, ok := packedIndexBits(n, top); ok != (name == "packs") {
+				t.Fatalf("%s/n=%d: packedIndexBits = %v", name, n, ok)
+			}
+			rng := rand.New(rand.NewSource(int64(n)))
+			input := make([]relation.Tuple, n)
+			for i := range input {
+				input[i] = relation.Tuple{Key: rng.Uint64() % top, Payload: uint64(i)}
+			}
+			input[n/2].Key = top
+			input[n/3].Key = top
+			sortBothWays(t, fmt.Sprintf("%s/n=%d", name, n), input)
+		}
+	}
+}
+
+// TestSortColumnsTandemRecursion drives the tandem fallback through several
+// in-place radix levels: full-width keys that agree on their top four bytes.
+func TestSortColumnsTandemRecursion(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	input := make([]relation.Tuple, 20000)
+	for i := range input {
+		input[i] = relation.Tuple{Key: math.MaxUint64 - rng.Uint64()>>34, Payload: uint64(i)}
+	}
+	sortBothWays(t, "wide-clustered", input)
+}
+
+// permScratch is a Scratch that counts what it hands out.
+type permScratch struct{ leased, returned int }
+
+func (s *permScratch) Int32s(n int) []int32 { s.leased++; return make([]int32, n) }
+func (s *permScratch) PutInt32s([]int32)    { s.returned++ }
+
+// TestSortTuplesIntoColumnsLeasesPermLazily pins that the permutation scratch
+// is acquired only by the tandem fallback, and returned by it.
+func TestSortTuplesIntoColumnsLeasesPermLazily(t *testing.T) {
+	for _, n := range []int{100, 5000} {
+		keys, pays := make([]uint64, n), make([]uint64, n)
+		var scratch permScratch
+		SortTuplesIntoColumns(makeTuples(n, 1, 1<<32), keys, pays, &scratch)
+		if scratch.leased != 0 {
+			t.Fatalf("n=%d: packed path leased a permutation column", n)
+		}
+		wide := makeTuples(n, 2, 0)
+		SortTuplesIntoColumns(wide, keys, pays, &scratch)
+		checkColumnsAgainstStdlib(t, "tandem", wide, stdlibOracle(wide), keys, pays)
+		if scratch.leased != 1 || scratch.returned != 1 {
+			t.Fatalf("n=%d: tandem fallback leased %d, returned %d permutation columns", n, scratch.leased, scratch.returned)
 		}
 	}
 }
@@ -118,15 +273,6 @@ func FuzzSortColumnsDifferential(f *testing.F) {
 			input[i] = relation.Tuple{Key: binary.LittleEndian.Uint64(data[i*8:]), Payload: uint64(i)}
 		}
 
-		keys := make([]uint64, n)
-		pays := make([]uint64, n)
-		batch.Deinterleave(input, keys, pays)
-		SortColumns(keys, pays, nil, nil)
-		checkColumnsAgainstStdlib(t, "SortColumns", input, keys, pays)
-
-		clear(keys)
-		clear(pays)
-		SortTuplesIntoColumns(input, keys, pays, nil)
-		checkColumnsAgainstStdlib(t, "SortTuplesIntoColumns", input, keys, pays)
+		sortBothWays(t, "fuzz", input)
 	})
 }

@@ -3,28 +3,44 @@ package sorting
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/relation"
 )
 
-// Packed fast path of the columnar sorts. The tandem key/perm sort pays for
-// its narrow elements with a second array in every swap cycle and insertion
-// shift — two cache lines touched and two bounds checks where the AoS sort
-// touches one. When the key domain leaves enough low bits free (the paper's
-// datasets use 32-bit keys in 64-bit slots), the source index can be packed
-// into those bits instead:
+// Packed fast path of the columnar sorts — the run-generation kernel of the
+// batch execution path. When the key domain leaves enough low bits free (the
+// paper's datasets use 32-bit keys in 64-bit slots), the source index packs
+// into those bits:
 //
 //	packed[i] = key << idxBits | sourceIndex
 //
-// and the sort runs over ONE uint64 array — 8 bytes moved per element
-// against the AoS sort's 16 and the tandem path's 12-in-two-arrays — with
-// the index recovered by a mask when the payload column is gathered. Equal
-// keys tie-break on the packed index, which makes this path stable as a side
-// effect (the contract stays "not stable"; the tandem fallback is not).
+// and the sort moves ONE uint64 per element, recovering the index by a mask
+// when the payload column is gathered. The kernel has two stages, both
+// out of place and both stable:
+//
+//  1. One MSD scatter on the top 8 bits of the key (all of a narrower key),
+//     fused with the packing (and, for AoS input, the deinterleave): a
+//     histogram read of the source, then one sequential read feeding 256 write
+//     cursors in the packed scratch. An input small enough for stage 2 as it
+//     stands (l2Values) is only packed.
+//  2. Every bucket — by now cache-resident — is finished by stable counting
+//     passes over its remaining KEY bits only, ping-ponging between the packed
+//     scratch (the payload column, which nothing has written yet) and the
+//     equally unwritten key column, so the sort needs no memory of its own.
+//     Stability keeps equal keys in source order, so the index bits are never
+//     sorted. One pass on the top log2(n) remaining bits spreads the keys to
+//     about one a bin and an insertion fix-up orders the rest; when a bin is
+//     too full for that — duplicates or skew inside the bucket — every bin
+//     takes the same pass on the bits below, so the cost is bounded by the
+//     key width and n whatever the distribution. A bucket that arrives
+//     sorted (all-equal keys included) is left alone and tiny buckets take
+//     an insertion sort. Whichever buffer ends up holding a bucket is
+//     unpacked from there while it is still in cache.
 //
 // The fallback condition is exact: packing applies iff the maximum key and
-// the index width together fit in 64 bits, so full-width keys silently take
-// the tandem path and nothing is lost.
+// the index width together fit in 64 bits, so full-width keys (the string and
+// composite encodings) take the tandem key/perm path of columns.go.
 
 // packedIndexBits returns the low-bit width needed to address n source
 // indices and whether key<<idxBits|index packing fits in 64 bits for maxKey.
@@ -35,84 +51,112 @@ func packedIndexBits(n int, maxKey uint64) (idxBits int, ok bool) {
 	return idxBits, idxBits == 0 || maxKey>>(64-idxBits) == 0
 }
 
-// packedLeafCutoff is the bucket size below which the packed radix recursion
-// hands off to insertion sort. Packed values are single uint64s, so the sweet
-// spot sits far below cacheLeafTuples: measured on 2^20 uniform keys, 64 beats
-// both pdqsort leaves at 2048 (1.7x slower) and deeper recursion.
-const packedLeafCutoff = 64
+const (
+	// packedInsertionCutoff is the bucket size up to which an insertion sort
+	// beats setting up a counting pass.
+	packedInsertionCutoff = 32
 
-// packedTopShift picks the first radix digit for packed values. Unlike the
-// byte-aligned topShift, it aligns the digit to the TOP of the value: packing
-// shifts the key up by idxBits, so a byte-aligned digit would often catch only
-// a few significant key bits (a 2^52 bound byte-aligns to shift 48, leaving a
-// 16-way first pass) and waste the widest, most cache-hostile level. Aligning
-// to bits.Len puts a full 256-way fanout on the first pass; recursion below
-// steps by whole digits, which needs no alignment.
-func packedTopShift(maxPacked uint64) int {
-	s := bits.Len64(maxPacked) - radixBits
-	if s < 0 {
-		s = 0
+	// spreadMaxDigit bounds the digit of a counting pass, whose width is
+	// otherwise log2 of the bucket size: about one value a bin, and never
+	// more counters to clear and prefix-sum than values.
+	spreadMaxDigit = 13
+
+	// spreadMaxBin is the fullest bin a counting pass leaves to its insertion
+	// fix-up, which moves a value past at most that many others; anything
+	// fuller means duplicates or skew inside the bucket, and the bins are
+	// sorted one by one.
+	spreadMaxBin = 32
+
+	// l2Values is the input size up to which stage 1 is skipped: the two
+	// ping-pong buffers (16 bytes a value) fit a 1 MiB L2 with room for the
+	// source gather, and one bucket costs less than 256 small ones.
+	l2Values = 1 << 15
+)
+
+// packedScratch holds the digit counters of the bucket being finished. It is
+// pooled: 32 KiB is too much to put on (and zero in) every sorter's stack.
+type packedScratch struct{ counters [1 << spreadMaxDigit]uint32 }
+
+var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
+
+// finishPacked is stage 2: bucket b of packed spans [bounds[b], bounds[b+1])
+// and agrees on every bit from hi up. Each bucket is sorted on key bits
+// [idxBits, hi) with the same range of other as its scratch, then handed to
+// unpack, from whichever buffer it ended in, together with its offset.
+func finishPacked(packed, other []uint64, bounds []int, idxBits, hi int, unpack func(lo int, sorted []uint64)) {
+	s := packedScratchPool.Get().(*packedScratch)
+	for b := 0; b+1 < len(bounds); b++ {
+		lo, end := bounds[b], bounds[b+1]
+		sorted := packed[lo:end]
+		if s.sortBucket(sorted, other[lo:end], idxBits, hi) {
+			sorted = other[lo:end]
+		}
+		unpack(lo, sorted)
 	}
-	return s
+	packedScratchPool.Put(s)
 }
 
-// sortPackedU64 sorts packed values with the multi-level radix scheme;
-// maxPacked bounds the values (it seeds the top digit shift).
-func sortPackedU64(packed []uint64, maxPacked uint64) {
-	if len(packed) <= minRadixSize {
-		slices.Sort(packed)
-		return
+// sortBucket stably sorts a, whose values agree on every bit from hi up and
+// arrive in source order, by bits [lo, hi); b is scratch of the same length.
+// It reports whether the result is in b instead of a.
+//
+// The common case is one counting pass from a into b on the top log2(n) bits
+// of [lo, hi), which leaves uniform-enough keys about one to a bin, and an
+// insertion pass over b to order the few that share one. When some bin is too
+// full for that to stay near-linear — duplicates or skew inside the bucket —
+// every bin is sorted as a bucket of its own on the bits below the digit, so
+// no input costs more than one pass per digit of the key.
+func (s *packedScratch) sortBucket(a, b []uint64, lo, hi int) (inB bool) {
+	n := len(a)
+	switch {
+	case n < 2 || hi <= lo:
+		return false
+	case n <= packedInsertionCutoff:
+		insertionSortU64(a) // whole-word order is (key, source index): stable
+		return false
+	case slices.IsSorted(a):
+		return false // free on unsorted input: the scan stops at the first descent
 	}
-	msdRadixSortU64(packed, packedTopShift(maxPacked))
-}
-
-// msdRadixSortU64 is msdRadixSortCols for a single packed column: one
-// histogram, prefix-sum bounds and an American-flag swap cycle per level.
-func msdRadixSortU64(packed []uint64, shift int) {
-	var histogram [radixBuckets]int
-	for _, p := range packed {
-		histogram[int(p>>shift)&radixMask]++
+	digit := min(hi-lo, bits.Len(uint(n)), spreadMaxDigit)
+	shift, mask := hi-digit, uint64(1)<<digit-1
+	cursors := s.counters[:1<<digit]
+	clear(cursors)
+	for _, v := range a {
+		cursors[v>>shift&mask]++
 	}
-
-	var bounds, next [radixBuckets]int
-	sum := 0
-	for b := 0; b < radixBuckets; b++ {
-		bounds[b] = sum
-		next[b] = sum
-		sum += histogram[b]
+	sum, fullest := uint32(0), uint32(0)
+	for d, c := range cursors {
+		cursors[d] = sum
+		sum += c
+		fullest = max(fullest, c)
 	}
-
-	for b := 0; b < radixBuckets; b++ {
-		end := bounds[b] + histogram[b]
-		for i := next[b]; i < end; {
-			dst := int(packed[i]>>shift) & radixMask
-			if dst == b {
-				i++
-				next[b] = i
-				continue
+	for _, v := range a {
+		d := v >> shift & mask
+		b[cursors[d]] = v
+		cursors[d]++
+	}
+	switch {
+	case shift == lo: // the digit covered every remaining bit
+	case fullest <= spreadMaxBin:
+		insertionSortU64(b)
+	default:
+		// The recursion reuses the counters, so the bins are found again by
+		// their digit, which sits above the bits they still differ in.
+		for from := 0; from < n; {
+			to := from + 1
+			for to < n && b[to]>>shift == b[from]>>shift {
+				to++
 			}
-			j := next[dst]
-			packed[i], packed[j] = packed[j], packed[i]
-			next[dst]++
+			if s.sortBucket(b[from:to], a[from:to], lo, shift) {
+				copy(b[from:to], a[from:to])
+			}
+			from = to
 		}
 	}
-
-	sortBucketsU64(packed, bounds[:], next[:], shift)
+	return true
 }
 
-// sortBucketsU64 finishes the buckets of one radix level: recurse while a
-// bucket exceeds the leaf cutoff and digits remain, insertion-sort small
-// leaves, and fall back to the standard library for the rare large bucket
-// whose digits ran out (possible only when more than packedLeafCutoff values
-// agree on every bit from shift+radixBits up — the distinct index bits keep
-// such buckets small).
-func sortBucketsU64(packed []uint64, bounds, ends []int, shift int) {
-	for b := 0; b < radixBuckets; b++ {
-		sortPackedBucket(packed[bounds[b]:ends[b]], shift)
-	}
-}
-
-// insertionSortU64 sorts a short packed leaf in place.
+// insertionSortU64 sorts a tiny bucket in place.
 func insertionSortU64(packed []uint64) {
 	for i := 1; i < len(packed); i++ {
 		p := packed[i]
@@ -125,220 +169,86 @@ func insertionSortU64(packed []uint64) {
 	}
 }
 
-// sortTuplesPacked is the packed path of SortTuplesIntoColumns: the AoS→SoA
-// deinterleave, the first radix digit and the index packing fuse into one
-// scatter pass; dstPays doubles as the packed scratch until the final unpack
-// writes it (reading each slot just before overwriting it, so no extra
-// buffer is needed).
+// sortTuplesPacked is the packed path of SortTuplesIntoColumns: stage 1 reads
+// the AoS source, dstPays is the packed scratch and dstKeys its ping-pong
+// partner until each bucket's unpack writes both. The stage 1 digit is the
+// top 8 bits of the key (all of a narrower key), read off the source.
+//
+// Stage 1 and the unpack are the only code that touches the source, and they
+// touch it once per tuple, so they are written out per source layout here and
+// in sortColumnsIntoPacked: reaching the source through two accessor closures
+// instead measured 20–40 % slower end to end (24 → 33 ns/tuple at 2^20).
 func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
 	n := len(src)
-	packed := dstPays
-	maxPacked := maxKey<<idxBits | uint64(n-1)
-	var mask uint64
-	if idxBits > 0 {
-		mask = uint64(1)<<idxBits - 1
-	}
-
-	if n <= minRadixSize {
+	hi := idxBits + bits.Len64(maxKey)
+	var bounds [radixBuckets + 1]int
+	buckets := 1
+	if n <= l2Values {
+		bounds[1] = n
 		for i, t := range src {
-			packed[i] = t.Key<<idxBits | uint64(i)
+			dstPays[i] = t.Key<<idxBits | uint64(i)
 		}
-		slices.Sort(packed)
-		for i, p := range packed {
-			dstKeys[i] = p >> idxBits
-			dstPays[i] = src[p&mask].Payload
+	} else {
+		buckets, hi = radixBuckets, max(hi-radixBits, idxBits)
+		shift := hi - idxBits
+		for _, t := range src {
+			bounds[int(t.Key>>shift)&radixMask+1]++
 		}
-		return
+		for b := 0; b < radixBuckets; b++ {
+			bounds[b+1] += bounds[b]
+		}
+		cursors := bounds
+		for i, t := range src {
+			b := int(t.Key>>shift) & radixMask
+			dstPays[cursors[b]] = t.Key<<idxBits | uint64(i)
+			cursors[b]++
+		}
 	}
-
-	shift := packedTopShift(maxPacked)
-	var histogram [radixBuckets]int
-	for i, t := range src {
-		histogram[int((t.Key<<idxBits|uint64(i))>>shift)&radixMask]++
-	}
-	var cursors [radixBuckets]int
-	sum := 0
-	for b := 0; b < radixBuckets; b++ {
-		cursors[b] = sum
-		sum += histogram[b]
-	}
-	bounds := cursors
-	for i, t := range src {
-		p := t.Key<<idxBits | uint64(i)
-		b := int(p>>shift) & radixMask
-		packed[cursors[b]] = p
-		cursors[b]++
-	}
-	sortBucketsU64(packed, bounds[:], cursors[:], shift)
-	for i, p := range packed {
-		dstKeys[i] = p >> idxBits
-		dstPays[i] = src[p&mask].Payload
-	}
+	mask := uint64(1)<<idxBits - 1
+	finishPacked(dstPays, dstKeys, bounds[:buckets+1], idxBits, hi, func(lo int, sorted []uint64) {
+		keys, pays := dstKeys[lo:lo+len(sorted)], dstPays[lo:lo+len(sorted)]
+		for i, p := range sorted {
+			keys[i] = p >> idxBits
+			pays[i] = src[p&mask].Payload
+		}
+	})
 }
 
-// sortPackedBucket finishes one bucket left over from a radix level at shift,
-// applying the same recursion policy as sortBucketsU64.
-func sortPackedBucket(part []uint64, shift int) {
-	if len(part) < 2 {
-		return
-	}
-	if len(part) > packedLeafCutoff {
-		if len(part) <= wideBuckets && shift >= wideBits && sortWideU64(part, shift) {
-			return
-		}
-		if shift >= radixBits {
-			msdRadixSortU64(part, shift-radixBits)
-		} else {
-			slices.Sort(part)
-		}
-		return
-	}
-	sortLeafU64(part, shift)
-}
-
-// wideBits is the digit width of the one-shot counting scatter that finishes
-// mid-size buckets: a bucket of up to 4096 values takes a single out-of-place
-// 4096-way scatter (counter array and scratch both cache-resident) instead of
-// another American-flag level plus per-leaf sorting — three sequential passes
-// with L1-local random writes in place of the flag's dependent swap chains.
-const (
-	wideBits    = 12
-	wideBuckets = 1 << wideBits
-)
-
-// sortWideU64 finishes one mid-size bucket with the wide counting scatter and
-// a near-linear insertion fix-up. It refuses (returns false, having done
-// nothing) when the digit is too skewed for the fix-up to stay near-linear —
-// more than packedLeafCutoff values sharing one digit — which sends the
-// caller down the recursive path instead.
-func sortWideU64(part []uint64, shift int) bool {
-	ws := shift - wideBits
-	var cnt [wideBuckets]int32
-	for _, p := range part {
-		cnt[int(p>>ws)&(wideBuckets-1)]++
-	}
-	var sum, maxCnt int32
-	for b := range cnt {
-		c := cnt[b]
-		if c > maxCnt {
-			maxCnt = c
-		}
-		cnt[b] = sum
-		sum += c
-	}
-	if maxCnt > packedLeafCutoff {
-		return false
-	}
-	var tmp [wideBuckets]uint64
-	for _, p := range part {
-		b := int(p>>ws) & (wideBuckets - 1)
-		tmp[cnt[b]] = p
-		cnt[b]++
-	}
-	copy(part, tmp[:len(part)])
-	insertionSortU64(part)
-	return true
-}
-
-// sortLeafU64 sorts a small leaf. Pure insertion sort pays a hard-to-predict
-// branch per shifted element — ~n²/4 mispredict opportunities on a random
-// leaf — and dominated the packed sort's profile. One branch-free 16-way
-// counting scatter on the top remaining nibble first spreads the leaf nearly
-// into place, after which the insertion pass runs in near-linear time with a
-// well-predicted inner branch.
-func sortLeafU64(part []uint64, shift int) {
-	if len(part) > 8 && shift >= 4 {
-		ns := shift - 4
-		var cnt [16]int
-		var tmp [packedLeafCutoff]uint64
-		for _, p := range part {
-			cnt[int(p>>ns)&15]++
-		}
-		sum := 0
-		for b := 0; b < 16; b++ {
-			c := cnt[b]
-			cnt[b] = sum
-			sum += c
-		}
-		for _, p := range part {
-			b := int(p>>ns) & 15
-			tmp[cnt[b]] = p
-			cnt[b]++
-		}
-		copy(part, tmp[:len(part)])
-	}
-	insertionSortU64(part)
-}
-
-// sortColumnsIntoPacked is the packed path of SortColumnsInto; like
-// sortTuplesPacked it fuses packing with the first radix scatter and uses
-// dstPays as the packed scratch.
+// sortColumnsIntoPacked is the packed path of SortColumnsInto: sortTuplesPacked
+// line for line over a columnar source. Its one caller outside the tests is
+// the end-to-end benchmark's sorting layer.
 func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
 	n := len(srcKeys)
-	packed := dstPays
-	maxPacked := maxKey<<idxBits | uint64(n-1)
-	var mask uint64
-	if idxBits > 0 {
-		mask = uint64(1)<<idxBits - 1
-	}
-
-	if n <= minRadixSize {
+	hi := idxBits + bits.Len64(maxKey)
+	var bounds [radixBuckets + 1]int
+	buckets := 1
+	if n <= l2Values {
+		bounds[1] = n
 		for i, k := range srcKeys {
-			packed[i] = k<<idxBits | uint64(i)
+			dstPays[i] = k<<idxBits | uint64(i)
 		}
-		slices.Sort(packed)
-		for i, p := range packed {
-			dstKeys[i] = p >> idxBits
-			dstPays[i] = srcPays[p&mask]
+	} else {
+		buckets, hi = radixBuckets, max(hi-radixBits, idxBits)
+		shift := hi - idxBits
+		for _, k := range srcKeys {
+			bounds[int(k>>shift)&radixMask+1]++
 		}
-		return
+		for b := 0; b < radixBuckets; b++ {
+			bounds[b+1] += bounds[b]
+		}
+		cursors := bounds
+		for i, k := range srcKeys {
+			b := int(k>>shift) & radixMask
+			dstPays[cursors[b]] = k<<idxBits | uint64(i)
+			cursors[b]++
+		}
 	}
-
-	shift := packedTopShift(maxPacked)
-	var histogram [radixBuckets]int
-	for i, k := range srcKeys {
-		histogram[int((k<<idxBits|uint64(i))>>shift)&radixMask]++
-	}
-	var cursors [radixBuckets]int
-	sum := 0
-	for b := 0; b < radixBuckets; b++ {
-		cursors[b] = sum
-		sum += histogram[b]
-	}
-	bounds := cursors
-	for i, k := range srcKeys {
-		p := k<<idxBits | uint64(i)
-		b := int(p>>shift) & radixMask
-		packed[cursors[b]] = p
-		cursors[b]++
-	}
-	sortBucketsU64(packed, bounds[:], cursors[:], shift)
-	for i, p := range packed {
-		dstKeys[i] = p >> idxBits
-		dstPays[i] = srcPays[p&mask]
-	}
-}
-
-// sortColumnsPacked is the packed path of the in-place SortColumns: keys and
-// indices pack into payScratch, the sorted packed values unpack into keys and
-// perm, and the payload gather then reuses payScratch as its destination
-// before copying back.
-func sortColumnsPacked(keys, pays []uint64, perm []int32, payScratch []uint64, maxKey uint64, idxBits int) {
-	n := len(keys)
-	packed := payScratch[:n]
-	for i, k := range keys {
-		packed[i] = k<<idxBits | uint64(i)
-	}
-	sortPackedU64(packed, maxKey<<idxBits|uint64(n-1))
-
-	var mask uint64
-	if idxBits > 0 {
-		mask = uint64(1)<<idxBits - 1
-	}
-	for i, p := range packed {
-		keys[i] = p >> idxBits
-		perm[i] = int32(p & mask)
-	}
-	gatherPayloads(payScratch, pays, perm)
-	copy(pays[:n], payScratch)
+	mask := uint64(1)<<idxBits - 1
+	finishPacked(dstPays, dstKeys, bounds[:buckets+1], idxBits, hi, func(lo int, sorted []uint64) {
+		keys, pays := dstKeys[lo:lo+len(sorted)], dstPays[lo:lo+len(sorted)]
+		for i, p := range sorted {
+			keys[i] = p >> idxBits
+			pays[i] = srcPays[p&mask]
+		}
+	})
 }

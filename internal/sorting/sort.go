@@ -1,6 +1,17 @@
-// Package sorting implements the hardware-conscious sorting routine the MPSM
-// paper (Section 2.3) uses for run generation, generalized from the paper's
-// single radix level to a cache-conscious multi-level MSD radix sort:
+// Package sorting implements run generation for the MPSM joins (paper
+// Section 2.3) in two families.
+//
+// The columnar batch path sorts into key and payload columns
+// (SortTuplesIntoColumns, SortColumnsInto). Keys that leave room for a source
+// index — the paper's 32-bit domains always do — take the packed kernel of
+// packed.go: one out-of-place MSD scatter, then stable counting passes over
+// the key bits only, which skew and duplicates cannot slow down. Keys too
+// wide to pack take the tandem key/perm sort of columns.go, built from the
+// routine below.
+//
+// The row path (Sort, SortWithMax, SortInto; D-MPSM, non-inner kinds and the
+// test oracle) is the paper's hardware-conscious routine, generalized from
+// its single radix level to a cache-conscious multi-level MSD radix sort:
 //
 //  1. In-place MSD radix partitioning on successive 8-bit digits of the
 //     (normalized) join key, American-flag style: a 256-bucket histogram per

@@ -228,10 +228,3 @@ func TestMedianOfThree(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
