@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -304,16 +305,85 @@ type queryError struct {
 	Annotate string `json:"annotate,omitempty"`
 }
 
-// queryResponse carries the canonical query text, the result tuples (bounded
-// by Limit) and timing.
-type queryResponse struct {
-	Query       string       `json:"query"`
-	Columns     [2]string    `json:"columns"`
-	Rows        int          `json:"rows"`
-	Tuples      []mpsm.Tuple `json:"tuples"`
-	Truncated   bool         `json:"truncated,omitempty"`
-	Plan        string       `json:"plan,omitempty"`
-	TotalMillis float64      `json:"total_millis"`
+// A query answer is the JSON object
+//
+//	{"query":…,"columns":[…],"rows":n,"tuples":[{"Key":k,"Payload":p},…],
+//	 "truncated":true,"plan":"…","total_millis":t}
+//
+// followed by a newline: the canonical query text, the result tuples (bounded
+// by Limit; null when the result holds none), and timing; truncated and plan
+// only when set. That is byte for byte what encoding/json makes of those
+// fields in that order, and clients scan the tuple layout by hand, so it must
+// stay so. The envelope — queryHead before the tuples, queryTail after — is
+// still encoded by encoding/json; the tuples, which are all of a large
+// answer, are not: reflection costs 2.5x what strconv.AppendUint does.
+type queryHead struct {
+	Query   string    `json:"query"`
+	Columns [2]string `json:"columns"`
+	Rows    int       `json:"rows"`
+}
+
+type queryTail struct {
+	Truncated   bool    `json:"truncated,omitempty"`
+	Plan        string  `json:"plan,omitempty"`
+	TotalMillis float64 `json:"total_millis"`
+}
+
+// responseBufferSize is when writeQueryResponse hands what it has encoded to
+// the ResponseWriter: some 1300 tuples a write.
+const responseBufferSize = 32 << 10
+
+// responseBuffers recycles the encode buffers across requests.
+var responseBuffers = sync.Pool{New: func() any {
+	buf := make([]byte, 0, responseBufferSize+128)
+	return &buf
+}}
+
+// writeQueryResponse streams a query answer. Like writeJSON it ignores write
+// errors: they can only mean the client is gone.
+func writeQueryResponse(w http.ResponseWriter, head queryHead, tuples []mpsm.Tuple, tail queryTail) {
+	headJSON, err := json.Marshal(head)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	tailJSON, err := json.Marshal(tail)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+
+	bufp := responseBuffers.Get().(*[]byte)
+	defer responseBuffers.Put(bufp)
+	buf := append((*bufp)[:0], headJSON[:len(headJSON)-1]...) // reopen the object
+	buf = append(buf, `,"tuples":`...)
+	if tuples == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, t := range tuples {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, `{"Key":`...)
+			buf = strconv.AppendUint(buf, t.Key, 10)
+			buf = append(buf, `,"Payload":`...)
+			buf = strconv.AppendUint(buf, t.Payload, 10)
+			buf = append(buf, '}')
+			if len(buf) >= responseBufferSize {
+				_, _ = w.Write(buf)
+				buf = buf[:0]
+			}
+		}
+		buf = append(buf, ']')
+	}
+	buf = append(buf, ',')
+	buf = append(buf, tailJSON[1:]...)
+	buf = append(buf, '\n')
+	_, _ = w.Write(buf)
+	*bufp = buf[:0]
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -353,14 +423,15 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		qopts = append(qopts, mpsm.WithQueryLabel(req.Label))
 	}
 
-	resp := queryResponse{Query: plan.QueryInfo().Text, Columns: plan.QueryInfo().Columns}
+	head := queryHead{Query: plan.QueryInfo().Text, Columns: plan.QueryInfo().Columns}
+	var tail queryTail
 	if req.Explain {
 		ex, err := s.svc.Explain(plan, qopts...)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		resp.Plan = ex.String()
+		tail.Plan = ex.String()
 	}
 
 	start := time.Now()
@@ -373,14 +444,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	resp.Rows = res.Output.Len()
-	resp.Tuples = res.Output.Tuples
-	if req.Limit > 0 && len(resp.Tuples) > req.Limit {
-		resp.Tuples = resp.Tuples[:req.Limit]
-		resp.Truncated = true
+	head.Rows = res.Output.Len()
+	tuples := res.Output.Tuples
+	if req.Limit > 0 && len(tuples) > req.Limit {
+		tuples = tuples[:req.Limit]
+		tail.Truncated = true
 	}
-	resp.TotalMillis = float64(time.Since(start).Microseconds()) / 1000.0
-	writeJSON(w, http.StatusOK, resp)
+	tail.TotalMillis = float64(time.Since(start).Microseconds()) / 1000.0
+	writeQueryResponse(w, head, tuples, tail)
 }
 
 // joinErrorStatus maps serving-layer errors to HTTP statuses: admission

@@ -106,9 +106,9 @@ func TestColumnarBatchCounters(t *testing.T) {
 	}
 }
 
-// TestColumnarIneligibleFallsBackToRows verifies the eligibility guard: band
-// joins and non-inner kinds must run the row kernels (no batch traffic) and
-// still produce correct results against the row baseline.
+// TestColumnarIneligibleFallsBackToRows verifies the eligibility guard:
+// non-inner kinds must run the row kernels (no batch traffic) and still
+// produce correct results against the row baseline.
 func TestColumnarIneligibleFallsBackToRows(t *testing.T) {
 	r := GenerateSkewedWithDomain("R", 500, 2000, SkewNone, 209)
 	s := GenerateSkewedWithDomain("S", 1500, 2000, SkewNone, 210)
@@ -118,7 +118,6 @@ func TestColumnarIneligibleFallsBackToRows(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"band", []Option{WithBandWidth(3)}},
 		{"left-outer", []Option{WithKind(LeftOuterJoin)}},
 		{"semi", []Option{WithKind(SemiJoin)}},
 		{"anti", []Option{WithKind(AntiJoin)}},
@@ -141,6 +140,40 @@ func TestColumnarIneligibleFallsBackToRows(t *testing.T) {
 			if res.Matches != base.Matches || res.MaxSum != base.MaxSum {
 				t.Fatalf("%v/%s: (matches, maxSum) = (%d, %d), row path (%d, %d)",
 					alg, tc.name, res.Matches, res.MaxSum, base.Matches, base.MaxSum)
+			}
+		}
+	}
+}
+
+// TestBandJoinsAlwaysRunColumnar: a band join has no row path left to fall
+// back to — WithBatchSize(-1), which keeps an equi-join on the row kernels,
+// changes nothing for it. Every match flows through the batch boundary under
+// both schedulers, and the result is the brute-force band join's.
+func TestBandJoinsAlwaysRunColumnar(t *testing.T) {
+	r := GenerateSkewedWithDomain("R", 500, 2000, SkewNone, 209)
+	s := GenerateSkewedWithDomain("S", 1500, 2000, SkewNone, 210)
+	const band = 3
+	var want uint64
+	for _, rt := range r.Tuples {
+		for _, st := range s.Tuples {
+			if rt.Key <= st.Key+band && st.Key <= rt.Key+band {
+				want++
+			}
+		}
+	}
+	engine := New(WithWorkers(3))
+	for _, alg := range []Algorithm{BMPSM, PMPSM} {
+		for _, sched := range []Scheduler{Static, Morsel} {
+			for _, batchSize := range []int{-1, 0, 5} {
+				res, err := engine.Join(context.Background(), r, s,
+					WithAlgorithm(alg), WithScheduler(sched), WithBandWidth(band), WithBatchSize(batchSize))
+				if err != nil {
+					t.Fatalf("%v/%v/batch=%d: %v", alg, sched, batchSize, err)
+				}
+				if res.Matches != want || res.Batch.Batches == 0 || res.Batch.Tuples != want {
+					t.Fatalf("%v/%v/batch=%d: %d matches in batches %+v, brute force finds %d",
+						alg, sched, batchSize, res.Matches, res.Batch, want)
+				}
 			}
 		}
 	}

@@ -158,16 +158,18 @@ func WithMorselSize(tuples int) Option {
 	return func(s *settings) { s.morselSize = tuples }
 }
 
-// WithBatchSize controls the columnar batch execution path of the inner
-// equi-join match phases: runs are generated as sorted key/payload column
-// pairs (structure-of-arrays) and the merge kernels scan contiguous key
-// columns with software prefetch, emitting matches in batches of n pairs.
-// n == 0 (the default) selects the built-in batch size of 1024 tuples; a
-// negative n disables the columnar path and runs the row-at-a-time kernels;
-// a positive n is the batch size in tuples. Band joins, non-inner kinds,
-// D-MPSM and the hash-join baselines are unaffected (though the hash joins
-// always batch their probe output). Both paths produce identical results;
-// Result.Batch reports the batch traffic.
+// WithBatchSize controls the columnar batch execution path of the inner-join
+// match phases of B-MPSM and P-MPSM: runs are generated as sorted key/payload
+// column pairs (structure-of-arrays) and the merge kernel scans contiguous
+// key columns, emitting one range entry per matching key group — folded
+// whole by the aggregating sinks, expanded into column batches for the
+// others — in batches of n entries. n == 0 (the default) selects the built-in
+// batch size of 1024; a positive n is the batch size; a negative n keeps
+// equi-joins on the row-at-a-time kernels. Band joins run columnar whatever n
+// is (at the default size when it is negative); non-inner kinds, D-MPSM and
+// the hash-join baselines are unaffected (though the hash joins always batch
+// their probe output). Both paths produce identical results; Result.Batch
+// reports the batch traffic.
 func WithBatchSize(n int) Option {
 	return func(s *settings) { s.batchSize = n }
 }

@@ -9,16 +9,18 @@
 // so an array-of-structs walk wastes half of every cache line and half of the
 // effective memory bandwidth. Splitting the columns lets the sort move 8-byte
 // keys (the source index packed into their spare low bits) instead of 16-byte
-// tuples, lets the merge kernel scan a contiguous key column with software
-// prefetch, and lets selections run branch-free over raw uint64 lanes,
-// emitting selection vectors instead of calling a predicate per tuple.
+// tuples, lets the merge kernel scan a contiguous key column, and lets
+// selections run branch-free over raw uint64 lanes, emitting selection
+// vectors instead of calling a predicate per tuple.
 //
 // Column buffers are leased from the engine's scratch pool (internal/memory)
 // like every other hot-path buffer, so the columnar path stays allocation-free
-// in steady state. Match emission is batched: kernels collect (private,
-// public) index pairs into a Pairs buffer and gather keys and payloads into a
-// Columns triple only when the batch fills, which is when the sink boundary
-// is crossed once per batch instead of once per match.
+// in steady state. Merge output is batched as Ranges: one entry per private
+// key group naming the contiguous window of the public run it joins with —
+// what sorted runs give a merge join for free. Consumers that can fold a
+// whole group × window (aggregates, counters) do so in O(m+n) and never see
+// a pair; for the others the kernel expands the entries into a Columns
+// triple, so the sink boundary is crossed once per batch either way.
 package batch
 
 import (
@@ -26,9 +28,10 @@ import (
 	"repro/internal/relation"
 )
 
-// DefaultSize is the default number of tuples per batch: 1024 tuples keep a
-// batch's three uint64 columns (24 KiB) plus its index pairs (8 KiB) inside a
-// typical 32–48 KiB L1 data cache while amortizing the per-batch sink call.
+// DefaultSize is the default batch size, in range entries and in expanded
+// tuples: 1024 keep a batch's three uint64 columns (24 KiB) or its four index
+// columns (16 KiB) inside a typical 32–48 KiB L1 data cache while amortizing
+// the per-batch sink call.
 const DefaultSize = 1024
 
 // Size normalizes a configured batch size: 0 selects DefaultSize, negative
@@ -86,45 +89,74 @@ type Columns struct {
 	SPayloads []uint64
 }
 
-// Pairs is a fixed-capacity buffer of match index pairs: R[i] indexes the
-// private run and S[i] the public run of the i-th match found by a merge
-// kernel. Kernels fill Pairs while scanning key columns only and defer every
-// payload access to the gather that flushes the batch.
-type Pairs struct {
-	R, S []int32
-	N    int
+// Ranges is one batch of merge-join output in range form. Entry x pairs every
+// private tuple in [I[x], IEnd[x]) — one key group of the private run — with
+// every public tuple in [Lo[x], Hi[x]), the group's window of the public run:
+// its equal-key group when Band is 0, the keys within Band of the group's key
+// otherwise. Neither side of an entry is empty, and the four index columns
+// share one length.
+type Ranges struct {
+	// RKeys/RPayloads are the private run the entries index, SKeys/SPayloads
+	// the public one.
+	RKeys, RPayloads []uint64
+	SKeys, SPayloads []uint64
+	// Band is the join's band width; 0 means every pair of an entry shares
+	// its key.
+	Band            uint64
+	I, IEnd, Lo, Hi []int32
+	// Pairs is the number of pairs the entries stand for: the sum of their
+	// m·n. The kernel keeps it as it emits, so no consumer has to take a pass
+	// over the entries just to count.
+	Pairs uint64
 }
 
 // Scratch bundles the per-worker columnar scratch of one merge kernel: the
-// index-pair buffer and the gather columns it flushes into. All buffers come
-// from the join's lease and are handed back by Close for intra-join reuse.
+// index columns of its range batches and, for consumers that take no ranges,
+// the gather columns the entries expand into. All buffers come from the
+// join's lease and are handed back by Close for intra-join reuse.
 type Scratch struct {
-	lease *memory.Lease
-	size  int
-	Pairs Pairs
-	Out   Columns
+	lease  *memory.Lease
+	size   int
+	idx    []int32 // backs the four index columns
+	ranges Ranges
+	out    Columns // leased by the first expansion
 }
 
-// NewScratch leases kernel scratch for batches of size tuples (size <= 0
+// NewScratch leases kernel scratch for batches of size entries (size <= 0
 // selects DefaultSize).
 func NewScratch(size int, lease *memory.Lease) *Scratch {
 	if size <= 0 {
 		size = DefaultSize
 	}
-	return &Scratch{
-		lease: lease,
-		size:  size,
-		Pairs: Pairs{R: lease.Int32s(size), S: lease.Int32s(size)},
-		Out: Columns{
-			Keys:      lease.Uint64s(size),
-			RPayloads: lease.Uint64s(size),
-			SPayloads: lease.Uint64s(size),
-		},
-	}
+	return &Scratch{lease: lease, size: size, idx: lease.Int32s(4 * size)}
 }
 
-// Cap returns the batch capacity in tuples.
+// Cap returns the batch capacity in entries.
 func (s *Scratch) Cap() int { return s.size }
+
+// Ranges returns the scratch's range batch pointed at the runs of one kernel
+// call, its index columns at full capacity. The batch is reused by the next
+// call: consumers must not retain it.
+func (s *Scratch) Ranges(rKeys, rPays, sKeys, sPays []uint64, band uint64) *Ranges {
+	n := s.size
+	s.ranges = Ranges{
+		RKeys: rKeys, RPayloads: rPays, SKeys: sKeys, SPayloads: sPays, Band: band,
+		I: s.idx[:n], IEnd: s.idx[n : 2*n], Lo: s.idx[2*n : 3*n], Hi: s.idx[3*n : 4*n],
+	}
+	return &s.ranges
+}
+
+// Columns returns the gather columns entries expand into, Cap() tuples each.
+func (s *Scratch) Columns() *Columns {
+	if s.out.Keys == nil {
+		s.out = Columns{
+			Keys:      s.lease.Uint64s(s.size),
+			RPayloads: s.lease.Uint64s(s.size),
+			SPayloads: s.lease.Uint64s(s.size),
+		}
+	}
+	return &s.out
+}
 
 // Close hands the scratch buffers back to the lease for reuse by the next
 // kernel of the same join.
@@ -132,11 +164,10 @@ func (s *Scratch) Close() {
 	if s == nil {
 		return
 	}
-	s.lease.PutInt32s(s.Pairs.R)
-	s.lease.PutInt32s(s.Pairs.S)
-	s.lease.PutUint64s(s.Out.Keys)
-	s.lease.PutUint64s(s.Out.RPayloads)
-	s.lease.PutUint64s(s.Out.SPayloads)
+	s.lease.PutInt32s(s.idx)
+	s.lease.PutUint64s(s.out.Keys)
+	s.lease.PutUint64s(s.out.RPayloads)
+	s.lease.PutUint64s(s.out.SPayloads)
 	*s = Scratch{}
 }
 

@@ -65,22 +65,42 @@ func TestScratchLifecycle(t *testing.T) {
 	if sc.Cap() != DefaultSize {
 		t.Fatalf("Cap = %d, want DefaultSize", sc.Cap())
 	}
-	if len(sc.Pairs.R) != DefaultSize || len(sc.Out.Keys) != DefaultSize {
-		t.Fatalf("scratch buffers sized %d/%d, want %d", len(sc.Pairs.R), len(sc.Out.Keys), DefaultSize)
+	keys := []uint64{1, 2}
+	b := sc.Ranges(keys, keys, keys[:1], keys[:1], 7)
+	for _, col := range [][]int32{b.I, b.IEnd, b.Lo, b.Hi} {
+		if len(col) != DefaultSize {
+			t.Fatalf("index column sized %d, want %d", len(col), DefaultSize)
+		}
+	}
+	b.I[DefaultSize-1], b.IEnd[0] = 1, 2 // the four columns must not alias
+	if b.IEnd[0] != 2 || b.I[DefaultSize-1] != 1 || b.Band != 7 || len(b.RKeys) != 2 || len(b.SKeys) != 1 {
+		t.Fatalf("range batch does not describe the call: %+v", b)
+	}
+	if got := sc.Columns(); len(got.Keys) != DefaultSize || len(got.RPayloads) != DefaultSize || len(got.SPayloads) != DefaultSize {
+		t.Fatalf("gather columns sized %d, want %d", len(got.Keys), DefaultSize)
 	}
 	sc.Close()
 	sc.Close() // double Close and nil receiver are safe
 	(*Scratch)(nil).Close()
 
-	// Pooled lease: buffers flow back and are reused by the next scratch.
+	// Pooled lease: buffers flow back and are reused by the next scratch; the
+	// gather columns are only leased by the first expansion.
 	lease := memory.NewPool(0).Acquire()
 	sc = NewScratch(512, lease)
-	first := &sc.Out.Keys[0]
+	if sc.out.Keys != nil {
+		t.Fatal("gather columns leased before any expansion")
+	}
+	first := &sc.Columns().Keys[0]
+	firstIdx := &sc.idx[0]
 	sc.Close()
 	sc2 := NewScratch(512, lease)
 	defer sc2.Close()
+	if &sc2.idx[0] != firstIdx {
+		t.Fatal("closed scratch index buffer was not reused by the next lease")
+	}
+	cols := sc2.Columns()
 	reused := false
-	for _, col := range [][]uint64{sc2.Out.Keys, sc2.Out.RPayloads, sc2.Out.SPayloads} {
+	for _, col := range [][]uint64{cols.Keys, cols.RPayloads, cols.SPayloads} {
 		if &col[0] == first {
 			reused = true
 		}

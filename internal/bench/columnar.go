@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"repro/internal/batch"
@@ -16,7 +17,7 @@ import (
 func init() {
 	register(Experiment{
 		Name:  "columnar",
-		Title: "Columnar kernels: AoS vs SoA run generation, scalar vs branch-free selection, merge with and without prefetch",
+		Title: "Columnar kernels: AoS vs SoA run generation, scalar vs branch-free selection, band join on rows vs on columns",
 		Run:   runColumnarExperiment,
 		JSON:  columnarJSON,
 	})
@@ -60,6 +61,11 @@ type ColumnarReport struct {
 	GeneratedAt string  `json:"generated_at"`
 	Scale       float64 `json:"scale"`
 	Tuples      int     `json:"tuples"`
+	// Every kernel here runs on one goroutine (Workers is 1); GoMaxProcs and
+	// NumCPU describe the host the times were taken on.
+	GoMaxProcs int `json:"gomaxprocs"`
+	NumCPU     int `json:"num_cpu"`
+	Workers    int `json:"workers"`
 
 	// Run generation: sorting tuples into an AoS run (SortInto) vs into a
 	// SoA key/payload column pair (SortTuplesIntoColumns). Both are charged
@@ -76,13 +82,26 @@ type ColumnarReport struct {
 	Filter            []ColumnarFilterCell `json:"filter"`
 	FilterSpeedupAt50 float64              `json:"filter_speedup_at_50"`
 
-	// Merge kernel scanning the public run with software prefetch
-	// (PrefetchDistance ahead) vs without. No strict acceptance: the win
-	// depends on whether the public column misses cache on the host.
-	MergeNoPrefetchMillis float64 `json:"merge_no_prefetch_millis"`
-	MergePrefetchMillis   float64 `json:"merge_prefetch_millis"`
-	PrefetchSpeedup       float64 `json:"prefetch_speedup"`
+	// Band join of two unsorted relations of BandTuples tuples each, keys
+	// below 2^18, width 16, counting the pairs — sorts included, one
+	// goroutine. Rows is the path band joins ran on before they went
+	// columnar: the AoS sort of both sides, then JoinBand's call per pair.
+	// Columns is what B-/P-MPSM run now: the packed column sort of both
+	// sides, then the range kernel, whose counter adds m·n per key group.
+	BandTuples        int     `json:"band_tuples"`
+	BandPairs         uint64  `json:"band_pairs"`
+	BandRowsMillis    float64 `json:"band_rows_millis"`
+	BandColumnsMillis float64 `json:"band_columns_millis"`
+	BandSpeedup       float64 `json:"band_speedup"`
 }
+
+// The band comparison's shape: the d/e relations and the width of the
+// benchmark's band template.
+const (
+	bandTuples = 1 << 15
+	bandDomain = 1 << 18
+	bandWidth  = 16
+)
 
 // columnarSink defeats dead-code elimination of the measured kernels.
 var columnarSink uint64
@@ -124,6 +143,9 @@ func buildColumnarReport(cfg Config) (*ColumnarReport, error) {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Scale:       cfg.Scale,
 		Tuples:      n,
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
+		Workers:     1,
 	}
 
 	// --- Run generation: AoS vs SoA, both out-of-place from the same source.
@@ -166,27 +188,33 @@ func buildColumnarReport(cfg Config) (*ColumnarReport, error) {
 		}
 	}
 
-	// Re-derive the sorted columns (the filter section reused pays as
-	// Deinterleave scratch).
-	sorting.SortTuplesIntoColumns(src, keys, pays, nil)
-
-	// --- Merge kernel with and without software prefetch on the public run.
-	// The private run is a narrow sorted slice, the public run the full
-	// sorted column; the kernel's public cursor streams sequentially, so the
-	// prefetch hides the next-line latency of the big column.
-	privLen := n / 8
-	privKeys, privPays := keys[:privLen], pays[:privLen]
-	var cnt mergejoin.Counter
+	// --- Band join, rows vs columns, sorts included.
+	d := workload.UniformRelation("d", bandTuples, bandDomain, 4101).Tuples
+	e := workload.UniformRelation("e", bandTuples, bandDomain, 4102).Tuples
+	dRun, eRun := make([]relation.Tuple, bandTuples), make([]relation.Tuple, bandTuples)
+	var rowPairs, colPairs mergejoin.Counter
+	rows := bestOfKernelN(columnarSortRepetitions, func() {
+		sorting.SortInto(d, dRun)
+		sorting.SortInto(e, eRun)
+		rowPairs.Count = 0
+		mergejoin.JoinBand(dRun, eRun, bandWidth, &rowPairs)
+	})
+	dCols, eCols := batch.NewRun(0, 0, bandTuples, nil), batch.NewRun(0, 0, bandTuples, nil)
 	sc := batch.NewScratch(0, nil)
-	noPf := bestOfKernel(func() { mergejoin.JoinColumnsPrefetch(privKeys, privPays, keys, pays, &cnt, sc, 0) })
-	pf := bestOfKernel(func() {
-		mergejoin.JoinColumnsPrefetch(privKeys, privPays, keys, pays, &cnt, sc, mergejoin.PrefetchDistance)
+	cols := bestOfKernelN(columnarSortRepetitions, func() {
+		sorting.SortTuplesIntoColumns(d, dCols.Keys, dCols.Payloads, nil)
+		sorting.SortTuplesIntoColumns(e, eCols.Keys, eCols.Payloads, nil)
+		colPairs.Count = 0
+		mergejoin.JoinColumnsBand(dCols.Keys, dCols.Payloads, eCols.Keys, eCols.Payloads, bandWidth, &colPairs, sc)
 	})
 	sc.Close()
-	columnarSink += cnt.Count
-	rep.MergeNoPrefetchMillis, rep.MergePrefetchMillis = millis(noPf), millis(pf)
-	if pf > 0 {
-		rep.PrefetchSpeedup = float64(noPf) / float64(pf)
+	if rowPairs != colPairs {
+		return nil, fmt.Errorf("band join: %d pairs on rows, %d on columns", rowPairs.Count, colPairs.Count)
+	}
+	rep.BandTuples, rep.BandPairs = bandTuples, colPairs.Count
+	rep.BandRowsMillis, rep.BandColumnsMillis = millis(rows), millis(cols)
+	if cols > 0 {
+		rep.BandSpeedup = float64(rows) / float64(cols)
 	}
 	return rep, nil
 }
@@ -205,11 +233,11 @@ func runColumnarExperiment(cfg Config, w io.Writer) error {
 		tbl.row(fmt.Sprintf("select %d%%", c.SelectivityPct), "scalar branchy", fmt.Sprintf("%.2f", c.ScalarMillis), "")
 		tbl.row(fmt.Sprintf("select %d%%", c.SelectivityPct), "branch-free vector", fmt.Sprintf("%.2f", c.VectorMillis), fmt.Sprintf("%.2fx", c.Speedup))
 	}
-	tbl.row("merge scan", "no prefetch", fmt.Sprintf("%.2f", rep.MergeNoPrefetchMillis), "")
-	tbl.row("merge scan", fmt.Sprintf("prefetch +%d", mergejoin.PrefetchDistance), fmt.Sprintf("%.2f", rep.MergePrefetchMillis), fmt.Sprintf("%.2fx", rep.PrefetchSpeedup))
+	tbl.row("band join", "AoS sort + JoinBand", fmt.Sprintf("%.2f", rep.BandRowsMillis), "")
+	tbl.row("band join", "column sort + range kernel", fmt.Sprintf("%.2f", rep.BandColumnsMillis), fmt.Sprintf("%.2fx", rep.BandSpeedup))
 	tbl.flush()
-	fmt.Fprintf(w, "\n%d tuples; sort speedup %.2fx (target ≥ 1.2), filter speedup at 50%% selectivity %.2fx (target ≥ 2)\n",
-		rep.Tuples, rep.SortSpeedup, rep.FilterSpeedupAt50)
+	fmt.Fprintf(w, "\n%d tuples (band join: 2 x %d, width %d, %d pairs), GOMAXPROCS %d of %d CPUs, 1 worker; sort speedup %.2fx (target ≥ 1.2), filter speedup at 50%% selectivity %.2fx (target ≥ 2)\n",
+		rep.Tuples, rep.BandTuples, bandWidth, rep.BandPairs, rep.GoMaxProcs, rep.NumCPU, rep.SortSpeedup, rep.FilterSpeedupAt50)
 	if cfg.Verbose {
 		fmt.Fprintln(w, "expected shape: the SoA sort moves 12 bytes per element instead of 16 and gathers payloads once; the scalar filter pays a misprediction per selectivity-boundary crossing, worst at 50%")
 	}

@@ -39,9 +39,12 @@ func checkColumnarReportShape(t *testing.T, rep *ColumnarReport) {
 			t.Errorf("FilterSpeedupAt50 = %v, 50%% cell says %v", rep.FilterSpeedupAt50, cell.Speedup)
 		}
 	}
-	if rep.MergeNoPrefetchMillis <= 0 || rep.MergePrefetchMillis <= 0 {
-		t.Errorf("implausible merge timings noPrefetch=%v prefetch=%v",
-			rep.MergeNoPrefetchMillis, rep.MergePrefetchMillis)
+	if rep.BandRowsMillis <= 0 || rep.BandColumnsMillis <= 0 || rep.BandPairs == 0 {
+		t.Errorf("implausible band join: rows=%v columns=%v pairs=%d",
+			rep.BandRowsMillis, rep.BandColumnsMillis, rep.BandPairs)
+	}
+	if rep.GoMaxProcs < 1 || rep.NumCPU < 1 || rep.Workers != 1 {
+		t.Errorf("host fields gomaxprocs=%d num_cpu=%d workers=%d", rep.GoMaxProcs, rep.NumCPU, rep.Workers)
 	}
 }
 

@@ -29,10 +29,10 @@ import (
 // than ownership (and the segment-level interpolation skip means
 // PublicScanned reports tuples actually scanned rather than T·|S|).
 //
-// Inner equi-joins run on the columnar batch path unless Options.BatchSize is
-// negative: runs are sorted key/payload column pairs and phase 3 scans
-// contiguous key columns with prefetched, batch-emitting kernels. Results are
-// pair-for-pair identical to the row path.
+// Inner joins run on the columnar batch path (band joins always, equi-joins
+// unless Options.BatchSize is negative): runs are sorted key/payload column
+// pairs and phase 3 scans contiguous key columns with the range-emitting
+// kernel. Results are pair-for-pair identical to the row path.
 //
 // Cancellation is checked at phase boundaries and per chunk inside the sort
 // and merge loops; a canceled context aborts the join and returns ctx.Err().
@@ -53,9 +53,9 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	publicRuns := make([]*relation.Run, workers)
 	privateRuns := make([]*relation.Run, workers)
 
-	// The columnar batch path covers inner equi-joins: runs are generated as
+	// The columnar batch path covers inner joins: runs are generated as
 	// sorted key/payload column pairs and the match phase scans contiguous key
-	// columns. Other join flavours fall back to the row-at-a-time path.
+	// columns. Non-inner kinds run on the row-at-a-time path.
 	columnar := columnarEligible(opts)
 	var colPublic, colPrivate []*batch.Run
 	if columnar {
@@ -115,7 +115,7 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 				if canceled(ctx) {
 					return
 				}
-				mergejoin.JoinColumns(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, cons, sc)
+				mergejoin.JoinColumnsBand(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, opts.Band, cons, sc)
 				scanned[w.ID()] += pub.Len()
 				if tracker != nil {
 					tracker.SeqRead(priv.Node, uint64(priv.Len()))
@@ -130,15 +130,7 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 			priv := privateRuns[w.ID()]
 			cons := out.Writer(w.ID())
 			tracker := w.Tracker()
-			if opts.Band > 0 {
-				scanned[w.ID()] += mergejoin.JoinBandAgainstRunsCtx(ctx, priv.Tuples, publicRuns, opts.Band, cons)
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(len(priv.Tuples))*uint64(len(publicRuns)))
-					for _, pub := range publicRuns {
-						tracker.SeqRead(pub.Node, uint64(len(pub.Tuples)))
-					}
-				}
-			} else if opts.Kind == mergejoin.Inner {
+			if opts.Kind == mergejoin.Inner {
 				for _, pub := range publicRuns {
 					if canceled(ctx) {
 						return

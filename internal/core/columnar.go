@@ -12,18 +12,18 @@ import (
 	"repro/internal/sorting"
 )
 
-// The columnar batch execution path: when an inner equi-join runs with
-// Options.BatchSize >= 0, B-MPSM and P-MPSM generate their runs in
-// structure-of-arrays form (sorted key column plus permuted payload column)
-// and the match phase scans contiguous key columns with the prefetched,
-// batch-emitting kernels of internal/mergejoin. Band joins, non-inner kinds
-// and D-MPSM keep the row-at-a-time path, which also stays around as the
-// differential-testing oracle.
+// The columnar batch execution path: inner joins on B-MPSM and P-MPSM
+// generate their runs in structure-of-arrays form (sorted key column plus
+// permuted payload column, packed radix sort) and the match phase scans
+// contiguous key columns with the range-emitting kernel of
+// internal/mergejoin. Band joins always run here — a band is one more
+// parameter of that kernel — and equi-joins do unless Options.BatchSize is
+// negative, which keeps them on the row-at-a-time path as the
+// differential-testing oracle. Non-inner kinds and D-MPSM are row-only.
 
-// columnarEligible reports whether the join should run on the columnar batch
-// path: inner equi-join semantics and a non-negative BatchSize.
+// columnarEligible reports whether the join runs on the columnar batch path.
 func columnarEligible(opts Options) bool {
-	return opts.Kind == mergejoin.Inner && opts.Band == 0 && batch.Size(opts.BatchSize) > 0
+	return opts.Kind == mergejoin.Inner && (opts.Band > 0 || batch.Size(opts.BatchSize) > 0)
 }
 
 // sortChunkIntoColumnRun is sortChunkIntoRun for the columnar path: one
@@ -73,10 +73,12 @@ func closeScratches(scratches []*batch.Scratch) {
 	}
 }
 
-// columnMatchTasks is matchTasks for the columnar path (inner equi-joins
-// only): every private column run is cut into segments of at most
+// columnMatchTasks is matchTasks for the columnar path (inner equi- and band
+// joins): every private column run is cut into segments of at most
 // opts.MorselSize tuples, and each (segment, public-run) pair becomes one
-// stealable task running the prefetched columnar kernel with the skip search.
+// stealable task running the columnar kernel behind its skip search, which
+// enters the public run at the segment's window however far into the run
+// that is.
 func columnMatchTasks(ctx context.Context, privateRuns, publicRuns []*batch.Run, scanned []int, out *sink.Bound, opts Options, scratches []*batch.Scratch) []sched.Task {
 	var tasks []sched.Task
 	for _, priv := range privateRuns {
@@ -91,7 +93,7 @@ func columnMatchTasks(ctx context.Context, privateRuns, publicRuns []*batch.Run,
 					if canceled(ctx) {
 						return
 					}
-					n := mergejoin.JoinColumnsWithSkip(segKeys, segPays, pub.Keys, pub.Payloads, out.Writer(w.ID()), scratches[w.ID()])
+					n := mergejoin.JoinColumnsWithSkip(segKeys, segPays, pub.Keys, pub.Payloads, opts.Band, out.Writer(w.ID()), scratches[w.ID()])
 					scanned[w.ID()] += n
 					if tracker := w.Tracker(); tracker != nil {
 						tracker.SeqRead(node, uint64(len(segKeys)))

@@ -9,19 +9,18 @@ import (
 	"repro/internal/sink"
 )
 
-// matchTasks builds the morsel task list of the match phase shared by B-MPSM
-// (phase 3) and P-MPSM (phase 4): every private run is cut into segments of
-// at most opts.MorselSize tuples, and each segment becomes one or more
-// independent tasks that any worker may steal. A task prefers the NUMA node
-// its private run lives on.
+// matchTasks builds the morsel task list of the row-path match phase shared
+// by B-MPSM (phase 3) and P-MPSM (phase 4): every private run is cut into
+// segments of at most opts.MorselSize tuples, and each segment becomes one or
+// more independent tasks that any worker may steal. A task prefers the NUMA
+// node its private run lives on. (Band joins never get here: they run on
+// column runs, see columnMatchTasks.)
 //
-// The segmentation is correct for every supported join flavour because all of
-// them have per-private-tuple semantics:
+// The segmentation is correct for every join flavour because all of them have
+// per-private-tuple semantics:
 //
 //   - inner equi-joins pair a segment with a single public run; the
 //     interpolation-search skip bounds the scan to the segment's key range,
-//   - band joins likewise pair a segment with a single public run (each
-//     private tuple's partners form a window of that run),
 //   - the non-inner kinds (left-outer, semi, anti) track per-tuple match
 //     state across all public runs, so one task joins a segment against
 //     every public run, keeping the matched bitmap task-local.
@@ -35,20 +34,7 @@ func matchTasks(ctx context.Context, privateRuns, publicRuns []*relation.Run, sc
 		tuples := priv.Tuples
 		sched.ForEachSegment(len(tuples), opts.MorselSize, func(lo, hi int) {
 			seg := tuples[lo:hi]
-			switch {
-			case opts.Band > 0:
-				for _, pub := range publicRuns {
-					pub := pub
-					tasks = append(tasks, sched.Task{Node: node, Run: func(w *sched.Worker) {
-						n := mergejoin.JoinBandAgainstRunsCtx(ctx, seg, []*relation.Run{pub}, opts.Band, out.Writer(w.ID()))
-						scanned[w.ID()] += n
-						if tracker := w.Tracker(); tracker != nil {
-							tracker.SeqRead(node, uint64(len(seg)))
-							tracker.SeqRead(pub.Node, uint64(n))
-						}
-					}})
-				}
-			case opts.Kind == mergejoin.Inner:
+			if opts.Kind == mergejoin.Inner {
 				for _, pub := range publicRuns {
 					pub := pub
 					tasks = append(tasks, sched.Task{Node: node, Run: func(w *sched.Worker) {
@@ -60,23 +46,23 @@ func matchTasks(ctx context.Context, privateRuns, publicRuns []*relation.Run, sc
 						}
 					}})
 				}
-			default:
-				// publicRuns always holds one run per worker (possibly
-				// empty), so the task list is never starved of the final
-				// unmatched-emission pass the non-inner kinds need.
-				tasks = append(tasks, sched.Task{Node: node, Run: func(w *sched.Worker) {
-					n := mergejoin.JoinRunsKindCtx(ctx, opts.Kind, seg, publicRuns, out.Writer(w.ID()))
-					scanned[w.ID()] += n
-					if tracker := w.Tracker(); tracker != nil {
-						// The segment is re-scanned once per public run; the
-						// public scans are approximated as evenly spread.
-						tracker.SeqRead(node, uint64(len(seg))*uint64(len(publicRuns)))
-						for _, pub := range publicRuns {
-							tracker.SeqRead(pub.Node, uint64(n/len(publicRuns)))
-						}
-					}
-				}})
+				return
 			}
+			// publicRuns always holds one run per worker (possibly
+			// empty), so the task list is never starved of the final
+			// unmatched-emission pass the non-inner kinds need.
+			tasks = append(tasks, sched.Task{Node: node, Run: func(w *sched.Worker) {
+				n := mergejoin.JoinRunsKindCtx(ctx, opts.Kind, seg, publicRuns, out.Writer(w.ID()))
+				scanned[w.ID()] += n
+				if tracker := w.Tracker(); tracker != nil {
+					// The segment is re-scanned once per public run; the
+					// public scans are approximated as evenly spread.
+					tracker.SeqRead(node, uint64(len(seg))*uint64(len(publicRuns)))
+					for _, pub := range publicRuns {
+						tracker.SeqRead(pub.Node, uint64(n/len(publicRuns)))
+					}
+				}
+			}})
 		})
 	}
 	return tasks

@@ -116,15 +116,16 @@ type Options struct {
 	// public-run) pairs as its morsels and ignores this setting.
 	MorselSize int
 
-	// BatchSize controls the columnar batch execution path of the inner
-	// equi-join match phases (B-MPSM and P-MPSM, Static and Morsel): runs are
-	// generated in structure-of-arrays form (sorted key column plus permuted
-	// payload column) and the merge kernels scan contiguous key columns,
-	// emitting matches in batches of this many pairs. 0 selects the default
-	// batch size (batch.DefaultSize); a negative value disables the columnar
-	// path and keeps the row-at-a-time kernels; a positive value is the batch
-	// size in tuples. Band joins, non-inner kinds and D-MPSM always use the
-	// row path regardless of this setting.
+	// BatchSize controls the columnar batch execution path of the inner-join
+	// match phases (B-MPSM and P-MPSM, Static and Morsel): runs are generated
+	// in structure-of-arrays form (sorted key column plus permuted payload
+	// column) and the merge kernel scans contiguous key columns, emitting one
+	// range entry per matching key group in batches of this many entries
+	// (expanded, for sinks that take no ranges, into column batches of as
+	// many pairs). 0 selects the default batch size (batch.DefaultSize); a
+	// positive value is the batch size; a negative value keeps equi-joins on
+	// the row-at-a-time kernels — band joins run columnar regardless, at the
+	// default size. Non-inner kinds and D-MPSM always use the row path.
 	BatchSize int
 
 	// Sink receives the joined tuple stream. A nil Sink selects the built-in

@@ -60,7 +60,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	privateChunks := private.Split(workers)
 	publicRuns := make([]*relation.Run, workers)
 
-	// The columnar batch path covers inner equi-joins; see columnar.go.
+	// The columnar batch path covers inner joins; see columnar.go.
 	columnar := columnarEligible(opts)
 	var colPublic, colPrivate []*batch.Run
 	if columnar {
@@ -141,12 +141,14 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 			sc := batch.NewScratch(opts.BatchSize, lease)
 			defer sc.Close()
 			// Like the row-path static mode, the interpolation-search skip
-			// bounds each public scan to the private run's key range.
+			// bounds each public scan to the private run's key range (widened
+			// by the band: a private tuple's partners form one window of
+			// every public run).
 			for _, pub := range colPublic {
 				if canceled(ctx) {
 					return
 				}
-				n := mergejoin.JoinColumnsWithSkip(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, cons, sc)
+				n := mergejoin.JoinColumnsWithSkip(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, opts.Band, cons, sc)
 				scanned[w.ID()] += n
 				if tracker != nil {
 					tracker.SeqRead(priv.Node, uint64(priv.Len()))
@@ -161,18 +163,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 			priv := privateRuns[w.ID()]
 			cons := out.Writer(w.ID())
 			tracker := w.Tracker()
-			if opts.Band > 0 {
-				// Non-equi band join: every private tuple matches a
-				// contiguous window of each public run.
-				n := mergejoin.JoinBandAgainstRunsCtx(ctx, priv.Tuples, publicRuns, opts.Band, cons)
-				scanned[w.ID()] += n
-				if tracker != nil {
-					tracker.SeqRead(priv.Node, uint64(len(priv.Tuples))*uint64(len(publicRuns)))
-					for _, pub := range publicRuns {
-						tracker.SeqRead(pub.Node, uint64(n/len(publicRuns)))
-					}
-				}
-			} else if opts.Kind == mergejoin.Inner {
+			if opts.Kind == mergejoin.Inner {
 				for _, pub := range publicRuns {
 					if canceled(ctx) {
 						return

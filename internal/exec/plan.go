@@ -89,8 +89,11 @@ type PlanNode struct {
 	// MapFn configures a NodeMap.
 	MapFn func(relation.Tuple) relation.Tuple
 
-	// ProjectFn configures a NodeProject.
-	ProjectFn sink.Projection
+	// ProjectFn configures a NodeProject. ProjectValue names it when it is
+	// one of the projections the group-by kernel folds whole match ranges
+	// over (see sink.Value); AddProjectValue keeps the two in step.
+	ProjectFn    sink.Projection
+	ProjectValue sink.Value
 
 	// Agg configures a NodeGroupAggregate.
 	Agg sink.Agg
@@ -149,6 +152,11 @@ func (p *Plan) AddMap(in NodeID, fn func(relation.Tuple) relation.Tuple) NodeID 
 // AddProject adds an explicit pair-to-tuple projection directly above a join.
 func (p *Plan) AddProject(in NodeID, fn sink.Projection) NodeID {
 	return p.add(PlanNode{Kind: NodeProject, Inputs: []NodeID{in}, ProjectFn: fn})
+}
+
+// AddProjectValue is AddProject of the projection v names.
+func (p *Plan) AddProjectValue(in NodeID, v sink.Value) NodeID {
+	return p.add(PlanNode{Kind: NodeProject, Inputs: []NodeID{in}, ProjectFn: v.Projection(), ProjectValue: v})
 }
 
 // AddGroupAggregate adds a group-by-key aggregation of its input.

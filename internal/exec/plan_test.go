@@ -185,15 +185,23 @@ func aggregateInputs(seed uint64) map[string][2]*relation.Relation {
 // map fold) in strictly ascending key order.
 func TestFusedAggregateMatchesMapOracle(t *testing.T) {
 	const seed = 926
-	projections := map[string]sink.Projection{
-		"none":   nil,
-		"build":  func(r, _ relation.Tuple) relation.Tuple { return r },
-		"probe":  func(r, s relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: s.Payload} },
-		"key":    func(r, _ relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: r.Key} },
-		"key-of": func(r, s relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: s.Key} },
-		"user": func(r, s relation.Tuple) relation.Tuple {
+	// The compiler's four projections go into the plan by name, as compiled
+	// queries put them, so the MPSM merge phases fold whole match ranges over
+	// them (and over "none", the default projection); "user" is a closure and
+	// must see every pair.
+	type projection struct {
+		value sink.Value
+		fn    sink.Projection
+	}
+	projections := map[string]projection{
+		"none":   {},
+		"build":  {value: sink.ValueBuildPayload},
+		"probe":  {value: sink.ValueProbePayload},
+		"key":    {value: sink.ValueBuildKey},
+		"key-of": {value: sink.ValueProbeKey},
+		"user": {fn: func(r, s relation.Tuple) relation.Tuple {
 			return relation.Tuple{Key: s.Payload % 1000, Payload: r.Payload ^ s.Key}
-		},
+		}},
 	}
 	algorithms := []Algorithm{AlgorithmPMPSM, AlgorithmBMPSM, AlgorithmDMPSM, AlgorithmWisconsin, AlgorithmRadix}
 	pool := memory.NewPool(0)
@@ -201,14 +209,16 @@ func TestFusedAggregateMatchesMapOracle(t *testing.T) {
 		r, s := in[0], in[1]
 		var ref pairConsumer
 		mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &ref)
-		for pname, project := range projections {
+		for pname, proj := range projections {
+			project := sink.DefaultProjection
+			if proj.fn != nil {
+				project = proj.fn
+			} else if proj.value != sink.ValueOpaque {
+				project = proj.value.Projection()
+			}
 			projected := make([]relation.Tuple, len(ref.pairs))
 			for i, p := range ref.pairs {
-				if project == nil {
-					projected[i] = sink.DefaultProjection(p.R, p.S)
-				} else {
-					projected[i] = project(p.R, p.S)
-				}
+				projected[i] = project(p.R, p.S)
 			}
 			for _, agg := range []sink.Agg{sink.AggSum, sink.AggMin, sink.AggMax, sink.AggCount} {
 				want := referenceGroups(projected, agg)
@@ -217,8 +227,10 @@ func TestFusedAggregateMatchesMapOracle(t *testing.T) {
 						p := &Plan{}
 						in := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), alg,
 							core.Options{Workers: 4, Scheduler: mode, MorselSize: 512}, core.DiskOptions{PageSize: 256, PageBudget: 8})
-						if project != nil {
-							in = p.AddProject(in, project)
+						if proj.fn != nil {
+							in = p.AddProject(in, proj.fn)
+						} else if proj.value != sink.ValueOpaque {
+							in = p.AddProjectValue(in, proj.value)
 						}
 						p.AddGroupAggregate(in, agg)
 						label := fmt.Sprintf("seed=%d dist=%s projection=%s agg=%v alg=%v sched=%v", seed, dist, pname, agg, alg, mode)

@@ -267,11 +267,11 @@ func (e *planExec) runAggregate(id NodeID, n PlanNode) (*relation.Relation, bool
 	if id == e.root {
 		out = nil // the caller keeps the root's output: build it outside pooled memory
 	}
-	in, project := n.Inputs[0], sink.Projection(nil)
+	in, project, value := n.Inputs[0], sink.Projection(nil), sink.ValuePayloadSum
 	if p := e.plan.Nodes[in]; p.Kind == NodeProject {
-		in, project = p.Inputs[0], p.ProjectFn
+		in, project, value = p.Inputs[0], p.ProjectFn, p.ProjectValue
 	}
-	snk := sink.NewGroups(e.ctx, n.Agg, project, out)
+	snk := sink.NewGroups(e.ctx, n.Agg, project, value, out)
 	if e.plan.Nodes[in].Kind == NodeJoin {
 		if _, err := e.runJoin(in, snk); err != nil {
 			return nil, false, err

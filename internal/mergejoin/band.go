@@ -1,10 +1,6 @@
 package mergejoin
 
-import (
-	"context"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // JoinBand performs a non-equi band join between two key-sorted inputs: it
 // emits every pair (r, s) with |r.Key − s.Key| <= band. With band = 0 it
@@ -16,21 +12,16 @@ import (
 // window of the public run. The kernel keeps a sliding window over the public
 // input and therefore runs in O(|private| + |public| + |output|).
 //
+// Production no longer calls it: B-MPSM and P-MPSM run band joins on column
+// runs through JoinColumnsBand, which emits a window per key group instead of
+// a call per pair. JoinBand stays as the row-at-a-time sibling the tests
+// check that kernel against, pair for pair, and as a benchmark probe.
+//
 // Both inputs must be sorted by ascending key.
 func JoinBand(private, public []relation.Tuple, band uint64, out Consumer) {
-	if len(private) == 0 || len(public) == 0 {
-		return
-	}
 	start := 0
 	for _, r := range private {
-		low := uint64(0)
-		if r.Key > band {
-			low = r.Key - band
-		}
-		high := r.Key + band
-		if high < r.Key { // overflow: clamp to the maximum key
-			high = ^uint64(0)
-		}
+		low, high := bandWindow(r.Key, band)
 		// Advance the window start: keys below low can never match this or
 		// any later private tuple (keys are non-decreasing).
 		for start < len(public) && public[start].Key < low {
@@ -40,58 +31,6 @@ func JoinBand(private, public []relation.Tuple, band uint64, out Consumer) {
 			out.Consume(r, public[j])
 		}
 	}
-}
-
-// JoinBandAgainstRuns band joins one sorted private run against every sorted
-// public run in turn. It returns the number of public tuples that fell inside
-// the private run's extended key range and were therefore scanned.
-func JoinBandAgainstRuns(private []relation.Tuple, publicRuns []*relation.Run, band uint64, out Consumer) (publicScanned int) {
-	return JoinBandAgainstRunsCtx(context.Background(), private, publicRuns, band, out)
-}
-
-// JoinBandAgainstRunsCtx is JoinBandAgainstRuns with a cancellation check
-// between public runs — the chunk unit of the band-join merge loop. It
-// returns early (with a partial scan count) when ctx is canceled; the caller
-// is expected to discard the partial result.
-func JoinBandAgainstRunsCtx(ctx context.Context, private []relation.Tuple, publicRuns []*relation.Run, band uint64, out Consumer) (publicScanned int) {
-	if len(private) == 0 {
-		return 0
-	}
-	for _, pub := range publicRuns {
-		if Canceled(ctx) {
-			return publicScanned
-		}
-		if pub.Len() == 0 {
-			continue
-		}
-		JoinBand(private, pub.Tuples, band, out)
-		// Scanned portion: the window between (minKey − band) and
-		// (maxKey + band) of the private run.
-		low := uint64(0)
-		if private[0].Key > band {
-			low = private[0].Key - band
-		}
-		high := private[len(private)-1].Key + band
-		if high < private[len(private)-1].Key {
-			high = ^uint64(0)
-		}
-		publicScanned += boundedWindow(pub.Tuples, low, high)
-	}
-	return publicScanned
-}
-
-// boundedWindow returns the number of tuples of a sorted run whose key lies in
-// [low, high].
-func boundedWindow(run []relation.Tuple, low, high uint64) int {
-	start := 0
-	for start < len(run) && run[start].Key < low {
-		start++
-	}
-	end := start
-	for end < len(run) && run[end].Key <= high {
-		end++
-	}
-	return end - start
 }
 
 // ReferenceJoinBand is the quadratic oracle for band-join tests.

@@ -98,57 +98,3 @@ func TestJoinBandMatchesReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestJoinBandAgainstRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var runs []*relation.Run
-	var allS []relation.Tuple
-	for w := 0; w < 3; w++ {
-		keys := make([]uint64, 800)
-		for i := range keys {
-			keys[i] = rng.Uint64() % 4000
-		}
-		tuples := sortedTuples(keys, uint64(w)*1000)
-		runs = append(runs, &relation.Run{Worker: w, Tuples: tuples})
-		allS = append(allS, tuples...)
-	}
-	runs = append(runs, &relation.Run{Worker: 3}) // empty run must be handled
-
-	rKeys := make([]uint64, 400)
-	for i := range rKeys {
-		rKeys[i] = 1000 + rng.Uint64()%500 // a narrow private key band
-	}
-	r := sortedTuples(rKeys, 7)
-
-	var got, want Counter
-	scanned := JoinBandAgainstRuns(r, runs, 3, &got)
-	ReferenceJoinBand(r, allS, 3, &want)
-	if got.Count != want.Count {
-		t.Fatalf("band join against runs: got %d pairs, want %d", got.Count, want.Count)
-	}
-	if scanned <= 0 || scanned >= len(allS) {
-		t.Fatalf("scanned = %d, expected a proper subset of |S| = %d", scanned, len(allS))
-	}
-	if n := JoinBandAgainstRuns(nil, runs, 3, &got); n != 0 {
-		t.Fatalf("empty private run scanned %d public tuples", n)
-	}
-}
-
-func TestBoundedWindow(t *testing.T) {
-	run := sortedTuples([]uint64{1, 3, 5, 7, 9}, 0)
-	cases := []struct {
-		low, high uint64
-		want      int
-	}{
-		{0, 10, 5},
-		{3, 7, 3},
-		{4, 4, 0},
-		{10, 20, 0},
-		{0, 0, 0},
-	}
-	for _, tc := range cases {
-		if got := boundedWindow(run, tc.low, tc.high); got != tc.want {
-			t.Errorf("boundedWindow(%d, %d) = %d, want %d", tc.low, tc.high, got, tc.want)
-		}
-	}
-}

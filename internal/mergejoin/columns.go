@@ -1,50 +1,44 @@
 package mergejoin
 
 import (
-	"context"
-	"sync/atomic"
+	"math/bits"
 
 	"repro/internal/batch"
 	"repro/internal/relation"
 	"repro/internal/search"
 )
 
-// Columnar merge-join kernels for the batch execution path. They are the
-// structure-of-arrays siblings of Join/JoinWithSkip with three hot-loop
-// differences:
+// The columnar merge-join kernel of the batch execution path: one loop for
+// equi-joins and band joins over contiguous uint64 key columns, so every
+// cache line fetched carries 8 candidate keys instead of 4 interleaved
+// key/payload pairs.
 //
-//   - the cursors scan contiguous uint64 key columns, so every cache line
-//     fetched carries 8 candidate keys instead of 4 interleaved key/payload
-//     pairs;
-//   - the public-run cursor runs a software prefetch PrefetchDistance keys
-//     ahead (one explicit touch per cache line), hiding the miss latency of
-//     the remote public run — the one array the paper's phase 4 reads from
-//     other NUMA partitions;
-//   - matches are emitted as (private, public) index pairs into a fixed-size
-//     batch; payloads are only touched by the gather pass that flushes a full
-//     batch to the consumer, so the match loop itself stays in the key
-//     columns.
-//
-// Both sides may contain duplicate keys; like Join, the kernels emit the full
-// cross product of every match group, in the same order, so the columnar and
-// row paths are pair-for-pair identical.
+// Sorted runs make the partners of a private key group one contiguous window
+// of the public run — its equal-key group, or the keys within the band — and
+// the kernel emits exactly that: one (private [i, iEnd) × public [lo, hi))
+// entry per group, batched as batch.Ranges. It never touches a payload.
+// Consumers that can fold a group × window whole (RangeConsumer: the max-sum
+// and count aggregates, the group-by kernel over the projections it
+// recognises) do so in O(m+n); for every other consumer the kernel expands
+// the batch, group by group in the row kernels' order, so Join/JoinBand and
+// the columnar path stay pair-for-pair identical.
 
 // BatchConsumer is the batch fast path of a Consumer: sinks that implement it
-// receive whole match batches as columns — the join key and both payload
-// columns, equal length — instead of one Consume call per pair. EmitColumns
-// falls back to per-pair delivery for consumers that do not implement it.
+// receive expanded equi-join output as columns — the join key and both
+// payload columns, equal length — instead of one Consume call per pair.
+// EmitColumns falls back to per-pair delivery for consumers that do not
+// implement it.
 type BatchConsumer interface {
 	ConsumeColumns(keys, rPayloads, sPayloads []uint64)
 }
 
-// PrefetchDistance is how many keys ahead of the public cursor the merge
-// kernel touches: 16 keys = 2 cache lines, far enough to cover DRAM latency
-// at the scan's consumption rate, near enough not to thrash the L1.
-const PrefetchDistance = 16
-
-// prefetchSink absorbs the prefetch touches so the compiler cannot eliminate
-// the ahead-of-cursor loads as dead code; it carries no meaning.
-var prefetchSink atomic.Uint64
+// RangeConsumer is implemented by consumers that can take merge output a key
+// group × window at a time. ConsumeRanges either consumes every pair of every
+// entry and reports true, or reports false having consumed nothing, and the
+// kernel expands the batch instead. The batch is only valid during the call.
+type RangeConsumer interface {
+	ConsumeRanges(b *batch.Ranges) bool
+}
 
 // ConsumeColumns implements BatchConsumer with a branch-free reduction: the
 // running maximum folds through the max builtin (a conditional move, not a
@@ -64,9 +58,64 @@ func (m *MaxAggregate) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 	m.Count += uint64(len(keys))
 }
 
+// ConsumeRanges implements RangeConsumer: the largest sum of an entry is its
+// largest private payload plus its largest public one (windowMax), and the
+// loop over the entries keeps its state in registers. Should one of those
+// sums overflow, some pair sums of the batch wrap mod 2^64 and the maximum of
+// wrapped sums does not separate, so the batch's pairs are visited instead.
+func (m *MaxAggregate) ConsumeRanges(b *batch.Ranges) bool {
+	rp, sp := b.RPayloads, b.SPayloads
+	iEnds, los, his := b.IEnd[:len(b.I)], b.Lo[:len(b.I)], b.Hi[:len(b.I)]
+	var best, wrapped uint64
+	for x, i := range b.I {
+		sum, carry := bits.Add64(windowMax(rp, i, iEnds[x]), windowMax(sp, los[x], his[x]), 0)
+		wrapped |= carry
+		best = max(best, sum)
+	}
+	if wrapped != 0 {
+		best = 0
+		for x, i := range b.I {
+			for _, r := range rp[i:iEnds[x]] {
+				for _, s := range sp[los[x]:his[x]] {
+					best = max(best, r+s)
+				}
+			}
+		}
+	}
+	if m.Count == 0 || best > m.Max {
+		m.Max = best
+	}
+	m.Count += b.Pairs
+	return true
+}
+
+// windowMax returns the largest of vals[lo:hi], a non-empty window. Windows
+// of a few tuples are the common case — a foreign key's multiplicity, per
+// public run — and their length is what a branch predictor cannot learn: an
+// exit misprediction per window costs more than the window's loads do. So up
+// to four values are folded without a branch on the length — the first, the
+// last, and two inner positions that fall onto those when the window is
+// shorter — and only longer windows enter the loop.
+func windowMax(vals []uint64, lo, hi int32) uint64 {
+	n := hi - lo
+	second := lo - (2-n)>>31    // lo+1 if n > 2, else lo
+	third := hi - 1 + (3-n)>>31 // hi-2 if n > 3, else hi-1
+	best := max(vals[lo], vals[second], vals[third], vals[hi-1])
+	for c := lo + 2; c < hi-2; c++ {
+		best = max(best, vals[c])
+	}
+	return best
+}
+
 // ConsumeColumns implements BatchConsumer: one counter update per batch.
 func (c *Counter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 	c.Count += uint64(len(keys))
+}
+
+// ConsumeRanges implements RangeConsumer.
+func (c *Counter) ConsumeRanges(b *batch.Ranges) bool {
+	c.Count += b.Pairs
+	return true
 }
 
 // ConsumeColumns implements BatchConsumer.
@@ -93,18 +142,34 @@ func EmitColumns(out Consumer, keys, rPayloads, sPayloads []uint64) {
 	}
 }
 
-// JoinColumns merge joins two key-sorted column pairs and feeds every
-// matching pair to the consumer, batched through sc (nil sc allocates a
-// throwaway scratch). Columns must be shorter than 2^31 elements — indices
-// batch as int32, and runs are per-worker chunks well below that.
-func JoinColumns(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch) {
-	JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays, out, sc, PrefetchDistance)
+// bandWindow returns the key interval [k − band, k + band], clamped to the
+// uint64 domain instead of wrapping around.
+func bandWindow(k, band uint64) (low, high uint64) {
+	low, high = k-band, k+band
+	if low > k {
+		low = 0
+	}
+	if high < k {
+		high = ^uint64(0)
+	}
+	return low, high
 }
 
-// JoinColumnsPrefetch is JoinColumns with an explicit prefetch distance on
-// the public cursor; prefetch <= 0 disables the ahead-of-cursor touches. The
-// benchmark harness uses it to quantify what the prefetch buys.
-func JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch, prefetch int) {
+// JoinColumns merge joins two key-sorted column pairs and feeds every
+// matching pair to the consumer, batched through sc (nil sc allocates a
+// throwaway scratch): JoinColumnsBand with band 0.
+func JoinColumns(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch) {
+	JoinColumnsBand(rKeys, rPays, sKeys, sPays, 0, out, sc)
+}
+
+// JoinColumnsBand joins two key-sorted column pairs on |r.key − s.key| <=
+// band and feeds every matching pair to the consumer — as ranges when it
+// takes them, expanded otherwise. Two public cursors, both monotone because
+// the private keys ascend, bracket the window of the current private key
+// group, so the kernel runs in O(|private| + |public|) key comparisons plus
+// one entry per matching group. Columns must be shorter than 2^31 elements —
+// indices batch as int32, and runs are per-worker chunks well below that.
+func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consumer, sc *batch.Scratch) {
 	nR, nS := len(rKeys), len(sKeys)
 	if nR == 0 || nS == 0 {
 		return
@@ -112,116 +177,122 @@ func JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *
 	if sc == nil {
 		sc = batch.NewScratch(0, nil)
 	}
-	pr, ps := sc.Pairs.R, sc.Pairs.S
-	capN := len(pr)
+	b := sc.Ranges(rKeys, rPays, sKeys, sPays, band)
+	is, iEnds, los, his := b.I, b.IEnd[:len(b.I)], b.Lo[:len(b.I)], b.Hi[:len(b.I)]
 	n := 0
-	var touch uint64
 
-	i, j := 0, 0
-	for i < nR && j < nS {
-		rk := rKeys[i]
-		// Advance the public cursor to the private key, touching one key per
-		// cache line PrefetchDistance ahead so the scan never waits for the
-		// line it is about to enter.
-		if prefetch > 0 {
-			for j < nS && sKeys[j] < rk {
-				if j&7 == 0 {
-					touch += sKeys[min(j+prefetch, nS-1)]
-				}
-				j++
-			}
-		} else {
-			for j < nS && sKeys[j] < rk {
-				j++
-			}
+	i, lo, hi := 0, 0, 0
+	for i < nR {
+		k := rKeys[i]
+		low, high := bandWindow(k, band)
+		// Keys below low can match neither this nor any later private key.
+		for lo < nS && sKeys[lo] < low {
+			lo++
 		}
-		if j >= nS {
+		if lo == nS {
 			break
 		}
-		sk := sKeys[j]
-		if rk < sk {
-			// Advance the private cursor; it is worker-local and sequential,
-			// the hardware prefetcher covers it.
-			for i < nR && rKeys[i] < sk {
-				i++
+		if sk := sKeys[lo]; sk > high {
+			// No partner for k, nor for any private key that still ends
+			// below sk (sk > high >= band, so the difference cannot wrap).
+			// The private cursor is worker-local and sequential; the
+			// hardware prefetcher covers it.
+			for i++; i < nR && rKeys[i] < sk-band; i++ {
 			}
 			continue
 		}
-		// rk == sk: emit the cross product of the two equal-key groups as
-		// index pairs; payloads wait for the batch flush.
 		iEnd := i + 1
-		for iEnd < nR && rKeys[iEnd] == rk {
+		for iEnd < nR && rKeys[iEnd] == k {
 			iEnd++
 		}
-		jEnd := j + 1
-		for jEnd < nS && sKeys[jEnd] == rk {
-			jEnd++
+		hi = max(hi, lo+1)
+		for hi < nS && sKeys[hi] <= high {
+			hi++
 		}
-		for a := i; a < iEnd; a++ {
-			for b := j; b < jEnd; b++ {
-				pr[n] = int32(a)
-				ps[n] = int32(b)
+		is[n], iEnds[n], los[n], his[n] = int32(i), int32(iEnd), int32(lo), int32(hi)
+		b.Pairs += uint64(iEnd-i) * uint64(hi-lo)
+		n++
+		if n == len(is) {
+			emitRanges(out, b, n, sc)
+			n = 0
+		}
+		i = iEnd
+		if band == 0 {
+			lo = hi // windows of an equi-join are disjoint: skip the one just emitted
+		}
+	}
+	if n > 0 {
+		emitRanges(out, b, n, sc)
+	}
+}
+
+// emitRanges hands the first n entries of the kernel's batch to the consumer,
+// as ranges if it takes them and expanded otherwise.
+func emitRanges(out Consumer, b *batch.Ranges, n int, sc *batch.Scratch) {
+	full := *b
+	b.I, b.IEnd, b.Lo, b.Hi = full.I[:n], full.IEnd[:n], full.Lo[:n], full.Hi[:n]
+	if rc, ok := out.(RangeConsumer); !ok || !rc.ConsumeRanges(b) {
+		expandRanges(out, b, sc)
+	}
+	*b = full
+	b.Pairs = 0
+}
+
+// expandRanges delivers every pair of a range batch, private tuple by private
+// tuple as the row kernels do. Equi-join pairs are gathered into the
+// scratch's columns — the single pass that touches payload memory — and cross
+// the consumer boundary a column batch at a time. A band pair carries two
+// keys where a column batch has room for one, so band pairs are delivered one
+// by one with both.
+func expandRanges(out Consumer, b *batch.Ranges, sc *batch.Scratch) {
+	if b.Band > 0 {
+		for x, i := range b.I {
+			for a := i; a < b.IEnd[x]; a++ {
+				r := relation.Tuple{Key: b.RKeys[a], Payload: b.RPayloads[a]}
+				for c := b.Lo[x]; c < b.Hi[x]; c++ {
+					out.Consume(r, relation.Tuple{Key: b.SKeys[c], Payload: b.SPayloads[c]})
+				}
+			}
+		}
+		return
+	}
+	cols := sc.Columns()
+	keys, rp, sp := cols.Keys, cols.RPayloads, cols.SPayloads
+	n := 0
+	for x, i := range b.I {
+		k := b.RKeys[i]
+		for a := i; a < b.IEnd[x]; a++ {
+			r := b.RPayloads[a]
+			for c := b.Lo[x]; c < b.Hi[x]; c++ {
+				keys[n], rp[n], sp[n] = k, r, b.SPayloads[c]
 				n++
-				if n == capN {
-					flushPairs(out, rKeys, rPays, sPays, pr, ps, n, sc)
+				if n == len(keys) {
+					EmitColumns(out, keys, rp, sp)
 					n = 0
 				}
 			}
 		}
-		i, j = iEnd, jEnd
 	}
 	if n > 0 {
-		flushPairs(out, rKeys, rPays, sPays, pr, ps, n, sc)
-	}
-	if touch != 0 {
-		prefetchSink.Add(touch)
+		EmitColumns(out, keys[:n], rp[:n], sp[:n])
 	}
 }
 
-// flushPairs gathers the batched index pairs into the scratch's output
-// columns — the single pass that touches payload memory — and hands the batch
-// to the consumer.
-func flushPairs(out Consumer, rKeys, rPays, sPays []uint64, pr, ps []int32, n int, sc *batch.Scratch) {
-	keys := sc.Out.Keys[:n]
-	rp := sc.Out.RPayloads[:n]
-	sp := sc.Out.SPayloads[:n]
-	for x := 0; x < n; x++ {
-		a, b := pr[x], ps[x]
-		keys[x] = rKeys[a]
-		rp[x] = rPays[a]
-		sp[x] = sPays[b]
-	}
-	EmitColumns(out, keys, rp, sp)
-}
-
-// JoinColumnsWithSkip is JoinColumns preceded by interpolation searches on
-// the public key column, the columnar JoinWithSkip. It returns the number of
-// public tuples actually scanned.
-func JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch) (publicScanned int) {
+// JoinColumnsWithSkip is JoinColumnsBand preceded by interpolation searches
+// that narrow the public key column to the window the private run can reach:
+// its key range widened by the band. It returns the size of that window, the
+// number of public tuples the kernel scans.
+func JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consumer, sc *batch.Scratch) (publicScanned int) {
 	if len(rKeys) == 0 || len(sKeys) == 0 {
 		return 0
 	}
-	loKey := rKeys[0]
-	hiKey := rKeys[len(rKeys)-1]
-	start := search.LowerBoundKeys(sKeys, loKey)
-	end := search.UpperBoundKeys(sKeys, hiKey)
+	low, _ := bandWindow(rKeys[0], band)
+	_, high := bandWindow(rKeys[len(rKeys)-1], band)
+	start := search.LowerBoundKeys(sKeys, low)
+	end := search.UpperBoundKeys(sKeys, high)
 	if start >= end {
 		return 0
 	}
-	JoinColumns(rKeys, rPays, sKeys[start:end], sPays[start:end], out, sc)
+	JoinColumnsBand(rKeys, rPays, sKeys[start:end], sPays[start:end], band, out, sc)
 	return end - start
-}
-
-// JoinColumnRunsCtx merge joins one private column run against every public
-// column run in turn with JoinColumnsWithSkip, checking cancellation between
-// runs (the same chunk boundary as the row path). It returns the total number
-// of public tuples scanned.
-func JoinColumnRunsCtx(ctx context.Context, rKeys, rPays []uint64, publicRuns []*batch.Run, out Consumer, sc *batch.Scratch) (publicScanned int) {
-	for _, s := range publicRuns {
-		if Canceled(ctx) {
-			return publicScanned
-		}
-		publicScanned += JoinColumnsWithSkip(rKeys, rPays, s.Keys, s.Payloads, out, sc)
-	}
-	return publicScanned
 }

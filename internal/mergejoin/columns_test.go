@@ -1,7 +1,7 @@
 package mergejoin
 
 import (
-	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,7 +13,7 @@ import (
 // sortedColumns builds a key-sorted tuple slice from (key, payload) pairs and
 // returns it along with its deinterleaved columns.
 func sortedColumns(tuples []relation.Tuple) ([]relation.Tuple, []uint64, []uint64) {
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key < tuples[j].Key })
+	sort.SliceStable(tuples, func(i, j int) bool { return tuples[i].Key < tuples[j].Key })
 	keys := make([]uint64, len(tuples))
 	pays := make([]uint64, len(tuples))
 	batch.Deinterleave(tuples, keys, pays)
@@ -22,7 +22,7 @@ func sortedColumns(tuples []relation.Tuple) ([]relation.Tuple, []uint64, []uint6
 
 // randomSorted generates a sorted run with heavy duplicate groups: keys are
 // drawn from a small domain so most keys collide, exercising the cross-product
-// emission.
+// emission. Payloads span the whole uint64 domain, so payload sums wrap.
 func randomSorted(n int, domain uint64, seed int64) ([]relation.Tuple, []uint64, []uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	tuples := make([]relation.Tuple, n)
@@ -32,59 +32,238 @@ func randomSorted(n int, domain uint64, seed int64) ([]relation.Tuple, []uint64,
 	return sortedColumns(tuples)
 }
 
-// TestJoinColumnsMatchesRowJoin requires the columnar kernel's output to be
-// pair-for-pair identical (same pairs, same order) to the row kernel's, over
-// duplicate-heavy inputs and several scratch sizes that force mid-group batch
-// flushes.
-func TestJoinColumnsMatchesRowJoin(t *testing.T) {
-	cases := []struct {
-		name             string
-		nR, nS           int
-		domainR, domainS uint64
-	}{
-		{"dense-duplicates", 300, 300, 20, 25},
-		{"sparse", 500, 500, 1 << 40, 1 << 40},
-		{"all-equal", 40, 40, 1, 1},
-		{"empty-private", 0, 100, 100, 50},
-		{"empty-public", 100, 0, 100, 50},
-		{"skewed", 1000, 1000, 7, 900},
+// pair is one joined pair with both keys, which a band join needs.
+type pair struct{ r, s relation.Tuple }
+
+// plainConsumer records pairs through Consume only: it implements neither
+// BatchConsumer nor RangeConsumer, forcing the kernel's per-pair delivery.
+type plainConsumer struct{ pairs []pair }
+
+func (p *plainConsumer) Consume(r, s relation.Tuple) { p.pairs = append(p.pairs, pair{r, s}) }
+
+// columnConsumer records pairs through ConsumeColumns (Consume fails the
+// test): the expansion of an equi-join must reach a BatchConsumer in column
+// batches no larger than the scratch.
+type columnConsumer struct {
+	t       *testing.T
+	pairs   []pair
+	maxSeen int
+}
+
+func (c *columnConsumer) Consume(r, s relation.Tuple) {
+	c.t.Fatal("equi-join expansion reached a BatchConsumer pair by pair")
+}
+
+func (c *columnConsumer) ConsumeColumns(keys, rp, sp []uint64) {
+	c.maxSeen = max(c.maxSeen, len(keys))
+	for i, k := range keys {
+		c.pairs = append(c.pairs, pair{relation.Tuple{Key: k, Payload: rp[i]}, relation.Tuple{Key: k, Payload: sp[i]}})
 	}
-	for _, tc := range cases {
-		rTuples, rKeys, rPays := randomSorted(tc.nR, max64(tc.domainR, 1), 1)
-		sTuples, sKeys, sPays := randomSorted(tc.nS, max64(tc.domainS, 1), 2)
+}
 
-		var want Materializer
-		Join(rTuples, sTuples, &want)
+// refusingConsumer is a RangeConsumer that refuses every batch: the kernel
+// must then expand it, exactly as if the method were not there.
+type refusingConsumer struct{ plainConsumer }
 
-		for _, scratchSize := range []int{0, 1, 3, 7} {
-			var got Materializer
-			sc := batch.NewScratch(scratchSize, nil)
-			JoinColumns(rKeys, rPays, sKeys, sPays, &got, sc)
-			requireSamePairs(t, tc.name, scratchSize, want.Out, got.Out)
+func (*refusingConsumer) ConsumeRanges(*batch.Ranges) bool { return false }
 
-			// Prefetch disabled must not change the output.
-			var noPf Materializer
-			JoinColumnsPrefetch(rKeys, rPays, sKeys, sPays, &noPf, batch.NewScratch(scratchSize, nil), 0)
-			requireSamePairs(t, tc.name+"/no-prefetch", scratchSize, want.Out, noPf.Out)
+func requireSamePairs(t *testing.T, name string, want, got []pair) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, want %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: pair %d is %+v, want %+v", name, i, got[i], want[i])
 		}
 	}
 }
 
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
+// sortPairs orders pairs canonically for multiset comparison.
+func sortPairs(ps []pair) []pair {
+	sort.Slice(ps, func(i, j int) bool {
+		a, b := ps[i], ps[j]
+		switch {
+		case a.r != b.r:
+			return a.r.Key < b.r.Key || a.r.Key == b.r.Key && a.r.Payload < b.r.Payload
+		default:
+			return a.s.Key < b.s.Key || a.s.Key == b.s.Key && a.s.Payload < b.s.Payload
+		}
+	})
+	return ps
 }
 
-func requireSamePairs(t *testing.T, name string, scratchSize int, want, got []JoinedTuple) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s (scratch %d): %d pairs, want %d", name, scratchSize, len(got), len(want))
+// rangeKernelInputs are the shapes the range kernel is checked on: every
+// multiplicity class, the degenerate sizes, and keys at both ends of the
+// uint64 domain, where k − band and k + band must clamp instead of wrapping.
+func rangeKernelInputs() []struct {
+	name string
+	r, s []relation.Tuple
+} {
+	const top = ^uint64(0)
+	mk := func(keys ...uint64) []relation.Tuple {
+		out := make([]relation.Tuple, len(keys))
+		for i, k := range keys {
+			out[i] = relation.Tuple{Key: k, Payload: top - uint64(i)*3} // sums wrap
+		}
+		return out
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%s (scratch %d): pair %d is %+v, want %+v", name, scratchSize, i, got[i], want[i])
+	seq := func(n int, step, dup uint64) []relation.Tuple {
+		var keys []uint64
+		for i := 0; i < n; i++ {
+			for d := uint64(0); d < dup; d++ {
+				keys = append(keys, uint64(i)*step)
+			}
+		}
+		return mk(keys...)
+	}
+	denseR, _, _ := randomSorted(300, 20, 1)
+	denseS, _, _ := randomSorted(300, 25, 2)
+	sparseR, _, _ := randomSorted(200, 1<<40, 3)
+	sparseS, _, _ := randomSorted(200, 1<<40, 4)
+	skewR, _, _ := randomSorted(300, 7, 5)
+	skewS, _, _ := randomSorted(300, 250, 6)
+	return []struct {
+		name string
+		r, s []relation.Tuple
+	}{
+		{"1x1", seq(200, 3, 1), seq(200, 2, 1)},
+		{"1xn", seq(100, 3, 1), seq(150, 2, 5)},
+		{"mxn", seq(60, 3, 4), seq(90, 2, 3)},
+		{"all-equal", seq(1, 1, 40), seq(1, 1, 40)},
+		{"empty-private", nil, seq(50, 1, 2)},
+		{"empty-public", seq(50, 1, 2), nil},
+		{"single-private", mk(7), seq(20, 1, 2)},
+		{"single-public", seq(20, 1, 2), mk(7)},
+		{"single-both", mk(7), mk(9)},
+		{"domain-edges", mk(0, 0, 1, 5, top-5, top-1, top, top), mk(0, 2, 3, 17, top-17, top-3, top-1, top)},
+		{"dense-duplicates", denseR, denseS},
+		{"sparse", sparseR, sparseS},
+		{"skewed", skewR, skewS},
+	}
+}
+
+// TestRangeKernelMatchesOracle is the differential test of the range kernel:
+// for every input shape, band width and batch size — small sizes make key
+// groups and windows straddle every range-batch and column-batch boundary —
+// the pairs it delivers, whichever of its three routes a consumer selects,
+// are multiset-equal to the brute-force oracle's and in the order the row
+// kernels emit; and the consumers that fold ranges report what they report
+// when fed the oracle's pairs one by one.
+func TestRangeKernelMatchesOracle(t *testing.T) {
+	bands := []uint64{0, 1, 16, 1 << 41, ^uint64(0) - 2, ^uint64(0)}
+	for _, in := range rangeKernelInputs() {
+		_, rKeys, rPays := sortedColumns(in.r)
+		_, sKeys, sPays := sortedColumns(in.s)
+		for _, band := range bands {
+			var oracle, rows plainConsumer
+			ReferenceJoinBand(in.r, in.s, band, &oracle)
+			JoinBand(in.r, in.s, band, &rows)
+			requireSamePairs(t, in.name+"/JoinBand vs oracle", sortPairs(oracle.pairs), sortPairs(append([]pair(nil), rows.pairs...)))
+			if band == 0 {
+				var equi plainConsumer
+				ReferenceJoin(in.r, in.s, &equi)
+				requireSamePairs(t, in.name+"/ReferenceJoin vs band-0 oracle", sortPairs(oracle.pairs), sortPairs(equi.pairs))
+			}
+			var wantMax MaxAggregate
+			var wantCount Counter
+			for _, p := range rows.pairs {
+				wantMax.Consume(p.r, p.s)
+				wantCount.Consume(p.r, p.s)
+			}
+
+			for _, size := range []int{1, 3, 1024} {
+				name := fmt.Sprintf("%s/band=%d/batch=%d", in.name, band, size)
+				sc := batch.NewScratch(size, nil)
+
+				var plain plainConsumer
+				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &plain, sc)
+				requireSamePairs(t, name+"/plain", rows.pairs, plain.pairs)
+
+				var refused refusingConsumer
+				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &refused, sc)
+				requireSamePairs(t, name+"/refused", rows.pairs, refused.pairs)
+
+				if band == 0 {
+					cols := columnConsumer{t: t}
+					JoinColumns(rKeys, rPays, sKeys, sPays, &cols, sc)
+					requireSamePairs(t, name+"/columns", rows.pairs, cols.pairs)
+					if cols.maxSeen > size {
+						t.Fatalf("%s: a column batch of %d pairs from a scratch of %d", name, cols.maxSeen, size)
+					}
+				}
+
+				var gotMax MaxAggregate
+				var gotCount Counter
+				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &gotMax, sc)
+				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &gotCount, sc)
+				if gotMax != wantMax || gotCount != wantCount {
+					t.Fatalf("%s: folded (%+v, %+v), pair by pair (%+v, %+v)", name, gotMax, gotCount, wantMax, wantCount)
+				}
+				sc.Close()
+			}
+		}
+	}
+}
+
+// windowSpy is a RangeConsumer that records what the kernel was let loose on.
+type windowSpy struct {
+	public int // length of the public columns the kernel scanned
+	pairs  uint64
+}
+
+func (*windowSpy) Consume(r, s relation.Tuple) {}
+
+func (w *windowSpy) ConsumeRanges(b *batch.Ranges) bool {
+	w.public = len(b.SKeys)
+	w.pairs += b.Pairs
+	return true
+}
+
+// TestSkipEntersPublicRunAtTheWindow is the regression test for morsel-mode
+// band joins rescanning every public run from index 0: a task joins one
+// 8192-tuple segment of a private run against a public run, and used to walk
+// the public run linearly up to the segment's window — twice, once to join
+// and once more to count what it had scanned. The kernel must be handed the
+// window and nothing else: for the LAST segment of a 2^20-tuple private run,
+// the public columns it sees and the scan count it returns are exactly the
+// public tuples within the band of the segment's key range, a sliver of the
+// run, and the pairs are the row kernel's.
+func TestSkipEntersPublicRunAtTheWindow(t *testing.T) {
+	const n, segment = 1 << 20, 8192
+	rng := rand.New(rand.NewSource(9))
+	rKeys, rPays := make([]uint64, n), make([]uint64, n)
+	sKeys, sPays := make([]uint64, n), make([]uint64, n)
+	for i := range rKeys {
+		rKeys[i], sKeys[i] = rng.Uint64()%(1<<24), rng.Uint64()%(1<<24)
+	}
+	sort.Slice(rKeys, func(i, j int) bool { return rKeys[i] < rKeys[j] })
+	sort.Slice(sKeys, func(i, j int) bool { return sKeys[i] < sKeys[j] })
+	segKeys, segPays := rKeys[n-segment:], rPays[n-segment:]
+
+	for _, band := range []uint64{0, 16} {
+		low, high := segKeys[0]-band, segKeys[segment-1]+band
+		start := sort.Search(n, func(i int) bool { return sKeys[i] >= low })
+		end := sort.Search(n, func(i int) bool { return sKeys[i] > high })
+		window := end - start
+		if window == 0 || window > n/64 {
+			t.Fatalf("band=%d: window of %d public tuples, test input is broken", band, window)
+		}
+
+		var spy windowSpy
+		scanned := JoinColumnsWithSkip(segKeys, segPays, sKeys, sPays, band, &spy, nil)
+		if scanned != window || spy.public != window {
+			t.Fatalf("band=%d: scanned %d and handed the kernel %d public tuples, the window holds %d of %d",
+				band, scanned, spy.public, window, n)
+		}
+
+		seg, pub := make([]relation.Tuple, segment), make([]relation.Tuple, window)
+		batch.Interleave(segKeys, segPays, seg)
+		batch.Interleave(sKeys[start:end], sPays[start:end], pub)
+		var want Counter
+		JoinBand(seg, pub, band, &want)
+		if spy.pairs != want.Count || want.Count == 0 {
+			t.Fatalf("band=%d: %d pairs, row kernel on the window %d", band, spy.pairs, want.Count)
 		}
 	}
 }
@@ -100,42 +279,19 @@ func TestJoinColumnsWithSkipMatchesRow(t *testing.T) {
 	rTuples, rKeys, rPays := sortedColumns(rTuples)
 	sTuples, sKeys, sPays := randomSorted(20000, 10000, 3)
 
-	var want Materializer
+	var want, got plainConsumer
 	wantScanned := JoinWithSkip(rTuples, sTuples, &want)
-
-	var got Materializer
-	gotScanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, &got, nil)
+	gotScanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, &got, nil)
 	if gotScanned != wantScanned {
 		t.Fatalf("scanned %d, want %d", gotScanned, wantScanned)
 	}
-	requireSamePairs(t, "with-skip", 0, want.Out, got.Out)
-}
+	requireSamePairs(t, "with-skip", want.pairs, got.pairs)
 
-// TestJoinColumnRunsCtx checks the multi-run driver against per-run row joins
-// and that cancellation stops between runs.
-func TestJoinColumnRunsCtx(t *testing.T) {
-	rTuples, rKeys, rPays := randomSorted(400, 50, 4)
-	var runs []*batch.Run
-	var want Materializer
-	var wantScanned int
-	for i := 0; i < 4; i++ {
-		sTuples, sKeys, sPays := randomSorted(300, 60, int64(5+i))
-		runs = append(runs, &batch.Run{Worker: i, Node: 0, Keys: sKeys, Payloads: sPays})
-		wantScanned += JoinWithSkip(rTuples, sTuples, &want)
+	if n := JoinColumnsWithSkip(nil, nil, sKeys, sPays, 3, &got, nil); n != 0 {
+		t.Fatalf("empty private run scanned %d public tuples", n)
 	}
-
-	var got Materializer
-	gotScanned := JoinColumnRunsCtx(context.Background(), rKeys, rPays, runs, &got, nil)
-	if gotScanned != wantScanned {
-		t.Fatalf("scanned %d, want %d", gotScanned, wantScanned)
-	}
-	requireSamePairs(t, "column-runs", 0, want.Out, got.Out)
-
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	var none Materializer
-	if n := JoinColumnRunsCtx(canceled, rKeys, rPays, runs, &none, nil); n != 0 || len(none.Out) != 0 {
-		t.Fatalf("canceled context still scanned %d and emitted %d pairs", n, len(none.Out))
+	if n := JoinColumnsWithSkip(rKeys, rPays, []uint64{1, 2}, []uint64{0, 0}, 3, &got, nil); n != 0 {
+		t.Fatalf("public run outside the private key range scanned %d tuples", n)
 	}
 }
 
@@ -163,26 +319,4 @@ func TestConsumeColumnsAggregates(t *testing.T) {
 	if c.Count != uint64(len(keys)) {
 		t.Fatalf("Counter.ConsumeColumns counted %d, want %d", c.Count, len(keys))
 	}
-}
-
-// plainConsumer records pairs without implementing BatchConsumer, forcing
-// EmitColumns onto the per-pair fallback.
-type plainConsumer struct{ pairs []JoinedTuple }
-
-func (p *plainConsumer) Consume(r, s relation.Tuple) {
-	p.pairs = append(p.pairs, JoinedTuple{Key: r.Key, RPayload: r.Payload, SPayload: s.Payload})
-}
-
-// TestEmitColumnsFallback checks that consumers without a batch fast path
-// receive the identical per-pair stream.
-func TestEmitColumnsFallback(t *testing.T) {
-	rTuples, rKeys, rPays := randomSorted(200, 15, 6)
-	sTuples, sKeys, sPays := randomSorted(200, 15, 7)
-
-	var want Materializer
-	Join(rTuples, sTuples, &want)
-
-	var plain plainConsumer
-	JoinColumns(rKeys, rPays, sKeys, sPays, &plain, nil)
-	requireSamePairs(t, "fallback", 0, want.Out, plain.pairs)
 }

@@ -43,15 +43,17 @@ type WorkerBreakdown struct {
 }
 
 // BatchStats reports how much of the join output flowed through the columnar
-// batch fast path: Batches is the number of match batches delivered to a
-// BatchConsumer sink, Tuples the number of result pairs they carried. Both are
-// zero when the engine ran on the row-at-a-time path (or the sink had no batch
-// fast path), so the counters double as a cheap assertion that the columnar
-// plumbing was actually exercised.
+// batch fast path: Batches is the number of batches delivered to the sink —
+// range batches of the merge kernel taken whole by a sink that folds them,
+// or column batches of expanded pairs — and Tuples the number of result
+// pairs they stood for. Both are zero when the engine ran on the
+// row-at-a-time path (or the sink had no batch fast path), so the counters
+// double as a cheap assertion that the columnar plumbing was actually
+// exercised.
 type BatchStats struct {
-	// Batches is the number of columnar match batches emitted.
+	// Batches is the number of range or column batches delivered.
 	Batches uint64
-	// Tuples is the number of result pairs delivered inside those batches.
+	// Tuples is the number of result pairs those batches stood for.
 	Tuples uint64
 }
 

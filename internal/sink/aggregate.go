@@ -3,6 +3,7 @@ package sink
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
@@ -79,6 +80,15 @@ func (a Agg) fold(acc, val uint64) uint64 {
 	}
 }
 
+// reduce folds a non-empty slice of values (sum, minimum or maximum).
+func (a Agg) reduce(vals []uint64) uint64 {
+	acc := vals[0]
+	for _, v := range vals[1:] {
+		acc = a.fold(acc, v)
+	}
+	return acc
+}
+
 // merge combines two partial accumulators of the same group (for example,
 // from two workers or two sorted segments).
 func (a Agg) merge(x, y uint64) uint64 {
@@ -108,7 +118,10 @@ func (a Agg) merge(x, y uint64) uint64 {
 // of the MPSM join phase collapses to one entry per key and public run; a
 // hash join's probe loop emits a key's matches back to back) and appends
 // (key, partial) entries to leased buffers, so the join output is never
-// materialized. Close range-partitions the entries by key — per-writer
+// materialized. From the columnar merge kernel the writers take that output
+// as ranges — a private key group × its window of a public run — and, over a
+// projection they recognise (Value), fold each range to its partial in
+// O(m+n) without forming a pair. Close range-partitions the entries by key — per-writer
 // histograms, equi-height splitters, prefix sums, a latch-free scatter —
 // then sorts each partition, folds equal keys and concatenates the partitions
 // in splitter order, one task per partition. Partitions that arrive ordered
@@ -123,6 +136,7 @@ type Groups struct {
 	ctx     context.Context
 	agg     Agg
 	project Projection
+	value   Value
 	out     *memory.Lease
 	lease   *memory.Lease
 	writers []*groupWriter
@@ -132,9 +146,15 @@ type Groups struct {
 }
 
 // NewGroups returns a group-by kernel. A nil projection selects
-// DefaultProjection; ctx cancels the parallel finalisation.
-func NewGroups(ctx context.Context, agg Agg, project Projection, out *memory.Lease) *Groups {
-	return &Groups{ctx: ctx, agg: agg, project: project, out: out}
+// DefaultProjection; otherwise value names the projection if it is one the
+// kernel recognises, which lets its writers fold merge output a key group ×
+// window at a time, and is ValueOpaque for any other. ctx cancels the
+// parallel finalisation.
+func NewGroups(ctx context.Context, agg Agg, project Projection, value Value, out *memory.Lease) *Groups {
+	if project == nil {
+		value = ValuePayloadSum
+	}
+	return &Groups{ctx: ctx, agg: agg, project: project, value: value, out: out}
 }
 
 // SetScratch implements Scratcher.
@@ -144,7 +164,7 @@ func (g *Groups) SetScratch(lease *memory.Lease) { g.lease = lease }
 func (g *Groups) Open(workers int) {
 	g.writers = make([]*groupWriter, workers)
 	for w := range g.writers {
-		g.writers[w] = &groupWriter{agg: g.agg, tupleBuffer: tupleBuffer{project: g.project, lease: g.lease}}
+		g.writers[w] = &groupWriter{agg: g.agg, value: g.value, tupleBuffer: tupleBuffer{project: g.project, lease: g.lease}}
 	}
 	g.rt, g.rows, g.elapsed = nil, nil, 0
 }
@@ -330,6 +350,7 @@ func (g *Groups) parallel(name string, n int, fn func(i int)) error {
 type groupWriter struct {
 	tupleBuffer
 	agg            Agg
+	value          Value
 	curKey, curVal uint64
 	active         bool
 	maxKey         uint64
@@ -357,6 +378,75 @@ func (w *groupWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 	}
 }
 
+// ConsumeRanges implements mergejoin.RangeConsumer for the projections the
+// kernel recognises: every entry is one key group, so it folds to one partial
+// accumulator without visiting its pairs.
+func (w *groupWriter) ConsumeRanges(b *batch.Ranges) bool {
+	if w.value == ValueOpaque {
+		return false
+	}
+	for x, i := range b.I {
+		w.addPartial(b.RKeys[i], w.foldRange(b, int(i), int(b.IEnd[x]), int(b.Lo[x]), int(b.Hi[x])))
+	}
+	return true
+}
+
+// foldRange aggregates the m·n pairs of private tuples [i, iEnd) × public
+// tuples [lo, hi) in O(m+n). The recognised projections take their value from
+// one side, or add one value of each, so the aggregates separate: a sum
+// counts every private value n times and every public one m times (wrapping
+// mod 2^64 exactly as the repeated additions would), a minimum or maximum is
+// taken per side, a count is m·n.
+func (w *groupWriter) foldRange(b *batch.Ranges, i, iEnd, lo, hi int) uint64 {
+	m, n := uint64(iEnd-i), uint64(hi-lo)
+	if w.agg == AggCount {
+		return m * n
+	}
+	var vals []uint64 // the values of the side the projection reads
+	times := m        // how often a sum counts each of them
+	switch w.value {
+	case ValueBuildPayload:
+		vals, times = b.RPayloads[i:iEnd], n
+	case ValueBuildKey:
+		vals, times = b.RKeys[i:iEnd], n
+	case ValueProbePayload:
+		vals = b.SPayloads[lo:hi]
+	case ValueProbeKey:
+		vals = b.SKeys[lo:hi]
+	default: // ValuePayloadSum
+		rp, sp := b.RPayloads[i:iEnd], b.SPayloads[lo:hi]
+		if w.agg == AggSum {
+			return n*w.agg.reduce(rp) + m*w.agg.reduce(sp)
+		}
+		// A minimum or maximum of sums separates only while no sum wraps.
+		if _, carry := bits.Add64(AggMax.reduce(rp), AggMax.reduce(sp), 0); carry == 0 {
+			return w.agg.reduce(rp) + w.agg.reduce(sp)
+		}
+		acc := rp[0] + sp[0]
+		for _, r := range rp {
+			for _, s := range sp {
+				acc = w.agg.fold(acc, r+s)
+			}
+		}
+		return acc
+	}
+	if w.agg == AggSum {
+		return times * w.agg.reduce(vals)
+	}
+	return w.agg.reduce(vals)
+}
+
+// addPartial folds a partial accumulator of a whole key group into the
+// running one, or starts the next run with it.
+func (w *groupWriter) addPartial(key, partial uint64) {
+	if w.active && key == w.curKey {
+		w.curVal = w.agg.merge(w.curVal, partial)
+		return
+	}
+	w.flush()
+	w.curKey, w.curVal, w.active = key, partial, true
+}
+
 // add folds one value into the running accumulator, or starts the next run.
 func (w *groupWriter) add(key, val uint64) {
 	if w.active && key == w.curKey {
@@ -380,7 +470,7 @@ func (w *groupWriter) flush() {
 // Tuple.Payload, returning the groups in ascending key order: the kernel run
 // standalone, on GOMAXPROCS workers and without a scratch pool.
 func AggregateTuples(tuples []relation.Tuple, agg Agg) []relation.Tuple {
-	g := NewGroups(context.TODO(), agg, nil, nil)
+	g := NewGroups(context.TODO(), agg, nil, ValuePayloadSum, nil)
 	if err := g.Aggregate(tuples, 0); err != nil {
 		panic(err) // only a kernel bug reaches here: no caller, no cancellation
 	}

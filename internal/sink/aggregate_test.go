@@ -115,7 +115,7 @@ func TestAggregateMatchesMapOracle(t *testing.T) {
 					if pooled {
 						lease = pool.Acquire()
 					}
-					g := NewGroups(context.Background(), agg, nil, nil)
+					g := NewGroups(context.Background(), agg, nil, ValueOpaque, nil)
 					g.SetScratch(lease)
 					if err := g.Aggregate(in, workers); err != nil {
 						t.Fatalf("seed=%d %s/%v/workers=%d: %v", seed, name, agg, workers, err)
@@ -160,7 +160,7 @@ func TestGroupWritersBatchAndRowPathsAgree(t *testing.T) {
 			for _, agg := range allAggs {
 				want := mapAggregate(projected, agg)
 				for _, batched := range []bool{false, true} {
-					g := NewGroups(context.Background(), agg, project, nil)
+					g := NewGroups(context.Background(), agg, project, ValueOpaque, nil)
 					b := Bind(g, workers, nil)
 					for lo := 0; lo < len(in); lo += block {
 						hi := min(lo+block, len(in))
@@ -195,7 +195,7 @@ func TestGroupWritersBatchAndRowPathsAgree(t *testing.T) {
 func TestGroupsReuseAndCancellation(t *testing.T) {
 	in := kernelInputs(5)["uniform"]
 	ctx, cancel := context.WithCancel(context.Background())
-	g := NewGroups(ctx, AggSum, nil, nil)
+	g := NewGroups(ctx, AggSum, nil, ValueOpaque, nil)
 	for round := 0; round < 2; round++ {
 		if err := g.Aggregate(in, 3); err != nil {
 			t.Fatal(err)

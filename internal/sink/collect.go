@@ -18,6 +18,48 @@ func DefaultProjection(r, s relation.Tuple) relation.Tuple {
 	return relation.Tuple{Key: r.Key, Payload: r.Payload + s.Payload}
 }
 
+// Value names the projections the group-by kernel recognises: all keep the
+// build key and differ in what they take from the pair as the value to
+// aggregate. Over one of these an aggregate separates per side, so a whole
+// key group × window of merge output folds in O(m+n); see groupWriter. The
+// zero value stands for an arbitrary closure, which must see every pair.
+type Value uint8
+
+const (
+	// ValueOpaque is any projection the kernel cannot see into.
+	ValueOpaque Value = iota
+	// ValuePayloadSum is R.payload + S.payload: DefaultProjection.
+	ValuePayloadSum
+	// ValueBuildPayload is R.payload.
+	ValueBuildPayload
+	// ValueProbePayload is S.payload.
+	ValueProbePayload
+	// ValueBuildKey is R.key.
+	ValueBuildKey
+	// ValueProbeKey is S.key, which differs from the output key under a band
+	// join.
+	ValueProbeKey
+)
+
+// Projection returns the projection v names (nil for ValueOpaque), for the
+// consumers that apply it pair by pair.
+func (v Value) Projection() Projection {
+	switch v {
+	case ValuePayloadSum:
+		return DefaultProjection
+	case ValueBuildPayload:
+		return func(r, _ relation.Tuple) relation.Tuple { return r }
+	case ValueProbePayload:
+		return func(r, s relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: s.Payload} }
+	case ValueBuildKey:
+		return func(r, _ relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: r.Key} }
+	case ValueProbeKey:
+		return func(r, s relation.Tuple) relation.Tuple { return relation.Tuple{Key: r.Key, Payload: s.Key} }
+	default:
+		return nil
+	}
+}
+
 // Collect is the operator bridge between a join and a consumer of tuples: it
 // applies a projection to every joined pair and materializes the projected
 // tuples, worker-locally and lock-free, into one flat tuple slice. The plan

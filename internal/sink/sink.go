@@ -17,6 +17,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/batch"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
@@ -44,7 +45,10 @@ type Sink interface {
 // payload columns) instead of one Consume call per pair. It is an optional
 // extension — the join's columnar kernels probe for it and fall back to
 // per-pair delivery, so existing sinks keep working unchanged. The built-in
-// MaxSum, Count and Materialize writers implement it.
+// MaxSum, Count and Materialize writers implement it. MaxSum, Count and the
+// Groups kernel go one further and implement mergejoin.RangeConsumer: the
+// merge kernel hands them a key group × window at a time and no pair is ever
+// formed.
 type BatchWriter = mergejoin.BatchConsumer
 
 // Pair is one joined (r, s) tuple pair.
@@ -180,11 +184,26 @@ func (c *countingWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 	mergejoin.EmitColumns(c.inner, keys, rPayloads, sPayloads)
 }
 
+// ConsumeRanges implements mergejoin.RangeConsumer whenever the sink's writer
+// does: the ranges are forwarded, and once taken they count as one batch of
+// the pairs they stand for. A writer that takes none makes the kernel expand
+// the batch through ConsumeColumns instead, which counts it there.
+func (c *countingWriter) ConsumeRanges(b *batch.Ranges) bool {
+	if rc, ok := c.inner.(mergejoin.RangeConsumer); !ok || !rc.ConsumeRanges(b) {
+		return false
+	}
+	c.count += b.Pairs
+	c.batches++
+	c.batchedPairs += b.Pairs
+	return true
+}
+
 // checkingWriter interposes the tie-break verifier in front of a worker's
 // counting writer: candidate pairs that fail the check vanish before they
 // are counted, and surviving pairs carry the payloads the check returned
 // (the user payloads recovered from the key metadata). It sits outside the
-// countingWriter so Matches() reports verified pairs only.
+// countingWriter so Matches() reports verified pairs only, and it takes no
+// ranges: every candidate pair must pass the check, so the kernel expands.
 type checkingWriter struct {
 	check PairCheck
 	inner *countingWriter

@@ -82,6 +82,7 @@ type planNode struct {
 	opts   []Option // join nodes: per-node option overrides
 	mapFn  func(Tuple) Tuple
 	projFn func(r, s Tuple) Tuple
+	value  sink.Value // compiled queries: the projection by name, projFn nil
 	agg    Agg
 	sink   Sink
 }
@@ -181,11 +182,17 @@ func (p *Plan) Map(in PlanNode, fn func(Tuple) Tuple) PlanNode {
 // overriding the default projection {Key: R.Key, Payload: R.Payload +
 // S.Payload} that a join otherwise feeds its consumer.
 func (p *Plan) Project(in PlanNode, fn func(r, s Tuple) Tuple) PlanNode {
+	return p.project(in, fn, sink.ValueOpaque)
+}
+
+// project adds a Project node: fn for a caller's closure, or — fn nil — one
+// of the compiler's projections, which go into the plan by name.
+func (p *Plan) project(in PlanNode, fn func(r, s Tuple) Tuple, v sink.Value) PlanNode {
 	id, ok := p.input(in, "Project")
 	if !ok {
 		return PlanNode{plan: p, id: -1}
 	}
-	return p.add(planNode{kind: exec.NodeProject, inputs: []exec.NodeID{id}, projFn: fn})
+	return p.add(planNode{kind: exec.NodeProject, inputs: []exec.NodeID{id}, projFn: fn, value: v})
 }
 
 // GroupAggregate adds a group-by-key aggregation of its input, run by one
@@ -328,7 +335,11 @@ func (e *Engine) buildExecPlan(p *Plan, opts []Option) (*exec.Plan, settings, er
 		case exec.NodeMap:
 			ep.AddMap(n.inputs[0], n.mapFn)
 		case exec.NodeProject:
-			ep.AddProject(n.inputs[0], projection(n.projFn))
+			if n.projFn == nil {
+				ep.AddProjectValue(n.inputs[0], n.value)
+			} else {
+				ep.AddProject(n.inputs[0], projection(n.projFn))
+			}
 		case exec.NodeGroupAggregate:
 			ep.AddGroupAggregate(n.inputs[0], n.agg)
 		case exec.NodeSink:

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/sink"
 )
 
 // QueryError is a positioned query compilation error: lexical, syntactic or
@@ -111,7 +112,7 @@ func lowerCompiled(c *query.Compiled) (*Plan, error) {
 				nodes[i] = p.Join(nodes[op.Left], nodes[op.Right])
 			}
 		case query.OpProject:
-			nodes[i] = p.Project(nodes[op.Input], pairProjection(op.ProbeSide, op.KeyValue))
+			nodes[i] = p.project(nodes[op.Input], nil, pairValue(op.ProbeSide, op.KeyValue))
 		case query.OpMap:
 			nodes[i] = p.Map(nodes[op.Input], keyAsPayload)
 		case query.OpAggregate:
@@ -148,28 +149,26 @@ func cmpPredicate(cmps []query.Cmp) func(Tuple) bool {
 	}
 }
 
-// Pair projections of compiled queries. r is the build-side tuple, s the
-// probe-side tuple; the output key is always the build key (the join's output
-// key). Explicit projections pin the optimizer's build/probe choice for the
-// projected join, so the addressed side stays the addressed side under
-// auto-planning.
-func projectBuild(r, _ Tuple) Tuple { return r }
-func projectProbe(r, s Tuple) Tuple { return Tuple{Key: r.Key, Payload: s.Payload} }
-func projectKey(r, _ Tuple) Tuple   { return Tuple{Key: r.Key, Payload: r.Key} }
-func projectKeyOf(r, s Tuple) Tuple { return Tuple{Key: r.Key, Payload: s.Key} }
-func keyAsPayload(t Tuple) Tuple    { return Tuple{Key: t.Key, Payload: t.Key} }
+// keyAsPayload is the Map of compiled queries that aggregate the key itself.
+func keyAsPayload(t Tuple) Tuple { return Tuple{Key: t.Key, Payload: t.Key} }
 
-// pairProjection picks the projection function for an OpProject.
-func pairProjection(probeSide, keyValue bool) func(r, s Tuple) Tuple {
+// pairValue names the projection of an OpProject: which side's payload or key
+// becomes the output value (r is the build-side tuple, s the probe-side one;
+// the output key is always the build key, the join's output key). The
+// projections go into the plan by name so the group-by kernel can fold whole
+// match ranges over them. Explicit projections pin the optimizer's
+// build/probe choice for the projected join, so the addressed side stays the
+// addressed side under auto-planning.
+func pairValue(probeSide, keyValue bool) sink.Value {
 	switch {
 	case keyValue && probeSide:
-		return projectKeyOf
+		return sink.ValueProbeKey
 	case keyValue:
-		return projectKey
+		return sink.ValueBuildKey
 	case probeSide:
-		return projectProbe
+		return sink.ValueProbePayload
 	default:
-		return projectBuild
+		return sink.ValueBuildPayload
 	}
 }
 
