@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/hashjoin"
 	"repro/internal/mergejoin"
@@ -284,17 +285,22 @@ func BenchmarkMergeJoinKernel(b *testing.B) {
 	sorting.Sort(pub)
 	// Narrow the private run to 1/8 of the key domain to expose the skip.
 	narrow := priv[:len(priv)/8]
+	rKeys, rPays := make([]uint64, len(narrow)), make([]uint64, len(narrow))
+	sKeys, sPays := make([]uint64, len(pub)), make([]uint64, len(pub))
+	batch.Deinterleave(narrow, rKeys, rPays)
+	batch.Deinterleave(pub, sKeys, sPays)
+	sc := batch.NewScratch(0, nil)
 
 	b.Run("FullScan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var agg mergejoin.MaxAggregate
-			mergejoin.Join(narrow, pub, &agg)
+			mergejoin.JoinColumns(rKeys, rPays, sKeys, sPays, &agg, sc)
 		}
 	})
 	b.Run("InterpolationSkip", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var agg mergejoin.MaxAggregate
-			mergejoin.JoinWithSkip(narrow, pub, &agg)
+			mergejoin.JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, &agg, sc)
 		}
 	})
 }

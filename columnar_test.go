@@ -4,15 +4,32 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/mergejoin"
 )
 
-// TestColumnarRowParityAllAlgorithms is the differential gate for the
-// columnar batch path: every algorithm, under both schedulers and with the
-// scratch pool on and off, must materialize the exact multiset of pairs the
-// row-at-a-time path produces, for the default batch size and a small odd
-// batch size that forces frequent flushes. The adversarial distributions
-// (uniform, low-skew, high-skew over a narrow domain) provoke heavy
-// duplicate-key cross products.
+// oraclePairs materializes the reference join of the given kind, sorted.
+func oraclePairs(kind JoinKind, r, s *Relation) []Pair {
+	var pairs []Pair
+	mergejoin.ReferenceJoinKind(kind, r.Tuples, s.Tuples, consumerFunc(func(rt, st Tuple) {
+		pairs = append(pairs, Pair{R: rt, S: st})
+	}))
+	sortPairs(pairs)
+	return pairs
+}
+
+// consumerFunc adapts a closure to the oracle's consumer interface.
+type consumerFunc func(r, s Tuple)
+
+func (f consumerFunc) Consume(r, s Tuple) { f(r, s) }
+
+// TestColumnarRowParityAllAlgorithms is the differential gate of the engine's
+// join paths: every algorithm, under both schedulers and with the scratch
+// pool on and off, must materialize the exact multiset of pairs the
+// brute-force oracle (mergejoin.ReferenceJoin) produces, for the default batch
+// size and a small odd batch size that forces frequent flushes. The
+// adversarial distributions (uniform, low-skew, high-skew over a narrow
+// domain) provoke heavy duplicate-key cross products.
 func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 	type dataset struct {
 		name string
@@ -28,18 +45,12 @@ func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 	for _, pool := range []bool{false, true} {
 		engine := New(WithWorkers(3), WithScratchPool(pool))
 		for _, ds := range datasets {
-			// Row-path baseline per algorithm, shared across schedulers and
-			// batch sizes.
+			want := oraclePairs(InnerJoin, ds.r, ds.s)
+			var wantAgg mergejoin.MaxAggregate
+			for _, p := range want {
+				wantAgg.Consume(p.R, p.S)
+			}
 			for _, alg := range allAlgorithms {
-				rowMat := NewMaterializeSink()
-				rowRes, err := engine.Join(context.Background(), ds.r, ds.s,
-					WithAlgorithm(alg), WithBatchSize(-1), WithSink(rowMat))
-				if err != nil {
-					t.Fatalf("%s/%v row baseline: %v", ds.name, alg, err)
-				}
-				want := append([]Pair(nil), rowMat.Pairs()...)
-				sortPairs(want)
-
 				for _, sched := range []Scheduler{Static, Morsel} {
 					for _, batchSize := range []int{0, 33} {
 						name := fmt.Sprintf("%s/%v/pool=%v/sched=%v/batch=%d",
@@ -51,19 +62,28 @@ func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						if res.Matches != rowRes.Matches || res.MaxSum != rowRes.MaxSum {
-							t.Fatalf("%s: (matches, maxSum) = (%d, %d), row path (%d, %d)",
-								name, res.Matches, res.MaxSum, rowRes.Matches, rowRes.MaxSum)
+						if res.Matches != wantAgg.Count {
+							t.Fatalf("%s: %d matches, oracle %d", name, res.Matches, wantAgg.Count)
 						}
 						got := append([]Pair(nil), mat.Pairs()...)
 						sortPairs(got)
 						if len(got) != len(want) {
-							t.Fatalf("%s: %d pairs, row path %d", name, len(got), len(want))
+							t.Fatalf("%s: %d pairs, oracle %d", name, len(got), len(want))
 						}
 						for i := range got {
 							if got[i] != want[i] {
-								t.Fatalf("%s: pair %d = %+v, row path %+v", name, i, got[i], want[i])
+								t.Fatalf("%s: pair %d = %+v, oracle %+v", name, i, got[i], want[i])
 							}
+						}
+						// The default sink folds the same output.
+						folded, err := engine.Join(context.Background(), ds.r, ds.s,
+							WithAlgorithm(alg), WithScheduler(sched), WithBatchSize(batchSize))
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if folded.Matches != wantAgg.Count || folded.MaxSum != wantAgg.Max {
+							t.Fatalf("%s: (matches, maxSum) = (%d, %d), oracle (%d, %d)",
+								name, folded.Matches, folded.MaxSum, wantAgg.Count, wantAgg.Max)
 						}
 					}
 				}
@@ -72,10 +92,9 @@ func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestColumnarBatchCounters pins when Result.Batch reports traffic: the
-// columnar-eligible algorithms (B-MPSM, P-MPSM and the hash joins, which
-// always batch their probe output) must report it, and WithBatchSize(-1)
-// must silence it for the MPSM algorithms by falling back to the row path.
+// TestColumnarBatchCounters pins when Result.Batch reports traffic: B-MPSM,
+// P-MPSM and the hash joins (which always batch their probe output) must
+// report every match of an inner join as batched.
 func TestColumnarBatchCounters(t *testing.T) {
 	r := GenerateUniform("R", 1000, 207)
 	s := GenerateForeignKey("S", r, 4000, 208)
@@ -94,61 +113,47 @@ func TestColumnarBatchCounters(t *testing.T) {
 				alg, res.Batch, res.Matches)
 		}
 	}
-
-	for _, alg := range []Algorithm{BMPSM, PMPSM} {
-		res, err := engine.Join(context.Background(), r, s, WithAlgorithm(alg), WithBatchSize(-1))
-		if err != nil {
-			t.Fatalf("%v row: %v", alg, err)
-		}
-		if res.Batch.Batches != 0 || res.Batch.Tuples != 0 {
-			t.Fatalf("%v: WithBatchSize(-1) still reported batch traffic %+v", alg, res.Batch)
-		}
-	}
 }
 
-// TestColumnarIneligibleFallsBackToRows verifies the eligibility guard:
-// non-inner kinds must run the row kernels (no batch traffic) and still
-// produce correct results against the row baseline.
-func TestColumnarIneligibleFallsBackToRows(t *testing.T) {
+// TestKindsReportBatchTraffic: the outer, semi and anti joins run on the
+// inner join's column runs and kernel, so their output — the classification
+// entries against the null run included — crosses the sink boundary in range
+// batches too, and the default sink folds all of it: every match is a batched
+// one, whatever the batch size, and the counts are the oracle's.
+func TestKindsReportBatchTraffic(t *testing.T) {
 	r := GenerateSkewedWithDomain("R", 500, 2000, SkewNone, 209)
 	s := GenerateSkewedWithDomain("S", 1500, 2000, SkewNone, 210)
 	engine := New(WithWorkers(3))
 
-	cases := []struct {
-		name string
-		opts []Option
-	}{
-		{"left-outer", []Option{WithKind(LeftOuterJoin)}},
-		{"semi", []Option{WithKind(SemiJoin)}},
-		{"anti", []Option{WithKind(AntiJoin)}},
-	}
-	for _, alg := range []Algorithm{BMPSM, PMPSM} {
-		for _, tc := range cases {
-			base, err := engine.Join(context.Background(), r, s,
-				append([]Option{WithAlgorithm(alg), WithBatchSize(-1)}, tc.opts...)...)
-			if err != nil {
-				t.Fatalf("%v/%s row: %v", alg, tc.name, err)
-			}
-			res, err := engine.Join(context.Background(), r, s,
-				append([]Option{WithAlgorithm(alg), WithBatchSize(4096)}, tc.opts...)...)
-			if err != nil {
-				t.Fatalf("%v/%s: %v", alg, tc.name, err)
-			}
-			if res.Batch.Batches != 0 {
-				t.Fatalf("%v/%s: ineligible join reported batch traffic %+v", alg, tc.name, res.Batch)
-			}
-			if res.Matches != base.Matches || res.MaxSum != base.MaxSum {
-				t.Fatalf("%v/%s: (matches, maxSum) = (%d, %d), row path (%d, %d)",
-					alg, tc.name, res.Matches, res.MaxSum, base.Matches, base.MaxSum)
+	for _, kind := range []JoinKind{LeftOuterJoin, SemiJoin, AntiJoin} {
+		var want mergejoin.MaxAggregate
+		for _, p := range oraclePairs(kind, r, s) {
+			want.Consume(p.R, p.S)
+		}
+		for _, alg := range []Algorithm{BMPSM, PMPSM} {
+			for _, batchSize := range []int{0, 7, 4096} {
+				res, err := engine.Join(context.Background(), r, s,
+					WithAlgorithm(alg), WithKind(kind), WithBatchSize(batchSize))
+				if err != nil {
+					t.Fatalf("%v/%v: %v", alg, kind, err)
+				}
+				if res.Matches != want.Count || res.MaxSum != want.Max {
+					t.Fatalf("%v/%v/batch=%d: (matches, maxSum) = (%d, %d), oracle (%d, %d)",
+						alg, kind, batchSize, res.Matches, res.MaxSum, want.Count, want.Max)
+				}
+				if res.Batch.Batches == 0 || res.Batch.Tuples != res.Matches {
+					t.Fatalf("%v/%v/batch=%d: Batch = %+v with %d matches; want every match batched",
+						alg, kind, batchSize, res.Batch, res.Matches)
+				}
 			}
 		}
 	}
 }
 
-// TestBandJoinsAlwaysRunColumnar: a band join has no row path left to fall
-// back to — WithBatchSize(-1), which keeps an equi-join on the row kernels,
-// changes nothing for it. Every match flows through the batch boundary under
-// both schedulers, and the result is the brute-force band join's.
+// TestBandJoinsAlwaysRunColumnar: every match of a band join flows through
+// the batch boundary under both schedulers, whatever the batch size — a
+// negative one means what 0 means — and the result is the brute-force band
+// join's.
 func TestBandJoinsAlwaysRunColumnar(t *testing.T) {
 	r := GenerateSkewedWithDomain("R", 500, 2000, SkewNone, 209)
 	s := GenerateSkewedWithDomain("S", 1500, 2000, SkewNone, 210)

@@ -79,7 +79,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithKind selects the join semantics (inner, left-outer, semi, anti). The
-// non-inner kinds are supported by the B-MPSM and P-MPSM algorithms.
+// non-inner kinds are supported by the B-MPSM and P-MPSM algorithms, where
+// they run on the inner join's column runs and merge kernel: a marker in
+// front of the sink classifies the private key groups, and every unmatched
+// (left-outer, anti) or matched (semi) private tuple reaches the sink paired
+// with the zero Tuple.
 func WithKind(k JoinKind) Option {
 	return func(s *settings) { s.kind = k }
 }
@@ -158,18 +162,14 @@ func WithMorselSize(tuples int) Option {
 	return func(s *settings) { s.morselSize = tuples }
 }
 
-// WithBatchSize controls the columnar batch execution path of the inner-join
-// match phases of B-MPSM and P-MPSM: runs are generated as sorted key/payload
-// column pairs (structure-of-arrays) and the merge kernel scans contiguous
-// key columns, emitting one range entry per matching key group — folded
-// whole by the aggregating sinks, expanded into column batches for the
-// others — in batches of n entries. n == 0 (the default) selects the built-in
-// batch size of 1024; a positive n is the batch size; a negative n keeps
-// equi-joins on the row-at-a-time kernels. Band joins run columnar whatever n
-// is (at the default size when it is negative); non-inner kinds, D-MPSM and
-// the hash-join baselines are unaffected (though the hash joins always batch
-// their probe output). Both paths produce identical results; Result.Batch
-// reports the batch traffic.
+// WithBatchSize sets the batch size of the merge output of B-MPSM and P-MPSM.
+// Both run every join — whatever its kind or band — on sorted key/payload
+// column runs, and the merge kernel emits one range entry per matching key
+// group, folded whole by the aggregating sinks and expanded into column
+// batches for the others, n entries at a time. n <= 0 (the default) selects
+// the built-in size of 1024. D-MPSM and the hash-join baselines ignore it
+// (the hash joins always batch their probe output). Results do not depend on
+// n; Result.Batch reports the batch traffic.
 func WithBatchSize(n int) Option {
 	return func(s *settings) { s.batchSize = n }
 }

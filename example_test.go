@@ -102,14 +102,14 @@ func ExampleEngine_Join_cancellation() {
 	// context canceled
 }
 
-// ExampleJoin demonstrates the deprecated one-shot API, kept for
-// compatibility: generate a dimension table R and a fact table S whose keys
-// reference R, then run the range-partitioned MPSM join.
-func ExampleJoin() {
+// ExampleEngine_Join demonstrates a one-shot join: generate a dimension table
+// R and a fact table S whose keys reference R, then run the range-partitioned
+// MPSM join on a throwaway engine.
+func ExampleEngine_Join() {
 	r := mpsm.GenerateUniform("R", 10_000, 1)
 	s := mpsm.GenerateForeignKey("S", r, 40_000, 2)
 
-	res, err := mpsm.Join(r, s, mpsm.Config{Algorithm: mpsm.PMPSM, Workers: 4})
+	res, err := mpsm.New(mpsm.WithAlgorithm(mpsm.PMPSM), mpsm.WithWorkers(4)).Join(context.Background(), r, s)
 	if err != nil {
 		panic(err)
 	}
@@ -118,9 +118,9 @@ func ExampleJoin() {
 	// true
 }
 
-// ExampleJoin_kinds demonstrates the non-inner join kinds. The semi and anti
+// ExampleEngine_Join_kinds demonstrates the non-inner join kinds. The semi and anti
 // join cardinalities always partition the private input.
-func ExampleJoin_kinds() {
+func ExampleEngine_Join_kinds() {
 	r := mpsm.GenerateSkewedWithDomain("R", 5_000, 10_000, mpsm.SkewNone, 3)
 	s := mpsm.GenerateSkewedWithDomain("S", 20_000, 10_000, mpsm.SkewNone, 4)
 	engine := mpsm.New(mpsm.WithWorkers(4))

@@ -34,20 +34,11 @@ import (
 // the per-batch sink call.
 const DefaultSize = 1024
 
-// Size normalizes a configured batch size: 0 selects DefaultSize, negative
-// values disable the columnar path entirely (callers treat <= 0 after
-// normalization as "row-at-a-time"), and positive values are used as given.
-func Size(configured int) int {
-	if configured == 0 {
-		return DefaultSize
-	}
-	return configured
-}
-
 // Run is a sorted worker-local run in columnar form: the key column in
 // ascending order and the payload column permuted alongside it, so
-// Keys[i] and Payloads[i] together form the i-th tuple of the run. It is the
-// structure-of-arrays sibling of relation.Run.
+// Keys[i] and Payloads[i] together form the i-th tuple of the run. Runs are
+// the unit the MPSM join phase operates on: each worker merge joins its
+// private run against all public runs.
 type Run struct {
 	// Worker is the worker that produced the run; Node is the NUMA node the
 	// run's column buffers live on.
@@ -72,7 +63,7 @@ func NewRun(worker, node, n int, lease *memory.Lease) *Run {
 }
 
 // Tuples interleaves the run back into an array-of-structs slice, appending
-// to dst. It is a test and fallback helper, not a hot-path operation.
+// to dst. It is a test helper, not a hot-path operation.
 func (r *Run) Tuples(dst []relation.Tuple) []relation.Tuple {
 	for i := range r.Keys {
 		dst = append(dst, relation.Tuple{Key: r.Keys[i], Payload: r.Payloads[i]})
@@ -95,14 +86,24 @@ type Columns struct {
 // its equal-key group when Band is 0, the keys within Band of the group's key
 // otherwise. Neither side of an entry is empty, and the four index columns
 // share one length.
+//
+// The outer, semi and anti joins classify private key groups rather than
+// pair them, and report each classified group as an entry too: its window is
+// [0, 1) of the null run, a one-tuple public run {0, 0}, in a batch marked
+// Null. A consumer that folds entries needs no case for it — the group's
+// pairs are (r, zero tuple) — and one that takes pairs is handed exactly
+// those.
 type Ranges struct {
 	// RKeys/RPayloads are the private run the entries index, SKeys/SPayloads
 	// the public one.
 	RKeys, RPayloads []uint64
 	SKeys, SPayloads []uint64
 	// Band is the join's band width; 0 means every pair of an entry shares
-	// its key.
-	Band            uint64
+	// its key, unless the batch is Null.
+	Band uint64
+	// Null marks a batch against the null run: the public side of every pair
+	// is the zero tuple, whatever the private key.
+	Null            bool
 	I, IEnd, Lo, Hi []int32
 	// Pairs is the number of pairs the entries stand for: the sum of their
 	// m·n. The kernel keeps it as it emits, so no consumer has to take a pass

@@ -8,17 +8,25 @@ import (
 	"repro/internal/relation"
 )
 
+// TestSize pins the batch-size normalisation: anything that is not a positive
+// size — 0 and, since the row regime went, negative values alike — selects
+// DefaultSize.
 func TestSize(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{0, DefaultSize},
-		{-1, -1},
+		{-1, DefaultSize},
 		{1, 1},
 		{4096, 4096},
 	}
 	for _, tc := range cases {
-		if got := Size(tc.in); got != tc.want {
-			t.Fatalf("Size(%d) = %d, want %d", tc.in, got, tc.want)
+		sc := NewScratch(tc.in, nil)
+		if got := sc.Cap(); got != tc.want {
+			t.Fatalf("NewScratch(%d).Cap() = %d, want %d", tc.in, got, tc.want)
 		}
+		if b := sc.Ranges(nil, nil, nil, nil, 0); len(b.I) != tc.want || len(b.Hi) != tc.want || b.Null {
+			t.Fatalf("NewScratch(%d): range batch of %d entries (null=%v), want %d", tc.in, len(b.I), b.Null, tc.want)
+		}
+		sc.Close()
 	}
 }
 

@@ -65,7 +65,7 @@ func TestBandJoinsMatchOracleOnColumnRuns(t *testing.T) {
 								t.Fatalf("%s: pair %d = %+v, oracle has %+v", name, i, gotPairs[i], wantPairs[i])
 							}
 						}
-						opts.BatchSize = -1 // folds through the default sink; the row path is not an option for a band
+						opts.BatchSize = 0 // the default size, folded by the default sink
 						res := bmpsm
 						if alg == "P" {
 							res = pmpsm

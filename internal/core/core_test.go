@@ -31,6 +31,14 @@ func bmpsm(r, s *relation.Relation, opts Options) *result.Result {
 	return res
 }
 
+// mpsmByName returns the in-memory variant a table-free test names "B" or "P".
+func mpsmByName(alg string) func(r, s *relation.Relation, opts Options) *result.Result {
+	if alg == "B" {
+		return bmpsm
+	}
+	return pmpsm
+}
+
 func dmpsm(r, s *relation.Relation, opts Options, diskOpts DiskOptions) (*result.Result, DiskStats) {
 	res, stats, err := DMPSM(context.Background(), r, s, opts, diskOpts)
 	if err != nil {
@@ -311,7 +319,7 @@ func TestDMPSMEmptyInputs(t *testing.T) {
 }
 
 func TestOptionsNormalize(t *testing.T) {
-	o := Options{}.normalize()
+	o := Options{}.Normalize()
 	if o.Workers <= 0 {
 		t.Fatal("Workers default missing")
 	}
@@ -326,12 +334,12 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 
 	// Histogram bits must cover at least one cluster per worker.
-	o = Options{Workers: 64, HistogramBits: 2}.normalize()
+	o = Options{Workers: 64, HistogramBits: 2}.Normalize()
 	if o.HistogramBits < 6 {
 		t.Fatalf("HistogramBits = %d, want >= log2(64) = 6", o.HistogramBits)
 	}
 	// And it must be capped.
-	o = Options{Workers: 2, HistogramBits: 40}.normalize()
+	o = Options{Workers: 2, HistogramBits: 40}.Normalize()
 	if o.HistogramBits > 20 {
 		t.Fatalf("HistogramBits = %d, want capped at 20", o.HistogramBits)
 	}
@@ -358,7 +366,7 @@ func TestLog2Ceil(t *testing.T) {
 }
 
 func TestChunkSourceNode(t *testing.T) {
-	topo := Options{}.normalize().Topology
+	topo := Options{}.Normalize().Topology
 	if n := chunkSourceNode(0, 8, topo); n != 0 {
 		t.Fatalf("chunk 0 node = %d", n)
 	}

@@ -62,10 +62,15 @@ type DiskStats struct {
 // upcoming public pages asynchronously, and already-processed pages are
 // released from RAM.
 //
-// Simplification documented in DESIGN.md: each worker materializes its own
+// One simplification against the paper: each worker materializes its own
 // private run (|R|/T tuples) in memory for the duration of the join, while the
 // public input — the dominant data volume — is strictly paged through the
 // buffer pool under the configured budget.
+//
+// D-MPSM is inner-only and the single production caller of the row kernels
+// (sorting.SortInto, mergejoin.Join): its runs are pages of []Tuple on the
+// simulated disk, and moving them to column pages means a new page format in
+// internal/storage.
 //
 // With Options.Scheduler == sched.Morsel, phase 3 runs as stolen
 // (private-run, public-run) morsels: each task walks one public run's pages
@@ -79,15 +84,15 @@ type DiskStats struct {
 // generation, and per page during the join; a canceled context aborts the
 // join and returns ctx.Err().
 func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options, diskOpts DiskOptions) (*result.Result, DiskStats, error) {
-	opts = opts.normalize()
+	opts = opts.Normalize()
 	diskOpts = diskOpts.normalize()
 	if err := ctx.Err(); err != nil {
 		return nil, DiskStats{}, err
 	}
 	workers := opts.Workers
 	res := &result.Result{Algorithm: "D-MPSM", Workers: workers}
-	rt := runtimeFor(opts)
-	lease := leaseFor(opts)
+	rt := RuntimeFor(opts)
+	lease := LeaseFor(opts)
 	defer lease.Release()
 	start := time.Now()
 
@@ -111,7 +116,7 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 		lease.PutTuples(tuples)
 	})
 	res.AddPhase("phase 1", phase1)
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := Checkpoint(ctx, rt, lease); err != nil {
 		return nil, DiskStats{}, err
 	}
 
@@ -127,7 +132,7 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 		lease.PutTuples(tuples)
 	})
 	res.AddPhase("phase 2", phase2)
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := Checkpoint(ctx, rt, lease); err != nil {
 		return nil, DiskStats{}, err
 	}
 
@@ -155,7 +160,7 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// Close runs even on cancellation (the sink lifecycle promises it); the
 	// context error still wins as the join's outcome.
 	closeErr := out.Close()
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := Checkpoint(ctx, rt, lease); err != nil {
 		return nil, stats, err
 	}
 	if closeErr != nil {

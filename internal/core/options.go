@@ -64,7 +64,11 @@ type Options struct {
 	// zero value is an inner join. Non-inner kinds are supported by B-MPSM
 	// and P-MPSM; the paper names them as future work and they fit MPSM
 	// naturally because each worker owns a disjoint part of the private
-	// input and sees all of its potential partners.
+	// input and sees all of its potential partners. They run on the same
+	// column runs and merge kernel as inner joins, behind a mergejoin.Marker
+	// that classifies the private key groups. D-MPSM is inner-only
+	// (exec.validateJoin rejects the rest) and the hash joins return an
+	// error.
 	Kind mergejoin.Kind
 
 	// Band turns the equi-join into a non-equi band join: tuples match when
@@ -116,16 +120,12 @@ type Options struct {
 	// public-run) pairs as its morsels and ignores this setting.
 	MorselSize int
 
-	// BatchSize controls the columnar batch execution path of the inner-join
-	// match phases (B-MPSM and P-MPSM, Static and Morsel): runs are generated
-	// in structure-of-arrays form (sorted key column plus permuted payload
-	// column) and the merge kernel scans contiguous key columns, emitting one
-	// range entry per matching key group in batches of this many entries
-	// (expanded, for sinks that take no ranges, into column batches of as
-	// many pairs). 0 selects the default batch size (batch.DefaultSize); a
-	// positive value is the batch size; a negative value keeps equi-joins on
-	// the row-at-a-time kernels — band joins run columnar regardless, at the
-	// default size. Non-inner kinds and D-MPSM always use the row path.
+	// BatchSize is the number of range entries per batch of merge output in
+	// the match phases of B-MPSM and P-MPSM: the merge kernel emits one entry
+	// per matching key group and hands the sink a batch at a time (expanded,
+	// for sinks that take no ranges, into column batches of as many pairs).
+	// 0 or a negative value selects batch.DefaultSize. D-MPSM and the hash
+	// joins ignore it.
 	BatchSize int
 
 	// Sink receives the joined tuple stream. A nil Sink selects the built-in
@@ -171,8 +171,8 @@ type Options struct {
 	CostModel numa.CostModel
 }
 
-// normalize fills in defaults and derived values.
-func (o Options) normalize() Options {
+// Normalize fills in defaults and derived values.
+func (o Options) Normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}

@@ -5,14 +5,14 @@ import (
 
 	"repro/internal/memory"
 	"repro/internal/numa"
-	"repro/internal/relation"
 	"repro/internal/sched"
-	"repro/internal/sorting"
 )
 
-// runtimeFor creates the shared parallel runtime of one join execution from
-// normalized options.
-func runtimeFor(opts Options) *sched.Runtime {
+// RuntimeFor creates the shared parallel runtime of one join execution from
+// normalized options. It is exported, like LeaseFor, Checkpoint and
+// Options.Normalize, for the hash-join baselines, which run on the same
+// options, runtime and lease discipline as the MPSM variants.
+func RuntimeFor(opts Options) *sched.Runtime {
 	return sched.New(sched.Config{
 		Workers:   opts.Workers,
 		Topology:  opts.Topology,
@@ -23,63 +23,21 @@ func runtimeFor(opts Options) *sched.Runtime {
 	})
 }
 
-// leaseFor checks out the join's scratch lease with fault injection armed.
-func leaseFor(opts Options) *memory.Lease {
+// LeaseFor checks out the join's scratch lease with fault injection armed.
+func LeaseFor(opts Options) *memory.Lease {
 	return opts.Scratch.AcquireFor(opts.Owner).InjectFaults(opts.Faults)
 }
 
-// checkpoint is the phase-boundary error check of every algorithm: a
+// Checkpoint is the phase-boundary error check of every algorithm: a
 // recovered worker panic poisons the runtime and wins over plain
 // cancellation; either way the lease is poisoned on panic so its buffers are
 // quarantined rather than reused.
-func checkpoint(ctx context.Context, rt *sched.Runtime, lease *memory.Lease) error {
+func Checkpoint(ctx context.Context, rt *sched.Runtime, lease *memory.Lease) error {
 	if err := rt.Err(); err != nil {
 		lease.Poison()
 		return err
 	}
 	return ctx.Err()
-}
-
-// sortChunkIntoRun sorts one chunk of the input relation into a worker-local
-// run whose buffer comes from the join's scratch lease (or a fresh allocation
-// when pooling is off). The redistribution into NUMA-local memory the paper
-// prescribes ("chunk the data, redistribute, and then sort/work on your data
-// locally") is fused with the first radix digit: SortInto scatters the chunk
-// into the run buffer as the widest partitioning pass, so the copy costs no
-// separate pass.
-//
-// srcNode is the NUMA node the source chunk resides on (the input relation is
-// assumed to be range-chunked over the nodes); the run itself is allocated on
-// the worker's home node. If presorted is true and the chunk is verified to be
-// in key order already, the sorting pass is skipped (exploiting pre-existing
-// sort orders, as the paper suggests) and the chunk is merely copied.
-func sortChunkIntoRun(chunk relation.Chunk, srcNode int, presorted bool, w *sched.Worker, lease *memory.Lease) *relation.Run {
-	run := &relation.Run{
-		Worker: w.ID(),
-		Node:   w.Node(),
-		Tuples: lease.Tuples(len(chunk.Tuples)),
-	}
-	skippedSort := presorted && relation.IsSortedByKey(chunk.Tuples)
-	if skippedSort {
-		copy(run.Tuples, chunk.Tuples)
-	} else {
-		sorting.SortInto(chunk.Tuples, run.Tuples)
-	}
-
-	if tracker := w.Tracker(); tracker != nil {
-		n := uint64(len(chunk.Tuples))
-		// Copying reads the source sequentially and writes the local run
-		// sequentially; sorting then performs O(n) passes of local
-		// random accesses (one radix scatter pass plus the in-cache
-		// IntroSort work, charged as two read/write passes).
-		tracker.SeqRead(srcNode, n)
-		tracker.SeqWrite(run.Node, n)
-		if !skippedSort {
-			tracker.RandRead(run.Node, 2*n)
-			tracker.RandWrite(run.Node, 2*n)
-		}
-	}
-	return run
 }
 
 // chunkSourceNode maps an input chunk index to the NUMA node its memory is

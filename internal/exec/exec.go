@@ -271,33 +271,13 @@ func Join(ctx context.Context, alg Algorithm, r, s *relation.Relation, opts core
 		}
 		return res, &stats, nil
 	case AlgorithmWisconsin:
-		res, err := hashjoin.Wisconsin(ctx, r, s, hashJoinOptions(opts))
+		res, err := hashjoin.Wisconsin(ctx, r, s, opts)
 		return res, nil, err
 	case AlgorithmRadix:
-		res, err := hashjoin.Radix(ctx, r, s, hashjoin.RadixOptions{Options: hashJoinOptions(opts)})
+		res, err := hashjoin.Radix(ctx, r, s, hashjoin.RadixOptions{Options: opts})
 		return res, nil, err
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown algorithm %v", alg)
-	}
-}
-
-// hashJoinOptions projects the shared join options onto the hash-join
-// baselines (which have no splitters, histograms or disk, but share the
-// worker pool, NUMA accounting, sink and scheduling configuration).
-func hashJoinOptions(opts core.Options) hashjoin.Options {
-	return hashjoin.Options{
-		Workers:    opts.Workers,
-		Topology:   opts.Topology,
-		TrackNUMA:  opts.TrackNUMA,
-		CostModel:  opts.CostModel,
-		Sink:       opts.Sink,
-		KeyCheck:   opts.KeyCheck,
-		Scheduler:  opts.Scheduler,
-		MorselSize: opts.MorselSize,
-		Scratch:    opts.Scratch,
-		Owner:      opts.Owner,
-		Gate:       opts.Gate,
-		Faults:     opts.Faults,
 	}
 }
 

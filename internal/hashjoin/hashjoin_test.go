@@ -263,3 +263,22 @@ func TestSharedTableDirect(t *testing.T) {
 		t.Fatalf("probe(5) found %d matches, want 0", c.Count)
 	}
 }
+
+// TestHashJoinsRejectKindsAndBands: the hash joins share core.Options with the
+// MPSM variants and so can see Kind and Band; called directly — below
+// exec.validateJoin, which rejects both earlier — they must return an error
+// rather than silently run an inner equi-join.
+func TestHashJoinsRejectKindsAndBands(t *testing.T) {
+	r, s := testDataset(100, 2, 5)
+	for name, opts := range map[string]Options{
+		"semi": {Workers: 2, Kind: mergejoin.Semi},
+		"band": {Workers: 2, Band: 3},
+	} {
+		if res, err := Wisconsin(context.Background(), r, s, opts); err == nil || res != nil {
+			t.Errorf("Wisconsin accepted a %s join: (%v, %v)", name, res, err)
+		}
+		if res, err := Radix(context.Background(), r, s, RadixOptions{Options: opts}); err == nil || res != nil {
+			t.Errorf("Radix accepted a %s join: (%v, %v)", name, res, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/numa"
@@ -57,14 +58,17 @@ func choosePartitionBits(buildSize int) int {
 // Cancellation is checked at phase boundaries and per partition inside the
 // join loop; a canceled context aborts the join and returns ctx.Err().
 func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*result.Result, error) {
-	o := opts.Options.normalize()
+	if err := validate("the radix hash join", opts.Options); err != nil {
+		return nil, err
+	}
+	o := opts.Options.Normalize()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	workers := o.Workers
 	res := &result.Result{Algorithm: "Radix HJ", Workers: workers}
-	rt := runtimeFor(o)
-	lease := leaseFor(o)
+	rt := core.RuntimeFor(o)
+	lease := core.LeaseFor(o)
 	defer lease.Release()
 	start := time.Now()
 
@@ -87,7 +91,7 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 		sParts = partitionMultiPass(ctx, rt, s, bitsUsed, passes, maxKey, o.Topology, lease)
 	})
 	res.AddPhase("partition", partitionTime)
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := core.Checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
 	parts := len(rParts)
@@ -120,7 +124,7 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 	// Close runs even on cancellation (the sink lifecycle promises it); the
 	// context error still wins as the join's outcome.
 	closeErr := out.Close()
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := core.Checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
 	if closeErr != nil {

@@ -19,12 +19,12 @@ package hashjoin
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultinject"
+	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/numa"
@@ -34,96 +34,28 @@ import (
 	"repro/internal/sink"
 )
 
-// Options configures the hash-join baselines.
-type Options struct {
-	// Workers is the degree of parallelism; 0 selects GOMAXPROCS.
-	Workers int
-	// Topology is the simulated NUMA topology used for access accounting.
-	Topology numa.Topology
-	// TrackNUMA enables NUMA access accounting.
-	TrackNUMA bool
-	// CostModel converts access statistics into a simulated duration; only
-	// used when TrackNUMA is set. The zero value selects the default model.
-	CostModel numa.CostModel
-	// Sink receives the joined tuple stream. A nil Sink selects the built-in
-	// max-sum aggregate of the paper's evaluation query.
-	Sink sink.Sink
-	// KeyCheck, when non-nil, verifies every candidate pair before it is
-	// counted or handed to the sink — the tie-break path of normalized-key
-	// execution (see internal/keys). Nil delivers pairs unverified.
-	KeyCheck sink.PairCheck
-	// Scheduler selects static per-worker loops (the default) or
-	// morsel-driven scheduling, where build/probe blocks and partition
-	// pairs are stolen by idle workers.
-	Scheduler sched.Mode
-	// MorselSize is the number of tuples per build/probe morsel; 0 selects
-	// the shared default.
-	MorselSize int
-	// Scratch, when non-nil, is the engine-wide scratch pool the join draws
-	// its hash-table and partition buffers from; see internal/memory.
-	Scratch *memory.Pool
-	// Owner attributes the join's scratch lease to a query's admission
-	// reservation for per-query accounting in memory.PoolStats.
-	Owner *memory.Reservation
-	// Gate subjects the join's workers to the serving layer's weighted
-	// fair-share arbiter; nil disables gating.
-	Gate *sched.Ticket
-	// Faults arms deterministic fault injection inside the join's workers
-	// and scratch lease; nil (the default) injects nothing.
-	Faults *faultinject.Set
-}
+// Options configures the hash-join baselines: the options struct of the MPSM
+// variants, so one value configures all five algorithms. The hash joins read
+// the worker, scheduler, sink, scratch, gate, fault and NUMA fields; they
+// have no splitters, histograms, presorted fast paths or batch size, and
+// they are inner equi-joins only — see validate.
+type Options = core.Options
 
 // cancelBlock is how many tuples a hash-join worker processes between two
 // cancellation checks; the build and probe loops have no natural chunk
 // boundary, so this is their chunk size.
 const cancelBlock = 8192
 
-// canceled reports whether the context has been canceled without blocking.
-func canceled(ctx context.Context) bool { return mergejoin.Canceled(ctx) }
-
-// normalize fills in defaults.
-func (o Options) normalize() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+// validate rejects the join flavours the hash joins do not implement rather
+// than silently running an inner equi-join in their place.
+func validate(algorithm string, o Options) error {
+	if o.Kind != mergejoin.Inner {
+		return fmt.Errorf("hashjoin: %s supports inner joins only, got kind %v", algorithm, o.Kind)
 	}
-	if o.Topology.Nodes == 0 {
-		o.Topology = numa.DefaultTopology()
+	if o.Band != 0 {
+		return fmt.Errorf("hashjoin: %s supports equi-joins only, got band width %d", algorithm, o.Band)
 	}
-	if o.CostModel == (numa.CostModel{}) {
-		o.CostModel = numa.DefaultCostModel()
-	}
-	if o.MorselSize <= 0 {
-		o.MorselSize = sched.DefaultMorselSize
-	}
-	return o
-}
-
-// runtimeFor creates the shared parallel runtime for one hash join.
-func runtimeFor(o Options) *sched.Runtime {
-	return sched.New(sched.Config{
-		Workers:   o.Workers,
-		Topology:  o.Topology,
-		TrackNUMA: o.TrackNUMA,
-		Gate:      o.Gate,
-		Label:     o.Owner.Label(),
-		Faults:    o.Faults,
-	})
-}
-
-// leaseFor checks out the join's scratch lease with fault injection armed.
-func leaseFor(o Options) *memory.Lease {
-	return o.Scratch.AcquireFor(o.Owner).InjectFaults(o.Faults)
-}
-
-// checkpoint is the phase-boundary error check: a recovered worker panic
-// poisons the runtime and wins over plain cancellation; either way the lease
-// is poisoned on panic so its buffers are quarantined rather than reused.
-func checkpoint(ctx context.Context, rt *sched.Runtime, lease *memory.Lease) error {
-	if err := rt.Err(); err != nil {
-		lease.Poison()
-		return err
-	}
-	return ctx.Err()
+	return nil
 }
 
 // sharedTable is the global hash table of the no-partitioning join. Bucket
@@ -204,7 +136,7 @@ func (t *sharedTable) probe(tup relation.Tuple, out mergejoin.Consumer) (inspect
 func insertBlock(table *sharedTable, tuples []relation.Tuple, baseSlot int, ctx context.Context, w *sched.Worker, topo numa.Topology) {
 	var retries uint64
 	for i, tup := range tuples {
-		if i%cancelBlock == 0 && canceled(ctx) {
+		if i%cancelBlock == 0 && mergejoin.Canceled(ctx) {
 			return
 		}
 		retries += table.insert(int32(baseSlot+i), tup)
@@ -228,7 +160,7 @@ func probeBlock(table *sharedTable, tuples []relation.Tuple, ctx context.Context
 	defer pb.close()
 	var inspected uint64
 	for i, tup := range tuples {
-		if i%cancelBlock == 0 && canceled(ctx) {
+		if i%cancelBlock == 0 && mergejoin.Canceled(ctx) {
 			return
 		}
 		inspected += table.probe(tup, pb)
@@ -265,14 +197,17 @@ func blockTasks(chunks []relation.Chunk, morselSize int, fn func(block relation.
 // the phase boundary and every cancelBlock tuples inside the build and probe
 // loops; a canceled context aborts the join and returns ctx.Err().
 func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*result.Result, error) {
-	opts = opts.normalize()
+	if err := validate("the Wisconsin hash join", opts); err != nil {
+		return nil, err
+	}
+	opts = opts.Normalize()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	workers := opts.Workers
 	res := &result.Result{Algorithm: "Wisconsin", Workers: workers}
-	rt := runtimeFor(opts)
-	lease := leaseFor(opts)
+	rt := core.RuntimeFor(opts)
+	lease := core.LeaseFor(opts)
 	defer lease.Release()
 	start := time.Now()
 
@@ -294,7 +229,7 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 		})
 	}
 	res.AddPhase("build", buildTime)
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := core.Checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
 
@@ -315,7 +250,7 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	// Close runs even on cancellation (the sink lifecycle promises it); the
 	// context error still wins as the join's outcome.
 	closeErr := out.Close()
-	if err := checkpoint(ctx, rt, lease); err != nil {
+	if err := core.Checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
 	if closeErr != nil {

@@ -12,10 +12,11 @@ import "repro/internal/relation"
 // window of the public run. The kernel keeps a sliding window over the public
 // input and therefore runs in O(|private| + |public| + |output|).
 //
-// Production no longer calls it: B-MPSM and P-MPSM run band joins on column
+// Production does not call it: B-MPSM and P-MPSM run band joins on column
 // runs through JoinColumnsBand, which emits a window per key group instead of
-// a call per pair. JoinBand stays as the row-at-a-time sibling the tests
-// check that kernel against, pair for pair, and as a benchmark probe.
+// a call per pair. JoinBand stays, under its name, as the row-at-a-time
+// sibling the tests check that kernel against, pair for pair, and as the
+// benchmark's mergejoin.band_ns_per_tuple probe.
 //
 // Both inputs must be sorted by ascending key.
 func JoinBand(private, public []relation.Tuple, band uint64, out Consumer) {

@@ -231,21 +231,28 @@ func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consu
 func emitRanges(out Consumer, b *batch.Ranges, n int, sc *batch.Scratch) {
 	full := *b
 	b.I, b.IEnd, b.Lo, b.Hi = full.I[:n], full.IEnd[:n], full.Lo[:n], full.Hi[:n]
+	deliverRanges(out, b, sc)
+	*b = full
+	b.Pairs = 0
+}
+
+// deliverRanges is the one place a range batch crosses to a consumer: whole
+// if the consumer takes it, pair by pair through expandRanges otherwise.
+func deliverRanges(out Consumer, b *batch.Ranges, sc *batch.Scratch) {
 	if rc, ok := out.(RangeConsumer); !ok || !rc.ConsumeRanges(b) {
 		expandRanges(out, b, sc)
 	}
-	*b = full
-	b.Pairs = 0
 }
 
 // expandRanges delivers every pair of a range batch, private tuple by private
 // tuple as the row kernels do. Equi-join pairs are gathered into the
 // scratch's columns — the single pass that touches payload memory — and cross
 // the consumer boundary a column batch at a time. A band pair carries two
-// keys where a column batch has room for one, so band pairs are delivered one
-// by one with both.
+// keys where a column batch has room for one, and so does a pair against the
+// null run (its public key is 0, not the private key): those are delivered
+// one by one with both tuples.
 func expandRanges(out Consumer, b *batch.Ranges, sc *batch.Scratch) {
-	if b.Band > 0 {
+	if b.Band > 0 || b.Null {
 		for x, i := range b.I {
 			for a := i; a < b.IEnd[x]; a++ {
 				r := relation.Tuple{Key: b.RKeys[a], Payload: b.RPayloads[a]}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/relation"
+	"repro/internal/search"
 )
 
 // sortedColumns builds a key-sorted tuple slice from (key, payload) pairs and
@@ -268,8 +269,9 @@ func TestSkipEntersPublicRunAtTheWindow(t *testing.T) {
 	}
 }
 
-// TestJoinColumnsWithSkipMatchesRow requires the skip variant to report the
-// same scanned count and matches as the row JoinWithSkip.
+// TestJoinColumnsWithSkipMatchesRow requires the skip variant to scan exactly
+// the window of the public run the private key range reaches and to emit the
+// row kernel's pairs, in its order.
 func TestJoinColumnsWithSkipMatchesRow(t *testing.T) {
 	// Private run covering a narrow key band in the middle of the public run.
 	rTuples := make([]relation.Tuple, 0, 64)
@@ -280,7 +282,10 @@ func TestJoinColumnsWithSkipMatchesRow(t *testing.T) {
 	sTuples, sKeys, sPays := randomSorted(20000, 10000, 3)
 
 	var want, got plainConsumer
-	wantScanned := JoinWithSkip(rTuples, sTuples, &want)
+	start := search.LowerBound(sTuples, rTuples[0].Key)
+	end := search.UpperBound(sTuples, rTuples[len(rTuples)-1].Key)
+	wantScanned := end - start
+	Join(rTuples, sTuples[start:end], &want)
 	gotScanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, &got, nil)
 	if gotScanned != wantScanned {
 		t.Fatalf("scanned %d, want %d", gotScanned, wantScanned)

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/batch"
+	"repro/internal/memory"
 	"repro/internal/relation"
-	"repro/internal/search"
 )
 
 // Kind selects the join semantics of the MPSM variants. The paper's future
@@ -49,113 +50,102 @@ func (k Kind) String() string {
 // Valid reports whether k is a known join kind.
 func (k Kind) Valid() bool { return k >= Inner && k <= Anti }
 
-// JoinRunsKind merge joins one sorted private run against all sorted public
-// runs with the requested join semantics and returns the number of public
-// tuples scanned.
+// Marker turns the one merge kernel into a left-outer, semi or anti join. The
+// non-inner kinds classify private key groups rather than pair tuples, so
+// they are a consumer in front of the kernel, not a kernel of their own: the
+// marker takes the range entries JoinColumnsBand/JoinColumnsWithSkip emit for
+// one private run (or segment of one) across all public runs, records which
+// private key groups found a partner, and passes the entries on to the sink
+// writer (LeftOuter: outer output contains every inner match) or swallows
+// them (Semi, Anti: a fold that never expands an entry nor reads a payload).
+// After the last public run — only then is a group that matches in the final
+// run classified correctly — Finish reports the unmatched (LeftOuter, Anti)
+// or matched (Semi) groups as ordinary range entries against the null run
+// {0, 0}: aggregates fold them with the code they fold matches with, and
+// pair-taking sinks receive Consume(r, relation.Tuple{}) per private tuple.
 //
-// For Inner it behaves exactly like JoinAgainstRuns. For the other kinds the
-// kernel tracks, per private tuple, whether any public run produced a match;
-// the unmatched/matched results are emitted after the last public run so that
-// a tuple matching only in the final run is classified correctly. Non-inner
-// results carry the zero relation.Tuple on the public side.
-func JoinRunsKind(kind Kind, private []relation.Tuple, publicRuns []*relation.Run, out Consumer) (publicScanned int) {
-	return JoinRunsKindCtx(context.Background(), kind, private, publicRuns, out)
+// One mark per private position, set at the group's first tuple, is drawn
+// from the join's lease; a Marker serves one private run and one goroutine.
+type Marker struct {
+	kind         Kind
+	rKeys, rPays []uint64
+	out          Consumer
+	sc           *batch.Scratch
+	lease        *memory.Lease
+	marks        []uint64 // bitset over private positions
 }
 
-// JoinRunsKindCtx is JoinRunsKind with a cancellation check between public
-// runs — the chunk unit of the merge loop. On cancellation it returns early
-// with a partial scan count and emits nothing further (the per-tuple match
-// state would be incomplete); the caller is expected to discard the partial
+// nullRun is both columns of the one-tuple public run {0, 0} that stands for
+// "no partner" in the entries Finish emits.
+var nullRun = []uint64{0}
+
+// NewMarker returns the marker of one private run for a LeftOuter, Semi or
+// Anti join; Inner joins hand the kernel the sink writer itself. The kernel
+// calls that use the marker as their consumer must join exactly
+// rKeys/rPays, through sc.
+func NewMarker(kind Kind, rKeys, rPays []uint64, out Consumer, sc *batch.Scratch, lease *memory.Lease) *Marker {
+	if kind != LeftOuter && kind != Semi && kind != Anti {
+		panic(fmt.Sprintf("mergejoin: no marker for join kind %d", int(kind)))
+	}
+	marks := lease.Uint64s((len(rKeys) + 63) / 64)
+	clear(marks) // leased buffers have unspecified contents
+	return &Marker{kind: kind, rKeys: rKeys, rPays: rPays, out: out, sc: sc, lease: lease, marks: marks}
+}
+
+// ConsumeRanges implements RangeConsumer: every entry is a private key group
+// with a partner.
+func (m *Marker) ConsumeRanges(b *batch.Ranges) bool {
+	for _, i := range b.I {
+		m.marks[i>>6] |= 1 << (uint(i) & 63)
+	}
+	if m.kind == LeftOuter {
+		deliverRanges(m.out, b, m.sc)
+	}
+	return true
+}
+
+// Consume implements Consumer. The kernel never calls it: ConsumeRanges takes
+// every batch.
+func (m *Marker) Consume(r, s relation.Tuple) {
+	panic("mergejoin: Marker consumes ranges only")
+}
+
+// Finish emits the classification pass and hands the marks back to the lease;
+// call it once, after the last public run. A cancelled join emits nothing
+// further — its marks are incomplete, and the caller discards the partial
 // result.
-func JoinRunsKindCtx(ctx context.Context, kind Kind, private []relation.Tuple, publicRuns []*relation.Run, out Consumer) (publicScanned int) {
-	switch kind {
-	case Inner:
-		return joinAgainstRunsCtx(ctx, private, publicRuns, out)
-	case LeftOuter, Semi, Anti:
-		// Handled below.
-	default:
-		panic(fmt.Sprintf("mergejoin: unknown join kind %d", int(kind)))
+func (m *Marker) Finish(ctx context.Context) {
+	defer m.lease.PutUint64s(m.marks)
+	if len(m.rKeys) == 0 || Canceled(ctx) {
+		return
 	}
-	if len(private) == 0 {
-		return 0
-	}
-
-	matched := make([]bool, len(private))
-	for _, pub := range publicRuns {
-		if Canceled(ctx) {
-			return publicScanned
+	wantMatched := m.kind == Semi
+	b := m.sc.Ranges(m.rKeys, m.rPays, nullRun, nullRun, 0)
+	b.Null = true
+	n := 0
+	for i := 0; i < len(m.rKeys); {
+		iEnd := i + 1
+		for iEnd < len(m.rKeys) && m.rKeys[iEnd] == m.rKeys[i] {
+			iEnd++
 		}
-		publicScanned += markAndEmit(kind, private, matched, pub.Tuples, out)
-	}
-	if Canceled(ctx) {
-		return publicScanned
-	}
-	for i, t := range private {
-		switch kind {
-		case LeftOuter, Anti:
-			if !matched[i] {
-				out.Consume(t, relation.Tuple{})
-			}
-		case Semi:
-			if matched[i] {
-				out.Consume(t, relation.Tuple{})
+		if matched := m.marks[i>>6]>>(uint(i)&63)&1 != 0; matched == wantMatched {
+			b.I[n], b.IEnd[n], b.Lo[n], b.Hi[n] = int32(i), int32(iEnd), 0, 1
+			b.Pairs += uint64(iEnd - i)
+			n++
+			if n == len(b.I) {
+				emitRanges(m.out, b, n, m.sc)
+				n = 0
 			}
 		}
+		i = iEnd
 	}
-	return publicScanned
+	if n > 0 {
+		emitRanges(m.out, b, n, m.sc)
+	}
 }
 
-// markAndEmit performs one merge pass of the private run against one public
-// run: it records which private tuples found a partner and, for LeftOuter,
-// emits the matching pairs immediately (outer join output contains all inner
-// matches). Semi and Anti joins emit nothing during the pass. It returns the
-// number of public tuples scanned after the interpolation-search skip.
-func markAndEmit(kind Kind, private []relation.Tuple, matched []bool, public []relation.Tuple, out Consumer) int {
-	if len(public) == 0 {
-		return 0
-	}
-	loKey := private[0].Key
-	hiKey := private[len(private)-1].Key
-	start := search.LowerBound(public, loKey)
-	end := search.UpperBound(public, hiKey)
-	if start >= end {
-		return 0
-	}
-	window := public[start:end]
-
-	i, j := 0, 0
-	for i < len(private) && j < len(window) {
-		rk, sk := private[i].Key, window[j].Key
-		switch {
-		case rk < sk:
-			i++
-		case rk > sk:
-			j++
-		default:
-			iEnd := i + 1
-			for iEnd < len(private) && private[iEnd].Key == rk {
-				iEnd++
-			}
-			jEnd := j + 1
-			for jEnd < len(window) && window[jEnd].Key == rk {
-				jEnd++
-			}
-			for a := i; a < iEnd; a++ {
-				matched[a] = true
-				if kind == LeftOuter {
-					for b := j; b < jEnd; b++ {
-						out.Consume(private[a], window[b])
-					}
-				}
-			}
-			i, j = iEnd, jEnd
-		}
-	}
-	return end - start
-}
-
-// ReferenceJoinKind is the oracle counterpart of JoinRunsKind used by tests:
-// a straightforward hash-based implementation of every join kind.
+// ReferenceJoinKind is the differential oracle of the join kinds: a
+// straightforward hash-based implementation of every one of them.
 func ReferenceJoinKind(kind Kind, r, s []relation.Tuple, out Consumer) {
 	switch kind {
 	case Inner:

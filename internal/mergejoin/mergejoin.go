@@ -1,18 +1,26 @@
-// Package mergejoin implements the merge-join kernel used by all MPSM
-// variants: joining one sorted private run against one or more sorted public
-// runs, emitting every matching (r, s) tuple pair to a consumer.
+// Package mergejoin implements the merge-join kernel of the MPSM variants:
+// joining one sorted private run against a sorted public run, emitting every
+// matching (r, s) tuple pair to a consumer.
 //
-// The kernel handles duplicate keys on both sides (n:m match groups), uses
-// interpolation search to skip directly to the relevant start of each public
-// run (Section 3.2.2 of the paper), and never materializes intermediate
-// results unless the consumer chooses to.
+// There is one production kernel, over column runs: JoinColumnsBand
+// (columns.go) handles duplicate keys on both sides (n:m match groups) and
+// band predicates, emits a range entry per matching key group, and behind
+// JoinColumnsWithSkip uses interpolation search to enter each public run at
+// the window the private run can reach (Section 3.2.2 of the paper). The
+// outer, semi and anti joins are a consumer in front of it (Marker,
+// kinds.go). Nothing is materialized unless the consumer chooses to.
+//
+// The row kernels stay under their names with three callers: Join is
+// D-MPSM's page join and, like JoinBand, the row-at-a-time sibling the tests
+// check the column kernel against pair for pair and a benchmark probe;
+// ReferenceJoin, ReferenceJoinKind and ReferenceJoinBand are the differential
+// oracles, which share nothing with any kernel.
 package mergejoin
 
 import (
 	"context"
 
 	"repro/internal/relation"
-	"repro/internal/search"
 )
 
 // Canceled reports whether the context has been canceled, without blocking.
@@ -126,49 +134,6 @@ func Join(private, public []relation.Tuple, out Consumer) {
 			i, j = iEnd, jEnd
 		}
 	}
-}
-
-// JoinWithSkip is Join preceded by interpolation searches that narrow the
-// public run to the key range actually covered by the private run. This is
-// the paper's phase-4 optimization: after range partitioning, a private run
-// covers only a fraction of the key domain, so most of every public run can
-// be skipped without comparisons.
-//
-// It returns the number of public tuples that were actually scanned, which the
-// benchmark harness uses to demonstrate the |S|/T vs |S| complexity difference
-// between P-MPSM and B-MPSM.
-func JoinWithSkip(private, public []relation.Tuple, out Consumer) (publicScanned int) {
-	if len(private) == 0 || len(public) == 0 {
-		return 0
-	}
-	loKey := private[0].Key
-	hiKey := private[len(private)-1].Key
-	start := search.LowerBound(public, loKey)
-	end := search.UpperBound(public, hiKey)
-	if start >= end {
-		return 0
-	}
-	Join(private, public[start:end], out)
-	return end - start
-}
-
-// JoinAgainstRuns merge joins the private run against every public run in
-// turn, using JoinWithSkip for each. It returns the total number of public
-// tuples scanned across all runs.
-func JoinAgainstRuns(private []relation.Tuple, publicRuns []*relation.Run, out Consumer) (publicScanned int) {
-	return joinAgainstRunsCtx(context.Background(), private, publicRuns, out)
-}
-
-// joinAgainstRunsCtx is JoinAgainstRuns with a cancellation check between
-// public runs.
-func joinAgainstRunsCtx(ctx context.Context, private []relation.Tuple, publicRuns []*relation.Run, out Consumer) (publicScanned int) {
-	for _, s := range publicRuns {
-		if Canceled(ctx) {
-			return publicScanned
-		}
-		publicScanned += JoinWithSkip(private, s.Tuples, out)
-	}
-	return publicScanned
 }
 
 // ReferenceJoin is a deliberately simple hash-based equi-join used as the

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/batch"
 	"repro/internal/relation"
 )
 
@@ -104,30 +105,35 @@ func TestJoinWithSkipMatchesJoin(t *testing.T) {
 
 	var full, skip MaxAggregate
 	Join(r, s, &full)
-	scanned := JoinWithSkip(r, s, &skip)
+	rKeys, rPays := columnsOf(r)
+	sKeys, sPays := columnsOf(s)
+	scanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, &skip, nil)
 	if full.Count != skip.Count || full.Max != skip.Max {
-		t.Fatalf("JoinWithSkip result differs: (%d, %d) vs (%d, %d)", skip.Count, skip.Max, full.Count, full.Max)
+		t.Fatalf("JoinColumnsWithSkip result differs: (%d, %d) vs (%d, %d)", skip.Count, skip.Max, full.Count, full.Max)
 	}
 	if scanned >= len(s) {
-		t.Fatalf("JoinWithSkip scanned %d of %d public tuples; expected a narrow band", scanned, len(s))
+		t.Fatalf("JoinColumnsWithSkip scanned %d of %d public tuples; expected a narrow band", scanned, len(s))
 	}
 	if scanned == 0 && full.Count > 0 {
-		t.Fatal("JoinWithSkip reported zero scanned tuples despite matches")
+		t.Fatal("JoinColumnsWithSkip reported zero scanned tuples despite matches")
 	}
 }
 
 func TestJoinWithSkipEmpty(t *testing.T) {
 	var c Counter
-	if n := JoinWithSkip(nil, sortedTuples([]uint64{1, 2}, 0), &c); n != 0 {
+	skip := func(r, s []relation.Tuple) int {
+		rKeys, rPays := columnsOf(r)
+		sKeys, sPays := columnsOf(s)
+		return JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, &c, nil)
+	}
+	if n := skip(nil, sortedTuples([]uint64{1, 2}, 0)); n != 0 {
 		t.Fatalf("scanned = %d, want 0", n)
 	}
-	if n := JoinWithSkip(sortedTuples([]uint64{1, 2}, 0), nil, &c); n != 0 {
+	if n := skip(sortedTuples([]uint64{1, 2}, 0), nil); n != 0 {
 		t.Fatalf("scanned = %d, want 0", n)
 	}
 	// Private range entirely outside the public range.
-	r := sortedTuples([]uint64{100, 200}, 0)
-	s := sortedTuples([]uint64{1, 2, 3}, 0)
-	if n := JoinWithSkip(r, s, &c); n != 0 {
+	if n := skip(sortedTuples([]uint64{100, 200}, 0), sortedTuples([]uint64{1, 2, 3}, 0)); n != 0 {
 		t.Fatalf("scanned = %d, want 0 for disjoint high range", n)
 	}
 	if c.Count != 0 {
@@ -135,9 +141,12 @@ func TestJoinWithSkipEmpty(t *testing.T) {
 	}
 }
 
+// TestJoinAgainstRuns joins one private run against several public runs, the
+// unit of work of an MPSM worker, and compares with the oracle over their
+// union.
 func TestJoinAgainstRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var runs []*relation.Run
+	var runs []*batch.Run
 	var allS []relation.Tuple
 	for w := 0; w < 4; w++ {
 		keys := make([]uint64, 1000)
@@ -145,7 +154,9 @@ func TestJoinAgainstRuns(t *testing.T) {
 			keys[i] = rng.Uint64() % 5000
 		}
 		tuples := sortedTuples(keys, uint64(w)*10000)
-		runs = append(runs, &relation.Run{Worker: w, Tuples: tuples})
+		run := &batch.Run{Worker: w}
+		run.Keys, run.Payloads = columnsOf(tuples)
+		runs = append(runs, run)
 		allS = append(allS, tuples...)
 	}
 	rKeys := make([]uint64, 800)
@@ -155,10 +166,10 @@ func TestJoinAgainstRuns(t *testing.T) {
 	r := sortedTuples(rKeys, 77)
 
 	var got, want MaxAggregate
-	JoinAgainstRuns(r, runs, &got)
+	joinRunsKind(Inner, r, runs, 0, &got)
 	ReferenceJoin(r, allS, &want)
 	if got.Count != want.Count || got.Max != want.Max {
-		t.Fatalf("JoinAgainstRuns (count=%d max=%d) != reference (count=%d max=%d)",
+		t.Fatalf("against runs (count=%d max=%d) != reference (count=%d max=%d)",
 			got.Count, got.Max, want.Count, want.Max)
 	}
 }

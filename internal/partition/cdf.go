@@ -3,34 +3,16 @@ package partition
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/relation"
 )
 
-// EquiHeightBounds extracts numBounds equi-height histogram bounds from a run
-// that is already sorted by key: bound j (1-based) is the key value at rank
-// j·len/numBounds. Because the run is sorted this costs only numBounds array
-// accesses — the paper's "en passant, i.e. in almost no time" observation.
+// EquiHeightBoundsKeys extracts numBounds equi-height histogram bounds from
+// the key column of a run that is already sorted: bound j (1-based) is the key
+// value at rank j·len/numBounds. Because the run is sorted this costs only
+// numBounds array accesses — the paper's "en passant, i.e. in almost no time"
+// observation.
 //
 // The last bound is always the run's maximum key so that the derived CDF
 // covers the full key range of the run.
-func EquiHeightBounds(run []relation.Tuple, numBounds int) []uint64 {
-	if numBounds <= 0 || len(run) == 0 {
-		return nil
-	}
-	bounds := make([]uint64, numBounds)
-	for j := 1; j <= numBounds; j++ {
-		idx := j*len(run)/numBounds - 1
-		if idx < 0 {
-			idx = 0
-		}
-		bounds[j-1] = run[idx].Key
-	}
-	return bounds
-}
-
-// EquiHeightBoundsKeys is EquiHeightBounds over a raw sorted key column, the
-// structure-of-arrays variant used by the columnar batch path.
 func EquiHeightBoundsKeys(keys []uint64, numBounds int) []uint64 {
 	if numBounds <= 0 || len(keys) == 0 {
 		return nil

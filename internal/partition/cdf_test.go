@@ -20,10 +20,19 @@ func sortedTuples(n int, seed int64, keyRange uint64) []relation.Tuple {
 	return tuples
 }
 
+// keysOf returns the key column of a run.
+func keysOf(run []relation.Tuple) []uint64 {
+	keys := make([]uint64, len(run))
+	for i, t := range run {
+		keys[i] = t.Key
+	}
+	return keys
+}
+
 func TestEquiHeightBounds(t *testing.T) {
 	run := []relation.Tuple{{Key: 1}, {Key: 7}, {Key: 10}, {Key: 15}, {Key: 22}, {Key: 31}, {Key: 66}, {Key: 81}}
 	// Figure 8, run S1 with 4 bounds: b11=7, b12=15, b13=31, b14=81.
-	bounds := EquiHeightBounds(run, 4)
+	bounds := EquiHeightBoundsKeys(keysOf(run), 4)
 	want := []uint64{7, 15, 31, 81}
 	if len(bounds) != len(want) {
 		t.Fatalf("bounds = %v, want %v", bounds, want)
@@ -36,14 +45,14 @@ func TestEquiHeightBounds(t *testing.T) {
 }
 
 func TestEquiHeightBoundsEdgeCases(t *testing.T) {
-	if EquiHeightBounds(nil, 4) != nil {
+	if EquiHeightBoundsKeys(nil, 4) != nil {
 		t.Fatal("empty run should yield nil bounds")
 	}
-	if EquiHeightBounds([]relation.Tuple{{Key: 3}}, 0) != nil {
+	if EquiHeightBoundsKeys([]uint64{3}, 0) != nil {
 		t.Fatal("zero bounds should yield nil")
 	}
 	// More bounds than tuples: last bound is still the max key.
-	bounds := EquiHeightBounds([]relation.Tuple{{Key: 3}, {Key: 9}}, 5)
+	bounds := EquiHeightBoundsKeys([]uint64{3, 9}, 5)
 	if len(bounds) != 5 {
 		t.Fatalf("len(bounds) = %d, want 5", len(bounds))
 	}
@@ -54,7 +63,7 @@ func TestEquiHeightBoundsEdgeCases(t *testing.T) {
 
 func TestEquiHeightBoundsLastIsMax(t *testing.T) {
 	run := sortedTuples(1000, 5, 1<<30)
-	bounds := EquiHeightBounds(run, 16)
+	bounds := EquiHeightBoundsKeys(keysOf(run), 16)
 	if bounds[len(bounds)-1] != run[len(run)-1].Key {
 		t.Fatal("last bound must equal the run's maximum key")
 	}
@@ -77,7 +86,7 @@ func TestBuildCDFFigure8(t *testing.T) {
 	var boundsPerRun [][]uint64
 	var lens []int
 	for _, r := range runs {
-		boundsPerRun = append(boundsPerRun, EquiHeightBounds(r, 4))
+		boundsPerRun = append(boundsPerRun, EquiHeightBoundsKeys(keysOf(r), 4))
 		lens = append(lens, len(r))
 	}
 	cdf := BuildCDF(boundsPerRun, lens)
@@ -109,7 +118,7 @@ func TestCDFEstimateAccuracy(t *testing.T) {
 	// With many bounds, the CDF estimate should be close to the true rank.
 	n := 20000
 	run := sortedTuples(n, 11, 1<<24)
-	bounds := EquiHeightBounds(run, 128)
+	bounds := EquiHeightBoundsKeys(keysOf(run), 128)
 	cdf := BuildCDF([][]uint64{bounds}, []int{n})
 	for _, probe := range []uint64{1 << 10, 1 << 20, 1 << 22, 1 << 23} {
 		trueRank := sort.Search(n, func(i int) bool { return run[i].Key > probe })
@@ -123,7 +132,7 @@ func TestCDFEstimateAccuracy(t *testing.T) {
 func TestCDFEstimateRange(t *testing.T) {
 	n := 10000
 	run := sortedTuples(n, 13, 1<<20)
-	bounds := EquiHeightBounds(run, 64)
+	bounds := EquiHeightBoundsKeys(keysOf(run), 64)
 	cdf := BuildCDF([][]uint64{bounds}, []int{n})
 
 	full := cdf.EstimateRange(0, ^uint64(0))
@@ -168,7 +177,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 			tuples[i].Key = k % (1 << 32)
 		}
 		sort.Slice(tuples, func(i, j int) bool { return tuples[i].Key < tuples[j].Key })
-		bounds := EquiHeightBounds(tuples, 8)
+		bounds := EquiHeightBoundsKeys(keysOf(tuples), 8)
 		cdf := BuildCDF([][]uint64{bounds}, []int{len(tuples)})
 		for i := range probes {
 			probes[i] %= 1 << 33

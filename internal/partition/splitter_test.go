@@ -47,7 +47,7 @@ func buildTestCDF(keys []uint64, boundsPerRun, runs int) *CDF {
 	var boundSets [][]uint64
 	var lens []int
 	for _, r := range perRun {
-		boundSets = append(boundSets, EquiHeightBounds(r, boundsPerRun))
+		boundSets = append(boundSets, EquiHeightBoundsKeys(keysOf(r), boundsPerRun))
 		lens = append(lens, len(r))
 	}
 	return BuildCDF(boundSets, lens)

@@ -1,6 +1,7 @@
 // Package relation defines the fundamental data representation shared by all
 // join algorithms in this repository: fixed-width tuples of a 64-bit join key
-// and a 64-bit payload, relations as flat tuple slices, and sorted runs.
+// and a 64-bit payload, and relations as flat tuple slices. (Sorted runs are
+// columnar: see batch.Run.)
 //
 // The layout mirrors the evaluation setup of the MPSM paper (Albutiu et al.,
 // VLDB 2012): every tuple is {joinkey: 64-bit, payload: 64-bit} with keys drawn
@@ -159,40 +160,6 @@ func (r *Relation) Split(n int) []Chunk {
 	return chunks
 }
 
-// Run is a sorted sequence of tuples produced by a worker's local sort phase.
-// Runs are the unit the MPSM join phase operates on: each worker merge joins
-// its private run against all public runs.
-type Run struct {
-	// Worker is the index of the worker that produced the run.
-	Worker int
-	// Node is the simulated NUMA node the run's memory belongs to.
-	Node int
-	// Tuples are sorted by ascending key.
-	Tuples []Tuple
-}
-
-// Len reports the number of tuples in the run.
-func (r *Run) Len() int { return len(r.Tuples) }
-
-// MinKey returns the smallest key of the run, or ok=false if the run is empty.
-func (r *Run) MinKey() (key uint64, ok bool) {
-	if len(r.Tuples) == 0 {
-		return 0, false
-	}
-	return r.Tuples[0].Key, true
-}
-
-// MaxKey returns the largest key of the run, or ok=false if the run is empty.
-func (r *Run) MaxKey() (key uint64, ok bool) {
-	if len(r.Tuples) == 0 {
-		return 0, false
-	}
-	return r.Tuples[len(r.Tuples)-1].Key, true
-}
-
-// IsSorted reports whether the run's tuples are in non-decreasing key order.
-func (r *Run) IsSorted() bool { return IsSortedByKey(r.Tuples) }
-
 // IsSortedByKey reports whether tuples are in non-decreasing key order.
 func IsSortedByKey(tuples []Tuple) bool {
 	for i := 1; i < len(tuples); i++ {
@@ -201,15 +168,6 @@ func IsSortedByKey(tuples []Tuple) bool {
 		}
 	}
 	return true
-}
-
-// TotalLen sums the lengths of the given runs.
-func TotalLen(runs []*Run) int {
-	total := 0
-	for _, r := range runs {
-		total += r.Len()
-	}
-	return total
 }
 
 // KeyHistogram counts the number of tuples per key. It is intended for test

@@ -133,26 +133,6 @@ func TestSplitPanicsOnNonPositive(t *testing.T) {
 	New("r", nil).Split(0)
 }
 
-func TestRunMinMaxKey(t *testing.T) {
-	empty := &Run{}
-	if _, ok := empty.MinKey(); ok {
-		t.Fatal("empty run MinKey ok = true")
-	}
-	if _, ok := empty.MaxKey(); ok {
-		t.Fatal("empty run MaxKey ok = true")
-	}
-	run := &Run{Tuples: []Tuple{{3, 0}, {5, 0}, {9, 0}}}
-	if k, ok := run.MinKey(); !ok || k != 3 {
-		t.Fatalf("MinKey = %d, %v", k, ok)
-	}
-	if k, ok := run.MaxKey(); !ok || k != 9 {
-		t.Fatalf("MaxKey = %d, %v", k, ok)
-	}
-	if !run.IsSorted() {
-		t.Fatal("run should be sorted")
-	}
-}
-
 func TestIsSortedByKey(t *testing.T) {
 	if !IsSortedByKey(nil) {
 		t.Fatal("nil slice should be sorted")
@@ -165,17 +145,6 @@ func TestIsSortedByKey(t *testing.T) {
 	}
 	if IsSortedByKey([]Tuple{{2, 0}, {1, 0}}) {
 		t.Fatal("decreasing keys should not be sorted")
-	}
-}
-
-func TestTotalLen(t *testing.T) {
-	runs := []*Run{
-		{Tuples: make([]Tuple, 3)},
-		{Tuples: make([]Tuple, 0)},
-		{Tuples: make([]Tuple, 5)},
-	}
-	if got := TotalLen(runs); got != 8 {
-		t.Fatalf("TotalLen = %d, want 8", got)
 	}
 }
 

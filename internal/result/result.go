@@ -46,10 +46,10 @@ type WorkerBreakdown struct {
 // batch fast path: Batches is the number of batches delivered to the sink —
 // range batches of the merge kernel taken whole by a sink that folds them,
 // or column batches of expanded pairs — and Tuples the number of result
-// pairs they stood for. Both are zero when the engine ran on the
-// row-at-a-time path (or the sink had no batch fast path), so the counters
-// double as a cheap assertion that the columnar plumbing was actually
-// exercised.
+// pairs they stood for. Both are zero when every pair was delivered one by
+// one (D-MPSM; a band join or a semi/anti classification into a sink that
+// takes no ranges), so the counters double as a cheap assertion that the
+// batch plumbing was actually exercised.
 type BatchStats struct {
 	// Batches is the number of range or column batches delivered.
 	Batches uint64

@@ -150,7 +150,7 @@ func (b *Bound) MaxSum() uint64 {
 
 // Batches is the number of columnar match batches flushed through the sink
 // boundary, and BatchedMatches the pairs they carried; both are zero when the
-// join ran row-at-a-time. Call after the join phase barrier.
+// join delivered every pair one by one. Call after the join phase barrier.
 func (b *Bound) Batches() (batches, pairs uint64) {
 	for _, w := range b.writers {
 		batches += w.batches

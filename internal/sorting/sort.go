@@ -9,8 +9,9 @@
 // wide to pack take the tandem key/perm sort of columns.go, built from the
 // routine below.
 //
-// The row path (Sort, SortWithMax, SortInto; D-MPSM, non-inner kinds and the
-// test oracle) is the paper's hardware-conscious routine, generalized from
+// The row path (Sort, SortWithMax, SortInto) serves D-MPSM's paged runs, the
+// benchmark probes and the test oracles — B-MPSM and P-MPSM sort columns for
+// every join kind. It is the paper's hardware-conscious routine, generalized from
 // its single radix level to a cache-conscious multi-level MSD radix sort:
 //
 //  1. In-place MSD radix partitioning on successive 8-bit digits of the

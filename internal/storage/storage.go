@@ -8,7 +8,7 @@
 // The paper's evaluation machine spools to a disk array; this repository
 // substitutes an in-memory block store with configurable read latency and
 // bandwidth so the identical paging, prefetching and release logic can be
-// exercised without physical disks (see DESIGN.md, substitutions).
+// exercised without physical disks.
 package storage
 
 import (

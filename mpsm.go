@@ -104,16 +104,12 @@
 //	res, err := engine.Join(ctx, r, s)   // algorithm picked from the data
 //	ex, err := engine.Explain(plan)      // plan tree + estimates + rationale
 //
-// The legacy one-shot Join and JoinWithDiskStats functions remain as thin
-// deprecated wrappers over an implicit engine.
-//
 // See the examples directory for runnable scenarios, including the
 // experiment harness in cmd/mpsmbench that regenerates the figures of the
 // paper's evaluation section.
 package mpsm
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/core"
@@ -153,9 +149,10 @@ type DiskStats = core.DiskStats
 // ScratchStats reports one join's scratch-pool traffic (see Result.Scratch).
 type ScratchStats = memory.LeaseStats
 
-// BatchStats reports a join's columnar batch traffic (see Result.Batch): all
-// zeros when the join ran row at a time, batch/pair counts when the columnar
-// path or a batched hash-join probe delivered the output.
+// BatchStats reports a join's batch traffic across the sink boundary (see
+// Result.Batch): the range or column batches the merge kernel or a batched
+// hash-join probe delivered and the pairs they carried; zeros when every pair
+// was delivered one by one (D-MPSM, per-pair sinks on a band join).
 type BatchStats = result.BatchStats
 
 // PoolStats reports the cumulative behaviour of an Engine's scratch pool
@@ -233,44 +230,7 @@ const (
 	AntiJoin = mergejoin.Anti
 )
 
-// Config configures a join execution through the deprecated one-shot API.
-// New code should construct an Engine with functional options instead.
-type Config struct {
-	// Algorithm selects the join implementation; the zero value is P-MPSM.
-	Algorithm Algorithm
-	// Kind selects the join semantics; the zero value is an inner join.
-	Kind JoinKind
-	// BandWidth, when non-zero, turns the join into a non-equi band join:
-	// tuples match when |R.key − S.key| <= BandWidth. Requires Kind ==
-	// InnerJoin and the B-MPSM or P-MPSM algorithm.
-	BandWidth uint64
-	// Workers is the degree of parallelism; 0 selects GOMAXPROCS.
-	Workers int
-	// Splitters selects P-MPSM's partition balancing strategy.
-	Splitters SplitterStrategy
-	// HistogramBits is the granularity of P-MPSM's private-input histogram
-	// (2^bits clusters); 0 selects the default of 10.
-	HistogramBits int
-	// CollectPerWorker records per-worker phase breakdowns.
-	CollectPerWorker bool
-	// PresortedPublic and PresortedPrivate declare that the corresponding
-	// input is already sorted by join key, letting the MPSM variants skip
-	// the respective sorting phase (verified per chunk, so a false
-	// declaration costs only the check).
-	PresortedPublic  bool
-	PresortedPrivate bool
-
-	// TrackNUMA enables the simulated NUMA access accounting.
-	TrackNUMA bool
-	// Topology overrides the simulated NUMA topology (default: 4 nodes × 8
-	// cores, the paper's evaluation machine).
-	Topology Topology
-
-	// Disk configures the D-MPSM variant; ignored by the other algorithms.
-	Disk DiskConfig
-}
-
-// DiskConfig configures the disk-enabled D-MPSM variant.
+// DiskConfig configures the disk-enabled D-MPSM variant (see WithDisk).
 type DiskConfig struct {
 	// PageSize is the number of tuples per spilled page (default 1024).
 	PageSize int
@@ -282,53 +242,6 @@ type DiskConfig struct {
 	// ReadLatency and WriteLatency simulate per-page disk access latency.
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
-}
-
-// options converts the legacy configuration into engine options.
-func (c Config) options() []Option {
-	opts := []Option{
-		WithAlgorithm(c.Algorithm),
-		WithKind(c.Kind),
-		WithWorkers(c.Workers),
-		WithSplitters(c.Splitters),
-		WithHistogramBits(c.HistogramBits),
-		WithDisk(c.Disk),
-	}
-	if c.BandWidth > 0 {
-		opts = append(opts, WithBandWidth(c.BandWidth))
-	}
-	if c.CollectPerWorker {
-		opts = append(opts, WithPerWorkerStats())
-	}
-	if c.PresortedPublic {
-		opts = append(opts, WithPresortedPublic())
-	}
-	if c.PresortedPrivate {
-		opts = append(opts, WithPresortedPrivate())
-	}
-	if c.TrackNUMA {
-		opts = append(opts, WithNUMATracking(c.Topology))
-	}
-	return opts
-}
-
-// Join executes an equi-join between the private input r and the public input
-// s with the configured algorithm and returns the result.
-//
-// Deprecated: construct a reusable Engine with New and call Engine.Join,
-// which adds context cancellation and streaming sinks. Join remains for
-// compatibility and is equivalent to
-// New(cfg...).Join(context.Background(), r, s).
-func Join(r, s *Relation, cfg Config) (*Result, error) {
-	return New(cfg.options()...).Join(context.Background(), r, s)
-}
-
-// JoinWithDiskStats is Join for the D-MPSM algorithm, additionally returning
-// the buffer pool and disk statistics of the execution.
-//
-// Deprecated: use Engine.JoinWithDiskStats.
-func JoinWithDiskStats(r, s *Relation, cfg Config) (*Result, *DiskStats, error) {
-	return New(cfg.options()...).JoinWithDiskStats(context.Background(), r, s)
 }
 
 // Skew describes the key-value distribution of a generated relation.

@@ -1,10 +1,16 @@
 package mpsm
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mergejoin"
 )
+
+// join runs one join on a fresh engine, the shape of a one-shot caller.
+func join(r, s *Relation, opts ...Option) (*Result, error) {
+	return New(opts...).Join(context.Background(), r, s)
+}
 
 func TestJoinPublicAPIAllAlgorithms(t *testing.T) {
 	r := GenerateUniform("R", 2000, 1)
@@ -14,7 +20,7 @@ func TestJoinPublicAPIAllAlgorithms(t *testing.T) {
 	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &want)
 
 	for _, alg := range []Algorithm{PMPSM, BMPSM, DMPSM, Wisconsin, RadixHash} {
-		res, err := Join(r, s, Config{Algorithm: alg, Workers: 4})
+		res, err := join(r, s, WithAlgorithm(alg), WithWorkers(4))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -29,13 +35,13 @@ func TestJoinPublicAPIAllAlgorithms(t *testing.T) {
 
 func TestJoinNilInputs(t *testing.T) {
 	r := GenerateUniform("R", 10, 1)
-	if _, err := Join(nil, r, Config{}); err == nil {
+	if _, err := join(nil, r); err == nil {
 		t.Fatal("nil private relation accepted")
 	}
-	if _, err := Join(r, nil, Config{}); err == nil {
+	if _, err := join(r, nil); err == nil {
 		t.Fatal("nil public relation accepted")
 	}
-	if _, _, err := JoinWithDiskStats(nil, r, Config{}); err == nil {
+	if _, _, err := New().JoinWithDiskStats(context.Background(), nil, r); err == nil {
 		t.Fatal("nil private relation accepted by JoinWithDiskStats")
 	}
 }
@@ -43,10 +49,8 @@ func TestJoinNilInputs(t *testing.T) {
 func TestJoinWithDiskStats(t *testing.T) {
 	r := GenerateUniform("R", 3000, 3)
 	s := GenerateForeignKey("S", r, 6000, 4)
-	res, stats, err := JoinWithDiskStats(r, s, Config{
-		Workers: 4,
-		Disk:    DiskConfig{PageSize: 256, PageBudget: 8},
-	})
+	engine := New(WithWorkers(4), WithDisk(DiskConfig{PageSize: 256, PageBudget: 8}))
+	res, stats, err := engine.JoinWithDiskStats(context.Background(), r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,7 @@ func TestJoinWithDiskStats(t *testing.T) {
 func TestJoinNUMATracking(t *testing.T) {
 	r := GenerateUniform("R", 4000, 5)
 	s := GenerateForeignKey("S", r, 8000, 6)
-	res, err := Join(r, s, Config{Workers: 8, TrackNUMA: true})
+	res, err := join(r, s, WithWorkers(8), WithNUMATracking())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +88,7 @@ func TestJoinSplitterStrategies(t *testing.T) {
 	var want mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &want)
 	for _, strategy := range []SplitterStrategy{SplitterEquiCost, SplitterEquiHeight, SplitterUniform} {
-		res, err := Join(r, s, Config{Workers: 8, Splitters: strategy})
+		res, err := join(r, s, WithWorkers(8), WithSplitters(strategy))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +107,7 @@ func TestJoinKindsPublicAPI(t *testing.T) {
 	for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
 		var want mergejoin.MaxAggregate
 		mergejoin.ReferenceJoinKind(kind, r.Tuples, s.Tuples, &want)
-		res, err := Join(r, s, Config{Workers: 4, Kind: kind})
+		res, err := join(r, s, WithWorkers(4), WithKind(kind))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -113,7 +117,7 @@ func TestJoinKindsPublicAPI(t *testing.T) {
 	}
 
 	// Hash joins only support inner joins.
-	if _, err := Join(r, s, Config{Algorithm: Wisconsin, Kind: SemiJoin}); err == nil {
+	if _, err := join(r, s, WithAlgorithm(Wisconsin), WithKind(SemiJoin)); err == nil {
 		t.Fatal("semi join on the Wisconsin hash join should be rejected")
 	}
 }
