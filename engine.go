@@ -252,6 +252,7 @@ type planKey struct {
 	band       uint64
 	workers    int
 	symmetric  bool
+	folds      bool
 }
 
 // statsEntry is one cached relation profile.
@@ -390,10 +391,11 @@ func (e *Engine) run(ctx context.Context, r, s *Relation, opts []Option) (*exec.
 // build/probe roles. Decisions are memoized per (inputs, configuration), so
 // an engine serving the same join repeatedly plans it once.
 func (e *Engine) autoJoin(cfg settings, r, s *Relation) (settings, *Relation, *Relation) {
+	to := planner.Consumer{Folds: sink.FoldsRanges(cfg.sink)}
 	key := planKey{
 		r: weak.Make(r), s: weak.Make(s), rLen: r.Len(), sLen: s.Len(),
 		configured: cfg.algorithm, kind: cfg.kind, band: cfg.band,
-		workers: cfg.workers, symmetric: cfg.sink == nil,
+		workers: cfg.workers, symmetric: cfg.sink == nil, folds: to.Folds,
 	}
 	e.statsMu.Lock()
 	ch, ok := e.planCache[key]
@@ -405,6 +407,7 @@ func (e *Engine) autoJoin(cfg settings, r, s *Relation) (settings, *Relation, *R
 			Band:              cfg.band,
 			Workers:           cfg.workers,
 			SymmetricConsumer: cfg.sink == nil,
+			Consumer:          to,
 		}, planner.DefaultCostModel())
 		e.statsMu.Lock()
 		if e.planCache == nil || len(e.planCache) >= statsCacheLimit {

@@ -13,11 +13,12 @@ import (
 
 // Explain describes the physical plan the engine would execute for a Plan:
 // one entry per plan node with the chosen operators (join algorithm,
-// scheduling mode, presorted declarations), the planner's estimated
-// cardinalities, and — after ExplainAnalyze — the actual ones plus each
-// aggregate's time. With auto-planning enabled (WithAutoPlan, as an engine
-// default or a per-call option) the description reflects the optimizer's
-// rewrites; without it, the configured plan annotated with estimates.
+// scheduling mode, presorted declarations, the shape of each join's output),
+// the planner's estimated cardinalities and join costs, and — after
+// ExplainAnalyze — the actual ones plus each aggregate's time. With
+// auto-planning enabled (WithAutoPlan, as an engine default or a per-call
+// option) the description reflects the optimizer's rewrites; without it, the
+// configured plan annotated with estimates.
 //
 // Explain renders human-readably via String and machine-readably via
 // MarshalJSON.
@@ -72,6 +73,18 @@ type ExplainNode struct {
 	Swapped          bool          `json:"swapped,omitempty"`
 	Reordered        bool          `json:"reordered,omitempty"`
 	Costs            []ExplainCost `json:"costs,omitempty"`
+	// Output is the shape in which a join hands its output to its consumer:
+	// "ranges, key-ordered" (B-/P-MPSM: one entry per private key group and
+	// public run), with ", range-partitioned ×T" when every writer holds one
+	// key range (statically scheduled P-MPSM), or "pairs, probe order" (the
+	// hash joins). A consumer that folds ranges starts from it instead of
+	// re-establishing it.
+	Output string `json:"output,omitempty"`
+	// EstMillis is the cost model's estimate for the join as planned,
+	// delivery to its consumer included; Millis, filled in by ExplainAnalyze,
+	// is the measured Result.Total — their ratio is the model's error.
+	EstMillis float64 `json:"est_ms,omitempty"`
+	Millis    float64 `json:"ms,omitempty"`
 
 	// AggMillis is the time a GroupAggregate node's kernel spent outside its
 	// producer, filled in by ExplainAnalyze: the finalisation (partition,
@@ -129,6 +142,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, p *Plan, opts ...Option) (*
 		if node.ActualRows < 0 {
 			node.ActualRows = int64(j.Result.Matches)
 		}
+		node.Millis = float64(j.Result.Total) / float64(time.Millisecond)
 	}
 	for i := range ex.Nodes {
 		if node := &ex.Nodes[i]; node.Kind == exec.NodeProject.String() && node.ActualRows < 0 {
@@ -180,6 +194,8 @@ func (e *Engine) explain(p *Plan, opts []Option) (*Explain, *exec.Plan, error) {
 			en.PresortedPublic = d.PresortedPublic
 			en.Swapped = d.Swapped
 			en.Reordered = d.Reordered
+			en.Output = d.Output.String()
+			en.EstMillis = d.EstMillis
 			for _, c := range d.Costs {
 				en.Costs = append(en.Costs, ExplainCost{Algorithm: c.Algorithm.String(), Millis: c.Millis})
 			}
@@ -210,7 +226,7 @@ func (ex *Explain) MarshalJSON() ([]byte, error) {
 // String renders the plan as an indented operator tree, root first:
 //
 //	GroupAggregate est=65536 actual=65493 agg=1.87ms
-//	└─ Join [Radix HJ, static] est=1047113 actual=1048628
+//	└─ Join [P-MPSM, static, → ranges, key-ordered, range-partitioned ×2] est=1047113 actual=1048628 est_ms=18.4 ms=21.9
 //	   ├─ Scan R est=262144
 //	   └─ Scan S est=1048576
 func (ex *Explain) String() string {
@@ -278,6 +294,9 @@ func (n ExplainNode) describe() string {
 	if n.Reordered {
 		attrs = append(attrs, "reordered")
 	}
+	if n.Output != "" {
+		attrs = append(attrs, "→ "+n.Output)
+	}
 	if n.Keys != "" {
 		attrs = append(attrs, n.Keys)
 	}
@@ -290,6 +309,9 @@ func (n ExplainNode) describe() string {
 	}
 	if n.AggMillis > 0 {
 		fmt.Fprintf(&b, " agg=%.2fms", n.AggMillis)
+	}
+	if n.Millis > 0 {
+		fmt.Fprintf(&b, " est_ms=%.2f ms=%.2f", n.EstMillis, n.Millis)
 	}
 	if n.Reason != "" {
 		b.WriteString("  -- " + n.Reason)

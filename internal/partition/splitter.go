@@ -53,8 +53,12 @@ func (c SplitterCost) PartitionCost(rCount int, sMass float64) float64 {
 // partitioning problem (the paper refers to Ross & Cieslewicz for exact
 // two-table splitters); we solve it by binary searching the optimal maximum
 // cost and greedily packing clusters, which is optimal for monotone cost
-// functions of contiguous cluster ranges and runs in
-// O(clusters · log(total cost / precision)).
+// functions of contiguous cluster ranges (the weights must not be negative).
+// A packing round does not walk the clusters: the R counts and S masses are
+// prefix-summed once, and because a partition's cost only grows with its
+// extent, the furthest cluster a partition can take under a limit is found by
+// binary search — O(workers · log clusters) cost evaluations per round
+// instead of one per cluster.
 func ComputeSplitters(globalR Histogram, cdf *CDF, cfg RadixConfig, cost SplitterCost) SplitterVector {
 	clusters := len(globalR)
 	workers := cost.Workers
@@ -66,21 +70,36 @@ func ComputeSplitters(globalR Histogram, cdf *CDF, cfg RadixConfig, cost Splitte
 		return sp
 	}
 
-	// Precompute, per cluster, the R count and the estimated S mass of its
-	// key range so that range costs can be accumulated cheaply during the
-	// greedy feasibility check.
+	// Per cluster, the estimated S mass of its key range; consecutive
+	// clusters share a bound, so each CDF probe serves two of them. rPre and
+	// sPre are the prefix sums the packing rounds search, and massive[c] is
+	// the first cluster at or after c that holds any R tuple or S mass.
 	sMass := make([]float64, clusters)
+	rPre := make([]int, clusters+1)
+	sPre := make([]float64, clusters+1)
+	massive := make([]int, clusters+1)
+	below := 0.0 // estimated S tuples below the cluster's low key
 	for cl := 0; cl < clusters; cl++ {
-		low := cfg.ClusterLowKey(cl)
-		high := cfg.ClusterHighKey(cl)
-		sMass[cl] = cdf.EstimateRange(low, high)
+		if high := cfg.ClusterHighKey(cl); high > cfg.ClusterLowKey(cl) {
+			upTo := cdf.Estimate(high - 1)
+			sMass[cl] = upTo - below
+			below = upTo
+		}
+		rPre[cl+1] = rPre[cl] + globalR[cl]
+		sPre[cl+1] = sPre[cl] + sMass[cl]
+	}
+	massive[clusters] = clusters
+	for cl := clusters - 1; cl >= 0; cl-- {
+		massive[cl] = massive[cl+1]
+		if globalR[cl] > 0 || sMass[cl] > 0 {
+			massive[cl] = cl
+		}
 	}
 
 	// An upper bound on the optimal maximum cost: everything in one
 	// partition. A lower bound: the cost of the most expensive single
 	// cluster (no partition can be cheaper than its priciest cluster).
-	totalR := globalR.Total()
-	upper := cost.PartitionCost(totalR, cdf.Total())
+	upper := cost.PartitionCost(rPre[clusters], cdf.Total())
 	lower := 0.0
 	for cl := 0; cl < clusters; cl++ {
 		c := cost.PartitionCost(globalR[cl], sMass[cl])
@@ -89,32 +108,58 @@ func ComputeSplitters(globalR Histogram, cdf *CDF, cfg RadixConfig, cost Splitte
 		}
 	}
 
+	// A difference of two prefix sums is not bit for bit the sum a pass over
+	// the partition's clusters accumulates. slack bounds what the two can
+	// differ by in a partition's cost; a cost that close to the limit is
+	// recomputed by accumulation, so the packing — and with it the splitter
+	// vector — is exactly the cluster-by-cluster greedy pass's.
+	const ulp = 1.0 / (1 << 52)
+	slack := 4 * ulp * (math.Abs(cost.ScanSWeight)*float64(clusters+2)*sPre[clusters] + upper)
+
+	// fits reports whether a partition holding clusters [from, to] costs at
+	// most limit.
+	fits := func(from, to int, limit float64) bool {
+		r := rPre[to+1] - rPre[from]
+		c := cost.PartitionCost(r, sPre[to+1]-sPre[from])
+		if math.Abs(c-limit) > slack {
+			return c <= limit
+		}
+		s := 0.0
+		for cl := from; cl <= to; cl++ {
+			s += sMass[cl]
+		}
+		return !(cost.PartitionCost(r, s) > limit)
+	}
+
 	// feasible reports whether the clusters can be packed into at most
 	// `workers` contiguous partitions, each of cost <= limit, and fills sp
-	// with the assignment when they can.
+	// with the assignment when record is set. A partition always takes the
+	// clusters up to its first one with any mass, then every further cluster
+	// that keeps it within the limit.
 	feasible := func(limit float64, record bool) bool {
-		part := 0
-		rAcc := 0
-		sAcc := 0.0
-		for cl := 0; cl < clusters; cl++ {
-			rNext := rAcc + globalR[cl]
-			sNext := sAcc + sMass[cl]
-			if cost.PartitionCost(rNext, sNext) > limit && (rAcc > 0 || sAcc > 0) {
-				// Close the current partition and start a new one
-				// with this cluster.
-				part++
-				if part >= workers {
-					return false
-				}
-				rNext = globalR[cl]
-				sNext = sMass[cl]
+		for part, from := 0, 0; ; part++ {
+			if part >= workers {
+				return false
 			}
-			rAcc, sAcc = rNext, sNext
+			// The partition reaches at least lo and at most hi (inclusive).
+			lo, hi := min(massive[from], clusters-1), clusters-1
+			for lo < hi {
+				mid := (lo + hi + 1) / 2
+				if fits(from, mid, limit) {
+					lo = mid
+				} else {
+					hi = mid - 1
+				}
+			}
 			if record {
-				sp[cl] = part
+				for cl := from; cl <= lo; cl++ {
+					sp[cl] = part
+				}
+			}
+			if from = lo + 1; from == clusters {
+				return true
 			}
 		}
-		return true
 	}
 
 	// Binary search the smallest feasible limit. 40 iterations reduce the

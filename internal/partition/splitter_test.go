@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -196,6 +197,153 @@ func TestEquiHeightSplittersSingleWorker(t *testing.T) {
 	for _, p := range sp {
 		if p != 0 {
 			t.Fatal("single-worker equi-height splitters must map to partition 0")
+		}
+	}
+}
+
+// computeSplittersGreedy is ComputeSplitters as it was before its packing
+// rounds searched prefix sums: every round walks all clusters, accumulating a
+// partition's R count and S mass cluster by cluster. It is kept as the oracle
+// the search must reproduce vector for vector.
+func computeSplittersGreedy(globalR Histogram, cdf *CDF, cfg RadixConfig, cost SplitterCost) SplitterVector {
+	clusters := len(globalR)
+	workers := cost.Workers
+	sp := make(SplitterVector, clusters)
+	if workers == 1 {
+		return sp
+	}
+	sMass := make([]float64, clusters)
+	for cl := 0; cl < clusters; cl++ {
+		sMass[cl] = cdf.EstimateRange(cfg.ClusterLowKey(cl), cfg.ClusterHighKey(cl))
+	}
+	upper := cost.PartitionCost(globalR.Total(), cdf.Total())
+	lower := 0.0
+	for cl := 0; cl < clusters; cl++ {
+		if c := cost.PartitionCost(globalR[cl], sMass[cl]); c > lower {
+			lower = c
+		}
+	}
+	feasible := func(limit float64, record bool) bool {
+		part, rAcc, sAcc := 0, 0, 0.0
+		for cl := 0; cl < clusters; cl++ {
+			rNext, sNext := rAcc+globalR[cl], sAcc+sMass[cl]
+			if cost.PartitionCost(rNext, sNext) > limit && (rAcc > 0 || sAcc > 0) {
+				if part++; part >= workers {
+					return false
+				}
+				rNext, sNext = globalR[cl], sMass[cl]
+			}
+			rAcc, sAcc = rNext, sNext
+			if record {
+				sp[cl] = part
+			}
+		}
+		return true
+	}
+	for i := 0; i < 40 && upper-lower > 1e-6*math.Max(1, upper); i++ {
+		if mid := (lower + upper) / 2; feasible(mid, false) {
+			upper = mid
+		} else {
+			lower = mid
+		}
+	}
+	if !feasible(upper, true) {
+		return UniformSplitters(clusters, workers)
+	}
+	return sp
+}
+
+// TestComputeSplittersMatchesGreedyOracle: the prefix-sum search must return
+// the identical splitter vector (golden PublicScanned counts depend on it)
+// over uniform and 80:20-skewed inputs in both directions, everything in one
+// cluster, an empty histogram, integral masses whose partition costs tie, and
+// workers 1…64 at both ends of the HistogramBits range.
+func TestComputeSplittersMatchesGreedyOracle(t *testing.T) {
+	const domain = uint64(1) << 32
+	uniformKeys := func(n int, seed int64) []uint64 {
+		rng := rand.New(rand.NewSource(seed))
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64() % domain
+		}
+		return keys
+	}
+	constant := func(n int, key uint64) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = key
+		}
+		return keys
+	}
+	every := func(n int, stride uint64) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = uint64(i) * stride % domain
+		}
+		return keys
+	}
+	corpus := []struct {
+		name   string
+		rKeys  []uint64
+		sKeys  []uint64
+		maxKey uint64
+	}{
+		{"uniform", uniformKeys(20000, 1), uniformKeys(80000, 2), domain - 1},
+		{"skew R high, S low", skewedKeys(20000, domain, true, 3), skewedKeys(80000, domain, false, 4), domain - 1},
+		{"skew R low, S high", skewedKeys(20000, domain, false, 5), skewedKeys(80000, domain, true, 6), domain - 1},
+		{"one cluster", constant(5000, 12345), constant(20000, 12345), domain - 1},
+		{"R in one cluster, S uniform", constant(5000, domain/3), uniformKeys(20000, 7), domain - 1},
+		{"empty R", nil, uniformKeys(20000, 8), domain - 1},
+		{"empty R and S", nil, nil, domain - 1},
+		{"regular grid (tied costs)", every(1<<14, domain>>14), every(1<<16, domain>>16), domain - 1},
+		{"keys 0 and MaxUint64", append(constant(100, 0), constant(100, ^uint64(0))...), append(constant(300, 0), constant(300, ^uint64(0))...), ^uint64(0)},
+		{"tiny domain", every(1000, 1)[:37], every(1000, 1)[:90], 36},
+	}
+	for _, in := range corpus {
+		tuples := make([]relation.Tuple, len(in.rKeys))
+		for i, k := range in.rKeys {
+			tuples[i].Key = k
+		}
+		sorted := append([]uint64(nil), in.sKeys...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		for _, bits := range []int{10, 20} {
+			// The greedy oracle takes a second per call over 2^20 clusters:
+			// there, one worker count on the skewed and the one-cluster input.
+			var counts []int
+			switch {
+			case bits == 10:
+				for w := 1; w <= 64; w++ {
+					counts = append(counts, w)
+				}
+			case in.name == "skew R high, S low":
+				counts = []int{64}
+			case in.name == "one cluster":
+				counts = []int{3}
+			}
+			cfg := NewRadixConfig(bits, in.maxKey)
+			globalR := BuildHistogram(tuples, cfg)
+			for _, workers := range counts {
+				// The S CDF of `workers` sorted runs dealt round-robin from the
+				// sorted keys, 4·workers bounds each, as P-MPSM builds it.
+				bounds, lens := make([][]uint64, workers), make([]int, workers)
+				for w := range bounds {
+					var run []uint64
+					for i := w; i < len(sorted); i += workers {
+						run = append(run, sorted[i])
+					}
+					bounds[w], lens[w] = EquiHeightBoundsKeys(run, 4*workers), len(run)
+				}
+				cdf := BuildCDF(bounds, lens)
+				cost := DefaultSplitterCost(workers)
+				got := ComputeSplitters(globalR, cdf, cfg, cost)
+				want := computeSplittersGreedy(globalR, cdf, cfg, cost)
+				for cl := range want {
+					if got[cl] != want[cl] {
+						t.Fatalf("input=%q bits=%d workers=%d: cluster %d goes to partition %d, the greedy oracle sends it to %d",
+							in.name, bits, workers, cl, got[cl], want[cl])
+					}
+				}
+			}
 		}
 	}
 }

@@ -2,13 +2,15 @@
 // relation statistics of internal/stats into physical execution choices for
 // operator plans — which join algorithm runs each Join node, in which order a
 // chain of joins consumes its inputs, whether the match phase is scheduled
-// statically or morsel-driven, whether presorted inputs skip their sort
-// phase, and whether a GroupAggregate merges or hashes.
+// statically or morsel-driven, and whether presorted inputs skip their sort
+// phase. A join is costed together with what consumes its output: the
+// key-ordered range entries an MPSM join hands on, against a hash join's pairs
+// in probe order, are a property the planner prices (see CostModel).
 //
 // The pipeline is
 //
 //	stats.Profile (per base relation, cached on the Engine)
-//	   → cost model (calibrated ns/tuple constants, CostModel)
+//	   → cost model (committed ns/tuple constants, CostModel)
 //	   → rewrite (join order, build/probe roles, per-node physical choices)
 //
 // and every decision is recorded as a NodeDecision so that Explain can show
@@ -33,6 +35,7 @@ import (
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
 	"repro/internal/sched"
+	"repro/internal/sink"
 	"repro/internal/stats"
 )
 
@@ -64,6 +67,43 @@ type Constraints struct {
 	// Only then may the planner exchange build and probe roles; a user sink
 	// or explicit projection observes the pair order.
 	SymmetricConsumer bool
+	// Consumer describes what the join's output is delivered to; the zero
+	// value is a consumer that has every pair formed.
+	Consumer Consumer
+}
+
+// Shape is a join's output as its consumer receives it.
+type Shape struct {
+	// Ranges reports range entries — one per private key group and public
+	// run, key-ordered within every (private run, public run) pair — as B- and
+	// P-MPSM emit them; the hash joins emit pairs in probe order.
+	Ranges bool
+	// Partitions, when positive, is the number of key ranges the output is
+	// partitioned into by writer: under static scheduling P-MPSM's worker w
+	// joins exactly splitter range w. Explain reports it; no operator starts
+	// from it yet (ROADMAP, "Measured dead ends").
+	Partitions int
+}
+
+// String renders the shape for Explain.
+func (s Shape) String() string {
+	switch {
+	case !s.Ranges:
+		return "pairs, probe order"
+	case s.Partitions > 0:
+		return fmt.Sprintf("ranges, key-ordered, range-partitioned ×%d", s.Partitions)
+	default:
+		return "ranges, key-ordered"
+	}
+}
+
+// shapeOf is the output shape of an algorithm under a scheduling mode.
+func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int) Shape {
+	sh := Shape{Ranges: emitsRanges(alg)}
+	if alg == exec.AlgorithmPMPSM && mode == sched.Static {
+		sh.Partitions = workers
+	}
+	return sh
 }
 
 // Choice is the physical decision for one join.
@@ -101,7 +141,8 @@ func normWorkers(w int) int {
 	return w
 }
 
-// candidates returns the algorithms the constraints allow.
+// candidates returns the algorithms the constraints allow, in the order
+// that breaks ties (CostModel.Resolution): the paper's algorithm first.
 func candidates(c Constraints) []exec.Algorithm {
 	if c.Configured == exec.AlgorithmDMPSM {
 		return []exec.Algorithm{exec.AlgorithmDMPSM}
@@ -124,47 +165,74 @@ func swappable(c Constraints) bool {
 }
 
 // ChooseJoin picks the cheapest (algorithm, orientation) pair the
-// constraints allow and derives the scheduling mode from the skew profile.
-// build/probe are the profiles of the join's current private/public inputs.
+// constraints allow — cheapest together with the join's consumer — and
+// derives the scheduling mode from the skew profile. build/probe are the
+// profiles of the join's current private/public inputs.
 func ChooseJoin(build, probe *stats.Profile, c Constraints, cm CostModel) Choice {
-	workers := normWorkers(c.Workers)
+	matches := stats.EstimateBandJoin(build, probe, c.Band)
+	return chooseJoin(build, probe, matches, stats.JoinOutput(build, probe, matches).DistinctKeys, c, cm)
+}
+
+// chooseJoin is ChooseJoin for a caller that already estimated the join's
+// cardinality and the distinct keys of its output.
+func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constraints, cm CostModel) Choice {
 	algs := candidates(c)
+
+	// Skewed or clustered inputs get the morsel-driven match phase: with
+	// several workers it fixes the straggler imbalance static splitters
+	// leave open, and even on one worker the blocked (morsel-sized)
+	// iteration is no slower than the static loop on such inputs. Balanced
+	// uniform inputs keep the paper-faithful static barriers. Neither input
+	// decides this alone, so the mode is the same for every orientation —
+	// and known before the algorithms are priced: morsels change what
+	// B-MPSM's match phase scans.
+	choice := Choice{EstRows: matches, Scheduler: sched.Static}
+	skew := math.Max(build.Skew, probe.Skew)
+	clustered := build.Clustered() || probe.Clustered()
+	if skew >= MorselSkewThreshold || clustered {
+		choice.Scheduler = sched.Morsel
+		if skew >= 2*MorselSkewThreshold {
+			// Twice the skew threshold means one bucket dominates; finer
+			// morsels keep enough stealable units in the hot range.
+			choice.MorselSize = sched.DefaultMorselSize / 2
+		}
+	}
 
 	type option struct {
 		alg  exec.Algorithm
 		swap bool
 		cost float64
 	}
-	matches := stats.EstimateJoin(build, probe)
+	orientations := []bool{false}
+	if swappable(c) {
+		orientations = append(orientations, true)
+	}
 	bestPer := make(map[exec.Algorithm]option, len(algs))
-	var best option
-	first := true
+	cheapest := math.Inf(1)
 	for _, alg := range algs {
-		orientations := []bool{false}
-		if swappable(c) {
-			orientations = append(orientations, true)
-		}
 		for _, swap := range orientations {
 			b, p := build, probe
 			if swap {
-				b, p = p, b
+				b, p = probe, build
 			}
-			cost := cm.Estimate(alg, inputsFor(b, p, matches, workers, c.LatencyNs))
+			in := inputsFor(b, p, matches, groups, c, choice.Scheduler)
+			cost := cm.Estimate(alg, in, c.Consumer)
 			if prev, ok := bestPer[alg]; !ok || cost < prev.cost {
 				bestPer[alg] = option{alg: alg, swap: swap, cost: cost}
 			}
-			if first || cost < best.cost {
-				best = option{alg: alg, swap: swap, cost: cost}
-				first = false
-			}
+			cheapest = math.Min(cheapest, cost)
+		}
+	}
+	// Costs closer than the model resolves are a tie, which goes to the
+	// first candidate: the same one whichever way the estimates lean.
+	var best option
+	for _, alg := range algs {
+		if best = bestPer[alg]; best.cost <= cheapest*(1+cm.Resolution) {
+			break
 		}
 	}
 
-	choice := Choice{
-		Algorithm: best.alg,
-		Swap:      best.swap,
-		EstRows:   matches,
-	}
+	choice.Algorithm, choice.Swap = best.alg, best.swap
 	finalBuild, finalProbe := build, probe
 	if best.swap {
 		finalBuild, finalProbe = probe, build
@@ -185,24 +253,6 @@ func ChooseJoin(build, probe *stats.Profile, c Constraints, cm CostModel) Choice
 		}
 		return choice.Costs[i].Algorithm < choice.Costs[j].Algorithm
 	})
-
-	// Skewed or clustered inputs get the morsel-driven match phase: with
-	// several workers it fixes the straggler imbalance static splitters
-	// leave open, and even on one worker the blocked (morsel-sized)
-	// iteration is no slower than the static loop on such inputs. Balanced
-	// uniform inputs keep the paper-faithful static barriers.
-	skew := math.Max(build.Skew, probe.Skew)
-	clustered := finalBuild.Clustered() || finalProbe.Clustered()
-	if skew >= MorselSkewThreshold || clustered {
-		choice.Scheduler = sched.Morsel
-		if skew >= 2*MorselSkewThreshold {
-			// Twice the skew threshold means one bucket dominates; finer
-			// morsels keep enough stealable units in the hot range.
-			choice.MorselSize = sched.DefaultMorselSize / 2
-		}
-	} else {
-		choice.Scheduler = sched.Static
-	}
 
 	choice.Keys = keysClause(build, probe)
 	choice.Reason = reasonFor(choice, c, skew, clustered)
@@ -235,8 +285,19 @@ func reasonFor(ch Choice, c Constraints, skew float64, clustered bool) string {
 	case c.Configured == exec.AlgorithmDMPSM:
 		why = "kept D-MPSM (memory-constrained configuration)"
 	case len(ch.Costs) > 1:
-		why = fmt.Sprintf("%v cheapest (%.1fms vs %v %.1fms)",
-			ch.Algorithm, ch.Costs[0].Millis, ch.Costs[1].Algorithm, ch.Costs[1].Millis)
+		// The costs include delivering to the consumer; name it where it has
+		// a say in the ranking.
+		with := ""
+		if c.Consumer.Groups {
+			with = " with its group-by"
+		}
+		if first := ch.Costs[0]; first.Algorithm != ch.Algorithm {
+			why = fmt.Sprintf("%v ties with the cheapest%s (%.1fms vs %v %.1fms)",
+				ch.Algorithm, with, costOf(ch.Costs, ch.Algorithm), first.Algorithm, first.Millis)
+		} else {
+			why = fmt.Sprintf("%v cheapest%s (%.1fms vs %v %.1fms)",
+				ch.Algorithm, with, first.Millis, ch.Costs[1].Algorithm, ch.Costs[1].Millis)
+		}
 	default:
 		why = fmt.Sprintf("%v is the only eligible algorithm", ch.Algorithm)
 	}
@@ -279,6 +340,10 @@ type NodeDecision struct {
 	Swapped                           bool
 	Reordered                         bool
 	Costs                             []AlgorithmCost
+	// Output is the join's output shape and EstMillis the modelled cost of
+	// the algorithm the node runs, delivery to its consumer included.
+	Output    Shape
+	EstMillis float64
 
 	// Keys describes the key-schema regime (join and scan nodes over
 	// normalized-key relations); empty for raw uint64 keys. Unlike Reason
@@ -353,14 +418,16 @@ func (o *Optimizer) Optimize(p *exec.Plan) (*exec.Plan, []NodeDecision, error) {
 		plan:     cp,
 		cm:       o.costModel(),
 		profiles: make([]*stats.Profile, len(cp.Nodes)),
+		matches:  make([]float64, len(cp.Nodes)),
 		decide:   make([]NodeDecision, len(cp.Nodes)),
 	}
 
 	if o.Rewrite {
 		st.profileAll()
-		st.reorderClusters()
-		// Rewiring invalidates downstream estimates; recompute from scratch.
-		st.profiles = make([]*stats.Profile, len(cp.Nodes))
+		if st.reorderClusters() {
+			// Rewiring invalidates downstream estimates; recompute from scratch.
+			st.profiles = make([]*stats.Profile, len(cp.Nodes))
+		}
 	}
 	st.profileAll()
 	st.decideNodes()
@@ -374,12 +441,18 @@ func (o *Optimizer) Optimize(p *exec.Plan) (*exec.Plan, []NodeDecision, error) {
 
 // planState is the working state of one optimization.
 type planState struct {
-	opt       *Optimizer
-	plan      *exec.Plan
-	cm        CostModel
-	profiles  []*stats.Profile
+	opt      *Optimizer
+	plan     *exec.Plan
+	cm       CostModel
+	profiles []*stats.Profile
+	// matches is the estimated cardinality of every join node, kept from
+	// profiling so that deciding a join does not estimate it again.
+	matches   []float64
 	decide    []NodeDecision
 	symmetric []bool
+	// consumer is the node consuming each node's output (-1 for the root and
+	// for scans, which may feed several).
+	consumer []exec.NodeID
 }
 
 // profileAll memoizes the output profile of every node.
@@ -405,7 +478,8 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 	case exec.NodeJoin:
 		b := s.profile(n.Inputs[0])
 		pr := s.profile(n.Inputs[1])
-		p = stats.JoinOutput(b, pr, stats.EstimateJoin(b, pr))
+		s.matches[id] = stats.EstimateBandJoin(b, pr, n.JoinOptions.Band)
+		p = stats.JoinOutput(b, pr, s.matches[id])
 	case exec.NodeMap:
 		p = s.profile(n.Inputs[0]).Mapped(n.MapFn)
 	case exec.NodeProject:
@@ -470,16 +544,33 @@ func (s *planState) symmetricConsumers() []bool {
 	return sym
 }
 
+// consumers returns, per node, the node consuming its output: -1 for the
+// root and for scans, the one kind of node validation lets feed several.
+func (s *planState) consumers() []exec.NodeID {
+	consumer := make([]exec.NodeID, len(s.plan.Nodes))
+	for i := range consumer {
+		consumer[i] = -1
+	}
+	for id, n := range s.plan.Nodes {
+		for _, in := range n.Inputs {
+			if s.plan.Nodes[in].Kind != exec.NodeScan {
+				consumer[in] = exec.NodeID(id)
+			}
+		}
+	}
+	return consumer
+}
+
 // decideNodes applies (or, without Rewrite, merely records) the per-node
 // physical decisions.
 func (s *planState) decideNodes() {
 	s.symmetric = s.symmetricConsumers()
+	s.consumer = s.consumers()
 	for id := range s.plan.Nodes {
 		n := &s.plan.Nodes[id]
 		d := &s.decide[id]
 		d.ID = exec.NodeID(id)
 		d.Kind = n.Kind
-		d.Inputs = append([]exec.NodeID(nil), n.Inputs...)
 		p := s.profiles[id]
 		d.EstRows = float64(p.Tuples)
 		d.EstDistinct = p.DistinctKeys
@@ -494,58 +585,83 @@ func (s *planState) decideNodes() {
 				d.Keys = n.Rel.Meta.Describe()
 			}
 		case exec.NodeJoin:
-			s.decideJoin(exec.NodeID(id), n, d)
+			s.decideJoin(exec.NodeID(id))
 		}
+		d.Inputs = append([]exec.NodeID(nil), n.Inputs...)
 	}
+}
+
+// consumerOf describes what join id delivers its output to.
+func (s *planState) consumerOf(id exec.NodeID) Consumer {
+	named, c := true, s.consumer[id]
+	if c >= 0 && s.plan.Nodes[c].Kind == exec.NodeProject {
+		named, c = s.plan.Nodes[c].ProjectValue != sink.ValueOpaque, s.consumer[c]
+	}
+	if c < 0 {
+		return Consumer{} // the plan's output, materialized pair by pair
+	}
+	switch n := s.plan.Nodes[c]; n.Kind {
+	case exec.NodeGroupAggregate:
+		return Consumer{Folds: named, Groups: true}
+	case exec.NodeSink:
+		return Consumer{Folds: sink.FoldsRanges(n.Sink)}
+	}
+	return Consumer{} // the next join takes pairs through Collect
 }
 
 // decideJoin chooses and (when rewriting) applies one join's physical
 // execution.
-func (s *planState) decideJoin(id exec.NodeID, n *exec.PlanNode, d *NodeDecision) {
-	build := s.profiles[n.Inputs[0]]
-	probe := s.profiles[n.Inputs[1]]
+func (s *planState) decideJoin(id exec.NodeID) {
+	n, d := &s.plan.Nodes[id], &s.decide[id]
 	c := Constraints{
-		Configured:        n.Algorithm,
-		Kind:              n.JoinOptions.Kind,
-		Band:              n.JoinOptions.Band,
-		Workers:           n.JoinOptions.Workers,
-		LatencyNs:         diskLatencyNs(n.DiskOptions),
-		SymmetricConsumer: s.symmetric[id],
+		Configured: n.Algorithm,
+		Kind:       n.JoinOptions.Kind,
+		Band:       n.JoinOptions.Band,
+		Workers:    n.JoinOptions.Workers,
+		LatencyNs:  diskLatencyNs(n.DiskOptions),
+		// Annotating a configured plan prices its orientation, not the best.
+		SymmetricConsumer: s.symmetric[id] && s.opt.Rewrite,
+		Consumer:          s.consumerOf(id),
 	}
-	ch := ChooseJoin(build, probe, c, s.cm)
+	ch := chooseJoin(s.profiles[n.Inputs[0]], s.profiles[n.Inputs[1]], s.matches[id], s.profiles[id].DistinctKeys, c, s.cm)
 	d.EstRows = ch.EstRows
 	d.Costs = ch.Costs
 	d.Keys = ch.Keys
-	d.Reason = ch.Reason
 
-	if !s.opt.Rewrite {
-		// Annotate what the configured plan will do.
-		d.Algorithm = n.Algorithm
-		d.Scheduler = n.JoinOptions.Scheduler
-		d.MorselSize = n.JoinOptions.MorselSize
-		d.PresortedPrivate = n.JoinOptions.PresortedPrivate
-		d.PresortedPublic = n.JoinOptions.PresortedPublic
-		d.Reason = ""
-		return
+	if s.opt.Rewrite {
+		n.Algorithm = ch.Algorithm
+		n.JoinOptions.Scheduler = ch.Scheduler
+		if ch.MorselSize > 0 {
+			n.JoinOptions.MorselSize = ch.MorselSize
+		}
+		n.JoinOptions.PresortedPrivate = ch.PresortedPrivate
+		n.JoinOptions.PresortedPublic = ch.PresortedPublic
+		if ch.Swap {
+			n.Inputs = []exec.NodeID{n.Inputs[1], n.Inputs[0]}
+			d.Swapped = true
+		}
+		d.Reason = ch.Reason
 	}
-
-	n.Algorithm = ch.Algorithm
-	n.JoinOptions.Scheduler = ch.Scheduler
-	if ch.MorselSize > 0 {
-		n.JoinOptions.MorselSize = ch.MorselSize
-	}
-	n.JoinOptions.PresortedPrivate = ch.PresortedPrivate
-	n.JoinOptions.PresortedPublic = ch.PresortedPublic
-	if ch.Swap {
-		n.Inputs = []exec.NodeID{n.Inputs[1], n.Inputs[0]}
-		d.Inputs = append([]exec.NodeID(nil), n.Inputs...)
-		d.Swapped = true
-	}
-	d.Algorithm = ch.Algorithm
-	d.Scheduler = ch.Scheduler
+	// Describe what the node — chosen just now, or configured — will do.
+	d.Algorithm = n.Algorithm
+	d.Scheduler = n.JoinOptions.Scheduler
 	d.MorselSize = n.JoinOptions.MorselSize
-	d.PresortedPrivate = ch.PresortedPrivate
-	d.PresortedPublic = ch.PresortedPublic
+	d.PresortedPrivate = n.JoinOptions.PresortedPrivate
+	d.PresortedPublic = n.JoinOptions.PresortedPublic
+	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, normWorkers(n.JoinOptions.Workers))
+	d.EstMillis = costOf(ch.Costs, n.Algorithm)
+}
+
+// costOf is the modelled cost of one algorithm among the priced ones, zero
+// when it was not a candidate (a configured algorithm the constraints rule
+// out).
+func costOf(costs []AlgorithmCost, alg exec.Algorithm) float64 {
+	for _, c := range costs {
+		if c.Algorithm == alg {
+			return c.Millis
+		}
+	}
+	return 0
 }
 
 // diskLatencyNs converts the configured per-page disk latencies into a

@@ -17,6 +17,10 @@ import (
 // profileOf collects a fresh profile.
 func profileOf(rel *relation.Relation) *stats.Profile { return stats.Collect(rel) }
 
+// maxSum is the consumer of a join run without a sink of its own: the
+// built-in max-sum aggregate, which folds range entries.
+var maxSum = Consumer{Folds: true}
+
 // sortedClone returns a key-sorted copy of the relation.
 func sortedClone(rel *relation.Relation) *relation.Relation {
 	c := rel.Clone()
@@ -29,7 +33,7 @@ func sortedClone(rel *relation.Relation) *relation.Relation {
 func TestChooseJoinPicksHashForUnsortedInputs(t *testing.T) {
 	r := workload.UniformRelation("R", 1<<18, workload.DefaultKeyDomain, 1)
 	s := workload.ForeignKeyRelation("S", r, 1<<20, 2)
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1}, DefaultCostModel())
+	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmRadix {
 		t.Errorf("unsorted mid-size join chose %v, want Radix (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -43,7 +47,7 @@ func TestChooseJoinPicksHashForUnsortedInputs(t *testing.T) {
 func TestChooseJoinPicksWisconsinForSmallBuild(t *testing.T) {
 	r := workload.UniformRelation("R", 1<<14, workload.DefaultKeyDomain, 3)
 	s := workload.ForeignKeyRelation("S", r, 1<<19, 4)
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1}, DefaultCostModel())
+	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmWisconsin {
 		t.Errorf("small-build join chose %v, want Wisconsin (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -54,7 +58,7 @@ func TestChooseJoinPicksWisconsinForSmallBuild(t *testing.T) {
 func TestChooseJoinExploitsPresortedInputs(t *testing.T) {
 	r := sortedClone(workload.UniformRelation("R", 1<<18, workload.DefaultKeyDomain, 5))
 	s := sortedClone(workload.ForeignKeyRelation("S", r, 1<<20, 6))
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1}, DefaultCostModel())
+	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmBMPSM {
 		t.Errorf("presorted join chose %v, want B-MPSM (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -106,7 +110,7 @@ func TestChooseJoinSwapsRoles(t *testing.T) {
 	big := workload.ForeignKeyRelation("big", small, 1<<20, 42)
 	bp, sp := profileOf(big), profileOf(small)
 
-	ch := ChooseJoin(bp, sp, Constraints{Workers: 1, SymmetricConsumer: true}, DefaultCostModel())
+	ch := ChooseJoin(bp, sp, Constraints{Workers: 1, SymmetricConsumer: true, Consumer: maxSum}, DefaultCostModel())
 	if !ch.Swap {
 		t.Errorf("huge-build join did not reverse roles: %+v", ch)
 	}
@@ -115,7 +119,7 @@ func TestChooseJoinSwapsRoles(t *testing.T) {
 			ch.Algorithm, ch.Costs)
 	}
 
-	pinned := ChooseJoin(bp, sp, Constraints{Workers: 1}, DefaultCostModel())
+	pinned := ChooseJoin(bp, sp, Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if pinned.Swap {
 		t.Errorf("asymmetric consumer must pin the roles, got swap")
 	}
@@ -138,16 +142,58 @@ func TestChooseJoinKeepsDMPSM(t *testing.T) {
 func TestChooseJoinMorselUnderSkew(t *testing.T) {
 	r := workload.SkewedRelation("R", 1<<16, workload.DefaultKeyDomain, workload.SkewLow80, 11)
 	s := workload.ForeignKeyRelation("S", r, 1<<18, 12)
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 8}, DefaultCostModel())
+	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 8, Consumer: maxSum}, DefaultCostModel())
 	if ch.Scheduler != sched.Morsel {
 		t.Errorf("skewed 8-worker join chose %v scheduling, want morsel", ch.Scheduler)
 	}
 
 	uni := workload.UniformRelation("U", 1<<16, workload.DefaultKeyDomain, 13)
 	us := workload.ForeignKeyRelation("US", uni, 1<<18, 14)
-	ch = ChooseJoin(profileOf(uni), profileOf(us), Constraints{Workers: 8}, DefaultCostModel())
+	ch = ChooseJoin(profileOf(uni), profileOf(us), Constraints{Workers: 8, Consumer: maxSum}, DefaultCostModel())
 	if ch.Scheduler != sched.Static {
 		t.Errorf("uniform 8-worker join chose %v scheduling, want static", ch.Scheduler)
+	}
+}
+
+// TestChooseJoinBreaksTiesByCandidateOrder: costs within the model's
+// resolution of the cheapest are a tie that goes to the first candidate, so
+// the choice does not follow the cardinality estimate's noise. The join is
+// chain3's first (65 536 × 262 144 into the next join), whose P-MPSM and
+// Radix HJ costs cross between generator seeds: the choice is the same for
+// every seed, it is within Resolution of the cheapest, and no earlier
+// candidate is.
+func TestChooseJoinBreaksTiesByCandidateOrder(t *testing.T) {
+	cm := DefaultCostModel()
+	c := Constraints{Workers: 2} // the zero Consumer takes pairs
+	var first exec.Algorithm
+	for seed := uint64(1); seed <= 3; seed++ {
+		r := workload.UniformRelation("a", 1<<16, 1<<32, seed)
+		s := workload.ForeignKeyRelation("b", r, 1<<18, seed+1)
+		ch := ChooseJoin(profileOf(r), profileOf(s), c, cm)
+		if seed == 1 {
+			first = ch.Algorithm
+		} else if ch.Algorithm != first {
+			t.Errorf("seed %d chose %v, seed 1 chose %v (costs %+v)", seed, ch.Algorithm, first, ch.Costs)
+		}
+		limit := ch.Costs[0].Millis * (1 + cm.Resolution)
+		for _, alg := range candidates(c) {
+			cost := costOf(ch.Costs, alg)
+			if alg == ch.Algorithm {
+				if cost > limit {
+					t.Errorf("seed %d: chosen %v costs %.2f, beyond the tie limit %.2f", seed, alg, cost, limit)
+				}
+				break
+			}
+			if cost <= limit {
+				t.Errorf("seed %d: %v (%.2f) ties with the cheapest and comes before the chosen %v", seed, alg, cost, ch.Algorithm)
+			}
+		}
+	}
+	// Outside the resolution the cheaper algorithm wins whatever its place.
+	small := workload.UniformRelation("r", 1<<12, 1<<32, 7)
+	ch := ChooseJoin(profileOf(small), profileOf(workload.ForeignKeyRelation("s", small, 1<<14, 8)), Constraints{Workers: 2, Consumer: maxSum}, cm)
+	if ch.Algorithm != ch.Costs[0].Algorithm || ch.Algorithm == exec.AlgorithmPMPSM {
+		t.Errorf("4 096 × 16 384 chose %v, want the cheapest, a hash join (costs %+v)", ch.Algorithm, ch.Costs)
 	}
 }
 
@@ -155,13 +201,13 @@ func TestChooseJoinMorselUnderSkew(t *testing.T) {
 // workers, while P-MPSM's join phase must.
 func TestCostModelWorkerScaling(t *testing.T) {
 	cm := DefaultCostModel()
-	in1 := joinInputs{build: 1 << 18, probe: 1 << 22, workers: 1}
+	in1 := joinInputs{build: 1 << 18, probe: 1 << 22, workers: 1, static: true}
 	in16 := in1
 	in16.workers = 16
-	b1 := cm.Estimate(exec.AlgorithmBMPSM, in1)
-	b16 := cm.Estimate(exec.AlgorithmBMPSM, in16)
-	p1 := cm.Estimate(exec.AlgorithmPMPSM, in1)
-	p16 := cm.Estimate(exec.AlgorithmPMPSM, in16)
+	b1 := cm.Estimate(exec.AlgorithmBMPSM, in1, maxSum)
+	b16 := cm.Estimate(exec.AlgorithmBMPSM, in16, maxSum)
+	p1 := cm.Estimate(exec.AlgorithmPMPSM, in1, maxSum)
+	p16 := cm.Estimate(exec.AlgorithmPMPSM, in16, maxSum)
 	if p16 >= p1/4 {
 		t.Errorf("P-MPSM cost barely scales with workers: %v -> %v", p1, p16)
 	}

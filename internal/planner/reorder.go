@@ -28,9 +28,10 @@ import (
 // between the root's build and probe sides, so a consumer that observes the
 // pair — a user sink, or a Project/Map whose function is not linear in the
 // summed payloads — would see different values for the same joined triples.
-func (s *planState) reorderClusters() {
+func (s *planState) reorderClusters() (rewired bool) {
 	p := s.plan
 	s.symmetric = s.symmetricConsumers()
+	s.consumer = s.consumers()
 	inCluster := make([]bool, len(p.Nodes))
 	for id := range p.Nodes {
 		if inCluster[id] || !s.reorderable(exec.NodeID(id)) {
@@ -46,8 +47,11 @@ func (s *planState) reorderClusters() {
 		if root := s.clusterRoot(cluster, memberSet(cluster)); !s.symmetric[root] {
 			continue
 		}
-		s.reorderCluster(cluster)
+		if s.reorderCluster(cluster) {
+			rewired = true
+		}
 	}
+	return rewired
 }
 
 // memberSet builds the membership lookup of a cluster.
@@ -72,20 +76,6 @@ func (s *planState) reorderable(id exec.NodeID) bool {
 // collectCluster gathers the maximal reorderable join cluster containing
 // seed, in ascending node-ID order.
 func (s *planState) collectCluster(seed exec.NodeID) []exec.NodeID {
-	// Consumers of each node (validation guarantees non-scan nodes have at
-	// most one).
-	consumer := make([]exec.NodeID, len(s.plan.Nodes))
-	for i := range consumer {
-		consumer[i] = -1
-	}
-	for id, n := range s.plan.Nodes {
-		for _, in := range n.Inputs {
-			if s.plan.Nodes[in].Kind != exec.NodeScan {
-				consumer[in] = exec.NodeID(id)
-			}
-		}
-	}
-
 	seen := map[exec.NodeID]bool{seed: true}
 	frontier := []exec.NodeID{seed}
 	for len(frontier) > 0 {
@@ -93,7 +83,7 @@ func (s *planState) collectCluster(seed exec.NodeID) []exec.NodeID {
 		frontier = frontier[:len(frontier)-1]
 		neighbors := make([]exec.NodeID, 0, 3)
 		neighbors = append(neighbors, s.plan.Nodes[id].Inputs...)
-		if c := consumer[id]; c >= 0 {
+		if c := s.consumer[id]; c >= 0 {
 			neighbors = append(neighbors, c)
 		}
 		for _, nb := range neighbors {
@@ -116,7 +106,7 @@ func (s *planState) collectCluster(seed exec.NodeID) []exec.NodeID {
 // then repeatedly join the leaf that keeps the intermediate smallest. The
 // cluster's join node IDs are reused in topological (child-first) order, so
 // the cluster root keeps its ID and outside consumers stay valid.
-func (s *planState) reorderCluster(cluster []exec.NodeID) {
+func (s *planState) reorderCluster(cluster []exec.NodeID) (rewired bool) {
 	isMember := memberSet(cluster)
 
 	// Leaves: inputs of cluster joins that are not cluster joins themselves,
@@ -133,7 +123,7 @@ func (s *planState) reorderCluster(cluster []exec.NodeID) {
 	}
 	if len(leaves) != len(cluster)+1 {
 		// Not a tree shape we understand; leave the cluster untouched.
-		return
+		return false
 	}
 
 	// Topological (child-first) order of the cluster joins.
@@ -153,7 +143,7 @@ func (s *planState) reorderCluster(cluster []exec.NodeID) {
 	root := s.clusterRoot(cluster, isMember)
 	visit(root)
 	if len(topo) != len(cluster) {
-		return
+		return false
 	}
 
 	// Greedy order over the leaves.
@@ -216,8 +206,10 @@ func (s *planState) reorderCluster(cluster []exec.NodeID) {
 		if n.Inputs[0] != want[0] || n.Inputs[1] != want[1] {
 			n.Inputs = want
 			s.decide[id].Reordered = true
+			rewired = true
 		}
 	}
+	return rewired
 }
 
 // clusterRoot returns the cluster join no other cluster join consumes.

@@ -51,6 +51,17 @@ type Sink interface {
 // formed.
 type BatchWriter = mergejoin.BatchConsumer
 
+// FoldsRanges reports whether s is one of the built-in sinks whose writers
+// take merge output a range entry at a time (nil selects MaxSum, as in Bind):
+// behind B- and P-MPSM they do no per-pair work, which the planner prices.
+func FoldsRanges(s Sink) bool {
+	switch s.(type) {
+	case nil, *MaxSum, *Count:
+		return true
+	}
+	return false
+}
+
 // Pair is one joined (r, s) tuple pair.
 type Pair struct {
 	R, S relation.Tuple

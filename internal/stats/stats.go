@@ -416,6 +416,49 @@ func EstimateJoin(a, b *Profile) float64 {
 	return math.Min(containment, independence)
 }
 
+// EstimateBandJoin estimates the cardinality of the band join of a and b,
+// |a.key − b.key| <= band; band 0 is EstimateJoin. A band join's result
+// contains the equi-join's, so the equi-join estimate is a floor (it is the
+// one that recognises foreign-key inputs). Above it, every key of a meets the
+// 2·band+1 key values around it: per key-range bucket of a, against b's mass
+// in the bucket widened by the band on both sides, each of those offsets is
+// an equi-join of the two — |A_g|·|B_g| / span_g pairs for keys spread
+// independently over the widened bucket's span, |A_g|·|B_g| / max(d_Ag, d_Bg)
+// when a profile's keys are known to be contained in the other's — and the
+// bucket's cross product bounds their sum.
+func EstimateBandJoin(a, b *Profile, band uint64) float64 {
+	equi := EstimateJoin(a, b)
+	if band == 0 || a == nil || b == nil || a.Tuples == 0 || b.Tuples == 0 {
+		return equi
+	}
+	w := float64(band)
+	lo := math.Max(float64(a.MinKey), float64(b.MinKey)-w)
+	hi := math.Min(float64(a.MaxKey), float64(b.MaxKey)+w)
+	if hi < lo {
+		return equi
+	}
+	width := math.Max(1, (hi-lo+1)/HistogramBuckets) // a bucket holds at least one key value
+	span := width + 2*w
+	widened := 0.0
+	for gLo := lo; gLo <= hi; gLo += width {
+		gHi := gLo + width - 1
+		fa := a.massIn(gLo, gHi)
+		fb := b.massIn(gLo-w, gHi+w)
+		if fa <= 0 || fb <= 0 {
+			continue
+		}
+		perOffset := span // keys one offset's equi-join spreads its pairs over
+		if a.Correlated || b.Correlated {
+			da := math.Min(math.Max(1, fa*a.DistinctKeys), width)
+			db := math.Min(math.Max(1, fb*b.DistinctKeys), span)
+			perOffset = math.Max(da, db)
+		}
+		cross := fa * float64(a.Tuples) * fb * float64(b.Tuples)
+		widened += cross * math.Min(1, (2*w+1)/perOffset)
+	}
+	return math.Max(equi, widened)
+}
+
 // histogramEstimates computes the independence and containment estimates
 // over a common bucket grid spanning the key-range overlap [lo, hi].
 func histogramEstimates(a, b *Profile, lo, hi float64) (independence, containment float64) {

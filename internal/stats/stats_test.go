@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -202,6 +203,58 @@ func TestJoinEstimateAccuracy(t *testing.T) {
 	hi := relation.New("H", hiTuples)
 	if est := EstimateJoin(Collect(lo), Collect(hi)); est > 1 {
 		t.Errorf("disjoint join estimated at %.1f, want ~0", est)
+	}
+}
+
+// exactBandJoin counts the pairs with |r.key − s.key| <= band by brute force
+// over s's sorted keys (the test keys stay clear of both ends of the domain).
+func exactBandJoin(r, s *relation.Relation, band uint64) float64 {
+	keys := make([]uint64, s.Len())
+	for i, t := range s.Tuples {
+		keys[i] = t.Key
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	pairs := 0
+	for _, t := range r.Tuples {
+		from := sort.Search(len(keys), func(i int) bool { return keys[i]+band >= t.Key })
+		to := sort.Search(len(keys), func(i int) bool { return keys[i] > t.Key+band })
+		pairs += to - from
+	}
+	return float64(pairs)
+}
+
+// TestBandJoinEstimate: the band width must reach the cardinality estimate.
+// On query_mix's d/e shape — 32 768 independent keys below 2^18 on each side,
+// where the equi-join estimate alone is ~29x too low at width 16 — the
+// estimate stays within a factor 2 of the exact count for every width the
+// template uses, foreign-key inputs keep their probe estimate as the floor,
+// and width 0 is EstimateJoin.
+func TestBandJoinEstimate(t *testing.T) {
+	const n, domain = 32768, 1 << 18
+	d := workload.UniformRelation("d", n, domain, 41)
+	e := workload.UniformRelation("e", n, domain, 42)
+	pd, pe := Collect(d), Collect(e)
+	for _, width := range []uint64{2, 4, 8, 16, 32} {
+		withinFactor(t, fmt.Sprintf("band join width %d", width), EstimateBandJoin(pd, pe, width), exactBandJoin(d, e, width), 2)
+	}
+	if band, equi := EstimateBandJoin(pd, pe, 0), EstimateJoin(pd, pe); band != equi {
+		t.Errorf("width 0 estimated at %v, the equi-join at %v", band, equi)
+	}
+
+	// Sparse foreign keys: a band of 8 key values adds next to nothing to the
+	// equi-join, which only the key probe sees.
+	r := workload.UniformRelation("R", 1<<14, workload.DefaultKeyDomain, 43)
+	s := workload.ForeignKeyRelation("S", r, 1<<16, 44)
+	withinFactor(t, "foreign-key band join", EstimateBandJoin(Collect(r), Collect(s), 8), exactBandJoin(r, s, 8), 1.5)
+
+	// Key ranges a band cannot bridge stay empty; ranges it can, do not.
+	lo := relation.New("lo", []relation.Tuple{{Key: 10}, {Key: 11}})
+	hi := relation.New("hi", []relation.Tuple{{Key: 20}, {Key: 21}})
+	if est := EstimateBandJoin(Collect(lo), Collect(hi), 5); est != 0 {
+		t.Errorf("unbridged band join estimated at %v, want 0", est)
+	}
+	if est := EstimateBandJoin(Collect(lo), Collect(hi), 10); est <= 0 || est > 4 {
+		t.Errorf("bridged band join estimated at %v, want within (0, 4]", est)
 	}
 }
 
