@@ -11,6 +11,11 @@
 //	curl -s localhost:7737/v1/query -d '{"query":"ans(K, Sum) :- r(K, X), s(K, Y), X > 10, agg sum(Y)","limit":5}'
 //	curl -s localhost:7737/v1/stats
 //
+// An upload is scanned in one pass into the relation's tuples and refused with
+// 413 once it exceeds what a join could be admitted for (-max-memory / 48
+// tuples) or what the catalog may hold (-max-memory bytes of tuples); see
+// ingest.go for the grammar.
+//
 // Joins admitted beyond the memory limit queue FIFO (429 once the queue is
 // full); concurrent joins interleave under weighted fair-share scheduling; and
 // repeated plan shapes are served from the plan cache — /v1/stats reports all
@@ -28,6 +33,19 @@ import (
 	"time"
 
 	mpsm "repro"
+)
+
+// The connection-level time bounds. Request bodies have their own deadline,
+// server.bodyTimeout, which an upload renews block by block: there is no
+// http.Server.ReadTimeout, because a bulk upload may take as long as it likes
+// while it keeps delivering.
+const (
+	// readHeaderTimeout is how long a client may take to send a request's
+	// headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout is how long a keep-alive connection may sit between
+	// requests.
+	idleTimeout = 2 * time.Minute
 )
 
 func main() {
@@ -69,7 +87,12 @@ func main() {
 		mpsm.WithServiceFaults(faults),
 	)
 
-	httpSrv := &http.Server{Addr: *addr, Handler: newServer(svc)}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           newServer(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,
 	// drain in-flight HTTP requests (bounded by the shutdown timeout), then

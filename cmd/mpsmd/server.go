@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -20,17 +21,38 @@ type server struct {
 	svc *mpsm.Service
 	mux *http.ServeMux
 
+	// Both catalog limits derive from the one memory limit the service
+	// already has, its admission limit L (-max-memory; by default
+	// memory.DefaultLimitBytes). A join's derived budget is 3 × 16 B × rows
+	// (Service.budgetFor), so a relation of more than L/48 tuples could not
+	// be admitted even against an empty partner and is not worth storing:
+	// that is maxRelationTuples. And the catalog may keep at most L bytes of
+	// tuples resident — as much as it lets the queries over them reserve —
+	// which is maxCatalogBytes.
+	maxRelationTuples int
+	maxCatalogBytes   int64
+	// bodyTimeout is how long a request body may take to arrive: all of a
+	// /v1/join or /v1/query body, each block of an upload.
+	bodyTimeout time.Duration
+
 	mu        sync.RWMutex
 	relations map[string]*mpsm.Relation
 }
 
+// defaultBodyTimeout is server.bodyTimeout outside tests.
+const defaultBodyTimeout = 10 * time.Second
+
 // newServer wires the routes. The returned server is an http.Handler, so tests
 // drive it through net/http/httptest without binding a port.
 func newServer(svc *mpsm.Service) *server {
+	limit := svc.Stats().Memory.ReserveLimit
 	s := &server{
-		svc:       svc,
-		mux:       http.NewServeMux(),
-		relations: make(map[string]*mpsm.Relation),
+		svc:               svc,
+		mux:               http.NewServeMux(),
+		maxRelationTuples: int(limit / (3 * tupleBytes)),
+		maxCatalogBytes:   limit,
+		bodyTimeout:       defaultBodyTimeout,
+		relations:         make(map[string]*mpsm.Relation),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -76,18 +98,35 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // maxRequestBody bounds the bodies of /v1/join and /v1/query: both carry a
 // few names or one query text, so 1 MiB is generous, and an unbounded body
 // would let one client make the daemon buffer whatever it sends.
-// /v1/relations is not bounded here — it carries the bulk tuple uploads.
+// /v1/relations carries the bulk tuple uploads and is bounded in tuples, by
+// the catalog's limits.
 const maxRequestBody = 1 << 20
 
-// decodeBody decodes a size-bounded JSON request body into req, answering 413
-// for an oversized body and 400 for a malformed one; it reports whether the
-// handler should proceed.
-func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+// readDeadline returns a function that gives the request's body bodyTimeout
+// from now to arrive (or to deliver its next block). The deadline covers the
+// body only: net/http lifts it when the body ends, before it starts watching
+// the connection for a disconnect, so it cannot cancel a long join.
+func (s *server) readDeadline(w http.ResponseWriter) func() {
+	rc := http.NewResponseController(w)
+	return func() {
+		// An error means the connection has no deadlines (a test recorder).
+		_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
+	}
+}
+
+// decodeBody decodes a size- and time-bounded JSON request body into req,
+// answering 413 for an oversized body, 408 for one that does not arrive in
+// time and 400 for a malformed one; it reports whether the handler should
+// proceed.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	s.readDeadline(w)()
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(req)
 	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &tooLarge):
 		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		writeError(w, http.StatusRequestTimeout, "request body stalled: %v", err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 	}
@@ -129,39 +168,72 @@ type generateSpec struct {
 	ForeignKeyOf string `json:"foreign_key_of,omitempty"`
 }
 
-// createRelationRequest registers a named relation, either from explicit
-// tuples ([[key, payload], ...]) or from a generator spec.
-type createRelationRequest struct {
-	Name     string        `json:"name"`
-	Tuples   [][2]uint64   `json:"tuples,omitempty"`
-	Generate *generateSpec `json:"generate,omitempty"`
+// uploadError is the error body of a refused upload: where in the body the
+// scanner stopped, and at which tuple (-1 outside the tuples array).
+type uploadError struct {
+	Error  string `json:"error"`
+	Offset int64  `json:"offset"`
+	Tuple  int    `json:"tuple"`
+}
+
+// tupleBudget is how many tuples a relation stored under name may hold: the
+// per-relation limit, or what the catalog has left counting the bytes of the
+// relation it would replace. An upload that has not named its relation yet
+// (name is empty) gets the per-relation limit; register decides.
+func (s *server) tupleBudget(name string) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if name == "" {
+		return s.maxRelationTuples
+	}
+	free := (s.maxCatalogBytes - s.residentBytes(name)) / tupleBytes
+	return int(max(0, min(free, int64(s.maxRelationTuples))))
+}
+
+// residentBytes sums the catalog's tuple bytes, leaving out the relation
+// stored as except. The caller holds mu.
+func (s *server) residentBytes(except string) int64 {
+	var sum int64
+	for name, rel := range s.relations {
+		if name != except {
+			sum += int64(rel.Len()) * tupleBytes
+		}
+	}
+	return sum
+}
+
+// register stores rel under its name, replacing what was there, unless the
+// catalog would then hold more than maxCatalogBytes. tupleBudget said it
+// would not, but other uploads may have registered since.
+func (s *server) register(rel *mpsm.Relation) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.residentBytes(rel.Name)+int64(rel.Len())*tupleBytes > s.maxCatalogBytes {
+		return false
+	}
+	s.relations[rel.Name] = rel
+	return true
 }
 
 func (s *server) handleCreateRelation(w http.ResponseWriter, r *http.Request) {
-	var req createRelationRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "relation name is required")
-		return
-	}
-	if (req.Tuples == nil) == (req.Generate == nil) {
-		writeError(w, http.StatusBadRequest, "provide exactly one of tuples or generate")
+	req, err := newRelationScanner(r.Body, r.ContentLength, s.tupleBudget, s.readDeadline(w)).decode()
+	if err != nil {
+		var ie *ingestError
+		errors.As(err, &ie) // the scanner returns nothing else
+		writeJSON(w, ie.Status, uploadError{Error: ie.Error(), Offset: ie.Offset, Tuple: ie.Tuple})
 		return
 	}
 
 	var rel *mpsm.Relation
 	switch {
-	case req.Tuples != nil:
-		tuples := make([]mpsm.Tuple, len(req.Tuples))
-		for i, t := range req.Tuples {
-			tuples[i] = mpsm.Tuple{Key: t[0], Payload: t[1]}
-		}
-		rel = &mpsm.Relation{Name: req.Name, Tuples: tuples}
+	case req.Generate == nil:
+		rel = &mpsm.Relation{Name: req.Name, Tuples: req.Tuples}
 	case req.Generate.Size <= 0:
 		writeError(w, http.StatusBadRequest, "generate.size must be positive")
+		return
+	case req.Generate.Size > s.tupleBudget(req.Name):
+		writeError(w, http.StatusRequestEntityTooLarge, "generate.size %d exceeds what relation %q may hold (%d tuples a relation, %d bytes the catalog)",
+			req.Generate.Size, req.Name, s.maxRelationTuples, s.maxCatalogBytes)
 		return
 	case req.Generate.ForeignKeyOf != "":
 		s.mu.RLock()
@@ -176,9 +248,11 @@ func (s *server) handleCreateRelation(w http.ResponseWriter, r *http.Request) {
 		rel = mpsm.GenerateUniform(req.Name, req.Generate.Size, req.Generate.Seed)
 	}
 
-	s.mu.Lock()
-	s.relations[req.Name] = rel
-	s.mu.Unlock()
+	if !s.register(rel) {
+		writeError(w, http.StatusRequestEntityTooLarge, "relation %q (%d tuples) would put the catalog over its %d bytes",
+			rel.Name, rel.Len(), s.maxCatalogBytes)
+		return
+	}
 	writeJSON(w, http.StatusCreated, relationInfo{Name: req.Name, Rows: rel.Len()})
 }
 
@@ -214,7 +288,7 @@ type joinResponse struct {
 
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.RLock()
@@ -388,7 +462,7 @@ func writeQueryResponse(w http.ResponseWriter, head queryHead, tuples []mpsm.Tup
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {

@@ -16,10 +16,28 @@ import (
 // the httptest server and the underlying mpsm.Service for stats assertions.
 func newTestServer(t *testing.T) (*httptest.Server, *mpsm.Service) {
 	t.Helper()
+	return startTestServer(t, func(*server) {})
+}
+
+// startTestServer is newTestServer with the server's unexported settings
+// (limits, body deadline) adjusted by configure before it serves.
+func startTestServer(t *testing.T, configure func(*server)) (*httptest.Server, *mpsm.Service) {
+	t.Helper()
 	svc := mpsm.NewService(mpsm.New(mpsm.WithWorkers(2), mpsm.WithAutoPlan(true)))
-	ts := httptest.NewServer(newServer(svc))
+	srv := newServer(svc)
+	configure(srv)
+	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	return ts, svc
+}
+
+// createRelationRequest is a POST /v1/relations body as a client marshals it
+// with encoding/json: the layout relationScanner reads, and what the fuzz
+// target decodes into to compare the scanner against encoding/json.
+type createRelationRequest struct {
+	Name     string        `json:"name"`
+	Tuples   [][2]uint64   `json:"tuples,omitempty"`
+	Generate *generateSpec `json:"generate,omitempty"`
 }
 
 // post sends a JSON body and decodes the JSON response into out (if non-nil),
@@ -157,7 +175,7 @@ func TestServerErrors(t *testing.T) {
 
 // TestServerBoundsRequestBodies: /v1/join and /v1/query refuse a body over
 // maxRequestBody with 413 and accept one just under it; /v1/relations, which
-// carries bulk uploads, takes a larger body.
+// carries bulk uploads, is bounded in tuples instead and takes a larger body.
 func TestServerBoundsRequestBodies(t *testing.T) {
 	ts, _ := newTestServer(t)
 	if code := post(t, ts.URL+"/v1/relations",
