@@ -8,7 +8,7 @@
 // histogram building — touch only the 8-byte join key of every 16-byte tuple,
 // so an array-of-structs walk wastes half of every cache line and half of the
 // effective memory bandwidth. Splitting the columns lets the sort move 8-byte
-// keys (the source index packed into their spare low bits) instead of 16-byte
+// keys (a position packed into their spare low bits) instead of 16-byte
 // tuples, lets the merge kernel scan a contiguous key column, and lets
 // selections run branch-free over raw uint64 lanes, emitting selection
 // vectors instead of calling a predicate per tuple.

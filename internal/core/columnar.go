@@ -28,11 +28,14 @@ import (
 // worker-local column run whose buffers come from the join's scratch lease
 // (or fresh allocations when pooling is off). The redistribution into
 // NUMA-local memory the paper prescribes ("chunk the data, redistribute, and
-// then sort/work on your data locally") is fused with the sort: one
-// sequential read of the array-of-structs chunk feeds the
-// deinterleave-plus-first-radix-digit scatter of SortTuplesIntoColumns, so
-// neither the copy nor the AoS→SoA change costs a separate pass. The sort
-// leases a permutation column only if the keys are too wide to pack.
+// then sort/work on your data locally") is fused with the sort, and the source
+// chunk — possibly a neighbour's memory — is only ever read sequentially
+// (commandment C2): once for the key domain, once for the first radix digit's
+// histogram, and once by the scatter that deinterleaves keys and payloads
+// into the run's own buffers. Everything after that, the payload gather
+// included, is random access inside the run and the sort's bucket scratch,
+// which the sort leases (with a permutation column instead if the keys are
+// too wide to pack) and hands back before it returns.
 //
 // srcNode is the NUMA node the source chunk resides on (the input relation is
 // assumed to be range-chunked over the nodes); the run itself is allocated on
@@ -52,13 +55,16 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 
 	if tracker := w.Tracker(); tracker != nil {
 		un := uint64(n)
-		// Copying reads the source sequentially and writes the local run
-		// sequentially; sorting then performs O(n) passes of local random
-		// accesses (one radix scatter pass plus the in-cache finishing work,
-		// charged as two read/write passes).
-		tracker.SeqRead(srcNode, un)
+		// Either way the source is read sequentially twice (order check and
+		// deinterleave, or key domain and scatter) and the local run written
+		// once; sorting adds the histogram pass over the source (a chunk small
+		// enough to go without one is charged it all the same) and O(n)
+		// passes of local random accesses: the scatter plus the in-cache
+		// finishing work, charged as two read/write passes.
+		tracker.SeqRead(srcNode, 2*un)
 		tracker.SeqWrite(run.Node, un)
 		if !skippedSort {
+			tracker.SeqRead(srcNode, un)
 			tracker.RandRead(run.Node, 2*un)
 			tracker.RandWrite(run.Node, 2*un)
 		}

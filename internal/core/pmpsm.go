@@ -88,9 +88,11 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	// Phase 3: sort each private range partition into a run. Phase 2 already
 	// determined the global maximum private key for its radix histograms, so
-	// the sort does not scan the key domain again. The sort doubles as the
-	// AoS→SoA conversion: the scattered partition sorts directly into a
-	// column run and its row buffer goes back to the lease.
+	// the sort reads the partition — local memory, which phase 2 scattered to
+	// this worker — sequentially twice (histogram, scatter) and not again:
+	// the scatter moves keys and payloads into the column run, where the rest
+	// of the sort's accesses, all of the random ones, stay. The partition's
+	// row buffer goes back to the lease.
 	phase3 := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), w.Node(), len(part), lease)
@@ -99,6 +101,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 		privateRuns[w.ID()] = run
 		if tracker := w.Tracker(); tracker != nil {
 			n := uint64(run.Len())
+			tracker.SeqRead(run.Node, 2*n)
 			tracker.RandRead(run.Node, 2*n)
 			tracker.RandWrite(run.Node, 2*n)
 		}

@@ -44,32 +44,35 @@ func denseCluster(n int, seed int64) []relation.Tuple {
 // dense cluster in a 32-bit domain (the one shape here whose buckets need
 // more than one counting pass), a 2^10-key domain (duplicate-heavy) and
 // presorted input — alone and with one sorter per CPU, the way the phases of
-// P-MPSM run it. CI executes it once per case as a smoke test; it asserts
+// P-MPSM run it: every sorter has a chunk of n tuples of its own, so the
+// sorters share the memory system but no source, and ns/tuple is over one
+// sorter's n. CI executes it once per case as a smoke test; it asserts
 // nothing about time.
 func BenchmarkRunGeneration(b *testing.B) {
 	distributions := []struct {
 		name string
-		gen  func(n int) []relation.Tuple
+		gen  func(n, sorter int) []relation.Tuple
 	}{
-		{"uniform32", func(n int) []relation.Tuple { return makeTuples(n, 1, 1<<32) }},
-		{"clustered-skew", func(n int) []relation.Tuple { return clusteredSkew(n, 2, 1<<20) }},
-		{"dense-cluster", func(n int) []relation.Tuple { return denseCluster(n, 5) }},
-		{"domain-2^10", func(n int) []relation.Tuple { return makeTuples(n, 3, 1<<10) }},
-		{"presorted", func(n int) []relation.Tuple {
-			tuples := makeTuples(n, 4, 1<<32)
+		{"uniform32", func(n, s int) []relation.Tuple { return makeTuples(n, int64(1+10*s), 1<<32) }},
+		{"clustered-skew", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }},
+		{"dense-cluster", func(n, s int) []relation.Tuple { return denseCluster(n, int64(5+10*s)) }},
+		{"domain-2^10", func(n, s int) []relation.Tuple { return makeTuples(n, int64(3+10*s), 1<<10) }},
+		{"presorted", func(n, s int) []relation.Tuple {
+			tuples := makeTuples(n, int64(4+10*s), 1<<32)
 			SortStdlib(tuples)
 			return tuples
 		}},
 	}
 	for _, dist := range distributions {
 		for _, logN := range []int{14, 18, 20} {
-			src := dist.gen(1 << logN)
+			n := 1 << logN
 			for _, sorters := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
 				b.Run(fmt.Sprintf("%s/n=2^%d/sorters=%d", dist.name, logN, sorters), func(b *testing.B) {
+					srcs := make([][]relation.Tuple, sorters)
 					keys := make([][]uint64, sorters)
 					pays := make([][]uint64, sorters)
-					for s := range keys {
-						keys[s], pays[s] = make([]uint64, len(src)), make([]uint64, len(src))
+					for s := range srcs {
+						srcs[s], keys[s], pays[s] = dist.gen(n, s), make([]uint64, n), make([]uint64, n)
 					}
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -78,12 +81,12 @@ func BenchmarkRunGeneration(b *testing.B) {
 							wg.Add(1)
 							go func() {
 								defer wg.Done()
-								SortTuplesIntoColumns(src, keys[s], pays[s], nil)
+								SortTuplesIntoColumns(srcs[s], keys[s], pays[s], nil)
 							}()
 						}
 						wg.Wait()
 					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(src)), "ns/tuple")
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/tuple")
 				})
 			}
 		}

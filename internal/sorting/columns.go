@@ -3,7 +3,7 @@ package sorting
 import "repro/internal/relation"
 
 // Columnar (structure-of-arrays) sorts for the batch execution path. Keys that
-// leave room for a source index sort packed (packed.go); the routines below
+// leave room for an index sort packed (packed.go); the routines below
 // are the exact fallback for keys too wide to pack — the order-preserving
 // string and composite encodings fill all 64 bits: the key column is sorted
 // in tandem with a permutation column recording where each key came from,
@@ -11,12 +11,18 @@ import "repro/internal/relation"
 // sort.go, and the payload column is gathered afterwards in one contiguous
 // pass. The packed path is stable; this fallback, like Sort, is not.
 
-// Scratch supplies the tandem fallback's permutation column, so that callers
-// holding a lease pay for it only on the sorts that use it; *memory.Lease
-// implements it. A nil Scratch allocates.
+// Scratch supplies the working memory a sort needs beyond its destination
+// columns, so that callers holding a lease pay for it only on the sorts that
+// use it: the packed path takes one uint64 buffer the size of its fullest
+// stage-1 bucket (the whole input up to l2Values, about 1/256 of it on
+// uniform keys beyond), the tandem fallback one int32 permutation column.
+// Each sort hands its buffer back before it returns. *memory.Lease implements
+// it; a nil Scratch allocates.
 type Scratch interface {
 	Int32s(n int) []int32
 	PutInt32s(buf []int32)
+	Uint64s(n int) []uint64
+	PutUint64s(buf []uint64)
 }
 
 // SortColumnsInto sorts the (srcKeys, srcPays) columns by ascending key into
@@ -76,8 +82,8 @@ func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) 
 // the same permutation. The AoS→SoA deinterleave is fused with the first
 // radix digit — one sequential read of the 16-byte tuples feeding 256 write
 // cursors — so the representation change costs no separate pass over the
-// data. It determines the key domain with one scan; use
-// SortTuplesIntoColumnsWithMax when a bound is already known.
+// data, and src is read sequentially only. It determines the key domain with
+// one scan; use SortTuplesIntoColumnsWithMax when a bound is already known.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
 	SortTuplesIntoColumnsWithMax(src, dstKeys, dstPays, maxKeyOf(src), scratch)
 }
@@ -91,7 +97,7 @@ func SortTuplesIntoColumnsWithMax(src []relation.Tuple, dstKeys, dstPays []uint6
 	dstPays = dstPays[:n]
 
 	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits)
+		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits, scratch)
 		return
 	}
 

@@ -210,27 +210,47 @@ func TestSortColumnsTandemRecursion(t *testing.T) {
 	sortBothWays(t, "wide-clustered", input)
 }
 
-// permScratch is a Scratch that counts what it hands out.
-type permScratch struct{ leased, returned int }
+// countingScratch is a Scratch that records what it hands out.
+type countingScratch struct {
+	perms, permsBack int   // Int32s / PutInt32s calls
+	words            []int // size of every Uint64s request
+	wordsBack        int   // PutUint64s calls
+}
 
-func (s *permScratch) Int32s(n int) []int32 { s.leased++; return make([]int32, n) }
-func (s *permScratch) PutInt32s([]int32)    { s.returned++ }
+func (s *countingScratch) Int32s(n int) []int32 { s.perms++; return make([]int32, n) }
+func (s *countingScratch) PutInt32s([]int32)    { s.permsBack++ }
+func (s *countingScratch) Uint64s(n int) []uint64 {
+	s.words = append(s.words, n)
+	buf := make([]uint64, n)
+	for i := range buf {
+		buf[i] = math.MaxUint64 // leased memory arrives dirty
+	}
+	return buf
+}
+func (s *countingScratch) PutUint64s([]uint64) { s.wordsBack++ }
 
 // TestSortTuplesIntoColumnsLeasesPermLazily pins that the permutation scratch
-// is acquired only by the tandem fallback, and returned by it.
+// is acquired only by the tandem fallback and the bucket scratch only by the
+// packed path, and that each returns what it took.
 func TestSortTuplesIntoColumnsLeasesPermLazily(t *testing.T) {
 	for _, n := range []int{100, 5000} {
 		keys, pays := make([]uint64, n), make([]uint64, n)
-		var scratch permScratch
+		var scratch countingScratch
 		SortTuplesIntoColumns(makeTuples(n, 1, 1<<32), keys, pays, &scratch)
-		if scratch.leased != 0 {
+		if scratch.perms != 0 {
 			t.Fatalf("n=%d: packed path leased a permutation column", n)
+		}
+		if len(scratch.words) != 1 || scratch.wordsBack != 1 {
+			t.Fatalf("n=%d: packed path leased %d bucket scratches, returned %d", n, len(scratch.words), scratch.wordsBack)
 		}
 		wide := makeTuples(n, 2, 0)
 		SortTuplesIntoColumns(wide, keys, pays, &scratch)
 		checkColumnsAgainstStdlib(t, "tandem", wide, stdlibOracle(wide), keys, pays)
-		if scratch.leased != 1 || scratch.returned != 1 {
-			t.Fatalf("n=%d: tandem fallback leased %d, returned %d permutation columns", n, scratch.leased, scratch.returned)
+		if scratch.perms != 1 || scratch.permsBack != 1 {
+			t.Fatalf("n=%d: tandem fallback leased %d, returned %d permutation columns", n, scratch.perms, scratch.permsBack)
+		}
+		if len(scratch.words) != 1 {
+			t.Fatalf("n=%d: tandem fallback leased a bucket scratch", n)
 		}
 	}
 }
@@ -255,24 +275,58 @@ func TestSortColumnsPayloadPairing(t *testing.T) {
 	}
 }
 
-// FuzzSortColumnsDifferential fuzzes the columnar sorts against the stdlib
-// baseline, mirroring FuzzSortDifferential.
-func FuzzSortColumnsDifferential(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(binary.LittleEndian.AppendUint64(nil, math.MaxUint64))
-	seed := make([]byte, 0, 64)
-	for i := 0; i < 8; i++ {
-		seed = binary.LittleEndian.AppendUint64(seed, uint64(1)<<(8*uint(i)))
+// fuzzShape decodes fuzz bytes into a sort input. Three header bytes choose
+// the shape, the rest are 8-byte keys: every key is shifted right by
+// data[0]%64 (so that the fuzzer reaches keys narrow enough to pack), and a
+// non-zero data[1] tiles the decoded keys to l2Values + data[1] tuples — past
+// the stage-1 threshold — repetition r adding r*data[2] to each key, so a
+// handful of keys decides which stage-1 buckets fill, which stay empty and
+// what stage 2 finds inside them. Payloads are distinct 64-bit values.
+func fuzzShape(data []byte) []relation.Tuple {
+	if len(data) < 3 {
+		return nil
 	}
-	f.Add(seed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / 8
-		input := make([]relation.Tuple, n)
-		for i := 0; i < n; i++ {
-			input[i] = relation.Tuple{Key: binary.LittleEndian.Uint64(data[i*8:]), Payload: uint64(i)}
-		}
+	shift, extra, stride := uint(data[0])%64, int(data[1]), uint64(data[2])
+	m := (len(data) - 3) / 8
+	n := m
+	if extra > 0 && m > 0 {
+		n = l2Values + extra
+	}
+	input := make([]relation.Tuple, n)
+	for i := range input {
+		k := binary.LittleEndian.Uint64(data[3+i%m*8:]) + uint64(i/m)*stride
+		input[i] = relation.Tuple{Key: k >> shift, Payload: ^uint64(i) * 0x9E3779B97F4A7C15}
+	}
+	return input
+}
 
-		sortBothWays(t, "fuzz", input)
+// FuzzSortColumnsDifferential fuzzes the columnar sorts against the stable
+// stdlib sort over the shapes fuzzShape decodes: the seeds put every tuple in
+// one stage-1 bucket, repeat one key and two keys, and leave exactly one of
+// the 256 buckets empty.
+func FuzzSortColumnsDifferential(f *testing.F) {
+	shaped := func(shift, extra, stride byte, keys ...uint64) []byte {
+		data := []byte{shift, extra, stride}
+		for _, k := range keys {
+			data = binary.LittleEndian.AppendUint64(data, k)
+		}
+		return data
+	}
+	f.Add([]byte{})
+	f.Add(shaped(0, 0, 0, 0x0807060504030201))
+	f.Add(shaped(0, 0, 0, math.MaxUint64))
+	f.Add(shaped(0, 0, 0, 1, 1<<8, 1<<16, 1<<24, 1<<32, 1<<40, 1<<48, 1<<56))
+	f.Add(shaped(0, 1, 0, 42))                                              // all equal
+	f.Add(shaped(0, 200, 0, 1<<40, 3))                                      // two keys, two buckets
+	f.Add(shaped(32, 7, 5, 0x80ffffff<<32, 0x80000000<<32, 0x80123456<<32)) // one bucket holds every tuple
+	allButOne := make([]uint64, 0, radixBuckets-1)
+	for b := uint64(0); b < radixBuckets; b++ {
+		if b != 7 {
+			allButOne = append(allButOne, b<<8|b)
+		}
+	}
+	f.Add(shaped(0, 255, 0, allButOne...)) // bucket 7 of 256 stays empty
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sortBothWays(t, "fuzz", fuzzShape(data))
 	})
 }

@@ -10,40 +10,50 @@ import (
 
 // Packed fast path of the columnar sorts — the run-generation kernel of the
 // batch execution path. When the key domain leaves enough low bits free (the
-// paper's datasets use 32-bit keys in 64-bit slots), the source index packs
-// into those bits:
+// paper's datasets use 32-bit keys in 64-bit slots), an index packs into
+// those bits:
 //
-//	packed[i] = key << idxBits | sourceIndex
+//	packed[i] = key << idxBits | position
 //
 // and the sort moves ONE uint64 per element, recovering the index by a mask
-// when the payload column is gathered. The kernel has two stages, both
-// out of place and both stable:
+// when the payload column is gathered. The kernel has two stages, both out of
+// place and both stable, and only the first reads the source — sequentially
+// (key domain, histogram, scatter), never by index:
 //
 //  1. One MSD scatter on the top 8 bits of the key (all of a narrower key),
 //     fused with the packing (and, for AoS input, the deinterleave): a
-//     histogram read of the source, then one sequential read feeding 256 write
-//     cursors in the packed scratch. An input small enough for stage 2 as it
-//     stands (l2Values) is only packed.
+//     histogram read of the source, then one sequential read feeding 256
+//     cursors. A tuple's packed word goes to dstPays at its cursor and its
+//     PAYLOAD to the same slot of the still unwritten dstKeys; the index in
+//     the word is that slot, the tuple's position in the scattered order.
+//     The scatter keeps source order inside a bucket, so equal keys ordered
+//     by position are in source order. An input small enough for stage 2 as
+//     it stands (l2Values) is one bucket and only packed: position = index.
 //  2. Every bucket — by now cache-resident — is finished by stable counting
-//     passes over its remaining KEY bits only, ping-ponging between the packed
-//     scratch (the payload column, which nothing has written yet) and the
-//     equally unwritten key column, so the sort needs no memory of its own.
-//     Stability keeps equal keys in source order, so the index bits are never
-//     sorted. One pass on the top log2(n) remaining bits spreads the keys to
-//     about one a bin and an insertion fix-up orders the rest; when a bin is
-//     too full for that — duplicates or skew inside the bucket — every bin
-//     takes the same pass on the bits below, so the cost is bounded by the
-//     key width and n whatever the distribution. A bucket that arrives
-//     sorted (all-equal keys included) is left alone and tiny buckets take
-//     an insertion sort. Whichever buffer ends up holding a bucket is
-//     unpacked from there while it is still in cache.
+//     passes over its remaining KEY bits only (stability keeps equal keys in
+//     position order, so the index bits are never sorted), ping-ponging
+//     between its range of dstPays and ONE scratch buffer the size of the
+//     fullest bucket, known from the histogram, leased through Scratch and
+//     reused for every bucket, so it stays cache-hot. One pass on the top
+//     log2(n) remaining bits spreads the keys to about one a bin and an
+//     insertion fix-up orders the rest; when a bin is too full for that —
+//     duplicates or skew inside the bucket — every bin takes the same pass on
+//     the bits below, so the cost is bounded by the key width and n whatever
+//     the distribution. A bucket that arrives sorted (all-equal keys
+//     included) is left alone and tiny buckets take an insertion sort.
+//
+// Who owns what, per bucket range: dstPays holds the packed words until the
+// bucket is sorted — the sorted words end in the scratch — and then the
+// payloads, gathered through the sorted positions from the same range of
+// dstKeys, one cache-resident range into another; dstKeys holds the payloads
+// in scattered order until that gather and the keys after it.
 //
 // The fallback condition is exact: packing applies iff the maximum key and
 // the index width together fit in 64 bits, so full-width keys (the string and
 // composite encodings) take the tandem key/perm path of columns.go.
 
-// packedIndexBits returns the low-bit width needed to address n source
-// indices and whether key<<idxBits|index packing fits in 64 bits for maxKey.
+// packedIndexBits returns the low-bit width needed to address n positions
+// and whether key<<idxBits|index packing fits in 64 bits for maxKey.
 func packedIndexBits(n int, maxKey uint64) (idxBits int, ok bool) {
 	if n > 1 {
 		idxBits = bits.Len(uint(n - 1))
@@ -67,9 +77,9 @@ const (
 	// sorted one by one.
 	spreadMaxBin = 32
 
-	// l2Values is the input size up to which stage 1 is skipped: the two
-	// ping-pong buffers (16 bytes a value) fit a 1 MiB L2 with room for the
-	// source gather, and one bucket costs less than 256 small ones.
+	// l2Values is the input size up to which stage 1 only packs: the two
+	// ping-pong buffers and the payloads (24 bytes a value) fit a 1 MiB L2,
+	// and one bucket costs less than 256 small ones.
 	l2Values = 1 << 15
 )
 
@@ -79,25 +89,44 @@ type packedScratch struct{ counters [1 << spreadMaxDigit]uint32 }
 
 var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 
-// finishPacked is stage 2: bucket b of packed spans [bounds[b], bounds[b+1])
-// and agrees on every bit from hi up. Each bucket is sorted on key bits
-// [idxBits, hi) with the same range of other as its scratch, then handed to
-// unpack, from whichever buffer it ended in, together with its offset.
-func finishPacked(packed, other []uint64, bounds []int, idxBits, hi int, unpack func(lo int, sorted []uint64)) {
+// finishPacked is stage 2. Stage 1 left bucket b's packed words in
+// pays[bounds[b]:bounds[b+1]], agreeing on every bit from hi up, and every
+// tuple's payload in keys at the position its word carries. Each bucket is
+// sorted on key bits [idxBits, hi) into the bucket scratch and unpacked from
+// there: payloads into pays, then keys over the payloads' old place.
+func finishPacked(keys, pays []uint64, bounds []int, idxBits, hi int, scratch Scratch) {
+	fullest := 0
+	for b := 0; b+1 < len(bounds); b++ {
+		fullest = max(fullest, bounds[b+1]-bounds[b])
+	}
+	var buf []uint64
+	if scratch == nil {
+		buf = make([]uint64, fullest)
+	} else {
+		buf = scratch.Uint64s(fullest)
+		defer scratch.PutUint64s(buf)
+	}
+	mask := uint64(1)<<idxBits - 1
 	s := packedScratchPool.Get().(*packedScratch)
 	for b := 0; b+1 < len(bounds); b++ {
 		lo, end := bounds[b], bounds[b+1]
-		sorted := packed[lo:end]
-		if s.sortBucket(sorted, other[lo:end], idxBits, hi) {
-			sorted = other[lo:end]
+		packed, sorted := pays[lo:end], buf[:end-lo]
+		if !s.sortBucket(packed, sorted, idxBits, hi) {
+			copy(sorted, packed)
 		}
-		unpack(lo, sorted)
+		for i, p := range sorted {
+			packed[i] = keys[p&mask]
+		}
+		bucketKeys := keys[lo:end]
+		for i, p := range sorted {
+			bucketKeys[i] = p >> idxBits
+		}
 	}
 	packedScratchPool.Put(s)
 }
 
 // sortBucket stably sorts a, whose values agree on every bit from hi up and
-// arrive in source order, by bits [lo, hi); b is scratch of the same length.
+// arrive in position order, by bits [lo, hi); b is scratch of the same length.
 // It reports whether the result is in b instead of a.
 //
 // The common case is one counting pass from a into b on the top log2(n) bits
@@ -112,7 +141,7 @@ func (s *packedScratch) sortBucket(a, b []uint64, lo, hi int) (inB bool) {
 	case n < 2 || hi <= lo:
 		return false
 	case n <= packedInsertionCutoff:
-		insertionSortU64(a) // whole-word order is (key, source index): stable
+		insertionSortU64(a) // whole-word order is (key, position): stable
 		return false
 	case slices.IsSorted(a):
 		return false // free on unsorted input: the scan stops at the first descent
@@ -169,16 +198,15 @@ func insertionSortU64(packed []uint64) {
 	}
 }
 
-// sortTuplesPacked is the packed path of SortTuplesIntoColumns: stage 1 reads
-// the AoS source, dstPays is the packed scratch and dstKeys its ping-pong
-// partner until each bucket's unpack writes both. The stage 1 digit is the
-// top 8 bits of the key (all of a narrower key), read off the source.
+// sortTuplesPacked is the packed path of SortTuplesIntoColumns: stage 1 over
+// the AoS source, the only code of the sort that reads it. The stage 1 digit
+// is the top 8 bits of the key (all of a narrower key).
 //
-// Stage 1 and the unpack are the only code that touches the source, and they
-// touch it once per tuple, so they are written out per source layout here and
-// in sortColumnsIntoPacked: reaching the source through two accessor closures
-// instead measured 20–40 % slower end to end (24 → 33 ns/tuple at 2^20).
-func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
+// Stage 1 touches the source once per tuple and pass, so it is written out per
+// source layout here and in sortColumnsIntoPacked: reaching the source through
+// two accessor closures instead measured 20–40 % slower end to end (24 → 33
+// ns/tuple at 2^20).
+func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, idxBits int, scratch Scratch) {
 	n := len(src)
 	hi := idxBits + bits.Len64(maxKey)
 	var bounds [radixBuckets + 1]int
@@ -186,7 +214,7 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 	if n <= l2Values {
 		bounds[1] = n
 		for i, t := range src {
-			dstPays[i] = t.Key<<idxBits | uint64(i)
+			dstPays[i], dstKeys[i] = t.Key<<idxBits|uint64(i), t.Payload
 		}
 	} else {
 		buckets, hi = radixBuckets, max(hi-radixBits, idxBits)
@@ -198,34 +226,29 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 			bounds[b+1] += bounds[b]
 		}
 		cursors := bounds
-		for i, t := range src {
+		for _, t := range src {
 			b := int(t.Key>>shift) & radixMask
-			dstPays[cursors[b]] = t.Key<<idxBits | uint64(i)
-			cursors[b]++
+			pos := cursors[b]
+			dstPays[pos], dstKeys[pos] = t.Key<<idxBits|uint64(pos), t.Payload
+			cursors[b] = pos + 1
 		}
 	}
-	mask := uint64(1)<<idxBits - 1
-	finishPacked(dstPays, dstKeys, bounds[:buckets+1], idxBits, hi, func(lo int, sorted []uint64) {
-		keys, pays := dstKeys[lo:lo+len(sorted)], dstPays[lo:lo+len(sorted)]
-		for i, p := range sorted {
-			keys[i] = p >> idxBits
-			pays[i] = src[p&mask].Payload
-		}
-	})
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], idxBits, hi, scratch)
 }
 
 // sortColumnsIntoPacked is the packed path of SortColumnsInto: sortTuplesPacked
 // line for line over a columnar source. Its one caller outside the tests is
-// the end-to-end benchmark's sorting layer.
+// the end-to-end benchmark's sorting layer, which brings no Scratch.
 func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
 	n := len(srcKeys)
+	srcPays = srcPays[:n]
 	hi := idxBits + bits.Len64(maxKey)
 	var bounds [radixBuckets + 1]int
 	buckets := 1
 	if n <= l2Values {
 		bounds[1] = n
 		for i, k := range srcKeys {
-			dstPays[i] = k<<idxBits | uint64(i)
+			dstPays[i], dstKeys[i] = k<<idxBits|uint64(i), srcPays[i]
 		}
 	} else {
 		buckets, hi = radixBuckets, max(hi-radixBits, idxBits)
@@ -239,16 +262,10 @@ func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey u
 		cursors := bounds
 		for i, k := range srcKeys {
 			b := int(k>>shift) & radixMask
-			dstPays[cursors[b]] = k<<idxBits | uint64(i)
-			cursors[b]++
+			pos := cursors[b]
+			dstPays[pos], dstKeys[pos] = k<<idxBits|uint64(pos), srcPays[i]
+			cursors[b] = pos + 1
 		}
 	}
-	mask := uint64(1)<<idxBits - 1
-	finishPacked(dstPays, dstKeys, bounds[:buckets+1], idxBits, hi, func(lo int, sorted []uint64) {
-		keys, pays := dstKeys[lo:lo+len(sorted)], dstPays[lo:lo+len(sorted)]
-		for i, p := range sorted {
-			keys[i] = p >> idxBits
-			pays[i] = srcPays[p&mask]
-		}
-	})
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], idxBits, hi, nil)
 }

@@ -2,7 +2,7 @@
 // Section 2.3) in two families.
 //
 // The columnar batch path sorts into key and payload columns
-// (SortTuplesIntoColumns, SortColumnsInto). Keys that leave room for a source
+// (SortTuplesIntoColumns, SortColumnsInto). Keys that leave room for an
 // index — the paper's 32-bit domains always do — take the packed kernel of
 // packed.go: one out-of-place MSD scatter, then stable counting passes over
 // the key bits only, which skew and duplicates cannot slow down. Keys too

@@ -416,8 +416,9 @@ func (s *Service) Explain(p *Plan, opts ...QueryOption) (*Explain, error) {
 // budgetFor resolves a query's admission budget: the declared one, the
 // service default, or an estimate from the input cardinality (the MPSM runs
 // copy both inputs once and the partition phase copies the private one
-// again, so ~3 tuple copies plus histogram overhead bounds the scratch
-// demand).
+// again, so ~3 tuple copies bounds the scratch demand, histograms and each
+// worker's run-generation bucket scratch — at most one key column of its
+// chunk, when a single radix bucket holds it all — included).
 func (s *Service) budgetFor(q queryConfig, inputRows int) int64 {
 	if q.budget > 0 {
 		return q.budget
