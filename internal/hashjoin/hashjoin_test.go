@@ -2,9 +2,12 @@ package hashjoin
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mergejoin"
+	"repro/internal/numa"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/workload"
@@ -108,8 +111,20 @@ func TestWisconsinNUMAAccounting(t *testing.T) {
 	if res.NUMA.TotalAccesses() == 0 {
 		t.Fatal("NUMA accounting enabled but no accesses recorded")
 	}
-	if res.NUMA.SyncOps == 0 {
-		t.Fatal("shared-table build must record synchronization operations")
+	// Synchronization is charged as executed: a compare-and-swap per insert
+	// (plus retries) when workers share the bucket heads, nothing for the
+	// plain stores of a one-worker build. The probe's random reads — every
+	// entry inspected plus one head per probe tuple — do not depend on that.
+	if res.NUMA.SyncOps < uint64(r.Len()) {
+		t.Fatalf("shared-table build of %d tuples recorded %d sync ops", r.Len(), res.NUMA.SyncOps)
+	}
+	solo := wisconsin(r, s, Options{Workers: 1, TrackNUMA: true})
+	if solo.NUMA.SyncOps != 0 {
+		t.Fatalf("one-worker build recorded %d sync ops, want 0: it executes none", solo.NUMA.SyncOps)
+	}
+	randReads := func(a numa.AccessStats) uint64 { return a.LocalRandRead + a.RemoteRandRead }
+	if got := randReads(solo.NUMA); got != randReads(res.NUMA) || got < uint64(s.Len())+solo.Matches {
+		t.Fatalf("random reads: %d at one worker, %d at eight, want equal and at least %d", got, randReads(res.NUMA), uint64(s.Len())+solo.Matches)
 	}
 	if res.NUMA.RemoteRandRead+res.NUMA.RemoteRandWrite == 0 {
 		t.Fatal("shared-table join must record remote random accesses")
@@ -246,21 +261,76 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
+// TestSharedTableDirect drives the one table type below the joins: entries
+// stay in the build slice, both insert flavours chain them alike, and a probe
+// reports its matches in probe order and the entries it inspected.
 func TestSharedTableDirect(t *testing.T) {
-	table := newSharedTable(4, nil)
-	tuples := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}, {Key: 1, Payload: 30}, {Key: 99, Payload: 40}}
-	for i, tup := range tuples {
-		table.insert(int32(i), tup)
+	build := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}, {Key: 1, Payload: 30}, {Key: 99, Payload: 40}}
+	for _, shared := range []bool{false, true} {
+		table := newChainTable(build, nil)
+		if len(table.heads) != 32 || len(table.next) != len(build) || &table.build[0] != &build[0] {
+			t.Fatalf("table over %d tuples: %d heads, %d links, entries copied = %v",
+				len(build), len(table.heads), len(table.next), &table.build[0] != &build[0])
+		}
+		if retries := table.insert(0, 2, shared) + table.insert(2, len(build), shared); retries != 0 {
+			t.Fatalf("shared=%v: uncontended insert reported %d retries", shared, retries)
+		}
+		var m mergejoin.Materializer
+		inspected := table.probe(context.Background(), []relation.Tuple{{Key: 1, Payload: 100}, {Key: 5}, {Key: 99, Payload: 7}}, &m, nil)
+		want := []mergejoin.JoinedTuple{{Key: 1, RPayload: 30, SPayload: 100}, {Key: 1, RPayload: 10, SPayload: 100}, {Key: 99, RPayload: 40, SPayload: 7}}
+		if !slices.Equal(m.Out, want) {
+			t.Fatalf("shared=%v: probe emitted %v, want %v", shared, m.Out, want)
+		}
+		if inspected < 3 || inspected > uint64(3*len(build)) {
+			t.Fatalf("shared=%v: probe inspected %d entries", shared, inspected)
+		}
 	}
-	var m mergejoin.Materializer
-	table.probe(relation.Tuple{Key: 1, Payload: 100}, &m)
-	if len(m.Out) != 2 {
-		t.Fatalf("probe(1) found %d matches, want 2", len(m.Out))
+}
+
+// TestChainLengthBounded pins the bucket function to the top bits of the
+// hash product. Bits 16… of it — the old choice — depend only on the key bits
+// below them: keys j<<20 filled 512 of 8 192 buckets with chains of 8, and
+// keys j<<48 (normalized short strings keep their bytes at the high end) one
+// bucket with a chain of n, a quadratic join.
+func TestChainLengthBounded(t *testing.T) {
+	const n = 4096
+	for _, shift := range []uint{0, 20, 48} {
+		build := make([]relation.Tuple, n)
+		for j := range build {
+			build[j].Key = uint64(j) << shift
+		}
+		table := newChainTable(build, nil)
+		table.insert(0, n, false)
+		longest, used := 0, 0
+		for _, head := range table.heads {
+			length := 0
+			for idx := head; idx >= 0; idx = table.next[idx] {
+				length++
+			}
+			if length > 0 {
+				used++
+			}
+			longest = max(longest, length)
+		}
+		if longest > 3 || used < n/2 {
+			t.Errorf("keys j<<%d: longest chain %d, %d of %d buckets used by %d keys", shift, longest, used, len(table.heads), n)
+		}
+		inspected := table.probe(context.Background(), build, &mergejoin.Counter{}, nil)
+		if inspected > 2*n {
+			t.Errorf("keys j<<%d: probing every key once inspected %d entries", shift, inspected)
+		}
 	}
-	var c mergejoin.Counter
-	table.probe(relation.Tuple{Key: 5}, &c)
-	if c.Count != 0 {
-		t.Fatalf("probe(5) found %d matches, want 0", c.Count)
+}
+
+// TestValidateRejectsBuildSideBeyondInt32: slots and chain links are int32;
+// one tuple more than they address is an error, not a silent wrap.
+func TestValidateRejectsBuildSideBeyondInt32(t *testing.T) {
+	limit := math.MaxInt32
+	if err := validate("the join", Options{}, limit); err != nil {
+		t.Fatalf("%d build tuples rejected: %v", limit, err)
+	}
+	if err := validate("the join", Options{}, limit+1); err == nil {
+		t.Fatalf("%d build tuples accepted", limit+1)
 	}
 }
 

@@ -55,10 +55,11 @@ func choosePartitionBits(buildSize int) int {
 // MPSM commandment C3), so the Scheduler option does not change its
 // behaviour.
 //
-// Cancellation is checked at phase boundaries and per partition inside the
-// join loop; a canceled context aborts the join and returns ctx.Err().
+// Cancellation is checked at phase boundaries, per partition inside the join
+// loop and every cancelBlock tuples of a probe; a canceled context aborts the
+// join and returns ctx.Err().
 func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*result.Result, error) {
-	if err := validate("the radix hash join", opts.Options); err != nil {
+	if err := validate("the radix hash join", opts.Options, r.Len()); err != nil {
 		return nil, err
 	}
 	o := opts.Options.Normalize()
@@ -98,11 +99,10 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 
 	// Join phase: each partition pair is joined with a private hash table
 	// over its R partition, probed with the matching S partition, streaming
-	// matches into the executing worker's sink writer. Cancellation is
-	// checked per partition — the chunk unit of this loop.
+	// matches into the executing worker's sink writer.
 	out := sink.BindChecked(o.Sink, workers, lease, o.KeyCheck)
 	joinPair := func(p int, w *sched.Worker) {
-		joinPartition(rParts[p], sParts[p], out.Writer(w.ID()), lease)
+		joinPartition(ctx, rParts[p], sParts[p], out.Writer(w.ID()), lease)
 		if tracker := w.Tracker(); tracker != nil {
 			// Reading the partitions is sequential, but they live wherever
 			// the partitioning phase placed them (interleaved across
@@ -283,41 +283,19 @@ func chargeInterleavedSeq(tracker *numa.Tracker, topo numa.Topology, n uint64) {
 	tracker.SeqRead((tracker.Node()+1)%topo.Nodes, remote)
 }
 
-// joinPartition joins one partition pair with a private chaining hash table
-// sized to the build side. The slot and chain arrays are leased and handed
-// back as soon as the pair is joined, so concurrent partition tasks recycle a
-// handful of cache-sized buffers instead of allocating one table per
-// partition.
-func joinPartition(build, probe []relation.Tuple, out mergejoin.Consumer, lease *memory.Lease) {
+// joinPartition joins one partition pair with a private table over its build
+// side: no other worker sees it, so the inserts are plain stores. The head and
+// chain arrays are handed back as soon as the pair is joined, so concurrent
+// partition tasks recycle a handful of cache-sized buffers instead of
+// allocating one table per partition.
+func joinPartition(ctx context.Context, build, probe []relation.Tuple, out mergejoin.Consumer, lease *memory.Lease) {
 	if len(build) == 0 || len(probe) == 0 {
 		return
 	}
-	size := nextPow2(2 * len(build))
-	mask := uint64(size - 1)
-	slots := lease.Int32s(size)
-	for i := range slots {
-		slots[i] = -1
-	}
-	next := lease.Int32s(len(build))
-	for i, tup := range build {
-		b := (hashKey(tup.Key) >> 16) & mask
-		next[i] = slots[b]
-		slots[b] = int32(i)
-	}
-	// Matches are buffered into columnar batches and flushed through the
-	// sink's batch fast path once per batch instead of once per match.
-	pb := newProbeBatch(out, lease)
-	for _, tup := range probe {
-		b := (hashKey(tup.Key) >> 16) & mask
-		for idx := slots[b]; idx >= 0; idx = next[idx] {
-			if build[idx].Key == tup.Key {
-				pb.Consume(build[idx], tup)
-			}
-		}
-	}
-	pb.close()
-	lease.PutInt32s(slots)
-	lease.PutInt32s(next)
+	table := newChainTable(build, lease)
+	table.insert(0, len(build), false)
+	table.probe(ctx, probe, out, lease)
+	table.release(lease)
 }
 
 // maxKeyOf returns the maximum join key across both relations (0 for empty

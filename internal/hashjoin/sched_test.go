@@ -31,13 +31,17 @@ func TestHashJoinsUnderMorselScheduling(t *testing.T) {
 
 // TestWisconsinMorselNUMAAccountingStillSynchronizes makes sure the
 // accounting that distinguishes the baselines from MPSM (sync ops on the
-// shared table) survives the scheduler rewrite in both modes.
+// shared table) survives the scheduler rewrite in both modes — for a build
+// that workers share; one worker's build stores plainly and charges none.
 func TestWisconsinMorselNUMAAccountingStillSynchronizes(t *testing.T) {
 	r, s := testDataset(2000, 2, 91)
 	for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 		res := wisconsin(r, s, Options{Workers: 4, TrackNUMA: true, Scheduler: mode, MorselSize: 256})
-		if res.NUMA.SyncOps == 0 {
-			t.Fatalf("%v: Wisconsin recorded no sync ops — the C3-violation accounting is gone", mode)
+		if res.NUMA.SyncOps < uint64(r.Len()) {
+			t.Fatalf("%v: Wisconsin recorded %d sync ops for %d shared inserts — the C3-violation accounting is gone", mode, res.NUMA.SyncOps, r.Len())
+		}
+		if solo := wisconsin(r, s, Options{Workers: 1, TrackNUMA: true, Scheduler: mode, MorselSize: 256}); solo.NUMA.SyncOps != 0 {
+			t.Fatalf("%v: one-worker build recorded %d sync ops, want 0", mode, solo.NUMA.SyncOps)
 		}
 		if res.NUMA.TotalAccesses() == 0 || res.SimulatedNUMACost == 0 {
 			t.Fatalf("%v: NUMA accounting missing: %+v", mode, res.NUMA)

@@ -24,9 +24,10 @@ import (
 // Constants are committed, not calibrated at start-up, so a template plans
 // the same on every launch. All are nanoseconds of one worker unless they say
 // otherwise, read on the reference sandbox (2 vCPUs) at commit 5c36d48 plus
-// this change's splitter search: where one of the frozen benchmark's per-layer
-// probes measures the quantity the comment names the probe and the workload
-// it was read on; the others name the forced-plan driver, which runs
+// the prefix-sum splitter search, the hash-join constants again with the one
+// chained table of internal/hashjoin: where one of the frozen benchmark's
+// per-layer probes measures the quantity the comment names the probe and the
+// workload it was read on; the others name the forced-plan driver, which runs
 // query_mix's chain3 and agg2 plans under every algorithm combination
 // (workers 1 and 2, pooled, interleaved; medians in CHANGES.md, PR 18).
 type CostModel struct {
@@ -72,13 +73,19 @@ type CostModel struct {
 	// more than two workers has not been measured on any host.
 	ParallelEfficiency float64
 
-	// HashOpPerTuple prices one operation on the shared hash table of the
+	// HashOpPerTuple prices one operation on the chained table of the
 	// no-partitioning join — an insert, a lookup, or walking the chain to one
-	// match and handing it to a folding sink — while the table is
-	// cache-resident; HashMissPerTuple phases in beyond HashCacheTuples build
-	// tuples. hashjoin.wisconsin_total_ms: 0.27 ms on short_concurrent
-	// (4 096 × 16 384, 9 per operation), 5.5 ms on query_mix (65 536 ×
-	// 262 144, 12–14), 106 ms on join_large (524 288 × 2 097 152, 30).
+	// match and appending it to the output columns of a folding sink — while
+	// the table is cache-resident; HashMissPerTuple phases in beyond
+	// HashCacheTuples build tuples (a build tuple takes 52 bytes of table:
+	// itself, 8 bucket heads and a chain link). Read through this model's own
+	// two-worker terms from hashjoin.wisconsin_total_ms: 0.22 ms on
+	// short_concurrent (4 096 × 16 384, 5.0 per operation), 4.8 ms on
+	// query_mix (65 536 × 262 144, 10.5), 39 ms on join_large (524 288 ×
+	// 2 097 152, 10.8). The same joins on one worker take 0.15, 4.6–5.2 and
+	// 68–73 ms (4.1, 8.3 and 15 per operation): the real ramp is longer than
+	// three doublings, and the constants follow the two-worker readings,
+	// which is how the gate runs.
 	HashOpPerTuple   float64
 	HashMissPerTuple float64
 	HashCacheTuples  float64
@@ -86,8 +93,14 @@ type CostModel struct {
 	// passes and the build or probe of its cluster; RadixMissPerTuple phases
 	// in beyond RadixCacheTuples tuples on both sides together, and
 	// RadixHitPerMatch is one match handed to a folding sink.
-	// hashjoin.radix_total_ms: 0.26 ms on short_concurrent (14 per tuple),
-	// 5.3 on query_mix (19), 48.9 on join_large (24).
+	// hashjoin.radix_total_ms: 0.33 ms on short_concurrent, 7.1 on query_mix,
+	// 41.8 on join_large — 0.36, 7.9 and 41.7 with the private table this
+	// join had to itself before, which is inside the probe's spread:
+	// partitioning is most of this join, so the constants stand. A match
+	// appended to the output columns and folded reads nearer 2 than 4 on its
+	// own; no whole-join reading resolves that, and a Radix HJ 0.5 ms cheaper
+	// takes chain3's first join from P-MPSM on two of three generator seeds
+	// (see Resolution).
 	RadixPerTuple     float64
 	RadixMissPerTuple float64
 	RadixCacheTuples  float64
@@ -104,11 +117,17 @@ type CostModel struct {
 	PairPerMatch float64
 	// RadixPairPerMatch and WisconsinPairPerMatch are what a hash join's match
 	// costs beyond the hit when the consumer is not one of the folding sinks:
-	// through the probe batch, the projection and into the consumer's buffer,
-	// which in the no-partitioning join competes with the shared table for
-	// the cache. Forced-plan driver, the joins' probe phases into Collect and
-	// into Groups against the same joins into max-sum: Radix HJ 13–16,
-	// Wisconsin 30–60.
+	// the projection, the consumer's buffer and — in the no-partitioning join —
+	// that buffer competing with the shared table for the cache. They are
+	// whole-plan residuals, not kernel readings: agg2 forced onto the join
+	// (two workers, pooled, interleaved), join time less the group-by's
+	// finalisation less the operations priced above, reads 28 per match for
+	// Wisconsin, where the probe phase of the join alone into Collect or
+	// Groups against the same join into max-sum reads 3–14 for either join.
+	// The old reading (Radix HJ 13–16, Wisconsin 30–60) included a per-match
+	// call into a probe batch, about 3, that no longer exists; the constants
+	// stay, because at 27 agg2's join at eight workers goes to Wisconsin on
+	// one of three generator seeds and to P-MPSM on the others.
 	RadixPairPerMatch     float64
 	WisconsinPairPerMatch float64
 	// GroupFinalPerEntry prices sorting, folding and concatenating one
@@ -158,9 +177,9 @@ func DefaultCostModel() CostModel {
 		SplitterFixed:         80e3,
 		BarrierFixed:          40e3,
 		ParallelEfficiency:    0.3,
-		HashOpPerTuple:        9,
-		HashMissPerTuple:      18,
-		HashCacheTuples:       1 << 15,
+		HashOpPerTuple:        5,
+		HashMissPerTuple:      6,
+		HashCacheTuples:       1 << 13,
 		RadixPerTuple:         14,
 		RadixMissPerTuple:     10,
 		RadixCacheTuples:      1 << 17,

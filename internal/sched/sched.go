@@ -298,36 +298,49 @@ func (rt *Runtime) Phase(ctx context.Context, name string, fn func(ctx context.C
 		// this query's siblings, not the caller's context.
 		pctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		var wg sync.WaitGroup
-		for _, w := range rt.states {
-			wg.Add(1)
-			go func(w *Worker) {
-				defer wg.Done()
-				if Canceled(pctx) {
+		rt.fanOut(func(w *Worker) {
+			if Canceled(pctx) {
+				return
+			}
+			if err := rt.gate.Acquire(pctx); err != nil {
+				return
+			}
+			t0 := time.Now()
+			// The gate slot is released in the same deferred function
+			// that recovers: a panicking worker must not strand a
+			// fair-share slot, or sibling queries' workers block forever.
+			defer func() {
+				d := time.Since(t0)
+				rt.gate.Release(d)
+				if r := recover(); r != nil {
+					rt.poison(name, w.id, r, cancel)
 					return
 				}
-				if err := rt.gate.Acquire(pctx); err != nil {
-					return
-				}
-				t0 := time.Now()
-				// The gate slot is released in the same deferred function
-				// that recovers: a panicking worker must not strand a
-				// fair-share slot, or sibling queries' workers block forever.
-				defer func() {
-					d := time.Since(t0)
-					rt.gate.Release(d)
-					if r := recover(); r != nil {
-						rt.poison(name, w.id, r, cancel)
-						return
-					}
-					w.Record(name, d)
-				}()
-				rt.faults.Panic(faultinject.WorkerPanic)
-				fn(pctx, w)
-			}(w)
-		}
-		wg.Wait()
+				w.Record(name, d)
+			}()
+			rt.faults.Panic(faultinject.WorkerPanic)
+			fn(pctx, w)
+		})
 	})
+}
+
+// fanOut runs body once per worker and waits for all of them. The last
+// worker runs on the calling goroutine, which would otherwise only park until
+// the others are done: a phase starts one goroutine fewer and its barrier is a
+// wake-up shorter, and a one-worker phase is a plain call. body must recover
+// its own panics.
+func (rt *Runtime) fanOut(body func(w *Worker)) {
+	last := len(rt.states) - 1
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for _, w := range rt.states[:last] {
+		go func() {
+			defer wg.Done()
+			body(w)
+		}()
+	}
+	body(rt.states[last])
+	wg.Wait()
 }
 
 // Task is one morsel of join work: an independent unit any worker may
@@ -359,53 +372,47 @@ func (rt *Runtime) RunTasks(ctx context.Context, name string, tasks []Task) time
 		}
 		pctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		var wg sync.WaitGroup
-		for _, w := range rt.states {
-			wg.Add(1)
-			go func(w *Worker) {
-				defer wg.Done()
-				var busy time.Duration
-				defer func() {
-					w.Record(name, busy)
-					if r := recover(); r != nil {
-						rt.poison(name, w.id, r, cancel)
-					}
-				}()
-				for {
-					if Canceled(pctx) {
-						break
-					}
-					if err := rt.gate.Acquire(pctx); err != nil {
-						break
-					}
-					task, ok := q.pop(w.node)
-					if !ok {
-						rt.gate.Release(0)
-						break
-					}
-					rt.faults.Stall(faultinject.MorselStall)
-					t0 := time.Now()
-					// The inner closure releases the gate slot even when the
-					// task panics; the panic then unwinds into the recover
-					// above, which poisons the phase.
-					func() {
-						defer func() {
-							d := time.Since(t0)
-							busy += d
-							rt.gate.Release(d)
-						}()
-						rt.faults.Panic(faultinject.WorkerPanic)
-						task.Run(w)
-					}()
-					// Yield between morsels so that co-scheduled workers
-					// get to steal even when the machine has fewer cores
-					// than workers; without this, one goroutine could
-					// drain the whole queue between preemption points.
-					runtime.Gosched()
+		rt.fanOut(func(w *Worker) {
+			var busy time.Duration
+			defer func() {
+				w.Record(name, busy)
+				if r := recover(); r != nil {
+					rt.poison(name, w.id, r, cancel)
 				}
-			}(w)
-		}
-		wg.Wait()
+			}()
+			for {
+				if Canceled(pctx) {
+					break
+				}
+				if err := rt.gate.Acquire(pctx); err != nil {
+					break
+				}
+				task, ok := q.pop(w.node)
+				if !ok {
+					rt.gate.Release(0)
+					break
+				}
+				rt.faults.Stall(faultinject.MorselStall)
+				t0 := time.Now()
+				// The inner closure releases the gate slot even when the
+				// task panics; the panic then unwinds into the recover
+				// above, which poisons the phase.
+				func() {
+					defer func() {
+						d := time.Since(t0)
+						busy += d
+						rt.gate.Release(d)
+					}()
+					rt.faults.Panic(faultinject.WorkerPanic)
+					task.Run(w)
+				}()
+				// Yield between morsels so that co-scheduled workers
+				// get to steal even when the machine has fewer cores
+				// than workers; without this, one goroutine could
+				// drain the whole queue between preemption points.
+				runtime.Gosched()
+			}
+		})
 	})
 }
 

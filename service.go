@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,7 +419,11 @@ func (s *Service) Explain(p *Plan, opts ...QueryOption) (*Explain, error) {
 // copy both inputs once and the partition phase copies the private one
 // again, so ~3 tuple copies bounds the scratch demand, histograms and each
 // worker's run-generation bucket scratch — at most one key column of its
-// chunk, when a single radix bucket holds it all — included).
+// chunk, when a single radix bucket holds it all — included. A hash join
+// needs less: its table is 8 four-byte bucket heads per build tuple, rounded up
+// to a power of two, and a chain link — at most 64 + 4 bytes per build tuple —
+// over tuples it does not copy, and the radix join's partitions are one copy
+// of each input).
 func (s *Service) budgetFor(q queryConfig, inputRows int) int64 {
 	if q.budget > 0 {
 		return q.budget
@@ -494,7 +499,7 @@ func (s *Service) run(ctx context.Context, p *Plan, q queryConfig, inputRows int
 
 	label := q.label
 	if label == "" {
-		label = fmt.Sprintf("q%d", s.nextID.Add(1))
+		label = "q" + strconv.FormatUint(s.nextID.Add(1), 10)
 	}
 
 	// CancelStorm injection: abort this query's context shortly after it
