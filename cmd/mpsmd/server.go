@@ -265,8 +265,9 @@ type joinRequest struct {
 	// wisconsin, radix); empty defers to the engine (and, under auto-plan,
 	// the cost-based planner via the plan cache).
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers optionally pins the degree of parallelism; 0 lets the service
-	// choose elastically from the fair-share slots.
+	// Workers optionally replaces the query's share of the fair-share slots
+	// (0): the exact degree of parallelism with a pinned algorithm, an upper
+	// bound on the planner's choice without one.
 	Workers int `json:"workers,omitempty"`
 	// Weight is the fair-share weight (default 1).
 	Weight int `json:"weight,omitempty"`

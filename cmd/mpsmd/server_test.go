@@ -129,9 +129,28 @@ func TestServerExplicitTuplesAndAlgorithm(t *testing.T) {
 	if res.Matches != 2 || res.MaxSum != 27 {
 		t.Fatalf("join = %d/%d, want 2/27", res.Matches, res.MaxSum)
 	}
-	// The pinned algorithm is honored even though the service auto-plans.
+	// The pinned algorithm is honored even though the service auto-plans,
+	// and with it the worker count is the request's, exactly.
 	if res.Algorithm != "Wisconsin" {
 		t.Fatalf("algorithm = %q, want the pinned Wisconsin", res.Algorithm)
+	}
+	if res.Workers != 2 {
+		t.Fatalf("workers = %d, want the request's 2 with a pinned algorithm", res.Workers)
+	}
+	if code := post(t, ts.URL+"/v1/join",
+		joinRequest{R: "R", S: "S", Algorithm: "pmpsm", Workers: 3}, &res); code != http.StatusOK {
+		t.Fatalf("join: status %d", code)
+	}
+	if res.Algorithm != "P-MPSM" || res.Workers != 3 {
+		t.Fatalf("pinned join ran %s on %d workers, want P-MPSM on the request's 3", res.Algorithm, res.Workers)
+	}
+	// Without a pin the field is the bound the planner chooses under: three
+	// tuples a side keep one worker.
+	if code := post(t, ts.URL+"/v1/join", joinRequest{R: "R", S: "S", Workers: 3}, &res); code != http.StatusOK {
+		t.Fatalf("join: status %d", code)
+	}
+	if res.Workers != 1 || res.Matches != 2 || res.MaxSum != 27 {
+		t.Fatalf("auto-planned join = %d/%d on %d workers, want 2/27 on 1", res.Matches, res.MaxSum, res.Workers)
 	}
 }
 

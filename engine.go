@@ -73,7 +73,10 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(s *settings) { s.algorithm = a }
 }
 
-// WithWorkers sets the degree of parallelism T; 0 selects GOMAXPROCS.
+// WithWorkers sets the degree of parallelism T; 0 selects GOMAXPROCS. It is an
+// upper bound where the planner chooses (WithAutoPlan: every join runs on the
+// count between 1 and n that the cost model says pays, see Explain), and
+// exact with auto-planning off.
 func WithWorkers(n int) Option {
 	return func(s *settings) { s.workers = n }
 }
@@ -207,13 +210,14 @@ func WithPoolLimit(bytes int64) Option {
 // WithAutoPlan enables (or disables) the cost-based planner: before every
 // Join, JoinStream or RunPlan execution the engine samples statistics of the
 // input relations (cached across calls), estimates cardinalities, and
-// rewrites the physical plan — join algorithm per join, join order across
-// inner multi-join chains, build/probe roles, Static vs Morsel scheduling,
-// presorted-input declarations, and the aggregation strategy. Explain shows
+// rewrites the physical plan — join algorithm and worker count per join, join
+// order across inner multi-join chains, build/probe roles, Static vs Morsel
+// scheduling, presorted-input declarations, and the aggregation strategy. Explain shows
 // the decisions. Auto-planning overrides a configured algorithm and
-// scheduler (including per-node plan options); it respects join kind, band
-// width, worker count, and a configured D-MPSM (which expresses a memory
-// constraint the cost model cannot see). As an engine option it sets the
+// scheduler (including per-node plan options) and chooses every join's worker
+// count up to the configured one; it respects join kind, band width, and a
+// configured D-MPSM (which expresses a memory constraint the cost model
+// cannot see). As an engine option it sets the
 // default for every call; as a per-call option it overrides that default.
 func WithAutoPlan(enabled bool) Option {
 	return func(s *settings) { s.autoPlan = enabled }
@@ -386,9 +390,9 @@ func (e *Engine) run(ctx context.Context, r, s *Relation, opts []Option) (*exec.
 }
 
 // autoJoin applies the cost-based planner to a single-join call: the input
-// profiles choose the algorithm, scheduling mode, presorted declarations
-// and, when the sink is the commutative built-in max-sum aggregate, the
-// build/probe roles. Decisions are memoized per (inputs, configuration), so
+// profiles choose the algorithm, the worker count up to the configured one,
+// scheduling mode, presorted declarations and, when the sink is the
+// commutative built-in max-sum aggregate, the build/probe roles. Decisions are memoized per (inputs, configuration), so
 // an engine serving the same join repeatedly plans it once.
 func (e *Engine) autoJoin(cfg settings, r, s *Relation) (settings, *Relation, *Relation) {
 	to := planner.Consumer{Folds: sink.FoldsRanges(cfg.sink)}
@@ -419,6 +423,7 @@ func (e *Engine) autoJoin(cfg settings, r, s *Relation) (settings, *Relation, *R
 
 	userPriv, userPub := cfg.presortedPrivate, cfg.presortedPublic
 	cfg.algorithm = ch.Algorithm
+	cfg.workers = ch.Workers
 	cfg.scheduler = ch.Scheduler
 	if ch.MorselSize > 0 {
 		cfg.morselSize = ch.MorselSize

@@ -65,8 +65,14 @@ type ExplainNode struct {
 	Skew        float64 `json:"skew,omitempty"`
 
 	// Join-node decisions.
-	Algorithm        string        `json:"algorithm,omitempty"`
-	Scheduler        string        `json:"scheduler,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	Scheduler string `json:"scheduler,omitempty"`
+	// Workers is the worker count the join runs on and WorkersBound the count
+	// it could have had — the engine's configured count or a service's share.
+	// They are equal for a configured plan; under auto-planning Workers is the
+	// planner's choice, and Reason gives the speed-up that decided it.
+	Workers          int           `json:"workers,omitempty"`
+	WorkersBound     int           `json:"workers_bound,omitempty"`
 	MorselSize       int           `json:"morsel_size,omitempty"`
 	PresortedPrivate bool          `json:"presorted_private,omitempty"`
 	PresortedPublic  bool          `json:"presorted_public,omitempty"`
@@ -189,6 +195,7 @@ func (e *Engine) explain(p *Plan, opts []Option) (*Explain, *exec.Plan, error) {
 		case exec.NodeJoin:
 			en.Algorithm = d.Algorithm.String()
 			en.Scheduler = d.Scheduler.String()
+			en.Workers, en.WorkersBound = d.Workers, d.Bound
 			en.MorselSize = d.MorselSize
 			en.PresortedPrivate = d.PresortedPrivate
 			en.PresortedPublic = d.PresortedPublic
@@ -226,7 +233,7 @@ func (ex *Explain) MarshalJSON() ([]byte, error) {
 // String renders the plan as an indented operator tree, root first:
 //
 //	GroupAggregate est=65536 actual=65493 agg=1.87ms
-//	└─ Join [P-MPSM, static, → ranges, key-ordered, range-partitioned ×2] est=1047113 actual=1048628 est_ms=18.4 ms=21.9
+//	└─ Join [P-MPSM, static, workers=2, → ranges, key-ordered, range-partitioned ×2] est=1047113 actual=1048628 est_ms=18.4 ms=21.9
 //	   ├─ Scan R est=262144
 //	   └─ Scan S est=1048576
 func (ex *Explain) String() string {
@@ -281,6 +288,12 @@ func (n ExplainNode) describe() string {
 	}
 	if n.Scheduler != "" {
 		attrs = append(attrs, n.Scheduler)
+	}
+	switch {
+	case n.Workers > 0 && n.Workers < n.WorkersBound:
+		attrs = append(attrs, fmt.Sprintf("workers=%d of %d", n.Workers, n.WorkersBound))
+	case n.Workers > 0:
+		attrs = append(attrs, fmt.Sprintf("workers=%d", n.Workers))
 	}
 	if n.PresortedPrivate {
 		attrs = append(attrs, "presorted-private")

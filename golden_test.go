@@ -12,9 +12,12 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenQueries is the EXPLAIN corpus: each query is compiled against the
-// fixed catalog and its rendered plan compared to testdata/explain.golden.
-// The engine runs without auto-planning and with a fixed worker count so the
-// rendering is deterministic.
+// fixed catalog and its rendered plan compared to testdata/explain.golden,
+// first as configured (two workers, exactly) and then — the queries with a
+// join — auto-planned under a bound of two workers, where every join shows
+// the worker count the planner chose and the speed-up that decided it. The
+// catalog, the statistics sample and the cost constants are all fixed, so
+// both renderings are deterministic.
 var goldenQueries = []string{
 	"ans(K, V) :- r(K, V)",
 	"ans(K, K) :- r(K, _)",
@@ -45,6 +48,14 @@ func TestExplainGolden(t *testing.T) {
 			t.Fatalf("Explain(%q): %v", src, err)
 		}
 		fmt.Fprintf(&b, "=== %s\n%s\n\n", p.QueryInfo().Text, ex.String())
+		if !strings.Contains(ex.String(), "Join") {
+			continue
+		}
+		auto, err := engine.Explain(p, WithAutoPlan(true))
+		if err != nil {
+			t.Fatalf("Explain(%q) auto-planned: %v", src, err)
+		}
+		fmt.Fprintf(&b, "=== auto-planned: %s\n%s\n\n", p.QueryInfo().Text, auto.String())
 	}
 	got := b.String()
 

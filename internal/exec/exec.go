@@ -104,18 +104,16 @@ func ParseAlgorithm(name string) (Algorithm, error) {
 // tuple.
 //
 // Predicates must be pure functions of the tuple: the scan evaluates them
-// concurrently from several workers and may evaluate them more than once per
-// tuple (the filter counts survivors before copying them, so that the output
-// is exactly sized). A stateful predicate yields an unspecified selection —
-// never memory corruption, but not a meaningful result either.
+// concurrently from several workers, once per tuple its key range lets
+// through. A stateful predicate yields an unspecified selection — never memory
+// corruption, but not a meaningful result either.
 type Predicate func(relation.Tuple) bool
 
 // KeyRange is the structured form of a key-range selection: it keeps tuples
 // whose key lies in [Low, High). Unlike an opaque Predicate closure, the scan
-// can recognize it and run the selection branch-free — a borrow-bit membership
-// test and a selection-vector gather instead of a per-tuple function call —
-// so range scans filter at a selectivity-independent rate. High <= Low selects
-// nothing.
+// can recognize it and test membership branch-free — the borrow bit of an
+// unsigned subtraction instead of a per-tuple function call — and the planner
+// can narrow its estimates by it. High <= Low selects nothing.
 type KeyRange struct {
 	Low, High uint64
 }

@@ -56,8 +56,8 @@ func TestRunWithSelection(t *testing.T) {
 	low, high := uint64(0), uint64(1)<<31 // roughly half the key domain
 
 	// Reference: filter first, then join.
-	filteredR, _ := applyFilter(context.Background(), r, KeyRangePredicate(low, high), 4, nil)
-	filteredS, _ := applyFilter(context.Background(), s, KeyRangePredicate(low, high), 4, nil)
+	filteredR, _ := applyScanFilter(context.Background(), r, nil, KeyRangePredicate(low, high), 4, nil)
+	filteredS, _ := applyScanFilter(context.Background(), s, nil, KeyRangePredicate(low, high), 4, nil)
 	var agg mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(filteredR.Tuples, filteredS.Tuples, &agg)
 
@@ -200,7 +200,7 @@ func TestKeyRangePredicate(t *testing.T) {
 
 func TestApplyFilterNilKeepsInput(t *testing.T) {
 	r, _ := dataset(100, 1, 4)
-	out, leased := applyFilter(context.Background(), r, nil, 4, nil)
+	out, leased := applyScanFilter(context.Background(), r, nil, nil, 4, nil)
 	if out != r || leased {
 		t.Fatal("nil predicate should return the input relation unchanged")
 	}

@@ -27,46 +27,43 @@ func derived(rel *relation.Relation, dst []relation.Tuple) *relation.Relation {
 // spinning up a worker pool for it.
 const filterParallelCutoff = 1 << 14
 
-// applyScanFilter is the scan's selection entry point: a structured key range
-// runs on the branch-free selection path, an opaque predicate on the
-// per-tuple path, and both together compose the predicate into the range scan
-// (the per-tuple call dominates then anyway).
+// applyScanFilter is the scan's selection: it returns the input unchanged
+// when there is neither a key range nor a predicate, and an exactly-sized copy
+// of the selected tuples, in input order, otherwise. A first pass writes the
+// positions of the selected tuples into a selection vector — evaluating the
+// predicate exactly once per tuple inside the range — and a second gathers
+// them, so a 1% selection allocates 1% of the input, not its full capacity,
+// and the output buffer can come from the scratch lease (leased reports
+// whether it did; such relations are owned by the plan execution and recycled
+// after use). Large inputs run both passes as chunked parallel tasks on the
+// shared runtime; a canceled context may leave the copy incomplete, so callers
+// must check ctx before using the result.
 func applyScanFilter(ctx context.Context, rel *relation.Relation, rng *KeyRange, pred Predicate, workers int, lease *memory.Lease) (out *relation.Relation, leased bool) {
-	if rng == nil {
-		return applyFilter(ctx, rel, pred, workers, lease)
+	if rng == nil && pred == nil {
+		return rel, false
 	}
-	if pred != nil {
-		r := *rng
-		combined := func(t relation.Tuple) bool { return r.Match(t.Key) && pred(t) }
-		return applyFilter(ctx, rel, combined, workers, lease)
-	}
-	return filterKeyRange(ctx, rel, *rng, workers, lease)
-}
-
-// filterKeyRange is the branch-free key-range selection: both passes test
-// membership via the borrow bit of an unsigned subtraction (k-lo < hi-lo) and
-// the copy pass builds a per-chunk selection vector with unconditional writes
-// before gathering survivors, so no pass branches on the data. Output order,
-// sizing and lease behaviour match applyFilter exactly.
-func filterKeyRange(ctx context.Context, rel *relation.Relation, rng KeyRange, workers int, lease *memory.Lease) (out *relation.Relation, leased bool) {
-	if rng.High <= rng.Low {
-		return derived(rel, lease.Tuples(0)), lease != nil
+	// Without a range every key is inside: the range test is or-ed with all.
+	lo, width, all := uint64(0), uint64(0), uint64(1)
+	if rng != nil {
+		if rng.High <= rng.Low {
+			return derived(rel, lease.Tuples(0)), lease != nil
+		}
+		lo, width, all = rng.Low, rng.High-rng.Low, 0
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := rel.Len()
-	lo, width := rng.Low, rng.High-rng.Low
+	sel := lease.Int32s(n) // nil lease allocates fresh
+	defer lease.PutInt32s(sel)
 	if n < filterParallelCutoff || workers == 1 {
-		total := countRangeTuples(rel.Tuples, lo, width)
+		total := selectChunk(rel.Tuples, lo, width, all, pred, sel)
 		dst := lease.Tuples(total)
-		sel := lease.Int32s(n)
-		selectRangeChunk(rel.Tuples, lo, width, sel, dst)
-		lease.PutInt32s(sel)
+		gatherChunk(rel.Tuples, sel[:total], dst)
 		return derived(rel, dst), lease != nil
 	}
 
-	// Pass 1: count the surviving tuples per chunk, branch-free.
+	// Pass 1: per chunk, the selection vector and with it the count.
 	type chunk struct{ lo, hi int }
 	var chunks []chunk
 	sched.ForEachSegment(n, 0, func(clo, chi int) {
@@ -77,7 +74,7 @@ func filterKeyRange(ctx context.Context, rel *relation.Relation, rng KeyRange, w
 	tasks := make([]sched.Task, len(chunks))
 	for i, c := range chunks {
 		tasks[i] = sched.Task{Node: -1, Run: func(*sched.Worker) {
-			counts[i] = countRangeTuples(rel.Tuples[c.lo:c.hi], lo, width)
+			counts[i] = selectChunk(rel.Tuples[c.lo:c.hi], lo, width, all, pred, sel[c.lo:c.hi])
 		}}
 	}
 	rt.RunTasks(ctx, "scan", tasks)
@@ -89,143 +86,49 @@ func filterKeyRange(ctx context.Context, rel *relation.Relation, rng KeyRange, w
 		total += c
 	}
 
-	// Pass 2: per chunk, build the selection vector and gather the survivors
-	// into the chunk's disjoint output range.
+	// Pass 2: gather each chunk's survivors into its disjoint output range.
+	// The counts come from the one evaluation pass 1 made, so a predicate that
+	// violates the purity contract still cannot write past a chunk's range.
 	dst := lease.Tuples(total) // nil lease allocates fresh
 	for i, c := range chunks {
 		tasks[i] = sched.Task{Node: -1, Run: func(*sched.Worker) {
-			sel := lease.Int32s(c.hi - c.lo)
-			selectRangeChunk(rel.Tuples[c.lo:c.hi], lo, width, sel, dst[offsets[i]:offsets[i]+counts[i]])
-			lease.PutInt32s(sel)
+			gatherChunk(rel.Tuples[c.lo:c.hi], sel[c.lo:c.lo+counts[i]], dst[offsets[i]:offsets[i]+counts[i]])
 		}}
 	}
 	rt.RunTasks(ctx, "filter", tasks)
 	return derived(rel, dst), lease != nil
 }
 
-// countRangeTuples counts tuples with key-lo < width (i.e. key in [lo,
-// lo+width)) by accumulating the borrow bit — no data-dependent branch.
-func countRangeTuples(tuples []relation.Tuple, lo, width uint64) int {
-	n := 0
-	for _, t := range tuples {
-		_, borrow := bits.Sub64(t.Key-lo, width, 0)
-		n += int(borrow)
-	}
-	return n
-}
-
-// selectRangeChunk writes the in-range indices of tuples into sel with
-// unconditional writes (the cursor advances by the borrow bit), then gathers
-// the selected tuples into dst. sel must have len(tuples) elements; dst must
-// have exactly the chunk's survivor count (as precomputed by
-// countRangeTuples).
-func selectRangeChunk(tuples []relation.Tuple, lo, width uint64, sel []int32, dst []relation.Tuple) {
+// selectChunk writes the positions of the selected tuples to the front of sel
+// (len(tuples) elements) and returns their number. The write is unconditional
+// and the cursor advances by the hit bit, so the loop does not branch on the
+// data: range membership is the borrow bit of an unsigned subtraction
+// (key-lo < width), or-ed with all for a scan without a range, and the
+// predicate — asked once per tuple inside the range — only turns a hit off.
+func selectChunk(tuples []relation.Tuple, lo, width, all uint64, pred Predicate, sel []int32) int {
 	sel = sel[:len(tuples)]
 	n := 0
 	for i, t := range tuples {
 		sel[n] = int32(i)
-		_, borrow := bits.Sub64(t.Key-lo, width, 0)
-		n += int(borrow)
+		_, hit := bits.Sub64(t.Key-lo, width, 0)
+		hit |= all
+		if pred != nil && hit != 0 {
+			hit = 0
+			if pred(t) {
+				hit = 1
+			}
+		}
+		n += int(hit)
 	}
-	for j := range dst {
-		dst[j] = tuples[sel[j]]
-	}
+	return n
 }
 
-// applyFilter returns the input unchanged for a nil predicate, and an
-// exactly-sized filtered copy otherwise, preserving input order. The copy is
-// built in two passes — count, then scatter at precomputed offsets — so a 1%
-// selection allocates 1% of the input, not its full capacity, and the output
-// buffer can come from the scratch lease (leased reports whether it did;
-// such relations are owned by the plan execution and recycled after use).
-// Large inputs run both passes as chunked parallel tasks on the shared
-// runtime; a canceled context may leave the copy incomplete, so callers must
-// check ctx before using the result.
-func applyFilter(ctx context.Context, rel *relation.Relation, pred Predicate, workers int, lease *memory.Lease) (out *relation.Relation, leased bool) {
-	if pred == nil {
-		return rel, false
+// gatherChunk copies the tuples at the selected positions to dst, which has
+// one element per position.
+func gatherChunk(tuples []relation.Tuple, sel []int32, dst []relation.Tuple) {
+	for j, i := range sel {
+		dst[j] = tuples[i]
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := rel.Len()
-	if n < filterParallelCutoff || workers == 1 {
-		return filterSerial(rel, pred, lease)
-	}
-
-	// Pass 1: count the surviving tuples per chunk.
-	type chunk struct{ lo, hi int }
-	var chunks []chunk
-	sched.ForEachSegment(n, 0, func(lo, hi int) {
-		chunks = append(chunks, chunk{lo, hi})
-	})
-	counts := make([]int, len(chunks))
-	rt := sched.New(sched.Config{Workers: workers})
-	tasks := make([]sched.Task, len(chunks))
-	for i, c := range chunks {
-		tasks[i] = sched.Task{Node: -1, Run: func(*sched.Worker) {
-			matched := 0
-			for _, t := range rel.Tuples[c.lo:c.hi] {
-				if pred(t) {
-					matched++
-				}
-			}
-			counts[i] = matched
-		}}
-	}
-	rt.RunTasks(ctx, "scan", tasks)
-
-	// Prefix-sum the counts into per-chunk output offsets.
-	total := 0
-	offsets := make([]int, len(chunks))
-	for i, c := range counts {
-		offsets[i] = total
-		total += c
-	}
-
-	// Pass 2: copy each chunk's survivors to its disjoint output range. The
-	// copy is clamped to the counted budget, so even a predicate that
-	// violates the purity contract cannot write past its chunk's range.
-	dst := lease.Tuples(total) // nil lease allocates fresh
-	for i, c := range chunks {
-		tasks[i] = sched.Task{Node: -1, Run: func(*sched.Worker) {
-			pos, end := offsets[i], offsets[i]+counts[i]
-			for _, t := range rel.Tuples[c.lo:c.hi] {
-				if pos == end {
-					break
-				}
-				if pred(t) {
-					dst[pos] = t
-					pos++
-				}
-			}
-		}}
-	}
-	rt.RunTasks(ctx, "filter", tasks)
-	return derived(rel, dst), lease != nil
-}
-
-// filterSerial is the small-input path: one counting pass, one exactly-sized
-// copy pass.
-func filterSerial(rel *relation.Relation, pred Predicate, lease *memory.Lease) (*relation.Relation, bool) {
-	total := 0
-	for _, t := range rel.Tuples {
-		if pred(t) {
-			total++
-		}
-	}
-	dst := lease.Tuples(total)
-	pos := 0
-	for _, t := range rel.Tuples {
-		if pos == total {
-			break
-		}
-		if pred(t) {
-			dst[pos] = t
-			pos++
-		}
-	}
-	return derived(rel, dst), lease != nil
 }
 
 // mapChunks applies fn element-wise from src to dst (equal lengths), in

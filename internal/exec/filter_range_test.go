@@ -2,17 +2,21 @@ package exec
 
 import (
 	"context"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
-// TestFilterKeyRangeMatchesPredicateFilter runs the branch-free structured
-// range scan against the predicate-closure filter on identical inputs, across
-// sizes on both sides of the parallel cutoff and across selectivities from
-// empty to full.
+// TestFilterKeyRangeMatchesPredicateFilter runs the structured range scan (the
+// borrow-bit test of the selection loop) against the same range as a predicate
+// closure (the loop's predicate call) on identical inputs, across sizes on
+// both sides of the parallel cutoff and across selectivities from empty to
+// full.
 func TestFilterKeyRangeMatchesPredicateFilter(t *testing.T) {
 	ctx := context.Background()
 	sizes := []int{0, 1, 100, filterParallelCutoff - 1, filterParallelCutoff + 1, 3 * filterParallelCutoff}
@@ -27,8 +31,8 @@ func TestFilterKeyRangeMatchesPredicateFilter(t *testing.T) {
 		rel := workload.UniformRelation("R", n, 1<<32, uint64(n)+7)
 		for _, rng := range ranges {
 			for _, workers := range []int{1, 4} {
-				want, _ := applyFilter(ctx, rel, KeyRangePredicate(rng.Low, rng.High), workers, nil)
-				got, _ := filterKeyRange(ctx, rel, rng, workers, nil)
+				want, _ := applyScanFilter(ctx, rel, nil, KeyRangePredicate(rng.Low, rng.High), workers, nil)
+				got, _ := applyScanFilter(ctx, rel, &rng, nil, workers, nil)
 				if got.Len() != want.Len() {
 					t.Fatalf("n=%d range=%+v workers=%d: %d tuples, predicate filter kept %d",
 						n, rng, workers, got.Len(), want.Len())
@@ -44,9 +48,8 @@ func TestFilterKeyRangeMatchesPredicateFilter(t *testing.T) {
 	}
 }
 
-// TestApplyScanFilterComposition pins the dispatch of applyScanFilter: nil
-// range falls through to the predicate filter, a pure range takes the
-// branch-free path, and range+predicate compose as AND.
+// TestApplyScanFilterComposition: range and predicate compose as AND, and a
+// scan with neither returns its input.
 func TestApplyScanFilterComposition(t *testing.T) {
 	ctx := context.Background()
 	rel := workload.UniformRelation("R", 5000, 1<<32, 11)
@@ -75,6 +78,66 @@ func TestApplyScanFilterComposition(t *testing.T) {
 	passthrough, leased := applyScanFilter(ctx, rel, nil, nil, 4, nil)
 	if leased || passthrough != rel {
 		t.Fatal("nil range and predicate must return the input relation")
+	}
+}
+
+// TestScanFilterAsksThePredicateOncePerTuple: the selection pass evaluates an
+// opaque predicate exactly once per tuple — the gather reads the selection
+// vector, it does not ask again — on both sides of the parallel cutoff, with
+// and without a lease, and only for the tuples a key range lets through. The
+// output is the scalar oracle's, in input order and exactly sized.
+func TestScanFilterAsksThePredicateOncePerTuple(t *testing.T) {
+	ctx := context.Background()
+	pool := memory.NewPool(0)
+	for _, n := range []int{0, 1, 1000, filterParallelCutoff - 1, 3*filterParallelCutoff + 5} {
+		rel := workload.UniformRelation("R", n, 1<<32, uint64(n)+3)
+		// MaxUint64 is a key like any other for a scan without a range.
+		if n > 0 {
+			rel.Tuples[n/2].Key = math.MaxUint64
+			rel.Tuples[n/2].Payload = 1
+		}
+		for _, rng := range []*KeyRange{nil, {Low: 1 << 30, High: 3 << 30}} {
+			for _, workers := range []int{1, 4} {
+				for _, leased := range []bool{false, true} {
+					var calls atomic.Int64
+					oddPayload := func(tup relation.Tuple) bool {
+						calls.Add(1)
+						return tup.Payload&1 == 1
+					}
+					var want []relation.Tuple
+					inRange := 0
+					for _, tup := range rel.Tuples {
+						if rng != nil && !rng.Match(tup.Key) {
+							continue
+						}
+						inRange++
+						if tup.Payload&1 == 1 {
+							want = append(want, tup)
+						}
+					}
+					var lease *memory.Lease
+					if leased {
+						lease = pool.Acquire()
+					}
+					got, fromLease := applyScanFilter(ctx, rel, rng, oddPayload, workers, lease)
+					if fromLease != leased {
+						t.Fatalf("n=%d range=%v workers=%d: leased = %v with lease %v", n, rng, workers, fromLease, leased)
+					}
+					if calls.Load() != int64(inRange) {
+						t.Fatalf("n=%d range=%v workers=%d: the predicate was asked %d times for %d tuples in range", n, rng, workers, calls.Load(), inRange)
+					}
+					if got.Len() != len(want) || (!leased && cap(got.Tuples) != len(want)) {
+						t.Fatalf("n=%d range=%v workers=%d: %d tuples (cap %d), oracle %d", n, rng, workers, got.Len(), cap(got.Tuples), len(want))
+					}
+					for i := range want {
+						if got.Tuples[i] != want[i] {
+							t.Fatalf("n=%d range=%v workers=%d: tuple %d = %+v, oracle %+v", n, rng, workers, i, got.Tuples[i], want[i])
+						}
+					}
+					lease.Release()
+				}
+			}
+		}
 	}
 }
 

@@ -113,8 +113,8 @@ func TestThreeWayPlanParityWithPoolAndFilters(t *testing.T) {
 	tRel.Name = "T"
 	pred := KeyRangePredicate(0, 1<<31)
 
-	fr, _ := applyFilter(context.Background(), r, pred, 1, nil)
-	fs, _ := applyFilter(context.Background(), s, pred, 1, nil)
+	fr, _ := applyScanFilter(context.Background(), r, nil, pred, 1, nil)
+	fs, _ := applyScanFilter(context.Background(), s, nil, pred, 1, nil)
 	want := referenceThreeWayGroups(fr, fs, tRel, sink.AggSum)
 
 	pool := memory.NewPool(0)
@@ -506,8 +506,8 @@ func TestApplyFilterParallelParity(t *testing.T) {
 	r, _ := dataset(100000, 1, 122)
 	pred := func(t relation.Tuple) bool { return t.Key%3 == 0 }
 
-	serial, _ := applyFilter(context.Background(), r, pred, 1, nil)
-	parallel, leased := applyFilter(context.Background(), r, pred, 4, nil)
+	serial, _ := applyScanFilter(context.Background(), r, nil, pred, 1, nil)
+	parallel, leased := applyScanFilter(context.Background(), r, nil, pred, 4, nil)
 	if leased {
 		t.Fatal("filter without a lease reported leased output")
 	}
@@ -521,7 +521,7 @@ func TestApplyFilterSelectivePreallocation(t *testing.T) {
 	r, _ := dataset(100000, 1, 133)
 	pred := func(t relation.Tuple) bool { return t.Key%128 == 0 } // ~0.8% selectivity
 
-	out, _ := applyFilter(context.Background(), r, pred, 4, nil)
+	out, _ := applyScanFilter(context.Background(), r, nil, pred, 4, nil)
 	if out.Len() == 0 || out.Len() > r.Len()/32 {
 		t.Fatalf("unexpected selectivity: %d of %d", out.Len(), r.Len())
 	}
@@ -534,7 +534,7 @@ func TestApplyFilterSelectivePreallocation(t *testing.T) {
 	pool := memory.NewPool(0)
 	lease := pool.Acquire()
 	defer lease.Release()
-	leasedOut, leased := applyFilter(context.Background(), r, pred, 4, lease)
+	leasedOut, leased := applyScanFilter(context.Background(), r, nil, pred, 4, lease)
 	if !leased {
 		t.Fatal("filter with a lease did not report leased output")
 	}

@@ -1,11 +1,16 @@
 // Package planner is the cost-based query planner: it turns the sampled
 // relation statistics of internal/stats into physical execution choices for
-// operator plans — which join algorithm runs each Join node, in which order a
-// chain of joins consumes its inputs, whether the match phase is scheduled
-// statically or morsel-driven, and whether presorted inputs skip their sort
-// phase. A join is costed together with what consumes its output: the
-// key-ordered range entries an MPSM join hands on, against a hash join's pairs
-// in probe order, are a property the planner prices (see CostModel).
+// operator plans — which join algorithm runs each Join node and on how many
+// workers, in which order a chain of joins consumes its inputs, whether the
+// match phase is scheduled statically or morsel-driven, and whether presorted
+// inputs skip their sort phase. A join is costed together with what consumes
+// its output: the key-ordered range entries an MPSM join hands on, against a
+// hash join's pairs in probe order, are a property the planner prices (see
+// CostModel). The degree of parallelism is an output like the algorithm: the
+// configured worker count — or a service's share of its slots — is the bound,
+// every join is priced on one worker and at each doubling up to it, and a
+// worker is kept only where the modelled time falls by
+// CostModel.EfficiencyFloor of a worker's worth per worker added.
 //
 // The pipeline is
 //
@@ -57,8 +62,13 @@ type Constraints struct {
 	// pins the build/probe roles: band pairs carry R.Key != S.Key, so the
 	// default projection's output keys depend on which side is the build.
 	Band uint64
-	// Workers is the degree of parallelism the join will run with.
+	// Workers bounds the degree of parallelism the join may run with — a
+	// service's share of its slots, an engine's configured count, or, at 0,
+	// GOMAXPROCS; the count it does run with is the planner's (Choice.Workers).
 	Workers int
+	// PinWorkers prices the join at exactly Workers instead of choosing a
+	// count: annotating a configured plan describes what will run.
+	PinWorkers bool
 	// LatencyNs is the configured simulated disk latency per tuple (D-MPSM).
 	LatencyNs float64
 	// SymmetricConsumer reports that whatever consumes the join's (r, s)
@@ -100,7 +110,7 @@ func (s Shape) String() string {
 // shapeOf is the output shape of an algorithm under a scheduling mode.
 func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int) Shape {
 	sh := Shape{Ranges: emitsRanges(alg)}
-	if alg == exec.AlgorithmPMPSM && mode == sched.Static {
+	if alg == exec.AlgorithmPMPSM && mode == sched.Static && workers > 1 {
 		sh.Partitions = workers
 	}
 	return sh
@@ -120,6 +130,14 @@ type Choice struct {
 	PresortedPrivate, PresortedPublic bool
 	// Swap exchanges the build and probe inputs.
 	Swap bool
+	// Workers is the worker count the join runs on, between 1 and Bound (the
+	// resolved Constraints.Workers): the planner keeps a worker only where the
+	// modelled time falls by CostModel.EfficiencyFloor of a worker's worth.
+	Workers, Bound int
+	// Step is the doubling that decided Workers: the one not taken when
+	// Workers is below Bound, the last one taken otherwise (zero when Bound
+	// is 1 or the count was pinned).
+	Step WorkerStep
 	// EstRows is the estimated join cardinality.
 	EstRows float64
 	// Costs holds the per-algorithm modelled costs (for the final
@@ -131,6 +149,32 @@ type Choice struct {
 	Keys string
 	// Reason summarizes the decision for Explain output.
 	Reason string
+}
+
+// WorkerStep is one candidate widening of a join, from From to To workers.
+type WorkerStep struct {
+	From, To int
+	// Gain is the modelled time on From workers over the time on To; Floor is
+	// the gain at which the added workers return CostModel.EfficiencyFloor of
+	// a worker each, in units of the join's speed on one worker.
+	Gain, Floor float64
+}
+
+// String renders the step for Explain: "a second worker returns 1.2×, floor
+// 1.5×".
+func (s WorkerStep) String() string {
+	if s.To == 0 {
+		return ""
+	}
+	subject := fmt.Sprintf("%d workers return", s.To)
+	if s.To == 2 {
+		subject = "a second worker returns"
+	}
+	over := ""
+	if s.From > 1 {
+		over = fmt.Sprintf(" over %d", s.From)
+	}
+	return fmt.Sprintf("%s %.2f×%s, floor %.2f×", subject, s.Gain, over, s.Floor)
 }
 
 // normWorkers resolves the effective degree of parallelism.
@@ -198,39 +242,35 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 		}
 	}
 
-	type option struct {
-		alg  exec.Algorithm
-		swap bool
-		cost float64
+	// Price the candidates at one worker and at each doubling up to the
+	// bound, and keep a doubling only where the added workers pay: the time
+	// on one worker over the time on t is the join's speed in workers' worth,
+	// and every added worker must add EfficiencyFloor to it — a worker that
+	// returns less is worth more to the next query.
+	ct := contest{cm: cm, algs: algs, build: build, probe: probe, matches: matches, groups: groups, c: c, mode: choice.Scheduler}
+	choice.Bound = normWorkers(c.Workers)
+	t := 1
+	if c.PinWorkers {
+		t = choice.Bound
 	}
-	orientations := []bool{false}
-	if swappable(c) {
-		orientations = append(orientations, true)
-	}
-	bestPer := make(map[exec.Algorithm]option, len(algs))
-	cheapest := math.Inf(1)
-	for _, alg := range algs {
-		for _, swap := range orientations {
-			b, p := build, probe
-			if swap {
-				b, p = probe, build
-			}
-			in := inputsFor(b, p, matches, groups, c, choice.Scheduler)
-			cost := cm.Estimate(alg, in, c.Consumer)
-			if prev, ok := bestPer[alg]; !ok || cost < prev.cost {
-				bestPer[alg] = option{alg: alg, swap: swap, cost: cost}
-			}
-			cheapest = math.Min(cheapest, cost)
+	best, perAlg, cheapest := ct.at(t)
+	for single := cheapest; t < choice.Bound; {
+		// The step is judged on the cheapest candidate either side of it, not
+		// on the ones a tie picks: those cost up to Resolution more, and which
+		// side of a step has a tie follows the estimates' noise.
+		next := min(2*t, choice.Bound)
+		wider, widerPerAlg, widerCheapest := ct.at(next)
+		choice.Step = WorkerStep{
+			From: t, To: next,
+			Gain:  cheapest / widerCheapest,
+			Floor: 1 + cm.EfficiencyFloor*float64(next-t)*cheapest/single,
 		}
-	}
-	// Costs closer than the model resolves are a tie, which goes to the
-	// first candidate: the same one whichever way the estimates lean.
-	var best option
-	for _, alg := range algs {
-		if best = bestPer[alg]; best.cost <= cheapest*(1+cm.Resolution) {
+		if choice.Step.Gain < choice.Step.Floor {
 			break
 		}
+		t, best, perAlg, cheapest = next, wider, widerPerAlg, widerCheapest
 	}
+	choice.Workers = t
 
 	choice.Algorithm, choice.Swap = best.alg, best.swap
 	finalBuild, finalProbe := build, probe
@@ -242,7 +282,7 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 
 	// The cost list reports every allowed algorithm at its own best
 	// orientation, cheapest first, so Explain shows the actual contest.
-	for _, opt := range bestPer {
+	for _, opt := range perAlg {
 		choice.Costs = append(choice.Costs, AlgorithmCost{
 			Algorithm: opt.alg, Millis: opt.cost / 1e6, Eligible: true,
 		})
@@ -260,6 +300,51 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 		choice.Reason += "; " + choice.Keys
 	}
 	return choice
+}
+
+// option is one priced (algorithm, orientation) candidate.
+type option struct {
+	alg  exec.Algorithm
+	swap bool
+	cost float64
+}
+
+// contest is one join's candidates and everything pricing them needs but the
+// worker count.
+type contest struct {
+	cm              CostModel
+	algs            []exec.Algorithm
+	build, probe    *stats.Profile
+	matches, groups float64
+	c               Constraints
+	mode            sched.Mode
+}
+
+// at prices every allowed algorithm on the given worker count, each at its
+// own best orientation, and returns the one to run, all of them in candidate
+// order, and the cheapest cost among them. Costs closer than the model
+// resolves are a tie, which goes to the first candidate: the same one
+// whichever way the estimates lean.
+func (ct contest) at(workers int) (option, []option, float64) {
+	in := inputsFor(ct.build, ct.probe, ct.matches, ct.groups, ct.c, ct.mode, workers)
+	swapped := inputsFor(ct.probe, ct.build, ct.matches, ct.groups, ct.c, ct.mode, workers)
+	perAlg := make([]option, len(ct.algs))
+	cheapest := math.Inf(1)
+	for i, alg := range ct.algs {
+		perAlg[i] = option{alg: alg, cost: ct.cm.Estimate(alg, in, ct.c.Consumer)}
+		if swappable(ct.c) {
+			if cost := ct.cm.Estimate(alg, swapped, ct.c.Consumer); cost < perAlg[i].cost {
+				perAlg[i] = option{alg: alg, swap: true, cost: cost}
+			}
+		}
+		cheapest = math.Min(cheapest, perAlg[i].cost)
+	}
+	for _, opt := range perAlg {
+		if opt.cost <= cheapest*(1+ct.cm.Resolution) {
+			return opt, perAlg, cheapest
+		}
+	}
+	return perAlg[0], perAlg, cheapest // unreachable: the cheapest is within its own resolution
 }
 
 // keysClause renders the key-regime description of a join's inputs: empty
@@ -315,6 +400,9 @@ func reasonFor(ch Choice, c Constraints, skew float64, clustered bool) string {
 	default:
 		why += "; static scheduling (balanced inputs)"
 	}
+	if step := ch.Step.String(); step != "" {
+		why += "; " + step
+	}
 	return why
 }
 
@@ -337,9 +425,13 @@ type NodeDecision struct {
 	Scheduler                         sched.Mode
 	MorselSize                        int
 	PresortedPrivate, PresortedPublic bool
-	Swapped                           bool
-	Reordered                         bool
-	Costs                             []AlgorithmCost
+	// Workers is the worker count the join runs on and Bound the count it
+	// could have had: equal for a configured plan, the planner's choice under
+	// Rewrite.
+	Workers, Bound int
+	Swapped        bool
+	Reordered      bool
+	Costs          []AlgorithmCost
 	// Output is the join's output shape and EstMillis the modelled cost of
 	// the algorithm the node runs, delivery to its consumer included.
 	Output    Shape
@@ -472,6 +564,9 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 	switch n.Kind {
 	case exec.NodeScan:
 		p = s.opt.profileOf(n.Rel)
+		if n.Range != nil {
+			p = p.InRange(n.Range.Low, n.Range.High)
+		}
 		if n.Pred != nil {
 			p = p.Filtered(n.Pred)
 		}
@@ -619,7 +714,9 @@ func (s *planState) decideJoin(id exec.NodeID) {
 		Band:       n.JoinOptions.Band,
 		Workers:    n.JoinOptions.Workers,
 		LatencyNs:  diskLatencyNs(n.DiskOptions),
-		// Annotating a configured plan prices its orientation, not the best.
+		// Annotating a configured plan prices its worker count and its
+		// orientation, not the best.
+		PinWorkers:        !s.opt.Rewrite,
 		SymmetricConsumer: s.symmetric[id] && s.opt.Rewrite,
 		Consumer:          s.consumerOf(id),
 	}
@@ -630,6 +727,7 @@ func (s *planState) decideJoin(id exec.NodeID) {
 
 	if s.opt.Rewrite {
 		n.Algorithm = ch.Algorithm
+		n.JoinOptions.Workers = ch.Workers
 		n.JoinOptions.Scheduler = ch.Scheduler
 		if ch.MorselSize > 0 {
 			n.JoinOptions.MorselSize = ch.MorselSize
@@ -648,7 +746,8 @@ func (s *planState) decideJoin(id exec.NodeID) {
 	d.MorselSize = n.JoinOptions.MorselSize
 	d.PresortedPrivate = n.JoinOptions.PresortedPrivate
 	d.PresortedPublic = n.JoinOptions.PresortedPublic
-	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, normWorkers(n.JoinOptions.Workers))
+	d.Workers, d.Bound = ch.Workers, ch.Bound
+	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, ch.Workers)
 	d.EstMillis = costOf(ch.Costs, n.Algorithm)
 }
 

@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -201,6 +202,65 @@ func TestChooseJoinBreaksTiesByCandidateOrder(t *testing.T) {
 	ch := ChooseJoin(profileOf(small), profileOf(workload.ForeignKeyRelation("s", small, 1<<14, 8)), Constraints{Workers: 2, Consumer: maxSum}, cm)
 	if ch.Algorithm != ch.Costs[0].Algorithm || ch.Algorithm == exec.AlgorithmPMPSM {
 		t.Errorf("4 096 × 16 384 chose %v, want the cheapest, a hash join (costs %+v)", ch.Algorithm, ch.Costs)
+	}
+}
+
+// TestChooseJoinKeepsAWorkerOnlyWhereItPays: Constraints.Workers bounds the
+// worker count, the choice is the planner's. A 4 096 × 16 384 join stays on
+// one worker under any bound — the modelled step to two is a loss — and
+// join_large's sizes take both of two; the step that decided is recorded with
+// the floor it was held against, which is EfficiencyFloor of a worker's worth
+// per added worker; a bound that is no power of two is still reached; and a
+// pinned count (annotating a configured plan) is priced as it is.
+func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
+	cm := DefaultCostModel()
+	small := workload.UniformRelation("r", 1<<12, 1<<32, 51)
+	smallS := workload.ForeignKeyRelation("s", small, 1<<14, 52)
+	large := workload.UniformRelation("R", 1<<19, 1<<32, 53)
+	largeS := workload.ForeignKeyRelation("S", large, 1<<21, 54)
+	sp, ssp, lp, lsp := profileOf(small), profileOf(smallS), profileOf(large), profileOf(largeS)
+
+	for _, bound := range []int{1, 2, 3, 8} {
+		ch := ChooseJoin(sp, ssp, Constraints{Workers: bound, Consumer: maxSum}, cm)
+		if ch.Workers != 1 || ch.Bound != bound {
+			t.Errorf("4 096 × 16 384 under a bound of %d: %d of %d workers, want 1 of %d", bound, ch.Workers, ch.Bound, bound)
+		}
+		if bound == 1 {
+			if ch.Step != (WorkerStep{}) || ch.Step.String() != "" {
+				t.Errorf("a bound of one leaves no step to decide, got %+v", ch.Step)
+			}
+			continue
+		}
+		if ch.Step.From != 1 || ch.Step.To != 2 || ch.Step.Gain >= 1 || ch.Step.Floor != 1+cm.EfficiencyFloor {
+			t.Errorf("bound %d: the step not taken is %+v, want 1 → 2 at a loss against a floor of %.2f", bound, ch.Step, 1+cm.EfficiencyFloor)
+		}
+		if want := "a second worker returns"; !strings.Contains(ch.Reason, want) {
+			t.Errorf("bound %d: reason %q does not say what %q", bound, ch.Reason, want)
+		}
+	}
+
+	for _, bound := range []int{2, 3} {
+		ch := ChooseJoin(lp, lsp, Constraints{Workers: bound, Consumer: maxSum}, cm)
+		if ch.Workers != bound {
+			t.Errorf("524 288 × 2 097 152 under a bound of %d: %d workers (step %+v), want them all", bound, ch.Workers, ch.Step)
+		}
+		if ch.Step.To != bound || ch.Step.Gain < ch.Step.Floor {
+			t.Errorf("bound %d: the last step taken is %+v, want one onto %d workers that clears its floor", bound, ch.Step, bound)
+		}
+	}
+	// Every added worker is held to the same return: going from two workers
+	// to three adds one, against a speed already above one worker's.
+	three := ChooseJoin(lp, lsp, Constraints{Workers: 3, Consumer: maxSum}, cm).Step
+	if three.From != 2 || three.Floor <= 1 || three.Floor >= 1+cm.EfficiencyFloor {
+		t.Errorf("the step 2 → 3 is held against %+v, want a floor between 1 and %.2f", three, 1+cm.EfficiencyFloor)
+	}
+
+	pinned := ChooseJoin(sp, ssp, Constraints{Workers: 4, PinWorkers: true, Consumer: maxSum}, cm)
+	if pinned.Workers != 4 || pinned.Step != (WorkerStep{}) {
+		t.Errorf("a pinned count of 4 came back as %d workers with step %+v", pinned.Workers, pinned.Step)
+	}
+	if two := costOf(ChooseJoin(sp, ssp, Constraints{Workers: 2, PinWorkers: true, Consumer: maxSum}, cm).Costs, pinned.Algorithm); two == costOf(pinned.Costs, pinned.Algorithm) {
+		t.Errorf("pinned counts of 2 and 4 price %v alike (%.3f ms): the costs are not the pinned count's", pinned.Algorithm, two)
 	}
 }
 

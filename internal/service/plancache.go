@@ -1,10 +1,9 @@
 package service
 
 import (
-	"fmt"
 	"hash/fnv"
 	"reflect"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/exec"
@@ -41,8 +40,11 @@ type PlanCacheStats struct {
 // shape reproduces the optimized plan exactly — without aliasing the cached
 // execution's relations, sinks or closures.
 type nodeChoice struct {
-	inputs                            []exec.NodeID
-	algorithm                         exec.Algorithm
+	inputs    []exec.NodeID
+	algorithm exec.Algorithm
+	// workers is the count the optimizer chose under the bound the key holds:
+	// a hit must run as wide as the miss that filled the entry did.
+	workers                           int
 	scheduler                         sched.Mode
 	morselSize                        int
 	presortedPrivate, presortedPublic bool
@@ -62,7 +64,8 @@ type cacheEntry struct {
 
 // PlanCache memoizes the cost-based planner's physical decisions for whole
 // plans, keyed by normalized plan shape (operator DAG, relation and function
-// identities, per-join configuration) plus a per-relation statistics
+// identities, per-join configuration — the worker bound of every join
+// included, under a caller's key as well) plus a per-relation statistics
 // fingerprint. Optimizing a plan costs profile sampling and a cost-model
 // search per join; a serving workload repeats a handful of plan shapes
 // thousands of times, so the cache turns that into a map lookup.
@@ -97,26 +100,47 @@ func NewPlanCache(profile func(*relation.Relation) *stats.Profile, size int) *Pl
 // safe to execute concurrently with other queries — cached entries hold only
 // physical decisions, never relations or sinks.
 func (c *PlanCache) Optimize(p *exec.Plan, rewrite bool) (*exec.Plan, error) {
-	return c.optimize(cacheKey(p, rewrite), p, rewrite)
+	key := keyBuffers.Get().(*[]byte)
+	defer keyBuffers.Put(key)
+	*key = appendCacheKey((*key)[:0], p, rewrite)
+	return c.optimize(*key, p, rewrite)
 }
 
 // OptimizeKeyed is Optimize under a caller-provided cache key — typically the
 // canonical text of a compiled query, so equivalent spellings share one
-// entry without normalizing the lowered plan's shape. Content staleness is
-// still caught per lookup: the per-relation fingerprints are validated on
-// every hit, so rebinding a name to new data invalidates rather than reuses
-// the entry. Caller keys live in their own namespace and never collide with
-// structural keys.
+// entry without normalizing the lowered plan's shape. The worker bound of
+// every join goes into the key beside it: the cached choice of a worker count
+// was made under that bound. Content staleness is still caught per lookup:
+// the per-relation fingerprints are validated on every hit, so rebinding a
+// name to new data invalidates rather than reuses the entry. Caller keys live
+// in their own namespace and never collide with structural keys.
 func (c *PlanCache) OptimizeKeyed(key string, p *exec.Plan, rewrite bool) (*exec.Plan, error) {
-	return c.optimize(fmt.Sprintf("key%q;rw%t", key, rewrite), p, rewrite)
+	buf := keyBuffers.Get().(*[]byte)
+	defer keyBuffers.Put(buf)
+	b := strconv.AppendQuote(append((*buf)[:0], "key"...), key)
+	b = strconv.AppendBool(append(b, ";rw"...), rewrite)
+	for _, n := range p.Nodes {
+		if n.Kind == exec.NodeJoin {
+			b = strconv.AppendInt(append(b, ";w"...), int64(n.JoinOptions.Workers), 10)
+		}
+	}
+	*buf = b
+	return c.optimize(b, p, rewrite)
 }
 
+// keyBuffers recycles the buffers cache keys are rendered into: a lookup reads
+// the map through the buffer, and only a miss makes a string of it.
+var keyBuffers = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 512)
+	return &buf
+}}
+
 // optimize is the shared lookup-or-plan core of Optimize and OptimizeKeyed.
-func (c *PlanCache) optimize(key string, p *exec.Plan, rewrite bool) (*exec.Plan, error) {
+func (c *PlanCache) optimize(key []byte, p *exec.Plan, rewrite bool) (*exec.Plan, error) {
 	prints := fingerprints(p)
 
 	c.mu.Lock()
-	if ent, ok := c.entries[key]; ok {
+	if ent, ok := c.entries[string(key)]; ok {
 		// The choice vector must line up with the plan (a caller key used
 		// across differently shaped plans is a caller bug; degrade to a
 		// re-plan rather than applying choices onto the wrong nodes).
@@ -128,7 +152,7 @@ func (c *PlanCache) optimize(key string, p *exec.Plan, rewrite bool) (*exec.Plan
 			applyChoices(p, ent.choices)
 			return p, nil
 		}
-		delete(c.entries, key)
+		delete(c.entries, string(key))
 		c.stats.Invalidations++
 	}
 	c.stats.Misses++
@@ -149,11 +173,11 @@ func (c *PlanCache) optimize(key string, p *exec.Plan, rewrite bool) (*exec.Plan
 	if size <= 0 {
 		size = DefaultPlanCacheSize
 	}
-	if _, exists := c.entries[key]; !exists && len(c.entries) >= size {
+	if _, exists := c.entries[string(key)]; !exists && len(c.entries) >= size {
 		c.evictLRU()
 	}
 	c.clock++
-	c.entries[key] = &cacheEntry{choices: captureChoices(optimized), prints: prints, use: c.clock}
+	c.entries[string(key)] = &cacheEntry{choices: captureChoices(optimized), prints: prints, use: c.clock}
 	return optimized, nil
 }
 
@@ -188,6 +212,7 @@ func captureChoices(p *exec.Plan) []nodeChoice {
 		choices[i] = nodeChoice{
 			inputs:           append([]exec.NodeID(nil), n.Inputs...),
 			algorithm:        n.Algorithm,
+			workers:          n.JoinOptions.Workers,
 			scheduler:        n.JoinOptions.Scheduler,
 			morselSize:       n.JoinOptions.MorselSize,
 			presortedPrivate: n.JoinOptions.PresortedPrivate,
@@ -207,6 +232,7 @@ func applyChoices(p *exec.Plan, choices []nodeChoice) {
 		n.Inputs = append([]exec.NodeID(nil), ch.inputs...)
 		if n.Kind == exec.NodeJoin {
 			n.Algorithm = ch.algorithm
+			n.JoinOptions.Workers = ch.workers
 			n.JoinOptions.Scheduler = ch.scheduler
 			n.JoinOptions.MorselSize = ch.morselSize
 			n.JoinOptions.PresortedPrivate = ch.presortedPrivate
@@ -215,43 +241,67 @@ func applyChoices(p *exec.Plan, choices []nodeChoice) {
 	}
 }
 
-// cacheKey normalizes a lowered plan into its cache identity: the operator
-// DAG with relation identities, function identities, and every configuration
-// facet the planner's decision depends on. Relation content is deliberately
-// not part of the key — it is validated separately via fingerprints, so a
-// mutated relation invalidates rather than silently forks the entry.
-func cacheKey(p *exec.Plan, rewrite bool) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rw%t;", rewrite)
+// appendCacheKey renders a lowered plan's cache identity: the operator DAG
+// with relation identities, function identities, and every configuration
+// facet the planner's decision depends on — the worker count of a join node is
+// the bound the planner chooses under. Relation content is deliberately not
+// part of the key — it is validated separately via fingerprints, so a mutated
+// relation invalidates rather than silently forks the entry. It runs on every
+// request, hit or miss, hence strconv into the caller's buffer and no fmt.
+func appendCacheKey(b []byte, p *exec.Plan, rewrite bool) []byte {
+	num := func(tag string, v int64) { b = strconv.AppendInt(append(b, tag...), v, 10) }
+	hex := func(tag string, v uint64) { b = strconv.AppendUint(append(b, tag...), v, 16) }
+	flag := func(tag string, v bool) { b = strconv.AppendBool(append(b, tag...), v) }
+	flag("rw", rewrite)
+	b = append(b, ';')
 	for id, n := range p.Nodes {
-		fmt.Fprintf(&b, "%d:%v%v", id, n.Kind, n.Inputs)
+		num("", int64(id))
+		num(":", int64(n.Kind))
+		for _, in := range n.Inputs {
+			num(",", int64(in))
+		}
 		switch n.Kind {
 		case exec.NodeScan:
-			fmt.Fprintf(&b, "r%p/%d f%x", n.Rel, n.Rel.Len(), fnPtr(n.Pred))
+			hex(" r", uint64(reflect.ValueOf(n.Rel).Pointer()))
+			num("/", int64(n.Rel.Len()))
+			hex(" f", uint64(fnPtr(n.Pred)))
 			if n.Range != nil {
-				fmt.Fprintf(&b, " rg[%d,%d)", n.Range.Low, n.Range.High)
+				hex(" rg", n.Range.Low)
+				hex(",", n.Range.High)
 			}
 		case exec.NodeJoin:
-			o := n.JoinOptions
-			fmt.Fprintf(&b, "a%v w%d k%v b%d h%d s%v c%d pp%t pv%t sch%v m%d d%+v",
-				n.Algorithm, o.Workers, o.Kind, o.Band, o.HistogramBits, o.Splitters,
-				o.CDFBoundsPerRun, o.PresortedPublic, o.PresortedPrivate,
-				o.Scheduler, o.MorselSize, n.DiskOptions)
+			o, d := n.JoinOptions, n.DiskOptions
+			num(" a", int64(n.Algorithm))
+			num(" w", int64(o.Workers))
+			num(" k", int64(o.Kind))
+			hex(" b", o.Band)
+			num(" h", int64(o.HistogramBits))
+			num(" s", int64(o.Splitters))
+			num(" c", int64(o.CDFBoundsPerRun))
+			flag(" pp", o.PresortedPublic)
+			flag(" pv", o.PresortedPrivate)
+			num(" sch", int64(o.Scheduler))
+			num(" m", int64(o.MorselSize))
+			num(" d", int64(d.PageSize))
+			num(",", int64(d.PageBudget))
+			num(",", int64(d.PrefetchDistance))
+			num(",", int64(d.ReadLatency))
+			num(",", int64(d.WriteLatency))
 		case exec.NodeMap:
-			fmt.Fprintf(&b, "f%x", fnPtr(n.MapFn))
+			hex(" f", uint64(fnPtr(n.MapFn)))
 		case exec.NodeProject:
-			fmt.Fprintf(&b, "f%x", fnPtr(n.ProjectFn))
+			hex(" f", uint64(fnPtr(n.ProjectFn)))
 		case exec.NodeGroupAggregate:
-			fmt.Fprintf(&b, "g%v", n.Agg)
+			num(" g", int64(n.Agg))
 		case exec.NodeSink:
 			// Only nilness matters: a user sink observes the pair order and
 			// pins the build/probe roles, the built-in max-sum sink is
 			// symmetric. The sink's identity does not change the plan.
-			fmt.Fprintf(&b, "nil%t", n.Sink == nil)
+			flag(" nil", n.Sink == nil)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	return b.String()
+	return b
 }
 
 // fnPtr returns the code-pointer identity of a function value (0 for nil).

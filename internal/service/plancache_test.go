@@ -249,3 +249,57 @@ func TestPlanCacheKeyedShapeMismatch(t *testing.T) {
 		t.Fatalf("mismatched-shape lookup corrupted the plan: %+v", got.Nodes)
 	}
 }
+
+// TestPlanCacheCarriesTheChosenWorkers: the worker count is part of what the
+// optimizer decides, so a hit must run exactly as wide as the miss that filled
+// the entry — here on one worker of a bound of four, which a hit that kept the
+// lowered plan's count would silently widen again — and a decision taken under
+// one bound is not served under another, whether the key is the plan's shape
+// or a caller's.
+func TestPlanCacheCarriesTheChosenWorkers(t *testing.T) {
+	r, s := testRel("R", 3000), testRel("S", 6000)
+	ctx := context.Background()
+	lookups := map[string]func(c *PlanCache, bound int) (*exec.Plan, error){
+		"structural": func(c *PlanCache, bound int) (*exec.Plan, error) { return c.Optimize(lowerPlan(r, s, bound), true) },
+		"keyed": func(c *PlanCache, bound int) (*exec.Plan, error) {
+			return c.OptimizeKeyed("q", lowerPlan(r, s, bound), true)
+		},
+	}
+	for name, lookup := range lookups {
+		c := NewPlanCache(nil, 0)
+		var widths [2]int
+		for i := range widths { // a miss, then a hit
+			p, err := lookup(c, 4)
+			if err != nil {
+				t.Fatalf("%s lookup %d: %v", name, i, err)
+			}
+			res, err := exec.RunPlan(ctx, p, nil)
+			if err != nil {
+				t.Fatalf("%s lookup %d: %v", name, i, err)
+			}
+			widths[i] = res.Joins[0].Result.Workers
+		}
+		if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
+			t.Fatalf("%s: stats = %+v, want one miss and one hit", name, st)
+		}
+		if widths[0] != 1 || widths[1] != widths[0] {
+			t.Errorf("%s: the miss ran on %d workers and the hit on %d, want both on the one the planner chose of 4", name, widths[0], widths[1])
+		}
+
+		if _, err := lookup(c, 2); err != nil {
+			t.Fatalf("%s under a bound of 2: %v", name, err)
+		}
+		if st := c.Stats(); st.Misses != 2 || st.Entries != 2 {
+			t.Errorf("%s: stats = %+v after the same plan under a second bound, want a second miss and entry", name, st)
+		}
+
+		// With auto-planning off the configured count is the count.
+		p, err := c.Optimize(lowerPlan(r, s, 4), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Nodes[2].JoinOptions.Workers; got != 4 {
+			t.Errorf("%s: a configured plan runs on %d workers, want its 4", name, got)
+		}
+	}
+}

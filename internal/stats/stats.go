@@ -590,6 +590,78 @@ func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 	return cp
 }
 
+// skewSigmas is how far above its expectation the fullest histogram bucket of
+// a range's sample must stand, in standard deviations of a uniform spread,
+// before InRange reports the sample's skew in place of the relation's.
+const skewSigmas = 5
+
+// InRange returns the profile of the relation restricted to the keys in
+// [low, high): cardinality and distinct keys shrink to the range's share of
+// the histogram (buckets are assumed internally uniform), the key bounds close
+// in on it, the histogram is the relation's re-cut over the narrower bounds,
+// and the sample keeps the tuples inside, for join probes. Order carries over:
+// a selection leaves sorted and clustered arrangements what they were.
+//
+// So does the skew, unless the sample inside the range says otherwise beyond
+// chance. A narrow range keeps a few dozen sampled tuples, and the fullest of
+// 64 buckets over so few reads as skew on uniform keys (33 tuples: 0.5
+// expected per bucket, 5 in one by luck is a coefficient of 9.7): the sample's
+// own coefficient counts only where its fullest bucket holds more than the
+// uniform expectation plus skewSigmas standard deviations.
+func (p *Profile) InRange(low, high uint64) *Profile {
+	if p.Tuples == 0 {
+		return p
+	}
+	cp := &Profile{
+		SortedFraction:         p.SortedFraction,
+		KeyPositionCorrelation: p.KeyPositionCorrelation,
+		Skew:                   p.Skew,
+		Correlated:             p.Correlated,
+		KeyNormalized:          p.KeyNormalized,
+		KeyTieBreak:            p.KeyTieBreak,
+		PrefixCollisionRate:    p.PrefixCollisionRate,
+	}
+	if high <= low || high-1 < p.MinKey || low > p.MaxKey {
+		cp.SortedFraction = 1
+		return cp
+	}
+	cp.MinKey, cp.MaxKey = max(low, p.MinKey), min(high-1, p.MaxKey)
+	lo, hi := float64(cp.MinKey), float64(cp.MaxKey)
+	share := p.massIn(lo, hi)
+	cp.Tuples = int(math.Round(float64(p.Tuples) * share))
+	cp.DistinctKeys = math.Min(float64(cp.Tuples), math.Max(1, p.DistinctKeys*share))
+	cp.Duplication = math.Max(1, float64(cp.Tuples)/math.Max(1, cp.DistinctKeys))
+	if share > 0 {
+		width := (hi - lo + 1) / HistogramBuckets
+		for b := range cp.Histogram {
+			bLo := lo + float64(b)*width
+			cp.Histogram[b] = p.massIn(bLo, bLo+width-1) / share
+		}
+	}
+
+	var counts [HistogramBuckets]int
+	cp.keySet = make(map[uint64]struct{})
+	for _, t := range p.Sample {
+		if t.Key < low || t.Key >= high {
+			continue
+		}
+		cp.Sample = append(cp.Sample, t)
+		cp.keySet[t.Key] = struct{}{}
+		counts[min(HistogramBuckets-1, int((float64(t.Key)-lo)/(hi-lo+1)*HistogramBuckets))]++
+	}
+	cp.SampleSize = len(cp.Sample)
+	fullest := 0
+	for _, c := range counts {
+		fullest = max(fullest, c)
+	}
+	expected := float64(cp.SampleSize) / HistogramBuckets
+	sigma := math.Sqrt(expected * (1 - 1.0/HistogramBuckets))
+	if float64(fullest) > expected+skewSigmas*sigma {
+		cp.Skew = float64(fullest) / expected
+	}
+	return cp
+}
+
 // Mapped returns the profile of the relation after a pure tuple-to-tuple
 // transformation: the sample is pushed through the function and the shape
 // statistics are recomputed, while the cardinality carries over. A profile

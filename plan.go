@@ -123,7 +123,7 @@ func (p *Plan) input(n PlanNode, op string) (exec.NodeID, bool) {
 // Scan adds a scan of rel with an optional selection predicate (at most one;
 // none keeps every tuple). One scan may feed several joins. The predicate
 // must be a pure function of the tuple: it is evaluated concurrently from
-// several workers and may run more than once per tuple.
+// several workers, once per tuple.
 func (p *Plan) Scan(rel *Relation, pred ...func(Tuple) bool) PlanNode {
 	var pr func(Tuple) bool
 	if len(pred) > 1 {

@@ -269,8 +269,11 @@ type Service struct {
 // pool and the per-query attribution shows up in its PoolStats; otherwise
 // the service creates an accounting-only pool to track reservations.
 // Queries default to the Morsel scheduler — the granularity fair-share
-// interleaving needs — and to an elastic worker count (all fair-share slots
-// when the service is idle, down to one worker per query under fan-in);
+// interleaving needs — and to an elastic share of the workers: all fair-share
+// slots when the service is idle, down to one per query under fan-in. The
+// share is an upper bound where the planner chooses the worker count of each
+// join (an auto-planning engine; see WithWorkers) and the count itself where
+// it does not (WithAutoPlan(false), as for a pinned algorithm).
 // WithQueryOptions(WithScheduler(Static)) and WithQueryOptions(WithWorkers(n))
 // override either per query.
 func NewService(e *Engine, opts ...ServiceOption) *Service {
@@ -533,26 +536,27 @@ func (s *Service) run(ctx context.Context, p *Plan, q queryConfig, inputRows int
 	}
 
 	ticket := s.fs.Ticket(q.weight)
-	// Elastic degree of parallelism: a lone query fans out across every
-	// fair-share slot, a saturated service runs each query narrow — one
-	// worker per query costs the least total work (no partition/barrier
-	// overhead), and the slots stay busy because many queries run at once.
-	// Aggregate throughput under fan-in therefore exceeds solo throughput,
-	// which is what keeps the tail latency of a closed-loop client pool
-	// within a small multiple of the uncontended latency.
+	// The query's share of the slots — all of them for a lone query, one under
+	// fan-in — bounds its degree of parallelism; it does not set it. Under
+	// auto-planning the planner prices every join at each worker count up to
+	// the share and keeps a worker only where the cost model says it pays
+	// (planner.CostModel.EfficiencyFloor), because a worker that returns little
+	// to this query is worth a whole worker to the next one; the plan cache
+	// keys the decision by the share it was taken under. With auto-planning
+	// off — a pinned algorithm — every join runs on exactly the share.
 	dop := s.fs.Slots() / int(s.active.Load())
 	if dop < 1 {
 		dop = 1
 	}
 	// The serving defaults go first so per-query options can override them
-	// (an explicit WithWorkers in WithQueryOptions wins over the elastic
-	// choice, WithScheduler(Static) over the Morsel default).
+	// (an explicit WithWorkers in WithQueryOptions replaces the share,
+	// WithScheduler(Static) the Morsel default).
 	defaults := []Option{WithScheduler(Morsel), WithWorkers(dop)}
 	if degraded > 0 {
 		// A query admitted through the degradation ladder runs on a
-		// fraction of its requested budget: narrow its parallelism to
-		// match (each step halves the worker count) and shrink its batch
-		// size so less memory sits in flight between checkpoints.
+		// fraction of its requested budget: narrow its share to match
+		// (each step halves the bound on its worker count) and shrink its
+		// batch size so less memory sits in flight between checkpoints.
 		ndop := dop >> degraded
 		if ndop < 1 {
 			ndop = 1

@@ -324,3 +324,78 @@ func TestServiceRunPlan(t *testing.T) {
 		t.Fatalf("plan cache stats = %+v, want a hit on the repeated plan", pc)
 	}
 }
+
+// TestServiceShareIsTheWorkerBound: a query's share of the fair-share slots
+// bounds its worker count where the planner chooses it and is the count where
+// it does not. A lone query on four slots joins a small input on the one
+// worker the planner keeps and the same input, pinned to an algorithm with
+// auto-planning off, on all four; an explicit WithWorkers replaces the share
+// the same way.
+func TestServiceShareIsTheWorkerBound(t *testing.T) {
+	r := GenerateUniform("R", 4096, 1)
+	s := GenerateForeignKey("S", r, 16384, 2)
+	svc := NewService(New(WithAutoPlan(true)), WithFairSlots(4))
+	defer svc.Close()
+	pin := []Option{WithAlgorithm(PMPSM), WithAutoPlan(false)}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want int
+	}{
+		{"auto-planned under the share", nil, 1},
+		{"pinned: the share", pin, 4},
+		{"auto-planned under WithWorkers(3)", []Option{WithWorkers(3)}, 1},
+		{"pinned with WithWorkers(3)", append([]Option{WithWorkers(3)}, pin...), 3},
+	} {
+		for run := 0; run < 2; run++ { // a plan-cache miss, then a hit
+			res, err := svc.Join(context.Background(), r, s, WithQueryOptions(tc.opts...))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if res.Workers != tc.want {
+				t.Errorf("%s, run %d: the join ran on %d workers, want %d", tc.name, run, res.Workers, tc.want)
+			}
+		}
+	}
+}
+
+// TestServiceDegradedShareHalves: a query the degradation ladder admitted on
+// half its budget gets half its share of the slots as its worker bound — seen
+// here on a pinned algorithm, which runs on exactly the bound.
+func TestServiceDegradedShareHalves(t *testing.T) {
+	r := GenerateUniform("R", 2000, 1)
+	s := GenerateForeignKey("S", r, 8000, 2)
+	svc := NewService(New(WithAutoPlan(true)),
+		WithFairSlots(8), WithMaxMemory(8<<20), WithAdmissionQueue(1, time.Millisecond))
+	defer svc.Close()
+
+	// One query holds half the memory and one of two places among the active
+	// (and, on its one worker, one slot: every worker that reaches the
+	// blocking sink stays in it).
+	holder := newBlockingSink()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Join(context.Background(), r, s, WithQueryBudget(4<<20),
+			WithQueryOptions(WithSink(holder), WithAutoPlan(false), WithWorkers(1)))
+		done <- err
+	}()
+	<-holder.started
+
+	// The second asks for all of it, times out of the queue, and is admitted
+	// on the halved budget: its share of 8 slots among 2 queries, 4, halves.
+	res, err := svc.Join(context.Background(), r, s, WithQueryBudget(8<<20),
+		WithQueryOptions(WithAlgorithm(PMPSM), WithAutoPlan(false)))
+	close(holder.release)
+	if err != nil {
+		t.Fatalf("degraded join: %v", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("holding join: %v", err)
+	}
+	if st := svc.Stats().Degradation; st.NarrowedQueries != 1 || st.BudgetShrinks != 1 {
+		t.Fatalf("degradation = %+v, want one query narrowed by one budget halving", st)
+	}
+	if res.Workers != 2 {
+		t.Errorf("the degraded join ran on %d workers, want 2: half its share of 4", res.Workers)
+	}
+}
