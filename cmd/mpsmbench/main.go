@@ -1,59 +1,33 @@
 // Command mpsmbench runs the experiments that regenerate the figures of the
-// MPSM paper's evaluation section and prints their reports.
+// MPSM paper's evaluation section and prints their tables, each followed by
+// the shape the paper leads one to expect.
 //
 // Usage:
 //
 //	mpsmbench -list
 //	mpsmbench -experiment figure12 -scale 0.1 -workers 8
 //	mpsmbench -all -scale 0.05
-//	mpsmbench -json BENCH_$(date +%Y%m%d).json -scale 0.1
-//	mpsmbench -experiment sort -json BENCH_sort.json
-//	mpsmbench -all -json . -scale 0.25
-//	mpsmbench -experiment columnar -cpuprofile cpu.prof
 //
 // The scale factor multiplies the base dataset size (|R| = 262144 tuples at
 // scale 1.0). The paper's 1600M-tuple datasets correspond to a scale of
 // roughly 6400 and require hundreds of GB of RAM.
-//
-// -all -json DIR writes every machine-readable report as BENCH_<name>.json
-// into DIR — the wrapper the CI bench job and the committed perf trajectory
-// at the repository root use.
-//
-// -cpuprofile/-memprofile write pprof profiles of whatever the invocation
-// runs, so kernels are profileable without code edits:
-//
-//	mpsmbench -experiment columnar -cpuprofile cpu.prof
-//	go tool pprof -top cpu.prof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	os.Exit(run())
-}
-
-// run carries main's body so profile writers flush on every exit path
-// (os.Exit would skip the deferred stops).
-func run() int {
 	var (
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		all        = flag.Bool("all", false, "run every experiment")
 		experiment = flag.String("experiment", "", "name of the experiment to run (see -list)")
-		scale      = flag.Float64("scale", 0, "dataset scale factor (default from MPSM_SCALE or 1.0)")
-		workers    = flag.Int("workers", 0, "maximum worker count (default from MPSM_WORKERS or GOMAXPROCS)")
-		verbose    = flag.Bool("v", false, "add explanatory notes to the output")
-		jsonPath   = flag.String("json", "", "write a machine-readable report to this file (\"-\" for stdout); alone it emits the per-algorithm timing report, with -experiment that experiment's report, with -all every report as BENCH_<name>.json into this directory")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
+		scale      = flag.Float64("scale", 0, "dataset scale factor (default 1.0)")
+		workers    = flag.Int("workers", 0, "maximum worker count (default GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -64,98 +38,8 @@ func run() int {
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}
-	cfg.Verbose = *verbose
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			f.Close()
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			}
-		}()
-	}
 
 	switch {
-	case *jsonPath != "" && *all:
-		// Every experiment with a machine-readable form, one BENCH_<name>.json
-		// per experiment, plus the per-algorithm timing report as
-		// BENCH_report.json.
-		if *jsonPath == "-" {
-			fmt.Fprintln(os.Stderr, "mpsmbench: -all -json needs a directory, not -")
-			return 2
-		}
-		if err := writeAllReports(cfg, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			return 1
-		}
-	case *jsonPath != "":
-		// -json alone emits the per-algorithm timing report; -json together
-		// with -experiment emits that experiment's machine-readable report.
-		if *list {
-			fmt.Fprintln(os.Stderr, "mpsmbench: -json cannot be combined with -list")
-			return 2
-		}
-		var rep any
-		if *experiment != "" {
-			e, ok := bench.Lookup(*experiment)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "mpsmbench: unknown experiment %q (use -list)\n", *experiment)
-				return 1
-			}
-			if e.JSON == nil {
-				fmt.Fprintf(os.Stderr, "mpsmbench: experiment %q has no machine-readable report\n", *experiment)
-				return 2
-			}
-			r, err := e.JSON(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-				return 1
-			}
-			rep = r
-		} else {
-			r, err := bench.RunReport(cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-				return 1
-			}
-			rep = r
-		}
-		out := os.Stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-				return 1
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteAnyJSON(out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			return 1
-		}
 	case *list:
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-22s %s\n", e.Name, e.Title)
@@ -163,61 +47,21 @@ func run() int {
 	case *all:
 		if err := bench.RunAll(cfg, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			return 1
+			os.Exit(1)
 		}
 	case *experiment != "":
 		e, ok := bench.Lookup(*experiment)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "mpsmbench: unknown experiment %q (use -list)\n", *experiment)
-			return 1
+			os.Exit(1)
 		}
 		fmt.Printf("=== %s: %s ===\n", e.Name, e.Title)
 		if err := e.Run(cfg, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "mpsmbench:", err)
-			return 1
+			os.Exit(1)
 		}
 	default:
 		flag.Usage()
-		return 2
+		os.Exit(2)
 	}
-	return 0
-}
-
-// writeAllReports regenerates the full perf trajectory: BENCH_<name>.json for
-// every experiment that has a JSON form and BENCH_report.json for the
-// per-algorithm timing report, all in dir.
-func writeAllReports(cfg bench.Config, dir string) error {
-	writeOne := func(name string, rep any) error {
-		path := filepath.Join(dir, "BENCH_"+name+".json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteAnyJSON(f, rep); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Println("wrote", path)
-		return nil
-	}
-	for _, e := range bench.Experiments() {
-		if e.JSON == nil {
-			continue
-		}
-		rep, err := e.JSON(cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.Name, err)
-		}
-		if err := writeOne(e.Name, rep); err != nil {
-			return err
-		}
-	}
-	rep, err := bench.RunReport(cfg)
-	if err != nil {
-		return fmt.Errorf("report: %w", err)
-	}
-	return writeOne("report", rep)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -12,6 +13,9 @@ import (
 
 	mpsm "repro"
 )
+
+// utf8BOM is the byte-order mark some tools write at the start of a file.
+const utf8BOM = "\ufeff"
 
 // keySpec is the parsed form of the -key flag: the schema plus, per column,
 // the input-file column name it binds to.
@@ -83,9 +87,10 @@ func parseKeySpec(spec string) (*keySpec, error) {
 // loadRelation reads a delimited file into a relation keyed under the spec's
 // schema. The first row must be a header; key (and payload) columns are bound
 // by name. The delimiter comes from -sep, defaulting to tab for .tsv files
-// and comma otherwise. Empty cells are null for nullable columns and the
-// empty string for bytes columns; payloadCol selects an unsigned integer
-// payload column (row index when empty).
+// and comma otherwise. Empty cells — and, in numeric columns, blank ones —
+// are null for nullable columns; a non-nullable bytes column reads an empty
+// cell as the empty string. payloadCol selects an unsigned integer payload
+// column (row index when empty).
 func loadRelation(name, path, sep string, ks *keySpec, payloadCol string) (*mpsm.Relation, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -93,7 +98,13 @@ func loadRelation(name, path, sep string, ks *keySpec, payloadCol string) (*mpsm
 	}
 	defer f.Close()
 
-	r := csv.NewReader(f)
+	// Spreadsheet exports start with a UTF-8 byte-order mark; it is not part
+	// of the first column's name.
+	br := bufio.NewReader(f)
+	if bom, err := br.Peek(len(utf8BOM)); err == nil && string(bom) == utf8BOM {
+		_, _ = br.Discard(len(utf8BOM)) // cannot fail: Peek just buffered these bytes
+	}
+	r := csv.NewReader(br)
 	r.ReuseRecord = true
 	switch {
 	case sep != "":
@@ -170,32 +181,39 @@ func loadRelation(name, path, sep string, ks *keySpec, payloadCol string) (*mpsm
 	return ks.schema.Encode(name, rows, payloads)
 }
 
-// parseKeyValue converts one cell under its schema column.
+// parseKeyValue converts one cell under its schema column. Numbers are
+// parsed with surrounding spaces trimmed, so a blank numeric cell is null
+// like an empty one; bytes keep every character.
 func parseKeyValue(cell string, col mpsm.SchemaColumn) (mpsm.KeyValue, error) {
-	if cell == "" && col.Nullable {
+	if col.Type == mpsm.ColumnBytes {
+		if cell == "" && col.Nullable {
+			return mpsm.NullKey(), nil
+		}
+		return mpsm.StringKey(cell), nil
+	}
+	num := strings.TrimSpace(cell)
+	if num == "" && col.Nullable {
 		return mpsm.NullKey(), nil
 	}
 	switch col.Type {
 	case mpsm.ColumnInt64:
-		v, err := strconv.ParseInt(strings.TrimSpace(cell), 10, 64)
+		v, err := strconv.ParseInt(num, 10, 64)
 		if err != nil {
 			return mpsm.KeyValue{}, err
 		}
 		return mpsm.Int64Key(v), nil
 	case mpsm.ColumnUint64:
-		v, err := strconv.ParseUint(strings.TrimSpace(cell), 10, 64)
+		v, err := strconv.ParseUint(num, 10, 64)
 		if err != nil {
 			return mpsm.KeyValue{}, err
 		}
 		return mpsm.Uint64Key(v), nil
-	case mpsm.ColumnFloat64:
-		v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+	default: // mpsm.ColumnFloat64
+		v, err := strconv.ParseFloat(num, 64)
 		if err != nil {
 			return mpsm.KeyValue{}, err
 		}
 		return mpsm.Float64Key(v), nil
-	default:
-		return mpsm.StringKey(cell), nil
 	}
 }
 

@@ -56,7 +56,6 @@ import (
 	"time"
 
 	mpsm "repro"
-	"repro/internal/bench"
 	"repro/internal/workload"
 )
 
@@ -240,15 +239,8 @@ func main() {
 	}
 
 	if *jsonOut {
-		// The JSON form carries everything the text form prints: the timing
-		// record plus (when applicable) the scratch-pool and disk stats.
-		out := struct {
-			bench.AlgorithmTiming
-			Scratch *mpsm.ScratchStats `json:"scratch,omitempty"`
-			Pool    *mpsm.PoolStats    `json:"scratch_pool,omitempty"`
-			Disk    *mpsm.DiskStats    `json:"disk,omitempty"`
-			Explain *mpsm.Explain      `json:"explain,omitempty"`
-		}{AlgorithmTiming: bench.ResultJSON(res, schedName), Disk: diskStats, Explain: explain}
+		// The JSON form carries everything the text form prints.
+		out := joinJSON{algorithmTiming: timingJSON(res, schedName), Disk: diskStats, Explain: explain}
 		if *usePool {
 			out.Scratch = &res.Scratch
 			if ps, ok := engine.PoolStats(); ok {
@@ -357,19 +349,19 @@ func runPlanDemo(ctx context.Context, engine *mpsm.Engine, r, s *mpsm.Relation, 
 
 	if jsonOut {
 		out := struct {
-			Joins       []bench.AlgorithmTiming `json:"joins"`
-			Groups      int                     `json:"groups"`
-			TotalMillis float64                 `json:"total_millis"`
-			ScanMillis  float64                 `json:"scan_millis"`
-			Explain     *mpsm.Explain           `json:"explain,omitempty"`
+			Joins       []algorithmTiming `json:"joins"`
+			Groups      int               `json:"groups"`
+			TotalMillis float64           `json:"total_millis"`
+			ScanMillis  float64           `json:"scan_millis"`
+			Explain     *mpsm.Explain     `json:"explain,omitempty"`
 		}{
 			Explain:     explain,
 			Groups:      res.Output.Len(),
-			TotalMillis: float64(res.Total.Microseconds()) / 1000.0,
-			ScanMillis:  float64(res.ScanTime.Microseconds()) / 1000.0,
+			TotalMillis: millis(res.Total),
+			ScanMillis:  millis(res.ScanTime),
 		}
 		for i, j := range res.Joins {
-			out.Joins = append(out.Joins, bench.ResultJSON(j.Result, schedName(i)))
+			out.Joins = append(out.Joins, timingJSON(j.Result, schedName(i)))
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

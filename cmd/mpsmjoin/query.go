@@ -106,7 +106,7 @@ func printQueryJSON(p *mpsm.Plan, res *mpsm.PlanResult, elapsed time.Duration) {
 		Query:       info.Text,
 		Columns:     info.Columns,
 		Rows:        res.Output.Len(),
-		TotalMillis: float64(elapsed.Microseconds()) / 1000.0,
+		TotalMillis: millis(elapsed),
 		Tuples:      res.Output.Tuples,
 	}
 	enc := json.NewEncoder(os.Stdout)

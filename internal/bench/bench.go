@@ -3,7 +3,7 @@
 // registered experiment that generates the corresponding workload, runs the
 // relevant algorithms, and prints the same rows/series the paper reports
 // (execution time per phase, per multiplicity, per parallelism level, per
-// worker, ...).
+// worker, ...), followed by the shape the paper leads one to expect.
 //
 // Absolute numbers differ from the paper — the substrate is a Go program on
 // whatever machine runs the benchmark rather than a 32-core, 1 TB NUMA server
@@ -14,10 +14,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"text/tabwriter"
 	"time"
 )
@@ -31,26 +29,12 @@ type Config struct {
 	// Workers is the maximum degree of parallelism experiments use; 0
 	// selects GOMAXPROCS.
 	Workers int
-	// Verbose adds explanatory notes to the output.
-	Verbose bool
 }
 
-// DefaultConfig returns the configuration used by `go test -bench` and the
-// CLI when no flags are given. The scale can be overridden with the
-// MPSM_SCALE environment variable, the worker count with MPSM_WORKERS.
+// DefaultConfig returns the configuration the CLI uses when no flags are
+// given: scale 1.0 on GOMAXPROCS workers.
 func DefaultConfig() Config {
-	cfg := Config{Scale: 1.0, Workers: runtime.GOMAXPROCS(0)}
-	if v := os.Getenv("MPSM_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			cfg.Scale = f
-		}
-	}
-	if v := os.Getenv("MPSM_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.Workers = n
-		}
-	}
-	return cfg
+	return Config{Scale: 1.0, Workers: runtime.GOMAXPROCS(0)}
 }
 
 // baseRSize is the |R| cardinality at scale 1.0.
@@ -59,11 +43,7 @@ const baseRSize = 1 << 18
 // RSize returns the scaled |R| cardinality (at least 1024 tuples so that
 // every experiment remains meaningful at tiny scales).
 func (c Config) RSize() int {
-	n := int(float64(baseRSize) * c.Scale)
-	if n < 1024 {
-		n = 1024
-	}
-	return n
+	return max(int(float64(baseRSize)*c.Scale), 1024)
 }
 
 // workers returns the normalized worker count.
@@ -82,10 +62,6 @@ type Experiment struct {
 	Title string
 	// Run executes the experiment and writes its report to w.
 	Run func(cfg Config, w io.Writer) error
-	// JSON, when non-nil, produces the experiment's machine-readable report
-	// (mpsmbench -experiment NAME -json FILE); experiments without one only
-	// support the human-readable table.
-	JSON func(cfg Config) (any, error)
 }
 
 // registry holds all experiments keyed by name.

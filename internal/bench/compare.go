@@ -148,11 +148,9 @@ func runFigure12(cfg Config, w io.Writer) error {
 			ms(wi.SimulatedNUMACost), wi.NUMA.SyncOps, wi.Matches)
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintf(w, "\nworkers=%d |R|=%d\n", workers, cfg.RSize())
-		fmt.Fprintln(w, "expected shape: under the NUMA cost model (the paper's machine), P-MPSM is cheapest and Wisconsin most expensive;")
-		fmt.Fprintln(w, "wall-clock totals on a small-scale, NUMA-oblivious Go runtime favour the cache-sized radix hash join")
-	}
+	fmt.Fprintf(w, "\nworkers=%d |R|=%d\n", workers, cfg.RSize())
+	fmt.Fprintln(w, "expected shape: under the NUMA cost model (the paper's machine), P-MPSM is cheapest and Wisconsin most expensive;")
+	fmt.Fprintln(w, "wall-clock totals on a small-scale, NUMA-oblivious Go runtime favour the cache-sized radix hash join")
 	return nil
 }
 
@@ -187,9 +185,7 @@ func runFigure13(cfg Config, w io.Writer) error {
 		tbl.row(workers, ms(p.Total), ms(v.Total), fmt.Sprintf("%.2fx", speedup), ms(p.SimulatedNUMACost))
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: near-linear speedup until the physical core count is reached, flat beyond it")
-	}
+	fmt.Fprintln(w, "\nexpected shape: near-linear speedup until the physical core count is reached, flat beyond it")
 	return nil
 }
 
@@ -226,8 +222,6 @@ func runFigure14(cfg Config, w io.Writer) error {
 			phaseCell(b, "phase 3"), phaseCell(b, "phase 4"))
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: identical at multiplicity 1; the gap grows with |S| in favour of keeping the smaller relation private")
-	}
+	fmt.Fprintln(w, "\nexpected shape: identical at multiplicity 1; the gap grows with |S| in favour of keeping the smaller relation private")
 	return nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -19,7 +18,6 @@ func init() {
 		Name:  "sort",
 		Title: "Multi-level Radix/IntroSort vs single-level vs standard library (Section 2.3)",
 		Run:   runSortComparison,
-		JSON:  sortJSON,
 	})
 	register(Experiment{
 		Name:  "ablation-partitioning",
@@ -61,36 +59,6 @@ func rowSortRoutine(run func(src, dst []relation.Tuple)) func(n int) func(src []
 		dst := make([]relation.Tuple, n)
 		return func(src []relation.Tuple) { run(src, dst) }
 	}
-}
-
-// sortInputs are the key distributions of the machine-readable sort report:
-// 1M uniform 32-bit keys, and the clustered 80:20 skew of the end-to-end
-// benchmark's join_large_skew (2^20 domain, 8 ascending key ranges).
-var sortInputs = []struct {
-	name string
-	gen  func(n int) *relation.Relation
-}{
-	{"uniform32", func(n int) *relation.Relation {
-		return workload.UniformRelation("R", n, workload.DefaultKeyDomain, 1700)
-	}},
-	{"clustered-skew", func(n int) *relation.Relation {
-		rel := workload.SkewedRelation("S", n, 1<<20, workload.SkewLow80, 1701)
-		workload.ApplyLocationSkew(rel, 8, workload.LocationClustered, 1<<20)
-		return rel
-	}},
-}
-
-// measureSortRoutine times reps runs of one routine over the input and
-// returns the best (minimum) duration, the convention of Go benchmarks.
-func measureSortRoutine(run func(src []relation.Tuple), src []relation.Tuple, reps int) time.Duration {
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		d := result.StopwatchPhase(func() { run(src) })
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 // runSortComparison reproduces the Section 2.3 claim (the paper's routine
@@ -138,72 +106,8 @@ func runSortComparison(cfg Config, w io.Writer) error {
 			fmt.Sprintf("%.2fx", float64(times["stdlib"])/float64(times["multi-level"])))...)
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: multi-level ≥1.3x over one-level and well over stdlib at every worker count; sort-into the fastest AoS routine (the copy is fused into the first radix pass); columns, which moves 8 bytes a tuple, faster still")
-	}
+	fmt.Fprintln(w, "\nexpected shape: multi-level ≥1.3x over one-level and well over stdlib at every worker count; sort-into the fastest AoS routine (the copy is fused into the first radix pass); columns, which moves 8 bytes a tuple, faster still")
 	return nil
-}
-
-// SortTiming is one routine's result on one input in the machine-readable
-// sort report. The speedups compare against the one-level and stdlib
-// routines on the same input.
-type SortTiming struct {
-	Routine          string  `json:"routine"`
-	Input            string  `json:"input"`
-	NsPerOp          float64 `json:"ns_per_op"`
-	NsPerTuple       float64 `json:"ns_per_tuple"`
-	SpeedupVsOneLev  float64 `json:"speedup_vs_one_level"`
-	SpeedupVsStdlib  float64 `json:"speedup_vs_stdlib"`
-	TuplesPerSecondM float64 `json:"tuples_per_second_millions"`
-}
-
-// SortReport is the machine-readable report of the sort micro-experiment
-// (BENCH_sort.json): every routine, one sorter at a time, on 1M tuples of
-// each of sortInputs.
-type SortReport struct {
-	GeneratedAt string       `json:"generated_at"`
-	GoMaxProcs  int          `json:"gomaxprocs"`
-	NumCPU      int          `json:"num_cpu"`
-	Workers     int          `json:"workers"`
-	Tuples      int          `json:"tuples"`
-	Reps        int          `json:"reps"`
-	Results     []SortTiming `json:"results"`
-}
-
-// sortJSON measures all sort routines on 1M tuples of every input
-// (independent of the scale flag, so the trajectory stays comparable across
-// runs).
-func sortJSON(cfg Config) (any, error) {
-	const n = 1 << 20
-	const reps = 5
-	rep := &SortReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		Workers:     1,
-		Tuples:      n,
-		Reps:        reps,
-	}
-	for _, input := range sortInputs {
-		src := input.gen(n).Tuples
-		times := make(map[string]time.Duration, len(sortRoutines))
-		for _, r := range sortRoutines {
-			times[r.name] = measureSortRoutine(r.prepare(n), src, reps)
-		}
-		for _, r := range sortRoutines {
-			t := times[r.name]
-			rep.Results = append(rep.Results, SortTiming{
-				Routine:          r.name,
-				Input:            input.name,
-				NsPerOp:          float64(t.Nanoseconds()),
-				NsPerTuple:       float64(t.Nanoseconds()) / n,
-				SpeedupVsOneLev:  float64(times["one-level"]) / float64(t),
-				SpeedupVsStdlib:  float64(times["stdlib"]) / float64(t),
-				TuplesPerSecondM: n / t.Seconds() / 1e6,
-			})
-		}
-	}
-	return rep, nil
 }
 
 // runAblationPartitioning quantifies the pay-off condition of Section 3.2:
@@ -237,9 +141,7 @@ func runAblationPartitioning(cfg Config, w io.Writer) error {
 		tbl.row(mult, "P-MPSM", ms(p.Total), ms(p.PhaseDuration("phase 4")), p.PublicScanned)
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintf(w, "\nexpected shape: P-MPSM scans ~1/%d of the S tuples B-MPSM scans and wins whenever |R|/T ≤ |S|·(1-1/T)\n", cfg.workers())
-	}
+	fmt.Fprintf(w, "\nexpected shape: P-MPSM scans ~1/%d of the S tuples B-MPSM scans and wins whenever |R|/T ≤ |S|·(1-1/T)\n", cfg.workers())
 	return nil
 }
 
@@ -275,8 +177,6 @@ func runDMPSMBudgets(cfg Config, w io.Writer) error {
 		}
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: the join result never changes; resident pages stay within the budget; tighter budgets trade hits for evictions")
-	}
+	fmt.Fprintln(w, "\nexpected shape: the join result never changes; resident pages stay within the budget; tighter budgets trade hits for evictions")
 	return nil
 }

@@ -93,10 +93,8 @@ func runFigure1(cfg Config, w io.Writer) error {
 	tbl.row("(3) merge join", "second run remote (sequential)", "simulated", ms(model.Estimate(remoteJoin)))
 	tbl.flush()
 
-	if cfg.Verbose {
-		fmt.Fprintf(w, "\nworkers=%d tuples=%d topology=%d nodes × %d cores\n", workers, n, topo.Nodes, topo.CoresPerNode)
-		fmt.Fprintln(w, "expected shape: remote/global sorting ≈3x local; synchronized scatter ≫ precomputed; remote sequential scan ≈1.2x local")
-	}
+	fmt.Fprintf(w, "\nworkers=%d tuples=%d topology=%d nodes × %d cores\n", workers, n, topo.Nodes, topo.CoresPerNode)
+	fmt.Fprintln(w, "expected shape: remote/global sorting ≈3x local; synchronized scatter ≫ precomputed; remote sequential scan ≈1.2x local")
 	return nil
 }
 
@@ -109,7 +107,7 @@ func runFigure1(cfg Config, w io.Writer) error {
 // variant). Histograms and prefix sums are computed outside both timers so
 // that the comparison isolates the scatter itself, exactly as in the paper.
 func measurePartitionSynchronization(rel *relation.Relation, workers int) (synchronized, precomputed time.Duration) {
-	cfg := partition.NewRadixConfig(maxInt(1, log2(workers)), workload.DefaultKeyDomain-1)
+	cfg := partition.NewRadixConfig(max(1, log2(workers)), workload.DefaultKeyDomain-1)
 	sp := partition.UniformSplitters(cfg.Clusters(), workers)
 	chunks := rel.Split(workers)
 
@@ -222,9 +220,7 @@ func runFigure9(cfg Config, w io.Writer) error {
 	tbl.row(32, "explicit bounds", "-", "-", "-", ms(explicitTime))
 	tbl.flush()
 
-	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: radix cost is nearly flat in granularity; explicit-bounds partitioning is clearly slower")
-	}
+	fmt.Fprintln(w, "\nexpected shape: radix cost is nearly flat in granularity; explicit-bounds partitioning is clearly slower")
 	return nil
 }
 
@@ -285,14 +281,6 @@ func log2(n int) int {
 	for n > 1 {
 		n >>= 1
 		b++
-	}
-	return b
-}
-
-// maxInt returns the larger of two ints.
-func maxInt(a, b int) int {
-	if a > b {
-		return a
 	}
 	return b
 }

@@ -35,7 +35,7 @@ func runMorselSkew(cfg Config, w io.Writer) error {
 	if err := warmUp(cfg); err != nil {
 		return err
 	}
-	workers := maxIntPair(cfg.workers(), 8)
+	workers := max(cfg.workers(), 8)
 	r, s, err := workload.Generate(workload.Spec{
 		RSize:        cfg.RSize(),
 		Multiplicity: 4,
@@ -49,7 +49,7 @@ func runMorselSkew(cfg Config, w io.Writer) error {
 	}
 	// Morsels sized so that even the small default test scale produces
 	// enough of them per heavy run to balance.
-	morselSize := maxIntPair(256, cfg.RSize()/(16*workers))
+	morselSize := max(256, cfg.RSize()/(16*workers))
 
 	for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 		res, err := pmpsm(r, s, core.Options{
@@ -87,12 +87,10 @@ func runMorselSkew(cfg Config, w io.Writer) error {
 		tbl.flush()
 		mean := sumBusy / time.Duration(workers)
 		fmt.Fprintf(w, "   phase-4 straggler gap: max/min %.2fx, max/mean %.2fx\n\n",
-			float64(maxBusy)/float64(maxInt64(1, int64(minBusy))),
-			float64(maxBusy)/float64(maxInt64(1, int64(mean))))
+			float64(maxBusy)/float64(max(1, int64(minBusy))),
+			float64(maxBusy)/float64(max(1, int64(mean))))
 	}
-	if cfg.Verbose {
-		fmt.Fprintln(w, "expected shape: identical matches; the static max/min busy-time ratio collapses under morsel scheduling")
-		fmt.Fprintln(w, "(uniform splitters are chosen deliberately — they stand in for splitter estimation error)")
-	}
+	fmt.Fprintln(w, "expected shape: identical matches; the static max/min busy-time ratio collapses under morsel scheduling")
+	fmt.Fprintln(w, "(uniform splitters are chosen deliberately — they stand in for splitter estimation error)")
 	return nil
 }

@@ -43,8 +43,8 @@ func runFigure15(cfg Config, w io.Writer) error {
 	// topology in which the workers actually spread over the NUMA nodes
 	// (oversubscription is fine: this experiment is about data placement,
 	// not wall-clock scaling).
-	workers := maxIntPair(cfg.workers(), 8)
-	topo := numa.Topology{Nodes: 4, CoresPerNode: maxIntPair(1, workers/4)}
+	workers := max(cfg.workers(), 8)
+	topo := numa.Topology{Nodes: 4, CoresPerNode: max(1, workers/4)}
 	spec := workload.Spec{
 		RSize:        cfg.RSize(),
 		Multiplicity: 4,
@@ -86,9 +86,7 @@ func runFigure15(cfg Config, w io.Writer) error {
 			ms(res.SimulatedNUMACost), fmt.Sprintf("%.2f", res.NUMA.RemoteFraction()))
 	}
 	tbl.flush()
-	if cfg.Verbose {
-		fmt.Fprintln(w, "\nexpected shape: location skew never hurts — clustered arrangements scan fewer S tuples per worker")
-	}
+	fmt.Fprintln(w, "\nexpected shape: location skew never hurts — clustered arrangements scan fewer S tuples per worker")
 	return nil
 }
 
@@ -119,7 +117,7 @@ func runFigure16(cfg Config, w io.Writer) error {
 	// uses 32. A key domain of 4·|R| keeps the join selective but non-empty
 	// at laptop scale (the paper's 1600M tuples over a 2^32 domain have a
 	// comparable key density).
-	workers := maxIntPair(cfg.workers(), 8)
+	workers := max(cfg.workers(), 8)
 	r, s, err := workload.Generate(workload.Spec{
 		RSize:        cfg.RSize(),
 		Multiplicity: 4,
@@ -185,35 +183,9 @@ func runFigure16(cfg Config, w io.Writer) error {
 		}
 		tbl.flush()
 		fmt.Fprintf(w, "   imbalance (max/min): split-relevant cost %.2fx, wall clock %.2fx\n\n",
-			maxCost/maxFloat(1, minCost),
-			float64(maxTotal)/float64(maxInt64(1, int64(minTotal))))
+			maxCost/max(1, minCost),
+			float64(maxTotal)/float64(max(1, int64(minTotal))))
 	}
-	if cfg.Verbose {
-		fmt.Fprintln(w, "expected shape: equi-cost splitters flatten the per-worker times; equi-height leaves the low-key workers overloaded")
-	}
+	fmt.Fprintln(w, "expected shape: equi-cost splitters flatten the per-worker times; equi-height leaves the low-key workers overloaded")
 	return nil
-}
-
-// maxInt64 returns the larger of two int64 values.
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// maxIntPair returns the larger of two ints.
-func maxIntPair(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// maxFloat returns the larger of two float64 values.
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

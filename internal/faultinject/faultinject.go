@@ -311,7 +311,7 @@ func Parse(spec string) (*Set, error) {
 		val, limitStr, hasLimit := strings.Cut(val, "#")
 		probStr, delayStr, hasDelay := strings.Cut(val, "@")
 		prob, err := strconv.ParseFloat(probStr, 64)
-		if err != nil || prob < 0 || prob > 1 {
+		if err != nil || !(prob >= 0 && prob <= 1) { // NaN too: it would fire on every draw
 			return nil, fmt.Errorf("faultinject: probability %q for %s: want a number in [0, 1]", probStr, key)
 		}
 		d := defaultDelay(p)

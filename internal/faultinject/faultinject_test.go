@@ -146,7 +146,7 @@ func TestParse(t *testing.T) {
 	if s, err := Parse(""); err != nil || s != nil {
 		t.Fatalf("empty spec = %v, %v; want nil, nil", s, err)
 	}
-	for _, bad := range []string{"panic", "panic:x", "bogus:0.5", "seed:abc", "panic:0.5@zz"} {
+	for _, bad := range []string{"panic", "panic:x", "panic:NaN", "bogus:0.5", "seed:abc", "panic:0.5@zz"} {
 		if _, err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) did not fail", bad)
 		}
@@ -169,4 +169,53 @@ func TestStringRoundTripsThroughParse(t *testing.T) {
 			t.Fatalf("round-tripped set diverged at draw %d", i)
 		}
 	}
+}
+
+// armed is the part of a set Parse configures and String renders: the seed
+// and, for every point Should lets fire, its probability, delay and limit.
+type armed struct {
+	seed   uint64
+	points [pointCount]struct {
+		prob  float64
+		delay time.Duration
+		limit uint64
+	}
+}
+
+func armedOf(s *Set) armed {
+	a := armed{seed: s.seed}
+	for p := Point(0); p < pointCount; p++ {
+		if !(s.prob[p] <= 0) { // Should's test, NaN included
+			a.points[p].prob, a.points[p].delay, a.points[p].limit = s.prob[p], s.delay[p], s.limit[p]
+		}
+	}
+	return a
+}
+
+// FuzzParseFaultSpec: no spec may panic Parse, and an accepted spec's String
+// must parse back to a set that fires the same points, with the same seed,
+// probabilities, delays and limits.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, seed := range []string{
+		"seed:42,panic:0.5,stall:1@2ms#3,lease:0.25",
+		"seed:11,panic:0.5,stall:1@1ms",
+		"seed:42,panic:0.1,lease:0.05,stall:0.2@500us,cancel:0.01,grant:0.5#3",
+		"panic:0#2", "panic:NaN", "stall:1@-1ms", "STALL:1@0s#0",
+		"", "panic", "panic:x", "bogus:0.5", "seed:abc", "panic:0.5@zz",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil || s == nil {
+			return
+		}
+		r, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q does not parse: %v", spec, s.String(), err)
+		}
+		if armedOf(r) != armedOf(s) {
+			t.Fatalf("Parse(%q).String() = %q parses to a different set: %+v, want %+v", spec, s.String(), armedOf(r), armedOf(s))
+		}
+	})
 }

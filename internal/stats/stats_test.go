@@ -169,6 +169,18 @@ func TestJoinEstimateAccuracy(t *testing.T) {
 		}
 	}
 
+	// Foreign keys at multiplicity 16, and both sides presorted by key (the
+	// inputs a presorted declaration is made for): probe estimator, factor 1.5.
+	parentR := workload.UniformRelation("R", n/4, workload.DefaultKeyDomain, 24)
+	wide := workload.ForeignKeyRelation("S", parentR, 4*n, 25)
+	withinFactor(t, "fk join x16", EstimateJoin(Collect(parentR), Collect(wide)), exactJoin(parentR, wide), 1.5)
+	sortedR := workload.UniformRelation("R", n, workload.DefaultKeyDomain, 26)
+	sortedS := workload.ForeignKeyRelation("S", sortedR, 4*n, 30)
+	for _, rel := range []*relation.Relation{sortedR, sortedS} {
+		sort.Slice(rel.Tuples, func(i, j int) bool { return rel.Tuples[i].Key < rel.Tuples[j].Key })
+	}
+	withinFactor(t, "fk join presorted", EstimateJoin(Collect(sortedR), Collect(sortedS)), exactJoin(sortedR, sortedS), 1.5)
+
 	// Independent inputs over a dense domain (the negatively correlated
 	// Section 5.6 shape): histogram fallback, factor 3.
 	domain := uint64(4 * n)

@@ -104,9 +104,11 @@
 //	res, err := engine.Join(ctx, r, s)   // algorithm picked from the data
 //	ex, err := engine.Explain(plan)      // plan tree + estimates + rationale
 //
-// See the examples directory for runnable scenarios, including the
-// experiment harness in cmd/mpsmbench that regenerates the figures of the
-// paper's evaluation section.
+// See the examples directory for runnable scenarios. cmd/mpsmbench prints
+// the tables of the paper's evaluation section (Figures 1, 9 and 12–16, the
+// Section 2.3 sort, B- vs P-MPSM, D-MPSM under a page budget, morsel
+// scheduling under skew); the end-to-end benchmark in benchmark/ measures
+// the program as a whole.
 package mpsm
 
 import (

@@ -269,6 +269,35 @@ func TestSchemaExplainShowsKeys(t *testing.T) {
 		t.Errorf("join node Keys must carry the collision estimate, got %q", joinKeys)
 	}
 
+	// The estimate follows the data: eight distinct digits behind a shared
+	// prefix of 0, 2, 4, 5 and 6 bytes leave 8, 6, 4, 3 and 2 of them in the
+	// 8-byte prefix, so the estimated collision rate never falls as the
+	// prefix grows, and it is a rate.
+	prev := 0.0
+	for _, shared := range []int{0, 2, 4, 5, 6} {
+		ks := make([]string, 2048)
+		for i := range ks {
+			ks[i] = fmt.Sprintf("%s%08d", strings.Repeat("x", shared), i*9973%100_000_000)
+		}
+		pays := make([]uint64, len(ks))
+		p := NewPlan()
+		p.Sink(p.Join(p.Scan(encodeStrings(t, sc, "R", ks, pays)), p.Scan(encodeStrings(t, sc, "S", ks, pays))), nil)
+		ex, err := e.Explain(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rate := -1.0
+		for _, n := range ex.Nodes {
+			if _, after, ok := strings.Cut(n.Keys, "est collision "); ok && n.Kind == "Join" {
+				fmt.Sscanf(after, "%g%%", &rate)
+			}
+		}
+		if rate < prev || rate > 100 {
+			t.Errorf("shared prefix %d bytes: est collision %.1f%%, want within [%.1f%%, 100%%]", shared, rate, prev)
+		}
+		prev = max(prev, rate)
+	}
+
 	// Exact schemas must surface the fast-path choice instead.
 	intSchema := MustSchema(SchemaColumn{Type: ColumnInt64})
 	ri, _ := intSchema.Encode("RI", [][]KeyValue{{Int64Key(1)}}, []uint64{1})
