@@ -296,6 +296,52 @@ func TestExplainWithoutAutoPlanDescribesConfiguredPlan(t *testing.T) {
 	}
 }
 
+// TestAutoPlanKeepsPresortedDeclarations: under auto-planning a caller's
+// presorted declaration stays in the plan Explain shows and RunPlan runs —
+// the planner only adds its own — and follows its input through a
+// build/probe swap.
+func TestAutoPlanKeepsPresortedDeclarations(t *testing.T) {
+	ctx := context.Background()
+	r := GenerateUniform("R", 1<<14, 161)
+	s := GenerateForeignKey("S", r, 1<<16, 162)
+	for _, tc := range []struct {
+		name     string
+		plan     *Plan
+		priv     bool // the declaration lands on the private input
+		wantSwap bool
+	}{
+		// A user sink pins the roles.
+		{"pinned roles", joinPlan(r, s, NewCountSink()), true, false},
+		// The max-sum aggregate lets the planner build on the smaller input.
+		{"swapped roles", joinPlan(s, r, nil), false, true},
+	} {
+		e := New(WithWorkers(2), WithAutoPlan(true))
+		opts := []Option{WithPresortedPrivate()}
+		ex, err := e.Explain(tc.plan, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		join := ex.Nodes[2]
+		if join.Swapped != tc.wantSwap || join.PresortedPrivate != tc.priv || join.PresortedPublic == tc.priv {
+			t.Fatalf("%s: Explain shows %s", tc.name, ex)
+		}
+		if _, err := e.RunPlan(ctx, tc.plan, opts...); err != nil {
+			t.Fatal(err)
+		}
+		// What RunPlan ran is the memo's plan: look it up again.
+		ep, g, err := e.buildExecPlan(tc.plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep, err = e.memo.Optimize(ep, g.autoPlan); err != nil {
+			t.Fatal(err)
+		}
+		if o := ep.Nodes[2].JoinOptions; e.memo.Stats().Hits != 1 || o.PresortedPrivate != tc.priv || o.PresortedPublic == tc.priv {
+			t.Fatalf("%s: RunPlan ran presorted private=%v public=%v", tc.name, o.PresortedPrivate, o.PresortedPublic)
+		}
+	}
+}
+
 // --- Optimizer-safety property test -----------------------------------------
 
 // randomPlanSpec drives the deterministic random plan generator.
@@ -426,28 +472,4 @@ func FuzzOptimizerSafety(f *testing.F) {
 			t.Fatalf("seed %d: optimized plan diverged", seed)
 		}
 	})
-}
-
-// TestAutoPlanStatsCacheReuse: repeated auto joins on the same relations
-// must hit the cached profiles (observable through consistent, fast
-// planning; here we just assert the cache is populated and stable).
-func TestAutoPlanStatsCacheReuse(t *testing.T) {
-	ctx := context.Background()
-	r := GenerateUniform("R", 1<<13, 141)
-	s := GenerateForeignKey("S", r, 1<<14, 142)
-	engine := New(WithWorkers(2), WithAutoPlan(true))
-	if _, err := engine.Join(ctx, r, s); err != nil {
-		t.Fatal(err)
-	}
-	p1 := engine.profileFor(r)
-	if _, err := engine.Join(ctx, r, s); err != nil {
-		t.Fatal(err)
-	}
-	if p2 := engine.profileFor(r); p1 != p2 {
-		t.Errorf("profile was recomputed for an unchanged relation")
-	}
-	r.Append(Tuple{Key: 1, Payload: 1})
-	if p3 := engine.profileFor(r); p3 == p1 {
-		t.Errorf("profile cache kept a stale entry after the relation grew")
-	}
 }

@@ -3,18 +3,16 @@ package mpsm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"iter"
 	"sync"
 	"weak"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/memory"
-	"repro/internal/planner"
 	"repro/internal/relation"
 	"repro/internal/sched"
+	"repro/internal/service"
 	"repro/internal/sink"
 	"repro/internal/stats"
 )
@@ -207,18 +205,21 @@ func WithPoolLimit(bytes int64) Option {
 	return func(s *settings) { s.poolLimit = bytes }
 }
 
-// WithAutoPlan enables (or disables) the cost-based planner: before every
-// Join, JoinStream or RunPlan execution the engine samples statistics of the
-// input relations (cached across calls), estimates cardinalities, and
-// rewrites the physical plan — join algorithm and worker count per join, join
-// order across inner multi-join chains, build/probe roles, Static vs Morsel
-// scheduling, presorted-input declarations, and the aggregation strategy. Explain shows
-// the decisions. Auto-planning overrides a configured algorithm and
-// scheduler (including per-node plan options) and chooses every join's worker
-// count up to the configured one; it respects join kind, band width, and a
-// configured D-MPSM (which expresses a memory constraint the cost model
-// cannot see). As an engine option it sets the
-// default for every call; as a per-call option it overrides that default.
+// WithAutoPlan enables (or disables) the cost-based planner: a Join,
+// JoinStream or RunPlan execution of a plan shape the engine has not seen —
+// or whose relations' content changed since (see Engine) — samples
+// statistics of the input relations, estimates cardinalities, and rewrites
+// the physical plan — join algorithm and worker count per join, join order
+// across inner multi-join chains, build/probe roles, Static vs Morsel
+// scheduling, presorted-input declarations, and the aggregation strategy;
+// repeated executions reuse the decisions from the engine's plan memo.
+// Explain shows the decisions. Auto-planning overrides a configured
+// algorithm and scheduler (including per-node plan options) and chooses
+// every join's worker count up to the configured one; it keeps a caller's
+// presorted declarations and respects join kind, band width, and a configured
+// D-MPSM (which expresses a memory constraint the cost model cannot see). As
+// an engine option it sets the default for every call; as a per-call option
+// it overrides that default.
 func WithAutoPlan(enabled bool) Option {
 	return func(s *settings) { s.autoPlan = enabled }
 }
@@ -228,41 +229,39 @@ func WithAutoPlan(enabled bool) Option {
 // for concurrent use; per-call state (sinks, results) is created per Join.
 // When constructed with WithScratchPool(true) the engine additionally owns a
 // scratch pool whose buffers all its joins share (the pool is internally
-// synchronized, so this includes concurrent joins).
+// synchronized, so this includes concurrent joins). Every call plans through
+// the engine's one plan memo, which a Service over the engine shares.
 type Engine struct {
 	base settings
 	pool *memory.Pool
 
-	// statsMu guards statsCache, the per-relation statistics profiles the
-	// auto-planner samples (keyed by relation identity, invalidated when the
-	// cardinality changes; the join algorithms never mutate their inputs),
-	// and planCache, the memoized single-join planner decisions. Both caches
-	// key relations through weak pointers so a long-lived engine never
-	// pins a transient relation's tuple memory; entries for collected
-	// relations linger only until the size-bound reset.
+	// memo holds the physical plan of every plan shape the engine has run:
+	// Join, JoinWithDiskStats and JoinStream as the one-join plan, RunPlan,
+	// Query and the queries of a Service over the engine. Its misses are
+	// planned over statsCache, the sampled statistics of every relation seen,
+	// keyed through weak pointers so a long-lived engine never pins a
+	// transient relation's tuple memory (entries for collected relations
+	// linger until the size-bound reset); statsMu guards it.
+	//
+	// Both are valid for a relation's identity and its content fingerprint
+	// (service.Fingerprint: its length and about 64 evenly spaced tuples), so a
+	// caller who rewrites a relation in place — even at the same length —
+	// gets a fresh profile and a fresh plan on the next call. A rewrite the
+	// sample misses reuses the old plan: a stale hit can cost time, never
+	// correctness. Every decision a plan carries is safe on any data — the
+	// algorithm, worker count, roles, order and schedule change how fast the
+	// same result is computed, and a presorted declaration is verified per
+	// chunk, falling back to sorting when it is false.
+	memo       *service.PlanCache
 	statsMu    sync.Mutex
 	statsCache map[weak.Pointer[Relation]]statsEntry
-	planCache  map[planKey]planner.Choice
 }
 
-// planKey identifies one single-join planning problem: the input relations
-// (by identity and cardinality) and every configuration facet the planner's
-// decision depends on.
-type planKey struct {
-	r, s       weak.Pointer[Relation]
-	rLen, sLen int
-	configured Algorithm
-	kind       JoinKind
-	band       uint64
-	workers    int
-	symmetric  bool
-	folds      bool
-}
-
-// statsEntry is one cached relation profile.
+// statsEntry is one cached relation profile and the fingerprint of the
+// content it was sampled from.
 type statsEntry struct {
-	len  int
-	prof *stats.Profile
+	print uint64
+	prof  *stats.Profile
 }
 
 // statsCacheLimit bounds the number of cached profiles; beyond it the cache
@@ -272,9 +271,9 @@ const statsCacheLimit = 1024
 
 // profileFor returns the (cached) sampled statistics of a relation.
 func (e *Engine) profileFor(rel *relation.Relation) *stats.Profile {
-	key := weak.Make(rel)
+	key, print := weak.Make(rel), service.Fingerprint(rel)
 	e.statsMu.Lock()
-	if ent, ok := e.statsCache[key]; ok && ent.len == rel.Len() {
+	if ent, ok := e.statsCache[key]; ok && ent.print == print {
 		e.statsMu.Unlock()
 		return ent.prof
 	}
@@ -287,7 +286,7 @@ func (e *Engine) profileFor(rel *relation.Relation) *stats.Profile {
 	if e.statsCache == nil || len(e.statsCache) >= statsCacheLimit {
 		e.statsCache = make(map[weak.Pointer[Relation]]statsEntry)
 	}
-	e.statsCache[key] = statsEntry{len: rel.Len(), prof: prof}
+	e.statsCache[key] = statsEntry{print: print, prof: prof}
 	return prof
 }
 
@@ -301,6 +300,7 @@ func New(opts ...Option) *Engine {
 	if e.base.scratchPool {
 		e.pool = memory.NewPool(e.base.poolLimit)
 	}
+	e.memo = service.NewPlanCache(e.profileFor, 0)
 	return e
 }
 
@@ -366,75 +366,22 @@ func (cfg settings) diskOptions() core.DiskOptions {
 	}
 }
 
-// query assembles the exec query for one join call.
-func (cfg settings) query(r, s *Relation, pool *memory.Pool) exec.Query {
-	return exec.Query{
-		R:           r,
-		S:           s,
-		Algorithm:   cfg.algorithm,
-		JoinOptions: cfg.coreOptions(pool),
-		DiskOptions: cfg.diskOptions(),
-	}
+// joinPlan is the one-join plan every join call lowers to: the paper's
+// pipeline scan(r), scan(s) → join → sink (nil: the built-in max-sum
+// aggregate).
+func joinPlan(r, s *Relation, snk Sink) *Plan {
+	p := NewPlan()
+	p.Sink(p.Join(p.Scan(r), p.Scan(s)), snk)
+	return p
 }
 
-// run executes one join call end to end.
-func (e *Engine) run(ctx context.Context, r, s *Relation, opts []Option) (*exec.QueryResult, error) {
-	if r == nil || s == nil {
-		return nil, fmt.Errorf("mpsm: Join requires non-nil relations")
+// join runs one join call as the one-join plan.
+func (e *Engine) join(ctx context.Context, r, s *Relation, opts []Option) (*PlanJoin, error) {
+	pr, err := e.RunPlan(ctx, joinPlan(r, s, e.resolve(opts).sink), opts...)
+	if err != nil {
+		return nil, err
 	}
-	cfg := e.resolve(opts)
-	if cfg.autoPlan {
-		cfg, r, s = e.autoJoin(cfg, r, s)
-	}
-	return exec.Run(ctx, cfg.query(r, s, e.scratchFor(cfg)))
-}
-
-// autoJoin applies the cost-based planner to a single-join call: the input
-// profiles choose the algorithm, the worker count up to the configured one,
-// scheduling mode, presorted declarations and, when the sink is the
-// commutative built-in max-sum aggregate, the build/probe roles. Decisions are memoized per (inputs, configuration), so
-// an engine serving the same join repeatedly plans it once.
-func (e *Engine) autoJoin(cfg settings, r, s *Relation) (settings, *Relation, *Relation) {
-	to := planner.Consumer{Folds: sink.FoldsRanges(cfg.sink)}
-	key := planKey{
-		r: weak.Make(r), s: weak.Make(s), rLen: r.Len(), sLen: s.Len(),
-		configured: cfg.algorithm, kind: cfg.kind, band: cfg.band,
-		workers: cfg.workers, symmetric: cfg.sink == nil, folds: to.Folds,
-	}
-	e.statsMu.Lock()
-	ch, ok := e.planCache[key]
-	e.statsMu.Unlock()
-	if !ok {
-		ch = planner.ChooseJoin(e.profileFor(r), e.profileFor(s), planner.Constraints{
-			Configured:        cfg.algorithm,
-			Kind:              cfg.kind,
-			Band:              cfg.band,
-			Workers:           cfg.workers,
-			SymmetricConsumer: cfg.sink == nil,
-			Consumer:          to,
-		}, planner.DefaultCostModel())
-		e.statsMu.Lock()
-		if e.planCache == nil || len(e.planCache) >= statsCacheLimit {
-			e.planCache = make(map[planKey]planner.Choice)
-		}
-		e.planCache[key] = ch
-		e.statsMu.Unlock()
-	}
-
-	userPriv, userPub := cfg.presortedPrivate, cfg.presortedPublic
-	cfg.algorithm = ch.Algorithm
-	cfg.workers = ch.Workers
-	cfg.scheduler = ch.Scheduler
-	if ch.MorselSize > 0 {
-		cfg.morselSize = ch.MorselSize
-	}
-	if ch.Swap {
-		r, s = s, r
-		userPriv, userPub = userPub, userPriv
-	}
-	cfg.presortedPrivate = ch.PresortedPrivate || userPriv
-	cfg.presortedPublic = ch.PresortedPublic || userPub
-	return cfg, r, s
+	return &pr.Joins[0], nil
 }
 
 // Join executes an equi-join between the private input r and the public
@@ -452,11 +399,11 @@ func (e *Engine) autoJoin(cfg settings, r, s *Relation) (settings, *Relation, *R
 // built-in max-sum aggregate. Per-call options override the engine's
 // configuration for this call only.
 func (e *Engine) Join(ctx context.Context, r, s *Relation, opts ...Option) (*Result, error) {
-	qr, err := e.run(ctx, r, s, opts)
+	j, err := e.join(ctx, r, s, opts)
 	if err != nil {
 		return nil, err
 	}
-	return qr.Join, nil
+	return j.Result, nil
 }
 
 // JoinWithDiskStats is Join forced onto the D-MPSM algorithm, additionally
@@ -464,11 +411,11 @@ func (e *Engine) Join(ctx context.Context, r, s *Relation, opts ...Option) (*Res
 func (e *Engine) JoinWithDiskStats(ctx context.Context, r, s *Relation, opts ...Option) (*Result, *DiskStats, error) {
 	// The three-index slice keeps the append off the caller's backing array:
 	// concurrent calls may share opts.
-	qr, err := e.run(ctx, r, s, append(opts[:len(opts):len(opts)], WithAlgorithm(DMPSM)))
+	j, err := e.join(ctx, r, s, append(opts[:len(opts):len(opts)], WithAlgorithm(DMPSM)))
 	if err != nil {
 		return nil, nil, err
 	}
-	return qr.Join, qr.DiskStats, nil
+	return j.Result, j.Disk, nil
 }
 
 // JoinStream executes the join as a streaming iterator over the joined
@@ -503,7 +450,7 @@ func (e *Engine) JoinStream(ctx context.Context, r, s *Relation, opts ...Option)
 				}
 			})
 			// Three-index slice: never append into the caller's backing array.
-			_, err := e.run(streamCtx, r, s, append(opts[:len(opts):len(opts)], WithSink(snk)))
+			_, err := e.join(streamCtx, r, s, append(opts[:len(opts):len(opts)], WithSink(snk)))
 			errc <- err
 		}()
 

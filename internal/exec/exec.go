@@ -25,18 +25,16 @@
 //
 //	scan(R), scan(S) → filter → join → sink
 //
-// of the paper's evaluation setup (Section 5.1) is just the one-join plan;
-// Run builds exactly that plan. exec is also the dispatch layer of the public
-// Engine API: Join maps an Algorithm onto the core and hashjoin
-// implementations, threading the caller's context and sink through every one
-// of them.
+// of the paper's evaluation setup (Section 5.1) is just the one-join plan,
+// which the public Engine's single-join calls lower to. Join maps an
+// Algorithm onto the core and hashjoin implementations, threading the
+// caller's context and sink through every one of them.
 package exec
 
 import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashjoin"
@@ -133,109 +131,9 @@ func (r KeyRange) Predicate() Predicate {
 	return func(t relation.Tuple) bool { return r.Match(t.Key) }
 }
 
-// Query describes one execution of the pipeline
-//
-//	scan(R), scan(S) → filter → join → sink
-//
-// With the default sink it computes the paper's evaluation query
-//
-//	SELECT max(R.payload + S.payload)
-//	FROM R, S
-//	WHERE <RFilter(R)> AND <SFilter(S)> AND R.joinkey = S.joinkey
-type Query struct {
-	// R is the private (build) input, S the public (probe) input.
-	R, S *relation.Relation
-	// RFilter and SFilter are optional selections applied during the scan.
-	RFilter, SFilter Predicate
-	// RRange and SRange are optional structured key-range selections. They
-	// run on the branch-free selection path; a filter and a range on the same
-	// input compose (a tuple must satisfy both).
-	RRange, SRange *KeyRange
-	// Algorithm selects the join implementation.
-	Algorithm Algorithm
-	// JoinOptions configures the MPSM variants and, where applicable, the
-	// hash-join baselines (worker count, NUMA tracking, splitters). Its Kind
-	// field selects inner/left-outer/semi/anti semantics; non-inner kinds
-	// are only supported by the B-MPSM and P-MPSM algorithms. Its Sink field
-	// receives the joined tuple stream (nil selects the built-in max-sum
-	// aggregate).
-	JoinOptions core.Options
-	// DiskOptions configures AlgorithmDMPSM.
-	DiskOptions core.DiskOptions
-}
-
-// QueryResult is the outcome of a query execution: the join result plus the
-// scan timing and the answer of the aggregate.
-type QueryResult struct {
-	// Join is the underlying join result (phase breakdown, NUMA stats, ...).
-	Join *result.Result
-	// ScanTime is the time spent scanning and filtering both inputs.
-	ScanTime time.Duration
-	// RSelected and SSelected are the input cardinalities after selection.
-	RSelected, SSelected int
-	// MaxSum is the query answer max(R.payload + S.payload); only meaningful
-	// if Matches > 0 and the query ran with the default max-sum sink.
-	MaxSum uint64
-	// Matches is the join cardinality.
-	Matches uint64
-	// DiskStats is populated for AlgorithmDMPSM.
-	DiskStats *core.DiskStats
-}
-
-// validate rejects queries with missing inputs or unsupported
-// algorithm/kind/band combinations.
-func (q Query) validate() error {
-	if q.R == nil || q.S == nil {
-		return fmt.Errorf("exec: query requires both inputs, got R=%v S=%v", q.R, q.S)
-	}
-	if err := validateJoin(q.Algorithm, q.JoinOptions); err != nil {
-		return fmt.Errorf("exec: %w", err)
-	}
-	return nil
-}
-
-// Run executes the classic query pipeline — scan+filter both inputs, run the
-// selected join with the caller's context and sink, collect the result — as
-// the one-join plan
-//
-//	Scan(R) ─┐
-//	         Join ─ Sink
-//	Scan(S) ─┘
-//
-// A canceled context aborts the execution and returns ctx.Err().
-func Run(ctx context.Context, q Query) (*QueryResult, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	p := &Plan{}
-	rID := p.AddScanRange(q.R, q.RRange, q.RFilter)
-	sID := p.AddScanRange(q.S, q.SRange, q.SFilter)
-	jID := p.AddJoin(rID, sID, q.Algorithm, q.JoinOptions, q.DiskOptions)
-	p.AddSink(jID, q.JoinOptions.Sink)
-
-	pr, err := RunPlan(ctx, p, q.JoinOptions.Scratch)
-	if err != nil {
-		return nil, err
-	}
-	join := pr.Joins[0]
-	return &QueryResult{
-		Join:      join.Result,
-		DiskStats: join.Disk,
-		ScanTime:  pr.ScanTime,
-		RSelected: pr.Rows[rID],
-		SSelected: pr.Rows[sID],
-		Matches:   pr.Matches,
-		MaxSum:    pr.MaxSum,
-	}, nil
-}
-
 // Join dispatches one join execution to the selected algorithm, threading the
-// context and the sink carried in opts.Sink. It is the single entry point the
-// public Engine and the Query pipeline share. DiskStats is non-nil only for
-// AlgorithmDMPSM.
+// context and the sink carried in opts.Sink. Every join node of a plan runs
+// through it. DiskStats is non-nil only for AlgorithmDMPSM.
 func Join(ctx context.Context, alg Algorithm, r, s *relation.Relation, opts core.Options, diskOpts core.DiskOptions) (res *result.Result, disk *core.DiskStats, err error) {
 	// Worker panics are already recovered inside sched and arrive here as
 	// *sched.PanicError return values; this recover is the coordinator-side

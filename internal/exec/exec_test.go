@@ -23,29 +23,55 @@ func dataset(rSize, mult int, seed uint64) (*relation.Relation, *relation.Relati
 	return r, s
 }
 
+// oneJoin is the paper's evaluation pipeline scan(R), scan(S) → filter →
+// join → sink as the one-join plan; with the default sink it computes
+//
+//	SELECT max(R.payload + S.payload)
+//	FROM R, S
+//	WHERE <rFilter(R)> AND <sFilter(S)> AND R.joinkey = S.joinkey
+type oneJoin struct {
+	r, s             *relation.Relation
+	rFilter, sFilter Predicate
+	rRange, sRange   *KeyRange
+	alg              Algorithm
+	opts             core.Options
+	disk             core.DiskOptions
+}
+
+// run executes the plan and returns its result with the number of tuples
+// each scan kept.
+func (q oneJoin) run() (res *PlanResult, rSelected, sSelected int, err error) {
+	p := &Plan{}
+	rID := p.AddScanRange(q.r, q.rRange, q.rFilter)
+	sID := p.AddScanRange(q.s, q.sRange, q.sFilter)
+	p.AddSink(p.AddJoin(rID, sID, q.alg, q.opts, q.disk), nil)
+	if res, err = RunPlan(context.Background(), p, nil); err != nil {
+		return nil, 0, 0, err
+	}
+	return res, res.Rows[rID], res.Rows[sID], nil
+}
+
 func TestRunAllAlgorithmsAgree(t *testing.T) {
 	r, s := dataset(2000, 4, 1)
 	var agg mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &agg)
 
 	for _, alg := range []Algorithm{AlgorithmPMPSM, AlgorithmBMPSM, AlgorithmDMPSM, AlgorithmWisconsin, AlgorithmRadix} {
-		res, err := Run(context.Background(), Query{
-			R:           r,
-			S:           s,
-			Algorithm:   alg,
-			JoinOptions: core.Options{Workers: 4},
-			DiskOptions: core.DiskOptions{PageSize: 256, PageBudget: 8},
-		})
+		res, rSel, sSel, err := oneJoin{
+			r: r, s: s, alg: alg,
+			opts: core.Options{Workers: 4},
+			disk: core.DiskOptions{PageSize: 256, PageBudget: 8},
+		}.run()
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
 		if res.Matches != agg.Count || res.MaxSum != agg.Max {
 			t.Fatalf("%v: got (%d, %d), want (%d, %d)", alg, res.Matches, res.MaxSum, agg.Count, agg.Max)
 		}
-		if res.RSelected != r.Len() || res.SSelected != s.Len() {
+		if rSel != r.Len() || sSel != s.Len() {
 			t.Fatalf("%v: selection changed cardinalities without a filter", alg)
 		}
-		if alg == AlgorithmDMPSM && res.DiskStats == nil {
+		if alg == AlgorithmDMPSM && res.Joins[0].Disk == nil {
 			t.Fatal("D-MPSM result missing disk statistics")
 		}
 	}
@@ -61,37 +87,35 @@ func TestRunWithSelection(t *testing.T) {
 	var agg mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(filteredR.Tuples, filteredS.Tuples, &agg)
 
-	res, err := Run(context.Background(), Query{
-		R:           r,
-		S:           s,
-		RFilter:     KeyRangePredicate(low, high),
-		SFilter:     KeyRangePredicate(low, high),
-		Algorithm:   AlgorithmPMPSM,
-		JoinOptions: core.Options{Workers: 4},
-	})
+	res, rSel, sSel, err := oneJoin{
+		r: r, s: s,
+		rFilter: KeyRangePredicate(low, high),
+		sFilter: KeyRangePredicate(low, high),
+		opts:    core.Options{Workers: 4},
+	}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Matches != agg.Count || (agg.Count > 0 && res.MaxSum != agg.Max) {
 		t.Fatalf("filtered query: got (%d, %d), want (%d, %d)", res.Matches, res.MaxSum, agg.Count, agg.Max)
 	}
-	if res.RSelected >= r.Len() || res.SSelected >= s.Len() {
+	if rSel >= r.Len() || sSel >= s.Len() {
 		t.Fatal("selection did not reduce input cardinalities")
 	}
-	if res.RSelected != filteredR.Len() || res.SSelected != filteredS.Len() {
+	if rSel != filteredR.Len() || sSel != filteredS.Len() {
 		t.Fatal("selected cardinalities do not match the reference filter")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	r, s := dataset(10, 1, 3)
-	if _, err := Run(context.Background(), Query{R: nil, S: s}); err == nil {
+	if _, _, _, err := (oneJoin{r: nil, s: s}).run(); err == nil {
 		t.Fatal("nil R accepted")
 	}
-	if _, err := Run(context.Background(), Query{R: r, S: nil}); err == nil {
+	if _, _, _, err := (oneJoin{r: r, s: nil}).run(); err == nil {
 		t.Fatal("nil S accepted")
 	}
-	if _, err := Run(context.Background(), Query{R: r, S: s, Algorithm: Algorithm(42)}); err == nil {
+	if _, _, _, err := (oneJoin{r: r, s: s, alg: Algorithm(42)}).run(); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -101,12 +125,7 @@ func TestRunJoinKinds(t *testing.T) {
 	for _, kind := range []mergejoin.Kind{mergejoin.LeftOuter, mergejoin.Semi, mergejoin.Anti} {
 		var want mergejoin.MaxAggregate
 		mergejoin.ReferenceJoinKind(kind, r.Tuples, s.Tuples, &want)
-		res, err := Run(context.Background(), Query{
-			R:           r,
-			S:           s,
-			Algorithm:   AlgorithmPMPSM,
-			JoinOptions: core.Options{Workers: 4, Kind: kind},
-		})
+		res, _, _, err := oneJoin{r: r, s: s, opts: core.Options{Workers: 4, Kind: kind}}.run()
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -119,17 +138,11 @@ func TestRunJoinKinds(t *testing.T) {
 func TestRunRejectsKindsForHashJoins(t *testing.T) {
 	r, s := dataset(100, 1, 10)
 	for _, alg := range []Algorithm{AlgorithmWisconsin, AlgorithmRadix, AlgorithmDMPSM} {
-		_, err := Run(context.Background(), Query{
-			R:           r,
-			S:           s,
-			Algorithm:   alg,
-			JoinOptions: core.Options{Workers: 2, Kind: mergejoin.Semi},
-		})
-		if err == nil {
+		if _, _, _, err := (oneJoin{r: r, s: s, alg: alg, opts: core.Options{Workers: 2, Kind: mergejoin.Semi}}).run(); err == nil {
 			t.Fatalf("%v should reject non-inner join kinds", alg)
 		}
 	}
-	if _, err := Run(context.Background(), Query{R: r, S: s, JoinOptions: core.Options{Kind: mergejoin.Kind(9)}}); err == nil {
+	if _, _, _, err := (oneJoin{r: r, s: s, opts: core.Options{Kind: mergejoin.Kind(9)}}).run(); err == nil {
 		t.Fatal("invalid join kind accepted")
 	}
 }
@@ -137,7 +150,7 @@ func TestRunRejectsKindsForHashJoins(t *testing.T) {
 func TestRunBandJoinValidation(t *testing.T) {
 	r, s := dataset(200, 1, 12)
 	// Valid: band join on P-MPSM.
-	res, err := Run(context.Background(), Query{R: r, S: s, Algorithm: AlgorithmPMPSM, JoinOptions: core.Options{Workers: 2, Band: 10}})
+	res, _, _, err := oneJoin{r: r, s: s, opts: core.Options{Workers: 2, Band: 10}}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +158,10 @@ func TestRunBandJoinValidation(t *testing.T) {
 		t.Fatal("band join produced no matches on a foreign-key dataset")
 	}
 	// Invalid: band joins on hash joins or with non-inner kinds.
-	if _, err := Run(context.Background(), Query{R: r, S: s, Algorithm: AlgorithmRadix, JoinOptions: core.Options{Band: 10}}); err == nil {
+	if _, _, _, err := (oneJoin{r: r, s: s, alg: AlgorithmRadix, opts: core.Options{Band: 10}}).run(); err == nil {
 		t.Fatal("band join on the radix hash join should be rejected")
 	}
-	if _, err := Run(context.Background(), Query{R: r, S: s, Algorithm: AlgorithmPMPSM, JoinOptions: core.Options{Band: 10, Kind: mergejoin.Semi}}); err == nil {
+	if _, _, _, err := (oneJoin{r: r, s: s, opts: core.Options{Band: 10, Kind: mergejoin.Semi}}).run(); err == nil {
 		t.Fatal("band join with a semi-join kind should be rejected")
 	}
 }

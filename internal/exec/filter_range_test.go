@@ -141,35 +141,33 @@ func TestScanFilterAsksThePredicateOncePerTuple(t *testing.T) {
 	}
 }
 
-// TestRunWithKeyRange drives the structured range through the public Query
-// surface and checks it against the closure-predicate equivalent.
+// TestRunWithKeyRange drives the structured range through the one-join plan
+// and checks it against the closure-predicate equivalent.
 func TestRunWithKeyRange(t *testing.T) {
 	r, s := dataset(3000, 2, 9)
 	low, high := uint64(1)<<30, uint64(3)<<30
 
-	base, err := Run(context.Background(), Query{
-		R: r, S: s,
-		RFilter:     KeyRangePredicate(low, high),
-		SFilter:     KeyRangePredicate(low, high),
-		JoinOptions: core.Options{Workers: 4},
-	})
+	base, baseR, baseS, err := oneJoin{
+		r: r, s: s,
+		rFilter: KeyRangePredicate(low, high),
+		sFilter: KeyRangePredicate(low, high),
+		opts:    core.Options{Workers: 4},
+	}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Query{
-		R: r, S: s,
-		RRange:      &KeyRange{Low: low, High: high},
-		SRange:      &KeyRange{Low: low, High: high},
-		JoinOptions: core.Options{Workers: 4},
-	})
+	res, resR, resS, err := oneJoin{
+		r: r, s: s,
+		rRange: &KeyRange{Low: low, High: high},
+		sRange: &KeyRange{Low: low, High: high},
+		opts:   core.Options{Workers: 4},
+	}.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Matches != base.Matches || res.MaxSum != base.MaxSum ||
-		res.RSelected != base.RSelected || res.SSelected != base.SSelected {
+	if res.Matches != base.Matches || res.MaxSum != base.MaxSum || resR != baseR || resS != baseS {
 		t.Fatalf("KeyRange query got (%d, %d, %d, %d), predicate query (%d, %d, %d, %d)",
-			res.Matches, res.MaxSum, res.RSelected, res.SSelected,
-			base.Matches, base.MaxSum, base.RSelected, base.SSelected)
+			res.Matches, res.MaxSum, resR, resS, base.Matches, base.MaxSum, baseR, baseS)
 	}
 	if res.Matches == 0 {
 		t.Fatal("range selected nothing; test range is broken")

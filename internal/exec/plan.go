@@ -454,12 +454,11 @@ func (p *Plan) reachesJoin(id NodeID, consumers [][]NodeID) bool {
 const maxWorkers = 1 << 16
 
 // validateJoin rejects unsupported algorithm/kind/band/scheduler
-// combinations and out-of-range knobs; it is shared between the classic
-// Query pipeline and plan validation. Everything a caller can get wrong
-// through the public API must be caught here with a returned error — the
-// kernels below this boundary panic on invariant violations and rely on
-// sched's recovery only as a backstop (see the panic-policy comment in
-// internal/sched).
+// combinations and out-of-range knobs for plan validation. Everything a
+// caller can get wrong through the public API must be caught here with a
+// returned error — the kernels below this boundary panic on invariant
+// violations and rely on sched's recovery only as a backstop (see the
+// panic-policy comment in internal/sched).
 func validateJoin(alg Algorithm, opts core.Options) error {
 	if !opts.Kind.Valid() {
 		return fmt.Errorf("unknown join kind %d", int(opts.Kind))

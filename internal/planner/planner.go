@@ -507,9 +507,9 @@ func (o *Optimizer) Optimize(p *exec.Plan) (*exec.Plan, []NodeDecision, error) {
 		// The planner overrides the configured algorithm anyway, so a
 		// non-inner or band join configured onto a hash algorithm is not an
 		// error under auto-planning: reroute it to an MPSM variant before
-		// validation, exactly as the single-join path does (a configured
-		// D-MPSM is never unpinned — it expresses a memory constraint, and
-		// an unsupported kind on it stays an error like in manual mode).
+		// validation (a configured D-MPSM is never unpinned — it expresses a
+		// memory constraint, and an unsupported kind on it stays an error like
+		// in manual mode).
 		for i := range cp.Nodes {
 			n := &cp.Nodes[i]
 			if n.Kind != exec.NodeJoin {
@@ -760,12 +760,16 @@ func (s *planState) decideJoin(id exec.NodeID) {
 		if ch.MorselSize > 0 {
 			n.JoinOptions.MorselSize = ch.MorselSize
 		}
-		n.JoinOptions.PresortedPrivate = ch.PresortedPrivate
-		n.JoinOptions.PresortedPublic = ch.PresortedPublic
+		// A caller's presorted declaration stays, with its input through a
+		// swap: it is verified per chunk, so a false one costs only the check.
+		priv, pub := n.JoinOptions.PresortedPrivate, n.JoinOptions.PresortedPublic
 		if ch.Swap {
 			n.Inputs = []exec.NodeID{n.Inputs[1], n.Inputs[0]}
+			priv, pub = pub, priv
 			d.Swapped = true
 		}
+		n.JoinOptions.PresortedPrivate = ch.PresortedPrivate || priv
+		n.JoinOptions.PresortedPublic = ch.PresortedPublic || pub
 		d.Reason = ch.Reason
 	}
 	// Describe what the node — chosen just now, or configured — will do.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"hash/fnv"
 	"reflect"
 	"strconv"
 	"sync"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/planner"
 	"repro/internal/relation"
 	"repro/internal/sched"
+	"repro/internal/sink"
 	"repro/internal/stats"
 )
 
@@ -69,10 +69,11 @@ type cacheEntry struct {
 // PlanCache memoizes the cost-based planner's physical decisions for whole
 // plans, keyed by normalized plan shape (operator DAG, relation and function
 // identities, per-join configuration — the worker bound of every join
-// included, under a caller's key as well) plus a per-relation statistics
-// fingerprint. Optimizing a plan costs profile sampling and a cost-model
-// search per join; a serving workload repeats a handful of plan shapes
-// thousands of times, so the cache turns that into a map lookup.
+// included, under a caller's key as well) and validated per lookup by the
+// content Fingerprint of every scanned relation. Optimizing a plan costs
+// profile sampling and a cost-model search per join; a serving workload
+// repeats a handful of plan shapes thousands of times, so the cache turns that
+// into a map lookup.
 type PlanCache struct {
 	// Profile returns the (possibly cached) statistics of a base relation;
 	// typically the engine's memoized profiles. Nil falls back to uncached
@@ -95,6 +96,14 @@ func NewPlanCache(profile func(*relation.Relation) *stats.Profile, size int) *Pl
 	return &PlanCache{Profile: profile, Size: size}
 }
 
+// SetSize rebounds a cache that may be in use; entries beyond a smaller bound
+// go as new ones arrive.
+func (c *PlanCache) SetSize(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.Size = n
+}
+
 // Optimize returns the physical plan for p: on a hit the cached node choices
 // are applied to p in place (p must be freshly lowered and owned by the
 // caller), on a miss the optimizer runs and its decisions are cached.
@@ -112,12 +121,14 @@ func (c *PlanCache) Optimize(p *exec.Plan, rewrite bool) (*exec.Plan, error) {
 
 // OptimizeKeyed is Optimize under a caller-provided cache key — typically the
 // canonical text of a compiled query, so equivalent spellings share one
-// entry without normalizing the lowered plan's shape. The worker bound of
-// every join goes into the key beside it: the cached choice of a worker count
-// was made under that bound. Content staleness is still caught per lookup:
-// the per-relation fingerprints are validated on every hit, so rebinding a
-// name to new data invalidates rather than reuses the entry. Caller keys live
-// in their own namespace and never collide with structural keys.
+// entry without normalizing the lowered plan's shape. The configuration of
+// every join goes into the key beside it — its worker bound, algorithm and
+// scheduler among them: the cached choices were made under it, and a query
+// pinned to another algorithm is another plan. Content staleness is still
+// caught per lookup: the per-relation fingerprints are validated on every
+// hit, so rebinding a name to new data invalidates rather than reuses the
+// entry. Caller keys live in their own namespace and never collide with
+// structural keys.
 func (c *PlanCache) OptimizeKeyed(key string, p *exec.Plan, rewrite bool) (*exec.Plan, error) {
 	buf := keyBuffers.Get().(*[]byte)
 	defer keyBuffers.Put(buf)
@@ -125,7 +136,7 @@ func (c *PlanCache) OptimizeKeyed(key string, p *exec.Plan, rewrite bool) (*exec
 	b = strconv.AppendBool(append(b, ";rw"...), rewrite)
 	for _, n := range p.Nodes {
 		if n.Kind == exec.NodeJoin {
-			b = strconv.AppendInt(append(b, ";w"...), int64(n.JoinOptions.Workers), 10)
+			b = appendJoinKey(append(b, ';'), n)
 		}
 	}
 	*buf = b
@@ -285,23 +296,7 @@ func appendCacheKey(b []byte, p *exec.Plan, rewrite bool) []byte {
 				hex(",", n.Range.High)
 			}
 		case exec.NodeJoin:
-			o, d := n.JoinOptions, n.DiskOptions
-			num(" a", int64(n.Algorithm))
-			num(" w", int64(o.Workers))
-			num(" k", int64(o.Kind))
-			hex(" b", o.Band)
-			num(" h", int64(o.HistogramBits))
-			num(" s", int64(o.Splitters))
-			num(" c", int64(o.CDFBoundsPerRun))
-			flag(" pp", o.PresortedPublic)
-			flag(" pv", o.PresortedPrivate)
-			num(" sch", int64(o.Scheduler))
-			num(" m", int64(o.MorselSize))
-			num(" d", int64(d.PageSize))
-			num(",", int64(d.PageBudget))
-			num(",", int64(d.PrefetchDistance))
-			num(",", int64(d.ReadLatency))
-			num(",", int64(d.WriteLatency))
+			b = appendJoinKey(b, n)
 		case exec.NodeMap:
 			hex(" f", uint64(fnPtr(n.MapFn)))
 		case exec.NodeProject:
@@ -309,13 +304,39 @@ func appendCacheKey(b []byte, p *exec.Plan, rewrite bool) []byte {
 		case exec.NodeGroupAggregate:
 			num(" g", int64(n.Agg))
 		case exec.NodeSink:
-			// Only nilness matters: a user sink observes the pair order and
-			// pins the build/probe roles, the built-in max-sum sink is
-			// symmetric. The sink's identity does not change the plan.
+			// A user sink observes the pair order and pins the build/probe
+			// roles, the built-in max-sum sink is symmetric, and a sink that
+			// folds ranges is cheaper to deliver to. The sink's identity does
+			// not change the plan.
 			flag(" nil", n.Sink == nil)
+			flag(" fold", sink.FoldsRanges(n.Sink))
 		}
 		b = append(b, ';')
 	}
+	return b
+}
+
+// appendJoinKey renders the configuration of one join node.
+func appendJoinKey(b []byte, n exec.PlanNode) []byte {
+	num := func(tag string, v int64) { b = strconv.AppendInt(append(b, tag...), v, 10) }
+	flag := func(tag string, v bool) { b = strconv.AppendBool(append(b, tag...), v) }
+	o, d := n.JoinOptions, n.DiskOptions
+	num(" a", int64(n.Algorithm))
+	num(" w", int64(o.Workers))
+	num(" k", int64(o.Kind))
+	b = strconv.AppendUint(append(b, " b"...), o.Band, 16)
+	num(" h", int64(o.HistogramBits))
+	num(" s", int64(o.Splitters))
+	num(" c", int64(o.CDFBoundsPerRun))
+	flag(" pp", o.PresortedPublic)
+	flag(" pv", o.PresortedPrivate)
+	num(" sch", int64(o.Scheduler))
+	num(" m", int64(o.MorselSize))
+	num(" d", int64(d.PageSize))
+	num(",", int64(d.PageBudget))
+	num(",", int64(d.PrefetchDistance))
+	num(",", int64(d.ReadLatency))
+	num(",", int64(d.WriteLatency))
 	return b
 }
 
@@ -333,42 +354,34 @@ func fnPtr(fn any) uintptr {
 }
 
 // fingerprints hashes the content of every scan relation (indexed by node
-// ID). The fingerprint is a cheap strided sample — length plus up to 64
-// evenly spaced tuples — which catches in-place mutation without rescanning
-// multi-million tuple relations on every lookup.
+// ID).
 func fingerprints(p *exec.Plan) []uint64 {
 	prints := make([]uint64, len(p.Nodes))
 	for id, n := range p.Nodes {
 		if n.Kind == exec.NodeScan {
-			prints[id] = fingerprint(n.Rel)
+			prints[id] = Fingerprint(n.Rel)
 		}
 	}
 	return prints
 }
 
-// fingerprint hashes one relation's length and a strided tuple sample.
-func fingerprint(rel *relation.Relation) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	write := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+// Fingerprint hashes a relation's length and about 64 evenly spaced tuples:
+// a cheap strided sample that catches an in-place rewrite — even at the same
+// length — without rescanning a multi-million tuple relation on every lookup.
+// It is the one staleness rule of the plan cache and of the profiles that
+// fill it. The hash is FNV-1a over 64-bit words rather than bytes: every step
+// is a bijection of the running hash and of the word, so a change to any one
+// sampled word always changes the fingerprint, at an eighth of the multiplies.
+func Fingerprint(rel *relation.Relation) uint64 {
+	const prime = 1099511628211
 	n := rel.Len()
-	write(uint64(n))
-	const samples = 64
-	stride := n / samples
-	if stride == 0 {
-		stride = 1
-	}
-	for i := 0; i < n; i += stride {
+	h := (14695981039346656037 ^ uint64(n)) * prime
+	for i, stride := 0, max(1, n/64); i < n; i += stride {
 		t := rel.Tuples[i]
-		write(t.Key)
-		write(t.Payload)
+		h = (h ^ t.Key) * prime
+		h = (h ^ t.Payload) * prime
 	}
-	return h.Sum64()
+	return h
 }
 
 // printsMatch compares two fingerprint vectors.

@@ -75,6 +75,18 @@ func TestPlanCacheMissOnDifferentConfig(t *testing.T) {
 	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want 2 misses (different worker counts)", st)
 	}
+
+	// A sink that folds ranges is priced apart from one that takes pairs.
+	for _, snk := range []sink.Sink{sink.NewCount(), sink.NewMaterialize(), sink.NewMaterialize()} {
+		p := lowerPlan(r, s, 2)
+		p.AddSink(2, snk)
+		if _, err := c.Optimize(p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Misses != 4 || st.Hits != 1 {
+		t.Fatalf("stats = %+v, want a miss per sink kind and a hit on the repeat", st)
+	}
 }
 
 func TestPlanCacheMissOnDifferentRelations(t *testing.T) {
@@ -228,6 +240,23 @@ func TestPlanCacheKeyed(t *testing.T) {
 	}
 	if st = c.Stats(); st.Invalidations != 1 {
 		t.Fatalf("stats = %+v, want 1 invalidation after relation mutation", st)
+	}
+
+	// The same text pinned to another algorithm is another plan: the key
+	// carries every join's configuration, not the worker bound alone.
+	for _, alg := range []exec.Algorithm{exec.AlgorithmBMPSM, exec.AlgorithmWisconsin, exec.AlgorithmBMPSM} {
+		p := lowerPlan(r, s, 2)
+		p.Nodes[2].Algorithm = alg
+		got, err := c.OptimizeKeyed(key, p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Nodes[2].Algorithm != alg {
+			t.Fatalf("text pinned to %v planned as %v", alg, got.Nodes[2].Algorithm)
+		}
+	}
+	if st = c.Stats(); st.Misses != 5 || st.Hits != 2 {
+		t.Fatalf("stats = %+v, want a miss per pinned algorithm and a hit on the repeat", st)
 	}
 }
 

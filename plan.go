@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/planner"
 	"repro/internal/sink"
 )
 
@@ -52,15 +51,15 @@ type Plan struct {
 	nodes []planNode
 	err   error
 	// info is set when the plan was compiled from query text (Compile); the
-	// service keys its plan cache by the canonical text instead of the
-	// structural shape.
+	// plan memo keys it by the canonical text instead of the structural
+	// shape.
 	info *QueryInfo
 }
 
 // QueryInfo describes the query text a compiled plan came from.
 type QueryInfo struct {
 	// Text is the canonical (pretty-printed) query: equivalent spellings
-	// share one Text, which is what keys the service plan cache.
+	// share one Text, which is what keys the plan memo.
 	Text string
 	// Head names the output relation; Columns name its key and value.
 	Head    string
@@ -271,22 +270,25 @@ type PlanResult struct {
 // pool when it has one; the returned Output is always freshly allocated. A
 // canceled context aborts the plan at the next operator boundary (or, inside
 // a join, at the next phase boundary or chunk) and returns ctx.Err().
+//
+// RunPlan is the one execution path of the engine — its single-join calls
+// run the one-join plan through it — and of a Service over it: it takes the
+// physical plan from the engine's plan memo, keyed by canonical text for a
+// compiled query and by shape otherwise.
 func (e *Engine) RunPlan(ctx context.Context, p *Plan, opts ...Option) (*PlanResult, error) {
-	ep, global, err := e.buildExecPlan(p, opts)
+	ep, g, err := e.buildExecPlan(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	pool := e.scratchFor(global)
-	if global.autoPlan {
-		opt := &planner.Optimizer{Profile: e.profileFor, Rewrite: true}
-		optimized, _, err := opt.Optimize(ep)
-		if err != nil {
-			return nil, err
-		}
-		ep = optimized
+	if p.info != nil {
+		ep, err = e.memo.OptimizeKeyed(p.info.Text, ep, g.autoPlan)
+	} else {
+		ep, err = e.memo.Optimize(ep, g.autoPlan)
 	}
-
-	pr, err := exec.RunPlanFor(ctx, ep, pool, global.owner)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := exec.RunPlanFor(ctx, ep, e.scratchFor(g), g.owner)
 	if err != nil {
 		return nil, err
 	}
@@ -328,6 +330,9 @@ func (e *Engine) buildExecPlan(p *Plan, opts []Option) (*exec.Plan, settings, er
 	for _, n := range p.nodes {
 		switch n.kind {
 		case exec.NodeScan:
+			if n.rel == nil {
+				return nil, global, fmt.Errorf("mpsm: plan scans a nil relation")
+			}
 			if n.rng != nil {
 				ep.AddScanRange(n.rel, n.rng, predicate(n.pred))
 			} else {

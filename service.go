@@ -3,13 +3,11 @@ package mpsm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -48,8 +46,8 @@ type ServiceStats struct {
 	// Admission reports admitted/queued/rejected/canceled queries and the
 	// current queue depth.
 	Admission AdmissionStats
-	// PlanCache reports plan-cache hits, misses, invalidations and
-	// evictions.
+	// PlanCache reports the hits, misses, invalidations and evictions of the
+	// engine's plan memo, the engine's own calls included.
 	PlanCache PlanCacheStats
 	// Memory is the scratch pool's snapshot, including the per-query
 	// reserved and in-use attribution of every active query.
@@ -139,8 +137,9 @@ func WithFairSlots(n int) ServiceOption {
 	return func(c *serviceConfig) { c.fairSlots = n }
 }
 
-// WithPlanCacheSize bounds the number of cached physical plans; 0 selects the
-// default (256).
+// WithPlanCacheSize bounds the number of physical plans the engine's plan
+// memo holds — the memo the service plans through and shares with the
+// engine's own calls; 0 keeps the default (256).
 func WithPlanCacheSize(n int) ServiceOption {
 	return func(c *serviceConfig) { c.planCacheSize = n }
 }
@@ -198,6 +197,15 @@ type queryConfig struct {
 // QueryOption configures one query submitted to a Service.
 type QueryOption func(*queryConfig)
 
+// queryOptions resolves a query's options.
+func queryOptions(opts []QueryOption) queryConfig {
+	var q queryConfig
+	for _, o := range opts {
+		o(&q)
+	}
+	return q
+}
+
 // WithQueryWeight sets the query's fair-share weight (default 1): under
 // contention a weight-2 query receives twice the busy slot time of a
 // weight-1 query.
@@ -237,8 +245,8 @@ func WithQueryDeadline(d time.Duration) QueryOption {
 // optional deadline when the limit is reached, rejecting what could never
 // fit), scheduled through a weighted fair-share arbiter so concurrent
 // queries interleave at morsel granularity instead of monopolizing the
-// workers FIFO-style, and planned through a normalized plan cache that
-// reuses physical plans across queries of the same shape, statistics and
+// workers FIFO-style, and planned through the engine's plan memo, which
+// reuses physical plans across queries of the same shape, content and
 // configuration.
 //
 // A Service is safe for concurrent use from any number of client
@@ -248,7 +256,6 @@ type Service struct {
 	pool   *memory.Pool
 	adm    *service.Admission
 	fs     *sched.FairShare
-	cache  *service.PlanCache
 
 	defaultBudget int64
 	execDeadline  time.Duration
@@ -295,12 +302,14 @@ func NewService(e *Engine, opts ...ServiceOption) *Service {
 	if !cfg.degradeStepsSet {
 		cfg.degradeSteps = defaultDegradeSteps
 	}
+	if cfg.planCacheSize > 0 {
+		e.memo.SetSize(cfg.planCacheSize)
+	}
 	s := &Service{
 		engine:        e,
 		pool:          pool,
 		adm:           adm,
 		fs:            sched.NewFairShare(cfg.fairSlots),
-		cache:         service.NewPlanCache(e.profileFor, cfg.planCacheSize),
 		defaultBudget: cfg.defaultBudget,
 		execDeadline:  cfg.execDeadline,
 		degradeSteps:  cfg.degradeSteps,
@@ -353,7 +362,7 @@ func (s *Service) endQuery() {
 func (s *Service) Stats() ServiceStats {
 	return ServiceStats{
 		Admission:   s.adm.Stats(),
-		PlanCache:   s.cache.Stats(),
+		PlanCache:   s.engine.memo.Stats(),
 		Memory:      s.pool.Stats(),
 		Active:      s.active.Load(),
 		Degradation: s.deg.snapshot(),
@@ -367,21 +376,8 @@ func (s *Service) Stats() ServiceStats {
 // It is Engine.Join behind the serving layer; see there for the join
 // semantics.
 func (s *Service) Join(ctx context.Context, r, p *Relation, opts ...QueryOption) (*Result, error) {
-	if r == nil || p == nil {
-		return nil, fmt.Errorf("mpsm: Join requires non-nil relations")
-	}
-	var q queryConfig
-	for _, o := range opts {
-		o(&q)
-	}
-	resolvedSink := s.engine.resolve(q.engineOpts).sink
-	plan := NewPlan()
-	rs := plan.Scan(r)
-	ps := plan.Scan(p)
-	j := plan.Join(rs, ps)
-	plan.Sink(j, resolvedSink)
-
-	pr, err := s.run(ctx, plan, q, r.Len()+p.Len())
+	q := queryOptions(opts)
+	pr, err := s.run(ctx, joinPlan(r, p, s.engine.resolve(q.engineOpts).sink), q)
 	if err != nil {
 		return nil, err
 	}
@@ -391,30 +387,17 @@ func (s *Service) Join(ctx context.Context, r, p *Relation, opts ...QueryOption)
 // RunPlan executes a plan through the serving layer; see Engine.RunPlan for
 // plan semantics.
 func (s *Service) RunPlan(ctx context.Context, p *Plan, opts ...QueryOption) (*PlanResult, error) {
-	var q queryConfig
-	for _, o := range opts {
-		o(&q)
-	}
-	rows := 0
-	if p != nil {
-		for _, n := range p.nodes {
-			if n.rel != nil {
-				rows += n.rel.Len()
-			}
-		}
-	}
-	return s.run(ctx, p, q, rows)
+	return s.run(ctx, p, queryOptions(opts))
 }
 
-// Explain renders the physical plan the underlying engine would execute for
-// p, without running it. Per-query engine options (WithQueryOptions) apply;
-// serving-layer options are irrelevant to planning and ignored.
+// Explain renders the physical plan RunPlan would execute for p now, without
+// running it: under the serving defaults and the share of the slots a query
+// admitted now would get, then the per-query engine options
+// (WithQueryOptions). The other query options do not bear on planning and
+// are ignored.
 func (s *Service) Explain(p *Plan, opts ...QueryOption) (*Explain, error) {
-	var q queryConfig
-	for _, o := range opts {
-		o(&q)
-	}
-	return s.engine.Explain(p, q.engineOpts...)
+	q := queryOptions(opts)
+	return s.engine.Explain(p, append(s.servingOptions(s.active.Load()+1, 0), q.engineOpts...)...)
 }
 
 // budgetFor resolves a query's admission budget: the declared one, the
@@ -430,12 +413,20 @@ func (s *Service) Explain(p *Plan, opts ...QueryOption) (*Explain, error) {
 // its sorted key and payload columns, then per distinct driver key the table
 // entry, its heads and chain link, the running product and aggregate, and one
 // 32-byte (key, count, value) slot per worker, 100–132 bytes on one worker).
-func (s *Service) budgetFor(q queryConfig, inputRows int) int64 {
+func (s *Service) budgetFor(q queryConfig, p *Plan) int64 {
 	if q.budget > 0 {
 		return q.budget
 	}
 	if s.defaultBudget > 0 {
 		return s.defaultBudget
+	}
+	inputRows := 0
+	if p != nil {
+		for _, n := range p.nodes {
+			if n.rel != nil {
+				inputRows += n.rel.Len()
+			}
+		}
 	}
 	const tupleBytes = 16
 	b := int64(inputRows) * tupleBytes * 3
@@ -445,8 +436,6 @@ func (s *Service) budgetFor(q queryConfig, inputRows int) int64 {
 	return b
 }
 
-// run is the shared serving path: admit, gate, plan through the cache,
-// execute, release.
 // Degradation-ladder constants: a degraded query's budget never shrinks
 // below minDegradedBudget, admission retries back off starting at
 // degradeBackoff (doubling, capped at degradeBackoffMax), and degraded
@@ -497,7 +486,9 @@ func (s *Service) admit(ctx context.Context, label string, budget int64) (*memor
 	}
 }
 
-func (s *Service) run(ctx context.Context, p *Plan, q queryConfig, inputRows int) (*PlanResult, error) {
+// run is the shared serving path: admit, gate, plan through the memo,
+// execute, release.
+func (s *Service) run(ctx context.Context, p *Plan, q queryConfig) (*PlanResult, error) {
 	if err := s.beginQuery(); err != nil {
 		return nil, err
 	}
@@ -518,7 +509,7 @@ func (s *Service) run(ctx context.Context, p *Plan, q queryConfig, inputRows int
 		ctx = stormCtx
 	}
 
-	res, degraded, err := s.admit(ctx, label, s.budgetFor(q, inputRows))
+	res, degraded, err := s.admit(ctx, label, s.budgetFor(q, p))
 	if err != nil {
 		return nil, err
 	}
@@ -538,42 +529,14 @@ func (s *Service) run(ctx context.Context, p *Plan, q queryConfig, inputRows int
 		ctx = dctx
 	}
 
-	ticket := s.fs.Ticket(q.weight)
-	// The query's share of the slots — all of them for a lone query, one under
-	// fan-in — bounds its degree of parallelism; it does not set it. Under
-	// auto-planning the planner prices every join at each worker count up to
-	// the share and keeps a worker only where the cost model says it pays
-	// (planner.CostModel.EfficiencyFloor), because a worker that returns little
-	// to this query is worth a whole worker to the next one; the plan cache
-	// keys the decision by the share it was taken under. With auto-planning
-	// off — a pinned algorithm — every join runs on exactly the share.
-	dop := s.fs.Slots() / int(s.active.Load())
-	if dop < 1 {
-		dop = 1
-	}
-	// The serving defaults go first so per-query options can override them
-	// (an explicit WithWorkers in WithQueryOptions replaces the share,
-	// WithScheduler(Static) the Morsel default).
-	defaults := []Option{WithScheduler(Morsel), WithWorkers(dop)}
 	if degraded > 0 {
-		// A query admitted through the degradation ladder runs on a
-		// fraction of its requested budget: narrow its share to match
-		// (each step halves the bound on its worker count) and shrink its
-		// batch size so less memory sits in flight between checkpoints.
-		ndop := dop >> degraded
-		if ndop < 1 {
-			ndop = 1
-		}
-		defaults = append(defaults, WithWorkers(ndop), WithBatchSize(degradedBatchSize))
 		s.deg.narrowed.Add(1)
 	}
-	if s.faults != nil {
-		defaults = append(defaults, WithFaultInjection(s.faults))
-	}
-	opts := append(defaults, q.engineOpts...)
-	opts = append(opts, withGate(ticket), withOwner(res))
+	// The serving defaults go first so per-query options can override them.
+	opts := append(s.servingOptions(s.active.Load(), degraded), q.engineOpts...)
+	opts = append(opts, withGate(s.fs.Ticket(q.weight)), withOwner(res))
 
-	pr, err := s.execute(ctx, p, opts, res)
+	pr, err := s.engine.RunPlan(ctx, p, opts...)
 	if err != nil {
 		var pe *sched.PanicError
 		if errors.As(err, &pe) {
@@ -587,27 +550,32 @@ func (s *Service) run(ctx context.Context, p *Plan, q queryConfig, inputRows int
 	return pr, nil
 }
 
-// execute builds, optimizes and runs the plan with the resolved options,
-// attributing the plan-level lease to the query's admission reservation.
-func (s *Service) execute(ctx context.Context, p *Plan, opts []Option, res *memory.Reservation) (*PlanResult, error) {
-	ep, g, err := s.engine.buildExecPlan(p, opts)
-	if err != nil {
-		return nil, err
+// servingOptions are the engine options a query runs with ahead of its own
+// (an explicit WithWorkers in WithQueryOptions replaces the share,
+// WithScheduler(Static) the Morsel default), given the number of active
+// queries, the query itself included, and the degradation steps its
+// admission took.
+//
+// The query's share of the slots — all of them for a lone query, one under
+// fan-in — bounds its degree of parallelism; it does not set it. Under
+// auto-planning the planner prices every join at each worker count up to the
+// share and keeps a worker only where the cost model says it pays
+// (planner.CostModel.EfficiencyFloor), because a worker that returns little
+// to this query is worth a whole worker to the next one; the plan memo keys
+// the decision by the share it was taken under. With auto-planning off — a
+// pinned algorithm — every join runs on exactly the share.
+func (s *Service) servingOptions(active int64, degraded int) []Option {
+	dop := max(1, s.fs.Slots()/int(active))
+	opts := []Option{WithScheduler(Morsel), WithWorkers(dop)}
+	if degraded > 0 {
+		// A query admitted through the degradation ladder runs on a fraction
+		// of its requested budget: narrow its share to match (each step
+		// halves the bound on its worker count) and shrink its batch size so
+		// less memory sits in flight between checkpoints.
+		opts = append(opts, WithWorkers(max(1, dop>>degraded)), WithBatchSize(degradedBatchSize))
 	}
-	if p.info != nil {
-		// Compiled queries cache by their canonical text: equivalent
-		// spellings share one entry, and the per-relation fingerprints still
-		// invalidate it when the underlying data changes.
-		ep, err = s.cache.OptimizeKeyed(p.info.Text, ep, g.autoPlan)
-	} else {
-		ep, err = s.cache.Optimize(ep, g.autoPlan)
+	if s.faults != nil {
+		opts = append(opts, WithFaultInjection(s.faults))
 	}
-	if err != nil {
-		return nil, err
-	}
-	pr, err := exec.RunPlanFor(ctx, ep, s.engine.scratchFor(g), res)
-	if err != nil {
-		return nil, err
-	}
-	return convertPlanResult(pr), nil
+	return opts
 }

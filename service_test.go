@@ -3,6 +3,7 @@ package mpsm
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -360,6 +361,32 @@ func TestServiceShareIsTheWorkerBound(t *testing.T) {
 				t.Errorf("%s, run %d: the join ran on %d workers, want %d", tc.name, run, res.Workers, tc.want)
 			}
 		}
+	}
+}
+
+// TestServiceExplainDescribesWhatRuns: Service.Explain plans under the serving
+// defaults Service.Join runs with — the Morsel scheduler and the share of the
+// slots — so a pinned join on an idle 4-slot service explains as the morsel
+// join on four workers it runs as.
+func TestServiceExplainDescribesWhatRuns(t *testing.T) {
+	r := GenerateUniform("R", 4096, 1)
+	s := GenerateForeignKey("S", r, 16384, 2)
+	svc := NewService(New(WithAutoPlan(true)), WithFairSlots(4))
+	defer svc.Close()
+	pin := WithQueryOptions(WithAlgorithm(PMPSM), WithAutoPlan(false))
+	ex, err := svc.Explain(joinPlan(r, s, nil), pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex.String(), "[P-MPSM, morsel, workers=4,") {
+		t.Errorf("pinned join explains as\n%s\nwant a morsel P-MPSM join on workers=4", ex)
+	}
+	res, err := svc.Join(context.Background(), r, s, pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Workers != 4 {
+		t.Errorf("the pinned join ran on %d workers, want 4", res.Workers)
 	}
 }
 
