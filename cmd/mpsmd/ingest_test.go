@@ -521,8 +521,8 @@ func TestServerTimesOutStalledBodies(t *testing.T) {
 func TestServerJoinOutlivesBodyDeadline(t *testing.T) {
 	ts, _ := startTestServer(t, func(s *server) { s.bodyTimeout = 20 * time.Millisecond })
 	for _, req := range []createRelationRequest{
-		{Name: "r", Generate: &generateSpec{Size: 100_000, Seed: 1}},
-		{Name: "s", Generate: &generateSpec{Size: 400_000, Seed: 2, ForeignKeyOf: "r"}},
+		{Name: "r", Generate: &generateSpec{Size: 300_000, Seed: 1}},
+		{Name: "s", Generate: &generateSpec{Size: 1_200_000, Seed: 2, ForeignKeyOf: "r"}},
 	} {
 		if code := post(t, ts.URL+"/v1/relations", req, nil); code != http.StatusCreated {
 			t.Fatalf("create %s: status %d", req.Name, code)

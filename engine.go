@@ -168,9 +168,10 @@ func WithMorselSize(tuples int) Option {
 // column runs, and the merge kernel emits one range entry per matching key
 // group, folded whole by the aggregating sinks and expanded into column
 // batches for the others, n entries at a time. n <= 0 (the default) selects
-// the built-in size of 1024. D-MPSM and the hash-join baselines ignore it
-// (the hash joins always batch their probe output). Results do not depend on
-// n; Result.Batch reports the batch traffic.
+// the built-in size of 1024. D-MPSM and the hash-join baselines ignore it:
+// the hash joins fold their probe output into the max-sum and count sinks,
+// one batch per probe, and batch it by 1024 pairs for every other sink.
+// Results do not depend on n; Result.Batch reports the batch traffic.
 func WithBatchSize(n int) Option {
 	return func(s *settings) { s.batchSize = n }
 }

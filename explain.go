@@ -84,7 +84,8 @@ type ExplainNode struct {
 	// public run), with ", range-partitioned ×T" when every writer holds one
 	// key range (statically scheduled P-MPSM), or "pairs, probe order" (the
 	// hash joins). A consumer that folds ranges starts from it instead of
-	// re-establishing it.
+	// re-establishing it. Into the max-sum or count sink a hash join hands on
+	// "folded (count, max)": its probe loop keeps both and forms no pair.
 	Output string `json:"output,omitempty"`
 	// EstMillis is the cost model's estimate for the join as planned,
 	// delivery to its consumer included; Millis, filled in by ExplainAnalyze,

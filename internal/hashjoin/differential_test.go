@@ -25,16 +25,40 @@ func sortedPairs(pairs []mergejoin.JoinedTuple) []mergejoin.JoinedTuple {
 	return pairs
 }
 
+// foldOf is the max-sum aggregate of the pairs keep accepts.
+func foldOf(pairs []mergejoin.JoinedTuple, keep func(rPayload, sPayload uint64) bool) mergejoin.MaxAggregate {
+	var agg mergejoin.MaxAggregate
+	for _, p := range pairs {
+		if keep(p.RPayload, p.SPayload) {
+			agg.Consume(relation.Tuple{Key: p.Key, Payload: p.RPayload}, relation.Tuple{Key: p.Key, Payload: p.SPayload})
+		}
+	}
+	return agg
+}
+
+// evenSums is a tie-break verifier that rejects every other candidate: the
+// pairs whose payload sum is odd.
+func evenSums(rPayload, sPayload uint64) (uint64, uint64, bool) {
+	return rPayload, sPayload, (rPayload+sPayload)%2 == 0
+}
+
 // checkAgainstReference runs both hash joins over (rT, sT) — one worker, two,
 // and up to 19, which is more workers than tuples for the small inputs; static
 // and morsel scheduling with morsels small enough to split the inputs; with a
 // scratch pool and without — and compares every pair they emit with
-// mergejoin.ReferenceJoin's. A pooled run must also leave no lease checked out.
+// mergejoin.ReferenceJoin's. The same joins into the default sink (max-sum)
+// and into Count run the probe loop that folds and must report the
+// reference's pair count and largest pair sum mod 2^64; into the default sink
+// behind a verifier that rejects every other candidate they run the pair loop
+// and count only the verified pairs. A pooled run must also leave no lease
+// checked out.
 func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 	t.Helper()
 	var oracle mergejoin.Materializer
 	mergejoin.ReferenceJoin(rT, sT, &oracle)
 	want := sortedPairs(oracle.Out)
+	all := foldOf(want, func(uint64, uint64) bool { return true })
+	even := foldOf(want, func(rp, sp uint64) bool { _, _, ok := evenSums(rp, sp); return ok })
 	r, s := relation.New("R", rT), relation.New("S", sT)
 	pool := memory.NewPool(1 << 24)
 	for _, workers := range []int{1, 2, min(max(len(rT), len(sT))+3, 19)} {
@@ -66,6 +90,33 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 					if matches != uint64(len(want)) || !slices.Equal(sortedPairs(got), want) {
 						t.Fatalf("%s T=%d %v pooled=%v: %d matches / %d pairs, reference has %d\n|R|=%d |S|=%d",
 							name, workers, mode, scratch != nil, matches, len(got), len(want), len(rT), len(sT))
+					}
+
+					for _, run := range []struct {
+						label string
+						sink  sink.Sink
+						check sink.PairCheck
+						want  mergejoin.MaxAggregate
+					}{
+						{"max-sum", nil, nil, all},
+						{"count", sink.NewCount(), nil, all},
+						{"max-sum behind a verifier", nil, evenSums, even},
+					} {
+						o := opts
+						o.Sink, o.KeyCheck = run.sink, run.check
+						res, err := join(o)
+						if err != nil {
+							t.Fatalf("%s into %s T=%d %v pooled=%v: %v", name, run.label, workers, mode, scratch != nil, err)
+						}
+						wantMax := run.want.Max
+						if run.sink != nil {
+							wantMax = 0 // Count keeps no sum
+						}
+						if res.Matches != run.want.Count || res.MaxSum != wantMax || res.Batch.Tuples != res.Matches {
+							t.Fatalf("%s into %s T=%d %v pooled=%v: (matches, max, batched) = (%d, %d, %d), reference (%d, %d)\n|R|=%d |S|=%d",
+								name, run.label, workers, mode, scratch != nil, res.Matches, res.MaxSum, res.Batch.Tuples,
+								run.want.Count, wantMax, len(rT), len(sT))
+						}
 					}
 				}
 			}
@@ -119,6 +170,12 @@ func TestHashJoinsMatchReference(t *testing.T) {
 			checkAgainstReference(t, tuplesOf(1000, c.r...), tuplesOf(5000, c.s...))
 		})
 	}
+	// Key i pairs build payload MaxUint64-199+i with probe payload i: the sums
+	// of keys 0–99 climb to MaxUint64-1, those of keys 100–199 wrap to small
+	// ones, so the largest sum is not the sum of the largest payloads.
+	t.Run("payload sums wrap", func(t *testing.T) {
+		checkAgainstReference(t, tuplesOf(maxKey-199, dense[:200]...), tuplesOf(0, dense[:200]...))
+	})
 }
 
 // FuzzHashJoinDifferential decodes a key distribution and two key lists from
@@ -167,16 +224,33 @@ func (c *cancelingCounter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 	c.cancel()
 }
 
+// canceledOnSecondPoll is a context that reports cancellation from its second
+// poll on: a probe loop, which polls before every block, meets it inside its
+// first block whether or not it hands anything to its sink before it ends.
+type canceledOnSecondPoll struct {
+	context.Context
+	polls int
+	done  chan struct{}
+}
+
+func (c *canceledOnSecondPoll) Done() <-chan struct{} {
+	if c.polls++; c.polls == 2 {
+		close(c.done)
+	}
+	return c.done
+}
+
 // TestProbeCancellationInsideBlock: a probe canceled mid-way stops at the next
 // block boundary, has delivered exactly the matches of the blocks it finished —
-// the partial batch included — and handed all three columns back to the lease.
+// the partial batch included — and handed all three columns back to the lease;
+// into a folding sink it has leased none.
 func TestProbeCancellationInsideBlock(t *testing.T) {
 	build := tuplesOf(0, 1, 2, 3, 2)
 	probe := make([]relation.Tuple, 3*cancelBlock)
 	for i := range probe {
 		probe[i] = relation.Tuple{Key: uint64(i % 5), Payload: uint64(i)}
 	}
-	var oracle mergejoin.Counter
+	var oracle mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(build, probe[:cancelBlock], &oracle)
 
 	pool := memory.NewPool(1 << 20)
@@ -187,7 +261,7 @@ func TestProbeCancellationInsideBlock(t *testing.T) {
 	defer cancel()
 	out := &cancelingCounter{cancel: cancel}
 	before := lease.Stats()
-	inspected := table.probe(ctx, probe, out, lease)
+	inspected := table.probe(ctx, probe, out, false, lease)
 	if out.Count != oracle.Count || out.Count%batch.DefaultSize == 0 {
 		t.Fatalf("canceled probe delivered %d pairs, want the first block's %d (not a whole number of batches)", out.Count, oracle.Count)
 	}
@@ -199,6 +273,27 @@ func TestProbeCancellationInsideBlock(t *testing.T) {
 	}
 	if after := lease.Stats(); after.Buffers != before.Buffers+6 || after.Reused != before.Reused+3 {
 		t.Fatalf("output columns not handed back: lease stats %+v → %+v", before, after)
+	}
+
+	// The loop that folds into max-sum or count meets a cancellation inside
+	// its first block the same way, hands over the pairs of that block alone,
+	// as one batch, and leases nothing.
+	for _, s := range []sink.Sink{sink.NewMaxSum(), sink.NewCount()} {
+		out := sink.Bind(s, 1, lease)
+		before := lease.Stats()
+		table.probe(&canceledOnSecondPoll{Context: context.Background(), done: make(chan struct{})}, probe, out.Writer(0), true, lease)
+		if err := out.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if batches, pairs := out.Batches(); out.Matches() != oracle.Count || batches != 1 || pairs != oracle.Count {
+			t.Fatalf("%T: canceled folding probe reported %d matches in %d batches of %d pairs, want the first block's %d in one", s, out.Matches(), batches, pairs, oracle.Count)
+		}
+		if _, maxSum := s.(*sink.MaxSum); maxSum && out.MaxSum() != oracle.Max {
+			t.Fatalf("canceled folding probe reported max sum %d, want the first block's %d", out.MaxSum(), oracle.Max)
+		}
+		if after := lease.Stats(); after != before {
+			t.Fatalf("%T: folding probe leased buffers: lease stats %+v → %+v", s, before, after)
+		}
 	}
 	lease.Release()
 

@@ -269,7 +269,7 @@ func TestSharedTableDirect(t *testing.T) {
 	build := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}, {Key: 1, Payload: 30}, {Key: 99, Payload: 40}}
 	for _, shared := range []bool{false, true} {
 		table := newChainTable(build, nil)
-		if len(table.heads) != 32 || len(table.next) != len(build) || &table.build[0] != &build[0] {
+		if len(table.heads) != 32 || len(table.next) != len(build)+1 || &table.build[0] != &build[0] {
 			t.Fatalf("table over %d tuples: %d heads, %d links, entries copied = %v",
 				len(build), len(table.heads), len(table.next), &table.build[0] != &build[0])
 		}
@@ -277,7 +277,7 @@ func TestSharedTableDirect(t *testing.T) {
 			t.Fatalf("shared=%v: uncontended insert reported %d retries", shared, retries)
 		}
 		var m mergejoin.Materializer
-		inspected := table.probe(context.Background(), []relation.Tuple{{Key: 1, Payload: 100}, {Key: 5}, {Key: 99, Payload: 7}}, &m, nil)
+		inspected := table.probe(context.Background(), []relation.Tuple{{Key: 1, Payload: 100}, {Key: 5}, {Key: 99, Payload: 7}}, &m, false, nil)
 		want := []mergejoin.JoinedTuple{{Key: 1, RPayload: 30, SPayload: 100}, {Key: 1, RPayload: 10, SPayload: 100}, {Key: 99, RPayload: 40, SPayload: 7}}
 		if !slices.Equal(m.Out, want) {
 			t.Fatalf("shared=%v: probe emitted %v, want %v", shared, m.Out, want)
@@ -305,7 +305,7 @@ func TestChainLengthBounded(t *testing.T) {
 		longest, used := 0, 0
 		for _, head := range table.heads {
 			length := 0
-			for idx := head; idx >= 0; idx = table.next[idx] {
+			for idx := head; idx != 0; idx = table.next[idx] {
 				length++
 			}
 			if length > 0 {
@@ -316,7 +316,7 @@ func TestChainLengthBounded(t *testing.T) {
 		if longest > 3 || used < n/2 {
 			t.Errorf("keys j<<%d: longest chain %d, %d of %d buckets used by %d keys", shift, longest, used, len(table.heads), n)
 		}
-		inspected := table.probe(context.Background(), build, &mergejoin.Counter{}, nil)
+		inspected := table.probe(context.Background(), build, &mergejoin.Counter{}, false, nil)
 		if inspected > 2*n {
 			t.Errorf("keys j<<%d: probing every key once inspected %d entries", shift, inspected)
 		}
@@ -344,8 +344,8 @@ func TestFoldProbeSentinel(t *testing.T) {
 		for j, b := range build {
 			for _, k := range []uint64{b.Key, uint64(j+n) << shift, b.Key} { // present twice, absent once
 				probe = append(probe, relation.Tuple{Key: k, Payload: uint64(j)})
-				for idx := table.heads[bucketOf(k, table.shift)]; idx >= 0; idx = table.next[idx] {
-					if want++; build[idx].Key == k {
+				for idx := table.heads[bucketOf(k, table.shift)]; idx != 0; idx = table.next[idx] {
+					if want++; build[idx-1].Key == k {
 						break
 					}
 				}

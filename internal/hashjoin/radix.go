@@ -101,8 +101,9 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 	// over its R partition, probed with the matching S partition, streaming
 	// matches into the executing worker's sink writer.
 	out := sink.BindChecked(o.Sink, workers, lease, o.KeyCheck)
+	folds := sink.FoldsRanges(o.Sink)
 	joinPair := func(p int, w *sched.Worker) {
-		joinPartition(ctx, rParts[p], sParts[p], out.Writer(w.ID()), lease)
+		joinPartition(ctx, rParts[p], sParts[p], out.Writer(w.ID()), folds, lease)
 		if tracker := w.Tracker(); tracker != nil {
 			// Reading the partitions is sequential, but they live wherever
 			// the partitioning phase placed them (interleaved across
@@ -288,13 +289,13 @@ func chargeInterleavedSeq(tracker *numa.Tracker, topo numa.Topology, n uint64) {
 // chain arrays are handed back as soon as the pair is joined, so concurrent
 // partition tasks recycle a handful of cache-sized buffers instead of
 // allocating one table per partition.
-func joinPartition(ctx context.Context, build, probe []relation.Tuple, out mergejoin.Consumer, lease *memory.Lease) {
+func joinPartition(ctx context.Context, build, probe []relation.Tuple, out mergejoin.Consumer, folds bool, lease *memory.Lease) {
 	if len(build) == 0 || len(probe) == 0 {
 		return
 	}
 	table := newChainTable(build, lease)
 	table.insert(0, len(build), false)
-	table.probe(ctx, probe, out, lease)
+	table.probe(ctx, probe, out, folds, lease)
 	table.release(lease)
 }
 

@@ -14,11 +14,12 @@ import (
 
 // chainTable is the chained hash table both joins build and probe: the shared
 // table of the no-partitioning join, the private per-pair table of the radix
-// join. The package comment gives the layout's reasons.
+// join. The package comment gives the layout's reasons. Entries are numbered
+// from 1, so that 0 — the zero value of a cleared array — ends a chain.
 type chainTable struct {
-	build []relation.Tuple // entry i is build[i], where it lies
-	heads []int32          // first entry of every bucket's chain, -1 if empty
-	next  []int32          // next[i] is the entry behind i in its chain, -1 ends it
+	build []relation.Tuple // entry i is build[i-1], where it lies
+	heads []int32          // first entry of every bucket's chain, 0 if empty
+	next  []int32          // next[i] is the entry behind i in its chain, 0 ends it
 	shift uint             // 64 − log2(len(heads)): a bucket is the product's top bits
 }
 
@@ -30,11 +31,9 @@ const headsPerTuple = 8
 // than MaxInt32 tuples never get here (validate).
 func newChainTable(build []relation.Tuple, lease *memory.Lease) chainTable {
 	heads := lease.Int32s(nextPow2(headsPerTuple * max(len(build), 1)))
-	for i := range heads {
-		heads[i] = -1
-	}
+	clear(heads)
 	shift := uint(64 - bits.TrailingZeros(uint(len(heads))))
-	return chainTable{build: build, heads: heads, next: lease.Int32s(len(build)), shift: shift}
+	return chainTable{build: build, heads: heads, next: lease.Int32s(len(build) + 1), shift: shift}
 }
 
 // release hands the table's arrays back for reuse within the same join.
@@ -60,7 +59,7 @@ func (t *chainTable) insert(lo, hi int, shared bool) (casRetries uint64) {
 	if !shared {
 		for i := lo; i < hi; i++ {
 			head := &t.heads[bucketOf(t.build[i].Key, t.shift)]
-			t.next[i], *head = *head, int32(i)
+			t.next[i+1], *head = *head, int32(i+1)
 		}
 		return 0
 	}
@@ -68,8 +67,8 @@ func (t *chainTable) insert(lo, hi int, shared bool) (casRetries uint64) {
 		head := &t.heads[bucketOf(t.build[i].Key, t.shift)]
 		for {
 			old := atomic.LoadInt32(head)
-			t.next[i] = old
-			if atomic.CompareAndSwapInt32(head, old, int32(i)) {
+			t.next[i+1] = old
+			if atomic.CompareAndSwapInt32(head, old, int32(i+1)) {
 				break
 			}
 			casRetries++
@@ -78,21 +77,34 @@ func (t *chainTable) insert(lo, hi int, shared bool) (casRetries uint64) {
 	return casRetries
 }
 
-// probe is the one probe loop: it walks the chain of every probe tuple's
-// bucket and appends each match's key and two payloads to three leased
-// columns, which cross the sink boundary through mergejoin.EmitColumns a batch
-// at a time, in probe order. It polls for cancellation every cancelBlock
-// tuples, delivers what it has matched until then either way, and returns the
-// number of entries inspected. The build must have passed its barrier.
-func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out mergejoin.Consumer, lease *memory.Lease) (inspected uint64) {
+// folder is the worker writer of a sink that keeps of its pairs only their
+// number and their largest payload sum: the max-sum and count sinks, which
+// sink.FoldsRanges names, behind no tie-break verifier.
+type folder interface {
+	ConsumeFold(pairs, maxSum uint64)
+}
+
+// probe walks the chain of every probe tuple's bucket and hands the matches to
+// out, in one of two loops. Where the join's sink folds (folds is
+// sink.FoldsRanges of it) and out takes folds — a tie-break verifier's writer
+// does not — probeFold forms no pair. Every other sink gets the pair loop:
+// each match's key and two payloads are appended to three leased columns,
+// which cross the sink boundary through mergejoin.EmitColumns a batch at a
+// time, in probe order. Both poll for cancellation every cancelBlock tuples,
+// deliver what they have matched until then either way, and return the number
+// of entries inspected. The build must have passed its barrier.
+func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out mergejoin.Consumer, folds bool, lease *memory.Lease) (inspected uint64) {
+	if f, ok := out.(folder); ok && folds {
+		return t.probeFold(ctx, probe, f)
+	}
 	keys, rp, sp := lease.Uint64s(batch.DefaultSize), lease.Uint64s(batch.DefaultSize), lease.Uint64s(batch.DefaultSize)
 	n := 0
 	build, heads, next, shift := t.build, t.heads, t.next, t.shift
 	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
 		for _, tup := range probe[lo:min(lo+cancelBlock, len(probe))] {
-			for idx := heads[bucketOf(tup.Key, shift)]; idx >= 0; idx = next[idx] {
+			for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
 				inspected++
-				if e := build[idx]; e.Key == tup.Key {
+				if e := build[idx-1]; e.Key == tup.Key {
 					keys[n], rp[n], sp[n] = e.Key, e.Payload, tup.Payload
 					if n++; n == len(keys) {
 						mergejoin.EmitColumns(out, keys, rp, sp)
@@ -111,6 +123,30 @@ func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out merg
 	return inspected
 }
 
+// probeFold is the probe loop behind a folding sink: it walks the same chains
+// but keeps the match count and the largest payload sum — mod 2^64, as
+// MaxAggregate computes it — in registers, and hands both to out once, as one
+// batch, when it ends. It leases nothing.
+func (t *chainTable) probeFold(ctx context.Context, probe []relation.Tuple, out folder) (inspected uint64) {
+	var pairs, best uint64
+	build, heads, next, shift := t.build, t.heads, t.next, t.shift
+	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
+		for _, tup := range probe[lo:min(lo+cancelBlock, len(probe))] {
+			for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
+				inspected++
+				if e := build[idx-1]; e.Key == tup.Key {
+					pairs++
+					best = max(best, e.Payload+tup.Payload)
+				}
+			}
+		}
+	}
+	if pairs > 0 {
+		out.ConsumeFold(pairs, best)
+	}
+	return inspected
+}
+
 // slotWords is the size in words of a groupjoin slot: a key, one worker's
 // count and value for it, and a pad that keeps the slot inside one cache line.
 const slotWords = 4
@@ -118,14 +154,14 @@ const slotWords = 4
 // foldProbe is the probe loop of the groupjoin, over a table whose keys are
 // distinct: a probe ends at its first entry, and a match forms no pair but
 // folds into the matched entry's slot, counting it and merging its payload
-// into the value under agg. Entry i's slot is slots[slotWords*(i+1):], holding
+// into the value under agg. Entry i's slot is slots[slotWords*i:], holding
 // the key it compares against beside the accumulator, so a match costs the
-// head's cache line and the slot's. Slot 0 is a sentinel — the slot of the
-// end of every chain, -1 — that takes each probe tuple's key before its walk:
-// every walk ends at a slot with the key, and a tuple without a partner folds
-// into the sentinel, so no branch depends on whether the key is there. It
-// polls for cancellation every cancelBlock tuples and returns the number of
-// entries inspected.
+// head's cache line and the slot's. Slot 0 is a sentinel — the slot of entry
+// 0, the end of every chain — that takes each probe tuple's key before its
+// walk: every walk ends at a slot with the key, and a tuple without a partner
+// folds into the sentinel, so no branch depends on whether the key is there.
+// It polls for cancellation every cancelBlock tuples and returns the number
+// of entries inspected.
 func (t *chainTable) foldProbe(ctx context.Context, probe []relation.Tuple, slots []uint64, agg sink.Agg) (inspected uint64) {
 	heads, next, shift := t.heads, t.next, t.shift
 	probed, unmatched := 0, slots[1]
@@ -134,11 +170,11 @@ func (t *chainTable) foldProbe(ctx context.Context, probe []relation.Tuple, slot
 		for _, tup := range block {
 			slots[0] = tup.Key
 			idx := heads[bucketOf(tup.Key, shift)]
-			for slots[slotWords*(int(idx)+1)] != tup.Key {
+			for slots[slotWords*int(idx)] != tup.Key {
 				idx = next[idx]
 				inspected++
 			}
-			slot := slots[slotWords*(int(idx)+1):][:3]
+			slot := slots[slotWords*int(idx):][:3]
 			slot[1]++
 			slot[2] = agg.Merge(slot[2], tup.Payload)
 		}

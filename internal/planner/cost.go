@@ -15,11 +15,12 @@ import (
 // because since the merge kernel emits ranges the second term decides more
 // joins than the first. B- and P-MPSM hand their consumer one range entry per
 // private key group and public run, key-ordered within every (private run,
-// public run) pair; the hash joins hand over pairs in probe order. A consumer
-// that folds range entries (the max-sum and count sinks, the group-by kernel
-// over a projection it knows by name) therefore does no per-pair work behind
-// an MPSM join and finalises one entry per key group and run instead of one
-// per probe tuple.
+// public run) pair; the hash joins hand over pairs in probe order, except to
+// the max-sum and count sinks, whose (count, max) their probe loop keeps
+// itself. A consumer that folds range entries (the max-sum and count sinks,
+// the group-by kernel over a projection it knows by name) therefore does no
+// per-pair work behind an MPSM join and finalises one entry per key group and
+// run instead of one per probe tuple.
 //
 // Constants are committed, not calibrated at start-up, so a template plans
 // the same on every launch. All are nanoseconds of one worker unless they say
@@ -141,8 +142,8 @@ type CostModel struct {
 
 	// HashOpPerTuple prices one operation on the chained table of the
 	// no-partitioning join — an insert, a lookup, or walking the chain to one
-	// match and appending it to the output columns of a folding sink — while
-	// the table is cache-resident; HashMissPerTuple phases in beyond
+	// match and folding it into the probe loop's (count, max) behind a folding
+	// sink — while the table is cache-resident; HashMissPerTuple phases in beyond
 	// HashCacheTuples build tuples (a build tuple takes 52 bytes of table:
 	// itself, 8 bucket heads and a chain link). Read on one worker, which is
 	// how the gate's joins run since the worker count is planned: the
@@ -152,7 +153,12 @@ type CostModel struct {
 	// ramp of four doublings from 2^15 build tuples. Two workers follow from
 	// the parallel terms: hashjoin.wisconsin_total_ms reads 0.22 ms on
 	// short_concurrent (modelled 0.24), 4.8 on query_mix (3.1–3.6 in the
-	// ladder, 3.2) and 39 on join_large (33–36, 34).
+	// ladder, 3.2) and 39 on join_large (33–36, 34). These readings are of a
+	// probe loop that still appended every match to three output columns; the
+	// loop that folds is cheaper per match, and the constants were not refitted
+	// to it: ExplainAnalyze of the 4 096 × 16 384 join into the max-sum sink,
+	// one worker, pooled, reads est_ms 0.157 against a median ms of 0.132 with
+	// the column loop and 0.089 with the fold (2-vCPU Xeon host).
 	HashOpPerTuple   float64
 	HashMissPerTuple float64
 	HashCacheTuples  float64
@@ -165,8 +171,10 @@ type CostModel struct {
 	// 29.7–32.9 and 59.8–65.1 ms). hashjoin.radix_total_ms, on two workers,
 	// reads 0.33 ms on short_concurrent (modelled 0.35), 7.1 on query_mix
 	// (4.1–4.8 in the ladder, 4.0) and 41.8 on join_large (30–36, 32). A match
-	// appended to the output columns and folded reads nearer 2 than 4 on its
-	// own; no whole-join reading resolves that.
+	// appended to the output columns and folded read nearer 2 than 4 on its
+	// own; no whole-join reading resolves that. All of it was read before the
+	// probe loop kept (count, max) itself, which is cheaper per match and not
+	// refitted (see HashOpPerTuple).
 	RadixPerTuple     float64
 	RadixMissPerTuple float64
 	RadixCacheTuples  float64
@@ -289,7 +297,8 @@ type Consumer struct {
 	// time: the built-in max-sum and count sinks and the group-by kernel over
 	// a projection it knows by name (sink.Value). Everything else — Collect
 	// feeding the next operator, a user sink, a group-by over a closure —
-	// has every pair formed.
+	// has every pair formed. Folds without Groups is a sink sink.FoldsRanges
+	// names, into which a hash join's probe loop folds too (Shape.Folded).
 	Folds bool
 	// Groups reports a group-by kernel, which finalises one entry per run of
 	// equal keys its writers saw.

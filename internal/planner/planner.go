@@ -89,18 +89,25 @@ type Constraints struct {
 type Shape struct {
 	// Ranges reports range entries — one per private key group and public
 	// run, key-ordered within every (private run, public run) pair — as B- and
-	// P-MPSM emit them; the hash joins emit pairs in probe order.
+	// P-MPSM emit them; the hash joins emit pairs in probe order unless they
+	// fold them (Folded).
 	Ranges bool
 	// Partitions, when positive, is the number of key ranges the output is
 	// partitioned into by writer: under static scheduling P-MPSM's worker w
 	// joins exactly splitter range w. Explain reports it; no operator starts
 	// from it yet (ROADMAP, "Measured dead ends").
 	Partitions int
+	// Folded reports a hash join that hands on no pairs: behind the max-sum or
+	// count sink (sink.FoldsRanges) and no tie-break verifier its probe loop
+	// keeps the match count and the largest payload sum itself.
+	Folded bool
 }
 
 // String renders the shape for Explain.
 func (s Shape) String() string {
 	switch {
+	case s.Folded:
+		return "folded (count, max)"
 	case !s.Ranges:
 		return "pairs, probe order"
 	case s.Partitions > 0:
@@ -110,12 +117,15 @@ func (s Shape) String() string {
 	}
 }
 
-// shapeOf is the output shape of an algorithm under a scheduling mode.
-func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int) Shape {
+// shapeOf is the output shape of an algorithm under a scheduling mode,
+// delivered to a consumer over inputs that may need the tie-break verifier.
+func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int, to Consumer, tieBreak bool) Shape {
 	sh := Shape{Ranges: emitsRanges(alg)}
 	if alg == exec.AlgorithmPMPSM && mode == sched.Static && workers > 1 {
 		sh.Partitions = workers
 	}
+	hash := alg == exec.AlgorithmWisconsin || alg == exec.AlgorithmRadix
+	sh.Folded = hash && to.Folds && !to.Groups && !tieBreak
 	return sh
 }
 
@@ -779,7 +789,8 @@ func (s *planState) decideJoin(id exec.NodeID) {
 	d.PresortedPrivate = n.JoinOptions.PresortedPrivate
 	d.PresortedPublic = n.JoinOptions.PresortedPublic
 	d.Workers, d.Bound = ch.Workers, ch.Bound
-	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, ch.Workers)
+	tieBreak := s.profiles[n.Inputs[0]].KeyTieBreak || s.profiles[n.Inputs[1]].KeyTieBreak
+	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, ch.Workers, c.Consumer, tieBreak)
 	d.EstMillis = costOf(ch.Costs, n.Algorithm)
 }
 

@@ -48,12 +48,16 @@ type Sink interface {
 // MaxSum, Count and Materialize writers implement it. MaxSum, Count and the
 // Groups kernel go one further and implement mergejoin.RangeConsumer: the
 // merge kernel hands them a key group × window at a time and no pair is ever
-// formed.
+// formed. Behind the hash joins MaxSum and Count take no batch of pairs
+// either: the probe loop folds them (FoldsRanges).
 type BatchWriter = mergejoin.BatchConsumer
 
 // FoldsRanges reports whether s is one of the built-in sinks whose writers
 // take merge output a range entry at a time (nil selects MaxSum, as in Bind):
 // behind B- and P-MPSM they do no per-pair work, which the planner prices.
+// They keep only a match count and the largest payload sum, so behind a
+// Wisconsin or radix join without a tie-break verifier the probe loop keeps
+// those two itself and hands them over once per probe (ConsumeFold).
 func FoldsRanges(s Sink) bool {
 	switch s.(type) {
 	case nil, *MaxSum, *Count:
@@ -207,6 +211,24 @@ func (c *countingWriter) ConsumeRanges(b *batch.Ranges) bool {
 	c.batches++
 	c.batchedPairs += b.Pairs
 	return true
+}
+
+// ConsumeFold takes pairs matches whose largest payload sum, mod 2^64, is
+// maxSum — all a sink FoldsRanges names keeps of them — as one batch of them:
+// a hash join's probe loop folds into these sinks without forming a pair. It
+// is for those sinks' writers only and panics on any other.
+func (c *countingWriter) ConsumeFold(pairs, maxSum uint64) {
+	switch w := c.inner.(type) {
+	case *mergejoin.MaxAggregate:
+		w.Merge(mergejoin.MaxAggregate{Count: pairs, Max: maxSum})
+	case *mergejoin.Counter:
+		w.Count += pairs
+	default:
+		panic("sink: ConsumeFold into a writer that keeps pairs")
+	}
+	c.count += pairs
+	c.batches++
+	c.batchedPairs += pairs
 }
 
 // checkingWriter interposes the tie-break verifier in front of a worker's

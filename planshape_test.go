@@ -150,6 +150,44 @@ func TestGateShapesPlanStably(t *testing.T) {
 	}
 }
 
+// TestHashJoinExplainsWhatItHandsOn: the 4 096 × 16 384 join into the default
+// sink — auto-planned onto a hash join, or pinned to either — hands on no
+// pairs, because its probe loop folds them into (count, max), and so does it
+// into the count sink; into a sink that keeps pairs it hands on pairs in probe
+// order.
+func TestHashJoinExplainsWhatItHandsOn(t *testing.T) {
+	cat := gateCatalog(1)
+	configs := map[string][]Option{
+		"auto":      {WithAutoPlan(true)},
+		"Wisconsin": {WithAlgorithm(Wisconsin)},
+		"Radix HJ":  {WithAlgorithm(RadixHash)},
+	}
+	for name, opts := range configs {
+		for _, c := range []struct {
+			sink Sink
+			want string
+		}{
+			{nil, "folded (count, max)"},
+			{NewCountSink(), "folded (count, max)"},
+			{NewMaterializeSink(), "pairs, probe order"},
+		} {
+			p := NewPlan()
+			p.Sink(p.Join(p.Scan(cat["r"]), p.Scan(cat["s"])), c.sink)
+			ex, err := New(WithWorkers(2)).Explain(p, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			join := ex.Nodes[2]
+			if join.Algorithm != Wisconsin.String() && join.Algorithm != RadixHash.String() {
+				t.Fatalf("%s: the join runs on %s, want a hash join\n%s", name, join.Algorithm, ex)
+			}
+			if join.Output != c.want || !strings.Contains(ex.String(), "→ "+c.want) {
+				t.Errorf("%s into %T: the join hands on %q, want %q\n%s", name, c.sink, join.Output, c.want, ex)
+			}
+		}
+	}
+}
+
 // TestWorkerCountGrowsWithTheInput: under either bound, a larger join never
 // gets fewer workers than a smaller one of the same shape — |R| × 4|R| foreign
 // keys into the max-sum sink, |R| doubling from 4 096 to 524 288 — the
