@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/faultinject"
 )
 
 // chaosWorkload runs healthy and fault-injected queries concurrently against
@@ -195,6 +197,38 @@ func TestChaosLeaseAllocFaultContained(t *testing.T) {
 	}
 	if _, err := engine.Join(context.Background(), r, s); err != nil {
 		t.Fatalf("engine unusable after contained allocation failure: %v", err)
+	}
+}
+
+// TestChaosLeaseFaultReachesEveryAlgorithm arms the lease-allocation fault on
+// every draw and runs each algorithm into the default max-sum sink and into a
+// materializing one: whichever element type an algorithm draws first — tuples,
+// ints, int32 hash slots or uint64 columns — the fault must fire, the join must
+// fail with it, and the pool must come out intact with no lease left out.
+func TestChaosLeaseFaultReachesEveryAlgorithm(t *testing.T) {
+	r := GenerateUniform("R", 1000, 10)
+	s := GenerateForeignKey("S", r, 4000, 11)
+	for _, alg := range []Algorithm{PMPSM, BMPSM, DMPSM, Wisconsin, RadixHash} {
+		for name, snk := range map[string]func() Sink{
+			"default":     func() Sink { return nil },
+			"materialize": func() Sink { return NewMaterializeSink() },
+		} {
+			engine := New(WithScratchPool(true), WithWorkers(2))
+			f := NewFaultSet(uint64(alg)).Enable(FaultLeaseAlloc, 1)
+			_, err := engine.Join(context.Background(), r, s,
+				WithAlgorithm(alg), WithSink(snk()), WithFaultInjection(f))
+			var inj *faultinject.Injected
+			if !errors.As(err, &inj) || inj.Point != faultinject.LeaseAlloc {
+				t.Errorf("%v/%s: join returned %v, want an injected lease-allocation fault", alg, name, err)
+			}
+			st, _ := engine.PoolStats()
+			if st.ActiveLeases != 0 {
+				t.Errorf("%v/%s: ActiveLeases = %d after the failed join", alg, name, st.ActiveLeases)
+			}
+			if err := engine.pool.CheckIntegrity(); err != nil {
+				t.Errorf("%v/%s: pool integrity: %v", alg, name, err)
+			}
+		}
 	}
 }
 

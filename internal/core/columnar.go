@@ -34,8 +34,9 @@ import (
 // histogram, and once by the scatter that deinterleaves keys and payloads
 // into the run's own buffers. Everything after that, the payload gather
 // included, is random access inside the run and the sort's bucket scratch,
-// which the sort leases (with a permutation column instead if the keys are
-// too wide to pack) and hands back before it returns.
+// which the sort leases (a tuple buffer of the chunk's size instead if the
+// keys are too wide to pack: the row sort runs there and is deinterleaved
+// into the run) and hands back before it returns.
 //
 // srcNode is the NUMA node the source chunk resides on (the input relation is
 // assumed to be range-chunked over the nodes); the run itself is allocated on

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -92,23 +93,42 @@ func TestInjectedLeaseAllocPanics(t *testing.T) {
 	}
 }
 
+// TestCheckIntegrityDetectsCorruptedFreeList replaces one parked buffer with a
+// wrong-class slice, on each of the four shelves in turn; the audit must name
+// the misplaced buffer.
 func TestCheckIntegrityDetectsCorruptedFreeList(t *testing.T) {
-	p := NewPool(1 << 24)
-	l := p.Acquire()
-	l.Tuples(100)
-	l.Release()
-	// Corrupt a parked buffer's capacity by replacing it with a wrong-class
-	// slice; the audit must notice.
-	p.mu.Lock()
-	for c := range p.tuples {
-		if len(p.tuples[c]) > 0 {
-			p.tuples[c][0] = p.tuples[c][0][:0:1]
-			break
+	for name, corrupt := range map[string]func(*shelves){
+		"tuples":  func(s *shelves) { corruptShelf(&s.tuples) },
+		"ints":    func(s *shelves) { corruptShelf(&s.ints) },
+		"int32s":  func(s *shelves) { corruptShelf(&s.int32s) },
+		"uint64s": func(s *shelves) { corruptShelf(&s.uint64s) },
+	} {
+		p := NewPool(1 << 24)
+		l := p.Acquire()
+		l.Tuples(100)
+		l.Ints(100)
+		l.Int32s(100)
+		l.Uint64s(100)
+		l.Release()
+		if err := p.CheckIntegrity(); err != nil {
+			t.Fatalf("%s: clean pool failed the audit: %v", name, err)
+		}
+		p.mu.Lock()
+		corrupt(&p.free)
+		p.mu.Unlock()
+		if err := p.CheckIntegrity(); err == nil || !strings.Contains(err.Error(), "parked in class") {
+			t.Fatalf("%s: CheckIntegrity missed a wrong-class buffer: %v", name, err)
 		}
 	}
-	p.mu.Unlock()
-	if err := p.CheckIntegrity(); err == nil {
-		t.Fatal("CheckIntegrity missed a corrupted free-list buffer")
+}
+
+// corruptShelf swaps the first parked buffer for a capacity-1 slice of it.
+func corruptShelf[T any](s *shelf[T]) {
+	for c := range s {
+		if len(s[c]) > 0 {
+			s[c][0] = s[c][0][:0:1]
+			return
+		}
 	}
 }
 

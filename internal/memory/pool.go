@@ -18,6 +18,10 @@
 // reuse (for example, per-partition hash tables in the radix join) bypasses
 // the shared lock.
 //
+// Each element type's free lists are one generic shelf indexed by size class;
+// one generic path draws, hands back, parks and audits every shelf, and the
+// typed Lease methods only pick theirs (Ints also zeroes what it reuses).
+//
 // All methods are nil-safe on both *Pool and *Lease: a nil receiver degrades
 // to plain make(), so call sites thread a lease unconditionally and the pool
 // remains strictly opt-in.
@@ -29,6 +33,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"repro/internal/faultinject"
 	"repro/internal/relation"
@@ -46,25 +51,15 @@ var ErrOverCommitted = errors.New("memory: reservation exceeds the pool's admiss
 // workload can strand.
 const DefaultLimitBytes = 512 << 20
 
-const (
-	tupleSize  = 16 // unsafe.Sizeof(relation.Tuple{})
-	intSize    = 8
-	int32Size  = 4
-	uint64Size = 8
-)
-
 // Pool is a size-classed scratch-buffer pool shared by all joins of one
 // Engine. The zero value is not usable; create pools with NewPool. A nil
 // *Pool is valid and disables pooling.
 type Pool struct {
-	mu      sync.Mutex
-	limit   int64
-	held    int64 // bytes currently parked in free lists
-	tuples  [classCount][][]relation.Tuple
-	ints    [classCount][][]int
-	int32s  [classCount][][]int32
-	uint64s [classCount][][]uint64
-	stats   PoolStats
+	mu    sync.Mutex
+	limit int64
+	held  int64 // bytes currently parked in free lists
+	free  shelves
+	stats PoolStats
 
 	// Admission-control state: outstanding per-query reservations against
 	// reserveLimit, and the set of checked-out leases for per-query
@@ -78,6 +73,42 @@ type Pool struct {
 // classCount covers size classes up to 2^62 elements; class c holds buffers
 // with capacity exactly 2^c.
 const classCount = 63
+
+// shelf is the free lists of one element type, indexed by size class.
+type shelf[T any] [classCount][][]T
+
+// shelves holds one shelf per element type the pool serves.
+type shelves struct {
+	tuples  shelf[relation.Tuple]
+	ints    shelf[int]
+	int32s  shelf[int32]
+	uint64s shelf[uint64]
+}
+
+// pop takes the most recently parked buffer of class c off the shelf.
+func (s *shelf[T]) pop(c int) ([]T, bool) {
+	list := s[c]
+	if len(list) == 0 {
+		return nil, false
+	}
+	s[c] = list[:len(list)-1]
+	return list[len(list)-1], true
+}
+
+// push parks buf in its size class. A buffer whose capacity is not a power of
+// two is foreign and dropped, rather than poisoning a class with an undersized
+// buffer.
+func (s *shelf[T]) push(buf []T) {
+	if c := exactClass(cap(buf)); c >= 0 {
+		s[c] = append(s[c], buf[:cap(buf)])
+	}
+}
+
+// capBytes is the memory a buffer holds: its capacity in bytes.
+func capBytes[T any](buf []T) int64 {
+	var zero T
+	return int64(cap(buf)) * int64(unsafe.Sizeof(zero))
+}
 
 // PoolStats are cumulative counters of a pool's behaviour.
 type PoolStats struct {
@@ -312,6 +343,15 @@ func sizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// exactClass returns the size class of a capacity that must be a power of two
+// (as all pool buffers are), or -1 for foreign buffers.
+func exactClass(capacity int) int {
+	if capacity&(capacity-1) != 0 {
+		return -1
+	}
+	return bits.Len(uint(capacity)) - 1
+}
+
 // LeaseStats summarize the scratch traffic of one join execution; the join's
 // Result reports them.
 type LeaseStats struct {
@@ -336,19 +376,35 @@ type Lease struct {
 	// poisoned marks the lease's buffers as possibly mid-write garbage from a
 	// panicked query; Release quarantines them instead of parking them.
 	poisoned bool
-	// all tracks every buffer checked out from the pool or freshly
-	// allocated, for bulk return on Release.
-	allTuples  [][]relation.Tuple
-	allInts    [][]int
-	allInt32s  [][]int32
-	allUint64s [][]uint64
-	// free lists hold buffers handed back early via Put* for intra-join
-	// reuse; the buffers remain tracked in the all lists.
-	freeTuples  [classCount][][]relation.Tuple
-	freeInts    [classCount][][]int
-	freeInt32s  [classCount][][]int32
-	freeUint64s [classCount][][]uint64
-	stats       LeaseStats
+	// out tracks every buffer checked out from the pool or freshly allocated,
+	// for bulk return on Release.
+	out checkedOut
+	// free holds buffers handed back early via Put* for intra-join reuse;
+	// the buffers remain tracked in out.
+	free  shelves
+	stats LeaseStats
+}
+
+// checkedOut is every buffer a lease holds, per element type.
+type checkedOut struct {
+	tuples  [][]relation.Tuple
+	ints    [][]int
+	int32s  [][]int32
+	uint64s [][]uint64
+}
+
+// bytes is the total capacity of the buffers, in bytes.
+func (o *checkedOut) bytes() int64 {
+	return sumBytes(o.tuples) + sumBytes(o.ints) + sumBytes(o.int32s) + sumBytes(o.uint64s)
+}
+
+// sumBytes is the total capacity of bufs, in bytes.
+func sumBytes[T any](bufs [][]T) int64 {
+	var total int64
+	for _, buf := range bufs {
+		total += capBytes(buf)
+	}
+	return total
 }
 
 // InjectFaults arms the lease's allocation fault-injection point and returns
@@ -385,15 +441,13 @@ func (l *Lease) Stats() LeaseStats {
 	return l.stats
 }
 
-// Tuples returns a tuple buffer of length n. The contents are unspecified —
-// callers must fully overwrite the buffer (run copies, scatters and hash
-// inserts all do).
-func (l *Lease) Tuples(n int) []relation.Tuple {
-	if l == nil {
-		return make([]relation.Tuple, n)
-	}
+// draw is every typed draw of a non-nil lease: a buffer of length n from the
+// lease's own shelf, else from the pool's, else freshly made, tracked in out
+// unless it was the lease's already. It reports whether the buffer was reused.
+// n == 0 yields nil.
+func draw[T any](l *Lease, own, pooled *shelf[T], out *[][]T, n int) ([]T, bool) {
 	if n == 0 {
-		return nil
+		return nil, false
 	}
 	// The injection must fire before taking l.mu: a panic while holding the
 	// lease lock would deadlock the deferred Release. Poison first, so the
@@ -407,21 +461,49 @@ func (l *Lease) Tuples(n int) []relation.Tuple {
 	}
 	c := sizeClass(n)
 	l.mu.Lock()
-	if list := l.freeTuples[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		l.freeTuples[c] = list[:len(list)-1]
-		l.note(c, tupleSize, true)
-		l.mu.Unlock()
-		return buf[:n]
-	}
-	buf, hit := l.pool.getTuples(c)
+	defer l.mu.Unlock()
+	buf, hit := own.pop(c)
 	if !hit {
-		buf = make([]relation.Tuple, 1<<c)
+		p := l.pool
+		p.mu.Lock()
+		p.stats.Gets++
+		if buf, hit = pooled.pop(c); hit {
+			p.held -= capBytes(buf)
+			p.stats.Hits++
+		} else {
+			p.stats.Misses++
+		}
+		p.mu.Unlock()
+		if !hit {
+			buf = make([]T, 1<<c)
+		}
+		*out = append(*out, buf)
 	}
-	l.allTuples = append(l.allTuples, buf)
-	l.note(c, tupleSize, hit)
+	l.stats.Buffers++
+	if hit {
+		l.stats.Reused++
+	}
+	l.stats.Bytes += capBytes(buf)
+	return buf[:n], hit
+}
+
+// handBack parks a buffer on a non-nil lease's own shelf for reuse within the
+// same join; the buffer stays tracked for Release.
+func handBack[T any](l *Lease, own *shelf[T], buf []T) {
+	l.mu.Lock()
+	own.push(buf)
 	l.mu.Unlock()
-	return buf[:n]
+}
+
+// Tuples returns a tuple buffer of length n. The contents are unspecified —
+// callers must fully overwrite the buffer (run copies, scatters and hash
+// inserts all do).
+func (l *Lease) Tuples(n int) []relation.Tuple {
+	if l == nil {
+		return make([]relation.Tuple, n)
+	}
+	buf, _ := draw(l, &l.free.tuples, &l.pool.free.tuples, &l.out.tuples, n)
+	return buf
 }
 
 // Ints returns a zeroed int buffer of length n, ready for use as a histogram
@@ -430,27 +512,8 @@ func (l *Lease) Ints(n int) []int {
 	if l == nil {
 		return make([]int, n)
 	}
-	if n == 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	l.mu.Lock()
-	var buf []int
-	hit := true
-	if list := l.freeInts[c]; len(list) > 0 {
-		buf = list[len(list)-1]
-		l.freeInts[c] = list[:len(list)-1]
-	} else {
-		buf, hit = l.pool.getInts(c)
-		if !hit {
-			buf = make([]int, 1<<c)
-		}
-		l.allInts = append(l.allInts, buf)
-	}
-	l.note(c, intSize, hit)
-	l.mu.Unlock()
-	buf = buf[:n]
-	if hit {
+	buf, reused := draw(l, &l.free.ints, &l.pool.free.ints, &l.out.ints, n)
+	if reused {
 		clear(buf)
 	}
 	return buf
@@ -462,25 +525,8 @@ func (l *Lease) Int32s(n int) []int32 {
 	if l == nil {
 		return make([]int32, n)
 	}
-	if n == 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if list := l.freeInt32s[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		l.freeInt32s[c] = list[:len(list)-1]
-		l.note(c, int32Size, true)
-		return buf[:n]
-	}
-	buf, hit := l.pool.getInt32s(c)
-	if !hit {
-		buf = make([]int32, 1<<c)
-	}
-	l.allInt32s = append(l.allInt32s, buf)
-	l.note(c, int32Size, hit)
-	return buf[:n]
+	buf, _ := draw(l, &l.free.int32s, &l.pool.free.int32s, &l.out.int32s, n)
+	return buf
 }
 
 // Uint64s returns a uint64 buffer of length n, the element type of the
@@ -491,34 +537,38 @@ func (l *Lease) Uint64s(n int) []uint64 {
 	if l == nil {
 		return make([]uint64, n)
 	}
-	if n == 0 {
-		return nil
-	}
-	c := sizeClass(n)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if list := l.freeUint64s[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		l.freeUint64s[c] = list[:len(list)-1]
-		l.note(c, uint64Size, true)
-		return buf[:n]
-	}
-	buf, hit := l.pool.getUint64s(c)
-	if !hit {
-		buf = make([]uint64, 1<<c)
-	}
-	l.allUint64s = append(l.allUint64s, buf)
-	l.note(c, uint64Size, hit)
-	return buf[:n]
+	buf, _ := draw(l, &l.free.uint64s, &l.pool.free.uint64s, &l.out.uint64s, n)
+	return buf
 }
 
-// note updates the lease counters; the caller holds l.mu.
-func (l *Lease) note(class int, elemSize int64, reused bool) {
-	l.stats.Buffers++
-	if reused {
-		l.stats.Reused++
+// PutTuples hands a buffer obtained from Tuples back to the lease for reuse
+// within the same join (the buffer is still returned to the pool on Release).
+// No-op on a nil lease or nil buffer.
+func (l *Lease) PutTuples(buf []relation.Tuple) {
+	if l != nil {
+		handBack(l, &l.free.tuples, buf)
 	}
-	l.stats.Bytes += (int64(1) << class) * elemSize
+}
+
+// PutInts is PutTuples for int buffers.
+func (l *Lease) PutInts(buf []int) {
+	if l != nil {
+		handBack(l, &l.free.ints, buf)
+	}
+}
+
+// PutInt32s is PutTuples for int32 buffers.
+func (l *Lease) PutInt32s(buf []int32) {
+	if l != nil {
+		handBack(l, &l.free.int32s, buf)
+	}
+}
+
+// PutUint64s is PutTuples for uint64 buffers.
+func (l *Lease) PutUint64s(buf []uint64) {
+	if l != nil {
+		handBack(l, &l.free.uint64s, buf)
+	}
 }
 
 // attribution reports the lease's owning query label and its in-use bytes —
@@ -530,87 +580,7 @@ func (l *Lease) attribution() (label string, footprint int64, ok bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, buf := range l.allTuples {
-		footprint += int64(cap(buf)) * tupleSize
-	}
-	for _, buf := range l.allInts {
-		footprint += int64(cap(buf)) * intSize
-	}
-	for _, buf := range l.allInt32s {
-		footprint += int64(cap(buf)) * int32Size
-	}
-	for _, buf := range l.allUint64s {
-		footprint += int64(cap(buf)) * uint64Size
-	}
-	return l.owner.label, footprint, true
-}
-
-// PutTuples hands a buffer obtained from Tuples back to the lease for reuse
-// within the same join (the buffer is still returned to the pool on Release).
-// No-op on a nil lease or nil buffer.
-func (l *Lease) PutTuples(buf []relation.Tuple) {
-	if l == nil || cap(buf) == 0 {
-		return
-	}
-	c := exactClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	l.mu.Lock()
-	l.freeTuples[c] = append(l.freeTuples[c], buf[:cap(buf)])
-	l.mu.Unlock()
-}
-
-// PutInts is PutTuples for int buffers.
-func (l *Lease) PutInts(buf []int) {
-	if l == nil || cap(buf) == 0 {
-		return
-	}
-	c := exactClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	l.mu.Lock()
-	l.freeInts[c] = append(l.freeInts[c], buf[:cap(buf)])
-	l.mu.Unlock()
-}
-
-// PutInt32s is PutTuples for int32 buffers.
-func (l *Lease) PutInt32s(buf []int32) {
-	if l == nil || cap(buf) == 0 {
-		return
-	}
-	c := exactClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	l.mu.Lock()
-	l.freeInt32s[c] = append(l.freeInt32s[c], buf[:cap(buf)])
-	l.mu.Unlock()
-}
-
-// PutUint64s is PutTuples for uint64 buffers.
-func (l *Lease) PutUint64s(buf []uint64) {
-	if l == nil || cap(buf) == 0 {
-		return
-	}
-	c := exactClass(cap(buf))
-	if c < 0 {
-		return
-	}
-	l.mu.Lock()
-	l.freeUint64s[c] = append(l.freeUint64s[c], buf[:cap(buf)])
-	l.mu.Unlock()
-}
-
-// exactClass returns the size class of a capacity that must be a power of two
-// (as all pool buffers are), or -1 for foreign buffers, which are silently
-// dropped rather than poisoning a class with an undersized buffer.
-func exactClass(capacity int) int {
-	if capacity&(capacity-1) != 0 {
-		return -1
-	}
-	return bits.Len(uint(capacity)) - 1
+	return l.owner.label, l.out.bytes(), true
 }
 
 // Release returns every buffer of the lease to the pool, subject to the
@@ -622,43 +592,56 @@ func (l *Lease) Release() {
 		return
 	}
 	l.mu.Lock()
-	poisoned := l.poisoned
-	tuples, ints, int32s, uint64s := l.allTuples, l.allInts, l.allInt32s, l.allUint64s
-	l.allTuples, l.allInts, l.allInt32s, l.allUint64s = nil, nil, nil, nil
-	for c := range l.freeTuples {
-		l.freeTuples[c], l.freeInts[c], l.freeInt32s[c], l.freeUint64s[c] = nil, nil, nil, nil
-	}
+	poisoned, out := l.poisoned, l.out
+	l.out, l.free = checkedOut{}, shelves{}
 	l.mu.Unlock()
 	if poisoned {
-		l.pool.quarantine(l, tuples, ints, int32s, uint64s)
+		l.pool.quarantine(l, &out)
 		return
 	}
-	l.pool.put(l, tuples, ints, int32s, uint64s)
+	l.pool.put(l, &out)
 }
 
 // quarantine retires a poisoned lease without parking any of its buffers:
 // the lease leaves the active set (so reservations and lease counts do not
 // leak), the buffers go to the garbage collector, and the quarantine counters
 // record the event for the pool-integrity audit.
-func (p *Pool) quarantine(l *Lease, tuples [][]relation.Tuple, ints [][]int, int32s [][]int32, uint64s [][]uint64) {
-	var bytes int64
-	for _, buf := range tuples {
-		bytes += int64(cap(buf)) * tupleSize
-	}
-	for _, buf := range ints {
-		bytes += int64(cap(buf)) * intSize
-	}
-	for _, buf := range int32s {
-		bytes += int64(cap(buf)) * int32Size
-	}
-	for _, buf := range uint64s {
-		bytes += int64(cap(buf)) * uint64Size
-	}
+func (p *Pool) quarantine(l *Lease, out *checkedOut) {
+	bytes := out.bytes()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	delete(p.leases, l)
 	p.stats.PoisonedLeases++
 	p.stats.QuarantinedBytes += bytes
+}
+
+// put returns a lease's buffers to the free lists, dropping buffers beyond
+// the byte limit so the garbage collector reclaims them, and retires the
+// lease from the active set.
+func (p *Pool) put(l *Lease, out *checkedOut) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.leases, l)
+	park(p, &p.free.tuples, out.tuples)
+	park(p, &p.free.ints, out.ints)
+	park(p, &p.free.int32s, out.int32s)
+	park(p, &p.free.uint64s, out.uint64s)
+	p.stats.PeakHeldBytes = max(p.stats.PeakHeldBytes, p.held)
+}
+
+// park puts bufs on one of the pool's shelves while they fit under the byte
+// limit and counts a discard for every one that does not; the caller holds
+// p.mu.
+func park[T any](p *Pool, s *shelf[T], bufs [][]T) {
+	for _, buf := range bufs {
+		size := capBytes(buf)
+		if p.held+size > p.limit {
+			p.stats.Discards++
+			continue
+		}
+		s.push(buf)
+		p.held += size
+	}
 }
 
 // CheckIntegrity audits the pool's internal accounting: every parked buffer
@@ -674,31 +657,13 @@ func (p *Pool) CheckIntegrity() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var held int64
-	for c := 0; c < classCount; c++ {
-		for _, buf := range p.tuples[c] {
-			if cap(buf) != 1<<c {
-				return fmt.Errorf("memory: tuple buffer of capacity %d parked in class %d", cap(buf), c)
-			}
-			held += int64(cap(buf)) * tupleSize
-		}
-		for _, buf := range p.ints[c] {
-			if cap(buf) != 1<<c {
-				return fmt.Errorf("memory: int buffer of capacity %d parked in class %d", cap(buf), c)
-			}
-			held += int64(cap(buf)) * intSize
-		}
-		for _, buf := range p.int32s[c] {
-			if cap(buf) != 1<<c {
-				return fmt.Errorf("memory: int32 buffer of capacity %d parked in class %d", cap(buf), c)
-			}
-			held += int64(cap(buf)) * int32Size
-		}
-		for _, buf := range p.uint64s[c] {
-			if cap(buf) != 1<<c {
-				return fmt.Errorf("memory: uint64 buffer of capacity %d parked in class %d", cap(buf), c)
-			}
-			held += int64(cap(buf)) * uint64Size
-		}
+	if err := errors.Join(
+		audit(&p.free.tuples, &held),
+		audit(&p.free.ints, &held),
+		audit(&p.free.int32s, &held),
+		audit(&p.free.uint64s, &held),
+	); err != nil {
+		return err
 	}
 	if held != p.held {
 		return fmt.Errorf("memory: parked-byte accounting drifted: tracked %d bytes, free lists hold %d", p.held, held)
@@ -719,118 +684,16 @@ func (p *Pool) CheckIntegrity() error {
 	return nil
 }
 
-// getTuples pops a tuple buffer of the class from the shared free list.
-func (p *Pool) getTuples(c int) ([]relation.Tuple, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Gets++
-	if list := p.tuples[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		p.tuples[c] = list[:len(list)-1]
-		p.held -= int64(cap(buf)) * tupleSize
-		p.stats.Hits++
-		return buf, true
-	}
-	p.stats.Misses++
-	return nil, false
-}
-
-// getInts pops an int buffer of the class from the shared free list.
-func (p *Pool) getInts(c int) ([]int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Gets++
-	if list := p.ints[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		p.ints[c] = list[:len(list)-1]
-		p.held -= int64(cap(buf)) * intSize
-		p.stats.Hits++
-		return buf, true
-	}
-	p.stats.Misses++
-	return nil, false
-}
-
-// getInt32s pops an int32 buffer of the class from the shared free list.
-func (p *Pool) getInt32s(c int) ([]int32, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Gets++
-	if list := p.int32s[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		p.int32s[c] = list[:len(list)-1]
-		p.held -= int64(cap(buf)) * int32Size
-		p.stats.Hits++
-		return buf, true
-	}
-	p.stats.Misses++
-	return nil, false
-}
-
-// getUint64s pops a uint64 buffer of the class from the shared free list.
-func (p *Pool) getUint64s(c int) ([]uint64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Gets++
-	if list := p.uint64s[c]; len(list) > 0 {
-		buf := list[len(list)-1]
-		p.uint64s[c] = list[:len(list)-1]
-		p.held -= int64(cap(buf)) * uint64Size
-		p.stats.Hits++
-		return buf, true
-	}
-	p.stats.Misses++
-	return nil, false
-}
-
-// put returns a lease's batch of buffers to the free lists, dropping buffers
-// beyond the byte limit so the garbage collector reclaims them, and retires
-// the lease from the active set.
-func (p *Pool) put(l *Lease, tuples [][]relation.Tuple, ints [][]int, int32s [][]int32, uint64s [][]uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.leases, l)
-	for _, buf := range tuples {
-		size := int64(cap(buf)) * tupleSize
-		if p.held+size > p.limit {
-			p.stats.Discards++
-			continue
+// audit checks that every buffer on a shelf sits in its exact size class and
+// adds their bytes to held.
+func audit[T any](s *shelf[T], held *int64) error {
+	for c, list := range s {
+		for _, buf := range list {
+			if cap(buf) != 1<<c {
+				return fmt.Errorf("memory: %T buffer of capacity %d parked in class %d", buf, cap(buf), c)
+			}
+			*held += capBytes(buf)
 		}
-		c := exactClass(cap(buf))
-		p.tuples[c] = append(p.tuples[c], buf[:cap(buf)])
-		p.held += size
 	}
-	for _, buf := range ints {
-		size := int64(cap(buf)) * intSize
-		if p.held+size > p.limit {
-			p.stats.Discards++
-			continue
-		}
-		c := exactClass(cap(buf))
-		p.ints[c] = append(p.ints[c], buf[:cap(buf)])
-		p.held += size
-	}
-	for _, buf := range int32s {
-		size := int64(cap(buf)) * int32Size
-		if p.held+size > p.limit {
-			p.stats.Discards++
-			continue
-		}
-		c := exactClass(cap(buf))
-		p.int32s[c] = append(p.int32s[c], buf[:cap(buf)])
-		p.held += size
-	}
-	for _, buf := range uint64s {
-		size := int64(cap(buf)) * uint64Size
-		if p.held+size > p.limit {
-			p.stats.Discards++
-			continue
-		}
-		c := exactClass(cap(buf))
-		p.uint64s[c] = append(p.uint64s[c], buf[:cap(buf)])
-		p.held += size
-	}
-	if p.held > p.stats.PeakHeldBytes {
-		p.stats.PeakHeldBytes = p.held
-	}
+	return nil
 }

@@ -123,7 +123,8 @@ func (c *Collect) Rows() []relation.Tuple { return c.rows }
 
 // tupleBuffer is one worker's projection buffer, growing by doubling in
 // leased space and handing outgrown buffers straight back for intra-join
-// reuse. A nil projection is DefaultProjection, inlined.
+// reuse; a nil lease allocates. A nil projection is DefaultProjection,
+// inlined. Materialize's pairWriter stores pairs in it unprojected.
 type tupleBuffer struct {
 	project Projection
 	lease   *memory.Lease

@@ -347,7 +347,7 @@ func (c *Count) Total() uint64 { return c.total }
 // which the caller keeps — is freshly allocated.
 type Materialize struct {
 	lease *memory.Lease
-	parts []*pairBuffer
+	parts []*pairWriter
 	pairs []Pair
 }
 
@@ -359,9 +359,9 @@ func (m *Materialize) SetScratch(lease *memory.Lease) { m.lease = lease }
 
 // Open implements Sink.
 func (m *Materialize) Open(workers int) {
-	m.parts = make([]*pairBuffer, workers)
+	m.parts = make([]*pairWriter, workers)
 	for w := range m.parts {
-		m.parts[w] = &pairBuffer{lease: m.lease}
+		m.parts[w] = &pairWriter{tupleBuffer{lease: m.lease}}
 	}
 	m.pairs = nil
 }
@@ -373,11 +373,14 @@ func (m *Materialize) Writer(w int) mergejoin.Consumer { return m.parts[w] }
 func (m *Materialize) Close() error {
 	total := 0
 	for _, p := range m.parts {
-		total += p.len()
+		total += p.n / 2
 	}
 	m.pairs = make([]Pair, 0, total)
 	for _, p := range m.parts {
-		m.pairs = p.appendTo(m.pairs)
+		buf := p.tuples()
+		for i := 0; i < len(buf); i += 2 {
+			m.pairs = append(m.pairs, Pair{R: buf[i], S: buf[i+1]})
+		}
 		p.release()
 	}
 	return nil
@@ -397,88 +400,26 @@ func (m *Materialize) Relation(name string) *relation.Relation {
 	return relation.New(name, tuples)
 }
 
-// pairBuffer is one worker's materialization buffer. Without a lease it is a
-// plain growing pair slice; with a lease it stores pairs as two consecutive
-// tuples in leased buffers, growing by doubling and handing outgrown buffers
-// straight back for intra-join reuse.
-type pairBuffer struct {
-	lease *memory.Lease
-	pairs []Pair           // plain mode
-	buf   []relation.Tuple // leased mode: r at 2i, s at 2i+1
-	n     int              // leased mode: tuples used in buf
-}
-
-// initialPairBufferTuples sizes the first leased buffer (2048 tuples =
-// 32 KiB); joins emitting fewer than 1024 pairs per worker never regrow.
-const initialPairBufferTuples = 2048
+// pairWriter is one worker's Materialize buffer: Collect's tupleBuffer, with
+// a pair stored as two consecutive tuples, r then s, in emission order.
+type pairWriter struct{ tupleBuffer }
 
 // Consume implements mergejoin.Consumer.
-func (b *pairBuffer) Consume(r, s relation.Tuple) {
-	if b.lease == nil {
-		b.pairs = append(b.pairs, Pair{R: r, S: s})
-		return
-	}
-	if b.n+2 > len(b.buf) {
-		grown := b.lease.Tuples(max(initialPairBufferTuples, 2*len(b.buf)))
-		copy(grown, b.buf[:b.n])
-		b.lease.PutTuples(b.buf)
-		b.buf = grown
-	}
-	b.buf[b.n] = r
-	b.buf[b.n+1] = s
-	b.n += 2
+func (w *pairWriter) Consume(r, s relation.Tuple) {
+	w.reserve(2)
+	w.buf[w.n], w.buf[w.n+1] = r, s
+	w.n += 2
 }
 
 // ConsumeColumns implements BatchWriter: capacity is ensured once per batch,
 // then the columns are interleaved into the buffer in one pass.
-func (b *pairBuffer) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	if b.lease == nil {
-		for i := range keys {
-			b.pairs = append(b.pairs, Pair{
-				R: relation.Tuple{Key: keys[i], Payload: rPayloads[i]},
-				S: relation.Tuple{Key: keys[i], Payload: sPayloads[i]},
-			})
-		}
-		return
-	}
-	need := 2 * len(keys)
-	for b.n+need > len(b.buf) {
-		grown := b.lease.Tuples(max(initialPairBufferTuples, 2*len(b.buf)))
-		copy(grown, b.buf[:b.n])
-		b.lease.PutTuples(b.buf)
-		b.buf = grown
-	}
-	for i := range keys {
-		b.buf[b.n] = relation.Tuple{Key: keys[i], Payload: rPayloads[i]}
-		b.buf[b.n+1] = relation.Tuple{Key: keys[i], Payload: sPayloads[i]}
-		b.n += 2
-	}
-}
-
-// len returns the number of buffered pairs.
-func (b *pairBuffer) len() int {
-	if b.lease == nil {
-		return len(b.pairs)
-	}
-	return b.n / 2
-}
-
-// appendTo appends the buffered pairs to dst in emission order.
-func (b *pairBuffer) appendTo(dst []Pair) []Pair {
-	if b.lease == nil {
-		return append(dst, b.pairs...)
-	}
-	for i := 0; i < b.n; i += 2 {
-		dst = append(dst, Pair{R: b.buf[i], S: b.buf[i+1]})
-	}
-	return dst
-}
-
-// release hands the leased buffer back for reuse.
-func (b *pairBuffer) release() {
-	if b.lease != nil && b.buf != nil {
-		b.lease.PutTuples(b.buf)
-		b.buf, b.n = nil, 0
+func (w *pairWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
+	w.reserve(2 * len(keys))
+	dst := w.buf[w.n : w.n+2*len(keys)]
+	w.n += len(dst)
+	for i, k := range keys {
+		dst[2*i] = relation.Tuple{Key: k, Payload: rPayloads[i]}
+		dst[2*i+1] = relation.Tuple{Key: k, Payload: sPayloads[i]}
 	}
 }
 

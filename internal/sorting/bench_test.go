@@ -42,7 +42,8 @@ func denseCluster(n int, seed int64) []relation.Tuple {
 // (SortTuplesIntoColumns) per tuple over the key distributions that decide
 // its cost — uniform 32-bit keys, clustered 80:20 skew on a 2^20 domain, a
 // dense cluster in a 32-bit domain (the one shape here whose buckets need
-// more than one counting pass), a 2^10-key domain (duplicate-heavy) and
+// more than one counting pass), a 2^10-key domain (duplicate-heavy), full
+// 64-bit keys (too wide to pack: the row sort plus a deinterleave) and
 // presorted input — alone and with one sorter per CPU, the way the phases of
 // P-MPSM run it: every sorter has a chunk of n tuples of its own, so the
 // sorters share the memory system but no source, and ns/tuple is over one
@@ -57,6 +58,7 @@ func BenchmarkRunGeneration(b *testing.B) {
 		{"clustered-skew", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }},
 		{"dense-cluster", func(n, s int) []relation.Tuple { return denseCluster(n, int64(5+10*s)) }},
 		{"domain-2^10", func(n, s int) []relation.Tuple { return makeTuples(n, int64(3+10*s), 1<<10) }},
+		{"full-width", func(n, s int) []relation.Tuple { return makeTuples(n, int64(6+10*s), 0) }},
 		{"presorted", func(n, s int) []relation.Tuple {
 			tuples := makeTuples(n, int64(4+10*s), 1<<32)
 			SortStdlib(tuples)

@@ -24,9 +24,10 @@ func stdlibOracle(input []relation.Tuple) []relation.Tuple {
 // checkColumnsAgainstStdlib verifies a columnar sort output against the
 // stdlib oracle (want = stdlibOracle(input)). When the input packs
 // (packedIndexBits) the sort is stable by construction, so the output must
-// equal the stable order pair for pair; on the tandem fallback equal keys may
-// land in any order, so the keys must match position by position and the
-// (key, payload) pairs be a multiset-permutation of the input.
+// equal the stable order pair for pair; full-width keys take the row sort,
+// which is not stable, so equal keys may land in any order: there the keys
+// must match position by position and the (key, payload) pairs be a
+// multiset-permutation of the input.
 func checkColumnsAgainstStdlib(t *testing.T, name string, input, want []relation.Tuple, keys, pays []uint64) {
 	t.Helper()
 	if len(keys) != len(want) || len(pays) != len(want) {
@@ -175,7 +176,7 @@ func TestSortColumnsOversizedBucket(t *testing.T) {
 
 // TestSortColumnsPackBoundary pins both sides of the packedIndexBits
 // boundary — the widest keys that still pack, and the narrowest that take the
-// tandem fallback — plus full-width keys.
+// row-sort fallback — plus full-width keys.
 func TestSortColumnsPackBoundary(t *testing.T) {
 	for _, n := range []int{100, 5000} {
 		idxBits := bits.Len(uint(n - 1))
@@ -199,9 +200,10 @@ func TestSortColumnsPackBoundary(t *testing.T) {
 	}
 }
 
-// TestSortColumnsTandemRecursion drives the tandem fallback through several
-// in-place radix levels: full-width keys that agree on their top four bytes.
-func TestSortColumnsTandemRecursion(t *testing.T) {
+// TestSortColumnsWideKeysRecurseInPlace drives the row sort's in-place radix
+// levels from the columnar entry points: full-width keys that agree on their
+// top four bytes, so every level below the first scatter recurses.
+func TestSortColumnsWideKeysRecurseInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	input := make([]relation.Tuple, 20000)
 	for i := range input {
@@ -212,13 +214,20 @@ func TestSortColumnsTandemRecursion(t *testing.T) {
 
 // countingScratch is a Scratch that records what it hands out.
 type countingScratch struct {
-	perms, permsBack int   // Int32s / PutInt32s calls
-	words            []int // size of every Uint64s request
-	wordsBack        int   // PutUint64s calls
+	tuples, tuplesBack int   // Tuples / PutTuples calls
+	words              []int // size of every Uint64s request
+	wordsBack          int   // PutUint64s calls
 }
 
-func (s *countingScratch) Int32s(n int) []int32 { s.perms++; return make([]int32, n) }
-func (s *countingScratch) PutInt32s([]int32)    { s.permsBack++ }
+func (s *countingScratch) Tuples(n int) []relation.Tuple {
+	s.tuples++
+	buf := make([]relation.Tuple, n)
+	for i := range buf {
+		buf[i] = relation.Tuple{Key: math.MaxUint64, Payload: math.MaxUint64} // leased memory arrives dirty
+	}
+	return buf
+}
+func (s *countingScratch) PutTuples([]relation.Tuple) { s.tuplesBack++ }
 func (s *countingScratch) Uint64s(n int) []uint64 {
 	s.words = append(s.words, n)
 	buf := make([]uint64, n)
@@ -229,28 +238,28 @@ func (s *countingScratch) Uint64s(n int) []uint64 {
 }
 func (s *countingScratch) PutUint64s([]uint64) { s.wordsBack++ }
 
-// TestSortTuplesIntoColumnsLeasesPermLazily pins that the permutation scratch
-// is acquired only by the tandem fallback and the bucket scratch only by the
-// packed path, and that each returns what it took.
-func TestSortTuplesIntoColumnsLeasesPermLazily(t *testing.T) {
+// TestSortTuplesIntoColumnsLeasesTuplesLazily pins that the tuple scratch is
+// acquired only on the full-width path and the bucket scratch only on the
+// packed path, and that each is handed back before the sort returns.
+func TestSortTuplesIntoColumnsLeasesTuplesLazily(t *testing.T) {
 	for _, n := range []int{100, 5000} {
 		keys, pays := make([]uint64, n), make([]uint64, n)
 		var scratch countingScratch
 		SortTuplesIntoColumns(makeTuples(n, 1, 1<<32), keys, pays, &scratch)
-		if scratch.perms != 0 {
-			t.Fatalf("n=%d: packed path leased a permutation column", n)
+		if scratch.tuples != 0 {
+			t.Fatalf("n=%d: packed path leased a tuple scratch", n)
 		}
 		if len(scratch.words) != 1 || scratch.wordsBack != 1 {
 			t.Fatalf("n=%d: packed path leased %d bucket scratches, returned %d", n, len(scratch.words), scratch.wordsBack)
 		}
 		wide := makeTuples(n, 2, 0)
 		SortTuplesIntoColumns(wide, keys, pays, &scratch)
-		checkColumnsAgainstStdlib(t, "tandem", wide, stdlibOracle(wide), keys, pays)
-		if scratch.perms != 1 || scratch.permsBack != 1 {
-			t.Fatalf("n=%d: tandem fallback leased %d, returned %d permutation columns", n, scratch.perms, scratch.permsBack)
+		checkColumnsAgainstStdlib(t, "full-width", wide, stdlibOracle(wide), keys, pays)
+		if scratch.tuples != 1 || scratch.tuplesBack != 1 {
+			t.Fatalf("n=%d: full-width path leased %d, returned %d tuple scratches", n, scratch.tuples, scratch.tuplesBack)
 		}
 		if len(scratch.words) != 1 {
-			t.Fatalf("n=%d: tandem fallback leased a bucket scratch", n)
+			t.Fatalf("n=%d: full-width path leased a bucket scratch", n)
 		}
 	}
 }
@@ -302,8 +311,9 @@ func fuzzShape(data []byte) []relation.Tuple {
 
 // FuzzSortColumnsDifferential fuzzes the columnar sorts against the stable
 // stdlib sort over the shapes fuzzShape decodes: the seeds put every tuple in
-// one stage-1 bucket, repeat one key and two keys, and leave exactly one of
-// the 256 buckets empty.
+// one stage-1 bucket, repeat one key and two keys, leave exactly one of the
+// 256 buckets empty, and tile full-width duplicates past l2Values through the
+// row-sort fallback.
 func FuzzSortColumnsDifferential(f *testing.F) {
 	shaped := func(shift, extra, stride byte, keys ...uint64) []byte {
 		data := []byte{shift, extra, stride}
@@ -325,7 +335,8 @@ func FuzzSortColumnsDifferential(f *testing.F) {
 			allButOne = append(allButOne, b<<8|b)
 		}
 	}
-	f.Add(shaped(0, 255, 0, allButOne...)) // bucket 7 of 256 stays empty
+	f.Add(shaped(0, 255, 0, allButOne...))                     // bucket 7 of 256 stays empty
+	f.Add(shaped(0, 200, 1, 1<<63|5, 1<<63|5, math.MaxUint64)) // full-width duplicates past l2Values
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sortBothWays(t, "fuzz", fuzzShape(data))
 	})

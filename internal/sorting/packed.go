@@ -50,7 +50,7 @@ import (
 //
 // The fallback condition is exact: packing applies iff the maximum key and
 // the index width together fit in 64 bits, so full-width keys (the string and
-// composite encodings) take the tandem key/perm path of columns.go.
+// composite encodings) take the row sort and a deinterleave (columns.go).
 
 // packedIndexBits returns the low-bit width needed to address n positions
 // and whether key<<idxBits|index packing fits in 64 bits for maxKey.

@@ -6,13 +6,14 @@
 // index — the paper's 32-bit domains always do — take the packed kernel of
 // packed.go: one out-of-place MSD scatter, then stable counting passes over
 // the key bits only, which skew and duplicates cannot slow down. Keys too
-// wide to pack take the tandem key/perm sort of columns.go, built from the
-// routine below.
+// wide to pack are sorted as tuples by the row path below and deinterleaved
+// into the columns afterwards (columns.go).
 //
-// The row path (Sort, SortWithMax, SortInto) serves D-MPSM's paged runs, the
-// benchmark probes and the test oracles — B-MPSM and P-MPSM sort columns for
-// every join kind. It is the paper's hardware-conscious routine, generalized from
-// its single radix level to a cache-conscious multi-level MSD radix sort:
+// The row path (Sort, SortWithMax, SortInto) serves D-MPSM's paged runs,
+// full-width keys on the columnar path, the benchmark probes and the test
+// oracles — B-MPSM and P-MPSM sort columns for every join kind. It is the
+// paper's hardware-conscious routine, generalized from its single radix level
+// to a cache-conscious multi-level MSD radix sort:
 //
 //  1. In-place MSD radix partitioning on successive 8-bit digits of the
 //     (normalized) join key, American-flag style: a 256-bucket histogram per
@@ -110,6 +111,16 @@ func SortWithMax(tuples []relation.Tuple, maxKey uint64) {
 // pass; the remaining levels run in place within dst. Like Sort it is not
 // stable.
 func SortInto(src, dst []relation.Tuple) {
+	var maxKey uint64
+	if len(src) > minRadixSize {
+		maxKey = maxKeyOf(src)
+	}
+	sortIntoWithMax(src, dst, maxKey)
+}
+
+// sortIntoWithMax is SortInto under SortWithMax's contract: maxKey must be >=
+// every key in src. Inputs that are a single leaf ignore it.
+func sortIntoWithMax(src, dst []relation.Tuple, maxKey uint64) {
 	dst = dst[:len(src)]
 	if len(src) <= minRadixSize {
 		copy(dst, src)
@@ -117,7 +128,6 @@ func SortInto(src, dst []relation.Tuple) {
 		return
 	}
 
-	maxKey := maxKeyOf(src)
 	shift := topShift(maxKey)
 
 	var histogram [radixBuckets]int
