@@ -278,6 +278,10 @@ type joinRequest struct {
 	Label string `json:"label,omitempty"`
 }
 
+// maxJoinWorkers is the largest worker count the engine runs a join on; a
+// request for more is the client's error, not the join's.
+const maxJoinWorkers = 1 << 16
+
 // joinResponse is the evaluation-query result plus timing.
 type joinResponse struct {
 	Matches     uint64  `json:"matches"`
@@ -302,6 +306,11 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if !sOK {
 		writeError(w, http.StatusNotFound, "unknown relation %q", req.S)
+		return
+	}
+
+	if req.Workers > maxJoinWorkers {
+		writeError(w, http.StatusBadRequest, "workers %d exceeds the supported maximum %d", req.Workers, maxJoinWorkers)
 		return
 	}
 

@@ -92,15 +92,16 @@ func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestColumnarBatchCounters pins when Result.Batch reports traffic: B-MPSM,
-// P-MPSM and the hash joins (which always batch their probe output) must
-// report every match of an inner join as batched.
+// TestColumnarBatchCounters pins when Result.Batch reports traffic: every
+// join hands its sink range batches and nothing else — B-, P- and D-MPSM from
+// the merge kernel, the hash joins from their probe loop — so every algorithm
+// must report every match of an inner join as batched.
 func TestColumnarBatchCounters(t *testing.T) {
 	r := GenerateUniform("R", 1000, 207)
 	s := GenerateForeignKey("S", r, 4000, 208)
 	engine := New(WithWorkers(4))
 
-	for _, alg := range []Algorithm{BMPSM, PMPSM, Wisconsin, RadixHash} {
+	for _, alg := range allAlgorithms {
 		res, err := engine.Join(context.Background(), r, s, WithAlgorithm(alg))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)

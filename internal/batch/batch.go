@@ -15,23 +15,26 @@
 //
 // Column buffers are leased from the engine's scratch pool (internal/memory)
 // like every other hot-path buffer, so the columnar path stays allocation-free
-// in steady state. Merge output is batched as Ranges: one entry per private
-// key group naming the contiguous window of the public run it joins with —
-// what sorted runs give a merge join for free. Consumers that can fold a
-// whole group × window (aggregates, counters) do so in O(m+n) and never see
-// a pair; for the others the kernel expands the entries into a Columns
-// triple, so the sink boundary is crossed once per batch either way.
+// in steady state. Join output is batched as Ranges, the one form every join
+// hands its sink: one entry per private key group naming the contiguous
+// window of the public run it joins with — what sorted runs give a merge join
+// for free — or, behind a hash probe, per matching probe tuple. Consumers that
+// can fold a whole group × window (aggregates, counters) do so in O(m+n) and
+// never see a pair; the others walk the batch's pairs (All), so the sink
+// boundary is crossed once per batch either way.
 package batch
 
 import (
+	"iter"
+
 	"repro/internal/memory"
 	"repro/internal/relation"
 )
 
-// DefaultSize is the default batch size, in range entries and in expanded
-// tuples: 1024 keep a batch's three uint64 columns (24 KiB) or its four index
-// columns (16 KiB) inside a typical 32–48 KiB L1 data cache while amortizing
-// the per-batch sink call.
+// DefaultSize is the default batch size, in range entries and in the pairs a
+// hash probe gathers: 1024 keep a batch's four index columns (16 KiB) or a
+// probe's three gather columns (24 KiB) inside a typical 32–48 KiB L1 data
+// cache while amortizing the per-batch sink call.
 const DefaultSize = 1024
 
 // Run is a sorted worker-local run in columnar form: the key column in
@@ -71,56 +74,83 @@ func (r *Run) Tuples(dst []relation.Tuple) []relation.Tuple {
 	return dst
 }
 
-// Columns is one batch of matched join output in columnar form: the join key
-// and the two payload columns of up to Size matches. All three slices share
-// one length.
-type Columns struct {
-	Keys      []uint64
-	RPayloads []uint64
-	SPayloads []uint64
-}
-
-// Ranges is one batch of merge-join output in range form. Entry x pairs every
+// Ranges is one batch of join output in range form. Entry x pairs every
 // private tuple in [I[x], IEnd[x]) — one key group of the private run — with
 // every public tuple in [Lo[x], Hi[x]), the group's window of the public run:
-// its equal-key group when Band is 0, the keys within Band of the group's key
-// otherwise. Neither side of an entry is empty, and the four index columns
-// share one length.
+// its equal-key group in an equi-join, the keys within the band of the
+// group's key in a band join. Neither side of an entry is empty, and the four
+// index columns share one length. A pair is the private tuple
+// (RKeys[a], RPayloads[a]) and the public tuple (SKeys[c], SPayloads[c]),
+// each under its own key.
 //
 // The outer, semi and anti joins classify private key groups rather than
 // pair them, and report each classified group as an entry too: its window is
-// [0, 1) of the null run, a one-tuple public run {0, 0}, in a batch marked
-// Null. A consumer that folds entries needs no case for it — the group's
-// pairs are (r, zero tuple) — and one that takes pairs is handed exactly
-// those.
+// [0, 1) of the null run, a one-tuple public run {0, 0}. A consumer needs no
+// case for it — the group's pairs are (r, zero tuple). A hash probe gathers
+// every match's key, build payload and probe payload into three columns — the
+// key column serves both sides — and cuts them into one entry
+// [I, IEnd) × [I, I+1) per matching probe tuple: its build matches against
+// the probe tuple, which each of them carries.
 type Ranges struct {
 	// RKeys/RPayloads are the private run the entries index, SKeys/SPayloads
 	// the public one.
 	RKeys, RPayloads []uint64
 	SKeys, SPayloads []uint64
-	// Band is the join's band width; 0 means every pair of an entry shares
-	// its key, unless the batch is Null.
-	Band uint64
-	// Null marks a batch against the null run: the public side of every pair
-	// is the zero tuple, whatever the private key.
-	Null            bool
-	I, IEnd, Lo, Hi []int32
+	I, IEnd, Lo, Hi  []int32
 	// Pairs is the number of pairs the entries stand for: the sum of their
-	// m·n. The kernel keeps it as it emits, so no consumer has to take a pass
-	// over the entries just to count.
+	// m·n. The producer counts it as it emits (Head), so no consumer has to
+	// take a pass over the entries just to count.
 	Pairs uint64
 }
 
-// Scratch bundles the per-worker columnar scratch of one merge kernel: the
-// index columns of its range batches and, for consumers that take no ranges,
-// the gather columns the entries expand into. All buffers come from the
-// join's lease and are handed back by Close for intra-join reuse.
+// All yields every pair of the batch, entry by entry and private tuple by
+// private tuple — the order the row kernels emit pairs in. A batch whose
+// entries are one pair each (Pairs counts them: a hash probe's on foreign
+// keys, a merge of unique keys) is walked without the per-entry loops, which
+// on such entries cost as much again as the walk itself.
+func (b *Ranges) All() iter.Seq2[relation.Tuple, relation.Tuple] {
+	return func(yield func(r, s relation.Tuple) bool) {
+		if b.Pairs == uint64(len(b.I)) {
+			los := b.Lo[:len(b.I)]
+			for x, i := range b.I {
+				c := los[x]
+				if !yield(relation.Tuple{Key: b.RKeys[i], Payload: b.RPayloads[i]}, relation.Tuple{Key: b.SKeys[c], Payload: b.SPayloads[c]}) {
+					return
+				}
+			}
+			return
+		}
+		for x, i := range b.I {
+			lo, hi := b.Lo[x], b.Hi[x]
+			for a := i; a < b.IEnd[x]; a++ {
+				r := relation.Tuple{Key: b.RKeys[a], Payload: b.RPayloads[a]}
+				for c := lo; c < hi; c++ {
+					if !yield(r, relation.Tuple{Key: b.SKeys[c], Payload: b.SPayloads[c]}) {
+						return
+					}
+				}
+			}
+		}
+	}
+}
+
+// Head cuts the batch to its first n entries, which stand for pairs pairs,
+// and returns it. A producer writes the entries through index slices of its
+// own, taken at full length before the first cut.
+func (b *Ranges) Head(n int, pairs uint64) *Ranges {
+	b.I, b.IEnd, b.Lo, b.Hi = b.I[:n], b.IEnd[:n], b.Lo[:n], b.Hi[:n]
+	b.Pairs = pairs
+	return b
+}
+
+// Scratch is the per-worker index scratch of one merge kernel: the four index
+// columns of its range batches, leased from the join's lease and handed back
+// by Close for intra-join reuse.
 type Scratch struct {
 	lease  *memory.Lease
 	size   int
 	idx    []int32 // backs the four index columns
 	ranges Ranges
-	out    Columns // leased by the first expansion
 }
 
 // NewScratch leases kernel scratch for batches of size entries (size <= 0
@@ -135,28 +165,16 @@ func NewScratch(size int, lease *memory.Lease) *Scratch {
 // Cap returns the batch capacity in entries.
 func (s *Scratch) Cap() int { return s.size }
 
-// Ranges returns the scratch's range batch pointed at the runs of one kernel
-// call, its index columns at full capacity. The batch is reused by the next
-// call: consumers must not retain it.
-func (s *Scratch) Ranges(rKeys, rPays, sKeys, sPays []uint64, band uint64) *Ranges {
+// Ranges returns the scratch's range batch pointed at the columns of one
+// kernel call, its index columns at full capacity. The batch is reused by the
+// next call: consumers must not retain it.
+func (s *Scratch) Ranges(rKeys, rPays, sKeys, sPays []uint64) *Ranges {
 	n := s.size
 	s.ranges = Ranges{
-		RKeys: rKeys, RPayloads: rPays, SKeys: sKeys, SPayloads: sPays, Band: band,
+		RKeys: rKeys, RPayloads: rPays, SKeys: sKeys, SPayloads: sPays,
 		I: s.idx[:n], IEnd: s.idx[n : 2*n], Lo: s.idx[2*n : 3*n], Hi: s.idx[3*n : 4*n],
 	}
 	return &s.ranges
-}
-
-// Columns returns the gather columns entries expand into, Cap() tuples each.
-func (s *Scratch) Columns() *Columns {
-	if s.out.Keys == nil {
-		s.out = Columns{
-			Keys:      s.lease.Uint64s(s.size),
-			RPayloads: s.lease.Uint64s(s.size),
-			SPayloads: s.lease.Uint64s(s.size),
-		}
-	}
-	return &s.out
 }
 
 // Close hands the scratch buffers back to the lease for reuse by the next
@@ -166,9 +184,6 @@ func (s *Scratch) Close() {
 		return
 	}
 	s.lease.PutInt32s(s.idx)
-	s.lease.PutUint64s(s.out.Keys)
-	s.lease.PutUint64s(s.out.RPayloads)
-	s.lease.PutUint64s(s.out.SPayloads)
 	*s = Scratch{}
 }
 

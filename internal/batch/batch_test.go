@@ -23,8 +23,8 @@ func TestSize(t *testing.T) {
 		if got := sc.Cap(); got != tc.want {
 			t.Fatalf("NewScratch(%d).Cap() = %d, want %d", tc.in, got, tc.want)
 		}
-		if b := sc.Ranges(nil, nil, nil, nil, 0); len(b.I) != tc.want || len(b.Hi) != tc.want || b.Null {
-			t.Fatalf("NewScratch(%d): range batch of %d entries (null=%v), want %d", tc.in, len(b.I), b.Null, tc.want)
+		if b := sc.Ranges(nil, nil, nil, nil); len(b.I) != tc.want || len(b.Hi) != tc.want {
+			t.Fatalf("NewScratch(%d): range batch of %d entries, want %d", tc.in, len(b.I), tc.want)
 		}
 		sc.Close()
 	}
@@ -74,31 +74,24 @@ func TestScratchLifecycle(t *testing.T) {
 		t.Fatalf("Cap = %d, want DefaultSize", sc.Cap())
 	}
 	keys := []uint64{1, 2}
-	b := sc.Ranges(keys, keys, keys[:1], keys[:1], 7)
+	b := sc.Ranges(keys, keys, keys[:1], keys[:1])
 	for _, col := range [][]int32{b.I, b.IEnd, b.Lo, b.Hi} {
 		if len(col) != DefaultSize {
 			t.Fatalf("index column sized %d, want %d", len(col), DefaultSize)
 		}
 	}
 	b.I[DefaultSize-1], b.IEnd[0] = 1, 2 // the four columns must not alias
-	if b.IEnd[0] != 2 || b.I[DefaultSize-1] != 1 || b.Band != 7 || len(b.RKeys) != 2 || len(b.SKeys) != 1 {
+	if b.IEnd[0] != 2 || b.I[DefaultSize-1] != 1 || len(b.RKeys) != 2 || len(b.SKeys) != 1 {
 		t.Fatalf("range batch does not describe the call: %+v", b)
-	}
-	if got := sc.Columns(); len(got.Keys) != DefaultSize || len(got.RPayloads) != DefaultSize || len(got.SPayloads) != DefaultSize {
-		t.Fatalf("gather columns sized %d, want %d", len(got.Keys), DefaultSize)
 	}
 	sc.Close()
 	sc.Close() // double Close and nil receiver are safe
 	(*Scratch)(nil).Close()
 
-	// Pooled lease: buffers flow back and are reused by the next scratch; the
-	// gather columns are only leased by the first expansion.
+	// Pooled lease: the index buffer flows back and is reused by the next
+	// scratch.
 	lease := memory.NewPool(0).Acquire()
 	sc = NewScratch(512, lease)
-	if sc.out.Keys != nil {
-		t.Fatal("gather columns leased before any expansion")
-	}
-	first := &sc.Columns().Keys[0]
 	firstIdx := &sc.idx[0]
 	sc.Close()
 	sc2 := NewScratch(512, lease)
@@ -106,15 +99,47 @@ func TestScratchLifecycle(t *testing.T) {
 	if &sc2.idx[0] != firstIdx {
 		t.Fatal("closed scratch index buffer was not reused by the next lease")
 	}
-	cols := sc2.Columns()
-	reused := false
-	for _, col := range [][]uint64{cols.Keys, cols.RPayloads, cols.SPayloads} {
-		if &col[0] == first {
-			reused = true
+}
+
+// TestRangesHeadAndAll: Head cuts a batch that was filled through full-length
+// index slices, again and again, and All walks the cut batch's pairs entry by
+// entry and private tuple by private tuple, each tuple under its own key.
+func TestRangesHeadAndAll(t *testing.T) {
+	rKeys, rPays := []uint64{5, 5, 9}, []uint64{50, 51, 90}
+	sKeys, sPays := []uint64{4, 5, 6, 0}, []uint64{40, 41, 42, 0}
+	b := NewScratch(4, nil).Ranges(rKeys, rPays, sKeys, sPays)
+	is, iEnds, los, his := b.I, b.IEnd, b.Lo, b.Hi
+	type pair struct{ r, s relation.Tuple }
+	walk := func(b *Ranges) (out []pair) {
+		for r, s := range b.All() {
+			out = append(out, pair{r, s})
+		}
+		return out
+	}
+	is[0], iEnds[0], los[0], his[0] = 0, 2, 0, 2 // band: {5, 5} × {4, 5}
+	is[1], iEnds[1], los[1], his[1] = 2, 3, 3, 4 // null run: {9} × {0}
+	got := walk(b.Head(2, 5))
+	want := []pair{
+		{relation.Tuple{Key: 5, Payload: 50}, relation.Tuple{Key: 4, Payload: 40}},
+		{relation.Tuple{Key: 5, Payload: 50}, relation.Tuple{Key: 5, Payload: 41}},
+		{relation.Tuple{Key: 5, Payload: 51}, relation.Tuple{Key: 4, Payload: 40}},
+		{relation.Tuple{Key: 5, Payload: 51}, relation.Tuple{Key: 5, Payload: 41}},
+		{relation.Tuple{Key: 9, Payload: 90}, relation.Tuple{}},
+	}
+	if len(b.I) != 2 || b.Pairs != 5 || len(got) != len(want) {
+		t.Fatalf("Head(2, 5): %d entries, %d pairs, walked %v", len(b.I), b.Pairs, got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pair %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if !reused {
-		t.Fatal("closed scratch column was not reused by the next lease")
+	is[0], iEnds[0], los[0], his[0] = 2, 3, 2, 3 // the next batch, one entry
+	if got := walk(b.Head(1, 1)); len(got) != 1 || got[0].s.Payload != 42 || len(b.Hi) != 1 {
+		t.Fatalf("second Head: walked %v", got)
+	}
+	for range b.All() {
+		break // an early exit stops the walk
 	}
 }
 

@@ -28,7 +28,7 @@ func oraclePairs(r, s *relation.Relation, band uint64) ([]sink.Pair, mergejoin.M
 // TestBandJoinsMatchOracleOnColumnRuns: B-MPSM and P-MPSM band joins — which
 // run on column runs through the range kernel, whatever BatchSize says —
 // produce the brute-force oracle's multiset of pairs (materialized: ranges
-// expanded pair by pair with both keys) and its count and max-sum (default
+// walked pair by pair with both keys) and its count and max-sum (default
 // sink: ranges folded), under both schedulers, for worker counts from one to
 // more than there are tuples, with morsels and batches small enough to cut
 // runs, key groups and windows everywhere; and for keys at both ends of the

@@ -20,9 +20,9 @@ import (
 // phase over it, for every join kind: the range-emitting kernel of
 // internal/mergejoin scans contiguous key columns, a band is one more
 // parameter of that kernel, and the outer, semi and anti kinds are a
-// mergejoin.Marker between the kernel and the sink writer. D-MPSM pages
-// []Tuple runs through the simulated disk and is the one algorithm of this
-// package on the row kernels.
+// mergejoin.Marker between the kernel and the sink writer. D-MPSM generates
+// the same runs, spills them to the simulated disk as pages of key and
+// payload columns, and joins every page with the same kernel.
 
 // sortChunkIntoColumnRun sorts one chunk of the input relation into a
 // worker-local column run whose buffers come from the join's scratch lease
@@ -153,7 +153,7 @@ func (m *matcher) run(ctx context.Context, rt *sched.Runtime, phase string) time
 // checked per public run, the chunk unit of the merge loop; a cancelled
 // marker emits no classification.
 func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64, node int, public []*batch.Run, sc *batch.Scratch) {
-	cons := m.out.Writer(w.ID())
+	var cons mergejoin.RangeConsumer = m.out.Writer(w.ID())
 	var marker *mergejoin.Marker
 	if m.opts.Kind != mergejoin.Inner {
 		marker = mergejoin.NewMarker(m.opts.Kind, keys, pays, cons, sc, m.lease)

@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/batch"
+	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/search"
 	"repro/internal/sink"
-	"repro/internal/sorting"
 	"repro/internal/storage"
 )
 
@@ -67,10 +68,11 @@ type DiskStats struct {
 // public input — the dominant data volume — is strictly paged through the
 // buffer pool under the configured budget.
 //
-// D-MPSM is inner-only and the single production caller of the row kernels
-// (sorting.SortInto, mergejoin.Join): its runs are pages of []Tuple on the
-// simulated disk, and moving them to column pages means a new page format in
-// internal/storage.
+// Run generation is B-MPSM's (sortChunkIntoColumnRun), and a spilled page is
+// a key column and a payload column (storage.Page), so phase 3 joins every
+// page with the one column merge kernel, batched through a per-worker scratch
+// of Options.BatchSize entries, and the sink takes range batches as behind the
+// other MPSM variants. D-MPSM is inner-only and equi-only.
 //
 // With Options.Scheduler == sched.Morsel, phase 3 runs as stolen
 // (private-run, public-run) morsels: each task walks one public run's pages
@@ -102,34 +104,23 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	publicRuns := make([]*storage.PagedRun, workers)
 	privateRuns := make([]*storage.PagedRun, workers)
 
-	// Phase 1: sort the public chunks locally and spill them as paged runs.
-	// The sort buffer is leased and handed back immediately after the spill
-	// (WriteRun copies tuples into pages), so phase 2 reuses it.
+	// Phase 1: sort the public chunks into column runs locally and spill them
+	// as paged runs. The run buffers are handed back to the lease right after
+	// the spill (WriteRun copies them into pages), so phase 2 reuses them.
 	phase1 := rt.Phase(ctx, "phase 1", func(ctx context.Context, w *sched.Worker) {
-		tuples := lease.Tuples(len(publicChunks[w.ID()].Tuples))
-		sorting.SortInto(publicChunks[w.ID()].Tuples, tuples)
-		run, err := storage.WriteRun(disk, w.ID(), tuples, diskOpts.PageSize)
-		if err != nil {
-			panic(fmt.Sprintf("core: spilling public run %d: %v", w.ID(), err))
-		}
-		publicRuns[w.ID()] = run
-		lease.PutTuples(tuples)
+		run := sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
+		publicRuns[w.ID()] = spill(disk, run, diskOpts.PageSize, lease)
 	})
 	res.AddPhase("phase 1", phase1)
 	if err := Checkpoint(ctx, rt, lease); err != nil {
 		return nil, DiskStats{}, err
 	}
 
-	// Phase 2: sort the private chunks locally and spill them as paged runs.
+	// Phase 2: sort the private chunks into column runs locally and spill
+	// them as paged runs.
 	phase2 := rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		tuples := lease.Tuples(len(privateChunks[w.ID()].Tuples))
-		sorting.SortInto(privateChunks[w.ID()].Tuples, tuples)
-		run, err := storage.WriteRun(disk, w.ID(), tuples, diskOpts.PageSize)
-		if err != nil {
-			panic(fmt.Sprintf("core: spilling private run %d: %v", w.ID(), err))
-		}
-		privateRuns[w.ID()] = run
-		lease.PutTuples(tuples)
+		run := sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
+		privateRuns[w.ID()] = spill(disk, run, diskOpts.PageSize, lease)
 	})
 	res.AddPhase("phase 2", phase2)
 	if err := Checkpoint(ctx, rt, lease); err != nil {
@@ -146,9 +137,9 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	scanned := make([]int, workers)
 	var phase3 time.Duration
 	if opts.Scheduler == sched.Morsel {
-		phase3 = dmpsmJoinMorsel(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts)
+		phase3 = dmpsmJoinMorsel(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts, lease)
 	} else {
-		phase3 = dmpsmJoinStatic(ctx, rt, disk, pool, index, privateRuns, scanned, out, diskOpts)
+		phase3 = dmpsmJoinStatic(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts, diskOpts, lease)
 	}
 	res.AddPhase("phase 3", phase3)
 	stats := DiskStats{
@@ -172,12 +163,34 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	}
 	res.Matches = out.Matches()
 	res.MaxSum = out.MaxSum()
+	res.Batch.Batches, res.Batch.Tuples = out.Batches()
 	res.Total = time.Since(start)
 	if opts.CollectPerWorker {
 		res.PerWorker = rt.Breakdowns([]string{"phase 1", "phase 2", "phase 3"})
 	}
 	res.Scratch = lease.Stats()
 	return res, stats, nil
+}
+
+// spill writes a sorted column run to disk as pages and hands the run's
+// buffers back to the lease.
+func spill(disk *storage.Disk, run *batch.Run, pageSize int, lease *memory.Lease) *storage.PagedRun {
+	paged, err := storage.WriteRun(disk, run.Worker, run.Keys, run.Payloads, pageSize)
+	if err != nil {
+		panic(fmt.Sprintf("core: spilling the run of worker %d: %v", run.Worker, err))
+	}
+	lease.PutUint64s(run.Keys)
+	lease.PutUint64s(run.Payloads)
+	return paged
+}
+
+// readPrivateRun reads a private run back into memory.
+func readPrivateRun(disk *storage.Disk, run *storage.PagedRun) (keys, pays []uint64) {
+	keys, pays, err := storage.ReadRun(disk, run)
+	if err != nil {
+		panic(fmt.Sprintf("core: reading private run %d: %v", run.Worker, err))
+	}
+	return keys, pays
 }
 
 // dmpsmJoinStatic is the paper's phase 3: every worker walks the global page
@@ -187,17 +200,17 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 // released. Cancellation is checked before every page — the page is the
 // chunk unit of the disk-enabled merge loop.
 func dmpsmJoinStatic(ctx context.Context, rt *sched.Runtime, disk *storage.Disk, pool *storage.BufferPool,
-	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound, diskOpts DiskOptions) time.Duration {
+	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound,
+	opts Options, diskOpts DiskOptions, lease *memory.Lease) time.Duration {
 
 	prefetcher := storage.NewPrefetcher(pool, index, diskOpts.PrefetchDistance)
 	prefetcher.Start()
 	defer prefetcher.Stop()
 
 	return rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-		priv, err := storage.ReadRunTuples(disk, privateRuns[w.ID()])
-		if err != nil {
-			panic(fmt.Sprintf("core: reading private run %d: %v", w.ID(), err))
-		}
+		keys, pays := readPrivateRun(disk, privateRuns[w.ID()])
+		sc := batch.NewScratch(opts.BatchSize, lease)
+		defer sc.Close()
 		cons := out.Writer(w.ID())
 		cursors := make([]int, len(index.Runs))
 		for pos, entry := range index.Entries {
@@ -208,8 +221,8 @@ func dmpsmJoinStatic(ctx context.Context, rt *sched.Runtime, disk *storage.Disk,
 			if err != nil {
 				panic(fmt.Sprintf("core: pinning page %+v: %v", entry.Page, err))
 			}
-			cursors[entry.RunOrdinal] = joinPagedRun(priv, cursors[entry.RunOrdinal], page, cons)
-			scanned[w.ID()] += len(page)
+			cursors[entry.RunOrdinal] = joinPage(keys, pays, cursors[entry.RunOrdinal], page, cons, sc)
+			scanned[w.ID()] += page.Len()
 			pool.Unpin(entry.Page)
 			prefetcher.ReportProgress(pos + 1)
 		}
@@ -221,25 +234,29 @@ func dmpsmJoinStatic(ctx context.Context, rt *sched.Runtime, disk *storage.Disk,
 // that walks the public run's pages in key order with its own private
 // cursor. Tasks prefer workers on the private run's owner node.
 func dmpsmJoinMorsel(ctx context.Context, rt *sched.Runtime, disk *storage.Disk, pool *storage.BufferPool,
-	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound, opts Options) time.Duration {
+	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound,
+	opts Options, lease *memory.Lease) time.Duration {
 
 	workers := rt.Workers()
-	privTuples := make([][]relation.Tuple, workers)
+	privKeys, privPays := make([][]uint64, workers), make([][]uint64, workers)
 	readDuration := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-		priv, err := storage.ReadRunTuples(disk, privateRuns[w.ID()])
-		if err != nil {
-			panic(fmt.Sprintf("core: reading private run %d: %v", w.ID(), err))
-		}
-		privTuples[w.ID()] = priv
+		privKeys[w.ID()], privPays[w.ID()] = readPrivateRun(disk, privateRuns[w.ID()])
 	})
 	if canceled(ctx) || rt.Err() != nil {
 		return readDuration
 	}
 
+	// Scratches are per worker, not per task: a worker executes one morsel
+	// at a time, so its scratch is never shared.
+	scratches := make([]*batch.Scratch, workers)
+	for w := range scratches {
+		scratches[w] = batch.NewScratch(opts.BatchSize, lease)
+		defer scratches[w].Close()
+	}
 	var tasks []sched.Task
 	for w := 0; w < workers; w++ {
-		priv := privTuples[w]
-		if len(priv) == 0 {
+		keys, pays := privKeys[w], privPays[w]
+		if len(keys) == 0 {
 			continue
 		}
 		node := opts.Topology.NodeOfWorker(w)
@@ -263,8 +280,8 @@ func dmpsmJoinMorsel(ctx context.Context, rt *sched.Runtime, disk *storage.Disk,
 					if err != nil {
 						panic(fmt.Sprintf("core: pinning page %+v: %v", ref, err))
 					}
-					cursor = joinPagedRun(priv, cursor, page, cons)
-					scanned[exec.ID()] += len(page)
+					cursor = joinPage(keys, pays, cursor, page, cons, scratches[exec.ID()])
+					scanned[exec.ID()] += page.Len()
 					pool.Unpin(ref)
 				}
 			}})
@@ -273,16 +290,15 @@ func dmpsmJoinMorsel(ctx context.Context, rt *sched.Runtime, disk *storage.Disk,
 	return readDuration + rt.RunTasks(ctx, "phase 3", tasks)
 }
 
-// joinPagedRun merge joins one public page (sorted) against the private run,
-// starting at the given private cursor, and returns the advanced cursor: the
-// first private index whose key is >= the page's last key. Keys equal to the
-// page's last key stay reachable because the following page of the same run
-// may start with the same key.
-func joinPagedRun(private []relation.Tuple, cursor int, page []relation.Tuple, out mergejoin.Consumer) int {
-	if len(page) == 0 || cursor >= len(private) {
+// joinPage merge joins one public page (sorted) against the private run from
+// the given cursor on, with the column kernel, and returns the advanced
+// cursor: the first private index whose key is >= the page's last key. Keys
+// equal to the page's last key stay reachable because the following page of
+// the same run may start with the same key.
+func joinPage(keys, pays []uint64, cursor int, page storage.Page, out mergejoin.RangeConsumer, sc *batch.Scratch) int {
+	if page.Len() == 0 || cursor >= len(keys) {
 		return cursor
 	}
-	mergejoin.Join(private[cursor:], page, out)
-	lastKey := page[len(page)-1].Key
-	return cursor + search.LowerBound(private[cursor:], lastKey)
+	mergejoin.JoinColumns(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, out, sc)
+	return cursor + search.LowerBoundKeys(keys[cursor:], page.Keys[page.Len()-1])
 }

@@ -289,7 +289,7 @@ func TestKindsMatchOracleOnColumnRuns(t *testing.T) {
 // TestKindsFoldLikeTheirPairs: a sink that folds range entries — max-sum,
 // count, the group-by kernel under every aggregate and every projection it
 // recognises — must report, for every kind, what the same sink reports when
-// an opaque closure forces the kernel to expand every entry into pairs.
+// an opaque closure makes it walk every entry's pairs.
 func TestKindsFoldLikeTheirPairs(t *testing.T) {
 	const seed = 1018
 	ctx := context.Background()

@@ -66,9 +66,9 @@ type Options struct {
 	// naturally because each worker owns a disjoint part of the private
 	// input and sees all of its potential partners. They run on the same
 	// column runs and merge kernel as inner joins, behind a mergejoin.Marker
-	// that classifies the private key groups. D-MPSM is inner-only
-	// (exec.validateJoin rejects the rest) and the hash joins return an
-	// error.
+	// that classifies the private key groups. D-MPSM, which joins its pages
+	// with the same kernel, is inner-only (exec.validateJoin rejects the
+	// rest) and the hash joins return an error.
 	Kind mergejoin.Kind
 
 	// Band turns the equi-join into a non-equi band join: tuples match when
@@ -121,11 +121,11 @@ type Options struct {
 	MorselSize int
 
 	// BatchSize is the number of range entries per batch of merge output in
-	// the match phases of B-MPSM and P-MPSM: the merge kernel emits one entry
-	// per matching key group and hands the sink a batch at a time (expanded,
-	// for sinks that take no ranges, into column batches of as many pairs).
-	// 0 or a negative value selects batch.DefaultSize. D-MPSM and the hash
-	// joins ignore it.
+	// the match phases of B-, P- and D-MPSM: the merge kernel emits one entry
+	// per matching key group and hands the sink a batch at a time (a sink
+	// that takes no ranges walks the batch's pairs). 0 or a negative value
+	// selects batch.DefaultSize. The hash joins ignore it: their probe hands
+	// on batch.DefaultSize pairs a batch.
 	BatchSize int
 
 	// Sink receives the joined tuple stream. A nil Sink selects the built-in

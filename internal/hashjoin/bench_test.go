@@ -1,0 +1,79 @@
+package hashjoin
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/memory"
+	"repro/internal/relation"
+	"repro/internal/sink"
+	"repro/internal/workload"
+)
+
+// BenchmarkProbeOutput times a hash join's output path end to end — Wisconsin
+// on one worker with a scratch pool, build and probe — per match, for the
+// shapes that decide what a probe hands on: foreign keys at multiplicity 1
+// and 4 (65 536 build tuples) and a build side with 16 duplicates of each of
+// its 4 096 keys probed by 65 536 foreign keys; into the sinks that take every
+// match the range loop produces (Collect over the default projection,
+// Materialize, a group sum over the probe payload, as compiled queries
+// project, and max-sum behind a tie-break verifier, which folds nothing). It
+// goes through Wisconsin's exported signature only.
+func BenchmarkProbeOutput(b *testing.B) {
+	type shape struct {
+		name string
+		r, s *relation.Relation
+	}
+	fk := func(mult int) shape {
+		r := workload.UniformRelation("R", 1<<16, workload.DefaultKeyDomain, 41)
+		return shape{fmt.Sprintf("fk-x%d", mult), r, workload.ForeignKeyRelation("S", r, mult<<16, 42)}
+	}
+	keys := workload.UniformRelation("K", 1<<12, workload.DefaultKeyDomain, 43)
+	dup := make([]relation.Tuple, 0, 16*keys.Len())
+	for d := 0; d < 16; d++ {
+		for i, t := range keys.Tuples {
+			dup = append(dup, relation.Tuple{Key: t.Key, Payload: uint64(d*keys.Len() + i)})
+		}
+	}
+	shapes := []shape{fk(1), fk(4), {"dup-x16", relation.New("R", dup), workload.ForeignKeyRelation("S", keys, 1<<16, 44)}}
+	accept := func(rp, sp uint64) (uint64, uint64, bool) { return rp, sp, true }
+	sinks := []struct {
+		name  string
+		new   func() sink.Sink
+		check sink.PairCheck
+	}{
+		{"collect", func() sink.Sink { return sink.NewCollect(nil, nil) }, nil},
+		{"materialize", func() sink.Sink { return sink.NewMaterialize() }, nil},
+		{"group-sum-probe", func() sink.Sink {
+			return sink.NewGroups(context.Background(), sink.AggSum, sink.ValueProbePayload.Projection(), sink.ValueProbePayload, nil)
+		}, nil},
+		{"max-sum-verified", func() sink.Sink { return sink.NewMaxSum() }, accept},
+	}
+	for _, sh := range shapes {
+		// Payloads below 10^6, as the end-to-end benchmark generates them.
+		for _, rel := range []*relation.Relation{sh.r, sh.s} {
+			for i := range rel.Tuples {
+				rel.Tuples[i].Payload %= 1_000_000
+			}
+		}
+		for _, sk := range sinks {
+			b.Run(sh.name+"/"+sk.name, func(b *testing.B) {
+				opts := Options{Workers: 1, Scratch: memory.NewPool(0), KeyCheck: sk.check}
+				var matches uint64
+				for b.Loop() {
+					opts.Sink = sk.new()
+					res, err := Wisconsin(context.Background(), sh.r, sh.s, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					matches = res.Matches
+				}
+				if matches == 0 {
+					b.Fatal("no matches: the benchmark input is broken")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(matches), "ns/match")
+			})
+		}
+	}
+}

@@ -49,9 +49,12 @@ func evenSums(rPayload, sPayload uint64) (uint64, uint64, bool) {
 // mergejoin.ReferenceJoin's. The same joins into the default sink (max-sum)
 // and into Count run the probe loop that folds and must report the
 // reference's pair count and largest pair sum mod 2^64; into the default sink
-// behind a verifier that rejects every other candidate they run the pair loop
-// and count only the verified pairs. A pooled run must also leave no lease
-// checked out.
+// behind a verifier that rejects every other candidate they run the range
+// loop and count only the verified pairs. The range loop also feeds the sinks
+// that take ranges — group-bys over the probe payload (sum), the default
+// projection (max) and an opaque closure (count), and Collect — which must
+// report what a map oracle computes from the reference's pairs. A pooled run
+// must also leave no lease checked out.
 func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 	t.Helper()
 	var oracle mergejoin.Materializer
@@ -59,6 +62,29 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 	want := sortedPairs(oracle.Out)
 	all := foldOf(want, func(uint64, uint64) bool { return true })
 	even := foldOf(want, func(rp, sp uint64) bool { _, _, ok := evenSums(rp, sp); return ok })
+	opaque := func(r, s relation.Tuple) relation.Tuple {
+		return relation.Tuple{Key: s.Payload % 5, Payload: r.Payload}
+	}
+	rangeSinks := []struct {
+		label   string
+		new     func() sink.Sink
+		rows    func(sink.Sink) []relation.Tuple
+		project sink.Projection
+		agg     sink.Agg
+		grouped bool
+	}{
+		{"group sum of the probe payload", func() sink.Sink {
+			return sink.NewGroups(context.Background(), sink.AggSum, sink.ValueProbePayload.Projection(), sink.ValueProbePayload, nil)
+		}, groupRows, sink.ValueProbePayload.Projection(), sink.AggSum, true},
+		{"group max of the default projection", func() sink.Sink {
+			return sink.NewGroups(context.Background(), sink.AggMax, nil, sink.ValueOpaque, nil)
+		}, groupRows, sink.DefaultProjection, sink.AggMax, true},
+		{"group count of an opaque closure", func() sink.Sink {
+			return sink.NewGroups(context.Background(), sink.AggCount, opaque, sink.ValueOpaque, nil)
+		}, groupRows, opaque, sink.AggCount, true},
+		{"collect of the probe key", func() sink.Sink { return sink.NewCollect(sink.ValueProbeKey.Projection(), nil) },
+			func(s sink.Sink) []relation.Tuple { return s.(*sink.Collect).Rows() }, sink.ValueProbeKey.Projection(), 0, false},
+	}
 	r, s := relation.New("R", rT), relation.New("S", sT)
 	pool := memory.NewPool(1 << 24)
 	for _, workers := range []int{1, 2, min(max(len(rT), len(sT))+3, 19)} {
@@ -90,6 +116,21 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 					if matches != uint64(len(want)) || !slices.Equal(sortedPairs(got), want) {
 						t.Fatalf("%s T=%d %v pooled=%v: %d matches / %d pairs, reference has %d\n|R|=%d |S|=%d",
 							name, workers, mode, scratch != nil, matches, len(got), len(want), len(rT), len(sT))
+					}
+
+					for _, run := range rangeSinks {
+						o := opts
+						o.Sink = run.new()
+						res, err := join(o)
+						if err != nil {
+							t.Fatalf("%s into %s T=%d %v pooled=%v: %v", name, run.label, workers, mode, scratch != nil, err)
+						}
+						wantRows := mapOracle(want, run.project, run.agg, run.grouped)
+						if gotRows := sortedTuples(append([]relation.Tuple(nil), run.rows(o.Sink)...)); !slices.Equal(gotRows, wantRows) ||
+							res.Matches != uint64(len(want)) || res.Batch.Tuples != res.Matches {
+							t.Fatalf("%s into %s T=%d %v pooled=%v: %d matches (%d batched), rows %v, the map oracle's %v\n|R|=%d |S|=%d",
+								name, run.label, workers, mode, scratch != nil, res.Matches, res.Batch.Tuples, gotRows, wantRows, len(rT), len(sT))
+						}
 					}
 
 					for _, run := range []struct {
@@ -125,6 +166,45 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 	if st := pool.Stats(); st.ActiveLeases != 0 {
 		t.Fatalf("%d leases still checked out", st.ActiveLeases)
 	}
+}
+
+// groupRows returns a group-by's rows.
+func groupRows(s sink.Sink) []relation.Tuple { return s.(*sink.Groups).Rows() }
+
+// mapOracle projects the reference's pairs and, when grouped, aggregates the
+// projected tuples per key in a map; the result is sorted.
+func mapOracle(pairs []mergejoin.JoinedTuple, project sink.Projection, agg sink.Agg, grouped bool) []relation.Tuple {
+	var rows []relation.Tuple
+	groups := make(map[uint64]uint64)
+	for _, p := range pairs {
+		t := project(relation.Tuple{Key: p.Key, Payload: p.RPayload}, relation.Tuple{Key: p.Key, Payload: p.SPayload})
+		if !grouped {
+			rows = append(rows, t)
+			continue
+		}
+		acc, seen := groups[t.Key]
+		switch {
+		case agg == sink.AggCount:
+			acc++
+		case !seen:
+			acc = t.Payload
+		default:
+			acc = agg.Merge(acc, t.Payload)
+		}
+		groups[t.Key] = acc
+	}
+	for k, v := range groups {
+		rows = append(rows, relation.Tuple{Key: k, Payload: v})
+	}
+	return sortedTuples(rows)
+}
+
+// sortedTuples orders tuples by key, then payload.
+func sortedTuples(ts []relation.Tuple) []relation.Tuple {
+	slices.SortFunc(ts, func(a, b relation.Tuple) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Payload, b.Payload))
+	})
+	return ts
 }
 
 // tuplesOf builds tuples with the given keys and distinct payloads.
@@ -164,6 +244,9 @@ func TestHashJoinsMatchReference(t *testing.T) {
 		// batch boundary inside a chain (1 024 = 341 probes and one entry).
 		"exactly one batch":   {repeated(3, 32), repeated(3, batch.DefaultSize/32)},
 		"batch ends in chain": {append(repeated(6, 3), dense...), append(repeated(6, 400), dense[100:200]...)},
+		// One probe tuple with more build partners than a batch holds: its
+		// entry is closed and flushed mid-chain, twice for the second.
+		"chain longer than a batch": {append(repeated(8, 2*batch.DefaultSize+5), dense[:20]...), []uint64{3, 8, 8, 9}},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -219,8 +302,8 @@ type cancelingCounter struct {
 	cancel context.CancelFunc
 }
 
-func (c *cancelingCounter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	c.Count += uint64(len(keys))
+func (c *cancelingCounter) ConsumeRanges(b *batch.Ranges) {
+	c.Counter.ConsumeRanges(b)
 	c.cancel()
 }
 
@@ -242,8 +325,8 @@ func (c *canceledOnSecondPoll) Done() <-chan struct{} {
 
 // TestProbeCancellationInsideBlock: a probe canceled mid-way stops at the next
 // block boundary, has delivered exactly the matches of the blocks it finished —
-// the partial batch included — and handed all three columns back to the lease;
-// into a folding sink it has leased none.
+// the partial batch included — and handed its gather and index columns back
+// to the lease; into a folding sink it has leased none.
 func TestProbeCancellationInsideBlock(t *testing.T) {
 	build := tuplesOf(0, 1, 2, 3, 2)
 	probe := make([]relation.Tuple, 3*cancelBlock)
@@ -268,10 +351,9 @@ func TestProbeCancellationInsideBlock(t *testing.T) {
 	if inspected < oracle.Count || inspected >= uint64(len(probe)) {
 		t.Fatalf("canceled probe inspected %d entries over %d probe tuples", inspected, len(probe))
 	}
-	for i := 0; i < 3; i++ {
-		lease.Uint64s(batch.DefaultSize)
-	}
-	if after := lease.Stats(); after.Buffers != before.Buffers+6 || after.Reused != before.Reused+3 {
+	lease.Uint64s(3 * batch.DefaultSize)
+	lease.Int32s(4 * batch.DefaultSize)
+	if after := lease.Stats(); after.Buffers != before.Buffers+4 || after.Reused != before.Reused+2 {
 		t.Fatalf("output columns not handed back: lease stats %+v → %+v", before, after)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/batch"
 	"repro/internal/mergejoin"
 	"repro/internal/numa"
 	"repro/internal/relation"
@@ -264,7 +265,9 @@ func TestNextPow2(t *testing.T) {
 
 // TestSharedTableDirect drives the one table type below the joins: entries
 // stay in the build slice, both insert flavours chain them alike, and a probe
-// reports its matches in probe order and the entries it inspected.
+// reports its matches in probe order — one range entry per matching probe
+// tuple, its build matches in chain order against the probe tuple at the
+// entry's first slot — and the entries it inspected.
 func TestSharedTableDirect(t *testing.T) {
 	build := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}, {Key: 1, Payload: 30}, {Key: 99, Payload: 40}}
 	for _, shared := range []bool{false, true} {
@@ -277,16 +280,31 @@ func TestSharedTableDirect(t *testing.T) {
 			t.Fatalf("shared=%v: uncontended insert reported %d retries", shared, retries)
 		}
 		var m mergejoin.Materializer
-		inspected := table.probe(context.Background(), []relation.Tuple{{Key: 1, Payload: 100}, {Key: 5}, {Key: 99, Payload: 7}}, &m, false, nil)
+		var entries [][4]int32
+		out := rangeSpy(func(b *batch.Ranges) {
+			for x, i := range b.I {
+				entries = append(entries, [4]int32{i, b.IEnd[x], b.Lo[x], b.Hi[x]})
+			}
+			mergejoin.Pairs(&m).ConsumeRanges(b)
+		})
+		inspected := table.probe(context.Background(), []relation.Tuple{{Key: 1, Payload: 100}, {Key: 5}, {Key: 99, Payload: 7}}, out, false, nil)
 		want := []mergejoin.JoinedTuple{{Key: 1, RPayload: 30, SPayload: 100}, {Key: 1, RPayload: 10, SPayload: 100}, {Key: 99, RPayload: 40, SPayload: 7}}
 		if !slices.Equal(m.Out, want) {
 			t.Fatalf("shared=%v: probe emitted %v, want %v", shared, m.Out, want)
+		}
+		if wantEntries := [][4]int32{{0, 2, 0, 1}, {2, 3, 2, 3}}; !slices.Equal(entries, wantEntries) {
+			t.Fatalf("shared=%v: probe emitted entries %v, want %v", shared, entries, wantEntries)
 		}
 		if inspected < 3 || inspected > uint64(3*len(build)) {
 			t.Fatalf("shared=%v: probe inspected %d entries", shared, inspected)
 		}
 	}
 }
+
+// rangeSpy is a range consumer made of a closure.
+type rangeSpy func(b *batch.Ranges)
+
+func (f rangeSpy) ConsumeRanges(b *batch.Ranges) { f(b) }
 
 // TestChainLengthBounded pins the bucket function to the top bits of the
 // hash product. Bits 16… of it — the old choice — depend only on the key bits

@@ -101,7 +101,7 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 	// over its R partition, probed with the matching S partition, streaming
 	// matches into the executing worker's sink writer.
 	out := sink.BindChecked(o.Sink, workers, lease, o.KeyCheck)
-	folds := sink.FoldsRanges(o.Sink)
+	folds := sink.FoldsRanges(o.Sink) && o.KeyCheck == nil
 	joinPair := func(p int, w *sched.Worker) {
 		joinPartition(ctx, rParts[p], sParts[p], out.Writer(w.ID()), folds, lease)
 		if tracker := w.Tracker(); tracker != nil {
@@ -289,7 +289,7 @@ func chargeInterleavedSeq(tracker *numa.Tracker, topo numa.Topology, n uint64) {
 // chain arrays are handed back as soon as the pair is joined, so concurrent
 // partition tasks recycle a handful of cache-sized buffers instead of
 // allocating one table per partition.
-func joinPartition(ctx context.Context, build, probe []relation.Tuple, out mergejoin.Consumer, folds bool, lease *memory.Lease) {
+func joinPartition(ctx context.Context, build, probe []relation.Tuple, out mergejoin.RangeConsumer, folds bool, lease *memory.Lease) {
 	if len(build) == 0 || len(probe) == 0 {
 		return
 	}

@@ -77,50 +77,77 @@ func (t *chainTable) insert(lo, hi int, shared bool) (casRetries uint64) {
 	return casRetries
 }
 
-// folder is the worker writer of a sink that keeps of its pairs only their
+// folder is the boundary writer of a sink that keeps of its pairs only their
 // number and their largest payload sum: the max-sum and count sinks, which
-// sink.FoldsRanges names, behind no tie-break verifier.
+// sink.FoldsRanges names. The probe folds only behind no tie-break verifier.
 type folder interface {
 	ConsumeFold(pairs, maxSum uint64)
 }
 
 // probe walks the chain of every probe tuple's bucket and hands the matches to
-// out, in one of two loops. Where the join's sink folds (folds is
-// sink.FoldsRanges of it) and out takes folds — a tie-break verifier's writer
-// does not — probeFold forms no pair. Every other sink gets the pair loop:
-// each match's key and two payloads are appended to three leased columns,
-// which cross the sink boundary through mergejoin.EmitColumns a batch at a
-// time, in probe order. Both poll for cancellation every cancelBlock tuples,
-// deliver what they have matched until then either way, and return the number
-// of entries inspected. The build must have passed its barrier.
-func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out mergejoin.Consumer, folds bool, lease *memory.Lease) (inspected uint64) {
+// out, in one of two loops. Where the join's sink folds (folds: it is one
+// sink.FoldsRanges names, behind no tie-break verifier) and out takes folds,
+// probeFold forms no pair. Every other sink gets the range loop: each match's
+// key, build payload and probe payload are gathered into three leased
+// columns, and whenever they are full — a chain that overflows them goes on
+// in the next batch — entries cut them into a range batch, which crosses the
+// sink boundary, in probe order. Both loops poll for cancellation every
+// cancelBlock tuples, deliver what they have matched until then either way,
+// and return the number of entries inspected. The build must have passed its
+// barrier.
+func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out mergejoin.RangeConsumer, folds bool, lease *memory.Lease) (inspected uint64) {
 	if f, ok := out.(folder); ok && folds {
 		return t.probeFold(ctx, probe, f)
 	}
-	keys, rp, sp := lease.Uint64s(batch.DefaultSize), lease.Uint64s(batch.DefaultSize), lease.Uint64s(batch.DefaultSize)
-	n := 0
+	const size = batch.DefaultSize
+	sc := batch.NewScratch(size, lease)
+	defer sc.Close()
+	cols := lease.Uint64s(3 * size)
+	defer lease.PutUint64s(cols)
+	keys, rp, sp := cols[:size], cols[size:2*size], cols[2*size:]
+	b := sc.Ranges(keys, rp, keys, sp)
+	m := 0
 	build, heads, next, shift := t.build, t.heads, t.next, t.shift
 	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
 		for _, tup := range probe[lo:min(lo+cancelBlock, len(probe))] {
 			for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
 				inspected++
 				if e := build[idx-1]; e.Key == tup.Key {
-					keys[n], rp[n], sp[n] = e.Key, e.Payload, tup.Payload
-					if n++; n == len(keys) {
-						mergejoin.EmitColumns(out, keys, rp, sp)
-						n = 0
+					keys[m], rp[m], sp[m] = e.Key, e.Payload, tup.Payload
+					if m++; m == size {
+						out.ConsumeRanges(entries(b, m))
+						m = 0
 					}
 				}
 			}
 		}
 	}
-	if n > 0 {
-		mergejoin.EmitColumns(out, keys[:n], rp[:n], sp[:n])
+	if m > 0 {
+		out.ConsumeRanges(entries(b, m))
 	}
-	lease.PutUint64s(keys)
-	lease.PutUint64s(rp)
-	lease.PutUint64s(sp)
 	return inspected
+}
+
+// entries cuts the first m gathered matches of b into its entries, one per
+// run of matches of one probe tuple: the run's build tuples [I, IEnd) against
+// the probe tuple, which every match of the run carries, at [I, I+1) of the
+// public columns. Consecutive equal probe tuples share a run; their pairs are
+// the same either way.
+func entries(b *batch.Ranges, m int) *batch.Ranges {
+	keys, sp := b.RKeys, b.SPayloads
+	is, iEnds, los, his := b.I[:m], b.IEnd[:m], b.Lo[:m], b.Hi[:m]
+	n := 0
+	for x := range m {
+		if x == 0 || keys[x] != keys[x-1] || sp[x] != sp[x-1] {
+			if n > 0 {
+				iEnds[n-1] = int32(x)
+			}
+			is[n], los[n], his[n] = int32(x), int32(x), int32(x+1)
+			n++
+		}
+	}
+	iEnds[n-1] = int32(m)
+	return b.Head(n, uint64(m))
 }
 
 // probeFold is the probe loop behind a folding sink: it walks the same chains

@@ -32,10 +32,13 @@
 // nothing of a pair but its count and sum, the loop keeps the match count and
 // the largest payload sum itself and hands both over once per probe. A 4 096 ×
 // 16 384 foreign-key build and probe on one worker (pooled, 2-vCPU Xeon host)
-// takes 91 µs with it against 122 with the pair loop, and 132 with the pair
-// loop and the heads reset by a loop storing −1 instead of one clear. Every
-// other sink gets the pair loop, which appends each match to three leased
-// output columns and hands them to the sink a batch at a time. For the fold
+// takes 91 µs with it against 122 with the (then column-batch) pair loop, and
+// 132 with that loop and the heads reset by a loop storing −1 instead of one
+// clear. Every
+// other sink gets the range loop, which appends each match's key and two
+// payloads to three leased columns and cuts every full batch of them into
+// range entries — one per matching probe tuple, the form every join hands its
+// sink — for the sink to take a batch at a time. For the fold
 // too, 2 heads per tuple (1.96×) and looking up a block's heads before
 // walking its chains (1.20×) are slower.
 //
@@ -130,7 +133,7 @@ func insertBlock(ctx context.Context, table *chainTable, block relation.Chunk, s
 // probeBlock probes the shared table with one block of a probe chunk,
 // streaming matches into the executing worker's sink writer, folded where the
 // sink folds.
-func probeBlock(ctx context.Context, table *chainTable, tuples []relation.Tuple, w *sched.Worker, topo numa.Topology, cons mergejoin.Consumer, folds bool, lease *memory.Lease) {
+func probeBlock(ctx context.Context, table *chainTable, tuples []relation.Tuple, w *sched.Worker, topo numa.Topology, cons mergejoin.RangeConsumer, folds bool, lease *memory.Lease) {
 	inspected := table.probe(ctx, tuples, cons, folds, lease)
 	if tracker := w.Tracker(); tracker != nil {
 		// Probing reads the local S chunk sequentially and the shared
@@ -204,7 +207,7 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	// Probe phase: every worker probes with its chunk of S, streaming
 	// matches into its private sink writer.
 	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
-	folds := sink.FoldsRanges(opts.Sink)
+	folds := sink.FoldsRanges(opts.Sink) && opts.KeyCheck == nil
 	var probeTime time.Duration
 	if opts.Scheduler == sched.Morsel {
 		probeTime = rt.RunTasks(ctx, "probe", blockTasks(sChunks, opts.MorselSize, func(block relation.Chunk, w *sched.Worker) {

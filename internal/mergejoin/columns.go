@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"repro/internal/batch"
-	"repro/internal/relation"
 	"repro/internal/search"
 )
 
@@ -17,45 +16,36 @@ import (
 // of the public run — its equal-key group, or the keys within the band — and
 // the kernel emits exactly that: one (private [i, iEnd) × public [lo, hi))
 // entry per group, batched as batch.Ranges. It never touches a payload.
-// Consumers that can fold a group × window whole (RangeConsumer: the max-sum
-// and count aggregates, the group-by kernel over the projections it
-// recognises) do so in O(m+n); for every other consumer the kernel expands
-// the batch, group by group in the row kernels' order, so Join/JoinBand and
-// the columnar path stay pair-for-pair identical.
+// Consumers that can fold a group × window whole (the max-sum and count
+// aggregates, the group-by kernel over the projections it recognises) do so
+// in O(m+n); every other consumer walks the batch's pairs, in the row
+// kernels' order, so Join/JoinBand and the columnar path stay pair-for-pair
+// identical.
 
-// BatchConsumer is the batch fast path of a Consumer: sinks that implement it
-// receive expanded equi-join output as columns — the join key and both
-// payload columns, equal length — instead of one Consume call per pair.
-// EmitColumns falls back to per-pair delivery for consumers that do not
-// implement it.
-type BatchConsumer interface {
-	ConsumeColumns(keys, rPayloads, sPayloads []uint64)
-}
-
-// RangeConsumer is implemented by consumers that can take merge output a key
-// group × window at a time. ConsumeRanges either consumes every pair of every
-// entry and reports true, or reports false having consumed nothing, and the
-// kernel expands the batch instead. The batch is only valid during the call.
+// RangeConsumer is the one interface between a join and its sink writer: it
+// takes the join's output a batch of range entries at a time, every pair of
+// every entry. The batch is only valid during the call.
 type RangeConsumer interface {
-	ConsumeRanges(b *batch.Ranges) bool
+	ConsumeRanges(b *batch.Ranges)
 }
 
-// ConsumeColumns implements BatchConsumer with a branch-free reduction: the
-// running maximum folds through the max builtin (a conditional move, not a
-// branch), and the pair count advances once per batch.
-func (m *MaxAggregate) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	if len(keys) == 0 {
-		return
+// Pairs returns c as a RangeConsumer: c itself if it takes ranges, otherwise
+// the adapter that walks every batch into c pair by pair (batch.Ranges.All).
+func Pairs(c Consumer) RangeConsumer {
+	if rc, ok := c.(RangeConsumer); ok {
+		return rc
 	}
-	best := rPayloads[0] + sPayloads[0]
-	if m.Count > 0 {
-		best = max(best, m.Max)
+	return pairWalker{c}
+}
+
+// pairWalker is the pair-delivery adapter of Pairs.
+type pairWalker struct{ Consumer }
+
+// ConsumeRanges implements RangeConsumer.
+func (p pairWalker) ConsumeRanges(b *batch.Ranges) {
+	for r, s := range b.All() {
+		p.Consume(r, s)
 	}
-	for i := 1; i < len(rPayloads); i++ {
-		best = max(best, rPayloads[i]+sPayloads[i])
-	}
-	m.Max = best
-	m.Count += uint64(len(keys))
 }
 
 // ConsumeRanges implements RangeConsumer: the largest sum of an entry is its
@@ -63,7 +53,7 @@ func (m *MaxAggregate) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
 // loop over the entries keeps its state in registers. Should one of those
 // sums overflow, some pair sums of the batch wrap mod 2^64 and the maximum of
 // wrapped sums does not separate, so the batch's pairs are visited instead.
-func (m *MaxAggregate) ConsumeRanges(b *batch.Ranges) bool {
+func (m *MaxAggregate) ConsumeRanges(b *batch.Ranges) {
 	rp, sp := b.RPayloads, b.SPayloads
 	iEnds, los, his := b.IEnd[:len(b.I)], b.Lo[:len(b.I)], b.Hi[:len(b.I)]
 	var best, wrapped uint64
@@ -86,7 +76,6 @@ func (m *MaxAggregate) ConsumeRanges(b *batch.Ranges) bool {
 		m.Max = best
 	}
 	m.Count += b.Pairs
-	return true
 }
 
 // windowMax returns the largest of vals[lo:hi], a non-empty window. Windows
@@ -107,40 +96,8 @@ func windowMax(vals []uint64, lo, hi int32) uint64 {
 	return best
 }
 
-// ConsumeColumns implements BatchConsumer: one counter update per batch.
-func (c *Counter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	c.Count += uint64(len(keys))
-}
-
 // ConsumeRanges implements RangeConsumer.
-func (c *Counter) ConsumeRanges(b *batch.Ranges) bool {
-	c.Count += b.Pairs
-	return true
-}
-
-// ConsumeColumns implements BatchConsumer.
-func (m *Materializer) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	for i := range keys {
-		m.Out = append(m.Out, JoinedTuple{Key: keys[i], RPayload: rPayloads[i], SPayload: sPayloads[i]})
-	}
-}
-
-// EmitColumns delivers one match batch to a consumer: directly when the
-// consumer implements BatchConsumer, tuple by tuple otherwise. The
-// reconstruction uses the shared join key for both sides, exactly as the row
-// kernels see it.
-func EmitColumns(out Consumer, keys, rPayloads, sPayloads []uint64) {
-	if bc, ok := out.(BatchConsumer); ok {
-		bc.ConsumeColumns(keys, rPayloads, sPayloads)
-		return
-	}
-	for i := range keys {
-		out.Consume(
-			relation.Tuple{Key: keys[i], Payload: rPayloads[i]},
-			relation.Tuple{Key: keys[i], Payload: sPayloads[i]},
-		)
-	}
-}
+func (c *Counter) ConsumeRanges(b *batch.Ranges) { c.Count += b.Pairs }
 
 // bandWindow returns the key interval [k − band, k + band], clamped to the
 // uint64 domain instead of wrapping around.
@@ -158,18 +115,18 @@ func bandWindow(k, band uint64) (low, high uint64) {
 // JoinColumns merge joins two key-sorted column pairs and feeds every
 // matching pair to the consumer, batched through sc (nil sc allocates a
 // throwaway scratch): JoinColumnsBand with band 0.
-func JoinColumns(rKeys, rPays, sKeys, sPays []uint64, out Consumer, sc *batch.Scratch) {
+func JoinColumns(rKeys, rPays, sKeys, sPays []uint64, out RangeConsumer, sc *batch.Scratch) {
 	JoinColumnsBand(rKeys, rPays, sKeys, sPays, 0, out, sc)
 }
 
 // JoinColumnsBand joins two key-sorted column pairs on |r.key − s.key| <=
-// band and feeds every matching pair to the consumer — as ranges when it
-// takes them, expanded otherwise. Two public cursors, both monotone because
+// band and feeds every matching pair to the consumer as range entries. Two
+// public cursors, both monotone because
 // the private keys ascend, bracket the window of the current private key
 // group, so the kernel runs in O(|private| + |public|) key comparisons plus
 // one entry per matching group. Columns must be shorter than 2^31 elements —
 // indices batch as int32, and runs are per-worker chunks well below that.
-func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consumer, sc *batch.Scratch) {
+func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out RangeConsumer, sc *batch.Scratch) {
 	nR, nS := len(rKeys), len(sKeys)
 	if nR == 0 || nS == 0 {
 		return
@@ -177,9 +134,9 @@ func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consu
 	if sc == nil {
 		sc = batch.NewScratch(0, nil)
 	}
-	b := sc.Ranges(rKeys, rPays, sKeys, sPays, band)
+	b := sc.Ranges(rKeys, rPays, sKeys, sPays)
 	is, iEnds, los, his := b.I, b.IEnd[:len(b.I)], b.Lo[:len(b.I)], b.Hi[:len(b.I)]
-	n := 0
+	n, pairs := 0, uint64(0)
 
 	i, lo, hi := 0, 0, 0
 	for i < nR {
@@ -210,11 +167,11 @@ func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consu
 			hi++
 		}
 		is[n], iEnds[n], los[n], his[n] = int32(i), int32(iEnd), int32(lo), int32(hi)
-		b.Pairs += uint64(iEnd-i) * uint64(hi-lo)
+		pairs += uint64(iEnd-i) * uint64(hi-lo)
 		n++
 		if n == len(is) {
-			emitRanges(out, b, n, sc)
-			n = 0
+			out.ConsumeRanges(b.Head(n, pairs))
+			n, pairs = 0, 0
 		}
 		i = iEnd
 		if band == 0 {
@@ -222,66 +179,7 @@ func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consu
 		}
 	}
 	if n > 0 {
-		emitRanges(out, b, n, sc)
-	}
-}
-
-// emitRanges hands the first n entries of the kernel's batch to the consumer,
-// as ranges if it takes them and expanded otherwise.
-func emitRanges(out Consumer, b *batch.Ranges, n int, sc *batch.Scratch) {
-	full := *b
-	b.I, b.IEnd, b.Lo, b.Hi = full.I[:n], full.IEnd[:n], full.Lo[:n], full.Hi[:n]
-	deliverRanges(out, b, sc)
-	*b = full
-	b.Pairs = 0
-}
-
-// deliverRanges is the one place a range batch crosses to a consumer: whole
-// if the consumer takes it, pair by pair through expandRanges otherwise.
-func deliverRanges(out Consumer, b *batch.Ranges, sc *batch.Scratch) {
-	if rc, ok := out.(RangeConsumer); !ok || !rc.ConsumeRanges(b) {
-		expandRanges(out, b, sc)
-	}
-}
-
-// expandRanges delivers every pair of a range batch, private tuple by private
-// tuple as the row kernels do. Equi-join pairs are gathered into the
-// scratch's columns — the single pass that touches payload memory — and cross
-// the consumer boundary a column batch at a time. A band pair carries two
-// keys where a column batch has room for one, and so does a pair against the
-// null run (its public key is 0, not the private key): those are delivered
-// one by one with both tuples.
-func expandRanges(out Consumer, b *batch.Ranges, sc *batch.Scratch) {
-	if b.Band > 0 || b.Null {
-		for x, i := range b.I {
-			for a := i; a < b.IEnd[x]; a++ {
-				r := relation.Tuple{Key: b.RKeys[a], Payload: b.RPayloads[a]}
-				for c := b.Lo[x]; c < b.Hi[x]; c++ {
-					out.Consume(r, relation.Tuple{Key: b.SKeys[c], Payload: b.SPayloads[c]})
-				}
-			}
-		}
-		return
-	}
-	cols := sc.Columns()
-	keys, rp, sp := cols.Keys, cols.RPayloads, cols.SPayloads
-	n := 0
-	for x, i := range b.I {
-		k := b.RKeys[i]
-		for a := i; a < b.IEnd[x]; a++ {
-			r := b.RPayloads[a]
-			for c := b.Lo[x]; c < b.Hi[x]; c++ {
-				keys[n], rp[n], sp[n] = k, r, b.SPayloads[c]
-				n++
-				if n == len(keys) {
-					EmitColumns(out, keys, rp, sp)
-					n = 0
-				}
-			}
-		}
-	}
-	if n > 0 {
-		EmitColumns(out, keys[:n], rp[:n], sp[:n])
+		out.ConsumeRanges(b.Head(n, pairs))
 	}
 }
 
@@ -289,7 +187,7 @@ func expandRanges(out Consumer, b *batch.Ranges, sc *batch.Scratch) {
 // that narrow the public key column to the window the private run can reach:
 // its key range widened by the band. It returns the size of that window, the
 // number of public tuples the kernel scans.
-func JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Consumer, sc *batch.Scratch) (publicScanned int) {
+func JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays []uint64, band uint64, out RangeConsumer, sc *batch.Scratch) (publicScanned int) {
 	if len(rKeys) == 0 || len(sKeys) == 0 {
 		return 0
 	}

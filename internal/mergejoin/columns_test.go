@@ -36,37 +36,38 @@ func randomSorted(n int, domain uint64, seed int64) ([]relation.Tuple, []uint64,
 // pair is one joined pair with both keys, which a band join needs.
 type pair struct{ r, s relation.Tuple }
 
-// plainConsumer records pairs through Consume only: it implements neither
-// BatchConsumer nor RangeConsumer, forcing the kernel's per-pair delivery.
+// plainConsumer records pairs through Consume only: the kernel reaches it
+// through the pair walk of Pairs.
 type plainConsumer struct{ pairs []pair }
 
 func (p *plainConsumer) Consume(r, s relation.Tuple) { p.pairs = append(p.pairs, pair{r, s}) }
 
-// columnConsumer records pairs through ConsumeColumns (Consume fails the
-// test): the expansion of an equi-join must reach a BatchConsumer in column
-// batches no larger than the scratch.
-type columnConsumer struct {
-	t       *testing.T
-	pairs   []pair
-	maxSeen int
+// rangeConsumer takes the range batches themselves: it checks that every
+// entry is non-empty, that Pairs is the sum of the entries' m·n and that no
+// batch holds more entries than the scratch, and records the batch's pairs
+// through batch.Ranges.All.
+type rangeConsumer struct {
+	t          *testing.T
+	pairs      []pair
+	maxEntries int
 }
 
-func (c *columnConsumer) Consume(r, s relation.Tuple) {
-	c.t.Fatal("equi-join expansion reached a BatchConsumer pair by pair")
-}
-
-func (c *columnConsumer) ConsumeColumns(keys, rp, sp []uint64) {
-	c.maxSeen = max(c.maxSeen, len(keys))
-	for i, k := range keys {
-		c.pairs = append(c.pairs, pair{relation.Tuple{Key: k, Payload: rp[i]}, relation.Tuple{Key: k, Payload: sp[i]}})
+func (c *rangeConsumer) ConsumeRanges(b *batch.Ranges) {
+	var pairs uint64
+	for x, i := range b.I {
+		if i >= b.IEnd[x] || b.Lo[x] >= b.Hi[x] {
+			c.t.Fatalf("empty entry [%d, %d) × [%d, %d)", i, b.IEnd[x], b.Lo[x], b.Hi[x])
+		}
+		pairs += uint64(b.IEnd[x]-i) * uint64(b.Hi[x]-b.Lo[x])
+	}
+	if pairs != b.Pairs {
+		c.t.Fatalf("a batch of %d pairs says it has %d", pairs, b.Pairs)
+	}
+	c.maxEntries = max(c.maxEntries, len(b.I))
+	for r, s := range b.All() {
+		c.pairs = append(c.pairs, pair{r, s})
 	}
 }
-
-// refusingConsumer is a RangeConsumer that refuses every batch: the kernel
-// must then expand it, exactly as if the method were not there.
-type refusingConsumer struct{ plainConsumer }
-
-func (*refusingConsumer) ConsumeRanges(*batch.Ranges) bool { return false }
 
 func requireSamePairs(t *testing.T, name string, want, got []pair) {
 	t.Helper()
@@ -146,11 +147,11 @@ func rangeKernelInputs() []struct {
 
 // TestRangeKernelMatchesOracle is the differential test of the range kernel:
 // for every input shape, band width and batch size — small sizes make key
-// groups and windows straddle every range-batch and column-batch boundary —
-// the pairs it delivers, whichever of its three routes a consumer selects,
-// are multiset-equal to the brute-force oracle's and in the order the row
-// kernels emit; and the consumers that fold ranges report what they report
-// when fed the oracle's pairs one by one.
+// groups and windows straddle every batch boundary — the pairs it delivers,
+// walked by the Pairs adapter or by a consumer of the batches themselves, are
+// multiset-equal to the brute-force oracle's and in the order the row kernels
+// emit; and the consumers that fold ranges report what they report when fed
+// the oracle's pairs one by one.
 func TestRangeKernelMatchesOracle(t *testing.T) {
 	bands := []uint64{0, 1, 16, 1 << 41, ^uint64(0) - 2, ^uint64(0)}
 	for _, in := range rangeKernelInputs() {
@@ -178,20 +179,14 @@ func TestRangeKernelMatchesOracle(t *testing.T) {
 				sc := batch.NewScratch(size, nil)
 
 				var plain plainConsumer
-				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &plain, sc)
+				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, Pairs(&plain), sc)
 				requireSamePairs(t, name+"/plain", rows.pairs, plain.pairs)
 
-				var refused refusingConsumer
-				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &refused, sc)
-				requireSamePairs(t, name+"/refused", rows.pairs, refused.pairs)
-
-				if band == 0 {
-					cols := columnConsumer{t: t}
-					JoinColumns(rKeys, rPays, sKeys, sPays, &cols, sc)
-					requireSamePairs(t, name+"/columns", rows.pairs, cols.pairs)
-					if cols.maxSeen > size {
-						t.Fatalf("%s: a column batch of %d pairs from a scratch of %d", name, cols.maxSeen, size)
-					}
+				ranges := rangeConsumer{t: t}
+				JoinColumnsBand(rKeys, rPays, sKeys, sPays, band, &ranges, sc)
+				requireSamePairs(t, name+"/ranges", rows.pairs, ranges.pairs)
+				if ranges.maxEntries > size {
+					t.Fatalf("%s: a batch of %d entries from a scratch of %d", name, ranges.maxEntries, size)
 				}
 
 				var gotMax MaxAggregate
@@ -213,12 +208,9 @@ type windowSpy struct {
 	pairs  uint64
 }
 
-func (*windowSpy) Consume(r, s relation.Tuple) {}
-
-func (w *windowSpy) ConsumeRanges(b *batch.Ranges) bool {
+func (w *windowSpy) ConsumeRanges(b *batch.Ranges) {
 	w.public = len(b.SKeys)
 	w.pairs += b.Pairs
-	return true
 }
 
 // TestSkipEntersPublicRunAtTheWindow is the regression test for morsel-mode
@@ -282,46 +274,56 @@ func TestJoinColumnsWithSkipMatchesRow(t *testing.T) {
 	sTuples, sKeys, sPays := randomSorted(20000, 10000, 3)
 
 	var want, got plainConsumer
-	start := search.LowerBound(sTuples, rTuples[0].Key)
-	end := search.UpperBound(sTuples, rTuples[len(rTuples)-1].Key)
+	start := search.LowerBoundKeys(sKeys, rKeys[0])
+	end := search.UpperBoundKeys(sKeys, rKeys[len(rKeys)-1])
 	wantScanned := end - start
 	Join(rTuples, sTuples[start:end], &want)
-	gotScanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, &got, nil)
+	gotScanned := JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, Pairs(&got), nil)
 	if gotScanned != wantScanned {
 		t.Fatalf("scanned %d, want %d", gotScanned, wantScanned)
 	}
 	requireSamePairs(t, "with-skip", want.pairs, got.pairs)
 
-	if n := JoinColumnsWithSkip(nil, nil, sKeys, sPays, 3, &got, nil); n != 0 {
+	if n := JoinColumnsWithSkip(nil, nil, sKeys, sPays, 3, Pairs(&got), nil); n != 0 {
 		t.Fatalf("empty private run scanned %d public tuples", n)
 	}
-	if n := JoinColumnsWithSkip(rKeys, rPays, []uint64{1, 2}, []uint64{0, 0}, 3, &got, nil); n != 0 {
+	if n := JoinColumnsWithSkip(rKeys, rPays, []uint64{1, 2}, []uint64{0, 0}, 3, Pairs(&got), nil); n != 0 {
 		t.Fatalf("public run outside the private key range scanned %d tuples", n)
 	}
 }
 
-// TestConsumeColumnsAggregates checks the vectorized BatchConsumer
-// implementations against their per-pair siblings.
-func TestConsumeColumnsAggregates(t *testing.T) {
-	keys := []uint64{1, 2, 3, 4, 5}
-	rp := []uint64{10, 0, 30, 5, 50}
-	sp := []uint64{1, 100, 3, 4, 5}
-
-	var perPair, batched MaxAggregate
-	for i := range keys {
-		perPair.Consume(relation.Tuple{Key: keys[i], Payload: rp[i]}, relation.Tuple{Key: keys[i], Payload: sp[i]})
+// TestConsumeRangesAggregates checks the range-folding aggregates against
+// their per-pair siblings on one hand-built batch, delivered whole and cut in
+// two: the running maximum folds across batches, and a batch with a wrapping
+// sum is visited pair by pair.
+func TestConsumeRangesAggregates(t *testing.T) {
+	rKeys, rPays := []uint64{1, 1, 3, 4}, []uint64{10, 0, 30, ^uint64(0) - 5}
+	sKeys, sPays := []uint64{1, 3, 4, 4}, []uint64{1, 3, 4, 9}
+	entries := [][4]int32{{0, 2, 0, 1}, {2, 3, 1, 2}, {3, 4, 2, 4}} // the last one wraps
+	build := func(from, to int) *batch.Ranges {
+		b := batch.NewScratch(0, nil).Ranges(rKeys, rPays, sKeys, sPays)
+		is, iEnds, los, his := b.I, b.IEnd, b.Lo, b.Hi
+		var pairs uint64
+		for x, e := range entries[from:to] {
+			is[x], iEnds[x], los[x], his[x] = e[0], e[1], e[2], e[3]
+			pairs += uint64(e[1]-e[0]) * uint64(e[3]-e[2])
+		}
+		return b.Head(to-from, pairs)
 	}
-	// Deliver in two batches to exercise the running-max fold across batches.
-	batched.ConsumeColumns(keys[:2], rp[:2], sp[:2])
-	batched.ConsumeColumns(keys[2:], rp[2:], sp[2:])
-	batched.ConsumeColumns(nil, nil, nil) // empty batch is a no-op
-	if perPair != batched {
-		t.Fatalf("MaxAggregate diverged: per-pair %+v, batched %+v", perPair, batched)
+	var perPair MaxAggregate
+	for r, s := range build(0, len(entries)).All() {
+		perPair.Consume(r, s)
 	}
-
+	var whole, split MaxAggregate
 	var c Counter
-	c.ConsumeColumns(keys, rp, sp)
-	if c.Count != uint64(len(keys)) {
-		t.Fatalf("Counter.ConsumeColumns counted %d, want %d", c.Count, len(keys))
+	whole.ConsumeRanges(build(0, len(entries)))
+	split.ConsumeRanges(build(0, 1))
+	split.ConsumeRanges(build(1, len(entries)))
+	c.ConsumeRanges(build(0, len(entries)))
+	if perPair != whole || perPair != split || perPair.Max != ^uint64(0)-1 {
+		t.Fatalf("MaxAggregate diverged: per-pair %+v, whole %+v, split %+v", perPair, whole, split)
+	}
+	if c.Count != perPair.Count || c.Count != 5 {
+		t.Fatalf("Counter counted %d, want %d", c.Count, perPair.Count)
 	}
 }

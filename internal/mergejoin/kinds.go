@@ -62,14 +62,14 @@ func (k Kind) Valid() bool { return k >= Inner && k <= Anti }
 // run classified correctly — Finish reports the unmatched (LeftOuter, Anti)
 // or matched (Semi) groups as ordinary range entries against the null run
 // {0, 0}: aggregates fold them with the code they fold matches with, and
-// pair-taking sinks receive Consume(r, relation.Tuple{}) per private tuple.
+// pair-taking sinks walk them as (r, relation.Tuple{}) per private tuple.
 //
 // One mark per private position, set at the group's first tuple, is drawn
 // from the join's lease; a Marker serves one private run and one goroutine.
 type Marker struct {
 	kind         Kind
 	rKeys, rPays []uint64
-	out          Consumer
+	out          RangeConsumer
 	sc           *batch.Scratch
 	lease        *memory.Lease
 	marks        []uint64 // bitset over private positions
@@ -83,7 +83,7 @@ var nullRun = []uint64{0}
 // Anti join; Inner joins hand the kernel the sink writer itself. The kernel
 // calls that use the marker as their consumer must join exactly
 // rKeys/rPays, through sc.
-func NewMarker(kind Kind, rKeys, rPays []uint64, out Consumer, sc *batch.Scratch, lease *memory.Lease) *Marker {
+func NewMarker(kind Kind, rKeys, rPays []uint64, out RangeConsumer, sc *batch.Scratch, lease *memory.Lease) *Marker {
 	if kind != LeftOuter && kind != Semi && kind != Anti {
 		panic(fmt.Sprintf("mergejoin: no marker for join kind %d", int(kind)))
 	}
@@ -94,20 +94,13 @@ func NewMarker(kind Kind, rKeys, rPays []uint64, out Consumer, sc *batch.Scratch
 
 // ConsumeRanges implements RangeConsumer: every entry is a private key group
 // with a partner.
-func (m *Marker) ConsumeRanges(b *batch.Ranges) bool {
+func (m *Marker) ConsumeRanges(b *batch.Ranges) {
 	for _, i := range b.I {
 		m.marks[i>>6] |= 1 << (uint(i) & 63)
 	}
 	if m.kind == LeftOuter {
-		deliverRanges(m.out, b, m.sc)
+		m.out.ConsumeRanges(b)
 	}
-	return true
-}
-
-// Consume implements Consumer. The kernel never calls it: ConsumeRanges takes
-// every batch.
-func (m *Marker) Consume(r, s relation.Tuple) {
-	panic("mergejoin: Marker consumes ranges only")
 }
 
 // Finish emits the classification pass and hands the marks back to the lease;
@@ -120,27 +113,27 @@ func (m *Marker) Finish(ctx context.Context) {
 		return
 	}
 	wantMatched := m.kind == Semi
-	b := m.sc.Ranges(m.rKeys, m.rPays, nullRun, nullRun, 0)
-	b.Null = true
-	n := 0
+	b := m.sc.Ranges(m.rKeys, m.rPays, nullRun, nullRun)
+	is, iEnds, los, his := b.I, b.IEnd, b.Lo, b.Hi
+	n, pairs := 0, uint64(0)
 	for i := 0; i < len(m.rKeys); {
 		iEnd := i + 1
 		for iEnd < len(m.rKeys) && m.rKeys[iEnd] == m.rKeys[i] {
 			iEnd++
 		}
 		if matched := m.marks[i>>6]>>(uint(i)&63)&1 != 0; matched == wantMatched {
-			b.I[n], b.IEnd[n], b.Lo[n], b.Hi[n] = int32(i), int32(iEnd), 0, 1
-			b.Pairs += uint64(iEnd - i)
+			is[n], iEnds[n], los[n], his[n] = int32(i), int32(iEnd), 0, 1
+			pairs += uint64(iEnd - i)
 			n++
-			if n == len(b.I) {
-				emitRanges(m.out, b, n, m.sc)
-				n = 0
+			if n == len(is) {
+				m.out.ConsumeRanges(b.Head(n, pairs))
+				n, pairs = 0, 0
 			}
 		}
 		i = iEnd
 	}
 	if n > 0 {
-		emitRanges(m.out, b, n, m.sc)
+		m.out.ConsumeRanges(b.Head(n, pairs))
 	}
 }
 

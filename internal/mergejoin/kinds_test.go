@@ -40,10 +40,10 @@ func joinRunsKind(kind Kind, private []relation.Tuple, publicRuns []*batch.Run, 
 	rKeys, rPays := columnsOf(private)
 	sc := batch.NewScratch(batchSize, nil)
 	defer sc.Close()
-	cons := out
+	cons := Pairs(out)
 	var marker *Marker
 	if kind != Inner {
-		marker = NewMarker(kind, rKeys, rPays, out, sc, nil)
+		marker = NewMarker(kind, rKeys, rPays, cons, sc, nil)
 		cons = marker
 	}
 	for _, pub := range publicRuns {
@@ -263,7 +263,7 @@ func TestMarkerEmitsNoClassificationWhenCancelled(t *testing.T) {
 	for _, kind := range []Kind{LeftOuter, Semi, Anti} {
 		var got plainConsumer
 		sc := batch.NewScratch(2, nil)
-		marker := NewMarker(kind, rKeys, rPays, &got, sc, nil)
+		marker := NewMarker(kind, rKeys, rPays, Pairs(&got), sc, nil)
 		for _, pub := range runs {
 			JoinColumnsWithSkip(rKeys, rPays, pub.Keys, pub.Payloads, 0, marker, sc)
 		}

@@ -10,11 +10,13 @@
 // outer, semi and anti joins are a consumer in front of it (Marker,
 // kinds.go). Nothing is materialized unless the consumer chooses to.
 //
-// The row kernels stay under their names with three callers: Join is
-// D-MPSM's page join and, like JoinBand, the row-at-a-time sibling the tests
-// check the column kernel against pair for pair and a benchmark probe;
-// ReferenceJoin, ReferenceJoinKind and ReferenceJoinBand are the differential
-// oracles, which share nothing with any kernel.
+// Every join hands its sink writer range batches (RangeConsumer) and nothing
+// else; a writer that takes pairs is walked pair by pair behind Pairs. The row
+// kernels stay under their names for the tests and the benchmark only: Join
+// and JoinBand are the row-at-a-time siblings the tests check the column
+// kernel against pair for pair, and benchmark probes; ReferenceJoin,
+// ReferenceJoinKind and ReferenceJoinBand are the differential oracles, which
+// share nothing with any kernel. No join of the engine calls them.
 package mergejoin
 
 import (

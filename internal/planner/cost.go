@@ -15,9 +15,9 @@ import (
 // because since the merge kernel emits ranges the second term decides more
 // joins than the first. B- and P-MPSM hand their consumer one range entry per
 // private key group and public run, key-ordered within every (private run,
-// public run) pair; the hash joins hand over pairs in probe order, except to
-// the max-sum and count sinks, whose (count, max) their probe loop keeps
-// itself. A consumer that folds range entries (the max-sum and count sinks,
+// public run) pair; the hash joins hand over one entry per matching probe
+// tuple (its build matches × the tuple) in probe order, except to the max-sum
+// and count sinks, whose (count, max) their probe loop keeps itself. A consumer that folds range entries (the max-sum and count sinks,
 // the group-by kernel over a projection it knows by name) therefore does no
 // per-pair work behind an MPSM join and finalises one entry per key group and
 // run instead of one per probe tuple.
@@ -369,7 +369,8 @@ type joinInputs struct {
 }
 
 // emitsRanges reports the algorithms whose output is range entries over
-// key-ordered runs; the hash joins emit pairs in probe order.
+// key-ordered runs, one per key group; the hash joins emit one entry per
+// matching probe tuple, in probe order, and are priced per pair.
 func emitsRanges(alg exec.Algorithm) bool {
 	return alg == exec.AlgorithmPMPSM || alg == exec.AlgorithmBMPSM
 }

@@ -87,10 +87,10 @@ type Constraints struct {
 
 // Shape is a join's output as its consumer receives it.
 type Shape struct {
-	// Ranges reports range entries — one per private key group and public
-	// run, key-ordered within every (private run, public run) pair — as B- and
-	// P-MPSM emit them; the hash joins emit pairs in probe order unless they
-	// fold them (Folded).
+	// Ranges reports key-ordered range entries — one per private key group
+	// and public run, key-ordered within every (private run, public run) pair
+	// — as B- and P-MPSM emit them; the hash joins emit one entry per matching
+	// probe tuple, in probe order, unless they fold them (Folded).
 	Ranges bool
 	// Partitions, when positive, is the number of key ranges the output is
 	// partitioned into by writer: under static scheduling P-MPSM's worker w
@@ -109,7 +109,7 @@ func (s Shape) String() string {
 	case s.Folded:
 		return "folded (count, max)"
 	case !s.Ranges:
-		return "pairs, probe order"
+		return "ranges, probe order"
 	case s.Partitions > 0:
 		return fmt.Sprintf("ranges, key-ordered, range-partitioned ×%d", s.Partitions)
 	default:

@@ -42,16 +42,15 @@ type WorkerBreakdown struct {
 	Matches uint64
 }
 
-// BatchStats reports how much of the join output flowed through the columnar
-// batch fast path: Batches is the number of batches delivered to the sink —
-// range batches of the merge kernel taken whole by a sink that folds them,
-// or column batches of expanded pairs — and Tuples the number of result
-// pairs they stood for. Both are zero when every pair was delivered one by
-// one (D-MPSM; a band join or a semi/anti classification into a sink that
-// takes no ranges), so the counters double as a cheap assertion that the
-// batch plumbing was actually exercised.
+// BatchStats reports the join output's traffic across the sink boundary:
+// Batches is the number of batches delivered to the sink — range batches of
+// the merge kernel or a hash probe, or a hash probe's (count, max) folds —
+// and Tuples the number of result pairs they stood for. Every join delivers
+// batches and nothing else, so Tuples equals the join's match count, and the
+// counters double as a cheap assertion that the batch plumbing was actually
+// exercised.
 type BatchStats struct {
-	// Batches is the number of range or column batches delivered.
+	// Batches is the number of range batches (or hash-probe folds) delivered.
 	Batches uint64
 	// Tuples is the number of result pairs those batches stood for.
 	Tuples uint64

@@ -9,8 +9,6 @@
 // adversarially distributed keys.
 package search
 
-import "repro/internal/relation"
-
 // maxInterpolationSteps bounds the number of interpolation iterations before
 // the search falls back to plain binary search. Interpolation converges in
 // O(log log n) steps on uniform data; heavily skewed data could otherwise
@@ -29,16 +27,17 @@ const linearCutoff = 8
 // to binary search immediately.
 const maxExactSpan = uint64(1) << 53
 
-// LowerBound returns the index of the first tuple in the sorted run whose key
-// is >= probe. If every key is smaller than probe it returns len(run). The run
-// must be sorted by ascending key.
-func LowerBound(run []relation.Tuple, probe uint64) int {
-	lo, hi := 0, len(run) // invariant: the answer lies in [lo, hi]
+// LowerBoundKeys returns the index of the first key in the sorted column that
+// is >= probe (len(keys) if every key is smaller). keys must be in ascending
+// order. The search runs on the raw key column, keeping the contiguous 8-byte
+// stride that makes the columnar merge kernel cache-efficient.
+func LowerBoundKeys(keys []uint64, probe uint64) int {
+	lo, hi := 0, len(keys) // invariant: the answer lies in [lo, hi]
 
 	steps := 0
 	for hi-lo > linearCutoff {
-		loKey := run[lo].Key
-		hiKey := run[hi-1].Key
+		loKey := keys[lo]
+		hiKey := keys[hi-1]
 		if probe <= loKey {
 			return lo
 		}
@@ -47,7 +46,7 @@ func LowerBound(run []relation.Tuple, probe uint64) int {
 		}
 		steps++
 		if steps > maxInterpolationSteps || hiKey == loKey || hiKey-loKey >= maxExactSpan {
-			return binaryLowerBound(run, lo, hi, probe)
+			return binaryLowerBoundKeys(keys, lo, hi, probe)
 		}
 		// Rule of proportion: the most probable position of probe within
 		// [lo, hi) assuming a locally uniform key distribution.
@@ -60,25 +59,25 @@ func LowerBound(run []relation.Tuple, probe uint64) int {
 		if mid > hi-1 {
 			mid = hi - 1
 		}
-		if run[mid].Key < probe {
+		if keys[mid] < probe {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	for i := lo; i < hi; i++ {
-		if run[i].Key >= probe {
+		if keys[i] >= probe {
 			return i
 		}
 	}
 	return hi
 }
 
-// binaryLowerBound is the classic binary-search lower bound over [lo, hi).
-func binaryLowerBound(run []relation.Tuple, lo, hi int, probe uint64) int {
+// binaryLowerBoundKeys is the classic binary-search lower bound over [lo, hi).
+func binaryLowerBoundKeys(keys []uint64, lo, hi int, probe uint64) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if run[mid].Key < probe {
+		if keys[mid] < probe {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -87,12 +86,11 @@ func binaryLowerBound(run []relation.Tuple, lo, hi int, probe uint64) int {
 	return lo
 }
 
-// UpperBound returns the index of the first tuple in the sorted run whose key
-// is strictly greater than probe. It is used to find the exclusive end of the
-// relevant S range of a private partition.
-func UpperBound(run []relation.Tuple, probe uint64) int {
+// UpperBoundKeys returns the index of the first key strictly greater than
+// probe: the exclusive end of the keys a private run's key range reaches.
+func UpperBoundKeys(keys []uint64, probe uint64) int {
 	if probe == ^uint64(0) {
-		return len(run)
+		return len(keys)
 	}
-	return LowerBound(run, probe+1)
+	return LowerBoundKeys(keys, probe+1)
 }

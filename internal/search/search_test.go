@@ -5,22 +5,17 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/relation"
 )
 
-func sortedRun(keys []uint64) []relation.Tuple {
+// sortedRun sorts a key column in place and returns it.
+func sortedRun(keys []uint64) []uint64 {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	run := make([]relation.Tuple, len(keys))
-	for i, k := range keys {
-		run[i] = relation.Tuple{Key: k, Payload: uint64(i)}
-	}
-	return run
+	return keys
 }
 
 // referenceLowerBound is the trusted oracle implementation.
-func referenceLowerBound(run []relation.Tuple, probe uint64) int {
-	return sort.Search(len(run), func(i int) bool { return run[i].Key >= probe })
+func referenceLowerBound(run []uint64, probe uint64) int {
+	return sort.Search(len(run), func(i int) bool { return run[i] >= probe })
 }
 
 func TestLowerBoundSmallCases(t *testing.T) {
@@ -37,22 +32,22 @@ func TestLowerBoundSmallCases(t *testing.T) {
 		100: 5,
 	}
 	for probe, want := range cases {
-		if got := LowerBound(run, probe); got != want {
-			t.Errorf("LowerBound(%d) = %d, want %d", probe, got, want)
+		if got := LowerBoundKeys(run, probe); got != want {
+			t.Errorf("LowerBoundKeys(%d) = %d, want %d", probe, got, want)
 		}
 	}
 }
 
 func TestLowerBoundEmptyAndSingle(t *testing.T) {
-	if got := LowerBound(nil, 5); got != 0 {
-		t.Fatalf("LowerBound(nil, 5) = %d, want 0", got)
+	if got := LowerBoundKeys(nil, 5); got != 0 {
+		t.Fatalf("LowerBoundKeys(nil, 5) = %d, want 0", got)
 	}
 	run := sortedRun([]uint64{7})
-	if got := LowerBound(run, 7); got != 0 {
-		t.Fatalf("LowerBound([7], 7) = %d, want 0", got)
+	if got := LowerBoundKeys(run, 7); got != 0 {
+		t.Fatalf("LowerBoundKeys([7], 7) = %d, want 0", got)
 	}
-	if got := LowerBound(run, 8); got != 1 {
-		t.Fatalf("LowerBound([7], 8) = %d, want 1", got)
+	if got := LowerBoundKeys(run, 8); got != 1 {
+		t.Fatalf("LowerBoundKeys([7], 8) = %d, want 1", got)
 	}
 }
 
@@ -62,14 +57,14 @@ func TestLowerBoundAllEqualKeys(t *testing.T) {
 		keys[i] = 42
 	}
 	run := sortedRun(keys)
-	if got := LowerBound(run, 42); got != 0 {
-		t.Fatalf("LowerBound(=42) = %d, want 0", got)
+	if got := LowerBoundKeys(run, 42); got != 0 {
+		t.Fatalf("LowerBoundKeys(=42) = %d, want 0", got)
 	}
-	if got := LowerBound(run, 43); got != 1000 {
-		t.Fatalf("LowerBound(43) = %d, want 1000", got)
+	if got := LowerBoundKeys(run, 43); got != 1000 {
+		t.Fatalf("LowerBoundKeys(43) = %d, want 1000", got)
 	}
-	if got := LowerBound(run, 1); got != 0 {
-		t.Fatalf("LowerBound(1) = %d, want 0", got)
+	if got := LowerBoundKeys(run, 1); got != 0 {
+		t.Fatalf("LowerBoundKeys(1) = %d, want 0", got)
 	}
 }
 
@@ -83,8 +78,8 @@ func TestLowerBoundUniformMatchesReference(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		probe := rng.Uint64() % (1 << 33)
 		want := referenceLowerBound(run, probe)
-		if got := LowerBound(run, probe); got != want {
-			t.Fatalf("LowerBound(%d) = %d, want %d", probe, got, want)
+		if got := LowerBoundKeys(run, probe); got != want {
+			t.Fatalf("LowerBoundKeys(%d) = %d, want %d", probe, got, want)
 		}
 	}
 }
@@ -108,8 +103,8 @@ func TestLowerBoundSkewedMatchesReference(t *testing.T) {
 	}
 	for _, probe := range probes {
 		want := referenceLowerBound(run, probe)
-		if got := LowerBound(run, probe); got != want {
-			t.Fatalf("LowerBound(%d) = %d, want %d", probe, got, want)
+		if got := LowerBoundKeys(run, probe); got != want {
+			t.Fatalf("LowerBoundKeys(%d) = %d, want %d", probe, got, want)
 		}
 	}
 }
@@ -117,16 +112,16 @@ func TestLowerBoundSkewedMatchesReference(t *testing.T) {
 func TestLowerBoundProperty(t *testing.T) {
 	f := func(rawKeys []uint64, probe uint64) bool {
 		run := sortedRun(rawKeys)
-		got := LowerBound(run, probe)
+		got := LowerBoundKeys(run, probe)
 		want := referenceLowerBound(run, probe)
 		if got != want {
 			return false
 		}
 		// Semantic checks independent of the oracle.
-		if got > 0 && run[got-1].Key >= probe {
+		if got > 0 && run[got-1] >= probe {
 			return false
 		}
-		if got < len(run) && run[got].Key < probe {
+		if got < len(run) && run[got] < probe {
 			return false
 		}
 		return true
@@ -147,13 +142,13 @@ func TestUpperBound(t *testing.T) {
 		31: 4,
 	}
 	for probe, want := range cases {
-		if got := UpperBound(run, probe); got != want {
-			t.Errorf("UpperBound(%d) = %d, want %d", probe, got, want)
+		if got := UpperBoundKeys(run, probe); got != want {
+			t.Errorf("UpperBoundKeys(%d) = %d, want %d", probe, got, want)
 		}
 	}
 	// Max probe must not overflow.
-	if got := UpperBound(run, ^uint64(0)); got != len(run) {
-		t.Fatalf("UpperBound(max) = %d, want %d", got, len(run))
+	if got := UpperBoundKeys(run, ^uint64(0)); got != len(run) {
+		t.Fatalf("UpperBoundKeys(max) = %d, want %d", got, len(run))
 	}
 }
 
@@ -161,8 +156,8 @@ func TestBinaryLowerBoundDirect(t *testing.T) {
 	run := sortedRun([]uint64{1, 3, 5, 7, 9, 11})
 	for probe := uint64(0); probe <= 12; probe++ {
 		want := referenceLowerBound(run, probe)
-		if got := binaryLowerBound(run, 0, len(run), probe); got != want {
-			t.Errorf("binaryLowerBound(%d) = %d, want %d", probe, got, want)
+		if got := binaryLowerBoundKeys(run, 0, len(run), probe); got != want {
+			t.Errorf("binaryLowerBoundKeys(%d) = %d, want %d", probe, got, want)
 		}
 	}
 }
@@ -192,16 +187,16 @@ func TestLowerBoundGiantKeySpans(t *testing.T) {
 		probes = append(probes, rng.Uint64()%(1<<21))
 	}
 	for _, probe := range probes {
-		if got, want := LowerBound(run, probe), referenceLowerBound(run, probe); got != want {
-			t.Fatalf("LowerBound(probe=%d) = %d, want %d", probe, got, want)
+		if got, want := LowerBoundKeys(run, probe), referenceLowerBound(run, probe); got != want {
+			t.Fatalf("LowerBoundKeys(probe=%d) = %d, want %d", probe, got, want)
 		}
 	}
 	for _, probe := range probes {
 		if probe == maxU64 {
 			continue
 		}
-		if got, want := UpperBound(run, probe), referenceLowerBound(run, probe+1); got != want {
-			t.Fatalf("UpperBound(probe=%d) = %d, want %d", probe, got, want)
+		if got, want := UpperBoundKeys(run, probe), referenceLowerBound(run, probe+1); got != want {
+			t.Fatalf("UpperBoundKeys(probe=%d) = %d, want %d", probe, got, want)
 		}
 	}
 }
@@ -220,11 +215,11 @@ func TestLowerBoundSpanGuardConverges(t *testing.T) {
 	}
 	run := sortedRun(keys)
 	for probe := uint64(0); probe < 64; probe++ {
-		if got, want := LowerBound(run, probe), referenceLowerBound(run, probe); got != want {
-			t.Fatalf("LowerBound(%d) = %d, want %d", probe, got, want)
+		if got, want := LowerBoundKeys(run, probe), referenceLowerBound(run, probe); got != want {
+			t.Fatalf("LowerBoundKeys(%d) = %d, want %d", probe, got, want)
 		}
 	}
-	if got, want := LowerBound(run, uint64(1)<<40), 32; got != want {
-		t.Fatalf("LowerBound(2^40) = %d, want %d", got, want)
+	if got, want := LowerBoundKeys(run, uint64(1)<<40), 32; got != want {
+		t.Fatalf("LowerBoundKeys(2^40) = %d, want %d", got, want)
 	}
 }

@@ -119,9 +119,9 @@ func (a Agg) Merge(x, y uint64) uint64 {
 // of the MPSM join phase collapses to one entry per key and public run; a
 // hash join's probe loop emits a key's matches back to back) and appends
 // (key, partial) entries to leased buffers, so the join output is never
-// materialized. From the columnar merge kernel the writers take that output
-// as ranges — a private key group × its window of a public run — and, over a
-// projection they recognise (Value), fold each range to its partial in
+// materialized. The writers take that output as ranges — a private key group
+// × its window of a public run, or a probe tuple × its build matches — and,
+// over a projection they recognise (Value), fold each range to its partial in
 // O(m+n) without forming a pair. Close range-partitions the entries by key — per-writer
 // histograms, equi-height splitters, prefix sums, a latch-free scatter —
 // then sorts each partition, folds equal keys and concatenates the partitions
@@ -363,33 +363,20 @@ func (w *groupWriter) Consume(r, s relation.Tuple) {
 	w.add(t.Key, t.Payload)
 }
 
-// ConsumeColumns implements BatchWriter. The projection test is hoisted out
-// of the loop: this is the per-pair hot path of every aggregate query, and
-// going through Consume costs ~6% of a 1M-pair plan.
-func (w *groupWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	if w.project == nil {
-		for i, k := range keys {
-			w.add(k, rPayloads[i]+sPayloads[i])
+// ConsumeRanges implements mergejoin.RangeConsumer. Over a projection the
+// kernel recognises every entry is one key group, so it folds to one partial
+// accumulator without visiting its pairs; an opaque projection sees every
+// pair of the batch.
+func (w *groupWriter) ConsumeRanges(b *batch.Ranges) {
+	if w.value == ValueOpaque {
+		for r, s := range b.All() {
+			w.Consume(r, s)
 		}
 		return
-	}
-	for i, k := range keys {
-		t := w.project(relation.Tuple{Key: k, Payload: rPayloads[i]}, relation.Tuple{Key: k, Payload: sPayloads[i]})
-		w.add(t.Key, t.Payload)
-	}
-}
-
-// ConsumeRanges implements mergejoin.RangeConsumer for the projections the
-// kernel recognises: every entry is one key group, so it folds to one partial
-// accumulator without visiting its pairs.
-func (w *groupWriter) ConsumeRanges(b *batch.Ranges) bool {
-	if w.value == ValueOpaque {
-		return false
 	}
 	for x, i := range b.I {
 		w.addPartial(b.RKeys[i], w.foldRange(b, int(i), int(b.IEnd[x]), int(b.Lo[x]), int(b.Hi[x])))
 	}
-	return true
 }
 
 // foldRange aggregates the m·n pairs of private tuples [i, iEnd) × public

@@ -138,9 +138,9 @@ func TestAggregateMatchesMapOracle(t *testing.T) {
 }
 
 // TestGroupWritersBatchAndRowPathsAgree drives the fused form directly: pairs
-// dealt to the writers in blocks, through Consume and ConsumeColumns, with
-// the default and a key-rewriting projection, must aggregate like the oracle
-// over the projected pairs.
+// dealt to the writers in blocks, through Consume and as range batches of one
+// entry per pair, with the default and a key-rewriting projection, must
+// aggregate like the oracle over the projected pairs.
 func TestGroupWritersBatchAndRowPathsAgree(t *testing.T) {
 	const seed, workers, block = 77, 4, 100
 	swap := func(r, s relation.Tuple) relation.Tuple {
@@ -175,7 +175,7 @@ func TestGroupWritersBatchAndRowPathsAgree(t *testing.T) {
 						for i := lo; i < hi; i++ {
 							keys, rp, sp = append(keys, in[i].Key), append(rp, in[i].Payload), append(sp, uint64(i))
 						}
-						w.(BatchWriter).ConsumeColumns(keys, rp, sp)
+						w.ConsumeRanges(pairBatch(keys, rp, sp))
 					}
 					if err := b.Close(); err != nil {
 						t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // the benchmark's band template (2 × 32 768 tuples, keys below 2^18, width
 // 16); into the sinks that fold a range (max-sum; group count over the
 // default projection; group sum over the probe payload, as compiled queries
-// project) and one that has every pair expanded (collect).
+// project) and one that walks every pair (collect).
 func BenchmarkMergeOutput(b *testing.B) {
 	type shape struct {
 		name string

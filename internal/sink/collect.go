@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"repro/internal/batch"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
@@ -154,6 +155,13 @@ func (b *tupleBuffer) reserve(extra int) {
 	b.buf = grown
 }
 
+// grow appends n tuples and returns them, for the caller to fill.
+func (b *tupleBuffer) grow(n int) []relation.Tuple {
+	b.reserve(n)
+	b.n += n
+	return b.buf[b.n-n : b.n]
+}
+
 // push appends one tuple.
 func (b *tupleBuffer) push(t relation.Tuple) {
 	b.reserve(1)
@@ -164,13 +172,14 @@ func (b *tupleBuffer) push(t relation.Tuple) {
 // Consume implements mergejoin.Consumer.
 func (b *tupleBuffer) Consume(r, s relation.Tuple) { b.push(b.apply(r, s)) }
 
-// ConsumeColumns implements BatchWriter: capacity is ensured once per batch.
-func (b *tupleBuffer) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	b.reserve(len(keys))
-	dst := b.buf[b.n : b.n+len(keys)]
-	b.n += len(keys)
-	for i, k := range keys {
-		dst[i] = b.apply(relation.Tuple{Key: k, Payload: rPayloads[i]}, relation.Tuple{Key: k, Payload: sPayloads[i]})
+// ConsumeRanges implements mergejoin.RangeConsumer: capacity is ensured once
+// per batch, then its pairs are projected in one walk.
+func (b *tupleBuffer) ConsumeRanges(rb *batch.Ranges) {
+	dst := b.grow(int(rb.Pairs))
+	n := 0
+	for r, s := range rb.All() {
+		dst[n] = b.apply(r, s)
+		n++
 	}
 }
 

@@ -82,7 +82,9 @@ var allValues = []Value{ValuePayloadSum, ValueBuildPayload, ValueProbePayload, V
 // closure and every pair is expanded, and what the map oracle computes from
 // the brute-force join — on payloads whose sums wrap, for an equi-join and a
 // band join (where the probe key is not the group key), at batch sizes that
-// cut the range batches everywhere. The match counters agree too.
+// cut the range batches everywhere. The match counters agree too, and every
+// match is batched: an opaque projection walks the pairs of the batches it
+// takes, band joins included.
 func TestFoldedRangesMatchExpandedPairs(t *testing.T) {
 	r, s := rangeRuns(11)
 	for _, band := range []uint64{0, 16} {
@@ -105,7 +107,7 @@ func TestFoldedRangesMatchExpandedPairs(t *testing.T) {
 							t.Fatalf("%s/as=%d: counted %d pairs, the join has %d", name, value, b.Matches(), len(pairs))
 						}
 						batches, batched := b.Batches()
-						if wantBatched := value != ValueOpaque || band == 0; wantBatched != (batches > 0) || (wantBatched && batched != b.Matches()) {
+						if batches == 0 || batched != b.Matches() {
 							t.Fatalf("%s/as=%d: %d batches carrying %d of %d pairs", name, value, batches, batched, b.Matches())
 						}
 					}
@@ -153,7 +155,8 @@ func TestOpaqueProjectionSeesEveryPair(t *testing.T) {
 // TestKeyCheckExpandsRanges: under a tie-break verifier no range reaches the
 // sink — every candidate pair passes the check, rejected pairs vanish before
 // they are counted, and accepted ones carry the rewritten payloads — even
-// though the sink behind it would have folded ranges.
+// though the sink behind it would have folded ranges; the survivors of each
+// batch still count as one batch.
 func TestKeyCheckExpandsRanges(t *testing.T) {
 	r, s := rangeRuns(13)
 	check := func(rp, sp uint64) (uint64, uint64, bool) { return rp % 977, sp % 977, (rp+sp)%3 != 0 }
@@ -169,13 +172,16 @@ func TestKeyCheckExpandsRanges(t *testing.T) {
 			if b.Matches() != uint64(len(pairs)) || len(pairs) == 0 {
 				t.Fatalf("value=%d/%v: counted %d pairs, %d pass the check", v, agg, b.Matches(), len(pairs))
 			}
+			if batches, batched := b.Batches(); batches == 0 || batched != b.Matches() {
+				t.Fatalf("value=%d/%v: %d batches carrying %d of %d verified pairs", v, agg, batches, batched, b.Matches())
+			}
 			checkGroups(t, fmt.Sprintf("checked/value=%d/%v", v, agg), g.Rows(), mapAggregate(pairs, agg))
 		}
 	}
 }
 
 // TestRangeSinksMatchPairwise: the sinks that fold ranges (MaxSum, Count)
-// and the ones that have them expanded (Materialize, Collect, TopK, Func)
+// and the ones that walk their pairs (Materialize, Collect, TopK, Func)
 // all see the brute-force join, through the counting writer.
 func TestRangeSinksMatchPairwise(t *testing.T) {
 	r, s := rangeRuns(14)

@@ -8,6 +8,12 @@
 // The hot path therefore needs no locking unless the sink itself chooses to
 // serialize (see Func).
 //
+// Every join hands its writers range batches (mergejoin.RangeConsumer). The
+// built-in writers take them: MaxSum, Count and the Groups kernel fold a key
+// group × window without forming a pair, Materialize and Collect walk the
+// batch's pairs into their buffers. A writer that takes pairs only (Func,
+// TopK, a user sink) is wrapped once, by Bind, in mergejoin.Pairs.
+//
 // The paper's evaluation query max(R.payload + S.payload) is just one sink
 // (MaxSum); Count, Materialize and TopK cover the other common result shapes,
 // and Func adapts any callback.
@@ -40,18 +46,6 @@ type Sink interface {
 	Close() error
 }
 
-// BatchWriter is the batch fast path of a sink writer: writers that
-// implement it receive whole columnar match batches (join key plus both
-// payload columns) instead of one Consume call per pair. It is an optional
-// extension — the join's columnar kernels probe for it and fall back to
-// per-pair delivery, so existing sinks keep working unchanged. The built-in
-// MaxSum, Count and Materialize writers implement it. MaxSum, Count and the
-// Groups kernel go one further and implement mergejoin.RangeConsumer: the
-// merge kernel hands them a key group × window at a time and no pair is ever
-// formed. Behind the hash joins MaxSum and Count take no batch of pairs
-// either: the probe loop folds them (FoldsRanges).
-type BatchWriter = mergejoin.BatchConsumer
-
 // FoldsRanges reports whether s is one of the built-in sinks whose writers
 // take merge output a range entry at a time (nil selects MaxSum, as in Bind):
 // behind B- and P-MPSM they do no per-pair work, which the planner prices.
@@ -74,14 +68,14 @@ type Pair struct {
 // Sum returns R.Payload + S.Payload, the paper's aggregation input.
 func (p Pair) Sum() uint64 { return p.R.Payload + p.S.Payload }
 
-// Bound wraps a sink for one join execution, interposing a per-worker match
-// counter so that every algorithm reports its join cardinality regardless of
-// what the sink does with the tuples. Bind with a nil sink selects the
-// built-in MaxSum aggregate, which preserves the legacy Join semantics.
+// Bound wraps a sink for one join execution, interposing a per-worker Writer
+// that counts matches, so that every algorithm reports its join cardinality
+// regardless of what the sink does with the tuples. Bind with a nil sink
+// selects the built-in MaxSum aggregate, which preserves the legacy Join
+// semantics.
 type Bound struct {
 	sink    Sink
-	writers []*countingWriter
-	check   PairCheck
+	writers []*Writer
 }
 
 // Scratcher is implemented by sinks that can draw their per-worker buffers
@@ -113,7 +107,8 @@ func Bind(s Sink, workers int, lease *memory.Lease) *Bound {
 // BindChecked is Bind with an optional tie-break verifier: when check is
 // non-nil every worker's writer first filters candidate pairs through it,
 // so both the match count and the sink observe verified pairs only. A nil
-// check is the zero-overhead fast path and is exactly Bind.
+// check is the zero-overhead fast path and is exactly Bind. A sink writer
+// that takes no ranges is wrapped in the pair walk here, once per worker.
 func BindChecked(s Sink, workers int, lease *memory.Lease, check PairCheck) *Bound {
 	if s == nil {
 		s = NewMaxSum()
@@ -122,21 +117,16 @@ func BindChecked(s Sink, workers int, lease *memory.Lease, check PairCheck) *Bou
 		sc.SetScratch(lease)
 	}
 	s.Open(workers)
-	b := &Bound{sink: s, writers: make([]*countingWriter, workers), check: check}
+	b := &Bound{sink: s, writers: make([]*Writer, workers)}
 	for w := range b.writers {
-		b.writers[w] = &countingWriter{inner: s.Writer(w)}
+		inner := s.Writer(w)
+		b.writers[w] = &Writer{inner: inner, ranges: mergejoin.Pairs(inner), check: check}
 	}
 	return b
 }
 
-// Writer returns worker w's consumer: the counting writer, wrapped in the
-// tie-break verifier when one is bound.
-func (b *Bound) Writer(w int) mergejoin.Consumer {
-	if b.check != nil {
-		return &checkingWriter{check: b.check, inner: b.writers[w]}
-	}
-	return b.writers[w]
-}
+// Writer returns worker w's side of the boundary.
+func (b *Bound) Writer(w int) *Writer { return b.writers[w] }
 
 // Close closes the underlying sink.
 func (b *Bound) Close() error { return b.sink.Close() }
@@ -163,9 +153,9 @@ func (b *Bound) MaxSum() uint64 {
 	return 0
 }
 
-// Batches is the number of columnar match batches flushed through the sink
-// boundary, and BatchedMatches the pairs they carried; both are zero when the
-// join delivered every pair one by one. Call after the join phase barrier.
+// Batches is the number of batches that crossed the sink boundary, and pairs
+// the matches they carried: every match of a join, which delivers nothing
+// but batches. Call after the join phase barrier.
 func (b *Bound) Batches() (batches, pairs uint64) {
 	for _, w := range b.writers {
 		batches += w.batches
@@ -174,99 +164,72 @@ func (b *Bound) Batches() (batches, pairs uint64) {
 	return batches, pairs
 }
 
-// countingWriter counts pairs before forwarding them to the sink's writer.
-type countingWriter struct {
+// Writer is one worker's side of the sink boundary, in front of the sink's
+// writer: it counts what it hands on — matches, and the batches that carried
+// them — and, under a tie-break verifier, verifies every candidate pair
+// first: candidates that fail the check vanish before they are counted, and
+// survivors carry the payloads the check returned (the user payloads
+// recovered from the key metadata).
+type Writer struct {
 	inner        mergejoin.Consumer
+	ranges       mergejoin.RangeConsumer // inner, or the pair walk into it
+	check        PairCheck
 	count        uint64
 	batches      uint64
 	batchedPairs uint64
 }
 
-// Consume implements mergejoin.Consumer.
-func (c *countingWriter) Consume(r, s relation.Tuple) {
-	c.count++
-	c.inner.Consume(r, s)
-}
-
-// ConsumeColumns implements BatchWriter: one count update per batch, then the
-// batch is forwarded — directly when the inner writer is batch-capable,
-// pair by pair otherwise.
-func (c *countingWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	n := uint64(len(keys))
-	c.count += n
-	c.batches++
-	c.batchedPairs += n
-	mergejoin.EmitColumns(c.inner, keys, rPayloads, sPayloads)
-}
-
-// ConsumeRanges implements mergejoin.RangeConsumer whenever the sink's writer
-// does: the ranges are forwarded, and once taken they count as one batch of
-// the pairs they stand for. A writer that takes none makes the kernel expand
-// the batch through ConsumeColumns instead, which counts it there.
-func (c *countingWriter) ConsumeRanges(b *batch.Ranges) bool {
-	if rc, ok := c.inner.(mergejoin.RangeConsumer); !ok || !rc.ConsumeRanges(b) {
-		return false
+// ConsumeRanges implements mergejoin.RangeConsumer: the batch goes on to the
+// sink's writer whole and counts as one batch of the pairs it stands for.
+// Under a verifier its pairs are walked instead, each one checked, and the
+// survivors — one batch, if any — handed to the sink's writer one by one.
+func (w *Writer) ConsumeRanges(b *batch.Ranges) {
+	before := w.count
+	if w.check != nil {
+		for r, s := range b.All() {
+			w.Consume(r, s)
+		}
+	} else {
+		w.ranges.ConsumeRanges(b)
+		w.count += b.Pairs
 	}
-	c.count += b.Pairs
-	c.batches++
-	c.batchedPairs += b.Pairs
-	return true
+	if n := w.count - before; n > 0 {
+		w.batches++
+		w.batchedPairs += n
+	}
+}
+
+// Consume implements mergejoin.Consumer: one pair, verified when a check is
+// bound, counted, and handed to the sink's writer.
+func (w *Writer) Consume(r, s relation.Tuple) {
+	if w.check != nil {
+		rp, sp, ok := w.check(r.Payload, s.Payload)
+		if !ok {
+			return
+		}
+		r.Payload, s.Payload = rp, sp
+	}
+	w.count++
+	w.inner.Consume(r, s)
 }
 
 // ConsumeFold takes pairs matches whose largest payload sum, mod 2^64, is
 // maxSum — all a sink FoldsRanges names keeps of them — as one batch of them:
-// a hash join's probe loop folds into these sinks without forming a pair. It
-// is for those sinks' writers only and panics on any other.
-func (c *countingWriter) ConsumeFold(pairs, maxSum uint64) {
-	switch w := c.inner.(type) {
+// a hash join's probe loop folds into these sinks, behind no verifier,
+// without forming a pair. It is for those sinks' writers only and panics on
+// any other.
+func (w *Writer) ConsumeFold(pairs, maxSum uint64) {
+	switch inner := w.inner.(type) {
 	case *mergejoin.MaxAggregate:
-		w.Merge(mergejoin.MaxAggregate{Count: pairs, Max: maxSum})
+		inner.Merge(mergejoin.MaxAggregate{Count: pairs, Max: maxSum})
 	case *mergejoin.Counter:
-		w.Count += pairs
+		inner.Count += pairs
 	default:
 		panic("sink: ConsumeFold into a writer that keeps pairs")
 	}
-	c.count += pairs
-	c.batches++
-	c.batchedPairs += pairs
-}
-
-// checkingWriter interposes the tie-break verifier in front of a worker's
-// counting writer: candidate pairs that fail the check vanish before they
-// are counted, and surviving pairs carry the payloads the check returned
-// (the user payloads recovered from the key metadata). It sits outside the
-// countingWriter so Matches() reports verified pairs only, and it takes no
-// ranges: every candidate pair must pass the check, so the kernel expands.
-type checkingWriter struct {
-	check PairCheck
-	inner *countingWriter
-}
-
-// Consume implements mergejoin.Consumer.
-func (c *checkingWriter) Consume(r, s relation.Tuple) {
-	rp, sp, ok := c.check(r.Payload, s.Payload)
-	if !ok {
-		return
-	}
-	r.Payload, s.Payload = rp, sp
-	c.inner.Consume(r, s)
-}
-
-// ConsumeColumns implements BatchWriter: the batch is verified and
-// compacted in place — surviving pairs slide forward over rejected ones —
-// then the shortened batch flows on, keeping the columnar boundary intact
-// under tie-break verification.
-func (c *checkingWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	n := 0
-	for i := range keys {
-		if rp, sp, ok := c.check(rPayloads[i], sPayloads[i]); ok {
-			keys[n], rPayloads[n], sPayloads[n] = keys[i], rp, sp
-			n++
-		}
-	}
-	if n > 0 {
-		c.inner.ConsumeColumns(keys[:n], rPayloads[:n], sPayloads[:n])
-	}
+	w.count += pairs
+	w.batches++
+	w.batchedPairs += pairs
 }
 
 // MaxSum implements the paper's evaluation query
@@ -411,15 +374,14 @@ func (w *pairWriter) Consume(r, s relation.Tuple) {
 	w.n += 2
 }
 
-// ConsumeColumns implements BatchWriter: capacity is ensured once per batch,
-// then the columns are interleaved into the buffer in one pass.
-func (w *pairWriter) ConsumeColumns(keys, rPayloads, sPayloads []uint64) {
-	w.reserve(2 * len(keys))
-	dst := w.buf[w.n : w.n+2*len(keys)]
-	w.n += len(dst)
-	for i, k := range keys {
-		dst[2*i] = relation.Tuple{Key: k, Payload: rPayloads[i]}
-		dst[2*i+1] = relation.Tuple{Key: k, Payload: sPayloads[i]}
+// ConsumeRanges implements mergejoin.RangeConsumer: capacity is ensured once
+// per batch, then its pairs are written in one walk.
+func (w *pairWriter) ConsumeRanges(b *batch.Ranges) {
+	dst := w.grow(2 * int(b.Pairs))
+	n := 0
+	for r, s := range b.All() {
+		dst[n], dst[n+1] = r, s
+		n += 2
 	}
 }
 

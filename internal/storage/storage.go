@@ -5,6 +5,10 @@
 // key domain synchronously, and a buffer pool with a RAM budget holds only the
 // pages that are currently being processed or prefetched.
 //
+// Runs are spilled as the join phase reads them: a page holds a key column
+// and a payload column (Page), so a page the buffer pool hands out goes
+// straight into the column merge kernel.
+//
 // The paper's evaluation machine spools to a disk array; this repository
 // substitutes an in-memory block store with configurable read latency and
 // bandwidth so the identical paging, prefetching and release logic can be
@@ -14,16 +18,25 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/relation"
 )
 
 // DefaultPageSize is the default number of tuples per page. 1024 tuples of
 // 16 bytes give 16 KiB pages.
 const DefaultPageSize = 1024
+
+// Page is one page of a spilled run: its tuples as a key column in ascending
+// order and the payload column alongside, of one length. Pages alias the
+// stored data and must be treated as read-only.
+type Page struct {
+	Keys, Payloads []uint64
+}
+
+// Len returns the number of tuples on the page.
+func (p Page) Len() int { return len(p.Keys) }
 
 // Disk is a simulated block store holding the pages of spilled runs. Reads
 // can be slowed down by a configurable per-page latency to emulate I/O-bound
@@ -31,7 +44,7 @@ const DefaultPageSize = 1024
 type Disk struct {
 	mu sync.Mutex
 	// pages[runID][pageNo] holds the page contents.
-	pages [][][]relation.Tuple
+	pages [][]Page
 	// readLatency is applied once per page read.
 	readLatency time.Duration
 	// writeLatency is applied once per page write.
@@ -61,7 +74,7 @@ func (d *Disk) PageWrites() int {
 }
 
 // writeRun stores the pages of a new run and returns its run identifier.
-func (d *Disk) writeRun(pages [][]relation.Tuple) int {
+func (d *Disk) writeRun(pages []Page) int {
 	if d.writeLatency > 0 {
 		time.Sleep(time.Duration(len(pages)) * d.writeLatency)
 	}
@@ -74,17 +87,17 @@ func (d *Disk) writeRun(pages [][]relation.Tuple) int {
 
 // readPage returns the contents of one page. The returned slice aliases the
 // stored page and must be treated as read-only.
-func (d *Disk) readPage(runID, pageNo int) ([]relation.Tuple, error) {
+func (d *Disk) readPage(runID, pageNo int) (Page, error) {
 	if d.readLatency > 0 {
 		time.Sleep(d.readLatency)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if runID < 0 || runID >= len(d.pages) {
-		return nil, fmt.Errorf("storage: unknown run %d", runID)
+		return Page{}, fmt.Errorf("storage: unknown run %d", runID)
 	}
 	if pageNo < 0 || pageNo >= len(d.pages[runID]) {
-		return nil, fmt.Errorf("storage: run %d has no page %d", runID, pageNo)
+		return Page{}, fmt.Errorf("storage: run %d has no page %d", runID, pageNo)
 	}
 	d.pageReads++
 	return d.pages[runID][pageNo], nil
@@ -105,53 +118,56 @@ type PagedRun struct {
 	MinKeys []uint64
 }
 
-// WriteRun splits a sorted tuple slice into pages of pageSize tuples, writes
-// them to the disk, and returns the run descriptor. It returns an error if the
-// tuples are not sorted by key, because the page index and the join logic
-// depend on intra-run order.
-func WriteRun(d *Disk, worker int, tuples []relation.Tuple, pageSize int) (*PagedRun, error) {
+// WriteRun splits a sorted run — a key column and its payload column — into
+// pages of pageSize tuples, writes them to the disk, and returns the run
+// descriptor. The pages are copies: the caller may reuse the columns. It
+// returns an error if the keys are not sorted, because the page index and the
+// join logic depend on intra-run order.
+func WriteRun(d *Disk, worker int, keys, pays []uint64, pageSize int) (*PagedRun, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("storage: invalid page size %d", pageSize)
 	}
-	if !relation.IsSortedByKey(tuples) {
-		return nil, errors.New("storage: WriteRun requires key-sorted tuples")
+	if len(pays) != len(keys) {
+		return nil, fmt.Errorf("storage: %d keys and %d payloads", len(keys), len(pays))
 	}
-	var pages [][]relation.Tuple
+	if !slices.IsSorted(keys) {
+		return nil, errors.New("storage: WriteRun requires a key-sorted run")
+	}
+	var pages []Page
 	var minKeys []uint64
-	for start := 0; start < len(tuples); start += pageSize {
-		end := start + pageSize
-		if end > len(tuples) {
-			end = len(tuples)
-		}
-		page := make([]relation.Tuple, end-start)
-		copy(page, tuples[start:end])
-		pages = append(pages, page)
-		minKeys = append(minKeys, page[0].Key)
+	for start := 0; start < len(keys); start += pageSize {
+		end := min(start+pageSize, len(keys))
+		n := end - start
+		cols := make([]uint64, 2*n) // one block per page: keys, then payloads
+		copy(cols, keys[start:end])
+		copy(cols[n:], pays[start:end])
+		pages = append(pages, Page{Keys: cols[:n:n], Payloads: cols[n:]})
+		minKeys = append(minKeys, keys[start])
 	}
 	runID := d.writeRun(pages)
 	return &PagedRun{
 		RunID:   runID,
 		Worker:  worker,
 		Pages:   len(pages),
-		Len:     len(tuples),
+		Len:     len(keys),
 		MinKeys: minKeys,
 	}, nil
 }
 
-// ReadRunTuples reads a complete paged run back from disk, page by page, and
-// returns its tuples in order. It bypasses any buffer pool; callers use it for
-// small runs (such as a worker's private run) whose memory is accounted for
-// separately from the public-input page budget.
-func ReadRunTuples(d *Disk, run *PagedRun) ([]relation.Tuple, error) {
-	tuples := make([]relation.Tuple, 0, run.Len)
+// ReadRun reads a complete paged run back from disk, page by page, and
+// returns its key and payload columns. It bypasses any buffer pool; callers
+// use it for small runs (such as a worker's private run) whose memory is
+// accounted for separately from the public-input page budget.
+func ReadRun(d *Disk, run *PagedRun) (keys, pays []uint64, err error) {
+	keys, pays = make([]uint64, 0, run.Len), make([]uint64, 0, run.Len)
 	for p := 0; p < run.Pages; p++ {
 		page, err := d.readPage(run.RunID, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		tuples = append(tuples, page...)
+		keys, pays = append(keys, page.Keys...), append(pays, page.Payloads...)
 	}
-	return tuples, nil
+	return keys, pays, nil
 }
 
 // PageRef identifies one page of one run.
@@ -245,7 +261,7 @@ type BufferPool struct {
 }
 
 type poolPage struct {
-	data []relation.Tuple
+	data Page
 	pins int
 }
 
@@ -271,8 +287,8 @@ func (bp *BufferPool) Stats() BufferPoolStats {
 
 // Pin returns the contents of the requested page, loading it from disk if
 // necessary, and marks it pinned. Callers must Unpin the page when done. The
-// returned slice must be treated as read-only.
-func (bp *BufferPool) Pin(ref PageRef) ([]relation.Tuple, error) {
+// page must be treated as read-only.
+func (bp *BufferPool) Pin(ref PageRef) (Page, error) {
 	bp.mu.Lock()
 	if page, ok := bp.resident[ref]; ok {
 		page.pins++
@@ -287,7 +303,7 @@ func (bp *BufferPool) Pin(ref PageRef) ([]relation.Tuple, error) {
 	// Load outside the lock: disk latency must not serialize all workers.
 	data, err := bp.disk.readPage(ref.RunID, ref.PageNo)
 	if err != nil {
-		return nil, err
+		return Page{}, err
 	}
 
 	bp.mu.Lock()

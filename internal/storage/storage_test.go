@@ -5,22 +5,28 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/relation"
 )
 
-func sortedTuples(n int, step uint64) []relation.Tuple {
-	tuples := make([]relation.Tuple, n)
-	for i := range tuples {
-		tuples[i] = relation.Tuple{Key: uint64(i) * step, Payload: uint64(i)}
+// sortedColumns returns a run of n tuples: keys 0, step, 2·step, … and
+// payloads 0, 1, 2, ….
+func sortedColumns(n int, step uint64) (keys, pays []uint64) {
+	keys, pays = make([]uint64, n), make([]uint64, n)
+	for i := range keys {
+		keys[i], pays[i] = uint64(i)*step, uint64(i)
 	}
-	return tuples
+	return keys, pays
+}
+
+// writeSorted spills sortedColumns(n, step) in pages of pageSize tuples.
+func writeSorted(d *Disk, worker, n int, step uint64, pageSize int) (*PagedRun, error) {
+	keys, pays := sortedColumns(n, step)
+	return WriteRun(d, worker, keys, pays, pageSize)
 }
 
 func TestWriteRunAndReadBack(t *testing.T) {
 	disk := NewDisk(0, 0)
-	tuples := sortedTuples(2500, 3)
-	run, err := WriteRun(disk, 1, tuples, 1000)
+	keys, pays := sortedColumns(2500, 3)
+	run, err := WriteRun(disk, 1, keys, pays, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +36,17 @@ func TestWriteRunAndReadBack(t *testing.T) {
 	if len(run.MinKeys) != 3 || run.MinKeys[0] != 0 || run.MinKeys[1] != 3000 || run.MinKeys[2] != 6000 {
 		t.Fatalf("MinKeys = %v", run.MinKeys)
 	}
-	back, err := ReadRunTuples(disk, run)
+	keys[0], pays[0] = 7, 7 // the pages are copies
+	backKeys, backPays, err := ReadRun(disk, run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(tuples) {
-		t.Fatalf("read back %d tuples, want %d", len(back), len(tuples))
+	if len(backKeys) != len(keys) || len(backPays) != len(pays) {
+		t.Fatalf("read back %d keys and %d payloads, want %d", len(backKeys), len(backPays), len(keys))
 	}
-	for i := range back {
-		if back[i] != tuples[i] {
-			t.Fatalf("tuple %d differs: %+v vs %+v", i, back[i], tuples[i])
+	for i := range backKeys {
+		if backKeys[i] != uint64(i)*3 || backPays[i] != uint64(i) {
+			t.Fatalf("tuple %d read back as (%d, %d)", i, backKeys[i], backPays[i])
 		}
 	}
 	if disk.PageWrites() != 3 {
@@ -49,33 +56,35 @@ func TestWriteRunAndReadBack(t *testing.T) {
 
 func TestWriteRunRejectsUnsortedAndBadPageSize(t *testing.T) {
 	disk := NewDisk(0, 0)
-	unsorted := []relation.Tuple{{Key: 5}, {Key: 1}}
-	if _, err := WriteRun(disk, 0, unsorted, 10); err == nil {
+	if _, err := WriteRun(disk, 0, []uint64{5, 1}, []uint64{0, 0}, 10); err == nil {
 		t.Fatal("unsorted run accepted")
 	}
-	if _, err := WriteRun(disk, 0, sortedTuples(10, 1), 0); err == nil {
+	if _, err := WriteRun(disk, 0, []uint64{1, 5}, []uint64{0}, 10); err == nil {
+		t.Fatal("a payload column shorter than the key column accepted")
+	}
+	if _, err := writeSorted(disk, 0, 10, 1, 0); err == nil {
 		t.Fatal("zero page size accepted")
 	}
 }
 
 func TestWriteRunEmpty(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, err := WriteRun(disk, 0, nil, 100)
+	run, err := WriteRun(disk, 0, nil, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Pages != 0 || run.Len != 0 {
 		t.Fatalf("empty run = %+v", run)
 	}
-	back, err := ReadRunTuples(disk, run)
-	if err != nil || len(back) != 0 {
-		t.Fatalf("ReadRunTuples on empty run = %v, %v", back, err)
+	keys, pays, err := ReadRun(disk, run)
+	if err != nil || len(keys) != 0 || len(pays) != 0 {
+		t.Fatalf("ReadRun on empty run = %v, %v, %v", keys, pays, err)
 	}
 }
 
 func TestDiskReadErrors(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, err := WriteRun(disk, 0, sortedTuples(10, 1), 4)
+	run, err := writeSorted(disk, 0, 10, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +99,8 @@ func TestDiskReadErrors(t *testing.T) {
 func TestBuildPageIndexSortedByMinKey(t *testing.T) {
 	disk := NewDisk(0, 0)
 	// Runs with interleaved key ranges.
-	runA, _ := WriteRun(disk, 0, sortedTuples(1000, 2), 250) // keys 0..1998 even
-	runB, _ := WriteRun(disk, 1, sortedTuples(1000, 3), 250) // keys 0..2997 multiples of 3
+	runA, _ := writeSorted(disk, 0, 1000, 2, 250) // keys 0..1998 even
+	runB, _ := writeSorted(disk, 1, 1000, 3, 250) // keys 0..2997 multiples of 3
 	idx := BuildPageIndex([]*PagedRun{runA, runB})
 	if len(idx.Entries) != runA.Pages+runB.Pages {
 		t.Fatalf("index has %d entries, want %d", len(idx.Entries), runA.Pages+runB.Pages)
@@ -114,7 +123,7 @@ func TestBuildPageIndexSortedByMinKey(t *testing.T) {
 
 func TestBufferPoolPinUnpinAndStats(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, _ := WriteRun(disk, 0, sortedTuples(1000, 1), 100) // 10 pages
+	run, _ := writeSorted(disk, 0, 1000, 1, 100) // 10 pages
 	pool := NewBufferPool(disk, 3)
 	if pool.Budget() != 3 {
 		t.Fatalf("Budget = %d", pool.Budget())
@@ -128,8 +137,8 @@ func TestBufferPoolPinUnpinAndStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) != 100 {
-			t.Fatalf("page %d has %d tuples", p, len(data))
+		if data.Len() != 100 || len(data.Payloads) != 100 || data.Payloads[99] != uint64(100*p+99) {
+			t.Fatalf("page %d has %d keys and %d payloads", p, data.Len(), len(data.Payloads))
 		}
 		pool.Unpin(ref)
 		if pool.Resident() > 3 {
@@ -164,7 +173,7 @@ func TestBufferPoolPinUnpinAndStats(t *testing.T) {
 
 func TestBufferPoolUnpinPanicsWhenNotPinned(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, _ := WriteRun(disk, 0, sortedTuples(10, 1), 5)
+	run, _ := writeSorted(disk, 0, 10, 1, 5)
 	pool := NewBufferPool(disk, 2)
 	defer func() {
 		if recover() == nil {
@@ -176,7 +185,7 @@ func TestBufferPoolUnpinPanicsWhenNotPinned(t *testing.T) {
 
 func TestBufferPoolPinnedPagesSurviveBudget(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, _ := WriteRun(disk, 0, sortedTuples(1000, 1), 100)
+	run, _ := writeSorted(disk, 0, 1000, 1, 100)
 	pool := NewBufferPool(disk, 2)
 	// Pin 5 pages simultaneously: the pool must keep them all despite the
 	// budget (pinned pages are never evicted).
@@ -200,7 +209,7 @@ func TestBufferPoolPinnedPagesSurviveBudget(t *testing.T) {
 
 func TestBufferPoolPrefetch(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, _ := WriteRun(disk, 0, sortedTuples(400, 1), 100)
+	run, _ := writeSorted(disk, 0, 400, 1, 100)
 	pool := NewBufferPool(disk, 4)
 	ref := PageRef{RunID: run.RunID, PageNo: 2}
 	if err := pool.Prefetch(ref); err != nil {
@@ -232,7 +241,7 @@ func TestBufferPoolPrefetch(t *testing.T) {
 
 func TestBufferPoolConcurrentAccess(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, _ := WriteRun(disk, 0, sortedTuples(10000, 1), 100) // 100 pages
+	run, _ := writeSorted(disk, 0, 10000, 1, 100) // 100 pages
 	pool := NewBufferPool(disk, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -246,7 +255,7 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if data[0].Key != uint64(p*100) {
+				if data.Keys[0] != uint64(p*100) {
 					t.Errorf("worker %d: wrong page contents", w)
 				}
 				pool.Unpin(ref)
@@ -258,8 +267,8 @@ func TestBufferPoolConcurrentAccess(t *testing.T) {
 
 func TestPrefetcherWarmsPool(t *testing.T) {
 	disk := NewDisk(50*time.Microsecond, 0)
-	runA, _ := WriteRun(disk, 0, sortedTuples(2000, 2), 200)
-	runB, _ := WriteRun(disk, 1, sortedTuples(2000, 3), 200)
+	runA, _ := writeSorted(disk, 0, 2000, 2, 200)
+	runB, _ := writeSorted(disk, 1, 2000, 3, 200)
 	idx := BuildPageIndex([]*PagedRun{runA, runB})
 	pool := NewBufferPool(disk, 6)
 	pf := NewPrefetcher(pool, idx, 4)
@@ -283,7 +292,7 @@ func TestPrefetcherWarmsPool(t *testing.T) {
 
 func TestPrefetcherStopIsIdempotentlySafe(t *testing.T) {
 	disk := NewDisk(0, 0)
-	run, _ := WriteRun(disk, 0, sortedTuples(100, 1), 50)
+	run, _ := writeSorted(disk, 0, 100, 1, 50)
 	idx := BuildPageIndex([]*PagedRun{run})
 	pool := NewBufferPool(disk, 2)
 	pf := NewPrefetcher(pool, idx, 2)
@@ -299,8 +308,7 @@ func TestPageIndexGlobalOrderMatchesKeyOrder(t *testing.T) {
 	disk := NewDisk(0, 0)
 	var runs []*PagedRun
 	for w := 0; w < 4; w++ {
-		tuples := sortedTuples(1000, uint64(w+2))
-		run, err := WriteRun(disk, w, tuples, 128)
+		run, err := writeSorted(disk, w, 1000, uint64(w+2), 128)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -152,9 +152,10 @@ type DiskStats = core.DiskStats
 type ScratchStats = memory.LeaseStats
 
 // BatchStats reports a join's batch traffic across the sink boundary (see
-// Result.Batch): the range or column batches the merge kernel or a batched
-// hash-join probe delivered and the pairs they carried; zeros when every pair
-// was delivered one by one (D-MPSM, per-pair sinks on a band join).
+// Result.Batch): the range batches the merge kernel or a hash-join probe
+// delivered — or the folds a hash-join probe handed the max-sum and count
+// sinks — and the pairs they carried. Every join delivers batches and
+// nothing else, so Tuples equals Result.Matches.
 type BatchStats = result.BatchStats
 
 // PoolStats reports the cumulative behaviour of an Engine's scratch pool

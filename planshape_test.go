@@ -153,8 +153,8 @@ func TestGateShapesPlanStably(t *testing.T) {
 // TestHashJoinExplainsWhatItHandsOn: the 4 096 × 16 384 join into the default
 // sink — auto-planned onto a hash join, or pinned to either — hands on no
 // pairs, because its probe loop folds them into (count, max), and so does it
-// into the count sink; into a sink that keeps pairs it hands on pairs in probe
-// order.
+// into the count sink; into a sink that keeps pairs it hands on range entries,
+// one per matching probe tuple, in probe order.
 func TestHashJoinExplainsWhatItHandsOn(t *testing.T) {
 	cat := gateCatalog(1)
 	configs := map[string][]Option{
@@ -169,7 +169,7 @@ func TestHashJoinExplainsWhatItHandsOn(t *testing.T) {
 		}{
 			{nil, "folded (count, max)"},
 			{NewCountSink(), "folded (count, max)"},
-			{NewMaterializeSink(), "pairs, probe order"},
+			{NewMaterializeSink(), "ranges, probe order"},
 		} {
 			p := NewPlan()
 			p.Sink(p.Join(p.Scan(cat["r"]), p.Scan(cat["s"])), c.sink)
