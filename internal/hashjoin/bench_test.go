@@ -14,12 +14,14 @@ import (
 // BenchmarkProbeOutput times a hash join's output path end to end — Wisconsin
 // on one worker with a scratch pool, build and probe — per match, for the
 // shapes that decide what a probe hands on: foreign keys at multiplicity 1
-// and 4 (65 536 build tuples) and a build side with 16 duplicates of each of
-// its 4 096 keys probed by 65 536 foreign keys; into the sinks that take every
-// match the range loop produces (Collect over the default projection,
-// Materialize, a group sum over the probe payload, as compiled queries
-// project, and max-sum behind a tie-break verifier, which folds nothing). It
-// goes through Wisconsin's exported signature only.
+// and 4 (65 536 build tuples), the short_concurrent join (4 096 × 16 384
+// foreign keys) and a build side with 16 duplicates of each of its 4 096 keys
+// probed by 65 536 foreign keys; into the sinks that take every match the
+// range loop produces (Collect over the default projection, Materialize, a
+// group sum over the probe payload, as compiled queries project, and max-sum
+// behind a tie-break verifier, which folds nothing) and into the max-sum and
+// count sinks, which the probe folds into. It goes through Wisconsin's
+// exported signature only.
 func BenchmarkProbeOutput(b *testing.B) {
 	type shape struct {
 		name string
@@ -29,6 +31,7 @@ func BenchmarkProbeOutput(b *testing.B) {
 		r := workload.UniformRelation("R", 1<<16, workload.DefaultKeyDomain, 41)
 		return shape{fmt.Sprintf("fk-x%d", mult), r, workload.ForeignKeyRelation("S", r, mult<<16, 42)}
 	}
+	gate := workload.UniformRelation("R", 1<<12, workload.DefaultKeyDomain, 45)
 	keys := workload.UniformRelation("K", 1<<12, workload.DefaultKeyDomain, 43)
 	dup := make([]relation.Tuple, 0, 16*keys.Len())
 	for d := 0; d < 16; d++ {
@@ -36,7 +39,8 @@ func BenchmarkProbeOutput(b *testing.B) {
 			dup = append(dup, relation.Tuple{Key: t.Key, Payload: uint64(d*keys.Len() + i)})
 		}
 	}
-	shapes := []shape{fk(1), fk(4), {"dup-x16", relation.New("R", dup), workload.ForeignKeyRelation("S", keys, 1<<16, 44)}}
+	shapes := []shape{fk(1), fk(4), {"gate", gate, workload.ForeignKeyRelation("S", gate, 1<<14, 46)},
+		{"dup-x16", relation.New("R", dup), workload.ForeignKeyRelation("S", keys, 1<<16, 44)}}
 	accept := func(rp, sp uint64) (uint64, uint64, bool) { return rp, sp, true }
 	sinks := []struct {
 		name  string
@@ -49,6 +53,8 @@ func BenchmarkProbeOutput(b *testing.B) {
 			return sink.NewGroups(context.Background(), sink.AggSum, sink.ValueProbePayload.Projection(), sink.ValueProbePayload, nil)
 		}, nil},
 		{"max-sum-verified", func() sink.Sink { return sink.NewMaxSum() }, accept},
+		{"max-sum", func() sink.Sink { return sink.NewMaxSum() }, nil},
+		{"count", func() sink.Sink { return sink.NewCount() }, nil},
 	}
 	for _, sh := range shapes {
 		// Payloads below 10^6, as the end-to-end benchmark generates them.

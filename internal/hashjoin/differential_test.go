@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/batch"
@@ -261,6 +262,117 @@ func TestHashJoinsMatchReference(t *testing.T) {
 	})
 }
 
+// TestDistinctBuildDetection: a table flagged distinct ends every probe walk
+// at its first match, so a flag set over a build that holds a key twice drops
+// matches silently. Each case places the build's only duplicate pair
+// elsewhere — adjacent, in two insert calls more than cancelBlock apart,
+// behind other keys of its bucket, at key 0 and at MaxUint64, first and last,
+// so in the chunks of two workers — and the insert must flag exactly those
+// builds: unshared, cut into cancelBlock calls as insertBlock cuts them, and
+// shared, two goroutines swapping the halves in. Over the same builds both
+// joins, at one, two and eight workers under both schedulers, must equal
+// mergejoin.ReferenceJoin into Materialize, as multisets, and into max-sum.
+func TestDistinctBuildDetection(t *testing.T) {
+	const n = cancelBlock + 128
+	base := make([]uint64, n)
+	for i := range base {
+		base[i] = uint64(i + 1)
+	}
+	// Three keys outside base that share the bucket of base[20] in a table
+	// over n tuples.
+	shift := newChainTable(make([]relation.Tuple, n), nil).shift
+	var colliders []uint64
+	for k := uint64(1) << 40; len(colliders) < 3; k++ {
+		if bucketOf(k, shift) == bucketOf(base[20], shift) {
+			colliders = append(colliders, k)
+		}
+	}
+	cases := map[string]func(keys []uint64){
+		"none":                func([]uint64) {},
+		"adjacent":            func(keys []uint64) { keys[n/2+1] = keys[n/2] },
+		"in two insert calls": func(keys []uint64) { keys[cancelBlock+100] = keys[10] },
+		"behind keys of its bucket": func(keys []uint64) {
+			copy(keys[21:], colliders)
+			keys[24] = keys[20]
+		},
+		"key 0":          func(keys []uint64) { keys[5], keys[n-5] = 0, 0 },
+		"key MaxUint64":  func(keys []uint64) { keys[7], keys[cancelBlock+7] = math.MaxUint64, math.MaxUint64 },
+		"first and last": func(keys []uint64) { keys[n-1] = keys[0] },
+	}
+	for name, place := range cases {
+		t.Run(name, func(t *testing.T) {
+			keys := slices.Clone(base)
+			place(keys)
+			build := tuplesOf(1000, keys...)
+			wantDup := name != "none"
+
+			// inserts cuts [lo, hi) into cancelBlock calls with one flag.
+			inserts := func(table *chainTable, lo, hi int, shared bool) (dup bool) {
+				for at := lo; at < hi; at += cancelBlock {
+					table.insert(at, min(at+cancelBlock, hi), shared, &dup)
+				}
+				return dup
+			}
+			if table := newChainTable(build, nil); inserts(&table, 0, n, false) != wantDup {
+				t.Fatalf("unshared build: duplicate flagged = %v, want %v", !wantDup, wantDup)
+			}
+			table := newChainTable(build, nil)
+			var dups [2]bool
+			var wg sync.WaitGroup
+			for w := range dups {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					dups[w] = inserts(&table, w*n/2, (w+1)*n/2, true)
+				}()
+			}
+			wg.Wait()
+			if got := dups[0] || dups[1]; got != wantDup {
+				t.Fatalf("shared build: duplicate flagged = %v, want %v", got, wantDup)
+			}
+
+			probe := tuplesOf(1<<40, append(slices.Clone(keys), 1<<41, 3)...)
+			var oracle mergejoin.Materializer
+			mergejoin.ReferenceJoin(build, probe, &oracle)
+			want := sortedPairs(oracle.Out)
+			all := foldOf(want, func(uint64, uint64) bool { return true })
+			r, s := relation.New("R", build), relation.New("S", probe)
+			for _, workers := range []int{1, 2, 8} {
+				for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+					opts := Options{Workers: workers, Scheduler: mode, MorselSize: 1000}
+					for join, run := range map[string]func(Options) (*result.Result, error){
+						"Wisconsin": func(o Options) (*result.Result, error) { return Wisconsin(context.Background(), r, s, o) },
+						"Radix": func(o Options) (*result.Result, error) {
+							return Radix(context.Background(), r, s, RadixOptions{Options: o})
+						},
+					} {
+						out := sink.NewMaterialize()
+						opts.Sink = out
+						if _, err := run(opts); err != nil {
+							t.Fatal(err)
+						}
+						got := make([]mergejoin.JoinedTuple, 0, len(out.Pairs()))
+						for _, p := range out.Pairs() {
+							got = append(got, mergejoin.JoinedTuple{Key: p.R.Key, RPayload: p.R.Payload, SPayload: p.S.Payload})
+						}
+						if !slices.Equal(sortedPairs(got), want) {
+							t.Fatalf("%s T=%d %v into Materialize: %d pairs, the reference %d", join, workers, mode, len(got), len(want))
+						}
+						opts.Sink = nil
+						res, err := run(opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Matches != all.Count || res.MaxSum != all.Max {
+							t.Fatalf("%s T=%d %v into max-sum: (%d, %d), the reference (%d, %d)", join, workers, mode, res.Matches, res.MaxSum, all.Count, all.Max)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzHashJoinDifferential decodes a key distribution and two key lists from
 // the fuzz bytes and checks both hash joins against the reference. Byte 0
 // narrows the key domain (narrow domains make long chains and many matches per
@@ -273,6 +385,8 @@ func FuzzHashJoinDifferential(f *testing.F) {
 	f.Add([]byte{1, 48, 40, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0})
 	f.Add([]byte{3, 20, 7, 9, 9, 9, 1, 2, 9, 4, 9, 250, 9, 9})
 	f.Add(append([]byte{0, 63, 60}, make([]byte, 70)...))
+	// Build keys 1, 2, 3, 4, 1: one duplicate pair, the rest distinct.
+	f.Add([]byte{7, 0, 0, 1, 1, 2, 2, 3, 1, 4, 3, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 400 {
 			return
@@ -339,7 +453,7 @@ func TestProbeCancellationInsideBlock(t *testing.T) {
 	pool := memory.NewPool(1 << 20)
 	lease := pool.Acquire()
 	table := newChainTable(build, lease)
-	table.insert(0, len(build), false)
+	table.insert(0, len(build), false, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &cancelingCounter{cancel: cancel}

@@ -136,7 +136,8 @@ type groupJoin struct {
 
 // build sorts the driver into key and payload columns, folds them into the
 // distinct keys with the driver's count and, if it carries, its aggregate,
-// and inserts the keys into the table with plain stores: one worker builds.
+// and inserts the keys, distinct by construction, into the table with plain
+// stores: one worker builds.
 func (g *groupJoin) build(w *sched.Worker) {
 	driver := g.spec.Leaves[g.spec.Driver]
 	n := driver.Rel.Len()
@@ -165,7 +166,7 @@ func (g *groupJoin) build(w *sched.Worker) {
 	g.lease.PutUint64s(keys)
 	g.lease.PutUint64s(pays)
 	g.table = newChainTable(g.entries, g.lease)
-	g.table.insert(0, distinct, false)
+	g.table.insert(0, distinct, false, nil)
 	chargeInterleaved(w.Tracker(), g.topo, uint64(distinct), false)
 }
 
@@ -199,24 +200,13 @@ func (g *groupJoin) probe(ctx context.Context, rt *sched.Runtime, leaf GroupJoin
 			}
 		}
 	})
-	fold := func(tuples []relation.Tuple, w *sched.Worker) {
-		inspected := g.table.foldProbe(ctx, tuples, slots[w.ID()], agg)
+	d += runChunks(ctx, rt, opts, "probe "+leaf.Rel.Name, leaf.Rel.Split(rt.Workers()), func(_ context.Context, block relation.Chunk, w *sched.Worker) {
+		inspected := g.table.foldProbe(ctx, block.Tuples, slots[w.ID()], agg)
 		if tracker := w.Tracker(); tracker != nil {
-			tracker.SeqRead(tracker.Node(), uint64(len(tuples)))
-			chargeInterleaved(tracker, g.topo, inspected+uint64(len(tuples)), true)
+			tracker.SeqRead(tracker.Node(), uint64(block.Len()))
+			chargeInterleaved(tracker, g.topo, inspected+uint64(block.Len()), true)
 		}
-	}
-	name := "probe " + leaf.Rel.Name
-	chunks := leaf.Rel.Split(rt.Workers())
-	if opts.Scheduler == sched.Morsel {
-		d += rt.RunTasks(ctx, name, blockTasks(chunks, opts.MorselSize, func(block relation.Chunk, w *sched.Worker) {
-			fold(block.Tuples, w)
-		}))
-	} else {
-		d += rt.Phase(ctx, name, func(ctx context.Context, w *sched.Worker) {
-			fold(chunks[w.ID()].Tuples, w)
-		})
-	}
+	})
 	d += result.StopwatchPhase(func() { g.settle(slots, leaf.Carries, agg) })
 	for _, s := range slots {
 		g.lease.PutUint64s(s)

@@ -109,30 +109,37 @@ func TestWisconsinDuplicateKeys(t *testing.T) {
 
 func TestWisconsinNUMAAccounting(t *testing.T) {
 	r, s := testDataset(5000, 4, 3)
-	res := wisconsin(r, s, Options{Workers: 8, TrackNUMA: true})
-	if res.NUMA.TotalAccesses() == 0 {
-		t.Fatal("NUMA accounting enabled but no accesses recorded")
-	}
-	// Synchronization is charged as executed: a compare-and-swap per insert
-	// (plus retries) when workers share the bucket heads, nothing for the
-	// plain stores of a one-worker build. The probe's random reads — every
-	// entry inspected plus one head per probe tuple — do not depend on that.
-	if res.NUMA.SyncOps < uint64(r.Len()) {
-		t.Fatalf("shared-table build of %d tuples recorded %d sync ops", r.Len(), res.NUMA.SyncOps)
-	}
-	solo := wisconsin(r, s, Options{Workers: 1, TrackNUMA: true})
-	if solo.NUMA.SyncOps != 0 {
-		t.Fatalf("one-worker build recorded %d sync ops, want 0: it executes none", solo.NUMA.SyncOps)
-	}
-	randReads := func(a numa.AccessStats) uint64 { return a.LocalRandRead + a.RemoteRandRead }
-	if got := randReads(solo.NUMA); got != randReads(res.NUMA) || got < uint64(s.Len())+solo.Matches {
-		t.Fatalf("random reads: %d at one worker, %d at eight, want equal and at least %d", got, randReads(res.NUMA), uint64(s.Len())+solo.Matches)
-	}
-	if res.NUMA.RemoteRandRead+res.NUMA.RemoteRandWrite == 0 {
-		t.Fatal("shared-table join must record remote random accesses")
-	}
-	if res.SimulatedNUMACost == 0 {
-		t.Fatal("simulated NUMA cost missing")
+	dup := r.Clone()
+	dup.Tuples[r.Len()-1].Key = dup.Tuples[0].Key
+	for _, r := range []*relation.Relation{r, dup} {
+		res := wisconsin(r, s, Options{Workers: 8, TrackNUMA: true})
+		if res.NUMA.TotalAccesses() == 0 {
+			t.Fatal("NUMA accounting enabled but no accesses recorded")
+		}
+		// Synchronization is charged as executed: a compare-and-swap per insert
+		// (plus retries) when workers share the bucket heads, nothing for the
+		// plain stores of a one-worker build. The probe's random reads — one
+		// head per probe tuple plus every entry inspected, or over a distinct
+		// build its match alone — do not depend on that, nor on the order in
+		// which the workers linked the chains, and both builds must agree on
+		// whether the keys are distinct.
+		if res.NUMA.SyncOps < uint64(r.Len()) {
+			t.Fatalf("shared-table build of %d tuples recorded %d sync ops", r.Len(), res.NUMA.SyncOps)
+		}
+		solo := wisconsin(r, s, Options{Workers: 1, TrackNUMA: true})
+		if solo.NUMA.SyncOps != 0 {
+			t.Fatalf("one-worker build recorded %d sync ops, want 0: it executes none", solo.NUMA.SyncOps)
+		}
+		randReads := func(a numa.AccessStats) uint64 { return a.LocalRandRead + a.RemoteRandRead }
+		if got := randReads(solo.NUMA); got != randReads(res.NUMA) || got < uint64(s.Len())+solo.Matches {
+			t.Fatalf("random reads: %d at one worker, %d at eight, want equal and at least %d", got, randReads(res.NUMA), uint64(s.Len())+solo.Matches)
+		}
+		if res.NUMA.RemoteRandRead+res.NUMA.RemoteRandWrite == 0 {
+			t.Fatal("shared-table join must record remote random accesses")
+		}
+		if res.SimulatedNUMACost == 0 {
+			t.Fatal("simulated NUMA cost missing")
+		}
 	}
 }
 
@@ -264,10 +271,11 @@ func TestNextPow2(t *testing.T) {
 }
 
 // TestSharedTableDirect drives the one table type below the joins: entries
-// stay in the build slice, both insert flavours chain them alike, and a probe
-// reports its matches in probe order — one range entry per matching probe
-// tuple, its build matches in chain order against the probe tuple at the
-// entry's first slot — and the entries it inspected.
+// stay in the build slice, both insert flavours chain them alike and flag the
+// key the build holds twice, and a probe reports its matches in probe order —
+// one range entry per matching probe tuple, its build matches in chain order
+// against the probe tuple at the entry's first slot — and the entries it
+// inspected. Over a distinct build each loop inspects every hit exactly once.
 func TestSharedTableDirect(t *testing.T) {
 	build := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}, {Key: 1, Payload: 30}, {Key: 99, Payload: 40}}
 	for _, shared := range []bool{false, true} {
@@ -276,8 +284,9 @@ func TestSharedTableDirect(t *testing.T) {
 			t.Fatalf("table over %d tuples: %d heads, %d links, entries copied = %v",
 				len(build), len(table.heads), len(table.next), &table.build[0] != &build[0])
 		}
-		if retries := table.insert(0, 2, shared) + table.insert(2, len(build), shared); retries != 0 {
-			t.Fatalf("shared=%v: uncontended insert reported %d retries", shared, retries)
+		var dup bool
+		if retries := table.insert(0, 2, shared, &dup) + table.insert(2, len(build), shared, &dup); retries != 0 || !dup {
+			t.Fatalf("shared=%v: uncontended insert reported %d retries, duplicate flagged = %v", shared, retries, dup)
 		}
 		var m mergejoin.Materializer
 		var entries [][4]int32
@@ -297,6 +306,44 @@ func TestSharedTableDirect(t *testing.T) {
 		}
 		if inspected < 3 || inspected > uint64(3*len(build)) {
 			t.Fatalf("shared=%v: probe inspected %d entries", shared, inspected)
+		}
+
+		// A distinct build: keys 1, 3, 9 and 6, all four in one bucket, so
+		// that a walk to the chain's end passes every entry.
+		distinct := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 3, Payload: 20}, {Key: 9, Payload: 40}, {Key: 6, Payload: 50}}
+		table = newChainTable(distinct, nil)
+		table.shift = 63 // two buckets, and all four keys hash to one
+		for _, tup := range distinct {
+			if bucketOf(tup.Key, table.shift) != bucketOf(distinct[0].Key, table.shift) {
+				t.Fatalf("key %d does not share key 1's bucket", tup.Key)
+			}
+		}
+		dup = false
+		table.insert(0, len(distinct), shared, &dup)
+		if table.distinct = !dup; dup {
+			t.Fatalf("shared=%v: distinct build flagged a duplicate", shared)
+		}
+		// Key 8 shares the bucket and misses.
+		probe := []relation.Tuple{{Key: 1, Payload: 100}, {Key: 8}, {Key: 9, Payload: 7}, {Key: 1, Payload: 3}}
+		var c mergejoin.Counter
+		for _, folds := range []bool{false, true} {
+			out := sink.Bind(sink.NewMaxSum(), 1, nil)
+			var w mergejoin.RangeConsumer = &c
+			if folds {
+				w = out.Writer(0)
+			}
+			if inspected := table.probe(context.Background(), probe, w, folds, nil); inspected != 3 {
+				t.Fatalf("shared=%v folds=%v: probing a distinct build for 3 hits inspected %d entries", shared, folds, inspected)
+			}
+			if err := out.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if folds && (out.Matches() != 3 || out.MaxSum() != 110) {
+				t.Fatalf("shared=%v: fold over a distinct build reported (%d, %d), want (3, 110)", shared, out.Matches(), out.MaxSum())
+			}
+		}
+		if c.Count != 3 {
+			t.Fatalf("shared=%v: range loop over a distinct build delivered %d pairs, want 3", shared, c.Count)
 		}
 	}
 }
@@ -319,7 +366,7 @@ func TestChainLengthBounded(t *testing.T) {
 			build[j].Key = uint64(j) << shift
 		}
 		table := newChainTable(build, nil)
-		table.insert(0, n, false)
+		table.insert(0, n, false, nil)
 		longest, used := 0, 0
 		for _, head := range table.heads {
 			length := 0
@@ -356,7 +403,7 @@ func TestFoldProbeSentinel(t *testing.T) {
 			slots[slotWords*(j+1)] = build[j].Key
 		}
 		table := newChainTable(build, nil)
-		table.insert(0, n, false)
+		table.insert(0, n, false, nil)
 		var probe []relation.Tuple
 		want := uint64(0)
 		for j, b := range build {

@@ -294,7 +294,9 @@ func joinPartition(ctx context.Context, build, probe []relation.Tuple, out merge
 		return
 	}
 	table := newChainTable(build, lease)
-	table.insert(0, len(build), false)
+	var dup bool
+	table.insert(0, len(build), false, &dup)
+	table.distinct = !dup
 	table.probe(ctx, probe, out, folds, lease)
 	table.release(lease)
 }

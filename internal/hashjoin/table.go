@@ -17,10 +17,11 @@ import (
 // join. The package comment gives the layout's reasons. Entries are numbered
 // from 1, so that 0 — the zero value of a cleared array — ends a chain.
 type chainTable struct {
-	build []relation.Tuple // entry i is build[i-1], where it lies
-	heads []int32          // first entry of every bucket's chain, 0 if empty
-	next  []int32          // next[i] is the entry behind i in its chain, 0 ends it
-	shift uint             // 64 − log2(len(heads)): a bucket is the product's top bits
+	build    []relation.Tuple // entry i is build[i-1], where it lies
+	heads    []int32          // first entry of every bucket's chain, 0 if empty
+	next     []int32          // next[i] is the entry behind i in its chain, 0 ends it
+	shift    uint             // 64 − log2(len(heads)): a bucket is the product's top bits
+	distinct bool             // no key twice in build: every probe walk ends at its first match
 }
 
 // headsPerTuple sizes the head array relative to the build side (then rounded
@@ -54,27 +55,39 @@ func bucketOf(key uint64, shift uint) uint64 {
 // other workers take part in swaps each head in with compare-and-swap — the
 // synchronization commandment C3 warns about — and reports its retries; a
 // build nobody shares uses plain stores. The next links need neither: entry i
-// belongs to whoever inserts it.
-func (t *chainTable) insert(lo, hi int, shared bool) (casRetries uint64) {
-	if !shared {
-		for i := lo; i < hi; i++ {
-			head := &t.heads[bucketOf(t.build[i].Key, t.shift)]
-			t.next[i+1], *head = *head, int32(i+1)
-		}
-		return 0
-	}
+// belongs to whoever inserts it. Unless dup is nil, each new entry looks for
+// its key on the chain behind it until *dup is set — equal keys share a
+// bucket, and behind a successful swap lies every entry linked before — and
+// sets *dup when it finds it.
+func (t *chainTable) insert(lo, hi int, shared bool, dup *bool) (casRetries uint64) {
+	look := dup != nil && !*dup
 	for i := lo; i < hi; i++ {
-		head := &t.heads[bucketOf(t.build[i].Key, t.shift)]
-		for {
-			old := atomic.LoadInt32(head)
-			t.next[i+1] = old
-			if atomic.CompareAndSwapInt32(head, old, int32(i+1)) {
-				break
+		key, entry := t.build[i].Key, int32(i+1)
+		head := &t.heads[bucketOf(key, t.shift)]
+		if !shared {
+			t.next[entry], *head = *head, entry
+		} else {
+			for old := atomic.LoadInt32(head); ; old = atomic.LoadInt32(head) {
+				t.next[entry] = old
+				if atomic.CompareAndSwapInt32(head, old, entry) {
+					break
+				}
+				casRetries++
 			}
-			casRetries++
+		}
+		if look && find(t.build, t.next, t.next[entry], key) != 0 {
+			*dup, look = true, false
 		}
 	}
 	return casRetries
+}
+
+// find returns the first entry with key on the chain from entry idx on, or 0.
+func find(build []relation.Tuple, next []int32, idx int32, key uint64) int32 {
+	for idx != 0 && build[idx-1].Key != key {
+		idx = next[idx]
+	}
+	return idx
 }
 
 // folder is the boundary writer of a sink that keeps of its pairs only their
@@ -91,9 +104,11 @@ type folder interface {
 // key, build payload and probe payload are gathered into three leased
 // columns, and whenever they are full — a chain that overflows them goes on
 // in the next batch — entries cut them into a range batch, which crosses the
-// sink boundary, in probe order. Both loops poll for cancellation every
-// cancelBlock tuples, deliver what they have matched until then either way,
-// and return the number of entries inspected. The build must have passed its
+// sink boundary, in probe order. Both poll for cancellation every cancelBlock
+// tuples, deliver what they have matched until then either way, and return the
+// number of entries inspected; over a distinct build, whose walks end at their
+// first match, the matches alone — the entries passed on the way depend on the
+// order in which the workers linked the chain. The build must have passed its
 // barrier.
 func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out mergejoin.RangeConsumer, folds bool, lease *memory.Lease) (inspected uint64) {
 	if f, ok := out.(folder); ok && folds {
@@ -106,8 +121,8 @@ func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out merg
 	defer lease.PutUint64s(cols)
 	keys, rp, sp := cols[:size], cols[size:2*size], cols[2*size:]
 	b := sc.Ranges(keys, rp, keys, sp)
-	m := 0
-	build, heads, next, shift := t.build, t.heads, t.next, t.shift
+	m, flushed := 0, uint64(0)
+	build, heads, next, shift, distinct := t.build, t.heads, t.next, t.shift, t.distinct
 	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
 		for _, tup := range probe[lo:min(lo+cancelBlock, len(probe))] {
 			for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
@@ -116,11 +131,17 @@ func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out merg
 					keys[m], rp[m], sp[m] = e.Key, e.Payload, tup.Payload
 					if m++; m == size {
 						out.ConsumeRanges(entries(b, m))
-						m = 0
+						m, flushed = 0, flushed+size
+					}
+					if distinct {
+						break
 					}
 				}
 			}
 		}
+	}
+	if distinct {
+		inspected = flushed + uint64(m)
 	}
 	if m > 0 {
 		out.ConsumeRanges(entries(b, m))
@@ -153,25 +174,50 @@ func entries(b *batch.Ranges, m int) *batch.Ranges {
 // probeFold is the probe loop behind a folding sink: it walks the same chains
 // but keeps the match count and the largest payload sum — mod 2^64, as
 // MaxAggregate computes it — in registers, and hands both to out once, as one
-// batch, when it ends. It leases nothing.
+// batch, when it ends. It leases nothing. Each loop is a function of its own,
+// which keeps its counters in registers.
 func (t *chainTable) probeFold(ctx context.Context, probe []relation.Tuple, out folder) (inspected uint64) {
 	var pairs, best uint64
-	build, heads, next, shift := t.build, t.heads, t.next, t.shift
+	fold := t.foldChains
+	if t.distinct {
+		fold = t.foldFirst
+	}
 	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
-		for _, tup := range probe[lo:min(lo+cancelBlock, len(probe))] {
-			for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
-				inspected++
-				if e := build[idx-1]; e.Key == tup.Key {
-					pairs++
-					best = max(best, e.Payload+tup.Payload)
-				}
-			}
-		}
+		p, b, n := fold(probe[lo:min(lo+cancelBlock, len(probe))])
+		pairs, best, inspected = pairs+p, max(best, b), inspected+n
 	}
 	if pairs > 0 {
 		out.ConsumeFold(pairs, best)
 	}
 	return inspected
+}
+
+// foldChains folds block's matches, walking every chain to its end.
+func (t *chainTable) foldChains(block []relation.Tuple) (pairs, best, inspected uint64) {
+	build, heads, next, shift := t.build, t.heads, t.next, t.shift
+	for _, tup := range block {
+		for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
+			inspected++
+			if e := build[idx-1]; e.Key == tup.Key {
+				pairs++
+				best = max(best, e.Payload+tup.Payload)
+			}
+		}
+	}
+	return pairs, best, inspected
+}
+
+// foldFirst folds block's matches over a distinct build, ending every walk at
+// its first match.
+func (t *chainTable) foldFirst(block []relation.Tuple) (pairs, best, inspected uint64) {
+	build, heads, next, shift := t.build, t.heads, t.next, t.shift
+	for _, tup := range block {
+		if idx := find(build, next, heads[bucketOf(tup.Key, shift)], tup.Key); idx != 0 {
+			pairs++
+			best = max(best, build[idx-1].Payload+tup.Payload)
+		}
+	}
+	return pairs, best, pairs
 }
 
 // slotWords is the size in words of a groupjoin slot: a key, one worker's

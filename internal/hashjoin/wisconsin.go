@@ -16,31 +16,23 @@
 // entry of every bucket's chain, next links entry i — which is build[i-1]
 // itself, no copy — to the entry behind it. Entries count from 1, so entry 0
 // ends a chain and clearing the heads empties the table. A bucket is the top
-// bits of a Fibonacci hash of the key. There are 8 heads per build tuple (rounded
-// up to a power of two), a constant: against 2 per tuple, 88 % instead of 61 %
-// of foreign-key probes meet a chain of one entry, so the chain-exit branch
-// predicts, and the whole join at 1:4 on one worker takes 0.18–0.23 instead of
-// 0.36–0.39 ms at 4 096 build tuples and 1.1–1.2 instead of 1.5–1.6 ms at
-// 16 384; the prototype's build+probe micro-benchmark read 13.2 instead of
-// 23.0 ns/tuple at 65 536 and 23.2 instead of 36.0 at 524 288. 16 per tuple
-// (95 %) is no faster at either end and twice the memory. Inserts swap a head in
-// with compare-and-swap while more than one worker builds the table — the
+// bits of a Fibonacci hash of the key, and there are 8 heads per build tuple
+// (rounded up to a power of two), a constant. Inserts swap a head in with
+// compare-and-swap while more than one worker builds the table — the
 // algorithm the paper describes — and with plain stores when one does: the
 // no-partitioning join on one worker and every private table of the radix
-// join. The probe has two loops, chosen by the sink. Behind the max-sum and
-// count sinks (sink.FoldsRanges) with no tie-break verifier, which keep
-// nothing of a pair but its count and sum, the loop keeps the match count and
-// the largest payload sum itself and hands both over once per probe. A 4 096 ×
-// 16 384 foreign-key build and probe on one worker (pooled, 2-vCPU Xeon host)
-// takes 91 µs with it against 122 with the (then column-batch) pair loop, and
-// 132 with that loop and the heads reset by a loop storing −1 instead of one
-// clear. Every
-// other sink gets the range loop, which appends each match's key and two
-// payloads to three leased columns and cuts every full batch of them into
-// range entries — one per matching probe tuple, the form every join hands its
-// sink — for the sink to take a batch at a time. For the fold
-// too, 2 heads per tuple (1.96×) and looking up a block's heads before
-// walking its chains (1.20×) are slower.
+// join. An insert also looks for its key on the chain it joins, so a build
+// learns whether its keys are distinct — the paper's R side, unique keys
+// probed by foreign keys — and over a distinct build every probe walk ends at
+// its first match. The probe has two loops, chosen by the sink. Behind the
+// max-sum and count sinks (sink.FoldsRanges) with no tie-break verifier,
+// which keep nothing of a pair but its count and sum, the loop keeps the
+// match count and the largest payload sum itself and hands both over once
+// per probe. Every other sink gets the range loop, which appends each match's
+// key and two payloads to three leased columns and cuts every full batch of
+// them into range entries — one per matching probe tuple, the form every
+// join hands its sink. The README's section on the hash-join baselines gives
+// the measurements behind each choice, and the layouts that lost to it.
 //
 // The groupjoin (GroupJoin) builds the same table over the distinct keys of
 // one input of a same-key join cluster and probes it with every other input:
@@ -64,6 +56,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -105,16 +98,17 @@ func validate(algorithm string, o Options, buildTuples int) error {
 }
 
 // insertBlock inserts one block of the build relation into the shared table,
-// charging the executing worker's tracker. An entry's slot is its index in
-// the relation, so any worker may insert any block.
-func insertBlock(ctx context.Context, table *chainTable, block relation.Chunk, shared bool, w *sched.Worker, topo numa.Topology) {
+// flagging a duplicate key in the executing worker's *dup and charging its
+// tracker. An entry's slot is its index in the relation, so any worker may
+// insert any block.
+func insertBlock(ctx context.Context, table *chainTable, block relation.Chunk, shared bool, dup *bool, w *sched.Worker, topo numa.Topology) {
 	lo, hi := block.Offset, block.Offset+block.Len()
 	var retries uint64
 	for at := lo; at < hi; at += cancelBlock {
 		if mergejoin.Canceled(ctx) {
 			return
 		}
-		retries += table.insert(at, min(at+cancelBlock, hi), shared)
+		retries += table.insert(at, min(at+cancelBlock, hi), shared, dup)
 	}
 	if tracker := w.Tracker(); tracker != nil {
 		// The hash table is interleaved across all nodes; on average
@@ -143,20 +137,23 @@ func probeBlock(ctx context.Context, table *chainTable, tuples []relation.Tuple,
 	}
 }
 
-// blockTasks cuts the chunks of a relation into morsel tasks of at most
-// morselSize tuples each, applying fn to every block. The tasks carry no
+// runChunks runs fn over the chunks of a relation as one phase: every worker
+// over its own chunk under static scheduling; under Morsel, over blocks of at
+// most opts.MorselSize tuples that idle workers steal. The blocks carry no
 // NUMA placement: the shared table is interleaved over all nodes, so no
 // worker is closer to a block's hash buckets than any other.
-func blockTasks(chunks []relation.Chunk, morselSize int, fn func(block relation.Chunk, w *sched.Worker)) []sched.Task {
+func runChunks(ctx context.Context, rt *sched.Runtime, opts Options, name string, chunks []relation.Chunk, fn func(ctx context.Context, block relation.Chunk, w *sched.Worker)) time.Duration {
+	if opts.Scheduler != sched.Morsel {
+		return rt.Phase(ctx, name, func(ctx context.Context, w *sched.Worker) { fn(ctx, chunks[w.ID()], w) })
+	}
 	var tasks []sched.Task
 	for _, chunk := range chunks {
-		chunk := chunk
-		sched.ForEachSegment(len(chunk.Tuples), morselSize, func(lo, hi int) {
+		sched.ForEachSegment(len(chunk.Tuples), opts.MorselSize, func(lo, hi int) {
 			block := relation.Chunk{Worker: chunk.Worker, Offset: chunk.Offset + lo, Tuples: chunk.Tuples[lo:hi]}
-			tasks = append(tasks, sched.Task{Node: -1, Run: func(w *sched.Worker) { fn(block, w) }})
+			tasks = append(tasks, sched.Task{Node: -1, Run: func(w *sched.Worker) { fn(ctx, block, w) }})
 		})
 	}
-	return tasks
+	return rt.RunTasks(ctx, name, tasks)
 }
 
 // Wisconsin executes the no-partitioning shared hash join: build a global
@@ -187,19 +184,14 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 
 	// Build phase: every worker inserts its chunk into the shared table
 	// (static), or idle workers steal insert blocks (morsel). The bucket
-	// heads are shared as soon as there is a second worker.
+	// heads are shared as soon as there is a second worker; each flags the
+	// duplicates it meets in its own dups entry.
 	shared := workers > 1
-	var buildTime time.Duration
-	if opts.Scheduler == sched.Morsel {
-		buildTime = rt.RunTasks(ctx, "build", blockTasks(rChunks, opts.MorselSize, func(block relation.Chunk, w *sched.Worker) {
-			insertBlock(ctx, &table, block, shared, w, opts.Topology)
-		}))
-	} else {
-		buildTime = rt.Phase(ctx, "build", func(ctx context.Context, w *sched.Worker) {
-			insertBlock(ctx, &table, rChunks[w.ID()], shared, w, opts.Topology)
-		})
-	}
-	res.AddPhase("build", buildTime)
+	dups := make([]bool, workers)
+	res.AddPhase("build", runChunks(ctx, rt, opts, "build", rChunks, func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
+		insertBlock(ctx, &table, block, shared, &dups[w.ID()], w, opts.Topology)
+	}))
+	table.distinct = !slices.Contains(dups, true)
 	if err := core.Checkpoint(ctx, rt, lease); err != nil {
 		return nil, err
 	}
@@ -208,17 +200,9 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	// matches into its private sink writer.
 	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
 	folds := sink.FoldsRanges(opts.Sink) && opts.KeyCheck == nil
-	var probeTime time.Duration
-	if opts.Scheduler == sched.Morsel {
-		probeTime = rt.RunTasks(ctx, "probe", blockTasks(sChunks, opts.MorselSize, func(block relation.Chunk, w *sched.Worker) {
-			probeBlock(ctx, &table, block.Tuples, w, opts.Topology, out.Writer(w.ID()), folds, lease)
-		}))
-	} else {
-		probeTime = rt.Phase(ctx, "probe", func(ctx context.Context, w *sched.Worker) {
-			probeBlock(ctx, &table, sChunks[w.ID()].Tuples, w, opts.Topology, out.Writer(w.ID()), folds, lease)
-		})
-	}
-	res.AddPhase("probe", probeTime)
+	res.AddPhase("probe", runChunks(ctx, rt, opts, "probe", sChunks, func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
+		probeBlock(ctx, &table, block.Tuples, w, opts.Topology, out.Writer(w.ID()), folds, lease)
+	}))
 	// Close runs even on cancellation (the sink lifecycle promises it); the
 	// context error still wins as the join's outcome.
 	closeErr := out.Close()

@@ -158,7 +158,14 @@ type CostModel struct {
 	// loop that folds is cheaper per match, and the constants were not refitted
 	// to it: ExplainAnalyze of the 4 096 × 16 384 join into the max-sum sink,
 	// one worker, pooled, reads est_ms 0.157 against a median ms of 0.132 with
-	// the column loop and 0.089 with the fold (2-vCPU Xeon host).
+	// the column loop and 0.089 with the fold (2-vCPU Xeon host). Over a build
+	// whose keys are distinct, as that join's are, every probe walk now ends
+	// at its first match: the same reading, three interleaved rounds of 1 000
+	// joins on a day the host ran about half as fast, is est_ms 0.158 against
+	// 0.194–0.211 ms walking every chain to its end and 0.172–0.175 with the
+	// exit — 0.85 of the time, so the model over-prices that probe by more
+	// than before. The constants stay as read, so no plan moves; re-pricing
+	// the hash joins is left to a refit of the whole model.
 	HashOpPerTuple   float64
 	HashMissPerTuple float64
 	HashCacheTuples  float64
