@@ -72,7 +72,7 @@ func main() {
 		trackNUMA     = flag.Bool("numa", false, "enable simulated NUMA access accounting")
 		perWorker     = flag.Bool("per-worker", false, "print per-worker phase breakdowns")
 		splitters     = flag.String("splitters", "equi-cost", "P-MPSM splitter strategy: equi-cost, equi-height, uniform")
-		schedMode     = flag.String("sched", "static", "match-phase scheduling: static (paper-faithful barriers) or morsel (work stealing)")
+		schedMode     = flag.String("sched", "static", "match-phase scheduling of B-MPSM, P-MPSM and Wisconsin: static (paper-faithful barriers) or morsel (work stealing); D-MPSM and Radix HJ ignore it")
 		pageBudget    = flag.Int("page-budget", 0, "D-MPSM: buffer pool budget in pages (0 = unlimited)")
 		pageSize      = flag.Int("page-size", 1024, "D-MPSM: tuples per page")
 		readLatency   = flag.Duration("read-latency", 0, "D-MPSM: simulated per-page read latency")

@@ -8,7 +8,6 @@ import (
 	"weak"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/memory"
 	"repro/internal/relation"
 	"repro/internal/sched"
@@ -17,49 +16,33 @@ import (
 	"repro/internal/stats"
 )
 
-// settings is the resolved configuration of an Engine or a single join call.
+// settings is the resolved configuration of an Engine or a single join call:
+// the join configuration every join node of a call runs with (core.Options,
+// with the D-MPSM disk configuration beside it), and what the engine itself
+// decides from — the algorithm, auto-planning and the scratch pool. Every
+// option writes its field directly. The serving-layer fields of core.Options
+// (Gate, Owner) are set only through the unexported options the Service
+// injects; Scratch and KeyCheck are never set here — the plan runner draws
+// the scratch pool from scratchFor.
 type settings struct {
-	algorithm        Algorithm
-	kind             JoinKind
-	band             uint64
-	workers          int
-	splitters        SplitterStrategy
-	histogramBits    int
-	collectPerWorker bool
-	presortedPublic  bool
-	presortedPrivate bool
-	trackNUMA        bool
-	topology         Topology
-	disk             DiskConfig
-	sink             Sink
-	scheduler        Scheduler
-	morselSize       int
-	batchSize        int
-	scratchPool      bool
-	poolLimit        int64
-	autoPlan         bool
-
-	// Serving-layer plumbing, set only through the unexported options the
-	// Service injects: the fair-share ticket the query's workers are gated
-	// by, and the admission reservation its scratch leases are attributed to.
-	gate  *sched.Ticket
-	owner *memory.Reservation
-
-	// faults arms deterministic fault injection (WithFaultInjection); nil
-	// injects nothing.
-	faults *faultinject.Set
+	core.Options
+	disk        core.DiskOptions
+	algorithm   Algorithm
+	autoPlan    bool
+	scratchPool bool
+	poolLimit   int64
 }
 
 // withGate gates every worker goroutine of the call through the given
 // fair-share ticket; the Service sets it per query.
 func withGate(t *sched.Ticket) Option {
-	return func(s *settings) { s.gate = t }
+	return func(s *settings) { s.Gate = t }
 }
 
 // withOwner attributes the call's scratch leases to an admission reservation;
 // the Service sets it per query.
 func withOwner(r *memory.Reservation) Option {
-	return func(s *settings) { s.owner = r }
+	return func(s *settings) { s.Owner = r }
 }
 
 // Option configures an Engine at construction time or overrides the engine's
@@ -76,7 +59,7 @@ func WithAlgorithm(a Algorithm) Option {
 // count between 1 and n that the cost model says pays, see Explain), and
 // exact with auto-planning off.
 func WithWorkers(n int) Option {
-	return func(s *settings) { s.workers = n }
+	return func(s *settings) { s.Workers = n }
 }
 
 // WithKind selects the join semantics (inner, left-outer, semi, anti). The
@@ -86,42 +69,36 @@ func WithWorkers(n int) Option {
 // (left-outer, anti) or matched (semi) private tuple reaches the sink paired
 // with the zero Tuple.
 func WithKind(k JoinKind) Option {
-	return func(s *settings) { s.kind = k }
+	return func(s *settings) { s.Kind = k }
 }
 
 // WithBandWidth turns the join into a non-equi band join: tuples match when
 // |R.key − S.key| <= width. Requires an inner join kind and the B-MPSM or
 // P-MPSM algorithm.
 func WithBandWidth(width uint64) Option {
-	return func(s *settings) { s.band = width }
+	return func(s *settings) { s.Band = width }
 }
 
 // WithSplitters selects P-MPSM's range-partition balancing strategy.
 func WithSplitters(strategy SplitterStrategy) Option {
-	return func(s *settings) { s.splitters = strategy }
-}
-
-// WithHistogramBits sets the granularity of P-MPSM's private-input histogram
-// (2^bits clusters); 0 selects the default of 10.
-func WithHistogramBits(bits int) Option {
-	return func(s *settings) { s.histogramBits = bits }
+	return func(s *settings) { s.Splitters = strategy }
 }
 
 // WithPerWorkerStats records per-worker phase breakdowns in the Result.
 func WithPerWorkerStats() Option {
-	return func(s *settings) { s.collectPerWorker = true }
+	return func(s *settings) { s.CollectPerWorker = true }
 }
 
 // WithPresortedPublic declares that the public input is already sorted by
 // join key, letting the MPSM variants skip its sorting phase (verified per
 // chunk, so a false declaration costs only the check).
 func WithPresortedPublic() Option {
-	return func(s *settings) { s.presortedPublic = true }
+	return func(s *settings) { s.PresortedPublic = true }
 }
 
 // WithPresortedPrivate is WithPresortedPublic for the private input.
 func WithPresortedPrivate() Option {
-	return func(s *settings) { s.presortedPrivate = true }
+	return func(s *settings) { s.PresortedPrivate = true }
 }
 
 // WithNUMATracking enables the simulated NUMA access accounting. An optional
@@ -129,38 +106,31 @@ func WithPresortedPrivate() Option {
 // evaluation.
 func WithNUMATracking(topology ...Topology) Option {
 	return func(s *settings) {
-		s.trackNUMA = true
+		s.TrackNUMA = true
 		if len(topology) > 0 {
-			s.topology = topology[0]
+			s.Topology = topology[0]
 		}
 	}
 }
 
-// WithDisk configures the D-MPSM buffer pool and simulated disk; it is
-// ignored by the other algorithms.
+// WithDisk configures the D-MPSM buffer pool and simulated disk (page size,
+// page budget, per-page latency); it is ignored by the other algorithms.
 func WithDisk(cfg DiskConfig) Option {
 	return func(s *settings) { s.disk = cfg }
 }
 
-// WithScheduler selects how the match phase is scheduled onto workers.
-// Static (the default) is the paper-faithful barrier-only mode: every worker
-// joins exactly its own private run, and load balance rests on the
-// histogram/CDF splitters. Morsel splits the match phase into small morsels
-// that idle workers steal with a NUMA-locality preference, closing the
-// per-worker straggler gap that splitter estimation errors or value skew
-// leave open. Both modes produce identical results.
+// WithScheduler selects how the match phase of B-MPSM, P-MPSM and the
+// Wisconsin join is scheduled onto workers. Static (the default) is the
+// paper-faithful barrier-only mode: every worker joins exactly its own
+// private run, and load balance rests on the histogram/CDF splitters. Morsel
+// splits the match phase into small morsels that idle workers steal with a
+// NUMA-locality preference, closing the per-worker straggler gap that
+// splitter estimation errors or value skew leave open. Both modes produce
+// identical results. D-MPSM ignores the mode — every worker walks the paper's
+// global page index behind one prefetcher — and so does the radix join, which
+// always claims its partition pairs dynamically.
 func WithScheduler(mode Scheduler) Option {
-	return func(s *settings) { s.scheduler = mode }
-}
-
-// WithMorselSize sets the number of private-run tuples per morsel used by
-// the Morsel scheduler in the in-memory match phases (B-MPSM, P-MPSM and
-// the hash-join baselines); 0 selects the default (8192). Smaller morsels
-// balance better but pay more dispatch overhead. D-MPSM's disk-paged match
-// phase always uses whole (private-run, public-run) pairs as its morsels
-// and ignores this setting.
-func WithMorselSize(tuples int) Option {
-	return func(s *settings) { s.morselSize = tuples }
+	return func(s *settings) { s.Scheduler = mode }
 }
 
 // WithBatchSize sets the batch size of the merge output of B-, P- and D-MPSM.
@@ -173,7 +143,7 @@ func WithMorselSize(tuples int) Option {
 // batch per probe, and hand every other sink range batches of 1024 pairs.
 // Results do not depend on n; Result.Batch reports the batch traffic.
 func WithBatchSize(n int) Option {
-	return func(s *settings) { s.batchSize = n }
+	return func(s *settings) { s.BatchSize = n }
 }
 
 // WithSink directs the joined tuple stream into the given sink instead of the
@@ -181,7 +151,7 @@ func WithBatchSize(n int) Option {
 // see Sink) sink per Join call, not to New, when the engine runs joins
 // concurrently.
 func WithSink(snk Sink) Option {
-	return func(s *settings) { s.sink = snk }
+	return func(s *settings) { s.Sink = snk }
 }
 
 // WithScratchPool enables (or disables) the engine-wide scratch pool: run,
@@ -332,41 +302,6 @@ func (e *Engine) scratchFor(cfg settings) *memory.Pool {
 	return e.pool
 }
 
-// coreOptions projects the resolved configuration onto the join options.
-func (cfg settings) coreOptions(pool *memory.Pool) core.Options {
-	return core.Options{
-		Sink:             cfg.sink,
-		Workers:          cfg.workers,
-		Kind:             cfg.kind,
-		Band:             cfg.band,
-		HistogramBits:    cfg.histogramBits,
-		Splitters:        cfg.splitters,
-		CollectPerWorker: cfg.collectPerWorker,
-		PresortedPublic:  cfg.presortedPublic,
-		PresortedPrivate: cfg.presortedPrivate,
-		TrackNUMA:        cfg.trackNUMA,
-		Topology:         cfg.topology,
-		Scheduler:        cfg.scheduler,
-		MorselSize:       cfg.morselSize,
-		BatchSize:        cfg.batchSize,
-		Scratch:          pool,
-		Owner:            cfg.owner,
-		Gate:             cfg.gate,
-		Faults:           cfg.faults,
-	}
-}
-
-// diskOptions projects the resolved configuration onto the D-MPSM options.
-func (cfg settings) diskOptions() core.DiskOptions {
-	return core.DiskOptions{
-		PageSize:         cfg.disk.PageSize,
-		PageBudget:       cfg.disk.PageBudget,
-		PrefetchDistance: cfg.disk.PrefetchDistance,
-		ReadLatency:      cfg.disk.ReadLatency,
-		WriteLatency:     cfg.disk.WriteLatency,
-	}
-}
-
 // joinPlan is the one-join plan every join call lowers to: the paper's
 // pipeline scan(r), scan(s) → join → sink (nil: the built-in max-sum
 // aggregate).
@@ -378,7 +313,7 @@ func joinPlan(r, s *Relation, snk Sink) *Plan {
 
 // join runs one join call as the one-join plan.
 func (e *Engine) join(ctx context.Context, r, s *Relation, opts []Option) (*PlanJoin, error) {
-	pr, err := e.RunPlan(ctx, joinPlan(r, s, e.resolve(opts).sink), opts...)
+	pr, err := e.RunPlan(ctx, joinPlan(r, s, e.resolve(opts).Sink), opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -139,7 +139,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, p *Plan, opts ...Option) (*
 		return nil, nil, err
 	}
 	global := e.resolve(opts)
-	pr, err := exec.RunPlan(ctx, ep, e.scratchFor(global))
+	pr, err := exec.RunPlanFor(ctx, ep, e.scratchFor(global), nil)
 	if err != nil {
 		return nil, nil, err
 	}

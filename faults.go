@@ -63,5 +63,5 @@ func ParseFaultSpec(spec string) (*FaultSet, error) { return faultinject.Parse(s
 // WithFaultInjection arms deterministic fault injection for an engine or a
 // single join call. Nil disables injection (the default).
 func WithFaultInjection(f *FaultSet) Option {
-	return func(s *settings) { s.faults = f }
+	return func(s *settings) { s.Faults = f }
 }

@@ -139,12 +139,8 @@ func runFigure16(cfg Config, w io.Writer) error {
 	}
 
 	for _, st := range strategies {
-		res, err := pmpsm(r, s, core.Options{
-			Workers:          workers,
-			Splitters:        st.strategy,
-			CollectPerWorker: true,
-			HistogramBits:    10, // B = 10 as in the paper's experiment
-		})
+		// P-MPSM's histogram has B = 10 bits, as in the paper's experiment.
+		res, err := pmpsm(r, s, core.Options{Workers: workers, Splitters: st.strategy, CollectPerWorker: true})
 		if err != nil {
 			return err
 		}

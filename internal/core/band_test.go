@@ -15,7 +15,7 @@ import (
 // oraclePairs materializes the brute-force band join in canonical order.
 func oraclePairs(r, s *relation.Relation, band uint64) ([]sink.Pair, mergejoin.MaxAggregate) {
 	m := sink.NewMaterialize()
-	b := sink.Bind(m, 1, nil)
+	b := sink.BindChecked(m, 1, nil, nil)
 	mergejoin.ReferenceJoinBand(r.Tuples, s.Tuples, band, b.Writer(0))
 	_ = b.Close()
 	var agg mergejoin.MaxAggregate

@@ -7,6 +7,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
+	"repro/internal/numa"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
@@ -161,7 +162,7 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 	}
 	tracker := w.Tracker()
 	for _, pub := range public {
-		if canceled(ctx) {
+		if sched.Canceled(ctx) {
 			break
 		}
 		n := pub.Len()
@@ -215,7 +216,7 @@ func (m *matcher) finish(ctx context.Context, res *result.Result, rt *sched.Runt
 	}
 	if m.opts.TrackNUMA {
 		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = m.opts.CostModel.Estimate(res.NUMA)
+		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
 	}
 	res.Scratch = m.lease.Stats()
 	return nil

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
 	"repro/internal/result"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -323,25 +324,19 @@ func TestOptionsNormalize(t *testing.T) {
 	if o.Workers <= 0 {
 		t.Fatal("Workers default missing")
 	}
-	if o.HistogramBits != 10 {
-		t.Fatalf("HistogramBits default = %d, want 10", o.HistogramBits)
-	}
-	if o.CDFBoundsPerRun != 4*o.Workers {
-		t.Fatalf("CDFBoundsPerRun default = %d", o.CDFBoundsPerRun)
+	if o.MorselSize != sched.DefaultMorselSize {
+		t.Fatalf("MorselSize default = %d, want %d", o.MorselSize, sched.DefaultMorselSize)
 	}
 	if o.Topology.Nodes == 0 {
 		t.Fatal("Topology default missing")
 	}
 
-	// Histogram bits must cover at least one cluster per worker.
-	o = Options{Workers: 64, HistogramBits: 2}.Normalize()
-	if o.HistogramBits < 6 {
-		t.Fatalf("HistogramBits = %d, want >= log2(64) = 6", o.HistogramBits)
-	}
-	// And it must be capped.
-	o = Options{Workers: 2, HistogramBits: 40}.Normalize()
-	if o.HistogramBits > 20 {
-		t.Fatalf("HistogramBits = %d, want capped at 20", o.HistogramBits)
+	// The histogram has the paper's B = 10 bits, raised to one radix cluster
+	// per worker where the workers need more.
+	for _, c := range []struct{ workers, bits int }{{1, 10}, {64, 10}, {1024, 10}, {1025, 11}, {1 << 12, 12}} {
+		if got := histogramBits(c.workers); got != c.bits {
+			t.Fatalf("histogramBits(%d) = %d, want %d", c.workers, got, c.bits)
+		}
 	}
 }
 

@@ -25,9 +25,6 @@ type DiskOptions struct {
 	// pool keeps resident (0 = unlimited). The paper's point is that the
 	// join needs only the currently processed and prefetched pages in RAM.
 	PageBudget int
-	// PrefetchDistance is how many index entries ahead of the slowest
-	// worker the prefetcher loads; 0 selects a small default.
-	PrefetchDistance int
 	// ReadLatency and WriteLatency simulate per-page disk access latency.
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
@@ -38,11 +35,12 @@ func (o DiskOptions) normalize() DiskOptions {
 	if o.PageSize <= 0 {
 		o.PageSize = storage.DefaultPageSize
 	}
-	if o.PrefetchDistance <= 0 {
-		o.PrefetchDistance = 8
-	}
 	return o
 }
+
+// prefetchDistance is how many page-index entries ahead of the workers the
+// prefetcher of phase 3 keeps loading.
+const prefetchDistance = 8
 
 // DiskStats reports the storage behaviour of a D-MPSM execution.
 type DiskStats struct {
@@ -74,13 +72,10 @@ type DiskStats struct {
 // of Options.BatchSize entries, and the sink takes range batches as behind the
 // other MPSM variants. D-MPSM is inner-only and equi-only.
 //
-// With Options.Scheduler == sched.Morsel, phase 3 runs as stolen
-// (private-run, public-run) morsels: each task walks one public run's pages
-// in key order against one private run, so an oversized private run is
-// processed by several workers concurrently. The global key-ordered
-// prefetcher assumes lock-step progress through the page index and is
-// therefore disabled in this mode; pages load on demand through the buffer
-// pool, which still enforces the budget.
+// Options.Scheduler does not change D-MPSM: the private runs are equal chunks
+// of |R|/T tuples, so there is no partition skew for morsels to balance, and
+// the page-index walk is what lets every page load once and the prefetcher
+// run ahead of all workers.
 //
 // Cancellation is checked at phase boundaries, per chunk during run
 // generation, and per page during the join; a canceled context aborts the
@@ -135,13 +130,7 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
 	scanned := make([]int, workers)
-	var phase3 time.Duration
-	if opts.Scheduler == sched.Morsel {
-		phase3 = dmpsmJoinMorsel(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts, lease)
-	} else {
-		phase3 = dmpsmJoinStatic(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts, diskOpts, lease)
-	}
-	res.AddPhase("phase 3", phase3)
+	res.AddPhase("phase 3", dmpsmJoin(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts, lease))
 	stats := DiskStats{
 		Pool:        pool.Stats(),
 		PageReads:   disk.PageReads(),
@@ -193,17 +182,18 @@ func readPrivateRun(disk *storage.Disk, run *storage.PagedRun) (keys, pays []uin
 	return keys, pays
 }
 
-// dmpsmJoinStatic is the paper's phase 3: every worker walks the global page
-// index in key order, joining each public page against its private run. Per
-// public run, a cursor into the private run only ever moves forward, so both
-// inputs are consumed in ascending key order and processed pages can be
-// released. Cancellation is checked before every page — the page is the
-// chunk unit of the disk-enabled merge loop.
-func dmpsmJoinStatic(ctx context.Context, rt *sched.Runtime, disk *storage.Disk, pool *storage.BufferPool,
+// dmpsmJoin is the paper's phase 3: every worker walks the global page index
+// in key order, joining each public page against its private run, while the
+// prefetcher loads the pages the furthest worker comes to next. Per public
+// run, a cursor into the private run only ever moves forward, so both inputs
+// are consumed in ascending key order and processed pages can be released.
+// Cancellation is checked before every page — the page is the chunk unit of
+// the disk-enabled merge loop.
+func dmpsmJoin(ctx context.Context, rt *sched.Runtime, disk *storage.Disk, pool *storage.BufferPool,
 	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound,
-	opts Options, diskOpts DiskOptions, lease *memory.Lease) time.Duration {
+	opts Options, lease *memory.Lease) time.Duration {
 
-	prefetcher := storage.NewPrefetcher(pool, index, diskOpts.PrefetchDistance)
+	prefetcher := storage.NewPrefetcher(pool, index, prefetchDistance)
 	prefetcher.Start()
 	defer prefetcher.Stop()
 
@@ -214,7 +204,7 @@ func dmpsmJoinStatic(ctx context.Context, rt *sched.Runtime, disk *storage.Disk,
 		cons := out.Writer(w.ID())
 		cursors := make([]int, len(index.Runs))
 		for pos, entry := range index.Entries {
-			if canceled(ctx) {
+			if sched.Canceled(ctx) {
 				break
 			}
 			page, err := pool.Pin(entry.Page)
@@ -227,67 +217,6 @@ func dmpsmJoinStatic(ctx context.Context, rt *sched.Runtime, disk *storage.Disk,
 			prefetcher.ReportProgress(pos + 1)
 		}
 	})
-}
-
-// dmpsmJoinMorsel is the morsel-driven phase 3: the private runs are read
-// into memory once, and every (private run, public run) pair becomes a task
-// that walks the public run's pages in key order with its own private
-// cursor. Tasks prefer workers on the private run's owner node.
-func dmpsmJoinMorsel(ctx context.Context, rt *sched.Runtime, disk *storage.Disk, pool *storage.BufferPool,
-	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound,
-	opts Options, lease *memory.Lease) time.Duration {
-
-	workers := rt.Workers()
-	privKeys, privPays := make([][]uint64, workers), make([][]uint64, workers)
-	readDuration := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-		privKeys[w.ID()], privPays[w.ID()] = readPrivateRun(disk, privateRuns[w.ID()])
-	})
-	if canceled(ctx) || rt.Err() != nil {
-		return readDuration
-	}
-
-	// Scratches are per worker, not per task: a worker executes one morsel
-	// at a time, so its scratch is never shared.
-	scratches := make([]*batch.Scratch, workers)
-	for w := range scratches {
-		scratches[w] = batch.NewScratch(opts.BatchSize, lease)
-		defer scratches[w].Close()
-	}
-	var tasks []sched.Task
-	for w := 0; w < workers; w++ {
-		keys, pays := privKeys[w], privPays[w]
-		if len(keys) == 0 {
-			continue
-		}
-		node := opts.Topology.NodeOfWorker(w)
-		for _, run := range index.Runs {
-			if run.Pages == 0 {
-				continue
-			}
-			run := run
-			tasks = append(tasks, sched.Task{Node: node, Run: func(exec *sched.Worker) {
-				cons := out.Writer(exec.ID())
-				cursor := 0
-				// Pages of one run are in ascending key order, so the
-				// private cursor only moves forward, exactly as in the
-				// static index walk.
-				for pageNo := 0; pageNo < run.Pages; pageNo++ {
-					if canceled(ctx) {
-						return
-					}
-					ref := storage.PageRef{RunID: run.RunID, PageNo: pageNo}
-					page, err := pool.Pin(ref)
-					if err != nil {
-						panic(fmt.Sprintf("core: pinning page %+v: %v", ref, err))
-					}
-					cursor = joinPage(keys, pays, cursor, page, cons, scratches[exec.ID()])
-					scanned[exec.ID()] += page.Len()
-					pool.Unpin(ref)
-				}
-			}})
-		}
-	}
-	return readDuration + rt.RunTasks(ctx, "phase 3", tasks)
 }
 
 // joinPage merge joins one public page (sorted) against the private run from

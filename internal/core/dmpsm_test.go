@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
@@ -69,6 +70,24 @@ func TestDMPSMPageBoundaryDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDMPSMPrefetchesUnderEitherScheduler pins that phase 3 is the page-index
+// walk with its prefetcher under both schedulers: one worker, a 16-page
+// private run read back at 200 µs a page, and a budget of 16 pages leave the
+// prefetcher time to load the first public pages before the worker pins them,
+// so the buffer pool serves hits. A walk without the prefetcher pins each page
+// once from one task and reads no hit.
+func TestDMPSMPrefetchesUnderEitherScheduler(t *testing.T) {
+	r, s := uniformDataset(4096, 2, 59)
+	for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+		res, stats := dmpsm(r, s, Options{Workers: 1, Scheduler: mode},
+			DiskOptions{PageSize: 256, PageBudget: 16, ReadLatency: 200 * time.Microsecond})
+		checkJoinResult(t, "D-MPSM "+mode.String(), r, s, res.Matches, res.MaxSum)
+		if stats.Pool.Hits == 0 {
+			t.Fatalf("%v: no buffer-pool hits over %d public pages: %+v", mode, stats.PublicPages, stats.Pool)
 		}
 	}
 }

@@ -243,7 +243,7 @@ func TestKindsMatchOracleOnColumnRuns(t *testing.T) {
 		r, s := in[0], in[1]
 		for _, kind := range allKinds {
 			ref := sink.NewMaterialize()
-			bound := sink.Bind(ref, 1, nil)
+			bound := sink.BindChecked(ref, 1, nil, nil)
 			mergejoin.ReferenceJoinKind(kind, r.Tuples, s.Tuples, bound.Writer(0))
 			_ = bound.Close()
 			want := sortedPairs(ref)

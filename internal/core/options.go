@@ -12,7 +12,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 
@@ -77,19 +76,8 @@ type Options struct {
 	// the sorted runs make the matching window contiguous).
 	Band uint64
 
-	// HistogramBits is the number of leading key bits B used for the
-	// fine-grained histogram on the private input (Section 4.2). It is
-	// clamped to at least ceil(log2(Workers)) so that there is at least one
-	// radix cluster per worker; 0 selects the default of 10 bits (1024
-	// clusters), the granularity of the paper's Figure 16 experiment.
-	HistogramBits int
-
 	// Splitters selects the range-partition strategy of P-MPSM.
 	Splitters SplitterStrategy
-
-	// CDFBoundsPerRun is the number of equi-height bounds f·T each worker
-	// contributes to the global S CDF (Section 4.1); 0 selects 4·Workers.
-	CDFBoundsPerRun int
 
 	// PresortedPublic declares that the public input is already globally
 	// sorted by join key, letting the run-generation phase skip sorting
@@ -105,19 +93,22 @@ type Options struct {
 	// CollectPerWorker records per-worker phase breakdowns (Figure 16).
 	CollectPerWorker bool
 
-	// Scheduler selects how the match phase is mapped onto workers.
-	// sched.Static (the default) is the paper-faithful barrier-only mode:
-	// worker w joins exactly its own private run, and load balance rests on
-	// the splitters. sched.Morsel splits the match phase into small
-	// (private-segment, public-run) morsels that idle workers steal with a
-	// NUMA-locality preference, closing the straggler gap that splitter
-	// estimation errors or value skew leave open.
+	// Scheduler selects how the match phase of B-MPSM, P-MPSM and the
+	// Wisconsin join is mapped onto workers. sched.Static (the default) is
+	// the paper-faithful barrier-only mode: worker w joins exactly its own
+	// private run, and load balance rests on the splitters. sched.Morsel
+	// splits the match phase into small (private-segment, public-run)
+	// morsels that idle workers steal with a NUMA-locality preference,
+	// closing the straggler gap that splitter estimation errors or value
+	// skew leave open. D-MPSM ignores it: its private runs are equal chunks
+	// of |R|/T tuples, and every worker walks the one global page index. The
+	// radix join ignores it too: it always claims partition pairs
+	// dynamically.
 	Scheduler sched.Mode
 	// MorselSize is the number of private-run tuples per morsel in the
-	// morsel-driven in-memory match phases (B-MPSM, P-MPSM); 0 selects
-	// 8192. Smaller morsels balance better but pay more dispatch overhead.
-	// D-MPSM's disk-paged match phase always uses whole (private-run,
-	// public-run) pairs as its morsels and ignores this setting.
+	// morsel-driven match phases of B-MPSM, P-MPSM and the Wisconsin probe;
+	// 0 selects sched.DefaultMorselSize. The planner halves it under heavy
+	// skew.
 	MorselSize int
 
 	// BatchSize is the number of range entries per batch of merge output in
@@ -164,11 +155,9 @@ type Options struct {
 	// TrackNUMA enables simulated NUMA access accounting.
 	TrackNUMA bool
 	// Topology is the simulated NUMA topology; the zero value selects the
-	// paper's 4-node × 8-core machine.
+	// paper's 4-node × 8-core machine. The simulated duration of the
+	// recorded accesses is priced by numa.DefaultCostModel.
 	Topology numa.Topology
-	// CostModel converts access statistics into a simulated duration; the
-	// zero value selects the calibrated default model.
-	CostModel numa.CostModel
 }
 
 // Normalize fills in defaults and derived values.
@@ -176,35 +165,20 @@ func (o Options) Normalize() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.HistogramBits <= 0 {
-		o.HistogramBits = 10
-	}
-	if minBits := log2ceil(o.Workers); o.HistogramBits < minBits {
-		o.HistogramBits = minBits
-	}
-	if o.HistogramBits > 20 {
-		o.HistogramBits = 20
-	}
-	if o.CDFBoundsPerRun <= 0 {
-		o.CDFBoundsPerRun = 4 * o.Workers
-	}
 	if o.MorselSize <= 0 {
 		o.MorselSize = sched.DefaultMorselSize
 	}
 	if o.Topology.Nodes == 0 {
 		o.Topology = numa.DefaultTopology()
 	}
-	if o.CostModel == (numa.CostModel{}) {
-		o.CostModel = numa.DefaultCostModel()
-	}
 	return o
 }
 
-// canceled reports whether the context has been canceled without blocking.
-// The MPSM variants call it at phase boundaries and once per chunk of work
-// inside the sort and merge loops (per public run, per page), so a canceled
-// join stops within one chunk of processing per worker.
-func canceled(ctx context.Context) bool { return mergejoin.Canceled(ctx) }
+// histogramBits is the number of leading key bits B of P-MPSM's fine-grained
+// histogram on the private input (Section 4.2): 10 bits (1024 clusters), the
+// granularity of the paper's Figure 16 experiment, raised to ceil(log2(T))
+// where T workers need more for one radix cluster each.
+func histogramBits(workers int) int { return max(10, log2ceil(workers)) }
 
 // log2ceil returns ceil(log2(n)) for n >= 1 and 0 otherwise.
 func log2ceil(n int) int {

@@ -140,16 +140,16 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) ([][]relation.Tuple, uint64) {
 	workers := opts.Workers
 
-	// Phase 2.1: per-run equi-height bounds merged into the global S CDF.
-	// The bounds are read off the already-sorted public key columns, so this
-	// costs almost nothing.
+	// Phase 2.1: per-run equi-height bounds merged into the global S CDF,
+	// f·T of them per run with f = 4 (Section 4.1). The bounds are read off
+	// the already-sorted public key columns, so this costs almost nothing.
 	boundsPerRun := make([][]uint64, workers)
 	runLens := make([]int, workers)
 	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		boundsPerRun[w.ID()] = partition.EquiHeightBoundsKeys(publicRuns[w.ID()].Keys, opts.CDFBoundsPerRun)
+		boundsPerRun[w.ID()] = partition.EquiHeightBoundsKeys(publicRuns[w.ID()].Keys, 4*workers)
 		runLens[w.ID()] = publicRuns[w.ID()].Len()
 	})
-	if canceled(ctx) || rt.Err() != nil {
+	if sched.Canceled(ctx) || rt.Err() != nil {
 		return nil, 0
 	}
 	cdf := partition.BuildCDF(boundsPerRun, runLens)
@@ -170,7 +170,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
 		}
 	})
-	if canceled(ctx) || rt.Err() != nil {
+	if sched.Canceled(ctx) || rt.Err() != nil {
 		return nil, 0
 	}
 	var maxKey uint64
@@ -179,7 +179,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 			maxKey = m
 		}
 	}
-	cfg := partition.NewRadixConfig(opts.HistogramBits, maxKey)
+	cfg := partition.NewRadixConfig(histogramBits(workers), maxKey)
 
 	histograms := make([]partition.Histogram, workers)
 	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
@@ -188,7 +188,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
 		}
 	})
-	if canceled(ctx) || rt.Err() != nil {
+	if sched.Canceled(ctx) || rt.Err() != nil {
 		return nil, 0
 	}
 

@@ -180,9 +180,3 @@ func Join(ctx context.Context, alg Algorithm, r, s *relation.Relation, opts core
 		return nil, nil, fmt.Errorf("exec: unknown algorithm %v", alg)
 	}
 }
-
-// KeyRangePredicate returns a predicate selecting tuples whose key lies in
-// [low, high). It is the selection used by the example queries.
-func KeyRangePredicate(low, high uint64) Predicate {
-	return func(t relation.Tuple) bool { return t.Key >= low && t.Key < high }
-}

@@ -45,7 +45,7 @@ func (q oneJoin) run() (res *PlanResult, rSelected, sSelected int, err error) {
 	rID := p.AddScanRange(q.r, q.rRange, q.rFilter)
 	sID := p.AddScanRange(q.s, q.sRange, q.sFilter)
 	p.AddSink(p.AddJoin(rID, sID, q.alg, q.opts, q.disk), nil)
-	if res, err = RunPlan(context.Background(), p, nil); err != nil {
+	if res, err = RunPlanFor(context.Background(), p, nil, nil); err != nil {
 		return nil, 0, 0, err
 	}
 	return res, res.Rows[rID], res.Rows[sID], nil
@@ -82,15 +82,15 @@ func TestRunWithSelection(t *testing.T) {
 	low, high := uint64(0), uint64(1)<<31 // roughly half the key domain
 
 	// Reference: filter first, then join.
-	filteredR, _ := applyScanFilter(context.Background(), r, nil, KeyRangePredicate(low, high), 4, nil)
-	filteredS, _ := applyScanFilter(context.Background(), s, nil, KeyRangePredicate(low, high), 4, nil)
+	filteredR, _ := applyScanFilter(context.Background(), r, nil, KeyRange{Low: low, High: high}.Predicate(), 4, nil)
+	filteredS, _ := applyScanFilter(context.Background(), s, nil, KeyRange{Low: low, High: high}.Predicate(), 4, nil)
 	var agg mergejoin.MaxAggregate
 	mergejoin.ReferenceJoin(filteredR.Tuples, filteredS.Tuples, &agg)
 
 	res, rSel, sSel, err := oneJoin{
 		r: r, s: s,
-		rFilter: KeyRangePredicate(low, high),
-		sFilter: KeyRangePredicate(low, high),
+		rFilter: KeyRange{Low: low, High: high}.Predicate(),
+		sFilter: KeyRange{Low: low, High: high}.Predicate(),
 		opts:    core.Options{Workers: 4},
 	}.run()
 	if err != nil {
@@ -205,9 +205,9 @@ func TestAlgorithmString(t *testing.T) {
 }
 
 func TestKeyRangePredicate(t *testing.T) {
-	p := KeyRangePredicate(10, 20)
+	p := KeyRange{Low: 10, High: 20}.Predicate()
 	if p(relation.Tuple{Key: 9}) || !p(relation.Tuple{Key: 10}) || !p(relation.Tuple{Key: 19}) || p(relation.Tuple{Key: 20}) {
-		t.Fatal("KeyRangePredicate bounds wrong")
+		t.Fatal("KeyRange.Predicate bounds wrong")
 	}
 }
 

@@ -31,7 +31,7 @@ func TestFilterKeyRangeMatchesPredicateFilter(t *testing.T) {
 		rel := workload.UniformRelation("R", n, 1<<32, uint64(n)+7)
 		for _, rng := range ranges {
 			for _, workers := range []int{1, 4} {
-				want, _ := applyScanFilter(ctx, rel, nil, KeyRangePredicate(rng.Low, rng.High), workers, nil)
+				want, _ := applyScanFilter(ctx, rel, nil, rng.Predicate(), workers, nil)
 				got, _ := applyScanFilter(ctx, rel, &rng, nil, workers, nil)
 				if got.Len() != want.Len() {
 					t.Fatalf("n=%d range=%+v workers=%d: %d tuples, predicate filter kept %d",
@@ -149,8 +149,8 @@ func TestRunWithKeyRange(t *testing.T) {
 
 	base, baseR, baseS, err := oneJoin{
 		r: r, s: s,
-		rFilter: KeyRangePredicate(low, high),
-		sFilter: KeyRangePredicate(low, high),
+		rFilter: KeyRange{Low: low, High: high}.Predicate(),
+		sFilter: KeyRange{Low: low, High: high}.Predicate(),
 		opts:    core.Options{Workers: 4},
 	}.run()
 	if err != nil {

@@ -245,7 +245,7 @@ func FuzzGroupJoinDifferential(f *testing.F) {
 		}
 		p.Nodes[aggID].GroupJoin = &GroupJoin{Workers: c.workers}
 		if err != nil {
-			if _, err := RunPlan(context.Background(), p, nil); err == nil || !strings.Contains(err.Error(), "cannot run as a groupjoin") {
+			if _, err := RunPlanFor(context.Background(), p, nil, nil); err == nil || !strings.Contains(err.Error(), "cannot run as a groupjoin") {
 				t.Fatalf("forced groupjoin over an ineligible plan: %v", err)
 			}
 			return
@@ -259,7 +259,7 @@ func FuzzGroupJoinDifferential(f *testing.F) {
 		if c.pooled {
 			pool = memory.NewPool(1 << 24)
 		}
-		pr, err := RunPlan(context.Background(), p, pool)
+		pr, err := RunPlanFor(context.Background(), p, pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,7 +162,7 @@ func TestPipelinesMatchMapOracle(t *testing.T) {
 					sh.build(p, r, s, tr, a1, a2, core.Options{Workers: workers, Scheduler: mode, MorselSize: 128})
 					label := fmt.Sprintf("seed=%d shape=%s algs=%v/%v sched=%v workers=%d pool=%t input=%s",
 						seed, sh.name, a1, a2, mode, workers, pool != nil, input)
-					pr, err := RunPlan(context.Background(), p, pool)
+					pr, err := RunPlanFor(context.Background(), p, pool, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -111,7 +111,7 @@ type PlanNode struct {
 
 // Plan is a DAG of operators with exactly one root (the node no other node
 // consumes). Build plans with the Add* methods — each returns the new node's
-// ID for use as a later input — and execute them with RunPlan. The zero Plan
+// ID for use as a later input — and execute them with RunPlanFor. The zero Plan
 // is empty and ready for use.
 type Plan struct {
 	Nodes []PlanNode

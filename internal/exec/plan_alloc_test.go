@@ -26,7 +26,7 @@ func measurePlanAllocBytes(t *testing.T, p *Plan, pool *memory.Pool) uint64 {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunPlan(context.Background(), p, pool); err != nil {
+		if _, err := RunPlanFor(context.Background(), p, pool, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -89,7 +89,7 @@ func TestThreeWayPlanParityAllAlgorithmsAndSchedulers(t *testing.T) {
 	algorithms := []Algorithm{AlgorithmPMPSM, AlgorithmBMPSM, AlgorithmDMPSM, AlgorithmWisconsin, AlgorithmRadix}
 	for _, alg := range algorithms {
 		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
-			pr, err := RunPlan(context.Background(), threeWayPlan(r, s, tRel, alg, mode, sink.AggSum), nil)
+			pr, err := RunPlanFor(context.Background(), threeWayPlan(r, s, tRel, alg, mode, sink.AggSum), nil, nil)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", alg, mode, err)
 			}
@@ -111,7 +111,7 @@ func TestThreeWayPlanParityWithPoolAndFilters(t *testing.T) {
 	r, s := dataset(1500, 2, 33)
 	tRel, _ := dataset(1500, 2, 33)
 	tRel.Name = "T"
-	pred := KeyRangePredicate(0, 1<<31)
+	pred := KeyRange{Low: 0, High: 1 << 31}.Predicate()
 
 	fr, _ := applyScanFilter(context.Background(), r, nil, pred, 1, nil)
 	fs, _ := applyScanFilter(context.Background(), s, nil, pred, 1, nil)
@@ -128,7 +128,7 @@ func TestThreeWayPlanParityWithPoolAndFilters(t *testing.T) {
 
 	// Run twice: the second execution reuses the first one's pooled buffers.
 	for run := 0; run < 2; run++ {
-		pr, err := RunPlan(context.Background(), p, pool)
+		pr, err := RunPlanFor(context.Background(), p, pool, nil)
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -260,7 +260,7 @@ func TestFusedAggregateMatchesMapOracle(t *testing.T) {
 							p.Nodes[aggID].GroupJoin = &GroupJoin{Driver: driver, Workers: 4}
 							label += fmt.Sprintf(" driver=%d", driver)
 						}
-						pr, err := RunPlan(context.Background(), p, pool)
+						pr, err := RunPlanFor(context.Background(), p, pool, nil)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
@@ -299,7 +299,7 @@ func TestAggregateOverMaterializedInputs(t *testing.T) {
 		p := &Plan{}
 		inner := p.AddGroupAggregate(p.AddMap(p.AddScan(r, nil), halve), sink.AggMax)
 		outer := p.AddGroupAggregate(p.AddMap(inner, halve), sink.AggCount)
-		pr, err := RunPlan(context.Background(), p, pool)
+		pr, err := RunPlanFor(context.Background(), p, pool, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestPlanMapAndProject(t *testing.T) {
 	j := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), AlgorithmBMPSM, core.Options{Workers: 2}, core.DiskOptions{})
 	proj := p.AddProject(j, keyOnly)
 	p.AddMap(proj, double)
-	pr, err := RunPlan(context.Background(), p, nil)
+	pr, err := RunPlanFor(context.Background(), p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestPlanValidationErrors(t *testing.T) {
 		}, "band joins require an inner join kind"},
 	}
 	for _, tc := range cases {
-		_, err := RunPlan(context.Background(), tc.plan(), nil)
+		_, err := RunPlanFor(context.Background(), tc.plan(), nil, nil)
 		if err == nil {
 			t.Errorf("%s: invalid plan accepted", tc.name)
 			continue
@@ -476,7 +476,7 @@ func TestPlanNonInnerKindAboveAggregateAllowed(t *testing.T) {
 	j := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), AlgorithmPMPSM,
 		core.Options{Workers: 2, Kind: mergejoin.LeftOuter}, core.DiskOptions{})
 	p.AddGroupAggregate(j, sink.AggCount)
-	pr, err := RunPlan(context.Background(), p, nil)
+	pr, err := RunPlanFor(context.Background(), p, nil, nil)
 	if err != nil {
 		t.Fatalf("left-outer join above an aggregate (not another join) should be valid: %v", err)
 	}
@@ -494,7 +494,7 @@ func TestPlanCancellationBeforeStart(t *testing.T) {
 	cancel()
 	p := &Plan{}
 	p.AddSink(p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), AlgorithmPMPSM, core.Options{Workers: 2}, core.DiskOptions{}), nil)
-	if _, err := RunPlan(ctx, p, nil); !errors.Is(err, context.Canceled) {
+	if _, err := RunPlanFor(ctx, p, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled plan returned %v, want context.Canceled", err)
 	}
 }
@@ -523,7 +523,7 @@ func TestPlanCancellationAtOperatorBoundary(t *testing.T) {
 	j2 := p.AddJoin(j1, tID, AlgorithmPMPSM, core.Options{Workers: 2}, core.DiskOptions{})
 	p.AddGroupAggregate(j2, sink.AggSum)
 
-	if _, err := RunPlan(ctx, p, nil); !errors.Is(err, context.Canceled) {
+	if _, err := RunPlanFor(ctx, p, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-plan cancellation returned %v, want context.Canceled", err)
 	}
 }

@@ -58,21 +58,15 @@ type PlanResult struct {
 	Total time.Duration
 }
 
-// RunPlan validates and executes a plan. Intermediate results — filtered
+// RunPlanFor validates and executes a plan. Intermediate results — filtered
 // scans, materialized join outputs feeding a second join, aggregate buffers —
 // are drawn from pool when it is non-nil and returned when the plan
-// finishes; the returned Output is always freshly allocated. The context is
-// checked at every operator boundary (and, inside each join, at phase
-// boundaries and per chunk), so a canceled context aborts the plan and
-// returns ctx.Err().
-func RunPlan(ctx context.Context, p *Plan, pool *memory.Pool) (*PlanResult, error) {
-	return RunPlanFor(ctx, p, pool, nil)
-}
-
-// RunPlanFor is RunPlan with the plan-level scratch lease (scan filters,
-// intermediate relations, aggregate buffers) attributed to a query's
-// admission reservation; the per-join leases carry their attribution in each
-// join node's options. A nil owner leaves the lease unattributed.
+// finishes; the returned Output is always freshly allocated. The plan-level
+// scratch lease is attributed to a query's admission reservation (owner; nil
+// leaves it unattributed); the per-join leases carry their attribution in
+// each join node's options. The context is checked at every operator
+// boundary (and, inside each join, at phase boundaries and per chunk), so a
+// canceled context aborts the plan and returns ctx.Err().
 func RunPlanFor(ctx context.Context, p *Plan, pool *memory.Pool, owner *memory.Reservation) (*PlanResult, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

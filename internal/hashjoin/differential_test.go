@@ -97,7 +97,7 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 						return Wisconsin(context.Background(), r, s, o)
 					},
 					"Radix": func(o Options) (*result.Result, error) {
-						return Radix(context.Background(), r, s, RadixOptions{Options: o, PartitionBits: 3})
+						return radixJoin(context.Background(), r, s, o, 3, radixPasses(3))
 					},
 				} {
 					out := sink.NewMaterialize()
@@ -475,7 +475,7 @@ func TestProbeCancellationInsideBlock(t *testing.T) {
 	// its first block the same way, hands over the pairs of that block alone,
 	// as one batch, and leases nothing.
 	for _, s := range []sink.Sink{sink.NewMaxSum(), sink.NewCount()} {
-		out := sink.Bind(s, 1, lease)
+		out := sink.BindChecked(s, 1, lease, nil)
 		before := lease.Stats()
 		table.probe(&canceledOnSecondPoll{Context: context.Background(), done: make(chan struct{})}, probe, out.Writer(0), true, lease)
 		if err := out.Close(); err != nil {

@@ -113,7 +113,7 @@ func GroupJoin(ctx context.Context, spec GroupJoinSpec, opts Options, out *memor
 	res.Total = time.Since(start)
 	if opts.TrackNUMA {
 		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = opts.CostModel.Estimate(res.NUMA)
+		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
 	}
 	res.Scratch = lease.Stats()
 	return groups, res, nil

@@ -161,7 +161,10 @@ func TestRadixExplicitBits(t *testing.T) {
 	r, s := testDataset(3000, 2, 5)
 	wantCount, wantMax := reference(r, s)
 	for _, bitsUsed := range []int{1, 4, 8} {
-		res := radix(r, s, RadixOptions{Options: Options{Workers: 4}, PartitionBits: bitsUsed})
+		res, err := radixJoin(context.Background(), r, s, Options{Workers: 4}, bitsUsed, radixPasses(bitsUsed))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Matches != wantCount || res.MaxSum != wantMax {
 			t.Fatalf("bits=%d: got (%d, %d), want (%d, %d)", bitsUsed, res.Matches, res.MaxSum, wantCount, wantMax)
 		}
@@ -172,7 +175,10 @@ func TestRadixPassCounts(t *testing.T) {
 	r, s := testDataset(4000, 4, 21)
 	wantCount, wantMax := reference(r, s)
 	for _, passes := range []int{1, 2} {
-		res := radix(r, s, RadixOptions{Options: Options{Workers: 4}, PartitionBits: 8, Passes: passes})
+		res, err := radixJoin(context.Background(), r, s, Options{Workers: 4}, 8, passes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Matches != wantCount || res.MaxSum != wantMax {
 			t.Fatalf("passes=%d: got (%d, %d), want (%d, %d)", passes, res.Matches, res.MaxSum, wantCount, wantMax)
 		}
@@ -327,7 +333,7 @@ func TestSharedTableDirect(t *testing.T) {
 		probe := []relation.Tuple{{Key: 1, Payload: 100}, {Key: 8}, {Key: 9, Payload: 7}, {Key: 1, Payload: 3}}
 		var c mergejoin.Counter
 		for _, folds := range []bool{false, true} {
-			out := sink.Bind(sink.NewMaxSum(), 1, nil)
+			out := sink.BindChecked(sink.NewMaxSum(), 1, nil, nil)
 			var w mergejoin.RangeConsumer = &c
 			if folds {
 				w = out.Writer(0)

@@ -15,24 +15,17 @@ import (
 	"repro/internal/sink"
 )
 
-// RadixOptions configures the radix-partitioned hash join baseline.
+// RadixOptions configures the radix-partitioned hash join baseline. The
+// partitioning is derived from the build side: choosePartitionBits and
+// radixPasses.
 type RadixOptions struct {
 	Options
-	// PartitionBits is the number of radix bits used for partitioning both
-	// inputs (2^bits partitions in total). 0 selects a value that targets
-	// build-side partitions of roughly 2048 tuples, mimicking cache-sized
-	// fragments.
-	PartitionBits int
-	// Passes is the number of radix partitioning passes. The MonetDB /
-	// Vectorwise lineage partitions repeatedly (rather than in one step) to
-	// preserve TLB locality; the first pass writes across NUMA partitions,
-	// later passes refine locally. 0 selects two passes when the partition
-	// count is large enough to split, one otherwise.
-	Passes int
 }
 
-// choosePartitionBits picks a partition count so that each build-side
-// partition holds around targetPartitionSize tuples.
+// choosePartitionBits picks the number of radix bits both inputs are
+// partitioned on (2^bits partitions in total) so that each build-side
+// partition holds around targetPartitionSize tuples, mimicking cache-sized
+// fragments.
 func choosePartitionBits(buildSize int) int {
 	const targetPartitionSize = 2048
 	bits := 1
@@ -40,6 +33,18 @@ func choosePartitionBits(buildSize int) int {
 		bits++
 	}
 	return bits
+}
+
+// radixPasses is the number of radix partitioning passes over the given
+// number of bits. The MonetDB / Vectorwise lineage partitions repeatedly
+// (rather than in one step) to preserve TLB locality; the first pass writes
+// across NUMA partitions, the second refines locally. Two passes split
+// partition counts of 16 and more, one pass the smaller ones.
+func radixPasses(bits int) int {
+	if bits >= 4 {
+		return 2
+	}
+	return 1
 }
 
 // Radix executes a radix-partitioned parallel hash join in the
@@ -59,10 +64,16 @@ func choosePartitionBits(buildSize int) int {
 // loop and every cancelBlock tuples of a probe; a canceled context aborts the
 // join and returns ctx.Err().
 func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*result.Result, error) {
-	if err := validate("the radix hash join", opts.Options, r.Len()); err != nil {
+	bits := choosePartitionBits(r.Len())
+	return radixJoin(ctx, r, s, opts.Options, bits, radixPasses(bits))
+}
+
+// radixJoin is Radix on 2^bits partitions cut in the given number of passes.
+func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits, passes int) (*result.Result, error) {
+	if err := validate("the radix hash join", opts, r.Len()); err != nil {
 		return nil, err
 	}
-	o := opts.Options.Normalize()
+	o := opts.Normalize()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -73,23 +84,12 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 	defer lease.Release()
 	start := time.Now()
 
-	bitsUsed := opts.PartitionBits
-	if bitsUsed <= 0 {
-		bitsUsed = choosePartitionBits(r.Len())
-	}
-	passes := opts.Passes
-	if passes <= 0 {
-		passes = 1
-		if bitsUsed >= 4 {
-			passes = 2
-		}
-	}
 	maxKey := maxKeyOf(r, s)
 
 	var rParts, sParts [][]relation.Tuple
 	partitionTime := result.StopwatchPhase(func() {
-		rParts = partitionMultiPass(ctx, rt, r, bitsUsed, passes, maxKey, o.Topology, lease)
-		sParts = partitionMultiPass(ctx, rt, s, bitsUsed, passes, maxKey, o.Topology, lease)
+		rParts = partitionMultiPass(ctx, rt, r, bits, passes, maxKey, o.Topology, lease)
+		sParts = partitionMultiPass(ctx, rt, s, bits, passes, maxKey, o.Topology, lease)
 	})
 	res.AddPhase("partition", partitionTime)
 	if err := core.Checkpoint(ctx, rt, lease); err != nil {
@@ -138,7 +138,7 @@ func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*re
 	res.Total = time.Since(start)
 	if o.TrackNUMA {
 		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = o.CostModel.Estimate(res.NUMA)
+		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
 	}
 	res.Scratch = lease.Stats()
 	return res, nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
+	"repro/internal/sched"
 	"repro/internal/sink"
 )
 
@@ -123,7 +124,7 @@ func (t *chainTable) probe(ctx context.Context, probe []relation.Tuple, out merg
 	b := sc.Ranges(keys, rp, keys, sp)
 	m, flushed := 0, uint64(0)
 	build, heads, next, shift, distinct := t.build, t.heads, t.next, t.shift, t.distinct
-	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
+	for lo := 0; lo < len(probe) && !sched.Canceled(ctx); lo += cancelBlock {
 		for _, tup := range probe[lo:min(lo+cancelBlock, len(probe))] {
 			for idx := heads[bucketOf(tup.Key, shift)]; idx != 0; idx = next[idx] {
 				inspected++
@@ -182,7 +183,7 @@ func (t *chainTable) probeFold(ctx context.Context, probe []relation.Tuple, out 
 	if t.distinct {
 		fold = t.foldFirst
 	}
-	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
+	for lo := 0; lo < len(probe) && !sched.Canceled(ctx); lo += cancelBlock {
 		p, b, n := fold(probe[lo:min(lo+cancelBlock, len(probe))])
 		pairs, best, inspected = pairs+p, max(best, b), inspected+n
 	}
@@ -238,7 +239,7 @@ const slotWords = 4
 func (t *chainTable) foldProbe(ctx context.Context, probe []relation.Tuple, slots []uint64, agg sink.Agg) (inspected uint64) {
 	heads, next, shift := t.heads, t.next, t.shift
 	probed, unmatched := 0, slots[1]
-	for lo := 0; lo < len(probe) && !mergejoin.Canceled(ctx); lo += cancelBlock {
+	for lo := 0; lo < len(probe) && !sched.Canceled(ctx); lo += cancelBlock {
 		block := probe[lo:min(lo+cancelBlock, len(probe))]
 		for _, tup := range block {
 			slots[0] = tup.Key

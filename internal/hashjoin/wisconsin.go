@@ -105,7 +105,7 @@ func insertBlock(ctx context.Context, table *chainTable, block relation.Chunk, s
 	lo, hi := block.Offset, block.Offset+block.Len()
 	var retries uint64
 	for at := lo; at < hi; at += cancelBlock {
-		if mergejoin.Canceled(ctx) {
+		if sched.Canceled(ctx) {
 			return
 		}
 		retries += table.insert(at, min(at+cancelBlock, hi), shared, dup)
@@ -219,7 +219,7 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	res.Total = time.Since(start)
 	if opts.TrackNUMA {
 		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = opts.CostModel.Estimate(res.NUMA)
+		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
 	}
 	res.Scratch = lease.Stats()
 	return res, nil

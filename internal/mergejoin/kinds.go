@@ -7,6 +7,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/memory"
 	"repro/internal/relation"
+	"repro/internal/sched"
 )
 
 // Kind selects the join semantics of the MPSM variants. The paper's future
@@ -109,7 +110,7 @@ func (m *Marker) ConsumeRanges(b *batch.Ranges) {
 // result.
 func (m *Marker) Finish(ctx context.Context) {
 	defer m.lease.PutUint64s(m.marks)
-	if len(m.rKeys) == 0 || Canceled(ctx) {
+	if len(m.rKeys) == 0 || sched.Canceled(ctx) {
 		return
 	}
 	wantMatched := m.kind == Semi

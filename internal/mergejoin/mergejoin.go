@@ -19,24 +19,7 @@
 // share nothing with any kernel. No join of the engine calls them.
 package mergejoin
 
-import (
-	"context"
-
-	"repro/internal/relation"
-)
-
-// Canceled reports whether the context has been canceled, without blocking.
-// It is the cancellation poll the join loops of this repository share: the
-// MPSM merge loops, the hash-join build/probe loops and the phase
-// orchestration all call it at chunk boundaries.
-func Canceled(ctx context.Context) bool {
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
+import "repro/internal/relation"
 
 // Consumer receives every joined tuple pair. Implementations decide whether
 // to aggregate, count, or materialize. Consumers are not required to be safe

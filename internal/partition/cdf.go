@@ -131,6 +131,3 @@ func (c *CDF) EstimateRange(low, high uint64) float64 {
 	}
 	return c.Estimate(high-1) - lowMass
 }
-
-// Steps returns the number of distinct steps recorded in the CDF.
-func (c *CDF) Steps() int { return len(c.keys) }

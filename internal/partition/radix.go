@@ -105,21 +105,6 @@ func BuildHistogramInto(h Histogram, tuples []relation.Tuple, cfg RadixConfig) H
 	return h
 }
 
-// BuildKeyHistogramInto is BuildHistogramInto over a raw key column, the
-// structure-of-arrays variant used by the columnar batch path: the scan
-// streams 8-byte keys instead of 16-byte tuples, doubling the keys inspected
-// per cache line.
-func BuildKeyHistogramInto(h Histogram, keys []uint64, cfg RadixConfig) Histogram {
-	if len(h) != cfg.Clusters() {
-		panic(fmt.Sprintf("partition: histogram length %d does not match %d clusters", len(h), cfg.Clusters()))
-	}
-	shift, limit := cfg.Shift, uint64(1)<<cfg.Bits-1
-	for _, k := range keys {
-		h[min(k>>shift, limit)]++
-	}
-	return h
-}
-
 // Total returns the number of tuples counted by the histogram.
 func (h Histogram) Total() int {
 	total := 0

@@ -257,7 +257,7 @@ func computeSplittersGreedy(globalR Histogram, cdf *CDF, cfg RadixConfig, cost S
 // the identical splitter vector (golden PublicScanned counts depend on it)
 // over uniform and 80:20-skewed inputs in both directions, everything in one
 // cluster, an empty histogram, integral masses whose partition costs tie, and
-// workers 1…64 at both ends of the HistogramBits range.
+// workers 1…64 at both ends of the histogram-bits range.
 func TestComputeSplittersMatchesGreedyOracle(t *testing.T) {
 	const domain = uint64(1) << 32
 	uniformKeys := func(n int, seed int64) []uint64 {

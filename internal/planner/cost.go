@@ -436,7 +436,11 @@ func (c CostModel) produce(alg exec.Algorithm, in joinInputs) float64 {
 		merge := c.MergePerTuple * (n*t + m) / speedup(t, c.MergeParallel)
 		return sort + partition + merge + fixed(7, c.SplitterFixed)
 	case exec.AlgorithmDMPSM:
-		return c.produce(exec.AlgorithmBMPSM, in) + (c.DiskPerTuple+in.simulatedLatency)*(n+m)/speedup(t, c.MergeParallel)
+		// B-MPSM's runs and merge, with every worker walking the whole page
+		// index under either scheduler, plus the disk.
+		walk := in
+		walk.static = true
+		return c.produce(exec.AlgorithmBMPSM, walk) + (c.DiskPerTuple+in.simulatedLatency)*(n+m)/speedup(t, c.MergeParallel)
 	case exec.AlgorithmWisconsin:
 		miss := c.missFraction(n, c.HashCacheTuples)
 		op := c.HashOpPerTuple + c.HashMissPerTuple*miss

@@ -370,7 +370,7 @@ func TestOptimizedPlanExecutes(t *testing.T) {
 	small := workload.ForeignKeyRelation("T", r, 1<<9, 25)
 
 	base := buildThreeWayPlan(r, s, small)
-	baseRes, err := exec.RunPlan(context.Background(), base, nil)
+	baseRes, err := exec.RunPlanFor(context.Background(), base, nil, nil)
 	if err != nil {
 		t.Fatalf("base plan: %v", err)
 	}
@@ -379,7 +379,7 @@ func TestOptimizedPlanExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	optRes, err := exec.RunPlan(context.Background(), op, nil)
+	optRes, err := exec.RunPlanFor(context.Background(), op, nil, nil)
 	if err != nil {
 		t.Fatalf("optimized plan: %v", err)
 	}

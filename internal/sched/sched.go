@@ -274,6 +274,10 @@ func (rt *Runtime) poison(phase string, worker int, v any, cancel context.Cancel
 }
 
 // Canceled reports whether the context has been canceled, without blocking.
+// It is the one cancellation poll of the repository: the runtime's phases and
+// task queue, the MPSM merge loops and the hash-join build and probe loops
+// all call it at chunk boundaries, so a canceled join stops within one chunk
+// of work per worker.
 func Canceled(ctx context.Context) bool {
 	select {
 	case <-ctx.Done():

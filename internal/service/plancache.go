@@ -325,16 +325,13 @@ func appendJoinKey(b []byte, n exec.PlanNode) []byte {
 	num(" w", int64(o.Workers))
 	num(" k", int64(o.Kind))
 	b = strconv.AppendUint(append(b, " b"...), o.Band, 16)
-	num(" h", int64(o.HistogramBits))
 	num(" s", int64(o.Splitters))
-	num(" c", int64(o.CDFBoundsPerRun))
 	flag(" pp", o.PresortedPublic)
 	flag(" pv", o.PresortedPrivate)
 	num(" sch", int64(o.Scheduler))
 	num(" m", int64(o.MorselSize))
 	num(" d", int64(d.PageSize))
 	num(",", int64(d.PageBudget))
-	num(",", int64(d.PrefetchDistance))
 	num(",", int64(d.ReadLatency))
 	num(",", int64(d.WriteLatency))
 	return b

@@ -176,11 +176,11 @@ func TestPlanCacheExecutionParity(t *testing.T) {
 		t.Fatalf("stats = %+v, want the second plan served from cache", c.Stats())
 	}
 
-	freshRes, err := exec.RunPlan(context.Background(), fresh, nil)
+	freshRes, err := exec.RunPlanFor(context.Background(), fresh, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedRes, err := exec.RunPlan(context.Background(), cached, nil)
+	cachedRes, err := exec.RunPlanFor(context.Background(), cached, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestPlanCacheCarriesTheChosenWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s lookup %d: %v", name, i, err)
 			}
-			res, err := exec.RunPlan(ctx, p, nil)
+			res, err := exec.RunPlanFor(ctx, p, nil, nil)
 			if err != nil {
 				t.Fatalf("%s lookup %d: %v", name, i, err)
 			}
@@ -361,7 +361,7 @@ func TestPlanCacheCarriesTheGroupJoin(t *testing.T) {
 	ctx := context.Background()
 	groups := func(p *exec.Plan) []relation.Tuple {
 		t.Helper()
-		res, err := exec.RunPlan(ctx, p, nil)
+		res, err := exec.RunPlanFor(ctx, p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -161,7 +161,7 @@ func TestGroupWritersBatchAndRowPathsAgree(t *testing.T) {
 				want := mapAggregate(projected, agg)
 				for _, batched := range []bool{false, true} {
 					g := NewGroups(context.Background(), agg, project, ValueOpaque, nil)
-					b := Bind(g, workers, nil)
+					b := BindChecked(g, workers, nil, nil)
 					for lo := 0; lo < len(in); lo += block {
 						hi := min(lo+block, len(in))
 						w := b.Writer((lo / block) % workers)

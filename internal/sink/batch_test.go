@@ -23,7 +23,7 @@ func pairBatch(keys, rp, sp []uint64) *batch.Ranges {
 // range batch feeds the same aggregate as per-pair emission.
 func TestBoundBatchCounters(t *testing.T) {
 	m := NewMaxSum()
-	b := Bind(m, 2, nil)
+	b := BindChecked(m, 2, nil, nil)
 
 	// Worker 0: two batches. Worker 1: row-at-a-time pairs.
 	w0 := b.Writer(0)

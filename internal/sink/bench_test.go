@@ -64,7 +64,7 @@ func BenchmarkMergeOutput(b *testing.B) {
 				defer sc.Close()
 				var matches uint64
 				for b.Loop() {
-					bound := Bind(sk.new(), 1, nil)
+					bound := BindChecked(sk.new(), 1, nil, nil)
 					mergejoin.JoinColumnsBand(priv.Keys, priv.Payloads, pub.Keys, pub.Payloads, sh.band, bound.Writer(0), sc)
 					if err := bound.Close(); err != nil {
 						b.Fatal(err)

@@ -97,7 +97,7 @@ func TestFoldedRangesMatchExpandedPairs(t *testing.T) {
 					name := fmt.Sprintf("band=%d/value=%d/%v/batch=%d", band, v, agg, size)
 					for _, value := range []Value{v, ValueOpaque} {
 						g := NewGroups(context.Background(), agg, project, value, nil)
-						b := Bind(g, 1, nil)
+						b := BindChecked(g, 1, nil, nil)
 						joinInto(b, r, s, band, size)
 						if err := b.Close(); err != nil {
 							t.Fatal(err)
@@ -115,7 +115,7 @@ func TestFoldedRangesMatchExpandedPairs(t *testing.T) {
 			}
 			if v == ValuePayloadSum { // nil selects the default projection, recognised
 				g := NewGroups(context.Background(), AggMin, nil, ValueOpaque, nil)
-				b := Bind(g, 1, nil)
+				b := BindChecked(g, 1, nil, nil)
 				joinInto(b, r, s, band, 5)
 				if err := b.Close(); err != nil {
 					t.Fatal(err)
@@ -140,7 +140,7 @@ func TestOpaqueProjectionSeesEveryPair(t *testing.T) {
 		pairs := projectedPairs(r, s, band, nil, custom)
 		calls = 0
 		g := NewGroups(context.Background(), AggMax, custom, ValueOpaque, nil)
-		b := Bind(g, 1, nil)
+		b := BindChecked(g, 1, nil, nil)
 		joinInto(b, r, s, band, 7)
 		if err := b.Close(); err != nil {
 			t.Fatal(err)
@@ -205,7 +205,7 @@ func TestRangeSinksMatchPairwise(t *testing.T) {
 		for _, size := range []int{1, 3, 1024} {
 			name := fmt.Sprintf("band=%d/batch=%d", band, size)
 			run := func(snk Sink) *Bound {
-				b := Bind(snk, 1, nil)
+				b := BindChecked(snk, 1, nil, nil)
 				joinInto(b, r, s, band, size)
 				if err := b.Close(); err != nil {
 					t.Fatal(err)

@@ -12,7 +12,7 @@
 // built-in writers take them: MaxSum, Count and the Groups kernel fold a key
 // group × window without forming a pair, Materialize and Collect walk the
 // batch's pairs into their buffers. A writer that takes pairs only (Func,
-// TopK, a user sink) is wrapped once, by Bind, in mergejoin.Pairs.
+// TopK, a user sink) is wrapped once, by BindChecked, in mergejoin.Pairs.
 //
 // The paper's evaluation query max(R.payload + S.payload) is just one sink
 // (MaxSum); Count, Materialize and TopK cover the other common result shapes,
@@ -47,11 +47,12 @@ type Sink interface {
 }
 
 // FoldsRanges reports whether s is one of the built-in sinks whose writers
-// take merge output a range entry at a time (nil selects MaxSum, as in Bind):
-// behind B- and P-MPSM they do no per-pair work, which the planner prices.
-// They keep only a match count and the largest payload sum, so behind a
-// Wisconsin or radix join without a tie-break verifier the probe loop keeps
-// those two itself and hands them over once per probe (ConsumeFold).
+// take merge output a range entry at a time (nil selects MaxSum, as in
+// BindChecked): behind B- and P-MPSM they do no per-pair work, which the
+// planner prices. They keep only a match count and the largest payload sum,
+// so behind a Wisconsin or radix join without a tie-break verifier the probe
+// loop keeps those two itself and hands them over once per probe
+// (ConsumeFold).
 func FoldsRanges(s Sink) bool {
 	switch s.(type) {
 	case nil, *MaxSum, *Count:
@@ -70,7 +71,7 @@ func (p Pair) Sum() uint64 { return p.R.Payload + p.S.Payload }
 
 // Bound wraps a sink for one join execution, interposing a per-worker Writer
 // that counts matches, so that every algorithm reports its join cardinality
-// regardless of what the sink does with the tuples. Bind with a nil sink
+// regardless of what the sink does with the tuples. BindChecked with a nil sink
 // selects the built-in MaxSum aggregate, which preserves the legacy Join
 // semantics.
 type Bound struct {
@@ -79,8 +80,8 @@ type Bound struct {
 }
 
 // Scratcher is implemented by sinks that can draw their per-worker buffers
-// from the join's scratch lease (see internal/memory). Bind calls SetScratch
-// before Open on every execution — with the join's lease when the engine runs
+// from the join's scratch lease (see internal/memory). BindChecked calls
+// SetScratch before Open on every execution — with the join's lease when the engine runs
 // with a scratch pool, and with nil otherwise — so a reused sink never holds
 // on to a stale lease.
 type Scratcher interface {
@@ -97,18 +98,14 @@ type Scratcher interface {
 // dropped before it is counted.
 type PairCheck func(rPayload, sPayload uint64) (rOut, sOut uint64, ok bool)
 
-// Bind opens the sink for a join with the given worker count. A nil sink
-// selects a fresh MaxSum aggregate. A non-nil lease is offered to sinks
+// BindChecked opens the sink for a join with the given worker count. A nil
+// sink selects a fresh MaxSum aggregate. A non-nil lease is offered to sinks
 // implementing Scratcher; pass nil when the join runs without a scratch pool.
-func Bind(s Sink, workers int, lease *memory.Lease) *Bound {
-	return BindChecked(s, workers, lease, nil)
-}
-
-// BindChecked is Bind with an optional tie-break verifier: when check is
-// non-nil every worker's writer first filters candidate pairs through it,
-// so both the match count and the sink observe verified pairs only. A nil
-// check is the zero-overhead fast path and is exactly Bind. A sink writer
-// that takes no ranges is wrapped in the pair walk here, once per worker.
+// When check is non-nil every worker's writer first filters candidate pairs
+// through it — the tie-break verifier — so both the match count and the sink
+// observe verified pairs only; a nil check is the zero-overhead fast path. A
+// sink writer that takes no ranges is wrapped in the pair walk here, once per
+// worker.
 func BindChecked(s Sink, workers int, lease *memory.Lease, check PairCheck) *Bound {
 	if s == nil {
 		s = NewMaxSum()

@@ -11,7 +11,7 @@ import (
 // parallel join's per-worker emission.
 func emit(t *testing.T, s Sink, workers int, pairs []Pair) *Bound {
 	t.Helper()
-	b := Bind(s, workers, nil)
+	b := BindChecked(s, workers, nil, nil)
 	for i, p := range pairs {
 		b.Writer(i%workers).Consume(p.R, p.S)
 	}

@@ -414,14 +414,15 @@ func (bp *BufferPool) removeFromReleaseOrder(ref PageRef) {
 // Prefetcher walks the page index ahead of the workers and loads upcoming
 // pages into the buffer pool asynchronously, emulating the asynchronous disk
 // prefetching of Figure 4. Distance controls how many index entries ahead of
-// the slowest worker it tries to keep resident.
+// the furthest worker it tries to keep resident: a slower worker that pins a
+// page the others have left behind loads it on demand.
 type Prefetcher struct {
 	pool     *BufferPool
 	index    *PageIndex
 	distance int
 
 	mu       sync.Mutex
-	progress int // minimum index position across workers
+	progress int // largest index position any worker reported
 
 	stop chan struct{}
 	done chan struct{}
@@ -430,9 +431,6 @@ type Prefetcher struct {
 // NewPrefetcher creates a prefetcher over the index with the given lookahead
 // distance (in pages).
 func NewPrefetcher(pool *BufferPool, index *PageIndex, distance int) *Prefetcher {
-	if distance <= 0 {
-		distance = 4
-	}
 	return &Prefetcher{
 		pool:     pool,
 		index:    index,
@@ -442,8 +440,9 @@ func NewPrefetcher(pool *BufferPool, index *PageIndex, distance int) *Prefetcher
 	}
 }
 
-// ReportProgress tells the prefetcher the smallest index position any worker
-// is currently processing; pages before it will not be prefetched again.
+// ReportProgress tells the prefetcher that a worker has passed the given
+// index position. The prefetcher keeps the largest position reported and
+// prefetches from there on; pages before it are not prefetched again.
 func (p *Prefetcher) ReportProgress(pos int) {
 	p.mu.Lock()
 	if pos > p.progress {

@@ -47,11 +47,13 @@
 // boundaries and once per chunk inside the sort and merge loops, so a
 // canceled context aborts a long join promptly with ctx.Err().
 //
-// Every algorithm runs on a shared parallel runtime with two scheduling
-// modes: Static (the paper-faithful default — work is fixed per worker and
-// workers meet only at phase barriers) and Morsel (the match phase is split
-// into small morsels that idle workers steal with a NUMA-locality
-// preference, balancing skew the static splitters cannot). Both modes
+// Every algorithm runs on a shared parallel runtime. B-MPSM, P-MPSM and the
+// Wisconsin join have two scheduling modes: Static (the paper-faithful
+// default — work is fixed per worker and workers meet only at phase
+// barriers) and Morsel (the match phase is split into small morsels that idle
+// workers steal with a NUMA-locality preference, balancing skew the static
+// splitters cannot). D-MPSM always walks the paper's global page index, and
+// the radix join always claims partition pairs dynamically. Both modes
 // produce identical results:
 //
 //	res, err := engine.Join(ctx, r, s, mpsm.WithScheduler(mpsm.Morsel))
@@ -112,8 +114,6 @@
 package mpsm
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/memory"
@@ -233,19 +233,10 @@ const (
 	AntiJoin = mergejoin.Anti
 )
 
-// DiskConfig configures the disk-enabled D-MPSM variant (see WithDisk).
-type DiskConfig struct {
-	// PageSize is the number of tuples per spilled page (default 1024).
-	PageSize int
-	// PageBudget caps the number of public-input pages kept in RAM
-	// (0 = unlimited).
-	PageBudget int
-	// PrefetchDistance is the prefetcher lookahead in pages.
-	PrefetchDistance int
-	// ReadLatency and WriteLatency simulate per-page disk access latency.
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
-}
+// DiskConfig configures the disk-enabled D-MPSM variant (see WithDisk): the
+// page size, the page budget of the buffer pool, and the simulated per-page
+// read and write latency. The prefetcher runs a fixed 8 pages ahead.
+type DiskConfig = core.DiskOptions
 
 // Skew describes the key-value distribution of a generated relation.
 type Skew = workload.Skew

@@ -288,7 +288,7 @@ func (e *Engine) RunPlan(ctx context.Context, p *Plan, opts ...Option) (*PlanRes
 	if err != nil {
 		return nil, err
 	}
-	pr, err := exec.RunPlanFor(ctx, ep, e.scratchFor(g), g.owner)
+	pr, err := exec.RunPlanFor(ctx, ep, e.scratchFor(g), g.Owner)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +343,7 @@ func (e *Engine) buildExecPlan(p *Plan, opts []Option) (*exec.Plan, settings, er
 			for _, o := range n.opts {
 				o(&cfg)
 			}
-			ep.AddJoin(n.inputs[0], n.inputs[1], cfg.algorithm, cfg.coreOptions(nil), cfg.diskOptions())
+			ep.AddJoin(n.inputs[0], n.inputs[1], cfg.algorithm, cfg.Options, cfg.disk)
 		case exec.NodeMap:
 			ep.AddMap(n.inputs[0], n.mapFn)
 		case exec.NodeProject:

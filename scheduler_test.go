@@ -5,6 +5,12 @@ import (
 	"testing"
 )
 
+// withMorselSize sets the number of private-run tuples per morsel, so that the
+// morsel path splits runs far smaller than the default morsel.
+func withMorselSize(tuples int) Option {
+	return func(s *settings) { s.MorselSize = tuples }
+}
+
 func TestParseScheduler(t *testing.T) {
 	for name, want := range map[string]Scheduler{
 		"static": Static,
@@ -30,7 +36,7 @@ func TestEngineSchedulerParity(t *testing.T) {
 	s := GenerateForeignKey("S", r, 8000, 12)
 
 	static := New(WithWorkers(6))
-	morsel := New(WithWorkers(6), WithScheduler(Morsel), WithMorselSize(128))
+	morsel := New(WithWorkers(6), WithScheduler(Morsel), withMorselSize(128))
 
 	for _, alg := range []Algorithm{PMPSM, BMPSM, DMPSM, Wisconsin, RadixHash} {
 		want, err := static.Join(context.Background(), r, s, WithAlgorithm(alg))
@@ -65,7 +71,7 @@ func TestEngineSchedulerParity(t *testing.T) {
 func TestSchedulerStreamAndCancel(t *testing.T) {
 	r := GenerateUniform("R", 4000, 21)
 	s := GenerateForeignKey("S", r, 16000, 22)
-	engine := New(WithWorkers(4), WithScheduler(Morsel), WithMorselSize(64))
+	engine := New(WithWorkers(4), WithScheduler(Morsel), withMorselSize(64))
 
 	seq, errf := engine.JoinStream(context.Background(), r, s)
 	var seen int

@@ -276,7 +276,9 @@ type Service struct {
 // pool and the per-query attribution shows up in its PoolStats; otherwise
 // the service creates an accounting-only pool to track reservations.
 // Queries default to the Morsel scheduler — the granularity fair-share
-// interleaving needs — and to an elastic share of the workers: all fair-share
+// interleaving needs, wherever the algorithm has morsels (D-MPSM and the
+// radix join schedule the same way under either mode) — and to an elastic
+// share of the workers: all fair-share
 // slots when the service is idle, down to one per query under fan-in. The
 // share is an upper bound where the planner chooses the worker count of each
 // join (an auto-planning engine; see WithWorkers) and the count itself where
@@ -377,7 +379,7 @@ func (s *Service) Stats() ServiceStats {
 // semantics.
 func (s *Service) Join(ctx context.Context, r, p *Relation, opts ...QueryOption) (*Result, error) {
 	q := queryOptions(opts)
-	pr, err := s.run(ctx, joinPlan(r, p, s.engine.resolve(q.engineOpts).sink), q)
+	pr, err := s.run(ctx, joinPlan(r, p, s.engine.resolve(q.engineOpts).Sink), q)
 	if err != nil {
 		return nil, err
 	}
