@@ -26,10 +26,9 @@ func (f consumerFunc) Consume(r, s Tuple) { f(r, s) }
 // TestColumnarRowParityAllAlgorithms is the differential gate of the engine's
 // join paths: every algorithm, under both schedulers and with the scratch
 // pool on and off, must materialize the exact multiset of pairs the
-// brute-force oracle (mergejoin.ReferenceJoin) produces, for the default batch
-// size and a small odd batch size that forces frequent flushes. The
-// adversarial distributions (uniform, low-skew, high-skew over a narrow
-// domain) provoke heavy duplicate-key cross products.
+// brute-force oracle (mergejoin.ReferenceJoin) produces. The adversarial
+// distributions (uniform, low-skew, high-skew over a narrow domain) provoke
+// heavy duplicate-key cross products.
 func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 	type dataset struct {
 		name string
@@ -52,39 +51,35 @@ func TestColumnarRowParityAllAlgorithms(t *testing.T) {
 			}
 			for _, alg := range allAlgorithms {
 				for _, sched := range []Scheduler{Static, Morsel} {
-					for _, batchSize := range []int{0, 33} {
-						name := fmt.Sprintf("%s/%v/pool=%v/sched=%v/batch=%d",
-							ds.name, alg, pool, sched, batchSize)
-						mat := NewMaterializeSink()
-						res, err := engine.Join(context.Background(), ds.r, ds.s,
-							WithAlgorithm(alg), WithScheduler(sched),
-							WithBatchSize(batchSize), WithSink(mat))
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
+					name := fmt.Sprintf("%s/%v/pool=%v/sched=%v", ds.name, alg, pool, sched)
+					mat := NewMaterializeSink()
+					res, err := engine.Join(context.Background(), ds.r, ds.s,
+						WithAlgorithm(alg), WithScheduler(sched), WithSink(mat))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.Matches != wantAgg.Count {
+						t.Fatalf("%s: %d matches, oracle %d", name, res.Matches, wantAgg.Count)
+					}
+					got := append([]Pair(nil), mat.Pairs()...)
+					sortPairs(got)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d pairs, oracle %d", name, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%s: pair %d = %+v, oracle %+v", name, i, got[i], want[i])
 						}
-						if res.Matches != wantAgg.Count {
-							t.Fatalf("%s: %d matches, oracle %d", name, res.Matches, wantAgg.Count)
-						}
-						got := append([]Pair(nil), mat.Pairs()...)
-						sortPairs(got)
-						if len(got) != len(want) {
-							t.Fatalf("%s: %d pairs, oracle %d", name, len(got), len(want))
-						}
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("%s: pair %d = %+v, oracle %+v", name, i, got[i], want[i])
-							}
-						}
-						// The default sink folds the same output.
-						folded, err := engine.Join(context.Background(), ds.r, ds.s,
-							WithAlgorithm(alg), WithScheduler(sched), WithBatchSize(batchSize))
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if folded.Matches != wantAgg.Count || folded.MaxSum != wantAgg.Max {
-							t.Fatalf("%s: (matches, maxSum) = (%d, %d), oracle (%d, %d)",
-								name, folded.Matches, folded.MaxSum, wantAgg.Count, wantAgg.Max)
-						}
+					}
+					// The default sink folds the same output.
+					folded, err := engine.Join(context.Background(), ds.r, ds.s,
+						WithAlgorithm(alg), WithScheduler(sched))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if folded.Matches != wantAgg.Count || folded.MaxSum != wantAgg.Max {
+						t.Fatalf("%s: (matches, maxSum) = (%d, %d), oracle (%d, %d)",
+							name, folded.Matches, folded.MaxSum, wantAgg.Count, wantAgg.Max)
 					}
 				}
 			}
@@ -120,7 +115,7 @@ func TestColumnarBatchCounters(t *testing.T) {
 // inner join's column runs and kernel, so their output — the classification
 // entries against the null run included — crosses the sink boundary in range
 // batches too, and the default sink folds all of it: every match is a batched
-// one, whatever the batch size, and the counts are the oracle's.
+// one, and the counts are the oracle's.
 func TestKindsReportBatchTraffic(t *testing.T) {
 	r := GenerateSkewedWithDomain("R", 500, 2000, SkewNone, 209)
 	s := GenerateSkewedWithDomain("S", 1500, 2000, SkewNone, 210)
@@ -132,29 +127,25 @@ func TestKindsReportBatchTraffic(t *testing.T) {
 			want.Consume(p.R, p.S)
 		}
 		for _, alg := range []Algorithm{BMPSM, PMPSM} {
-			for _, batchSize := range []int{0, 7, 4096} {
-				res, err := engine.Join(context.Background(), r, s,
-					WithAlgorithm(alg), WithKind(kind), WithBatchSize(batchSize))
-				if err != nil {
-					t.Fatalf("%v/%v: %v", alg, kind, err)
-				}
-				if res.Matches != want.Count || res.MaxSum != want.Max {
-					t.Fatalf("%v/%v/batch=%d: (matches, maxSum) = (%d, %d), oracle (%d, %d)",
-						alg, kind, batchSize, res.Matches, res.MaxSum, want.Count, want.Max)
-				}
-				if res.Batch.Batches == 0 || res.Batch.Tuples != res.Matches {
-					t.Fatalf("%v/%v/batch=%d: Batch = %+v with %d matches; want every match batched",
-						alg, kind, batchSize, res.Batch, res.Matches)
-				}
+			res, err := engine.Join(context.Background(), r, s, WithAlgorithm(alg), WithKind(kind))
+			if err != nil {
+				t.Fatalf("%v/%v: %v", alg, kind, err)
+			}
+			if res.Matches != want.Count || res.MaxSum != want.Max {
+				t.Fatalf("%v/%v: (matches, maxSum) = (%d, %d), oracle (%d, %d)",
+					alg, kind, res.Matches, res.MaxSum, want.Count, want.Max)
+			}
+			if res.Batch.Batches == 0 || res.Batch.Tuples != res.Matches {
+				t.Fatalf("%v/%v: Batch = %+v with %d matches; want every match batched",
+					alg, kind, res.Batch, res.Matches)
 			}
 		}
 	}
 }
 
 // TestBandJoinsAlwaysRunColumnar: every match of a band join flows through
-// the batch boundary under both schedulers, whatever the batch size — a
-// negative one means what 0 means — and the result is the brute-force band
-// join's.
+// the batch boundary under both schedulers, and the result is the brute-force
+// band join's.
 func TestBandJoinsAlwaysRunColumnar(t *testing.T) {
 	r := GenerateSkewedWithDomain("R", 500, 2000, SkewNone, 209)
 	s := GenerateSkewedWithDomain("S", 1500, 2000, SkewNone, 210)
@@ -170,16 +161,14 @@ func TestBandJoinsAlwaysRunColumnar(t *testing.T) {
 	engine := New(WithWorkers(3))
 	for _, alg := range []Algorithm{BMPSM, PMPSM} {
 		for _, sched := range []Scheduler{Static, Morsel} {
-			for _, batchSize := range []int{-1, 0, 5} {
-				res, err := engine.Join(context.Background(), r, s,
-					WithAlgorithm(alg), WithScheduler(sched), WithBandWidth(band), WithBatchSize(batchSize))
-				if err != nil {
-					t.Fatalf("%v/%v/batch=%d: %v", alg, sched, batchSize, err)
-				}
-				if res.Matches != want || res.Batch.Batches == 0 || res.Batch.Tuples != want {
-					t.Fatalf("%v/%v/batch=%d: %d matches in batches %+v, brute force finds %d",
-						alg, sched, batchSize, res.Matches, res.Batch, want)
-				}
+			res, err := engine.Join(context.Background(), r, s,
+				WithAlgorithm(alg), WithScheduler(sched), WithBandWidth(band))
+			if err != nil {
+				t.Fatalf("%v/%v: %v", alg, sched, err)
+			}
+			if res.Matches != want || res.Batch.Batches == 0 || res.Batch.Tuples != want {
+				t.Fatalf("%v/%v: %d matches in batches %+v, brute force finds %d",
+					alg, sched, res.Matches, res.Batch, want)
 			}
 		}
 	}

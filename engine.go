@@ -133,19 +133,6 @@ func WithScheduler(mode Scheduler) Option {
 	return func(s *settings) { s.Scheduler = mode }
 }
 
-// WithBatchSize sets the batch size of the merge output of B-, P- and D-MPSM.
-// They run every join — whatever its kind or band — on sorted key/payload
-// column runs (D-MPSM on their spilled pages), and the merge kernel emits one
-// range entry per matching key group, folded whole by the aggregating sinks
-// and walked pair by pair by the others, n entries at a time. n <= 0 (the
-// default) selects the built-in size of 1024. The hash-join baselines ignore
-// it: they fold their probe output into the max-sum and count sinks, one
-// batch per probe, and hand every other sink range batches of 1024 pairs.
-// Results do not depend on n; Result.Batch reports the batch traffic.
-func WithBatchSize(n int) Option {
-	return func(s *settings) { s.BatchSize = n }
-}
-
 // WithSink directs the joined tuple stream into the given sink instead of the
 // default max-sum aggregate. Sinks are stateful: pass a fresh (or reusable,
 // see Sink) sink per Join call, not to New, when the engine runs joins

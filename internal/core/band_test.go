@@ -26,13 +26,13 @@ func oraclePairs(r, s *relation.Relation, band uint64) ([]sink.Pair, mergejoin.M
 }
 
 // TestBandJoinsMatchOracleOnColumnRuns: B-MPSM and P-MPSM band joins — which
-// run on column runs through the range kernel, whatever BatchSize says —
-// produce the brute-force oracle's multiset of pairs (materialized: ranges
-// walked pair by pair with both keys) and its count and max-sum (default
-// sink: ranges folded), under both schedulers, for worker counts from one to
-// more than there are tuples, with morsels and batches small enough to cut
-// runs, key groups and windows everywhere; and for keys at both ends of the
-// uint64 domain, where the window must clamp.
+// run on column runs through the range kernel — produce the brute-force
+// oracle's multiset of pairs (materialized: ranges walked pair by pair with
+// both keys) and its count and max-sum (default sink: ranges folded), under
+// both schedulers, for worker counts from one to more than there are tuples,
+// with morsels small enough to cut runs, key groups and windows everywhere;
+// and for keys at both ends of the uint64 domain, where the window must
+// clamp. Batches that cut an entry list are the kernel tests' business.
 func TestBandJoinsMatchOracleOnColumnRuns(t *testing.T) {
 	const top = ^uint64(0)
 	edgeR := relation.New("R", []relation.Tuple{{Key: 0, Payload: 1}, {Key: 2, Payload: 2}, {Key: top - 1, Payload: 3}, {Key: top, Payload: 4}, {Key: top, Payload: 5}, {Key: 1 << 40, Payload: 6}})
@@ -55,7 +55,7 @@ func TestBandJoinsMatchOracleOnColumnRuns(t *testing.T) {
 				for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 					for _, workers := range []int{1, 2, 5, 40} { // 40: more workers than most runs have tuples
 						name := fmt.Sprintf("%s/band=%d/%s-MPSM/%v/T=%d", ds.name, band, alg, mode, workers)
-						opts := Options{Workers: workers, Band: band, Scheduler: mode, MorselSize: 64, BatchSize: 3}
+						opts := Options{Workers: workers, Band: band, Scheduler: mode, MorselSize: 64}
 						gotPairs, matches, _ := runMaterialized(t, alg, ds.r, ds.s, opts)
 						if matches != want.Count || len(gotPairs) != len(wantPairs) {
 							t.Fatalf("%s: %d matches, %d pairs; oracle has %d", name, matches, len(gotPairs), want.Count)
@@ -65,7 +65,6 @@ func TestBandJoinsMatchOracleOnColumnRuns(t *testing.T) {
 								t.Fatalf("%s: pair %d = %+v, oracle has %+v", name, i, gotPairs[i], wantPairs[i])
 							}
 						}
-						opts.BatchSize = 0 // the default size, folded by the default sink
 						res := bmpsm
 						if alg == "P" {
 							res = pmpsm

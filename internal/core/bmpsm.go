@@ -2,13 +2,11 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
-	"repro/internal/sink"
 )
 
 // BMPSM executes the basic massively parallel sort-merge join (Section 2.1).
@@ -34,16 +32,13 @@ import (
 // Cancellation is checked at phase boundaries and per chunk inside the sort
 // and merge loops; a canceled context aborts the join and returns ctx.Err().
 func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options) (*result.Result, error) {
-	opts = opts.Normalize()
-	if err := ctx.Err(); err != nil {
+	x, err := Begin(ctx, "B-MPSM", opts)
+	if err != nil {
 		return nil, err
 	}
+	defer x.Release()
+	opts, lease := x.Opts, x.Lease
 	workers := opts.Workers
-	res := &result.Result{Algorithm: "B-MPSM", Workers: workers}
-	rt := RuntimeFor(opts)
-	lease := LeaseFor(opts)
-	defer lease.Release()
-	start := time.Now()
 
 	publicChunks := public.Split(workers)
 	privateChunks := private.Split(workers)
@@ -51,34 +46,20 @@ func BMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	privateRuns := make([]*batch.Run, workers)
 
 	// Phase 1: sort the public input chunks into runs, locally per worker.
-	phase1 := rt.Phase(ctx, "phase 1", func(ctx context.Context, w *sched.Worker) {
+	if err := x.Phase("phase 1", func(ctx context.Context, w *sched.Worker) {
 		publicRuns[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
-	})
-	res.AddPhase("phase 1", phase1)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// Phase 2: sort the private input chunks into runs, locally per worker.
-	phase2 := rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
+	if err := x.Phase("phase 2", func(ctx context.Context, w *sched.Worker) {
 		privateRuns[w.ID()] = sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
-	})
-	res.AddPhase("phase 2", phase2)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: every worker merge joins its private run against all public
 	// runs, each scanned in full (morsels enter at their segment's window).
-	match := &matcher{
-		private: privateRuns, public: publicRuns,
-		out:     sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck),
-		scanned: make([]int, workers), opts: opts, lease: lease,
-		skip: opts.Scheduler == sched.Morsel,
-	}
-	res.AddPhase("phase 3", match.run(ctx, rt, "phase 3"))
-	if err := match.finish(ctx, res, rt, []string{"phase 1", "phase 2", "phase 3"}, start); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return match(ctx, x, "phase 3", privateRuns, publicRuns, opts.Scheduler == sched.Morsel)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/memory"
 	"repro/internal/mergejoin"
-	"repro/internal/numa"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
@@ -74,17 +73,29 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 	return run
 }
 
-// matcher is the match phase shared by B-MPSM (phase 3) and P-MPSM (phase 4):
-// every private run is merge joined against every public run, matches
-// streaming into the executing worker's sink writer and work counters, so no
-// synchronization is needed beyond the phase barrier (Static) or the task
-// queue (Morsel).
+// match runs the match phase B-MPSM (phase 3) and P-MPSM (phase 4) share as
+// the execution's last phase and finishes the execution.
+func match(ctx context.Context, x *Exec, phase string, private, public []*batch.Run, skip bool) (*result.Result, error) {
+	m := &matcher{x: x, out: x.Bind(), private: private, public: public, scanned: make([]int, len(private)), skip: skip}
+	if err := x.Record(phase, m.run(ctx, phase)); err != nil {
+		return nil, err
+	}
+	sizes := make([]int, len(private))
+	for w, run := range private {
+		sizes[w] = run.Len()
+	}
+	return x.Finish(sizes, m.scanned)
+}
+
+// matcher is the match phase: every private run is merge joined against
+// every public run, matches streaming into the executing worker's sink
+// writer and work counters, so no synchronization is needed beyond the phase
+// barrier (Static) or the task queue (Morsel).
 type matcher struct {
-	private, public []*batch.Run
+	x               *Exec
 	out             *sink.Bound
+	private, public []*batch.Run
 	scanned         []int // public tuples scanned, per worker
-	opts            Options
-	lease           *memory.Lease
 	// skip enters every public run by interpolation search at the window the
 	// private keys can reach (P-MPSM; and every morsel, a segment covering a
 	// sliver of the key domain). Without it each public run is scanned in
@@ -109,33 +120,25 @@ type matcher struct {
 // segment against every one of them and keeps the marks task-local. The
 // public run list always holds one run per worker (possibly empty), so a
 // marking task is never starved of its classification pass.
-func (m *matcher) run(ctx context.Context, rt *sched.Runtime, phase string) time.Duration {
-	if m.opts.Scheduler != sched.Morsel {
-		return rt.Phase(ctx, phase, func(ctx context.Context, w *sched.Worker) {
-			sc := batch.NewScratch(m.opts.BatchSize, m.lease)
-			defer sc.Close()
+func (m *matcher) run(ctx context.Context, phase string) time.Duration {
+	opts := m.x.Opts
+	if opts.Scheduler != sched.Morsel {
+		return m.x.RT.Phase(ctx, phase, func(ctx context.Context, w *sched.Worker) {
 			priv := m.private[w.ID()]
-			m.join(ctx, w, priv.Keys, priv.Payloads, priv.Node, m.public, sc)
+			m.join(ctx, w, priv.Keys, priv.Payloads, priv.Node, m.public)
 		})
-	}
-	// Scratches are per worker, not per task: a worker executes one morsel
-	// at a time, so its scratch is never shared.
-	scratches := make([]*batch.Scratch, m.opts.Workers)
-	for w := range scratches {
-		scratches[w] = batch.NewScratch(m.opts.BatchSize, m.lease)
-		defer scratches[w].Close()
 	}
 	var tasks []sched.Task
 	for _, priv := range m.private {
 		node := priv.Node
-		sched.ForEachSegment(priv.Len(), m.opts.MorselSize, func(lo, hi int) {
+		sched.ForEachSegment(priv.Len(), opts.MorselSize, func(lo, hi int) {
 			keys, pays := priv.Keys[lo:hi], priv.Payloads[lo:hi]
 			task := func(public []*batch.Run) {
 				tasks = append(tasks, sched.Task{Node: node, Run: func(w *sched.Worker) {
-					m.join(ctx, w, keys, pays, node, public, scratches[w.ID()])
+					m.join(ctx, w, keys, pays, node, public)
 				}})
 			}
-			if m.opts.Kind != mergejoin.Inner {
+			if opts.Kind != mergejoin.Inner {
 				task(m.public)
 				return
 			}
@@ -144,7 +147,7 @@ func (m *matcher) run(ctx context.Context, rt *sched.Runtime, phase string) time
 			}
 		})
 	}
-	return rt.RunTasks(ctx, phase, tasks)
+	return m.x.RT.RunTasks(ctx, phase, tasks)
 }
 
 // join merge joins one private run, or a segment of one, against the given
@@ -153,11 +156,12 @@ func (m *matcher) run(ctx context.Context, rt *sched.Runtime, phase string) time
 // private key groups once the last public run has been seen. Cancellation is
 // checked per public run, the chunk unit of the merge loop; a cancelled
 // marker emits no classification.
-func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64, node int, public []*batch.Run, sc *batch.Scratch) {
+func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64, node int, public []*batch.Run) {
+	opts, sc := m.x.Opts, m.x.Scratch(w.ID())
 	var cons mergejoin.RangeConsumer = m.out.Writer(w.ID())
 	var marker *mergejoin.Marker
-	if m.opts.Kind != mergejoin.Inner {
-		marker = mergejoin.NewMarker(m.opts.Kind, keys, pays, cons, sc, m.lease)
+	if opts.Kind != mergejoin.Inner {
+		marker = mergejoin.NewMarker(opts.Kind, keys, pays, cons, sc, m.x.Lease)
 		cons = marker
 	}
 	tracker := w.Tracker()
@@ -167,9 +171,9 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 		}
 		n := pub.Len()
 		if m.skip {
-			n = mergejoin.JoinColumnsWithSkip(keys, pays, pub.Keys, pub.Payloads, m.opts.Band, cons, sc)
+			n = mergejoin.JoinColumnsWithSkip(keys, pays, pub.Keys, pub.Payloads, opts.Band, cons, sc)
 		} else {
-			mergejoin.JoinColumnsBand(keys, pays, pub.Keys, pub.Payloads, m.opts.Band, cons, sc)
+			mergejoin.JoinColumnsBand(keys, pays, pub.Keys, pub.Payloads, opts.Band, cons, sc)
 		}
 		m.scanned[w.ID()] += n
 		if tracker != nil {
@@ -183,41 +187,4 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 	if marker != nil {
 		marker.Finish(ctx)
 	}
-}
-
-// finish closes the sink and fills in what the match phase determined:
-// cardinality, the default sink's aggregate, batch traffic, scan counts and —
-// on request — the per-worker breakdown over the named phases. Close runs
-// even on cancellation: the sink was opened and its writers consumed tuples,
-// so it must learn the execution ended. The context error still wins as the
-// join's outcome.
-func (m *matcher) finish(ctx context.Context, res *result.Result, rt *sched.Runtime, phases []string, start time.Time) error {
-	closeErr := m.out.Close()
-	if err := Checkpoint(ctx, rt, m.lease); err != nil {
-		return err
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	for _, n := range m.scanned {
-		res.PublicScanned += n
-	}
-	res.Matches = m.out.Matches()
-	res.MaxSum = m.out.MaxSum()
-	res.Batch.Batches, res.Batch.Tuples = m.out.Batches()
-	res.Total = time.Since(start)
-	if m.opts.CollectPerWorker {
-		res.PerWorker = rt.Breakdowns(phases)
-		for w := range res.PerWorker {
-			res.PerWorker[w].PrivateTuples = m.private[w].Len()
-			res.PerWorker[w].PublicScanned = m.scanned[w]
-			res.PerWorker[w].Matches = m.out.WorkerMatches(w)
-		}
-	}
-	if m.opts.TrackNUMA {
-		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
-	}
-	res.Scratch = m.lease.Stats()
-	return nil
 }

@@ -271,6 +271,16 @@ func TestMPSMNUMAAccountingObeysCommandments(t *testing.T) {
 	if bres.NUMA.SyncOps != 0 || bres.NUMA.RemoteRandRead != 0 {
 		t.Fatalf("B-MPSM violated commandments: %+v", bres.NUMA)
 	}
+
+	// D-MPSM's run generation is B-MPSM's; its page walk reads through the
+	// buffer pool, which the model does not place.
+	dres, _ := dmpsm(r, s, Options{Workers: 8, TrackNUMA: true}, DiskOptions{PageSize: 256})
+	if dres.NUMA.TotalAccesses() == 0 || dres.SimulatedNUMACost == 0 {
+		t.Fatalf("D-MPSM: NUMA tracking enabled but nothing reported: %+v", dres.NUMA)
+	}
+	if dres.NUMA.SyncOps != 0 || dres.NUMA.RemoteRandRead != 0 || dres.NUMA.RemoteRandWrite != 0 {
+		t.Fatalf("D-MPSM violated commandments: %+v", dres.NUMA)
+	}
 }
 
 func TestDMPSMCorrectness(t *testing.T) {

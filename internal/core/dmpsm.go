@@ -12,7 +12,6 @@ import (
 	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/search"
-	"repro/internal/sink"
 	"repro/internal/storage"
 )
 
@@ -69,8 +68,12 @@ type DiskStats struct {
 // Run generation is B-MPSM's (sortChunkIntoColumnRun), and a spilled page is
 // a key column and a payload column (storage.Page), so phase 3 joins every
 // page with the one column merge kernel, batched through a per-worker scratch
-// of Options.BatchSize entries, and the sink takes range batches as behind the
+// of batch.DefaultSize entries, and the sink takes range batches as behind the
 // other MPSM variants. D-MPSM is inner-only and equi-only.
+//
+// Its NUMA statistics (Options.TrackNUMA) cover run generation, phases 1 and
+// 2: phase 3 reads its pages through the buffer pool, whose frames the model
+// does not place on a node.
 //
 // Options.Scheduler does not change D-MPSM: the private runs are equal chunks
 // of |R|/T tuples, so there is no partition skew for morsels to balance, and
@@ -81,17 +84,14 @@ type DiskStats struct {
 // generation, and per page during the join; a canceled context aborts the
 // join and returns ctx.Err().
 func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options, diskOpts DiskOptions) (*result.Result, DiskStats, error) {
-	opts = opts.Normalize()
 	diskOpts = diskOpts.normalize()
-	if err := ctx.Err(); err != nil {
+	x, err := Begin(ctx, "D-MPSM", opts)
+	if err != nil {
 		return nil, DiskStats{}, err
 	}
+	defer x.Release()
+	opts, lease := x.Opts, x.Lease
 	workers := opts.Workers
-	res := &result.Result{Algorithm: "D-MPSM", Workers: workers}
-	rt := RuntimeFor(opts)
-	lease := LeaseFor(opts)
-	defer lease.Release()
-	start := time.Now()
 
 	disk := storage.NewDisk(diskOpts.ReadLatency, diskOpts.WriteLatency)
 	publicChunks := public.Split(workers)
@@ -102,23 +102,19 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// Phase 1: sort the public chunks into column runs locally and spill them
 	// as paged runs. The run buffers are handed back to the lease right after
 	// the spill (WriteRun copies them into pages), so phase 2 reuses them.
-	phase1 := rt.Phase(ctx, "phase 1", func(ctx context.Context, w *sched.Worker) {
+	if err := x.Phase("phase 1", func(ctx context.Context, w *sched.Worker) {
 		run := sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
 		publicRuns[w.ID()] = spill(disk, run, diskOpts.PageSize, lease)
-	})
-	res.AddPhase("phase 1", phase1)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	}); err != nil {
 		return nil, DiskStats{}, err
 	}
 
 	// Phase 2: sort the private chunks into column runs locally and spill
 	// them as paged runs.
-	phase2 := rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
+	if err := x.Phase("phase 2", func(ctx context.Context, w *sched.Worker) {
 		run := sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
 		privateRuns[w.ID()] = spill(disk, run, diskOpts.PageSize, lease)
-	})
-	res.AddPhase("phase 2", phase2)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	}); err != nil {
 		return nil, DiskStats{}, err
 	}
 
@@ -127,38 +123,23 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// here on, so it needs no synchronization.
 	index := storage.BuildPageIndex(publicRuns)
 	pool := storage.NewBufferPool(disk, diskOpts.PageBudget)
-
-	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
 	scanned := make([]int, workers)
-	res.AddPhase("phase 3", dmpsmJoin(ctx, rt, disk, pool, index, privateRuns, scanned, out, opts, lease))
+	d := dmpsmJoin(ctx, x, disk, pool, index, privateRuns, scanned)
 	stats := DiskStats{
 		Pool:        pool.Stats(),
 		PageReads:   disk.PageReads(),
 		PageWrites:  disk.PageWrites(),
 		PublicPages: len(index.Entries),
 	}
-	// Close runs even on cancellation (the sink lifecycle promises it); the
-	// context error still wins as the join's outcome.
-	closeErr := out.Close()
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	if err := x.Record("phase 3", d); err != nil {
 		return nil, stats, err
 	}
-	if closeErr != nil {
-		return nil, stats, closeErr
+	sizes := make([]int, workers)
+	for w, chunk := range privateChunks {
+		sizes[w] = chunk.Len()
 	}
-
-	for w := 0; w < workers; w++ {
-		res.PublicScanned += scanned[w]
-	}
-	res.Matches = out.Matches()
-	res.MaxSum = out.MaxSum()
-	res.Batch.Batches, res.Batch.Tuples = out.Batches()
-	res.Total = time.Since(start)
-	if opts.CollectPerWorker {
-		res.PerWorker = rt.Breakdowns([]string{"phase 1", "phase 2", "phase 3"})
-	}
-	res.Scratch = lease.Stats()
-	return res, stats, nil
+	res, err := x.Finish(sizes, scanned)
+	return res, stats, err
 }
 
 // spill writes a sorted column run to disk as pages and hands the run's
@@ -173,15 +154,6 @@ func spill(disk *storage.Disk, run *batch.Run, pageSize int, lease *memory.Lease
 	return paged
 }
 
-// readPrivateRun reads a private run back into memory.
-func readPrivateRun(disk *storage.Disk, run *storage.PagedRun) (keys, pays []uint64) {
-	keys, pays, err := storage.ReadRun(disk, run)
-	if err != nil {
-		panic(fmt.Sprintf("core: reading private run %d: %v", run.Worker, err))
-	}
-	return keys, pays
-}
-
 // dmpsmJoin is the paper's phase 3: every worker walks the global page index
 // in key order, joining each public page against its private run, while the
 // prefetcher loads the pages the furthest worker comes to next. Per public
@@ -189,18 +161,20 @@ func readPrivateRun(disk *storage.Disk, run *storage.PagedRun) (keys, pays []uin
 // are consumed in ascending key order and processed pages can be released.
 // Cancellation is checked before every page — the page is the chunk unit of
 // the disk-enabled merge loop.
-func dmpsmJoin(ctx context.Context, rt *sched.Runtime, disk *storage.Disk, pool *storage.BufferPool,
-	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int, out *sink.Bound,
-	opts Options, lease *memory.Lease) time.Duration {
+func dmpsmJoin(ctx context.Context, x *Exec, disk *storage.Disk, pool *storage.BufferPool,
+	index *storage.PageIndex, privateRuns []*storage.PagedRun, scanned []int) time.Duration {
 
 	prefetcher := storage.NewPrefetcher(pool, index, prefetchDistance)
 	prefetcher.Start()
 	defer prefetcher.Stop()
 
-	return rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
-		keys, pays := readPrivateRun(disk, privateRuns[w.ID()])
-		sc := batch.NewScratch(opts.BatchSize, lease)
-		defer sc.Close()
+	out := x.Bind()
+	return x.RT.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
+		keys, pays, err := storage.ReadRun(disk, privateRuns[w.ID()])
+		if err != nil {
+			panic(fmt.Sprintf("core: reading private run %d: %v", w.ID(), err))
+		}
+		sc := x.Scratch(w.ID())
 		cons := out.Writer(w.ID())
 		cursors := make([]int, len(index.Runs))
 		for pos, entry := range index.Entries {

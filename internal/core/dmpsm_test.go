@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
+	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/sink"
 )
@@ -44,7 +46,7 @@ func TestDMPSMPageBoundaryDifferential(t *testing.T) {
 				for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 					name := fmt.Sprintf("page=%d/budget=%d/T=%d/%v", pageSize, budget, workers, mode)
 					diskOpts := DiskOptions{PageSize: pageSize, PageBudget: budget}
-					opts := Options{Workers: workers, Scheduler: mode, BatchSize: 1 + pageSize%3}
+					opts := Options{Workers: workers, Scheduler: mode}
 
 					mat := sink.NewMaterialize()
 					opts.Sink = mat
@@ -88,6 +90,41 @@ func TestDMPSMPrefetchesUnderEitherScheduler(t *testing.T) {
 		checkJoinResult(t, "D-MPSM "+mode.String(), r, s, res.Matches, res.MaxSum)
 		if stats.Pool.Hits == 0 {
 			t.Fatalf("%v: no buffer-pool hits over %d public pages: %+v", mode, stats.PublicPages, stats.Pool)
+		}
+	}
+}
+
+// TestOutputBeyondOneBatchMatchesOracle: a kernel call whose output spans
+// several batches of batch.DefaultSize range entries — one worker, one public
+// run (or page) holding about three batches of distinct matching keys — hands
+// the sink every batch, for each MPSM variant under both schedulers. Batches
+// cut shorter are the kernel and sink tests' business.
+func TestOutputBeyondOneBatchMatchesOracle(t *testing.T) {
+	r, s := uniformDataset(3*batch.DefaultSize, 2, 61)
+	var oracle mergejoin.Materializer
+	mergejoin.ReferenceJoin(r.Tuples, s.Tuples, &oracle)
+	want := sortedJoined(oracle.Out)
+	for _, alg := range []string{"B", "P", "D"} {
+		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+			name := fmt.Sprintf("%s-MPSM/%v", alg, mode)
+			mat := sink.NewMaterialize()
+			opts := Options{Workers: 1, Scheduler: mode, Sink: mat}
+			var res *result.Result
+			if alg == "D" {
+				res, _ = dmpsm(r, s, opts, DiskOptions{PageSize: s.Len()})
+			} else {
+				res = mpsmByName(alg)(r, s, opts)
+			}
+			got := make([]mergejoin.JoinedTuple, 0, len(mat.Pairs()))
+			for _, p := range mat.Pairs() {
+				got = append(got, mergejoin.JoinedTuple{Key: p.R.Key, RPayload: p.R.Payload, SPayload: p.S.Payload})
+			}
+			if res.Matches != uint64(len(want)) || !slices.Equal(sortedJoined(got), want) {
+				t.Fatalf("%s: %d matches, %d pairs, the reference join has %d", name, res.Matches, len(got), len(want))
+			}
+			if res.Batch.Batches < 2 || res.Batch.Tuples != res.Matches {
+				t.Fatalf("%s: Batch = %+v for %d matches from one kernel call, want several batches", name, res.Batch, res.Matches)
+			}
 		}
 	}
 }

@@ -232,7 +232,7 @@ var allKinds = []mergejoin.Kind{mergejoin.Inner, mergejoin.LeftOuter, mergejoin.
 
 // TestKindsMatchOracleOnColumnRuns is the generative differential test of the
 // join kinds on the one match phase: every kind × algorithm × scheduler ×
-// pool × batch size × worker count × input shape materializes exactly the
+// pool × worker count × input shape materializes exactly the
 // multiset of pairs mergejoin.ReferenceJoinKind produces — the public side of
 // every classified private tuple the exact zero tuple — and Matches/MaxSum
 // agree with it. A failure prints a one-line reproducer.
@@ -254,25 +254,23 @@ func TestKindsMatchOracleOnColumnRuns(t *testing.T) {
 			for _, alg := range []string{"B", "P"} {
 				for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 					for _, scratch := range []*memory.Pool{nil, pool} {
-						for _, batchSize := range []int{0, 1, 33} {
-							for _, workers := range []int{1, 3, r.Len() + 5} { // the last: more workers than tuples
-								label := fmt.Sprintf("seed=%d dist=%s kind=%v alg=%s-MPSM sched=%v pool=%v batch=%d workers=%d",
-									seed, dist, kind, alg, mode, scratch != nil, batchSize, workers)
-								opts := Options{Workers: workers, Kind: kind, Scheduler: mode, MorselSize: 32, BatchSize: batchSize, Scratch: scratch}
-								got, matches, maxSum := runMaterialized(t, alg, r, s, opts)
-								if matches != wantAgg.Count || len(got) != len(want) {
-									t.Fatalf("%s: %d matches, %d pairs; oracle has %d", label, matches, len(got), len(want))
+						for _, workers := range []int{1, 3, r.Len() + 5} { // the last: more workers than tuples
+							label := fmt.Sprintf("seed=%d dist=%s kind=%v alg=%s-MPSM sched=%v pool=%v workers=%d",
+								seed, dist, kind, alg, mode, scratch != nil, workers)
+							opts := Options{Workers: workers, Kind: kind, Scheduler: mode, MorselSize: 32, Scratch: scratch}
+							got, matches, maxSum := runMaterialized(t, alg, r, s, opts)
+							if matches != wantAgg.Count || len(got) != len(want) {
+								t.Fatalf("%s: %d matches, %d pairs; oracle has %d", label, matches, len(got), len(want))
+							}
+							if maxSum != 0 {
+								t.Fatalf("%s: materializing join reported MaxSum %d", label, maxSum)
+							}
+							for i := range got {
+								if got[i] != want[i] {
+									t.Fatalf("%s: pair %d = %+v, oracle has %+v", label, i, got[i], want[i])
 								}
-								if maxSum != 0 {
-									t.Fatalf("%s: materializing join reported MaxSum %d", label, maxSum)
-								}
-								for i := range got {
-									if got[i] != want[i] {
-										t.Fatalf("%s: pair %d = %+v, oracle has %+v", label, i, got[i], want[i])
-									}
-									if (kind == mergejoin.Semi || kind == mergejoin.Anti) && got[i].S != (relation.Tuple{}) {
-										t.Fatalf("%s: pair %d carries public tuple %+v, want the zero tuple", label, i, got[i].S)
-									}
+								if (kind == mergejoin.Semi || kind == mergejoin.Anti) && got[i].S != (relation.Tuple{}) {
+									t.Fatalf("%s: pair %d carries public tuple %+v, want the zero tuple", label, i, got[i].S)
 								}
 							}
 						}
@@ -300,43 +298,38 @@ func TestKindsFoldLikeTheirPairs(t *testing.T) {
 			for _, alg := range []string{"B", "P"} {
 				run := mpsmByName(alg)
 				for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
-					for _, batchSize := range []int{1, 33} {
-						opts := Options{Workers: 3, Kind: kind, Scheduler: mode, MorselSize: 32, BatchSize: batchSize}
-						label := fmt.Sprintf("seed=%d dist=%s kind=%v alg=%s-MPSM sched=%v batch=%d", seed, dist, kind, alg, mode, batchSize)
+					opts := Options{Workers: 3, Kind: kind, Scheduler: mode, MorselSize: 32}
+					label := fmt.Sprintf("seed=%d dist=%s kind=%v alg=%s-MPSM sched=%v", seed, dist, kind, alg, mode)
 
-						// The pairs, one by one, through a closure.
-						var pairs mergejoin.MaxAggregate
-						opts.Sink = sink.NewFunc(func(r, s relation.Tuple) { pairs.Consume(r, s) })
-						expanded := run(r, s, opts)
+					// The pairs, one by one, through a closure.
+					var pairs mergejoin.MaxAggregate
+					opts.Sink = sink.NewFunc(func(r, s relation.Tuple) { pairs.Consume(r, s) })
+					expanded := run(r, s, opts)
 
-						opts.Sink = nil // max-sum
-						folded := run(r, s, opts)
-						if folded.Matches != pairs.Count || folded.MaxSum != pairs.Max || expanded.Matches != pairs.Count {
-							t.Fatalf("%s: max-sum folded (%d, %d), its pairs give (%d, %d)", label, folded.Matches, folded.MaxSum, pairs.Count, pairs.Max)
-						}
-						if folded.Batch.Tuples != folded.Matches || (folded.Matches > 0 && folded.Batch.Batches == 0) {
-							t.Fatalf("%s: max-sum took %d matches but Batch = %+v", label, folded.Matches, folded.Batch)
-						}
-						count := sink.NewCount()
-						opts.Sink = count
-						if res := run(r, s, opts); count.Total() != pairs.Count || res.Matches != pairs.Count {
-							t.Fatalf("%s: count folded %d (matches %d), its pairs number %d", label, count.Total(), res.Matches, pairs.Count)
-						}
+					opts.Sink = nil // max-sum
+					folded := run(r, s, opts)
+					if folded.Matches != pairs.Count || folded.MaxSum != pairs.Max || expanded.Matches != pairs.Count {
+						t.Fatalf("%s: max-sum folded (%d, %d), its pairs give (%d, %d)", label, folded.Matches, folded.MaxSum, pairs.Count, pairs.Max)
+					}
+					if folded.Batch.Tuples != folded.Matches || (folded.Matches > 0 && folded.Batch.Batches == 0) {
+						t.Fatalf("%s: max-sum took %d matches but Batch = %+v", label, folded.Matches, folded.Batch)
+					}
+					count := sink.NewCount()
+					opts.Sink = count
+					if res := run(r, s, opts); count.Total() != pairs.Count || res.Matches != pairs.Count {
+						t.Fatalf("%s: count folded %d (matches %d), its pairs number %d", label, count.Total(), res.Matches, pairs.Count)
+					}
 
-						if batchSize == 1 {
-							continue // the group-by kernel is folded at one size: 33 entries already cut these outputs into many batches
-						}
-						for _, value := range values {
-							for _, agg := range []sink.Agg{sink.AggSum, sink.AggMin, sink.AggMax, sink.AggCount} {
-								fold := sink.NewGroups(ctx, agg, value.Projection(), value, nil)
-								opts.Sink = fold
-								run(r, s, opts)
-								opaque := sink.NewGroups(ctx, agg, value.Projection(), sink.ValueOpaque, nil)
-								opts.Sink = opaque
-								run(r, s, opts)
-								if !reflect.DeepEqual(fold.Rows(), opaque.Rows()) {
-									t.Fatalf("%s value=%d agg=%v: folded groups %v, pair by pair %v", label, value, agg, fold.Rows(), opaque.Rows())
-								}
+					for _, value := range values {
+						for _, agg := range []sink.Agg{sink.AggSum, sink.AggMin, sink.AggMax, sink.AggCount} {
+							fold := sink.NewGroups(ctx, agg, value.Projection(), value, nil)
+							opts.Sink = fold
+							run(r, s, opts)
+							opaque := sink.NewGroups(ctx, agg, value.Projection(), sink.ValueOpaque, nil)
+							opts.Sink = opaque
+							run(r, s, opts)
+							if !reflect.DeepEqual(fold.Rows(), opaque.Rows()) {
+								t.Fatalf("%s value=%d agg=%v: folded groups %v, pair by pair %v", label, value, agg, fold.Rows(), opaque.Rows())
 							}
 						}
 					}
@@ -347,24 +340,37 @@ func TestKindsFoldLikeTheirPairs(t *testing.T) {
 }
 
 // TestPerWorkerAccountingIsExact is the regression test for P-MPSM reading
-// per-worker sizes off a buffer it had handed back and for the non-inner
-// kinds charging n/len(publicRuns) per public run: with one run
-// representation the per-worker counters add up exactly, and a semi join —
-// which runs the inner join's scans — accounts for at least its sequential
-// reads.
+// per-worker sizes off a buffer it had handed back, for the non-inner kinds
+// charging n/len(publicRuns) per public run and for D-MPSM reporting no
+// breakdown: with one run representation and one frame the per-worker
+// counters add up exactly — private tuples to |R|, public scans to
+// PublicScanned, matches to Matches — and a semi join — which runs the inner
+// join's scans — accounts for at least its sequential reads.
 func TestPerWorkerAccountingIsExact(t *testing.T) {
 	r, s := kindsDataset(2500, 3, 29) // |S| = 7500: not a multiple of the 7 runs
-	for _, alg := range []string{"B", "P"} {
-		join := mpsmByName(alg)
+	for _, alg := range []string{"B", "P", "D"} {
 		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 			seqReads := map[mergejoin.Kind]uint64{}
 			for _, kind := range allKinds {
+				if alg == "D" && kind != mergejoin.Inner {
+					continue // D-MPSM is inner-only
+				}
 				label := fmt.Sprintf("%s-MPSM %v %v", alg, mode, kind)
-				res := join(r, s, Options{Workers: 7, Kind: kind, Scheduler: mode, MorselSize: 100, CollectPerWorker: true, TrackNUMA: true})
-				private, scanned := 0, 0
+				opts := Options{Workers: 7, Kind: kind, Scheduler: mode, MorselSize: 100, CollectPerWorker: true, TrackNUMA: true}
+				var res *result.Result
+				if alg == "D" {
+					res, _ = dmpsm(r, s, opts, DiskOptions{PageSize: 256})
+				} else {
+					res = mpsmByName(alg)(r, s, opts)
+				}
+				if len(res.PerWorker) != 7 {
+					t.Fatalf("%s: %d per-worker breakdowns, want 7", label, len(res.PerWorker))
+				}
+				private, scanned, matches := 0, 0, uint64(0)
 				for _, w := range res.PerWorker {
 					private += w.PrivateTuples
 					scanned += w.PublicScanned
+					matches += w.Matches
 				}
 				if private != r.Len() {
 					t.Fatalf("%s: per-worker private tuples sum to %d, |R| = %d", label, private, r.Len())
@@ -372,9 +378,12 @@ func TestPerWorkerAccountingIsExact(t *testing.T) {
 				if scanned != res.PublicScanned || scanned == 0 {
 					t.Fatalf("%s: per-worker public scans sum to %d, Result.PublicScanned = %d", label, scanned, res.PublicScanned)
 				}
+				if matches != res.Matches || matches == 0 {
+					t.Fatalf("%s: per-worker matches sum to %d, Result.Matches = %d", label, matches, res.Matches)
+				}
 				seqReads[kind] = res.NUMA.LocalSeqRead + res.NUMA.RemoteSeqRead
 			}
-			if seqReads[mergejoin.Semi] < seqReads[mergejoin.Inner] {
+			if alg != "D" && seqReads[mergejoin.Semi] < seqReads[mergejoin.Inner] {
 				t.Fatalf("%s-MPSM %v: semi join accounts for %d sequential reads, the inner join for %d",
 					alg, mode, seqReads[mergejoin.Semi], seqReads[mergejoin.Inner])
 			}

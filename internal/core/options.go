@@ -111,14 +111,6 @@ type Options struct {
 	// skew.
 	MorselSize int
 
-	// BatchSize is the number of range entries per batch of merge output in
-	// the match phases of B-, P- and D-MPSM: the merge kernel emits one entry
-	// per matching key group and hands the sink a batch at a time (a sink
-	// that takes no ranges walks the batch's pairs). 0 or a negative value
-	// selects batch.DefaultSize. The hash joins ignore it: their probe hands
-	// on batch.DefaultSize pairs a batch.
-	BatchSize int
-
 	// Sink receives the joined tuple stream. A nil Sink selects the built-in
 	// max-sum aggregate of the paper's evaluation query, which preserves the
 	// legacy fire-and-forget Join semantics.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/batch"
 	"repro/internal/memory"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
-	"repro/internal/sink"
 	"repro/internal/sorting"
 )
 
@@ -48,16 +46,13 @@ import (
 // the sort and merge loops; a canceled context aborts the join and returns
 // ctx.Err().
 func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options) (*result.Result, error) {
-	opts = opts.Normalize()
-	if err := ctx.Err(); err != nil {
+	x, err := Begin(ctx, "P-MPSM", opts)
+	if err != nil {
 		return nil, err
 	}
+	defer x.Release()
+	opts, lease := x.Opts, x.Lease
 	workers := opts.Workers
-	res := &result.Result{Algorithm: "P-MPSM", Workers: workers}
-	rt := RuntimeFor(opts)
-	lease := LeaseFor(opts)
-	defer lease.Release()
-	start := time.Now()
 
 	publicChunks := public.Split(workers)
 	privateChunks := private.Split(workers)
@@ -65,11 +60,9 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	privateRuns := make([]*batch.Run, workers)
 
 	// Phase 1: sort the public input chunks into local runs.
-	phase1 := rt.Phase(ctx, "phase 1", func(ctx context.Context, w *sched.Worker) {
+	if err := x.Phase("phase 1", func(ctx context.Context, w *sched.Worker) {
 		publicRuns[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
-	})
-	res.AddPhase("phase 1", phase1)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
@@ -78,11 +71,9 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// off the public runs' key columns.
 	var partitions [][]relation.Tuple
 	var privateMaxKey uint64
-	phase2 := result.StopwatchPhase(func() {
-		partitions, privateMaxKey = rangePartitionPrivate(ctx, rt, privateChunks, publicRuns, opts, lease)
-	})
-	res.AddPhase("phase 2", phase2)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	if err := x.Record("phase 2", result.StopwatchPhase(func() {
+		partitions, privateMaxKey = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
+	})); err != nil {
 		return nil, err
 	}
 
@@ -93,7 +84,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// the scatter moves keys and payloads into the column run, where the rest
 	// of the sort's accesses, all of the random ones, stay. The partition's
 	// row buffer goes back to the lease.
-	phase3 := rt.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
+	if err := x.Phase("phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), w.Node(), len(part), lease)
 		sorting.SortTuplesIntoColumnsWithMax(part, run.Keys, run.Payloads, privateMaxKey, lease)
@@ -105,9 +96,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 			tracker.RandRead(run.Node, 2*n)
 			tracker.RandWrite(run.Node, 2*n)
 		}
-	})
-	res.AddPhase("phase 3", phase3)
-	if err := Checkpoint(ctx, rt, lease); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 
@@ -115,17 +104,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// every public run, located via interpolation search on the run's key
 	// range (widened by the band: a private tuple's partners form one window
 	// of every public run).
-	match := &matcher{
-		private: privateRuns, public: publicRuns,
-		out:     sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck),
-		scanned: make([]int, workers), opts: opts, lease: lease,
-		skip: true,
-	}
-	res.AddPhase("phase 4", match.run(ctx, rt, "phase 4"))
-	if err := match.finish(ctx, res, rt, []string{"phase 1", "phase 2", "phase 3", "phase 4"}, start); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return match(ctx, x, "phase 4", privateRuns, publicRuns, true)
 }
 
 // rangePartitionPrivate implements phase 2 of P-MPSM: it returns one private

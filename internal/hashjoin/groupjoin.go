@@ -81,41 +81,32 @@ func GroupJoin(ctx context.Context, spec GroupJoinSpec, opts Options, out *memor
 	if err := spec.validate(); err != nil {
 		return nil, nil, err
 	}
-	opts = opts.Normalize()
-	if err := ctx.Err(); err != nil {
+	x, err := core.Begin(ctx, "GroupJoin", opts)
+	if err != nil {
 		return nil, nil, err
 	}
-	res := &result.Result{Algorithm: "GroupJoin", Workers: opts.Workers}
-	rt := core.RuntimeFor(opts)
-	lease := core.LeaseFor(opts)
-	defer lease.Release()
-	start := time.Now()
+	defer x.Release()
 
-	g := &groupJoin{spec: spec, lease: lease, topo: opts.Topology}
-	res.AddPhase("build", rt.RunTasks(ctx, "build", []sched.Task{{Node: -1, Run: g.build}}))
-	if err := core.Checkpoint(ctx, rt, lease); err != nil {
+	g := &groupJoin{spec: spec, lease: x.Lease, topo: x.Opts.Topology}
+	if err := x.Record("build", x.RT.RunTasks(ctx, "build", []sched.Task{{Node: -1, Run: g.build}})); err != nil {
 		return nil, nil, err
 	}
 	for i, leaf := range spec.Leaves {
 		if i == spec.Driver {
 			continue
 		}
-		res.AddPhase("probe "+leaf.Rel.Name, g.probe(ctx, rt, leaf, opts))
-		if err := core.Checkpoint(ctx, rt, lease); err != nil {
+		if err := x.Record("probe "+leaf.Rel.Name, g.probe(ctx, x, leaf)); err != nil {
 			return nil, nil, err
 		}
 	}
 	// Emitting the groups ends the last phase, which reports it.
 	var groups []relation.Tuple
-	last := &res.Phases[len(res.Phases)-1]
-	last.Duration += result.StopwatchPhase(func() { groups, res.Matches = g.emit(out) })
-
-	res.Total = time.Since(start)
-	if opts.TrackNUMA {
-		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
+	last := &x.Res.Phases[len(x.Res.Phases)-1]
+	last.Duration += result.StopwatchPhase(func() { groups, x.Res.Matches = g.emit(out) })
+	res, err := x.Finish(nil, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	res.Scratch = lease.Stats()
 	return groups, res, nil
 }
 
@@ -167,7 +158,7 @@ func (g *groupJoin) build(w *sched.Worker) {
 	g.lease.PutUint64s(pays)
 	g.table = newChainTable(g.entries, g.lease)
 	g.table.insert(0, distinct, false, nil)
-	chargeInterleaved(w.Tracker(), g.topo, uint64(distinct), false)
+	chargeInterleaved(w.Tracker(), g.topo, uint64(distinct), (*numa.Tracker).RandWrite)
 }
 
 // foldOf is how a leaf's accumulators merge its payloads: under the aggregate
@@ -183,13 +174,13 @@ func (g *groupJoin) foldOf(leaf GroupJoinLeaf) sink.Agg {
 // its own slots (chainTable.foldProbe), which settle then merges into the
 // state. The phase's time includes filling the slots before and settling
 // them after.
-func (g *groupJoin) probe(ctx context.Context, rt *sched.Runtime, leaf GroupJoinLeaf, opts Options) time.Duration {
+func (g *groupJoin) probe(ctx context.Context, x *core.Exec, leaf GroupJoinLeaf) time.Duration {
 	agg := g.foldOf(leaf)
 	empty := uint64(0)
 	if agg == sink.AggMin {
 		empty = math.MaxUint64
 	}
-	slots := make([][]uint64, rt.Workers())
+	slots := make([][]uint64, x.Opts.Workers)
 	d := result.StopwatchPhase(func() {
 		for w := range slots {
 			slots[w] = g.lease.Uint64s(slotWords * (len(g.entries) + 1))
@@ -200,11 +191,11 @@ func (g *groupJoin) probe(ctx context.Context, rt *sched.Runtime, leaf GroupJoin
 			}
 		}
 	})
-	d += runChunks(ctx, rt, opts, "probe "+leaf.Rel.Name, leaf.Rel.Split(rt.Workers()), func(_ context.Context, block relation.Chunk, w *sched.Worker) {
+	d += runChunks(ctx, x, "probe "+leaf.Rel.Name, leaf.Rel.Split(x.Opts.Workers), func(_ context.Context, block relation.Chunk, w *sched.Worker) {
 		inspected := g.table.foldProbe(ctx, block.Tuples, slots[w.ID()], agg)
 		if tracker := w.Tracker(); tracker != nil {
 			tracker.SeqRead(tracker.Node(), uint64(block.Len()))
-			chargeInterleaved(tracker, g.topo, inspected+uint64(block.Len()), true)
+			chargeInterleaved(tracker, g.topo, inspected+uint64(block.Len()), (*numa.Tracker).RandRead)
 		}
 	})
 	d += result.StopwatchPhase(func() { g.settle(slots, leaf.Carries, agg) })

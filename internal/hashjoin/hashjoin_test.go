@@ -112,10 +112,11 @@ func TestWisconsinNUMAAccounting(t *testing.T) {
 	dup := r.Clone()
 	dup.Tuples[r.Len()-1].Key = dup.Tuples[0].Key
 	for _, r := range []*relation.Relation{r, dup} {
-		res := wisconsin(r, s, Options{Workers: 8, TrackNUMA: true})
+		res := wisconsin(r, s, Options{Workers: 8, TrackNUMA: true, CollectPerWorker: true})
 		if res.NUMA.TotalAccesses() == 0 {
 			t.Fatal("NUMA accounting enabled but no accesses recorded")
 		}
+		checkPerWorker(t, res, 8)
 		// Synchronization is charged as executed: a compare-and-swap per insert
 		// (plus retries) when workers share the bucket heads, nothing for the
 		// plain stores of a one-worker build. The probe's random reads — one
@@ -140,6 +141,31 @@ func TestWisconsinNUMAAccounting(t *testing.T) {
 		if res.SimulatedNUMACost == 0 {
 			t.Fatal("simulated NUMA cost missing")
 		}
+	}
+}
+
+// checkPerWorker requires the per-worker breakdown of a join run on the
+// given number of workers: one per worker, each over the result's phases, and
+// the workers' matches summing to the result's.
+func checkPerWorker(t *testing.T, res *result.Result, workers int) {
+	t.Helper()
+	if len(res.PerWorker) != workers {
+		t.Fatalf("%s: %d per-worker breakdowns, want %d", res.Algorithm, len(res.PerWorker), workers)
+	}
+	var matches uint64
+	for _, w := range res.PerWorker {
+		if len(w.Phases) != len(res.Phases) {
+			t.Fatalf("%s: worker %d has phases %v, the result %v", res.Algorithm, w.Worker, w.Phases, res.Phases)
+		}
+		for i, p := range w.Phases {
+			if p.Name != res.Phases[i].Name {
+				t.Fatalf("%s: worker %d has phases %v, the result %v", res.Algorithm, w.Worker, w.Phases, res.Phases)
+			}
+		}
+		matches += w.Matches
+	}
+	if matches != res.Matches || matches == 0 {
+		t.Fatalf("%s: per-worker matches sum to %d, Result.Matches = %d", res.Algorithm, matches, res.Matches)
 	}
 }
 
@@ -241,10 +267,11 @@ func TestRadixSkewedData(t *testing.T) {
 
 func TestRadixNUMAAccounting(t *testing.T) {
 	r, s := testDataset(5000, 4, 11)
-	res := radix(r, s, RadixOptions{Options: Options{Workers: 8, TrackNUMA: true}})
+	res := radix(r, s, RadixOptions{Options: Options{Workers: 8, TrackNUMA: true, CollectPerWorker: true}})
 	if res.NUMA.TotalAccesses() == 0 {
 		t.Fatal("NUMA accounting enabled but no accesses recorded")
 	}
+	checkPerWorker(t, res, 8)
 	// Radix join never synchronizes per tuple (histogram-based scatter).
 	if res.NUMA.SyncOps != 0 {
 		t.Fatalf("radix join recorded %d sync ops, want 0", res.NUMA.SyncOps)

@@ -2,7 +2,6 @@ package hashjoin
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -73,75 +72,47 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 	if err := validate("the radix hash join", opts, r.Len()); err != nil {
 		return nil, err
 	}
-	o := opts.Normalize()
-	if err := ctx.Err(); err != nil {
+	x, err := core.Begin(ctx, "Radix HJ", opts)
+	if err != nil {
 		return nil, err
 	}
-	workers := o.Workers
-	res := &result.Result{Algorithm: "Radix HJ", Workers: workers}
-	rt := core.RuntimeFor(o)
-	lease := core.LeaseFor(o)
-	defer lease.Release()
-	start := time.Now()
+	defer x.Release()
+	o, lease := x.Opts, x.Lease
 
 	maxKey := maxKeyOf(r, s)
-
 	var rParts, sParts [][]relation.Tuple
-	partitionTime := result.StopwatchPhase(func() {
-		rParts = partitionMultiPass(ctx, rt, r, bits, passes, maxKey, o.Topology, lease)
-		sParts = partitionMultiPass(ctx, rt, s, bits, passes, maxKey, o.Topology, lease)
-	})
-	res.AddPhase("partition", partitionTime)
-	if err := core.Checkpoint(ctx, rt, lease); err != nil {
+	if err := x.Record("partition", result.StopwatchPhase(func() {
+		rParts = partitionMultiPass(ctx, x.RT, r, bits, passes, maxKey, o.Topology, lease)
+		sParts = partitionMultiPass(ctx, x.RT, s, bits, passes, maxKey, o.Topology, lease)
+	})); err != nil {
 		return nil, err
 	}
-	parts := len(rParts)
 
 	// Join phase: each partition pair is joined with a private hash table
 	// over its R partition, probed with the matching S partition, streaming
 	// matches into the executing worker's sink writer.
-	out := sink.BindChecked(o.Sink, workers, lease, o.KeyCheck)
+	out := x.Bind()
 	folds := sink.FoldsRanges(o.Sink) && o.KeyCheck == nil
-	joinPair := func(p int, w *sched.Worker) {
-		joinPartition(ctx, rParts[p], sParts[p], out.Writer(w.ID()), folds, lease)
-		if tracker := w.Tracker(); tracker != nil {
-			// Reading the partitions is sequential, but they live wherever
-			// the partitioning phase placed them (interleaved across
-			// nodes). Building the private hash table and probing it are
-			// random accesses, albeit node-local thanks to the cache-sized
-			// fragments.
-			chargeInterleavedSeq(tracker, o.Topology, uint64(len(rParts[p])+len(sParts[p])))
-			tracker.RandWrite(tracker.Node(), uint64(len(rParts[p])))
-			tracker.RandRead(tracker.Node(), uint64(len(sParts[p])))
-		}
+	tasks := make([]sched.Task, len(rParts))
+	for p := range tasks {
+		tasks[p] = sched.Task{Node: -1, Run: func(w *sched.Worker) {
+			joinPartition(ctx, rParts[p], sParts[p], out.Writer(w.ID()), folds, lease)
+			if tracker := w.Tracker(); tracker != nil {
+				// Reading the partitions is sequential, but they live wherever
+				// the partitioning phase placed them (interleaved across
+				// nodes). Building the private hash table and probing it are
+				// random accesses, albeit node-local thanks to the cache-sized
+				// fragments.
+				chargeInterleaved(tracker, o.Topology, uint64(len(rParts[p])+len(sParts[p])), (*numa.Tracker).SeqRead)
+				tracker.RandWrite(tracker.Node(), uint64(len(rParts[p])))
+				tracker.RandRead(tracker.Node(), uint64(len(sParts[p])))
+			}
+		}}
 	}
-	tasks := make([]sched.Task, parts)
-	for p := 0; p < parts; p++ {
-		p := p
-		tasks[p] = sched.Task{Node: -1, Run: func(w *sched.Worker) { joinPair(p, w) }}
-	}
-	joinTime := rt.RunTasks(ctx, "build+probe", tasks)
-	res.AddPhase("build+probe", joinTime)
-	// Close runs even on cancellation (the sink lifecycle promises it); the
-	// context error still wins as the join's outcome.
-	closeErr := out.Close()
-	if err := core.Checkpoint(ctx, rt, lease); err != nil {
+	if err := x.Record("build+probe", x.RT.RunTasks(ctx, "build+probe", tasks)); err != nil {
 		return nil, err
 	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-
-	res.Matches = out.Matches()
-	res.MaxSum = out.MaxSum()
-	res.Batch.Batches, res.Batch.Tuples = out.Batches()
-	res.Total = time.Since(start)
-	if o.TrackNUMA {
-		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
-	}
-	res.Scratch = lease.Stats()
-	return res, nil
+	return x.Finish(nil, nil)
 }
 
 // partitionMultiPass radix partitions a relation into 2^bits partitions using
@@ -266,22 +237,11 @@ func partitionParallel(ctx context.Context, rt *sched.Runtime, rel *relation.Rel
 		if tracker := w.Tracker(); tracker != nil {
 			// Scattering writes across all target partitions, which are
 			// spread over the NUMA nodes: random-ish writes, mostly remote.
-			chargeInterleaved(tracker, topo, uint64(len(chunks[w.ID()].Tuples)), false)
+			chargeInterleaved(tracker, topo, uint64(len(chunks[w.ID()].Tuples)), (*numa.Tracker).RandWrite)
 		}
 		lease.PutInts(cursors)
 	})
 	return targets
-}
-
-// chargeInterleavedSeq charges n sequential reads against interleaved memory.
-func chargeInterleavedSeq(tracker *numa.Tracker, topo numa.Topology, n uint64) {
-	if tracker == nil || n == 0 {
-		return
-	}
-	local := n / uint64(topo.Nodes)
-	remote := n - local
-	tracker.SeqRead(tracker.Node(), local)
-	tracker.SeqRead((tracker.Node()+1)%topo.Nodes, remote)
 }
 
 // joinPartition joins one partition pair with a private table over its build

@@ -71,9 +71,9 @@ import (
 
 // Options configures the hash-join baselines: the options struct of the MPSM
 // variants, so one value configures all five algorithms. The hash joins read
-// the worker, scheduler, sink, scratch, gate, fault and NUMA fields; they
-// have no splitters, histograms, presorted fast paths or batch size, and
-// they are inner equi-joins only — see validate.
+// the worker, scheduler, morsel size, sink, key check, scratch, owner, gate,
+// fault, NUMA and CollectPerWorker fields; they have no splitters, histograms
+// or presorted fast paths, and they are inner equi-joins only — see validate.
 type Options = core.Options
 
 // cancelBlock is how many tuples a hash-join worker processes between two
@@ -117,7 +117,7 @@ func insertBlock(ctx context.Context, table *chainTable, block relation.Chunk, s
 		// compare-and-swap per insert and retry, none for the plain stores of
 		// a build that runs on one worker.
 		n := uint64(hi - lo)
-		chargeInterleaved(tracker, topo, n, false)
+		chargeInterleaved(tracker, topo, n, (*numa.Tracker).RandWrite)
 		if shared {
 			tracker.Sync(n + retries)
 		}
@@ -133,7 +133,7 @@ func probeBlock(ctx context.Context, table *chainTable, tuples []relation.Tuple,
 		// Probing reads the local S chunk sequentially and the shared
 		// table randomly across all nodes.
 		tracker.SeqRead(tracker.Node(), uint64(len(tuples)))
-		chargeInterleaved(tracker, topo, inspected+uint64(len(tuples)), true)
+		chargeInterleaved(tracker, topo, inspected+uint64(len(tuples)), (*numa.Tracker).RandRead)
 	}
 }
 
@@ -142,18 +142,18 @@ func probeBlock(ctx context.Context, table *chainTable, tuples []relation.Tuple,
 // most opts.MorselSize tuples that idle workers steal. The blocks carry no
 // NUMA placement: the shared table is interleaved over all nodes, so no
 // worker is closer to a block's hash buckets than any other.
-func runChunks(ctx context.Context, rt *sched.Runtime, opts Options, name string, chunks []relation.Chunk, fn func(ctx context.Context, block relation.Chunk, w *sched.Worker)) time.Duration {
-	if opts.Scheduler != sched.Morsel {
-		return rt.Phase(ctx, name, func(ctx context.Context, w *sched.Worker) { fn(ctx, chunks[w.ID()], w) })
+func runChunks(ctx context.Context, x *core.Exec, name string, chunks []relation.Chunk, fn func(ctx context.Context, block relation.Chunk, w *sched.Worker)) time.Duration {
+	if x.Opts.Scheduler != sched.Morsel {
+		return x.RT.Phase(ctx, name, func(ctx context.Context, w *sched.Worker) { fn(ctx, chunks[w.ID()], w) })
 	}
 	var tasks []sched.Task
 	for _, chunk := range chunks {
-		sched.ForEachSegment(len(chunk.Tuples), opts.MorselSize, func(lo, hi int) {
+		sched.ForEachSegment(len(chunk.Tuples), x.Opts.MorselSize, func(lo, hi int) {
 			block := relation.Chunk{Worker: chunk.Worker, Offset: chunk.Offset + lo, Tuples: chunk.Tuples[lo:hi]}
 			tasks = append(tasks, sched.Task{Node: -1, Run: func(w *sched.Worker) { fn(ctx, block, w) }})
 		})
 	}
-	return rt.RunTasks(ctx, name, tasks)
+	return x.RT.RunTasks(ctx, name, tasks)
 }
 
 // Wisconsin executes the no-partitioning shared hash join: build a global
@@ -167,20 +167,13 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	if err := validate("the Wisconsin hash join", opts, r.Len()); err != nil {
 		return nil, err
 	}
-	opts = opts.Normalize()
-	if err := ctx.Err(); err != nil {
+	x, err := core.Begin(ctx, "Wisconsin", opts)
+	if err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	res := &result.Result{Algorithm: "Wisconsin", Workers: workers}
-	rt := core.RuntimeFor(opts)
-	lease := core.LeaseFor(opts)
-	defer lease.Release()
-	start := time.Now()
-
-	table := newChainTable(r.Tuples, lease)
-	rChunks := r.Split(workers)
-	sChunks := s.Split(workers)
+	defer x.Release()
+	opts, workers := x.Opts, x.Opts.Workers
+	table := newChainTable(r.Tuples, x.Lease)
 
 	// Build phase: every worker inserts its chunk into the shared table
 	// (static), or idle workers steal insert blocks (morsel). The bucket
@@ -188,59 +181,35 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	// duplicates it meets in its own dups entry.
 	shared := workers > 1
 	dups := make([]bool, workers)
-	res.AddPhase("build", runChunks(ctx, rt, opts, "build", rChunks, func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
+	if err := x.Record("build", runChunks(ctx, x, "build", r.Split(workers), func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
 		insertBlock(ctx, &table, block, shared, &dups[w.ID()], w, opts.Topology)
-	}))
-	table.distinct = !slices.Contains(dups, true)
-	if err := core.Checkpoint(ctx, rt, lease); err != nil {
+	})); err != nil {
 		return nil, err
 	}
+	table.distinct = !slices.Contains(dups, true)
 
 	// Probe phase: every worker probes with its chunk of S, streaming
 	// matches into its private sink writer.
-	out := sink.BindChecked(opts.Sink, workers, lease, opts.KeyCheck)
+	out := x.Bind()
 	folds := sink.FoldsRanges(opts.Sink) && opts.KeyCheck == nil
-	res.AddPhase("probe", runChunks(ctx, rt, opts, "probe", sChunks, func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
-		probeBlock(ctx, &table, block.Tuples, w, opts.Topology, out.Writer(w.ID()), folds, lease)
-	}))
-	// Close runs even on cancellation (the sink lifecycle promises it); the
-	// context error still wins as the join's outcome.
-	closeErr := out.Close()
-	if err := core.Checkpoint(ctx, rt, lease); err != nil {
+	if err := x.Record("probe", runChunks(ctx, x, "probe", s.Split(workers), func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
+		probeBlock(ctx, &table, block.Tuples, w, opts.Topology, out.Writer(w.ID()), folds, x.Lease)
+	})); err != nil {
 		return nil, err
 	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-
-	res.Matches = out.Matches()
-	res.MaxSum = out.MaxSum()
-	res.Batch.Batches, res.Batch.Tuples = out.Batches()
-	res.Total = time.Since(start)
-	if opts.TrackNUMA {
-		res.NUMA = rt.NUMAStats()
-		res.SimulatedNUMACost = numa.DefaultCostModel().Estimate(res.NUMA)
-	}
-	res.Scratch = lease.Stats()
-	return res, nil
+	return x.Finish(nil, nil)
 }
 
-// chargeInterleaved charges n random accesses against a hash table whose
-// memory is interleaved over all NUMA nodes: 1/nodes of them are local, the
-// rest remote. read selects reads vs writes.
-func chargeInterleaved(tracker *numa.Tracker, topo numa.Topology, n uint64, read bool) {
+// chargeInterleaved charges n accesses of one kind — a numa.Tracker method
+// such as (*numa.Tracker).RandRead — against memory interleaved over all NUMA
+// nodes: 1/nodes of them are local, the rest remote.
+func chargeInterleaved(tracker *numa.Tracker, topo numa.Topology, n uint64, charge func(t *numa.Tracker, node int, n uint64)) {
 	if tracker == nil || n == 0 {
 		return
 	}
 	local := n / uint64(topo.Nodes)
-	remote := n - local
-	if read {
-		tracker.RandRead(tracker.Node(), local)
-		tracker.RandRead((tracker.Node()+1)%topo.Nodes, remote)
-	} else {
-		tracker.RandWrite(tracker.Node(), local)
-		tracker.RandWrite((tracker.Node()+1)%topo.Nodes, remote)
-	}
+	charge(tracker, tracker.Node(), local)
+	charge(tracker, (tracker.Node()+1)%topo.Nodes, n-local)
 }
 
 // nextPow2 returns the smallest power of two >= n (and at least 1).

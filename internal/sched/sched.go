@@ -438,14 +438,14 @@ func ForEachSegment(n, size int, fn func(lo, hi int)) {
 }
 
 // Breakdowns converts the per-worker phase times into the result
-// representation, preserving the given phase order. Callers fill in the
-// per-worker work counters themselves.
-func (rt *Runtime) Breakdowns(phaseOrder []string) []result.WorkerBreakdown {
+// representation over the given phases — a result's, typically — in their
+// order. Callers fill in the per-worker work counters themselves.
+func (rt *Runtime) Breakdowns(phases []result.Phase) []result.WorkerBreakdown {
 	out := make([]result.WorkerBreakdown, rt.workers)
 	for i, w := range rt.states {
 		bd := result.WorkerBreakdown{Worker: w.id}
-		for _, name := range phaseOrder {
-			bd.Phases = append(bd.Phases, result.Phase{Name: name, Duration: w.phaseTime[name]})
+		for _, p := range phases {
+			bd.Phases = append(bd.Phases, result.Phase{Name: p.Name, Duration: w.phaseTime[p.Name]})
 		}
 		out[i] = bd
 	}

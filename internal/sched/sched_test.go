@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/numa"
+	"repro/internal/result"
 )
 
 func TestModeString(t *testing.T) {
@@ -250,7 +251,7 @@ func TestBreakdownsPreservePhaseOrder(t *testing.T) {
 	rt := New(Config{Workers: 2})
 	rt.Phase(context.Background(), "b", func(_ context.Context, w *Worker) {})
 	rt.Phase(context.Background(), "a", func(_ context.Context, w *Worker) {})
-	bds := rt.Breakdowns([]string{"a", "b"})
+	bds := rt.Breakdowns([]result.Phase{{Name: "a"}, {Name: "b"}})
 	if len(bds) != 2 {
 		t.Fatalf("got %d breakdowns, want 2", len(bds))
 	}

@@ -9,9 +9,9 @@
 // wide to pack are sorted as tuples by the row path below and deinterleaved
 // into the columns afterwards (columns.go).
 //
-// The row path (Sort, SortWithMax, SortInto) serves D-MPSM's paged runs,
-// full-width keys on the columnar path, the benchmark probes and the test
-// oracles — B-MPSM and P-MPSM sort columns for every join kind. It is the
+// The row path (Sort, SortWithMax, SortInto) serves full-width keys on the
+// columnar path, the benchmark probes and the test oracles — B-, P- and
+// D-MPSM all sort columns (D-MPSM spills B-MPSM's column runs). It is the
 // paper's hardware-conscious routine, generalized from its single radix level
 // to a cache-conscious multi-level MSD radix sort:
 //

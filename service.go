@@ -69,7 +69,7 @@ type DegradationStats struct {
 	// re-attempting admission.
 	BudgetShrinks uint64
 	// NarrowedQueries counts queries that executed with degraded
-	// parallelism/batch size after retried admission.
+	// parallelism after retried admission.
 	NarrowedQueries uint64
 	// DeadlineExpired counts queries aborted by their execution deadline.
 	DeadlineExpired uint64
@@ -440,15 +440,12 @@ func (s *Service) budgetFor(q queryConfig, p *Plan) int64 {
 
 // Degradation-ladder constants: a degraded query's budget never shrinks
 // below minDegradedBudget, admission retries back off starting at
-// degradeBackoff (doubling, capped at degradeBackoffMax), and degraded
-// queries run with degradedBatchSize-tuple batches to bound the memory each
-// worker holds between checkpoints.
+// degradeBackoff (doubling, capped at degradeBackoffMax).
 const (
 	defaultDegradeSteps = 2
 	minDegradedBudget   = 1 << 20 // 1 MiB
 	degradeBackoff      = 500 * time.Microsecond
 	degradeBackoffMax   = 4 * time.Millisecond
-	degradedBatchSize   = 256
 )
 
 // admit runs the graceful-degradation ladder in front of the admission
@@ -572,9 +569,8 @@ func (s *Service) servingOptions(active int64, degraded int) []Option {
 	if degraded > 0 {
 		// A query admitted through the degradation ladder runs on a fraction
 		// of its requested budget: narrow its share to match (each step
-		// halves the bound on its worker count) and shrink its batch size so
-		// less memory sits in flight between checkpoints.
-		opts = append(opts, WithWorkers(max(1, dop>>degraded)), WithBatchSize(degradedBatchSize))
+		// halves the bound on its worker count).
+		opts = append(opts, WithWorkers(max(1, dop>>degraded)))
 	}
 	if s.faults != nil {
 		opts = append(opts, WithFaultInjection(s.faults))
