@@ -30,13 +30,15 @@ import (
 // NUMA-local memory the paper prescribes ("chunk the data, redistribute, and
 // then sort/work on your data locally") is fused with the sort, and the source
 // chunk — possibly a neighbour's memory — is only ever read sequentially
-// (commandment C2): once for the key domain, once for the first radix digit's
-// histogram, and once by the scatter that deinterleaves keys and payloads
-// into the run's own buffers. Everything after that, the payload gather
-// included, is random access inside the run and the sort's bucket scratch,
-// which the sort leases (a tuple buffer of the chunk's size instead if the
-// keys are too wide to pack: the row sort runs there and is deinterleaved
-// into the run) and hands back before it returns.
+// (commandment C2): once for the key and payload domains, once for the first
+// radix digit's histogram, and once by the scatter that deinterleaves keys and
+// payloads into the run's own buffers — one word a tuple when key and payload
+// fit 64 bits together, a word and a parked payload otherwise. Everything
+// after that, splitting the sorted words or gathering the parked payloads, is
+// random access inside the run and the sort's bucket scratch, which the sort
+// leases (a tuple buffer of the chunk's size instead if the keys are too wide
+// to pack: the row sort runs there and is deinterleaved into the run) and
+// hands back before it returns.
 //
 // srcNode is the NUMA node the source chunk resides on (the input relation is
 // assumed to be range-chunked over the nodes); the run itself is allocated on
@@ -61,7 +63,12 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 		// once; sorting adds the histogram pass over the source (a chunk small
 		// enough to go without one is charged it all the same) and O(n)
 		// passes of local random accesses: the scatter plus the in-cache
-		// finishing work, charged as two read/write passes.
+		// finishing work, charged as two read/write passes. The model counts
+		// tuples, not words, so both carriers of the packed sort are charged
+		// alike: each places a tuple once in the scatter and moves it twice
+		// in stage 2 (the counting pass and the unpack), although the payload
+		// carrier writes one word a tuple in the scatter where the position
+		// carrier writes two and gathers nothing.
 		tracker.SeqRead(srcNode, 2*un)
 		tracker.SeqWrite(run.Node, un)
 		if !skippedSort {

@@ -70,24 +70,24 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// row-oriented (it scatters the input chunks); the S CDF bounds are read
 	// off the public runs' key columns.
 	var partitions [][]relation.Tuple
-	var privateMaxKey uint64
+	var privateMaxKey, privatePayBound uint64
 	if err := x.Record("phase 2", result.StopwatchPhase(func() {
-		partitions, privateMaxKey = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
+		partitions, privateMaxKey, privatePayBound = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
 	})); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: sort each private range partition into a run. Phase 2 already
-	// determined the global maximum private key for its radix histograms, so
-	// the sort reads the partition — local memory, which phase 2 scattered to
-	// this worker — sequentially twice (histogram, scatter) and not again:
-	// the scatter moves keys and payloads into the column run, where the rest
-	// of the sort's accesses, all of the random ones, stay. The partition's
-	// row buffer goes back to the lease.
+	// determined the global maximum private key for its radix histograms, and
+	// the payloads' bound beside it, so the sort reads the partition — local
+	// memory, which phase 2 scattered to this worker — sequentially twice
+	// (histogram, scatter) and not again: the scatter moves keys and payloads
+	// into the column run, where the rest of the sort's accesses, all of the
+	// random ones, stay. The partition's row buffer goes back to the lease.
 	if err := x.Phase("phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), w.Node(), len(part), lease)
-		sorting.SortTuplesIntoColumnsWithMax(part, run.Keys, run.Payloads, privateMaxKey, lease)
+		sorting.SortTuplesIntoColumnsWithBounds(part, run.Keys, run.Payloads, privateMaxKey, privatePayBound, lease)
 		lease.PutTuples(part)
 		privateRuns[w.ID()] = run
 		if tracker := w.Tracker(); tracker != nil {
@@ -110,13 +110,14 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 // rangePartitionPrivate implements phase 2 of P-MPSM: it returns one private
 // partition (still unsorted) per worker, holding exactly the tuples of that
 // worker's key range, together with the maximum private key (determined for
-// the radix histograms and reused by the phase 3 sort). On cancellation it
-// returns early with whatever it has built; the caller checks ctx after the
-// phase and discards the partial state. All parallel steps run as "phase 2"
-// barriers on the shared runtime, so the per-worker breakdown accumulates them
-// under one label. Histogram, cursor and partition buffers come from the
-// join's scratch lease.
-func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) ([][]relation.Tuple, uint64) {
+// the radix histograms) and the OR of the private payloads, the two bounds
+// the phase 3 sort packs its words by. On cancellation it returns early with
+// whatever it has built; the caller checks ctx after the phase and discards
+// the partial state. All parallel steps run as "phase 2" barriers on the
+// shared runtime, so the per-worker breakdown accumulates them under one
+// label. Histogram, cursor and partition buffers come from the join's scratch
+// lease.
+func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) (targets [][]relation.Tuple, maxKey, payBound uint64) {
 	workers := opts.Workers
 
 	// Phase 2.1: per-run equi-height bounds merged into the global S CDF,
@@ -129,34 +130,26 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		runLens[w.ID()] = publicRuns[w.ID()].Len()
 	})
 	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, 0
+		return nil, 0, 0
 	}
 	cdf := partition.BuildCDF(boundsPerRun, runLens)
 
 	// Phase 2.2: fine-grained radix histograms on the private chunks. Each
 	// worker also determines the maximum key of its chunk so that the radix
-	// configuration can be derived without a separate pass.
-	chunkMax := make([]uint64, workers)
+	// configuration can be derived without a separate pass, and ORs the
+	// chunk's payloads in the same scan for phase 3.
+	chunkMax, chunkPays := make([]uint64, workers), make([]uint64, workers)
 	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		var localMax uint64
-		for _, t := range privateChunks[w.ID()].Tuples {
-			if t.Key > localMax {
-				localMax = t.Key
-			}
-		}
-		chunkMax[w.ID()] = localMax
+		chunkMax[w.ID()], chunkPays[w.ID()] = sorting.Bounds(privateChunks[w.ID()].Tuples)
 		if tracker := w.Tracker(); tracker != nil {
 			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
 		}
 	})
 	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, 0
+		return nil, 0, 0
 	}
-	var maxKey uint64
-	for _, m := range chunkMax {
-		if m > maxKey {
-			maxKey = m
-		}
+	for i, m := range chunkMax {
+		maxKey, payBound = max(maxKey, m), payBound|chunkPays[i]
 	}
 	cfg := partition.NewRadixConfig(histogramBits(workers), maxKey)
 
@@ -168,7 +161,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		}
 	})
 	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, 0
+		return nil, 0, 0
 	}
 
 	// Phase 2.3: splitter computation, prefix sums, and the
@@ -186,7 +179,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 	ps := partition.ComputePrefixSums(histograms, sp, workers)
 
 	// Partition p is written on — and later sorted by — worker p's node.
-	targets := make([][]relation.Tuple, workers)
+	targets = make([][]relation.Tuple, workers)
 	for p := 0; p < workers; p++ {
 		targets[p] = lease.Tuples(ps.Sizes[p])
 	}
@@ -209,5 +202,5 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		lease.PutInts(cursors)
 		lease.PutInts(before)
 	})
-	return targets, maxKey
+	return targets, maxKey, payBound
 }

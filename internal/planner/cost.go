@@ -49,7 +49,13 @@ type CostModel struct {
 	// SortMissPerTuple phases in: the same probe on join_large's
 	// 1 048 576-tuple run reads 26.8. The ladder's phase 1 on one worker, one
 	// run of the whole public input, agrees: 14.2–15.6 up to 262 144 tuples,
-	// 20.4, 23.7 and 25.5 at 2^19, 2^20 and 2^21.
+	// 20.4, 23.7 and 25.5 at 2^19, 2^20 and 2^21. Where key and payload fit
+	// one sort word together the packed sort carries the payload and gathers
+	// nothing: on join_large, whose payloads are below 2^20, the probe reads
+	// 26.0 (32.6 carrying positions) and P-MPSM's phase 1, a 2^20-tuple run
+	// per worker on two workers, 31.1 ns a tuple (34.7), medians of four
+	// traced runs on a 2-vCPU Xeon. The ladder's 64-bit payloads still carry
+	// positions, so the constants stay where the ladder put them.
 	SortPerTuple     float64
 	SortMissPerTuple float64
 	SortCacheTuples  float64

@@ -223,11 +223,11 @@ func (g *Groups) Close() error {
 	if err := g.ctx.Err(); err != nil {
 		return err
 	}
-	total, maxKey := 0, uint64(0)
+	total, maxKey, payBound := 0, uint64(0), uint64(0)
 	for _, w := range g.writers {
 		w.flush()
 		total += w.n
-		maxKey = max(maxKey, w.maxKey)
+		maxKey, payBound = max(maxKey, w.maxKey), payBound|w.payBound
 	}
 	parts := min(len(g.writers), total/groupPartitionEntries+1)
 	targets := make([][]relation.Tuple, parts)
@@ -251,7 +251,7 @@ func (g *Groups) Close() error {
 	}
 	err := g.parallel("sort", parts, func(p int) {
 		lo, hi := starts[p], starts[p+1]
-		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], maxKey)
+		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], maxKey, payBound)
 	})
 	if err != nil {
 		return err
@@ -303,15 +303,15 @@ func (g *Groups) scatter(maxKey uint64, buf []relation.Tuple, targets [][]relati
 }
 
 // sortFold sorts one partition by key into the key and payload columns —
-// the packed columnar radix sort of run generation, told the writers' maximum
-// key so it scans for none; a partition that arrived ordered is only
-// deinterleaved — then folds the partial accumulators of equal keys in place
-// and returns the number of groups left at the front.
-func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, maxKey uint64) int {
+// the packed columnar radix sort of run generation, told the writers' key and
+// payload bounds so it scans for neither; a partition that arrived ordered is
+// only deinterleaved — then folds the partial accumulators of equal keys in
+// place and returns the number of groups left at the front.
+func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, maxKey, payBound uint64) int {
 	if relation.IsSortedByKey(part) {
 		batch.Deinterleave(part, keys, pays)
 	} else {
-		sorting.SortTuplesIntoColumnsWithMax(part, keys, pays, maxKey, g.lease)
+		sorting.SortTuplesIntoColumnsWithBounds(part, keys, pays, maxKey, payBound, g.lease)
 	}
 	n := 0
 	for i := 0; i < len(keys); n++ {
@@ -354,7 +354,8 @@ type groupWriter struct {
 	value          Value
 	curKey, curVal uint64
 	active         bool
-	maxKey         uint64
+	maxKey         uint64 // the largest key of the entries
+	payBound       uint64 // the OR of the entries' partial accumulators
 }
 
 // Consume implements mergejoin.Consumer.
@@ -449,7 +450,7 @@ func (w *groupWriter) add(key, val uint64) {
 func (w *groupWriter) flush() {
 	if w.active {
 		w.push(relation.Tuple{Key: w.curKey, Payload: w.curVal})
-		w.maxKey = max(w.maxKey, w.curKey)
+		w.maxKey, w.payBound = max(w.maxKey, w.curKey), w.payBound|w.curVal
 		w.active = false
 	}
 }

@@ -38,23 +38,36 @@ func denseCluster(n int, seed int64) []relation.Tuple {
 	return tuples
 }
 
+// wideUniform32 is makeTuples' uniform 32-bit keys with full 64-bit payloads,
+// which leave no room beside the key: the packed sort keeps the payloads out
+// of the sort word and carries positions instead.
+func wideUniform32(n int, seed int64) []relation.Tuple {
+	tuples := makeTuples(n, seed, 1<<32)
+	for i := range tuples {
+		tuples[i].Payload = ^uint64(i) * 0x9E3779B97F4A7C15
+	}
+	return tuples
+}
+
 // BenchmarkRunGeneration times the production run-generation sort
 // (SortTuplesIntoColumns) per tuple over the key distributions that decide
-// its cost — uniform 32-bit keys, clustered 80:20 skew on a 2^20 domain, a
-// dense cluster in a 32-bit domain (the one shape here whose buckets need
-// more than one counting pass), a 2^10-key domain (duplicate-heavy), full
-// 64-bit keys (too wide to pack: the row sort plus a deinterleave) and
-// presorted input — alone and with one sorter per CPU, the way the phases of
-// P-MPSM run it: every sorter has a chunk of n tuples of its own, so the
-// sorters share the memory system but no source, and ns/tuple is over one
-// sorter's n. CI executes it once per case as a smoke test; it asserts
-// nothing about time.
+// its cost — uniform 32-bit keys (with positions as payloads, which ride in
+// the sort word, and with 64-bit payloads, which do not), clustered 80:20
+// skew on a 2^20 domain, a dense cluster in a 32-bit domain (the one shape
+// here whose buckets need more than one counting pass), a 2^10-key domain
+// (duplicate-heavy), full 64-bit keys (too wide to pack: the row sort plus a
+// deinterleave) and presorted input — alone and with one sorter per CPU, the
+// way the phases of P-MPSM run it: every sorter has a chunk of n tuples of its
+// own, so the sorters share the memory system but no source, and ns/tuple is
+// over one sorter's n. CI executes it once per case as a smoke test; it
+// asserts nothing about time.
 func BenchmarkRunGeneration(b *testing.B) {
 	distributions := []struct {
 		name string
 		gen  func(n, sorter int) []relation.Tuple
 	}{
 		{"uniform32", func(n, s int) []relation.Tuple { return makeTuples(n, int64(1+10*s), 1<<32) }},
+		{"uniform32-wide-payload", func(n, s int) []relation.Tuple { return wideUniform32(n, int64(1+10*s)) }},
 		{"clustered-skew", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }},
 		{"dense-cluster", func(n, s int) []relation.Tuple { return denseCluster(n, int64(5+10*s)) }},
 		{"domain-2^10", func(n, s int) []relation.Tuple { return makeTuples(n, int64(3+10*s), 1<<10) }},

@@ -6,11 +6,11 @@ import (
 )
 
 // Columnar (structure-of-arrays) sorts for the batch execution path. Keys that
-// leave room for an index sort packed (packed.go). Keys too wide to pack — the
-// order-preserving string and composite encodings fill all 64 bits — go
-// through the row sort of sort.go instead: the tuples are sorted with the
-// known key bound and then deinterleaved into the key and payload columns.
-// The packed path is stable; the row fallback, like Sort, is not.
+// leave room for the payload or for an index sort packed (packed.go). Keys too
+// wide to pack — the order-preserving string and composite encodings fill all
+// 64 bits — go through the row sort of sort.go instead: the tuples are sorted
+// with the known key bound and then deinterleaved into the key and payload
+// columns. The packed path is stable; the row fallback, like Sort, is not.
 
 // Scratch supplies the working memory a sort needs beyond its destination
 // columns, so that callers holding a lease pay for it only on the sorts that
@@ -33,12 +33,16 @@ type Scratch interface {
 // there and deinterleaved.
 func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) {
 	n := len(srcKeys)
-	dstKeys = dstKeys[:n]
-	dstPays = dstPays[:n]
-
-	maxKey := maxKeyOfColumn(srcKeys)
-	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, idxBits)
+	srcPays, dstKeys, dstPays = srcPays[:n], dstKeys[:n], dstPays[:n]
+	var maxKey, payBound uint64
+	for i, k := range srcKeys {
+		if k > maxKey {
+			maxKey = k
+		}
+		payBound |= srcPays[i]
+	}
+	if w, inWord, ok := packedCarrier(n, maxKey, payBound); ok {
+		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, w, inWord)
 		return
 	}
 	tuples := make([]relation.Tuple, n)
@@ -53,22 +57,24 @@ func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) 
 // with the first radix digit — one sequential read of the 16-byte tuples
 // feeding 256 write cursors — so the representation change costs no separate
 // pass over the data, and src is read sequentially only. It determines the key
-// domain with one scan; use SortTuplesIntoColumnsWithMax when a bound is
-// already known.
+// and payload domains with one scan; use SortTuplesIntoColumnsWithBounds when
+// bounds are already known.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
-	SortTuplesIntoColumnsWithMax(src, dstKeys, dstPays, maxKeyOf(src), scratch)
+	maxKey, payBound := Bounds(src)
+	SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, scratch)
 }
 
-// SortTuplesIntoColumnsWithMax is SortTuplesIntoColumns for callers that
-// already know (an upper bound on) the maximum key, under SortWithMax's
-// contract: maxKey must be >= every key in src.
-func SortTuplesIntoColumnsWithMax(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, scratch Scratch) {
+// SortTuplesIntoColumnsWithBounds is SortTuplesIntoColumns for callers that
+// already know upper bounds on the keys and the payloads — maxKey under
+// SortWithMax's contract, payBound >= every payload in src (the payloads' OR
+// is one, and math.MaxUint64 always is).
+func SortTuplesIntoColumnsWithBounds(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey, payBound uint64, scratch Scratch) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
 
-	if idxBits, ok := packedIndexBits(n, maxKey); ok {
-		sortTuplesPacked(src, dstKeys, dstPays, maxKey, idxBits, scratch)
+	if w, inWord, ok := packedCarrier(n, maxKey, payBound); ok {
+		sortTuplesPacked(src, dstKeys, dstPays, maxKey, w, inWord, scratch)
 		return
 	}
 
@@ -83,11 +89,17 @@ func SortTuplesIntoColumnsWithMax(src []relation.Tuple, dstKeys, dstPays []uint6
 	batch.Deinterleave(sorted, dstKeys, dstPays)
 }
 
-// maxKeyOfColumn scans a key column for its maximum (0 for empty input).
-func maxKeyOfColumn(keys []uint64) uint64 {
-	var maxKey uint64
-	for _, k := range keys {
-		maxKey = max(maxKey, k)
+// Bounds scans tuples for the bounds SortTuplesIntoColumnsWithBounds takes:
+// the maximum key and the OR of the payloads. It stays out of line: inlined,
+// its loop reloads the caller's arguments on every tuple.
+//
+//go:noinline
+func Bounds(tuples []relation.Tuple) (maxKey, payBound uint64) {
+	for i := range tuples {
+		if k := tuples[i].Key; k > maxKey {
+			maxKey = k
+		}
+		payBound |= tuples[i].Payload
 	}
-	return maxKey
+	return maxKey, payBound
 }

@@ -23,7 +23,7 @@ func stdlibOracle(input []relation.Tuple) []relation.Tuple {
 
 // checkColumnsAgainstStdlib verifies a columnar sort output against the
 // stdlib oracle (want = stdlibOracle(input)). When the input packs
-// (packedIndexBits) the sort is stable by construction, so the output must
+// (packedCarrier) the sort is stable by construction, so the output must
 // equal the stable order pair for pair; full-width keys take the row sort,
 // which is not stable, so equal keys may land in any order: there the keys
 // must match position by position and the (key, payload) pairs be a
@@ -33,7 +33,8 @@ func checkColumnsAgainstStdlib(t *testing.T, name string, input, want []relation
 	if len(keys) != len(want) || len(pays) != len(want) {
 		t.Fatalf("%s: length changed: %d -> keys %d, pays %d", name, len(want), len(keys), len(pays))
 	}
-	_, stable := packedIndexBits(len(input), maxKeyOf(input))
+	maxKey, payBound := Bounds(input)
+	_, _, stable := packedCarrier(len(input), maxKey, payBound)
 	for i := range keys {
 		if keys[i] != want[i].Key {
 			t.Fatalf("%s: key mismatch at %d: got %d, stdlib %d", name, i, keys[i], want[i].Key)
@@ -53,7 +54,9 @@ func checkColumnsAgainstStdlib(t *testing.T, name string, input, want []relation
 }
 
 // sortBothWays runs the columnar entry points over input and checks each
-// against the stdlib oracle; SortColumnsInto must leave its source alone.
+// against the stdlib oracle; SortColumnsInto must leave its source alone. A
+// payload bound of math.MaxUint64 sorts the input once more under the
+// position carrier, whichever carrier its own bounds choose.
 func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 	t.Helper()
 	n := len(input)
@@ -74,12 +77,17 @@ func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 	SortTuplesIntoColumns(input, dstKeys, dstPays, nil)
 	checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumns", input, want, dstKeys, dstPays)
 
-	// A loose bound must sort the same as the exact one.
-	if maxKey := maxKeyOf(input); maxKey < math.MaxUint64/2 {
+	// The position carrier, under the exact and a loose key bound, must sort
+	// the same.
+	maxKey, _ := Bounds(input)
+	for _, bound := range []uint64{maxKey, 2*maxKey + 1} {
+		if _, _, ok := packedCarrier(n, bound, math.MaxUint64); !ok || bound < maxKey {
+			continue
+		}
 		clear(dstKeys)
 		clear(dstPays)
-		SortTuplesIntoColumnsWithMax(input, dstKeys, dstPays, 2*maxKey+1, nil)
-		checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumnsWithMax(loose)", input, want, dstKeys, dstPays)
+		SortTuplesIntoColumnsWithBounds(input, dstKeys, dstPays, bound, math.MaxUint64, nil)
+		checkColumnsAgainstStdlib(t, fmt.Sprintf("%s/position-carrier(maxKey=%d)", name, bound), input, want, dstKeys, dstPays)
 	}
 }
 
@@ -174,9 +182,9 @@ func TestSortColumnsOversizedBucket(t *testing.T) {
 	}
 }
 
-// TestSortColumnsPackBoundary pins both sides of the packedIndexBits
-// boundary — the widest keys that still pack, and the narrowest that take the
-// row-sort fallback — plus full-width keys.
+// TestSortColumnsPackBoundary pins both sides of the packedCarrier boundary
+// for payloads that are positions — the widest keys that still pack, and the
+// narrowest that take the row-sort fallback — plus full-width keys.
 func TestSortColumnsPackBoundary(t *testing.T) {
 	for _, n := range []int{100, 5000} {
 		idxBits := bits.Len(uint(n - 1))
@@ -185,9 +193,6 @@ func TestSortColumnsPackBoundary(t *testing.T) {
 			"falls-back": 1 << (64 - idxBits),
 			"max-uint64": math.MaxUint64,
 		} {
-			if _, ok := packedIndexBits(n, top); ok != (name == "packs") {
-				t.Fatalf("%s/n=%d: packedIndexBits = %v", name, n, ok)
-			}
 			rng := rand.New(rand.NewSource(int64(n)))
 			input := make([]relation.Tuple, n)
 			for i := range input {
@@ -195,6 +200,10 @@ func TestSortColumnsPackBoundary(t *testing.T) {
 			}
 			input[n/2].Key = top
 			input[n/3].Key = top
+			maxKey, payBound := Bounds(input)
+			if _, _, ok := packedCarrier(n, maxKey, payBound); ok != (name == "packs") {
+				t.Fatalf("%s/n=%d: packedCarrier ok = %v", name, n, ok)
+			}
 			sortBothWays(t, fmt.Sprintf("%s/n=%d", name, n), input)
 		}
 	}
@@ -284,27 +293,29 @@ func TestSortColumnsPayloadPairing(t *testing.T) {
 	}
 }
 
-// fuzzShape decodes fuzz bytes into a sort input. Three header bytes choose
+// fuzzShape decodes fuzz bytes into a sort input. Four header bytes choose
 // the shape, the rest are 8-byte keys: every key is shifted right by
 // data[0]%64 (so that the fuzzer reaches keys narrow enough to pack), and a
 // non-zero data[1] tiles the decoded keys to l2Values + data[1] tuples — past
 // the stage-1 threshold — repetition r adding r*data[2] to each key, so a
 // handful of keys decides which stage-1 buckets fill, which stay empty and
-// what stage 2 finds inside them. Payloads are distinct 64-bit values.
+// what stage 2 finds inside them. Payloads are scrambled positions shifted
+// right by data[3]%65, so that key and payload fit one word together (the
+// payload carrier) or do not (the position carrier).
 func fuzzShape(data []byte) []relation.Tuple {
-	if len(data) < 3 {
+	if len(data) < 4 {
 		return nil
 	}
-	shift, extra, stride := uint(data[0])%64, int(data[1]), uint64(data[2])
-	m := (len(data) - 3) / 8
+	shift, extra, stride, payShift := uint(data[0])%64, int(data[1]), uint64(data[2]), uint(data[3])%65
+	m := (len(data) - 4) / 8
 	n := m
 	if extra > 0 && m > 0 {
 		n = l2Values + extra
 	}
 	input := make([]relation.Tuple, n)
 	for i := range input {
-		k := binary.LittleEndian.Uint64(data[3+i%m*8:]) + uint64(i/m)*stride
-		input[i] = relation.Tuple{Key: k >> shift, Payload: ^uint64(i) * 0x9E3779B97F4A7C15}
+		k := binary.LittleEndian.Uint64(data[4+i%m*8:]) + uint64(i/m)*stride
+		input[i] = relation.Tuple{Key: k >> shift, Payload: ^uint64(i) * 0x9E3779B97F4A7C15 >> payShift}
 	}
 	return input
 }
@@ -312,31 +323,38 @@ func fuzzShape(data []byte) []relation.Tuple {
 // FuzzSortColumnsDifferential fuzzes the columnar sorts against the stable
 // stdlib sort over the shapes fuzzShape decodes: the seeds put every tuple in
 // one stage-1 bucket, repeat one key and two keys, leave exactly one of the
-// 256 buckets empty, and tile full-width duplicates past l2Values through the
-// row-sort fallback.
+// 256 buckets empty, tile full-width duplicates past l2Values through the
+// row-sort fallback, and pair 40-bit keys with 24-bit payloads (64 bits: the
+// payload carrier) and 41-bit keys with them (65: the position carrier).
 func FuzzSortColumnsDifferential(f *testing.F) {
-	shaped := func(shift, extra, stride byte, keys ...uint64) []byte {
-		data := []byte{shift, extra, stride}
+	shaped := func(shift, extra, stride, payShift byte, keys ...uint64) []byte {
+		data := []byte{shift, extra, stride, payShift}
 		for _, k := range keys {
 			data = binary.LittleEndian.AppendUint64(data, k)
 		}
 		return data
 	}
 	f.Add([]byte{})
-	f.Add(shaped(0, 0, 0, 0x0807060504030201))
-	f.Add(shaped(0, 0, 0, math.MaxUint64))
-	f.Add(shaped(0, 0, 0, 1, 1<<8, 1<<16, 1<<24, 1<<32, 1<<40, 1<<48, 1<<56))
-	f.Add(shaped(0, 1, 0, 42))                                              // all equal
-	f.Add(shaped(0, 200, 0, 1<<40, 3))                                      // two keys, two buckets
-	f.Add(shaped(32, 7, 5, 0x80ffffff<<32, 0x80000000<<32, 0x80123456<<32)) // one bucket holds every tuple
+	f.Add(shaped(0, 0, 0, 0, 0x0807060504030201))
+	f.Add(shaped(0, 0, 0, 0, math.MaxUint64))
+	f.Add(shaped(0, 0, 0, 64, math.MaxUint64, 5, math.MaxUint64, 1<<63)) // full-width keys beside zero payloads pack
+	f.Add(shaped(0, 0, 0, 0, 1, 1<<8, 1<<16, 1<<24, 1<<32, 1<<40, 1<<48, 1<<56))
+	f.Add(shaped(0, 1, 0, 0, 42))                                              // all equal
+	f.Add(shaped(0, 200, 0, 0, 1<<40, 3))                                      // two keys, two buckets
+	f.Add(shaped(32, 7, 5, 0, 0x80ffffff<<32, 0x80000000<<32, 0x80123456<<32)) // one bucket holds every tuple
+	carriers := []uint64{1 << 63, 0x5a5a << 48, 0x5a5a << 48, 3 << 62, 1 << 60, 1 << 60}
+	f.Add(shaped(24, 0, 0, 40, carriers...))   // 40 + 24 bits: the payload carrier
+	f.Add(shaped(23, 0, 0, 40, carriers...))   // 41 + 24 bits: the position carrier
+	f.Add(shaped(24, 150, 3, 40, carriers...)) // both past l2Values
+	f.Add(shaped(23, 150, 3, 40, carriers...))
 	allButOne := make([]uint64, 0, radixBuckets-1)
 	for b := uint64(0); b < radixBuckets; b++ {
 		if b != 7 {
 			allButOne = append(allButOne, b<<8|b)
 		}
 	}
-	f.Add(shaped(0, 255, 0, allButOne...))                     // bucket 7 of 256 stays empty
-	f.Add(shaped(0, 200, 1, 1<<63|5, 1<<63|5, math.MaxUint64)) // full-width duplicates past l2Values
+	f.Add(shaped(0, 255, 0, 0, allButOne...))                     // bucket 7 of 256 stays empty
+	f.Add(shaped(0, 200, 1, 0, 1<<63|5, 1<<63|5, math.MaxUint64)) // full-width duplicates past l2Values
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sortBothWays(t, "fuzz", fuzzShape(data))
 	})

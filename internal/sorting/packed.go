@@ -10,28 +10,28 @@ import (
 
 // Packed fast path of the columnar sorts — the run-generation kernel of the
 // batch execution path. When the key domain leaves enough low bits free (the
-// paper's datasets use 32-bit keys in 64-bit slots), an index packs into
-// those bits:
+// paper's datasets use 32-bit keys in 64-bit slots), the low w bits carry the
+// payload itself if key and payload fit 64 bits together, else a position:
 //
-//	packed[i] = key << idxBits | position
+//	packed[i] = key << w | payload     or     key << w | position
 //
-// and the sort moves ONE uint64 per element, recovering the index by a mask
-// when the payload column is gathered. The kernel has two stages, both out of
-// place and both stable, and only the first reads the source — sequentially
-// (key domain, histogram, scatter), never by index:
+// and the sort moves ONE uint64 per element: a sorted word is split into key
+// and payload, or the payload is gathered through the position. The kernel
+// has two stages, both out of place and both stable, and only the first
+// reads the source — sequentially (bounds, histogram, scatter), never by index:
 //
 //  1. One MSD scatter on the top 8 bits of the key (all of a narrower key),
 //     fused with the packing (and, for AoS input, the deinterleave): a
 //     histogram read of the source, then one sequential read feeding 256
-//     cursors. A tuple's packed word goes to dstPays at its cursor and its
-//     PAYLOAD to the same slot of the still unwritten dstKeys; the index in
-//     the word is that slot, the tuple's position in the scattered order.
-//     The scatter keeps source order inside a bucket, so equal keys ordered
-//     by position are in source order. An input small enough for stage 2 as
-//     it stands (l2Values) is one bucket and only packed: position = index.
+//     cursors. A tuple's packed word goes to dstPays at its cursor; under the
+//     position carrier its PAYLOAD goes to the same slot of the still
+//     unwritten dstKeys, and the index in the word is that slot, the tuple's
+//     position in the scattered order. The scatter keeps source order inside
+//     a bucket. An input small enough for stage 2 as it stands (l2Values) is
+//     one bucket and only packed: position = index.
 //  2. Every bucket — by now cache-resident — is finished by stable counting
 //     passes over its remaining KEY bits only (stability keeps equal keys in
-//     position order, so the index bits are never sorted), ping-ponging
+//     source order, so the low w bits are never sorted on), ping-ponging
 //     between its range of dstPays and ONE scratch buffer the size of the
 //     fullest bucket, known from the histogram, leased through Scratch and
 //     reused for every bucket, so it stays cache-hot. One pass on the top
@@ -44,21 +44,23 @@ import (
 //
 // Who owns what, per bucket range: dstPays holds the packed words until the
 // bucket is sorted — the sorted words end in the scratch — and then the
-// payloads, gathered through the sorted positions from the same range of
-// dstKeys, one cache-resident range into another; dstKeys holds the payloads
-// in scattered order until that gather and the keys after it.
+// payloads, split off or gathered from the same range of dstKeys; dstKeys
+// holds the parked payloads, if any, until then and the keys after.
 //
-// The fallback condition is exact: packing applies iff the maximum key and
-// the index width together fit in 64 bits, so full-width keys (the string and
-// composite encodings) take the row sort and a deinterleave (columns.go).
+// The fallback condition is exact (packedCarrier): full-width keys (the
+// string and composite encodings) beside non-zero payloads take the row sort
+// and a deinterleave (columns.go).
 
-// packedIndexBits returns the low-bit width needed to address n positions
-// and whether key<<idxBits|index packing fits in 64 bits for maxKey.
-func packedIndexBits(n int, maxKey uint64) (idxBits int, ok bool) {
-	if n > 1 {
-		idxBits = bits.Len(uint(n - 1))
+// packedCarrier picks the low bits of the packed words for n tuples with keys
+// up to maxKey and payloads up to payBound: the payload (inWord) when the two
+// fit in 64 bits, else the position where key and index do (ok). w is the
+// carrier's width.
+func packedCarrier(n int, maxKey, payBound uint64) (w int, inWord, ok bool) {
+	if w = bits.Len64(payBound); bits.Len64(maxKey)+w <= 64 {
+		return w, true, true
 	}
-	return idxBits, idxBits == 0 || maxKey>>(64-idxBits) == 0
+	w = bits.Len(uint(max(n, 1) - 1))
+	return w, false, bits.Len64(maxKey)+w <= 64
 }
 
 const (
@@ -90,11 +92,12 @@ type packedScratch struct{ counters [1 << spreadMaxDigit]uint32 }
 var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 
 // finishPacked is stage 2. Stage 1 left bucket b's packed words in
-// pays[bounds[b]:bounds[b+1]], agreeing on every bit from hi up, and every
-// tuple's payload in keys at the position its word carries. Each bucket is
-// sorted on key bits [idxBits, hi) into the bucket scratch and unpacked from
-// there: payloads into pays, then keys over the payloads' old place.
-func finishPacked(keys, pays []uint64, bounds []int, idxBits, hi int, scratch Scratch) {
+// pays[bounds[b]:bounds[b+1]], agreeing on every bit from hi up, and — under
+// the position carrier — every tuple's payload in keys at the position its
+// word carries. Each bucket is sorted on key bits [w, hi) into the bucket
+// scratch and unpacked from there: payloads into pays, split off the words or
+// gathered, then keys over the payloads' old place.
+func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int, scratch Scratch) {
 	fullest := 0
 	for b := 0; b+1 < len(bounds); b++ {
 		fullest = max(fullest, bounds[b+1]-bounds[b])
@@ -106,28 +109,33 @@ func finishPacked(keys, pays []uint64, bounds []int, idxBits, hi int, scratch Sc
 		buf = scratch.Uint64s(fullest)
 		defer scratch.PutUint64s(buf)
 	}
-	mask := uint64(1)<<idxBits - 1
+	mask := uint64(1)<<w - 1
 	s := packedScratchPool.Get().(*packedScratch)
 	for b := 0; b+1 < len(bounds); b++ {
 		lo, end := bounds[b], bounds[b+1]
-		packed, sorted := pays[lo:end], buf[:end-lo]
-		if !s.sortBucket(packed, sorted, idxBits, hi) {
+		packed, sorted, bucketKeys := pays[lo:end], buf[:end-lo], keys[lo:end]
+		if !s.sortBucket(packed, sorted, w, hi) {
 			copy(sorted, packed)
+		}
+		if inWord {
+			for i, p := range sorted {
+				packed[i], bucketKeys[i] = p&mask, p>>w
+			}
+			continue
 		}
 		for i, p := range sorted {
 			packed[i] = keys[p&mask]
 		}
-		bucketKeys := keys[lo:end]
 		for i, p := range sorted {
-			bucketKeys[i] = p >> idxBits
+			bucketKeys[i] = p >> w
 		}
 	}
 	packedScratchPool.Put(s)
 }
 
-// sortBucket stably sorts a, whose values agree on every bit from hi up and
-// arrive in position order, by bits [lo, hi); b is scratch of the same length.
-// It reports whether the result is in b instead of a.
+// sortBucket stably sorts a, whose values agree on every bit from hi up, by
+// bits [lo, hi); b is scratch of the same length. It reports whether the
+// result is in b instead of a. Bits below lo never decide the order.
 //
 // The common case is one counting pass from a into b on the top log2(n) bits
 // of [lo, hi), which leaves uniform-enough keys about one to a bin, and an
@@ -141,9 +149,9 @@ func (s *packedScratch) sortBucket(a, b []uint64, lo, hi int) (inB bool) {
 	case n < 2 || hi <= lo:
 		return false
 	case n <= packedInsertionCutoff:
-		insertionSortU64(a) // whole-word order is (key, position): stable
+		insertionSortU64(a, lo)
 		return false
-	case slices.IsSorted(a):
+	case slices.IsSorted(a): // words in order are keys in order, equal keys in source order
 		return false // free on unsorted input: the scan stops at the first descent
 	}
 	digit := min(hi-lo, bits.Len(uint(n)), spreadMaxDigit)
@@ -167,7 +175,7 @@ func (s *packedScratch) sortBucket(a, b []uint64, lo, hi int) (inB bool) {
 	switch {
 	case shift == lo: // the digit covered every remaining bit
 	case fullest <= spreadMaxBin:
-		insertionSortU64(b)
+		insertionSortU64(b, lo)
 	default:
 		// The recursion reuses the counters, so the bins are found again by
 		// their digit, which sits above the bits they still differ in.
@@ -185,12 +193,14 @@ func (s *packedScratch) sortBucket(a, b []uint64, lo, hi int) (inB bool) {
 	return true
 }
 
-// insertionSortU64 sorts a tiny bucket in place.
-func insertionSortU64(packed []uint64) {
+// insertionSortU64 stably sorts a tiny bucket in place by its bits from lo up.
+func insertionSortU64(packed []uint64, lo int) {
+	low := uint64(1)<<lo - 1
 	for i := 1; i < len(packed); i++ {
 		p := packed[i]
+		above := p | low // exceeded exactly by the words of greater keys
 		j := i - 1
-		for j >= 0 && packed[j] > p {
+		for j >= 0 && packed[j] > above {
 			packed[j+1] = packed[j]
 			j--
 		}
@@ -206,19 +216,23 @@ func insertionSortU64(packed []uint64) {
 // source layout here and in sortColumnsIntoPacked: reaching the source through
 // two accessor closures instead measured 20–40 % slower end to end (24 → 33
 // ns/tuple at 2^20).
-func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, idxBits int, scratch Scratch) {
+func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, scratch Scratch) {
 	n := len(src)
-	hi := idxBits + bits.Len64(maxKey)
+	hi := w + bits.Len64(maxKey)
 	var bounds [radixBuckets + 1]int
 	buckets := 1
 	if n <= l2Values {
 		bounds[1] = n
 		for i, t := range src {
-			dstPays[i], dstKeys[i] = t.Key<<idxBits|uint64(i), t.Payload
+			if inWord {
+				dstPays[i] = t.Key<<w | t.Payload
+			} else {
+				dstPays[i], dstKeys[i] = t.Key<<w|uint64(i), t.Payload
+			}
 		}
 	} else {
-		buckets, hi = radixBuckets, max(hi-radixBits, idxBits)
-		shift := hi - idxBits
+		buckets, hi = radixBuckets, max(hi-radixBits, w)
+		shift := hi - w
 		for _, t := range src {
 			bounds[int(t.Key>>shift)&radixMask+1]++
 		}
@@ -229,30 +243,38 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 		for _, t := range src {
 			b := int(t.Key>>shift) & radixMask
 			pos := cursors[b]
-			dstPays[pos], dstKeys[pos] = t.Key<<idxBits|uint64(pos), t.Payload
+			if inWord {
+				dstPays[pos] = t.Key<<w | t.Payload
+			} else {
+				dstPays[pos], dstKeys[pos] = t.Key<<w|uint64(pos), t.Payload
+			}
 			cursors[b] = pos + 1
 		}
 	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], idxBits, hi, scratch)
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, scratch)
 }
 
 // sortColumnsIntoPacked is the packed path of SortColumnsInto: sortTuplesPacked
 // line for line over a columnar source. Its one caller outside the tests is
 // the end-to-end benchmark's sorting layer, which brings no Scratch.
-func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, idxBits int) {
+func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool) {
 	n := len(srcKeys)
 	srcPays = srcPays[:n]
-	hi := idxBits + bits.Len64(maxKey)
+	hi := w + bits.Len64(maxKey)
 	var bounds [radixBuckets + 1]int
 	buckets := 1
 	if n <= l2Values {
 		bounds[1] = n
 		for i, k := range srcKeys {
-			dstPays[i], dstKeys[i] = k<<idxBits|uint64(i), srcPays[i]
+			if inWord {
+				dstPays[i] = k<<w | srcPays[i]
+			} else {
+				dstPays[i], dstKeys[i] = k<<w|uint64(i), srcPays[i]
+			}
 		}
 	} else {
-		buckets, hi = radixBuckets, max(hi-radixBits, idxBits)
-		shift := hi - idxBits
+		buckets, hi = radixBuckets, max(hi-radixBits, w)
+		shift := hi - w
 		for _, k := range srcKeys {
 			bounds[int(k>>shift)&radixMask+1]++
 		}
@@ -263,9 +285,13 @@ func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey u
 		for i, k := range srcKeys {
 			b := int(k>>shift) & radixMask
 			pos := cursors[b]
-			dstPays[pos], dstKeys[pos] = k<<idxBits|uint64(pos), srcPays[i]
+			if inWord {
+				dstPays[pos] = k<<w | srcPays[i]
+			} else {
+				dstPays[pos], dstKeys[pos] = k<<w|uint64(pos), srcPays[i]
+			}
 			cursors[b] = pos + 1
 		}
 	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], idxBits, hi, nil)
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil)
 }

@@ -76,7 +76,7 @@ func TestPackedPayloadBits(t *testing.T) {
 		for i := range input {
 			input[i].Key = rng.Uint64() >> 40 % uint64(n/2+1) << 12
 		}
-		idxBits, ok := packedIndexBits(n, maxKeyOf(input))
+		idxBits, _, ok := packedCarrier(n, maxKeyOf(input), math.MaxUint64)
 		if !ok {
 			t.Fatalf("n=%d: input does not pack", n)
 		}
@@ -156,7 +156,7 @@ func TestPackedLeaseAccounting(t *testing.T) {
 		keys, pays := make([]uint64, n), make([]uint64, n)
 		before := lease.Stats()
 
-		SortTuplesIntoColumnsWithMax(input, keys, pays, maxKeyOf(input), lease)
+		SortTuplesIntoColumnsWithBounds(input, keys, pays, maxKeyOf(input), math.MaxUint64, lease)
 		checkColumnsAgainstStdlib(t, name, input, stdlibOracle(input), keys, pays)
 
 		after := lease.Stats()
@@ -169,5 +169,79 @@ func TestPackedLeaseAccounting(t *testing.T) {
 			t.Fatalf("%s: the bucket scratch did not come back to the lease: %+v after %+v", name, again, after)
 		}
 		lease.Release()
+	}
+}
+
+// TestPackedCarriers pins which carrier the low bits of the packed word take
+// and that both give the stable order pair for pair: key and payload widths
+// that sum to exactly 64 bits (the payload rides in the word) and to 65 (it
+// cannot, so positions do), all payloads zero (a zero-width carrier), every
+// key zero, and a MaxUint64 key beside zero payloads, which packs although
+// the key fills the word. Runs of equal keys carry descending or random
+// payloads, so a fix-up that compared whole words — payload bits included —
+// would reorder them; the dense cases put 2^12 neighbouring keys, each
+// repeated, into one stage-1 bucket, whose bins are too full for the fix-up
+// and recurse.
+func TestPackedCarriers(t *testing.T) {
+	for _, n := range []int{3000, l2Values - 1, l2Values + 1, l2Values + 40000} {
+		idxBits := bits.Len(uint(n - 1))
+		for _, tc := range []struct {
+			name             string
+			keyBits, payBits int // widths of the largest key and payload; -1: none non-zero
+			dense            bool
+			inWord           bool
+		}{
+			{"sum-64", 40, 24, false, true},
+			{"sum-64-dense", 40, 24, true, true},
+			{"sum-65", 41, 24, false, false},
+			{"sum-65-dense", 41, 24, true, false},
+			{"zero-payloads", 32, -1, true, true},
+			{"zero-keys", -1, 64, false, true},
+			{"max-uint64-key", 64, -1, false, true},
+		} {
+			for _, order := range []string{"descending", "random"} {
+				name := fmt.Sprintf("%s/%s/n=%d", tc.name, order, n)
+				rng := rand.New(rand.NewSource(int64(n + tc.keyBits<<8 + tc.payBits<<16)))
+				pool := make([]uint64, n/8) // every key repeats about eight times
+				for i := range pool {
+					pool[i] = rng.Uint64() >> (64 - max(tc.keyBits, 0))
+				}
+				input := make([]relation.Tuple, n)
+				for i := range input {
+					k := pool[rng.Intn(len(pool))]
+					if tc.dense && i%2 == 0 {
+						k = 0x5a<<(tc.keyBits-8) | uint64(rng.Intn(1<<12))
+					}
+					var p uint64
+					if tc.payBits > 0 {
+						p = uint64(n-i) << (tc.payBits - bits.Len(uint(n))) // descending
+						if order == "random" {
+							p = rng.Uint64() >> (64 - tc.payBits)
+						}
+					}
+					input[i] = relation.Tuple{Key: k, Payload: p}
+				}
+				if tc.keyBits > 0 {
+					input[n/3].Key = 1<<tc.keyBits - 1 // the key bound has exactly keyBits bits
+				}
+				if tc.payBits > 0 {
+					input[n/2].Payload = 1 << (tc.payBits - 1)
+				}
+				maxKey, payBound := Bounds(input)
+				w, inWord, ok := packedCarrier(n, maxKey, payBound)
+				if !ok || inWord != tc.inWord || inWord && w != max(tc.payBits, 0) || !inWord && w != idxBits {
+					t.Fatalf("%s: packedCarrier = (%d, %v, %v), want the %s carrier", name, w, inWord, ok, map[bool]string{true: "payload", false: "position"}[tc.inWord])
+				}
+				want := stdlibOracle(input)
+				keys, pays := make([]uint64, n), make([]uint64, n)
+				SortTuplesIntoColumns(input, keys, pays, nil)
+				for i := range want {
+					if keys[i] != want[i].Key || pays[i] != want[i].Payload {
+						t.Fatalf("%s: (%d, %d) at %d, the stable order has (%d, %d)", name, keys[i], pays[i], i, want[i].Key, want[i].Payload)
+					}
+				}
+				sortBothWays(t, name, input)
+			}
+		}
 	}
 }

@@ -2,12 +2,12 @@
 // Section 2.3) in two families.
 //
 // The columnar batch path sorts into key and payload columns
-// (SortTuplesIntoColumns, SortColumnsInto). Keys that leave room for an
-// index — the paper's 32-bit domains always do — take the packed kernel of
-// packed.go: one out-of-place MSD scatter, then stable counting passes over
-// the key bits only, which skew and duplicates cannot slow down. Keys too
-// wide to pack are sorted as tuples by the row path below and deinterleaved
-// into the columns afterwards (columns.go).
+// (SortTuplesIntoColumns, SortColumnsInto). Keys that leave room for the
+// payload or an index — the paper's 32-bit domains always do — take the
+// packed kernel of packed.go: one out-of-place MSD scatter of words holding
+// the key above either, then stable counting passes over the key bits only,
+// which skew and duplicates cannot slow down. Keys too wide to pack are sorted
+// as tuples by the row path below and deinterleaved afterwards (columns.go).
 //
 // The row path (Sort, SortWithMax, SortInto) serves full-width keys on the
 // columnar path, the benchmark probes and the test oracles — B-, P- and
