@@ -60,9 +60,8 @@ type ExplainNode struct {
 	// -1 when the plan was not executed or the node's output was never
 	// counted.
 	ActualRows int64 `json:"actual_rows"`
-	// EstDistinct and Skew describe the estimated output key distribution.
+	// EstDistinct is the estimated number of distinct output keys.
 	EstDistinct float64 `json:"est_distinct,omitempty"`
-	Skew        float64 `json:"skew,omitempty"`
 
 	// Join-node decisions.
 	Algorithm string `json:"algorithm,omitempty"`
@@ -73,7 +72,6 @@ type ExplainNode struct {
 	// planner's choice, and Reason gives the speed-up that decided it.
 	Workers          int           `json:"workers,omitempty"`
 	WorkersBound     int           `json:"workers_bound,omitempty"`
-	MorselSize       int           `json:"morsel_size,omitempty"`
 	PresortedPrivate bool          `json:"presorted_private,omitempty"`
 	PresortedPublic  bool          `json:"presorted_public,omitempty"`
 	Swapped          bool          `json:"swapped,omitempty"`
@@ -196,7 +194,6 @@ func (e *Engine) explain(p *Plan, opts []Option) (*Explain, *exec.Plan, error) {
 			EstRows:     d.EstRows,
 			ActualRows:  -1,
 			EstDistinct: d.EstDistinct,
-			Skew:        d.Skew,
 			Keys:        d.Keys,
 			Reason:      d.Reason,
 		}
@@ -223,7 +220,6 @@ func (e *Engine) explain(p *Plan, opts []Option) (*Explain, *exec.Plan, error) {
 			en.Algorithm = d.Algorithm.String()
 			en.Scheduler = d.Scheduler.String()
 			en.Workers, en.WorkersBound = d.Workers, d.Bound
-			en.MorselSize = d.MorselSize
 			en.PresortedPrivate = d.PresortedPrivate
 			en.PresortedPublic = d.PresortedPublic
 			en.Swapped = d.Swapped

@@ -162,9 +162,6 @@ func NewScratch(size int, lease *memory.Lease) *Scratch {
 	return &Scratch{lease: lease, size: size, idx: lease.Int32s(4 * size)}
 }
 
-// Cap returns the batch capacity in entries.
-func (s *Scratch) Cap() int { return s.size }
-
 // Ranges returns the scratch's range batch pointed at the columns of one
 // kernel call, its index columns at full capacity. The batch is reused by the
 // next call: consumers must not retain it.

@@ -11,20 +11,6 @@ import "math/bits"
 // qualifying indices: the index is written unconditionally and the cursor
 // advances by the borrow, the standard branch-free selection idiom.
 
-// CountRange returns how many keys lie in [lo, hi). hi <= lo selects nothing.
-func CountRange(keys []uint64, lo, hi uint64) int {
-	if hi <= lo {
-		return 0
-	}
-	width := hi - lo
-	n := 0
-	for _, k := range keys {
-		_, borrow := bits.Sub64(k-lo, width, 0)
-		n += int(borrow)
-	}
-	return n
-}
-
 // SelectRange writes the indices of the keys in [lo, hi) into sel, in input
 // order, and returns their count. sel must have at least len(keys) elements;
 // every slot up to that capacity may be scribbled on (the unconditional-write

@@ -107,8 +107,7 @@ type Options struct {
 	Scheduler sched.Mode
 	// MorselSize is the number of private-run tuples per morsel in the
 	// morsel-driven match phases of B-MPSM, P-MPSM and the Wisconsin probe;
-	// 0 selects sched.DefaultMorselSize. The planner halves it under heavy
-	// skew.
+	// 0 selects sched.DefaultMorselSize.
 	MorselSize int
 
 	// Sink receives the joined tuple stream. A nil Sink selects the built-in

@@ -52,7 +52,7 @@ func TestFusedAggregateAllocatesOnlyItsOutput(t *testing.T) {
 			var bytes [2]uint64
 			for i, mult := range []int{2, 8} {
 				r, s := dataset(20000, mult, 311) // ~20k distinct keys, 40k and 160k pairs
-				groups := len(relation.KeyHistogram(r.Tuples))
+				groups := distinctKeys(r.Tuples)
 				p := &Plan{}
 				in := p.AddJoin(p.AddScan(r, nil), p.AddScan(s, nil), alg, core.Options{Workers: 4}, core.DiskOptions{})
 				if project != nil {

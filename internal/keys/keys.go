@@ -213,9 +213,6 @@ func StringValue(v string) Value { return Value{t: Bytes, b: []byte(v)} }
 // NullValue returns the null value; it is valid for any nullable column.
 func NullValue() Value { return Value{null: true} }
 
-// Null reports whether the value is null.
-func (v Value) Null() bool { return v.null }
-
 // checkType verifies a value against its column.
 func checkType(col Column, v Value) error {
 	if v.null {

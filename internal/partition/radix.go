@@ -173,45 +173,6 @@ func UniformSplitters(clusters, numPartitions int) SplitterVector {
 	return sp
 }
 
-// PartitionSizes returns the number of tuples that each target partition will
-// receive, according to the global histogram and the splitter vector.
-func PartitionSizes(global Histogram, sp SplitterVector, numPartitions int) []int {
-	sizes := make([]int, numPartitions)
-	for cluster, count := range global {
-		sizes[sp[cluster]] += count
-	}
-	return sizes
-}
-
-// PartitionBounds returns, for every target partition, the inclusive low key
-// and exclusive high key of the key range it covers under cfg and sp.
-func PartitionBounds(cfg RadixConfig, sp SplitterVector, numPartitions int) (low, high []uint64) {
-	low = make([]uint64, numPartitions)
-	high = make([]uint64, numPartitions)
-	for p := 0; p < numPartitions; p++ {
-		low[p] = ^uint64(0)
-		high[p] = 0
-	}
-	for cluster, p := range sp {
-		cl := cfg.ClusterLowKey(cluster)
-		ch := cfg.ClusterHighKey(cluster)
-		if cl < low[p] {
-			low[p] = cl
-		}
-		if ch > high[p] {
-			high[p] = ch
-		}
-	}
-	// Partitions that received no cluster (possible when T > clusters)
-	// collapse to an empty range.
-	for p := 0; p < numPartitions; p++ {
-		if low[p] > high[p] {
-			low[p], high[p] = 0, 0
-		}
-	}
-	return low, high
-}
-
 // PrefixSums holds, for every (worker, partition) pair, the index within the
 // target partition's array at which the worker starts writing its tuples. The
 // offsets are exactly the paper's ps_i[j]: worker i writes its tuples for

@@ -200,23 +200,6 @@ func TestSplitterVectorValidate(t *testing.T) {
 	}
 }
 
-func TestPartitionSizesAndBounds(t *testing.T) {
-	cfg := NewRadixConfig(2, 31)
-	global := Histogram{7, 3, 3, 1} // Figure 10's combined histogram
-	sp := SplitterVector{0, 1, 1, 1}
-	sizes := PartitionSizes(global, sp, 2)
-	if sizes[0] != 7 || sizes[1] != 7 {
-		t.Fatalf("sizes = %v, want [7 7]", sizes)
-	}
-	low, high := PartitionBounds(cfg, sp, 2)
-	if low[0] != 0 || high[0] != 8 {
-		t.Fatalf("partition 0 bounds = [%d, %d), want [0, 8)", low[0], high[0])
-	}
-	if low[1] != 8 || high[1] != 32 {
-		t.Fatalf("partition 1 bounds = [%d, %d), want [8, 32)", low[1], high[1])
-	}
-}
-
 func TestComputePrefixSumsPaperExample(t *testing.T) {
 	// Figure 6: two workers, B = 1. h1 = {4, 3}, h2 = {3, 4}.
 	h1 := Histogram{4, 3}
@@ -266,11 +249,10 @@ func TestScatterPreservesTuplesAndRanges(t *testing.T) {
 		t.Fatal("scatter lost or duplicated tuples")
 	}
 	// Every tuple is in the partition covering its key.
-	low, high := PartitionBounds(cfg, sp, workers)
 	for p, tgt := range targets {
 		for _, tup := range tgt {
-			if tup.Key < low[p] || tup.Key >= high[p] {
-				t.Fatalf("tuple key %d in partition %d with range [%d, %d)", tup.Key, p, low[p], high[p])
+			if owner := sp[cfg.Cluster(tup.Key)]; owner != p {
+				t.Fatalf("tuple key %d in partition %d, its cluster belongs to %d", tup.Key, p, owner)
 			}
 		}
 	}
@@ -325,8 +307,9 @@ func TestExplicitBoundsScatterMatchesRadix(t *testing.T) {
 	all := makeTuples(5000, 9, 1<<16)
 
 	bounds := make([]uint64, workers)
-	_, high := PartitionBounds(cfg, sp, workers)
-	copy(bounds, high)
+	for cl, p := range sp {
+		bounds[p] = max(bounds[p], cfg.ClusterHighKey(cl))
+	}
 
 	hRadix := BuildHistogram(all, cfg)
 	hExplicit := BuildHistogramExplicitBounds(all, bounds)

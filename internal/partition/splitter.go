@@ -205,38 +205,3 @@ func EquiHeightSplitters(globalR Histogram, workers int) SplitterVector {
 	}
 	return sp
 }
-
-// MaxPartitionCost evaluates the maximum per-partition split-relevant cost of
-// a given splitter vector. It is used by tests and by the Figure 16 harness to
-// compare equi-height with equi-cost splitters.
-func MaxPartitionCost(globalR Histogram, cdf *CDF, cfg RadixConfig, cost SplitterCost, sp SplitterVector) float64 {
-	workers := cost.Workers
-	rCounts := make([]int, workers)
-	low := make([]uint64, workers)
-	high := make([]uint64, workers)
-	for p := 0; p < workers; p++ {
-		low[p] = ^uint64(0)
-	}
-	for cl, p := range sp {
-		rCounts[p] += globalR[cl]
-		cl0 := cfg.ClusterLowKey(cl)
-		cl1 := cfg.ClusterHighKey(cl)
-		if cl0 < low[p] {
-			low[p] = cl0
-		}
-		if cl1 > high[p] {
-			high[p] = cl1
-		}
-	}
-	maxCost := 0.0
-	for p := 0; p < workers; p++ {
-		var sMass float64
-		if low[p] <= high[p] {
-			sMass = cdf.EstimateRange(low[p], high[p])
-		}
-		if c := cost.PartitionCost(rCounts[p], sMass); c > maxCost {
-			maxCost = c
-		}
-	}
-	return maxCost
-}

@@ -91,13 +91,36 @@ func TestComputeSplittersUniformData(t *testing.T) {
 	if err := sp.Validate(workers); err != nil {
 		t.Fatalf("invalid splitters: %v", err)
 	}
-	sizes := PartitionSizes(globalR, sp, workers)
+	sizes := ComputePrefixSums([]Histogram{globalR}, sp, workers).Sizes
 	for p, s := range sizes {
 		share := float64(s) / float64(n)
 		if share < 0.5/float64(workers) || share > 2.0/float64(workers) {
 			t.Fatalf("partition %d holds %.1f%% of R, expected near %.1f%%", p, share*100, 100.0/float64(workers))
 		}
 	}
+}
+
+// maxPartitionCost is the largest split-relevant cost of a partition under sp:
+// its R tuples against the S mass the CDF puts in its key range.
+func maxPartitionCost(globalR Histogram, cdf *CDF, cfg RadixConfig, cost SplitterCost, sp SplitterVector) float64 {
+	rCounts := make([]int, cost.Workers)
+	low, high := make([]uint64, cost.Workers), make([]uint64, cost.Workers)
+	for p := range low {
+		low[p] = ^uint64(0)
+	}
+	for cl, p := range sp {
+		rCounts[p] += globalR[cl]
+		low[p], high[p] = min(low[p], cfg.ClusterLowKey(cl)), max(high[p], cfg.ClusterHighKey(cl))
+	}
+	maxCost := 0.0
+	for p, r := range rCounts {
+		var sMass float64
+		if low[p] <= high[p] {
+			sMass = cdf.EstimateRange(low[p], high[p])
+		}
+		maxCost = max(maxCost, cost.PartitionCost(r, sMass))
+	}
+	return maxCost
 }
 
 func TestComputeSplittersNegativelyCorrelatedSkew(t *testing.T) {
@@ -128,8 +151,8 @@ func TestComputeSplittersNegativelyCorrelatedSkew(t *testing.T) {
 		t.Fatalf("invalid equi-height splitters: %v", err)
 	}
 
-	maxEquiCost := MaxPartitionCost(globalR, cdf, cfg, cost, equiCost)
-	maxEquiHeight := MaxPartitionCost(globalR, cdf, cfg, cost, equiHeight)
+	maxEquiCost := maxPartitionCost(globalR, cdf, cfg, cost, equiCost)
+	maxEquiHeight := maxPartitionCost(globalR, cdf, cfg, cost, equiHeight)
 	if maxEquiCost > maxEquiHeight {
 		t.Fatalf("equi-cost splitters (max %.0f) should not be worse than equi-height (max %.0f)", maxEquiCost, maxEquiHeight)
 	}
@@ -183,7 +206,7 @@ func TestEquiHeightSplittersBalanceRCounts(t *testing.T) {
 	if err := sp.Validate(workers); err != nil {
 		t.Fatalf("invalid splitters: %v", err)
 	}
-	sizes := PartitionSizes(globalR, sp, workers)
+	sizes := ComputePrefixSums([]Histogram{globalR}, sp, workers).Sizes
 	for p, s := range sizes {
 		share := float64(s) / 40000.0
 		if share < 0.1 || share > 0.5 {

@@ -517,8 +517,9 @@ type AlgorithmCost struct {
 	Eligible bool
 }
 
-// inputsFor assembles the cost-model features from the two input profiles.
-func inputsFor(build, probe *stats.Profile, matches, groups float64, c Constraints, mode sched.Mode, workers int) joinInputs {
+// inputsFor assembles the cost-model features from the two input profiles,
+// on the given worker count under the mode the join runs there.
+func inputsFor(build, probe *stats.Profile, matches, groups float64, c Constraints, workers int) joinInputs {
 	return joinInputs{
 		build:            float64(build.Tuples),
 		probe:            float64(probe.Tuples),
@@ -527,7 +528,7 @@ func inputsFor(build, probe *stats.Profile, matches, groups float64, c Constrain
 		presortedBuild:   build.LikelySorted(),
 		presortedProbe:   probe.LikelySorted(),
 		workers:          workers,
-		static:           mode == sched.Static,
+		static:           c.modeOn(workers) == sched.Static,
 		simulatedLatency: c.LatencyNs,
 		tieBreak:         build.KeyTieBreak || probe.KeyTieBreak,
 		collision:        math.Max(build.PrefixCollisionRate, probe.PrefixCollisionRate),

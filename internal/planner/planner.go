@@ -1,10 +1,11 @@
 // Package planner is the cost-based query planner: it turns the sampled
 // relation statistics of internal/stats into physical execution choices for
 // operator plans — which join algorithm runs each Join node and on how many
-// workers, in which order a chain of joins consumes its inputs, whether the
-// match phase is scheduled statically or morsel-driven, whether presorted
-// inputs skip their sort phase, and whether a group-by on the join key runs
-// as a groupjoin in place of the joins below it. A join is costed together
+// workers, in which order a chain of joins consumes its inputs, whether
+// presorted inputs skip their sort phase, and whether a group-by on the join
+// key runs as a groupjoin in place of the joins below it. The scheduling mode
+// is not a choice: a join the planner runs on one worker runs Static, a wider
+// one the mode its caller configured. A join is costed together
 // with what consumes its output: the key-ordered range entries an MPSM join
 // hands on, against a hash join's pairs in probe order, are a property the
 // planner prices (see CostModel). The degree of parallelism is an output like
@@ -47,11 +48,6 @@ import (
 	"repro/internal/stats"
 )
 
-// MorselSkewThreshold is the skew coefficient (max histogram bucket share
-// relative to uniform) above which the match phase switches to morsel
-// scheduling when more than one worker is available.
-const MorselSkewThreshold = 3.0
-
 // Constraints are the parts of a join's configuration the planner must
 // respect when choosing an algorithm.
 type Constraints struct {
@@ -72,6 +68,9 @@ type Constraints struct {
 	// PinWorkers prices the join at exactly Workers instead of choosing a
 	// count: annotating a configured plan describes what will run.
 	PinWorkers bool
+	// Scheduler is the configured match-phase scheduling mode: the Engine's
+	// Static default, an explicit WithScheduler, or a service's Morsel.
+	Scheduler sched.Mode
 	// LatencyNs is the configured simulated disk latency per tuple (D-MPSM).
 	LatencyNs float64
 	// SymmetricConsumer reports that whatever consumes the join's (r, s)
@@ -133,11 +132,9 @@ func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int, to Consumer, tieB
 type Choice struct {
 	// Algorithm is the selected join implementation.
 	Algorithm exec.Algorithm
-	// Scheduler and MorselSize select the match-phase scheduling; a zero
-	// MorselSize keeps the runtime default, heavy skew halves it so the
-	// queue has enough morsels to balance the hot key range.
-	Scheduler  sched.Mode
-	MorselSize int
+	// Scheduler is the match-phase scheduling the join runs under
+	// (Constraints.modeOn).
+	Scheduler sched.Mode
 	// PresortedPrivate/Public declare verified-per-chunk pre-existing sort
 	// orders (after any swap, i.e. for the final build/probe roles).
 	PresortedPrivate, PresortedPublic bool
@@ -221,44 +218,29 @@ func swappable(c Constraints) bool {
 	return c.Kind == mergejoin.Inner && c.Band == 0 && c.SymmetricConsumer
 }
 
-// ChooseJoin picks the cheapest (algorithm, orientation) pair the
-// constraints allow — cheapest together with the join's consumer — and
-// derives the scheduling mode from the skew profile. build/probe are the
-// profiles of the join's current private/public inputs.
-func ChooseJoin(build, probe *stats.Profile, c Constraints, cm CostModel) Choice {
-	matches := stats.EstimateBandJoin(build, probe, c.Band)
-	return chooseJoin(build, probe, matches, stats.JoinOutput(build, probe, matches).DistinctKeys, c, cm)
+// modeOn is the scheduling mode a join runs under on the given worker count.
+// A join the planner runs on one worker runs Static: there is no second
+// worker to hand a morsel to, and the static loop is the quicker one there. A
+// wider join, or one whose count is pinned, keeps the configured mode.
+func (c Constraints) modeOn(workers int) sched.Mode {
+	if workers == 1 && !c.PinWorkers {
+		return sched.Static
+	}
+	return c.Scheduler
 }
 
-// chooseJoin is ChooseJoin for a caller that already estimated the join's
+// chooseJoin picks the cheapest (algorithm, orientation) pair the
+// constraints allow — cheapest together with the join's consumer — and the
+// worker count it runs on. build/probe are the profiles of the join's current
+// private/public inputs; matches and groups are the join's estimated
 // cardinality and the distinct keys of its output.
 func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constraints, cm CostModel) Choice {
-	algs := candidates(c)
-
-	// Skewed or clustered inputs get the morsel-driven match phase: with
-	// several workers it fixes the straggler imbalance static splitters
-	// leave open, and even on one worker the blocked (morsel-sized)
-	// iteration is no slower than the static loop on such inputs. Balanced
-	// uniform inputs keep the paper-faithful static barriers. Neither input
-	// decides this alone, so the mode is the same for every orientation —
-	// and known before the algorithms are priced: morsels change what
-	// B-MPSM's match phase scans.
-	choice := Choice{EstRows: matches, Scheduler: sched.Static}
-	skew := math.Max(build.Skew, probe.Skew)
-	clustered := build.Clustered() || probe.Clustered()
-	if skew >= MorselSkewThreshold || clustered {
-		choice.Scheduler = sched.Morsel
-		if skew >= 2*MorselSkewThreshold {
-			// Twice the skew threshold means one bucket dominates; finer
-			// morsels keep enough stealable units in the hot range.
-			choice.MorselSize = sched.DefaultMorselSize / 2
-		}
-	}
+	choice := Choice{EstRows: matches}
 
 	// The step is judged on the cheapest candidate either side of it, not on
 	// the ones a tie picks: those cost up to Resolution more, and which side
 	// of a step has a tie follows the estimates' noise.
-	ct := contest{cm: cm, algs: algs, build: build, probe: probe, matches: matches, groups: groups, c: c, mode: choice.Scheduler}
+	ct := contest{cm: cm, algs: candidates(c), build: build, probe: probe, matches: matches, groups: groups, c: c}
 	choice.Bound = normWorkers(c.Workers)
 	choice.Workers = choice.Bound
 	if !c.PinWorkers {
@@ -269,6 +251,7 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 	}
 	best, perAlg, _ := ct.at(choice.Workers)
 
+	choice.Scheduler = c.modeOn(choice.Workers)
 	choice.Algorithm, choice.Swap = best.alg, best.swap
 	finalBuild, finalProbe := build, probe
 	if best.swap {
@@ -292,7 +275,7 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 	})
 
 	choice.Keys = keysClause(build, probe)
-	choice.Reason = reasonFor(choice, c, skew, clustered)
+	choice.Reason = reasonFor(choice, c)
 	if choice.Keys != "" {
 		choice.Reason += "; " + choice.Keys
 	}
@@ -340,7 +323,6 @@ type contest struct {
 	build, probe    *stats.Profile
 	matches, groups float64
 	c               Constraints
-	mode            sched.Mode
 }
 
 // at prices every allowed algorithm on the given worker count, each at its
@@ -349,8 +331,8 @@ type contest struct {
 // resolves are a tie, which goes to the first candidate: the same one
 // whichever way the estimates lean.
 func (ct contest) at(workers int) (option, []option, float64) {
-	in := inputsFor(ct.build, ct.probe, ct.matches, ct.groups, ct.c, ct.mode, workers)
-	swapped := inputsFor(ct.probe, ct.build, ct.matches, ct.groups, ct.c, ct.mode, workers)
+	in := inputsFor(ct.build, ct.probe, ct.matches, ct.groups, ct.c, workers)
+	swapped := inputsFor(ct.probe, ct.build, ct.matches, ct.groups, ct.c, workers)
 	perAlg := make([]option, len(ct.algs))
 	cheapest := math.Inf(1)
 	for i, alg := range ct.algs {
@@ -387,7 +369,7 @@ func keysClause(build, probe *stats.Profile) string {
 }
 
 // reasonFor renders the one-line rationale of a join choice.
-func reasonFor(ch Choice, c Constraints, skew float64, clustered bool) string {
+func reasonFor(ch Choice, c Constraints) string {
 	var why string
 	switch {
 	case c.Configured == exec.AlgorithmDMPSM:
@@ -415,14 +397,6 @@ func reasonFor(ch Choice, c Constraints, skew float64, clustered bool) string {
 	if ch.Swap {
 		why += ", roles reversed"
 	}
-	switch {
-	case ch.Scheduler == sched.Morsel && clustered:
-		why += "; morsel scheduling (clustered arrangement)"
-	case ch.Scheduler == sched.Morsel:
-		why += fmt.Sprintf("; morsel scheduling (skew %.1f)", skew)
-	default:
-		why += "; static scheduling (balanced inputs)"
-	}
 	if step := ch.Step.String(); step != "" {
 		why += "; " + step
 	}
@@ -439,14 +413,12 @@ type NodeDecision struct {
 	Inputs []exec.NodeID
 	// EstRows is the estimated output cardinality (0 for sinks).
 	EstRows float64
-	// EstDistinct and Skew describe the estimated output distribution.
+	// EstDistinct is the estimated number of distinct output keys.
 	EstDistinct float64
-	Skew        float64
 
 	// Join-node decisions.
 	Algorithm                         exec.Algorithm
 	Scheduler                         sched.Mode
-	MorselSize                        int
 	PresortedPrivate, PresortedPublic bool
 	// Workers is the worker count the join runs on and Bound the count it
 	// could have had: equal for a configured plan, the planner's choice under
@@ -626,7 +598,6 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 			MaxKey:         in.MaxKey,
 			SortedFraction: 1, // aggregate output is emitted in key order
 			Histogram:      in.Histogram,
-			Skew:           in.Skew,
 			Correlated:     in.Correlated,
 		}
 	case exec.NodeSink:
@@ -699,7 +670,6 @@ func (s *planState) decideNodes() {
 		p := s.profiles[id]
 		d.EstRows = float64(p.Tuples)
 		d.EstDistinct = p.DistinctKeys
-		d.Skew = p.Skew
 		if n.Kind == exec.NodeSink {
 			d.EstRows = float64(s.profiles[n.Inputs[0]].Tuples)
 		}
@@ -755,6 +725,7 @@ func (s *planState) decideJoin(id exec.NodeID) {
 		// Annotating a configured plan prices its worker count and its
 		// orientation, not the best.
 		PinWorkers:        !s.opt.Rewrite,
+		Scheduler:         n.JoinOptions.Scheduler,
 		SymmetricConsumer: s.symmetric[id] && s.opt.Rewrite,
 		Consumer:          s.consumerOf(id),
 	}
@@ -767,9 +738,6 @@ func (s *planState) decideJoin(id exec.NodeID) {
 		n.Algorithm = ch.Algorithm
 		n.JoinOptions.Workers = ch.Workers
 		n.JoinOptions.Scheduler = ch.Scheduler
-		if ch.MorselSize > 0 {
-			n.JoinOptions.MorselSize = ch.MorselSize
-		}
 		// A caller's presorted declaration stays, with its input through a
 		// swap: it is verified per chunk, so a false one costs only the check.
 		priv, pub := n.JoinOptions.PresortedPrivate, n.JoinOptions.PresortedPublic
@@ -785,7 +753,6 @@ func (s *planState) decideJoin(id exec.NodeID) {
 	// Describe what the node — chosen just now, or configured — will do.
 	d.Algorithm = n.Algorithm
 	d.Scheduler = n.JoinOptions.Scheduler
-	d.MorselSize = n.JoinOptions.MorselSize
 	d.PresortedPrivate = n.JoinOptions.PresortedPrivate
 	d.PresortedPublic = n.JoinOptions.PresortedPublic
 	d.Workers, d.Bound = ch.Workers, ch.Bound

@@ -18,6 +18,13 @@ import (
 // profileOf collects a fresh profile.
 func profileOf(rel *relation.Relation) *stats.Profile { return stats.Collect(rel) }
 
+// chooseFor estimates the join's cardinality and the distinct keys of its
+// output, as the optimizer does, and chooses the join.
+func chooseFor(build, probe *stats.Profile, c Constraints, cm CostModel) Choice {
+	matches := stats.EstimateBandJoin(build, probe, c.Band)
+	return chooseJoin(build, probe, matches, stats.JoinOutput(build, probe, matches).DistinctKeys, c, cm)
+}
+
 // maxSum is the consumer of a join run without a sink of its own: the
 // built-in max-sum aggregate, which folds range entries.
 var maxSum = Consumer{Folds: true}
@@ -38,7 +45,7 @@ func sortedClone(rel *relation.Relation) *relation.Relation {
 func TestChooseJoinPicksHashForUnsortedInputs(t *testing.T) {
 	r := workload.UniformRelation("R", 1<<18, workload.DefaultKeyDomain, 1)
 	s := workload.ForeignKeyRelation("S", r, 1<<20, 2)
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
+	ch := chooseFor(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmWisconsin {
 		t.Errorf("unsorted mid-size join chose %v, want Wisconsin (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -55,7 +62,7 @@ func TestChooseJoinPicksHashForUnsortedInputs(t *testing.T) {
 func TestChooseJoinPicksWisconsinForSmallBuild(t *testing.T) {
 	r := workload.UniformRelation("R", 1<<14, workload.DefaultKeyDomain, 3)
 	s := workload.ForeignKeyRelation("S", r, 1<<19, 4)
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
+	ch := chooseFor(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmWisconsin {
 		t.Errorf("small-build join chose %v, want Wisconsin (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -66,7 +73,7 @@ func TestChooseJoinPicksWisconsinForSmallBuild(t *testing.T) {
 func TestChooseJoinExploitsPresortedInputs(t *testing.T) {
 	r := sortedClone(workload.UniformRelation("R", 1<<18, workload.DefaultKeyDomain, 5))
 	s := sortedClone(workload.ForeignKeyRelation("S", r, 1<<20, 6))
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
+	ch := chooseFor(profileOf(r), profileOf(s), Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmBMPSM {
 		t.Errorf("presorted join chose %v, want B-MPSM (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -87,7 +94,7 @@ func TestChooseJoinRespectsKindAndBandConstraints(t *testing.T) {
 		{Kind: mergejoin.Anti, Workers: 1},
 		{Band: 100, Workers: 1},
 	} {
-		ch := ChooseJoin(rp, sp, c, DefaultCostModel())
+		ch := chooseFor(rp, sp, c, DefaultCostModel())
 		if ch.Algorithm != exec.AlgorithmBMPSM && ch.Algorithm != exec.AlgorithmPMPSM {
 			t.Errorf("constraints %+v chose %v, want an MPSM variant", c, ch.Algorithm)
 		}
@@ -103,7 +110,7 @@ func TestChooseJoinRespectsKindAndBandConstraints(t *testing.T) {
 func TestChooseJoinNeverSwapsBandJoins(t *testing.T) {
 	small := workload.UniformRelation("small", 1<<13, workload.DefaultKeyDomain, 43)
 	big := workload.ForeignKeyRelation("big", small, 1<<19, 44)
-	ch := ChooseJoin(profileOf(big), profileOf(small),
+	ch := chooseFor(profileOf(big), profileOf(small),
 		Constraints{Band: 100, Workers: 1, SymmetricConsumer: true}, DefaultCostModel())
 	if ch.Swap {
 		t.Errorf("band join swapped build/probe: %+v", ch)
@@ -118,7 +125,7 @@ func TestChooseJoinSwapsRoles(t *testing.T) {
 	big := workload.ForeignKeyRelation("big", small, 1<<20, 42)
 	bp, sp := profileOf(big), profileOf(small)
 
-	ch := ChooseJoin(bp, sp, Constraints{Workers: 1, SymmetricConsumer: true, Consumer: maxSum}, DefaultCostModel())
+	ch := chooseFor(bp, sp, Constraints{Workers: 1, SymmetricConsumer: true, Consumer: maxSum}, DefaultCostModel())
 	if !ch.Swap {
 		t.Errorf("huge-build join did not reverse roles: %+v", ch)
 	}
@@ -127,7 +134,7 @@ func TestChooseJoinSwapsRoles(t *testing.T) {
 			ch.Algorithm, ch.Costs)
 	}
 
-	pinned := ChooseJoin(bp, sp, Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
+	pinned := chooseFor(bp, sp, Constraints{Workers: 1, Consumer: maxSum}, DefaultCostModel())
 	if pinned.Swap {
 		t.Errorf("asymmetric consumer must pin the roles, got swap")
 	}
@@ -138,28 +145,10 @@ func TestChooseJoinSwapsRoles(t *testing.T) {
 func TestChooseJoinKeepsDMPSM(t *testing.T) {
 	r := workload.UniformRelation("R", 1<<16, workload.DefaultKeyDomain, 9)
 	s := workload.ForeignKeyRelation("S", r, 1<<18, 10)
-	ch := ChooseJoin(profileOf(r), profileOf(s),
+	ch := chooseFor(profileOf(r), profileOf(s),
 		Constraints{Configured: exec.AlgorithmDMPSM, Workers: 1}, DefaultCostModel())
 	if ch.Algorithm != exec.AlgorithmDMPSM {
 		t.Errorf("pinned D-MPSM was switched to %v", ch.Algorithm)
-	}
-}
-
-// TestChooseJoinMorselUnderSkew: with several workers and a skewed input the
-// match phase switches to morsel scheduling.
-func TestChooseJoinMorselUnderSkew(t *testing.T) {
-	r := workload.SkewedRelation("R", 1<<16, workload.DefaultKeyDomain, workload.SkewLow80, 11)
-	s := workload.ForeignKeyRelation("S", r, 1<<18, 12)
-	ch := ChooseJoin(profileOf(r), profileOf(s), Constraints{Workers: 8, Consumer: maxSum}, DefaultCostModel())
-	if ch.Scheduler != sched.Morsel {
-		t.Errorf("skewed 8-worker join chose %v scheduling, want morsel", ch.Scheduler)
-	}
-
-	uni := workload.UniformRelation("U", 1<<16, workload.DefaultKeyDomain, 13)
-	us := workload.ForeignKeyRelation("US", uni, 1<<18, 14)
-	ch = ChooseJoin(profileOf(uni), profileOf(us), Constraints{Workers: 8, Consumer: maxSum}, DefaultCostModel())
-	if ch.Scheduler != sched.Static {
-		t.Errorf("uniform 8-worker join chose %v scheduling, want static", ch.Scheduler)
 	}
 }
 
@@ -177,7 +166,7 @@ func TestChooseJoinBreaksTiesByCandidateOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		r := workload.UniformRelation("a", 1<<16, 1<<32, seed)
 		s := workload.ForeignKeyRelation("b", r, 1<<18, seed+1)
-		ch := ChooseJoin(profileOf(r), profileOf(s), c, cm)
+		ch := chooseFor(profileOf(r), profileOf(s), c, cm)
 		if seed == 1 {
 			first = ch.Algorithm
 		} else if ch.Algorithm != first {
@@ -199,7 +188,7 @@ func TestChooseJoinBreaksTiesByCandidateOrder(t *testing.T) {
 	}
 	// Outside the resolution the cheaper algorithm wins whatever its place.
 	small := workload.UniformRelation("r", 1<<12, 1<<32, 7)
-	ch := ChooseJoin(profileOf(small), profileOf(workload.ForeignKeyRelation("s", small, 1<<14, 8)), Constraints{Workers: 2, Consumer: maxSum}, cm)
+	ch := chooseFor(profileOf(small), profileOf(workload.ForeignKeyRelation("s", small, 1<<14, 8)), Constraints{Workers: 2, Consumer: maxSum}, cm)
 	if ch.Algorithm != ch.Costs[0].Algorithm || ch.Algorithm == exec.AlgorithmPMPSM {
 		t.Errorf("4 096 × 16 384 chose %v, want the cheapest, a hash join (costs %+v)", ch.Algorithm, ch.Costs)
 	}
@@ -221,7 +210,7 @@ func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
 	sp, ssp, lp, lsp := profileOf(small), profileOf(smallS), profileOf(large), profileOf(largeS)
 
 	for _, bound := range []int{1, 2, 3, 8} {
-		ch := ChooseJoin(sp, ssp, Constraints{Workers: bound, Consumer: maxSum}, cm)
+		ch := chooseFor(sp, ssp, Constraints{Workers: bound, Consumer: maxSum}, cm)
 		if ch.Workers != 1 || ch.Bound != bound {
 			t.Errorf("4 096 × 16 384 under a bound of %d: %d of %d workers, want 1 of %d", bound, ch.Workers, ch.Bound, bound)
 		}
@@ -240,7 +229,7 @@ func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
 	}
 
 	for _, bound := range []int{2, 3} {
-		ch := ChooseJoin(lp, lsp, Constraints{Workers: bound, Consumer: maxSum}, cm)
+		ch := chooseFor(lp, lsp, Constraints{Workers: bound, Consumer: maxSum}, cm)
 		if ch.Workers != bound {
 			t.Errorf("524 288 × 2 097 152 under a bound of %d: %d workers (step %+v), want them all", bound, ch.Workers, ch.Step)
 		}
@@ -250,16 +239,16 @@ func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
 	}
 	// Every added worker is held to the same return: going from two workers
 	// to three adds one, against a speed already above one worker's.
-	three := ChooseJoin(lp, lsp, Constraints{Workers: 3, Consumer: maxSum}, cm).Step
+	three := chooseFor(lp, lsp, Constraints{Workers: 3, Consumer: maxSum}, cm).Step
 	if three.From != 2 || three.Floor <= 1 || three.Floor >= 1+cm.EfficiencyFloor {
 		t.Errorf("the step 2 → 3 is held against %+v, want a floor between 1 and %.2f", three, 1+cm.EfficiencyFloor)
 	}
 
-	pinned := ChooseJoin(sp, ssp, Constraints{Workers: 4, PinWorkers: true, Consumer: maxSum}, cm)
+	pinned := chooseFor(sp, ssp, Constraints{Workers: 4, PinWorkers: true, Consumer: maxSum}, cm)
 	if pinned.Workers != 4 || pinned.Step != (WorkerStep{}) {
 		t.Errorf("a pinned count of 4 came back as %d workers with step %+v", pinned.Workers, pinned.Step)
 	}
-	if two := costOf(ChooseJoin(sp, ssp, Constraints{Workers: 2, PinWorkers: true, Consumer: maxSum}, cm).Costs, pinned.Algorithm); two == costOf(pinned.Costs, pinned.Algorithm) {
+	if two := costOf(chooseFor(sp, ssp, Constraints{Workers: 2, PinWorkers: true, Consumer: maxSum}, cm).Costs, pinned.Algorithm); two == costOf(pinned.Costs, pinned.Algorithm) {
 		t.Errorf("pinned counts of 2 and 4 price %v alike (%.3f ms): the costs are not the pinned count's", pinned.Algorithm, two)
 	}
 }

@@ -170,16 +170,6 @@ func IsSortedByKey(tuples []Tuple) bool {
 	return true
 }
 
-// KeyHistogram counts the number of tuples per key. It is intended for test
-// helpers validating that an algorithm preserved the multiset of tuples.
-func KeyHistogram(tuples []Tuple) map[uint64]int {
-	h := make(map[uint64]int, len(tuples))
-	for _, t := range tuples {
-		h[t.Key]++
-	}
-	return h
-}
-
 // SameMultiset reports whether two tuple slices contain the same multiset of
 // (key, payload) pairs. It is O(n) space and intended for tests.
 func SameMultiset(a, b []Tuple) bool {

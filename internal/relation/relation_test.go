@@ -148,13 +148,6 @@ func TestIsSortedByKey(t *testing.T) {
 	}
 }
 
-func TestKeyHistogram(t *testing.T) {
-	h := KeyHistogram([]Tuple{{1, 0}, {1, 1}, {2, 0}})
-	if h[1] != 2 || h[2] != 1 || len(h) != 2 {
-		t.Fatalf("KeyHistogram = %v", h)
-	}
-}
-
 func TestSameMultiset(t *testing.T) {
 	a := []Tuple{{1, 10}, {2, 20}, {1, 10}}
 	b := []Tuple{{2, 20}, {1, 10}, {1, 10}}

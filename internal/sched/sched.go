@@ -192,9 +192,6 @@ func (w *Worker) Record(phase string, d time.Duration) {
 	w.phaseTime[phase] += d
 }
 
-// PhaseTime returns the accumulated duration of the named phase.
-func (w *Worker) PhaseTime(phase string) time.Duration { return w.phaseTime[phase] }
-
 // Runtime owns the worker pool of one join execution. It is created per join
 // (workers are plain goroutines, so creation is cheap) and collects the
 // per-worker timing and NUMA state that the join's Result reports.

@@ -74,7 +74,7 @@ func TestPhaseRunsEveryWorkerAndRecords(t *testing.T) {
 		if ran[w] != 1 {
 			t.Fatalf("worker %d ran %d times", w, ran[w])
 		}
-		if rt.Worker(w).PhaseTime("p") <= 0 {
+		if rt.Worker(w).phaseTime["p"] <= 0 {
 			t.Fatalf("worker %d recorded no time", w)
 		}
 	}
@@ -82,11 +82,11 @@ func TestPhaseRunsEveryWorkerAndRecords(t *testing.T) {
 		t.Fatal("phase duration missing")
 	}
 	// Repeated phases accumulate under the same name.
-	before := rt.Worker(0).PhaseTime("p")
+	before := rt.Worker(0).phaseTime["p"]
 	rt.Phase(context.Background(), "p", func(_ context.Context, w *Worker) {
 		time.Sleep(time.Millisecond)
 	})
-	if rt.Worker(0).PhaseTime("p") <= before {
+	if rt.Worker(0).phaseTime["p"] <= before {
 		t.Fatal("phase time did not accumulate")
 	}
 }
@@ -152,7 +152,7 @@ func TestRunTasksRecordsBusyTimePerWorker(t *testing.T) {
 	rt.RunTasks(context.Background(), "join", tasks)
 	var total time.Duration
 	for w := 0; w < 2; w++ {
-		total += rt.Worker(w).PhaseTime("join")
+		total += rt.Worker(w).phaseTime["join"]
 	}
 	if total < 8*time.Millisecond {
 		t.Fatalf("recorded busy time %v, want >= 8ms", total)

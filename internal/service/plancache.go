@@ -46,7 +46,6 @@ type nodeChoice struct {
 	// a hit must run as wide as the miss that filled the entry did.
 	workers                           int
 	scheduler                         sched.Mode
-	morselSize                        int
 	presortedPrivate, presortedPublic bool
 	// groupJoin is a GroupAggregate's groupjoin, nil where the sort-based
 	// kernel runs: a hit runs the strategy, driver and worker count the miss
@@ -229,7 +228,6 @@ func captureChoices(p *exec.Plan) []nodeChoice {
 			algorithm:        n.Algorithm,
 			workers:          n.JoinOptions.Workers,
 			scheduler:        n.JoinOptions.Scheduler,
-			morselSize:       n.JoinOptions.MorselSize,
 			presortedPrivate: n.JoinOptions.PresortedPrivate,
 			presortedPublic:  n.JoinOptions.PresortedPublic,
 		}
@@ -260,7 +258,6 @@ func applyChoices(p *exec.Plan, choices []nodeChoice) {
 			n.Algorithm = ch.algorithm
 			n.JoinOptions.Workers = ch.workers
 			n.JoinOptions.Scheduler = ch.scheduler
-			n.JoinOptions.MorselSize = ch.morselSize
 			n.JoinOptions.PresortedPrivate = ch.presortedPrivate
 			n.JoinOptions.PresortedPublic = ch.presortedPublic
 		}

@@ -1,10 +1,9 @@
 // Package stats computes cheap, sampling-based statistics over relations:
 // cardinality, distinct-key and duplication estimates, a key-range histogram
-// with a skew coefficient, a presortedness probe, and a key/position
-// correlation that exposes location clustering. The planner turns these
-// profiles into cost estimates and physical plan choices; nothing in this
-// package looks at more than a fixed-size sample of the relation, so
-// profiling a relation costs microseconds regardless of its size.
+// and a presortedness probe. The planner turns these profiles into cost
+// estimates and physical plan choices; nothing in this package looks at more
+// than a fixed-size sample of the relation, so profiling a relation costs
+// microseconds regardless of its size.
 //
 // # Estimators and their error bounds
 //
@@ -17,9 +16,6 @@
 //     cardinality): within a factor of 2 of the exact count. When the sample
 //     contains no duplicate at all the estimator returns the cardinality,
 //     which is exact for unique-key relations and an upper bound otherwise.
-//   - Skew coefficient (max histogram-bucket share relative to a uniform
-//     spread): classifies every uniform input below 2.5 and every 80:20
-//     input above 3.0.
 //   - Sorted fraction: exactly 1.0 for sorted inputs; uniform shuffles land
 //     near 0.5. The planner only declares an input presorted at 1.0, and the
 //     join verifies the declaration per chunk, so a false positive costs one
@@ -81,22 +77,12 @@ type Profile struct {
 	// non-decreasing key order: 1.0 for sorted data, ~0.5 for shuffles.
 	SortedFraction float64
 
-	// KeyPositionCorrelation is the Pearson correlation between a tuple's
-	// position and its key over the sample. Near 1 for sorted or
-	// range-clustered arrangements (location skew), near 0 for shuffles.
-	KeyPositionCorrelation float64
-
 	// Histogram holds the share of sampled tuples per equal-width bucket of
 	// [MinKey, MaxKey]; it sums to 1 for non-empty profiles.
 	Histogram [HistogramBuckets]float64
 
-	// Skew is the maximum bucket share divided by the uniform share
-	// (1/HistogramBuckets): 1 means perfectly uniform, HistogramBuckets
-	// means everything in one bucket.
-	Skew float64
-
-	// Sample holds the sampled tuples in position order; EstimateJoin and
-	// Selectivity probe it. Derived profiles (join outputs) have no sample.
+	// Sample holds the sampled tuples in position order; EstimateJoin
+	// probes it. Derived profiles (join outputs) have no sample.
 	Sample []relation.Tuple
 
 	// Correlated marks a derived profile whose keys are known to be
@@ -235,15 +221,6 @@ func (p *Profile) fillFromSample() {
 		}
 		p.Histogram[b] += 1 / float64(s)
 	}
-	maxShare := 0.0
-	for _, share := range p.Histogram {
-		if share > maxShare {
-			maxShare = share
-		}
-	}
-	p.Skew = maxShare * HistogramBuckets
-
-	p.KeyPositionCorrelation = positionCorrelation(sample)
 
 	p.keySet = make(map[uint64]struct{}, len(sample))
 	for _, t := range sample {
@@ -281,59 +258,11 @@ func chao1(sample []relation.Tuple, n, s int) float64 {
 	return math.Min(float64(n), math.Max(float64(d), est))
 }
 
-// positionCorrelation is the Pearson correlation between sample index and
-// key value. The sample is in position order, so this measures how strongly
-// a tuple's physical position predicts its key — the signature of sorted and
-// location-clustered arrangements.
-func positionCorrelation(sample []relation.Tuple) float64 {
-	s := len(sample)
-	if s < 2 {
-		return 0
-	}
-	var sumX, sumY, sumXX, sumYY, sumXY float64
-	for i, t := range sample {
-		x := float64(i)
-		y := float64(t.Key)
-		sumX += x
-		sumY += y
-		sumXX += x * x
-		sumYY += y * y
-		sumXY += x * y
-	}
-	nf := float64(s)
-	cov := sumXY - sumX*sumY/nf
-	varX := sumXX - sumX*sumX/nf
-	varY := sumYY - sumY*sumY/nf
-	if varX <= 0 || varY <= 0 {
-		return 0
-	}
-	return cov / math.Sqrt(varX*varY)
-}
-
-// Clustered reports whether the relation's physical arrangement correlates
-// strongly with its keys (sorted or range-clustered data).
-func (p *Profile) Clustered() bool { return p.KeyPositionCorrelation >= 0.5 }
-
 // LikelySorted reports whether every sampled position-consecutive pair was
 // in key order. The join verifies a presorted declaration per chunk, so
 // acting on this is safe even for the (rare) unsorted relation that passes
 // the probe.
 func (p *Profile) LikelySorted() bool { return p.Tuples == 0 || p.SortedFraction >= 1 }
-
-// Selectivity estimates the fraction of tuples a predicate keeps by
-// evaluating it on the sample; a nil predicate keeps everything.
-func (p *Profile) Selectivity(pred func(relation.Tuple) bool) float64 {
-	if pred == nil || len(p.Sample) == 0 {
-		return 1
-	}
-	kept := 0
-	for _, t := range p.Sample {
-		if pred(t) {
-			kept++
-		}
-	}
-	return float64(kept) / float64(len(p.Sample))
-}
 
 // keys returns the sample's distinct-key set (nil for derived profiles
 // without a sample).
@@ -543,13 +472,6 @@ func JoinOutput(a, b *Profile, estRows float64) *Profile {
 			out.Histogram[g] = perBucket[g] / total
 		}
 	}
-	maxShare := 0.0
-	for _, share := range out.Histogram {
-		if share > maxShare {
-			maxShare = share
-		}
-	}
-	out.Skew = maxShare * HistogramBuckets
 
 	overlapA := a.massIn(lo, hi) * a.DistinctKeys
 	overlapB := b.massIn(lo, hi) * b.DistinctKeys
@@ -561,7 +483,7 @@ func JoinOutput(a, b *Profile, estRows float64) *Profile {
 
 // Filtered returns the profile of the relation after applying a selection
 // predicate: the sample is filtered through the predicate and every derived
-// statistic (key range, histogram, skew, sortedness, distinct keys) is
+// statistic (key range, histogram, sortedness, distinct keys) is
 // recomputed from the survivors, so a key-range predicate narrows the
 // profile's range rather than merely scaling its counts. A nil predicate
 // returns the profile unchanged.
@@ -590,36 +512,22 @@ func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 	return cp
 }
 
-// skewSigmas is how far above its expectation the fullest histogram bucket of
-// a range's sample must stand, in standard deviations of a uniform spread,
-// before InRange reports the sample's skew in place of the relation's.
-const skewSigmas = 5
-
 // InRange returns the profile of the relation restricted to the keys in
 // [low, high): cardinality and distinct keys shrink to the range's share of
 // the histogram (buckets are assumed internally uniform), the key bounds close
 // in on it, the histogram is the relation's re-cut over the narrower bounds,
 // and the sample keeps the tuples inside, for join probes. Order carries over:
-// a selection leaves sorted and clustered arrangements what they were.
-//
-// So does the skew, unless the sample inside the range says otherwise beyond
-// chance. A narrow range keeps a few dozen sampled tuples, and the fullest of
-// 64 buckets over so few reads as skew on uniform keys (33 tuples: 0.5
-// expected per bucket, 5 in one by luck is a coefficient of 9.7): the sample's
-// own coefficient counts only where its fullest bucket holds more than the
-// uniform expectation plus skewSigmas standard deviations.
+// a selection leaves sorted arrangements what they were.
 func (p *Profile) InRange(low, high uint64) *Profile {
 	if p.Tuples == 0 {
 		return p
 	}
 	cp := &Profile{
-		SortedFraction:         p.SortedFraction,
-		KeyPositionCorrelation: p.KeyPositionCorrelation,
-		Skew:                   p.Skew,
-		Correlated:             p.Correlated,
-		KeyNormalized:          p.KeyNormalized,
-		KeyTieBreak:            p.KeyTieBreak,
-		PrefixCollisionRate:    p.PrefixCollisionRate,
+		SortedFraction:      p.SortedFraction,
+		Correlated:          p.Correlated,
+		KeyNormalized:       p.KeyNormalized,
+		KeyTieBreak:         p.KeyTieBreak,
+		PrefixCollisionRate: p.PrefixCollisionRate,
 	}
 	if high <= low || high-1 < p.MinKey || low > p.MaxKey {
 		cp.SortedFraction = 1
@@ -639,7 +547,6 @@ func (p *Profile) InRange(low, high uint64) *Profile {
 		}
 	}
 
-	var counts [HistogramBuckets]int
 	cp.keySet = make(map[uint64]struct{})
 	for _, t := range p.Sample {
 		if t.Key < low || t.Key >= high {
@@ -647,18 +554,8 @@ func (p *Profile) InRange(low, high uint64) *Profile {
 		}
 		cp.Sample = append(cp.Sample, t)
 		cp.keySet[t.Key] = struct{}{}
-		counts[min(HistogramBuckets-1, int((float64(t.Key)-lo)/(hi-lo+1)*HistogramBuckets))]++
 	}
 	cp.SampleSize = len(cp.Sample)
-	fullest := 0
-	for _, c := range counts {
-		fullest = max(fullest, c)
-	}
-	expected := float64(cp.SampleSize) / HistogramBuckets
-	sigma := math.Sqrt(expected * (1 - 1.0/HistogramBuckets))
-	if float64(fullest) > expected+skewSigmas*sigma {
-		cp.Skew = float64(fullest) / expected
-	}
 	return cp
 }
 

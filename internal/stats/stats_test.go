@@ -95,29 +95,8 @@ func pickDomain(domain uint64) uint64 {
 	return domain
 }
 
-// TestSkewClassification checks that the skew coefficient separates uniform
-// from 80:20 inputs with the documented thresholds, under both arrangements.
-func TestSkewClassification(t *testing.T) {
-	const n = 1 << 16
-	for _, loc := range locationCases {
-		for _, sk := range skewCases {
-			rel := workload.SkewedRelation("X", n, workload.DefaultKeyDomain, sk.skew, 11)
-			workload.ApplyLocationSkew(rel, 8, loc.loc, workload.DefaultKeyDomain)
-			p := Collect(rel)
-			if sk.skew == workload.SkewNone {
-				if p.Skew > 2.5 {
-					t.Errorf("%s/%s: uniform input classified as skewed (coefficient %.2f)", sk.name, loc.name, p.Skew)
-				}
-			} else if p.Skew < 3.0 {
-				t.Errorf("%s/%s: 80:20 input classified as uniform (coefficient %.2f)", sk.name, loc.name, p.Skew)
-			}
-		}
-	}
-}
-
 // TestSortednessProbe checks the presortedness probe: exactly 1.0 on sorted
-// data, well below 1.0 on shuffles, and that clustered arrangements are
-// recognized through the key/position correlation.
+// data, below 1.0 on shuffles and on clustered arrangements.
 func TestSortednessProbe(t *testing.T) {
 	const n = 1 << 16
 	rel := workload.UniformRelation("X", n, workload.DefaultKeyDomain, 13)
@@ -126,9 +105,6 @@ func TestSortednessProbe(t *testing.T) {
 	if shuffled.LikelySorted() {
 		t.Errorf("shuffled input probed as sorted (fraction %.3f)", shuffled.SortedFraction)
 	}
-	if shuffled.Clustered() {
-		t.Errorf("shuffled input probed as clustered (correlation %.3f)", shuffled.KeyPositionCorrelation)
-	}
 
 	sorted := rel.Clone()
 	sort.Slice(sorted.Tuples, func(i, j int) bool { return sorted.Tuples[i].Key < sorted.Tuples[j].Key })
@@ -136,18 +112,12 @@ func TestSortednessProbe(t *testing.T) {
 	if !sp.LikelySorted() {
 		t.Errorf("sorted input not probed as sorted (fraction %.3f)", sp.SortedFraction)
 	}
-	if !sp.Clustered() {
-		t.Errorf("sorted input not probed as clustered (correlation %.3f)", sp.KeyPositionCorrelation)
-	}
 
 	clustered := rel.Clone()
 	workload.ApplyLocationSkew(clustered, 8, workload.LocationClustered, workload.DefaultKeyDomain)
 	cp := Collect(clustered)
 	if cp.LikelySorted() {
 		t.Errorf("clustered-but-unsorted input probed as fully sorted")
-	}
-	if !cp.Clustered() {
-		t.Errorf("clustered input not recognized (correlation %.3f)", cp.KeyPositionCorrelation)
 	}
 }
 
@@ -270,23 +240,6 @@ func TestBandJoinEstimate(t *testing.T) {
 	}
 }
 
-// TestSelectivity checks predicate selectivity estimation on the sample.
-func TestSelectivity(t *testing.T) {
-	rel := workload.UniformRelation("X", 1<<16, workload.DefaultKeyDomain, 29)
-	p := Collect(rel)
-	half := p.Selectivity(func(t relation.Tuple) bool { return t.Key < 1<<31 })
-	if math.Abs(half-0.5) > 0.08 {
-		t.Errorf("half-domain predicate selectivity %.3f, want ~0.5", half)
-	}
-	if got := p.Selectivity(nil); got != 1 {
-		t.Errorf("nil predicate selectivity %v, want 1", got)
-	}
-	none := p.Selectivity(func(relation.Tuple) bool { return false })
-	if none != 0 {
-		t.Errorf("false predicate selectivity %v, want 0", none)
-	}
-}
-
 // TestFilteredProfile checks that Filtered narrows the key range and scales
 // the cardinality.
 func TestFilteredProfile(t *testing.T) {
@@ -344,43 +297,11 @@ func TestInRangeNarrowsTheProfile(t *testing.T) {
 	}
 }
 
-// TestInRangeSkewNeedsEvidence stands on both sides of the bound InRange puts
-// on its sample's skew. Uniform keys cut to 1/64th of their domain leave some
-// thirty sampled tuples, whose fullest bucket reads as a skew coefficient of 6
-// to 10 by chance alone: the relation's coefficient carries over, for every
-// seed. Keys with most of their mass in one narrow stretch stay skewed inside
-// a range around it, and the ranged profile says so.
-func TestInRangeSkewNeedsEvidence(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
-		p := Collect(workload.UniformRelation("u", 1<<16, 1<<32, seed))
-		ranged := p.InRange(0, 1<<26)
-		if ranged.Skew != p.Skew {
-			t.Errorf("seed %d: uniform keys read skew %.1f inside a narrow range (%d sampled tuples), want the relation's %.1f carried over",
-				seed, ranged.Skew, ranged.SampleSize, p.Skew)
-		}
-	}
-	// Half the tuples in [2^20, 2^20 + 2^10), the rest uniform below 2^24:
-	// inside [0, 2^22) the stretch is one of 64 buckets and holds most of it.
-	rng := workload.NewRNG(7)
-	tuples := make([]relation.Tuple, 1<<16)
-	for i := range tuples {
-		tuples[i].Key = rng.Uint64n(1 << 24)
-		if i%2 == 0 {
-			tuples[i].Key = 1<<20 + rng.Uint64n(1<<10)
-		}
-	}
-	p := Collect(relation.New("hot", tuples))
-	ranged := p.InRange(0, 1<<22)
-	if ranged.Skew < 20 || ranged.Skew == p.Skew {
-		t.Errorf("a range around the hot stretch reads skew %.1f (relation %.1f), want the sample's own, above 20", ranged.Skew, p.Skew)
-	}
-}
-
 // TestDeterminism checks that profiling is reproducible.
 func TestDeterminism(t *testing.T) {
 	rel := workload.UniformRelation("X", 1<<15, workload.DefaultKeyDomain, 37)
 	a, b := Collect(rel), Collect(rel)
-	if a.DistinctKeys != b.DistinctKeys || a.SortedFraction != b.SortedFraction || a.Skew != b.Skew {
+	if a.DistinctKeys != b.DistinctKeys || a.SortedFraction != b.SortedFraction || a.Histogram != b.Histogram {
 		t.Errorf("profiles differ across runs: %+v vs %+v", a, b)
 	}
 }

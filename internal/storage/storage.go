@@ -275,9 +275,6 @@ func NewBufferPool(disk *Disk, budget int) *BufferPool {
 	}
 }
 
-// Budget returns the configured page budget (0 = unlimited).
-func (bp *BufferPool) Budget() int { return bp.budget }
-
 // Stats returns a snapshot of the pool statistics.
 func (bp *BufferPool) Stats() BufferPoolStats {
 	bp.mu.Lock()
@@ -373,13 +370,6 @@ func (bp *BufferPool) Prefetch(ref PageRef) error {
 		bp.stats.MaxResident = len(bp.resident)
 	}
 	return nil
-}
-
-// Resident returns the number of currently resident pages.
-func (bp *BufferPool) Resident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.resident)
 }
 
 // enforceBudgetLocked evicts unpinned pages (oldest released first) until the

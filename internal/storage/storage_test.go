@@ -125,9 +125,6 @@ func TestBufferPoolPinUnpinAndStats(t *testing.T) {
 	disk := NewDisk(0, 0)
 	run, _ := writeSorted(disk, 0, 1000, 1, 100) // 10 pages
 	pool := NewBufferPool(disk, 3)
-	if pool.Budget() != 3 {
-		t.Fatalf("Budget = %d", pool.Budget())
-	}
 
 	// Pin and unpin all pages in order; the pool must never keep more than
 	// the budget resident once pages are unpinned.
@@ -141,8 +138,8 @@ func TestBufferPoolPinUnpinAndStats(t *testing.T) {
 			t.Fatalf("page %d has %d keys and %d payloads", p, data.Len(), len(data.Payloads))
 		}
 		pool.Unpin(ref)
-		if pool.Resident() > 3 {
-			t.Fatalf("resident pages %d exceed budget 3", pool.Resident())
+		if len(pool.resident) > 3 {
+			t.Fatalf("resident pages %d exceed budget 3", len(pool.resident))
 		}
 	}
 	stats := pool.Stats()
@@ -196,14 +193,14 @@ func TestBufferPoolPinnedPagesSurviveBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pool.Resident() != 5 {
-		t.Fatalf("resident = %d, want 5 while pinned", pool.Resident())
+	if len(pool.resident) != 5 {
+		t.Fatalf("resident = %d, want 5 while pinned", len(pool.resident))
 	}
 	for _, ref := range refs {
 		pool.Unpin(ref)
 	}
-	if pool.Resident() > 2 {
-		t.Fatalf("resident = %d after unpinning, want <= budget 2", pool.Resident())
+	if len(pool.resident) > 2 {
+		t.Fatalf("resident = %d after unpinning, want <= budget 2", len(pool.resident))
 	}
 }
 
@@ -215,8 +212,8 @@ func TestBufferPoolPrefetch(t *testing.T) {
 	if err := pool.Prefetch(ref); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Resident() != 1 {
-		t.Fatalf("resident = %d after prefetch", pool.Resident())
+	if len(pool.resident) != 1 {
+		t.Fatalf("resident = %d after prefetch", len(pool.resident))
 	}
 	// The subsequent Pin must be a hit.
 	if _, err := pool.Pin(ref); err != nil {
@@ -234,8 +231,8 @@ func TestBufferPoolPrefetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if pool.Resident() > 4 {
-		t.Fatalf("resident = %d exceeds budget", pool.Resident())
+	if len(pool.resident) > 4 {
+		t.Fatalf("resident = %d exceeds budget", len(pool.resident))
 	}
 }
 

@@ -284,7 +284,10 @@ type Service struct {
 // join (an auto-planning engine; see WithWorkers) and the count itself where
 // it does not (WithAutoPlan(false), as for a pinned algorithm).
 // WithQueryOptions(WithScheduler(Static)) and WithQueryOptions(WithWorkers(n))
-// override either per query.
+// override either per query. A join the planner runs on one worker runs
+// Static whatever the query configured, as it does on an Engine: there is no
+// second worker to hand a morsel to. A join it widens, and every join of a
+// query that does not auto-plan, runs the query's mode.
 func NewService(e *Engine, opts ...ServiceOption) *Service {
 	var cfg serviceConfig
 	for _, o := range opts {

@@ -390,6 +390,50 @@ func TestServiceExplainDescribesWhatRuns(t *testing.T) {
 	}
 }
 
+// TestAutoPlanKeepsTheConfiguredScheduler: the planner chooses no scheduling
+// mode. A join it widens to two workers — 524 288 × 2 097 152 foreign keys —
+// runs the mode its caller configured: an Engine's WithScheduler, a Service's
+// Morsel default, or a query's WithScheduler(Static) over it. A skewed
+// 65 536 × 262 144 join it keeps on one worker runs Static whatever was
+// configured: there is no second worker to hand a morsel to.
+func TestAutoPlanKeepsTheConfiguredScheduler(t *testing.T) {
+	wideR := GenerateUniform("r", 524288, 1)
+	wide := joinPlan(wideR, GenerateForeignKey("s", wideR, 2097152, 2), nil)
+	skewR := GenerateSkewed("r", 65536, SkewLow80, 3)
+	narrow := joinPlan(skewR, GenerateForeignKey("s", skewR, 262144, 4), nil)
+	engine := New(WithWorkers(2), WithAutoPlan(true))
+	svc := NewService(New(WithWorkers(2), WithAutoPlan(true)), WithFairSlots(2))
+	defer svc.Close()
+	check := func(what string, p *Plan, explain func(*Plan) (*Explain, error), workers int, want Scheduler) {
+		t.Run(what, func(t *testing.T) {
+			ex, err := explain(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if join := ex.Nodes[2]; join.Workers != workers || join.Scheduler != want.String() {
+				t.Errorf("the join runs %s on %d workers, want %v on %d\n%s", join.Scheduler, join.Workers, want, workers, ex)
+			}
+		})
+	}
+	on := func(opts ...Option) func(*Plan) (*Explain, error) {
+		return func(p *Plan) (*Explain, error) { return engine.Explain(p, opts...) }
+	}
+	query := func(opts ...QueryOption) func(*Plan) (*Explain, error) {
+		return func(p *Plan) (*Explain, error) { return svc.Explain(p, opts...) }
+	}
+	for _, mode := range []Scheduler{Static, Morsel} {
+		check("engine, configured "+mode.String()+", wide join", wide, on(WithScheduler(mode)), 2, mode)
+		check("engine, configured "+mode.String()+", skewed join", narrow, on(WithScheduler(mode)), 1, Static)
+	}
+	check("service default, wide join", wide, query(), 2, Morsel)
+	check("service, query configured static, wide join", wide, query(WithQueryOptions(WithScheduler(Static))), 2, Static)
+	check("service default, skewed join", narrow, query(), 1, Static)
+	check("engine, configured morsel, skewed join analyzed", narrow, func(p *Plan) (*Explain, error) {
+		ex, _, err := engine.ExplainAnalyze(context.Background(), p, WithScheduler(Morsel))
+		return ex, err
+	}, 1, Static)
+}
+
 // TestServiceDegradedShareHalves: a query the degradation ladder admitted on
 // half its budget gets half its share of the slots as its worker bound — seen
 // here on a pinned algorithm, which runs on exactly the bound.
