@@ -49,15 +49,21 @@ func runFigure1(cfg Config, w io.Writer) error {
 	tbl.row("step", "variant", "kind", "time [ms]")
 
 	// (1) Chunked run sorting: local NUMA RAM vs globally allocated array.
+	// Every MPSM variant sorts its chunk into preallocated key and payload
+	// columns.
 	chunks := rel.Clone().Split(workers)
+	runKeys, runPays := make([][]uint64, len(chunks)), make([][]uint64, len(chunks))
+	for i, c := range chunks {
+		runKeys[i], runPays[i] = make([]uint64, len(c.Tuples)), make([]uint64, len(c.Tuples))
+	}
 	sortWall := result.StopwatchPhase(func() {
 		var wg sync.WaitGroup
-		for _, c := range chunks {
+		for i, c := range chunks {
 			wg.Add(1)
-			go func(c relation.Chunk) {
+			go func() {
 				defer wg.Done()
-				sorting.Sort(c.Tuples)
-			}(c)
+				sorting.SortTuplesIntoColumns(c.Tuples, runKeys[i], runPays[i], nil)
+			}()
 		}
 		wg.Wait()
 	})
@@ -80,8 +86,8 @@ func runFigure1(cfg Config, w io.Writer) error {
 	// (3) Merge join with the second run local vs remote.
 	a := workload.UniformRelation("A", n/workers, workload.DefaultKeyDomain, 1002)
 	b := workload.UniformRelation("B", n/workers, workload.DefaultKeyDomain, 1003)
-	sorting.Sort(a.Tuples)
-	sorting.Sort(b.Tuples)
+	sorting.SortInto(a.Tuples, a.Tuples)
+	sorting.SortInto(b.Tuples, b.Tuples)
 	var agg mergejoin.MaxAggregate
 	joinWall := result.StopwatchPhase(func() {
 		mergejoin.Join(a.Tuples, b.Tuples, &agg)

@@ -36,9 +36,8 @@ import (
 // fit 64 bits together, a word and a parked payload otherwise. Everything
 // after that, splitting the sorted words or gathering the parked payloads, is
 // random access inside the run and the sort's bucket scratch, which the sort
-// leases (a tuple buffer of the chunk's size instead if the keys are too wide
-// to pack: the row sort runs there and is deinterleaved into the run) and
-// hands back before it returns.
+// leases (and, for keys too wide for a position beside them, a column of the
+// chunk's size for the full keys) and hands back before it returns.
 //
 // srcNode is the NUMA node the source chunk resides on (the input relation is
 // assumed to be range-chunked over the nodes); the run itself is allocated on

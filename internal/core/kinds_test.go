@@ -104,7 +104,7 @@ func TestPresortedInputsSkipSorting(t *testing.T) {
 	// which omit the random sorting accesses when the sort is skipped).
 	r, s := kindsDataset(3000, 4, 77)
 	sSorted := s.Clone()
-	sorting.Sort(sSorted.Tuples)
+	sorting.SortInto(sSorted.Tuples, sSorted.Tuples)
 
 	wantCount, wantMax := referenceKind(mergejoin.Inner, r, s)
 	plain := pmpsm(r, sSorted, Options{Workers: 4, TrackNUMA: true})

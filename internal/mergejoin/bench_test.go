@@ -17,8 +17,8 @@ func BenchmarkMergeJoinKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sorting.Sort(r.Tuples)
-	sorting.Sort(s.Tuples)
+	sorting.SortInto(r.Tuples, r.Tuples)
+	sorting.SortInto(s.Tuples, s.Tuples)
 	narrow := r.Tuples[:r.Len()/8]
 	rKeys, rPays := make([]uint64, len(narrow)), make([]uint64, len(narrow))
 	sKeys, sPays := make([]uint64, s.Len()), make([]uint64, s.Len())

@@ -2,11 +2,13 @@ package sorting
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/keys"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -49,18 +51,31 @@ func wideUniform32(n int, seed int64) []relation.Tuple {
 	return tuples
 }
 
+// userStrings encodes n keys user_%08d, drawn at random below 10^8, through
+// an inexact one-column string schema: each tuple is the key's 8-byte prefix
+// beside its row index.
+func userStrings(n int, seed int64) []relation.Tuple {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]keys.Value, n)
+	for i := range rows {
+		rows[i] = []keys.Value{keys.StringValue(fmt.Sprintf("user_%08d", rng.Intn(1e8)))}
+	}
+	return keys.MustNew(keys.Column{Type: keys.Bytes}).MustEncode("R", rows, make([]uint64, n)).Tuples
+}
+
 // BenchmarkRunGeneration times the production run-generation sort
 // (SortTuplesIntoColumns) per tuple over the key distributions that decide
 // its cost — uniform 32-bit keys (with positions as payloads, which ride in
 // the sort word, and with 64-bit payloads, which do not), clustered 80:20
-// skew on a 2^20 domain, a dense cluster in a 32-bit domain (the one shape
-// here whose buckets need more than one counting pass), a 2^10-key domain
-// (duplicate-heavy), full 64-bit keys (too wide to pack: the row sort plus a
-// deinterleave) and presorted input — alone and with one sorter per CPU, the
-// way the phases of P-MPSM run it: every sorter has a chunk of n tuples of its
-// own, so the sorters share the memory system but no source, and ns/tuple is
-// over one sorter's n. CI executes it once per case as a smoke test; it
-// asserts nothing about time.
+// skew on a 2^20 domain, a dense cluster in a 32-bit domain (the one narrow
+// shape whose buckets need more than one counting pass), a 2^10-key domain
+// (duplicate-heavy), full 64-bit keys and encoded user_%08d strings beside
+// their row indices (too wide for a position beside them: the wide path, the
+// strings' words tying on their shared prefix) and presorted input — alone
+// and with one sorter per CPU, the way the phases of P-MPSM run it: every
+// sorter has a chunk of n tuples of its own, so the sorters share the memory
+// system but no source, and ns/tuple is over one sorter's n. CI executes it
+// once per case as a smoke test; it asserts nothing about time.
 func BenchmarkRunGeneration(b *testing.B) {
 	distributions := []struct {
 		name string
@@ -72,10 +87,9 @@ func BenchmarkRunGeneration(b *testing.B) {
 		{"dense-cluster", func(n, s int) []relation.Tuple { return denseCluster(n, int64(5+10*s)) }},
 		{"domain-2^10", func(n, s int) []relation.Tuple { return makeTuples(n, int64(3+10*s), 1<<10) }},
 		{"full-width", func(n, s int) []relation.Tuple { return makeTuples(n, int64(6+10*s), 0) }},
+		{"string-prefix", func(n, s int) []relation.Tuple { return userStrings(n, int64(7+10*s)) }},
 		{"presorted", func(n, s int) []relation.Tuple {
-			tuples := makeTuples(n, int64(4+10*s), 1<<32)
-			SortStdlib(tuples)
-			return tuples
+			return stdlibOracle(makeTuples(n, int64(4+10*s), 1<<32))
 		}},
 	}
 	for _, dist := range distributions {

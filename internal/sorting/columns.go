@@ -5,23 +5,17 @@ import (
 	"repro/internal/relation"
 )
 
-// Columnar (structure-of-arrays) sorts for the batch execution path. Keys that
-// leave room for the payload or for an index sort packed (packed.go). Keys too
-// wide to pack — the order-preserving string and composite encodings fill all
-// 64 bits — go through the row sort of sort.go instead: the tuples are sorted
-// with the known key bound and then deinterleaved into the key and payload
-// columns. The packed path is stable; the row fallback, like Sort, is not.
+// Columnar (structure-of-arrays) sorts for the batch execution path, all of
+// them stable and all of them the packed kernel of packed.go.
 
 // Scratch supplies the working memory a sort needs beyond its destination
 // columns, so that callers holding a lease pay for it only on the sorts that
 // use it: the packed path takes one uint64 buffer the size of its fullest
 // stage-1 bucket (the whole input up to l2Values, about 1/256 of it on
-// uniform keys beyond), the row fallback one tuple buffer the size of the
-// input. Each sort hands its buffer back before it returns. *memory.Lease
-// implements it; a nil Scratch allocates.
+// uniform keys beyond), and the wide path one more the size of the input for
+// the parked keys. Each sort hands its buffers back before it returns.
+// *memory.Lease implements it; a nil Scratch allocates.
 type Scratch interface {
-	Tuples(n int) []relation.Tuple
-	PutTuples(buf []relation.Tuple)
 	Uint64s(n int) []uint64
 	PutUint64s(buf []uint64)
 }
@@ -29,8 +23,8 @@ type Scratch interface {
 // SortColumnsInto sorts the (srcKeys, srcPays) columns by ascending key into
 // (dstKeys, dstPays), leaving the source untouched. perm is unused: it is kept
 // so that existing callers compile, and nil is the value to pass. Keys too
-// wide to pack are interleaved into a freshly allocated tuple buffer, sorted
-// there and deinterleaved.
+// wide for a position beside them are interleaved into a freshly allocated
+// tuple buffer for the wide path's stage 1, which reads tuples only.
 func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) {
 	n := len(srcKeys)
 	srcPays, dstKeys, dstPays = srcPays[:n], dstKeys[:n], dstPays[:n]
@@ -41,14 +35,14 @@ func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) 
 		}
 		payBound |= srcPays[i]
 	}
-	if w, inWord, ok := packedCarrier(n, maxKey, payBound); ok {
+	w, inWord, ok := packedCarrier(n, maxKey, payBound)
+	if ok {
 		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, w, inWord)
 		return
 	}
 	tuples := make([]relation.Tuple, n)
 	batch.Interleave(srcKeys, srcPays, tuples)
-	SortWithMax(tuples, maxKey)
-	batch.Deinterleave(tuples, dstKeys, dstPays)
+	sortTuplesWide(tuples, dstKeys, dstPays, maxKey, w, nil)
 }
 
 // SortTuplesIntoColumns sorts an array-of-structs chunk into columnar form:
@@ -65,28 +59,29 @@ func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scra
 }
 
 // SortTuplesIntoColumnsWithBounds is SortTuplesIntoColumns for callers that
-// already know upper bounds on the keys and the payloads — maxKey under
-// SortWithMax's contract, payBound >= every payload in src (the payloads' OR
-// is one, and math.MaxUint64 always is).
+// already know upper bounds on the keys and the payloads — maxKey >= every key
+// in src, payBound >= every payload (the payloads' OR is one, and
+// math.MaxUint64 always is).
 func SortTuplesIntoColumnsWithBounds(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey, payBound uint64, scratch Scratch) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
 
-	if w, inWord, ok := packedCarrier(n, maxKey, payBound); ok {
+	w, inWord, ok := packedCarrier(n, maxKey, payBound)
+	if ok {
 		sortTuplesPacked(src, dstKeys, dstPays, maxKey, w, inWord, scratch)
 		return
 	}
+	sortTuplesWide(src, dstKeys, dstPays, maxKey, w, scratch)
+}
 
-	var sorted []relation.Tuple
-	if scratch == nil {
-		sorted = make([]relation.Tuple, n)
-	} else {
-		sorted = scratch.Tuples(n)
-		defer scratch.PutTuples(sorted)
-	}
-	sortIntoWithMax(src, sorted, maxKey)
-	batch.Deinterleave(sorted, dstKeys, dstPays)
+// SortInto stably sorts the tuples of src by ascending key into dst, which may
+// be src itself; only dst[:len(src)] is written. It sorts into two columns and
+// interleaves them back: no join calls it, benchmark probes and tests do.
+func SortInto(src, dst []relation.Tuple) {
+	keys, pays := make([]uint64, len(src)), make([]uint64, len(src))
+	SortTuplesIntoColumns(src, keys, pays, nil)
+	batch.Interleave(keys, pays, dst[:len(src)])
 }
 
 // Bounds scans tuples for the bounds SortTuplesIntoColumnsWithBounds takes:

@@ -22,41 +22,25 @@ func stdlibOracle(input []relation.Tuple) []relation.Tuple {
 }
 
 // checkColumnsAgainstStdlib verifies a columnar sort output against the
-// stdlib oracle (want = stdlibOracle(input)). When the input packs
-// (packedCarrier) the sort is stable by construction, so the output must
-// equal the stable order pair for pair; full-width keys take the row sort,
-// which is not stable, so equal keys may land in any order: there the keys
-// must match position by position and the (key, payload) pairs be a
-// multiset-permutation of the input.
+// stdlib oracle (want = stdlibOracle(input)): every sort is stable, so the
+// output must equal the stable order pair for pair.
 func checkColumnsAgainstStdlib(t *testing.T, name string, input, want []relation.Tuple, keys, pays []uint64) {
 	t.Helper()
 	if len(keys) != len(want) || len(pays) != len(want) {
 		t.Fatalf("%s: length changed: %d -> keys %d, pays %d", name, len(want), len(keys), len(pays))
 	}
-	maxKey, payBound := Bounds(input)
-	_, _, stable := packedCarrier(len(input), maxKey, payBound)
 	for i := range keys {
-		if keys[i] != want[i].Key {
-			t.Fatalf("%s: key mismatch at %d: got %d, stdlib %d", name, i, keys[i], want[i].Key)
+		if keys[i] != want[i].Key || pays[i] != want[i].Payload {
+			t.Fatalf("%s: (%d, %d) at %d, the stable order has (%d, %d)", name, keys[i], pays[i], i, want[i].Key, want[i].Payload)
 		}
-		if stable && pays[i] != want[i].Payload {
-			t.Fatalf("%s: packed sort not stable at %d (key %d): payload %d, stable order has %d", name, i, keys[i], pays[i], want[i].Payload)
-		}
-	}
-	if stable {
-		return
-	}
-	got := make([]relation.Tuple, len(keys))
-	batch.Interleave(keys, pays, got)
-	if !relation.SameMultiset(input, got) {
-		t.Fatalf("%s: output is not a permutation of input", name)
 	}
 }
 
-// sortBothWays runs the columnar entry points over input and checks each
-// against the stdlib oracle; SortColumnsInto must leave its source alone. A
-// payload bound of math.MaxUint64 sorts the input once more under the
-// position carrier, whichever carrier its own bounds choose.
+// sortBothWays runs the columnar entry points and SortInto over input and
+// checks each against the stdlib oracle; SortColumnsInto must leave its
+// source alone. A payload bound of math.MaxUint64 sorts the input once more
+// under the position carrier (or the wide path), whichever carrier its own
+// bounds choose.
 func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 	t.Helper()
 	n := len(input)
@@ -76,12 +60,13 @@ func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 	clear(dstPays)
 	SortTuplesIntoColumns(input, dstKeys, dstPays, nil)
 	checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumns", input, want, dstKeys, dstPays)
+	checkAgainstStdlib(t, name+"/SortInto", input, sortedInto(input))
 
 	// The position carrier, under the exact and a loose key bound, must sort
 	// the same.
 	maxKey, _ := Bounds(input)
 	for _, bound := range []uint64{maxKey, 2*maxKey + 1} {
-		if _, _, ok := packedCarrier(n, bound, math.MaxUint64); !ok || bound < maxKey {
+		if bound < maxKey {
 			continue
 		}
 		clear(dstKeys)
@@ -93,10 +78,10 @@ func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 
 // TestSortColumnsDifferential runs the columnar sorts against the stdlib
 // baseline over the adversarial distributions at sizes spanning the insertion
-// cutoffs, the single-bucket threshold and multi-level recursion.
+// cutoff and the stage-1 threshold.
 func TestSortColumnsDifferential(t *testing.T) {
-	sizes := []int{0, 1, 2, 3, insertionCutoff, packedInsertionCutoff - 1, packedInsertionCutoff, packedInsertionCutoff + 1,
-		minRadixSize - 1, minRadixSize, minRadixSize + 1, 3 * cacheLeafTuples, 20000, l2Values - 1, l2Values, l2Values + 1}
+	sizes := []int{0, 1, 2, 3, 16, packedInsertionCutoff - 1, packedInsertionCutoff, packedInsertionCutoff + 1,
+		2048, 20000, l2Values - 1, l2Values, l2Values + 1}
 	for _, n := range sizes {
 		for name, input := range adversarialDistributions(max(n, 1), int64(n)) {
 			sortBothWays(t, fmt.Sprintf("%s/n=%d", name, n), input[:n])
@@ -183,16 +168,22 @@ func TestSortColumnsOversizedBucket(t *testing.T) {
 }
 
 // TestSortColumnsPackBoundary pins both sides of the packedCarrier boundary
-// for payloads that are positions — the widest keys that still pack, and the
-// narrowest that take the row-sort fallback — plus full-width keys.
+// for payloads that are positions — the widest keys that still pack whole,
+// and the narrowest that the wide path cuts by one bit — plus full-width
+// keys, cut by the whole position width. The cut path leases the parked keys
+// beside the bucket scratch.
 func TestSortColumnsPackBoundary(t *testing.T) {
 	for _, n := range []int{100, 5000} {
 		idxBits := bits.Len(uint(n - 1))
-		for name, top := range map[string]uint64{
-			"packs":      1<<(64-idxBits) - 1,
-			"falls-back": 1 << (64 - idxBits),
-			"max-uint64": math.MaxUint64,
+		for name, tc := range map[string]struct {
+			top uint64
+			cut int
+		}{
+			"packs":      {1<<(64-idxBits) - 1, 0},
+			"falls-back": {1 << (64 - idxBits), 1},
+			"max-uint64": {math.MaxUint64, idxBits},
 		} {
+			top := tc.top
 			rng := rand.New(rand.NewSource(int64(n)))
 			input := make([]relation.Tuple, n)
 			for i := range input {
@@ -201,42 +192,74 @@ func TestSortColumnsPackBoundary(t *testing.T) {
 			input[n/2].Key = top
 			input[n/3].Key = top
 			maxKey, payBound := Bounds(input)
-			if _, _, ok := packedCarrier(n, maxKey, payBound); ok != (name == "packs") {
-				t.Fatalf("%s/n=%d: packedCarrier ok = %v", name, n, ok)
+			w, _, ok := packedCarrier(n, maxKey, payBound)
+			if ok != (tc.cut == 0) || !ok && bits.Len64(maxKey)+w-64 != tc.cut {
+				t.Fatalf("%s/n=%d: packedCarrier = (%d, %v), want a cut of %d bits", name, n, w, ok, tc.cut)
 			}
+			keys, pays := make([]uint64, n), make([]uint64, n)
+			var scratch countingScratch
+			SortTuplesIntoColumns(input, keys, pays, &scratch)
+			leases := []int{n} // the bucket scratch: n is one stage-1 bucket
+			if tc.cut > 0 {
+				leases = []int{n, n} // the parked keys, then the bucket scratch
+			}
+			if !slices.Equal(scratch.words, leases) || scratch.wordsBack != len(leases) {
+				t.Fatalf("%s/n=%d: leased %v, returned %d, want %v", name, n, scratch.words, scratch.wordsBack, leases)
+			}
+			checkColumnsAgainstStdlib(t, name, input, stdlibOracle(input), keys, pays)
 			sortBothWays(t, fmt.Sprintf("%s/n=%d", name, n), input)
 		}
 	}
 }
 
-// TestSortColumnsWideKeysRecurseInPlace drives the row sort's in-place radix
-// levels from the columnar entry points: full-width keys that agree on their
-// top four bytes, so every level below the first scatter recurses.
+// TestSortColumnsWideKeysRecurseInPlace drives the wide path's tie breaking
+// from every entry point: full-width keys that vary in their low 24 bits only,
+// so that words holding the top 64 − w bits tie in runs of tens to hundreds,
+// which stage 2 re-sorts on the bits the words dropped — below and past the
+// stage 1 threshold, in one stage-1 bucket (the keys share their top byte)
+// and spread over all 256.
 func TestSortColumnsWideKeysRecurseInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	input := make([]relation.Tuple, 20000)
-	for i := range input {
-		input[i] = relation.Tuple{Key: math.MaxUint64 - rng.Uint64()>>34, Payload: uint64(i)}
+	for _, n := range []int{20000, l2Values + 5000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		clustered, spread := make([]relation.Tuple, n), make([]relation.Tuple, n)
+		for i := range clustered {
+			low := rng.Uint64() >> 40
+			clustered[i] = relation.Tuple{Key: math.MaxUint64 - low, Payload: uint64(i)}
+			spread[i] = relation.Tuple{Key: uint64(rng.Intn(256))<<56 | low, Payload: uint64(i)}
+		}
+		spread[0].Key = math.MaxUint64
+		sortBothWays(t, fmt.Sprintf("wide-clustered/n=%d", n), clustered)
+		sortBothWays(t, fmt.Sprintf("wide-spread/n=%d", n), spread)
 	}
-	sortBothWays(t, "wide-clustered", input)
+}
+
+// TestSortWideKeysStable pins that keys too wide for a position beside them
+// sort stably: full-width keys, each repeated about eight times, beside
+// payloads that are their positions and beside random payloads.
+func TestSortWideKeysStable(t *testing.T) {
+	for _, n := range []int{2, 100, 5000, l2Values + 3000} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		pool := make([]uint64, n/8+1)
+		for i := range pool {
+			pool[i] = rng.Uint64() | 1<<63
+		}
+		positions, random := make([]relation.Tuple, n), make([]relation.Tuple, n)
+		for i := range positions {
+			k := pool[rng.Intn(len(pool))]
+			positions[i] = relation.Tuple{Key: k, Payload: uint64(i)}
+			random[i] = relation.Tuple{Key: k, Payload: rng.Uint64()}
+		}
+		sortBothWays(t, fmt.Sprintf("positions/n=%d", n), positions)
+		sortBothWays(t, fmt.Sprintf("random/n=%d", n), random)
+	}
 }
 
 // countingScratch is a Scratch that records what it hands out.
 type countingScratch struct {
-	tuples, tuplesBack int   // Tuples / PutTuples calls
-	words              []int // size of every Uint64s request
-	wordsBack          int   // PutUint64s calls
+	words     []int // size of every Uint64s request
+	wordsBack int   // PutUint64s calls
 }
 
-func (s *countingScratch) Tuples(n int) []relation.Tuple {
-	s.tuples++
-	buf := make([]relation.Tuple, n)
-	for i := range buf {
-		buf[i] = relation.Tuple{Key: math.MaxUint64, Payload: math.MaxUint64} // leased memory arrives dirty
-	}
-	return buf
-}
-func (s *countingScratch) PutTuples([]relation.Tuple) { s.tuplesBack++ }
 func (s *countingScratch) Uint64s(n int) []uint64 {
 	s.words = append(s.words, n)
 	buf := make([]uint64, n)
@@ -246,32 +269,6 @@ func (s *countingScratch) Uint64s(n int) []uint64 {
 	return buf
 }
 func (s *countingScratch) PutUint64s([]uint64) { s.wordsBack++ }
-
-// TestSortTuplesIntoColumnsLeasesTuplesLazily pins that the tuple scratch is
-// acquired only on the full-width path and the bucket scratch only on the
-// packed path, and that each is handed back before the sort returns.
-func TestSortTuplesIntoColumnsLeasesTuplesLazily(t *testing.T) {
-	for _, n := range []int{100, 5000} {
-		keys, pays := make([]uint64, n), make([]uint64, n)
-		var scratch countingScratch
-		SortTuplesIntoColumns(makeTuples(n, 1, 1<<32), keys, pays, &scratch)
-		if scratch.tuples != 0 {
-			t.Fatalf("n=%d: packed path leased a tuple scratch", n)
-		}
-		if len(scratch.words) != 1 || scratch.wordsBack != 1 {
-			t.Fatalf("n=%d: packed path leased %d bucket scratches, returned %d", n, len(scratch.words), scratch.wordsBack)
-		}
-		wide := makeTuples(n, 2, 0)
-		SortTuplesIntoColumns(wide, keys, pays, &scratch)
-		checkColumnsAgainstStdlib(t, "full-width", wide, stdlibOracle(wide), keys, pays)
-		if scratch.tuples != 1 || scratch.tuplesBack != 1 {
-			t.Fatalf("n=%d: full-width path leased %d, returned %d tuple scratches", n, scratch.tuples, scratch.tuplesBack)
-		}
-		if len(scratch.words) != 1 {
-			t.Fatalf("n=%d: full-width path leased a bucket scratch", n)
-		}
-	}
-}
 
 // TestSortColumnsPayloadPairing pins that the payload column really is
 // permuted in tandem with the keys (not merely a multiset of payloads): with
@@ -324,7 +321,8 @@ func fuzzShape(data []byte) []relation.Tuple {
 // stdlib sort over the shapes fuzzShape decodes: the seeds put every tuple in
 // one stage-1 bucket, repeat one key and two keys, leave exactly one of the
 // 256 buckets empty, tile full-width duplicates past l2Values through the
-// row-sort fallback, and pair 40-bit keys with 24-bit payloads (64 bits: the
+// wide path, give it full-width keys that share their top 64 − w bits, below
+// and past l2Values, and pair 40-bit keys with 24-bit payloads (64 bits: the
 // payload carrier) and 41-bit keys with them (65: the position carrier).
 func FuzzSortColumnsDifferential(f *testing.F) {
 	shaped := func(shift, extra, stride, payShift byte, keys ...uint64) []byte {
@@ -355,6 +353,8 @@ func FuzzSortColumnsDifferential(f *testing.F) {
 	}
 	f.Add(shaped(0, 255, 0, 0, allButOne...))                     // bucket 7 of 256 stays empty
 	f.Add(shaped(0, 200, 1, 0, 1<<63|5, 1<<63|5, math.MaxUint64)) // full-width duplicates past l2Values
+	f.Add(shaped(0, 0, 0, 0, 1<<63|9, 1<<63|3, 1<<63|7, 1<<63|3, 1<<63))
+	f.Add(shaped(0, 90, 1, 0, 1<<63|5, 1<<63|100, 1<<63|37)) // keys under 2^63 + 2^14: every word ties
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sortBothWays(t, "fuzz", fuzzShape(data))
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -53,69 +54,43 @@ func adversarialDistributions(n int, seed int64) map[string][]relation.Tuple {
 	return out
 }
 
-// checkAgainstStdlib sorts a copy with the stdlib baseline and requires the
-// candidate output to carry identical keys in identical positions and to be a
-// permutation of the input.
+// checkAgainstStdlib requires got to be input in the order the stable stdlib
+// sort gives it, pair for pair.
 func checkAgainstStdlib(t *testing.T, name string, input, got []relation.Tuple) {
 	t.Helper()
-	want := append([]relation.Tuple(nil), input...)
-	SortStdlib(want)
+	want := stdlibOracle(input)
 	if len(got) != len(want) {
 		t.Fatalf("%s: length changed: %d -> %d", name, len(want), len(got))
 	}
 	for i := range got {
-		if got[i].Key != want[i].Key {
-			t.Fatalf("%s: key mismatch at %d: got %d, stdlib %d", name, i, got[i].Key, want[i].Key)
+		if got[i] != want[i] {
+			t.Fatalf("%s: %+v at %d, the stable order has %+v", name, got[i], i, want[i])
 		}
-	}
-	if !relation.SameMultiset(input, got) {
-		t.Fatalf("%s: output is not a permutation of input", name)
 	}
 }
 
-// TestSortDifferential runs Sort, SortWithMax, SortInto and SortOneLevel
-// against the stdlib baseline over the adversarial distributions at sizes
-// spanning the insertion cutoff, the cache-leaf threshold and multi-level
-// recursion.
+// TestSortDifferential runs SortInto, out of place and in place, against the
+// stable stdlib sort over the adversarial distributions at sizes spanning the
+// insertion cutoff, the single-bucket threshold and stage 1.
 func TestSortDifferential(t *testing.T) {
-	sizes := []int{3, insertionCutoff, cacheLeafTuples - 1, cacheLeafTuples + 1, 3 * cacheLeafTuples, 20000}
+	sizes := []int{3, packedInsertionCutoff, packedInsertionCutoff + 1, 3000, 20000, l2Values + 1}
 	for _, n := range sizes {
 		for name, input := range adversarialDistributions(n, int64(n)) {
-			maxKey := maxKeyOf(input)
-
-			work := append([]relation.Tuple(nil), input...)
-			Sort(work)
-			checkAgainstStdlib(t, name+"/Sort", input, work)
-
-			work = append(work[:0], input...)
-			SortWithMax(work, maxKey)
-			checkAgainstStdlib(t, name+"/SortWithMax", input, work)
-
-			// SortWithMax must also tolerate a loose upper bound.
-			if maxKey < math.MaxUint64/2 {
-				work = append(work[:0], input...)
-				SortWithMax(work, 2*maxKey+1)
-				checkAgainstStdlib(t, name+"/SortWithMax(loose)", input, work)
-			}
-
-			src := append([]relation.Tuple(nil), input...)
+			src := slices.Clone(input)
 			dst := make([]relation.Tuple, n+3) // tolerate oversized destinations
 			SortInto(src, dst)
 			checkAgainstStdlib(t, name+"/SortInto", input, dst[:n])
-			if !relation.SameMultiset(src, input) {
+			if !slices.Equal(src, input) {
 				t.Fatalf("%s: SortInto modified its source", name)
 			}
-
-			work = append(work[:0], input...)
-			SortOneLevel(work)
-			checkAgainstStdlib(t, name+"/SortOneLevel", input, work)
+			checkAgainstStdlib(t, name+"/SortInto(in place)", input, sortedInto(input))
 		}
 	}
 }
 
 // FuzzSortDifferential is the fuzz form of the differential test: arbitrary
-// byte strings decode into tuple slices (8-byte keys), which every sorting
-// routine must order identically to the stdlib baseline.
+// byte strings decode into tuple slices (8-byte keys), which SortInto must
+// order as the stable stdlib sort does.
 func FuzzSortDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -131,18 +106,9 @@ func FuzzSortDifferential(f *testing.F) {
 		for i := 0; i < n; i++ {
 			input[i] = relation.Tuple{Key: binary.LittleEndian.Uint64(data[i*8:]), Payload: uint64(i)}
 		}
-
-		work := append([]relation.Tuple(nil), input...)
-		Sort(work)
-		checkAgainstStdlib(t, "Sort", input, work)
-
 		dst := make([]relation.Tuple, n)
 		SortInto(input, dst)
 		checkAgainstStdlib(t, "SortInto", input, dst)
-
-		work = append(work[:0], input...)
-		SortWithMax(work, maxKeyOf(input))
-		checkAgainstStdlib(t, "SortWithMax", input, work)
 	})
 }
 

@@ -1,17 +1,12 @@
-package sorting
-
-import (
-	"math/bits"
-	"slices"
-	"sync"
-
-	"repro/internal/relation"
-)
-
-// Packed fast path of the columnar sorts — the run-generation kernel of the
-// batch execution path. When the key domain leaves enough low bits free (the
-// paper's datasets use 32-bit keys in 64-bit slots), the low w bits carry the
-// payload itself if key and payload fit 64 bits together, else a position:
+// Package sorting implements run generation for the MPSM joins (paper
+// Section 2.3): one stable radix sort into key and payload columns
+// (SortTuplesIntoColumns, SortColumnsInto), for every key width. SortInto is
+// a thin wrapper over it for tuple slices.
+//
+// The kernel sorts packed words. When the key domain leaves enough low bits
+// free (the paper's datasets use 32-bit keys in 64-bit slots), the low w bits
+// carry the payload itself if key and payload fit 64 bits together, else a
+// position:
 //
 //	packed[i] = key << w | payload     or     key << w | position
 //
@@ -47,14 +42,27 @@ import (
 // payloads, split off or gathered from the same range of dstKeys; dstKeys
 // holds the parked payloads, if any, until then and the keys after.
 //
-// The fallback condition is exact (packedCarrier): full-width keys (the
-// string and composite encodings) beside non-zero payloads take the row sort
-// and a deinterleave (columns.go).
+// Keys too wide for a position beside them — the string, composite and
+// signed-integer encodings of internal/keys fill all 64 bits — take the wide
+// path (sortTuplesWide): the word keeps the key's top 64 − w bits above the
+// bucket-local position and drops its cut low bits, stage 1 parks the full
+// keys in a column of their own, and stage 2 re-sorts every run of words that
+// tie on the kept bits by the dropped ones, read back through the positions.
+package sorting
+
+import (
+	"math/bits"
+	"slices"
+	"sync"
+
+	"repro/internal/relation"
+)
 
 // packedCarrier picks the low bits of the packed words for n tuples with keys
 // up to maxKey and payloads up to payBound: the payload (inWord) when the two
-// fit in 64 bits, else the position where key and index do (ok). w is the
-// carrier's width.
+// fit in 64 bits, else the position. ok reports whether key and position fit
+// too; where they do not, the wide path carries the position beside the key's
+// top 64 − w bits. w is the carrier's width.
 func packedCarrier(n int, maxKey, payBound uint64) (w int, inWord, ok bool) {
 	if w = bits.Len64(payBound); bits.Len64(maxKey)+w <= 64 {
 		return w, true, true
@@ -64,6 +72,12 @@ func packedCarrier(n int, maxKey, payBound uint64) (w int, inWord, ok bool) {
 }
 
 const (
+	// radixBits is the width of the stage 1 digit: 2^8 = 256 buckets, as in
+	// the paper's radix phase.
+	radixBits    = 8
+	radixBuckets = 1 << radixBits
+	radixMask    = radixBuckets - 1
+
 	// packedInsertionCutoff is the bucket size up to which an insertion sort
 	// beats setting up a counting pass.
 	packedInsertionCutoff = 32
@@ -97,7 +111,12 @@ var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 // word carries. Each bucket is sorted on key bits [w, hi) into the bucket
 // scratch and unpacked from there: payloads into pays, split off the words or
 // gathered, then keys over the payloads' old place.
-func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int, scratch Scratch) {
+//
+// On the wide path (parked != nil) stage 1 left the buckets' full keys in
+// parked instead of words in pays: each bucket's words are built here, from
+// its keys without their cut low bits and its bucket-local positions, and its
+// keys come back from parked.
+func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int, parked []uint64, cut int, scratch Scratch) {
 	fullest := 0
 	for b := 0; b+1 < len(bounds); b++ {
 		fullest = max(fullest, bounds[b+1]-bounds[b])
@@ -114,6 +133,23 @@ func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int,
 	for b := 0; b+1 < len(bounds); b++ {
 		lo, end := bounds[b], bounds[b+1]
 		packed, sorted, bucketKeys := pays[lo:end], buf[:end-lo], keys[lo:end]
+		if parked != nil {
+			bucketParked := parked[lo:end]
+			for i, k := range bucketParked {
+				packed[i] = k>>cut<<w | uint64(i)
+			}
+			if !s.sortBucket(packed, sorted, w, hi) {
+				copy(sorted, packed)
+			}
+			s.breakTies(sorted, packed, bucketParked, w, cut)
+			for i, p := range sorted {
+				packed[i] = bucketKeys[p&mask]
+			}
+			for i, p := range sorted {
+				bucketKeys[i] = bucketParked[p&mask]
+			}
+			continue
+		}
 		if !s.sortBucket(packed, sorted, w, hi) {
 			copy(sorted, packed)
 		}
@@ -193,6 +229,31 @@ func (s *packedScratch) sortBucket(a, b []uint64, lo, hi int) (inB bool) {
 	return true
 }
 
+// breakTies stably re-sorts every run of the sorted words that agree from bit
+// w up by the cut low key bits the words dropped, read through their
+// positions from the parked keys; tmp is scratch of the same length. Each
+// run's words become those bits above the position, which the unpack reads
+// alone.
+func (s *packedScratch) breakTies(sorted, tmp, parked []uint64, w, cut int) {
+	mask, dropped := uint64(1)<<w-1, uint64(1)<<cut-1
+	for from := 0; from < len(sorted); {
+		to := from + 1
+		for to < len(sorted) && sorted[to]>>w == sorted[from]>>w {
+			to++
+		}
+		if to-from > 1 {
+			run := sorted[from:to]
+			for i, p := range run {
+				run[i] = parked[p&mask]&dropped<<w | p&mask
+			}
+			if s.sortBucket(run, tmp[from:to], w, w+cut) {
+				copy(run, tmp[from:to])
+			}
+		}
+		from = to
+	}
+}
+
 // insertionSortU64 stably sorts a tiny bucket in place by its bits from lo up.
 func insertionSortU64(packed []uint64, lo int) {
 	low := uint64(1)<<lo - 1
@@ -251,7 +312,7 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 			cursors[b] = pos + 1
 		}
 	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, scratch)
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil, 0, scratch)
 }
 
 // sortColumnsIntoPacked is the packed path of SortColumnsInto: sortTuplesPacked
@@ -293,5 +354,47 @@ func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey u
 			cursors[b] = pos + 1
 		}
 	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil)
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil, 0, nil)
+}
+
+// sortTuplesWide is the wide path of the columnar sorts, for keys too wide
+// for a w-bit position beside them: stage 1 scatters each full key into a
+// leased parked column and its payload into dstKeys by the key's top 8 bits,
+// or only copies them up to l2Values, and finishPacked sorts words of the
+// key's top 64 − w bits and breaks their ties on the cut bits below.
+func sortTuplesWide(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, scratch Scratch) {
+	n := len(src)
+	var parked []uint64
+	if scratch == nil {
+		parked = make([]uint64, n)
+	} else {
+		parked = scratch.Uint64s(n)
+		defer scratch.PutUint64s(parked)
+	}
+	hi := 64
+	var bounds [radixBuckets + 1]int
+	buckets := 1
+	if n <= l2Values {
+		bounds[1] = n
+		for i, t := range src {
+			parked[i], dstKeys[i] = t.Key, t.Payload
+		}
+	} else {
+		buckets, hi = radixBuckets, 64-radixBits
+		shift := bits.Len64(maxKey) - radixBits
+		for _, t := range src {
+			bounds[int(t.Key>>shift)&radixMask+1]++
+		}
+		for b := 0; b < radixBuckets; b++ {
+			bounds[b+1] += bounds[b]
+		}
+		cursors := bounds
+		for _, t := range src {
+			b := int(t.Key>>shift) & radixMask
+			pos := cursors[b]
+			parked[pos], dstKeys[pos] = t.Key, t.Payload
+			cursors[b] = pos + 1
+		}
+	}
+	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, false, hi, parked, bits.Len64(maxKey)+w-64, scratch)
 }

@@ -18,7 +18,8 @@ func fullestStage1Bucket(input []relation.Tuple) int {
 	if len(input) <= l2Values {
 		return len(input)
 	}
-	shift := max(bits.Len64(maxKeyOf(input))-radixBits, 0)
+	maxKey, _ := Bounds(input)
+	shift := max(bits.Len64(maxKey)-radixBits, 0)
 	var histogram [radixBuckets]int
 	fullest := 0
 	for _, t := range input {
@@ -76,7 +77,8 @@ func TestPackedPayloadBits(t *testing.T) {
 		for i := range input {
 			input[i].Key = rng.Uint64() >> 40 % uint64(n/2+1) << 12
 		}
-		idxBits, _, ok := packedCarrier(n, maxKeyOf(input), math.MaxUint64)
+		maxKey, _ := Bounds(input)
+		idxBits, _, ok := packedCarrier(n, maxKey, math.MaxUint64)
 		if !ok {
 			t.Fatalf("n=%d: input does not pack", n)
 		}
@@ -156,7 +158,8 @@ func TestPackedLeaseAccounting(t *testing.T) {
 		keys, pays := make([]uint64, n), make([]uint64, n)
 		before := lease.Stats()
 
-		SortTuplesIntoColumnsWithBounds(input, keys, pays, maxKeyOf(input), math.MaxUint64, lease)
+		maxKey, _ := Bounds(input)
+		SortTuplesIntoColumnsWithBounds(input, keys, pays, maxKey, math.MaxUint64, lease)
 		checkColumnsAgainstStdlib(t, name, input, stdlibOracle(input), keys, pays)
 
 		after := lease.Stats()

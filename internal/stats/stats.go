@@ -366,7 +366,9 @@ func EstimateBandJoin(a, b *Profile, band uint64) float64 {
 	if hi < lo {
 		return equi
 	}
-	width := math.Max(1, (hi-lo+1)/HistogramBuckets) // a bucket holds at least one key value
+	// A bucket holds at least one key value, and at least one step of the
+	// float64 keys: past 2^53 a narrower bucket would never advance gLo.
+	width := math.Max(math.Max(1, math.Nextafter(hi, math.Inf(1))-hi), (hi-lo+1)/HistogramBuckets)
 	span := width + 2*w
 	widened := 0.0
 	for gLo := lo; gLo <= hi; gLo += width {

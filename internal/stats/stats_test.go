@@ -238,6 +238,16 @@ func TestBandJoinEstimate(t *testing.T) {
 	if est := EstimateBandJoin(Collect(lo), Collect(hi), 10); est <= 0 || est > 4 {
 		t.Errorf("bridged band join estimated at %v, want within (0, 4]", est)
 	}
+
+	// Keys past 2^53, where one float64 step spans many key values: the
+	// estimate ends, inside the cross product.
+	x, y := make([]relation.Tuple, 64), make([]relation.Tuple, 64)
+	for i := range x {
+		x[i].Key, y[i].Key = 1<<63|uint64(i), 1<<63|uint64(7*i)
+	}
+	if est := EstimateBandJoin(Collect(relation.New("x", x)), Collect(relation.New("y", y)), 3); !(est > 0 && est <= 64*64) {
+		t.Errorf("band join past 2^53 estimated at %v, want within (0, 4096]", est)
+	}
 }
 
 // TestFilteredProfile checks that Filtered narrows the key range and scales

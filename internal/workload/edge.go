@@ -83,6 +83,10 @@ func EdgeInputs(seed uint64) []EdgeInput {
 	carrier64 := gen("R", 700, bits(40), bits(24))
 	carrier65 := gen("R", 700, bits(40), bits(25))
 	oneBucket := func(int) uint64 { return 1<<32 - 1 - rng.Uint64n(1<<10) }
+	// wide draws sign-flipped int64 keys in [0, 2^12), the signed-integer
+	// encoding of internal/keys: full-width keys whose top bits all agree.
+	wide := func(int) uint64 { return 1<<63 | rng.Uint64n(1<<12) }
+	position := func(i int) uint64 { return uint64(i) }
 	return []EdgeInput{
 		// The paper's uniform foreign-key workload at test scale, half of S
 		// drawn from the domain instead, so that every kind has output.
@@ -117,6 +121,10 @@ func EdgeInputs(seed uint64) []EdgeInput {
 		// Key bits plus payload bits equal to 65: one bit too many for the
 		// payload, so the sort word carries positions.
 		{"carrier-65-bits", carrier65, gen("S", 1400, keysOf(carrier65), bits(25)), gen("T", 200, keysOf(carrier65), bits(25)), false},
+		// Full-width keys beside positions: too wide for a position beside
+		// them, so run generation sorts their top 64 − w bits and breaks the
+		// ties those leave on the bits below.
+		{"wide-keys", gen("R", 500, wide, position), gen("S", 1500, wide, position), gen("T", 300, wide, position), false},
 		// Payload sums that wrap inside a folded range: each key group pairs
 		// payloads near MaxUint64 with small ones, so the largest sum is not
 		// the sum of the largest payloads.
