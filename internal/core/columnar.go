@@ -30,8 +30,8 @@ import (
 // NUMA-local memory the paper prescribes ("chunk the data, redistribute, and
 // then sort/work on your data locally") is fused with the sort, and the source
 // chunk — possibly a neighbour's memory — is only ever read sequentially
-// (commandment C2): once for the key and payload domains, once for the first
-// radix digit's histogram, and once by the scatter that deinterleaves keys and
+// (commandment C2), twice: once for the key and payload domains and the first
+// radix digit's counts, and once by the scatter that deinterleaves keys and
 // payloads into the run's own buffers — one word a tuple when key and payload
 // fit 64 bits together, a word and a parked payload otherwise. Everything
 // after that, splitting the sorted words or gathering the parked payloads, is
@@ -58,9 +58,9 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 	if tracker := w.Tracker(); tracker != nil {
 		un := uint64(n)
 		// Either way the source is read sequentially twice (order check and
-		// deinterleave, or key domain and scatter) and the local run written
-		// once; sorting adds the histogram pass over the source (a chunk small
-		// enough to go without one is charged it all the same) and O(n)
+		// deinterleave, or key domain with the first digit's counts and
+		// scatter; the rare recount of a key width guessed too narrow goes
+		// uncharged) and the local run written once; sorting adds O(n)
 		// passes of local random accesses: the scatter plus the in-cache
 		// finishing work, charged as two read/write passes. The model counts
 		// tuples, not words, so both carriers of the packed sort are charged
@@ -71,7 +71,6 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 		tracker.SeqRead(srcNode, 2*un)
 		tracker.SeqWrite(run.Node, un)
 		if !skippedSort {
-			tracker.SeqRead(srcNode, un)
 			tracker.RandRead(run.Node, 2*un)
 			tracker.RandWrite(run.Node, 2*un)
 		}

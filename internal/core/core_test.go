@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mergejoin"
+	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
+	"repro/internal/sink"
+	"repro/internal/sorting"
 	"repro/internal/workload"
 )
 
@@ -271,6 +276,17 @@ func TestMPSMNUMAAccountingObeysCommandments(t *testing.T) {
 	if bres.NUMA.SyncOps != 0 || bres.NUMA.RemoteRandRead != 0 {
 		t.Fatalf("B-MPSM violated commandments: %+v", bres.NUMA)
 	}
+	// B-MPSM's run generation reads every input tuple twice (the first pass,
+	// which finds the key domain and counts the first digit, and the
+	// scatter); its match phase reads every private run once per public run
+	// and every public run once per worker.
+	for _, workers := range []int{1, 2, 8} {
+		res := bmpsm(r, s, Options{Workers: workers, TrackNUMA: true})
+		got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(2+workers)*uint64(r.Len()+s.Len())
+		if got != want {
+			t.Fatalf("T=%d: B-MPSM charged %d sequential reads, want (2+T)·(|R|+|S|) = %d", workers, got, want)
+		}
+	}
 
 	// D-MPSM's run generation is B-MPSM's; its page walk reads through the
 	// buffer pool, which the model does not place.
@@ -280,6 +296,72 @@ func TestMPSMNUMAAccountingObeysCommandments(t *testing.T) {
 	}
 	if dres.NUMA.SyncOps != 0 || dres.NUMA.RemoteRandRead != 0 || dres.NUMA.RemoteRandWrite != 0 {
 		t.Fatalf("D-MPSM violated commandments: %+v", dres.NUMA)
+	}
+}
+
+// TestPMPSMGuessTooNarrow gives P-MPSM a private input whose one widest key
+// sits off the sample positions of every worker's chunk at one, two and three
+// workers, so that phase 2 guesses the key width too narrow, must count its
+// histograms again at the exact radix configuration, and sums phase 3's
+// first-digit counts from those. The private partitions exceed the sort's
+// single-bucket size at every worker count, so phase 3 scatters by the counts
+// it was handed. The pairs must be a map oracle's under either scheduler.
+func TestPMPSMGuessTooNarrow(t *testing.T) {
+	const n = 3 * 40000
+	rng := rand.New(rand.NewSource(43))
+	rt, st := make([]relation.Tuple, n), make([]relation.Tuple, n/2)
+	for i := range rt {
+		rt[i] = relation.Tuple{Key: rng.Uint64() >> 44, Payload: uint64(i)}
+	}
+	// The first index that no chunk at any worker count samples: 64 evenly
+	// spaced keys of the chunk and its last one.
+	sampled := map[int]bool{}
+	for workers := 1; workers <= 3; workers++ {
+		for _, c := range relation.New("R", rt).Split(workers) {
+			size := len(c.Tuples)
+			sampled[c.Offset+size-1] = true
+			for i := range min(size, 64) {
+				sampled[c.Offset+i*max(size/64, 1)] = true
+			}
+		}
+	}
+	planted := 1
+	for sampled[planted] {
+		planted++
+	}
+	const wide = 1 << 22 // two bits wider than every other key: phase 2's clusters shift by two bits more
+	rt[planted].Key = wide
+	for i := range st {
+		st[i] = relation.Tuple{Key: rt[rng.Intn(n)].Key, Payload: uint64(i)}
+	}
+	st[0].Key, st[1].Key = wide, wide
+	r, s := relation.New("R", rt), relation.New("S", st)
+
+	partners := map[uint64][]uint64{}
+	for _, t := range st {
+		partners[t.Key] = append(partners[t.Key], t.Payload)
+	}
+	var oracle []sink.Pair
+	for _, rt := range rt {
+		for _, p := range partners[rt.Key] {
+			oracle = append(oracle, sink.Pair{R: rt, S: relation.Tuple{Key: rt.Key, Payload: p}})
+		}
+	}
+	want := canonicalPairs(oracle)
+	for workers := 1; workers <= 3; workers++ {
+		var guess uint64
+		for _, c := range r.Split(workers) {
+			guess = max(guess, sorting.GuessMaxKey(c.Tuples))
+		}
+		if bits := histogramBits(workers); partition.NewRadixConfig(bits, guess) == partition.NewRadixConfig(bits, wide) {
+			t.Fatalf("T=%d: the chunks' samples guess %d, as wide as %d", workers, guess, uint64(wide))
+		}
+		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+			got, _, _ := runMaterialized(t, "P", r, s, Options{Workers: workers, Scheduler: mode})
+			if !slices.Equal(got, want) {
+				t.Fatalf("T=%d/%v: %d pairs, the map oracle has %d", workers, mode, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -20,11 +20,12 @@ import (
 //	phase 1  chunk the public input S and sort the chunks into local runs;
 //	phase 2  range partition the private input R: build the global S CDF from
 //	         per-run equi-height histograms (2.1), build fine-grained radix
-//	         histograms on the R chunks (2.2), compute load-balancing
-//	         splitters and scatter R into per-worker range partitions via
-//	         precomputed prefix sums — no synchronization, sequential writes
-//	         only (2.3);
-//	phase 3  sort each private range partition into a run;
+//	         histograms on the R chunks in the read that finds R's key
+//	         domain (2.2), compute load-balancing splitters and scatter R
+//	         into per-worker range partitions via precomputed prefix sums —
+//	         no synchronization, sequential writes only (2.3);
+//	phase 3  sort each private range partition into a run, by first-digit
+//	         counts summed from the phase 2 histograms;
 //	phase 4  every worker merge joins its private run with the relevant,
 //	         interpolation-searched fraction of every public run, streaming
 //	         every matching pair into the configured sink.
@@ -70,29 +71,30 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// row-oriented (it scatters the input chunks); the S CDF bounds are read
 	// off the public runs' key columns.
 	var partitions [][]relation.Tuple
+	var counts []int
 	var privateMaxKey, privatePayBound uint64
 	if err := x.Record("phase 2", result.StopwatchPhase(func() {
-		partitions, privateMaxKey, privatePayBound = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
+		partitions, counts, privateMaxKey, privatePayBound = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
 	})); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: sort each private range partition into a run. Phase 2 already
-	// determined the global maximum private key for its radix histograms, and
-	// the payloads' bound beside it, so the sort reads the partition — local
-	// memory, which phase 2 scattered to this worker — sequentially twice
-	// (histogram, scatter) and not again: the scatter moves keys and payloads
-	// into the column run, where the rest of the sort's accesses, all of the
+	// Phase 3: sort each private range partition into a run. Phase 2 found
+	// the private key and payload bounds in its histogram scan and summed
+	// each partition's first-digit counts from its histograms, so the sort
+	// reads the partition — local memory, which phase 2 scattered to this
+	// worker — sequentially once: the scatter moves keys and payloads into
+	// the column run, where the rest of the sort's accesses, all of the
 	// random ones, stay. The partition's row buffer goes back to the lease.
 	if err := x.Phase("phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), w.Node(), len(part), lease)
-		sorting.SortTuplesIntoColumnsWithBounds(part, run.Keys, run.Payloads, privateMaxKey, privatePayBound, lease)
+		sorting.SortTuplesIntoColumnsWithBounds(part, run.Keys, run.Payloads, privateMaxKey, privatePayBound, counts[w.ID()*sorting.Digits:][:sorting.Digits], lease)
 		lease.PutTuples(part)
 		privateRuns[w.ID()] = run
 		if tracker := w.Tracker(); tracker != nil {
 			n := uint64(run.Len())
-			tracker.SeqRead(run.Node, 2*n)
+			tracker.SeqRead(run.Node, n)
 			tracker.RandRead(run.Node, 2*n)
 			tracker.RandWrite(run.Node, 2*n)
 		}
@@ -109,15 +111,15 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 // rangePartitionPrivate implements phase 2 of P-MPSM: it returns one private
 // partition (still unsorted) per worker, holding exactly the tuples of that
-// worker's key range, together with the maximum private key (determined for
-// the radix histograms) and the OR of the private payloads, the two bounds
-// the phase 3 sort packs its words by. On cancellation it returns early with
+// worker's key range, each partition's counts of the phase 3 sort's first
+// digit, and the maximum private key and the OR of the private payloads, the
+// bounds that sort packs its words by. On cancellation it returns early with
 // whatever it has built; the caller checks ctx after the phase and discards
 // the partial state. All parallel steps run as "phase 2" barriers on the
 // shared runtime, so the per-worker breakdown accumulates them under one
 // label. Histogram, cursor and partition buffers come from the join's scratch
 // lease.
-func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) (targets [][]relation.Tuple, maxKey, payBound uint64) {
+func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) (targets [][]relation.Tuple, counts []int, maxKey, payBound uint64) {
 	workers := opts.Workers
 
 	// Phase 2.1: per-run equi-height bounds merged into the global S CDF,
@@ -130,38 +132,44 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		runLens[w.ID()] = publicRuns[w.ID()].Len()
 	})
 	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, 0, 0
+		return nil, nil, 0, 0
 	}
 	cdf := partition.BuildCDF(boundsPerRun, runLens)
 
-	// Phase 2.2: fine-grained radix histograms on the private chunks. Each
-	// worker also determines the maximum key of its chunk so that the radix
-	// configuration can be derived without a separate pass, and ORs the
-	// chunk's payloads in the same scan for phase 3.
+	// Phase 2.2: fine-grained radix histograms on the private chunks, at the
+	// key width a sample of every chunk guesses (never too wide). The same
+	// read takes each chunk's maximum key and payload OR; if they show the
+	// guess too narrow, a second barrier counts again at the exact width.
+	var guess uint64
+	for _, chunk := range privateChunks {
+		guess = max(guess, sorting.GuessMaxKey(chunk.Tuples))
+	}
+	cfg := partition.NewRadixConfig(histogramBits(workers), guess)
+	histograms := make([]partition.Histogram, workers)
+	for w := range histograms {
+		histograms[w] = lease.Ints(cfg.Clusters())
+	}
 	chunkMax, chunkPays := make([]uint64, workers), make([]uint64, workers)
-	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		chunkMax[w.ID()], chunkPays[w.ID()] = sorting.Bounds(privateChunks[w.ID()].Tuples)
+	count := func(ctx context.Context, w *sched.Worker) {
+		clear(histograms[w.ID()])
+		chunkMax[w.ID()], chunkPays[w.ID()] = sorting.CountTuples(histograms[w.ID()], privateChunks[w.ID()].Tuples, int(cfg.Shift))
 		if tracker := w.Tracker(); tracker != nil {
 			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
 		}
-	})
+	}
+	rt.Phase(ctx, "phase 2", count)
 	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, 0, 0
+		return nil, nil, 0, 0
 	}
 	for i, m := range chunkMax {
 		maxKey, payBound = max(maxKey, m), payBound|chunkPays[i]
 	}
-	cfg := partition.NewRadixConfig(histogramBits(workers), maxKey)
-
-	histograms := make([]partition.Histogram, workers)
-	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		histograms[w.ID()] = partition.BuildHistogramInto(lease.Ints(cfg.Clusters()), privateChunks[w.ID()].Tuples, cfg)
-		if tracker := w.Tracker(); tracker != nil {
-			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
+	if exact := partition.NewRadixConfig(cfg.Bits, maxKey); exact != cfg {
+		cfg = exact
+		rt.Phase(ctx, "phase 2", count)
+		if sched.Canceled(ctx) || rt.Err() != nil {
+			return nil, nil, 0, 0
 		}
-	})
-	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, 0, 0
 	}
 
 	// Phase 2.3: splitter computation, prefix sums, and the
@@ -177,6 +185,19 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		sp = partition.ComputeSplitters(globalR, cdf, cfg, partition.DefaultSplitterCost(workers))
 	}
 	ps := partition.ComputePrefixSums(histograms, sp, workers)
+
+	// Phase 3's first digit, the top 8 bits of the maximum key, lies at or
+	// above the 10 or more bits of the clusters, so partition p's digit
+	// counts, counts[p*Digits:][:Digits], are its clusters' counts summed.
+	// Only non-empty clusters are summed: below 2^8, the empty ones above the
+	// maximum key would land past the last digit.
+	counts = lease.Ints(workers * sorting.Digits)
+	up := uint(sorting.DigitShift(maxKey)) - cfg.Shift
+	for c, n := range globalR {
+		if n > 0 {
+			counts[sp[c]*sorting.Digits+c>>up] += n
+		}
+	}
 
 	// Partition p is written on — and later sorted by — worker p's node.
 	targets = make([][]relation.Tuple, workers)
@@ -202,5 +223,5 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		lease.PutInts(cursors)
 		lease.PutInts(before)
 	})
-	return targets, maxKey, payBound
+	return targets, counts, maxKey, payBound
 }

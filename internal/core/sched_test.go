@@ -17,8 +17,11 @@ import (
 
 // sortedPairs returns the materialized result pairs in a canonical order so
 // that two executions can be compared as multisets.
-func sortedPairs(m *sink.Materialize) []sink.Pair {
-	return slices.SortedFunc(slices.Values(m.Pairs()), func(a, b sink.Pair) int {
+func sortedPairs(m *sink.Materialize) []sink.Pair { return canonicalPairs(m.Pairs()) }
+
+// canonicalPairs returns pairs in canonical order.
+func canonicalPairs(pairs []sink.Pair) []sink.Pair {
+	return slices.SortedFunc(slices.Values(pairs), func(a, b sink.Pair) int {
 		return cmp.Or(cmp.Compare(a.R.Key, b.R.Key), cmp.Compare(a.R.Payload, b.R.Payload), cmp.Compare(a.S.Key, b.S.Key), cmp.Compare(a.S.Payload, b.S.Payload))
 	})
 }

@@ -2,6 +2,7 @@ package hashjoin
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -79,9 +80,9 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 	defer x.Release()
 	o, lease := x.Opts, x.Lease
 
-	maxKey := maxKeyOf(r, s)
 	var rParts, sParts [][]relation.Tuple
 	if err := x.Record("partition", result.StopwatchPhase(func() {
+		maxKey := maxKeyOf(ctx, x.RT, r, s)
 		rParts = partitionMultiPass(ctx, x.RT, r, bits, passes, maxKey, o.Topology, lease)
 		sParts = partitionMultiPass(ctx, x.RT, s, bits, passes, maxKey, o.Topology, lease)
 	})); err != nil {
@@ -262,14 +263,18 @@ func joinPartition(ctx context.Context, build, probe []relation.Tuple, out merge
 }
 
 // maxKeyOf returns the maximum join key across both relations (0 for empty
-// inputs).
-func maxKeyOf(r, s *relation.Relation) uint64 {
-	var maxKey uint64
-	if _, m, err := r.MinMaxKey(); err == nil {
-		maxKey = m
-	}
-	if _, m, err := s.MinMaxKey(); err == nil && m > maxKey {
-		maxKey = m
-	}
-	return maxKey
+// inputs), each worker scanning its chunk of both.
+func maxKeyOf(ctx context.Context, rt *sched.Runtime, r, s *relation.Relation) uint64 {
+	rChunks, sChunks := r.Split(rt.Workers()), s.Split(rt.Workers())
+	maxima := make([]uint64, rt.Workers())
+	rt.Phase(ctx, "partition", func(ctx context.Context, w *sched.Worker) {
+		var m uint64
+		for _, chunk := range [2][]relation.Tuple{rChunks[w.ID()].Tuples, sChunks[w.ID()].Tuples} {
+			for _, t := range chunk {
+				m = max(m, t.Key)
+			}
+		}
+		maxima[w.ID()] = m
+	})
+	return slices.Max(maxima)
 }

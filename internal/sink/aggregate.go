@@ -311,7 +311,7 @@ func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, maxKey, pa
 	if relation.IsSortedByKey(part) {
 		batch.Deinterleave(part, keys, pays)
 	} else {
-		sorting.SortTuplesIntoColumnsWithBounds(part, keys, pays, maxKey, payBound, g.lease)
+		sorting.SortTuplesIntoColumnsWithBounds(part, keys, pays, maxKey, payBound, nil, g.lease)
 	}
 	n := 0
 	for i := 0; i < len(keys); n++ {

@@ -28,51 +28,71 @@ type Scratch interface {
 func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) {
 	n := len(srcKeys)
 	srcPays, dstKeys, dstPays = srcPays[:n], dstKeys[:n], dstPays[:n]
+	var counts [radixBuckets]int
 	var maxKey, payBound uint64
-	for i, k := range srcKeys {
-		if k > maxKey {
-			maxKey = k
+	if n > l2Values {
+		guess := sampleMax(n, func(i int) uint64 { return srcKeys[i] })
+		maxKey, payBound = firstPass(counts[:], guess, func(shift int) (uint64, uint64) {
+			return countColumns(counts[:], srcKeys, srcPays, shift)
+		})
+	} else {
+		for i, k := range srcKeys {
+			if k > maxKey {
+				maxKey = k
+			}
+			payBound |= srcPays[i]
 		}
-		payBound |= srcPays[i]
 	}
 	w, inWord, ok := packedCarrier(n, maxKey, payBound)
 	if ok {
-		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, w, inWord)
+		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, w, inWord, counts[:])
 		return
 	}
 	tuples := make([]relation.Tuple, n)
 	batch.Interleave(srcKeys, srcPays, tuples)
-	sortTuplesWide(tuples, dstKeys, dstPays, maxKey, w, nil)
+	sortTuplesWide(tuples, dstKeys, dstPays, maxKey, w, counts[:], nil)
 }
 
 // SortTuplesIntoColumns sorts an array-of-structs chunk into columnar form:
 // dstKeys receives the keys in ascending order and dstPays the payloads in
-// the same permutation. On the packed path the AoS→SoA deinterleave is fused
-// with the first radix digit — one sequential read of the 16-byte tuples
-// feeding 256 write cursors — so the representation change costs no separate
-// pass over the data, and src is read sequentially only. It determines the key
-// and payload domains with one scan; use SortTuplesIntoColumnsWithBounds when
-// bounds are already known.
+// the same permutation. src is read twice, sequentially: by the first pass,
+// which finds the key and payload domains (and past l2Values counts the first
+// radix digit), and by the packing, fused past l2Values with that digit's
+// scatter and the AoS→SoA deinterleave into one read feeding 256 cursors.
 func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
-	maxKey, payBound := Bounds(src)
-	SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, scratch)
+	if len(src) <= l2Values {
+		maxKey, payBound := bounds(src)
+		SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, nil, scratch)
+		return
+	}
+	var counts [radixBuckets]int
+	maxKey, payBound := firstPass(counts[:], GuessMaxKey(src), func(shift int) (uint64, uint64) {
+		return CountTuples(counts[:], src, shift)
+	})
+	SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, counts[:], scratch)
 }
 
 // SortTuplesIntoColumnsWithBounds is SortTuplesIntoColumns for callers that
 // already know upper bounds on the keys and the payloads — maxKey >= every key
 // in src, payBound >= every payload (the payloads' OR is one, and
-// math.MaxUint64 always is).
-func SortTuplesIntoColumnsWithBounds(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey, payBound uint64, scratch Scratch) {
+// math.MaxUint64 always is) — and maybe the first digits' counts past
+// l2Values: counts[d] tuples have key>>DigitShift(maxKey) == d. Nil counts
+// are counted here.
+func SortTuplesIntoColumnsWithBounds(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey, payBound uint64, counts []int, scratch Scratch) {
 	n := len(src)
 	dstKeys = dstKeys[:n]
 	dstPays = dstPays[:n]
+	if counts == nil && n > l2Values {
+		counts = make([]int, radixBuckets)
+		CountTuples(counts, src, DigitShift(maxKey))
+	}
 
 	w, inWord, ok := packedCarrier(n, maxKey, payBound)
 	if ok {
-		sortTuplesPacked(src, dstKeys, dstPays, maxKey, w, inWord, scratch)
+		sortTuplesPacked(src, dstKeys, dstPays, maxKey, w, inWord, counts, scratch)
 		return
 	}
-	sortTuplesWide(src, dstKeys, dstPays, maxKey, w, scratch)
+	sortTuplesWide(src, dstKeys, dstPays, maxKey, w, counts, scratch)
 }
 
 // SortInto stably sorts the tuples of src by ascending key into dst, which may
@@ -84,12 +104,11 @@ func SortInto(src, dst []relation.Tuple) {
 	batch.Interleave(keys, pays, dst[:len(src)])
 }
 
-// Bounds scans tuples for the bounds SortTuplesIntoColumnsWithBounds takes:
-// the maximum key and the OR of the payloads. It stays out of line: inlined,
-// its loop reloads the caller's arguments on every tuple.
+// bounds scans tuples for the maximum key and the payloads' OR. It stays out
+// of line: inlined, its loop reloads its arguments.
 //
 //go:noinline
-func Bounds(tuples []relation.Tuple) (maxKey, payBound uint64) {
+func bounds(tuples []relation.Tuple) (maxKey, payBound uint64) {
 	for i := range tuples {
 		if k := tuples[i].Key; k > maxKey {
 			maxKey = k

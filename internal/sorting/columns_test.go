@@ -64,14 +64,14 @@ func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 
 	// The position carrier, under the exact and a loose key bound, must sort
 	// the same.
-	maxKey, _ := Bounds(input)
+	maxKey, _ := bounds(input)
 	for _, bound := range []uint64{maxKey, 2*maxKey + 1} {
 		if bound < maxKey {
 			continue
 		}
 		clear(dstKeys)
 		clear(dstPays)
-		SortTuplesIntoColumnsWithBounds(input, dstKeys, dstPays, bound, math.MaxUint64, nil)
+		SortTuplesIntoColumnsWithBounds(input, dstKeys, dstPays, bound, math.MaxUint64, nil, nil)
 		checkColumnsAgainstStdlib(t, fmt.Sprintf("%s/position-carrier(maxKey=%d)", name, bound), input, want, dstKeys, dstPays)
 	}
 }
@@ -191,7 +191,7 @@ func TestSortColumnsPackBoundary(t *testing.T) {
 			}
 			input[n/2].Key = top
 			input[n/3].Key = top
-			maxKey, payBound := Bounds(input)
+			maxKey, payBound := bounds(input)
 			w, _, ok := packedCarrier(n, maxKey, payBound)
 			if ok != (tc.cut == 0) || !ok && bits.Len64(maxKey)+w-64 != tc.cut {
 				t.Fatalf("%s/n=%d: packedCarrier = (%d, %v), want a cut of %d bits", name, n, w, ok, tc.cut)
@@ -254,6 +254,46 @@ func TestSortWideKeysStable(t *testing.T) {
 	}
 }
 
+// samplePositions returns the indices of an n-tuple source whose keys the
+// first pass guesses the key width from: 64 evenly spaced ones and the last.
+func samplePositions(n int) map[int]bool {
+	at := map[int]bool{n - 1: true}
+	for i := range min(n, 64) {
+		at[i*max(n/64, 1)] = true
+	}
+	return at
+}
+
+// TestSortGuessTooNarrow plants one key far wider than every other past
+// l2Values, at an index the first pass's sample skips, so that the key width
+// it guesses is too narrow and the first digit must be counted again at the
+// exact one: beside payloads narrow enough for the payload carrier, beside
+// 64-bit payloads (the position carrier), and as a full-width key (the wide
+// path). Every entry point must sort as the stable stdlib sort does.
+func TestSortGuessTooNarrow(t *testing.T) {
+	const n = l2Values + 5000
+	planted := n / 128 // halfway between the first two samples
+	if samplePositions(n)[planted] {
+		t.Fatalf("index %d is sampled", planted)
+	}
+	for name, tc := range map[string]struct{ key, pays uint64 }{
+		"payload-carrier":  {1 << 40, 1<<20 - 1},
+		"position-carrier": {1 << 40, math.MaxUint64},
+		"wide":             {1<<63 | 12345, math.MaxUint64},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.key)))
+		input := make([]relation.Tuple, n)
+		for i := range input {
+			input[i] = relation.Tuple{Key: rng.Uint64() >> 44, Payload: rng.Uint64() & tc.pays}
+		}
+		input[planted].Key = tc.key
+		if guess := GuessMaxKey(input); DigitShift(guess) == DigitShift(tc.key) {
+			t.Fatalf("%s: the sample guesses %d, wide enough for %d", name, guess, tc.key)
+		}
+		sortBothWays(t, name, input)
+	}
+}
+
 // countingScratch is a Scratch that records what it hands out.
 type countingScratch struct {
 	words     []int // size of every Uint64s request
@@ -290,7 +330,7 @@ func TestSortColumnsPayloadPairing(t *testing.T) {
 	}
 }
 
-// fuzzShape decodes fuzz bytes into a sort input. Four header bytes choose
+// fuzzShape decodes fuzz bytes into a sort input. Five header bytes choose
 // the shape, the rest are 8-byte keys: every key is shifted right by
 // data[0]%64 (so that the fuzzer reaches keys narrow enough to pack), and a
 // non-zero data[1] tiles the decoded keys to l2Values + data[1] tuples — past
@@ -298,21 +338,27 @@ func TestSortColumnsPayloadPairing(t *testing.T) {
 // handful of keys decides which stage-1 buckets fill, which stay empty and
 // what stage 2 finds inside them. Payloads are scrambled positions shifted
 // right by data[3]%65, so that key and payload fit one word together (the
-// payload carrier) or do not (the position carrier).
+// payload carrier) or do not (the position carrier). A non-zero data[4]
+// plants a single key of 2^(data[4]%64) at index n−2, which the first pass's
+// sample skips past l2Values: wider than the rest, it makes the guessed key
+// width too narrow.
 func fuzzShape(data []byte) []relation.Tuple {
-	if len(data) < 4 {
+	if len(data) < 5 {
 		return nil
 	}
 	shift, extra, stride, payShift := uint(data[0])%64, int(data[1]), uint64(data[2]), uint(data[3])%65
-	m := (len(data) - 4) / 8
+	m := (len(data) - 5) / 8
 	n := m
 	if extra > 0 && m > 0 {
 		n = l2Values + extra
 	}
 	input := make([]relation.Tuple, n)
 	for i := range input {
-		k := binary.LittleEndian.Uint64(data[4+i%m*8:]) + uint64(i/m)*stride
+		k := binary.LittleEndian.Uint64(data[5+i%m*8:]) + uint64(i/m)*stride
 		input[i] = relation.Tuple{Key: k >> shift, Payload: ^uint64(i) * 0x9E3779B97F4A7C15 >> payShift}
+	}
+	if data[4] != 0 && n >= 2 {
+		input[n-2].Key = 1 << (data[4] % 64)
 	}
 	return input
 }
@@ -322,15 +368,20 @@ func fuzzShape(data []byte) []relation.Tuple {
 // one stage-1 bucket, repeat one key and two keys, leave exactly one of the
 // 256 buckets empty, tile full-width duplicates past l2Values through the
 // wide path, give it full-width keys that share their top 64 − w bits, below
-// and past l2Values, and pair 40-bit keys with 24-bit payloads (64 bits: the
-// payload carrier) and 41-bit keys with them (65: the position carrier).
+// and past l2Values, pair 40-bit keys with 24-bit payloads (64 bits: the
+// payload carrier) and 41-bit keys with them (65: the position carrier), and
+// plant a single widest key past l2Values where the first pass's sample
+// misses it, under both carriers and the wide path.
 func FuzzSortColumnsDifferential(f *testing.F) {
-	shaped := func(shift, extra, stride, payShift byte, keys ...uint64) []byte {
-		data := []byte{shift, extra, stride, payShift}
+	planted := func(plant, shift, extra, stride, payShift byte, keys ...uint64) []byte {
+		data := []byte{shift, extra, stride, payShift, plant}
 		for _, k := range keys {
 			data = binary.LittleEndian.AppendUint64(data, k)
 		}
 		return data
+	}
+	shaped := func(shift, extra, stride, payShift byte, keys ...uint64) []byte {
+		return planted(0, shift, extra, stride, payShift, keys...)
 	}
 	f.Add([]byte{})
 	f.Add(shaped(0, 0, 0, 0, 0x0807060504030201))
@@ -355,6 +406,10 @@ func FuzzSortColumnsDifferential(f *testing.F) {
 	f.Add(shaped(0, 200, 1, 0, 1<<63|5, 1<<63|5, math.MaxUint64)) // full-width duplicates past l2Values
 	f.Add(shaped(0, 0, 0, 0, 1<<63|9, 1<<63|3, 1<<63|7, 1<<63|3, 1<<63))
 	f.Add(shaped(0, 90, 1, 0, 1<<63|5, 1<<63|100, 1<<63|37)) // keys under 2^63 + 2^14: every word ties
+	narrow := []uint64{0x12345, 0xedcba, 0x5a5a5, 0x80000, 0x3c3c3}
+	f.Add(planted(40, 0, 100, 7, 44, narrow...)) // keys near 2^20 and one of 2^40 beside 20-bit payloads: the payload carrier
+	f.Add(planted(40, 0, 100, 7, 0, narrow...))  // the same beside 64-bit payloads: the position carrier
+	f.Add(planted(63, 0, 100, 7, 0, narrow...))  // one key of 2^63: the wide path
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sortBothWays(t, "fuzz", fuzzShape(data))
 	})

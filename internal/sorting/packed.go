@@ -13,17 +13,20 @@
 // and the sort moves ONE uint64 per element: a sorted word is split into key
 // and payload, or the payload is gathered through the position. The kernel
 // has two stages, both out of place and both stable, and only the first
-// reads the source — sequentially (bounds, histogram, scatter), never by index:
+// reads the source — sequentially, twice, never by index:
 //
 //  1. One MSD scatter on the top 8 bits of the key (all of a narrower key),
-//     fused with the packing (and, for AoS input, the deinterleave): a
-//     histogram read of the source, then one sequential read feeding 256
-//     cursors. A tuple's packed word goes to dstPays at its cursor; under the
-//     position carrier its PAYLOAD goes to the same slot of the still
-//     unwritten dstKeys, and the index in the word is that slot, the tuple's
-//     position in the scattered order. The scatter keeps source order inside
-//     a bucket. An input small enough for stage 2 as it stands (l2Values) is
-//     one bucket and only packed: position = index.
+//     fused with the packing (and, for AoS input, the deinterleave). Its
+//     counts come from a first read that also finds the key domain: it counts
+//     at the width 64 evenly spaced keys and the last one guess, never too
+//     wide, and again if the exact maximum it takes proves the guess narrow.
+//     The scatter feeds 256 cursors: a tuple's packed word goes to dstPays at
+//     its cursor; under the position carrier its PAYLOAD goes to the same slot
+//     of the still unwritten dstKeys, and the index in the word is that slot,
+//     the tuple's position in the scattered order, which keeps source order
+//     inside a bucket. An input small enough for stage 2 as it stands
+//     (l2Values) is one bucket: read for its domain, then packed, position =
+//     index.
 //  2. Every bucket — by now cache-resident — is finished by stable counting
 //     passes over its remaining KEY bits only (stability keeps equal keys in
 //     source order, so the low w bits are never sorted on), ping-ponging
@@ -71,12 +74,83 @@ func packedCarrier(n int, maxKey, payBound uint64) (w int, inWord, ok bool) {
 	return w, false, bits.Len64(maxKey)+w <= 64
 }
 
+// DigitShift is the shift of the first digit of keys up to maxKey, their top
+// radixBits bits (all of a narrower key), on which every stage 1 scatters.
+func DigitShift(maxKey uint64) int { return max(bits.Len64(maxKey)-radixBits, 0) }
+
+// GuessMaxKey returns the largest of 64 evenly spaced keys of tuples and the
+// last one: never above the maximum, so a width guessed from it is never too
+// wide.
+func GuessMaxKey(tuples []relation.Tuple) uint64 {
+	return sampleMax(len(tuples), func(i int) uint64 { return tuples[i].Key })
+}
+
+func sampleMax(n int, key func(i int) uint64) (guess uint64) {
+	for i := range min(n, 64) {
+		guess = max(guess, key(i*max(n/64, 1)))
+	}
+	if n > 0 {
+		guess = max(guess, key(n-1))
+	}
+	return guess
+}
+
+// CountTuples is a histogram pass that finds the key domain it counts: in one
+// read it counts every tuple into h[key>>shift&(len(h)-1)], len(h) a power of
+// two, and returns the maximum key and the payloads' OR. The counts are right
+// if shift is the one the maximum calls for; the mask keeps those taken at a
+// guess too narrow in range. It stays out of line: inlined, its loop reloads
+// its arguments.
+//
+//go:noinline
+func CountTuples(h []int, tuples []relation.Tuple, shift int) (maxKey, payBound uint64) {
+	mask, s := uint64(len(h)-1), uint(shift)&63
+	for i := range tuples {
+		k := tuples[i].Key
+		h[k>>s&mask]++
+		if k > maxKey {
+			maxKey = k
+		}
+		payBound |= tuples[i].Payload
+	}
+	return maxKey, payBound
+}
+
+// countColumns is CountTuples over a columnar source.
+//
+//go:noinline
+func countColumns(h []int, keys, pays []uint64, shift int) (maxKey, payBound uint64) {
+	mask, s, pays := uint64(len(h)-1), uint(shift)&63, pays[:len(keys)]
+	for i, k := range keys {
+		h[k>>s&mask]++
+		if k > maxKey {
+			maxKey = k
+		}
+		payBound |= pays[i]
+	}
+	return maxKey, payBound
+}
+
+// firstPass is a sort's first pass past l2Values: count(shift) counts the
+// source's first digits at shift into counts and returns its bounds, first at
+// the guessed maximum key's digit and again, from zero, at the exact one if
+// it differs.
+func firstPass(counts []int, guess uint64, count func(shift int) (maxKey, payBound uint64)) (maxKey, payBound uint64) {
+	maxKey, payBound = count(DigitShift(guess))
+	if shift := DigitShift(maxKey); shift != DigitShift(guess) {
+		clear(counts)
+		count(shift)
+	}
+	return maxKey, payBound
+}
+
 const (
 	// radixBits is the width of the stage 1 digit: 2^8 = 256 buckets, as in
 	// the paper's radix phase.
 	radixBits    = 8
 	radixBuckets = 1 << radixBits
 	radixMask    = radixBuckets - 1
+	Digits       = radixBuckets // first digits: the length of the counts a sort takes
 
 	// packedInsertionCutoff is the bucket size up to which an insertion sort
 	// beats setting up a counting pass.
@@ -270,14 +344,15 @@ func insertionSortU64(packed []uint64, lo int) {
 }
 
 // sortTuplesPacked is the packed path of SortTuplesIntoColumns: stage 1 over
-// the AoS source, the only code of the sort that reads it. The stage 1 digit
-// is the top 8 bits of the key (all of a narrower key).
+// the AoS source, the only code of the sort that reads it after the first
+// pass. Past l2Values it scatters by the top 8 bits of the key (all of a
+// narrower key), whose counts the first pass took.
 //
 // Stage 1 touches the source once per tuple and pass, so it is written out per
 // source layout here and in sortColumnsIntoPacked: reaching the source through
 // two accessor closures instead measured 20–40 % slower end to end (24 → 33
 // ns/tuple at 2^20).
-func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, scratch Scratch) {
+func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, counts []int, scratch Scratch) {
 	n := len(src)
 	hi := w + bits.Len64(maxKey)
 	var bounds [radixBuckets + 1]int
@@ -294,9 +369,7 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 	} else {
 		buckets, hi = radixBuckets, max(hi-radixBits, w)
 		shift := hi - w
-		for _, t := range src {
-			bounds[int(t.Key>>shift)&radixMask+1]++
-		}
+		copy(bounds[1:], counts)
 		for b := 0; b < radixBuckets; b++ {
 			bounds[b+1] += bounds[b]
 		}
@@ -318,7 +391,7 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 // sortColumnsIntoPacked is the packed path of SortColumnsInto: sortTuplesPacked
 // line for line over a columnar source. Its one caller outside the tests is
 // the end-to-end benchmark's sorting layer, which brings no Scratch.
-func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool) {
+func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, counts []int) {
 	n := len(srcKeys)
 	srcPays = srcPays[:n]
 	hi := w + bits.Len64(maxKey)
@@ -336,9 +409,7 @@ func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey u
 	} else {
 		buckets, hi = radixBuckets, max(hi-radixBits, w)
 		shift := hi - w
-		for _, k := range srcKeys {
-			bounds[int(k>>shift)&radixMask+1]++
-		}
+		copy(bounds[1:], counts)
 		for b := 0; b < radixBuckets; b++ {
 			bounds[b+1] += bounds[b]
 		}
@@ -359,10 +430,11 @@ func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey u
 
 // sortTuplesWide is the wide path of the columnar sorts, for keys too wide
 // for a w-bit position beside them: stage 1 scatters each full key into a
-// leased parked column and its payload into dstKeys by the key's top 8 bits,
+// leased parked column and its payload into dstKeys by the key's top 8 bits
+// (the packed path's digit, so the first pass's counts serve both),
 // or only copies them up to l2Values, and finishPacked sorts words of the
 // key's top 64 − w bits and breaks their ties on the cut bits below.
-func sortTuplesWide(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, scratch Scratch) {
+func sortTuplesWide(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, counts []int, scratch Scratch) {
 	n := len(src)
 	var parked []uint64
 	if scratch == nil {
@@ -381,10 +453,8 @@ func sortTuplesWide(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint
 		}
 	} else {
 		buckets, hi = radixBuckets, 64-radixBits
-		shift := bits.Len64(maxKey) - radixBits
-		for _, t := range src {
-			bounds[int(t.Key>>shift)&radixMask+1]++
-		}
+		shift := DigitShift(maxKey)
+		copy(bounds[1:], counts)
 		for b := 0; b < radixBuckets; b++ {
 			bounds[b+1] += bounds[b]
 		}

@@ -18,7 +18,7 @@ func fullestStage1Bucket(input []relation.Tuple) int {
 	if len(input) <= l2Values {
 		return len(input)
 	}
-	maxKey, _ := Bounds(input)
+	maxKey, _ := bounds(input)
 	shift := max(bits.Len64(maxKey)-radixBits, 0)
 	var histogram [radixBuckets]int
 	fullest := 0
@@ -77,7 +77,7 @@ func TestPackedPayloadBits(t *testing.T) {
 		for i := range input {
 			input[i].Key = rng.Uint64() >> 40 % uint64(n/2+1) << 12
 		}
-		maxKey, _ := Bounds(input)
+		maxKey, _ := bounds(input)
 		idxBits, _, ok := packedCarrier(n, maxKey, math.MaxUint64)
 		if !ok {
 			t.Fatalf("n=%d: input does not pack", n)
@@ -158,8 +158,8 @@ func TestPackedLeaseAccounting(t *testing.T) {
 		keys, pays := make([]uint64, n), make([]uint64, n)
 		before := lease.Stats()
 
-		maxKey, _ := Bounds(input)
-		SortTuplesIntoColumnsWithBounds(input, keys, pays, maxKey, math.MaxUint64, lease)
+		maxKey, _ := bounds(input)
+		SortTuplesIntoColumnsWithBounds(input, keys, pays, maxKey, math.MaxUint64, nil, lease)
 		checkColumnsAgainstStdlib(t, name, input, stdlibOracle(input), keys, pays)
 
 		after := lease.Stats()
@@ -230,7 +230,7 @@ func TestPackedCarriers(t *testing.T) {
 				if tc.payBits > 0 {
 					input[n/2].Payload = 1 << (tc.payBits - 1)
 				}
-				maxKey, payBound := Bounds(input)
+				maxKey, payBound := bounds(input)
 				w, inWord, ok := packedCarrier(n, maxKey, payBound)
 				if !ok || inWord != tc.inWord || inWord && w != max(tc.payBits, 0) || !inWord && w != idxBits {
 					t.Fatalf("%s: packedCarrier = (%d, %v, %v), want the %s carrier", name, w, inWord, ok, map[bool]string{true: "payload", false: "position"}[tc.inWord])
