@@ -168,12 +168,13 @@ func WithPoolLimit(bytes int64) Option {
 // or whose relations' content changed since (see Engine) — samples
 // statistics of the input relations, estimates cardinalities, and rewrites
 // the physical plan — join algorithm and worker count per join, join order
-// across inner multi-join chains, build/probe roles, Static vs Morsel
-// scheduling, presorted-input declarations, and the aggregation strategy;
-// repeated executions reuse the decisions from the engine's plan memo.
-// Explain shows the decisions. Auto-planning overrides a configured
-// algorithm and scheduler (including per-node plan options) and chooses
-// every join's worker count up to the configured one; it keeps a caller's
+// across inner multi-join chains, build/probe roles, presorted-input
+// declarations, and a groupjoin for a group-by on the join key where that
+// prices cheaper; repeated executions reuse the decisions from the engine's
+// plan memo. Explain shows the decisions. Auto-planning overrides a
+// configured algorithm (including per-node plan options) and chooses every
+// join's worker count up to the configured one: a join it runs on one worker
+// runs Static, a wider join runs the configured scheduler. It keeps a caller's
 // presorted declarations and respects join kind, band width, and a configured
 // D-MPSM (which expresses a memory constraint the cost model cannot see). As
 // an engine option it sets the default for every call; as a per-call option

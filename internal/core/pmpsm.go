@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/memory"
+	"repro/internal/numa"
 	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/result"
@@ -72,9 +73,9 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// off the public runs' key columns.
 	var partitions [][]relation.Tuple
 	var counts []int
-	var privateMaxKey, privatePayBound uint64
+	var counted *partition.Counted
 	if err := x.Record("phase 2", result.StopwatchPhase(func() {
-		partitions, counts, privateMaxKey, privatePayBound = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
+		partitions, counts, counted = rangePartitionPrivate(ctx, x.RT, privateChunks, publicRuns, opts, lease)
 	})); err != nil {
 		return nil, err
 	}
@@ -89,7 +90,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	if err := x.Phase("phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), w.Node(), len(part), lease)
-		sorting.SortTuplesIntoColumnsWithBounds(part, run.Keys, run.Payloads, privateMaxKey, privatePayBound, counts[w.ID()*sorting.Digits:][:sorting.Digits], lease)
+		sorting.SortTuplesIntoColumnsWithBounds(part, run.Keys, run.Payloads, counted.MaxKey, counted.PayBound, counts[w.ID()*sorting.Digits:][:sorting.Digits], lease)
 		lease.PutTuples(part)
 		privateRuns[w.ID()] = run
 		if tracker := w.Tracker(); tracker != nil {
@@ -112,14 +113,14 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 // rangePartitionPrivate implements phase 2 of P-MPSM: it returns one private
 // partition (still unsorted) per worker, holding exactly the tuples of that
 // worker's key range, each partition's counts of the phase 3 sort's first
-// digit, and the maximum private key and the OR of the private payloads, the
+// digit, and the private count, whose maximum key and payload OR are the
 // bounds that sort packs its words by. On cancellation it returns early with
 // whatever it has built; the caller checks ctx after the phase and discards
 // the partial state. All parallel steps run as "phase 2" barriers on the
 // shared runtime, so the per-worker breakdown accumulates them under one
 // label. Histogram, cursor and partition buffers come from the join's scratch
 // lease.
-func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) (targets [][]relation.Tuple, counts []int, maxKey, payBound uint64) {
+func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks []relation.Chunk, publicRuns []*batch.Run, opts Options, lease *memory.Lease) (targets [][]relation.Tuple, counts []int, counted *partition.Counted) {
 	workers := opts.Workers
 
 	// Phase 2.1: per-run equi-height bounds merged into the global S CDF,
@@ -132,59 +133,38 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 		runLens[w.ID()] = publicRuns[w.ID()].Len()
 	})
 	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, nil, 0, 0
+		return nil, nil, nil
 	}
 	cdf := partition.BuildCDF(boundsPerRun, runLens)
 
-	// Phase 2.2: fine-grained radix histograms on the private chunks, at the
-	// key width a sample of every chunk guesses (never too wide). The same
-	// read takes each chunk's maximum key and payload OR; if they show the
-	// guess too narrow, a second barrier counts again at the exact width.
-	var guess uint64
-	for _, chunk := range privateChunks {
-		guess = max(guess, sorting.GuessMaxKey(chunk.Tuples))
-	}
-	cfg := partition.NewRadixConfig(histogramBits(workers), guess)
-	histograms := make([]partition.Histogram, workers)
-	for w := range histograms {
-		histograms[w] = lease.Ints(cfg.Clusters())
-	}
-	chunkMax, chunkPays := make([]uint64, workers), make([]uint64, workers)
-	count := func(ctx context.Context, w *sched.Worker) {
-		clear(histograms[w.ID()])
-		chunkMax[w.ID()], chunkPays[w.ID()] = sorting.CountTuples(histograms[w.ID()], privateChunks[w.ID()].Tuples, int(cfg.Shift))
-		if tracker := w.Tracker(); tracker != nil {
-			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
-		}
-	}
-	rt.Phase(ctx, "phase 2", count)
-	if sched.Canceled(ctx) || rt.Err() != nil {
-		return nil, nil, 0, 0
-	}
-	for i, m := range chunkMax {
-		maxKey, payBound = max(maxKey, m), payBound|chunkPays[i]
-	}
-	if exact := partition.NewRadixConfig(cfg.Bits, maxKey); exact != cfg {
-		cfg = exact
-		rt.Phase(ctx, "phase 2", count)
-		if sched.Canceled(ctx) || rt.Err() != nil {
-			return nil, nil, 0, 0
-		}
+	// Phase 2.2: fine-grained radix histograms on the private chunks, in the
+	// read that finds their key domain (partition.Count). Each count reads a
+	// chunk sequentially from its source node; each scatter reads it again and
+	// writes every target sub-partition sequentially on the target worker's
+	// node (remote, but sequential — commandments C1/C2).
+	counted = partition.Count(ctx, rt, "phase 2", histogramBits(workers), [][]relation.Chunk{privateChunks}, lease,
+		func(t *numa.Tracker, w, _ int, written []int) {
+			t.SeqRead(chunkSourceNode(w, workers, opts.Topology), uint64(privateChunks[w].Len()))
+			for p, n := range written {
+				t.SeqWrite(opts.Topology.NodeOfWorker(p), uint64(n))
+			}
+		})
+	if counted == nil {
+		return nil, nil, nil
 	}
 
 	// Phase 2.3: splitter computation, prefix sums, and the
 	// synchronization-free scatter into precomputed sub-partitions.
-	globalR := partition.CombineHistograms(histograms)
+	globalR := partition.CombineHistograms(counted.Hists[0])
 	var sp partition.SplitterVector
 	switch opts.Splitters {
 	case SplitterUniform:
-		sp = partition.UniformSplitters(cfg.Clusters(), workers)
+		sp = partition.UniformSplitters(counted.Config.Clusters(), workers)
 	case SplitterEquiHeight:
 		sp = partition.EquiHeightSplitters(globalR, workers)
 	default:
-		sp = partition.ComputeSplitters(globalR, cdf, cfg, partition.DefaultSplitterCost(workers))
+		sp = partition.ComputeSplitters(globalR, cdf, counted.Config, partition.DefaultSplitterCost(workers))
 	}
-	ps := partition.ComputePrefixSums(histograms, sp, workers)
 
 	// Phase 3's first digit, the top 8 bits of the maximum key, lies at or
 	// above the 10 or more bits of the clusters, so partition p's digit
@@ -192,7 +172,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 	// Only non-empty clusters are summed: below 2^8, the empty ones above the
 	// maximum key would land past the last digit.
 	counts = lease.Ints(workers * sorting.Digits)
-	up := uint(sorting.DigitShift(maxKey)) - cfg.Shift
+	up := uint(sorting.DigitShift(counted.MaxKey)) - counted.Config.Shift
 	for c, n := range globalR {
 		if n > 0 {
 			counts[sp[c]*sorting.Digits+c>>up] += n
@@ -200,28 +180,5 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 	}
 
 	// Partition p is written on — and later sorted by — worker p's node.
-	targets = make([][]relation.Tuple, workers)
-	for p := 0; p < workers; p++ {
-		targets[p] = lease.Tuples(ps.Sizes[p])
-	}
-
-	rt.Phase(ctx, "phase 2", func(ctx context.Context, w *sched.Worker) {
-		cursors := lease.Ints(workers)
-		copy(cursors, ps.Offsets[w.ID()])
-		before := lease.Ints(workers)
-		copy(before, cursors)
-		partition.Scatter(privateChunks[w.ID()].Tuples, cfg, sp, targets, cursors)
-		if tracker := w.Tracker(); tracker != nil {
-			// The chunk is read sequentially from its source node; every
-			// target sub-partition is written sequentially on the target
-			// worker's node (remote, but sequential — commandments C1/C2).
-			tracker.SeqRead(chunkSourceNode(w.ID(), workers, opts.Topology), uint64(len(privateChunks[w.ID()].Tuples)))
-			for p := 0; p < workers; p++ {
-				tracker.SeqWrite(opts.Topology.NodeOfWorker(p), uint64(cursors[p]-before[p]))
-			}
-		}
-		lease.PutInts(cursors)
-		lease.PutInts(before)
-	})
-	return targets, counts, maxKey, payBound
+	return counted.Scatter(ctx, sp, workers)[0], counts, counted
 }

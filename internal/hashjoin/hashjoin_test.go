@@ -3,15 +3,19 @@ package hashjoin
 import (
 	"context"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/batch"
 	"repro/internal/mergejoin"
 	"repro/internal/numa"
+	"repro/internal/partition"
 	"repro/internal/relation"
 	"repro/internal/result"
+	"repro/internal/sched"
 	"repro/internal/sink"
+	"repro/internal/sorting"
 	"repro/internal/workload"
 )
 
@@ -279,6 +283,121 @@ func TestRadixNUMAAccounting(t *testing.T) {
 	// Partitioning both inputs must cause remote writes.
 	if res.NUMA.RemoteRandWrite == 0 {
 		t.Fatal("partitioning phase should record remote writes")
+	}
+	// The first pass reads every input tuple once per count barrier (a
+	// second one when the sampled key width was too narrow) and once to
+	// scatter it; a refinement reads its partition twice (its histogram,
+	// then its scatter); the join reads every partition once.
+	for _, passes := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 8} {
+			res, err := radixJoin(context.Background(), r, s, Options{Workers: workers, TrackNUMA: true}, 6, passes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b1 := 6
+			if passes == 2 {
+				b1 = 3
+			}
+			var guess, exact uint64
+			for _, rel := range []*relation.Relation{r, s} {
+				for _, c := range rel.Split(workers) {
+					guess = max(guess, sorting.GuessMaxKey(c.Tuples))
+				}
+				for _, tup := range rel.Tuples {
+					exact = max(exact, tup.Key)
+				}
+			}
+			reads := 1 + 1 + 2*(passes-1) + 1 // count, scatter, refine, join
+			if partition.NewRadixConfig(b1, guess) != partition.NewRadixConfig(b1, exact) {
+				reads++
+			}
+			got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(reads)*uint64(r.Len()+s.Len())
+			if got != want {
+				t.Fatalf("passes=%d T=%d: radix join charged %d sequential reads, want %d·(|R|+|S|) = %d", passes, workers, got, reads, want)
+			}
+		}
+	}
+}
+
+// TestRadixGuessTooNarrow hides R's widest key, two partners of it in S and
+// an even wider key of S from every chunk's sample at one, two and three
+// workers, so that the radix join's first pass guesses the shared key width
+// too narrow and must count both inputs again at the exact configuration. R
+// alone is a bit narrower than S: a first pass that took either input's
+// domain alone would refine R and S on different bits. The pairs must be a
+// map oracle's under either scheduler.
+func TestRadixGuessTooNarrow(t *testing.T) {
+	const n = 3 * 40000
+	rng := rand.New(rand.NewSource(47))
+	rt, st := make([]relation.Tuple, n), make([]relation.Tuple, n/2)
+	for i := range rt {
+		rt[i] = relation.Tuple{Key: rng.Uint64() >> 44, Payload: uint64(i)}
+	}
+	for i := range st {
+		st[i] = relation.Tuple{Key: rt[rng.Intn(n)].Key, Payload: uint64(i)}
+	}
+	const wide = 1 << 22 // two bits wider than every other key of R
+	hidden := func(tuples []relation.Tuple, k int) []int {
+		sampled := map[int]bool{}
+		for workers := 1; workers <= 3; workers++ {
+			for _, c := range relation.New("", tuples).Split(workers) {
+				size := len(c.Tuples)
+				sampled[c.Offset+size-1] = true
+				for i := range min(size, 64) {
+					sampled[c.Offset+i*max(size/64, 1)] = true
+				}
+			}
+		}
+		var free []int
+		for i := 1; len(free) < k; i++ {
+			if !sampled[i] {
+				free = append(free, i)
+			}
+		}
+		return free
+	}
+	rt[hidden(rt, 1)[0]].Key = wide
+	hs := hidden(st, 3)
+	st[hs[0]].Key, st[hs[1]].Key, st[hs[2]].Key = wide, wide, 2*wide
+	r, s := relation.New("R", rt), relation.New("S", st)
+
+	partners := map[uint64][]uint64{}
+	for _, t := range st {
+		partners[t.Key] = append(partners[t.Key], t.Payload)
+	}
+	var want []mergejoin.JoinedTuple
+	for _, t := range rt {
+		for _, p := range partners[t.Key] {
+			want = append(want, mergejoin.JoinedTuple{Key: t.Key, RPayload: t.Payload, SPayload: p})
+		}
+	}
+	want = sortedPairs(want)
+	bits := choosePartitionBits(n)
+	b1 := (bits + 1) / 2
+	if radixPasses(bits) != 2 {
+		t.Fatalf("%d partition bits are cut in one pass; the test wants a refinement", bits)
+	}
+	for workers := 1; workers <= 3; workers++ {
+		var guess uint64
+		for _, rel := range []*relation.Relation{r, s} {
+			for _, c := range rel.Split(workers) {
+				guess = max(guess, sorting.GuessMaxKey(c.Tuples))
+			}
+		}
+		if partition.NewRadixConfig(b1, guess) == partition.NewRadixConfig(b1, 2*wide) {
+			t.Fatalf("T=%d: the chunks' samples guess %d, as wide as %d", workers, guess, uint64(2*wide))
+		}
+		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+			out := sink.NewMaterialize()
+			res := radix(r, s, RadixOptions{Options: Options{Workers: workers, Scheduler: mode, Sink: out}})
+			var got []mergejoin.JoinedTuple
+			for _, p := range out.Pairs() {
+				got = append(got, mergejoin.JoinedTuple{Key: p.R.Key, RPayload: p.R.Payload, SPayload: p.S.Payload})
+			}
+			if got = sortedPairs(got); res.Matches != uint64(len(want)) || !slices.Equal(got, want) {
+				t.Fatalf("T=%d/%v: %d pairs (%d matches), the map oracle has %d", workers, mode, len(got), res.Matches, len(want))
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package hashjoin
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/memory"
@@ -50,9 +49,10 @@ func radixPasses(bits int) int {
 // Radix executes a radix-partitioned parallel hash join in the
 // MonetDB/Vectorwise lineage, the paper's second contender. Both inputs are
 // radix partitioned on their join keys in parallel using per-worker
-// histograms and prefix sums (one pass, writing across NUMA partitions), and
-// every partition pair is then joined with a private hash table, streaming
-// matches into the configured sink.
+// histograms and prefix sums (a first pass that writes across NUMA
+// partitions, then a local refinement), and every partition pair is then
+// joined with a private hash table, streaming matches into the configured
+// sink.
 //
 // The join phase claims partition pairs dynamically from the shared task
 // queue under both scheduler modes — dynamic claiming is how this contender
@@ -80,14 +80,13 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 	defer x.Release()
 	o, lease := x.Opts, x.Lease
 
-	var rParts, sParts [][]relation.Tuple
+	var parts [][][]relation.Tuple
 	if err := x.Record("partition", result.StopwatchPhase(func() {
-		maxKey := maxKeyOf(ctx, x.RT, r, s)
-		rParts = partitionMultiPass(ctx, x.RT, r, bits, passes, maxKey, o.Topology, lease)
-		sParts = partitionMultiPass(ctx, x.RT, s, bits, passes, maxKey, o.Topology, lease)
+		parts = partitionMultiPass(ctx, x.RT, [][]relation.Chunk{r.Split(o.Workers), s.Split(o.Workers)}, bits, passes, o.Topology, lease)
 	})); err != nil {
 		return nil, err
 	}
+	rParts, sParts := parts[0], parts[1]
 
 	// Join phase: each partition pair is joined with a private hash table
 	// over its R partition, probed with the matching S partition, streaming
@@ -116,61 +115,62 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 	return x.Finish(nil, nil)
 }
 
-// partitionMultiPass radix partitions a relation into 2^bits partitions using
-// one or two passes. The first pass distributes the data over 2^b1 coarse
-// partitions with the synchronization-free histogram/prefix-sum/scatter scheme
-// — this is the pass that writes across NUMA partitions and that the paper
-// criticizes. The optional second pass refines every coarse partition locally
-// on the next b2 = bits - b1 key bits, preserving TLB/cache locality exactly
-// like the MonetDB/Vectorwise radix join.
-func partitionMultiPass(ctx context.Context, rt *sched.Runtime, rel *relation.Relation, bits, passes int,
-	maxKey uint64, topo numa.Topology, lease *memory.Lease) [][]relation.Tuple {
-
-	if passes <= 1 || bits < 2 {
-		cfg := partition.NewRadixConfig(bits, maxKey)
-		sp := identitySplitters(cfg.Clusters())
-		return partitionParallel(ctx, rt, rel, cfg, sp, cfg.Clusters(), topo, lease)
+// partitionMultiPass radix partitions the inputs — R's and S's chunks, one a
+// worker — into 2^bits partitions each, using one or two passes. The first
+// pass counts both inputs in one barrier on one shared key domain, so that
+// partition p of R and partition p of S cover the same keys, and distributes
+// them over 2^b1 coarse partitions with the synchronization-free
+// histogram/prefix-sum/scatter scheme (partition.Count) — this is the pass
+// that writes across NUMA partitions and that the paper criticizes. The
+// optional second pass refines every coarse partition locally on the next
+// b2 = bits - b1 key bits, preserving TLB/cache locality exactly like the
+// MonetDB/Vectorwise radix join. On cancellation it returns nil.
+func partitionMultiPass(ctx context.Context, rt *sched.Runtime, chunks [][]relation.Chunk, bits, passes int, topo numa.Topology, lease *memory.Lease) [][][]relation.Tuple {
+	b1 := bits
+	if passes > 1 && bits >= 2 {
+		b1 = (bits + 1) / 2
 	}
-
-	b1 := (bits + 1) / 2
-	b2 := bits - b1
-	cfg1 := partition.NewRadixConfig(b1, maxKey)
-	coarse := partitionParallel(ctx, rt, rel, cfg1, identitySplitters(cfg1.Clusters()), cfg1.Clusters(), topo, lease)
+	// Every count and every scatter reads the worker's chunk sequentially; a
+	// scatter writes across all target partitions, which are spread over the
+	// NUMA nodes: random-ish writes, mostly remote.
+	counted := partition.Count(ctx, rt, "partition", b1, chunks, lease, func(t *numa.Tracker, w, i int, written []int) {
+		n := uint64(chunks[i][w].Len())
+		t.SeqRead(t.Node(), n)
+		if written != nil {
+			chargeInterleaved(t, topo, n, (*numa.Tracker).RandWrite)
+		}
+	})
+	if counted == nil {
+		return nil
+	}
+	clusters := counted.Config.Clusters()
+	coarse := counted.Scatter(ctx, partition.UniformSplitters(clusters, clusters), clusters)
+	if b1 == bits {
+		return coarse
+	}
 
 	// Second pass: refine every coarse partition on the next b2 bits. The
 	// refinements are independent, so workers claim coarse partitions
-	// dynamically from the task queue; all reads and writes are node-local.
-	refineShift := uint(0)
-	if cfg1.Shift > uint(b2) {
-		refineShift = cfg1.Shift - uint(b2)
-	}
+	// dynamically from the task queue; all reads and writes are node-local,
+	// and a refinement reads its partition twice.
+	b2 := bits - b1
+	refineShift := uint(max(int(counted.Config.Shift)-b2, 0))
 	subCount := 1 << b2
-	out := make([][]relation.Tuple, len(coarse)*subCount)
-	tasks := make([]sched.Task, len(coarse))
-	for p := range coarse {
-		p := p
-		tasks[p] = sched.Task{Node: -1, Run: func(w *sched.Worker) {
-			refined := refinePartition(coarse[p], refineShift, b2, lease)
-			copy(out[p*subCount:(p+1)*subCount], refined)
-			if tracker := w.Tracker(); tracker != nil {
-				n := uint64(len(coarse[p]))
-				tracker.SeqRead(tracker.Node(), n)
-				tracker.SeqWrite(tracker.Node(), n)
-			}
-		}}
+	out := make([][][]relation.Tuple, len(coarse))
+	var tasks []sched.Task
+	for i, parts := range coarse {
+		out[i] = make([][]relation.Tuple, len(parts)*subCount)
+		for p, part := range parts {
+			tasks = append(tasks, sched.Task{Node: -1, Run: func(w *sched.Worker) {
+				copy(out[i][p*subCount:], refinePartition(part, refineShift, b2, lease))
+				n := uint64(len(part)) // a nil tracker charges nothing
+				w.Tracker().SeqRead(w.Node(), 2*n)
+				w.Tracker().SeqWrite(w.Node(), n)
+			}})
+		}
 	}
 	rt.RunTasks(ctx, "partition", tasks)
 	return out
-}
-
-// identitySplitters returns the splitter vector that maps every radix cluster
-// to its own partition.
-func identitySplitters(clusters int) partition.SplitterVector {
-	sp := make(partition.SplitterVector, clusters)
-	for i := range sp {
-		sp[i] = i
-	}
-	return sp
 }
 
 // refinePartition splits one coarse partition into 2^b2 sub-partitions on the
@@ -200,51 +200,6 @@ func refinePartition(tuples []relation.Tuple, shift uint, b2 int, lease *memory.
 	return out
 }
 
-// partitionParallel radix partitions a relation into parts target partitions
-// using the synchronization-free histogram/prefix-sum/scatter scheme. Unlike
-// P-MPSM's private-input partitioning, the radix join partitions both inputs,
-// which is the cross-NUMA traffic the paper criticizes.
-func partitionParallel(ctx context.Context, rt *sched.Runtime, rel *relation.Relation, cfg partition.RadixConfig,
-	sp partition.SplitterVector, parts int, topo numa.Topology, lease *memory.Lease) [][]relation.Tuple {
-
-	workers := rt.Workers()
-	chunks := rel.Split(workers)
-	histograms := make([]partition.Histogram, workers)
-
-	rt.Phase(ctx, "partition", func(ctx context.Context, w *sched.Worker) {
-		histograms[w.ID()] = partition.BuildHistogramInto(lease.Ints(cfg.Clusters()), chunks[w.ID()].Tuples, cfg)
-		if tracker := w.Tracker(); tracker != nil {
-			tracker.SeqRead(tracker.Node(), uint64(len(chunks[w.ID()].Tuples)))
-		}
-	})
-	for w := 0; w < workers; w++ {
-		// A worker skipped by cancellation leaves a nil histogram; the
-		// prefix sums still need a well-formed (empty) one.
-		if histograms[w] == nil {
-			histograms[w] = partition.BuildHistogram(nil, cfg)
-		}
-	}
-
-	ps := partition.ComputePrefixSums(histograms, sp, parts)
-	targets := make([][]relation.Tuple, parts)
-	for p := 0; p < parts; p++ {
-		targets[p] = lease.Tuples(ps.Sizes[p])
-	}
-
-	rt.Phase(ctx, "partition", func(ctx context.Context, w *sched.Worker) {
-		cursors := lease.Ints(parts)
-		copy(cursors, ps.Offsets[w.ID()])
-		partition.Scatter(chunks[w.ID()].Tuples, cfg, sp, targets, cursors)
-		if tracker := w.Tracker(); tracker != nil {
-			// Scattering writes across all target partitions, which are
-			// spread over the NUMA nodes: random-ish writes, mostly remote.
-			chargeInterleaved(tracker, topo, uint64(len(chunks[w.ID()].Tuples)), (*numa.Tracker).RandWrite)
-		}
-		lease.PutInts(cursors)
-	})
-	return targets
-}
-
 // joinPartition joins one partition pair with a private table over its build
 // side: no other worker sees it, so the inserts are plain stores. The head and
 // chain arrays are handed back as soon as the pair is joined, so concurrent
@@ -260,21 +215,4 @@ func joinPartition(ctx context.Context, build, probe []relation.Tuple, out merge
 	table.distinct = !dup
 	table.probe(ctx, probe, out, folds, lease)
 	table.release(lease)
-}
-
-// maxKeyOf returns the maximum join key across both relations (0 for empty
-// inputs), each worker scanning its chunk of both.
-func maxKeyOf(ctx context.Context, rt *sched.Runtime, r, s *relation.Relation) uint64 {
-	rChunks, sChunks := r.Split(rt.Workers()), s.Split(rt.Workers())
-	maxima := make([]uint64, rt.Workers())
-	rt.Phase(ctx, "partition", func(ctx context.Context, w *sched.Worker) {
-		var m uint64
-		for _, chunk := range [2][]relation.Tuple{rChunks[w.ID()].Tuples, sChunks[w.ID()].Tuples} {
-			for _, t := range chunk {
-				m = max(m, t.Key)
-			}
-		}
-		maxima[w.ID()] = m
-	})
-	return slices.Max(maxima)
 }

@@ -3,12 +3,14 @@
 //
 //   - radix clustering of join keys on their B most significant bits
 //     (branch-free and comparison-free, Section 3.2.1 of the paper),
-//   - per-worker histograms combined into prefix sums so that every worker
-//     scatters its chunk sequentially into precomputed sub-partitions of the
-//     target runs without any latching (adapting He et al.'s technique),
+//   - one parallel count and scatter (Count, Counted.Scatter): per-worker
+//     radix histograms (Section 4.2), counted in the read that finds the key
+//     domain, combined into prefix sums so that every worker scatters its
+//     chunk sequentially into precomputed sub-partitions without any latching
+//     (adapting He et al.'s technique) — P-MPSM's phase 2, the radix hash
+//     join's first pass and the group-by kernel all partition through it,
 //   - equi-height histograms over the sorted public input and their merge
-//     into a global cumulative distribution function (CDF, Section 4.1),
-//   - fine-grained radix histograms on the private input (Section 4.2), and
+//     into a global cumulative distribution function (CDF, Section 4.1), and
 //   - splitter computation that balances per-worker sort + join cost
 //     (Section 4.3, in the spirit of Ross & Cieslewicz).
 package partition

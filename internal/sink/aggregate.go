@@ -1,6 +1,7 @@
 package sink
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -168,6 +169,9 @@ func (g *Groups) Open(workers int) {
 		g.writers[w] = &groupWriter{agg: g.agg, value: g.value, tupleBuffer: tupleBuffer{project: g.project, lease: g.lease}}
 	}
 	g.rt, g.rows, g.elapsed = nil, nil, 0
+	if workers > 1 { // one writer runs every step on the calling goroutine
+		g.rt = sched.New(sched.Config{Workers: workers})
+	}
 }
 
 // Writer implements Sink.
@@ -224,19 +228,22 @@ func (g *Groups) Close() error {
 		return err
 	}
 	total, maxKey, payBound := 0, uint64(0), uint64(0)
-	for _, w := range g.writers {
+	chunks := make([]relation.Chunk, len(g.writers))
+	for i, w := range g.writers {
 		w.flush()
 		total += w.n
 		maxKey, payBound = max(maxKey, w.maxKey), payBound|w.payBound
+		chunks[i].Tuples = w.tuples()
 	}
 	parts := min(len(g.writers), total/groupPartitionEntries+1)
-	targets := make([][]relation.Tuple, parts)
-	var buf []relation.Tuple
-	if len(g.writers) == 1 {
-		targets[0] = g.writers[0].tuples() // one writer: its buffer is the one partition
-	} else {
-		buf = g.lease.Tuples(total)
-		if err := g.scatter(maxKey, buf, targets); err != nil {
+	targets := [][]relation.Tuple{chunks[0].Tuples} // one writer: its buffer is the one partition
+	if len(g.writers) > 1 {
+		// More writers range-partition their entries by key: equi-height
+		// splitters over the combined key histogram, a latch-free scatter.
+		if counted := partition.Count(g.ctx, g.rt, "partition", groupHistogramBits, [][]relation.Chunk{chunks}, g.lease, nil); counted != nil {
+			targets = counted.Scatter(g.ctx, partition.EquiHeightSplitters(partition.CombineHistograms(counted.Hists[0]), parts), parts)[0]
+		}
+		if err := cmp.Or(g.rt.Err(), g.ctx.Err()); err != nil {
 			return err
 		}
 	}
@@ -268,7 +275,11 @@ func (g *Groups) Close() error {
 	if err != nil {
 		return err
 	}
-	g.lease.PutTuples(buf)
+	if len(g.writers) > 1 {
+		for _, part := range targets {
+			g.lease.PutTuples(part)
+		}
+	}
 	g.lease.PutUint64s(keys)
 	g.lease.PutUint64s(pays)
 	for _, w := range g.writers {
@@ -276,30 +287,6 @@ func (g *Groups) Close() error {
 	}
 	g.rows = rows
 	return nil
-}
-
-// scatter range-partitions the writers' entries into buf, cut into targets
-// by equi-height splitters over the combined key histogram. Every writer owns
-// a precomputed index range in every target, so the scatter is latch-free.
-func (g *Groups) scatter(maxKey uint64, buf []relation.Tuple, targets [][]relation.Tuple) error {
-	cfg := partition.NewRadixConfig(groupHistogramBits, maxKey)
-	hists := make([]partition.Histogram, len(g.writers))
-	err := g.parallel("histogram", len(hists), func(w int) {
-		hists[w] = partition.BuildHistogram(g.writers[w].tuples(), cfg)
-	})
-	if err != nil {
-		return err
-	}
-	sp := partition.EquiHeightSplitters(partition.CombineHistograms(hists), len(targets))
-	sums := partition.ComputePrefixSums(hists, sp, len(targets))
-	pos := 0
-	for p, size := range sums.Sizes {
-		targets[p] = buf[pos : pos+size]
-		pos += size
-	}
-	return g.parallel("scatter", len(hists), func(w int) {
-		partition.Scatter(g.writers[w].tuples(), cfg, sp, targets, sums.Offsets[w])
-	})
 }
 
 // sortFold sorts one partition by key into the key and payload columns —
@@ -332,18 +319,12 @@ func (g *Groups) parallel(name string, n int, fn func(i int)) error {
 		fn(0)
 		return nil
 	}
-	if g.rt == nil {
-		g.rt = sched.New(sched.Config{Workers: len(g.writers)})
-	}
 	tasks := make([]sched.Task, n)
 	for i := range tasks {
 		tasks[i] = sched.Task{Node: -1, Run: func(*sched.Worker) { fn(i) }}
 	}
 	g.rt.RunTasks(g.ctx, name, tasks)
-	if err := g.rt.Err(); err != nil {
-		return err
-	}
-	return g.ctx.Err()
+	return cmp.Or(g.rt.Err(), g.ctx.Err())
 }
 
 // groupWriter is one worker's consumer: a running accumulator over the

@@ -22,35 +22,13 @@ type Scratch interface {
 
 // SortColumnsInto sorts the (srcKeys, srcPays) columns by ascending key into
 // (dstKeys, dstPays), leaving the source untouched. perm is unused: it is kept
-// so that existing callers compile, and nil is the value to pass. Keys too
-// wide for a position beside them are interleaved into a freshly allocated
-// tuple buffer for the wide path's stage 1, which reads tuples only.
+// so that existing callers compile, and nil is the value to pass. It
+// interleaves the columns into a freshly allocated tuple buffer and sorts that:
+// no join calls it, benchmark probes and tests do.
 func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) {
-	n := len(srcKeys)
-	srcPays, dstKeys, dstPays = srcPays[:n], dstKeys[:n], dstPays[:n]
-	var counts [radixBuckets]int
-	var maxKey, payBound uint64
-	if n > l2Values {
-		guess := sampleMax(n, func(i int) uint64 { return srcKeys[i] })
-		maxKey, payBound = firstPass(counts[:], guess, func(shift int) (uint64, uint64) {
-			return countColumns(counts[:], srcKeys, srcPays, shift)
-		})
-	} else {
-		for i, k := range srcKeys {
-			if k > maxKey {
-				maxKey = k
-			}
-			payBound |= srcPays[i]
-		}
-	}
-	w, inWord, ok := packedCarrier(n, maxKey, payBound)
-	if ok {
-		sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays, maxKey, w, inWord, counts[:])
-		return
-	}
-	tuples := make([]relation.Tuple, n)
+	tuples := make([]relation.Tuple, len(srcKeys))
 	batch.Interleave(srcKeys, srcPays, tuples)
-	sortTuplesWide(tuples, dstKeys, dstPays, maxKey, w, counts[:], nil)
+	SortTuplesIntoColumns(tuples, dstKeys, dstPays, nil)
 }
 
 // SortTuplesIntoColumns sorts an array-of-structs chunk into columnar form:
@@ -65,10 +43,15 @@ func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scra
 		SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, nil, scratch)
 		return
 	}
+	// The first digits are counted at the width a sample guesses, never too
+	// wide, and again at the exact width if the maximum key proves it narrow.
 	var counts [radixBuckets]int
-	maxKey, payBound := firstPass(counts[:], GuessMaxKey(src), func(shift int) (uint64, uint64) {
-		return CountTuples(counts[:], src, shift)
-	})
+	guess := DigitShift(GuessMaxKey(src))
+	maxKey, payBound := CountTuples(counts[:], src, guess)
+	if shift := DigitShift(maxKey); shift != guess {
+		clear(counts[:])
+		CountTuples(counts[:], src, shift)
+	}
 	SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, counts[:], scratch)
 }
 

@@ -81,16 +81,13 @@ func DigitShift(maxKey uint64) int { return max(bits.Len64(maxKey)-radixBits, 0)
 // GuessMaxKey returns the largest of 64 evenly spaced keys of tuples and the
 // last one: never above the maximum, so a width guessed from it is never too
 // wide.
-func GuessMaxKey(tuples []relation.Tuple) uint64 {
-	return sampleMax(len(tuples), func(i int) uint64 { return tuples[i].Key })
-}
-
-func sampleMax(n int, key func(i int) uint64) (guess uint64) {
+func GuessMaxKey(tuples []relation.Tuple) (guess uint64) {
+	n := len(tuples)
 	for i := range min(n, 64) {
-		guess = max(guess, key(i*max(n/64, 1)))
+		guess = max(guess, tuples[i*max(n/64, 1)].Key)
 	}
 	if n > 0 {
-		guess = max(guess, key(n-1))
+		guess = max(guess, tuples[n-1].Key)
 	}
 	return guess
 }
@@ -112,34 +109,6 @@ func CountTuples(h []int, tuples []relation.Tuple, shift int) (maxKey, payBound 
 			maxKey = k
 		}
 		payBound |= tuples[i].Payload
-	}
-	return maxKey, payBound
-}
-
-// countColumns is CountTuples over a columnar source.
-//
-//go:noinline
-func countColumns(h []int, keys, pays []uint64, shift int) (maxKey, payBound uint64) {
-	mask, s, pays := uint64(len(h)-1), uint(shift)&63, pays[:len(keys)]
-	for i, k := range keys {
-		h[k>>s&mask]++
-		if k > maxKey {
-			maxKey = k
-		}
-		payBound |= pays[i]
-	}
-	return maxKey, payBound
-}
-
-// firstPass is a sort's first pass past l2Values: count(shift) counts the
-// source's first digits at shift into counts and returns its bounds, first at
-// the guessed maximum key's digit and again, from zero, at the exact one if
-// it differs.
-func firstPass(counts []int, guess uint64, count func(shift int) (maxKey, payBound uint64)) (maxKey, payBound uint64) {
-	maxKey, payBound = count(DigitShift(guess))
-	if shift := DigitShift(maxKey); shift != DigitShift(guess) {
-		clear(counts)
-		count(shift)
 	}
 	return maxKey, payBound
 }
@@ -347,11 +316,6 @@ func insertionSortU64(packed []uint64, lo int) {
 // the AoS source, the only code of the sort that reads it after the first
 // pass. Past l2Values it scatters by the top 8 bits of the key (all of a
 // narrower key), whose counts the first pass took.
-//
-// Stage 1 touches the source once per tuple and pass, so it is written out per
-// source layout here and in sortColumnsIntoPacked: reaching the source through
-// two accessor closures instead measured 20–40 % slower end to end (24 → 33
-// ns/tuple at 2^20).
 func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, counts []int, scratch Scratch) {
 	n := len(src)
 	hi := w + bits.Len64(maxKey)
@@ -386,46 +350,6 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 		}
 	}
 	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil, 0, scratch)
-}
-
-// sortColumnsIntoPacked is the packed path of SortColumnsInto: sortTuplesPacked
-// line for line over a columnar source. Its one caller outside the tests is
-// the end-to-end benchmark's sorting layer, which brings no Scratch.
-func sortColumnsIntoPacked(srcKeys, srcPays, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, counts []int) {
-	n := len(srcKeys)
-	srcPays = srcPays[:n]
-	hi := w + bits.Len64(maxKey)
-	var bounds [radixBuckets + 1]int
-	buckets := 1
-	if n <= l2Values {
-		bounds[1] = n
-		for i, k := range srcKeys {
-			if inWord {
-				dstPays[i] = k<<w | srcPays[i]
-			} else {
-				dstPays[i], dstKeys[i] = k<<w|uint64(i), srcPays[i]
-			}
-		}
-	} else {
-		buckets, hi = radixBuckets, max(hi-radixBits, w)
-		shift := hi - w
-		copy(bounds[1:], counts)
-		for b := 0; b < radixBuckets; b++ {
-			bounds[b+1] += bounds[b]
-		}
-		cursors := bounds
-		for i, k := range srcKeys {
-			b := int(k>>shift) & radixMask
-			pos := cursors[b]
-			if inWord {
-				dstPays[pos] = k<<w | srcPays[i]
-			} else {
-				dstPays[pos], dstKeys[pos] = k<<w|uint64(pos), srcPays[i]
-			}
-			cursors[b] = pos + 1
-		}
-	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil, 0, nil)
 }
 
 // sortTuplesWide is the wide path of the columnar sorts, for keys too wide

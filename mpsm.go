@@ -98,9 +98,11 @@
 // relation statistics feed a calibrated cost model that picks the join
 // algorithm per join, orders multi-join chains by estimated intermediate
 // size, reverses build/probe roles where safe, declares presorted inputs,
-// chooses Static vs Morsel scheduling from the skew profile, and pins the
-// aggregation strategy. Explain and ExplainAnalyze describe the chosen
-// physical plan with estimated (and actual) cardinalities:
+// runs a group-by on the join key as a groupjoin where that prices cheaper,
+// and chooses every join's worker count: a join it runs on one worker runs
+// Static, a wider join runs the configured scheduling mode. Explain and
+// ExplainAnalyze describe the chosen physical plan with estimated (and
+// actual) cardinalities:
 //
 //	engine := mpsm.New(mpsm.WithAutoPlan(true))
 //	res, err := engine.Join(ctx, r, s)   // algorithm picked from the data
