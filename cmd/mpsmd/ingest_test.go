@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,21 +32,63 @@ func scanFrom(r io.Reader, contentLength, limit int) (*relationUpload, error) {
 	return newRelationScanner(r, int64(contentLength), func(string) int { return limit }, func() {}).decode()
 }
 
-// uploadBody is a tuples upload as the benchmark's client writes it: no white
-// space, keys below 2^32 and payloads below 10^6.
+// uploadBody is a tuples upload as the benchmark's client writes it for
+// join_large: no white space, keys below 2^32 and payloads below 10^6.
 func uploadBody(name string, n int) []byte {
-	body := append(strconv.AppendQuote([]byte(`{"name":`), name), `,"tuples":[`...)
+	return tuplesBody(name, drawTuples(n, func(x uint64) uint64 { return x >> 32 }))
+}
+
+// skewBody is join_large_skew's S as the benchmark's client writes it: keys
+// below 2^20, 80 % of them in the lowest fifth, laid out in eight ascending
+// key ranges; payloads below 10^6.
+func skewBody(name string, n int) []byte {
+	const domain, hot = 1 << 20, (1 << 20) / 5
+	tuples := drawTuples(n, func(x uint64) uint64 {
+		if x>>8%10 < 8 {
+			return x >> 40 % hot
+		}
+		return hot + x>>40%(domain-hot)
+	})
+	slices.SortStableFunc(tuples, func(a, b mpsm.Tuple) int { return cmp.Compare(a.Key/(domain/8), b.Key/(domain/8)) })
+	return tuplesBody(name, tuples)
+}
+
+// drawTuples is n tuples of keys key(x) and payloads below 10^6, x a
+// fixed-seed linear congruential sequence.
+func drawTuples(n int, key func(x uint64) uint64) []mpsm.Tuple {
+	tuples := make([]mpsm.Tuple, n)
 	x := uint64(1)
-	for i := 0; i < n; i++ {
+	for i := range tuples {
 		x = x*6364136223846793005 + 1442695040888963407
+		tuples[i] = mpsm.Tuple{Key: key(x), Payload: x >> 16 % 1_000_000}
+	}
+	return tuples
+}
+
+// tuplesBody is the upload of tuples with no white space.
+func tuplesBody(name string, tuples []mpsm.Tuple) []byte {
+	body := append(strconv.AppendQuote([]byte(`{"name":`), name), `,"tuples":[`...)
+	for i, t := range tuples {
 		if i > 0 {
 			body = append(body, ',')
 		}
-		body = strconv.AppendUint(append(body, '['), x>>32, 10)
-		body = strconv.AppendUint(append(body, ','), x>>16%1_000_000, 10)
+		body = strconv.AppendUint(append(body, '['), t.Key, 10)
+		body = strconv.AppendUint(append(body, ','), t.Payload, 10)
 		body = append(body, ']')
 	}
 	return append(body, "]}"...)
+}
+
+// digitsBody is n tuples with no white space whose keys and payloads cycle
+// through every length from 1 to 20 digits, MaxUint64 among them.
+func digitsBody(name string, n int) []byte {
+	tuples := drawTuples(n, func(x uint64) uint64 { return x })
+	for i := range tuples {
+		tuples[i].Key >>= i % 64
+		tuples[i].Payload = tuples[i].Key>>(i*7%64) ^ uint64(i)
+	}
+	tuples[n/2].Key = math.MaxUint64
+	return tuplesBody(name, tuples)
 }
 
 // decodeCases is the upload grammar by example: what must stay accepted, what
@@ -173,6 +217,160 @@ func TestDecodeRelationErrorPosition(t *testing.T) {
 	}
 }
 
+// TestDecodeRelationCanonicalHandOff: a tuple off the canonical form, planted
+// in a canonical body at tuple 5 000 and again across the first block edge,
+// is read or refused exactly as the general path reads or refuses it: the
+// relation encoding/json decodes, or the tuple's own error — its status, byte
+// offset, tuple index and message.
+func TestDecodeRelationCanonicalHandOff(t *testing.T) {
+	const (
+		arity = "a tuple is [key, payload]: exactly two elements"
+		null  = "null cannot stand for a tuple or a number"
+		zero  = "number has a leading zero"
+		over  = "number exceeds 2^64-1"
+		end   = "unexpected end of body"
+	)
+	tuples := drawTuples(8000, func(x uint64) uint64 { return x >> 32 })
+	for _, tc := range []struct {
+		name string
+		text string // replaces "[key,payload]," of one tuple
+		err  string // empty if the body is accepted
+		at   int    // the error's offset in text
+		past int    // the error's tuple index past the planted tuple's
+		cut  bool   // the body ends with text
+	}{
+		{name: "space after [", text: "[ 7,8],"},
+		{name: "newline after [", text: "[\n7,8],"},
+		{name: "space after the comma", text: "[7, 8],"},
+		{name: "newline after the comma", text: "[7,\n8],"},
+		{name: "space after ]", text: "[7,8] ,"},
+		{name: "newline after ]", text: "[7,8]\n,"},
+		{name: "space before the next tuple", text: "[7,8], "},
+		{name: "space after 7 and 15 digits", text: "[1234567 ,123456789012345 ],"},
+		{name: "zeros", text: "[0,0],"},
+		{name: "8 and 9 digits", text: "[12345678,123456789],"},
+		{name: "16 digits", text: "[9999999999999999,1000000000000000],"},
+		{name: "17 digits", text: "[10000000000000000,99999999999999999],"},
+		{name: "19 digits", text: "[1234567890123456789,9999999999999999999],"},
+		{name: "20 digits", text: "[10000000000000000000,12345678901234567890],"},
+		{name: "max uint64", text: "[18446744073709551615,18446744073709551615],"},
+
+		{name: "leading zero key", text: "[07,8],", err: zero, at: 1},
+		{name: "leading zero payload", text: "[7,08],", err: zero, at: 3},
+		{name: "leading zero, 16 digits", text: "[0123456789012345,8],", err: zero, at: 1},
+		{name: "2^64 key", text: "[18446744073709551616,8],", err: over, at: 1},
+		{name: "2^64 payload", text: "[7,18446744073709551616],", err: over, at: 3},
+		{name: "21 digits", text: "[100000000000000000000,8],", err: over, at: 1},
+		{name: "null tuple", text: "null,", err: null},
+		{name: "null key", text: "[null,8],", err: null, at: 1},
+		{name: "null payload", text: "[7,null],", err: null, at: 3},
+		{name: "one element", text: "[7],", err: arity, at: 2},
+		{name: "three elements", text: "[7,8,9],", err: arity, at: 4},
+		{name: "three elements, spaced", text: "[7,8 ,9],", err: arity, at: 5},
+		{name: "no element", text: "[],", err: arity, at: 1},
+		{name: "missing ] before ,", text: "[7,8,", err: arity, at: 4},
+		{name: "missing ] before [", text: "[7,8", err: `expected ']' after a number, found '['`, at: 4},
+		{name: "colon after a key", text: "[7:8],", err: `expected ',' after a number, found ':'`, at: 2},
+		{name: "colon after a payload", text: "[7,8:],", err: `expected ']' after a number, found ':'`, at: 4},
+		{name: "slash after a key", text: "[7/,8],", err: `expected ',' after a number, found '/'`, at: 2},
+
+		{name: "ends after [", text: "[", err: end, at: 1, cut: true},
+		{name: "ends in a key", text: "[7", err: end, at: 2, cut: true},
+		{name: "ends after the comma", text: "[7,", err: end, at: 3, cut: true},
+		{name: "ends in a payload", text: "[7,8", err: end, at: 4, cut: true},
+		{name: "ends after ]", text: "[7,8]", err: end, at: 5, past: 1, cut: true},
+		{name: "ends after the tuple's ,", text: "[7,8],", err: end, at: 6, past: 1, cut: true},
+	} {
+		// At tuple 5 000, and at the tuple that puts the first block edge in
+		// the middle of text (the name is padded to start it there).
+		edge := scanBlock - (len(tc.text)+1)/2
+		for _, at := range []struct {
+			name      string
+			tuple, to int
+		}{{"tuple 5000", 5000, -1}, {"block edge", -1, edge}} {
+			t.Run(tc.name+"/"+at.name, func(t *testing.T) {
+				body, k, start := plantedBody(tuples, at.tuple, at.to, tc.text, tc.cut)
+				got, err := scan(body, 1<<20)
+				var ie *ingestError
+				switch {
+				case tc.err == "":
+					want, refErr := referenceDecode(body)
+					if refErr != nil || err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("scan error %v, encoding/json error %v, or the relations differ", err, refErr)
+					}
+				case !errors.As(err, &ie):
+					t.Fatalf("error = %v, want an ingestError", err)
+				case ie.Status != http.StatusBadRequest || ie.Offset != int64(start+tc.at) ||
+					ie.Tuple != k+tc.past || ie.Err.Error() != tc.err:
+					t.Fatalf("error: status %d at byte %d in tuple %d: %q; want 400 at byte %d in tuple %d: %q",
+						ie.Status, ie.Offset, ie.Tuple, ie.Err, start+tc.at, k+tc.past, tc.err)
+				}
+			})
+		}
+	}
+}
+
+// TestDecodeRelationFailedReadMidArray: the bytes a failed read still
+// returned are scanned by the general path, which needs more of them for the
+// payload of the first tuple and so reports the read error — not the null
+// after that tuple, which the canonical loop would have run into.
+func TestDecodeRelationFailedReadMidArray(t *testing.T) {
+	head := `{"name":"r","tuples":[` + strings.Repeat(" ", maxMemberBytes+100) // past the members' look-ahead
+	rest := `[1234567890123456,7],null,[1,2],[3,4`
+	broken := errors.New("connection reset")
+	_, err := scanFrom(&failingReader{parts: []string{head, rest}, err: broken}, len(head)+len(rest)+10, 10)
+	var ie *ingestError
+	if !errors.As(err, &ie) || !errors.Is(err, broken) || ie.Offset != int64(len(head)) || ie.Tuple != 0 {
+		t.Fatalf("error = %v, want the read error at byte %d in tuple 0", err, len(head))
+	}
+}
+
+// failingReader returns its parts one a Read, the last together with err.
+type failingReader struct {
+	parts []string
+	err   error
+}
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	n := copy(p, f.parts[0])
+	if f.parts = f.parts[1:]; len(f.parts) == 0 {
+		return n, f.err
+	}
+	return n, nil
+}
+
+// plantedBody is the canonical upload of tuples with text in place of tuple
+// k and the ',' after it, and nothing after text if cut. A negative k is the
+// last tuple that can start at byte to, the name padded so that it does. It
+// returns the body, k and the offset of text in the body.
+func plantedBody(tuples []mpsm.Tuple, k, to int, text string, cut bool) ([]byte, int, int) {
+	tuple := func(b []byte, t mpsm.Tuple) []byte {
+		b = strconv.AppendUint(append(b, '['), t.Key, 10)
+		return append(strconv.AppendUint(append(b, ','), t.Payload, 10), "],"...)
+	}
+	name := "r"
+	if k < 0 {
+		start := len(`{"name":"r","tuples":[`)
+		for k = 0; start+len(tuple(nil, tuples[k])) <= to; k++ {
+			start += len(tuple(nil, tuples[k]))
+		}
+		name += strings.Repeat("p", to-start)
+	}
+	body := []byte(`{"name":"` + name + `","tuples":[`)
+	for _, t := range tuples[:k] {
+		body = tuple(body, t)
+	}
+	start := len(body)
+	body = append(body, text...)
+	if !cut {
+		for _, t := range tuples[k+1:] {
+			body = tuple(body, t)
+		}
+		body = append(body[:len(body)-1], "]}"...)
+	}
+	return body, k, start
+}
+
 // referenceDecode is what the handler did before the scanner, minus its
 // tolerance for trailing data: encoding/json into the wire struct, the same
 // validation, then the copy into tuples.
@@ -205,6 +403,12 @@ func FuzzDecodeRelation(f *testing.F) {
 	}
 	f.Add(uploadBody("sampled", sampleTuples+100), sampleTuples+100) // past the size guess
 	f.Add(uploadBody("over", 10), 9)
+	// Canonical bodies long enough for the canonical loop, whose mutations
+	// land in it: keys and payloads of 1–20 digits, MaxUint64 among them.
+	f.Add(digitsBody("digits", 300), 1000)
+	f.Add(digitsBody("digits", 500), 400)
+	f.Add(uploadBody("keys", 300), 1000)
+	f.Add(skewBody("skew", 300), 1000)
 	f.Fuzz(func(t *testing.T, body []byte, limit int) {
 		limit = max(0, limit) % (2 * sampleTuples)
 		got, err := scan(body, limit)
@@ -305,17 +509,24 @@ func TestUploadAllocatesLittleMoreThanItStores(t *testing.T) {
 }
 
 // TestDecodeRelationAcrossBlockBoundaries: the answer does not depend on where
-// the reader cuts the body — one byte at a time, or blocks of any size.
+// the reader cuts the body — one byte at a time, or blocks of any size — with
+// white space between the tuples or none, where the cuts fall inside tuples
+// the canonical loop takes.
 func TestDecodeRelationAcrossBlockBoundaries(t *testing.T) {
-	body := bytes.ReplaceAll(uploadBody("r", 9000), []byte("],["), []byte("] ,\n["))
-	want, err := scan(body, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1, 7, 4096, scanBlock - 1, scanBlock + 1} {
-		got, err := scanFrom(&chunkReader{b: body, chunk: chunk}, len(body), 1<<20)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("chunks of %d: %v, or a different relation", chunk, err)
+	for name, body := range map[string][]byte{
+		"white space": bytes.ReplaceAll(uploadBody("r", 9000), []byte("],["), []byte("] ,\n[")),
+		"canonical":   uploadBody("r", 9000),
+		"1-20 digits": digitsBody("r", 6000),
+	} {
+		want, err := referenceDecode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 7, 4096, scanBlock - 1, scanBlock + 1} {
+			got, err := scanFrom(&chunkReader{b: body, chunk: chunk}, len(body), 1<<20)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s in chunks of %d: %v, or a different relation", name, chunk, err)
+			}
 		}
 	}
 }
@@ -539,12 +750,28 @@ func TestServerJoinOutlivesBodyDeadline(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodeRelation scans 2^20-tuple bodies shaped like the
+// benchmark's uploads, payloads below 10^6 in all of them: join_large's
+// (keys of up to 10 digits), join_large_skew's S (up to 7, clustered), and
+// join_large's again with white space between the tuples, which the
+// canonical loop hands to the general path tuple by tuple.
 func BenchmarkDecodeRelation(b *testing.B) {
-	body := uploadBody("r", 1<<20)
-	b.SetBytes(int64(len(body)))
-	for b.Loop() {
-		if _, err := scan(body, 1<<21); err != nil {
-			b.Fatal(err)
-		}
+	const n = 1 << 20
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{
+		{"join_large", uploadBody("r", n)},
+		{"join_large_skew", skewBody("r", n)},
+		{"white_space", bytes.ReplaceAll(uploadBody("r", n), []byte("],["), []byte("] ,\n["))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.body)))
+			for b.Loop() {
+				if _, err := scan(bc.body, 2*n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -227,20 +227,23 @@ func (g *Groups) Close() error {
 	if err := g.ctx.Err(); err != nil {
 		return err
 	}
-	total, maxKey, payBound := 0, uint64(0), uint64(0)
+	total := 0
 	chunks := make([]relation.Chunk, len(g.writers))
 	for i, w := range g.writers {
 		w.flush()
 		total += w.n
-		maxKey, payBound = max(maxKey, w.maxKey), payBound|w.payBound
 		chunks[i].Tuples = w.tuples()
 	}
 	parts := min(len(g.writers), total/groupPartitionEntries+1)
-	targets := [][]relation.Tuple{chunks[0].Tuples} // one writer: its buffer is the one partition
+	// One writer: its buffer is the one partition, and its sort finds the
+	// key and payload bounds in its own count read.
+	targets := [][]relation.Tuple{chunks[0].Tuples}
+	var counted *partition.Counted
 	if len(g.writers) > 1 {
 		// More writers range-partition their entries by key: equi-height
 		// splitters over the combined key histogram, a latch-free scatter.
-		if counted := partition.Count(g.ctx, g.rt, "partition", groupHistogramBits, [][]relation.Chunk{chunks}, g.lease, nil); counted != nil {
+		// The count's read takes the bounds for every partition's sort.
+		if counted = partition.Count(g.ctx, g.rt, "partition", groupHistogramBits, [][]relation.Chunk{chunks}, g.lease, nil); counted != nil {
 			targets = counted.Scatter(g.ctx, partition.EquiHeightSplitters(partition.CombineHistograms(counted.Hists[0]), parts), parts)[0]
 		}
 		if err := cmp.Or(g.rt.Err(), g.ctx.Err()); err != nil {
@@ -258,7 +261,7 @@ func (g *Groups) Close() error {
 	}
 	err := g.parallel("sort", parts, func(p int) {
 		lo, hi := starts[p], starts[p+1]
-		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], maxKey, payBound)
+		counts[p] = g.sortFold(targets[p], keys[lo:hi], pays[lo:hi], counted)
 	})
 	if err != nil {
 		return err
@@ -290,15 +293,19 @@ func (g *Groups) Close() error {
 }
 
 // sortFold sorts one partition by key into the key and payload columns —
-// the packed columnar radix sort of run generation, told the writers' key and
-// payload bounds so it scans for neither; a partition that arrived ordered is
-// only deinterleaved — then folds the partial accumulators of equal keys in
-// place and returns the number of groups left at the front.
-func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, maxKey, payBound uint64) int {
-	if relation.IsSortedByKey(part) {
+// the packed columnar radix sort of run generation, told the key and payload
+// bounds counted took, or, with nil counted, finding them in its own count
+// read; a partition that arrived ordered is only deinterleaved — then folds
+// the partial accumulators of equal keys in place and returns the number of
+// groups left at the front.
+func (g *Groups) sortFold(part []relation.Tuple, keys, pays []uint64, counted *partition.Counted) int {
+	switch {
+	case relation.IsSortedByKey(part):
 		batch.Deinterleave(part, keys, pays)
-	} else {
-		sorting.SortTuplesIntoColumnsWithBounds(part, keys, pays, maxKey, payBound, nil, g.lease)
+	case counted == nil:
+		sorting.SortTuplesIntoColumns(part, keys, pays, g.lease)
+	default:
+		sorting.SortTuplesIntoColumnsWithBounds(part, keys, pays, counted.MaxKey, counted.PayBound, nil, g.lease)
 	}
 	n := 0
 	for i := 0; i < len(keys); n++ {
@@ -335,8 +342,6 @@ type groupWriter struct {
 	value          Value
 	curKey, curVal uint64
 	active         bool
-	maxKey         uint64 // the largest key of the entries
-	payBound       uint64 // the OR of the entries' partial accumulators
 }
 
 // Consume implements mergejoin.Consumer.
@@ -431,7 +436,6 @@ func (w *groupWriter) add(key, val uint64) {
 func (w *groupWriter) flush() {
 	if w.active {
 		w.push(relation.Tuple{Key: w.curKey, Payload: w.curVal})
-		w.maxKey, w.payBound = max(w.maxKey, w.curKey), w.payBound|w.curVal
 		w.active = false
 	}
 }
