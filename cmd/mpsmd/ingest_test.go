@@ -310,6 +310,73 @@ func TestDecodeRelationCanonicalHandOff(t *testing.T) {
 	}
 }
 
+// TestCanonicalTakesEveryDigitWidth drives relationScanner.canonical itself,
+// which no answer reveals — the general path reads the same tuples, about half
+// as fast. One block holds canonical tuples whose keys and payloads have every
+// length from 1 to 16 digits, every digit value in turn, so that digits fall
+// in every byte of both words canonicalNumber reads. The loop must take every
+// tuple whose 36-byte window lies in the block, each with its value, and stop
+// exactly at the first whose window leaves it: none where the block ends with
+// the last 36-byte tuple, the first of a tail of three short tuples behind
+// it; and with room for fewer tuples in dst, stop when dst is full.
+func TestCanonicalTakesEveryDigitWidth(t *testing.T) {
+	var body []byte
+	var want []mpsm.Tuple
+	var starts []int // offset of each tuple, and the body's end
+	digits := 0
+	number := func(n int) uint64 {
+		text := []byte{byte('1' + digits%9)} // no leading zero
+		for len(text) < n {
+			text = append(text, byte('0'+(digits+len(text))%10))
+		}
+		digits++
+		v, err := strconv.ParseUint(string(text), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	add := func(tup mpsm.Tuple) {
+		starts = append(starts, len(body))
+		body = fmt.Appendf(body, "[%d,%d],", tup.Key, tup.Payload)
+		want = append(want, tup)
+	}
+	for kl := 1; kl <= 16; kl++ {
+		for pl := 1; pl <= 16; pl++ {
+			for rep := 0; rep < 2; rep++ {
+				add(mpsm.Tuple{Key: number(kl), Payload: number(pl)})
+			}
+		}
+	}
+	grid := len(want) // the last one is 36 bytes long
+	for i := range 3 {
+		add(mpsm.Tuple{Key: uint64(i + 1), Payload: uint64(9 - i)})
+	}
+	starts = append(starts, len(body))
+
+	for _, tc := range []struct {
+		tuples, room, stop int
+	}{
+		{tuples: grid, room: grid, stop: grid},           // the last window ends with the block
+		{tuples: len(want), room: len(want), stop: grid}, // the tail's first window leaves it
+		{tuples: len(want), room: 300, stop: 300},        // dst is full
+	} {
+		s := newRelationScanner(bytes.NewReader(nil), -1, nil, func() {})
+		s.end = copy(s.buf, body[:starts[tc.tuples]])
+		s.tuple = 0
+		got := s.canonical(make([]mpsm.Tuple, 0, tc.room))
+		if len(got) != tc.stop || s.tuple != tc.stop || s.pos != starts[tc.stop] {
+			t.Fatalf("%+v: took %d tuples (tuple index %d) and stopped at byte %d; want %d, stopping at byte %d of %d",
+				tc, len(got), s.tuple, s.pos, tc.stop, starts[tc.stop], s.end)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: tuple %d (%q) reads %v, want %v", tc, i, body[starts[i]:starts[i+1]], got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestDecodeRelationFailedReadMidArray: the bytes a failed read still
 // returned are scanned by the general path, which needs more of them for the
 // payload of the first tuple and so reports the read error — not the null

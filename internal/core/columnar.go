@@ -20,9 +20,11 @@ import (
 // phase over it, for every join kind: the range-emitting kernel of
 // internal/mergejoin scans contiguous key columns, a band is one more
 // parameter of that kernel, and the outer, semi and anti kinds are a
-// mergejoin.Marker between the kernel and the sink writer. D-MPSM generates
-// the same runs, spills them to the simulated disk as pages of key and
-// payload columns, and joins every page with the same kernel.
+// mergejoin.Marker between the kernel and the sink writer; an inner
+// equi-join into the max-sum or count sink folds its pairs in the kernel's
+// loop instead (Exec.Folds). D-MPSM generates the same runs, spills them to
+// the simulated disk as pages of key and payload columns, and joins every
+// page with the same kernel.
 
 // sortChunkIntoColumnRun sorts one chunk of the input relation into a
 // worker-local column run whose buffers come from the join's scratch lease
@@ -81,7 +83,7 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 // match runs the match phase B-MPSM (phase 3) and P-MPSM (phase 4) share as
 // the execution's last phase and finishes the execution.
 func match(ctx context.Context, x *Exec, phase string, private, public []*batch.Run, skip bool) (*result.Result, error) {
-	m := &matcher{x: x, out: x.Bind(), private: private, public: public, scanned: make([]int, len(private)), skip: skip}
+	m := &matcher{x: x, out: x.Bind(), private: private, public: public, scanned: make([]int, len(private)), skip: skip, folds: x.Folds()}
 	if err := x.Record(phase, m.run(ctx, phase)); err != nil {
 		return nil, err
 	}
@@ -106,6 +108,8 @@ type matcher struct {
 	// sliver of the key domain). Without it each public run is scanned in
 	// full — B-MPSM's defining O(|S|) join work per worker.
 	skip bool
+	// folds runs FoldColumns instead of the range kernel (Exec.Folds).
+	folds bool
 }
 
 // run executes the match phase under the configured scheduler and returns its
@@ -157,27 +161,33 @@ func (m *matcher) run(ctx context.Context, phase string) time.Duration {
 
 // join merge joins one private run, or a segment of one, against the given
 // public runs on worker w. An inner join hands the kernel the sink writer
-// itself; the other kinds put a marker in front of it, which classifies the
-// private key groups once the last public run has been seen. Cancellation is
-// checked per public run, the chunk unit of the merge loop; a cancelled
-// marker emits no classification.
+// itself, or, where the join folds, folds every public run into one fold and
+// hands the writer the task's (count, max) once; the other kinds put a marker
+// in front of the writer, which classifies the private key groups once the
+// last public run has been seen. Cancellation is checked per public run, the
+// chunk unit of the merge loop; a cancelled marker emits no classification, a
+// cancelled fold what it folded until then.
 func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64, node int, public []*batch.Run) {
-	opts, sc := m.x.Opts, m.x.Scratch(w.ID())
-	var cons mergejoin.RangeConsumer = m.out.Writer(w.ID())
+	opts, sc, out := m.x.Opts, m.x.Scratch(w.ID()), m.out.Writer(w.ID())
+	var cons mergejoin.RangeConsumer = out
 	var marker *mergejoin.Marker
 	if opts.Kind != mergejoin.Inner {
 		marker = mergejoin.NewMarker(opts.Kind, keys, pays, cons, sc, m.x.Lease)
 		cons = marker
 	}
+	var f fold
 	tracker := w.Tracker()
 	for _, pub := range public {
 		if sched.Canceled(ctx) {
 			break
 		}
 		n := pub.Len()
-		if m.skip {
+		switch {
+		case m.folds:
+			n = f.add(keys, pays, pub.Keys, pub.Payloads, m.skip)
+		case m.skip:
 			n = mergejoin.JoinColumnsWithSkip(keys, pays, pub.Keys, pub.Payloads, opts.Band, cons, sc)
-		} else {
+		default:
 			mergejoin.JoinColumnsBand(keys, pays, pub.Keys, pub.Payloads, opts.Band, cons, sc)
 		}
 		m.scanned[w.ID()] += n
@@ -189,7 +199,28 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 			tracker.SeqRead(pub.Node, uint64(n))
 		}
 	}
+	f.flush(out)
 	if marker != nil {
 		marker.Finish(ctx)
+	}
+}
+
+// fold is the (count, max) a task of a join that folds (Exec.Folds) has
+// folded so far: B- and P-MPSM's match task over its public runs, D-MPSM's
+// worker over its pages.
+type fold struct{ pairs, best uint64 }
+
+// add folds the equi-join of a private and a public key-sorted column pair
+// (mergejoin.FoldColumns) and returns the number of public tuples it scanned.
+func (f *fold) add(keys, pays, sKeys, sPays []uint64, skip bool) int {
+	pairs, best, scanned := mergejoin.FoldColumns(keys, pays, sKeys, sPays, skip)
+	f.pairs, f.best = f.pairs+pairs, max(f.best, best)
+	return scanned
+}
+
+// flush hands out what the task folded, as one batch, if it found a pair.
+func (f *fold) flush(out *sink.Writer) {
+	if f.pairs > 0 {
+		out.ConsumeFold(f.pairs, f.best)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/search"
+	"repro/internal/sink"
 	"repro/internal/storage"
 )
 
@@ -69,7 +70,9 @@ type DiskStats struct {
 // a key column and a payload column (storage.Page), so phase 3 joins every
 // page with the one column merge kernel, batched through a per-worker scratch
 // of batch.DefaultSize entries, and the sink takes range batches as behind the
-// other MPSM variants. D-MPSM is inner-only and equi-only.
+// other MPSM variants — or, into the max-sum and count sinks, every worker
+// folds its pages and hands its writer one (count, max). D-MPSM is inner-only
+// and equi-only.
 //
 // Its NUMA statistics (Options.TrackNUMA) cover run generation, phases 1 and
 // 2: phase 3 reads its pages through the buffer pool, whose frames the model
@@ -168,14 +171,13 @@ func dmpsmJoin(ctx context.Context, x *Exec, disk *storage.Disk, pool *storage.B
 	prefetcher.Start()
 	defer prefetcher.Stop()
 
-	out := x.Bind()
+	out, folds := x.Bind(), x.Folds()
 	return x.RT.Phase(ctx, "phase 3", func(ctx context.Context, w *sched.Worker) {
 		keys, pays, err := storage.ReadRun(disk, privateRuns[w.ID()])
 		if err != nil {
 			panic(fmt.Sprintf("core: reading private run %d: %v", w.ID(), err))
 		}
-		sc := x.Scratch(w.ID())
-		cons := out.Writer(w.ID())
+		p := pageJoin{keys: keys, pays: pays, out: out.Writer(w.ID()), sc: x.Scratch(w.ID()), folds: folds}
 		cursors := make([]int, len(index.Runs))
 		for pos, entry := range index.Entries {
 			if sched.Canceled(ctx) {
@@ -185,23 +187,41 @@ func dmpsmJoin(ctx context.Context, x *Exec, disk *storage.Disk, pool *storage.B
 			if err != nil {
 				panic(fmt.Sprintf("core: pinning page %+v: %v", entry.Page, err))
 			}
-			cursors[entry.RunOrdinal] = joinPage(keys, pays, cursors[entry.RunOrdinal], page, cons, sc)
+			cursors[entry.RunOrdinal] = p.join(cursors[entry.RunOrdinal], page)
 			scanned[w.ID()] += page.Len()
 			pool.Unpin(entry.Page)
 			prefetcher.ReportProgress(pos + 1)
 		}
+		p.fold.flush(p.out)
 	})
 }
 
-// joinPage merge joins one public page (sorted) against the private run from
-// the given cursor on, with the column kernel, and returns the advanced
-// cursor: the first private index whose key is >= the page's last key. Keys
-// equal to the page's last key stay reachable because the following page of
-// the same run may start with the same key.
-func joinPage(keys, pays []uint64, cursor int, page storage.Page, out mergejoin.RangeConsumer, sc *batch.Scratch) int {
+// pageJoin is one worker's side of phase 3: its private run, its sink writer
+// and, where the join folds (Exec.Folds), the (count, max) folded so far,
+// which the worker hands the writer once, after its last page.
+type pageJoin struct {
+	keys, pays []uint64
+	out        *sink.Writer
+	sc         *batch.Scratch
+	folds      bool
+	fold       fold
+}
+
+// join merge joins one public page (sorted) against the private run from the
+// given cursor on, with the column kernel or into the fold, and returns the
+// advanced cursor: the first private index whose key is >= the page's last
+// key. Keys equal to the page's last key stay reachable because the following
+// page of the same run may start with the same key; a key group that spans
+// the boundary folds page by page.
+func (p *pageJoin) join(cursor int, page storage.Page) int {
+	keys, pays := p.keys, p.pays
 	if page.Len() == 0 || cursor >= len(keys) {
 		return cursor
 	}
-	mergejoin.JoinColumns(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, out, sc)
+	if p.folds {
+		p.fold.add(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, false)
+	} else {
+		mergejoin.JoinColumns(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, p.out, p.sc)
+	}
 	return cursor + search.LowerBoundKeys(keys[cursor:], page.Keys[page.Len()-1])
 }

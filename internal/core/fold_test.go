@@ -1,0 +1,180 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/batch"
+	"repro/internal/mergejoin"
+	"repro/internal/relation"
+	"repro/internal/result"
+	"repro/internal/sched"
+	"repro/internal/sink"
+	"repro/internal/workload"
+)
+
+// foldInputs are the shapes the merge fold is checked on beyond
+// workload.EdgeInputs' own: duplicate key groups whose pair sums wrap past
+// 2^64 for some pairs and not others, and private key ranges without a public
+// partner.
+func foldInputs() []workload.EdgeInput {
+	tuples := func(name string, n int, key, pay func(i int) uint64) *relation.Relation {
+		ts := make([]relation.Tuple, n)
+		for i := range ts {
+			ts[i] = relation.Tuple{Key: key(i), Payload: pay(i)}
+		}
+		return relation.New(name, ts)
+	}
+	// Payloads about 2^63 on both sides, beside small ones, in groups of 12
+	// private and 20 public tuples: in every other group the sum of the two
+	// largest payloads wraps past 2^64 and some other pairs' sums do not, so
+	// the group's pairs decide its largest sum.
+	half := func(i int) uint64 {
+		switch i % 4 {
+		case 0:
+			return 1<<63 + uint64(i%11)
+		case 1:
+			return 1<<63 - 1 - uint64(i%13)
+		case 2:
+			return uint64(i % 17)
+		}
+		return 1<<62 + uint64(i)
+	}
+	return []workload.EdgeInput{
+		{Name: "half-wrap", R: tuples("R", 360, func(i int) uint64 { return uint64(i / 12) }, half),
+			S: tuples("S", 600, func(i int) uint64 { return uint64(i % 30) }, func(i int) uint64 { return half(i + 1) })},
+		// Keys 0..199 privately, only 100..199 publicly (three times each):
+		// the lower half of the key domain — a whole P-MPSM partition — has
+		// no public partner.
+		{Name: "one-sided", R: tuples("R", 200, func(i int) uint64 { return uint64(i) }, func(i int) uint64 { return uint64(i) * 7 }),
+			S: tuples("S", 300, func(i int) uint64 { return 100 + uint64(i%100) }, func(i int) uint64 { return uint64(i) })},
+	}
+}
+
+// foldCell is one configuration of the fold differential.
+type foldCell struct {
+	alg  string
+	mode sched.Mode
+	disk DiskOptions
+}
+
+func (c foldCell) String() string {
+	if c.alg == "D" {
+		return fmt.Sprintf("D-MPSM/page=%d", c.disk.PageSize)
+	}
+	return fmt.Sprintf("%s-MPSM/%v", c.alg, c.mode)
+}
+
+// foldCells are B-MPSM under the static scheduler (a full scan of every
+// public run, no skip) and the morsel one, P-MPSM under both, and D-MPSM with
+// pages of 16 and 7 tuples, which key groups of the inputs span.
+var foldCells = []foldCell{
+	{alg: "B", mode: sched.Static}, {alg: "B", mode: sched.Morsel},
+	{alg: "P", mode: sched.Static}, {alg: "P", mode: sched.Morsel},
+	{alg: "D", disk: DiskOptions{PageSize: 16, PageBudget: 4}}, {alg: "D", disk: DiskOptions{PageSize: 7}},
+}
+
+// maxTasks bounds the number of match tasks of a cell: one per worker, and
+// under the morsel scheduler one per segment of at most morsel private tuples
+// and public run.
+func maxTasks(c foldCell, r *relation.Relation, workers, morsel int) uint64 {
+	if c.alg == "D" || c.mode == sched.Static {
+		return uint64(workers)
+	}
+	return uint64((r.Len()/morsel + workers) * workers)
+}
+
+// TestMergeFoldMatchesOracle: B-, P- and D-MPSM's inner equi-join into the
+// max-sum sink (nil and explicit) and into the count sink — the joins that
+// fold their pairs in the merge loop (mergejoin.FoldColumns) —
+// report the reference join's pair count and largest payload sum, mod 2^64,
+// over groups whose sums wrap for some pairs only, duplicate keys on both
+// sides, empty and one-tuple inputs, private ranges without a public partner
+// and key groups that span D-MPSM's pages; and each hands its sink at most
+// one (count, max) per match task, every match in one of them.
+func TestMergeFoldMatchesOracle(t *testing.T) {
+	const morsel = 32
+	inputs := foldInputs()
+	for _, in := range workload.EdgeInputs(matchSeed) {
+		switch in.Name {
+		case "skew-negcorr", "all-duplicate", "empty-R", "empty-S", "one-tuple", "disjoint", "page-straddle", "wrapping-sums", "keys-0-and-max":
+			inputs = append(inputs, in)
+		}
+	}
+	sinks := []struct {
+		name string
+		new  func() sink.Sink
+	}{
+		{"default", func() sink.Sink { return nil }},
+		{"max-sum", func() sink.Sink { return sink.NewMaxSum() }},
+		{"count", func() sink.Sink { return sink.NewCount() }},
+	}
+	for _, in := range inputs {
+		var want mergejoin.MaxAggregate
+		want.Count, want.Max = reference(in.R, in.S)
+		for _, c := range foldCells {
+			for _, workers := range []int{1, 3, 4} {
+				for _, sk := range sinks {
+					label := fmt.Sprintf("input=%s %v workers=%d sink=%s", in.Name, c, workers, sk.name)
+					s := sk.new()
+					opts := Options{Workers: workers, Scheduler: c.mode, MorselSize: morsel, Sink: s}
+					res, _ := runMPSM(c.alg, in.R, in.S, opts, c.disk)
+					got := mergejoin.MaxAggregate{Count: res.Matches, Max: res.MaxSum}
+					if count, ok := s.(*sink.Count); ok {
+						got.Max = want.Max
+						if count.Total() != res.Matches {
+							t.Fatalf("%s: the count sink took %d of %d matches", label, count.Total(), res.Matches)
+						}
+					}
+					switch {
+					case got != want:
+						t.Fatalf("%s: (matches, max) = (%d, %d), the reference join gives (%d, %d)", label, got.Count, got.Max, want.Count, want.Max)
+					case res.Batch.Tuples != res.Matches:
+						t.Fatalf("%s: Batch = %+v for %d matches", label, res.Batch, res.Matches)
+					case res.Matches > 0 && res.Batch.Batches == 0:
+						t.Fatalf("%s: %d matches in no batch", label, res.Matches)
+					case res.Batch.Batches > maxTasks(c, in.R, workers, morsel):
+						t.Fatalf("%s: %d batches, more than the %d match tasks: the join did not fold", label, res.Batch.Batches, maxTasks(c, in.R, workers, morsel))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOnlyInnerEquiJoinsFold pins which joins take the fold: one worker's
+// inner equi-join of 3 × batch.DefaultSize matching key groups into the
+// max-sum or count sink hands it exactly one batch under B-, P- and D-MPSM,
+// where the same join into Materialize, a band join, a semi join and a join
+// under a tie-break verifier each take several range batches.
+func TestOnlyInnerEquiJoinsFold(t *testing.T) {
+	r, s := uniformDataset(3*batch.DefaultSize, 2, 61)
+	matches, _ := reference(r, s)
+	identity := func(rp, sp uint64) (uint64, uint64, bool) { return rp, sp, true }
+	for _, c := range foldCells {
+		c.disk.PageSize = s.Len() // one page: one kernel call
+		run := func(opts Options) *result.Result {
+			opts.Workers, opts.Scheduler, opts.MorselSize = 1, c.mode, r.Len()
+			res, _ := runMPSM(c.alg, r, s, opts, c.disk)
+			return res
+		}
+		for _, sk := range []sink.Sink{nil, sink.NewCount()} {
+			if res := run(Options{Sink: sk}); res.Batch.Batches != 1 || res.Matches != matches {
+				t.Errorf("%v into %T: Batch = %+v for %d matches (want %d), want one fold", c, sk, res.Batch, res.Matches, matches)
+			}
+		}
+		ranged := map[string]Options{
+			"materialize": {Sink: sink.NewMaterialize()},
+			"tie-break":   {KeyCheck: identity},
+		}
+		if c.alg != "D" { // D-MPSM joins inner equi-joins only
+			ranged["band"] = Options{Band: 3}
+			ranged["semi"] = Options{Kind: mergejoin.Semi}
+		}
+		for name, opts := range ranged {
+			if res := run(opts); res.Batch.Batches < 2 {
+				t.Errorf("%v %s: Batch = %+v, want range batches", c, name, res.Batch)
+			}
+		}
+	}
+}

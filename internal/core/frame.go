@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/memory"
+	"repro/internal/mergejoin"
 	"repro/internal/numa"
 	"repro/internal/result"
 	"repro/internal/sched"
@@ -103,6 +104,24 @@ func (x *Exec) check() error {
 func (x *Exec) Bind() *sink.Bound {
 	x.out = sink.BindChecked(x.Opts.Sink, x.Opts.Workers, x.Lease, x.Opts.KeyCheck)
 	return x.out
+}
+
+// Folds reports a join that folds its pairs (Folding). Its kernel — the merge
+// join's FoldColumns, a hash join's probeFold — hands the writer one
+// (count, max) per task (sink.Writer.ConsumeFold).
+func (x *Exec) Folds() bool {
+	o := x.Opts
+	return Folding(o.Kind, o.Band, o.KeyCheck != nil, sink.FoldsRanges(o.Sink))
+}
+
+// Folding is the one rule for which joins fold their pairs in the kernel's
+// loop instead of handing on range entries: an inner equi-join behind no
+// tie-break verifier, so every candidate pair is a match, into a sink that
+// keeps only the match count and the largest payload sum (sink.FoldsRanges).
+// Exec.Folds applies it to a running join, the planner to a planned one
+// (Shape.Folded).
+func Folding(kind mergejoin.Kind, band uint64, verified, keepsCountAndMax bool) bool {
+	return kind == mergejoin.Inner && band == 0 && !verified && keepsCountAndMax
 }
 
 // Scratch returns worker w's batch scratch of batch.DefaultSize entries,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
-	"repro/internal/sink"
 )
 
 // RadixOptions configures the radix-partitioned hash join baseline. The
@@ -92,7 +91,7 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 	// over its R partition, probed with the matching S partition, streaming
 	// matches into the executing worker's sink writer.
 	out := x.Bind()
-	folds := sink.FoldsRanges(o.Sink) && o.KeyCheck == nil
+	folds := x.Folds()
 	tasks := make([]sched.Task, len(rParts))
 	for p := range tasks {
 		tasks[p] = sched.Task{Node: -1, Run: func(w *sched.Worker) {

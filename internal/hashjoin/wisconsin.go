@@ -66,7 +66,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/result"
 	"repro/internal/sched"
-	"repro/internal/sink"
 )
 
 // Options configures the hash-join baselines: the options struct of the MPSM
@@ -191,7 +190,7 @@ func Wisconsin(ctx context.Context, r, s *relation.Relation, opts Options) (*res
 	// Probe phase: every worker probes with its chunk of S, streaming
 	// matches into its private sink writer.
 	out := x.Bind()
-	folds := sink.FoldsRanges(opts.Sink) && opts.KeyCheck == nil
+	folds := x.Folds()
 	if err := x.Record("probe", runChunks(ctx, x, "probe", s.Split(workers), func(ctx context.Context, block relation.Chunk, w *sched.Worker) {
 		probeBlock(ctx, &table, block.Tuples, w, opts.Topology, out.Writer(w.ID()), folds, x.Lease)
 	})); err != nil {

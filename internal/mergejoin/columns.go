@@ -20,7 +20,9 @@ import (
 // aggregates, the group-by kernel over the projections it recognises) do so
 // in O(m+n); every other consumer walks the batch's pairs, in the row
 // kernels' order, so Join/JoinBand and the columnar path stay pair-for-pair
-// identical.
+// identical. An inner equi-join whose consumer keeps only the pairs' number
+// and largest payload sum needs no entry at all: FoldColumns walks the same
+// cursors and folds every group as it scans it.
 
 // RangeConsumer is the one interface between a join and its sink writer: it
 // takes the join's output a batch of range entries at a time, every pair of
@@ -51,26 +53,18 @@ func (p pairWalker) ConsumeRanges(b *batch.Ranges) {
 // ConsumeRanges implements RangeConsumer: the largest sum of an entry is its
 // largest private payload plus its largest public one (windowMax), and the
 // loop over the entries keeps its state in registers. Should one of those
-// sums overflow, some pair sums of the batch wrap mod 2^64 and the maximum of
-// wrapped sums does not separate, so the batch's pairs are visited instead.
+// sums overflow, some pair sums of the entry wrap mod 2^64 and the maximum of
+// wrapped sums does not separate, so the entry's pairs are visited instead.
 func (m *MaxAggregate) ConsumeRanges(b *batch.Ranges) {
 	rp, sp := b.RPayloads, b.SPayloads
 	iEnds, los, his := b.IEnd[:len(b.I)], b.Lo[:len(b.I)], b.Hi[:len(b.I)]
-	var best, wrapped uint64
+	var best uint64
 	for x, i := range b.I {
 		sum, carry := bits.Add64(windowMax(rp, i, iEnds[x]), windowMax(sp, los[x], his[x]), 0)
-		wrapped |= carry
-		best = max(best, sum)
-	}
-	if wrapped != 0 {
-		best = 0
-		for x, i := range b.I {
-			for _, r := range rp[i:iEnds[x]] {
-				for _, s := range sp[los[x]:his[x]] {
-					best = max(best, r+s)
-				}
-			}
+		if carry != 0 {
+			sum = pairMax(rp[i:iEnds[x]], sp[los[x]:his[x]])
 		}
+		best = max(best, sum)
 	}
 	if m.Count == 0 || best > m.Max {
 		m.Max = best
@@ -188,16 +182,95 @@ func JoinColumnsBand(rKeys, rPays, sKeys, sPays []uint64, band uint64, out Range
 // its key range widened by the band. It returns the size of that window, the
 // number of public tuples the kernel scans.
 func JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays []uint64, band uint64, out RangeConsumer, sc *batch.Scratch) (publicScanned int) {
-	if len(rKeys) == 0 || len(sKeys) == 0 {
-		return 0
-	}
-	low, _ := bandWindow(rKeys[0], band)
-	_, high := bandWindow(rKeys[len(rKeys)-1], band)
-	start := search.LowerBoundKeys(sKeys, low)
-	end := search.UpperBoundKeys(sKeys, high)
+	start, end := reach(rKeys, sKeys, band)
 	if start >= end {
 		return 0
 	}
 	JoinColumnsBand(rKeys, rPays, sKeys[start:end], sPays[start:end], band, out, sc)
 	return end - start
+}
+
+// reach returns the window [start, end) of the public keys that the private
+// keys can reach under the band, found by interpolation search; it is empty
+// when either side is.
+func reach(rKeys, sKeys []uint64, band uint64) (start, end int) {
+	if len(rKeys) == 0 || len(sKeys) == 0 {
+		return 0, 0
+	}
+	low, _ := bandWindow(rKeys[0], band)
+	_, high := bandWindow(rKeys[len(rKeys)-1], band)
+	return search.LowerBoundKeys(sKeys, low), search.UpperBoundKeys(sKeys, high)
+}
+
+// enter returns the window of the public keys an equi-join scans: the one the
+// private keys reach (reach) with skip, the whole run without.
+func enter(rKeys, sKeys []uint64, skip bool) (start, end int) {
+	if skip {
+		return reach(rKeys, sKeys, 0)
+	}
+	return 0, len(sKeys)
+}
+
+// FoldColumns is the equi-join of JoinColumns folded into what the max-sum
+// sink keeps of it: the number of matching pairs and their largest payload
+// sum mod 2^64, MaxAggregate's meaning (0 without pairs). It walks the same
+// two monotone cursors and forms no range entry: while it scans a private key
+// group and its public window it takes each side's largest payload, and the
+// group's largest sum is their sum — unless that sum carries, where some of
+// the group's pair sums wrap and their maximum does not separate, so the
+// group's pairs are visited. With skip it first enters the public run at the
+// window the private keys reach, as JoinColumnsWithSkip does, and returns
+// that window's size as scanned; without it scanned is the whole public run.
+func FoldColumns(rKeys, rPays, sKeys, sPays []uint64, skip bool) (pairs, maxSum uint64, scanned int) {
+	start, end := enter(rKeys, sKeys, skip)
+	pairs, maxSum = foldGroups(rKeys, rPays, sKeys[start:end], sPays[start:end])
+	return pairs, maxSum, end - start
+}
+
+// foldGroups is FoldColumns' loop over two whole key-sorted column pairs.
+func foldGroups(rKeys, rPays, sKeys, sPays []uint64) (pairs, best uint64) {
+	rPays, sPays = rPays[:len(rKeys)], sPays[:len(sKeys)]
+	nR, nS := len(rKeys), len(sKeys)
+	i, lo := 0, 0
+	for i < nR {
+		k := rKeys[i]
+		for lo < nS && sKeys[lo] < k {
+			lo++
+		}
+		if lo == nS {
+			break
+		}
+		if sk := sKeys[lo]; sk > k {
+			for i++; i < nR && rKeys[i] < sk; i++ {
+			}
+			continue
+		}
+		iEnd, rMax := i+1, rPays[i]
+		for ; iEnd < nR && rKeys[iEnd] == k; iEnd++ {
+			rMax = max(rMax, rPays[iEnd])
+		}
+		hi, sMax := lo+1, sPays[lo]
+		for ; hi < nS && sKeys[hi] == k; hi++ {
+			sMax = max(sMax, sPays[hi])
+		}
+		sum, carry := bits.Add64(rMax, sMax, 0)
+		if carry != 0 {
+			sum = pairMax(rPays[i:iEnd], sPays[lo:hi])
+		}
+		best = max(best, sum)
+		pairs += uint64(iEnd-i) * uint64(hi-lo)
+		i, lo = iEnd, hi
+	}
+	return pairs, best
+}
+
+// pairMax returns the largest r + s mod 2^64 over rs × ss.
+func pairMax(rs, ss []uint64) uint64 {
+	var best uint64
+	for _, r := range rs {
+		for _, s := range ss {
+			best = max(best, r+s)
+		}
+	}
+	return best
 }

@@ -142,6 +142,13 @@ func rangeKernelInputs() []struct {
 		{"dense-duplicates", denseR, denseS},
 		{"sparse", sparseR, sparseS},
 		{"skewed", skewR, skewS},
+		// Payloads about 2^63 on both sides of one duplicate group: the sum
+		// of the largest payloads wraps, some pair sums wrap and others do
+		// not, and the largest sum is 2^64 − 10, of two payloads below the
+		// sides' largest.
+		{"half-wrap",
+			[]relation.Tuple{{Key: 5, Payload: 1<<63 + 7}, {Key: 5, Payload: 1<<63 - 9}, {Key: 5, Payload: 3}, {Key: 9, Payload: 1 << 63}, {Key: 9, Payload: 1}},
+			[]relation.Tuple{{Key: 5, Payload: 1<<63 + 2}, {Key: 5, Payload: 12}, {Key: 5, Payload: 1<<63 - 1}, {Key: 9, Payload: 1<<63 - 1}}},
 	}
 }
 
@@ -150,8 +157,9 @@ func rangeKernelInputs() []struct {
 // groups and windows straddle every batch boundary — the pairs it delivers,
 // walked by the Pairs adapter or by a consumer of the batches themselves, are
 // multiset-equal to the brute-force oracle's and in the order the row kernels
-// emit; and the consumers that fold ranges report what they report when fed
-// the oracle's pairs one by one.
+// emit; and the consumers that fold ranges, and FoldColumns with and without
+// the skip, report what they report when fed the oracle's
+// pairs one by one.
 func TestRangeKernelMatchesOracle(t *testing.T) {
 	bands := []uint64{0, 1, 16, 1 << 41, ^uint64(0) - 2, ^uint64(0)}
 	for _, in := range rangeKernelInputs() {
@@ -174,6 +182,18 @@ func TestRangeKernelMatchesOracle(t *testing.T) {
 				wantCount.Consume(p.r, p.s)
 			}
 
+			if band == 0 {
+				for _, skip := range []bool{false, true} {
+					wantScanned := len(sKeys)
+					if skip {
+						wantScanned = JoinColumnsWithSkip(rKeys, rPays, sKeys, sPays, 0, new(Counter), nil)
+					}
+					pairs, maxSum, scanned := FoldColumns(rKeys, rPays, sKeys, sPays, skip)
+					if pairs != wantMax.Count || maxSum != wantMax.Max || scanned != wantScanned {
+						t.Fatalf("%s/skip=%t: FoldColumns = (%d, %d, scanned %d), pair by pair %+v, scanned %d", in.name, skip, pairs, maxSum, scanned, wantMax, wantScanned)
+					}
+				}
+			}
 			for _, size := range []int{1, 3, 1024} {
 				name := fmt.Sprintf("%s/band=%d/batch=%d", in.name, band, size)
 				sc := batch.NewScratch(size, nil)

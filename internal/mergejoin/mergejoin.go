@@ -8,15 +8,18 @@
 // JoinColumnsWithSkip uses interpolation search to enter each public run at
 // the window the private run can reach (Section 3.2.2 of the paper). The
 // outer, semi and anti joins are a consumer in front of it (Marker,
-// kinds.go). Nothing is materialized unless the consumer chooses to.
+// kinds.go). Nothing is materialized unless the consumer chooses to. Its
+// equi-join folded into the paper's count and max-sum, FoldColumns, walks the
+// same cursors and emits nothing.
 //
-// Every join hands its sink writer range batches (RangeConsumer) and nothing
-// else; a writer that takes pairs is walked pair by pair behind Pairs. The row
-// kernels stay under their names for the tests and the benchmark only: Join
-// and JoinBand are the row-at-a-time siblings the tests check the column
-// kernel against pair for pair, and benchmark probes; ReferenceJoin,
-// ReferenceJoinKind and ReferenceJoinBand are the differential oracles, which
-// share nothing with any kernel. No join of the engine calls them.
+// Every join hands its sink writer range batches (RangeConsumer) or, folded,
+// one (count, max) a task; a writer that takes pairs is walked pair by pair
+// behind Pairs. The row kernels stay under their names for the tests and the
+// benchmark only: Join and JoinBand are the row-at-a-time siblings the tests
+// check the column kernel against pair for pair, and benchmark probes;
+// ReferenceJoin, ReferenceJoinKind and ReferenceJoinBand are the differential
+// oracles, which share nothing with any kernel. No join of the engine calls
+// them.
 package mergejoin
 
 import "repro/internal/relation"

@@ -306,12 +306,13 @@ func DefaultCostModel() CostModel {
 // Consumer describes what takes a join's output, as far as delivering to it
 // costs differently per output shape.
 type Consumer struct {
-	// Folds reports a consumer that takes merge output a range entry at a
-	// time: the built-in max-sum and count sinks and the group-by kernel over
-	// a projection it knows by name (sink.Value). Everything else — Collect
-	// feeding the next operator, a user sink, a group-by over a closure —
-	// has every pair formed. Folds without Groups is a sink sink.FoldsRanges
-	// names, into which a hash join's probe loop folds too (Shape.Folded).
+	// Folds reports a consumer that forms no pair: the built-in max-sum and
+	// count sinks (sink.FoldsRanges; Folds without Groups), into which every
+	// inner equi-join's merge or probe loop folds (Shape.Folded) and every
+	// other join's range entries fold whole, and the group-by kernel over a
+	// projection it knows by name (sink.Value), which folds range entries.
+	// Everything else — Collect feeding the next operator, a user sink, a
+	// group-by over a closure — has every pair formed.
 	Folds bool
 	// Groups reports a group-by kernel, which finalises one entry per run of
 	// equal keys its writers saw.

@@ -96,8 +96,9 @@ type Shape struct {
 	// joins exactly splitter range w. Explain reports it; no operator starts
 	// from it yet (ROADMAP, "Measured dead ends").
 	Partitions int
-	// Folded reports a hash join that hands on no pairs: behind the max-sum or
-	// count sink (sink.FoldsRanges) and no tie-break verifier its probe loop
+	// Folded reports a join that hands on no pairs: an inner equi-join behind
+	// the max-sum or count sink (sink.FoldsRanges) and no tie-break verifier,
+	// whose merge loop (B-, P- and D-MPSM) or probe loop (the hash joins)
 	// keeps the match count and the largest payload sum itself.
 	Folded bool
 }
@@ -117,14 +118,14 @@ func (s Shape) String() string {
 }
 
 // shapeOf is the output shape of an algorithm under a scheduling mode,
-// delivered to a consumer over inputs that may need the tie-break verifier.
-func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int, to Consumer, tieBreak bool) Shape {
+// delivered to the constraints' consumer over inputs that may need the
+// tie-break verifier.
+func shapeOf(alg exec.Algorithm, mode sched.Mode, workers int, c Constraints, tieBreak bool) Shape {
 	sh := Shape{Ranges: emitsRanges(alg)}
 	if alg == exec.AlgorithmPMPSM && mode == sched.Static && workers > 1 {
 		sh.Partitions = workers
 	}
-	hash := alg == exec.AlgorithmWisconsin || alg == exec.AlgorithmRadix
-	sh.Folded = hash && to.Folds && !to.Groups && !tieBreak
+	sh.Folded = core.Folding(c.Kind, c.Band, tieBreak, c.Consumer.Folds && !c.Consumer.Groups)
 	return sh
 }
 
@@ -757,7 +758,7 @@ func (s *planState) decideJoin(id exec.NodeID) {
 	d.PresortedPublic = n.JoinOptions.PresortedPublic
 	d.Workers, d.Bound = ch.Workers, ch.Bound
 	tieBreak := s.profiles[n.Inputs[0]].KeyTieBreak || s.profiles[n.Inputs[1]].KeyTieBreak
-	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, ch.Workers, c.Consumer, tieBreak)
+	d.Output = shapeOf(n.Algorithm, n.JoinOptions.Scheduler, ch.Workers, c, tieBreak)
 	d.EstMillis = costOf(ch.Costs, n.Algorithm)
 }
 

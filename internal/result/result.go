@@ -44,13 +44,15 @@ type WorkerBreakdown struct {
 
 // BatchStats reports the join output's traffic across the sink boundary:
 // Batches is the number of batches delivered to the sink — range batches of
-// the merge kernel or a hash probe, or a hash probe's (count, max) folds —
+// the merge kernel or a hash probe, or the (count, max) folds of an inner
+// equi-join's match task or hash probe into the max-sum or count sink —
 // and Tuples the number of result pairs they stood for. Every join delivers
 // batches and nothing else, so Tuples equals the join's match count, and the
 // counters double as a cheap assertion that the batch plumbing was actually
 // exercised.
 type BatchStats struct {
-	// Batches is the number of range batches (or hash-probe folds) delivered.
+	// Batches is the number of range batches (or merge and hash-probe folds)
+	// delivered.
 	Batches uint64
 	// Tuples is the number of result pairs those batches stood for.
 	Tuples uint64

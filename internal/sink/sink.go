@@ -12,7 +12,11 @@
 // built-in writers take them: MaxSum, Count and the Groups kernel fold a key
 // group × window without forming a pair, Materialize and Collect walk the
 // batch's pairs into their buffers. A writer that takes pairs only (Func,
-// TopK, a user sink) is wrapped once, by BindChecked, in mergejoin.Pairs.
+// TopK, a user sink) is wrapped once, by BindChecked, in mergejoin.Pairs. An
+// inner equi-join into MaxSum or Count behind no tie-break verifier hands
+// them no batch but what they keep, one (count, max) per task
+// (Writer.ConsumeFold): B-, P- and D-MPSM fold it in their merge loop, the
+// hash joins in their probe loop.
 //
 // The paper's evaluation query max(R.payload + S.payload) is just one sink
 // (MaxSum); Count, Materialize and TopK cover the other common result shapes,
@@ -46,13 +50,13 @@ type Sink interface {
 	Close() error
 }
 
-// FoldsRanges reports whether s is one of the built-in sinks whose writers
-// take merge output a range entry at a time (nil selects MaxSum, as in
-// BindChecked): behind B- and P-MPSM they do no per-pair work, which the
-// planner prices. They keep only a match count and the largest payload sum,
-// so behind a Wisconsin or radix join without a tie-break verifier the probe
-// loop keeps those two itself and hands them over once per probe
-// (ConsumeFold).
+// FoldsRanges reports whether s is one of the built-in sinks that keep only a
+// match count and the largest payload sum (nil selects MaxSum, as in
+// BindChecked). They take range output an entry at a time, with no per-pair
+// work, which the planner prices; and behind an inner equi-join without a
+// tie-break verifier the join keeps those two itself — B-, P- and D-MPSM in
+// their merge loop, Wisconsin and the radix join in their probe loop — and
+// hands them over once per task (ConsumeFold).
 func FoldsRanges(s Sink) bool {
 	switch s.(type) {
 	case nil, *MaxSum, *Count:
@@ -212,9 +216,9 @@ func (w *Writer) Consume(r, s relation.Tuple) {
 
 // ConsumeFold takes pairs matches whose largest payload sum, mod 2^64, is
 // maxSum — all a sink FoldsRanges names keeps of them — as one batch of them:
-// a hash join's probe loop folds into these sinks, behind no verifier,
-// without forming a pair. It is for those sinks' writers only and panics on
-// any other.
+// an inner equi-join's merge loop or hash probe loop folds into these sinks,
+// behind no verifier, without forming a pair. It is for those sinks' writers
+// only and panics on any other.
 func (w *Writer) ConsumeFold(pairs, maxSum uint64) {
 	switch inner := w.inner.(type) {
 	case *mergejoin.MaxAggregate:

@@ -188,6 +188,45 @@ func TestHashJoinExplainsWhatItHandsOn(t *testing.T) {
 	}
 }
 
+// TestMergeJoinExplainsWhatItHandsOn: the same join pinned to B-, P- or
+// D-MPSM folds into (count, max) in its merge loop behind the default and the
+// count sink, and Explain says so; into a sink that keeps pairs, and as a band
+// or semi join into the default sink, it hands on range entries.
+func TestMergeJoinExplainsWhatItHandsOn(t *testing.T) {
+	cat := gateCatalog(1)
+	for _, alg := range []Algorithm{PMPSM, BMPSM, DMPSM} {
+		for _, c := range []struct {
+			name   string
+			sink   Sink
+			join   []Option
+			folded bool
+		}{
+			{"default", nil, nil, true},
+			{"count", NewCountSink(), nil, true},
+			{"materialize", NewMaterializeSink(), nil, false},
+			{"band", nil, []Option{WithBandWidth(3)}, false},
+			{"semi", nil, []Option{WithKind(SemiJoin)}, false},
+		} {
+			if alg == DMPSM && c.join != nil {
+				continue // D-MPSM joins inner equi-joins only
+			}
+			p := NewPlan()
+			p.Sink(p.Join(p.Scan(cat["r"]), p.Scan(cat["s"]), c.join...), c.sink)
+			ex, err := New(WithWorkers(2)).Explain(p, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			join := ex.Nodes[2]
+			if join.Algorithm != alg.String() {
+				t.Fatalf("%v %s: the join runs on %s\n%s", alg, c.name, join.Algorithm, ex)
+			}
+			if folded := join.Output == "folded (count, max)"; folded != c.folded {
+				t.Errorf("%v %s: the join hands on %q, want folded %t\n%s", alg, c.name, join.Output, c.folded, ex)
+			}
+		}
+	}
+}
+
 // TestWorkerCountGrowsWithTheInput: under either bound, a larger join never
 // gets fewer workers than a smaller one of the same shape — |R| × 4|R| foreign
 // keys into the max-sum sink, |R| doubling from 4 096 to 524 288 — the
