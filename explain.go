@@ -78,12 +78,13 @@ type ExplainNode struct {
 	Reordered        bool          `json:"reordered,omitempty"`
 	Costs            []ExplainCost `json:"costs,omitempty"`
 	// Output is the shape in which a join hands its output to its consumer:
-	// "ranges, key-ordered" (B-/P-MPSM: one entry per private key group and
+	// "ranges, key-ordered" (B-/P-/D-MPSM: one entry per private key group and
 	// public run), with ", range-partitioned ×T" when every writer holds one
 	// key range (statically scheduled P-MPSM), or "ranges, probe order" (the
 	// hash joins: one entry per matching probe tuple). A consumer that folds
-	// ranges starts from it instead of re-establishing it. Into the max-sum or count sink a hash join hands on
-	// "folded (count, max)": its probe loop keeps both and forms no pair.
+	// ranges starts from it instead of re-establishing it. Into the max-sum
+	// or count sink an inner equi-join of any algorithm hands on "folded
+	// (count, max)": its merge or probe loop keeps both and forms no pair.
 	Output string `json:"output,omitempty"`
 	// EstMillis is the cost model's estimate for the join as planned,
 	// delivery to its consumer included; Millis, filled in by ExplainAnalyze,

@@ -3,7 +3,10 @@ package hashjoin
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/memory"
 	"repro/internal/relation"
@@ -79,6 +82,34 @@ func BenchmarkProbeOutput(b *testing.B) {
 					b.Fatal("no matches: the benchmark input is broken")
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(matches), "ns/match")
+			})
+		}
+	}
+}
+
+// BenchmarkRadixJoin runs the radix join on 2^bits partitions, forced through
+// radixJoin, for bits 5, 8, 11 and 14, on one worker and on GOMAXPROCS, with
+// a scratch pool, over 2^18 × 2^20 foreign keys, and reports its partition
+// phase per input tuple beside the whole join's time. The join partitions in
+// one pass; at these fan-outs a second, local pass read as slow or slower on
+// two cores, and this is where a host with more cores re-reads that.
+func BenchmarkRadixJoin(b *testing.B) {
+	r := workload.UniformRelation("R", 1<<18, workload.DefaultKeyDomain, 51)
+	s := workload.ForeignKeyRelation("S", r, 1<<20, 52)
+	tuples := float64(r.Len() + s.Len())
+	for _, workers := range slices.Compact([]int{1, runtime.GOMAXPROCS(0)}) {
+		for _, bits := range []int{5, 8, 11, 14} {
+			b.Run(fmt.Sprintf("T=%d/bits=%d", workers, bits), func(b *testing.B) {
+				opts := Options{Workers: workers, Scratch: memory.NewPool(0)}
+				var partition time.Duration
+				for b.Loop() {
+					res, err := radixJoin(context.Background(), r, s, opts, bits)
+					if err != nil {
+						b.Fatal(err)
+					}
+					partition += res.PhaseDuration("partition")
+				}
+				b.ReportMetric(float64(partition.Nanoseconds())/float64(b.N)/tuples, "partition-ns/tuple")
 			})
 		}
 	}

@@ -97,7 +97,7 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 						return Wisconsin(context.Background(), r, s, o)
 					},
 					"Radix": func(o Options) (*result.Result, error) {
-						return radixJoin(context.Background(), r, s, o, 3, radixPasses(3))
+						return radixJoin(context.Background(), r, s, o, 3)
 					},
 				} {
 					out := sink.NewMaterialize()

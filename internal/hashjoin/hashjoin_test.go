@@ -191,48 +191,13 @@ func TestRadixExplicitBits(t *testing.T) {
 	r, s := testDataset(3000, 2, 5)
 	wantCount, wantMax := reference(r, s)
 	for _, bitsUsed := range []int{1, 4, 8} {
-		res, err := radixJoin(context.Background(), r, s, Options{Workers: 4}, bitsUsed, radixPasses(bitsUsed))
+		res, err := radixJoin(context.Background(), r, s, Options{Workers: 4}, bitsUsed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Matches != wantCount || res.MaxSum != wantMax {
 			t.Fatalf("bits=%d: got (%d, %d), want (%d, %d)", bitsUsed, res.Matches, res.MaxSum, wantCount, wantMax)
 		}
-	}
-}
-
-func TestRadixPassCounts(t *testing.T) {
-	r, s := testDataset(4000, 4, 21)
-	wantCount, wantMax := reference(r, s)
-	for _, passes := range []int{1, 2} {
-		res, err := radixJoin(context.Background(), r, s, Options{Workers: 4}, 8, passes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matches != wantCount || res.MaxSum != wantMax {
-			t.Fatalf("passes=%d: got (%d, %d), want (%d, %d)", passes, res.Matches, res.MaxSum, wantCount, wantMax)
-		}
-	}
-}
-
-func TestRefinePartitionPreservesTuplesAndRanges(t *testing.T) {
-	tuples := make([]relation.Tuple, 0, 1000)
-	rng := workload.NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		tuples = append(tuples, relation.Tuple{Key: rng.Uint64n(1 << 16), Payload: uint64(i)})
-	}
-	refined := refinePartition(tuples, 8, 4, nil) // 16 sub-partitions on bits 8..11
-	var back []relation.Tuple
-	for b, part := range refined {
-		for _, tup := range part {
-			if int((tup.Key>>8)&0xF) != b {
-				t.Fatalf("tuple with key %d landed in sub-partition %d", tup.Key, b)
-			}
-			back = append(back, tup)
-		}
-	}
-	if !relation.SameMultiset(tuples, back) {
-		t.Fatal("refinement lost or duplicated tuples")
 	}
 }
 
@@ -284,48 +249,41 @@ func TestRadixNUMAAccounting(t *testing.T) {
 	if res.NUMA.RemoteRandWrite == 0 {
 		t.Fatal("partitioning phase should record remote writes")
 	}
-	// The first pass reads every input tuple once per count barrier (a
+	// The partitioning reads every input tuple once per count barrier (a
 	// second one when the sampled key width was too narrow) and once to
-	// scatter it; a refinement reads its partition twice (its histogram,
-	// then its scatter); the join reads every partition once.
-	for _, passes := range []int{1, 2} {
-		for _, workers := range []int{1, 2, 8} {
-			res, err := radixJoin(context.Background(), r, s, Options{Workers: workers, TrackNUMA: true}, 6, passes)
-			if err != nil {
-				t.Fatal(err)
+	// scatter it; the join reads every partition once.
+	for _, workers := range []int{1, 2, 8} {
+		res, err := radixJoin(context.Background(), r, s, Options{Workers: workers, TrackNUMA: true}, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var guess, exact uint64
+		for _, rel := range []*relation.Relation{r, s} {
+			for _, c := range rel.Split(workers) {
+				guess = max(guess, sorting.GuessMaxKey(c.Tuples))
 			}
-			b1 := 6
-			if passes == 2 {
-				b1 = 3
+			for _, tup := range rel.Tuples {
+				exact = max(exact, tup.Key)
 			}
-			var guess, exact uint64
-			for _, rel := range []*relation.Relation{r, s} {
-				for _, c := range rel.Split(workers) {
-					guess = max(guess, sorting.GuessMaxKey(c.Tuples))
-				}
-				for _, tup := range rel.Tuples {
-					exact = max(exact, tup.Key)
-				}
-			}
-			reads := 1 + 1 + 2*(passes-1) + 1 // count, scatter, refine, join
-			if partition.NewRadixConfig(b1, guess) != partition.NewRadixConfig(b1, exact) {
-				reads++
-			}
-			got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(reads)*uint64(r.Len()+s.Len())
-			if got != want {
-				t.Fatalf("passes=%d T=%d: radix join charged %d sequential reads, want %d·(|R|+|S|) = %d", passes, workers, got, reads, want)
-			}
+		}
+		reads := 3 // count, scatter, join
+		if partition.NewRadixConfig(6, guess) != partition.NewRadixConfig(6, exact) {
+			reads++
+		}
+		got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(reads)*uint64(r.Len()+s.Len())
+		if got != want {
+			t.Fatalf("T=%d: radix join charged %d sequential reads, want %d·(|R|+|S|) = %d", workers, got, reads, want)
 		}
 	}
 }
 
 // TestRadixGuessTooNarrow hides R's widest key, two partners of it in S and
 // an even wider key of S from every chunk's sample at one, two and three
-// workers, so that the radix join's first pass guesses the shared key width
-// too narrow and must count both inputs again at the exact configuration. R
-// alone is a bit narrower than S: a first pass that took either input's
-// domain alone would refine R and S on different bits. The pairs must be a
-// map oracle's under either scheduler.
+// workers, so that the radix join's partitioning guesses the shared key
+// width too narrow and must count both inputs again at the exact
+// configuration. R alone is a bit narrower than S: a count that took either
+// input's domain alone would partition R and S on different bits. The pairs
+// must be a map oracle's under either scheduler.
 func TestRadixGuessTooNarrow(t *testing.T) {
 	const n = 3 * 40000
 	rng := rand.New(rand.NewSource(47))
@@ -373,10 +331,6 @@ func TestRadixGuessTooNarrow(t *testing.T) {
 	}
 	want = sortedPairs(want)
 	bits := choosePartitionBits(n)
-	b1 := (bits + 1) / 2
-	if radixPasses(bits) != 2 {
-		t.Fatalf("%d partition bits are cut in one pass; the test wants a refinement", bits)
-	}
 	for workers := 1; workers <= 3; workers++ {
 		var guess uint64
 		for _, rel := range []*relation.Relation{r, s} {
@@ -384,7 +338,7 @@ func TestRadixGuessTooNarrow(t *testing.T) {
 				guess = max(guess, sorting.GuessMaxKey(c.Tuples))
 			}
 		}
-		if partition.NewRadixConfig(b1, guess) == partition.NewRadixConfig(b1, 2*wide) {
+		if partition.NewRadixConfig(bits, guess) == partition.NewRadixConfig(bits, 2*wide) {
 			t.Fatalf("T=%d: the chunks' samples guess %d, as wide as %d", workers, guess, uint64(2*wide))
 		}
 		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {

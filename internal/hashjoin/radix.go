@@ -14,8 +14,7 @@ import (
 )
 
 // RadixOptions configures the radix-partitioned hash join baseline. The
-// partitioning is derived from the build side: choosePartitionBits and
-// radixPasses.
+// partitioning is derived from the build side: choosePartitionBits.
 type RadixOptions struct {
 	Options
 }
@@ -33,25 +32,14 @@ func choosePartitionBits(buildSize int) int {
 	return bits
 }
 
-// radixPasses is the number of radix partitioning passes over the given
-// number of bits. The MonetDB / Vectorwise lineage partitions repeatedly
-// (rather than in one step) to preserve TLB locality; the first pass writes
-// across NUMA partitions, the second refines locally. Two passes split
-// partition counts of 16 and more, one pass the smaller ones.
-func radixPasses(bits int) int {
-	if bits >= 4 {
-		return 2
-	}
-	return 1
-}
-
 // Radix executes a radix-partitioned parallel hash join in the
 // MonetDB/Vectorwise lineage, the paper's second contender. Both inputs are
-// radix partitioned on their join keys in parallel using per-worker
-// histograms and prefix sums (a first pass that writes across NUMA
-// partitions, then a local refinement), and every partition pair is then
-// joined with a private hash table, streaming matches into the configured
-// sink.
+// radix partitioned on their join keys in one parallel pass using per-worker
+// histograms and prefix sums, which writes across NUMA partitions, and every
+// partition pair is then joined with a private hash table, streaming matches
+// into the configured sink. The lineage partitions in two passes to save TLB
+// entries at large fan-outs; at the 2^14 partitions this join cuts at most,
+// one pass is as fast or faster.
 //
 // The join phase claims partition pairs dynamically from the shared task
 // queue under both scheduler modes — dynamic claiming is how this contender
@@ -63,12 +51,11 @@ func radixPasses(bits int) int {
 // loop and every cancelBlock tuples of a probe; a canceled context aborts the
 // join and returns ctx.Err().
 func Radix(ctx context.Context, r, s *relation.Relation, opts RadixOptions) (*result.Result, error) {
-	bits := choosePartitionBits(r.Len())
-	return radixJoin(ctx, r, s, opts.Options, bits, radixPasses(bits))
+	return radixJoin(ctx, r, s, opts.Options, choosePartitionBits(r.Len()))
 }
 
-// radixJoin is Radix on 2^bits partitions cut in the given number of passes.
-func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits, passes int) (*result.Result, error) {
+// radixJoin is Radix on 2^bits partitions.
+func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits int) (*result.Result, error) {
 	if err := validate("the radix hash join", opts, r.Len()); err != nil {
 		return nil, err
 	}
@@ -79,9 +66,29 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 	defer x.Release()
 	o, lease := x.Opts, x.Lease
 
+	// Partition phase: R's and S's chunks, one a worker, are counted in one
+	// barrier on one shared key domain, so that partition p of R and
+	// partition p of S cover the same keys, and scattered into their 2^bits
+	// partitions with the synchronization-free histogram/prefix-sum/scatter
+	// scheme (partition.Count) — the pass that writes across NUMA partitions
+	// and that the paper criticizes. Every count and every scatter reads the
+	// worker's chunk sequentially; a scatter writes across all target
+	// partitions, which are spread over the NUMA nodes: random-ish writes,
+	// mostly remote.
+	chunks := [][]relation.Chunk{r.Split(o.Workers), s.Split(o.Workers)}
 	var parts [][][]relation.Tuple
 	if err := x.Record("partition", result.StopwatchPhase(func() {
-		parts = partitionMultiPass(ctx, x.RT, [][]relation.Chunk{r.Split(o.Workers), s.Split(o.Workers)}, bits, passes, o.Topology, lease)
+		counted := partition.Count(ctx, x.RT, "partition", bits, chunks, lease, func(t *numa.Tracker, w, i int, written []int) {
+			n := uint64(chunks[i][w].Len())
+			t.SeqRead(t.Node(), n)
+			if written != nil {
+				chargeInterleaved(t, o.Topology, n, (*numa.Tracker).RandWrite)
+			}
+		})
+		if counted != nil {
+			clusters := counted.Config.Clusters()
+			parts = counted.Scatter(ctx, partition.UniformSplitters(clusters, clusters), clusters)
+		}
 	})); err != nil {
 		return nil, err
 	}
@@ -112,91 +119,6 @@ func radixJoin(ctx context.Context, r, s *relation.Relation, opts Options, bits,
 		return nil, err
 	}
 	return x.Finish(nil, nil)
-}
-
-// partitionMultiPass radix partitions the inputs — R's and S's chunks, one a
-// worker — into 2^bits partitions each, using one or two passes. The first
-// pass counts both inputs in one barrier on one shared key domain, so that
-// partition p of R and partition p of S cover the same keys, and distributes
-// them over 2^b1 coarse partitions with the synchronization-free
-// histogram/prefix-sum/scatter scheme (partition.Count) — this is the pass
-// that writes across NUMA partitions and that the paper criticizes. The
-// optional second pass refines every coarse partition locally on the next
-// b2 = bits - b1 key bits, preserving TLB/cache locality exactly like the
-// MonetDB/Vectorwise radix join. On cancellation it returns nil.
-func partitionMultiPass(ctx context.Context, rt *sched.Runtime, chunks [][]relation.Chunk, bits, passes int, topo numa.Topology, lease *memory.Lease) [][][]relation.Tuple {
-	b1 := bits
-	if passes > 1 && bits >= 2 {
-		b1 = (bits + 1) / 2
-	}
-	// Every count and every scatter reads the worker's chunk sequentially; a
-	// scatter writes across all target partitions, which are spread over the
-	// NUMA nodes: random-ish writes, mostly remote.
-	counted := partition.Count(ctx, rt, "partition", b1, chunks, lease, func(t *numa.Tracker, w, i int, written []int) {
-		n := uint64(chunks[i][w].Len())
-		t.SeqRead(t.Node(), n)
-		if written != nil {
-			chargeInterleaved(t, topo, n, (*numa.Tracker).RandWrite)
-		}
-	})
-	if counted == nil {
-		return nil
-	}
-	clusters := counted.Config.Clusters()
-	coarse := counted.Scatter(ctx, partition.UniformSplitters(clusters, clusters), clusters)
-	if b1 == bits {
-		return coarse
-	}
-
-	// Second pass: refine every coarse partition on the next b2 bits. The
-	// refinements are independent, so workers claim coarse partitions
-	// dynamically from the task queue; all reads and writes are node-local,
-	// and a refinement reads its partition twice.
-	b2 := bits - b1
-	refineShift := uint(max(int(counted.Config.Shift)-b2, 0))
-	subCount := 1 << b2
-	out := make([][][]relation.Tuple, len(coarse))
-	var tasks []sched.Task
-	for i, parts := range coarse {
-		out[i] = make([][]relation.Tuple, len(parts)*subCount)
-		for p, part := range parts {
-			tasks = append(tasks, sched.Task{Node: -1, Run: func(w *sched.Worker) {
-				copy(out[i][p*subCount:], refinePartition(part, refineShift, b2, lease))
-				n := uint64(len(part)) // a nil tracker charges nothing
-				w.Tracker().SeqRead(w.Node(), 2*n)
-				w.Tracker().SeqWrite(w.Node(), n)
-			}})
-		}
-	}
-	rt.RunTasks(ctx, "partition", tasks)
-	return out
-}
-
-// refinePartition splits one coarse partition into 2^b2 sub-partitions on the
-// key bits selected by shift, preserving the coarse partition's key range.
-// The histogram/cursor scratch and the sub-partition buffers come from the
-// lease; the histogram is handed back immediately, the sub-partitions live
-// until the join releases its lease.
-func refinePartition(tuples []relation.Tuple, shift uint, b2 int, lease *memory.Lease) [][]relation.Tuple {
-	buckets := 1 << b2
-	mask := uint64(buckets - 1)
-	hist := lease.Ints(buckets)
-	for _, t := range tuples {
-		hist[int((t.Key>>shift)&mask)]++
-	}
-	out := make([][]relation.Tuple, buckets)
-	for b := 0; b < buckets; b++ {
-		out[b] = lease.Tuples(hist[b])
-	}
-	cursors := hist
-	clear(cursors)
-	for _, t := range tuples {
-		b := int((t.Key >> shift) & mask)
-		out[b][cursors[b]] = t
-		cursors[b]++
-	}
-	lease.PutInts(hist)
-	return out
 }
 
 // joinPartition joins one partition pair with a private table over its build

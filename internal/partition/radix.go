@@ -8,7 +8,7 @@
 //     domain, combined into prefix sums so that every worker scatters its
 //     chunk sequentially into precomputed sub-partitions without any latching
 //     (adapting He et al.'s technique) — P-MPSM's phase 2, the radix hash
-//     join's first pass and the group-by kernel all partition through it,
+//     join and the group-by kernel all partition through it,
 //   - equi-height histograms over the sorted public input and their merge
 //     into a global cumulative distribution function (CDF, Section 4.1), and
 //   - splitter computation that balances per-worker sort + join cost

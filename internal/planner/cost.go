@@ -176,7 +176,7 @@ type CostModel struct {
 	HashMissPerTuple float64
 	HashCacheTuples  float64
 	// RadixPerTuple prices one tuple through the radix join's partitioning
-	// passes and the build or probe of its cluster; RadixMissPerTuple phases
+	// and the build or probe of its cluster; RadixMissPerTuple phases
 	// in beyond RadixCacheTuples tuples on both sides together, and
 	// RadixHitPerMatch is one match handed to a folding sink. Read on one
 	// worker from the ladder's Radix HJ totals less the matches: 11.5, 11.1,
@@ -187,7 +187,11 @@ type CostModel struct {
 	// appended to the output columns and folded read nearer 2 than 4 on its
 	// own; no whole-join reading resolves that. All of it was read before the
 	// probe loop kept (count, max) itself, which is cheaper per match and not
-	// refitted (see HashOpPerTuple).
+	// refitted (see HashOpPerTuple), and while the join still cut 2^4
+	// partitions and more in two passes. One pass takes 0.71–0.98 of their
+	// partition phase at 2^8–2^14 partitions; the constants stay as read, so
+	// no plan moves, and re-pricing the radix join is left to a refit of the
+	// whole model.
 	RadixPerTuple     float64
 	RadixMissPerTuple float64
 	RadixCacheTuples  float64
@@ -383,10 +387,11 @@ type joinInputs struct {
 }
 
 // emitsRanges reports the algorithms whose output is range entries over
-// key-ordered runs, one per key group; the hash joins emit one entry per
-// matching probe tuple, in probe order, and are priced per pair.
+// key-ordered runs, one per key group: B-, P- and D-MPSM, whose page joins
+// run the same range kernel; the hash joins emit one entry per matching
+// probe tuple, in probe order, and are priced per pair.
 func emitsRanges(alg exec.Algorithm) bool {
-	return alg == exec.AlgorithmPMPSM || alg == exec.AlgorithmBMPSM
+	return alg == exec.AlgorithmPMPSM || alg == exec.AlgorithmBMPSM || alg == exec.AlgorithmDMPSM
 }
 
 // Estimate returns the modelled wall-clock cost (in nanoseconds) of one join

@@ -88,8 +88,8 @@ type Constraints struct {
 type Shape struct {
 	// Ranges reports key-ordered range entries — one per private key group
 	// and public run, key-ordered within every (private run, public run) pair
-	// — as B- and P-MPSM emit them; the hash joins emit one entry per matching
-	// probe tuple, in probe order, unless they fold them (Folded).
+	// — as B-, P- and D-MPSM emit them; the hash joins emit one entry per
+	// matching probe tuple, in probe order, unless they fold them (Folded).
 	Ranges bool
 	// Partitions, when positive, is the number of key ranges the output is
 	// partitioned into by writer: under static scheduling P-MPSM's worker w

@@ -3,12 +3,15 @@ package sink
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
 	"repro/internal/memory"
+	"repro/internal/partition"
 	"repro/internal/relation"
+	"repro/internal/sorting"
 )
 
 // mapAggregate is the brute-force oracle of the group-by kernel (and what
@@ -134,6 +137,58 @@ func TestAggregateMatchesMapOracle(t *testing.T) {
 	}
 	if err := pool.CheckIntegrity(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupsGuessTooNarrow plants the widest group key, 2^23 among keys below
+// 2^20, twice — in the first and in the last writer's entries — where no
+// writer's sample (sorting.GuessMaxKey) sees it, at two and three writers,
+// so that the finalisation's partition.Count guesses the key width too narrow
+// and counts every writer's entries again at the exact configuration. The
+// group list must be the map oracle's for every aggregate.
+func TestGroupsGuessTooNarrow(t *testing.T) {
+	const n, wide = 3 * groupPartitionEntries, 1 << 23
+	for _, workers := range []int{2, 3} {
+		rng := splitmix(workers)
+		in := make([]relation.Tuple, n)
+		for i := range in {
+			in[i] = relation.Tuple{Key: rng.next() % (1 << 20), Payload: rng.next() % 1_000_000}
+			if i > 0 && in[i].Key == in[i-1].Key {
+				in[i].Key ^= 1 // no run to fold: writer w's entries are its chunk
+			}
+		}
+		var chunks [][]relation.Tuple
+		for w := range workers {
+			chunks = append(chunks, in[w*n/workers:(w+1)*n/workers])
+		}
+		for _, chunk := range [][]relation.Tuple{chunks[0], chunks[workers-1]} {
+			sampled := map[int]bool{len(chunk) - 1: true}
+			for i := range 64 {
+				sampled[i*(len(chunk)/64)] = true
+			}
+			i := 1
+			for sampled[i] {
+				i++
+			}
+			chunk[i].Key = wide
+		}
+		var guess uint64
+		for _, chunk := range chunks {
+			guess = max(guess, sorting.GuessMaxKey(chunk))
+		}
+		if partition.NewRadixConfig(groupHistogramBits, guess) == partition.NewRadixConfig(groupHistogramBits, wide) {
+			t.Fatalf("T=%d: the writers' samples guess %d, as wide as %d", workers, guess, uint64(wide))
+		}
+		for _, agg := range allAggs {
+			g := NewGroups(context.Background(), agg, nil, ValuePayloadSum, nil)
+			if err := g.Aggregate(in, workers); err != nil {
+				t.Fatal(err)
+			}
+			if len(g.writers) != workers {
+				t.Fatalf("T=%d: the kernel opened %d writers", workers, len(g.writers))
+			}
+			checkGroups(t, fmt.Sprintf("T=%d/%v", workers, agg), g.Rows(), mapAggregate(in, agg))
+		}
 	}
 }
 

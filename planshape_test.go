@@ -191,7 +191,7 @@ func TestHashJoinExplainsWhatItHandsOn(t *testing.T) {
 // TestMergeJoinExplainsWhatItHandsOn: the same join pinned to B-, P- or
 // D-MPSM folds into (count, max) in its merge loop behind the default and the
 // count sink, and Explain says so; into a sink that keeps pairs, and as a band
-// or semi join into the default sink, it hands on range entries.
+// or semi join into the default sink, it hands on key-ordered range entries.
 func TestMergeJoinExplainsWhatItHandsOn(t *testing.T) {
 	cat := gateCatalog(1)
 	for _, alg := range []Algorithm{PMPSM, BMPSM, DMPSM} {
@@ -222,6 +222,9 @@ func TestMergeJoinExplainsWhatItHandsOn(t *testing.T) {
 			}
 			if folded := join.Output == "folded (count, max)"; folded != c.folded {
 				t.Errorf("%v %s: the join hands on %q, want folded %t\n%s", alg, c.name, join.Output, c.folded, ex)
+			}
+			if !c.folded && !strings.HasPrefix(join.Output, "ranges, key-ordered") {
+				t.Errorf("%v %s: the join hands on %q, want key-ordered ranges\n%s", alg, c.name, join.Output, ex)
 			}
 		}
 	}
