@@ -264,7 +264,7 @@ func main() {
 	fmt.Printf("join matches:    %d\n", res.Matches)
 	fmt.Printf("max(R.p+S.p):    %d\n", res.MaxSum)
 	if res.PublicScanned > 0 {
-		fmt.Printf("S tuples scanned in join phase: %d (|S| = %d)\n", res.PublicScanned, s.Len())
+		fmt.Printf("S entries scanned in join phase: %d (|S| = %d; an entry is a tuple or a key group)\n", res.PublicScanned, s.Len())
 	}
 	if *trackNUMA {
 		fmt.Printf("NUMA accesses:   %d total, %.1f%% remote, %d sync ops, simulated cost %s\n",

@@ -26,6 +26,7 @@ package batch
 
 import (
 	"iter"
+	"math"
 
 	"repro/internal/memory"
 	"repro/internal/relation"
@@ -42,6 +43,11 @@ const DefaultSize = 1024
 // Keys[i] and Payloads[i] together form the i-th tuple of the run. Runs are
 // the unit the MPSM join phase operates on: each worker merge joins its
 // private run against all public runs.
+//
+// A grouped run (Counts != nil) is the public run of a join that keeps of
+// each public key only its number of tuples and its largest payload: entry i
+// is a key group, Keys holds distinct keys in ascending order, Payloads each
+// key's largest payload and Counts[i] its number of tuples.
 type Run struct {
 	// Worker is the worker that produced the run; Node is the NUMA node the
 	// run's column buffers live on.
@@ -49,24 +55,42 @@ type Run struct {
 	// Keys is the sorted key column; Payloads is the payload column in the
 	// same order. Both have identical length.
 	Keys, Payloads []uint64
+	// Counts is the tuple count of each key group of a grouped run, of the
+	// columns' length; nil on every other run.
+	Counts []int32
+	// PayBound is at least every payload of the run: the payloads' OR where
+	// run generation took it, math.MaxUint64 (NewRun's) where nothing did.
+	PayBound uint64
 }
 
-// Len returns the number of tuples in the run.
+// Len returns the number of entries in the run: tuples, or key groups of a
+// grouped run.
 func (r *Run) Len() int { return len(r.Keys) }
 
 // NewRun leases key and payload columns of length n from the lease (plain
-// allocation when the lease is nil). The contents are unspecified.
+// allocation when the lease is nil). The contents are unspecified, and so is
+// PayBound's bound: math.MaxUint64.
 func NewRun(worker, node, n int, lease *memory.Lease) *Run {
 	return &Run{
 		Worker:   worker,
 		Node:     node,
 		Keys:     lease.Uint64s(n),
 		Payloads: lease.Uint64s(n),
+		PayBound: math.MaxUint64,
 	}
 }
 
+// Release hands the run's columns back to the lease for reuse within the
+// same join.
+func (r *Run) Release(lease *memory.Lease) {
+	lease.PutUint64s(r.Keys)
+	lease.PutUint64s(r.Payloads)
+	lease.PutInt32s(r.Counts)
+}
+
 // Tuples interleaves the run back into an array-of-structs slice, appending
-// to dst. It is a test helper, not a hot-path operation.
+// to dst. It is a test helper, not a hot-path operation; on a grouped run
+// it yields one tuple per key group.
 func (r *Run) Tuples(dst []relation.Tuple) []relation.Tuple {
 	for i := range r.Keys {
 		dst = append(dst, relation.Tuple{Key: r.Keys[i], Payload: r.Payloads[i]})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"time"
 
 	"repro/internal/batch"
@@ -22,9 +23,12 @@ import (
 // parameter of that kernel, and the outer, semi and anti kinds are a
 // mergejoin.Marker between the kernel and the sink writer; an inner
 // equi-join into the max-sum or count sink folds its pairs in the kernel's
-// loop instead (Exec.Folds). D-MPSM generates the same runs, spills them to
-// the simulated disk as pages of key and payload columns, and joins every
-// page with the same kernel.
+// loop instead (Exec.Folds), and then B- and P-MPSM generate their public
+// runs grouped where the sort word carries the payload — one entry per key,
+// its tuple count and largest payload (sorting.SortTuplesIntoGroups) — which
+// the match phase folds with mergejoin.FoldGroups. D-MPSM generates raw
+// runs, spills them to the simulated disk as pages of key and payload
+// columns, and joins every page with the same kernel.
 
 // sortChunkIntoColumnRun sorts one chunk of the input relation into a
 // worker-local column run whose buffers come from the join's scratch lease
@@ -46,15 +50,28 @@ import (
 // the worker's home node. If presorted is true and the chunk is verified to be
 // in key order already, the sorting pass is skipped (exploiting pre-existing
 // sort orders, as the paper suggests) and the chunk is merely split into
-// columns.
-func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w *sched.Worker, lease *memory.Lease) *batch.Run {
+// columns. If group is true, a chunk the sort packs with its payloads in the
+// sort word comes back grouped (batch.Run.Counts); every other chunk comes
+// back raw. The run's PayBound is its payloads' OR.
+func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted, group bool, w *sched.Worker, lease *memory.Lease) *batch.Run {
 	n := len(chunk.Tuples)
 	run := batch.NewRun(w.ID(), w.Node(), n, lease)
 	skippedSort := presorted && relation.IsSortedByKey(chunk.Tuples)
-	if skippedSort {
+	switch {
+	case skippedSort:
 		batch.Deinterleave(chunk.Tuples, run.Keys, run.Payloads)
-	} else {
-		sorting.SortTuplesIntoColumns(chunk.Tuples, run.Keys, run.Payloads, lease)
+		run.PayBound = 0
+		for _, p := range run.Payloads {
+			run.PayBound |= p
+		}
+	case group:
+		counts, payBound := sorting.SortTuplesIntoGroups(chunk.Tuples, run.Keys, run.Payloads, lease)
+		run.PayBound = payBound
+		if counts != nil {
+			run.Keys, run.Payloads, run.Counts = run.Keys[:len(counts)], run.Payloads[:len(counts)], counts
+		}
+	default:
+		run.PayBound = sorting.SortTuplesIntoColumns(chunk.Tuples, run.Keys, run.Payloads, lease)
 	}
 
 	if tracker := w.Tracker(); tracker != nil {
@@ -69,7 +86,8 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted bool, w
 		// alike: each places a tuple once in the scatter and moves it twice
 		// in stage 2 (the counting pass and the unpack), although the payload
 		// carrier writes one word a tuple in the scatter where the position
-		// carrier writes two and gathers nothing.
+		// carrier writes two and gathers nothing, and a grouped run's unpack
+		// writes one entry a key group.
 		tracker.SeqRead(srcNode, 2*un)
 		tracker.SeqWrite(run.Node, un)
 		if !skippedSort {
@@ -102,7 +120,7 @@ type matcher struct {
 	x               *Exec
 	out             *sink.Bound
 	private, public []*batch.Run
-	scanned         []int // public tuples scanned, per worker
+	scanned         []int // public entries scanned, per worker
 	// skip enters every public run by interpolation search at the window the
 	// private keys can reach (P-MPSM; and every morsel, a segment covering a
 	// sliver of the key domain). Without it each public run is scanned in
@@ -184,7 +202,7 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 		n := pub.Len()
 		switch {
 		case m.folds:
-			n = f.add(keys, pays, pub.Keys, pub.Payloads, m.skip)
+			n = f.add(keys, pays, pub.Keys, pub.Payloads, pub.Counts, m.skip)
 		case m.skip:
 			n = mergejoin.JoinColumnsWithSkip(keys, pays, pub.Keys, pub.Payloads, opts.Band, cons, sc)
 		default:
@@ -194,7 +212,8 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 		if tracker != nil {
 			// The private run is re-scanned once per public run (locally);
 			// the public run is scanned sequentially on whichever node it
-			// lives, over the window the kernel entered.
+			// lives, over the window the kernel entered: tuples, or key
+			// groups of a grouped run.
 			tracker.SeqRead(node, uint64(len(keys)))
 			tracker.SeqRead(pub.Node, uint64(n))
 		}
@@ -210,10 +229,18 @@ func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64
 // worker over its pages.
 type fold struct{ pairs, best uint64 }
 
-// add folds the equi-join of a private and a public key-sorted column pair
-// (mergejoin.FoldColumns) and returns the number of public tuples it scanned.
-func (f *fold) add(keys, pays, sKeys, sPays []uint64, skip bool) int {
-	pairs, best, scanned := mergejoin.FoldColumns(keys, pays, sKeys, sPays, skip)
+// add folds the equi-join of a private and a public key-sorted column pair —
+// mergejoin.FoldGroups where sCounts holds the public side's group counts (a
+// grouped run), FoldColumns where it is nil — and returns the number of
+// public entries it scanned.
+func (f *fold) add(keys, pays, sKeys, sPays []uint64, sCounts []int32, skip bool) int {
+	var pairs, best uint64
+	var scanned int
+	if sCounts != nil {
+		pairs, best, scanned = mergejoin.FoldGroups(keys, pays, sKeys, sPays, sCounts, skip)
+	} else {
+		pairs, best, scanned = mergejoin.FoldColumns(keys, pays, sKeys, sPays, skip)
+	}
 	f.pairs, f.best = f.pairs+pairs, max(f.best, best)
 	return scanned
 }
@@ -223,4 +250,34 @@ func (f *fold) flush(out *sink.Writer) {
 	if f.pairs > 0 {
 		out.ConsumeFold(f.pairs, f.best)
 	}
+}
+
+// carryBound is the bound a grouped public run's payloads are checked against
+// (carries): the private payloads' bound, or 0 into the count sink, which
+// drops the largest sum and so never needs a group's pairs.
+func carryBound(x *Exec, privBound uint64) uint64 {
+	if _, count := x.Opts.Sink.(*sink.Count); count {
+		return 0
+	}
+	return privBound
+}
+
+// carries reports whether a grouped run's largest payload of some key plus a
+// private payload up to privBound can carry past 2^64 − 1. A group keeps only
+// its largest payload, so the fold's pair-by-pair answer for a carrying group
+// (mergejoin.FoldColumns) cannot be recomputed from it.
+func carries(run *batch.Run, privBound uint64) bool {
+	_, carry := bits.Add64(run.PayBound, privBound, 0)
+	return run.Counts != nil && carry != 0
+}
+
+// ungroup returns the public run to match against private payloads up to
+// privBound: run itself, unless it carries, in which case its columns go back
+// to the lease and its chunk is sorted again, raw.
+func ungroup(run *batch.Run, chunk relation.Chunk, srcNode int, privBound uint64, w *sched.Worker, lease *memory.Lease) *batch.Run {
+	if !carries(run, privBound) {
+		return run
+	}
+	run.Release(lease)
+	return sortChunkIntoColumnRun(chunk, srcNode, false, false, w, lease)
 }

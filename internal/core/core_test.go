@@ -84,6 +84,11 @@ func checkJoinResult(t *testing.T, name string, r, s *relation.Relation, matches
 	}
 }
 
+// TestBMPSMCorrectness also pins B-MPSM's public scan: every worker scans
+// every public run in full, T·|S| tuples — into Materialize, and into the
+// default sink over 64-bit payloads, which leave no room in the sort word —
+// or, where the default sink folds over payloads that share the word with
+// their keys, T times the runs' entries, one per key of each chunk.
 func TestBMPSMCorrectness(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		for _, mult := range []int{1, 4} {
@@ -99,6 +104,15 @@ func TestBMPSMCorrectness(t *testing.T) {
 			// B-MPSM scans the complete public input once per worker.
 			if res.PublicScanned != workers*s.Len() {
 				t.Fatalf("PublicScanned = %d, want %d", res.PublicScanned, workers*s.Len())
+			}
+			if res := bmpsm(r, s, Options{Workers: workers, Sink: sink.NewMaterialize()}); res.PublicScanned != workers*s.Len() {
+				t.Fatalf("into Materialize: PublicScanned = %d, want %d", res.PublicScanned, workers*s.Len())
+			}
+			nr, ns := narrowPayloads(r, 20), narrowPayloads(s, 20)
+			res = bmpsm(nr, ns, Options{Workers: workers})
+			checkJoinResult(t, "B-MPSM grouped", nr, ns, res.Matches, res.MaxSum)
+			if want := workers * publicEntries(ns, workers, payloadBound(nr)); res.PublicScanned != want || want >= workers*s.Len() && mult > 1 {
+				t.Fatalf("grouped: PublicScanned = %d, want T·(entries) = %d of T·|S| = %d", res.PublicScanned, want, workers*s.Len())
 			}
 		}
 	}
@@ -279,12 +293,24 @@ func TestMPSMNUMAAccountingObeysCommandments(t *testing.T) {
 	// B-MPSM's run generation reads every input tuple twice (the first pass,
 	// which finds the key domain and counts the first digit, and the
 	// scatter); its match phase reads every private run once per public run
-	// and every public run once per worker.
+	// and every public run once per worker: its tuples into Materialize and
+	// into the default sink over 64-bit payloads, its entries, one per key of
+	// a chunk, where the default sink folds over payloads that share the sort
+	// word with their keys.
+	nr, ns := narrowPayloads(r, 20), narrowPayloads(s, 20)
 	for _, workers := range []int{1, 2, 8} {
-		res := bmpsm(r, s, Options{Workers: workers, TrackNUMA: true})
-		got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(2+workers)*uint64(r.Len()+s.Len())
-		if got != want {
-			t.Fatalf("T=%d: B-MPSM charged %d sequential reads, want (2+T)·(|R|+|S|) = %d", workers, got, want)
+		for _, sk := range []sink.Sink{nil, sink.NewMaterialize()} {
+			res := bmpsm(r, s, Options{Workers: workers, TrackNUMA: true, Sink: sk})
+			got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(2+workers)*uint64(r.Len()+s.Len())
+			if got != want {
+				t.Fatalf("T=%d into %T: B-MPSM charged %d sequential reads, want (2+T)·(|R|+|S|) = %d", workers, sk, got, want)
+			}
+		}
+		res := bmpsm(nr, ns, Options{Workers: workers, TrackNUMA: true})
+		entries := publicEntries(ns, workers, payloadBound(nr))
+		got, want := res.NUMA.LocalSeqRead+res.NUMA.RemoteSeqRead, uint64(2+workers)*uint64(r.Len())+2*uint64(s.Len())+uint64(workers*entries)
+		if got != want || entries >= s.Len() {
+			t.Fatalf("T=%d grouped: B-MPSM charged %d sequential reads, want (2+T)·|R| + 2·|S| + T·(%d entries) = %d", workers, got, entries, want)
 		}
 	}
 

@@ -106,7 +106,7 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// as paged runs. The run buffers are handed back to the lease right after
 	// the spill (WriteRun copies them into pages), so phase 2 reuses them.
 	if err := x.Phase("phase 1", func(ctx context.Context, w *sched.Worker) {
-		run := sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
+		run := sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, false, w, lease)
 		publicRuns[w.ID()] = spill(disk, run, diskOpts.PageSize, lease)
 	}); err != nil {
 		return nil, DiskStats{}, err
@@ -115,7 +115,7 @@ func DMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// Phase 2: sort the private chunks into column runs locally and spill
 	// them as paged runs.
 	if err := x.Phase("phase 2", func(ctx context.Context, w *sched.Worker) {
-		run := sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, w, lease)
+		run := sortChunkIntoColumnRun(privateChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPrivate, false, w, lease)
 		privateRuns[w.ID()] = spill(disk, run, diskOpts.PageSize, lease)
 	}); err != nil {
 		return nil, DiskStats{}, err
@@ -219,7 +219,7 @@ func (p *pageJoin) join(cursor int, page storage.Page) int {
 		return cursor
 	}
 	if p.folds {
-		p.fold.add(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, false)
+		p.fold.add(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, nil, false)
 	} else {
 		mergejoin.JoinColumns(keys[cursor:], pays[cursor:], page.Keys, page.Payloads, p.out, p.sc)
 	}

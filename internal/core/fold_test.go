@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/batch"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/result"
 	"repro/internal/sched"
 	"repro/internal/sink"
+	"repro/internal/sorting"
 	"repro/internal/workload"
 )
 
@@ -84,22 +88,71 @@ func maxTasks(c foldCell, r *relation.Relation, workers, morsel int) uint64 {
 	return uint64((r.Len()/morsel + workers) * workers)
 }
 
+// narrowPayloads returns a copy of rel with every payload cut to its low b
+// bits: payloads that ride in the sort word beside keys of 64 − b bits or
+// fewer, so that a folding B- or P-MPSM join groups the relation's runs.
+func narrowPayloads(rel *relation.Relation, b uint) *relation.Relation {
+	out := rel.Clone()
+	for i := range out.Tuples {
+		out.Tuples[i].Payload &= 1<<b - 1
+	}
+	return out
+}
+
+// payloadBound is the OR of rel's payloads.
+func payloadBound(rel *relation.Relation) uint64 {
+	var bound uint64
+	for _, t := range rel.Tuples {
+		bound |= t.Payload
+	}
+	return bound
+}
+
+// publicEntries is the number of entries in B- and P-MPSM's public runs of s
+// at the given number of workers when the join folds, derived from the runs
+// run generation gives: a chunk's groups where it is grouped
+// (sorting.SortTuplesIntoGroups), its tuples where it is not, or where its
+// grouped payloads can carry past 2^64 − 1 against private payloads up to
+// privBound and the run is sorted again raw.
+func publicEntries(s *relation.Relation, workers int, privBound uint64) int {
+	entries := 0
+	for _, c := range s.Split(workers) {
+		keys, pays := make([]uint64, c.Len()), make([]uint64, c.Len())
+		counts, bound := sorting.SortTuplesIntoGroups(c.Tuples, keys, pays, nil)
+		if _, carry := bits.Add64(bound, privBound, 0); counts == nil || carry != 0 {
+			entries += c.Len()
+		} else {
+			entries += len(counts)
+		}
+	}
+	return entries
+}
+
 // TestMergeFoldMatchesOracle: B-, P- and D-MPSM's inner equi-join into the
 // max-sum sink (nil and explicit) and into the count sink — the joins that
-// fold their pairs in the merge loop (mergejoin.FoldColumns) —
-// report the reference join's pair count and largest payload sum, mod 2^64,
-// over groups whose sums wrap for some pairs only, duplicate keys on both
-// sides, empty and one-tuple inputs, private ranges without a public partner
-// and key groups that span D-MPSM's pages; and each hands its sink at most
-// one (count, max) per match task, every match in one of them.
+// fold their pairs in the merge loop (mergejoin.FoldColumns, and
+// mergejoin.FoldGroups over B- and P-MPSM's grouped public runs) — report the
+// reference join's pair count and largest payload sum, mod 2^64, over groups
+// whose sums wrap for some pairs only, duplicate keys on both sides, empty
+// and one-tuple inputs, private ranges without a public partner and key
+// groups that span D-MPSM's pages; and each hands its sink at most one
+// (count, max) per match task, every match in one of them. Every input runs
+// once more with its payloads cut to 16 bits, so that B- and P-MPSM group its
+// public runs wherever the keys leave room; wide-private-payloads, wrapping-sums
+// and half-wrap as they are make them sort grouped runs again raw, where the
+// private payloads can carry against them. B-MPSM's static scan must count
+// exactly the entries of its public runs (publicEntries) once per worker.
 func TestMergeFoldMatchesOracle(t *testing.T) {
 	const morsel = 32
 	inputs := foldInputs()
 	for _, in := range workload.EdgeInputs(matchSeed) {
 		switch in.Name {
-		case "skew-negcorr", "all-duplicate", "empty-R", "empty-S", "one-tuple", "disjoint", "page-straddle", "wrapping-sums", "keys-0-and-max":
+		case "skew-negcorr", "all-duplicate", "empty-R", "empty-S", "one-tuple", "disjoint", "page-straddle", "wrapping-sums", "keys-0-and-max", "wide-private-payloads":
 			inputs = append(inputs, in)
 		}
+	}
+	for _, in := range slices.Clone(inputs) {
+		inputs = append(inputs, workload.EdgeInput{Name: in.Name + "/payloads<2^16", R: narrowPayloads(in.R, 16), S: narrowPayloads(in.S, 16)})
 	}
 	sinks := []struct {
 		name string
@@ -126,7 +179,13 @@ func TestMergeFoldMatchesOracle(t *testing.T) {
 							t.Fatalf("%s: the count sink took %d of %d matches", label, count.Total(), res.Matches)
 						}
 					}
+					privBound := payloadBound(in.R)
+					if sk.name == "count" {
+						privBound = 0 // the count sink drops the largest sum: nothing to carry
+					}
 					switch {
+					case c.alg == "B" && c.mode == sched.Static && res.PublicScanned != workers*publicEntries(in.S, workers, privBound):
+						t.Fatalf("%s: B-MPSM scanned %d public entries, its runs hold %d, once per worker", label, res.PublicScanned, workers*publicEntries(in.S, workers, privBound))
 					case got != want:
 						t.Fatalf("%s: (matches, max) = (%d, %d), the reference join gives (%d, %d)", label, got.Count, got.Max, want.Count, want.Max)
 					case res.Batch.Tuples != res.Matches:
@@ -174,6 +233,64 @@ func TestOnlyInnerEquiJoinsFold(t *testing.T) {
 		for name, opts := range ranged {
 			if res := run(opts); res.Batch.Batches < 2 {
 				t.Errorf("%v %s: Batch = %+v, want range batches", c, name, res.Batch)
+			}
+		}
+	}
+}
+
+// TestGroupedRunsFallBackToRaw runs workload.EdgeInputs' wide-private-payloads
+// — public payloads below 2^4, private ones of 2^63 and more, so that the
+// public runs group but some of their largest sums carry — through B- and
+// P-MPSM under both schedulers at one to four workers. Into the max-sum sink
+// every grouped public run must be sorted again raw (B-MPSM's static scan
+// counts T·|S| public tuples) and the largest sum be the reference join's;
+// into the count sink, which drops the sum, the runs stay grouped (T times
+// the chunks' groups); and with the private payloads cut below 2^62, where
+// nothing carries, they stay grouped into max-sum too. A private input sorted
+// by key and declared presorted, whose runs skip the sort that takes their
+// payloads' bound, must fall back as the unsorted one does.
+func TestGroupedRunsFallBackToRaw(t *testing.T) {
+	var in workload.EdgeInput
+	for _, e := range workload.EdgeInputs(matchSeed) {
+		if e.Name == "wide-private-payloads" {
+			in = e
+		}
+	}
+	narrowR, sortedR := narrowPayloads(in.R, 62), in.R.Clone()
+	slices.SortStableFunc(sortedR.Tuples, func(a, b relation.Tuple) int { return cmp.Compare(a.Key, b.Key) })
+	cells := []struct {
+		name               string
+		r                  *relation.Relation
+		sink               func() sink.Sink
+		grouped, presorted bool
+	}{
+		{"max-sum", in.R, func() sink.Sink { return sink.NewMaxSum() }, false, false},
+		{"count", in.R, func() sink.Sink { return sink.NewCount() }, true, false},
+		{"max-sum/private<2^62", narrowR, func() sink.Sink { return nil }, true, false},
+		{"max-sum/presorted-private", sortedR, func() sink.Sink { return nil }, false, true},
+	}
+	for _, c := range cells {
+		wantCount, wantMax := reference(c.r, in.S)
+		for _, alg := range []string{"B", "P"} {
+			for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
+				for _, workers := range []int{1, 2, 3, 4} {
+					label := fmt.Sprintf("%s/%s-MPSM/%v/T=%d", c.name, alg, mode, workers)
+					s := c.sink()
+					res := mpsmByName(alg)(c.r, in.S, Options{Workers: workers, Scheduler: mode, MorselSize: 32, Sink: s, PresortedPrivate: c.presorted})
+					if _, count := s.(*sink.Count); !count && res.MaxSum != wantMax || res.Matches != wantCount {
+						t.Fatalf("%s: (matches, max) = (%d, %d), the reference join gives (%d, %d)", label, res.Matches, res.MaxSum, wantCount, wantMax)
+					}
+					if alg != "B" || mode != sched.Static {
+						continue
+					}
+					want := workers * in.S.Len()
+					if c.grouped {
+						want = workers * publicEntries(in.S, workers, 0)
+					}
+					if res.PublicScanned != want || c.grouped == (want == workers*in.S.Len()) {
+						t.Fatalf("%s: scanned %d public entries, want %d (grouped: %t, |S| = %d)", label, res.PublicScanned, want, c.grouped, in.S.Len())
+					}
+				}
 			}
 		}
 	}

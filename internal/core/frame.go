@@ -136,10 +136,11 @@ func (x *Exec) Scratch(w int) *batch.Scratch {
 
 // Finish closes the sink and reports the execution: the matches, the default
 // sink's aggregate and the batch traffic where a sink is bound, the public
-// tuples scanned, the total time, on request the per-worker breakdown over
-// the result's phases — with each worker's private tuples and public scans
-// where the algorithm has them (nil where not) and its matches — the NUMA
-// statistics with their simulated cost, and the lease's traffic.
+// entries scanned (tuples, or key groups of grouped runs), the total time, on
+// request the per-worker breakdown over the result's phases — with each
+// worker's private tuples and public scans where the algorithm has them (nil
+// where not) and its matches — the NUMA statistics with their simulated cost,
+// and the lease's traffic.
 func (x *Exec) Finish(private, scanned []int) (*result.Result, error) {
 	var closeErr error
 	if x.out != nil {

@@ -42,7 +42,13 @@ import (
 //
 // Public runs and — from phase 3 on — private runs are sorted key/payload
 // column pairs, and phase 4 is the match phase P-MPSM shares with B-MPSM (see
-// matcher), whatever the join kind or band.
+// matcher), whatever the join kind or band. Where the join folds
+// (Exec.Folds), phase 1 groups each public run whose sort word carries the
+// payloads — one entry per key: its tuple count and largest payload — so
+// phase 2.1's equi-height bounds, and with them the equi-cost splitters,
+// weigh public entries, phase 4's unit of work. Phase 2 finds the private
+// payloads' bound, and phase 3 sorts again raw a grouped public run whose
+// payloads can carry against it.
 //
 // Cancellation is checked at every phase boundary and once per chunk inside
 // the sort and merge loops; a canceled context aborts the join and returns
@@ -63,7 +69,7 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 
 	// Phase 1: sort the public input chunks into local runs.
 	if err := x.Phase("phase 1", func(ctx context.Context, w *sched.Worker) {
-		publicRuns[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, w, lease)
+		publicRuns[w.ID()] = sortChunkIntoColumnRun(publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), opts.PresortedPublic, x.Folds(), w, lease)
 	}); err != nil {
 		return nil, err
 	}
@@ -87,12 +93,16 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 	// worker — sequentially once: the scatter moves keys and payloads into
 	// the column run, where the rest of the sort's accesses, all of the
 	// random ones, stay. The partition's row buffer goes back to the lease.
+	// The worker's public run is sorted again raw if it is grouped and its
+	// payloads can carry against the private ones.
+	privBound := carryBound(x, counted.PayBound)
 	if err := x.Phase("phase 3", func(ctx context.Context, w *sched.Worker) {
 		part := partitions[w.ID()]
 		run := batch.NewRun(w.ID(), w.Node(), len(part), lease)
 		sorting.SortTuplesIntoColumnsWithBounds(part, run.Keys, run.Payloads, counted.MaxKey, counted.PayBound, counts[w.ID()*sorting.Digits:][:sorting.Digits], lease)
 		lease.PutTuples(part)
 		privateRuns[w.ID()] = run
+		publicRuns[w.ID()] = ungroup(publicRuns[w.ID()], publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), privBound, w, lease)
 		if tracker := w.Tracker(); tracker != nil {
 			n := uint64(run.Len())
 			tracker.SeqRead(run.Node, n)

@@ -264,6 +264,52 @@ func foldGroups(rKeys, rPays, sKeys, sPays []uint64) (pairs, best uint64) {
 	return pairs, best
 }
 
+// FoldGroups is FoldColumns over a grouped public run (batch.Run.Counts):
+// sKeys holds distinct keys in ascending order, sMaxes each key's largest
+// payload and sCounts its number of tuples. A private key group of m tuples
+// meets at most one public entry, adds m·count pairs and offers the sum of
+// the two sides' largest payloads, so the loop walks the private key groups
+// against the distinct public keys without a public group to scan. The
+// caller guarantees that no such sum carries past 2^64 − 1: a group keeps
+// only its largest payload, so FoldColumns' pair-by-pair fallback cannot be
+// taken here. skip and scanned are FoldColumns', counted in public entries.
+func FoldGroups(rKeys, rPays, sKeys, sMaxes []uint64, sCounts []int32, skip bool) (pairs, maxSum uint64, scanned int) {
+	start, end := enter(rKeys, sKeys, skip)
+	pairs, maxSum = foldDistinct(rKeys, rPays, sKeys[start:end], sMaxes[start:end], sCounts[start:end])
+	return pairs, maxSum, end - start
+}
+
+// foldDistinct is FoldGroups' loop over a whole key-sorted private column
+// pair and a whole grouped public run.
+func foldDistinct(rKeys, rPays, sKeys, sMaxes []uint64, sCounts []int32) (pairs, best uint64) {
+	rPays = rPays[:len(rKeys)]
+	sMaxes, sCounts = sMaxes[:len(sKeys)], sCounts[:len(sKeys)]
+	nR, nS := len(rKeys), len(sKeys)
+	i, lo := 0, 0
+	for i < nR {
+		k := rKeys[i]
+		for lo < nS && sKeys[lo] < k {
+			lo++
+		}
+		if lo == nS {
+			break
+		}
+		if sk := sKeys[lo]; sk > k {
+			for i++; i < nR && rKeys[i] < sk; i++ {
+			}
+			continue
+		}
+		iEnd, rMax := i+1, rPays[i]
+		for ; iEnd < nR && rKeys[iEnd] == k; iEnd++ {
+			rMax = max(rMax, rPays[iEnd])
+		}
+		best = max(best, rMax+sMaxes[lo])
+		pairs += uint64(iEnd-i) * uint64(sCounts[lo])
+		i, lo = iEnd, lo+1
+	}
+	return pairs, best
+}
+
 // pairMax returns the largest r + s mod 2^64 over rs × ss.
 func pairMax(rs, ss []uint64) uint64 {
 	var best uint64

@@ -35,8 +35,10 @@ type WorkerBreakdown struct {
 	// PrivateTuples is the number of private-input (R) tuples assigned to
 	// this worker after partitioning.
 	PrivateTuples int
-	// PublicScanned is the number of public-input (S) tuples this worker
-	// scanned during the join phase.
+	// PublicScanned is the number of public-input (S) entries this worker
+	// scanned during the join phase: tuples, or key groups of a grouped
+	// public run (B- and P-MPSM into the max-sum and count sinks, where the
+	// payloads share the sort word with the keys).
 	PublicScanned int
 	// Matches is the number of join results this worker produced.
 	Matches uint64
@@ -81,9 +83,11 @@ type Result struct {
 	// skew experiments); nil when not collected.
 	PerWorker []WorkerBreakdown
 
-	// PublicScanned is the total number of public-input (S) tuples scanned
-	// during the join phase, summed over workers. It exposes the |S| vs
-	// |S|/T complexity difference between B-MPSM and P-MPSM.
+	// PublicScanned is the total number of public-input (S) entries scanned
+	// during the join phase, summed over workers: an entry is a tuple, or a
+	// key group of a grouped public run (WorkerBreakdown.PublicScanned). It
+	// exposes the |S| vs |S|/T complexity difference between B-MPSM and
+	// P-MPSM.
 	PublicScanned int
 
 	// Batch reports the traffic of the columnar batch fast path; all zeros

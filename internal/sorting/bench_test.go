@@ -63,6 +63,19 @@ func userStrings(n int, seed int64) []relation.Tuple {
 	return keys.MustNew(keys.Column{Type: keys.Bytes}).MustEncode("R", rows, make([]uint64, n)).Tuples
 }
 
+// foreignKeys draws n keys from n/2 uniform 32-bit parent keys, about two
+// tuples a key: the shape of one worker's chunk of the end-to-end benchmark's
+// join_large public input. Payloads are source positions.
+func foreignKeys(n int, seed int64) []relation.Tuple {
+	parents := makeTuples(max(n/2, 1), seed, 1<<32)
+	rng := rand.New(rand.NewSource(seed + 1))
+	tuples := make([]relation.Tuple, n)
+	for i := range tuples {
+		tuples[i] = relation.Tuple{Key: parents[rng.Intn(len(parents))].Key, Payload: uint64(i)}
+	}
+	return tuples
+}
+
 // BenchmarkRunGeneration times the production run-generation sort
 // (SortTuplesIntoColumns) per tuple over the key distributions that decide
 // its cost — uniform 32-bit keys (with positions as payloads, which ride in
@@ -74,23 +87,31 @@ func userStrings(n int, seed int64) []relation.Tuple {
 // strings' words tying on their shared prefix) and presorted input — alone
 // and with one sorter per CPU, the way the phases of P-MPSM run it: every
 // sorter has a chunk of n tuples of its own, so the sorters share the memory
-// system but no source, and ns/tuple is over one sorter's n. CI executes it
-// once per case as a smoke test; it asserts nothing about time.
+// system but no source, and ns/tuple is over one sorter's n. The `-grouped`
+// cases take SortTuplesIntoGroups instead, the sort of a folding B- or
+// P-MPSM join's public runs, on uniform keys, clustered skew and foreign keys
+// of about two tuples a key (the `foreign-key` case is its raw sort). CI
+// executes it once per case as a smoke test; it asserts nothing about time.
 func BenchmarkRunGeneration(b *testing.B) {
 	distributions := []struct {
-		name string
-		gen  func(n, sorter int) []relation.Tuple
+		name    string
+		gen     func(n, sorter int) []relation.Tuple
+		grouped bool
 	}{
-		{"uniform32", func(n, s int) []relation.Tuple { return makeTuples(n, int64(1+10*s), 1<<32) }},
-		{"uniform32-wide-payload", func(n, s int) []relation.Tuple { return wideUniform32(n, int64(1+10*s)) }},
-		{"clustered-skew", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }},
-		{"dense-cluster", func(n, s int) []relation.Tuple { return denseCluster(n, int64(5+10*s)) }},
-		{"domain-2^10", func(n, s int) []relation.Tuple { return makeTuples(n, int64(3+10*s), 1<<10) }},
-		{"full-width", func(n, s int) []relation.Tuple { return makeTuples(n, int64(6+10*s), 0) }},
-		{"string-prefix", func(n, s int) []relation.Tuple { return userStrings(n, int64(7+10*s)) }},
+		{"uniform32", func(n, s int) []relation.Tuple { return makeTuples(n, int64(1+10*s), 1<<32) }, false},
+		{"uniform32-wide-payload", func(n, s int) []relation.Tuple { return wideUniform32(n, int64(1+10*s)) }, false},
+		{"clustered-skew", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }, false},
+		{"dense-cluster", func(n, s int) []relation.Tuple { return denseCluster(n, int64(5+10*s)) }, false},
+		{"domain-2^10", func(n, s int) []relation.Tuple { return makeTuples(n, int64(3+10*s), 1<<10) }, false},
+		{"full-width", func(n, s int) []relation.Tuple { return makeTuples(n, int64(6+10*s), 0) }, false},
+		{"string-prefix", func(n, s int) []relation.Tuple { return userStrings(n, int64(7+10*s)) }, false},
 		{"presorted", func(n, s int) []relation.Tuple {
 			return stdlibOracle(makeTuples(n, int64(4+10*s), 1<<32))
-		}},
+		}, false},
+		{"foreign-key", func(n, s int) []relation.Tuple { return foreignKeys(n, int64(8+10*s)) }, false},
+		{"uniform32-grouped", func(n, s int) []relation.Tuple { return makeTuples(n, int64(1+10*s), 1<<32) }, true},
+		{"clustered-skew-grouped", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }, true},
+		{"foreign-key-grouped", func(n, s int) []relation.Tuple { return foreignKeys(n, int64(8+10*s)) }, true},
 	}
 	for _, dist := range distributions {
 		for _, logN := range []int{14, 18, 20} {
@@ -110,7 +131,11 @@ func BenchmarkRunGeneration(b *testing.B) {
 							wg.Add(1)
 							go func() {
 								defer wg.Done()
-								SortTuplesIntoColumns(srcs[s], keys[s], pays[s], nil)
+								if dist.grouped {
+									SortTuplesIntoGroups(srcs[s], keys[s], pays[s], nil)
+								} else {
+									SortTuplesIntoColumns(srcs[s], keys[s], pays[s], nil)
+								}
 							}()
 						}
 						wg.Wait()

@@ -13,11 +13,13 @@ import (
 // use it: the packed path takes one uint64 buffer the size of its fullest
 // stage-1 bucket (the whole input up to l2Values, about 1/256 of it on
 // uniform keys beyond), and the wide path one more the size of the input for
-// the parked keys. Each sort hands its buffers back before it returns.
-// *memory.Lease implements it; a nil Scratch allocates.
+// the parked keys. Each sort hands its buffers back before it returns, but
+// for the counts column of a grouped sort (SortTuplesIntoGroups), which it
+// hands its caller. *memory.Lease implements it; a nil Scratch allocates.
 type Scratch interface {
 	Uint64s(n int) []uint64
 	PutUint64s(buf []uint64)
+	Int32s(n int) []int32
 }
 
 // SortColumnsInto sorts the (srcKeys, srcPays) columns by ascending key into
@@ -36,23 +38,60 @@ func SortColumnsInto(srcKeys, srcPays, dstKeys, dstPays []uint64, perm []int32) 
 // the same permutation. src is read twice, sequentially: by the first pass,
 // which finds the key and payload domains (and past l2Values counts the first
 // radix digit), and by the packing, fused past l2Values with that digit's
-// scatter and the AoS→SoA deinterleave into one read feeding 256 cursors.
-func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) {
-	if len(src) <= l2Values {
-		maxKey, payBound := bounds(src)
-		SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, nil, scratch)
-		return
-	}
-	// The first digits are counted at the width a sample guesses, never too
-	// wide, and again at the exact width if the maximum key proves it narrow.
+// scatter and the AoS→SoA deinterleave into one read feeding 256 cursors. It
+// returns the payloads' OR, an upper bound on every payload.
+func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) (payBound uint64) {
 	var counts [radixBuckets]int
+	maxKey, payBound, digits := firstPass(src, &counts)
+	SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, digits, scratch)
+	return payBound
+}
+
+// SortTuplesIntoGroups is SortTuplesIntoColumns for a consumer that keeps of
+// each key only its number of tuples and its largest payload: where key and
+// payload share the sort word (the payload carrier), stage 2 groups every
+// bucket as it unpacks it, and for g groups dstKeys[:g] receives the distinct
+// keys in ascending order, dstPays[:g] each key's largest payload and the
+// returned counts, of length g, each key's number of tuples: a column of
+// len(src) leased through scratch, cut to g. A chunk whose payloads ride
+// beside the word instead, or an empty one, is sorted as
+// SortTuplesIntoColumns sorts it, and counts is nil. payBound is the
+// payloads' OR.
+func SortTuplesIntoGroups(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) (counts []int32, payBound uint64) {
+	var digitCounts [radixBuckets]int
+	maxKey, payBound, digits := firstPass(src, &digitCounts)
+	n := len(src)
+	w, inWord, _ := packedCarrier(n, maxKey, payBound)
+	if !inWord || n == 0 {
+		SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, digits, scratch)
+		return nil, payBound
+	}
+	if scratch == nil {
+		counts = make([]int32, n)
+	} else {
+		counts = scratch.Int32s(n)
+	}
+	groups := sortTuplesPacked(src, dstKeys[:n], dstPays[:n], counts, maxKey, w, true, digits, scratch)
+	return counts[:groups], payBound
+}
+
+// firstPass is a sort's first read of its source: the key and payload
+// domains, and past l2Values the first digits' counts into counts, which it
+// returns (nil up to l2Values). The digits are counted at the width a sample
+// guesses, never too wide, and again at the exact width if the maximum key
+// proves the guess narrow.
+func firstPass(src []relation.Tuple, counts *[radixBuckets]int) (maxKey, payBound uint64, digits []int) {
+	if len(src) <= l2Values {
+		maxKey, payBound = bounds(src)
+		return maxKey, payBound, nil
+	}
 	guess := DigitShift(GuessMaxKey(src))
-	maxKey, payBound := CountTuples(counts[:], src, guess)
+	maxKey, payBound = CountTuples(counts[:], src, guess)
 	if shift := DigitShift(maxKey); shift != guess {
 		clear(counts[:])
 		CountTuples(counts[:], src, shift)
 	}
-	SortTuplesIntoColumnsWithBounds(src, dstKeys, dstPays, maxKey, payBound, counts[:], scratch)
+	return maxKey, payBound, counts[:]
 }
 
 // SortTuplesIntoColumnsWithBounds is SortTuplesIntoColumns for callers that
@@ -72,7 +111,7 @@ func SortTuplesIntoColumnsWithBounds(src []relation.Tuple, dstKeys, dstPays []ui
 
 	w, inWord, ok := packedCarrier(n, maxKey, payBound)
 	if ok {
-		sortTuplesPacked(src, dstKeys, dstPays, maxKey, w, inWord, counts, scratch)
+		sortTuplesPacked(src, dstKeys, dstPays, nil, maxKey, w, inWord, counts, scratch)
 		return
 	}
 	sortTuplesWide(src, dstKeys, dstPays, maxKey, w, counts, scratch)

@@ -37,8 +37,8 @@ func checkColumnsAgainstStdlib(t *testing.T, name string, input, want []relation
 }
 
 // sortBothWays runs the columnar entry points and SortInto over input and
-// checks each against the stdlib oracle; SortColumnsInto must leave its
-// source alone. A payload bound of math.MaxUint64 sorts the input once more
+// checks each against the stdlib oracle, and the grouped sort against a
+// grouping of it (checkGrouped); SortColumnsInto must leave its source alone. A payload bound of math.MaxUint64 sorts the input once more
 // under the position carrier (or the wide path), whichever carrier its own
 // bounds choose.
 func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
@@ -61,6 +61,7 @@ func sortBothWays(t *testing.T, name string, input []relation.Tuple) {
 	SortTuplesIntoColumns(input, dstKeys, dstPays, nil)
 	checkColumnsAgainstStdlib(t, name+"/SortTuplesIntoColumns", input, want, dstKeys, dstPays)
 	checkAgainstStdlib(t, name+"/SortInto", input, sortedInto(input))
+	checkGrouped(t, name+"/SortTuplesIntoGroups", input)
 
 	// The position carrier, under the exact and a loose key bound, must sort
 	// the same.
@@ -310,6 +311,8 @@ func (s *countingScratch) Uint64s(n int) []uint64 {
 }
 func (s *countingScratch) PutUint64s([]uint64) { s.wordsBack++ }
 
+func (s *countingScratch) Int32s(n int) []int32 { return make([]int32, n) }
+
 // TestSortColumnsPayloadPairing pins that the payload column really is
 // permuted in tandem with the keys (not merely a multiset of payloads): with
 // unique keys the pairing is fully determined.
@@ -364,7 +367,8 @@ func fuzzShape(data []byte) []relation.Tuple {
 }
 
 // FuzzSortColumnsDifferential fuzzes the columnar sorts against the stable
-// stdlib sort over the shapes fuzzShape decodes: the seeds put every tuple in
+// stdlib sort, and the grouped sort against a grouping of the column sort,
+// over the shapes fuzzShape decodes: the seeds put every tuple in
 // one stage-1 bucket, repeat one key and two keys, leave exactly one of the
 // 256 buckets empty, tile full-width duplicates past l2Values through the
 // wide path, give it full-width keys that share their top 64 − w bits, below

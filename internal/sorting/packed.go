@@ -1,7 +1,12 @@
 // Package sorting implements run generation for the MPSM joins (paper
 // Section 2.3): one stable radix sort into key and payload columns
 // (SortTuplesIntoColumns, SortColumnsInto), for every key width. SortInto is
-// a thin wrapper over it for tuple slices.
+// a thin wrapper over it for tuple slices. The same kernel has a third
+// output shape, for a consumer that keeps of each key only its number of
+// tuples and its largest payload (the public side of a folding B- or P-MPSM
+// join): SortTuplesIntoGroups writes one entry per distinct key — key,
+// largest payload, count — where the payload rides in the sort word, and
+// sorts raw where it does not.
 //
 // The kernel sorts packed words. When the key domain leaves enough low bits
 // free (the paper's datasets use 32-bit keys in 64-bit slots), the low w bits
@@ -43,7 +48,10 @@
 // Who owns what, per bucket range: dstPays holds the packed words until the
 // bucket is sorted — the sorted words end in the scratch — and then the
 // payloads, split off or gathered from the same range of dstKeys; dstKeys
-// holds the parked payloads, if any, until then and the keys after.
+// holds the parked payloads, if any, until then and the keys after. A grouped
+// sort unpacks every bucket through one cursor instead (groupSorted): its
+// entries land at or below the bucket's own range, over what earlier buckets
+// left, and the counts column takes each entry's count at the same index.
 //
 // Keys too wide for a position beside them — the string, composite and
 // signed-integer encodings of internal/keys fill all 64 bits — take the wide
@@ -159,7 +167,13 @@ var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 // parked instead of words in pays: each bucket's words are built here, from
 // its keys without their cut low bits and its bucket-local positions, and its
 // keys come back from parked.
-func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int, parked []uint64, cut int, scratch Scratch) {
+//
+// Under the payload carrier a non-nil counts groups the output instead
+// (groupSorted): each bucket's distinct keys, largest payloads and counts go
+// to one cursor that runs behind the buckets, so a bucket's entries overwrite
+// only what the buckets before it left. finishPacked returns the number of
+// entries written: the groups, or every tuple.
+func finishPacked(keys, pays []uint64, counts []int32, bounds []int, w int, inWord bool, hi int, parked []uint64, cut int, scratch Scratch) (entries int) {
 	fullest := 0
 	for b := 0; b+1 < len(bounds); b++ {
 		fullest = max(fullest, bounds[b+1]-bounds[b])
@@ -171,7 +185,7 @@ func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int,
 		buf = scratch.Uint64s(fullest)
 		defer scratch.PutUint64s(buf)
 	}
-	mask := uint64(1)<<w - 1
+	mask, group := uint64(1)<<w-1, inWord && counts != nil
 	s := packedScratchPool.Get().(*packedScratch)
 	for b := 0; b+1 < len(bounds); b++ {
 		lo, end := bounds[b], bounds[b+1]
@@ -196,6 +210,10 @@ func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int,
 		if !s.sortBucket(packed, sorted, w, hi) {
 			copy(sorted, packed)
 		}
+		if group {
+			entries = groupSorted(sorted, keys, pays, counts, entries, w)
+			continue
+		}
 		if inWord {
 			for i, p := range sorted {
 				packed[i], bucketKeys[i] = p&mask, p>>w
@@ -210,6 +228,39 @@ func finishPacked(keys, pays []uint64, bounds []int, w int, inWord bool, hi int,
 		}
 	}
 	packedScratchPool.Put(s)
+	if group {
+		return entries
+	}
+	return len(pays)
+}
+
+// groupSorted writes one entry per key of sorted — payload-carrier words in
+// key order — at the cursor at of keys, pays and counts: the key, its largest
+// payload and its number of words, and returns the cursor past the last
+// entry. Words ascend with their keys, so the largest word of a key carries
+// its largest payload, and a new key's first word exceeds every word before
+// it: one running maximum serves every group. The loop does not branch on the
+// data: every word rewrites its key's entry from that maximum and its
+// distance from the group's first word, a new key first advancing the cursor
+// and moving the group's start.
+func groupSorted(sorted, keys, pays []uint64, counts []int32, at, w int) int {
+	if len(sorted) == 0 {
+		return at
+	}
+	n := len(sorted)
+	keys, pays, counts = keys[at:][:n], pays[at:][:n], counts[at:][:n]
+	mask := uint64(1)<<w - 1
+	g, best, start := 0, sorted[0], 0
+	for i, p := range sorted {
+		fresh := 0
+		if (p^best)>>w != 0 {
+			fresh, start = 1, i
+		}
+		g += fresh
+		best = max(best, p)
+		keys[g], pays[g], counts[g] = best>>w, best&mask, int32(i-start+1)
+	}
+	return at + g + 1
 }
 
 // sortBucket stably sorts a, whose values agree on every bit from hi up, by
@@ -312,11 +363,12 @@ func insertionSortU64(packed []uint64, lo int) {
 	}
 }
 
-// sortTuplesPacked is the packed path of SortTuplesIntoColumns: stage 1 over
-// the AoS source, the only code of the sort that reads it after the first
-// pass. Past l2Values it scatters by the top 8 bits of the key (all of a
-// narrower key), whose counts the first pass took.
-func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint64, w int, inWord bool, counts []int, scratch Scratch) {
+// sortTuplesPacked is the packed path of SortTuplesIntoColumns and
+// SortTuplesIntoGroups (non-nil dstCounts): stage 1 over the AoS source, the
+// only code of the sort that reads it after the first pass. Past l2Values it
+// scatters by the top 8 bits of the key (all of a narrower key), whose counts
+// the first pass took. It returns the number of entries finishPacked wrote.
+func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, dstCounts []int32, maxKey uint64, w int, inWord bool, counts []int, scratch Scratch) int {
 	n := len(src)
 	hi := w + bits.Len64(maxKey)
 	var bounds [radixBuckets + 1]int
@@ -349,7 +401,7 @@ func sortTuplesPacked(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey ui
 			cursors[b] = pos + 1
 		}
 	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, inWord, hi, nil, 0, scratch)
+	return finishPacked(dstKeys, dstPays, dstCounts, bounds[:buckets+1], w, inWord, hi, nil, 0, scratch)
 }
 
 // sortTuplesWide is the wide path of the columnar sorts, for keys too wide
@@ -390,5 +442,5 @@ func sortTuplesWide(src []relation.Tuple, dstKeys, dstPays []uint64, maxKey uint
 			cursors[b] = pos + 1
 		}
 	}
-	finishPacked(dstKeys, dstPays, bounds[:buckets+1], w, false, hi, parked, bits.Len64(maxKey)+w-64, scratch)
+	finishPacked(dstKeys, dstPays, nil, bounds[:buckets+1], w, false, hi, parked, bits.Len64(maxKey)+w-64, scratch)
 }

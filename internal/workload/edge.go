@@ -134,6 +134,18 @@ func EdgeInputs(seed uint64) []EdgeInput {
 			}
 			return uint64(i % 7)
 		}), gen("S", 600, func(i int) uint64 { return uint64(i % 50) }, func(i int) uint64 { return uint64(i % 4) }), gen("T", 100, func(i int) uint64 { return uint64(i % 60) }, random), false},
+		// Private payloads of 2^63 and more beside public payloads below 2^4:
+		// the public side fits key and payload in one sort word, so a
+		// folding B- or P-MPSM join groups its runs, but in every key group
+		// some pair sums wrap past 2^64 and others do not, so the largest
+		// sum is not the sum of the largest payloads and the grouped runs
+		// must be sorted again raw.
+		{"wide-private-payloads", gen("R", 300, func(i int) uint64 { return uint64(i % 100) }, func(i int) uint64 {
+			if i%3 == 0 {
+				return math.MaxUint64 - uint64(i%5)
+			}
+			return 1<<63 + uint64(i)
+		}), gen("S", 900, func(i int) uint64 { return uint64(i % 120) }, func(i int) uint64 { return uint64(i % 9) }), gen("T", 100, func(i int) uint64 { return uint64(i % 110) }, random), false},
 		// Hash chains longer than batch.DefaultSize on either build side:
 		// R holds key 0 1100 times and key 1000 twice, S key 1000 1100 times
 		// and key 0 three times.
