@@ -92,6 +92,7 @@ func FuzzQueryRequest(f *testing.F) {
 		`{"query":"ans(K,C) :- d(K,X), e(J,Y), |K - J| <= 16, agg count(*)"}`,          // band
 		`{"query":"ans(K,S) :- a(K,X), b(K,Y), agg max(Y)","explain":true,"limit":-1}`, // explain
 		`{"query":"ans(K,S) :- a(K,X), zz(K,Y)"}`,
+		`{"query":"ans(K, S) :- a(K, X), b(K, Y), c(K, Z), agg sum(A)"}`, // unbound aggregate, three patterns
 		`{"query":"ans(K"}`,
 		`{"query":""}`,
 		`{"query":"ans(K,C) :- d(K,X), e(J,Y), |K - J| <= 18446744073709551615, agg count(*)"}`,

@@ -290,7 +290,7 @@ func (e *Engine) scratchFor(cfg settings) *memory.Pool {
 	return e.pool
 }
 
-// joinPlan is the one-join plan every join call lowers to: the paper's
+// joinPlan is the one-join plan every join call runs: the paper's
 // pipeline scan(r), scan(s) → join → sink (nil: the built-in max-sum
 // aggregate).
 func joinPlan(r, s *Relation, snk Sink) *Plan {

@@ -174,7 +174,7 @@ func (e *Engine) ExplainAnalyze(ctx context.Context, p *Plan, opts ...Option) (*
 	return ex, res, nil
 }
 
-// explain lowers, optimizes (or annotates) and describes a plan, returning
+// explain configures, optimizes (or annotates) and describes a plan, returning
 // the description and the exec plan it describes.
 func (e *Engine) explain(p *Plan, opts []Option) (*Explain, *exec.Plan, error) {
 	ep, global, err := e.buildExecPlan(p, opts)

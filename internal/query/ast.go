@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/sink"
 )
 
 // TermKind is the kind of one atom argument or comparison operand.
@@ -163,35 +165,11 @@ func (b *Band) String() string {
 	return fmt.Sprintf("|%s - %s| <= %s", b.X, b.Y, b.Width)
 }
 
-// AggFunc is an aggregate function.
-type AggFunc int
-
-const (
-	AggSum AggFunc = iota
-	AggMin
-	AggMax
-	AggCount
-)
-
-// String renders the function name.
-func (f AggFunc) String() string {
-	switch f {
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggCount:
-		return "count"
-	default:
-		return fmt.Sprintf("AggFunc(%d)", int(f))
-	}
-}
-
 // Agg is an aggregate clause `agg f(V)`; a TermWildcard argument is count(*).
+// Func is the executor's aggregate, whose String is the function's name in
+// the query text.
 type Agg struct {
-	Func AggFunc
+	Func sink.Agg
 	Arg  Term
 	Pos  Pos
 }

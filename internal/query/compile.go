@@ -3,17 +3,14 @@ package query
 import (
 	"math"
 
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/relation"
+	"repro/internal/sink"
 )
 
 // Resolver maps a relation name to the relation it denotes.
 type Resolver func(name string) (*relation.Relation, bool)
-
-// Range is a half-open key interval [Low, High), matching the executor's
-// branch-free KeyRange scan filter.
-type Range struct {
-	Low, High uint64
-}
 
 // Cmp is one residual comparison a scan evaluates as an opaque predicate:
 // key or payload against a constant.
@@ -23,53 +20,7 @@ type Cmp struct {
 	OnKey bool
 }
 
-// OpKind enumerates the compiled logical operators.
-type OpKind int
-
-const (
-	// OpScan reads one relation, optionally through a key range and residual
-	// comparisons.
-	OpScan OpKind = iota
-	// OpJoin equi-joins (or, with Band > 0, band-joins) two earlier ops.
-	OpJoin
-	// OpProject projects one side's payload (or the key) out of a join's
-	// pair stream.
-	OpProject
-	// OpMap reshapes a tuple stream (key-as-payload).
-	OpMap
-	// OpAggregate groups its input by key and aggregates.
-	OpAggregate
-)
-
-// Op is one operator of the compiled logical plan. Ops reference earlier ops
-// by index; the last op is the root.
-type Op struct {
-	Kind OpKind
-
-	// OpScan.
-	RelName string
-	Rel     *relation.Relation
-	Range   *Range
-	Cmps    []Cmp
-
-	// OpJoin: Left and Right are op indices (build, probe); Band > 0 selects
-	// a band join of that width.
-	Left, Right int
-	Band        uint64
-
-	// OpProject / OpMap / OpAggregate: Input is the op index consumed.
-	Input int
-	// OpProject: ProbeSide projects the probe payload, otherwise the build
-	// payload; KeyValue (Project or Map) emits the key as the payload
-	// instead.
-	ProbeSide bool
-	KeyValue  bool
-
-	// OpAggregate.
-	Agg AggFunc
-}
-
-// Compiled is a query lowered to its logical operator list.
+// Compiled is a query compiled to the executor's operator DAG.
 type Compiled struct {
 	// Query is the parsed rule.
 	Query *Query
@@ -79,8 +30,10 @@ type Compiled struct {
 	// HeadName and Columns name the output relation and its two columns.
 	HeadName string
 	Columns  [2]string
-	// Ops is the operator list; the last op is the root.
-	Ops []Op
+	// Plan is the operator DAG; its last node is the root. A join node
+	// carries only its band width (JoinOptions.Band, 0 for an equi-join):
+	// the caller configures everything else about the join.
+	Plan *exec.Plan
 }
 
 // Compile parses and compiles one rule against the resolver.
@@ -134,23 +87,11 @@ func (c *compiler) errf(pos Pos, format string, args ...any) error {
 // are *Error values positioned at the offending clause or term.
 func CompileQuery(q *Query, resolve Resolver) (*Compiled, error) {
 	c := &compiler{q: q, resolve: resolve, vars: map[string]*varBinding{}}
-	if err := c.collect(); err != nil {
-		return nil, err
-	}
-	if err := c.checkJoinKeys(); err != nil {
-		return nil, err
-	}
-	if err := c.checkMeta(); err != nil {
-		return nil, err
-	}
-	if err := c.placeProjected(); err != nil {
-		return nil, err
-	}
-	ranges, residual, err := c.compileComparisons()
+	ranges, residual, err := c.analyze()
 	if err != nil {
 		return nil, err
 	}
-	ops, err := c.emit(ranges, residual)
+	p, err := c.emit(ranges, residual)
 	if err != nil {
 		return nil, err
 	}
@@ -158,12 +99,29 @@ func CompileQuery(q *Query, resolve Resolver) (*Compiled, error) {
 		Query:    q,
 		Text:     q.String(),
 		HeadName: q.Head.Name,
-		Ops:      ops,
+		Plan:     p,
 	}
 	for i, t := range q.Head.Args {
 		out.Columns[i] = t.Name
 	}
 	return out, nil
+}
+
+// analyze validates the rule, orders its patterns and resolves its
+// comparisons onto the scans: the key range and the residual comparisons of
+// each pattern, indexed in join order.
+func (c *compiler) analyze() (map[int]*exec.KeyRange, map[int][]Cmp, error) {
+	if err := c.collect(); err != nil {
+		return nil, nil, err
+	}
+	if err := c.checkJoinKeys(); err != nil {
+		return nil, nil, err
+	}
+	if err := c.checkMeta(); err != nil {
+		return nil, nil, err
+	}
+	c.placeProjected()
+	return c.compileComparisons()
 }
 
 // collect splits the body into atoms/comparisons/band/aggregate, resolves
@@ -322,7 +280,7 @@ func (c *compiler) rebind() {
 }
 
 // checkMeta enforces the schema-key composition rules at compile time, with
-// positions, instead of letting the executor reject the lowered plan.
+// positions, instead of letting the executor reject the compiled plan.
 func (c *compiler) checkMeta() error {
 	var sig string
 	var sigAtom *atomInfo
@@ -372,45 +330,49 @@ func (c *compiler) checkMeta() error {
 // or a count.
 func (c *compiler) projectedVar() string {
 	if c.agg != nil {
-		if c.agg.Func != AggCount && c.agg.Arg.Kind == TermVar {
+		if c.agg.Func != sink.AggCount && c.agg.Arg.Kind == TermVar {
 			return c.agg.Arg.Name
 		}
 		return ""
 	}
 	name := c.q.Head.Args[1].Name
-	if b, ok := c.vars[name]; ok && b.payload >= 0 {
+	if b := c.bound(name); b != nil && b.payload >= 0 {
 		return name
 	}
 	return ""
+}
+
+// bound returns the binding of a variable some pattern binds, or nil.
+func (c *compiler) bound(name string) *varBinding {
+	if b, ok := c.vars[name]; ok && (len(b.key) > 0 || b.payload >= 0) {
+		return b
+	}
+	return nil
 }
 
 // placeProjected moves the pattern supplying the projected payload to the
 // end of the join chain, where its payload is still addressable above the
 // top join. Inner equi-joins are commutative and associative over the shared
 // key, so the move never changes the result multiset (and the cost-based
-// optimizer reorders the chain again anyway).
-func (c *compiler) placeProjected() error {
+// optimizer reorders the chain again anyway). An unbound variable stays
+// where it is for emitAggregate to report.
+func (c *compiler) placeProjected() {
 	if c.band != nil || len(c.atoms) < 3 {
-		return nil
+		return
 	}
-	name := c.projectedVar()
-	if name == "" {
-		return nil
+	b := c.bound(c.projectedVar())
+	if b == nil || b.payload < 0 || b.payload == len(c.atoms)-1 {
+		return
 	}
-	owner := c.vars[name].payload
-	if owner < 0 || owner == len(c.atoms)-1 {
-		return nil
-	}
-	moved := c.atoms[owner]
-	c.atoms = append(c.atoms[:owner], c.atoms[owner+1:]...)
+	moved := c.atoms[b.payload]
+	c.atoms = append(c.atoms[:b.payload], c.atoms[b.payload+1:]...)
 	c.atoms = append(c.atoms, moved)
 	c.rebind()
-	return nil
 }
 
 // scanFilter accumulates the filters of one scan.
 type scanFilter struct {
-	rng  *Range
+	rng  *exec.KeyRange
 	cmps []Cmp
 }
 
@@ -462,12 +424,12 @@ func (b *keyBounds) add(op CmpOp, k uint64) {
 }
 
 // filters converts the folded bounds into a scan's range + residual form.
-// A fully bounded interval becomes a branch-free Range; a half-bounded one
-// stays an opaque predicate (the executor's Range is half-open over uint64
+// A fully bounded interval becomes a branch-free KeyRange; a half-bounded one
+// stays an opaque predicate (the executor's KeyRange is half-open over uint64
 // and cannot express "everything above k" including MaxUint64).
 func (b *keyBounds) filters() scanFilter {
 	if b.empty {
-		return scanFilter{rng: &Range{Low: 0, High: 0}}
+		return scanFilter{rng: &exec.KeyRange{}}
 	}
 	f := scanFilter{cmps: b.residual}
 	switch {
@@ -476,7 +438,7 @@ func (b *keyBounds) filters() scanFilter {
 		if hi < b.lo {
 			hi = b.lo // empty range, normalized
 		}
-		f.rng = &Range{Low: b.lo, High: hi}
+		f.rng = &exec.KeyRange{Low: b.lo, High: hi}
 	case b.loSet:
 		f.cmps = append(f.cmps, Cmp{Op: OpGE, Const: b.lo, OnKey: true})
 	case b.hiSet:
@@ -489,7 +451,7 @@ func (b *keyBounds) filters() scanFilter {
 // filters: key-variable comparisons fold into per-variable ranges applied to
 // every pattern binding that variable, payload comparisons (and payload
 // constants) become per-scan residual predicates.
-func (c *compiler) compileComparisons() (map[int]*Range, map[int][]Cmp, error) {
+func (c *compiler) compileComparisons() (map[int]*exec.KeyRange, map[int][]Cmp, error) {
 	bounds := map[string]*keyBounds{}
 	residual := map[int][]Cmp{}
 
@@ -533,7 +495,7 @@ func (c *compiler) compileComparisons() (map[int]*Range, map[int][]Cmp, error) {
 		}
 	}
 
-	ranges := map[int]*Range{}
+	ranges := map[int]*exec.KeyRange{}
 	for name, kb := range bounds {
 		f := kb.filters()
 		for _, i := range c.vars[name].key {
@@ -572,160 +534,142 @@ func (c *compiler) normalizeCompare(cmp *Compare) (Term, CmpOp, uint64, error) {
 	return l, op, r.Num, nil
 }
 
-// emit lowers the validated rule into the operator list.
-func (c *compiler) emit(ranges map[int]*Range, residual map[int][]Cmp) ([]Op, error) {
-	var ops []Op
+// emit writes the validated rule into an executor plan: one scan per
+// pattern, a left-deep join chain over them in pattern order, then the
+// head's shaping above the top join (or the single scan).
+func (c *compiler) emit(ranges map[int]*exec.KeyRange, residual map[int][]Cmp) (*exec.Plan, error) {
+	p := new(exec.Plan)
 	for i, a := range c.atoms {
-		ops = append(ops, Op{
-			Kind:    OpScan,
-			RelName: a.atom.Name,
-			Rel:     a.rel,
-			Range:   ranges[i],
-			Cmps:    residual[i],
-		})
+		p.AddScanRange(a.rel, ranges[i], cmpPredicate(residual[i]))
 	}
-	root := 0
+	root := exec.NodeID(0)
 	if len(c.atoms) > 1 {
-		var band uint64
+		var band core.Options
 		if c.band != nil {
-			band = c.band.Width.Num
+			band.Band = c.band.Width.Num
 		}
-		root = len(ops)
-		ops = append(ops, Op{Kind: OpJoin, Left: 0, Right: 1, Band: band})
+		root = p.AddJoin(0, 1, exec.AlgorithmPMPSM, band, core.DiskOptions{})
 		for i := 2; i < len(c.atoms); i++ {
-			next := len(ops)
-			ops = append(ops, Op{Kind: OpJoin, Left: root, Right: i})
-			root = next
+			root = p.AddJoin(root, exec.NodeID(i), exec.AlgorithmPMPSM, core.Options{}, core.DiskOptions{})
 		}
 	}
-	shaped, err := c.emitHead(ops, root)
-	if err != nil {
+	if err := c.emitHead(p, root); err != nil {
 		return nil, err
 	}
-	return shaped, nil
+	return p, nil
 }
 
-// emitHead appends the head shaping — projection, key-as-value map,
-// aggregation — above the top join (or the single scan).
-func (c *compiler) emitHead(ops []Op, root int) ([]Op, error) {
+// emitHead appends the head shaping — the value column, or the aggregation —
+// above root.
+func (c *compiler) emitHead(p *exec.Plan, root exec.NodeID) error {
 	headKey, headVal := c.q.Head.Args[0], c.q.Head.Args[1]
-	single := len(c.atoms) == 1
 	keyVar := c.atoms[0].keyVar // equi: the shared key; band: the build key
 
 	if headKey.Name != keyVar {
 		if c.band != nil {
-			return nil, c.errf(headKey.Pos,
+			return c.errf(headKey.Pos,
 				"the head key of a band query must be a pattern key variable, got %s", headKey.Name)
 		}
-		return nil, c.errf(headKey.Pos,
+		return c.errf(headKey.Pos,
 			"the head key must be the join key variable %s, got %s", keyVar, headKey.Name)
 	}
-
 	if c.agg != nil {
-		return c.emitAggregate(ops, root, headVal)
+		return c.emitAggregate(p, root, headVal)
 	}
-
-	vb, bound := c.vars[headVal.Name]
-	if !bound || (len(vb.key) == 0 && vb.payload < 0) {
-		return nil, c.errf(headVal.Pos, "head variable %s is not bound by any pattern", headVal.Name)
+	if c.bound(headVal.Name) == nil {
+		return c.errf(headVal.Pos, "head variable %s is not bound by any pattern", headVal.Name)
 	}
-
-	if len(vb.key) > 0 {
-		// Key as the value column; in a band query the probe pattern's key
-		// differs from the build key and is projected from the probe side.
-		if single {
-			ops = append(ops, Op{Kind: OpMap, Input: root, KeyValue: true})
-		} else {
-			probe := c.band != nil && headVal.Name == c.atoms[1].keyVar
-			ops = append(ops, Op{Kind: OpProject, Input: root, KeyValue: true, ProbeSide: probe})
-		}
-		return ops, nil
-	}
-
-	owner := vb.payload
-	if single {
-		// The scan already produces (key, payload) — the head is the
-		// identity over the single pattern.
-		return ops, nil
-	}
-	last := len(c.atoms) - 1
-	switch owner {
-	case last:
-		ops = append(ops, Op{Kind: OpProject, Input: root, ProbeSide: true})
-	case 0:
-		if len(c.atoms) > 2 {
-			// placeProjected moves the owner to the end for chains of three
-			// or more patterns, so this is unreachable; keep the error for
-			// safety against future reordering changes.
-			return nil, c.errf(headVal.Pos,
-				"variable %s is the payload of an inner pattern and is not addressable above the top join", headVal.Name)
-		}
-		ops = append(ops, Op{Kind: OpProject, Input: root})
-	default:
-		return nil, c.errf(headVal.Pos,
-			"variable %s is the payload of an inner pattern and is not addressable above the top join", headVal.Name)
-	}
-	return ops, nil
+	_, err := c.emitValue(p, root, headVal)
+	return err
 }
 
-// emitAggregate appends the aggregate shaping: count aggregates the join's
-// pair stream (or the scan) directly; sum/min/max first project the
-// aggregated payload out of the top join.
-func (c *compiler) emitAggregate(ops []Op, root int, headVal Term) ([]Op, error) {
-	if b, ok := c.vars[headVal.Name]; ok && (len(b.key) > 0 || b.payload >= 0) {
-		return nil, c.errf(headVal.Pos,
+// emitAggregate appends the aggregate: count aggregates the join's pair
+// stream (or the scan) directly; sum/min/max aggregate the value column of
+// their argument.
+func (c *compiler) emitAggregate(p *exec.Plan, root exec.NodeID, headVal Term) error {
+	if c.bound(headVal.Name) != nil {
+		return c.errf(headVal.Pos,
 			"head variable %s is already bound in the body; with an aggregate the head's second argument is a fresh variable naming the aggregate result", headVal.Name)
 	}
 	agg := c.agg
-	if agg.Func == AggCount {
-		if agg.Arg.Kind == TermVar {
-			if b, ok := c.vars[agg.Arg.Name]; !ok || (len(b.key) == 0 && b.payload < 0) {
-				return nil, c.errf(agg.Arg.Pos, "count references unbound variable %s", agg.Arg.Name)
-			}
+	switch {
+	case agg.Func == sink.AggCount:
+		if agg.Arg.Kind == TermVar && c.bound(agg.Arg.Name) == nil {
+			return c.errf(agg.Arg.Pos, "count references unbound variable %s", agg.Arg.Name)
 		}
-		ops = append(ops, Op{Kind: OpAggregate, Input: root, Agg: AggCount})
-		return ops, nil
+	case agg.Arg.Kind != TermVar:
+		return c.errf(agg.Arg.Pos, "%s takes a payload variable (only count takes *)", agg.Func)
+	case c.bound(agg.Arg.Name) == nil:
+		return c.errf(agg.Arg.Pos, "%s references unbound variable %s", agg.Func, agg.Arg.Name)
+	default:
+		var err error
+		if root, err = c.emitValue(p, root, agg.Arg); err != nil {
+			return err
+		}
 	}
-	if agg.Arg.Kind != TermVar {
-		return nil, c.errf(agg.Arg.Pos, "%s takes a payload variable (only count takes *)", agg.Func)
-	}
-	b, ok := c.vars[agg.Arg.Name]
-	if !ok || (len(b.key) == 0 && b.payload < 0) {
-		return nil, c.errf(agg.Arg.Pos, "%s references unbound variable %s", agg.Func, agg.Arg.Name)
-	}
+	p.AddGroupAggregate(root, agg.Func)
+	return nil
+}
+
+// emitValue makes the bound variable v the value column above root and
+// returns the node that produces it. A single pattern's payload is the
+// scan's own, and its key takes a key-as-payload Map; above a join, a
+// projection names the build or probe side's key or payload (the output key
+// is always the build key). The projections go into the plan by name, so the
+// group-by kernel folds whole match ranges over them, and they pin the
+// optimizer's build/probe choice for the join, so the addressed side stays
+// the addressed side under auto-planning. Aggregating the key per key group
+// is degenerate (every group aggregates copies of its own key) but
+// well-defined.
+func (c *compiler) emitValue(p *exec.Plan, root exec.NodeID, v Term) (exec.NodeID, error) {
+	b := c.vars[v.Name]
 	single := len(c.atoms) == 1
 	if len(b.key) > 0 {
-		// Aggregating the key per key group is well-defined but degenerate
-		// (every group aggregates copies of its own key); supported via the
-		// key-as-value projection.
-		if single {
-			ops = append(ops, Op{Kind: OpMap, Input: root, KeyValue: true})
-		} else {
-			probe := c.band != nil && agg.Arg.Name == c.atoms[1].keyVar
-			ops = append(ops, Op{Kind: OpProject, Input: root, KeyValue: true, ProbeSide: probe})
+		switch {
+		case single:
+			return p.AddMap(root, keyAsPayload), nil
+		case c.band != nil && v.Name == c.atoms[1].keyVar:
+			// The probe pattern's key of a band query is not the build key.
+			return p.AddProjectValue(root, sink.ValueProbeKey), nil
+		default:
+			return p.AddProjectValue(root, sink.ValueBuildKey), nil
 		}
-		ops = append(ops, Op{Kind: OpAggregate, Input: len(ops) - 1, Agg: agg.Func})
-		return ops, nil
 	}
-	owner := b.payload
-	if single {
-		ops = append(ops, Op{Kind: OpAggregate, Input: root, Agg: agg.Func})
-		return ops, nil
+	switch {
+	case single:
+		return root, nil
+	case b.payload == len(c.atoms)-1:
+		return p.AddProjectValue(root, sink.ValueProbePayload), nil
+	case b.payload == 0 && len(c.atoms) == 2:
+		return p.AddProjectValue(root, sink.ValueBuildPayload), nil
 	}
-	last := len(c.atoms) - 1
-	switch owner {
-	case last:
-		ops = append(ops, Op{Kind: OpProject, Input: root, ProbeSide: true})
-	case 0:
-		if len(c.atoms) > 2 {
-			return nil, c.errf(agg.Arg.Pos,
-				"variable %s is the payload of an inner pattern and is not addressable above the top join", agg.Arg.Name)
+	// placeProjected joins the owner last in chains of three or more
+	// patterns, so this is unreachable; the error guards future reordering.
+	return 0, c.errf(v.Pos,
+		"variable %s is the payload of an inner pattern and is not addressable above the top join", v.Name)
+}
+
+// cmpPredicate closes a scan's residual comparisons into one predicate; nil
+// when there are none.
+func cmpPredicate(cmps []Cmp) exec.Predicate {
+	if len(cmps) == 0 {
+		return nil
+	}
+	return func(t relation.Tuple) bool {
+		for _, c := range cmps {
+			v := t.Payload
+			if c.OnKey {
+				v = t.Key
+			}
+			if !c.Op.Eval(v, c.Const) {
+				return false
+			}
 		}
-		ops = append(ops, Op{Kind: OpProject, Input: root})
-	default:
-		return nil, c.errf(agg.Arg.Pos,
-			"variable %s is the payload of an inner pattern and is not addressable above the top join", agg.Arg.Name)
+		return true
 	}
-	ops = append(ops, Op{Kind: OpAggregate, Input: len(ops) - 1, Agg: agg.Func})
-	return ops, nil
+}
+
+// keyAsPayload is the Map of a single pattern whose key is the value column.
+func keyAsPayload(t relation.Tuple) relation.Tuple {
+	return relation.Tuple{Key: t.Key, Payload: t.Key}
 }

@@ -1,17 +1,23 @@
 package query
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/keys"
 	"repro/internal/relation"
+	"repro/internal/sink"
 )
 
 // testResolver builds a resolver over raw relations r, s, t plus one
 // exact-schema relation (single int64 column) and one tie-break relation
 // (bytes column, whose prefixes need full-key verification).
-func testResolver(t *testing.T) Resolver {
+func testResolver(t testing.TB) Resolver {
 	t.Helper()
 	mk := func(name string, n int) *relation.Relation {
 		rel := relation.NewWithCapacity(name, n)
@@ -38,52 +44,50 @@ func testResolver(t *testing.T) Resolver {
 	}
 }
 
-// opKinds summarizes a compiled op list for shape assertions.
-func opKinds(c *Compiled) []OpKind {
-	kinds := make([]OpKind, len(c.Ops))
-	for i, op := range c.Ops {
-		kinds[i] = op.Kind
+// nodeKinds summarizes a compiled plan for shape assertions.
+func nodeKinds(c *Compiled) []exec.NodeKind {
+	kinds := make([]exec.NodeKind, len(c.Plan.Nodes))
+	for i, n := range c.Plan.Nodes {
+		kinds[i] = n.Kind
 	}
 	return kinds
 }
 
-func kindsEqual(a, b []OpKind) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+// root returns the last node of a compiled plan.
+func root(c *Compiled) exec.PlanNode { return c.Plan.Nodes[len(c.Plan.Nodes)-1] }
 
-// TestCompileShapes: representative queries lower to the expected operator
-// shapes.
+// TestCompileShapes: representative queries compile to the expected operator
+// shapes, which the executor's plan validation accepts.
 func TestCompileShapes(t *testing.T) {
 	resolve := testResolver(t)
+	const (
+		scan    = exec.NodeScan
+		join    = exec.NodeJoin
+		project = exec.NodeProject
+		mapKey  = exec.NodeMap
+		agg     = exec.NodeGroupAggregate
+	)
 	cases := []struct {
 		src  string
-		want []OpKind
+		want []exec.NodeKind
 	}{
 		// Single pattern: identity over the scan.
-		{"ans(K, V) :- r(K, V)", []OpKind{OpScan}},
+		{"ans(K, V) :- r(K, V)", []exec.NodeKind{scan}},
 		// Key as the value: Map above the scan.
-		{"ans(K, K) :- r(K, _)", []OpKind{OpScan, OpMap}},
+		{"ans(K, K) :- r(K, _)", []exec.NodeKind{scan, mapKey}},
 		// Two-way join, probe payload projected.
-		{"ans(K, V) :- r(K, _), s(K, V)", []OpKind{OpScan, OpScan, OpJoin, OpProject}},
+		{"ans(K, V) :- r(K, _), s(K, V)", []exec.NodeKind{scan, scan, join, project}},
 		// Three-way join with aggregation: project then aggregate.
 		{"ans(K, Sum) :- r(K, _), s(K, _), t(K, Z), agg sum(Z)",
-			[]OpKind{OpScan, OpScan, OpScan, OpJoin, OpJoin, OpProject, OpAggregate}},
+			[]exec.NodeKind{scan, scan, scan, join, join, project, agg}},
 		// Count aggregates the pair stream directly, no projection.
 		{"ans(K, N) :- r(K, _), s(K, _), agg count(*)",
-			[]OpKind{OpScan, OpScan, OpJoin, OpAggregate}},
+			[]exec.NodeKind{scan, scan, join, agg}},
 		// Band join.
 		{"ans(X, V) :- r(X, _), s(Y, V), |X - Y| <= 5",
-			[]OpKind{OpScan, OpScan, OpJoin, OpProject}},
+			[]exec.NodeKind{scan, scan, join, project}},
 		// Single pattern with aggregate.
-		{"ans(K, M) :- r(K, V), agg max(V)", []OpKind{OpScan, OpAggregate}},
+		{"ans(K, M) :- r(K, V), agg max(V)", []exec.NodeKind{scan, agg}},
 	}
 	for _, tc := range cases {
 		c, err := Compile(tc.src, resolve)
@@ -91,8 +95,51 @@ func TestCompileShapes(t *testing.T) {
 			t.Errorf("Compile(%q): %v", tc.src, err)
 			continue
 		}
-		if got := opKinds(c); !kindsEqual(got, tc.want) {
-			t.Errorf("Compile(%q) ops = %v, want %v", tc.src, got, tc.want)
+		if got := nodeKinds(c); !slices.Equal(got, tc.want) {
+			t.Errorf("Compile(%q) nodes = %v, want %v", tc.src, got, tc.want)
+		}
+		if err := c.Plan.Validate(); err != nil {
+			t.Errorf("Compile(%q): plan fails validation: %v", tc.src, err)
+		}
+	}
+}
+
+// TestCompileValueColumns: the head's value column and the aggregated
+// variable name the projection the group-by kernel folds over, and the
+// aggregate is the clause's function.
+func TestCompileValueColumns(t *testing.T) {
+	resolve := testResolver(t)
+	cases := []struct {
+		src     string
+		project sink.Value // of the Project node; ValueOpaque: none
+		agg     sink.Agg   // of the root; -1: not an aggregate
+	}{
+		{"ans(K, V) :- r(K, V), s(K, _)", sink.ValueBuildPayload, -1},
+		{"ans(K, V) :- r(K, _), s(K, V)", sink.ValueProbePayload, -1},
+		{"ans(K, K) :- r(K, _), s(K, _)", sink.ValueBuildKey, -1},
+		{"ans(X, Y) :- r(X, _), s(Y, _), |X - Y| <= 5", sink.ValueProbeKey, -1},
+		{"ans(K, S) :- r(K, X), s(K, _), agg min(X)", sink.ValueBuildPayload, sink.AggMin},
+		{"ans(K, S) :- r(K, _), s(K, _), agg sum(K)", sink.ValueBuildKey, sink.AggSum},
+		{"ans(K, N) :- r(K, X), s(K, _), agg count(X)", sink.ValueOpaque, sink.AggCount},
+		{"ans(K, M) :- r(K, V), agg max(V)", sink.ValueOpaque, sink.AggMax},
+	}
+	for _, tc := range cases {
+		c, err := Compile(tc.src, resolve)
+		if err != nil {
+			t.Errorf("Compile(%q): %v", tc.src, err)
+			continue
+		}
+		project := sink.ValueOpaque
+		for _, n := range c.Plan.Nodes {
+			if n.Kind == exec.NodeProject {
+				project = n.ProjectValue
+			}
+		}
+		if project != tc.project {
+			t.Errorf("Compile(%q) projects %v, want %v", tc.src, project, tc.project)
+		}
+		if r := root(c); tc.agg >= 0 && (r.Kind != exec.NodeGroupAggregate || r.Agg != tc.agg) {
+			t.Errorf("Compile(%q) root = %v %v, want GroupAggregate %v", tc.src, r.Kind, r.Agg, tc.agg)
 		}
 	}
 }
@@ -104,102 +151,149 @@ func TestCompileReordersProjectedPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ops[2].RelName != "r" {
+	n := c.Plan.Nodes
+	if n[2].Rel.Name != "r" {
 		t.Errorf("pattern r (projected payload) should be scanned last, got scan order %s, %s, %s",
-			c.Ops[0].RelName, c.Ops[1].RelName, c.Ops[2].RelName)
+			n[0].Rel.Name, n[1].Rel.Name, n[2].Rel.Name)
 	}
-	last := c.Ops[len(c.Ops)-1]
-	if last.Kind != OpProject || !last.ProbeSide {
-		t.Errorf("root should project the probe side, got %+v", last)
+	if last := root(c); last.Kind != exec.NodeProject || last.ProjectValue != sink.ValueProbePayload {
+		t.Errorf("root should project the probe payload, got %v %v", last.Kind, last.ProjectValue)
 	}
 }
 
 // TestCompileBandOrientation: the head key picks the build side of a band
-// join.
+// join, and the band width is the join's only setting.
 func TestCompileBandOrientation(t *testing.T) {
 	c, err := Compile("ans(Y, V) :- r(X, V), s(Y, _), |X - Y| <= 5", testResolver(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Ops[0].RelName != "s" {
-		t.Errorf("head key Y should make s the build side, got scans %s, %s", c.Ops[0].RelName, c.Ops[1].RelName)
+	n := c.Plan.Nodes
+	if n[0].Rel.Name != "s" {
+		t.Errorf("head key Y should make s the build side, got scans %s, %s", n[0].Rel.Name, n[1].Rel.Name)
 	}
-	if c.Ops[2].Band != 5 {
-		t.Errorf("band width = %d, want 5", c.Ops[2].Band)
+	if want := (core.Options{Band: 5}); n[2].Kind != exec.NodeJoin || !reflect.DeepEqual(n[2].JoinOptions, want) {
+		t.Errorf("join options = %+v, want band width 5 and nothing else", n[2].JoinOptions)
 	}
 	// V is r's payload; r is now the probe side.
-	if last := c.Ops[len(c.Ops)-1]; last.Kind != OpProject || !last.ProbeSide {
-		t.Errorf("projection should address the probe side, got %+v", last)
+	if last := root(c); last.Kind != exec.NodeProject || last.ProjectValue != sink.ValueProbePayload {
+		t.Errorf("projection should address the probe payload, got %v %v", last.Kind, last.ProjectValue)
+	}
+}
+
+// residuals runs the compiler's analysis of src and returns each pattern's
+// residual comparisons, indexed like the compiled plan's scans.
+func residuals(t *testing.T, src string, resolve Resolver) map[int][]Cmp {
+	t.Helper()
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &compiler{q: q, resolve: resolve, vars: map[string]*varBinding{}}
+	_, residual, err := c.analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return residual
+}
+
+// checkPred asserts that a scan's predicate keeps and rejects the given
+// tuples.
+func checkPred(t *testing.T, src string, n exec.PlanNode, keep, reject []relation.Tuple) {
+	t.Helper()
+	if n.Pred == nil {
+		t.Errorf("%s: scan %s has no predicate", src, n.Rel.Name)
+		return
+	}
+	for _, tu := range keep {
+		if !n.Pred(tu) {
+			t.Errorf("%s: scan %s rejects %+v", src, n.Rel.Name, tu)
+		}
+	}
+	for _, tu := range reject {
+		if n.Pred(tu) {
+			t.Errorf("%s: scan %s keeps %+v", src, n.Rel.Name, tu)
+		}
 	}
 }
 
 // TestCompileKeyRanges: fully bounded key comparisons fold into one
 // branch-free range per variable, applied to every pattern binding it;
-// leftovers stay residual predicates.
+// leftovers stay residual comparisons, closed into the scan's predicate.
 func TestCompileKeyRanges(t *testing.T) {
 	resolve := testResolver(t)
+	type tu = relation.Tuple
 
-	c, err := Compile("ans(K, V) :- r(K, _), s(K, V), K >= 10, K < 20, K != 15", resolve)
+	src := "ans(K, V) :- r(K, _), s(K, V), K >= 10, K < 20, K != 15"
+	c, err := Compile(src, resolve)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := residuals(t, src, resolve)
 	for i := 0; i < 2; i++ {
-		op := c.Ops[i]
-		if op.Range == nil || op.Range.Low != 10 || op.Range.High != 20 {
-			t.Errorf("scan %s range = %+v, want [10,20)", op.RelName, op.Range)
+		n := c.Plan.Nodes[i]
+		if n.Range == nil || n.Range.Low != 10 || n.Range.High != 20 {
+			t.Errorf("scan %s range = %+v, want [10,20)", n.Rel.Name, n.Range)
 		}
-		if len(op.Cmps) != 1 || op.Cmps[0].Op != OpNE || op.Cmps[0].Const != 15 || !op.Cmps[0].OnKey {
-			t.Errorf("scan %s residuals = %+v, want key != 15", op.RelName, op.Cmps)
+		if cmps := res[i]; len(cmps) != 1 || cmps[0].Op != OpNE || cmps[0].Const != 15 || !cmps[0].OnKey {
+			t.Errorf("scan %s residuals = %+v, want key != 15", n.Rel.Name, cmps)
 		}
+		checkPred(t, src, n, []tu{{Key: 14, Payload: 15}, {Key: 16, Payload: 15}}, []tu{{Key: 15, Payload: 14}})
 	}
 
 	// Equality is the one-key range.
-	c, err = Compile("ans(K, V) :- r(K, V), K = 7", resolve)
-	if err != nil {
+	src = "ans(K, V) :- r(K, V), K = 7"
+	if c, err = Compile(src, resolve); err != nil {
 		t.Fatal(err)
 	}
-	if op := c.Ops[0]; op.Range == nil || op.Range.Low != 7 || op.Range.High != 8 {
-		t.Errorf("K = 7 range = %+v, want [7,8)", c.Ops[0].Range)
+	if n := c.Plan.Nodes[0]; n.Range == nil || n.Range.Low != 7 || n.Range.High != 8 || n.Pred != nil {
+		t.Errorf("K = 7 range = %+v (predicate %v), want [7,8) alone", n.Range, n.Pred != nil)
 	}
 
 	// Half-bounded comparisons stay opaque (no range).
-	c, err = Compile("ans(K, V) :- r(K, V), K > 5", resolve)
-	if err != nil {
+	src = "ans(K, V) :- r(K, V), K > 5"
+	if c, err = Compile(src, resolve); err != nil {
 		t.Fatal(err)
 	}
-	if op := c.Ops[0]; op.Range != nil || len(op.Cmps) != 1 || !op.Cmps[0].OnKey {
-		t.Errorf("K > 5 should be residual, got range=%+v cmps=%+v", op.Range, op.Cmps)
+	n := c.Plan.Nodes[0]
+	if cmps := residuals(t, src, resolve)[0]; n.Range != nil || len(cmps) != 1 || !cmps[0].OnKey {
+		t.Errorf("K > 5 should be residual, got range=%+v cmps=%+v", n.Range, cmps)
 	}
+	checkPred(t, src, n, []tu{{Key: 6, Payload: 5}}, []tu{{Key: 5, Payload: 6}})
 
 	// MaxUint64 equality is unrepresentable as a half-open range.
-	c, err = Compile("ans(K, V) :- r(K, V), K = 18446744073709551615", resolve)
-	if err != nil {
+	src = "ans(K, V) :- r(K, V), K = 18446744073709551615"
+	if c, err = Compile(src, resolve); err != nil {
 		t.Fatal(err)
 	}
-	if op := c.Ops[0]; op.Range != nil || len(op.Cmps) != 1 || op.Cmps[0].Op != OpEQ {
-		t.Errorf("K = MaxUint64 should be residual, got range=%+v cmps=%+v", op.Range, op.Cmps)
+	n = c.Plan.Nodes[0]
+	if cmps := residuals(t, src, resolve)[0]; n.Range != nil || len(cmps) != 1 || cmps[0].Op != OpEQ {
+		t.Errorf("K = MaxUint64 should be residual, got range=%+v cmps=%+v", n.Range, cmps)
 	}
+	checkPred(t, src, n, []tu{{Key: math.MaxUint64}}, []tu{{Key: math.MaxUint64 - 1, Payload: math.MaxUint64}})
 
 	// Contradictory bounds produce an empty range, not an error.
-	c, err = Compile("ans(K, V) :- r(K, V), K >= 20, K < 10", resolve)
-	if err != nil {
+	if c, err = Compile("ans(K, V) :- r(K, V), K >= 20, K < 10", resolve); err != nil {
 		t.Fatal(err)
 	}
-	if op := c.Ops[0]; op.Range == nil || op.Range.Low != op.Range.High {
-		t.Errorf("contradictory bounds should yield an empty range, got %+v", op.Range)
+	if n := c.Plan.Nodes[0]; n.Range == nil || n.Range.Low != n.Range.High {
+		t.Errorf("contradictory bounds should yield an empty range, got %+v", n.Range)
 	}
 
 	// Payload comparisons and payload constants are per-scan residuals.
-	c, err = Compile("ans(K, V) :- r(K, V), s(K, 3), V <= 9", resolve)
-	if err != nil {
+	src = "ans(K, V) :- r(K, V), s(K, 3), V <= 9"
+	if c, err = Compile(src, resolve); err != nil {
 		t.Fatal(err)
 	}
-	if op := c.Ops[0]; len(op.Cmps) != 1 || op.Cmps[0].OnKey || op.Cmps[0].Op != OpLE || op.Cmps[0].Const != 9 {
-		t.Errorf("r residuals = %+v, want payload <= 9", op.Cmps)
+	res = residuals(t, src, resolve)
+	if cmps := res[0]; len(cmps) != 1 || cmps[0].OnKey || cmps[0].Op != OpLE || cmps[0].Const != 9 {
+		t.Errorf("r residuals = %+v, want payload <= 9", cmps)
 	}
-	if op := c.Ops[1]; len(op.Cmps) != 1 || op.Cmps[0].OnKey || op.Cmps[0].Op != OpEQ || op.Cmps[0].Const != 3 {
-		t.Errorf("s residuals = %+v, want payload = 3", op.Cmps)
+	if cmps := res[1]; len(cmps) != 1 || cmps[0].OnKey || cmps[0].Op != OpEQ || cmps[0].Const != 3 {
+		t.Errorf("s residuals = %+v, want payload = 3", cmps)
 	}
+	checkPred(t, src, c.Plan.Nodes[0], []tu{{Key: 100, Payload: 9}}, []tu{{Key: 1, Payload: 10}})
+	checkPred(t, src, c.Plan.Nodes[1], []tu{{Key: 7, Payload: 3}}, []tu{{Key: 3, Payload: 4}})
 }
 
 // TestCompileText: the compiled Text is the canonical form, shared by
@@ -247,6 +341,11 @@ func TestCompileErrors(t *testing.T) {
 		{"ans(K, S) :- r(K, V), agg sum(V), agg sum(V)", "at most one aggregate"},
 		{"ans(K, V) :- r(K, V), agg sum(V)", "head variable V is already bound"},
 		{"ans(K, S) :- r(K, V), agg sum(W)", "unbound variable W"},
+		// Three patterns or more: the aggregated variable is unbound before
+		// it is placed last in the join chain.
+		{"ans(K, S) :- r(K, X), s(K, Y), t(K, Z), agg sum(A)", "sum references unbound variable A"},
+		{"ans(K, S) :- r(K, X), s(K, Y), t(K, Z), agg min(A)", "min references unbound variable A"},
+		{"ans(K, S) :- r(K, X), s(K, Y), t(K, Z), agg max(A)", "max references unbound variable A"},
 		{"ans(K, S) :- r(K, V), agg sum(*)", "only count takes *"},
 		{"ans(K, S) :- r(K, V), agg sum(S), S > 10", "aggregate result"},
 		{"ans(X, V) :- r(X, V), s(Y, _), t(Z, _), |X - Y| <= 5", "exactly two patterns"},

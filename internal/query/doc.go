@@ -1,7 +1,6 @@
 // Package query is the Datalog-style front-end of the engine: a lexer, a
-// recursive-descent parser and a logical planner that compile one
-// non-recursive rule over named relations into the operator DAG the executor
-// runs.
+// recursive-descent parser and a compiler that turn one non-recursive rule
+// over named relations into the operator DAG the executor runs.
 //
 // A query is a single rule:
 //
@@ -36,7 +35,9 @@
 //
 // Errors carry the 1-based line and column of the offending token (type
 // *Error); Annotate renders them with the source line and a caret. The
-// compiled form is a neutral operator list (Compiled.Ops) that the public
-// repro package lowers onto its Plan builder, plus the canonical
-// pretty-printed text that keys the service plan cache.
+// compiled form is the executor's own plan (Compiled.Plan, an exec.Plan),
+// built with its Add* methods — each clause maps straight onto an operator,
+// with no intermediate representation — plus the canonical pretty-printed
+// text that keys the service plan cache. Its joins carry only their band
+// width; the public repro package configures them.
 package query

@@ -1,5 +1,7 @@
 package query
 
+import "repro/internal/sink"
+
 // parser is a recursive-descent parser over the lexer's token stream with
 // one token of lookahead.
 type parser struct {
@@ -264,16 +266,16 @@ func (p *parser) parseAgg() (*Agg, *Error) {
 	if err != nil {
 		return nil, err
 	}
-	var f AggFunc
+	var f sink.Agg
 	switch fn.text {
 	case "sum":
-		f = AggSum
+		f = sink.AggSum
 	case "min":
-		f = AggMin
+		f = sink.AggMin
 	case "max":
-		f = AggMax
+		f = sink.AggMax
 	case "count":
-		f = AggCount
+		f = sink.AggCount
 	default:
 		return nil, p.errf(fn.pos, "unknown aggregate %q (sum, min, max, count)", fn.text)
 	}

@@ -35,7 +35,7 @@ func memoEntries() []memoEntry {
 		return p
 	}
 	joinArgs := func(p *Plan) (r, s *Relation, snk *MaterializeSink) {
-		return p.nodes[0].rel, p.nodes[1].rel, p.nodes[3].sink.(*MaterializeSink)
+		return p.ep.Nodes[0].Rel, p.ep.Nodes[1].Rel, p.ep.Nodes[3].Sink.(*MaterializeSink)
 	}
 	engineExplain := func(e *Engine, _ *Service, p *Plan) (*Explain, error) { return e.Explain(p) }
 	serviceExplain := func(_ *Engine, svc *Service, p *Plan) (*Explain, error) { return svc.Explain(p) }

@@ -3,8 +3,10 @@ package mpsm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sink"
 )
@@ -47,9 +49,17 @@ const (
 // the workers fold equal keys as pairs arrive, and the groups are finalised
 // by range partitioning and sorting, without materializing the join output
 // or building a hash table.
+//
+// A Plan holds the executor's own node list; each execution configures and
+// plans a copy of it, so concurrent runs never see each other's physical
+// choices and the Plan itself is never rewritten.
 type Plan struct {
-	nodes []planNode
-	err   error
+	// ep holds the nodes as the executor reads them; a join node's
+	// configuration is resolved at RunPlan time from the engine, the call
+	// and joinOpts, each join node's own options in join node order.
+	ep       exec.Plan
+	joinOpts [][]Option
+	err      error
 	// info is set when the plan was compiled from query text (Compile); the
 	// plan memo keys it by the canonical text instead of the structural
 	// shape.
@@ -70,22 +80,6 @@ type QueryInfo struct {
 // hand-built plan.
 func (p *Plan) QueryInfo() *QueryInfo { return p.info }
 
-// planNode is one deferred node spec; join options are resolved against the
-// engine configuration at RunPlan time.
-type planNode struct {
-	kind   exec.NodeKind
-	inputs []exec.NodeID
-	rel    *Relation
-	rng    *exec.KeyRange
-	pred   func(Tuple) bool
-	opts   []Option // join nodes: per-node option overrides
-	mapFn  func(Tuple) Tuple
-	projFn func(r, s Tuple) Tuple
-	value  sink.Value // compiled queries: the projection by name, projFn nil
-	agg    Agg
-	sink   Sink
-}
-
 // PlanNode is an opaque handle to one node of a Plan, used to wire later
 // nodes to its output.
 type PlanNode struct {
@@ -104,15 +98,12 @@ func (p *Plan) fail(format string, args ...any) PlanNode {
 	return PlanNode{plan: p, id: -1}
 }
 
-// add appends a node and returns its handle.
-func (p *Plan) add(n planNode) PlanNode {
-	p.nodes = append(p.nodes, n)
-	return PlanNode{plan: p, id: exec.NodeID(len(p.nodes) - 1)}
-}
+// node returns the handle of node id.
+func (p *Plan) node(id exec.NodeID) PlanNode { return PlanNode{plan: p, id: id} }
 
 // input checks that a handle belongs to this plan.
 func (p *Plan) input(n PlanNode, op string) (exec.NodeID, bool) {
-	if n.plan != p || n.id < 0 || int(n.id) >= len(p.nodes) {
+	if n.plan != p || n.id < 0 || int(n.id) >= len(p.ep.Nodes) {
 		p.fail("mpsm: %s input is not a node of this plan", op)
 		return -1, false
 	}
@@ -124,29 +115,28 @@ func (p *Plan) input(n PlanNode, op string) (exec.NodeID, bool) {
 // must be a pure function of the tuple: it is evaluated concurrently from
 // several workers, once per tuple.
 func (p *Plan) Scan(rel *Relation, pred ...func(Tuple) bool) PlanNode {
-	var pr func(Tuple) bool
-	if len(pred) > 1 {
-		return p.fail("mpsm: Scan takes at most one predicate, got %d", len(pred))
-	}
-	if len(pred) == 1 {
-		pr = pred[0]
-	}
-	return p.add(planNode{kind: exec.NodeScan, rel: rel, pred: pr})
+	return p.scan("Scan", rel, nil, pred)
 }
 
 // ScanRange adds a scan of rel restricted to keys in the half-open interval
 // [low, high), evaluated branch-free inside the scan, with an optional
-// additional predicate (same contract as Scan's). Compiled queries lower
-// fully bounded key comparisons through this node.
+// additional predicate (same contract as Scan's). A compiled query's fully
+// bounded key comparisons become the same node.
 func (p *Plan) ScanRange(rel *Relation, low, high uint64, pred ...func(Tuple) bool) PlanNode {
-	var pr func(Tuple) bool
-	if len(pred) > 1 {
-		return p.fail("mpsm: ScanRange takes at most one predicate, got %d", len(pred))
-	}
-	if len(pred) == 1 {
+	return p.scan("ScanRange", rel, &exec.KeyRange{Low: low, High: high}, pred)
+}
+
+// scan adds the scan node of Scan and ScanRange.
+func (p *Plan) scan(op string, rel *Relation, rng *exec.KeyRange, pred []func(Tuple) bool) PlanNode {
+	var pr exec.Predicate
+	switch len(pred) {
+	case 0:
+	case 1:
 		pr = pred[0]
+	default:
+		return p.fail("mpsm: %s takes at most one predicate, got %d", op, len(pred))
 	}
-	return p.add(planNode{kind: exec.NodeScan, rel: rel, rng: &exec.KeyRange{Low: low, High: high}, pred: pr})
+	return p.node(p.ep.AddScanRange(rel, rng, pr))
 }
 
 // Join adds a join of the build (private) input against the probe (public)
@@ -164,7 +154,8 @@ func (p *Plan) Join(build, probe PlanNode, opts ...Option) PlanNode {
 	if !ok {
 		return PlanNode{plan: p, id: -1}
 	}
-	return p.add(planNode{kind: exec.NodeJoin, inputs: []exec.NodeID{b, pr}, opts: opts})
+	p.joinOpts = append(p.joinOpts, opts)
+	return p.node(p.ep.AddJoin(b, pr, exec.AlgorithmPMPSM, core.Options{}, core.DiskOptions{}))
 }
 
 // Map adds a tuple-to-tuple transformation of a tuple-producing input (a
@@ -174,24 +165,18 @@ func (p *Plan) Map(in PlanNode, fn func(Tuple) Tuple) PlanNode {
 	if !ok {
 		return PlanNode{plan: p, id: -1}
 	}
-	return p.add(planNode{kind: exec.NodeMap, inputs: []exec.NodeID{id}, mapFn: fn})
+	return p.node(p.ep.AddMap(id, fn))
 }
 
 // Project adds an explicit pair-to-tuple projection directly above a join,
 // overriding the default projection {Key: R.Key, Payload: R.Payload +
 // S.Payload} that a join otherwise feeds its consumer.
 func (p *Plan) Project(in PlanNode, fn func(r, s Tuple) Tuple) PlanNode {
-	return p.project(in, fn, sink.ValueOpaque)
-}
-
-// project adds a Project node: fn for a caller's closure, or — fn nil — one
-// of the compiler's projections, which go into the plan by name.
-func (p *Plan) project(in PlanNode, fn func(r, s Tuple) Tuple, v sink.Value) PlanNode {
 	id, ok := p.input(in, "Project")
 	if !ok {
 		return PlanNode{plan: p, id: -1}
 	}
-	return p.add(planNode{kind: exec.NodeProject, inputs: []exec.NodeID{id}, projFn: fn, value: v})
+	return p.node(p.ep.AddProject(id, fn))
 }
 
 // GroupAggregate adds a group-by-key aggregation of its input, run by one
@@ -210,7 +195,7 @@ func (p *Plan) GroupAggregate(in PlanNode, agg Agg) PlanNode {
 	if !ok {
 		return PlanNode{plan: p, id: -1}
 	}
-	return p.add(planNode{kind: exec.NodeGroupAggregate, inputs: []exec.NodeID{id}, agg: agg})
+	return p.node(p.ep.AddGroupAggregate(id, agg))
 }
 
 // Sink terminates the plan in s, which receives the raw joined pairs of the
@@ -223,7 +208,7 @@ func (p *Plan) Sink(in PlanNode, s Sink) PlanNode {
 	if !ok {
 		return PlanNode{plan: p, id: -1}
 	}
-	return p.add(planNode{kind: exec.NodeSink, inputs: []exec.NodeID{id}, sink: s})
+	return p.node(p.ep.AddSink(id, s))
 }
 
 // PlanJoin is the outcome of one join node of an executed plan, in plan
@@ -313,57 +298,37 @@ func convertPlanResult(pr *exec.PlanResult) *PlanResult {
 	return res
 }
 
-// buildExecPlan lowers the public plan into the exec representation,
-// resolving per-node join options over the engine + per-call configuration.
-// The auto-planner's rewrites happen on this lowered form, after per-node
-// options have been applied, which is what lets optimized physical choices
-// override them.
+// buildExecPlan copies the plan's nodes into the exec plan one run plans and
+// executes, and configures each join node: the engine's configuration, then
+// the per-call options, then the node's own. The planner and the plan memo
+// rewrite inputs and physical choices on that copy, never on p, which is what
+// lets one Plan run concurrently — and what lets optimized physical choices
+// override per-node options.
 func (e *Engine) buildExecPlan(p *Plan, opts []Option) (*exec.Plan, settings, error) {
 	global := e.resolve(opts)
-	if p == nil || len(p.nodes) == 0 {
+	if p == nil || len(p.ep.Nodes) == 0 {
 		return nil, global, fmt.Errorf("mpsm: RunPlan requires a non-empty plan")
 	}
 	if p.err != nil {
 		return nil, global, p.err
 	}
-	ep := &exec.Plan{}
-	for _, n := range p.nodes {
-		switch n.kind {
+	ep := &exec.Plan{Nodes: slices.Clone(p.ep.Nodes)}
+	joinOpts := p.joinOpts
+	for i := range ep.Nodes {
+		switch n := &ep.Nodes[i]; n.Kind {
 		case exec.NodeScan:
-			if n.rel == nil {
+			if n.Rel == nil {
 				return nil, global, fmt.Errorf("mpsm: plan scans a nil relation")
 			}
-			if n.rng != nil {
-				ep.AddScanRange(n.rel, n.rng, predicate(n.pred))
-			} else {
-				ep.AddScan(n.rel, predicate(n.pred))
-			}
 		case exec.NodeJoin:
-			cfg := e.resolve(opts)
-			for _, o := range n.opts {
+			cfg := global
+			for _, o := range joinOpts[0] {
 				o(&cfg)
 			}
-			ep.AddJoin(n.inputs[0], n.inputs[1], cfg.algorithm, cfg.Options, cfg.disk)
-		case exec.NodeMap:
-			ep.AddMap(n.inputs[0], n.mapFn)
-		case exec.NodeProject:
-			if n.projFn == nil {
-				ep.AddProjectValue(n.inputs[0], n.value)
-			} else {
-				ep.AddProject(n.inputs[0], projection(n.projFn))
-			}
-		case exec.NodeGroupAggregate:
-			ep.AddGroupAggregate(n.inputs[0], n.agg)
-		case exec.NodeSink:
-			ep.AddSink(n.inputs[0], n.sink)
+			joinOpts = joinOpts[1:]
+			n.Algorithm, n.JoinOptions, n.DiskOptions = cfg.algorithm, cfg.Options, cfg.disk
+			n.JoinOptions.Sink, n.JoinOptions.Scratch = nil, nil
 		}
 	}
 	return ep, global, nil
 }
-
-// predicate adapts a public predicate to the exec representation (Tuple is
-// an alias of relation.Tuple, so this is a plain type conversion).
-func predicate(pred func(Tuple) bool) exec.Predicate { return exec.Predicate(pred) }
-
-// projection adapts a public projection to the sink representation.
-func projection(fn func(r, s Tuple) Tuple) sink.Projection { return sink.Projection(fn) }

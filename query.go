@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/sink"
 )
 
 // QueryError is a positioned query compilation error: lexical, syntactic or
@@ -45,11 +45,14 @@ func (m MapCatalog) Relation(name string) (*Relation, bool) {
 // branch-free key-range scans — and an agg clause groups the result by key.
 // See the README's "Query language" section for the grammar.
 //
-// The compiled Plan runs through Engine.RunPlan, Engine.Explain or
-// Service.RunPlan like a hand-built one: it inherits auto-planning, EXPLAIN,
-// fair-share scheduling and the plan cache (keyed by the canonical query
-// text, exposed via Plan.QueryInfo). Errors are *QueryError values carrying
-// the source position of the offending token or clause.
+// The compiler writes the executor's plan directly; a band clause becomes
+// its join's WithBandWidth per-node option, and the engine and per-call
+// options configure everything else about each join. The compiled Plan runs
+// through Engine.RunPlan, Engine.Explain or Service.RunPlan like a hand-built
+// one: it inherits auto-planning, EXPLAIN, fair-share scheduling and the plan
+// cache (keyed by the canonical query text, exposed via Plan.QueryInfo).
+// Errors are *QueryError values carrying the source position of the
+// offending token or clause.
 func Compile(src string, cat Catalog) (*Plan, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("mpsm: Compile requires a catalog")
@@ -60,7 +63,18 @@ func Compile(src string, cat Catalog) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lowerCompiled(c)
+	p := &Plan{ep: *c.Plan, info: &QueryInfo{Text: c.Text, Head: c.HeadName, Columns: c.Columns}}
+	for _, n := range p.ep.Nodes {
+		if n.Kind != exec.NodeJoin {
+			continue
+		}
+		var opts []Option
+		if n.JoinOptions.Band > 0 {
+			opts = []Option{WithBandWidth(n.JoinOptions.Band)}
+		}
+		p.joinOpts = append(p.joinOpts, opts)
+	}
+	return p, nil
 }
 
 // Query compiles and runs a query in one call; see Compile for the language
@@ -83,105 +97,4 @@ func (s *Service) Query(ctx context.Context, src string, cat Catalog, opts ...Qu
 		return nil, err
 	}
 	return s.RunPlan(ctx, p, opts...)
-}
-
-// lowerCompiled lowers the compiler's logical operator list onto the public
-// plan builder, whose node semantics (build/probe projection sides,
-// key-as-value maps, aggregation fused through Project) the IR mirrors one-to-one.
-func lowerCompiled(c *query.Compiled) (*Plan, error) {
-	p := NewPlan()
-	nodes := make([]PlanNode, len(c.Ops))
-	for i, op := range c.Ops {
-		switch op.Kind {
-		case query.OpScan:
-			pred := cmpPredicate(op.Cmps)
-			switch {
-			case op.Range != nil && pred != nil:
-				nodes[i] = p.ScanRange(op.Rel, op.Range.Low, op.Range.High, pred)
-			case op.Range != nil:
-				nodes[i] = p.ScanRange(op.Rel, op.Range.Low, op.Range.High)
-			case pred != nil:
-				nodes[i] = p.Scan(op.Rel, pred)
-			default:
-				nodes[i] = p.Scan(op.Rel)
-			}
-		case query.OpJoin:
-			if op.Band > 0 {
-				nodes[i] = p.Join(nodes[op.Left], nodes[op.Right], WithBandWidth(op.Band))
-			} else {
-				nodes[i] = p.Join(nodes[op.Left], nodes[op.Right])
-			}
-		case query.OpProject:
-			nodes[i] = p.project(nodes[op.Input], nil, pairValue(op.ProbeSide, op.KeyValue))
-		case query.OpMap:
-			nodes[i] = p.Map(nodes[op.Input], keyAsPayload)
-		case query.OpAggregate:
-			nodes[i] = p.GroupAggregate(nodes[op.Input], aggOf(op.Agg))
-		default:
-			return nil, fmt.Errorf("mpsm: compiled query has unknown op kind %v", op.Kind)
-		}
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	p.info = &QueryInfo{Text: c.Text, Head: c.HeadName, Columns: c.Columns}
-	return p, nil
-}
-
-// cmpPredicate closes a scan's residual comparisons into one predicate; nil
-// when there are none.
-func cmpPredicate(cmps []query.Cmp) func(Tuple) bool {
-	if len(cmps) == 0 {
-		return nil
-	}
-	cs := append([]query.Cmp(nil), cmps...)
-	return func(t Tuple) bool {
-		for _, c := range cs {
-			v := t.Payload
-			if c.OnKey {
-				v = t.Key
-			}
-			if !c.Op.Eval(v, c.Const) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// keyAsPayload is the Map of compiled queries that aggregate the key itself.
-func keyAsPayload(t Tuple) Tuple { return Tuple{Key: t.Key, Payload: t.Key} }
-
-// pairValue names the projection of an OpProject: which side's payload or key
-// becomes the output value (r is the build-side tuple, s the probe-side one;
-// the output key is always the build key, the join's output key). The
-// projections go into the plan by name so the group-by kernel can fold whole
-// match ranges over them. Explicit projections pin the optimizer's
-// build/probe choice for the projected join, so the addressed side stays the
-// addressed side under auto-planning.
-func pairValue(probeSide, keyValue bool) sink.Value {
-	switch {
-	case keyValue && probeSide:
-		return sink.ValueProbeKey
-	case keyValue:
-		return sink.ValueBuildKey
-	case probeSide:
-		return sink.ValueProbePayload
-	default:
-		return sink.ValueBuildPayload
-	}
-}
-
-// aggOf maps the query aggregate onto the sink aggregate.
-func aggOf(f query.AggFunc) Agg {
-	switch f {
-	case query.AggSum:
-		return AggSum
-	case query.AggMin:
-		return AggMin
-	case query.AggMax:
-		return AggMax
-	default:
-		return AggCount
-	}
 }

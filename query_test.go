@@ -167,6 +167,14 @@ func TestQueryErrorsArePositioned(t *testing.T) {
 	if ann := qe.Annotate(); !strings.Contains(ann, "^") {
 		t.Errorf("Annotate lacks a caret:\n%s", ann)
 	}
+
+	// An unbound aggregate argument over three patterns points at the
+	// argument.
+	_, err = Compile("ans(K, S) :- r(K, X), s(K, Y), t(K, Z), agg sum(A)", cat)
+	if qe, ok := err.(*QueryError); !ok || qe.Pos.Line != 1 || qe.Pos.Col != 49 ||
+		!strings.Contains(qe.Msg, "sum references unbound variable A") {
+		t.Errorf("unbound aggregate over three patterns: %v, want 1:49: sum references unbound variable A", err)
+	}
 }
 
 // --- property test: random queries vs a brute-force reference evaluator ---
@@ -386,20 +394,20 @@ func bruteForce(t *testing.T, src string, cat MapCatalog) []Tuple {
 	for _, row := range rows {
 		k := valueOf(headKey.Name, row)
 		var v uint64
-		if agg.Func != query.AggCount {
+		if agg.Func != AggCount {
 			v = valueOf(agg.Arg.Name, row)
 		}
 		cur, seen := groups[k]
 		switch agg.Func {
-		case query.AggCount:
+		case AggCount:
 			groups[k] = cur + 1
-		case query.AggSum:
+		case AggSum:
 			groups[k] = cur + v
-		case query.AggMin:
+		case AggMin:
 			if !seen || v < cur {
 				groups[k] = v
 			}
-		case query.AggMax:
+		case AggMax:
 			if !seen || v > cur {
 				groups[k] = v
 			}

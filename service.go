@@ -427,9 +427,9 @@ func (s *Service) budgetFor(q queryConfig, p *Plan) int64 {
 	}
 	inputRows := 0
 	if p != nil {
-		for _, n := range p.nodes {
-			if n.rel != nil {
-				inputRows += n.rel.Len()
+		for _, n := range p.ep.Nodes {
+			if n.Rel != nil {
+				inputRows += n.Rel.Len()
 			}
 		}
 	}
