@@ -186,9 +186,13 @@ func (m *matcher) run(ctx context.Context, phase string) time.Duration {
 // chunk unit of the merge loop; a cancelled marker emits no classification, a
 // cancelled fold what it folded until then.
 func (m *matcher) join(ctx context.Context, w *sched.Worker, keys, pays []uint64, node int, public []*batch.Run) {
-	opts, sc, out := m.x.Opts, m.x.Scratch(w.ID()), m.out.Writer(w.ID())
+	opts, out := m.x.Opts, m.out.Writer(w.ID())
 	var cons mergejoin.RangeConsumer = out
 	var marker *mergejoin.Marker
+	var sc *batch.Scratch // the range kernels' and the marker's batches; a fold reads none
+	if !m.folds {
+		sc = m.x.Scratch(w.ID())
+	}
 	if opts.Kind != mergejoin.Inner {
 		marker = mergejoin.NewMarker(opts.Kind, keys, pays, cons, sc, m.x.Lease)
 		cons = marker

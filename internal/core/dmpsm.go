@@ -177,7 +177,10 @@ func dmpsmJoin(ctx context.Context, x *Exec, disk *storage.Disk, pool *storage.B
 		if err != nil {
 			panic(fmt.Sprintf("core: reading private run %d: %v", w.ID(), err))
 		}
-		p := pageJoin{keys: keys, pays: pays, out: out.Writer(w.ID()), sc: x.Scratch(w.ID()), folds: folds}
+		p := pageJoin{keys: keys, pays: pays, out: out.Writer(w.ID()), folds: folds}
+		if !folds {
+			p.sc = x.Scratch(w.ID()) // a fold reads no batch
+		}
 		cursors := make([]int, len(index.Runs))
 		for pos, entry := range index.Entries {
 			if sched.Canceled(ctx) {
@@ -196,9 +199,10 @@ func dmpsmJoin(ctx context.Context, x *Exec, disk *storage.Disk, pool *storage.B
 	})
 }
 
-// pageJoin is one worker's side of phase 3: its private run, its sink writer
-// and, where the join folds (Exec.Folds), the (count, max) folded so far,
-// which the worker hands the writer once, after its last page.
+// pageJoin is one worker's side of phase 3: its private run, its sink writer,
+// the column kernel's batch scratch and, where the join folds (Exec.Folds)
+// instead, the (count, max) folded so far, which the worker hands the writer
+// once, after its last page.
 type pageJoin struct {
 	keys, pays []uint64
 	out        *sink.Writer

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/batch"
+	"repro/internal/memory"
 	"repro/internal/mergejoin"
 	"repro/internal/relation"
 	"repro/internal/result"
@@ -205,7 +206,10 @@ func TestMergeFoldMatchesOracle(t *testing.T) {
 // inner equi-join of 3 × batch.DefaultSize matching key groups into the
 // max-sum or count sink hands it exactly one batch under B-, P- and D-MPSM,
 // where the same join into Materialize, a band join, a semi join and a join
-// under a tie-break verifier each take several range batches.
+// under a tie-break verifier each take several range batches. A fold reads no
+// range batch, so it leases one scratch buffer fewer than the join under the
+// verifier, which leases everything else alike (64-bit payloads: no public
+// run groups).
 func TestOnlyInnerEquiJoinsFold(t *testing.T) {
 	r, s := uniformDataset(3*batch.DefaultSize, 2, 61)
 	matches, _ := reference(r, s)
@@ -213,13 +217,18 @@ func TestOnlyInnerEquiJoinsFold(t *testing.T) {
 	for _, c := range foldCells {
 		c.disk.PageSize = s.Len() // one page: one kernel call
 		run := func(opts Options) *result.Result {
-			opts.Workers, opts.Scheduler, opts.MorselSize = 1, c.mode, r.Len()
+			opts.Workers, opts.Scheduler, opts.MorselSize, opts.Scratch = 1, c.mode, r.Len(), memory.NewPool(0)
 			res, _ := runMPSM(c.alg, r, s, opts, c.disk)
 			return res
 		}
+		verified := run(Options{KeyCheck: identity}).Scratch.Buffers
 		for _, sk := range []sink.Sink{nil, sink.NewCount()} {
-			if res := run(Options{Sink: sk}); res.Batch.Batches != 1 || res.Matches != matches {
+			res := run(Options{Sink: sk})
+			if res.Batch.Batches != 1 || res.Matches != matches {
 				t.Errorf("%v into %T: Batch = %+v for %d matches (want %d), want one fold", c, sk, res.Batch, res.Matches, matches)
+			}
+			if res.Scratch.Buffers != verified-1 {
+				t.Errorf("%v into %T: %d scratch buffers, under the verifier %d, want one fewer", c, sk, res.Scratch.Buffers, verified)
 			}
 		}
 		ranged := map[string]Options{

@@ -147,7 +147,7 @@ type Choice struct {
 	Workers, Bound int
 	// Step is the doubling that decided Workers: the one not taken when
 	// Workers is below Bound, the last one taken otherwise (zero when Bound
-	// is 1 or the count was pinned).
+	// is 1, the count was pinned or the join is modelled at no time).
 	Step WorkerStep
 	// EstRows is the estimated join cardinality.
 	EstRows float64
@@ -288,12 +288,14 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 // and keeps a doubling only where the added workers pay — the time on one
 // worker over the time on t is the work's speed in workers' worth, and every
 // added worker must add EfficiencyFloor to it; a worker that returns less is
-// worth more to the next query. It returns the count and the step that decided
-// it: the one not taken below the bound, the last one taken at it.
+// worth more to the next query. Work modelled at no time on one worker (both
+// inputs estimated empty) stays there: no added worker can return anything.
+// It returns the count and the step that decided it: the one not taken below
+// the bound, the last one taken at it.
 func (cm CostModel) widen(bound int, cost func(t int) float64) (int, WorkerStep) {
 	t, single := 1, cost(1)
 	var step WorkerStep
-	for at := single; t < bound; {
+	for at := single; t < bound && single > 0; {
 		next := min(2*t, bound)
 		wider := cost(next)
 		step = WorkerStep{
@@ -568,7 +570,7 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 	case exec.NodeScan:
 		p = s.opt.profileOf(n.Rel)
 		if n.Range != nil {
-			p = p.InRange(n.Range.Low, n.Range.High)
+			p = p.Filtered(n.Range.Predicate())
 		}
 		if n.Pred != nil {
 			p = p.Filtered(n.Pred)
@@ -594,11 +596,9 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 		p = &stats.Profile{
 			Tuples:         int(math.Round(groups)),
 			DistinctKeys:   groups,
-			Duplication:    1,
 			MinKey:         in.MinKey,
 			MaxKey:         in.MaxKey,
 			SortedFraction: 1, // aggregate output is emitted in key order
-			Histogram:      in.Histogram,
 			Correlated:     in.Correlated,
 		}
 	case exec.NodeSink:

@@ -199,8 +199,10 @@ func TestChooseJoinBreaksTiesByCandidateOrder(t *testing.T) {
 // one worker under any bound — the modelled step to two is a loss — and
 // join_large's sizes take both of two; the step that decided is recorded with
 // the floor it was held against, which is EfficiencyFloor of a worker's worth
-// per added worker; a bound that is no power of two is still reached; and a
-// pinned count (annotating a configured plan) is priced as it is.
+// per added worker; a bound that is no power of two is still reached; a join
+// of two inputs estimated empty, modelled at no time, stays on one worker with
+// no step to show; and a pinned count (annotating a configured plan) is priced
+// as it is.
 func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
 	cm := DefaultCostModel()
 	small := workload.UniformRelation("r", 1<<12, 1<<32, 51)
@@ -242,6 +244,11 @@ func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
 	three := chooseFor(lp, lsp, Constraints{Workers: 3, Consumer: maxSum}, cm).Step
 	if three.From != 2 || three.Floor <= 1 || three.Floor >= 1+cm.EfficiencyFloor {
 		t.Errorf("the step 2 → 3 is held against %+v, want a floor between 1 and %.2f", three, 1+cm.EfficiencyFloor)
+	}
+
+	empty := profileOf(relation.New("e", nil))
+	if ch := chooseFor(empty, empty, Constraints{Workers: 2, Consumer: maxSum}, cm); ch.Workers != 1 || ch.Step != (WorkerStep{}) {
+		t.Errorf("two empty inputs under a bound of 2: %d workers, step %+v, want one and no step", ch.Workers, ch.Step)
 	}
 
 	pinned := chooseFor(sp, ssp, Constraints{Workers: 4, PinWorkers: true, Consumer: maxSum}, cm)

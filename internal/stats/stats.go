@@ -1,6 +1,6 @@
 // Package stats computes cheap, sampling-based statistics over relations:
-// cardinality, distinct-key and duplication estimates, a key-range histogram
-// and a presortedness probe. The planner turns these profiles into cost
+// cardinality, a distinct-key estimate, the sampled key bounds and a
+// presortedness probe. The planner turns these profiles into cost
 // estimates and physical plan choices; nothing in this package looks at more
 // than a fixed-size sample of the relation, so profiling a relation costs
 // microseconds regardless of its size.
@@ -22,8 +22,9 @@
 //     linear check.
 //   - Join cardinality (EstimateJoin): within a factor of 1.5 for key-probe
 //     estimates (cross-sample hit count >= ProbeMinHits, the foreign-key
-//     workloads), within a factor of 3 for the histogram fallback
-//     (independent skewed workloads) and for self-joins (where the probe
+//     workloads), within a factor of 3 for the key-range fallback, which
+//     takes the keys as spread evenly between the sampled bounds
+//     (independent skewed workloads), and for self-joins (where the probe
 //     saturates and the containment estimate takes over), and never
 //     predicts a large result for an empty or near-empty join.
 //
@@ -45,12 +46,9 @@ const (
 	// profiling cost trivial next to any join.
 	DefaultSampleSize = 2048
 
-	// HistogramBuckets is the resolution of the equal-width key histogram.
-	HistogramBuckets = 64
-
 	// ProbeMinHits is the minimum cross-sample hit count at which
 	// EstimateJoin trusts the unbiased key-probe estimate; below it the
-	// Poisson noise exceeds the histogram fallback's error.
+	// Poisson noise exceeds the key-range fallback's error.
 	ProbeMinHits = 10
 )
 
@@ -58,9 +56,6 @@ const (
 type Profile struct {
 	// Tuples is the exact cardinality.
 	Tuples int
-	// SampleSize is the number of tuples actually sampled (min(Tuples,
-	// requested size)).
-	SampleSize int
 
 	// MinKey and MaxKey bound the keys observed in the sample. They are
 	// approximate bounds of the true key range (tight for the tested
@@ -69,17 +64,10 @@ type Profile struct {
 
 	// DistinctKeys estimates the number of distinct join keys (Chao1).
 	DistinctKeys float64
-	// Duplication is Tuples / DistinctKeys, clamped to >= 1: the average
-	// number of tuples per distinct key.
-	Duplication float64
 
 	// SortedFraction is the fraction of position-consecutive sample pairs in
 	// non-decreasing key order: 1.0 for sorted data, ~0.5 for shuffles.
 	SortedFraction float64
-
-	// Histogram holds the share of sampled tuples per equal-width bucket of
-	// [MinKey, MaxKey]; it sums to 1 for non-empty profiles.
-	Histogram [HistogramBuckets]float64
 
 	// Sample holds the sampled tuples in position order; EstimateJoin
 	// probes it. Derived profiles (join outputs) have no sample.
@@ -109,18 +97,10 @@ type Profile struct {
 	keySet map[uint64]struct{}
 }
 
-// Collect profiles a relation with the default sample size.
-func Collect(rel *relation.Relation) *Profile {
-	return CollectSample(rel, DefaultSampleSize)
-}
-
-// CollectSample profiles a relation from a deterministic sample of at most
-// sampleSize tuples. Relations no larger than the sample are profiled
+// Collect profiles a relation from a deterministic sample of at most
+// DefaultSampleSize tuples. Relations no larger than the sample are profiled
 // exactly.
-func CollectSample(rel *relation.Relation, sampleSize int) *Profile {
-	if sampleSize <= 0 {
-		sampleSize = DefaultSampleSize
-	}
+func Collect(rel *relation.Relation) *Profile {
 	p := &Profile{}
 	if rel != nil {
 		p.Tuples = rel.Len()
@@ -136,9 +116,7 @@ func CollectSample(rel *relation.Relation, sampleSize int) *Profile {
 	// cardinality) within the window so periodic arrangements do not alias
 	// with the stride.
 	n := len(tuples)
-	if sampleSize > n {
-		sampleSize = n
-	}
+	sampleSize := min(n, DefaultSampleSize)
 	sample := make([]relation.Tuple, 0, sampleSize)
 	rng := workload.NewRNG(uint64(n)*0x9e3779b97f4a7c15 + 0x1234)
 	for i := 0; i < sampleSize; i++ {
@@ -151,7 +129,6 @@ func CollectSample(rel *relation.Relation, sampleSize int) *Profile {
 		sample = append(sample, tuples[pos])
 	}
 	p.Sample = sample
-	p.SampleSize = len(sample)
 
 	p.fillFromSample()
 
@@ -210,17 +187,6 @@ func (p *Profile) fillFromSample() {
 	}
 
 	p.DistinctKeys = chao1(sample, p.Tuples, s)
-	p.Duplication = math.Max(1, float64(p.Tuples)/math.Max(1, p.DistinctKeys))
-
-	// Histogram over [MinKey, MaxKey].
-	width := float64(p.MaxKey-p.MinKey) + 1
-	for _, t := range sample {
-		b := int(float64(t.Key-p.MinKey) / width * HistogramBuckets)
-		if b >= HistogramBuckets {
-			b = HistogramBuckets - 1
-		}
-		p.Histogram[b] += 1 / float64(s)
-	}
 
 	p.keySet = make(map[uint64]struct{}, len(sample))
 	for _, t := range sample {
@@ -269,25 +235,15 @@ func (p *Profile) LikelySorted() bool { return p.Tuples == 0 || p.SortedFraction
 func (p *Profile) keys() map[uint64]struct{} { return p.keySet }
 
 // massIn returns the estimated fraction of the relation's tuples whose keys
-// fall in [lo, hi], interpolating the histogram (buckets are assumed
-// internally uniform).
+// fall in [lo, hi]: the share of [MinKey, MaxKey] the range overlaps, the keys
+// taken as spread evenly between the sampled bounds.
 func (p *Profile) massIn(lo, hi float64) float64 {
 	if p.Tuples == 0 || hi < lo {
 		return 0
 	}
 	minK, maxK := float64(p.MinKey), float64(p.MaxKey)
-	width := (maxK - minK + 1) / HistogramBuckets
-	mass := 0.0
-	for b := 0; b < HistogramBuckets; b++ {
-		bLo := minK + float64(b)*width
-		bHi := bLo + width
-		overlap := math.Min(hi+1, bHi) - math.Max(lo, bLo)
-		if overlap <= 0 {
-			continue
-		}
-		mass += p.Histogram[b] * overlap / width
-	}
-	return math.Min(1, mass)
+	overlap := math.Min(hi, maxK) - math.Max(lo, minK) + 1
+	return math.Max(0, math.Min(1, overlap/(maxK-minK+1)))
 }
 
 // EstimateJoin estimates the equi-join cardinality |a ⋈ b|.
@@ -299,13 +255,16 @@ func (p *Profile) massIn(lo, hi float64) float64 {
 //     2·sA·sB·|J|/(|A|·|B|); with H >= ProbeMinHits its relative error is
 //     ~1/sqrt(H) and it is used directly. This is the estimator that
 //     recognizes foreign-key (contained) workloads.
-//   - Histogram independence: per key-range bucket, |A_b|·|B_b| / width_b —
-//     exact in expectation for keys drawn independently within the bucket.
-//   - Histogram containment: per bucket, |A_b|·|B_b| / max(d_Ab, d_Bb) —
-//     the System-R bound, an over-estimate for independent keys but tight
-//     under containment. It caps the result, and replaces the independence
-//     estimate when a profile is a derived (Correlated) join output whose
-//     keys are contained in its ancestors' by construction.
+//   - Key-range independence: over the overlap of the two key ranges,
+//     |A_o|·|B_o| / width_o, where A_o and B_o are each side's tuples in the
+//     overlap, each side's keys taken as spread evenly between its sampled
+//     bounds — exact in expectation for keys drawn independently within the
+//     overlap.
+//   - Key-range containment: |A_o|·|B_o| / max(d_Ao, d_Bo) over the same
+//     overlap — the System-R bound, an over-estimate for independent keys
+//     but tight under containment. It caps the result, and replaces the
+//     independence estimate when a profile is a derived (Correlated) join
+//     output whose keys are contained in its ancestors' by construction.
 func EstimateJoin(a, b *Profile) float64 {
 	if a == nil || b == nil || a.Tuples == 0 || b.Tuples == 0 {
 		return 0
@@ -316,7 +275,7 @@ func EstimateJoin(a, b *Profile) float64 {
 		return 0
 	}
 
-	independence, containment := histogramEstimates(a, b, lo, hi)
+	independence, containment := overlapEstimates(a, b, lo, hi)
 
 	if h, na, nb := crossProbeHits(a, b); na > 0 && nb > 0 {
 		if h >= (na+nb)/2 {
@@ -349,12 +308,13 @@ func EstimateJoin(a, b *Profile) float64 {
 // |a.key − b.key| <= band; band 0 is EstimateJoin. A band join's result
 // contains the equi-join's, so the equi-join estimate is a floor (it is the
 // one that recognises foreign-key inputs). Above it, every key of a meets the
-// 2·band+1 key values around it: per key-range bucket of a, against b's mass
-// in the bucket widened by the band on both sides, each of those offsets is
-// an equi-join of the two — |A_g|·|B_g| / span_g pairs for keys spread
-// independently over the widened bucket's span, |A_g|·|B_g| / max(d_Ag, d_Bg)
-// when a profile's keys are known to be contained in the other's — and the
-// bucket's cross product bounds their sum.
+// 2·band+1 key values around it. A_o is a's tuples where they can meet b's
+// (a's key range cut to b's, widened by the band on both sides) and B_o is
+// b's tuples in that range widened by the band again, span_o keys. Each
+// offset is an equi-join of the two — |A_o|·|B_o| / span_o pairs for keys
+// spread independently over the span, |A_o|·|B_o| / max(d_Ao, d_Bo) when a
+// profile's keys are known to be contained in the other's — and the cross
+// product |A_o|·|B_o| bounds their sum.
 func EstimateBandJoin(a, b *Profile, band uint64) float64 {
 	equi := EstimateJoin(a, b)
 	if band == 0 || a == nil || b == nil || a.Tuples == 0 || b.Tuples == 0 {
@@ -366,53 +326,29 @@ func EstimateBandJoin(a, b *Profile, band uint64) float64 {
 	if hi < lo {
 		return equi
 	}
-	// A bucket holds at least one key value, and at least one step of the
-	// float64 keys: past 2^53 a narrower bucket would never advance gLo.
-	width := math.Max(math.Max(1, math.Nextafter(hi, math.Inf(1))-hi), (hi-lo+1)/HistogramBuckets)
-	span := width + 2*w
-	widened := 0.0
-	for gLo := lo; gLo <= hi; gLo += width {
-		gHi := gLo + width - 1
-		fa := a.massIn(gLo, gHi)
-		fb := b.massIn(gLo-w, gHi+w)
-		if fa <= 0 || fb <= 0 {
-			continue
-		}
-		perOffset := span // keys one offset's equi-join spreads its pairs over
-		if a.Correlated || b.Correlated {
-			da := math.Min(math.Max(1, fa*a.DistinctKeys), width)
-			db := math.Min(math.Max(1, fb*b.DistinctKeys), span)
-			perOffset = math.Max(da, db)
-		}
-		cross := fa * float64(a.Tuples) * fb * float64(b.Tuples)
-		widened += cross * math.Min(1, (2*w+1)/perOffset)
+	width := hi - lo + 1
+	span := width + 2*w // keys one offset's equi-join spreads its pairs over
+	fa, fb := a.massIn(lo, hi), b.massIn(lo-w, hi+w)
+	perOffset := span
+	if a.Correlated || b.Correlated {
+		da := math.Min(math.Max(1, fa*a.DistinctKeys), width)
+		db := math.Min(math.Max(1, fb*b.DistinctKeys), span)
+		perOffset = math.Max(da, db)
 	}
-	return math.Max(equi, widened)
+	cross := fa * float64(a.Tuples) * fb * float64(b.Tuples)
+	return math.Max(equi, cross*math.Min(1, (2*w+1)/perOffset))
 }
 
-// histogramEstimates computes the independence and containment estimates
-// over a common bucket grid spanning the key-range overlap [lo, hi].
-func histogramEstimates(a, b *Profile, lo, hi float64) (independence, containment float64) {
-	width := (hi - lo + 1) / HistogramBuckets
-	for g := 0; g < HistogramBuckets; g++ {
-		gLo := lo + float64(g)*width
-		gHi := gLo + width - 1
-		fa := a.massIn(gLo, gHi)
-		fb := b.massIn(gLo, gHi)
-		if fa <= 0 || fb <= 0 {
-			continue
-		}
-		na := fa * float64(a.Tuples)
-		nb := fb * float64(b.Tuples)
-		da := math.Max(1, fa*a.DistinctKeys)
-		db := math.Max(1, fb*b.DistinctKeys)
-		// Distinct keys in a bucket can never exceed its key width.
-		da = math.Min(da, width)
-		db = math.Min(db, width)
-		independence += na * nb / width
-		containment += na * nb / math.Max(da, db)
-	}
-	return independence, containment
+// overlapEstimates computes the independence and containment estimates over
+// the key-range overlap [lo, hi].
+func overlapEstimates(a, b *Profile, lo, hi float64) (independence, containment float64) {
+	width := hi - lo + 1
+	fa, fb := a.massIn(lo, hi), b.massIn(lo, hi)
+	cross := fa * float64(a.Tuples) * fb * float64(b.Tuples)
+	// Distinct keys in the overlap can never exceed its key width.
+	da := math.Min(math.Max(1, fa*a.DistinctKeys), width)
+	db := math.Min(math.Max(1, fb*b.DistinctKeys), width)
+	return cross / width, cross / math.Max(da, db)
 }
 
 // crossProbeHits counts sampled keys of each profile found in the other
@@ -438,9 +374,9 @@ func crossProbeHits(a, b *Profile) (hits, na, nb int) {
 
 // JoinOutput derives the profile of a join's (materialized) output from its
 // input profiles and the estimated cardinality: key range restricted to the
-// overlap, histogram proportional to the per-bucket match estimate, distinct
-// keys bounded by the smaller overlapping side, no sample, and Correlated
-// set — the output's keys are contained in both inputs' key sets.
+// overlap, distinct keys bounded by the smaller overlapping side, no sample,
+// and Correlated set — the output's keys are contained in both inputs' key
+// sets.
 func JoinOutput(a, b *Profile, estRows float64) *Profile {
 	out := &Profile{
 		Tuples:         int(math.Ceil(estRows)),
@@ -460,35 +396,22 @@ func JoinOutput(a, b *Profile, estRows float64) *Profile {
 	}
 	out.MinKey, out.MaxKey = uint64(lo), uint64(hi)
 
-	width := (hi - lo + 1) / HistogramBuckets
-	total := 0.0
-	var perBucket [HistogramBuckets]float64
-	for g := 0; g < HistogramBuckets; g++ {
-		gLo := lo + float64(g)*width
-		gHi := gLo + width - 1
-		perBucket[g] = a.massIn(gLo, gHi) * b.massIn(gLo, gHi)
-		total += perBucket[g]
-	}
-	if total > 0 {
-		for g := range perBucket {
-			out.Histogram[g] = perBucket[g] / total
-		}
-	}
-
 	overlapA := a.massIn(lo, hi) * a.DistinctKeys
 	overlapB := b.massIn(lo, hi) * b.DistinctKeys
 	out.DistinctKeys = math.Max(1, math.Min(overlapA, overlapB))
 	out.DistinctKeys = math.Min(out.DistinctKeys, estRows)
-	out.Duplication = math.Max(1, estRows/out.DistinctKeys)
 	return out
 }
 
 // Filtered returns the profile of the relation after applying a selection
 // predicate: the sample is filtered through the predicate and every derived
-// statistic (key range, histogram, sortedness, distinct keys) is
-// recomputed from the survivors, so a key-range predicate narrows the
-// profile's range rather than merely scaling its counts. A nil predicate
-// returns the profile unchanged.
+// statistic (key bounds, sortedness, distinct keys) is recomputed from the
+// survivors, so a key-range predicate narrows the profile's range rather than
+// merely scaling its counts, and a range over skewed keys keeps the share of
+// the relation the sample holds inside it. Sortedness is at most the
+// relation's: a selection leaves an arrangement's order what it was, and a
+// handful of survivors that happen to lie in order say nothing of the rest. A
+// nil predicate returns the profile unchanged.
 func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 	if pred == nil || len(p.Sample) == 0 {
 		return p
@@ -502,7 +425,6 @@ func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 	sel := float64(len(kept)) / float64(len(p.Sample))
 	cp := &Profile{
 		Tuples:         int(math.Round(float64(p.Tuples) * sel)),
-		SampleSize:     len(kept),
 		Sample:         kept,
 		SortedFraction: 1,
 		// Selection copies tuples whole, so the key regime carries over.
@@ -511,53 +433,7 @@ func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 		PrefixCollisionRate: p.PrefixCollisionRate,
 	}
 	cp.fillFromSample()
-	return cp
-}
-
-// InRange returns the profile of the relation restricted to the keys in
-// [low, high): cardinality and distinct keys shrink to the range's share of
-// the histogram (buckets are assumed internally uniform), the key bounds close
-// in on it, the histogram is the relation's re-cut over the narrower bounds,
-// and the sample keeps the tuples inside, for join probes. Order carries over:
-// a selection leaves sorted arrangements what they were.
-func (p *Profile) InRange(low, high uint64) *Profile {
-	if p.Tuples == 0 {
-		return p
-	}
-	cp := &Profile{
-		SortedFraction:      p.SortedFraction,
-		Correlated:          p.Correlated,
-		KeyNormalized:       p.KeyNormalized,
-		KeyTieBreak:         p.KeyTieBreak,
-		PrefixCollisionRate: p.PrefixCollisionRate,
-	}
-	if high <= low || high-1 < p.MinKey || low > p.MaxKey {
-		cp.SortedFraction = 1
-		return cp
-	}
-	cp.MinKey, cp.MaxKey = max(low, p.MinKey), min(high-1, p.MaxKey)
-	lo, hi := float64(cp.MinKey), float64(cp.MaxKey)
-	share := p.massIn(lo, hi)
-	cp.Tuples = int(math.Round(float64(p.Tuples) * share))
-	cp.DistinctKeys = math.Min(float64(cp.Tuples), math.Max(1, p.DistinctKeys*share))
-	cp.Duplication = math.Max(1, float64(cp.Tuples)/math.Max(1, cp.DistinctKeys))
-	if share > 0 {
-		width := (hi - lo + 1) / HistogramBuckets
-		for b := range cp.Histogram {
-			bLo := lo + float64(b)*width
-			cp.Histogram[b] = p.massIn(bLo, bLo+width-1) / share
-		}
-	}
-
-	cp.keySet = make(map[uint64]struct{})
-	for _, t := range p.Sample {
-		if t.Key < low || t.Key >= high {
-			continue
-		}
-		cp.Sample = append(cp.Sample, t)
-		cp.keySet[t.Key] = struct{}{}
-	}
-	cp.SampleSize = len(cp.Sample)
+	cp.SortedFraction = min(cp.SortedFraction, p.SortedFraction)
 	return cp
 }
 
@@ -576,7 +452,6 @@ func (p *Profile) Mapped(fn func(relation.Tuple) relation.Tuple) *Profile {
 	}
 	cp := &Profile{
 		Tuples:     p.Tuples,
-		SampleSize: len(mapped),
 		Sample:     mapped,
 		Correlated: false, // arbitrary key rewrites break containment
 	}

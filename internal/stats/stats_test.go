@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -124,7 +125,7 @@ func TestSortednessProbe(t *testing.T) {
 // TestJoinEstimateAccuracy checks EstimateJoin against exact join counts for
 // the documented workload families and bounds: foreign-key (probe estimator,
 // factor 1.5) across every skew and arrangement, independent skewed inputs
-// over a dense domain (histogram fallback, factor 3), and a disjoint join
+// over a dense domain (key-range fallback, factor 3), and a disjoint join
 // (no large prediction).
 func TestJoinEstimateAccuracy(t *testing.T) {
 	const n = 1 << 16
@@ -152,7 +153,7 @@ func TestJoinEstimateAccuracy(t *testing.T) {
 	withinFactor(t, "fk join presorted", EstimateJoin(Collect(sortedR), Collect(sortedS)), exactJoin(sortedR, sortedS), 1.5)
 
 	// Independent inputs over a dense domain (the negatively correlated
-	// Section 5.6 shape): histogram fallback, factor 3.
+	// Section 5.6 shape): key-range fallback, factor 3.
 	domain := uint64(4 * n)
 	r := workload.SkewedRelation("R", n, domain, workload.SkewHigh80, 19)
 	s := workload.SkewedRelation("S", 4*n, domain, workload.SkewLow80, 20)
@@ -263,24 +264,37 @@ func TestFilteredProfile(t *testing.T) {
 	}
 }
 
+// inRange profiles a relation's keys in [low, high) as the planner profiles a
+// scan's key range: through the range's predicate.
+func inRange(rel *relation.Relation, low, high uint64) *Profile {
+	return Collect(rel).Filtered(exec.KeyRange{Low: low, High: high}.Predicate())
+}
+
+// countIn counts a relation's tuples with keys in [low, high).
+func countIn(rel *relation.Relation, low, high uint64) (n float64) {
+	for _, tup := range rel.Tuples {
+		if tup.Key >= low && tup.Key < high {
+			n++
+		}
+	}
+	return n
+}
+
 // TestInRangeNarrowsTheProfile: a key range shrinks cardinality, distinct keys
-// and key bounds to its share of the histogram, keeps the sampled tuples
-// inside for join probes, and leaves the join estimate of two ranged
+// and key bounds to the share of the sample inside it, keeps the sampled
+// tuples inside for join probes, and leaves the join estimate of two ranged
 // foreign-key relations near the true one (query_mix's range template: 1/64th
 // of the key domain, 4 234 pairs where the unranged profiles say 300 000).
+// Order carries over from the relation. Over keys skewed 80:20 the share is
+// the sample's, not the range's share of
+// the key bounds: a range of a quarter of the domain in the sparse part holds
+// a sixteenth of the relation.
 func TestInRangeNarrowsTheProfile(t *testing.T) {
 	a := workload.UniformRelation("a", 1<<16, 1<<32, 31)
 	b := workload.ForeignKeyRelation("b", a, 1<<18, 32)
 	const low, high = 0, 1 << 26
-	pa, pb := Collect(a).InRange(low, high), Collect(b).InRange(low, high)
-	count := func(rel *relation.Relation) (n float64) {
-		for _, tup := range rel.Tuples {
-			if tup.Key >= low && tup.Key < high {
-				n++
-			}
-		}
-		return n
-	}
+	pa, pb := inRange(a, low, high), inRange(b, low, high)
+	count := func(rel *relation.Relation) float64 { return countIn(rel, low, high) }
 	withinFactor(t, "ranged cardinality of a", float64(pa.Tuples), count(a), 1.4)
 	withinFactor(t, "ranged cardinality of b", float64(pb.Tuples), count(b), 1.4)
 	withinFactor(t, "ranged distinct keys of a", pa.DistinctKeys, count(a), 1.4)
@@ -292,18 +306,53 @@ func TestInRangeNarrowsTheProfile(t *testing.T) {
 			t.Fatalf("ranged sample holds key %d outside [%d, %d)", tup.Key, low, high)
 		}
 	}
-	if pa.SampleSize != len(pa.Sample) || pa.SampleSize == 0 || pa.SampleSize > 64 {
-		t.Errorf("ranged sample of a holds %d tuples (SampleSize %d), want the few dozen inside the range", len(pa.Sample), pa.SampleSize)
+	if len(pa.Sample) == 0 || len(pa.Sample) > 64 {
+		t.Errorf("ranged sample of a holds %d tuples, want the few dozen inside the range", len(pa.Sample))
 	}
 	if est, actual := EstimateJoin(pa, pb), count(b); est > 1.5*actual {
 		t.Errorf("ranged join estimate %.0f, actual about %.0f", est, actual)
 	}
 	// Nothing inside, and everything inside.
-	if empty := Collect(a).InRange(5, 5); empty.Tuples != 0 || !empty.LikelySorted() {
+	if empty := inRange(a, 5, 5); empty.Tuples != 0 || !empty.LikelySorted() {
 		t.Errorf("empty range: %+v", empty)
 	}
-	if all := Collect(a).InRange(0, math.MaxUint64); all.Tuples != a.Len() {
+	if all := inRange(a, 0, math.MaxUint64); all.Tuples != a.Len() {
 		t.Errorf("a range over every key keeps %d of %d tuples", all.Tuples, a.Len())
+	}
+	// Order carries over: the one sampled tuple in a one-key range says
+	// nothing of the order of the tuples it stands for, and a range of a
+	// sorted relation is sorted.
+	one := Collect(a).Sample[0].Key
+	if p := inRange(a, one, one+1); p.Tuples == 0 || p.LikelySorted() {
+		t.Errorf("one-key range of shuffled a: %d tuples, sorted %t, want some, unsorted", p.Tuples, p.LikelySorted())
+	}
+	sorted := a.Clone()
+	sort.Slice(sorted.Tuples, func(i, j int) bool { return sorted.Tuples[i].Key < sorted.Tuples[j].Key })
+	if p := inRange(sorted, low, high); !p.LikelySorted() {
+		t.Errorf("ranged sorted a probed unsorted (fraction %.3f)", p.SortedFraction)
+	}
+
+	// Skewed keys: ranges in the dense fifth, in the sparse rest, and over
+	// most of the relation, each holding at least 5 % of it.
+	const domain, fifth = 1 << 32, (1 << 32) / 5
+	for _, c := range []struct {
+		name      string
+		skew      workload.Skew
+		low, high uint64
+	}{
+		{"low80 dense", workload.SkewLow80, 0, 1 << 26},
+		{"low80 sparse", workload.SkewLow80, 1 << 31, 1<<31 + 1<<30},
+		{"low80 most", workload.SkewLow80, 0, fifth + 1<<28},
+		{"high80 dense", workload.SkewHigh80, domain - 1<<26, domain},
+		{"high80 sparse", workload.SkewHigh80, 1 << 30, 1<<30 + 1<<30},
+		{"high80 most", workload.SkewHigh80, domain - fifth - 1<<28, domain},
+	} {
+		rel := workload.SkewedRelation("x", 1<<16, domain, c.skew, 33)
+		actual := countIn(rel, c.low, c.high)
+		if actual < 0.05*float64(rel.Len()) {
+			t.Fatalf("%s: [%d, %d) holds %.0f of %d tuples, under 5 %%", c.name, c.low, c.high, actual, rel.Len())
+		}
+		withinFactor(t, "ranged cardinality of "+c.name, float64(inRange(rel, c.low, c.high).Tuples), actual, 1.4)
 	}
 }
 
@@ -311,7 +360,7 @@ func TestInRangeNarrowsTheProfile(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	rel := workload.UniformRelation("X", 1<<15, workload.DefaultKeyDomain, 37)
 	a, b := Collect(rel), Collect(rel)
-	if a.DistinctKeys != b.DistinctKeys || a.SortedFraction != b.SortedFraction || a.Histogram != b.Histogram {
+	if a.DistinctKeys != b.DistinctKeys || a.SortedFraction != b.SortedFraction || a.MinKey != b.MinKey || a.MaxKey != b.MaxKey {
 		t.Errorf("profiles differ across runs: %+v vs %+v", a, b)
 	}
 }

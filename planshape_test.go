@@ -47,6 +47,35 @@ var gateShapes = []struct{ name, query string }{
 	{"short", ""}, // r ⋈ s, built by hand: /v1/join has no query text
 }
 
+// gateConstants returns a shape's query at the other constants the benchmark
+// sends: query_mix's 16 pooled agg2 thresholds, range lower bounds and band
+// widths, and a few of the never-seen agg2 thresholds and range bounds its
+// plan-cache misses carry, computed as the benchmark's request computes them.
+func gateConstants(name string) []string {
+	const rangeWidth = 1 << 26
+	var qs []string
+	for j := uint64(0); j < 16; j++ {
+		switch name {
+		case "agg2":
+			qs = append(qs, fmt.Sprintf("ans(K,S) :- a(K,X), b(K,Y), X > %d, agg sum(Y)", 400_000+12_500*j))
+		case "range":
+			qs = append(qs, fmt.Sprintf("ans(K,Y) :- a(K,_), b(K,Y), K >= %d, K < %d", j<<27, j<<27+rangeWidth))
+		case "band":
+			qs = append(qs, fmt.Sprintf("ans(K,C) :- d(K,X), e(J,Y), |K - J| <= %d, agg count(*)", 2*(j+1)))
+		}
+	}
+	for fresh := uint64(0); fresh < 8; fresh++ {
+		switch name {
+		case "agg2":
+			qs = append(qs, fmt.Sprintf("ans(K,S) :- a(K,X), b(K,Y), X > %d, agg sum(Y)", 400_001+2*(fresh*7919%100_000)))
+		case "range":
+			lo := 1 + fresh*7919%64_000<<16
+			qs = append(qs, fmt.Sprintf("ans(K,Y) :- a(K,_), b(K,Y), K >= %d, K < %d", lo, lo+rangeWidth))
+		}
+	}
+	return qs
+}
+
 // gatePlan builds one shape over a catalog.
 func gatePlan(t *testing.T, query string, cat MapCatalog) *Plan {
 	t.Helper()
@@ -84,8 +113,9 @@ func physicalPlan(ex *Explain) string {
 
 // TestGateShapesPlanStably: for every plan shape the gated benchmark runs
 // auto-planned, under the worker bounds 2 and 8, the physical plan — worker
-// counts included — is the same on every optimizer run and for every seed of
-// the generator: a plan that flips between launches shows up as spread on the
+// counts included — is the same on every optimizer run, for every seed of the
+// generator and for every constant the benchmark sends (gateConstants): a
+// plan that flips between launches or constants shows up as spread on the
 // gated metric. It is also the kind the measurements call for. Every join and
 // groupjoin of the five shapes runs on one worker whatever the bound: none of
 // them returns half a worker's worth for a second one (TestWorkerLadderModel
@@ -99,11 +129,13 @@ func TestGateShapesPlanStably(t *testing.T) {
 	for _, bound := range []int{2, 8} {
 		for _, shape := range gateShapes {
 			var first string
+			queries := append([]string{shape.query}, gateConstants(shape.name)...)
 			for seed := uint64(1); seed <= 3; seed++ {
 				cat := gateCatalog(seed)
-				for run := 0; run < 3; run++ {
+				for run := 0; run < 3*len(queries); run++ {
+					query := queries[run/3]
 					engine := New(WithWorkers(bound), WithAutoPlan(true)) // a fresh engine: nothing cached
-					ex, err := engine.Explain(gatePlan(t, shape.query, cat))
+					ex, err := engine.Explain(gatePlan(t, query, cat))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -112,7 +144,7 @@ func TestGateShapesPlanStably(t *testing.T) {
 						first = plan
 					}
 					if plan != first {
-						t.Fatalf("%s under a bound of %d workers, seed %d run %d: the plan changed\n--- first ---\n%s--- now ---\n%s", shape.name, bound, seed, run, first, plan)
+						t.Fatalf("%s under a bound of %d workers, seed %d run %d, %q: the plan changed\n--- first ---\n%s--- now ---\n%s", shape.name, bound, seed, run%3, query, first, plan)
 					}
 					if run > 0 || seed > 1 {
 						continue
