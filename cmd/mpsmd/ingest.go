@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 
 	mpsm "repro"
@@ -525,6 +526,54 @@ func eightDigits(w uint64) uint64 {
 	w = (w & 0x0F0F0F0F0F0F0F0F) * (10<<8 + 1) >> 8
 	w = (w & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
 	return (w & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32
+}
+
+// appendDecimal appends v in decimal, byte for byte what
+// strconv.AppendUint(dst, v, 10) appends, eight digits at a time below 10^16.
+// A query answer's keys and payloads leave the daemon through it.
+func appendDecimal(dst []byte, v uint64) []byte {
+	switch {
+	case v < 1e8:
+		return appendDigits(dst, v, decimalWidth(v))
+	case v < 1e16:
+		hi := v / 1e8
+		dst = appendDigits(dst, hi, decimalWidth(hi))
+		return appendDigits(dst, v-hi*1e8, 8)
+	}
+	return strconv.AppendUint(dst, v, 10)
+}
+
+// appendDigits appends the last n of the eight digits digitWord makes of
+// v < 10^8: its n-digit decimal form, or all eight with leading zeros.
+func appendDigits(dst []byte, v uint64, n int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, digitWord(v)>>(64-8*n))
+	return dst[:len(dst)-8+n]
+}
+
+// digitWord is eightDigits' inverse: the eight ASCII digits of v < 10^8,
+// zero-padded, the first in the lowest byte. v is split into two 4-digit
+// lanes, each lane into two 2-digit ones, and each of those into two digits,
+// by one multiply and shift per step: x·5243 >> 19 is x/100 for x < 10^4, and
+// x·103 >> 10 is x/10 for x < 100, and neither product leaves its lane.
+func digitWord(v uint64) uint64 {
+	hi := v / 1e4
+	w := hi | (v-hi*1e4)<<32
+	q := w * 5243 >> 19 & 0x0000007F0000007F
+	w = q | (w-q*100)<<16
+	q = w * 103 >> 10 & 0x000F000F000F000F
+	w = q | (w-q*10)<<8
+	return w | 0x3030303030303030
+}
+
+// decimalWidth is how many digits v < 10^8 has in decimal, 1 for 0:
+// bits.Len64 estimates log10 within one, and pow10 settles it.
+func decimalWidth(v uint64) int {
+	v |= 1
+	n := bits.Len64(v) * 1233 >> 12
+	if v >= pow10[n] {
+		n++
+	}
+	return n
 }
 
 // separator consumes want — the ',' between a tuple's elements or the ']'

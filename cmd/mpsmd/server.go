@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -400,7 +399,8 @@ type queryError struct {
 // fields in that order, and clients scan the tuple layout by hand, so it must
 // stay so. The envelope — queryHead before the tuples, queryTail after — is
 // still encoded by encoding/json; the tuples, which are all of a large
-// answer, are not: reflection costs 2.5x what strconv.AppendUint does.
+// answer, are not: each number goes through appendDecimal, a slice append
+// where encoding/json would reflect over every tuple.
 type queryHead struct {
 	Query   string    `json:"query"`
 	Columns [2]string `json:"columns"`
@@ -414,8 +414,11 @@ type queryTail struct {
 }
 
 // responseBufferSize is when writeQueryResponse hands what it has encoded to
-// the ResponseWriter: some 1300 tuples a write.
-const responseBufferSize = 32 << 10
+// the ResponseWriter, which sends each write as one HTTP chunk: some 7 000
+// tuples a write at the benchmark's 10-digit keys and 6-digit payloads, so a
+// 63 000-tuple answer leaves in about 9 writes. It is also what one request
+// streaming an answer holds, however long the answer.
+const responseBufferSize = 256 << 10
 
 // responseBuffers recycles the encode buffers across requests.
 var responseBuffers = sync.Pool{New: func() any {
@@ -423,8 +426,8 @@ var responseBuffers = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// writeQueryResponse streams a query answer. Like writeJSON it ignores write
-// errors: they can only mean the client is gone.
+// writeQueryResponse streams a query answer. A failed write can only mean the
+// client is gone, so it stops there, answering nothing further.
 func writeQueryResponse(w http.ResponseWriter, head queryHead, tuples []mpsm.Tuple, tail queryTail) {
 	headJSON, err := json.Marshal(head)
 	if err != nil {
@@ -452,12 +455,14 @@ func writeQueryResponse(w http.ResponseWriter, head queryHead, tuples []mpsm.Tup
 				buf = append(buf, ',')
 			}
 			buf = append(buf, `{"Key":`...)
-			buf = strconv.AppendUint(buf, t.Key, 10)
+			buf = appendDecimal(buf, t.Key)
 			buf = append(buf, `,"Payload":`...)
-			buf = strconv.AppendUint(buf, t.Payload, 10)
+			buf = appendDecimal(buf, t.Payload)
 			buf = append(buf, '}')
 			if len(buf) >= responseBufferSize {
-				_, _ = w.Write(buf)
+				if _, err := w.Write(buf); err != nil {
+					return
+				}
 				buf = buf[:0]
 			}
 		}

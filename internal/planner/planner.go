@@ -570,7 +570,7 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 	case exec.NodeScan:
 		p = s.opt.profileOf(n.Rel)
 		if n.Range != nil {
-			p = p.Filtered(n.Range.Predicate())
+			p = p.InRange(n.Range.Low, n.Range.High)
 		}
 		if n.Pred != nil {
 			p = p.Filtered(n.Pred)

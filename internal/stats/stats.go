@@ -411,7 +411,11 @@ func JoinOutput(a, b *Profile, estRows float64) *Profile {
 // the relation the sample holds inside it. Sortedness is at most the
 // relation's: a selection leaves an arrangement's order what it was, and a
 // handful of survivors that happen to lie in order say nothing of the rest. A
-// nil predicate returns the profile unchanged.
+// predicate no sampled tuple passes may still keep rows of the relation —
+// fewer than one sampled tuple's share of them, with no telling how many — so
+// it is estimated at half that share, at least one row, keyed within the
+// relation's sampled bounds, every row a distinct key. A nil predicate returns
+// the profile unchanged.
 func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 	if pred == nil || len(p.Sample) == 0 {
 		return p
@@ -422,19 +426,38 @@ func (p *Profile) Filtered(pred func(relation.Tuple) bool) *Profile {
 			kept = append(kept, t)
 		}
 	}
-	sel := float64(len(kept)) / float64(len(p.Sample))
-	cp := &Profile{
-		Tuples:         int(math.Round(float64(p.Tuples) * sel)),
-		Sample:         kept,
-		SortedFraction: 1,
-		// Selection copies tuples whole, so the key regime carries over.
+	cp := p.none()
+	cp.Sample = kept
+	if len(kept) == 0 {
+		cp.Tuples = max(1, int(math.Round(float64(p.Tuples)/float64(2*len(p.Sample)))))
+		cp.MinKey, cp.MaxKey = p.MinKey, p.MaxKey
+		cp.DistinctKeys = float64(cp.Tuples)
+	} else {
+		cp.Tuples = int(math.Round(float64(p.Tuples) * float64(len(kept)) / float64(len(p.Sample))))
+		cp.fillFromSample()
+	}
+	cp.SortedFraction = min(cp.SortedFraction, p.SortedFraction)
+	return cp
+}
+
+// InRange is Filtered by the key range [low, high): a range with high <= low
+// provably keeps no tuple, and is estimated so.
+func (p *Profile) InRange(low, high uint64) *Profile {
+	if high <= low {
+		return p.none()
+	}
+	return p.Filtered(func(t relation.Tuple) bool { return low <= t.Key && t.Key < high })
+}
+
+// none is the profile of a selection from p that keeps no tuple. Selection
+// copies tuples whole, so the key regime carries over.
+func (p *Profile) none() *Profile {
+	return &Profile{
+		SortedFraction:      1,
 		KeyNormalized:       p.KeyNormalized,
 		KeyTieBreak:         p.KeyTieBreak,
 		PrefixCollisionRate: p.PrefixCollisionRate,
 	}
-	cp.fillFromSample()
-	cp.SortedFraction = min(cp.SortedFraction, p.SortedFraction)
-	return cp
 }
 
 // Mapped returns the profile of the relation after a pure tuple-to-tuple

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/relation"
 	"repro/internal/workload"
 )
@@ -265,9 +264,9 @@ func TestFilteredProfile(t *testing.T) {
 }
 
 // inRange profiles a relation's keys in [low, high) as the planner profiles a
-// scan's key range: through the range's predicate.
+// scan's key range.
 func inRange(rel *relation.Relation, low, high uint64) *Profile {
-	return Collect(rel).Filtered(exec.KeyRange{Low: low, High: high}.Predicate())
+	return Collect(rel).InRange(low, high)
 }
 
 // countIn counts a relation's tuples with keys in [low, high).
@@ -353,6 +352,37 @@ func TestInRangeNarrowsTheProfile(t *testing.T) {
 			t.Fatalf("%s: [%d, %d) holds %.0f of %d tuples, under 5 %%", c.name, c.low, c.high, actual, rel.Len())
 		}
 		withinFactor(t, "ranged cardinality of "+c.name, float64(inRange(rel, c.low, c.high).Tuples), actual, 1.4)
+	}
+}
+
+// TestFilterMissingTheSample: a selection no sampled tuple passes may still
+// keep rows, so it is estimated at half a sampled tuple's share of the
+// relation (16 of 2^16 tuples sampled 2 048 times), at least one row, each a
+// distinct key within the relation's sampled bounds, in the relation's order
+// — a shuffled relation's is no presorted scan. A range with High <= Low keeps
+// provably nothing.
+func TestFilterMissingTheSample(t *testing.T) {
+	none := func(relation.Tuple) bool { return false }
+	a := workload.UniformRelation("a", 1<<16, 1<<32, 31)
+	p := Collect(a)
+	f := p.Filtered(none)
+	if f.Tuples != 16 || f.DistinctKeys != 16 || f.MinKey != p.MinKey || f.MaxKey != p.MaxKey || f.LikelySorted() {
+		t.Errorf("a filter missing the sample of shuffled a: %d tuples, %g distinct keys in [%d, %d], sorted %t; want 16, 16 in [%d, %d], unsorted",
+			f.Tuples, f.DistinctKeys, f.MinKey, f.MaxKey, f.LikelySorted(), p.MinKey, p.MaxKey)
+	}
+	sorted := a.Clone()
+	sort.Slice(sorted.Tuples, func(i, j int) bool { return sorted.Tuples[i].Key < sorted.Tuples[j].Key })
+	if f := Collect(sorted).Filtered(none); f.Tuples != 16 || !f.LikelySorted() {
+		t.Errorf("a filter missing the sample of sorted a: %d tuples, sorted %t; want 16, sorted", f.Tuples, f.LikelySorted())
+	}
+	small := relation.New("small", a.Tuples[:100])
+	if f := Collect(small).Filtered(none); f.Tuples != 1 {
+		t.Errorf("a filter missing every tuple of a 100-tuple relation: %d tuples, want 1", f.Tuples)
+	}
+	for _, r := range [][2]uint64{{5, 5}, {6, 5}, {0, 0}} {
+		if f := p.InRange(r[0], r[1]); f.Tuples != 0 || !f.LikelySorted() {
+			t.Errorf("InRange(%d, %d): %d tuples, sorted %t; want 0, sorted", r[0], r[1], f.Tuples, f.LikelySorted())
+		}
 	}
 }
 

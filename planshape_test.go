@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -179,6 +180,50 @@ func TestGateShapesPlanStably(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRangeMissingTheSampleIsNotEmpty: a key range 2^20 keys wide holds about
+// 16 of a's 65 536 tuples and 64 of b's 262 144, none of them among the 2 048
+// each profile samples. Its scans are estimated at half a sampled tuple's
+// share, 16 and 64 rows, not at 0 — a scan estimated empty counts as
+// presorted, and the join over them was priced at nothing on P-MPSM with both
+// inputs declared presorted. A range with High <= Low is provably empty and
+// stays estimated at 0.
+func TestRangeMissingTheSampleIsNotEmpty(t *testing.T) {
+	cat := gateCatalog(1)
+	scans := func(query string) (a, b float64, join ExplainNode) {
+		ex, err := New(WithWorkers(2), WithAutoPlan(true)).Explain(gatePlan(t, query, cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range ex.Nodes {
+			switch {
+			case n.Relation == "a":
+				a = n.EstRows
+			case n.Relation == "b":
+				b = n.EstRows
+			case n.Kind == "Join":
+				join = n
+			}
+		}
+		return a, b, join
+	}
+	const low, high = 268435456, 269484032
+	for _, rel := range []string{"a", "b"} {
+		if !slices.ContainsFunc(cat[rel].Tuples, func(tup Tuple) bool { return tup.Key >= low && tup.Key < high }) {
+			t.Fatalf("no tuple of %s lies in [%d, %d)", rel, low, high)
+		}
+	}
+	a, b, join := scans(fmt.Sprintf("ans(K,Y) :- a(K,_), b(K,Y), K >= %d, K < %d", low, high))
+	if a != 16 || b != 64 {
+		t.Errorf("the range's scans are estimated at %g rows of a and %g of b, want 16 and 64", a, b)
+	}
+	if join.PresortedPrivate || join.PresortedPublic {
+		t.Errorf("the join over the range's shuffled scans declares them presorted (%s)", join.Algorithm)
+	}
+	if a, b, _ := scans(fmt.Sprintf("ans(K,Y) :- a(K,_), b(K,Y), K >= %d, K < %d", low, low)); a != 0 || b != 0 {
+		t.Errorf("the empty range's scans are estimated at %g and %g rows, want 0", a, b)
 	}
 }
 
