@@ -86,8 +86,12 @@ func sortChunkIntoColumnRun(chunk relation.Chunk, srcNode int, presorted, group 
 		// alike: each places a tuple once in the scatter and moves it twice
 		// in stage 2 (the counting pass and the unpack), although the payload
 		// carrier writes one word a tuple in the scatter where the position
-		// carrier writes two and gathers nothing, and a grouped run's unpack
-		// writes one entry a key group.
+		// carrier writes two and gathers nothing, a grouped run's unpack
+		// writes one entry a key group, and a grouped bucket whose key bits
+		// left one counting pass covers is not sorted at all: that pass reads
+		// each word once and its entries come straight from the counters.
+		// The charges stay alike for all of them: the model counts tuples
+		// placed, not the accesses each bucket's path makes.
 		tracker.SeqRead(srcNode, 2*un)
 		tracker.SeqWrite(run.Node, un)
 		if !skippedSort {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -300,6 +301,75 @@ func TestGroupedRunsFallBackToRaw(t *testing.T) {
 						t.Fatalf("%s: scanned %d public entries, want %d (grouped: %t, |S| = %d)", label, res.PublicScanned, want, c.grouped, in.S.Len())
 					}
 				}
+			}
+		}
+	}
+}
+
+// denseBelow2to20 builds a primary-key R — every key below 2^12, then every
+// 251st key up to 2^20 — and a foreign-key S of 40 000 tuples per worker,
+// seven in eight of them on R's keys below 2^12, all payloads below 2^20:
+// each public chunk passes l2Values, and its first stage-1 bucket, keys
+// below 2^12 with 12 key bits left, is dense enough for its counting pass to
+// cover them (the grouped sort's groupCounted), beside sparse buckets it
+// sorts; R's key range covers every public key.
+func denseBelow2to20(workers int, seed int64) (r, s *relation.Relation) {
+	rng := rand.New(rand.NewSource(seed))
+	var rt []relation.Tuple
+	for k := uint64(0); k < 1<<20; k++ {
+		if k < 1<<12 || k%251 == 0 {
+			rt = append(rt, relation.Tuple{Key: k, Payload: rng.Uint64() >> 44})
+		}
+	}
+	st := make([]relation.Tuple, 40000*workers)
+	for i := range st {
+		key := rt[rng.Intn(len(rt))].Key
+		if rng.Intn(8) > 0 {
+			key = uint64(rng.Intn(1 << 12))
+		}
+		st[i] = relation.Tuple{Key: key, Payload: rng.Uint64() >> 44}
+	}
+	rng.Shuffle(len(rt), func(i, j int) { rt[i], rt[j] = rt[j], rt[i] })
+	return relation.New("R", rt), relation.New("S", st)
+}
+
+// TestDenseGroupedRunsMatchOracle runs B- and P-MPSM's folding join into the
+// default sink over denseBelow2to20's keys and payloads below 2^20, whose
+// public runs group with their densest buckets counted rather than sorted,
+// at one to three workers, and requires the reference join's matches and
+// largest sum, the public entries scanned and the sequential reads the NUMA
+// model books. B-MPSM's static scan reads every public run once per worker:
+// T·entries scanned, and (2+T)·|R| + 2·|S| + T·entries sequential reads.
+// P-MPSM enters each public run at the window its private range reaches;
+// those windows split every public run, so it scans the entries once in all,
+// and reads 3·|R| (phase 2's count and scatter, phase 3's sort) + 2·|S| +
+// T·|R| (a private run per public run) + entries.
+func TestDenseGroupedRunsMatchOracle(t *testing.T) {
+	for workers := 1; workers <= 3; workers++ {
+		r, s := denseBelow2to20(workers, int64(workers))
+		wantCount, wantMax := reference(r, s)
+		entries := publicEntries(s, workers, payloadBound(r))
+		if entries*4 > s.Len() {
+			t.Fatalf("T=%d: %d public entries for %d tuples: the runs barely group", workers, entries, s.Len())
+		}
+		nr, ns, t64 := uint64(r.Len()), uint64(s.Len()), uint64(workers)
+		for _, c := range []struct {
+			alg              string
+			scanned, seqRead uint64
+		}{
+			{"B", t64 * uint64(entries), (2+t64)*nr + 2*ns + t64*uint64(entries)},
+			{"P", uint64(entries), (3+t64)*nr + 2*ns + uint64(entries)},
+		} {
+			label := fmt.Sprintf("%s-MPSM/T=%d", c.alg, workers)
+			res := mpsmByName(c.alg)(r, s, Options{Workers: workers, TrackNUMA: true})
+			if res.Matches != wantCount || res.MaxSum != wantMax {
+				t.Fatalf("%s: (matches, max) = (%d, %d), the reference join gives (%d, %d)", label, res.Matches, res.MaxSum, wantCount, wantMax)
+			}
+			if uint64(res.PublicScanned) != c.scanned {
+				t.Fatalf("%s: scanned %d public entries, want %d (%d entries)", label, res.PublicScanned, c.scanned, entries)
+			}
+			if got := res.NUMA.LocalSeqRead + res.NUMA.RemoteSeqRead; got != c.seqRead {
+				t.Fatalf("%s: charged %d sequential reads, want %d (|R| = %d, |S| = %d, %d entries)", label, got, c.seqRead, nr, ns, entries)
 			}
 		}
 	}

@@ -90,8 +90,11 @@ func foreignKeys(n int, seed int64) []relation.Tuple {
 // system but no source, and ns/tuple is over one sorter's n. The `-grouped`
 // cases take SortTuplesIntoGroups instead, the sort of a folding B- or
 // P-MPSM join's public runs, on uniform keys, clustered skew and foreign keys
-// of about two tuples a key (the `foreign-key` case is its raw sort). CI
-// executes it once per case as a smoke test; it asserts nothing about time.
+// of about two tuples a key (the `foreign-key` case is its raw sort), and on
+// a 2^16-key domain, where from 2^18 tuples on every stage-1 bucket is
+// grouped by its counting pass alone (at 2^14 the one bucket's 16 key bits
+// outrun the pass, and it is sorted). CI executes it once per case as a smoke
+// test; it asserts nothing about time.
 func BenchmarkRunGeneration(b *testing.B) {
 	distributions := []struct {
 		name    string
@@ -112,6 +115,7 @@ func BenchmarkRunGeneration(b *testing.B) {
 		{"uniform32-grouped", func(n, s int) []relation.Tuple { return makeTuples(n, int64(1+10*s), 1<<32) }, true},
 		{"clustered-skew-grouped", func(n, s int) []relation.Tuple { return clusteredSkew(n, uint64(2+10*s), 1<<20) }, true},
 		{"foreign-key-grouped", func(n, s int) []relation.Tuple { return foreignKeys(n, int64(8+10*s)) }, true},
+		{"domain-2^16-grouped", func(n, s int) []relation.Tuple { return makeTuples(n, int64(9+10*s), 1<<16) }, true},
 	}
 	for _, dist := range distributions {
 		for _, logN := range []int{14, 18, 20} {

@@ -50,13 +50,14 @@ func SortTuplesIntoColumns(src []relation.Tuple, dstKeys, dstPays []uint64, scra
 // SortTuplesIntoGroups is SortTuplesIntoColumns for a consumer that keeps of
 // each key only its number of tuples and its largest payload: where key and
 // payload share the sort word (the payload carrier), stage 2 groups every
-// bucket as it unpacks it, and for g groups dstKeys[:g] receives the distinct
-// keys in ascending order, dstPays[:g] each key's largest payload and the
-// returned counts, of length g, each key's number of tuples: a column of
-// len(src) leased through scratch, cut to g. A chunk whose payloads ride
-// beside the word instead, or an empty one, is sorted as
-// SortTuplesIntoColumns sorts it, and counts is nil. payBound is the
-// payloads' OR.
+// bucket as it unpacks it — straight from its counting pass, unsorted, where
+// that pass covers every key bit the bucket has left — and for g groups
+// dstKeys[:g] receives the distinct keys in ascending order, dstPays[:g] each
+// key's largest payload and the returned counts, of length g, each key's
+// number of tuples: a column of len(src) leased through scratch, cut to g. A
+// chunk whose payloads ride beside the word instead, or an empty one, is
+// sorted as SortTuplesIntoColumns sorts it, and counts is nil. payBound is
+// the payloads' OR.
 func SortTuplesIntoGroups(src []relation.Tuple, dstKeys, dstPays []uint64, scratch Scratch) (counts []int32, payBound uint64) {
 	var digitCounts [radixBuckets]int
 	maxKey, payBound, digits := firstPass(src, &digitCounts)

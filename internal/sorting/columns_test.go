@@ -373,9 +373,12 @@ func fuzzShape(data []byte) []relation.Tuple {
 // 256 buckets empty, tile full-width duplicates past l2Values through the
 // wide path, give it full-width keys that share their top 64 − w bits, below
 // and past l2Values, pair 40-bit keys with 24-bit payloads (64 bits: the
-// payload carrier) and 41-bit keys with them (65: the position carrier), and
+// payload carrier) and 41-bit keys with them (65: the position carrier),
 // plant a single widest key past l2Values where the first pass's sample
-// misses it, under both carriers and the wide path.
+// misses it, under both carriers and the wide path, and give the grouped
+// sort buckets whose counting pass covers every key bit left — dense keys
+// below 2^12 past l2Values beside 20-bit payloads, and one bucket in which
+// key 0 carries payload 0.
 func FuzzSortColumnsDifferential(f *testing.F) {
 	planted := func(plant, shift, extra, stride, payShift byte, keys ...uint64) []byte {
 		data := []byte{shift, extra, stride, payShift, plant}
@@ -414,6 +417,12 @@ func FuzzSortColumnsDifferential(f *testing.F) {
 	f.Add(planted(40, 0, 100, 7, 44, narrow...)) // keys near 2^20 and one of 2^40 beside 20-bit payloads: the payload carrier
 	f.Add(planted(40, 0, 100, 7, 0, narrow...))  // the same beside 64-bit payloads: the position carrier
 	f.Add(planted(63, 0, 100, 7, 0, narrow...))  // one key of 2^63: the wide path
+	dense := make([]uint64, 64)
+	for j := range dense {
+		dense[j] = uint64(j) * 56
+	}
+	f.Add(shaped(0, 200, 1, 44, dense...))    // keys below 2^12, 20-bit payloads: every stage-1 bucket counted, not sorted
+	f.Add(shaped(0, 0, 0, 64, 0, 3, 0, 7, 1)) // one bucket counted, key 0 beside payload 0: the word 0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sortBothWays(t, "fuzz", fuzzShape(data))
 	})

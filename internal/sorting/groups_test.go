@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -106,4 +108,97 @@ func TestSortIntoGroupsMatchesReference(t *testing.T) {
 func maxKeyOf(tuples []relation.Tuple) uint64 {
 	maxKey, _ := bounds(tuples)
 	return maxKey
+}
+
+// bucketed builds buckets·size tuples, keys b·2^low + a draw below 2^low for
+// bucket b of 1 or 256: past l2Values every stage-1 bucket holds exactly size
+// tuples and low key bits, so each one's counting pass covers them exactly
+// where low <= min(bits.Len(size), spreadMaxDigit). Payloads are drawn below
+// 2^20, so they ride in the sort word.
+func bucketed(buckets, size, low int, seed int64) []relation.Tuple {
+	rng := rand.New(rand.NewSource(seed))
+	tuples := make([]relation.Tuple, buckets*size)
+	for i := range tuples {
+		b := uint64(i % buckets)
+		tuples[i] = relation.Tuple{Key: b<<low | rng.Uint64()>>(64-low), Payload: rng.Uint64() >> 44}
+	}
+	return tuples
+}
+
+// countedBucket reports whether a grouped sort of input finishes its stage-2
+// buckets by their counting pass alone (groupCounted) where a bucket holds
+// size tuples: whether that pass covers every key bit the bucket has left.
+func countedBucket(input []relation.Tuple, size int) bool {
+	maxKey, _ := bounds(input)
+	left := bits.Len64(maxKey)
+	if len(input) > l2Values {
+		left = max(left-radixBits, 0)
+	}
+	return left <= min(bits.Len(uint(size)), spreadMaxDigit)
+}
+
+// TestGroupedSortCountsDenseBuckets drives the grouped sort's counting path
+// (groupCounted) on both sides of its trigger, against referenceGroups: key
+// bits left equal to the counting pass's width (bits.Len of the bucket size,
+// at most spreadMaxDigit) and one bit more, in the single bucket of l2Values
+// tuples or fewer and in 256 stage-1 buckets; keys below 2^12 in one bucket;
+// key 0 with payload 0, whose word is 0, alone and beside other payloads;
+// buckets of one key each (no key bit left, one counter); and stage-1
+// buckets of few keys and many duplicates, whose entries the cursor writes
+// far below the bucket, over the words earlier buckets left.
+func TestGroupedSortCountsDenseBuckets(t *testing.T) {
+	type shape struct {
+		name    string
+		input   []relation.Tuple
+		size    int // tuples a stage-2 bucket holds
+		counted bool
+	}
+	var shapes []shape
+	for _, c := range []struct{ buckets, size int }{{1, packedInsertionCutoff + 1}, {1, 1000}, {1, l2Values}, {radixBuckets, 200}, {radixBuckets, 1024}} {
+		low := min(bits.Len(uint(c.size)), spreadMaxDigit)
+		name := fmt.Sprintf("buckets=%d/size=%d/bits=%d", c.buckets, c.size, low)
+		shapes = append(shapes,
+			shape{name, bucketed(c.buckets, c.size, low, int64(c.size)), c.size, true},
+			shape{name + "+1", bucketed(c.buckets, c.size, low+1, int64(c.size)), c.size, false})
+	}
+	below4096 := bucketed(1, l2Values, 12, 3)
+	shapes = append(shapes, shape{"one-bucket/keys<2^12", below4096, l2Values, true})
+
+	zero := bucketed(1, 3000, 12, 4)
+	for i := range zero {
+		if zero[i].Key == 0 {
+			zero[i].Key = 1
+		}
+	}
+	zero[1234] = relation.Tuple{}
+	shapes = append(shapes, shape{"key-0-payload-0/alone", zero, len(zero), true})
+	beside := slices.Clone(zero)
+	beside[17], beside[2999] = relation.Tuple{Payload: 5}, relation.Tuple{}
+	shapes = append(shapes, shape{"key-0-payload-0/beside-5", beside, len(beside), true})
+	allZero := make([]relation.Tuple, 500)
+	shapes = append(shapes, shape{"key-0-payload-0/every-tuple", allZero, len(allZero), true})
+
+	equal := make([]relation.Tuple, 700)
+	for i := range equal {
+		equal[i] = relation.Tuple{Key: 0, Payload: uint64(i*7919) % 1000}
+	}
+	shapes = append(shapes, shape{"equal-keys/one-bucket", equal, len(equal), true})
+	oneKeyEach := bucketed(radixBuckets, 150, 0, 5) // keys 0..255, 150 tuples a bucket
+	shapes = append(shapes, shape{"equal-keys/256-buckets", oneKeyEach, 150, true})
+
+	// Four keys and 2 048 tuples a bucket: bucket b's entries land at 4b,
+	// 2 044·b words below its own range.
+	few := bucketed(radixBuckets, 2048, 2, 6)
+	shapes = append(shapes, shape{"cursor-behind/256-buckets", few, 2048, true})
+
+	for _, s := range shapes {
+		if got := countedBucket(s.input, s.size); got != s.counted {
+			t.Fatalf("%s: the counting pass covers the bucket: %t, the shape is meant for %t", s.name, got, s.counted)
+		}
+		checkGrouped(t, s.name, s.input)
+		maxKey, payBound := bounds(s.input)
+		if _, inWord, _ := packedCarrier(len(s.input), maxKey, payBound); !inWord {
+			t.Fatalf("%s: the payloads leave the sort word", s.name)
+		}
+	}
 }

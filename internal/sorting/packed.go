@@ -44,14 +44,20 @@
 //     the bits below, so the cost is bounded by the key width and n whatever
 //     the distribution. A bucket that arrives sorted (all-equal keys
 //     included) is left alone and tiny buckets take an insertion sort.
+//     A grouped sort does not sort a bucket whose first counting pass
+//     would cover every key bit left (narrow keys, as in the paper's skew
+//     experiments): that pass's histogram, with each digit's largest word
+//     beside its count, already is the bucket's grouping (groupCounted).
 //
 // Who owns what, per bucket range: dstPays holds the packed words until the
 // bucket is sorted — the sorted words end in the scratch — and then the
 // payloads, split off or gathered from the same range of dstKeys; dstKeys
 // holds the parked payloads, if any, until then and the keys after. A grouped
-// sort unpacks every bucket through one cursor instead (groupSorted): its
-// entries land at or below the bucket's own range, over what earlier buckets
-// left, and the counts column takes each entry's count at the same index.
+// sort unpacks every bucket through one cursor instead (groupSorted, or
+// groupCounted straight from the counters): its entries land at or below the
+// bucket's own range, over what earlier buckets left — a counted bucket's
+// over its own words too, once all are read — and the counts column takes
+// each entry's count at the same index.
 //
 // Keys too wide for a position beside them — the string, composite and
 // signed-integer encodings of internal/keys fill all 64 bits — take the wide
@@ -150,9 +156,14 @@ const (
 	l2Values = 1 << 15
 )
 
-// packedScratch holds the digit counters of the bucket being finished. It is
-// pooled: 32 KiB is too much to put on (and zero in) every sorter's stack.
-type packedScratch struct{ counters [1 << spreadMaxDigit]uint32 }
+// packedScratch holds the digit counters of the bucket being finished and,
+// for a grouped sort's counting pass (groupCounted), each digit's largest
+// word. It is pooled: 96 KiB is too much to put on (and zero in) every
+// sorter's stack.
+type packedScratch struct {
+	counters [1 << spreadMaxDigit]uint32
+	maxima   [1 << spreadMaxDigit]uint64 // all zero between counting passes
+}
 
 var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 
@@ -168,11 +179,15 @@ var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 // its keys without their cut low bits and its bucket-local positions, and its
 // keys come back from parked.
 //
-// Under the payload carrier a non-nil counts groups the output instead
-// (groupSorted): each bucket's distinct keys, largest payloads and counts go
-// to one cursor that runs behind the buckets, so a bucket's entries overwrite
-// only what the buckets before it left. finishPacked returns the number of
-// entries written: the groups, or every tuple.
+// Under the payload carrier a non-nil counts groups the output instead: each
+// bucket's distinct keys, largest payloads and counts go to one cursor that
+// runs behind the buckets, so a bucket's entries overwrite only what the
+// buckets before it left and its own words once they are read. A bucket
+// whose key bits left one counting pass covers — min(hi−w, bits.Len(n),
+// spreadMaxDigit) == hi−w, sortBucket's rule — is grouped from that pass's
+// counters (groupCounted), any other sorted and grouped (groupSorted); the
+// entries are the same. finishPacked returns the number of entries written:
+// the groups, or every tuple.
 func finishPacked(keys, pays []uint64, counts []int32, bounds []int, w int, inWord bool, hi int, parked []uint64, cut int, scratch Scratch) (entries int) {
 	fullest := 0
 	for b := 0; b+1 < len(bounds); b++ {
@@ -205,6 +220,10 @@ func finishPacked(keys, pays []uint64, counts []int32, bounds []int, w int, inWo
 			for i, p := range sorted {
 				bucketKeys[i] = bucketParked[p&mask]
 			}
+			continue
+		}
+		if group && hi-w <= min(bits.Len(uint(end-lo)), spreadMaxDigit) {
+			entries = s.groupCounted(packed, keys, pays, counts, entries, w, hi-w)
 			continue
 		}
 		if !s.sortBucket(packed, sorted, w, hi) {
@@ -261,6 +280,37 @@ func groupSorted(sorted, keys, pays []uint64, counts []int32, at, w int) int {
 		keys[g], pays[g], counts[g] = best>>w, best&mask, int32(i-start+1)
 	}
 	return at + g + 1
+}
+
+// groupCounted groups a bucket of payload-carrier words that differ only in
+// their digit bits [w, w+digit) and their payloads without sorting it: the
+// counting pass sortBucket would take covers every key bit left. One read
+// counts each digit value and keeps its largest word, which carries the key's
+// largest payload; then one walk over the counters writes the present keys'
+// entries in ascending order at the cursor at of keys, pays and counts, as
+// groupSorted does, zeroes their maxima again and returns the cursor past the
+// last. The entries may overwrite the bucket's own words, so none is written
+// before the last word is read. A key is present where its count is, never
+// its word: key 0 with payload 0 is word 0.
+func (s *packedScratch) groupCounted(packed, keys, pays []uint64, counts []int32, at, w, digit int) int {
+	tally, maxima := s.counters[:1<<digit], s.maxima[:1<<digit]
+	clear(tally)
+	mask := uint64(1)<<digit - 1
+	for _, p := range packed {
+		d := p >> w & mask
+		tally[d]++
+		maxima[d] = max(maxima[d], p)
+	}
+	low := uint64(1)<<w - 1
+	for d, c := range tally {
+		if c != 0 {
+			best := maxima[d]
+			keys[at], pays[at], counts[at] = best>>w, best&low, int32(c)
+			maxima[d] = 0
+			at++
+		}
+	}
+	return at
 }
 
 // sortBucket stably sorts a, whose values agree on every bit from hi up, by
