@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -407,5 +408,76 @@ func TestGateShapesChosenPlanIsNearTheBest(t *testing.T) {
 		if auto > 1.15*best {
 			t.Errorf("%s: the chosen plan takes %.2f ms, all-%s takes %.2f ms (more than 15 %% apart)", shape.name, auto/1e6, bestName, best/1e6)
 		}
+	}
+}
+
+// TestGatePlansGolden renders the physical plan of every gate shape at every
+// constant the benchmark sends (gateConstants), over generator seeds 1–3, at
+// the worker bounds 1, 2 and 8, through Engine.Explain (WithWorkers as the
+// bound, auto-planned) and through Service.Explain (WithFairSlots as the
+// bound), and compares the distinct plans of every (shape, bound, entry point)
+// — with the number of (seed, query) cases that produced each — to
+// testdata/gateplans.golden. A change to the cost model that moves a gate plan
+// shows here as a diff. Regenerate with `go test -run TestGatePlansGolden
+// -update`.
+func TestGatePlansGolden(t *testing.T) {
+	type entry struct {
+		name    string
+		explain func(p *Plan, bound int) (*Explain, error)
+	}
+	entries := []entry{
+		{"Engine.Explain", func(p *Plan, bound int) (*Explain, error) {
+			return New(WithWorkers(bound), WithAutoPlan(true)).Explain(p)
+		}},
+		{"Service.Explain", func(p *Plan, bound int) (*Explain, error) {
+			svc := NewService(New(WithAutoPlan(true)), WithFairSlots(bound))
+			defer svc.Close()
+			return svc.Explain(p)
+		}},
+	}
+	cats := []MapCatalog{gateCatalog(1), gateCatalog(2), gateCatalog(3)}
+	var b strings.Builder
+	for _, shape := range gateShapes {
+		queries := append([]string{shape.query}, gateConstants(shape.name)...)
+		for _, bound := range []int{1, 2, 8} {
+			for _, e := range entries {
+				var plans []string
+				cases := map[string]int{}
+				for _, cat := range cats {
+					for _, query := range queries {
+						ex, err := e.explain(gatePlan(t, query, cat), bound)
+						if err != nil {
+							t.Fatal(err)
+						}
+						plan := physicalPlan(ex)
+						if cases[plan] == 0 {
+							plans = append(plans, plan)
+						}
+						cases[plan]++
+					}
+				}
+				fmt.Fprintf(&b, "=== %s, bound %d, %s\n", shape.name, bound, e.name)
+				for _, plan := range plans {
+					fmt.Fprintf(&b, "--- %d of %d cases\n%s", cases[plan], len(cats)*len(queries), plan)
+				}
+				b.WriteString("\n")
+			}
+		}
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "gateplans.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file: %v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("gate plans diverge from %s (run with -update after intentional changes)\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
 }
