@@ -17,7 +17,7 @@
 // The pipeline is
 //
 //	stats.Profile (per base relation, cached on the Engine)
-//	   → cost model (committed ns/tuple constants, CostModel)
+//	   → cost model (predicted accesses × committed host constants, CostModel)
 //	   → rewrite (join order, build/probe roles, per-node physical choices)
 //
 // and every decision is recorded as a NodeDecision so that Explain can show
@@ -452,10 +452,8 @@ type NodeDecision struct {
 	Reason string
 }
 
-// Optimizer rewrites plans using a stats provider and a cost model.
+// Optimizer rewrites plans using a stats provider and DefaultCostModel.
 type Optimizer struct {
-	// Cost is the cost model; the zero value selects DefaultCostModel.
-	Cost CostModel
 	// Profile returns the (possibly cached) statistics of a base relation.
 	// Nil falls back to uncached stats.Collect.
 	Profile func(*relation.Relation) *stats.Profile
@@ -470,14 +468,6 @@ func (o *Optimizer) profileOf(rel *relation.Relation) *stats.Profile {
 		return o.Profile(rel)
 	}
 	return stats.Collect(rel)
-}
-
-// costModel resolves the cost model.
-func (o *Optimizer) costModel() CostModel {
-	if o.Cost == (CostModel{}) {
-		return DefaultCostModel()
-	}
-	return o.Cost
 }
 
 // Optimize validates p and returns the physical plan to execute together
@@ -513,7 +503,7 @@ func (o *Optimizer) Optimize(p *exec.Plan) (*exec.Plan, []NodeDecision, error) {
 	st := &planState{
 		opt:      o,
 		plan:     cp,
-		cm:       o.costModel(),
+		cm:       DefaultCostModel(),
 		profiles: make([]*stats.Profile, len(cp.Nodes)),
 		matches:  make([]float64, len(cp.Nodes)),
 		decide:   make([]NodeDecision, len(cp.Nodes)),

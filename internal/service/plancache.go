@@ -78,8 +78,6 @@ type PlanCache struct {
 	// typically the engine's memoized profiles. Nil falls back to uncached
 	// collection.
 	Profile func(*relation.Relation) *stats.Profile
-	// Cost is the planner cost model; the zero value selects the default.
-	Cost planner.CostModel
 	// Size bounds the entry count; 0 selects DefaultPlanCacheSize.
 	Size int
 
@@ -172,7 +170,7 @@ func (c *PlanCache) optimize(key []byte, p *exec.Plan, rewrite bool) (*exec.Plan
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	opt := &planner.Optimizer{Cost: c.Cost, Profile: c.Profile, Rewrite: rewrite}
+	opt := &planner.Optimizer{Profile: c.Profile, Rewrite: rewrite}
 	optimized, _, err := opt.Optimize(p)
 	if err != nil {
 		return nil, err
