@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashjoin"
@@ -113,6 +116,7 @@ func runFigure12(cfg Config, w io.Writer) error {
 	tbl := newTable(w)
 	tbl.row("algorithm", "multiplicity", "total [ms]", "phase 1", "phase 2", "phase 3", "phase 4", "build/partition", "probe/join", "NUMA model [ms]", "sync ops", "matches")
 
+	var verdicts []string
 	for _, mult := range []int{1, 4, 8, 16} {
 		r, s, err := makeUniformDataset(cfg, mult, uint64(1200+mult))
 		if err != nil {
@@ -146,12 +150,40 @@ func runFigure12(cfg Config, w io.Writer) error {
 		tbl.row("Wisconsin", mult, ms(wi.Total), "-", "-", "-", "-",
 			phaseCell(wi, "build"), phaseCell(wi, "probe"),
 			ms(wi.SimulatedNUMACost), wi.NUMA.SyncOps, wi.Matches)
+
+		runs := []ranked{{"P-MPSM", p}, {"Radix HJ", v}, {"Wisconsin", wi}}
+		verdicts = append(verdicts, fmt.Sprintf("multiplicity %d: NUMA model %s; wall clock %s", mult,
+			ranking(runs, func(r *result.Result) time.Duration { return r.SimulatedNUMACost }),
+			ranking(runs, func(r *result.Result) time.Duration { return r.Total })))
 	}
 	tbl.flush()
 	fmt.Fprintf(w, "\nworkers=%d |R|=%d\n", workers, cfg.RSize())
-	fmt.Fprintln(w, "expected shape: under the NUMA cost model (the paper's machine), P-MPSM is cheapest and Wisconsin most expensive;")
-	fmt.Fprintln(w, "wall-clock totals on a small-scale, NUMA-oblivious Go runtime favour the cache-sized radix hash join")
+	for _, v := range verdicts {
+		fmt.Fprintln(w, v)
+	}
 	return nil
+}
+
+// ranked is one algorithm's result in a Figure 12 row group.
+type ranked struct {
+	name string
+	res  *result.Result
+}
+
+// ranking orders the algorithms by a measure, cheapest first: "Radix HJ <
+// P-MPSM < Wisconsin", with "≤" between equal readings.
+func ranking(runs []ranked, of func(*result.Result) time.Duration) string {
+	sorted := slices.Clone(runs)
+	slices.SortStableFunc(sorted, func(a, b ranked) int { return cmp.Compare(of(a.res), of(b.res)) })
+	out := sorted[0].name
+	for i := 1; i < len(sorted); i++ {
+		op := " < "
+		if of(sorted[i].res) == of(sorted[i-1].res) {
+			op = " ≤ "
+		}
+		out += op + sorted[i].name
+	}
+	return out
 }
 
 // runFigure13 reproduces Figure 13: execution time of P-MPSM and the radix
