@@ -136,51 +136,41 @@ func (t *Tracker) Worker() int { return t.worker }
 // Node returns the worker's home node.
 func (t *Tracker) Node() int { return t.topology.NodeOfWorker(t.worker) }
 
+// book adds count to local or remote, as the given node is to the tracker's
+// worker.
+func (t *Tracker) book(node int, count uint64, local, remote *uint64) {
+	if t.topology.IsLocal(t.worker, node) {
+		*local += count
+	} else {
+		*remote += count
+	}
+}
+
 // SeqRead records count sequential reads from memory on the given node.
 func (t *Tracker) SeqRead(node int, count uint64) {
-	if t == nil {
-		return
-	}
-	if t.topology.IsLocal(t.worker, node) {
-		t.stats.LocalSeqRead += count
-	} else {
-		t.stats.RemoteSeqRead += count
+	if t != nil {
+		t.book(node, count, &t.stats.LocalSeqRead, &t.stats.RemoteSeqRead)
 	}
 }
 
 // RandRead records count random reads from memory on the given node.
 func (t *Tracker) RandRead(node int, count uint64) {
-	if t == nil {
-		return
-	}
-	if t.topology.IsLocal(t.worker, node) {
-		t.stats.LocalRandRead += count
-	} else {
-		t.stats.RemoteRandRead += count
+	if t != nil {
+		t.book(node, count, &t.stats.LocalRandRead, &t.stats.RemoteRandRead)
 	}
 }
 
 // SeqWrite records count sequential writes to memory on the given node.
 func (t *Tracker) SeqWrite(node int, count uint64) {
-	if t == nil {
-		return
-	}
-	if t.topology.IsLocal(t.worker, node) {
-		t.stats.LocalSeqWrite += count
-	} else {
-		t.stats.RemoteSeqWrite += count
+	if t != nil {
+		t.book(node, count, &t.stats.LocalSeqWrite, &t.stats.RemoteSeqWrite)
 	}
 }
 
 // RandWrite records count random writes to memory on the given node.
 func (t *Tracker) RandWrite(node int, count uint64) {
-	if t == nil {
-		return
-	}
-	if t.topology.IsLocal(t.worker, node) {
-		t.stats.LocalRandWrite += count
-	} else {
-		t.stats.RemoteRandWrite += count
+	if t != nil {
+		t.book(node, count, &t.stats.LocalRandWrite, &t.stats.RemoteRandWrite)
 	}
 }
 

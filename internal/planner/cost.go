@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/exec"
+	"repro/internal/numa"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
@@ -57,18 +58,19 @@ import (
 // are only extrapolated beyond: what the model says at more than two workers
 // has not been measured on any host.
 type CostModel struct {
-	// SeqRead, SeqWrite, RandRead and RandWrite price one tuple's access of
-	// each kind (numa.AccessStats, summed over locality) while the phase's
-	// working set is cache-resident, and SyncOp one compare-and-swap of the
-	// shared hash table's build. The ladder's phases on one worker set them:
-	// the match phase books one sequential read per tuple scanned and reads
-	// 9.8–10.4 ns a tuple; run generation books two sequential reads, a
-	// sequential write and two random reads and writes per tuple and reads
-	// 14.2–15.6 ns a tuple up to 262 144 tuples; the no-partitioning join's
-	// build books one random write a build tuple, its probe one sequential
-	// read a probe tuple and one random read per probe tuple and per chain
-	// entry walked.
-	SeqRead, SeqWrite, RandRead, RandWrite, SyncOp float64
+	// Access prices one tuple's access of each kind the trackers book
+	// (numa.AccessStats) while the phase's working set is cache-resident, a
+	// compare-and-swap of the shared hash table's build as SyncOp. Only the
+	// local kinds are set: this host has one node, and the predictors book
+	// every access as local. The
+	// ladder's phases on one worker set them: the match phase books one
+	// sequential read per tuple scanned and reads 9.8–10.4 ns a tuple; run
+	// generation books two sequential reads, a sequential write and two
+	// random reads and writes per tuple and reads 14.2–15.6 ns a tuple up to
+	// 262 144 tuples; the no-partitioning join's build books one random write
+	// a build tuple, its probe one sequential read a probe tuple and one
+	// random read per probe tuple and per chain entry walked.
+	Access numa.CostModel
 	// RandMiss is what a random access costs more once the phase's working
 	// set has left the fast cache levels, phased in over CacheGrowthLog2
 	// doublings of the working set beyond CacheBytes: run generation reads
@@ -165,11 +167,18 @@ type CostModel struct {
 	// Resolution is the relative cost difference the model does not resolve:
 	// candidates within it of the cheapest are a tie, which goes to the first
 	// in candidate order (P-MPSM, B-MPSM, Wisconsin, Radix HJ), so that a
-	// template plans the same over every sample of its data instead of
-	// following the cardinality estimate's noise. The case it is sized on is
-	// chain3's first join, 65 536 × 262 144 into Collect, whose estimate reads
-	// 203–305 k rows over generator seeds 1–3 (actual 262 k): a tenth is what
-	// that moves a cost by.
+	// template plans the same over every sample of its data. It is 4 %,
+	// because by their accesses P-MPSM and B-MPSM differ by little on one
+	// worker: P-MPSM's partitioning books one sequential read per private
+	// tuple more than B-MPSM's run generation of the same input, 5.4 % of the
+	// band template's 32 768 × 32 768 join, which the clock puts on B-MPSM
+	// (TestGateShapesChosenPlanIsNearTheBest). That is narrower than the
+	// noise of the cardinality estimate — chain3's first join, 65 536 ×
+	// 262 144, estimates 203–305 k rows over generator seeds 1–3 (actual
+	// 262 k) — so the ties do not absorb that noise; the gate plans hold
+	// because their candidates move together with the estimate or sit
+	// further apart than it moves them (TestGatePlansHoldUnderEstimateNoise
+	// scales every join's estimate by 0.75 and 1.25).
 	Resolution float64
 	// TieBreakPerMatch prices verifying one candidate pair of a
 	// normalized-key tie-break join: two metadata loads plus a full-key
@@ -183,11 +192,7 @@ type CostModel struct {
 // DefaultCostModel returns the model measured on the reference sandbox.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		SeqRead:              2,
-		SeqWrite:             0.4,
-		RandRead:             1.4,
-		RandWrite:            4.6,
-		SyncOp:               1.4,
+		Access:               numa.CostModel{LocalSeqRead: 2, LocalSeqWrite: 0.4, LocalRandRead: 1.4, LocalRandWrite: 4.6, SyncOp: 1.4},
 		RandMiss:             2.2,
 		CacheBytes:           1408 << 10,
 		CacheGrowthLog2:      3.7,
@@ -206,31 +211,23 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Accesses are predicted memory accesses of a join phase, one count per kind
-// a numa.Tracker books, summed over local and remote memory; the unit is one
-// tuple, as the trackers count.
-type Accesses struct {
-	SeqRead, SeqWrite, RandRead, RandWrite, Sync float64
+// local books predicted accesses of a phase — sequential and random reads
+// and writes and synchronisation operations, in tuples as the trackers count
+// them — as local ones: this host has one node.
+func local(seqRead, seqWrite, randRead, randWrite, sync float64) numa.AccessStats {
+	return numa.AccessStats{LocalSeqRead: uint64(seqRead), LocalSeqWrite: uint64(seqWrite), LocalRandRead: uint64(randRead), LocalRandWrite: uint64(randWrite), SyncOps: uint64(sync)}
 }
 
-// share names the added worker's share a phase divides by.
-type share int
-
-const (
-	rampShare      share = iota // ParallelCached → ParallelMemory with the miss fraction
-	mergeShare                  // MergeParallel
-	partitionShare              // PartitionParallel
-)
-
-// Phase is one phase of a join as the model prices it: its accesses, the
-// working set in bytes that sets the cache ramp of its random accesses, the
-// share an added worker returns on it and the barriers it costs on more than
-// one worker. Name is the phase's name in Result.Phases.
+// Phase is one phase of a join as the model prices it: the accesses its
+// workers book, the working set in bytes that sets the cache ramp of its
+// random accesses, the share of a worker an added worker returns on it —
+// zero for a phase whose share follows the cache ramp (ParallelCached →
+// ParallelMemory with its miss fraction) — and the barriers it costs on more
+// than one worker.
 type Phase struct {
-	Name string
-	Accesses
+	numa.AccessStats
 	Bytes    float64
-	Share    share
+	Share    float64
 	Barriers int
 }
 
@@ -246,86 +243,60 @@ const (
 // runGeneration predicts sorting n tuples into runs on t workers: each source
 // chunk is read twice and its run written once, and sorting adds two random
 // read and write passes; a presorted chunk is verified and copied.
-func runGeneration(name string, n, t float64, presorted bool) Phase {
+func (c CostModel) runGeneration(n, t float64, presorted bool) Phase {
 	if presorted {
-		return Phase{Name: name, Accesses: Accesses{SeqRead: 2 * n, SeqWrite: n}, Share: mergeShare, Barriers: 1}
+		return Phase{AccessStats: local(2*n, n, 0, 0, 0), Share: c.MergeParallel, Barriers: 1}
 	}
-	return Phase{Name: name, Accesses: Accesses{SeqRead: 2 * n, SeqWrite: n, RandRead: 2 * n, RandWrite: 2 * n}, Bytes: runBytes * n / t, Barriers: 1}
+	return Phase{AccessStats: local(2*n, n, 2*n, 2*n, 0), Bytes: runBytes * n / t, Barriers: 1}
 }
 
-// rangePartition predicts P-MPSM's phase 2 over n private tuples: the
-// histogram count and the scatter each read the input once and the scatter
-// writes it into its partitions, in three barriers (the public bounds, the
-// count and the scatter).
-func rangePartition(n float64) Phase {
-	return Phase{Name: "phase 2", Accesses: Accesses{SeqRead: 2 * n, SeqWrite: n}, Share: partitionShare, Barriers: 3}
-}
-
-// sortPartitions predicts P-MPSM's phase 3: the partitions, whose digit
-// counts phase 2 summed, are read once into their runs and sorted there.
-func sortPartitions(n, t float64) Phase {
-	return Phase{Name: "phase 3", Accesses: Accesses{SeqRead: n, RandRead: 2 * n, RandWrite: 2 * n}, Bytes: runBytes * n / t, Barriers: 1}
-}
-
-// match predicts the merge join of private tuples against public entries,
-// each read once per scan.
-func match(name string, private, public float64) Phase {
-	return Phase{Name: name, Accesses: Accesses{SeqRead: private + public}, Share: mergeShare, Barriers: 1}
-}
-
-// bmpsm predicts B-MPSM: every worker scans its private run once per public
-// run and every public run in full; morsels enter a public run by search,
-// and the chunks of presorted inputs cover one key range each, so there the
-// public runs are scanned once over all.
-func bmpsm(in joinInputs) []Phase {
+// bmpsm predicts B-MPSM: both inputs' run generation, then the match phase,
+// in which every worker scans its private run once per public run and every
+// public run in full. Morsels enter a public run by search, and the chunks of
+// presorted inputs cover one key range each, so there the public runs are
+// scanned once over all.
+func (c CostModel) bmpsm(in joinInputs) []Phase {
 	t := float64(max(1, in.workers))
-	public := in.entries * t
+	public := in.probe * t
 	if !in.static && in.presortedBuild && in.presortedProbe {
-		public = in.entries
+		public = in.probe
 	}
 	return []Phase{
-		runGeneration("phase 1", in.probe, t, in.presortedProbe),
-		runGeneration("phase 2", in.build, t, in.presortedBuild),
-		match("phase 3", in.build*t, public),
-	}
-}
-
-// pmpsm predicts P-MPSM: the partitions of the private input are sorted
-// whatever order it arrived in, and a worker scans its partition once per
-// public run and, entering each by search, the window of its key range.
-func pmpsm(in joinInputs) []Phase {
-	t := float64(max(1, in.workers))
-	return []Phase{
-		runGeneration("phase 1", in.probe, t, in.presortedProbe),
-		rangePartition(in.build),
-		sortPartitions(in.build, t),
-		match("phase 4", in.build*t, in.entries),
+		c.runGeneration(in.probe, t, in.presortedProbe),
+		c.runGeneration(in.build, t, in.presortedBuild),
+		{AccessStats: local(in.build*t+public, 0, 0, 0, 0), Share: c.MergeParallel, Barriers: 1},
 	}
 }
 
-// dmpsm predicts D-MPSM: B-MPSM's run generation and, through the buffer
-// pool, which books nothing, its static match phase.
-func dmpsm(in joinInputs) []Phase {
+// pmpsm predicts P-MPSM: the public input's run generation; the range
+// partitioning of the private input, whose histogram count and scatter each
+// read it once and whose scatter writes it into its partitions, in three
+// barriers (the public bounds, the count and the scatter); the sort of every
+// partition, read once into its run whatever order it arrived in; and the
+// match phase, in which a worker scans its partition once per public run and,
+// entering each by search, the window of its key range.
+func (c CostModel) pmpsm(in joinInputs) []Phase {
 	t := float64(max(1, in.workers))
 	return []Phase{
-		runGeneration("phase 1", in.probe, t, in.presortedProbe),
-		runGeneration("phase 2", in.build, t, in.presortedBuild),
-		match("phase 3", in.build*t, in.probe*t),
+		c.runGeneration(in.probe, t, in.presortedProbe),
+		{AccessStats: local(2*in.build, in.build, 0, 0, 0), Share: c.PartitionParallel, Barriers: 3},
+		{AccessStats: local(in.build, 0, 2*in.build, 2*in.build, 0), Bytes: runBytes * in.build / t, Barriers: 1},
+		{AccessStats: local(in.build*t+in.probe, 0, 0, 0, 0), Share: c.MergeParallel, Barriers: 1},
 	}
 }
 
 // wisconsin predicts the no-partitioning join: an insert per build tuple,
 // with a compare-and-swap where several workers share the table, and per
 // probe tuple its read and a lookup plus one chain entry per match.
-func wisconsin(in joinInputs) []Phase {
+func (c CostModel) wisconsin(in joinInputs) []Phase {
 	sync := 0.0
 	if in.workers > 1 {
 		sync = in.build
 	}
 	bytes := tableBytes * in.build
 	return []Phase{
-		{Name: "build", Accesses: Accesses{RandWrite: in.build, Sync: sync}, Bytes: bytes, Barriers: 1},
-		{Name: "probe", Accesses: Accesses{SeqRead: in.probe, RandRead: in.probe + in.matches}, Bytes: bytes, Barriers: 1},
+		{AccessStats: local(0, 0, 0, in.build, sync), Bytes: bytes, Barriers: 1},
+		{AccessStats: local(in.probe, 0, in.probe+in.matches, 0, 0), Bytes: bytes, Barriers: 1},
 	}
 }
 
@@ -333,28 +304,31 @@ func wisconsin(in joinInputs) []Phase {
 // scatter each read both inputs and whose scatter writes them across the
 // partitions, then per partition pair a read of both, an insert per build
 // tuple and a lookup per probe tuple.
-func radix(in joinInputs) []Phase {
+func (c CostModel) radix(in joinInputs) []Phase {
 	n := in.build + in.probe
 	bytes := radixBytes * n
 	return []Phase{
-		{Name: "partition", Accesses: Accesses{SeqRead: 2 * n, RandWrite: n}, Bytes: bytes, Barriers: 2},
-		{Name: "build+probe", Accesses: Accesses{SeqRead: n, RandWrite: in.build, RandRead: in.probe}, Bytes: bytes, Barriers: 1},
+		{AccessStats: local(2*n, 0, 0, n, 0), Bytes: bytes, Barriers: 2},
+		{AccessStats: local(n, 0, in.probe, in.build, 0), Bytes: bytes, Barriers: 1},
 	}
 }
 
-// phasesOf predicts the phases of one join under the given algorithm.
-func phasesOf(alg exec.Algorithm, in joinInputs) []Phase {
+// phasesOf predicts the phases of one join under the given algorithm. D-MPSM
+// is B-MPSM's run generation and, through the buffer pool, which books
+// nothing, its static match phase.
+func (c CostModel) phasesOf(alg exec.Algorithm, in joinInputs) []Phase {
 	switch alg {
 	case exec.AlgorithmBMPSM:
-		return bmpsm(in)
+		return c.bmpsm(in)
 	case exec.AlgorithmPMPSM:
-		return pmpsm(in)
+		return c.pmpsm(in)
 	case exec.AlgorithmDMPSM:
-		return dmpsm(in)
+		in.static = true
+		return c.bmpsm(in)
 	case exec.AlgorithmWisconsin:
-		return wisconsin(in)
+		return c.wisconsin(in)
 	case exec.AlgorithmRadix:
-		return radix(in)
+		return c.radix(in)
 	}
 	return nil
 }
@@ -390,15 +364,10 @@ func speedup(t, s float64) float64 { return 1 + (t-1)*s }
 // price is the modelled time of a phase on t workers, its barriers left out.
 func (c CostModel) price(p Phase, t float64) float64 {
 	miss := c.missFraction(p.Bytes)
-	ns := p.SeqRead*c.SeqRead + p.SeqWrite*c.SeqWrite +
-		p.RandRead*c.RandRead + p.RandWrite*c.RandWrite + p.Sync*c.SyncOp +
-		(p.RandRead+p.RandWrite)*c.RandMiss*miss
-	s := c.ParallelCached + (c.ParallelMemory-c.ParallelCached)*miss
-	switch p.Share {
-	case mergeShare:
-		s = c.MergeParallel
-	case partitionShare:
-		s = c.PartitionParallel
+	ns := float64(c.Access.Estimate(p.AccessStats)) + float64(p.LocalRandRead+p.LocalRandWrite)*c.RandMiss*miss
+	s := p.Share
+	if s == 0 {
+		s = c.ParallelCached + (c.ParallelMemory-c.ParallelCached)*miss
 	}
 	return ns / speedup(t, s)
 }
@@ -427,25 +396,19 @@ func (c CostModel) run(t int, phases ...Phase) float64 {
 // probing leaf in a linear pass.
 func (c CostModel) groupJoin(n, d, probes, groups float64, leaves, t int) float64 {
 	bytes := tableBytes * d
-	cost := c.run(1, runGeneration("sort", n, 1, false),
-		Phase{Name: "build", Accesses: Accesses{RandWrite: d}, Bytes: bytes}) +
-		c.run(t, Phase{Name: "probe", Accesses: Accesses{SeqRead: probes, RandRead: 2 * probes}, Bytes: bytes, Barriers: leaves - 1}) +
+	cost := c.run(1, c.runGeneration(n, 1, false), Phase{AccessStats: local(0, 0, 0, d, 0), Bytes: bytes}) +
+		c.run(t, Phase{AccessStats: local(probes, 0, 2*probes, 0, 0), Bytes: bytes, Barriers: leaves - 1}) +
 		c.GroupOrderedPerEntry*groups
 	if t > 1 {
 		merge := float64((t - 1) * (leaves - 1))
-		cost += c.BarrierFixed + c.run(1, Phase{Accesses: Accesses{SeqRead: merge * d, SeqWrite: merge * d}})
+		cost += c.BarrierFixed + c.run(1, Phase{AccessStats: local(merge*d, merge*d, 0, 0, 0)})
 	}
 	return cost
 }
 
 // joinInputs captures the cost-relevant features of one join's inputs.
 type joinInputs struct {
-	build, probe float64 // cardinalities (build = private, probe = public)
-	// entries is the public input's entries in its runs: a tuple each, or
-	// one per key group of a grouped run. The planner does not know whether
-	// a folding join's public runs group (that depends on payload widths the
-	// profile does not sample), so it prices them raw.
-	entries          float64
+	build, probe     float64 // cardinalities (build = private, probe = public)
 	matches          float64 // estimated join cardinality
 	groups           float64 // estimated distinct keys of the join's output
 	presortedBuild   bool    // build side passes the presortedness probe
@@ -486,7 +449,7 @@ func (c CostModel) Estimate(alg exec.Algorithm, in joinInputs, to Consumer) floa
 // known: its phases, the barriers between them and whatever else only
 // coordination needs.
 func (c CostModel) produce(alg exec.Algorithm, in joinInputs) float64 {
-	phases := phasesOf(alg, in)
+	phases := c.phasesOf(alg, in)
 	if phases == nil {
 		return math.Inf(1)
 	}
@@ -528,7 +491,7 @@ func (c CostModel) deliver(alg exec.Algorithm, in joinInputs, to Consumer) float
 		case t > 1:
 			// Several writers' entries are histogrammed, scattered into one
 			// partition per worker and sorted there.
-			scatter := Phase{Accesses: Accesses{SeqRead: 2 * entries, SeqWrite: entries}, Share: mergeShare}
+			scatter := Phase{AccessStats: local(2*entries, entries, 0, 0, 0), Share: c.MergeParallel}
 			cost += c.GroupFinalPerEntry*entries/speedup(t, c.MergeParallel) + c.price(scatter, t) + 4*c.BarrierFixed
 		case ranges:
 			// One writer behind a range kernel: its buffer is the one
@@ -547,9 +510,6 @@ type AlgorithmCost struct {
 	// Millis is the modelled wall-clock cost in milliseconds, delivery to the
 	// join's consumer included.
 	Millis float64
-	// Eligible is false when constraints (join kind, band, disk budget)
-	// exclude the algorithm regardless of cost.
-	Eligible bool
 }
 
 // inputsFor assembles the cost-model features from the two input profiles,
@@ -558,7 +518,6 @@ func inputsFor(build, probe *stats.Profile, matches, groups float64, c Constrain
 	return joinInputs{
 		build:            float64(build.Tuples),
 		probe:            float64(probe.Tuples),
-		entries:          float64(probe.Tuples),
 		matches:          matches,
 		groups:           groups,
 		presortedBuild:   build.LikelySorted(),

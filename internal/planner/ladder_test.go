@@ -56,7 +56,7 @@ var ladderMeasured = map[exec.Algorithm][][]float64{
 // foreign keys hit about 98 % of the private keys, so nearly every public
 // tuple finds its one partner.
 func ladderInputs(n, workers int) joinInputs {
-	return joinInputs{build: float64(n), probe: 4 * float64(n), entries: 4 * float64(n), matches: 4 * float64(n), groups: float64(n), workers: workers, static: true}
+	return joinInputs{build: float64(n), probe: 4 * float64(n), matches: 4 * float64(n), groups: float64(n), workers: workers, static: true}
 }
 
 // modelledSpeedup is the cost model's time on one worker over its time on

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -265,7 +266,7 @@ func chooseJoin(build, probe *stats.Profile, matches, groups float64, c Constrai
 	// orientation, cheapest first, so Explain shows the actual contest.
 	for _, opt := range perAlg {
 		choice.Costs = append(choice.Costs, AlgorithmCost{
-			Algorithm: opt.alg, Millis: opt.cost / 1e6, Eligible: true,
+			Algorithm: opt.alg, Millis: opt.cost / 1e6,
 		})
 	}
 	sort.Slice(choice.Costs, func(i, j int) bool {
@@ -591,9 +592,7 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 			SortedFraction: 1, // aggregate output is emitted in key order
 			Correlated:     in.Correlated,
 		}
-	case exec.NodeSink:
-		p = &stats.Profile{SortedFraction: 1}
-	default:
+	default: // sinks
 		p = &stats.Profile{SortedFraction: 1}
 	}
 	s.profiles[id] = p
@@ -634,10 +633,7 @@ func (s *planState) symmetricConsumers() []bool {
 // consumers returns, per node, the node consuming its output: -1 for the
 // root and for scans, the one kind of node validation lets feed several.
 func (s *planState) consumers() []exec.NodeID {
-	consumer := make([]exec.NodeID, len(s.plan.Nodes))
-	for i := range consumer {
-		consumer[i] = -1
-	}
+	consumer := slices.Repeat([]exec.NodeID{-1}, len(s.plan.Nodes))
 	for id, n := range s.plan.Nodes {
 		for _, in := range n.Inputs {
 			if s.plan.Nodes[in].Kind != exec.NodeScan {
@@ -756,10 +752,8 @@ func (s *planState) decideJoin(id exec.NodeID) {
 // when it was not a candidate (a configured algorithm the constraints rule
 // out).
 func costOf(costs []AlgorithmCost, alg exec.Algorithm) float64 {
-	for _, c := range costs {
-		if c.Algorithm == alg {
-			return c.Millis
-		}
+	if i := slices.IndexFunc(costs, func(c AlgorithmCost) bool { return c.Algorithm == alg }); i >= 0 {
+		return costs[i].Millis
 	}
 	return 0
 }

@@ -264,7 +264,7 @@ func TestChooseJoinKeepsAWorkerOnlyWhereItPays(t *testing.T) {
 // workers, while P-MPSM's join phase must.
 func TestCostModelWorkerScaling(t *testing.T) {
 	cm := DefaultCostModel()
-	in1 := joinInputs{build: 1 << 18, probe: 1 << 22, entries: 1 << 22, workers: 1, static: true}
+	in1 := joinInputs{build: 1 << 18, probe: 1 << 22, workers: 1, static: true}
 	in16 := in1
 	in16.workers = 16
 	b1 := cm.Estimate(exec.AlgorithmBMPSM, in1, maxSum)
@@ -274,9 +274,9 @@ func TestCostModelWorkerScaling(t *testing.T) {
 	if p16 >= p1/4 {
 		t.Errorf("P-MPSM cost barely scales with workers: %v -> %v", p1, p16)
 	}
-	if b16 < cm.SeqRead*float64(in1.probe) {
+	if b16 < cm.Access.LocalSeqRead*float64(in1.probe) {
 		t.Errorf("B-MPSM cost %v lost its per-worker public scan term (merge floor %v)",
-			b16, cm.SeqRead*float64(in1.probe))
+			b16, cm.Access.LocalSeqRead*float64(in1.probe))
 	}
 	// With many workers and a large public input, P-MPSM must beat B-MPSM.
 	if p16 >= b16 {

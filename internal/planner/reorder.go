@@ -146,13 +146,11 @@ func (s *planState) reorderCluster(cluster []exec.NodeID) (rewired bool) {
 		remaining[i] = cand{id: id, prof: s.profiles[id]}
 	}
 	pickPair := func() (int, int) {
-		bi, bj, bestEst := 0, 1, 0.0
-		first := true
+		bi, bj, bestEst := 0, 1, stats.EstimateJoin(remaining[0].prof, remaining[1].prof)
 		for i := 0; i < len(remaining); i++ {
 			for j := i + 1; j < len(remaining); j++ {
-				est := stats.EstimateJoin(remaining[i].prof, remaining[j].prof)
-				if first || est < bestEst {
-					bi, bj, bestEst, first = i, j, est, false
+				if est := stats.EstimateJoin(remaining[i].prof, remaining[j].prof); est < bestEst {
+					bi, bj, bestEst = i, j, est
 				}
 			}
 		}
@@ -175,12 +173,10 @@ func (s *planState) reorderCluster(cluster []exec.NodeID) (rewired bool) {
 	order := [][2]exec.NodeID{{firstLeaf.id, second.id}}
 	prev := topo[0]
 	for pos := 1; pos < len(topo); pos++ {
-		bestIdx, bestEst := 0, 0.0
-		firstPick := true
-		for k := range remaining {
-			e := stats.EstimateJoin(current, remaining[k].prof)
-			if firstPick || e < bestEst {
-				bestIdx, bestEst, firstPick = k, e, false
+		bestIdx, bestEst := 0, stats.EstimateJoin(current, remaining[0].prof)
+		for k := 1; k < len(remaining); k++ {
+			if e := stats.EstimateJoin(current, remaining[k].prof); e < bestEst {
+				bestIdx, bestEst = k, e
 			}
 		}
 		leaf := removeAt(bestIdx)
