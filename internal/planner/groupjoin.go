@@ -22,19 +22,15 @@ func (s *planState) decideGroupJoin(id exec.NodeID) {
 	if err != nil {
 		return
 	}
-	driver := 0
+	driver, probes := 0, 0.0
 	for i, leaf := range in.Leaves {
+		probes += float64(s.profiles[leaf].Tuples)
 		if s.profiles[leaf].Tuples < s.profiles[in.Leaves[driver]].Tuples {
 			driver = i
 		}
 	}
-	probes := 0.0
-	for i, leaf := range in.Leaves {
-		if i != driver {
-			probes += float64(s.profiles[leaf].Tuples)
-		}
-	}
 	dp := s.profiles[in.Leaves[driver]]
+	probes -= float64(dp.Tuples)
 	distinct, groups := math.Min(dp.DistinctKeys, float64(dp.Tuples)), float64(s.profiles[id].Tuples)
 	cost := func(t int) float64 {
 		return s.cm.groupJoin(float64(dp.Tuples), distinct, probes, groups, len(in.Leaves), t)

@@ -478,6 +478,12 @@ func (o *Optimizer) profileOf(rel *relation.Relation) *stats.Profile {
 // plan computes the output of node i of the input plan (with possibly
 // different inputs inside reordered join clusters).
 func (o *Optimizer) Optimize(p *exec.Plan) (*exec.Plan, []NodeDecision, error) {
+	return o.optimize(p, 1)
+}
+
+// optimize is Optimize with every join's estimated cardinality scaled by
+// scale, which shows what the estimates' noise does to a plan.
+func (o *Optimizer) optimize(p *exec.Plan, scale float64) (*exec.Plan, []NodeDecision, error) {
 	cp := &exec.Plan{Nodes: append([]exec.PlanNode(nil), p.Nodes...)}
 	if o.Rewrite {
 		// The planner overrides the configured algorithm anyway, so a
@@ -507,6 +513,7 @@ func (o *Optimizer) Optimize(p *exec.Plan) (*exec.Plan, []NodeDecision, error) {
 		cm:       DefaultCostModel(),
 		profiles: make([]*stats.Profile, len(cp.Nodes)),
 		matches:  make([]float64, len(cp.Nodes)),
+		scale:    scale,
 		decide:   make([]NodeDecision, len(cp.Nodes)),
 	}
 
@@ -535,7 +542,9 @@ type planState struct {
 	profiles []*stats.Profile
 	// matches is the estimated cardinality of every join node, kept from
 	// profiling so that deciding a join does not estimate it again.
-	matches   []float64
+	matches []float64
+	// scale multiplies every join's estimated cardinality: 1 but in tests.
+	scale     float64
 	decide    []NodeDecision
 	symmetric []bool
 	// consumer is the node consuming each node's output (-1 for the root and
@@ -569,7 +578,7 @@ func (s *planState) profile(id exec.NodeID) *stats.Profile {
 	case exec.NodeJoin:
 		b := s.profile(n.Inputs[0])
 		pr := s.profile(n.Inputs[1])
-		s.matches[id] = stats.EstimateBandJoin(b, pr, n.JoinOptions.Band)
+		s.matches[id] = s.scale * stats.EstimateBandJoin(b, pr, n.JoinOptions.Band)
 		p = stats.JoinOutput(b, pr, s.matches[id])
 	case exec.NodeMap:
 		p = s.profile(n.Inputs[0]).Mapped(n.MapFn)
