@@ -202,3 +202,49 @@ func TestGroupedSortCountsDenseBuckets(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupedSortLeasesScratchForSortedBucketsOnly: a grouped sort leases its
+// bucket scratch at the fullest bucket it sorts, none where every bucket is
+// grouped from its counting pass. Keys below 2^12 are counted whole, in one
+// bucket and past stage 1 in 256; 18-bit keys leave 10 bits to the buckets of
+// stage 2, which buckets of 600 tuples count and one of 300 sorts.
+func TestGroupedSortLeasesScratchForSortedBucketsOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	below4096 := make([]relation.Tuple, 100_000)
+	for i := range below4096 {
+		below4096[i] = relation.Tuple{Key: rng.Uint64() >> 52, Payload: rng.Uint64() >> 44}
+	}
+	var oneSorted []relation.Tuple
+	for b := uint64(0); b < radixBuckets; b++ {
+		size := 600
+		if b == 7 {
+			size = 300
+		}
+		for range size {
+			oneSorted = append(oneSorted, relation.Tuple{Key: b<<10 | rng.Uint64()>>54, Payload: rng.Uint64() >> 44})
+		}
+	}
+	rng.Shuffle(len(oneSorted), func(i, j int) { oneSorted[i], oneSorted[j] = oneSorted[j], oneSorted[i] })
+	for _, c := range []struct {
+		name  string
+		input []relation.Tuple
+		words []int
+	}{
+		{"keys<2^12/one-bucket", bucketed(1, l2Values, 12, 3), nil},
+		{"keys<2^12/256-buckets", below4096, nil},
+		{"one-bucket-of-256-sorted", oneSorted, []int{300}},
+	} {
+		checkGrouped(t, c.name, c.input)
+		n := len(c.input)
+		keys, pays := make([]uint64, n), make([]uint64, n)
+		wantCounts, _ := SortTuplesIntoGroups(c.input, keys, pays, nil)
+		var scratch countingScratch
+		counts, _ := SortTuplesIntoGroups(c.input, keys, pays, &scratch)
+		if counts == nil || !slices.Equal(counts, wantCounts) {
+			t.Fatalf("%s: %d groups with a scratch, %d without", c.name, len(counts), len(wantCounts))
+		}
+		if !slices.Equal(scratch.words, c.words) || scratch.wordsBack != len(c.words) {
+			t.Errorf("%s: leased Uint64s %v and returned %d, want %v", c.name, scratch.words, scratch.wordsBack, c.words)
+		}
+	}
+}

@@ -189,22 +189,35 @@ var packedScratchPool = sync.Pool{New: func() any { return new(packedScratch) }}
 // entries are the same. finishPacked returns the number of entries written:
 // the groups, or every tuple.
 func finishPacked(keys, pays []uint64, counts []int32, bounds []int, w int, inWord bool, hi int, parked []uint64, cut int, scratch Scratch) (entries int) {
+	mask, group := uint64(1)<<w-1, inWord && counts != nil
+	// counted reports a bucket of n words that groupCounted groups from its
+	// counting pass, never touching the bucket scratch, which is leased at
+	// the fullest of the others: none, if every bucket is counted.
+	counted := func(n int) bool { return group && hi-w <= min(bits.Len(uint(n)), spreadMaxDigit) }
 	fullest := 0
 	for b := 0; b+1 < len(bounds); b++ {
-		fullest = max(fullest, bounds[b+1]-bounds[b])
+		if n := bounds[b+1] - bounds[b]; !counted(n) {
+			fullest = max(fullest, n)
+		}
 	}
 	var buf []uint64
-	if scratch == nil {
+	switch {
+	case fullest == 0:
+	case scratch == nil:
 		buf = make([]uint64, fullest)
-	} else {
+	default:
 		buf = scratch.Uint64s(fullest)
 		defer scratch.PutUint64s(buf)
 	}
-	mask, group := uint64(1)<<w-1, inWord && counts != nil
 	s := packedScratchPool.Get().(*packedScratch)
 	for b := 0; b+1 < len(bounds); b++ {
 		lo, end := bounds[b], bounds[b+1]
-		packed, sorted, bucketKeys := pays[lo:end], buf[:end-lo], keys[lo:end]
+		packed, bucketKeys := pays[lo:end], keys[lo:end]
+		if counted(end - lo) {
+			entries = s.groupCounted(packed, keys, pays, counts, entries, w, hi-w)
+			continue
+		}
+		sorted := buf[:end-lo]
 		if parked != nil {
 			bucketParked := parked[lo:end]
 			for i, k := range bucketParked {
@@ -220,10 +233,6 @@ func finishPacked(keys, pays []uint64, counts []int32, bounds []int, w int, inWo
 			for i, p := range sorted {
 				bucketKeys[i] = bucketParked[p&mask]
 			}
-			continue
-		}
-		if group && hi-w <= min(bits.Len(uint(end-lo)), spreadMaxDigit) {
-			entries = s.groupCounted(packed, keys, pays, counts, entries, w, hi-w)
 			continue
 		}
 		if !s.sortBucket(packed, sorted, w, hi) {
