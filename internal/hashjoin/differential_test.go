@@ -58,9 +58,25 @@ func evenSums(rPayload, sPayload uint64) (uint64, uint64, bool) {
 // must also leave no lease checked out.
 func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 	t.Helper()
+	checkCells(t, rT, sT, -1)
+}
+
+// hashJoinCells is the size of checkAgainstReference's matrix: three worker
+// counts, two schedulers, pooled or not, two joins and eight sinks.
+const hashJoinCells = 3 * 2 * 2 * 2 * (1 + 4 + 3)
+
+// checkCells runs cell only of checkAgainstReference's matrix, numbered in
+// the order the loops below run them, or every cell where only < 0.
+func checkCells(t *testing.T, rT, sT []relation.Tuple, only int) {
+	t.Helper()
+	cell := 0
+	selected := func() bool {
+		cell++
+		return only < 0 || cell-1 == only
+	}
 	var oracle mergejoin.Materializer
 	mergejoin.ReferenceJoin(rT, sT, &oracle)
-	want := sortedPairs(oracle.Out)
+	want := oracle.Out // sorted only where a cell compares pairs
 	all := foldOf(want, func(uint64, uint64) bool { return true })
 	even := foldOf(want, func(rp, sp uint64) bool { _, _, ok := evenSums(rp, sp); return ok })
 	opaque := func(r, s relation.Tuple) relation.Tuple {
@@ -92,34 +108,39 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 		for _, mode := range []sched.Mode{sched.Static, sched.Morsel} {
 			for _, scratch := range []*memory.Pool{nil, pool} {
 				opts := Options{Workers: workers, Scheduler: mode, MorselSize: 7, Scratch: scratch}
-				for name, join := range map[string]func(Options) (*result.Result, error){
-					"Wisconsin": func(o Options) (*result.Result, error) {
-						return Wisconsin(context.Background(), r, s, o)
-					},
-					"Radix": func(o Options) (*result.Result, error) {
-						return radixJoin(context.Background(), r, s, o, 3)
-					},
+				for _, j := range []struct {
+					name string
+					join func(Options) (*result.Result, error)
+				}{
+					{"Wisconsin", func(o Options) (*result.Result, error) { return Wisconsin(context.Background(), r, s, o) }},
+					{"Radix", func(o Options) (*result.Result, error) { return radixJoin(context.Background(), r, s, o, 3) }},
 				} {
-					out := sink.NewMaterialize()
-					opts.Sink = out
-					res, err := join(opts)
-					if err != nil {
-						t.Fatalf("%s T=%d %v pooled=%v: %v", name, workers, mode, scratch != nil, err)
-					}
-					matches := res.Matches
-					got := make([]mergejoin.JoinedTuple, 0, len(out.Pairs()))
-					for _, p := range out.Pairs() {
-						if p.R.Key != p.S.Key {
-							t.Fatalf("%s T=%d %v: emitted pair with keys %d and %d", name, workers, mode, p.R.Key, p.S.Key)
+					name, join := j.name, j.join
+					if selected() {
+						out := sink.NewMaterialize()
+						opts.Sink = out
+						res, err := join(opts)
+						if err != nil {
+							t.Fatalf("%s T=%d %v pooled=%v: %v", name, workers, mode, scratch != nil, err)
 						}
-						got = append(got, mergejoin.JoinedTuple{Key: p.R.Key, RPayload: p.R.Payload, SPayload: p.S.Payload})
-					}
-					if matches != uint64(len(want)) || !slices.Equal(sortedPairs(got), want) {
-						t.Fatalf("%s T=%d %v pooled=%v: %d matches / %d pairs, reference has %d\n|R|=%d |S|=%d",
-							name, workers, mode, scratch != nil, matches, len(got), len(want), len(rT), len(sT))
+						matches := res.Matches
+						got := make([]mergejoin.JoinedTuple, 0, len(out.Pairs()))
+						for _, p := range out.Pairs() {
+							if p.R.Key != p.S.Key {
+								t.Fatalf("%s T=%d %v: emitted pair with keys %d and %d", name, workers, mode, p.R.Key, p.S.Key)
+							}
+							got = append(got, mergejoin.JoinedTuple{Key: p.R.Key, RPayload: p.R.Payload, SPayload: p.S.Payload})
+						}
+						if matches != uint64(len(want)) || !slices.Equal(sortedPairs(got), sortedPairs(want)) {
+							t.Fatalf("%s T=%d %v pooled=%v: %d matches / %d pairs, reference has %d\n|R|=%d |S|=%d",
+								name, workers, mode, scratch != nil, matches, len(got), len(want), len(rT), len(sT))
+						}
 					}
 
 					for _, run := range rangeSinks {
+						if !selected() {
+							continue
+						}
 						o := opts
 						o.Sink = run.new()
 						res, err := join(o)
@@ -144,6 +165,9 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 						{"count", sink.NewCount(), nil, all},
 						{"max-sum behind a verifier", nil, evenSums, even},
 					} {
+						if !selected() {
+							continue
+						}
 						o := opts
 						o.Sink, o.KeyCheck = run.sink, run.check
 						res, err := join(o)
@@ -166,6 +190,9 @@ func checkAgainstReference(t *testing.T, rT, sT []relation.Tuple) {
 	}
 	if st := pool.Stats(); st.ActiveLeases != 0 {
 		t.Fatalf("%d leases still checked out", st.ActiveLeases)
+	}
+	if cell != hashJoinCells {
+		t.Fatalf("the matrix has %d cells, hashJoinCells says %d", cell, hashJoinCells)
 	}
 }
 
@@ -373,28 +400,31 @@ func TestDistinctBuildDetection(t *testing.T) {
 	}
 }
 
-// FuzzHashJoinDifferential decodes a key distribution and two key lists from
-// the fuzz bytes and checks both hash joins against the reference. Byte 0
-// narrows the key domain (narrow domains make long chains and many matches per
-// probe), byte 1 moves the keys towards the high end of the word, byte 2
-// repeats the probe side so that match counts cross output batches; the rest
-// alternates between build and probe keys.
+// FuzzHashJoinDifferential decodes a key distribution, one cell of
+// checkAgainstReference's matrix and two key lists from the fuzz bytes and
+// checks that cell — one hash join on one worker count under one scheduler,
+// pooled or not, into one sink — against the reference; every cell runs over
+// the fixed inputs of TestHashJoinsMatchReference. Byte 0 narrows the key
+// domain (narrow domains make long chains and many matches per probe), byte 1
+// moves the keys towards the high end of the word, byte 2 repeats the probe
+// side so that match counts cross output batches, byte 3 picks the cell; the
+// rest alternates between build and probe keys.
 func FuzzHashJoinDifferential(f *testing.F) {
-	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{8, 0, 1, 1, 1, 2, 2, 3, 3})
-	f.Add([]byte{1, 48, 40, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0})
-	f.Add([]byte{3, 20, 7, 9, 9, 9, 1, 2, 9, 4, 9, 250, 9, 9})
-	f.Add(append([]byte{0, 63, 60}, make([]byte, 70)...))
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{8, 0, 1, 37, 1, 1, 2, 2, 3, 3})
+	f.Add([]byte{1, 48, 40, 101, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0})
+	f.Add([]byte{3, 20, 7, 150, 9, 9, 9, 1, 2, 9, 4, 9, 250, 9, 9})
+	f.Add(append([]byte{0, 63, 60, 191}, make([]byte, 70)...))
 	// Build keys 1, 2, 3, 4, 1: one duplicate pair, the rest distinct.
-	f.Add([]byte{7, 0, 0, 1, 1, 2, 2, 3, 1, 4, 3, 1, 4})
+	f.Add([]byte{7, 0, 0, 64, 1, 1, 2, 2, 3, 1, 4, 3, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 || len(data) > 400 {
+		if len(data) < 4 || len(data) > 400 {
 			return
 		}
 		mask := uint64(1)<<(1+data[0]%8) - 1
 		shift, repeat := uint(data[1]%64), 1+int(data[2]%64)
 		var rKeys, sKeys []uint64
-		for i, b := range data[3:] {
+		for i, b := range data[4:] {
 			key := (uint64(b) & mask) << shift
 			if b == 255 {
 				key = math.MaxUint64
@@ -405,7 +435,7 @@ func FuzzHashJoinDifferential(f *testing.F) {
 				sKeys = append(sKeys, key)
 			}
 		}
-		checkAgainstReference(t, tuplesOf(1000, rKeys...), tuplesOf(1<<40, slices.Repeat(sKeys, repeat)...))
+		checkCells(t, tuplesOf(1000, rKeys...), tuplesOf(1<<40, slices.Repeat(sKeys, repeat)...), int(data[3])%hashJoinCells)
 	})
 }
 
