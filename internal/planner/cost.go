@@ -50,6 +50,16 @@ import (
 // kernel carries a comparison, a random write in the no-partitioning build a
 // chain walk.
 //
+// The fit holds the pinned plans first, and one constant per kind cannot
+// serve both the sort's cheap sequential passes and the merge's comparisons:
+// a sequential read costs 2, where the match phase reads 9.8–10.4 a tuple,
+// and the hash probes' random reads come out as cheap. So the model's costs
+// order candidates and worker counts, and est_ms (Explain) is that price, not
+// a forecast of the clock: over the ladder the model reads 0.30 (Wisconsin)
+// to 0.67 (Radix HJ) of the measured time in the median on a host with slower
+// memory, and TestWorkerLadderModelTimes keeps those medians within
+// 0.25–1.25 and within 2.5× of each other.
+//
 // The time of a join is priced per worker count, because the worker count is
 // a decision (EfficiencyFloor): every phase divides its work by its own
 // speed-up, 1 + (t−1)·share, the share of a worker that an added worker

@@ -89,6 +89,48 @@ func TestWorkerLadderModel(t *testing.T) {
 	}
 }
 
+// ladderTimes are the ladder's measured times of the whole join in
+// milliseconds, per algorithm on one and on two workers at every rung: one run
+// of TestWorkerLadderMeasured on a 2-vCPU host whose memory is slower than the
+// reference sandbox's (P-MPSM's phase 1 reads 37 ns a tuple at 2^21 tuples
+// there, 25.5 on the reference sandbox).
+var ladderTimes = map[exec.Algorithm][2][]float64{
+	exec.AlgorithmPMPSM:     {{0.464, 3.251, 15.13, 28.53, 58.586, 109.395}, {0.717, 2.382, 8.928, 17.38, 34.003, 65.609}},
+	exec.AlgorithmBMPSM:     {{0.59, 3.1, 14.242, 29.158, 58.11, 112.033}, {0.469, 2.248, 9.48, 18.269, 38.499, 72.884}},
+	exec.AlgorithmWisconsin: {{0.149, 0.749, 6.947, 15.286, 49.428, 106.937}, {0.168, 1.025, 4.834, 10.505, 26.758, 59.14}},
+	exec.AlgorithmRadix:     {{0.359, 1.606, 6.762, 18.472, 37.884, 73.472}, {0.308, 0.937, 3.525, 9.635, 19.287, 38.715}},
+}
+
+// TestWorkerLadderModelTimes keeps the model's absolute figures from drifting
+// unnoticed: its time of every algorithm over the committed ladderTimes, the
+// median over the rungs on one and two workers, stays within 0.25–1.25, and
+// no algorithm's median is more than 2.5 times another's. The per-access
+// constants price the merge's and the hash probes' accesses below the clock
+// (CostModel), so the medians read 0.60 (P-MPSM), 0.58 (B-MPSM), 0.30
+// (Wisconsin) and 0.67 (Radix HJ); the model's costs order candidates and
+// worker counts, and est_ms is that price, not a forecast of the clock.
+func TestWorkerLadderModelTimes(t *testing.T) {
+	cm := DefaultCostModel()
+	lo, hi := math.Inf(1), 0.0
+	for _, alg := range ladderAlgorithms {
+		var ratios []float64
+		for w, times := range ladderTimes[alg] {
+			for i, n := range ladderRungs {
+				ratios = append(ratios, cm.Estimate(alg, ladderInputs(n, w+1), maxSum)/1e6/times[i])
+			}
+		}
+		sort.Float64s(ratios)
+		median := (ratios[len(ratios)/2-1] + ratios[len(ratios)/2]) / 2
+		if median < 0.25 || median > 1.25 {
+			t.Errorf("%v: modelled over measured time %.2f in the median over the ladder, want 0.25–1.25", alg, median)
+		}
+		lo, hi = math.Min(lo, median), math.Max(hi, median)
+	}
+	if hi > 2.5*lo {
+		t.Errorf("the algorithms' medians of modelled over measured time span %.2f–%.2f, more than 2.5×", lo, hi)
+	}
+}
+
 // TestWorkerLadderMeasured takes the ladder itself, under MPSM_PERF_ASSERT=1
 // only: every algorithm at every rung on one and on two workers, and prints
 // the measured speed-up and phase times beside the modelled ones. Wall-clock
