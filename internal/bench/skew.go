@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -146,42 +147,40 @@ func runFigure16(cfg Config, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "-- %s (total %s ms, matches %d)\n", st.name, ms(res.Total), res.Matches)
 		tbl := newTable(w)
-		tbl.row("worker", "|Ri|", "S scanned", "matches", "split cost", "phase 3 [ms]", "phase 4 [ms]", "worker total [ms]")
-		minTotal, maxTotal := time.Duration(1<<62), time.Duration(0)
-		minCost, maxCost := 0.0, 0.0
-		costModel := partition.DefaultSplitterCost(workers)
-		for i, wb := range res.PerWorker {
+		tbl.row("worker", "|Ri|", "S scanned", "matches", "model phase 3+4 [ms]", "phase 3 [ms]", "phase 4 [ms]", "worker total [ms]")
+		var model, clock []float64
+		for _, wb := range res.PerWorker {
 			var total time.Duration
 			cells := make(map[string]time.Duration)
 			for _, p := range wb.Phases {
 				cells[p.Name] = p.Duration
 				total += p.Duration
 			}
-			// The realized split-relevant cost is the quantity the splitter
-			// computation balances: cost(sort Ri) + T·|Ri| + |S data scanned|.
-			// Unlike per-worker wall clock, it is deterministic and not
-			// distorted by goroutine scheduling on oversubscribed machines.
-			cost := costModel.PartitionCost(wb.PrivateTuples, float64(wb.PublicScanned))
-			if total < minTotal {
-				minTotal = total
-			}
-			if total > maxTotal {
-				maxTotal = total
-			}
-			if i == 0 || cost < minCost {
-				minCost = cost
-			}
-			if cost > maxCost {
-				maxCost = cost
-			}
-			tbl.row(wb.Worker, wb.PrivateTuples, wb.PublicScanned, wb.Matches, fmt.Sprintf("%.0f", cost),
+			// The modelled cost is what the equi-cost splitters balance:
+			// the accesses the worker's phases 3 and 4 book at the host's
+			// prices. Unlike the clock, it is deterministic and not distorted
+			// by goroutine scheduling on oversubscribed machines.
+			cost := partition.PartitionCost(uint64(wb.PrivateTuples), uint64(wb.PublicScanned), workers)
+			model = append(model, cost)
+			clock = append(clock, float64(cells["phase 3"]+cells["phase 4"]))
+			tbl.row(wb.Worker, wb.PrivateTuples, wb.PublicScanned, wb.Matches, fmt.Sprintf("%.2f", cost/1e6),
 				ms(cells["phase 3"]), ms(cells["phase 4"]), ms(total))
 		}
 		tbl.flush()
-		fmt.Fprintf(w, "   imbalance (max/min): split-relevant cost %.2fx, wall clock %.2fx\n\n",
-			maxCost/max(1, minCost),
-			float64(maxTotal)/float64(max(1, int64(minTotal))))
+		fmt.Fprintf(w, "   imbalance of phases 3+4 (max/mean): model %.2fx, wall clock %.2fx\n\n", maxOverMean(model), maxOverMean(clock))
 	}
 	fmt.Fprintln(w, "expected shape: equi-cost splitters flatten the per-worker times; equi-height leaves the low-key workers overloaded")
 	return nil
+}
+
+// maxOverMean is the largest of xs over their mean, 0 for no or zero xs.
+func maxOverMean(xs []float64) float64 {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	if sum == 0 {
+		return 0
+	}
+	return slices.Max(xs) * float64(len(xs)) / sum
 }

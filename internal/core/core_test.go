@@ -190,6 +190,57 @@ func TestPMPSMSkewedNegativeCorrelation(t *testing.T) {
 			t.Fatalf("per-worker matches sum %d != total %d", matchSum, res.Matches)
 		}
 	}
+
+	// The equi-cost splitters balance what the workers' phases 3 and 4 book,
+	// counted, not timed. On the gate's join_large_skew shape — R skewed high,
+	// S skewed low and location-clustered, 2^20 keys — the fullest worker
+	// books at most 5 % over the mean at 2, 8 and 32 workers (the splitters
+	// that priced the sort as a comparison sort read 1.17, 1.36 and 1.15). On
+	// skew-negcorr's 500 private tuples the clusters are coarse; there it
+	// holds those splitters' readings, 1.064 and 1.031.
+	r, s, err = workload.Generate(workload.Spec{
+		RSize:               1 << 19,
+		Multiplicity:        4,
+		RSkew:               workload.SkewHigh80,
+		SSkew:               workload.SkewLow80,
+		KeyDomain:           1 << 20,
+		Seed:                1600,
+		SLocationSkew:       workload.LocationClustered,
+		LocationSkewWorkers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, r, s *relation.Relation, workers int, bound float64) {
+		res := pmpsm(r, s, Options{Workers: workers, Scheduler: sched.Static, CollectPerWorker: true})
+		got := pricedImbalance(res, workers)
+		t.Logf("%s T=%d: priced max/mean %.4f", name, workers, got)
+		if got > bound {
+			t.Errorf("%s T=%d: the fullest worker books %.4f of the mean's priced work, want at most %.4f", name, workers, got, bound)
+		}
+	}
+	for _, workers := range []int{2, 8, 32} {
+		check("join_large_skew", r, s, workers, 1.05)
+	}
+	for _, in := range workload.EdgeInputs(1) {
+		if in.Name == "skew-negcorr" {
+			check(in.Name, in.R, in.S, 2, 1.064)
+			check(in.Name, in.R, in.S, 8, 1.031)
+		}
+	}
+}
+
+// pricedImbalance is the fullest worker's phase 3 and 4 work over the mean,
+// each worker's private tuples and public entries scanned priced as the
+// equi-cost splitters price a partition.
+func pricedImbalance(res *result.Result, workers int) float64 {
+	costs := make([]float64, len(res.PerWorker))
+	sum := 0.0
+	for i, wb := range res.PerWorker {
+		costs[i] = partition.PartitionCost(uint64(wb.PrivateTuples), uint64(wb.PublicScanned), workers)
+		sum += costs[i]
+	}
+	return slices.Max(costs) * float64(len(costs)) / sum
 }
 
 func TestPMPSMSkewedAllKeysEqual(t *testing.T) {

@@ -104,6 +104,8 @@ func PMPSM(ctx context.Context, private, public *relation.Relation, opts Options
 		privateRuns[w.ID()] = run
 		publicRuns[w.ID()] = ungroup(publicRuns[w.ID()], publicChunks[w.ID()], chunkSourceNode(w.ID(), workers, opts.Topology), privBound, w, lease)
 		if tracker := w.Tracker(); tracker != nil {
+			// The sort's share of partition.Accesses, which the equi-cost
+			// splitters price.
 			n := uint64(run.Len())
 			tracker.SeqRead(run.Node, n)
 			tracker.RandRead(run.Node, 2*n)
@@ -173,7 +175,7 @@ func rangePartitionPrivate(ctx context.Context, rt *sched.Runtime, privateChunks
 	case SplitterEquiHeight:
 		sp = partition.EquiHeightSplitters(globalR, workers)
 	default:
-		sp = partition.ComputeSplitters(globalR, cdf, counted.Config, partition.DefaultSplitterCost(workers))
+		sp = partition.ComputeSplitters(globalR, cdf, counted.Config, workers)
 	}
 
 	// Phase 3's first digit, the top 8 bits of the maximum key, lies at or

@@ -408,8 +408,12 @@ func TestDistinctBuildDetection(t *testing.T) {
 // domain (narrow domains make long chains and many matches per probe), byte 1
 // moves the keys towards the high end of the word, byte 2 repeats the probe
 // side so that match counts cross output batches, byte 3 picks the cell; the
-// rest alternates between build and probe keys.
+// rest alternates between build and probe keys. The repeats are cut so that
+// the join has at most fuzzPairs pairs: the reference materialises every
+// one, and a 1-bit domain repeated 64 times has over a million, which takes a
+// second a cell. No seed is cut.
 func FuzzHashJoinDifferential(f *testing.F) {
+	const fuzzPairs = 1 << 17
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{8, 0, 1, 37, 1, 1, 2, 2, 3, 3})
 	f.Add([]byte{1, 48, 40, 101, 0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0})
@@ -434,6 +438,17 @@ func FuzzHashJoinDifferential(f *testing.F) {
 			} else {
 				sKeys = append(sKeys, key)
 			}
+		}
+		builds := make(map[uint64]int, len(rKeys))
+		for _, k := range rKeys {
+			builds[k]++
+		}
+		pairs := 0 // per repeat of the probe side, at most 198² < fuzzPairs
+		for _, k := range sKeys {
+			pairs += builds[k]
+		}
+		if pairs > 0 {
+			repeat = min(repeat, fuzzPairs/pairs)
 		}
 		checkCells(t, tuplesOf(1000, rKeys...), tuplesOf(1<<40, slices.Repeat(sKeys, repeat)...), int(data[3])%hashJoinCells)
 	})

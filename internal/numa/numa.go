@@ -242,9 +242,36 @@ func DefaultCostModel() CostModel {
 	}
 }
 
+// Host returns the prices of one tuple's access of each kind on the reference
+// sandbox (2 vCPUs, one node), while the working set is cache-resident; a
+// compare-and-swap of the shared hash table's build is SyncOp. Only the local
+// kinds are set: the host has one node, and what it prices books every access
+// as local. The planner (internal/planner) prices every join phase with them
+// and P-MPSM's equi-cost splitter (partition.ComputeSplitters) every range
+// partition, so both price one machine. They are fitted to the planner's
+// one-to-two-worker ladder and to the choices its tests pin
+// (planner.CostModel); the ladder's phases on one worker set them: the match
+// phase books one sequential read per tuple scanned and reads 9.8–10.4 ns a
+// tuple; run generation books two sequential reads, a sequential write and two
+// random reads and writes per tuple and reads 14.2–15.6 ns a tuple up to
+// 262 144 tuples; the no-partitioning join's build books one random write a
+// build tuple, its probe one sequential read a probe tuple and one random
+// read per probe tuple and per chain entry walked. One price per kind cannot
+// serve both the sort's cheap sequential passes and the merge's comparisons,
+// so a sequential read at 2 ns undercounts the merge: these prices order,
+// they do not forecast the clock.
+func Host() CostModel {
+	return CostModel{LocalSeqRead: 2, LocalSeqWrite: 0.4, LocalRandRead: 1.4, LocalRandWrite: 4.6, SyncOp: 1.4}
+}
+
 // Estimate converts access statistics into a simulated duration.
 func (c CostModel) Estimate(s AccessStats) time.Duration {
-	ns := float64(s.LocalSeqRead)*c.LocalSeqRead +
+	return time.Duration(c.Nanos(s)) * time.Nanosecond
+}
+
+// Nanos prices access statistics in nanoseconds.
+func (c CostModel) Nanos(s AccessStats) float64 {
+	return float64(s.LocalSeqRead)*c.LocalSeqRead +
 		float64(s.RemoteSeqRead)*c.RemoteSeqRead +
 		float64(s.LocalRandRead)*c.LocalRandRead +
 		float64(s.RemoteRandRead)*c.RemoteRandRead +
@@ -253,5 +280,4 @@ func (c CostModel) Estimate(s AccessStats) time.Duration {
 		float64(s.LocalRandWrite)*c.LocalRandWrite +
 		float64(s.RemoteRandWrite)*c.RemoteRandWrite +
 		float64(s.SyncOps)*c.SyncOp
-	return time.Duration(ns) * time.Nanosecond
 }

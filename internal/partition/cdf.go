@@ -118,16 +118,3 @@ func (c *CDF) Estimate(probe uint64) float64 {
 	frac := float64(probe-k0) / float64(k1-k0)
 	return m0 + frac*(m1-m0)
 }
-
-// EstimateRange returns the estimated number of tuples whose key lies in the
-// half-open interval [low, high).
-func (c *CDF) EstimateRange(low, high uint64) float64 {
-	if high <= low {
-		return 0
-	}
-	var lowMass float64
-	if low > 0 {
-		lowMass = c.Estimate(low - 1)
-	}
-	return c.Estimate(high-1) - lowMass
-}

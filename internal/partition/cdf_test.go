@@ -129,31 +129,6 @@ func TestCDFEstimateAccuracy(t *testing.T) {
 	}
 }
 
-func TestCDFEstimateRange(t *testing.T) {
-	n := 10000
-	run := sortedTuples(n, 13, 1<<20)
-	bounds := EquiHeightBoundsKeys(keysOf(run), 64)
-	cdf := BuildCDF([][]uint64{bounds}, []int{n})
-
-	full := cdf.EstimateRange(0, ^uint64(0))
-	if math.Abs(full-float64(n)) > 1 {
-		t.Fatalf("EstimateRange(full) = %f, want ~%d", full, n)
-	}
-	if got := cdf.EstimateRange(100, 100); got != 0 {
-		t.Fatalf("empty range estimate = %f, want 0", got)
-	}
-	if got := cdf.EstimateRange(200, 100); got != 0 {
-		t.Fatalf("inverted range estimate = %f, want 0", got)
-	}
-	// Two adjacent ranges must sum to the enclosing range.
-	a := cdf.EstimateRange(0, 1<<19)
-	b := cdf.EstimateRange(1<<19, 1<<20)
-	ab := cdf.EstimateRange(0, 1<<20)
-	if math.Abs(a+b-ab) > 1e-6 {
-		t.Fatalf("range additivity violated: %f + %f != %f", a, b, ab)
-	}
-}
-
 func TestCDFEmptyAndMismatch(t *testing.T) {
 	cdf := BuildCDF(nil, nil)
 	if cdf.Estimate(123) != 0 || cdf.Total() != 0 {

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -54,17 +55,19 @@ func buildTestCDF(keys []uint64, boundsPerRun, runs int) *CDF {
 	return BuildCDF(boundSets, lens)
 }
 
-func TestDefaultSplitterCost(t *testing.T) {
-	c := DefaultSplitterCost(8)
-	if c.Workers != 8 || c.SortWeight != 1 || c.ScanRWeight != 1 || c.ScanSWeight != 1 {
-		t.Fatalf("unexpected default cost: %+v", c)
+// TestPartitionCost: a partition is priced by what its phases 3 and 4 book,
+// linearly — at T = 8, eight private tuples sort for 14 ns each and are
+// scanned once per public run, and the 100 public entries of their range
+// once, at 2 ns a scan: 8·14 + 2·(8·8 + 100) = 440.
+func TestPartitionCost(t *testing.T) {
+	if got := PartitionCost(0, 0, 8); got != 0 {
+		t.Fatalf("PartitionCost(0, 0, 8) = %f, want 0", got)
 	}
-	if got := c.PartitionCost(0, 0); got != 0 {
-		t.Fatalf("PartitionCost(0,0) = %f, want 0", got)
+	if got := PartitionCost(8, 100, 8); math.Abs(got-440) > 1e-9 {
+		t.Fatalf("PartitionCost(8, 100, 8) = %f, want 440", got)
 	}
-	// 8 tuples: 8*log2(8) + 8*8 + 100 = 24 + 64 + 100 = 188.
-	if got := c.PartitionCost(8, 100); got != 188 {
-		t.Fatalf("PartitionCost(8,100) = %f, want 188", got)
+	if sum, whole := PartitionCost(5, 70, 8)+PartitionCost(3, 30, 8), PartitionCost(8, 100, 8); math.Abs(sum-whole) > 1e-9 {
+		t.Fatalf("two partitions cost %f, their union %f: the price is not linear", sum, whole)
 	}
 }
 
@@ -87,7 +90,7 @@ func TestComputeSplittersUniformData(t *testing.T) {
 	globalR := BuildHistogram(rTuples, cfg)
 	cdf := buildTestCDF(rKeys, 16, workers)
 
-	sp := ComputeSplitters(globalR, cdf, cfg, DefaultSplitterCost(workers))
+	sp := ComputeSplitters(globalR, cdf, cfg, workers)
 	if err := sp.Validate(workers); err != nil {
 		t.Fatalf("invalid splitters: %v", err)
 	}
@@ -100,27 +103,38 @@ func TestComputeSplittersUniformData(t *testing.T) {
 	}
 }
 
-// maxPartitionCost is the largest split-relevant cost of a partition under sp:
-// its R tuples against the S mass the CDF puts in its key range.
-func maxPartitionCost(globalR Histogram, cdf *CDF, cfg RadixConfig, cost SplitterCost, sp SplitterVector) float64 {
-	rCounts := make([]int, cost.Workers)
-	low, high := make([]uint64, cost.Workers), make([]uint64, cost.Workers)
-	for p := range low {
-		low[p] = ^uint64(0)
+// clusterMass is the S mass the CDF puts in a cluster's key range.
+func clusterMass(cdf *CDF, cfg RadixConfig, cl int) float64 {
+	low, high := cfg.ClusterLowKey(cl), cfg.ClusterHighKey(cl)
+	if high <= low {
+		return 0
 	}
-	for cl, p := range sp {
-		rCounts[p] += globalR[cl]
-		low[p], high[p] = min(low[p], cfg.ClusterLowKey(cl)), max(high[p], cfg.ClusterHighKey(cl))
+	below := 0.0
+	if low > 0 {
+		below = cdf.Estimate(low - 1)
 	}
-	maxCost := 0.0
-	for p, r := range rCounts {
-		var sMass float64
-		if low[p] <= high[p] {
-			sMass = cdf.EstimateRange(low[p], high[p])
-		}
-		maxCost = max(maxCost, cost.PartitionCost(r, sMass))
+	return cdf.Estimate(high-1) - below
+}
+
+// clusterWeights prices every cluster's R tuples and S mass on the given
+// number of workers.
+func clusterWeights(globalR Histogram, cdf *CDF, cfg RadixConfig, workers int) []float64 {
+	perTuple, perEntry := PartitionCost(1, 0, workers), PartitionCost(0, 1, workers)
+	weights := make([]float64, len(globalR))
+	for cl := range weights {
+		weights[cl] = perTuple*float64(globalR[cl]) + perEntry*clusterMass(cdf, cfg, cl)
 	}
-	return maxCost
+	return weights
+}
+
+// maxPartitionCost is the largest cost of a partition under sp: its R tuples
+// against the S mass the CDF puts in its key range, priced.
+func maxPartitionCost(globalR Histogram, cdf *CDF, cfg RadixConfig, workers int, sp SplitterVector) float64 {
+	costs := make([]float64, workers)
+	for cl, w := range clusterWeights(globalR, cdf, cfg, workers) {
+		costs[sp[cl]] += w
+	}
+	return slices.Max(costs)
 }
 
 func TestComputeSplittersNegativelyCorrelatedSkew(t *testing.T) {
@@ -140,9 +154,8 @@ func TestComputeSplittersNegativelyCorrelatedSkew(t *testing.T) {
 	cfg := NewRadixConfig(10, domain-1)
 	globalR := BuildHistogram(rTuples, cfg)
 	cdf := buildTestCDF(sKeys, 16, workers)
-	cost := DefaultSplitterCost(workers)
 
-	equiCost := ComputeSplitters(globalR, cdf, cfg, cost)
+	equiCost := ComputeSplitters(globalR, cdf, cfg, workers)
 	if err := equiCost.Validate(workers); err != nil {
 		t.Fatalf("invalid equi-cost splitters: %v", err)
 	}
@@ -151,8 +164,8 @@ func TestComputeSplittersNegativelyCorrelatedSkew(t *testing.T) {
 		t.Fatalf("invalid equi-height splitters: %v", err)
 	}
 
-	maxEquiCost := maxPartitionCost(globalR, cdf, cfg, cost, equiCost)
-	maxEquiHeight := maxPartitionCost(globalR, cdf, cfg, cost, equiHeight)
+	maxEquiCost := maxPartitionCost(globalR, cdf, cfg, workers, equiCost)
+	maxEquiHeight := maxPartitionCost(globalR, cdf, cfg, workers, equiHeight)
 	if maxEquiCost > maxEquiHeight {
 		t.Fatalf("equi-cost splitters (max %.0f) should not be worse than equi-height (max %.0f)", maxEquiCost, maxEquiHeight)
 	}
@@ -167,7 +180,7 @@ func TestComputeSplittersSingleWorker(t *testing.T) {
 	globalR := make(Histogram, cfg.Clusters())
 	globalR[3] = 10
 	cdf := BuildCDF(nil, nil)
-	sp := ComputeSplitters(globalR, cdf, cfg, DefaultSplitterCost(1))
+	sp := ComputeSplitters(globalR, cdf, cfg, 1)
 	for _, p := range sp {
 		if p != 0 {
 			t.Fatal("single-worker splitters must all map to partition 0")
@@ -182,7 +195,7 @@ func TestComputeSplittersPanicsOnZeroWorkers(t *testing.T) {
 		}
 	}()
 	cfg := NewRadixConfig(2, 100)
-	ComputeSplitters(make(Histogram, 4), BuildCDF(nil, nil), cfg, SplitterCost{Workers: 0})
+	ComputeSplitters(make(Histogram, 4), BuildCDF(nil, nil), cfg, 0)
 }
 
 func TestComputeSplittersMoreWorkersThanClusters(t *testing.T) {
@@ -191,7 +204,7 @@ func TestComputeSplittersMoreWorkersThanClusters(t *testing.T) {
 	cfg := NewRadixConfig(1, 100)
 	globalR := Histogram{5, 5}
 	cdf := BuildCDF(nil, nil)
-	sp := ComputeSplitters(globalR, cdf, cfg, DefaultSplitterCost(8))
+	sp := ComputeSplitters(globalR, cdf, cfg, 8)
 	if err := sp.Validate(8); err != nil {
 		t.Fatalf("invalid splitters: %v", err)
 	}
@@ -226,37 +239,30 @@ func TestEquiHeightSplittersSingleWorker(t *testing.T) {
 
 // computeSplittersGreedy is ComputeSplitters as it was before its packing
 // rounds searched prefix sums: every round walks all clusters, accumulating a
-// partition's R count and S mass cluster by cluster. It is kept as the oracle
-// the search must reproduce vector for vector.
-func computeSplittersGreedy(globalR Histogram, cdf *CDF, cfg RadixConfig, cost SplitterCost) SplitterVector {
-	clusters := len(globalR)
-	workers := cost.Workers
-	sp := make(SplitterVector, clusters)
+// partition's cost cluster by cluster. It is kept as the oracle the search
+// must reproduce vector for vector.
+func computeSplittersGreedy(globalR Histogram, cdf *CDF, cfg RadixConfig, workers int) SplitterVector {
+	sp := make(SplitterVector, len(globalR))
 	if workers == 1 {
 		return sp
 	}
-	sMass := make([]float64, clusters)
-	for cl := 0; cl < clusters; cl++ {
-		sMass[cl] = cdf.EstimateRange(cfg.ClusterLowKey(cl), cfg.ClusterHighKey(cl))
-	}
-	upper := cost.PartitionCost(globalR.Total(), cdf.Total())
-	lower := 0.0
-	for cl := 0; cl < clusters; cl++ {
-		if c := cost.PartitionCost(globalR[cl], sMass[cl]); c > lower {
-			lower = c
-		}
+	weights := clusterWeights(globalR, cdf, cfg, workers)
+	upper, lower := 0.0, 0.0
+	for _, w := range weights {
+		upper += w
+		lower = max(lower, w)
 	}
 	feasible := func(limit float64, record bool) bool {
-		part, rAcc, sAcc := 0, 0, 0.0
-		for cl := 0; cl < clusters; cl++ {
-			rNext, sNext := rAcc+globalR[cl], sAcc+sMass[cl]
-			if cost.PartitionCost(rNext, sNext) > limit && (rAcc > 0 || sAcc > 0) {
+		part, acc := 0, 0.0
+		for cl, w := range weights {
+			next := acc + w
+			if next > limit && acc > 0 {
 				if part++; part >= workers {
 					return false
 				}
-				rNext, sNext = globalR[cl], sMass[cl]
+				next = w
 			}
-			rAcc, sAcc = rNext, sNext
+			acc = next
 			if record {
 				sp[cl] = part
 			}
@@ -270,9 +276,7 @@ func computeSplittersGreedy(globalR Histogram, cdf *CDF, cfg RadixConfig, cost S
 			lower = mid
 		}
 	}
-	if !feasible(upper, true) {
-		return UniformSplitters(clusters, workers)
-	}
+	feasible(upper, true)
 	return sp
 }
 
@@ -357,9 +361,8 @@ func TestComputeSplittersMatchesGreedyOracle(t *testing.T) {
 					bounds[w], lens[w] = EquiHeightBoundsKeys(run, 4*workers), len(run)
 				}
 				cdf := BuildCDF(bounds, lens)
-				cost := DefaultSplitterCost(workers)
-				got := ComputeSplitters(globalR, cdf, cfg, cost)
-				want := computeSplittersGreedy(globalR, cdf, cfg, cost)
+				got := ComputeSplitters(globalR, cdf, cfg, workers)
+				want := computeSplittersGreedy(globalR, cdf, cfg, workers)
 				for cl := range want {
 					if got[cl] != want[cl] {
 						t.Fatalf("input=%q bits=%d workers=%d: cluster %d goes to partition %d, the greedy oracle sends it to %d",

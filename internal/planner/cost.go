@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/numa"
+	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/stats"
 )
@@ -20,7 +21,8 @@ import (
 // and phase predicts those counts from what the planner knows — |R|, |S|, the
 // worker count T, the estimated matches and public entries, presortedness —
 // and TestPredictedAccessesMatchTheTrackers holds every prediction to what a
-// tracked join books. Each kind costs one host constant; on top come only
+// tracked join books. Each kind costs one host price (numa.Host, the prices
+// P-MPSM's equi-cost splitters balance its partitions at); on top come only
 // what counts cannot give: the cache ramp of a phase's working set, the
 // barriers and the splitter search of a join on several workers, the share of
 // a worker that an added worker returns per phase, and the delivery to the
@@ -43,7 +45,7 @@ import (
 // TestWorkerLadderMeasured: every algorithm on |R| × 4|R| foreign-key joins
 // at |R| = 4 096, 16 384, 65 536, 131 072, 262 144 and 524 288 into the
 // max-sum sink, on one and on two workers (pooled, interleaved, medians of
-// 15, the phase times from Result.Phases). The per-access constants are
+// 15, the phase times from Result.Phases). The per-access prices are
 // fitted to it and to the choices the planner's tests pin: a count is a tuple
 // moved, not a cache line, so a constant is what a tuple's access of that kind
 // costs together with the work done on it — a sequential read in the merge
@@ -68,19 +70,6 @@ import (
 // are only extrapolated beyond: what the model says at more than two workers
 // has not been measured on any host.
 type CostModel struct {
-	// Access prices one tuple's access of each kind the trackers book
-	// (numa.AccessStats) while the phase's working set is cache-resident, a
-	// compare-and-swap of the shared hash table's build as SyncOp. Only the
-	// local kinds are set: this host has one node, and the predictors book
-	// every access as local. The
-	// ladder's phases on one worker set them: the match phase books one
-	// sequential read per tuple scanned and reads 9.8–10.4 ns a tuple; run
-	// generation books two sequential reads, a sequential write and two
-	// random reads and writes per tuple and reads 14.2–15.6 ns a tuple up to
-	// 262 144 tuples; the no-partitioning join's build books one random write
-	// a build tuple, its probe one sequential read a probe tuple and one
-	// random read per probe tuple and per chain entry walked.
-	Access numa.CostModel
 	// RandMiss is what a random access costs more once the phase's working
 	// set has left the fast cache levels, phased in over CacheGrowthLog2
 	// doublings of the working set beyond CacheBytes: run generation reads
@@ -202,7 +191,6 @@ type CostModel struct {
 // DefaultCostModel returns the model measured on the reference sandbox.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		Access:               numa.CostModel{LocalSeqRead: 2, LocalSeqWrite: 0.4, LocalRandRead: 1.4, LocalRandWrite: 4.6, SyncOp: 1.4},
 		RandMiss:             2.2,
 		CacheBytes:           1408 << 10,
 		CacheGrowthLog2:      3.7,
@@ -284,14 +272,18 @@ func (c CostModel) bmpsm(in joinInputs) []Phase {
 // barriers (the public bounds, the count and the scatter); the sort of every
 // partition, read once into its run whatever order it arrived in; and the
 // match phase, in which a worker scans its partition once per public run and,
-// entering each by search, the window of its key range.
+// entering each by search, the window of its key range. The last two are what
+// the splitters price a partition by (partition.Accesses), which is linear, so
+// the partitions of the whole inputs sum to it at |R| and |S|.
 func (c CostModel) pmpsm(in joinInputs) []Phase {
-	t := float64(max(1, in.workers))
+	workers := max(1, in.workers)
+	t := float64(workers)
+	sort, match := partition.Accesses(uint64(in.build), uint64(in.probe), workers)
 	return []Phase{
 		c.runGeneration(in.probe, t, in.presortedProbe),
 		{AccessStats: local(2*in.build, in.build, 0, 0, 0), Share: c.PartitionParallel, Barriers: 3},
-		{AccessStats: local(in.build, 0, 2*in.build, 2*in.build, 0), Bytes: runBytes * in.build / t, Barriers: 1},
-		{AccessStats: local(in.build*t+in.probe, 0, 0, 0, 0), Share: c.MergeParallel, Barriers: 1},
+		{AccessStats: sort, Bytes: runBytes * in.build / t, Barriers: 1},
+		{AccessStats: match, Share: c.MergeParallel, Barriers: 1},
 	}
 }
 
@@ -374,7 +366,7 @@ func speedup(t, s float64) float64 { return 1 + (t-1)*s }
 // price is the modelled time of a phase on t workers, its barriers left out.
 func (c CostModel) price(p Phase, t float64) float64 {
 	miss := c.missFraction(p.Bytes)
-	ns := float64(c.Access.Estimate(p.AccessStats)) + float64(p.LocalRandRead+p.LocalRandWrite)*c.RandMiss*miss
+	ns := float64(numa.Host().Estimate(p.AccessStats)) + float64(p.LocalRandRead+p.LocalRandWrite)*c.RandMiss*miss
 	s := p.Share
 	if s == 0 {
 		s = c.ParallelCached + (c.ParallelMemory-c.ParallelCached)*miss

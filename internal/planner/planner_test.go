@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/mergejoin"
+	"repro/internal/numa"
 	"repro/internal/relation"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -274,9 +275,9 @@ func TestCostModelWorkerScaling(t *testing.T) {
 	if p16 >= p1/4 {
 		t.Errorf("P-MPSM cost barely scales with workers: %v -> %v", p1, p16)
 	}
-	if b16 < cm.Access.LocalSeqRead*float64(in1.probe) {
+	if b16 < numa.Host().LocalSeqRead*float64(in1.probe) {
 		t.Errorf("B-MPSM cost %v lost its per-worker public scan term (merge floor %v)",
-			b16, cm.Access.LocalSeqRead*float64(in1.probe))
+			b16, numa.Host().LocalSeqRead*float64(in1.probe))
 	}
 	// With many workers and a large public input, P-MPSM must beat B-MPSM.
 	if p16 >= b16 {

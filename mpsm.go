@@ -190,8 +190,10 @@ type SplitterStrategy = core.SplitterStrategy
 
 // Available splitter strategies for P-MPSM.
 const (
-	// SplitterEquiCost balances sort + join cost per worker using the
-	// global R histogram and the S CDF (the paper's skew-resilient default).
+	// SplitterEquiCost balances each worker's sort and match cost, priced
+	// from the global R histogram and the S CDF as the accesses those phases
+	// book at the host prices the planner uses (the paper's skew-resilient
+	// default).
 	SplitterEquiCost = core.SplitterEquiCost
 	// SplitterEquiHeight balances only R tuple counts (Figure 16 baseline).
 	SplitterEquiHeight = core.SplitterEquiHeight
