@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -212,12 +213,14 @@ func TestPMPSMSkewedNegativeCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(name string, r, s *relation.Relation, workers int, bound float64) {
-		res := pmpsm(r, s, Options{Workers: workers, Scheduler: sched.Static, CollectPerWorker: true})
-		got := pricedImbalance(res, workers)
-		t.Logf("%s T=%d: priced max/mean %.4f", name, workers, got)
-		if got > bound {
-			t.Errorf("%s T=%d: the fullest worker books %.4f of the mean's priced work, want at most %.4f", name, workers, got, bound)
-		}
+		t.Run(fmt.Sprintf("%s_T%d", name, workers), func(t *testing.T) {
+			res := pmpsm(r, s, Options{Workers: workers, Scheduler: sched.Static, CollectPerWorker: true})
+			got := pricedImbalance(res, workers)
+			t.Logf("priced max/mean %.4f", got)
+			if got > bound {
+				t.Errorf("the fullest worker books %.4f of the mean's priced work, want at most %.4f", got, bound)
+			}
+		})
 	}
 	for _, workers := range []int{2, 8, 32} {
 		check("join_large_skew", r, s, workers, 1.05)
