@@ -237,10 +237,14 @@ func TestPMPSMSkewedNegativeCorrelation(t *testing.T) {
 // each worker's private tuples and public entries scanned priced as the
 // equi-cost splitters price a partition.
 func pricedImbalance(res *result.Result, workers int) float64 {
+	var total uint64
+	for _, wb := range res.PerWorker {
+		total += uint64(wb.PrivateTuples)
+	}
 	costs := make([]float64, len(res.PerWorker))
 	sum := 0.0
 	for i, wb := range res.PerWorker {
-		costs[i] = partition.PartitionCost(uint64(wb.PrivateTuples), uint64(wb.PublicScanned), workers)
+		costs[i] = partition.PartitionCost(uint64(wb.PrivateTuples), uint64(wb.PublicScanned), total, workers)
 		sum += costs[i]
 	}
 	return slices.Max(costs) * float64(len(costs)) / sum

@@ -30,7 +30,7 @@ type SplitterStrategy int
 const (
 	// SplitterEquiCost balances the combined sort-plus-join cost per worker
 	// using the global R histogram and the S CDF (Section 4.3), priced as the
-	// accesses phases 3 and 4 book at the host's prices
+	// accesses phases 3 and 4 book at the host's prices and cache ramp
 	// (partition.PartitionCost). This is the paper's skew-resilient default.
 	SplitterEquiCost SplitterStrategy = iota
 	// SplitterEquiHeight balances only the R tuple counts per worker,

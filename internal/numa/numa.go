@@ -23,6 +23,7 @@ package numa
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -246,11 +247,12 @@ func DefaultCostModel() CostModel {
 // sandbox (2 vCPUs, one node), while the working set is cache-resident; a
 // compare-and-swap of the shared hash table's build is SyncOp. Only the local
 // kinds are set: the host has one node, and what it prices books every access
-// as local. The planner (internal/planner) prices every join phase with them
-// and P-MPSM's equi-cost splitter (partition.ComputeSplitters) every range
-// partition, so both price one machine. They are fitted to the planner's
-// one-to-two-worker ladder and to the choices its tests pin
-// (planner.CostModel); the ladder's phases on one worker set them: the match
+// as local. With the cache ramp on random accesses (HostNanos), the planner
+// (internal/planner) prices every join phase with them and P-MPSM's equi-cost
+// splitter (partition.ComputeSplitters) every range partition, so both price
+// one machine. They are fitted to the planner's one-to-two-worker ladder and
+// to the choices its tests pin (planner.CostModel); the ladder's phases on one
+// worker set them: the match
 // phase books one sequential read per tuple scanned and reads 9.8–10.4 ns a
 // tuple; run generation books two sequential reads, a sequential write and two
 // random reads and writes per tuple and reads 14.2–15.6 ns a tuple up to
@@ -262,6 +264,35 @@ func DefaultCostModel() CostModel {
 // they do not forecast the clock.
 func Host() CostModel {
 	return CostModel{LocalSeqRead: 2, LocalSeqWrite: 0.4, LocalRandRead: 1.4, LocalRandWrite: 4.6, SyncOp: 1.4}
+}
+
+// The host's cache ramp: a random access costs hostRandMiss more once its
+// phase's working set has left the fast cache levels, phased in over
+// hostCacheGrowthLog2 doublings of the working set beyond hostCacheBytes. Run
+// generation reads 20.4, 23.7 and 25.5 ns a tuple at 2^19, 2^20 and 2^21
+// tuples a run, and the no-partitioning join 4.4–4.6 ns an operation below
+// 2^15 build tuples and 12.9 at 2^19.
+const (
+	hostRandMiss        = 2.2
+	hostCacheBytes      = 1408 << 10
+	hostCacheGrowthLog2 = 3.7
+)
+
+// MissFraction is the host's cache-miss ramp for a working set of the given
+// bytes: 0 while it is cache-resident, rising to 1.
+func MissFraction(bytes float64) float64 {
+	if bytes <= hostCacheBytes {
+		return 0
+	}
+	return math.Min(1, math.Log2(bytes/hostCacheBytes)/hostCacheGrowthLog2)
+}
+
+// HostNanos prices accesses at the host's prices (Host) for a working set of
+// the given bytes, every random access costing its share of the cache ramp
+// (MissFraction) more. The planner prices every join phase with it and
+// P-MPSM's equi-cost splitters every range partition.
+func HostNanos(s AccessStats, bytes float64) float64 {
+	return Host().Nanos(s) + float64(s.LocalRandRead+s.LocalRandWrite)*hostRandMiss*MissFraction(bytes)
 }
 
 // Estimate converts access statistics into a simulated duration.

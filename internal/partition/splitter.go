@@ -17,15 +17,22 @@ func Accesses(r, s uint64, workers int) (sort, match numa.AccessStats) {
 		numa.AccessStats{LocalSeqRead: uint64(workers)*r + s}
 }
 
+// RunBytes is what a tuple of a sorted run occupies: its key and payload
+// columns.
+const RunBytes = 16
+
 // PartitionCost prices a range partition of r private tuples covering s
-// public entries on the given number of workers: its Accesses at the host's
-// prices (numa.Host), in nanoseconds — the cost the equi-cost splitters
-// balance (Section 4.3 of the paper, with the sort priced as the linear
-// radix sort it is here rather than as a comparison sort).
-func PartitionCost(r, s uint64, workers int) float64 {
+// public entries, of a private input of total tuples on the given number of
+// workers: its Accesses at the host's prices (numa.HostNanos), in nanoseconds
+// — the cost the equi-cost splitters balance (Section 4.3 of the paper, with
+// the sort priced as the linear radix sort it is here rather than as a
+// comparison sort). The sort's random accesses pay the cache ramp of an even
+// share of the private input's runs, so the price stays linear in r and s
+// and the partitions of a join sum to the planner's phases 3 and 4.
+func PartitionCost(r, s, total uint64, workers int) float64 {
 	sort, match := Accesses(r, s, workers)
 	sort.Add(match)
-	return numa.Host().Nanos(sort)
+	return numa.HostNanos(sort, RunBytes*float64(total)/float64(workers))
 }
 
 // ComputeSplitters determines the load-balancing splitter vector for P-MPSM's
@@ -61,7 +68,8 @@ func ComputeSplitters(globalR Histogram, cdf *CDF, cfg RadixConfig, workers int)
 	// probe serves two of them. pre is the prefix sum the packing rounds
 	// search, and massive[c] is the first cluster at or after c that weighs
 	// anything.
-	perTuple, perEntry := PartitionCost(1, 0, workers), PartitionCost(0, 1, workers)
+	total := uint64(globalR.Total())
+	perTuple, perEntry := PartitionCost(1, 0, total, workers), PartitionCost(0, 1, total, workers)
 	weight := make([]float64, clusters)
 	pre := make([]float64, clusters+1)
 	massive := make([]int, clusters+1)

@@ -56,18 +56,26 @@ func buildTestCDF(keys []uint64, boundsPerRun, runs int) *CDF {
 }
 
 // TestPartitionCost: a partition is priced by what its phases 3 and 4 book,
-// linearly — at T = 8, eight private tuples sort for 14 ns each and are
-// scanned once per public run, and the 100 public entries of their range
-// once, at 2 ns a scan: 8·14 + 2·(8·8 + 100) = 440.
+// linearly — at T = 8, eight private tuples sort for 14 ns each while the
+// private input's runs are cache-resident and are scanned once per public
+// run, and the 100 public entries of their range once, at 2 ns a scan:
+// 8·14 + 2·(8·8 + 100) = 440. Once an even share of the runs (2^30 tuples
+// over 8 workers) is far out of cache, each of a tuple's four random
+// accesses costs 2.2 ns more: 440 + 8·4·2.2 = 510.4.
 func TestPartitionCost(t *testing.T) {
-	if got := PartitionCost(0, 0, 8); got != 0 {
-		t.Fatalf("PartitionCost(0, 0, 8) = %f, want 0", got)
+	if got := PartitionCost(0, 0, 8, 8); got != 0 {
+		t.Fatalf("PartitionCost(0, 0, 8, 8) = %f, want 0", got)
 	}
-	if got := PartitionCost(8, 100, 8); math.Abs(got-440) > 1e-9 {
-		t.Fatalf("PartitionCost(8, 100, 8) = %f, want 440", got)
+	if got := PartitionCost(8, 100, 8, 8); math.Abs(got-440) > 1e-9 {
+		t.Fatalf("PartitionCost(8, 100, 8, 8) = %f, want 440", got)
 	}
-	if sum, whole := PartitionCost(5, 70, 8)+PartitionCost(3, 30, 8), PartitionCost(8, 100, 8); math.Abs(sum-whole) > 1e-9 {
-		t.Fatalf("two partitions cost %f, their union %f: the price is not linear", sum, whole)
+	if got := PartitionCost(8, 100, 1<<30, 8); math.Abs(got-510.4) > 1e-9 {
+		t.Fatalf("PartitionCost(8, 100, 1<<30, 8) = %f, want 510.4", got)
+	}
+	for _, total := range []uint64{8, 1 << 18, 1 << 30} {
+		if sum, whole := PartitionCost(5, 70, total, 8)+PartitionCost(3, 30, total, 8), PartitionCost(8, 100, total, 8); math.Abs(sum-whole) > 1e-9*whole {
+			t.Fatalf("two partitions cost %f, their union %f at %d tuples: the price is not linear", sum, whole, total)
+		}
 	}
 }
 
@@ -119,7 +127,8 @@ func clusterMass(cdf *CDF, cfg RadixConfig, cl int) float64 {
 // clusterWeights prices every cluster's R tuples and S mass on the given
 // number of workers.
 func clusterWeights(globalR Histogram, cdf *CDF, cfg RadixConfig, workers int) []float64 {
-	perTuple, perEntry := PartitionCost(1, 0, workers), PartitionCost(0, 1, workers)
+	total := uint64(globalR.Total())
+	perTuple, perEntry := PartitionCost(1, 0, total, workers), PartitionCost(0, 1, total, workers)
 	weights := make([]float64, len(globalR))
 	for cl := range weights {
 		weights[cl] = perTuple*float64(globalR[cl]) + perEntry*clusterMass(cdf, cfg, cl)

@@ -21,12 +21,12 @@ import (
 // and phase predicts those counts from what the planner knows — |R|, |S|, the
 // worker count T, the estimated matches and public entries, presortedness —
 // and TestPredictedAccessesMatchTheTrackers holds every prediction to what a
-// tracked join books. Each kind costs one host price (numa.Host, the prices
+// tracked join books. Each kind costs one host price, a random access more by
+// the cache ramp of the phase's working set (numa.HostNanos, the prices
 // P-MPSM's equi-cost splitters balance its partitions at); on top come only
-// what counts cannot give: the cache ramp of a phase's working set, the
-// barriers and the splitter search of a join on several workers, the share of
-// a worker that an added worker returns per phase, and the delivery to the
-// consumer.
+// what counts cannot give: the barriers and the splitter search of a join on
+// several workers, the share of a worker that an added worker returns per
+// phase, and the delivery to the consumer.
 //
 // Delivery is priced by shape because since the merge kernel emits ranges it
 // decides more joins than production does. B- and P-MPSM hand their consumer
@@ -70,16 +70,6 @@ import (
 // are only extrapolated beyond: what the model says at more than two workers
 // has not been measured on any host.
 type CostModel struct {
-	// RandMiss is what a random access costs more once the phase's working
-	// set has left the fast cache levels, phased in over CacheGrowthLog2
-	// doublings of the working set beyond CacheBytes: run generation reads
-	// 20.4, 23.7 and 25.5 ns a tuple at 2^19, 2^20 and 2^21 tuples a run, and
-	// the no-partitioning join 4.4–4.6 ns an operation below 2^15 build tuples
-	// and 12.9 at 2^19.
-	RandMiss        float64
-	CacheBytes      float64
-	CacheGrowthLog2 float64
-
 	// SplitterFixed is P-MPSM's splitter search and prefix sums over several
 	// workers' histograms, independent of the input size:
 	// core.pmpsm_phase2_ms on short_concurrent less the histogram and scatter
@@ -191,9 +181,6 @@ type CostModel struct {
 // DefaultCostModel returns the model measured on the reference sandbox.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		RandMiss:             2.2,
-		CacheBytes:           1408 << 10,
-		CacheGrowthLog2:      3.7,
 		SplitterFixed:        80e3,
 		BarrierFixed:         40e3,
 		ParallelCached:       0.26,
@@ -233,7 +220,7 @@ type Phase struct {
 // radix join's input and its partitions; the chained table's build tuple,
 // 8 four-byte bucket heads and its chain link.
 const (
-	runBytes   = 16
+	runBytes   = partition.RunBytes
 	radixBytes = 32
 	tableBytes = 52
 )
@@ -351,22 +338,14 @@ type Consumer struct {
 	Groups bool
 }
 
-// missFraction is the cache-miss ramp of a working set of the given bytes.
-func (c CostModel) missFraction(bytes float64) float64 {
-	if bytes <= c.CacheBytes {
-		return 0
-	}
-	return math.Min(1, math.Log2(bytes/c.CacheBytes)/c.CacheGrowthLog2)
-}
-
 // speedup is how much faster t workers run a phase than one, when an added
 // worker returns the given share of a worker.
 func speedup(t, s float64) float64 { return 1 + (t-1)*s }
 
 // price is the modelled time of a phase on t workers, its barriers left out.
 func (c CostModel) price(p Phase, t float64) float64 {
-	miss := c.missFraction(p.Bytes)
-	ns := float64(numa.Host().Estimate(p.AccessStats)) + float64(p.LocalRandRead+p.LocalRandWrite)*c.RandMiss*miss
+	miss := numa.MissFraction(p.Bytes)
+	ns := numa.HostNanos(p.AccessStats, p.Bytes)
 	s := p.Share
 	if s == 0 {
 		s = c.ParallelCached + (c.ParallelMemory-c.ParallelCached)*miss

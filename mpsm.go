@@ -192,8 +192,8 @@ type SplitterStrategy = core.SplitterStrategy
 const (
 	// SplitterEquiCost balances each worker's sort and match cost, priced
 	// from the global R histogram and the S CDF as the accesses those phases
-	// book at the host prices the planner uses (the paper's skew-resilient
-	// default).
+	// book, at the prices and cache ramp the planner uses (the paper's
+	// skew-resilient default).
 	SplitterEquiCost = core.SplitterEquiCost
 	// SplitterEquiHeight balances only R tuple counts (Figure 16 baseline).
 	SplitterEquiHeight = core.SplitterEquiHeight
