@@ -158,8 +158,9 @@ func runFigure16(cfg Config, w io.Writer) error {
 			}
 			// The modelled cost is what the equi-cost splitters balance:
 			// the accesses the worker's phases 3 and 4 book at the host's
-			// prices and cache ramp. Unlike the clock, it is deterministic and not distorted
-			// by goroutine scheduling on oversubscribed machines.
+			// prices and cache ramp. Unlike the clock, it is deterministic
+			// and not distorted by goroutine scheduling on oversubscribed
+			// machines.
 			cost := partition.PartitionCost(uint64(wb.PrivateTuples), uint64(wb.PublicScanned), uint64(r.Len()), workers)
 			model = append(model, cost)
 			clock = append(clock, float64(cells["phase 3"]+cells["phase 4"]))

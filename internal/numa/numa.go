@@ -252,16 +252,15 @@ func DefaultCostModel() CostModel {
 // splitter (partition.ComputeSplitters) every range partition, so both price
 // one machine. They are fitted to the planner's one-to-two-worker ladder and
 // to the choices its tests pin (planner.CostModel); the ladder's phases on one
-// worker set them: the match
-// phase books one sequential read per tuple scanned and reads 9.8–10.4 ns a
-// tuple; run generation books two sequential reads, a sequential write and two
-// random reads and writes per tuple and reads 14.2–15.6 ns a tuple up to
-// 262 144 tuples; the no-partitioning join's build books one random write a
-// build tuple, its probe one sequential read a probe tuple and one random
-// read per probe tuple and per chain entry walked. One price per kind cannot
-// serve both the sort's cheap sequential passes and the merge's comparisons,
-// so a sequential read at 2 ns undercounts the merge: these prices order,
-// they do not forecast the clock.
+// worker set them: the match phase books one sequential read per tuple scanned
+// and reads 9.8–10.4 ns a tuple; run generation books two sequential reads, a
+// sequential write and two random reads and writes per tuple and reads
+// 14.2–15.6 ns a tuple up to 262 144 tuples; the no-partitioning join's build
+// books one random write a build tuple, its probe one sequential read a probe
+// tuple and one random read per probe tuple and per chain entry walked. One
+// price per kind cannot serve both the sort's cheap sequential passes and the
+// merge's comparisons, so a sequential read at 2 ns undercounts the merge:
+// these prices order, they do not forecast the clock.
 func Host() CostModel {
 	return CostModel{LocalSeqRead: 2, LocalSeqWrite: 0.4, LocalRandRead: 1.4, LocalRandWrite: 4.6, SyncOp: 1.4}
 }
